@@ -185,9 +185,8 @@ class ServiceStateStore:
     def put_record(self, service: GeneratedService, replica: str) -> None:
         """Insert or replace the record for *service* (write-through)."""
         with self.db.transaction():
-            self.db.delete_where(
-                SERVICE_TABLE,
-                lambda r: r["service_name"] == service.service_name)
+            self.db.delete_eq(SERVICE_TABLE, "service_name",
+                              service.service_name)
             self.db.insert(SERVICE_TABLE, [
                 service.service_name, service.executable_name,
                 service.endpoint, service.wsdl_location,
@@ -214,8 +213,7 @@ class ServiceStateStore:
         row = self.get_record(service_name)
         if row is None:
             return None
-        self.db.delete_where(
-            SERVICE_TABLE, lambda r: r["service_name"] == service_name)
+        self.db.delete_eq(SERVICE_TABLE, "service_name", service_name)
         self._fan_out(self._removed, service_name, origin)
         return row
 
@@ -236,8 +234,8 @@ class ServiceStateStore:
         if row is None:
             return 0
         count = row["invocations"] + 1
-        self.db.update_where(SERVICE_TABLE, {"invocations": count},
-                             lambda r: r["service_name"] == service_name)
+        self.db.update_eq(SERVICE_TABLE, "service_name", service_name,
+                          {"invocations": count})
         return count
 
     @staticmethod
@@ -272,13 +270,12 @@ class ServiceStateStore:
                     replica: str) -> None:
         key = self._staged_key(site, path)
         with self.db.transaction():
-            self.db.delete_where(STAGED_TABLE, lambda r: r["key"] == key)
+            self.db.delete_eq(STAGED_TABLE, "key", key)
             self.db.insert(STAGED_TABLE, [key, site, path, digest, replica])
 
     def evict_staged(self, path: str) -> int:
         """Drop every site's copy of exactly *path* (replacement upload)."""
-        return self.db.delete_where(STAGED_TABLE,
-                                    lambda r: r["path"] == path)
+        return self.db.delete_eq(STAGED_TABLE, "path", path)
 
     def staged_copies(self) -> List[Tuple[str, str, str]]:
         """(site, path, digest) rows, ordered (test/inspection hook)."""
@@ -305,7 +302,7 @@ class ServiceStateStore:
                   expires: float) -> None:
         key = self._lease_key(replica, username)
         with self.db.transaction():
-            self.db.delete_where(LEASE_TABLE, lambda r: r["key"] == key)
+            self.db.delete_eq(LEASE_TABLE, "key", key)
             self.db.insert(LEASE_TABLE,
                            [key, replica, username, session, expires])
 
@@ -313,10 +310,11 @@ class ServiceStateStore:
                    session: Optional[str] = None) -> None:
         """Revoke the lease (matching *session* if given, else any)."""
         key = self._lease_key(replica, username)
-        self.db.delete_where(
-            LEASE_TABLE,
-            lambda r: r["key"] == key and (session is None
-                                           or r["session"] == session))
+        if session is not None:
+            held = self.db.find_eq(LEASE_TABLE, "key", key)
+            if held and held[0]["session"] != session:
+                return  # someone else's newer lease: leave it
+        self.db.delete_eq(LEASE_TABLE, "key", key)
 
     # -- replica membership leases (self-healing plane) -----------------------
 
@@ -331,8 +329,7 @@ class ServiceStateStore:
         row = self.member(replica)
         epoch = row["epoch"] if row is not None else self._next_epoch()
         with self.db.transaction():
-            self.db.delete_where(MEMBER_TABLE,
-                                 lambda r: r["replica"] == replica)
+            self.db.delete_eq(MEMBER_TABLE, "replica", replica)
             self.db.insert(MEMBER_TABLE, [replica, expires, epoch, status])
 
     def _next_epoch(self) -> int:
@@ -356,12 +353,11 @@ class ServiceStateStore:
                       if r["expires"] <= now)
 
     def mark_draining(self, replica: str) -> None:
-        self.db.update_where(MEMBER_TABLE, {"status": "draining"},
-                             lambda r: r["replica"] == replica)
+        self.db.update_eq(MEMBER_TABLE, "replica", replica,
+                          {"status": "draining"})
 
     def drop_member(self, replica: str) -> None:
-        self.db.delete_where(MEMBER_TABLE,
-                             lambda r: r["replica"] == replica)
+        self.db.delete_eq(MEMBER_TABLE, "replica", replica)
 
     # -- invocation dedup (idempotent crash-failover retries) -----------------
 

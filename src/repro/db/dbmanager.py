@@ -254,8 +254,7 @@ class DbManager:
             yield self.host.disk_write(
                 len(compressed) + self.costs.commit_disk_overhead)
             with self.db.transaction():
-                self.db.delete_where(
-                    self.TABLE, lambda r: r["name"] == name)
+                self.db.delete_eq(self.TABLE, "name", name)
                 self.db.insert(self.TABLE, [
                     name, description, params_spec, compressed,
                     len(payload), len(compressed), self.sim.now,
@@ -294,8 +293,7 @@ class DbManager:
                 yield self.host.disk_write(
                     len(compressed) + self.costs.commit_disk_overhead)
                 with self.db.transaction():
-                    self.db.delete_where(
-                        self.TABLE, lambda r: r["name"] == name)
+                    self.db.delete_eq(self.TABLE, "name", name)
                     self.db.insert(self.TABLE, [
                         name, description, params_spec, compressed,
                         len(payload), len(compressed), self.sim.now,
@@ -452,8 +450,7 @@ class DbManager:
 
         def op() -> Generator[Event, None, bool]:
             yield self.host.compute(self.costs.statement_cpu, tag="db")
-            count = self.db.delete_where(self.TABLE,
-                                         lambda r: r["name"] == name)
+            count = self.db.delete_eq(self.TABLE, "name", name)
             yield self.host.disk_write(self.costs.commit_disk_overhead)
             return count > 0
 

@@ -194,8 +194,34 @@ class Database:
     def delete_where(self, table: str, predicate: Optional[Predicate] = None) -> int:
         """Delete matching rows; returns the count removed."""
         tbl = self._table(table)
-        victims = [rowid for rowid, row in tbl.scan()
-                   if predicate is None or predicate(self._as_dict(tbl, row))]
+        return self._delete_rowids(tbl, self._rowids_where(tbl, predicate))
+
+    def delete_eq(self, table: str, column: str, value: Any) -> int:
+        """Delete the rows whose *column* equals *value* (keyed, no scan
+        when the column is the primary key or indexed)."""
+        tbl = self._table(table)
+        return self._delete_rowids(tbl,
+                                   self._rowids_eq(table, column, value))
+
+    def update_where(self, table: str,
+                     updates: Dict[str, Any],
+                     predicate: Optional[Predicate] = None) -> int:
+        """Set columns on matching rows; returns the count changed."""
+        tbl = self._table(table)
+        changes = [(tbl.schema.index_of(c), v) for c, v in updates.items()]
+        return self._update_rowids(tbl, changes,
+                                   self._rowids_where(tbl, predicate))
+
+    def update_eq(self, table: str, column: str, value: Any,
+                  updates: Dict[str, Any]) -> int:
+        """Set columns on the rows whose *column* equals *value* (keyed)."""
+        tbl = self._table(table)
+        changes = [(tbl.schema.index_of(c), v) for c, v in updates.items()]
+        return self._update_rowids(tbl, changes,
+                                   self._rowids_eq(table, column, value))
+
+    def _delete_rowids(self, tbl: HeapTable, victims: List[int]) -> int:
+        table = tbl.name
         with self._txn_scope():
             for rowid in victims:
                 old = tbl.delete(rowid)
@@ -206,20 +232,16 @@ class Database:
                 self._index_remove(table, rowid, old)
         return len(victims)
 
-    def update_where(self, table: str,
-                     updates: Dict[str, Any],
-                     predicate: Optional[Predicate] = None) -> int:
-        """Set columns on matching rows; returns the count changed."""
-        tbl = self._table(table)
-        positions = {col: tbl.schema.index_of(col) for col in updates}
-        targets = [rowid for rowid, row in tbl.scan()
-                   if predicate is None or predicate(self._as_dict(tbl, row))]
+    def _update_rowids(self, tbl: HeapTable,
+                       changes: List[Tuple[int, Any]],
+                       targets: List[int]) -> int:
+        table = tbl.name
         with self._txn_scope():
             for rowid in targets:
                 old = tbl.get(rowid)
                 new = list(old)
-                for col, value in updates.items():
-                    new[positions[col]] = value
+                for pos, value in changes:
+                    new[pos] = value
                 self._save_preimage(table, rowid, old)
                 tbl.update(rowid, new)
                 stored = tbl.get(rowid)
@@ -247,28 +269,10 @@ class Database:
         return out
 
     def find_eq(self, table: str, column: str, value: Any) -> List[Dict[str, Any]]:
-        """Equality lookup, via index when one exists."""
+        """Equality lookup: primary key, then index, then heap scan."""
         tbl = self._table(table)
-        index = self._indexes.get((table, column))
-        if isinstance(index, HashIndex):
-            rowids = sorted(index.find(value))
-            self.stats["index_rows"] += len(rowids)
-            return [self._as_dict(tbl, tbl.get(r)) for r in rowids]
-        if isinstance(index, SortedIndex) and value is not None:
-            try:
-                rowids = sorted(index.range(value, value))
-            except TypeError:
-                rowids = None  # uncomparable literal; fall back to a scan
-            if rowids is not None:
-                self.stats["index_rows"] += len(rowids)
-                return [self._as_dict(tbl, tbl.get(r)) for r in rowids]
-        col_pos = tbl.schema.index_of(column)
-        out = []
-        for _r, row in tbl.scan():
-            self.stats["rows_scanned"] += 1
-            if row[col_pos] == value:
-                out.append(self._as_dict(tbl, row))
-        return out
+        return [self._as_dict(tbl, tbl.get(r))
+                for r in self._rowids_eq(table, column, value)]
 
     def find_range(self, table: str, column: str,
                    lo: Any = None, hi: Any = None,
@@ -429,6 +433,45 @@ class Database:
         for tbl in self.tables.values():
             if tbl.has_versions():
                 tbl.prune_versions(watermark)
+
+    def _rowids_eq(self, table: str, column: str, value: Any) -> List[int]:
+        """Rowids whose *column* equals *value*, in rowid order.
+
+        The one access path for point reads and keyed DML: primary-key
+        map, else hash index, else sorted index, else a positional heap
+        scan.  A value the keyed rung cannot hash or compare drops to
+        the scan, which answers with plain ``==``.
+        """
+        tbl = self._table(table)
+        col_pos = tbl.schema.index_of(column)
+        pk = tbl.schema.primary_key
+        rowids: Optional[List[int]] = None
+        try:
+            if pk is not None and pk.name == column:
+                rowid = tbl.lookup_pk(value)
+                rowids = [] if rowid is None else [rowid]
+            else:
+                index = self._indexes.get((table, column))
+                if isinstance(index, HashIndex):
+                    rowids = sorted(index.find(value))
+                elif isinstance(index, SortedIndex) and value is not None:
+                    rowids = sorted(index.range(value, value))
+        except TypeError:
+            pass  # unhashable or uncomparable value: the scan answers it
+        if rowids is not None:
+            self.stats["index_rows"] += len(rowids)
+            return rowids
+        self.stats["rows_scanned"] += len(tbl)
+        return [rowid for rowid, row in tbl.scan() if row[col_pos] == value]
+
+    def _rowids_where(self, tbl: HeapTable,
+                      predicate: Optional[Predicate]) -> List[int]:
+        """Rowids matching an arbitrary *predicate*: always a full scan."""
+        self.stats["rows_scanned"] += len(tbl)
+        if predicate is None:
+            return [rowid for rowid, _row in tbl.scan()]
+        return [rowid for rowid, row in tbl.scan()
+                if predicate(self._as_dict(tbl, row))]
 
     def _table(self, name: str) -> HeapTable:
         try:

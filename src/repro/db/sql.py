@@ -15,9 +15,10 @@ WHERE expressions: comparisons (= != <> < <= > >=), AND/OR/NOT,
 parentheses, IS [NOT] NULL, LIKE with %/_ wildcards.  Literals: integers,
 reals, 'strings' (with '' escaping), X'68656c6c6f' blob literals, NULL.
 
-The executor consults the engine's hash indexes for top-level equality
-predicates, so ``SELECT ... WHERE name = 'x'`` on an indexed column skips
-the full scan.
+A top-level ``WHERE col = literal`` on SELECT, UPDATE and DELETE goes
+through the engine's keyed access path (primary key, hash index, sorted
+index), so point statements skip the full scan; ``col = NULL`` matches
+nothing on every path.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.db.engine import Database
-from repro.db.index import HashIndex, SortedIndex
+from repro.db.index import SortedIndex
 from repro.db.table import Column, TYPES
 from repro.errors import SqlError
 
@@ -523,11 +524,18 @@ def execute_sql(db: Database, sql: str) -> Union[List[Dict[str, Any]], int, None
         return rows
 
     if op == "update":
+        where = stmt["where"]
+        if _keyed(db, stmt["table"], where):
+            return db.update_eq(stmt["table"], where.eq_column,
+                                where.eq_value, stmt["updates"])
         return db.update_where(stmt["table"], stmt["updates"],
-                               stmt["where"].fn if stmt["where"] else None)
+                               where.fn if where else None)
     if op == "delete":
-        return db.delete_where(stmt["table"],
-                               stmt["where"].fn if stmt["where"] else None)
+        where = stmt["where"]
+        if _keyed(db, stmt["table"], where):
+            return db.delete_eq(stmt["table"], where.eq_column,
+                                where.eq_value)
+        return db.delete_where(stmt["table"], where.fn if where else None)
 
     raise SqlError(f"unhandled statement {op!r}")  # pragma: no cover
 
@@ -587,19 +595,33 @@ def _hashable_value(value: Any) -> Any:
     return bytes(value) if isinstance(value, bytearray) else value
 
 
-def _candidates(db: Database, table: str,
-                where: Optional[Expr]) -> List[Dict[str, Any]]:
-    """Rows matching *where*, routed through an index when one fits.
+def _keyed(db: Database, table: str, where: Optional[Expr]) -> bool:
+    """Is *where* a top-level ``col = literal`` the engine can key on?
 
-    Top-level ``col = literal`` uses a hash (or sorted) index; a
-    top-level ``col < / <= / > / >= literal`` range uses a sorted index.
-    Everything else falls back to a predicate heap scan.
+    NULL literals stay on the predicate path, where three-valued logic
+    makes ``col = NULL`` match nothing (the engine's keyed calls compare
+    with python ``==`` and would return the NULL rows).  So do unknown
+    tables and columns, which keeps their error on the generic path.
     """
     eq_col = getattr(where, "eq_column", None)
-    if (eq_col is not None
-            and isinstance(db._indexes.get((table, eq_col)),
-                           (HashIndex, SortedIndex))):
-        return db.find_eq(table, eq_col, where.eq_value)  # type: ignore[union-attr]
+    if eq_col is None or where.eq_value is None:  # type: ignore[union-attr]
+        return False
+    tbl = db.tables.get(table)
+    return tbl is not None and eq_col in tbl.schema.names()
+
+
+def _candidates(db: Database, table: str,
+                where: Optional[Expr]) -> List[Dict[str, Any]]:
+    """Rows matching *where*, routed through the cheapest access path.
+
+    Top-level ``col = literal`` uses the engine's keyed lookup (primary
+    key, hash or sorted index, positional scan); a top-level ``col < /
+    <= / > / >= literal`` range uses a sorted index.  Everything else
+    falls back to a predicate heap scan.
+    """
+    if _keyed(db, table, where):
+        return db.find_eq(table, where.eq_column,   # type: ignore[union-attr]
+                          where.eq_value)           # type: ignore[union-attr]
     range_col = getattr(where, "range_column", None)
     if (range_col is not None
             and isinstance(db._indexes.get((table, range_col)), SortedIndex)):

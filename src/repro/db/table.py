@@ -72,6 +72,7 @@ class Schema:
         if len(pks) > 1:
             raise DatabaseError("at most one PRIMARY KEY column is supported")
         self.columns: Tuple[Column, ...] = tuple(columns)
+        self._names: Tuple[str, ...] = tuple(names)
         self._by_name: Dict[str, int] = {c.name: i for i, c in enumerate(columns)}
         self.primary_key: Optional[Column] = pks[0] if pks else None
 
@@ -82,8 +83,8 @@ class Schema:
         except KeyError:
             raise DatabaseError(f"no such column {name!r}") from None
 
-    def names(self) -> List[str]:
-        return [c.name for c in self.columns]
+    def names(self) -> Tuple[str, ...]:
+        return self._names
 
     def validate_row(self, row: Sequence[Any]) -> Tuple[Any, ...]:
         if len(row) != len(self.columns):
@@ -106,7 +107,10 @@ class HeapTable:
     def __init__(self, name: str, schema: Schema):
         self.name = name
         self.schema = schema
+        # Kept in rowid order: inserts append ever-larger rowids, and the
+        # one out-of-order writer (restore) flags a lazy re-sort.
         self._rows: Dict[int, Tuple[Any, ...]] = {}
+        self._unsorted = False
         self._next_rowid = 1
         # Primary-key value -> rowid, for O(1) uniqueness + point lookup.
         self._pk_map: Dict[Any, int] = {}
@@ -167,6 +171,8 @@ class HeapTable:
         """Reinstall a previously deleted row (transaction rollback)."""
         if rowid in self._rows:
             raise DatabaseError(f"{self.name}: rowid {rowid} already present")
+        if rowid < self._next_rowid:
+            self._unsorted = True  # lands behind a larger rowid
         self._rows[rowid] = row
         pk = self.schema.primary_key
         if pk is not None:
@@ -227,9 +233,14 @@ class HeapTable:
         return self._pk_map.get(key)
 
     def scan(self) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        """Iterate (rowid, row) in rowid order."""
-        for rowid in sorted(self._rows):
-            yield rowid, self._rows[rowid]
+        """Iterate (rowid, row) in rowid order.
+
+        A live view: collect what you need before inserting or deleting.
+        """
+        if self._unsorted:
+            self._rows = dict(sorted(self._rows.items()))
+            self._unsorted = False
+        return iter(self._rows.items())
 
     def __len__(self) -> int:
         return len(self._rows)

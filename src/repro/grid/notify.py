@@ -132,8 +132,7 @@ class NotifyQueue:
         callbacks — because it creates no simulation events.
         """
         with self.db.transaction():
-            self.db.delete_where(JOB_STATES_TABLE,
-                                 lambda r: r["job_id"] == job_id)
+            self.db.delete_eq(JOB_STATES_TABLE, "job_id", job_id)
             self.db.insert(JOB_STATES_TABLE, [
                 job_id, site, state, self.sim.now, 1 if terminal else 0])
 
@@ -142,8 +141,7 @@ class NotifyQueue:
         db = self.db
         if self.read_router is not None:
             db = self.read_router.reader(JOB_STATES_TABLE)
-        rows = db.select(JOB_STATES_TABLE,
-                         lambda r: r["job_id"] == job_id)
+        rows = db.find_eq(JOB_STATES_TABLE, "job_id", job_id)
         return rows[0] if rows else None
 
     @property
@@ -183,9 +181,8 @@ class NotifyQueue:
 
     def _deliver(self, message: Dict[str, Any]) -> None:
         seq = message["seq"]
-        self.db.update_where(NOTIFY_QUEUE_TABLE,
-                             {"delivered_at": self.sim.now},
-                             lambda r: r["seq"] == seq)
+        self.db.update_eq(NOTIFY_QUEUE_TABLE, "seq", seq,
+                          {"delivered_at": self.sim.now})
         self.delivered += 1
         self._depth_gauge.adjust(-1)
         self._bus.emit("notify.deliver", layer="grid",

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right, insort
 from typing import (
-    Any, Dict, Generator, List, Optional, Sequence, Set, Tuple,
+    Any, Dict, Generator, List, Optional, Sequence, Tuple,
 )
 
 from repro.core.context import RequestContext, span
@@ -234,7 +234,9 @@ class RequestRouter:
         self.failover_policy = failover_policy or RetryPolicy(
             max_attempts=3, base_delay=0.25, multiplier=2.0, max_delay=2.0)
         self._consecutive_faults: Dict[str, int] = {}
-        self._inflight_procs: Dict[str, Set[Process]] = {}
+        # Per replica, in admission order (a dict as an ordered set): a
+        # crash must interrupt them in the same order on every run.
+        self._inflight_procs: Dict[str, Dict[Process, None]] = {}
         #: Replicas declared dead or drained, parked for revival.
         self._dead: Dict[str, Replica] = {}
         self._drain_waiters: Dict[str, List[Event]] = {}
@@ -663,7 +665,7 @@ class RequestRouter:
                                 ctx, dkey),
                     name=f"router:proxy:{service_name}.{operation}")
                 self._inflight_procs.setdefault(replica.name,
-                                                set()).add(proc)
+                                                {})[proc] = None
                 crash: Optional[ReplicaDown] = None
                 try:
                     result = yield proc
@@ -689,7 +691,7 @@ class RequestRouter:
                 finally:
                     procs = self._inflight_procs.get(replica.name)
                     if procs is not None:
-                        procs.discard(proc)
+                        procs.pop(proc, None)
                     self._release(replica.name)
                 if crash is None:
                     self.breakers.success(replica.name)

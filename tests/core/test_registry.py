@@ -215,3 +215,44 @@ def test_dedup_records_once_and_flags_duplicates():
     assert store.record_dedup("req-2|RouteService.invoke", "replica2",
                               "out2.dat", now=5.0)
     assert store.dedup_count() == 2
+
+
+def _rows_scanned_per_job(n_jobs):
+    """Heap rows the DB tier visits per job for the per-invocation
+    bookkeeping: notify publish/deliver/replay, agent lease, heartbeat,
+    staging mark, dedup record and the invocation counter."""
+    from repro.grid.notify import NotifyQueue
+
+    sim, store = make_store()
+    db = store.db
+    queue = NotifyQueue(sim, db, propagation=0.5)
+    store.put_record(make_service(), replica="appliance")
+    db.stats["rows_scanned"] = 0
+    for j in range(n_jobs):
+        job, replica = f"job-{j}", f"appliance{j % 4:02d}"
+        queue.publish("ncsa", job, "pending")
+        queue.record_state("ncsa", job, "active")
+        queue.publish("ncsa", job, "done", terminal=True)
+        sim.run(until=sim.timeout(1.0))             # both deliveries land
+        assert queue.job_state(job)["state"] == "done"
+        assert queue.subscribe("ncsa", job).value["state"] == "done"
+        store.put_lease(replica, "grid", f"session-{j}", sim.now + 60.0)
+        assert store.get_lease(replica, "grid")[0] == f"session-{j}"
+        store.renew_member(replica, sim.now + 12.0)
+        store.mark_staged("ncsa", f"/stage/{j}.bin", f"digest-{j}", replica)
+        assert store.staged_digest("ncsa", f"/stage/{j}.bin")
+        assert store.record_dedup(f"req-{j}|Hello.execute", replica, "out",
+                                  sim.now)
+        assert store.dedup_result(f"req-{j}|Hello.execute") == "out"
+        assert store.bump_invocations("HelloService") == j + 1
+    assert queue.delivered == 2 * n_jobs and db.count("job_states") == n_jobs
+    return db.stats["rows_scanned"] / n_jobs
+
+
+def test_per_job_bookkeeping_scan_budget_does_not_grow_with_history():
+    # Every statement above names its row by key.  An equality lambda
+    # slipped back into any of them makes the per-job count grow with the
+    # rows already written — caught here as a count, not as a timing.
+    small, large = _rows_scanned_per_job(25), _rows_scanned_per_job(100)
+    assert large <= small
+    assert small == 0

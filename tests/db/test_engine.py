@@ -4,6 +4,7 @@ import pytest
 
 from repro.db.engine import Database
 from repro.db.table import Column
+from repro.db.wal import WriteAheadLog
 from repro.errors import DatabaseError, RecordNotFound, TransactionError
 
 
@@ -153,6 +154,130 @@ def test_duplicate_index_rejected():
         db.create_index("users", "name")
     with pytest.raises(DatabaseError):
         db.create_index("users", "nope")
+
+
+# ------------------------------------------------------------ keyed access
+
+def _counted(db, call):
+    """(result, rows_scanned, index_rows) of one engine call."""
+    db.stats["rows_scanned"] = db.stats["index_rows"] = 0
+    return call(), db.stats["rows_scanned"], db.stats["index_rows"]
+
+
+def people_db(index=None):
+    db = fresh_db()
+    if index is not None:
+        db.create_index("users", "name", index)
+    for i, name in enumerate(["ada", "bob", "ada", "cy", "ada"], start=1):
+        db.insert("users", [i * 10, name, float(i)])
+    return db
+
+
+def test_resolver_primary_key_rung():
+    db = people_db()
+    rows, scanned, keyed = _counted(
+        db, lambda: db.find_eq("users", "id", 30))
+    assert [r["name"] for r in rows] == ["ada"] and (scanned, keyed) == (0, 1)
+    assert _counted(db, lambda: db.update_eq(
+        "users", "id", 30, {"score": 0.5})) == (1, 0, 1)
+    assert _counted(db, lambda: db.delete_eq("users", "id", 20)) == (1, 0, 1)
+    assert _counted(db, lambda: db.delete_eq("users", "id", 21)) == (0, 0, 0)
+    assert [(r["id"], r["score"]) for r in db.select("users")] == [
+        (10, 1.0), (30, 0.5), (40, 4.0), (50, 5.0)]
+
+
+@pytest.mark.parametrize("index", ["hash", "sorted"])
+def test_resolver_secondary_index_rungs(index):
+    db = people_db(index)
+    rows, scanned, keyed = _counted(
+        db, lambda: db.find_eq("users", "name", "ada"))
+    assert [r["id"] for r in rows] == [10, 30, 50]      # rowid order
+    assert (scanned, keyed) == (0, 3)
+    assert _counted(db, lambda: db.update_eq(
+        "users", "name", "ada", {"name": "eve"})) == (3, 0, 3)
+    assert db.find_eq("users", "name", "ada") == []
+    assert _counted(db, lambda: db.delete_eq(
+        "users", "name", "eve")) == (3, 0, 3)
+    assert [r["id"] for r in db.select("users")] == [20, 40]
+    assert len(db._indexes[("users", "name")]) == 2
+
+
+def test_resolver_scan_rung_counts_every_heap_row():
+    db = people_db()
+    rows, scanned, keyed = _counted(
+        db, lambda: db.find_eq("users", "name", "ada"))
+    assert [r["id"] for r in rows] == [10, 30, 50]
+    assert (scanned, keyed) == (5, 0)
+    # DML fallback scans are on the same meter as reads.
+    assert _counted(db, lambda: db.update_eq(
+        "users", "name", "cy", {"score": None})) == (1, 5, 0)
+    assert _counted(db, lambda: db.delete_eq(
+        "users", "name", "ada")) == (3, 5, 0)
+    assert _counted(db, lambda: db.delete_where(
+        "users", lambda r: r["score"] is None)) == (1, 2, 0)
+    assert _counted(db, lambda: db.update_where(
+        "users", {"score": 1.0})) == (1, 1, 0)
+
+
+def test_resolver_falls_back_on_unhashable_or_uncomparable_value():
+    db = people_db("sorted")
+    # A list cannot be hashed (PK map) nor ordered against str (sorted
+    # index): both rungs give way to the positional scan, which simply
+    # finds nothing equal.
+    assert _counted(db, lambda: db.find_eq("users", "id", [10])) == ([], 5, 0)
+    assert _counted(db, lambda: db.delete_eq("users", "name", 7)) == (0, 5, 0)
+    blobs = Database()
+    blobs.create_table("b", [Column("k", "BLOB", primary_key=True)])
+    blobs.insert("b", [b"\x01"])
+    assert blobs.delete_eq("b", "k", bytearray(b"\x01")) == 1
+    with pytest.raises(DatabaseError, match="no such column"):
+        db.delete_eq("users", "nope", 1)
+    with pytest.raises(DatabaseError, match="no such column"):
+        db.update_eq("users", "id", 10, {"nope": 1})
+
+
+def test_keyed_miss_appends_no_dml_record():
+    keyed, scanned = people_db(), people_db()
+    before = keyed.wal.snapshot()
+    with keyed.transaction():
+        assert keyed.delete_eq("users", "id", 99) == 0
+        assert keyed.update_eq("users", "id", 99, {"score": 0.0}) == 0
+    with scanned.transaction():
+        scanned.delete_where("users", lambda r: r["id"] == 99)
+        scanned.update_where("users", {"score": 0.0},
+                             lambda r: r["id"] == 99)
+    # Only the begin/commit frame of the enclosing transaction.
+    tail = list(WriteAheadLog(keyed.wal.snapshot()[len(before):]).records())
+    assert [r[0] for r in tail] == ["begin", "commit"]
+    # Autocommit keeps writing the (empty) frame the predicate form
+    # writes, so transaction ids and shipped records stay in step.
+    assert keyed.delete_eq("users", "name", "zed") == 0
+    scanned.delete_where("users", lambda r: r["name"] == "zed")
+    assert keyed.wal.snapshot() == scanned.wal.snapshot()
+
+
+def test_keyed_dml_writes_the_scan_forms_wal_bytes():
+    keyed, scanned = people_db("hash"), people_db("hash")
+    keyed.update_eq("users", "name", "ada", {"score": 7.0})
+    scanned.update_where("users", {"score": 7.0},
+                         lambda r: r["name"] == "ada")
+    keyed.delete_eq("users", "name", "ada")
+    scanned.delete_where("users", lambda r: r["name"] == "ada")
+    keyed.delete_eq("users", "id", 40)
+    scanned.delete_where("users", lambda r: r["id"] == 40)
+    assert keyed.wal.snapshot() == scanned.wal.snapshot()
+    assert keyed.select("users") == scanned.select("users")
+
+
+def test_keyed_delete_rolls_back_and_keeps_scan_order():
+    db = people_db("hash")
+    before = db.select("users")
+    db.begin()
+    db.delete_eq("users", "name", "ada")
+    db.update_eq("users", "id", 20, {"name": "ada"})
+    db.rollback()
+    assert db.select("users") == before
+    assert [r["id"] for r in db.find_eq("users", "name", "ada")] == [10, 30, 50]
 
 
 # ------------------------------------------------------------ recovery

@@ -197,6 +197,49 @@ def test_planner_scans_heap_without_index():
     assert db.stats["index_rows"] == 0
 
 
+def test_planner_routes_primary_key_point_statements():
+    db = db_with_users()
+    db.stats["rows_scanned"] = 0
+    db.stats["index_rows"] = 0
+    assert [r["name"] for r in
+            execute_sql(db, "SELECT name FROM users WHERE id = 2")] == ["bob"]
+    assert execute_sql(db, "UPDATE users SET score = 1.5 WHERE id = 2") == 1
+    assert execute_sql(db, "DELETE FROM users WHERE id = 3") == 1
+    assert execute_sql(db, "DELETE FROM users WHERE id = 77") == 0
+    # Four point statements on the key: not one heap row visited.
+    assert db.stats["rows_scanned"] == 0
+    assert db.stats["index_rows"] == 3
+    assert execute_sql(db, "SELECT id, score FROM users") == [
+        {"id": 1, "score": 9.5}, {"id": 2, "score": 1.5}]
+
+
+def test_keyed_statements_agree_with_scan_on_mistyped_literal():
+    db = db_with_users()
+    # A literal of the wrong type equals nothing, on the key or off it.
+    assert execute_sql(db, "SELECT * FROM users WHERE id = 'x'") == []
+    assert execute_sql(db, "DELETE FROM users WHERE name = 7") == 0
+    assert execute_sql(db, "UPDATE users SET score = 0.0 WHERE id = 1.0") == 1
+    with pytest.raises(SqlError, match="no such column"):
+        execute_sql(db, "DELETE FROM users WHERE nope = 1")
+
+
+@pytest.mark.parametrize("index", [None, "HASH", "SORTED"])
+def test_equals_null_matches_nothing_on_every_path(index):
+    # SQL three-valued logic: ``c = NULL`` is never true.  The index
+    # route used to hand back the NULL rows for SELECT.
+    db = db_with_users()          # bob and carol have score NULL
+    if index is not None:
+        execute_sql(db, f"CREATE INDEX ON users (score) USING {index}")
+    assert execute_sql(db, "SELECT * FROM users WHERE score = NULL") == []
+    assert execute_sql(
+        db, "UPDATE users SET name = 'hit' WHERE score = NULL") == 0
+    assert execute_sql(db, "DELETE FROM users WHERE score = NULL") == 0
+    assert [r["name"] for r in execute_sql(db, "SELECT name FROM users")] \
+        == ["ada", "bob", "carol"]
+    assert len(execute_sql(
+        db, "SELECT * FROM users WHERE score IS NULL")) == 2
+
+
 # ---------------------------------------------------------------- errors
 
 def test_parse_errors():

@@ -147,6 +147,20 @@ def test_scan_in_rowid_order():
     assert rowids == sorted(rowids)
 
 
+def test_scan_stays_in_rowid_order_after_restore():
+    # restore() is the one writer that can land a row behind a larger
+    # rowid (rollback of a delete); the next scan re-sorts, once.
+    t = people_table()
+    rids = [t.insert([i, f"p{i}", None]) for i in range(5)]
+    first, third = t.delete(rids[0]), t.delete(rids[2])
+    t.restore(rids[2], third)
+    t.restore(rids[0], first)
+    assert [rid for rid, _ in t.scan()] == rids
+    t.insert([9, "late", None])
+    assert [rid for rid, _ in t.scan()] == rids + [rids[-1] + 1]
+    assert t.schema.names() == ("id", "name", "age")
+
+
 def test_row_arity_enforced():
     t = people_table()
     with pytest.raises(DatabaseError, match="row has"):

@@ -16,6 +16,7 @@ from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
 from repro.errors import OnServeError, SoapFault, WsError
 from repro.grid.testbed import build_testbed
+from repro.resilience.retry import RetryPolicy
 from repro.simkernel import Simulator
 from repro.telemetry.events import bus
 from repro.units import KB
@@ -229,3 +230,69 @@ def test_drain_waits_for_inflight_then_drops_lease():
                and str(ev.get("reason", "")).startswith("drained:")]
     assert drained
     stack.stop_self_healing()
+
+
+JITTERED = RetryPolicy(max_attempts=3, base_delay=0.25, max_delay=2.0,
+                       jitter=0.5)
+
+
+def _crash_with_requests_in_flight(n_clients=4):
+    """One run in a fresh simulator: *n_clients* staggered executes on
+    the ring owner, which then crashes under all of them.  Returns the
+    per-request execute dispatches and the whole bus trace."""
+    sim, testbed, stack = deploy_healing(replicas=3, n_users=n_clients,
+                                         spill_threshold=2 * n_clients)
+    # Jittered backoffs come off one shared stream in interrupt order,
+    # so the order the crash cuts requests off in shows in retry times.
+    stack.router.failover_policy = JITTERED
+    publish(sim, testbed, stack, runtime="20")
+    owner = stack.router.ring.owner("RouteService")
+    assert owner != stack.onserves[0].replica  # keep the DB tier up
+    ctxs = [RequestContext(sim, f"req-{i}") for i in range(n_clients)]
+
+    def staggered(i):
+        yield sim.timeout(0.3 * i, name="test:stagger")
+        return (yield discover_and_invoke(stack, stack.user_clients[i],
+                                          "Route%", ctx=ctxs[i]))
+
+    procs = [sim.process(staggered(i), name=f"test:client-{i}")
+             for i in range(n_clients)]
+    seen = {}
+
+    def crasher():
+        yield sim.timeout(12.0, name="test:crash-timer")
+        seen["inflight"] = stack.router.inflight(owner)
+        stack.crash_replica(owner)
+
+    crash = sim.process(crasher(), name="test:crasher")
+    results = sim.run(until=sim.all_of(procs + [crash]))
+    assert all(results[p] for p in procs)
+    stack.stop_self_healing()
+    dispatches = [[(s.meta["replica"], s.start) for s in ctx.spans()
+                   if s.name == "router:route"
+                   and s.meta["service"] == "RouteService"]
+                  for ctx in ctxs]
+    trace = [(ev.ts, ev.kind, ev.request_id, sorted(ev.fields.items()))
+             for ev in bus(sim).events()]
+    return owner, seen["inflight"], dispatches, trace
+
+
+def test_crash_under_several_inflight_requests_is_deterministic():
+    owner, inflight, dispatches, trace = _crash_with_requests_in_flight()
+    assert inflight >= 3
+    for (first, _), (retry, _) in dispatches:
+        assert first == owner and retry != owner
+    # Requests are cut off in admission order: the k-th admitted one
+    # sleeps the k-th backoff drawn from the failover stream.
+    crashed_at = next(ev[0] for ev in trace if ev[1] == "router.failover")
+    draws = Simulator(seed=0).rng.stream("router:failover")
+    for _, (_, retried_at) in dispatches:
+        assert retried_at == pytest.approx(
+            crashed_at + JITTERED.backoff(1, rng=draws), abs=1e-9)
+    # A second run must not depend on where the proxy processes happen
+    # to live in memory: shift the allocator in between.
+    ballast = [object() for _ in range(10007)]
+    again = _crash_with_requests_in_flight()
+    del ballast
+    assert again[2] == dispatches
+    assert again[3] == trace
