@@ -7,6 +7,7 @@ scheduler — so performance regressions in the substrate are visible.
 """
 
 import random
+import time
 
 from repro.db import Database, execute_sql
 from repro.db.table import Column
@@ -19,6 +20,17 @@ from repro.ws import (
     parse_wsdl,
 )
 from repro.ws.soap import SoapEnvelope
+
+
+def _best_of(fn, n, rounds=7):
+    """Seconds per call of *fn*: the best of *rounds* loops of *n* calls."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(n):
+            fn()
+        best = min(best, time.perf_counter() - t0)
+    return best / n
 
 
 def test_micro_event_kernel_throughput(benchmark):
@@ -61,6 +73,30 @@ def test_micro_soap_roundtrip(benchmark):
 
     decoded = benchmark(run)
     assert decoded.params["count"] == 7
+
+
+def test_micro_soap_size():
+    """Wire sizing must stay far cheaper than rendering the envelope.
+
+    A ratio of two loops in one process, so host-speed drift cancels:
+    ``size()`` at least 5x faster than ``len(encode())`` on a 4 KB
+    envelope (where the fixed per-element arithmetic dominates) and 100x
+    on a 1 MB one (where ``encode`` pays base64 + rendering per byte and
+    ``size`` pays nothing per byte).
+    """
+    for nbytes, n, floor in ((4096, 2000, 5.0), (1 << 20, 10, 100.0)):
+        env = SoapEnvelope.request("uploadExecutable", {
+            "session": "s-0001", "site": "ncsa", "path": "/tmp/x",
+            "data": random.Random(nbytes).randbytes(nbytes)})
+        assert env.size() == len(env.encode())
+        rendered = _best_of(lambda: len(env.encode()), n)
+        computed = _best_of(env.size, n * 10)
+        ratio = rendered / computed
+        print(f"\nsoap size {nbytes} B: computed {computed * 1e6:.2f} us, "
+              f"rendered {rendered * 1e6:.2f} us, {ratio:.0f}x")
+        assert ratio >= floor, (
+            f"size() only {ratio:.1f}x faster than len(encode()) on a "
+            f"{nbytes} B envelope (floor: {floor:.0f}x)")
 
 
 def test_micro_wsdl_roundtrip(benchmark):
@@ -218,8 +254,6 @@ def test_micro_pipeline_overhead():
     comparing two nearly equal ~100 us loops directly would bury the
     ~2 us signal in scheduler noise.
     """
-    import time
-
     from repro.ws.pipeline import (
         AdmissionControlInterceptor, DeadlineInterceptor,
         FaultTranslationInterceptor, Invocation, MetricsInterceptor,
@@ -260,23 +294,14 @@ def test_micro_pipeline_overhead():
     assert drive(request_cycle(inv)) == drive(
         pipeline.run(inv, request_cycle))
 
-    def measure(fn, n=5000, rounds=7):
-        best = float("inf")
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            for _ in range(n):
-                fn()
-            best = min(best, time.perf_counter() - t0)
-        return best / n
-
     for _ in range(500):  # warm every path
         drive(trivial(inv))
         drive(pipeline.run(inv, trivial))
         drive(request_cycle(inv))
 
-    bare = measure(lambda: drive(trivial(inv)))
-    framed = measure(lambda: drive(pipeline.run(inv, trivial)))
-    cycle = measure(lambda: drive(request_cycle(inv)), n=2000)
+    bare = _best_of(lambda: drive(trivial(inv)), n=5000)
+    framed = _best_of(lambda: drive(pipeline.run(inv, trivial)), n=5000)
+    cycle = _best_of(lambda: drive(request_cycle(inv)), n=2000)
 
     chain_cost = framed - bare
     overhead = chain_cost / cycle

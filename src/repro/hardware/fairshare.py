@@ -122,7 +122,9 @@ class FairShareServer:
                 self._cumulative.setdefault(tag, 0.0)
             done.succeed(0.0)
             return done
-        self._settle()
+        # Advance without re-arming: the one timer that counts is the
+        # one armed below, once the new flow has changed the rates.
+        self._advance()
         flow = Flow(next(self._counter), float(work), tags, done, self.sim.now)
         self._flows.append(flow)
         for tag in tags:
@@ -162,6 +164,17 @@ class FairShareServer:
     # -- internals ------------------------------------------------------------
 
     def _settle(self, force_finish: frozenset[int] = frozenset()) -> None:
+        """Bring the flows up to now, then re-arm the completion timer.
+
+        Always re-arm: completions change rates, and floating-point
+        rounding can leave the least flow a hair above the finish
+        threshold when its timer fires — without a fresh timer it would
+        stall forever.
+        """
+        self._advance(force_finish)
+        self._reschedule()
+
+    def _advance(self, force_finish: frozenset[int] = frozenset()) -> None:
         """Integrate progress since the last update and finish done flows.
 
         *force_finish* names flows whose completion timer just fired:
@@ -194,11 +207,6 @@ class FairShareServer:
             self._work_integral += flow.remaining
             flow.remaining = 0.0
             flow.done.succeed(now - flow.started_at)
-        # Always re-arm: completions change rates, and floating-point
-        # rounding can leave the least flow a hair above the finish
-        # threshold when its timer fires — without a fresh timer it would
-        # stall forever.
-        self._reschedule()
 
     def _reschedule(self) -> None:
         """Arm a timer for the next flow completion."""

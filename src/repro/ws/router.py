@@ -54,7 +54,6 @@ from repro.telemetry.events import bus
 from repro.telemetry.gauges import gauges
 from repro.ws.server import SoapFabric, SoapServer
 from repro.ws.soap import SoapEnvelope
-from repro.ws.wsdl import generate_wsdl
 
 __all__ = ["HashRing", "RequestRouter", "Replica"]
 
@@ -467,8 +466,7 @@ class RequestRouter:
                 svc = self._replicas[name].server.service(service_name)
             except ServiceNotFound:
                 continue
-            return generate_wsdl(svc.description,
-                                 self.endpoint_for(service_name))
+            return svc.wsdl(self.endpoint_for(service_name))
         raise ServiceNotFound(
             f"service {service_name!r} not deployed on any replica")
 

@@ -5,14 +5,15 @@ stand-in).  Services are deployed with a
 :class:`~repro.ws.registryapi.ServiceDescription` plus a *handler*
 callable; invocations are full simulation processes that
 
-1. move the real encoded request envelope over the network,
+1. move the request envelope's encoded size over the network (the size
+   is computed, the envelope never rendered — ``SoapEnvelope.size``),
 2. charge the server CPU for parsing/dispatch (scaled by message size),
 3. run the request through the server's interceptor
    :class:`~repro.ws.pipeline.Pipeline` (fault translation, metrics,
    admission control, tracing, deadline) around the handler dispatch,
 4. run the handler (which may itself be a simulation process — the
    generated GridService handler submits grid jobs and takes minutes),
-5. move the real encoded response (or fault) back to the client.
+5. move the response (or fault) envelope's size back to the client.
 
 :class:`SoapFabric` is the name service mapping ``soap://host/Service``
 endpoints to server objects, standing in for DNS+TCP connection setup.
@@ -103,8 +104,8 @@ class SoapFabric:
 class DeployedService:
     """A live service on a server."""
 
-    __slots__ = ("description", "handler", "deployed_at", "invocations",
-                 "faults", "wants_context")
+    __slots__ = ("_description", "handler", "deployed_at", "invocations",
+                 "faults", "wants_context", "_wsdl")
 
     def __init__(self, description: ServiceDescription, handler: Handler,
                  deployed_at: float):
@@ -114,6 +115,29 @@ class DeployedService:
         self.invocations = 0
         self.faults = 0
         self.wants_context = _handler_wants_context(handler)
+
+    @property
+    def description(self) -> ServiceDescription:
+        return self._description
+
+    @description.setter
+    def description(self, description: ServiceDescription) -> None:
+        # Descriptions are immutable, so swapping one (hot redeploy) is
+        # the only thing that can stale a rendered document.
+        self._description = description
+        self._wsdl: Dict[str, bytes] = {}
+
+    def wsdl(self, endpoint: str) -> bytes:
+        """The WSDL document advertising *endpoint*, rendered once.
+
+        One service can be advertised under several endpoints — its
+        replica's own and the router's — each with its own document.
+        """
+        document = self._wsdl.get(endpoint)
+        if document is None:
+            document = self._wsdl[endpoint] = generate_wsdl(
+                self.description, endpoint)
+        return document
 
 
 class SoapServer:
@@ -219,8 +243,8 @@ class SoapServer:
 
     def wsdl(self, service_name: str) -> bytes:
         """The WSDL document for a deployed service."""
-        svc = self.service(service_name)
-        return generate_wsdl(svc.description, self.endpoint_for(service_name))
+        return self.service(service_name).wsdl(
+            self.endpoint_for(service_name))
 
     # -- invocation ---------------------------------------------------------------
 
@@ -244,7 +268,7 @@ class SoapServer:
                   ) -> Generator[Event, None, Any]:
         """The wire round-trip, as a generator for embedding in a process:
 
-        encode + send the request envelope, serve it on this host, send
+        size + send the request envelope, serve it on this host, send
         the response back, unwrap it (raising the fault, if any).
         """
         request = SoapEnvelope.request(operation, params,
@@ -289,7 +313,11 @@ class SoapServer:
         if inspect.isgenerator(result):
             result = yield self.sim.process(
                 result, name=f"handler:{inv.service_name}.{inv.operation}")
-        return SoapEnvelope.response(inv.operation, result)
+        response = SoapEnvelope.response(inv.operation, result)
+        # A result the codec cannot carry must fail here, inside the
+        # pipeline, so it travels back as a counted fault envelope.
+        response.size()
+        return response
 
     def _count_fault(self, service_name: str) -> None:
         svc = self._services.get(service_name)

@@ -2,8 +2,13 @@
 
 A simplified SOAP 1.1, RPC-style: the body holds one operation element
 whose children are typed parameters.  Faults carry faultcode,
-faultstring and detail.  Envelopes round-trip exactly, and their encoded
-byte size is what the simulated transport charges to the network.
+faultstring and detail.  Envelopes round-trip exactly through
+:meth:`SoapEnvelope.encode` / :meth:`SoapEnvelope.decode`, the reference
+codec.  The simulated transport never renders them: it hands the params
+dict to the server directly and charges the network
+:meth:`SoapEnvelope.size`, which counts the bytes ``encode()`` would
+produce — ``size() == len(encode())`` on every envelope — without
+producing them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,10 @@ import xml.etree.ElementTree as ET
 from typing import Any, Dict, Optional
 
 from repro.errors import SoapFault, WsError
-from repro.ws.xmlcodec import element_to_value, parse, render, value_to_element
+from repro.ws.xmlcodec import (
+    attrib_size, element_size, element_to_value, parse, render, text_size,
+    value_size, value_to_element,
+)
 
 __all__ = ["SoapEnvelope"]
 
@@ -20,6 +28,12 @@ _ENV_TAG = "Envelope"
 _BODY_TAG = "Body"
 _FAULT_TAG = "Fault"
 _RESULT_SUFFIX = "Response"
+_SOAP_NS = "http://schemas.xmlsoap.org/soap/envelope/"
+
+#: What :meth:`SoapEnvelope.size` adds around the counted elements.
+_DECLARATION_BYTES = len("<?xml version='1.0' encoding='utf-8'?>\n")
+_ENVELOPE_ATTRIB_BYTES = len(f' xmlns:soap="{_SOAP_NS}"')
+_NAMESPACE_ATTRIB_BYTES = len(' namespace=""')
 
 
 class SoapEnvelope:
@@ -58,7 +72,7 @@ class SoapEnvelope:
     def encode(self) -> bytes:
         """Serialize to XML bytes."""
         env = ET.Element(_ENV_TAG)
-        env.set("xmlns:soap", "http://schemas.xmlsoap.org/soap/envelope/")
+        env.set("xmlns:soap", _SOAP_NS)
         body = ET.SubElement(env, _BODY_TAG)
         if self.fault is not None:
             fault = ET.SubElement(body, _FAULT_TAG)
@@ -111,8 +125,27 @@ class SoapEnvelope:
         return self.params.get("return")
 
     def size(self) -> int:
-        """Encoded size in bytes (drives the simulated transport)."""
-        return len(self.encode())
+        """Encoded size in bytes (drives the simulated transport).
+
+        Mirrors :meth:`encode` element for element, raising the same
+        :class:`WsError` for a value it could not encode.
+        """
+        if self.fault is not None:
+            fault = self.fault
+            payload = element_size(
+                _FAULT_TAG, 0,
+                element_size("faultcode", 0, text_size(fault.faultcode))
+                + element_size("faultstring", 0, text_size(fault.faultstring))
+                + element_size("detail", 0, text_size(fault.detail)))
+        else:
+            payload = element_size(
+                self.operation,
+                _NAMESPACE_ATTRIB_BYTES + attrib_size(self.namespace),
+                sum(value_size(name, value)
+                    for name, value in self.params.items()))
+        return _DECLARATION_BYTES + element_size(
+            _ENV_TAG, _ENVELOPE_ATTRIB_BYTES,
+            element_size(_BODY_TAG, 0, payload))
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         kind = "fault" if self.fault else ("rsp" if self.is_response else "req")

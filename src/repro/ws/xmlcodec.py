@@ -1,4 +1,10 @@
-"""Typed value <-> XML element codec (the XSD simple types we need)."""
+"""Typed value <-> XML element codec (the XSD simple types we need).
+
+:func:`value_to_element` / :func:`element_to_value` / :func:`render` /
+:func:`parse` are the reference codec.  The ``*_size`` functions count
+the bytes :func:`render` would write without writing them; the simulated
+wire charges the network from those.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +22,8 @@ _XML_FORBIDDEN = re.compile(
     "[\x00-\x08\x0b-\x0c\x0d\x0e-\x1f\ud800-\udfff￾￿]")
 
 __all__ = ["XSD_TYPES", "python_to_xsd", "value_to_element",
-           "element_to_value", "render", "parse"]
+           "element_to_value", "render", "parse",
+           "text_size", "attrib_size", "element_size", "value_size"]
 
 #: Supported XSD simple types and their Python equivalents.
 XSD_TYPES = {
@@ -105,3 +112,74 @@ def parse(data: bytes) -> ET.Element:
         return ET.fromstring(data)
     except ET.ParseError as exc:
         raise WsError(f"malformed XML: {exc}") from None
+
+
+# -- sizing: what render() would write, counted instead of written ------------
+#
+# Every function below returns exactly the number of bytes :func:`render`
+# emits for the same input (tests/ws/test_properties.py holds them to it);
+# none builds an element, an escaped copy or a base64 string.
+
+def _utf8_size(text: str) -> int:
+    """Encoded length of *text* as render()'s writer emits it: UTF-8,
+    with lone surrogates as ``&#N;`` references (``xmlcharrefreplace``)."""
+    if text.isascii():
+        return len(text)
+    return len(text.encode("utf-8", "xmlcharrefreplace"))
+
+
+def text_size(text: str) -> int:
+    """Encoded length of element text: ``&`` ``<`` ``>`` are escaped."""
+    size = _utf8_size(text)
+    # ``in`` is a memchr; count() is several times dearer, and most text
+    # has nothing to escape.
+    if "&" in text:
+        size += 4 * text.count("&")  # &amp;
+    if "<" in text:
+        size += 3 * text.count("<")  # &lt;
+    if ">" in text:
+        size += 3 * text.count(">")  # &gt;
+    return size
+
+
+def attrib_size(value: str) -> int:
+    """Encoded length of an attribute value: the text escapes plus
+    ``&quot;`` and the ``&#13;`` ``&#10;`` ``&#09;`` references."""
+    return (text_size(value) + 5 * value.count('"')
+            + 4 * (value.count("\r") + value.count("\n")
+                   + value.count("\t")))
+
+
+def element_size(tag: str, attrib_bytes: int, content_bytes: int) -> int:
+    """Encoded length of ``<tag attrs>content</tag>``.
+
+    *attrib_bytes* counts the whole `` name="value"`` run, *content_bytes*
+    the text plus children; an empty element takes the short
+    ``<tag attrs />`` form.  Tags are written verbatim.
+    """
+    tag_bytes = _utf8_size(tag)
+    if content_bytes:
+        return 2 * tag_bytes + 5 + attrib_bytes + content_bytes  # < > </ >
+    return tag_bytes + 4 + attrib_bytes  # < and " />"
+
+
+def value_size(name: str, value: Any) -> int:
+    """Encoded length of ``value_to_element(name, value)``.
+
+    Raises the same :class:`WsError` for a value with no XSD mapping or
+    a string XML cannot carry.
+    """
+    xsd_type = python_to_xsd(value)
+    if xsd_type == "xsd:boolean":
+        text_bytes = 4 if value else 5  # true / false
+    elif xsd_type == "xsd:base64Binary":
+        text_bytes = 4 * ((len(value) + 2) // 3)
+    elif xsd_type == "xsd:double":
+        text_bytes = len(repr(float(value)))
+    else:
+        text = str(value)
+        if _XML_FORBIDDEN.search(text):
+            raise WsError(
+                f"string for {name!r} contains characters XML cannot carry")
+        text_bytes = text_size(text)
+    return element_size(name, 8 + len(xsd_type), text_bytes)  # ' type=""'

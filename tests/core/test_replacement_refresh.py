@@ -90,6 +90,21 @@ def test_replacement_refreshes_describe_and_uddi():
         == "new words"
 
 
+def test_replacement_refreshes_the_served_wsdl():
+    # The container renders each WSDL once per deployment; a replacement
+    # upload must not leave the pre-replacement document being served.
+    from repro.ws import parse_wsdl
+
+    tb, stack = stack_env()
+    upload(tb, stack, "hello.sh", params_spec="name:string")
+    before = stack.soap_server.wsdl("HelloService")
+    assert stack.soap_server.wsdl("HelloService") is before
+    upload(tb, stack, "hello.sh", params_spec="name:string, shout:boolean")
+    after, _endpoint = parse_wsdl(stack.soap_server.wsdl("HelloService"))
+    assert [p.name for p in after.operation("execute").params] \
+        == ["name", "shout"]
+
+
 # -- exact-path staged eviction --------------------------------------------
 
 

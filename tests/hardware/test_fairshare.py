@@ -142,3 +142,26 @@ def test_infinite_capacity():
     done = srv.submit(100.0)
     sim.run(until=done)
     assert sim.now == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("stagger", [0.0, 0.25], ids=["burst", "staggered"])
+def test_overlapping_submits_arm_one_timer_each(stagger):
+    # Event budget for N overlapping flows of distinct sizes: N timers
+    # armed by the submits, N - 1 re-armed by the completions that leave
+    # flows behind, N done events.  submit() used to arm two timers
+    # whenever a flow was already active (settle re-armed, then submit
+    # re-armed again), sending N - 1 dead timers through the heap.
+    n = 8
+    sim = Simulator()
+    srv = FairShareServer(sim, capacity=100.0)
+    done = []
+    for i in range(n):
+        arrival = sim.timeout(i * stagger)
+        arrival.add_callback(
+            lambda _event, work=1000.0 * (i + 1): done.append(
+                srv.submit(work)))
+    sim.run()
+    assert all(flow.triggered for flow in done) and len(done) == n
+    assert sim.events_processed - n == 3 * n - 1  # minus the arrivals
+    assert srv.work_integral() == pytest.approx(
+        sum(1000.0 * (i + 1) for i in range(n)))

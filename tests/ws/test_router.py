@@ -223,6 +223,78 @@ def test_enabled_router_is_a_fabric_target():
     assert service == "HelloService"
 
 
+# -- real servers behind the router: WSDL documents and fault relay ----------
+
+def routed_service(handler=lambda operation, params: "ok", **router_kw):
+    """Two SoapServers behind a router, ``T`` deployed on the hash owner."""
+    from repro.units import Mbps
+    from repro.ws import (
+        OperationSpec, ServiceDescription, SoapServer, WsClient,
+    )
+
+    sim = Simulator()
+    net = Network(sim)
+    fabric = SoapFabric()
+    router = RequestRouter(Host(sim, "router", net, HostSpec(cores=4)),
+                           fabric, enabled=True, **router_kw)
+    client_host = Host(sim, "c", net, HostSpec())
+    net.connect("router", "c", bandwidth=Mbps(100))
+    servers = {}
+    for name in ("replica1", "replica2"):
+        servers[name] = SoapServer(Host(sim, name, net, HostSpec()), fabric)
+        net.connect("router", name, bandwidth=Mbps(100))
+        router.add_replica(name, servers[name])
+    owner = servers[router.ring.owner("T")]
+    owner.deploy(ServiceDescription("T", [OperationSpec("go")]), handler)
+    return sim, router, owner, WsClient(client_host, fabric)
+
+
+def test_router_and_replica_wsdl_are_distinct_and_rendered_once(monkeypatch):
+    from repro.ws import (
+        OperationSpec, ParameterSpec, ServiceDescription, parse_wsdl,
+        server as server_module,
+    )
+
+    sim, router, owner, _client = routed_service()
+    renders = []
+    render = server_module.generate_wsdl
+
+    def counting(description, endpoint):
+        renders.append(endpoint)
+        return render(description, endpoint)
+
+    monkeypatch.setattr(server_module, "generate_wsdl", counting)
+    routed, direct = router.wsdl("T"), owner.wsdl("T")
+    assert parse_wsdl(routed)[1] == "soap://router/T"
+    assert parse_wsdl(direct)[1] == owner.endpoint_for("T")
+    assert router.wsdl("T") is routed and owner.wsdl("T") is direct
+    assert sorted(renders) == sorted(["soap://router/T",
+                                      owner.endpoint_for("T")])
+    # A hot redeploy stales both documents, not just the replica's own.
+    widened = ServiceDescription("T", [
+        OperationSpec("go", [ParameterSpec("name", "xsd:string")])])
+    owner.update_description("T", widened)
+    assert parse_wsdl(router.wsdl("T")) == (widened, "soap://router/T")
+    assert parse_wsdl(owner.wsdl("T")) == (widened, owner.endpoint_for("T"))
+    assert len(renders) == 4
+
+
+@pytest.mark.parametrize("self_healing", [False, True],
+                         ids=["direct", "healing"])
+def test_router_relays_unencodable_result_as_fault(self_healing):
+    # Used to escape the routed transport as a raw WsError (see
+    # test_server_robustness): the replica now answers with a fault
+    # envelope, which the router relays like any application fault.
+    sim, router, owner, client = routed_service(
+        handler=lambda operation, params: None, self_healing=self_healing)
+    with pytest.raises(SoapFault) as exc_info:
+        sim.run(until=client.call(router.endpoint_for("T"), "go"))
+    assert exc_info.value.root_cause == "WsError"
+    assert "no XSD mapping for NoneType" in exc_info.value.detail
+    assert owner.service("T").faults == 1
+    assert router.inflight(router.ring.owner("T")) == 0
+
+
 # -- end-to-end determinism -------------------------------------------------
 
 def _routed_run():

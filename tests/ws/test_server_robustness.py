@@ -86,3 +86,33 @@ def test_server_survives_faults_and_keeps_serving():
     assert sim.run(until=client.call(endpoint, "go")) == "recovered"
     assert server.service("T").faults == 1
     assert server.service("T").invocations == 2
+
+
+@pytest.mark.parametrize("result", [None, {"k": "v"}, ["a", "b"]],
+                         ids=["None", "dict", "list"])
+def test_unencodable_result_becomes_counted_fault(result):
+    # A result with no XSD mapping used to raise a raw WsError from
+    # response.size() in transport(), after the pipeline had finished:
+    # no fault envelope, svc.faults == 0, metrics recorded a success.
+    sim, server, client = make_env()
+    endpoint = deploy(server, lambda operation, params: result)
+    with pytest.raises(SoapFault) as exc_info:
+        sim.run(until=client.call(endpoint, "go"))
+    fault = exc_info.value
+    assert fault.faultcode == "Server"
+    assert fault.root_cause == "WsError"
+    assert fault.detail == (
+        f"WsError: no XSD mapping for {type(result).__name__}")
+    svc = server.service("T")
+    assert (svc.invocations, svc.faults) == (1, 1)
+    stats = server.metrics.get("T", "go")
+    assert (stats.calls, stats.faults) == (1, 1)
+
+
+def test_unencodable_string_result_becomes_fault():
+    sim, server, client = make_env()
+    endpoint = deploy(server, lambda operation, params: "bell\x07")
+    with pytest.raises(SoapFault, match="XML cannot carry") as exc_info:
+        sim.run(until=client.call(endpoint, "go"))
+    assert exc_info.value.root_cause == "WsError"
+    assert server.service("T").faults == 1

@@ -119,3 +119,61 @@ def test_parse_rejects_broken_documents():
     broken = doc[: doc.index("<service")] + "</definitions>"
     with pytest.raises(WsdlError):
         parse_wsdl(broken.encode())
+
+
+# -- one render per (deployment, endpoint) -----------------------------------
+
+def deployed_server(monkeypatch):
+    """A server with ``sample_service()`` deployed + a render counter."""
+    from repro.hardware import Host, Network
+    from repro.hardware.host import HostSpec
+    from repro.simkernel import Simulator
+    from repro.ws import SoapServer, server as server_module
+
+    sim = Simulator()
+    server = SoapServer(Host(sim, "s", Network(sim), HostSpec()))
+    server.deploy(sample_service(), lambda operation, params: "ok")
+    renders = []
+
+    def counting(description, endpoint):
+        renders.append(endpoint)
+        return generate_wsdl(description, endpoint)
+
+    monkeypatch.setattr(server_module, "generate_wsdl", counting)
+    return server, renders
+
+
+def narrowed_service():
+    return ServiceDescription("HelloService", [
+        OperationSpec("execute", [ParameterSpec("name", "xsd:string")]),
+    ])
+
+
+def test_server_renders_each_wsdl_once(monkeypatch):
+    server, renders = deployed_server(monkeypatch)
+    first = server.wsdl("HelloService")
+    assert server.wsdl("HelloService") is first
+    assert renders == ["soap://s/HelloService"]
+    assert first == generate_wsdl(sample_service(), "soap://s/HelloService")
+
+
+def test_update_description_drops_the_rendered_wsdl(monkeypatch):
+    server, renders = deployed_server(monkeypatch)
+    stale = server.wsdl("HelloService")
+    server.update_description("HelloService", narrowed_service())
+    fresh = server.wsdl("HelloService")
+    assert fresh != stale
+    assert parse_wsdl(fresh)[0] == narrowed_service()
+    assert server.wsdl("HelloService") is fresh
+    assert len(renders) == 2
+
+
+def test_undeploy_then_redeploy_renders_the_new_interface(monkeypatch):
+    server, renders = deployed_server(monkeypatch)
+    stale = server.wsdl("HelloService")
+    server.undeploy("HelloService")
+    server.deploy(narrowed_service(), lambda operation, params: "ok")
+    fresh = server.wsdl("HelloService")
+    assert fresh != stale
+    assert parse_wsdl(fresh)[0] == narrowed_service()
+    assert len(renders) == 2
