@@ -99,6 +99,45 @@ def test_micro_soap_size():
             f"{nbytes} B envelope (floor: {floor:.0f}x)")
 
 
+def test_micro_transfer_hop():
+    """A transfer as a completion event must stay well under the
+    process-wrapped form it replaced.
+
+    10 000 sequential 4 KB transfers over one link, against the
+    generator-process reference the equivalence tests keep.  A ratio of
+    two loops in one process, so host-speed drift cancels; both run on
+    the same kernel and fair-share server, so only the wrapping differs.
+    """
+    from repro.hardware import Network
+    from tests.hardware.test_op_equivalence import reference_transfer
+
+    def hop_seconds(transfer, n=10_000):
+        sim = Simulator()
+        net = Network(sim)
+        net.connect("client", "appliance", bandwidth=1e7, latency=0.0005)
+
+        def driver():
+            for _ in range(n):
+                yield transfer(net, "client", "appliance", 4096)
+
+        done = sim.process(driver())
+        t0 = time.perf_counter()
+        sim.run(until=done)
+        seconds = time.perf_counter() - t0
+        return seconds / n, sim.now, sim.events_processed
+
+    chained = min(hop_seconds(Network.transfer) for _ in range(5))
+    wrapped = min(hop_seconds(reference_transfer) for _ in range(5))
+    assert chained[1] == wrapped[1]  # same simulated instants
+    assert wrapped[2] - chained[2] == 10_000  # one event fewer per hop
+    ratio = wrapped[0] / chained[0]
+    print(f"\ntransfer hop: completion event {chained[0] * 1e6:.2f} us, "
+          f"process {wrapped[0] * 1e6:.2f} us, {ratio:.2f}x")
+    assert ratio >= 1.3, (
+        f"completion-event transfer only {ratio:.2f}x faster than the "
+        f"process form (floor: 1.3x)")
+
+
 def test_micro_wsdl_roundtrip(benchmark):
     service = ServiceDescription("Bench", [
         OperationSpec(f"op{i}", [ParameterSpec(f"p{j}") for j in range(4)])

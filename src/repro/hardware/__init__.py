@@ -16,5 +16,7 @@ from repro.hardware.disk import Disk
 from repro.hardware.fairshare import FairShareServer
 from repro.hardware.host import Host
 from repro.hardware.network import Link, Network
+from repro.hardware.op import HardwareOp
 
-__all__ = ["FairShareServer", "Cpu", "Disk", "Host", "Link", "Network"]
+__all__ = ["FairShareServer", "Cpu", "Disk", "HardwareOp", "Host", "Link",
+           "Network"]

@@ -9,12 +9,11 @@ paper's Figures 6–8 plot exactly these two series.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
 from repro.errors import HardwareError
 from repro.hardware.fairshare import FairShareServer
-from repro.simkernel.events import Event
-from repro.simkernel.process import Process
+from repro.hardware.op import HardwareOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
@@ -56,12 +55,14 @@ class Disk:
 
     # -- operations ---------------------------------------------------------
 
-    def read(self, nbytes: float) -> Process:
-        """Read *nbytes*; the returned process-event fires on completion."""
+    def read(self, nbytes: float) -> HardwareOp:
+        """Read *nbytes*; the returned completion event's value is the
+        elapsed time."""
         return self._operation(nbytes, "read")
 
-    def write(self, nbytes: float) -> Process:
-        """Write *nbytes*; the returned process-event fires on completion.
+    def write(self, nbytes: float) -> HardwareOp:
+        """Write *nbytes*; the returned completion event's value is the
+        elapsed time.
 
         Raises :class:`HardwareError` immediately if the disk would
         overflow — a full appliance disk is a real failure mode.
@@ -80,19 +81,12 @@ class Disk:
         """Release previously written space (file deletion)."""
         self.used_bytes = max(0.0, self.used_bytes - nbytes)
 
-    def _operation(self, nbytes: float, direction: str) -> Process:
+    def _operation(self, nbytes: float, direction: str) -> HardwareOp:
         if nbytes < 0:
             raise HardwareError(f"{self.name}: negative {direction} size")
         self.op_log.append((self.sim.now, direction, nbytes))
-
-        def op() -> Generator[Event, None, float]:
-            start = self.sim.now
-            if self.access_latency > 0:
-                yield self.sim.timeout(self.access_latency)
-            yield self._server.submit(nbytes, tags=("all", direction))
-            return self.sim.now - start
-
-        return self.sim.process(op(), name=f"{self.name}:{direction}")
+        return HardwareOp(self.sim, f"{self.name}:{direction}", self._server,
+                          self.access_latency, nbytes, ("all", direction))
 
     # -- counters -------------------------------------------------------------
 

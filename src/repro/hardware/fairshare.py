@@ -22,27 +22,30 @@ import math
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.errors import HardwareError
-from repro.simkernel.events import Event
+from repro.simkernel.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
 
 __all__ = ["FairShareServer", "Flow"]
 
-#: Remaining-work threshold below which a flow counts as finished.
+#: Absolute floor of a flow's finish threshold (see Flow.finish_below).
 _EPS = 1e-9
 
 
 class Flow:
     """One unit of in-flight work on a :class:`FairShareServer`."""
 
-    __slots__ = ("flow_id", "total", "remaining", "tags", "done", "started_at")
+    __slots__ = ("flow_id", "total", "remaining", "finish_below", "tags",
+                 "done", "started_at")
 
     def __init__(self, flow_id: int, total: float, tags: Tuple[str, ...],
                  done: Event, started_at: float):
         self.flow_id = flow_id
         self.total = total
         self.remaining = total
+        #: Remaining-work threshold below which the flow counts as finished.
+        self.finish_below = max(_EPS, total * 1e-12)
         self.tags = tags
         self.done = done
         self.started_at = started_at
@@ -77,6 +80,8 @@ class FairShareServer:
         self.capacity = float(capacity)
         self.per_flow_cap = per_flow_cap
         self.name = name
+        self._flow_name = f"flow:{name}"
+        self._timer_name = f"fairshare-timer:{name}"
         self._flows: list[Flow] = []
         self._last_update = sim.now
         self._counter = itertools.count(1)
@@ -86,7 +91,7 @@ class FairShareServer:
         self._work_integral = 0.0
         # Generation token invalidating stale completion timers.
         self._timer_generation = 0
-        # Flow ids the armed timer is expected to complete (see _fire).
+        # Flow ids the armed timer is expected to complete (see _on_timer).
         self._expected_finishers: frozenset[int] = frozenset()
 
     # -- public API ---------------------------------------------------------
@@ -113,22 +118,31 @@ class FairShareServer:
         completes after zero simulated time (but still via the event
         queue, preserving causal ordering).
         """
+        return self.join(work, tuple(tags), Event(self.sim, self._flow_name),
+                         self.sim.now)
+
+    def join(self, work: float, tags: Tuple[str, ...], done: Event,
+             started_at: float) -> Event:
+        """Serve *work* units as a new flow that completes *done*.
+
+        *done* succeeds, when the last unit is served, with the time
+        elapsed since *started_at* — so an operation that began before
+        its flow did (link latency, disk seek) hands in its own
+        completion event and start instant and needs no event of its
+        own around the flow's.
+        """
         if work < 0:
             raise HardwareError(f"{self.name}: negative work {work!r}")
-        tags = tuple(tags)
-        done = Event(self.sim, name=f"flow:{self.name}")
+        for tag in tags:
+            self._cumulative.setdefault(tag, 0.0)
         if work == 0:
-            for tag in tags:
-                self._cumulative.setdefault(tag, 0.0)
-            done.succeed(0.0)
+            done.succeed(self.sim.now - started_at)
             return done
         # Advance without re-arming: the one timer that counts is the
         # one armed below, once the new flow has changed the rates.
         self._advance()
-        flow = Flow(next(self._counter), float(work), tags, done, self.sim.now)
-        self._flows.append(flow)
-        for tag in tags:
-            self._cumulative.setdefault(tag, 0.0)
+        self._flows.append(
+            Flow(next(self._counter), float(work), tags, done, started_at))
         self._reschedule()
         return done
 
@@ -184,26 +198,36 @@ class FairShareServer:
         zero-length timers forever.
         """
         now = self.sim.now
+        flows = self._flows
+        cumulative = self._cumulative
         elapsed = now - self._last_update
-        if elapsed > 0 and self._flows:
-            rate = self.current_rate()
-            step = rate * elapsed
-            for flow in self._flows:
-                progress = min(flow.remaining, step)
-                flow.remaining -= progress
-                self._work_integral += progress
+        if elapsed > 0 and flows:
+            step = self.current_rate() * elapsed
+            integral = self._work_integral
+            for flow in flows:
+                remaining = flow.remaining
+                progress = step if step < remaining else remaining
+                flow.remaining = remaining - progress
+                integral += progress
                 for tag in flow.tags:
-                    self._cumulative[tag] += progress
+                    cumulative[tag] += progress
+            self._work_integral = integral
         self._last_update = now
 
-        finished = [f for f in self._flows
-                    if f.remaining <= max(_EPS, f.total * 1e-12)
-                    or f.flow_id in force_finish]
+        finished = None
+        for flow in flows:
+            if (flow.remaining <= flow.finish_below
+                    or flow.flow_id in force_finish):
+                if finished is None:
+                    finished = []
+                finished.append(flow)
+        if finished is None:
+            return
         for flow in finished:
-            self._flows.remove(flow)
+            flows.remove(flow)
             # Absorb the sub-epsilon residue so counters stay exact.
             for tag in flow.tags:
-                self._cumulative[tag] += flow.remaining
+                cumulative[tag] += flow.remaining
             self._work_integral += flow.remaining
             flow.remaining = 0.0
             flow.done.succeed(now - flow.started_at)
@@ -211,27 +235,37 @@ class FairShareServer:
     def _reschedule(self) -> None:
         """Arm a timer for the next flow completion."""
         self._timer_generation += 1
-        if not self._flows:
+        flows = self._flows
+        if not flows:
             return
-        generation = self._timer_generation
         rate = self.current_rate()
-        least = min(f.remaining for f in self._flows)
+        if len(flows) == 1:
+            only = flows[0]
+            least = only.remaining
+            expected = frozenset((only.flow_id,))
+        else:
+            least = flows[0].remaining
+            for flow in flows:
+                if flow.remaining < least:
+                    least = flow.remaining
+            # The flows this timer is for: everyone tied (within float
+            # noise) with the least-remaining flow finishes when it fires.
+            tolerance = least * 1e-9 + _EPS
+            expected = frozenset([flow.flow_id for flow in flows
+                                  if flow.remaining - least <= tolerance])
         delay = least / rate if rate > 0 else math.inf
-        if math.isinf(delay):
+        if delay == math.inf:
             raise HardwareError(f"{self.name}: flow can never complete (rate 0)")
-        # The flows this timer is for: everyone tied (within float noise)
-        # with the least-remaining flow finishes when it fires.
-        tolerance = least * 1e-9 + _EPS
-        expected = frozenset(f.flow_id for f in self._flows
-                             if f.remaining - least <= tolerance)
         self._expected_finishers = expected
+        # The timer carries the generation it was armed in; a later
+        # re-arm makes it stale.
+        timer = Timeout(self.sim, delay, self._timer_generation,
+                        self._timer_name)
+        timer.callbacks.append(self._on_timer)
 
-        def _fire(_event: Event) -> None:
-            if generation == self._timer_generation:
-                self._settle(force_finish=expected)
-
-        timer = self.sim.timeout(delay, name=f"fairshare-timer:{self.name}")
-        timer.add_callback(_fire)
+    def _on_timer(self, timer: Event) -> None:
+        if timer._value == self._timer_generation:
+            self._settle(force_finish=self._expected_finishers)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (f"<FairShareServer {self.name!r} cap={self.capacity} "

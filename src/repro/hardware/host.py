@@ -14,7 +14,7 @@ from repro.errors import HardwareError
 from repro.hardware.cpu import Cpu
 from repro.hardware.disk import Disk
 from repro.hardware.network import Network
-from repro.simkernel.process import Process
+from repro.hardware.op import HardwareOp
 from repro.units import GB, MBps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,16 +67,18 @@ class Host:
         """Burn *cpu_seconds* of CPU time (processor-shared)."""
         return self.cpu.compute(cpu_seconds, tag=tag)
 
-    def disk_read(self, nbytes: float) -> Process:
-        """Read *nbytes* from local disk."""
+    def disk_read(self, nbytes: float) -> HardwareOp:
+        """Read *nbytes* from local disk (completion event)."""
         return self.disk.read(nbytes)
 
-    def disk_write(self, nbytes: float) -> Process:
-        """Write *nbytes* to local disk."""
+    def disk_write(self, nbytes: float) -> HardwareOp:
+        """Write *nbytes* to local disk (completion event)."""
         return self.disk.write(nbytes)
 
-    def send(self, dst: "Host | str", nbytes: float, label: str = "") -> Process:
-        """Send *nbytes* to another host over the network."""
+    def send(self, dst: "Host | str", nbytes: float,
+             label: str = "") -> HardwareOp:
+        """Send *nbytes* to another host over the network (completion
+        event whose value is the elapsed time)."""
         dst_name = dst.name if isinstance(dst, Host) else dst
         return self.network.transfer(self.name, dst_name, nbytes, label=label)
 

@@ -21,17 +21,19 @@ to produce the network series in Figures 6–8.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import HardwareError
 from repro.hardware.fairshare import FairShareServer
-from repro.simkernel.events import Event
-from repro.simkernel.process import Process
+from repro.hardware.op import HardwareOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
 
 __all__ = ["Link", "Network"]
+
+#: (rated server or None for a local copy, path latency, flow tags)
+_Plan = Tuple[Optional[FairShareServer], float, Tuple[str, ...]]
 
 
 class Link:
@@ -75,10 +77,11 @@ class Network:
         self._links: List[Link] = []
         self._adjacency: Dict[str, List[Link]] = {}
         self._hosts: set[str] = set()
-        # Route memo — purely an in-process speedup (routing is a pure
-        # function of the topology); invalidated whenever a link is
-        # added, so results are identical with or without it.
-        self._route_cache: Dict[Tuple[str, str], List[Link]] = {}
+        # (src, dst) -> what a transfer between them needs: the rated
+        # server, the path latency and the flow tags (see _plan).  Purely
+        # an in-process speedup — all three are pure functions of the
+        # topology — invalidated whenever a link is added.
+        self._plans: Dict[Tuple[str, str], _Plan] = {}
 
     # -- topology -------------------------------------------------------------
 
@@ -98,7 +101,7 @@ class Network:
         self._links.append(link)
         self._adjacency[a].append(link)
         self._adjacency[b].append(link)
-        self._route_cache.clear()
+        self._plans.clear()
         return link
 
     def hosts(self) -> List[str]:
@@ -118,9 +121,6 @@ class Network:
                 raise HardwareError(f"unknown host {host!r}")
         if src == dst:
             return []
-        cached = self._route_cache.get((src, dst))
-        if cached is not None:
-            return cached
         # Deterministic BFS: neighbours explored in insertion order.
         frontier = [src]
         came_from: Dict[str, Tuple[str, Link]] = {}
@@ -142,7 +142,6 @@ class Network:
                             path.append(l)
                             cur = prev
                         path.reverse()
-                        self._route_cache[(src, dst)] = path
                         return path
                     nxt.append(other)
             frontier = nxt
@@ -151,33 +150,30 @@ class Network:
     # -- transfers ----------------------------------------------------------
 
     def transfer(self, src: str, dst: str, nbytes: float,
-                 label: str = "") -> Process:
+                 label: str = "") -> HardwareOp:
         """Move *nbytes* from *src* to *dst*.
 
-        The returned process-event fires when the last byte arrives; its
-        value is the elapsed time.  Local (src == dst) transfers complete
-        after zero time without touching any link.
+        The returned completion event fires when the last byte arrives;
+        its value is the elapsed time.  Local (src == dst) transfers
+        complete after zero time without touching any link.
         """
         if nbytes < 0:
             raise HardwareError("negative transfer size")
+        plan = self._plans.get((src, dst))
+        if plan is None:
+            plan = self._plans[(src, dst)] = self._plan(src, dst)
+        server, latency, tags = plan
+        name = f"xfer:{src}->{dst}:{label}" if label else f"xfer:{src}->{dst}"
+        return HardwareOp(self.sim, name, server, latency, nbytes, tags)
+
+    def _plan(self, src: str, dst: str) -> _Plan:
+        """Route *src* → *dst* and rate it on the path's bottleneck link."""
         path = self.route(src, dst)
-
-        def xfer() -> Generator[Event, None, float]:
-            start = self.sim.now
-            if not path:  # local copy: no network involved
-                yield self.sim.timeout(0)
-                return 0.0
-            total_latency = sum(l.latency for l in path)
-            if total_latency > 0:
-                yield self.sim.timeout(total_latency)
-            bottleneck = min(path, key=lambda l: (l.bandwidth, l.name))
-            yield bottleneck.server.submit(
-                nbytes, tags=("all", f"in:{dst}", f"out:{src}")
-            )
-            return self.sim.now - start
-
-        pname = f"xfer:{src}->{dst}" + (f":{label}" if label else "")
-        return self.sim.process(xfer(), name=pname)
+        if not path:  # local copy: no network involved
+            return (None, 0.0, ())
+        bottleneck = min(path, key=lambda l: (l.bandwidth, l.name))
+        return (bottleneck.server, sum(l.latency for l in path),
+                ("all", f"in:{dst}", f"out:{src}"))
 
     # -- counters ---------------------------------------------------------------
 

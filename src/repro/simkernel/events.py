@@ -10,6 +10,13 @@ through three states:
 
 Processes wait on events by ``yield``-ing them; the kernel wires the
 process's resumption in as a callback.
+
+An event that puts *itself* on the queue while still pending holds a
+**start slot**: when the slot pops, the kernel calls the event's
+``_start(event)`` instead of running its callbacks, and the event stays
+pending.  That is how a process takes its first turn, and how a
+hardware operation takes the queue hop before its flow joins a server,
+without a separate kick-off event.
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with *value*."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -172,8 +179,13 @@ class ConditionEvent(Event):
                 ev.add_callback(self._check)
 
     def _collect(self) -> dict[Event, Any]:
-        """Outcome dictionary: every finished child event -> its value."""
-        return {ev: ev._value for ev in self.events if ev.processed or ev.triggered}
+        """Outcome dictionary: every processed child event -> its value.
+
+        A child that is merely triggered (a ``Timeout`` holds its value
+        from construction) has not happened yet and is left out; the
+        child being dispatched right now already counts as processed.
+        """
+        return {ev: ev._value for ev in self.events if ev.callbacks is None}
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError

@@ -6,11 +6,17 @@ import heapq
 from typing import Any, Generator, Optional
 
 from repro.errors import CausalityError, SimulationError
-from repro.simkernel.events import AllOf, AnyOf, Event, Timeout
+from repro.simkernel.events import _PENDING, AllOf, AnyOf, Event, Timeout
 from repro.simkernel.process import Process
 from repro.simkernel.rng import RngRegistry
 
 __all__ = ["Simulator"]
+
+
+def _defuse_failure(event: Event) -> None:
+    """``run(until=event)`` re-raises the failure itself."""
+    if not event._ok:
+        event._defused = True
 
 
 class Simulator:
@@ -67,7 +73,11 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
 
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        """Place a triggered event on the queue *delay* seconds from now."""
+        """Queue *event* for dispatch *delay* seconds from now.
+
+        A triggered event has its callbacks run when it pops; a pending
+        one holds a start slot and gets ``event._start(event)`` instead.
+        """
         if delay < 0:
             raise CausalityError(f"cannot schedule event {delay} s in the past")
         self._seq += 1
@@ -88,8 +98,17 @@ class Simulator:
         self.events_processed += 1
         if self._trace:
             self._trace_log.append((when, repr(event)))
-        callbacks, event.callbacks = event.callbacks, None
         profiler = self._profiler
+        if event._value is _PENDING:
+            # A start slot is a turn, not an outcome: a process that
+            # dies on its first turn fails through its own event.  The
+            # turn is still charged to the event's profiler bucket.
+            if profiler is None:
+                event._start(event)
+            else:
+                profiler.run_callbacks(event, (event._start,))
+            return
+        callbacks, event.callbacks = event.callbacks, None
         if profiler is None:
             for cb in callbacks:
                 cb(event)
@@ -112,38 +131,61 @@ class Simulator:
             return its value (raising if it failed).
         """
         if until is None:
-            while self._heap:
-                self.step()
+            self._run_to(float("inf"), None)
             return None
 
         if isinstance(until, Event):
             stop = until
-            result: dict[str, Any] = {}
-
-            def _done(ev: Event) -> None:
-                result["value"] = ev._value
-                result["ok"] = ev._ok
-                if not ev._ok:
-                    ev.defused()
-
-            stop.add_callback(_done)
-            while "value" not in result:
-                if not self._heap:
+            if stop.callbacks is not None:  # not processed yet
+                stop.callbacks.append(_defuse_failure)
+                self._run_to(float("inf"), stop)
+                if stop.callbacks is not None:
                     raise SimulationError(
                         "run(until=event): queue exhausted before event fired"
                     )
-                self.step()
-            if not result["ok"]:
-                raise result["value"]
-            return result["value"]
+            if not stop._ok:
+                raise stop._value
+            return stop._value
 
         horizon = float(until)
         if horizon < self.now:
             raise CausalityError(f"cannot run until {horizon} < now={self.now}")
-        while self._heap and self._heap[0][0] <= horizon:
-            self.step()
+        self._run_to(horizon, None)
         self.now = horizon
         return None
+
+    def _run_to(self, horizon: float, stop: Optional[Event]) -> None:
+        """Dispatch events up to *horizon*, or until *stop* is processed.
+
+        The body is :meth:`step` inlined: one method call and a handful
+        of attribute loads per event are a measurable share of a run.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        traced = self._trace
+        while heap and heap[0][0] <= horizon:
+            when, _, event = pop(heap)
+            self.now = when
+            self.events_processed += 1
+            if traced:
+                self._trace_log.append((when, repr(event)))
+            profiler = self._profiler
+            if event._value is _PENDING:
+                if profiler is None:
+                    event._start(event)
+                else:
+                    profiler.run_callbacks(event, (event._start,))
+                continue
+            callbacks, event.callbacks = event.callbacks, None
+            if profiler is None:
+                for cb in callbacks:
+                    cb(event)
+            else:
+                profiler.run_callbacks(event, callbacks)
+            if not event._ok and not event._defused:
+                raise event._value
+            if event is stop:
+                return
 
     # -- introspection ---------------------------------------------------------
 

@@ -52,17 +52,17 @@ class Process(Event):
             )
         super().__init__(sim, name=name or getattr(generator, "__name__", ""))
         self.generator = generator
-        #: The event this process currently waits on (None before start /
-        #: after termination).
-        self._target: Optional[Event] = None
         self._interrupts: list[Interrupt] = []
-        # Kick the process off via an immediately-scheduled event so that
-        # creation order, not construction stack depth, defines execution
-        # order.
-        start = Event(sim, name=f"start:{self.name}")
-        start.callbacks.append(self._resume)
-        start.succeed()
-        self._target = start
+        #: The event this process currently waits on: itself until its
+        #: start slot pops, None while the generator runs and after
+        #: termination.
+        self._target: Optional[Event] = self
+        # Kick the process off from the event queue, so that creation
+        # order, not construction stack depth, defines execution order.
+        # Queued while still pending, the process holds a start slot
+        # (see simkernel.events) at the (now, seq) position a separate
+        # start event would take.
+        sim._enqueue(self)
 
     @property
     def is_alive(self) -> bool:
@@ -102,6 +102,10 @@ class Process(Event):
             except ValueError:
                 pass
         self._step(exc=exc)
+
+    def _start(self, _slot: Event) -> None:
+        """First turn: run the generator up to its first yield."""
+        self._step()
 
     def _resume(self, event: Event) -> None:
         self._step(event=event)

@@ -315,7 +315,8 @@ class SoapServer:
                 result, name=f"handler:{inv.service_name}.{inv.operation}")
         response = SoapEnvelope.response(inv.operation, result)
         # A result the codec cannot carry must fail here, inside the
-        # pipeline, so it travels back as a counted fault envelope.
+        # pipeline, so it travels back as a counted fault envelope.  The
+        # envelope keeps the measurement for transport() to send.
         response.size()
         return response
 

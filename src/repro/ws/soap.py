@@ -48,6 +48,7 @@ class SoapEnvelope:
         self.namespace = namespace
         self.is_response = is_response
         self.fault = fault
+        self._size: Optional[int] = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -127,9 +128,17 @@ class SoapEnvelope:
     def size(self) -> int:
         """Encoded size in bytes (drives the simulated transport).
 
-        Mirrors :meth:`encode` element for element, raising the same
-        :class:`WsError` for a value it could not encode.
+        Raises the same :class:`WsError` as :meth:`encode` for a value
+        it could not encode.  An envelope is not mutated once built, so
+        it is measured once: the server validates a response by sizing
+        it and the transport then sends that many bytes.
         """
+        if self._size is None:
+            self._size = self._measure()
+        return self._size
+
+    def _measure(self) -> int:
+        """The sizing walk: mirrors :meth:`encode` element for element."""
         if self.fault is not None:
             fault = self.fault
             payload = element_size(

@@ -115,6 +115,46 @@ def test_anyof_fires_on_first_child():
     assert cond.value[fast] == "fast"
 
 
+def test_anyof_reports_only_children_that_have_fired():
+    # A Timeout holds its value from construction; it used to be listed
+    # as finished 99 s before it fired.
+    sim = Simulator()
+    late = sim.timeout(100, value="late")
+    early = sim.timeout(1, value="early")
+    cond = sim.any_of([late, early])
+    assert sim.run(until=cond) == {early: "early"}
+    assert sim.now == 1
+
+    def waiter():
+        return (yield sim.any_of([sim.timeout(100, "late"),
+                                  sim.timeout(1, "early")]))
+
+    assert list(sim.run(until=sim.process(waiter())).values()) == ["early"]
+
+
+def test_anyof_leaves_out_same_instant_children_still_queued():
+    sim = Simulator()
+    first, second = sim.event(), sim.event()
+    cond = sim.any_of([first, second])
+    first.succeed("a")
+    second.succeed("b")  # triggered, but queued behind ``first``
+    assert sim.run(until=cond) == {first: "a"}
+    # A child processed before the condition was built does count.
+    again = sim.any_of([first, sim.timeout(5)])
+    assert sim.run(until=again) == {first: "a"}
+
+
+def test_allof_collects_children_processed_before_and_after():
+    sim = Simulator()
+    done = sim.timeout(1, value="done")
+    sim.run()
+    a = sim.timeout(1, value="a")
+    b = sim.timeout(5, value="b")
+    cond = sim.all_of([done, a, b])
+    assert sim.run(until=cond) == {done: "done", a: "a", b: "b"}
+    assert sim.now == 6
+
+
 def test_allof_waits_for_all_children():
     sim = Simulator()
     a = sim.timeout(1, value="a")

@@ -184,6 +184,113 @@ def test_processes_start_in_creation_order():
     assert order == ["first", "second"]
 
 
+def test_process_starts_keep_their_queue_position():
+    # A start is a queue slot taken at creation, interleaved FIFO with
+    # whatever else is triggered in the same instant.
+    sim = Simulator()
+    order = []
+
+    def worker(tag):
+        order.append(tag)
+        yield sim.timeout(0)
+
+    def note(tag):
+        event = sim.event()
+        event.add_callback(lambda _e: order.append(tag))
+        event.succeed()
+
+    sim.process(worker("p1"))
+    note("e1")
+    sim.process(worker("p2"))
+    sim.timeout(0).add_callback(lambda _e: order.append("t1"))
+    sim.process(worker("p3"))
+    note("e2")
+    assert order == []  # nothing runs on the constructing stack
+    assert sim.queued_events == 6
+    sim.run()
+    assert order == ["p1", "e1", "p2", "t1", "p3", "e2"]
+
+
+def test_start_costs_one_event_and_allocates_none():
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(1)
+
+    proc = sim.process(worker())
+    assert proc.is_alive and not proc.triggered
+    assert proc._target is proc  # waiting on its own start slot
+    assert sim.queued_events == 1 and sim._heap[0][2] is proc
+    sim.step()  # the start slot: first turn, nothing decided yet
+    assert proc.is_alive and not proc.processed
+    assert proc._target is not proc and proc._target.delay == 1
+    sim.run()
+    assert not proc.is_alive and proc._target is None
+    assert sim.events_processed == 3  # start, timeout, completion
+
+
+def test_interrupt_just_created_process_lands_at_first_yield():
+    sim = Simulator()
+    seen = []
+
+    def sleeper():
+        seen.append("started")
+        try:
+            yield sim.timeout(100)
+        except Interrupt as intr:
+            seen.append((sim.now, intr.cause))
+
+    proc = sim.process(sleeper())
+    proc.interrupt("early")  # before its first turn: allowed, queued
+    sim.run(until=proc)
+    assert seen == ["started", (0.0, "early")]
+
+
+def test_interrupt_just_created_process_that_never_yields_is_dropped():
+    sim = Simulator()
+
+    def instant():
+        return "done"
+        yield  # pragma: no cover - generator shape
+
+    proc = sim.process(instant())
+    proc.interrupt("too late by the time it lands")
+    assert sim.run(until=proc) == "done"
+    sim.run()
+
+
+@pytest.mark.parametrize("profiled", [False, True], ids=["bare", "profiled"])
+def test_failure_on_first_turn_fails_the_process_not_the_start(profiled):
+    from repro.telemetry.profiler import KernelProfiler
+
+    def dies():
+        raise RuntimeError("died on its first turn")
+        yield  # pragma: no cover - generator shape
+
+    def parent(sim):
+        try:
+            yield sim.process(dies())
+        except RuntimeError as exc:
+            return f"caught: {exc}"
+
+    sim = Simulator()
+    if profiled:
+        KernelProfiler(sim).attach()
+    assert sim.run(until=sim.process(parent(sim))) == \
+        "caught: died on its first turn"
+
+    # With no waiter the failure still surfaces, from the process's own
+    # event rather than from its start slot.
+    sim = Simulator()
+    if profiled:
+        KernelProfiler(sim).attach()
+    orphan = sim.process(dies())
+    sim.step()
+    assert orphan.triggered and not orphan.ok
+    with pytest.raises(RuntimeError, match="first turn"):
+        sim.step()
+
+
 def test_run_until_time_stops_clock_exactly():
     sim = Simulator()
 

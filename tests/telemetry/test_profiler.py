@@ -78,6 +78,31 @@ def test_self_time_attribution_with_fake_clock():
     assert d["telemetry_seconds"] == 0.0
 
 
+def test_hardware_operations_are_charged_to_named_buckets():
+    from repro.hardware import Disk, Network
+
+    sim = Simulator(seed=0)
+    net = Network(sim)
+    net.connect("h1", "h2", bandwidth=1e6, latency=0.001)
+    disk = Disk(sim, bandwidth=1e6, name="h1.disk")
+    prof = KernelProfiler(sim, clock=_fake_clock()).attach()
+    ops = [net.transfer("h1", "h2", 4096, label="soap-req:Svc.go"),
+           net.transfer("h2", "h1", 4096), disk.write(4096)]
+    sim.run()
+    prof.detach()
+    assert all(op.processed for op in ops)
+    calls = prof.calls
+    # Start slot + latency hop per transfer; the disk op's start slot
+    # and its seek timeout; one fair-share timer per device.
+    assert calls["xfer:h#->h#:soap-req:Svc.go"] == 2
+    assert calls["xfer:h#->h#"] == 2
+    assert calls["h#.disk:write"] == 2
+    assert calls["h#<->h#"] == 2 and calls["h#.disk"] == 1
+    assert not any("lambda" in b or "locals" in b or b == "<callback>"
+                   for b in calls)
+    assert sum(calls.values()) == 9  # nobody waits on the ops here
+
+
 def test_telemetry_split_charges_bus_and_gauges():
     sim = Simulator(seed=0)
     prof = KernelProfiler(sim, clock=_fake_clock()).attach()

@@ -116,3 +116,48 @@ def test_unencodable_string_result_becomes_fault():
         sim.run(until=client.call(endpoint, "go"))
     assert exc_info.value.root_cause == "WsError"
     assert server.service("T").faults == 1
+
+
+@pytest.mark.parametrize("path", ["server", "router", "healing"])
+def test_each_envelope_is_sized_once(monkeypatch, path):
+    # _dispatch sizes the response to validate it and the transport
+    # sizes it again to send it: the second ask must not walk it again.
+    from repro.ws.soap import SoapEnvelope
+    from tests.ws.test_router import routed_service
+
+    calls = []
+
+    def handler(operation, params):
+        calls.append(operation)
+        if len(calls) == 2:
+            raise ValueError("boom")
+        return "x" * 512
+
+    if path == "server":
+        sim, server, client = make_env()
+        endpoint = deploy(server, handler)
+        per_call = 2  # request + response
+    else:
+        sim, router, _owner, client = routed_service(
+            handler=handler, self_healing=(path == "healing"))
+        endpoint = router.endpoint_for("T")
+        per_call = 4  # client -> router -> replica and back, one each
+
+    built, walked = [], []
+    init, measure = SoapEnvelope.__init__, SoapEnvelope._measure
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_measure(self):
+        walked.append(self)
+        return measure(self)
+
+    monkeypatch.setattr(SoapEnvelope, "__init__", counting_init)
+    monkeypatch.setattr(SoapEnvelope, "_measure", counting_measure)
+    assert sim.run(until=client.call(endpoint, "go")) == "x" * 512
+    with pytest.raises(SoapFault, match="boom"):
+        sim.run(until=client.call(endpoint, "go"))
+    assert len(built) == 2 * per_call
+    assert sorted(map(id, walked)) == sorted(map(id, built))
