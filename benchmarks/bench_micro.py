@@ -182,6 +182,55 @@ def test_micro_wal_recovery(benchmark):
     assert benchmark(run) == 300
 
 
+def test_micro_wal_commit():
+    """An autocommit insert through the one-frame commit must stay well
+    under the begin / insert / commit framing it replaced.
+
+    Same engine, same row, same DB tier around the log (byte gauge,
+    ``wal.append`` bus event, a replica's tap and the read router's) —
+    the reference only swaps in a log that spells each transaction frame
+    out as the three-record framing the property tests keep.  A ratio of
+    two loops in one process, so host-speed drift cancels.
+    """
+    from repro.db import DbManager
+    from repro.db.dbmanager import DbTierConfig
+    from repro.db.wal import WriteAheadLog
+    from repro.hardware import Host, Network
+    from tests.db.test_properties import reference_frames
+
+    class ThreeRecordLog(WriteAheadLog):
+        def append(self, record):
+            records = (reference_frames(record) if record[0] == "txn"
+                       else [record])
+            return sum(WriteAheadLog.append(self, r) for r in records)
+
+    def insert_seconds(wal, n=2000):
+        sim = Simulator()
+        manager = DbManager(Host(sim, "appliance", Network(sim)),
+                            db=Database(wal=wal, mvcc=True),
+                            tier=DbTierConfig(mvcc=True, replicas=1))
+        db = manager.db
+        db.create_table("invocations", [
+            Column("id", "INT", primary_key=True),
+            Column("service", "TEXT", nullable=False),
+            Column("job_id", "TEXT"), Column("total", "REAL", nullable=False),
+        ])
+        ids = iter(range(10 ** 9))
+        seconds = _best_of(lambda: db.insert("invocations", [
+            next(ids), "Hot00Service", "ncsa-job-00001", 6.0]), n)
+        return seconds, len(wal) / db.count("invocations")
+
+    framed, per_insert = insert_seconds(WriteAheadLog())
+    spelled, per_insert_ref = insert_seconds(ThreeRecordLog())
+    assert (round(per_insert, 2), round(per_insert_ref, 2)) == (1.0, 3.0)
+    ratio = spelled / framed
+    print(f"\nautocommit insert: one frame {framed * 1e6:.2f} us, "
+          f"begin/insert/commit {spelled * 1e6:.2f} us, {ratio:.2f}x")
+    assert ratio >= 1.5, (
+        f"one-frame commit only {ratio:.2f}x faster than the "
+        f"three-record framing (floor: 1.5x)")
+
+
 def test_micro_rsl_roundtrip(benchmark):
     desc = JobDescription(executable="/scratch/app", count=16,
                           arguments=[f"arg{i}" for i in range(8)],

@@ -614,18 +614,22 @@ class OnServe:
         svc = self.services.get(service_name)
         if svc is not None:
             svc.invocations += 1
-        self.store.bump_invocations(service_name)
-        self.dbmanager.db.insert("invocations", [
-            self.store.next_invocation_id(),
-            service_name,
-            report.job_id,
-            report.started_at,
-            report.total,
-            report.overhead,
-            report.polls,
-            1 if report.ok else 0,
-            report.error,
-        ])
+        # Read before the unit opens (a replica may serve it); the
+        # history row and the counter bump then land as one WAL frame.
+        record = self.store.get_record(service_name)
+        with self.dbmanager.db.transaction() as db:
+            self.store.bump_invocations(service_name, record)
+            db.insert("invocations", [
+                self.store.next_invocation_id(),
+                service_name,
+                report.job_id,
+                report.started_at,
+                report.total,
+                report.overhead,
+                report.polls,
+                1 if report.ok else 0,
+                report.error,
+            ])
         self.bus.emit("core.invocation", layer="core",
                       service=service_name, job_id=report.job_id,
                       total=report.total, overhead=report.overhead,

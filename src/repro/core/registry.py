@@ -32,9 +32,10 @@ Tables
     router declares a replica dead when its lease lapses.
 ``invocation_dedup``
     Idempotency records for crash failover: one row per completed
-    mutating invocation, written in the same frame the result is
-    observed, so a retried ``execute`` whose first attempt already ran
-    returns the recorded result instead of double-submitting to GRAM.
+    mutating invocation, written in the same simulation frame the
+    result is observed, so a retried ``execute`` whose first attempt
+    already ran returns the recorded result instead of double-submitting
+    to GRAM.
 
 Purity contract
 ---------------
@@ -184,16 +185,13 @@ class ServiceStateStore:
 
     def put_record(self, service: GeneratedService, replica: str) -> None:
         """Insert or replace the record for *service* (write-through)."""
-        with self.db.transaction():
-            self.db.delete_eq(SERVICE_TABLE, "service_name",
-                              service.service_name)
-            self.db.insert(SERVICE_TABLE, [
-                service.service_name, service.executable_name,
-                service.endpoint, service.wsdl_location,
-                service.uddi_service_key, service.uddi_binding_key,
-                service.archive_size, service.created_at,
-                service.invocations, replica,
-            ])
+        self.db.upsert(SERVICE_TABLE, [
+            service.service_name, service.executable_name,
+            service.endpoint, service.wsdl_location,
+            service.uddi_service_key, service.uddi_binding_key,
+            service.archive_size, service.created_at,
+            service.invocations, replica,
+        ])
 
     def get_record(self, service_name: str) -> Optional[Dict[str, Any]]:
         try:
@@ -229,8 +227,15 @@ class ServiceStateStore:
     def record_count(self) -> int:
         return self._read(SERVICE_TABLE).count(SERVICE_TABLE)
 
-    def bump_invocations(self, service_name: str) -> int:
-        row = self.get_record(service_name)
+    def bump_invocations(self, service_name: str,
+                         row: Optional[Dict[str, Any]] = None) -> int:
+        """Count one more invocation on the record; returns the new count.
+
+        *row* is the record if the caller already read it — a caller
+        folding the bump into a larger unit reads first, because inside
+        an open transaction every read goes to the primary.
+        """
+        row = row or self.get_record(service_name)
         if row is None:
             return 0
         count = row["invocations"] + 1
@@ -268,10 +273,8 @@ class ServiceStateStore:
 
     def mark_staged(self, site: str, path: str, digest: str,
                     replica: str) -> None:
-        key = self._staged_key(site, path)
-        with self.db.transaction():
-            self.db.delete_eq(STAGED_TABLE, "key", key)
-            self.db.insert(STAGED_TABLE, [key, site, path, digest, replica])
+        self.db.upsert(STAGED_TABLE, [self._staged_key(site, path),
+                                      site, path, digest, replica])
 
     def evict_staged(self, path: str) -> int:
         """Drop every site's copy of exactly *path* (replacement upload)."""
@@ -300,11 +303,8 @@ class ServiceStateStore:
 
     def put_lease(self, replica: str, username: str, session: str,
                   expires: float) -> None:
-        key = self._lease_key(replica, username)
-        with self.db.transaction():
-            self.db.delete_eq(LEASE_TABLE, "key", key)
-            self.db.insert(LEASE_TABLE,
-                           [key, replica, username, session, expires])
+        self.db.upsert(LEASE_TABLE, [self._lease_key(replica, username),
+                                     replica, username, session, expires])
 
     def drop_lease(self, replica: str, username: str,
                    session: Optional[str] = None) -> None:
@@ -328,9 +328,7 @@ class ServiceStateStore:
         """
         row = self.member(replica)
         epoch = row["epoch"] if row is not None else self._next_epoch()
-        with self.db.transaction():
-            self.db.delete_eq(MEMBER_TABLE, "replica", replica)
-            self.db.insert(MEMBER_TABLE, [replica, expires, epoch, status])
+        self.db.upsert(MEMBER_TABLE, [replica, expires, epoch, status])
 
     def _next_epoch(self) -> int:
         self._member_epoch += 1

@@ -230,51 +230,18 @@ class DbManager:
         what lets users re-upload a fixed executable.
         """
 
-        def faithful() -> Generator[Event, None, int]:
+        def op() -> Generator[Event, None, int]:
             compressed = zlib.compress(payload, level=6)
-            # CPU: compression cost scales with the uncompressed size.
-            yield self.host.compute(
-                self.costs.compress_cpu_per_mb * len(payload) / MB(1)
-                + self.costs.statement_cpu,
-                tag="db",
-            )
-            injector = get_injector(self.sim)
-            if injector is not None:
-                # A stalled WAL write blocks the commit for a while; a
-                # transaction fault aborts it before any row changes.
-                stall = injector.fire("db.stall")
-                if stall is not None and stall.duration > 0:
-                    yield self.sim.timeout(stall.duration,
-                                           name="fault:db-stall")
-                if injector.fire("db.txn_error"):
-                    raise TransactionError(
-                        f"storing {name!r}: commit aborted "
-                        f"(transient WAL write failure)")
-            # Disk: the engine's insert lands in the WAL + heap.
-            yield self.host.disk_write(
-                len(compressed) + self.costs.commit_disk_overhead)
-            with self.db.transaction():
-                self.db.delete_eq(self.TABLE, "name", name)
-                self.db.insert(self.TABLE, [
-                    name, description, params_spec, compressed,
-                    len(payload), len(compressed), self.sim.now,
-                ])
-            return len(compressed)
-
-        def serialized() -> Generator[Event, None, int]:
-            # Contended tier: the writer occupies the single connection
-            # across the operation's CPU and disk time, the way the
-            # original's single JDBC connection did.  Non-MVCC readers
-            # queue on the lock — that is the spike dbscale measures;
-            # MVCC snapshot readers skip it entirely.  The engine
-            # transaction itself stays frame-synchronous (begin and
-            # commit in one frame, after the I/O): other subsystems'
-            # bookkeeping writes (staging marks, leases, notify rows)
-            # run in their own frames and must never find a foreign
-            # transaction left open across a yield.
-            compressed = zlib.compress(payload, level=6)
-            yield from self._acquire_conn()
+            # Contended tier (``serialize``): the writer occupies the
+            # single connection across the operation's CPU and disk
+            # time, the way the original's single JDBC connection did.
+            # Non-MVCC readers queue on the lock — that is the spike
+            # dbscale measures; MVCC snapshot readers skip it entirely.
+            locked = self.tier.serialize
+            if locked:
+                yield from self._acquire_conn()
             try:
+                # CPU: compression cost scales with the uncompressed size.
                 yield self.host.compute(
                     self.costs.compress_cpu_per_mb * len(payload) / MB(1)
                     + self.costs.statement_cpu,
@@ -282,6 +249,8 @@ class DbManager:
                 )
                 injector = get_injector(self.sim)
                 if injector is not None:
+                    # A stalled WAL write blocks the commit for a while; a
+                    # transaction fault aborts it before any row changes.
                     stall = injector.fire("db.stall")
                     if stall is not None and stall.duration > 0:
                         yield self.sim.timeout(stall.duration,
@@ -290,8 +259,14 @@ class DbManager:
                         raise TransactionError(
                             f"storing {name!r}: commit aborted "
                             f"(transient WAL write failure)")
+                # Disk: the engine's insert lands in the WAL + heap.
                 yield self.host.disk_write(
                     len(compressed) + self.costs.commit_disk_overhead)
+                # The engine transaction itself is frame-synchronous
+                # (begin and commit in one frame, after the I/O): other
+                # subsystems' bookkeeping writes (staging marks, leases,
+                # notify rows) run in their own frames and must never
+                # find a foreign transaction left open across a yield.
                 with self.db.transaction():
                     self.db.delete_eq(self.TABLE, "name", name)
                     self.db.insert(self.TABLE, [
@@ -299,10 +274,10 @@ class DbManager:
                         len(payload), len(compressed), self.sim.now,
                     ])
             finally:
-                self._release_conn()
+                if locked:
+                    self._release_conn()
             return len(compressed)
 
-        op = serialized if self.tier.serialize else faithful
         return self.sim.process(op(), name=f"db-store:{name}")
 
     def load_executable(self, name: str,

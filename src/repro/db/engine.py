@@ -1,15 +1,17 @@
 """The database engine: tables + indexes + WAL + transactions.
 
 Concurrency model: single writer, serialized transactions (matching the
-way onServe's DbManager used its MySQL connection).  Every mutation is
-logged to the write-ahead log *before* being applied, so a crash at any
-byte boundary recovers to the last committed transaction.
+way onServe's DbManager used its MySQL connection).  A transaction's
+DML collects in one list that serves as both its undo and its redo
+log: ``rollback()`` walks it backwards and ``commit()`` appends it to
+the write-ahead log as **one CRC-framed record**, so a crash at any
+byte boundary recovers to the last committed transaction; a rollback,
+an empty transaction and a keyed miss write nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DatabaseError, RecordNotFound, TransactionError
@@ -36,9 +38,14 @@ class Database:
         self.wal = wal if wal is not None else WriteAheadLog()
         self.tables: Dict[str, HeapTable] = {}
         self._indexes: Dict[Tuple[str, str], Any] = {}
+        # table -> [(column position, index)], what every write walks.
+        self._table_indexes: Dict[str, List[Tuple[int, Any]]] = {}
         self._txn_counter = itertools.count(1)
         self._active_txn: Optional[int] = None
-        self._undo: List[Tuple] = []
+        # The active transaction's DML, in order, each entry with the
+        # row image before and after: commit() logs the list as the body
+        # of the frame, rollback() walks it backwards.
+        self._txn_dml: List[Tuple] = []
         #: Snapshot-isolation reads enabled?
         self.mvcc = bool(mvcc)
         # Commit-sequence watermark: bumps on every commit (incl. autocommit).
@@ -83,6 +90,7 @@ class Database:
         del self.tables[name]
         for key in [k for k in self._indexes if k[0] == name]:
             del self._indexes[key]
+        self._table_indexes.pop(name, None)
 
     def create_index(self, table: str, column: str, kind: str = "hash") -> None:
         """Create (and backfill) a secondary index on table.column."""
@@ -102,6 +110,7 @@ class Database:
         for rowid, row in tbl.scan():
             index.add(row[col_pos], rowid)
         self._indexes[(table, column)] = index
+        self._table_indexes.setdefault(table, []).append((col_pos, index))
 
     # ------------------------------------------------------------ transactions
 
@@ -109,34 +118,37 @@ class Database:
         """Start an explicit transaction; returns its id."""
         if self._active_txn is not None:
             raise TransactionError("a transaction is already active")
-        txn = next(self._txn_counter)
-        self._active_txn = txn
-        self._undo = []
-        self.wal.append(("begin", txn))
+        self._active_txn = txn = next(self._txn_counter)
         return txn
 
     def commit(self) -> None:
-        """Commit the active transaction."""
+        """Commit the active transaction: its DML becomes one WAL frame."""
         if self._active_txn is None:
             raise TransactionError("no active transaction")
-        self.wal.append(("commit", self._active_txn))
+        if self._txn_dml:
+            self.wal.append(("txn", self._active_txn, self._txn_dml))
+            self._txn_dml = []  # rebound, not cleared: the taps keep it
         self._active_txn = None
-        self._undo = []
         # The staged pre-images become permanent history at the old
         # watermark; open snapshots keep reading them.
         self._commit_seq += 1
-        self._txn_touched = set()
-        self._prune_versions()
+        if self._txn_touched:
+            # Only the tables this transaction versioned can hold
+            # anything newly prunable; a closing snapshot sweeps them all.
+            self._prune_versions({table for table, _ in self._txn_touched})
+            self._txn_touched = set()
 
     def rollback(self) -> None:
-        """Abort the active transaction, undoing its changes in memory."""
+        """Abort the active transaction, undoing its changes in memory.
+
+        Nothing reaches the log: the transaction never had a frame.
+        """
         if self._active_txn is None:
             raise TransactionError("no active transaction")
-        self.wal.append(("abort", self._active_txn))
-        for entry in reversed(self._undo):
+        for entry in reversed(self._txn_dml):
             op = entry[0]
             if op == "insert":
-                _, table, rowid = entry
+                _, table, rowid, _row = entry
                 row = self.tables[table].delete(rowid)
                 self._index_remove(table, rowid, row)
             elif op == "delete":
@@ -156,39 +168,44 @@ class Database:
                 tbl.discard_version(rowid, self._commit_seq)
         self._txn_touched = set()
         self._active_txn = None
-        self._undo = []
+        self._txn_dml = []
 
-    @contextmanager
-    def transaction(self):
-        """``with db.transaction():`` — commit on success, rollback on error."""
-        self.begin()
-        try:
-            yield self
-        except BaseException:
-            self.rollback()
-            raise
-        else:
-            self.commit()
+    def transaction(self) -> "_Transaction":
+        """``with db.transaction():`` — one unit of work, one WAL frame.
 
-    def _txn_scope(self):
-        """Implicit autocommit wrapper for single statements."""
-        if self._active_txn is not None:
-            return _null_context()
-        return self.transaction()
+        Opens a transaction (commit on success, rollback on error) — or
+        joins the one already open, so a caller can fold several
+        self-contained writes into a single unit; the outermost block
+        decides.  Single statements autocommit through the same scope.
+        """
+        return _Transaction(self)
 
     # ------------------------------------------------------------------ DML
 
     def insert(self, table: str, row: Sequence[Any]) -> int:
         """Insert *row* into *table*, returning the new rowid."""
         tbl = self._table(table)
-        with self._txn_scope():
+        with self.transaction():
             rowid = tbl.insert(row)
             stored = tbl.get(rowid)
             self._save_preimage(table, rowid, None)
-            self.wal.append(("insert", self._active_txn, table, rowid,
-                             list(stored)))
-            self._undo.append(("insert", table, rowid))
+            self._txn_dml.append(("insert", table, rowid, stored))
             self._index_add(table, rowid, stored)
+        return rowid
+
+    def upsert(self, table: str, row: Sequence[Any]) -> int:
+        """Replace in place the row holding *row*'s primary key, else
+        insert it; returns the rowid either way."""
+        tbl = self._table(table)
+        pk_pos = tbl.schema.pk_pos
+        if pk_pos is None:
+            raise DatabaseError(f"table {table!r} has no primary key")
+        if len(row) != len(tbl.schema):
+            tbl.schema.validate_row(row)  # raises the arity error
+        rowid = tbl.lookup_pk(row[pk_pos])
+        if rowid is None:
+            return self.insert(table, row)
+        self._update_rowids(tbl, list(enumerate(row)), [rowid])
         return rowid
 
     def delete_where(self, table: str, predicate: Optional[Predicate] = None) -> int:
@@ -222,13 +239,11 @@ class Database:
 
     def _delete_rowids(self, tbl: HeapTable, victims: List[int]) -> int:
         table = tbl.name
-        with self._txn_scope():
+        with self.transaction():
             for rowid in victims:
                 old = tbl.delete(rowid)
                 self._save_preimage(table, rowid, old)
-                self.wal.append(("delete", self._active_txn, table, rowid,
-                                 list(old)))
-                self._undo.append(("delete", table, rowid, old))
+                self._txn_dml.append(("delete", table, rowid, old))
                 self._index_remove(table, rowid, old)
         return len(victims)
 
@@ -236,7 +251,7 @@ class Database:
                        changes: List[Tuple[int, Any]],
                        targets: List[int]) -> int:
         table = tbl.name
-        with self._txn_scope():
+        with self.transaction():
             for rowid in targets:
                 old = tbl.get(rowid)
                 new = list(old)
@@ -245,9 +260,7 @@ class Database:
                 self._save_preimage(table, rowid, old)
                 tbl.update(rowid, new)
                 stored = tbl.get(rowid)
-                self.wal.append(("update", self._active_txn, table, rowid,
-                                 list(old), list(stored)))
-                self._undo.append(("update", table, rowid, old, stored))
+                self._txn_dml.append(("update", table, rowid, old, stored))
                 self._index_remove(table, rowid, old)
                 self._index_add(table, rowid, stored)
         return len(targets)
@@ -350,66 +363,75 @@ class Database:
         for (table, column), index in self._indexes.items():
             kind = "hash" if isinstance(index, HashIndex) else "sorted"
             self.wal.append(("create_index", table, column, kind))
-        txn = next(self._txn_counter)
-        self.wal.append(("begin", txn))
-        for name, tbl in self.tables.items():
-            for rowid, row in tbl.scan():
-                self.wal.append(("insert", txn, name, rowid, list(row)))
-        self.wal.append(("commit", txn))
+        rows = [("insert", name, rowid, row)
+                for name, tbl in self.tables.items()
+                for rowid, row in tbl.scan()]
+        if rows:
+            self.wal.append(("txn", next(self._txn_counter), rows))
 
     @classmethod
     def recover(cls, wal_image: bytes, mvcc: bool = False) -> "Database":
         """Rebuild a database from a WAL image (crash recovery).
 
-        DDL is replayed unconditionally; DML only for transactions whose
-        commit record survives.
+        Every frame that survives its CRC is a DDL statement or a whole
+        committed transaction, so replay is one pass, frame by frame.
         """
-        log = WriteAheadLog(wal_image)
-        records = list(log.records())
-        committed: Set[int] = {r[1] for r in records if r[0] == "commit"}
-
         db = cls(wal=WriteAheadLog(), mvcc=mvcc)
         max_txn = 0
-        for record in records:
-            op = record[0]
-            if op == "create_table":
-                _, name, cols = record
-                columns = [Column(n, t, nullable=bool(nl), primary_key=bool(pk))
-                           for n, t, nl, pk in cols]
-                db.create_table(name, columns)
-            elif op == "drop_table":
-                if record[1] in db.tables:
-                    db.drop_table(record[1])
-            elif op == "create_index":
-                _, table, column, kind = record
-                if (table, column) not in db._indexes and table in db.tables:
-                    db.create_index(table, column, kind)
-            elif op in ("begin", "commit", "abort"):
+        for record in WriteAheadLog(wal_image).records():
+            if record[0] == "txn":
                 max_txn = max(max_txn, record[1])
-            elif op == "insert":
-                _, txn, table, rowid, values = record
-                max_txn = max(max_txn, txn)
-                if txn in committed and table in db.tables:
-                    tbl = db.tables[table]
-                    tbl.restore(rowid, tbl.schema.validate_row(values))
-                    db._index_add(table, rowid, tuple(values))
-            elif op == "delete":
-                _, txn, table, rowid, _old = record
-                max_txn = max(max_txn, txn)
-                if txn in committed and table in db.tables:
-                    old = db.tables[table].delete(rowid)
-                    db._index_remove(table, rowid, old)
-            elif op == "update":
-                _, txn, table, rowid, old, new = record
-                max_txn = max(max_txn, txn)
-                if txn in committed and table in db.tables:
-                    db.tables[table].update(rowid, new)
-                    db._index_remove(table, rowid, tuple(old))
-                    db._index_add(table, rowid, tuple(new))
+            db._replay(record)
         db._txn_counter = itertools.count(max_txn + 1)
         # The recovered database starts a fresh log reflecting its state.
         db.checkpoint()
         return db
+
+    def _replay(self, record: Tuple[Any, ...]) -> None:
+        """Apply one logged frame to this database, bypassing its own
+        transaction machinery (recovery and WAL-shipped replicas).
+
+        Tolerant of a re-shipped frame (a primary checkpoint re-logs
+        everything): existing tables/indexes are kept, a re-inserted
+        rowid is replaced, DML on a missing table or rowid is dropped.
+        """
+        op = record[0]
+        if op == "txn":
+            for entry in record[2]:
+                self._replay_dml(*entry)
+        elif op == "create_table":
+            _, name, cols = record
+            if name not in self.tables:
+                self.create_table(name, [
+                    Column(n, t, nullable=bool(nl), primary_key=bool(pk))
+                    for n, t, nl, pk in cols])
+        elif op == "drop_table":
+            if record[1] in self.tables:
+                self.drop_table(record[1])
+        elif op == "create_index":
+            _, table, column, kind = record
+            if (table, column) not in self._indexes and table in self.tables:
+                self.create_index(table, column, kind)
+
+    def _replay_dml(self, op: str, table: str, rowid: int,
+                    image: Sequence[Any], new: Sequence[Any] = ()) -> None:
+        # One frame entry: *image* is the row inserted, or the one a
+        # delete/update found; *new* what an update left.
+        tbl = self.tables.get(table)
+        if tbl is None:
+            return
+        present = rowid in tbl._rows
+        if op == "insert":
+            if present:
+                self._index_remove(table, rowid, tbl.delete(rowid))
+            row = tbl.schema.validate_row(image)
+            tbl.restore(rowid, row)
+            self._index_add(table, rowid, row)
+        elif present and op == "delete":
+            self._index_remove(table, rowid, tbl.delete(rowid))
+        elif present and op == "update":
+            self._index_remove(table, rowid, tbl.update(rowid, new))
+            self._index_add(table, rowid, tbl.get(rowid))
 
     # ----------------------------------------------------------------- internals
 
@@ -424,14 +446,16 @@ class Database:
         self._txn_touched.add(key)
         self.tables[table].save_version(rowid, self._commit_seq, old_row)
 
-    def _prune_versions(self) -> None:
-        """Drop version history no open snapshot can still need."""
+    def _prune_versions(self, tables: Optional[Set[str]] = None) -> None:
+        """Drop version history no open snapshot can still need (in
+        *tables*; everywhere when not given)."""
         if not self.mvcc:
             return
         watermark = min((s.watermark for s in self._snapshots),
                         default=self._commit_seq)
-        for tbl in self.tables.values():
-            if tbl.has_versions():
+        for name in self.tables if tables is None else tables:
+            tbl = self.tables.get(name)
+            if tbl is not None and tbl.has_versions():
                 tbl.prune_versions(watermark)
 
     def _rowids_eq(self, table: str, column: str, value: Any) -> List[int]:
@@ -484,18 +508,12 @@ class Database:
         return dict(zip(tbl.schema.names(), row))
 
     def _index_add(self, table: str, rowid: int, row: Tuple[Any, ...]) -> None:
-        tbl = self.tables[table]
-        for (tname, column), index in self._indexes.items():
-            if tname == table:
-                index.add(row[tbl.schema.index_of(column)], rowid)
+        for pos, index in self._table_indexes.get(table, ()):
+            index.add(row[pos], rowid)
 
     def _index_remove(self, table: str, rowid: int, row: Tuple[Any, ...]) -> None:
-        tbl = self.tables.get(table)
-        if tbl is None:
-            return
-        for (tname, column), index in self._indexes.items():
-            if tname == table:
-                index.remove(row[tbl.schema.index_of(column)], rowid)
+        for pos, index in self._table_indexes.get(table, ()):
+            index.remove(row[pos], rowid)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<Database tables={sorted(self.tables)}>"
@@ -616,6 +634,25 @@ class Snapshot:
         return f"<Snapshot @{self.watermark} {state}>"
 
 
-@contextmanager
-def _null_context():
-    yield
+class _Transaction:
+    """The scope :meth:`Database.transaction` hands out."""
+
+    __slots__ = ("_db", "_owner")
+
+    def __init__(self, db: Database):
+        self._db = db
+        self._owner = False
+
+    def __enter__(self) -> Database:
+        if self._db._active_txn is None:
+            self._db.begin()
+            self._owner = True
+        return self._db
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        if self._owner:
+            if exc_type is None:
+                self._db.commit()
+            else:
+                self._db.rollback()
+        return False

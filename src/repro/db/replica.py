@@ -23,16 +23,16 @@ properties fall out by construction:
   from the primary until the replica has caught up, for *any*
   principal (strictly stronger than per-principal tracking).
 
-Transactions replicate atomically: shipped DML is staged per txn and
-applied only when the matching ``commit`` record becomes due, exactly
-mirroring :meth:`Database.recover` semantics.  Aborted transactions
-are dropped.
+Transactions replicate atomically because the log frames them that
+way: the primary ships one record per committed transaction (and
+nothing for a rolled-back one), so a replica applies frame by frame
+through the same :meth:`Database._replay` recovery uses.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.db.engine import Database
 from repro.errors import DatabaseError
@@ -57,8 +57,6 @@ class ReadReplica:
         self.db = Database()
         # Shipped-but-not-yet-applied records: (ship_ts, record).
         self._pending: Deque[Tuple[float, Tuple[Any, ...]]] = deque()
-        # DML staged per in-flight transaction id.
-        self._staged: Dict[int, List[Tuple[Any, ...]]] = {}
         self.records_applied = 0
         self.txns_applied = 0
         #: Ship timestamp of the newest applied record.
@@ -92,9 +90,11 @@ class ReadReplica:
         applied = 0
         while self._pending and self._pending[0][0] + self.lag <= now:
             ts, record = self._pending.popleft()
-            self._apply(record)
+            self.db._replay(record)
             self.applied_ts = ts
             self.records_applied += 1
+            if record[0] == "txn":
+                self.txns_applied += 1
             applied += 1
         return applied
 
@@ -105,62 +105,6 @@ class ReadReplica:
         if not self._pending:
             return 0.0
         return max(0.0, now - self._pending[0][0])
-
-    # -- log application ---------------------------------------------------
-
-    def _apply(self, record: Tuple[Any, ...]) -> None:
-        op = record[0]
-        if op == "create_table":
-            from repro.db.table import Column
-            _, name, cols = record
-            if name not in self.db.tables:
-                self.db.create_table(name, [
-                    Column(n, t, nullable=bool(nl), primary_key=bool(pk))
-                    for n, t, nl, pk in cols])
-        elif op == "drop_table":
-            if record[1] in self.db.tables:
-                self.db.drop_table(record[1])
-        elif op == "create_index":
-            _, table, column, kind = record
-            if (table, column) not in self.db._indexes \
-                    and table in self.db.tables:
-                self.db.create_index(table, column, kind)
-        elif op == "begin":
-            self._staged[record[1]] = []
-        elif op in ("insert", "delete", "update"):
-            staged = self._staged.get(record[1])
-            if staged is not None:
-                staged.append(record)
-        elif op == "commit":
-            for dml in self._staged.pop(record[1], ()):
-                self._apply_dml(dml)
-            self.txns_applied += 1
-        elif op == "abort":
-            self._staged.pop(record[1], None)
-
-    def _apply_dml(self, record: Tuple[Any, ...]) -> None:
-        op, _txn, table = record[0], record[1], record[2]
-        if table not in self.db.tables:
-            return
-        tbl = self.db.tables[table]
-        if op == "insert":
-            _, _, _, rowid, values = record
-            if rowid in tbl._rows:  # re-shipped frame; replace
-                old = tbl.delete(rowid)
-                self.db._index_remove(table, rowid, old)
-            tbl.restore(rowid, tbl.schema.validate_row(values))
-            self.db._index_add(table, rowid, tuple(values))
-        elif op == "delete":
-            _, _, _, rowid, _old = record
-            if rowid in tbl._rows:
-                old = tbl.delete(rowid)
-                self.db._index_remove(table, rowid, old)
-        elif op == "update":
-            _, _, _, rowid, old, new = record
-            if rowid in tbl._rows:
-                tbl.update(rowid, new)
-                self.db._index_remove(table, rowid, tuple(old))
-                self.db._index_add(table, rowid, tuple(new))
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         state = "on" if self.enabled else "off"
@@ -184,29 +128,22 @@ class ReadRouter:
         self.primary = primary
         self.replicas = list(replicas)
         self.lag = float(lag)
-        # table -> sim time of its newest primary write (DML or DDL).
+        # table -> sim time of its newest primary write (DML or DDL),
+        # stamped when the frame lands — the commit instant, which is
+        # what a replica's lag counts from.
         self._last_write: Dict[str, float] = {}
-        # txn id -> tables it touched (commit re-stamps them, because a
-        # replica only applies a txn once the *commit* record is due).
-        self._txn_tables: Dict[int, set] = {}
         self._rr = 0
         self.replica_reads = 0
         self.primary_reads = 0
         primary.wal.taps.append(self._observe)
 
     def _observe(self, record: Tuple[Any, ...]) -> None:
-        op = record[0]
         now = self.sim.now
-        if op in ("insert", "delete", "update"):
-            self._last_write[record[2]] = now
-            self._txn_tables.setdefault(record[1], set()).add(record[2])
-        elif op in ("create_table", "drop_table", "create_index"):
+        if record[0] == "txn":
+            for entry in record[2]:
+                self._last_write[entry[1]] = now
+        else:  # DDL: create_table / drop_table / create_index
             self._last_write[record[1]] = now
-        elif op == "commit":
-            for table in self._txn_tables.pop(record[1], ()):
-                self._last_write[table] = now
-        elif op == "abort":
-            self._txn_tables.pop(record[1], None)
 
     def fresh_for(self, table: str, now: Optional[float] = None) -> bool:
         """Has every primary write to *table* had time to replicate?"""
@@ -215,10 +152,16 @@ class ReadRouter:
         return last is None or last + self.lag <= now
 
     def reader(self, table: str) -> Database:
-        """A database suitable for a read-only op on *table* right now."""
+        """A database suitable for a read-only op on *table* right now.
+
+        While the primary has a transaction open only the primary will
+        do: the unit's own writes are stamped when it commits, so until
+        then no replica can be proven to hold what the caller wrote.
+        """
         now = self.sim.now
         live = [r for r in self.replicas if r.enabled]
-        if live and self.fresh_for(table, now):
+        if (live and self.primary._active_txn is None
+                and self.fresh_for(table, now)):
             replica = live[self._rr % len(live)]
             self._rr += 1
             replica.catch_up(now)

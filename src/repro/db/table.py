@@ -16,6 +16,10 @@ TYPES = {
     "BLOB": (bytes, bytearray),
 }
 
+#: SQL type name -> the exact python type a validated value has; a value
+#: already of it needs no look (``bool`` is not ``int`` itself).
+_STORED_AS = {"INT": int, "REAL": float, "TEXT": str, "BLOB": bytes}
+
 
 class Column:
     """One column: name, SQL type, nullability, primary-key flag."""
@@ -74,7 +78,12 @@ class Schema:
         self.columns: Tuple[Column, ...] = tuple(columns)
         self._names: Tuple[str, ...] = tuple(names)
         self._by_name: Dict[str, int] = {c.name: i for i, c in enumerate(columns)}
+        self._stored: Tuple[type, ...] = tuple(
+            _STORED_AS[c.type] for c in columns)
         self.primary_key: Optional[Column] = pks[0] if pks else None
+        #: Column position of the primary key (None without one).
+        self.pk_pos: Optional[int] = (
+            self._by_name[pks[0].name] if pks else None)
 
     def index_of(self, name: str) -> int:
         """Column position of *name* (raises on unknown column)."""
@@ -91,7 +100,8 @@ class Schema:
             raise DatabaseError(
                 f"row has {len(row)} values, schema has {len(self.columns)}"
             )
-        return tuple(col.validate(v) for col, v in zip(self.columns, row))
+        return tuple([v if type(v) is kind else col.validate(v)
+                      for col, kind, v in zip(self.columns, self._stored, row)])
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -124,9 +134,9 @@ class HeapTable:
     def insert(self, row: Sequence[Any]) -> int:
         """Insert *row*, returning its rowid."""
         validated = self.schema.validate_row(row)
-        pk = self.schema.primary_key
-        if pk is not None:
-            key = validated[self.schema.index_of(pk.name)]
+        pk_pos = self.schema.pk_pos
+        if pk_pos is not None:
+            key = validated[pk_pos]
             if key in self._pk_map:
                 raise DatabaseError(
                     f"{self.name}: duplicate primary key {key!r}"
@@ -143,9 +153,9 @@ class HeapTable:
             row = self._rows.pop(rowid)
         except KeyError:
             raise RecordNotFound(f"{self.name}: no rowid {rowid}") from None
-        pk = self.schema.primary_key
-        if pk is not None:
-            self._pk_map.pop(row[self.schema.index_of(pk.name)], None)
+        pk_pos = self.schema.pk_pos
+        if pk_pos is not None:
+            self._pk_map.pop(row[pk_pos], None)
         return row
 
     def update(self, rowid: int, row: Sequence[Any]) -> Tuple[Any, ...]:
@@ -154,16 +164,14 @@ class HeapTable:
             raise RecordNotFound(f"{self.name}: no rowid {rowid}")
         validated = self.schema.validate_row(row)
         old = self._rows[rowid]
-        pk = self.schema.primary_key
-        if pk is not None:
-            idx = self.schema.index_of(pk.name)
-            if validated[idx] != old[idx]:
-                if validated[idx] in self._pk_map:
-                    raise DatabaseError(
-                        f"{self.name}: duplicate primary key {validated[idx]!r}"
-                    )
-                del self._pk_map[old[idx]]
-                self._pk_map[validated[idx]] = rowid
+        idx = self.schema.pk_pos
+        if idx is not None and validated[idx] != old[idx]:
+            if validated[idx] in self._pk_map:
+                raise DatabaseError(
+                    f"{self.name}: duplicate primary key {validated[idx]!r}"
+                )
+            del self._pk_map[old[idx]]
+            self._pk_map[validated[idx]] = rowid
         self._rows[rowid] = validated
         return old
 
@@ -174,9 +182,9 @@ class HeapTable:
         if rowid < self._next_rowid:
             self._unsorted = True  # lands behind a larger rowid
         self._rows[rowid] = row
-        pk = self.schema.primary_key
-        if pk is not None:
-            self._pk_map[row[self.schema.index_of(pk.name)]] = rowid
+        pk_pos = self.schema.pk_pos
+        if pk_pos is not None:
+            self._pk_map[row[pk_pos]] = rowid
         self._next_rowid = max(self._next_rowid, rowid + 1)
 
     # -- multi-version concurrency (driven by the Database) ----------------------

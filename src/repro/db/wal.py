@@ -5,8 +5,10 @@ Record framing on the wire::
     [4-byte little-endian payload length][4-byte CRC32][payload]
 
 A torn tail (truncated record or bad checksum) marks the end of the
-usable log, exactly as in real WAL recovery; everything before it is
-replayed if (and only if) its transaction committed.
+usable log, exactly as in real WAL recovery.  The engine writes one
+record per DDL statement and one per *committed* transaction —
+``("txn", id, [dml, ...])`` — so a frame that passes its CRC is a whole
+unit and everything before the tear is replayed as it stands.
 
 Payloads are encoded with a tiny self-describing binary format (no
 pickle): type-tagged values composed into record tuples.
@@ -32,29 +34,62 @@ _TAG_TEXT = b"S"
 _TAG_BLOB = b"B"
 _TAG_LIST = b"L"
 
+_U32 = struct.Struct("<I").pack
+_F64 = struct.Struct("<d").pack
+_FRAME_HEADER = struct.Struct("<II")
 
-def encode_value(value: Any, out: io.BytesIO) -> None:
-    """Append the binary encoding of *value* to *out*."""
-    if value is None:
-        out.write(_TAG_NONE)
-    elif isinstance(value, bool):
+
+def _encode_items(items: Any, add: Any) -> None:
+    """Append the encoding of each of *items* to a parts list, via *add*.
+
+    One flat pass: scalars are encoded inline on their exact type and
+    only a nested list costs a call; subclasses and ``bytearray`` go
+    round once more as their plain equal.  The tag bytes are spelled as
+    literals here (the ``_TAG_*`` names above) — a global lookup per
+    value is a quarter of this loop.
+    """
+    for value in items:
+        kind = type(value)
+        if kind is str:
+            raw = value.encode()
+            add(b"S" + _U32(len(raw)) + raw)
+        elif kind is int:
+            raw = b"%d" % value
+            add(b"I" + _U32(len(raw)) + raw)
+        elif kind is float:
+            add(b"R" + _F64(value))
+        elif value is None:
+            add(b"N")
+        elif kind is list or kind is tuple:
+            add(b"L" + _U32(len(value)))
+            _encode_items(value, add)
+        elif kind is bytes:
+            add(b"B" + _U32(len(value)))
+            add(value)  # a BLOB may be megabytes: joined, never copied twice
+        else:
+            _encode_items((_plain(value),), add)
+
+
+def _plain(value: Any) -> Any:
+    """The exact-typed equal of a subclass instance or ``bytearray``."""
+    if isinstance(value, bool):
         raise DatabaseError("booleans are not storable")
-    elif isinstance(value, int):
-        raw = str(value).encode()
-        out.write(_TAG_INT + struct.pack("<I", len(raw)) + raw)
-    elif isinstance(value, float):
-        out.write(_TAG_REAL + struct.pack("<d", value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.write(_TAG_TEXT + struct.pack("<I", len(raw)) + raw)
-    elif isinstance(value, (bytes, bytearray)):
-        out.write(_TAG_BLOB + struct.pack("<I", len(value)) + bytes(value))
-    elif isinstance(value, (list, tuple)):
-        out.write(_TAG_LIST + struct.pack("<I", len(value)))
-        for item in value:
-            encode_value(item, out)
-    else:
-        raise DatabaseError(f"cannot encode {type(value).__name__}")
+    for base, exact in ((int, int), (float, float), (str, str),
+                        ((bytes, bytearray), bytes), ((list, tuple), list)):
+        if isinstance(value, base):
+            return exact(value)
+    raise DatabaseError(f"cannot encode {type(value).__name__}")
+
+
+def _encode(value: Any) -> bytes:
+    parts: list = []
+    _encode_items((value,), parts.append)
+    return b"".join(parts)
+
+
+def encode_value(value: Any, out: BinaryIO) -> None:
+    """Append the binary encoding of *value* to *out*."""
+    out.write(_encode(value))
 
 
 def decode_value(buf: BinaryIO) -> Any:
@@ -118,10 +153,8 @@ class WriteAheadLog:
 
     def append(self, record: Tuple[Any, ...]) -> int:
         """Append *record*; returns the encoded record size in bytes."""
-        body = io.BytesIO()
-        encode_value(list(record), body)
-        payload = body.getvalue()
-        frame = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        payload = _encode(record)
+        frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         self._buf.extend(frame)
         if self.observer is not None:
             self.observer(len(frame), len(self._buf))

@@ -11,8 +11,9 @@ lifecycle.
 
 Durability discipline (PR 8's dedup rule): the ``job_states`` row and
 the ``notify_queue`` row are written **in the same frame** as the state
-change itself — a crash between "the job finished" and "the row says
-so" cannot exist, so replaying a subscriber against the table after a
+change itself, as one transaction — one WAL frame, both rows or
+neither — so a crash between "the job finished" and "the row says so"
+cannot exist, and replaying a subscriber against the table after a
 crash observes exactly what the live delivery would have shown.
 Delivery then takes one propagation delay of simulated time (the
 event's trip from the gatekeeper to the appliance), which is the whole
@@ -37,6 +38,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.db.engine import Database
+from repro.db.sql import execute_sql
 from repro.db.table import Column
 from repro.simkernel.events import Event
 from repro.simkernel.kernel import Simulator
@@ -71,10 +73,10 @@ _QUEUE_SCHEMA = [
 class NotifyQueue:
     """Durable job-state-change queue between GRAM and the appliance.
 
-    ``publish`` appends a message (and upserts the job's ``job_states``
-    row) in the caller's frame, then delivers it one *propagation*
-    delay later; a terminal delivery fires every subscribed waiter with
-    the message payload.  ``subscribe`` consults the table first: a
+    ``publish`` appends a message and upserts the job's ``job_states``
+    row as one unit in the caller's frame, then delivers it one
+    *propagation* delay later; a terminal delivery fires every
+    subscribed waiter with the message payload.  ``subscribe`` consults the table first: a
     subscriber arriving after the terminal row exists (crash replay,
     slow middleware) completes immediately from durable state instead
     of waiting for a delivery that already happened.
@@ -95,7 +97,6 @@ class NotifyQueue:
         self._capable: set = set()
         #: job_id -> waiter events parked until the terminal delivery.
         self._waiters: Dict[str, List[Event]] = {}
-        self._seq = 0
         self.published = 0
         self.delivered = 0
         #: Subscriptions satisfied straight from the durable table.
@@ -108,6 +109,9 @@ class NotifyQueue:
         if NOTIFY_QUEUE_TABLE not in db.tables:
             db.create_table(NOTIFY_QUEUE_TABLE, _QUEUE_SCHEMA)
             db.create_index(NOTIFY_QUEUE_TABLE, "job_id", "hash")
+        # Resume numbering past recovered history (``seq`` is the key).
+        row = execute_sql(db, f"SELECT MAX(seq) FROM {NOTIFY_QUEUE_TABLE}")[0]
+        self._seq = row["max(seq)"] or 0
 
     # -- capability registry --------------------------------------------------
 
@@ -131,10 +135,8 @@ class NotifyQueue:
         Safe from any frame — including telemetry-bus observer
         callbacks — because it creates no simulation events.
         """
-        with self.db.transaction():
-            self.db.delete_eq(JOB_STATES_TABLE, "job_id", job_id)
-            self.db.insert(JOB_STATES_TABLE, [
-                job_id, site, state, self.sim.now, 1 if terminal else 0])
+        self.db.upsert(JOB_STATES_TABLE, [
+            job_id, site, state, self.sim.now, 1 if terminal else 0])
 
     def job_state(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The durable ``job_states`` row for *job_id* (or ``None``)."""
@@ -160,12 +162,13 @@ class NotifyQueue:
         delay later.  Must run from a frame that may create simulation
         events (it schedules the delivery timeout).
         """
-        self.record_state(site, job_id, state, terminal)
-        self._seq += 1
-        seq = self._seq
-        self.db.insert(NOTIFY_QUEUE_TABLE, [
-            seq, site, job_id, state, 1 if terminal else 0,
-            1 if error else 0, self.sim.now, None])
+        seq = self._seq + 1
+        with self.db.transaction():  # one unit: both rows or neither
+            self.record_state(site, job_id, state, terminal)
+            self.db.insert(NOTIFY_QUEUE_TABLE, [
+                seq, site, job_id, state, 1 if terminal else 0,
+                1 if error else 0, self.sim.now, None])
+        self._seq = seq
         self.published += 1
         self._depth_gauge.adjust(+1)
         self._bus.emit("notify.publish", layer="grid", site=site,

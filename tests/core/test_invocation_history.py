@@ -87,3 +87,34 @@ def test_history_survives_db_recovery(env):
     rows = recovered.db.select("invocations")
     assert len(rows) == 1
     assert rows[0]["service"] == "AlphaService"
+
+
+def test_record_invocation_is_one_frame_and_reads_before_the_unit():
+    """History row + counter bump land as one WAL frame; the record read
+    happens before the unit opens, so a replica may still serve it."""
+    from types import SimpleNamespace
+
+    tb = build_testbed(n_sites=2, nodes_per_site=2, cores_per_node=4,
+                       appliance_uplink=Mbps(10))
+    stack = tb.sim.run(until=deploy_onserve(
+        tb, OnServeConfig(db_replicas=1, db_replica_lag=0.5)))
+    tb.sim.run(until=stack.portal.upload_and_generate(
+        tb.user_hosts[0], "alpha.sh", make_payload("echo", size=int(KB(2))),
+        params_spec="x:string"))
+    tb.sim.run(until=tb.sim.timeout(1.0))    # every write has replicated
+    db, router = stack.dbmanager.db, stack.dbmanager.read_router
+    frames = []
+    db.wal.taps.append(frames.append)
+    reads = (router.replica_reads, router.primary_reads)
+    report = SimpleNamespace(job_id="j-1", started_at=tb.sim.now, total=6.0,
+                             overhead=1.0, polls=0, ok=True, error=None)
+    stack.onserve.record_invocation("AlphaService", report)
+    assert [sorted(dml[1] for dml in f[2]) for f in frames] \
+        == [["invocations", "service_records"]]
+    assert (router.replica_reads, router.primary_reads) \
+        == (reads[0] + 1, reads[1])
+    assert db.get_by_pk("service_records", "AlphaService")["invocations"] == 1
+    # An unknown service still gets its history row (no counter to bump).
+    stack.onserve.record_invocation("GhostService", report)
+    assert [dml[1] for dml in frames[-1][2]] == ["invocations"]
+    assert len(db.find_eq("invocations", "service", "GhostService")) == 1

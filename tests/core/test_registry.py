@@ -217,10 +217,13 @@ def test_dedup_records_once_and_flags_duplicates():
     assert store.dedup_count() == 2
 
 
-def _rows_scanned_per_job(n_jobs):
-    """Heap rows the DB tier visits per job for the per-invocation
-    bookkeeping: notify publish/deliver/replay, agent lease, heartbeat,
-    staging mark, dedup record and the invocation counter."""
+def _per_job_costs(n_jobs):
+    """(heap rows visited, WAL frames by tables written) per job for the
+    per-invocation bookkeeping: notify publish/deliver/replay, agent
+    lease, heartbeat, staging mark, dedup record and the invocation
+    counter."""
+    from collections import Counter
+
     from repro.grid.notify import NotifyQueue
 
     sim, store = make_store()
@@ -228,6 +231,8 @@ def _rows_scanned_per_job(n_jobs):
     queue = NotifyQueue(sim, db, propagation=0.5)
     store.put_record(make_service(), replica="appliance")
     db.stats["rows_scanned"] = 0
+    frames = []
+    db.wal.taps.append(frames.append)
     for j in range(n_jobs):
         job, replica = f"job-{j}", f"appliance{j % 4:02d}"
         queue.publish("ncsa", job, "pending")
@@ -246,13 +251,60 @@ def _rows_scanned_per_job(n_jobs):
         assert store.dedup_result(f"req-{j}|Hello.execute") == "out"
         assert store.bump_invocations("HelloService") == j + 1
     assert queue.delivered == 2 * n_jobs and db.count("job_states") == n_jobs
-    return db.stats["rows_scanned"] / n_jobs
+    written = Counter("+".join(sorted({dml[1] for dml in frame[2]}))
+                      for frame in frames)
+    return (db.stats["rows_scanned"] / n_jobs,
+            {tables: n / n_jobs for tables, n in written.items()})
 
 
 def test_per_job_bookkeeping_scan_budget_does_not_grow_with_history():
     # Every statement above names its row by key.  An equality lambda
     # slipped back into any of them makes the per-job count grow with the
     # rows already written — caught here as a count, not as a timing.
-    small, large = _rows_scanned_per_job(25), _rows_scanned_per_job(100)
+    (small, _), (large, _) = _per_job_costs(25), _per_job_costs(100)
     assert large <= small
     assert small == 0
+
+
+def test_per_job_frame_budget_is_one_frame_per_state_transition():
+    # One WAL frame per unit of work, whatever the history behind it: a
+    # write split back into delete + insert, or a unit into its
+    # statements, shows here as a count.
+    budget = {
+        "job_states+notify_queue": 2,   # publish pending, publish done
+        "job_states": 1,                # record_state("active")
+        "notify_queue": 2,              # the two deliveries
+        "replica_members": 1,           # renew_member
+        "staged_copies": 1,             # mark_staged
+        "invocation_dedup": 1,          # record_dedup
+        "service_records": 1,           # the invocation counter
+        "agent_leases": 1,              # put_lease (per session in production)
+    }
+    for n_jobs in (25, 100):
+        _, frames = _per_job_costs(n_jobs)
+        assert frames == budget
+        assert sum(frames.values()) - frames["agent_leases"] <= 9
+
+
+def test_upsert_sites_update_in_place():
+    sim, store = make_store()
+    db = store.db
+    store.put_record(make_service(), replica="a")
+    store.mark_staged("ncsa", "/stage/x", "d1", "a")
+    store.put_lease("a", "grid", "s1", 10.0)
+    store.renew_member("a", 12.0)
+    rowids = {t: [r for r, _ in db.tables[t].scan()] for t in db.tables}
+    frames = []
+    db.wal.taps.append(frames.append)
+    store.put_record(make_service(invocations=3), replica="b")
+    store.mark_staged("ncsa", "/stage/x", "d2", "b")
+    store.put_lease("a", "grid", "s2", 20.0)
+    store.renew_member("a", 24.0, status="draining")
+    # Same rows, rewritten where they stand: one update each, one frame each.
+    assert [[dml[0] for dml in f[2]] for f in frames] == [["update"]] * 4
+    assert rowids == {t: [r for r, _ in db.tables[t].scan()]
+                      for t in db.tables}
+    assert store.get_record("HelloService")["invocations"] == 3
+    assert store.staged_digest("ncsa", "/stage/x") == "d2"
+    assert store.get_lease("a", "grid") == ("s2", 20.0)
+    assert store.member("a")["status"] == "draining"

@@ -4,7 +4,6 @@ import pytest
 
 from repro.db.engine import Database
 from repro.db.table import Column
-from repro.db.wal import WriteAheadLog
 from repro.errors import DatabaseError, RecordNotFound, TransactionError
 
 
@@ -113,6 +112,83 @@ def test_nested_transaction_rejected():
         db.commit()
     with pytest.raises(TransactionError):
         db.rollback()
+
+
+def test_transaction_joins_the_open_unit_and_commits_one_frame():
+    db = fresh_db()
+    frames = []
+    db.wal.taps.append(frames.append)
+    with db.transaction():
+        db.insert("users", [1, "ada", None])
+        with db.transaction():                      # joins, does not nest
+            db.insert("users", [2, "bob", None])
+            db.update_eq("users", "id", 1, {"score": 2.0})
+        assert frames == [] and db._active_txn is not None
+    # One unit, one frame, the statements in order.
+    assert [[dml[0] for dml in f[2]] for f in frames] \
+        == [["insert", "insert", "update"]]
+    # A failure inside a joined block is the outer unit's failure.
+    with pytest.raises(RuntimeError):
+        with db.transaction():
+            db.insert("users", [3, "cy", None])
+            with db.transaction():
+                db.insert("users", [4, "di", None])
+                raise RuntimeError("inner")
+    assert db.count("users") == 2 and len(frames) == 1
+    # begin() stays strict: it never joins.
+    with db.transaction():
+        with pytest.raises(TransactionError):
+            db.begin()
+
+
+def test_empty_and_rolled_back_transactions_write_nothing():
+    db = fresh_db()
+    size = db.wal.size()
+    with db.transaction():
+        pass
+    db.begin()
+    db.insert("users", [1, "ada", None])
+    db.rollback()
+    with pytest.raises(DatabaseError):
+        db.insert("users", [None, "nobody", None])  # autocommit that fails
+    assert db.wal.size() == size
+    assert Database.recover(db.wal.snapshot()).count("users") == 0
+
+
+def test_upsert_updates_in_place_else_inserts():
+    db = fresh_db()
+    db.create_index("users", "name", "hash")
+    frames = []
+    db.wal.taps.append(frames.append)
+    first = db.upsert("users", [1, "ada", 1.0])
+    db.insert("users", [2, "bob", None])
+    assert db.upsert("users", [1, "eve", None]) == first    # same rowid
+    assert [dml[0] for f in frames for dml in f[2]] \
+        == ["insert", "insert", "update"]
+    # In place: scan order is unchanged, the index follows the new value.
+    assert [r["id"] for r in db.select("users")] == [1, 2]
+    assert db.find_eq("users", "name", "ada") == []
+    assert db.find_eq("users", "name", "eve")[0]["score"] is None
+    # Undone with the unit it ran in; replayed by recovery.
+    with pytest.raises(RuntimeError):
+        with db.transaction():
+            db.upsert("users", [1, "zed", 0.0])
+            db.upsert("users", [3, "new", 0.0])
+            raise RuntimeError("abort!")
+    assert db.get_by_pk("users", 1)["name"] == "eve" and db.count("users") == 2
+    recovered = Database.recover(db.wal.snapshot())
+    assert recovered.select("users") == db.select("users")
+    assert recovered.find_eq("users", "name", "eve") \
+        == db.find_eq("users", "name", "eve")
+    # The row is validated like any other write.
+    with pytest.raises(DatabaseError, match="row has 2 values"):
+        db.upsert("users", [1, "short"])
+    with pytest.raises(DatabaseError, match="NOT NULL"):
+        db.upsert("users", [1, None, 0.0])
+    keyless = Database()
+    keyless.create_table("log", [Column("line", "TEXT")])
+    with pytest.raises(DatabaseError, match="no primary key"):
+        keyless.upsert("log", ["x"])
 
 
 def test_rollback_restores_pk_slot():
@@ -246,14 +322,13 @@ def test_keyed_miss_appends_no_dml_record():
         scanned.delete_where("users", lambda r: r["id"] == 99)
         scanned.update_where("users", {"score": 0.0},
                              lambda r: r["id"] == 99)
-    # Only the begin/commit frame of the enclosing transaction.
-    tail = list(WriteAheadLog(keyed.wal.snapshot()[len(before):]).records())
-    assert [r[0] for r in tail] == ["begin", "commit"]
-    # Autocommit keeps writing the (empty) frame the predicate form
-    # writes, so transaction ids and shipped records stay in step.
+    # A miss appends nothing: a transaction with no DML has no frame.
+    assert keyed.wal.snapshot() == before
     assert keyed.delete_eq("users", "name", "zed") == 0
     scanned.delete_where("users", lambda r: r["name"] == "zed")
-    assert keyed.wal.snapshot() == scanned.wal.snapshot()
+    assert keyed.wal.snapshot() == scanned.wal.snapshot() == before
+    # Transaction ids stay in step with the predicate form all the same.
+    assert keyed.begin() == scanned.begin()
 
 
 def test_keyed_dml_writes_the_scan_forms_wal_bytes():

@@ -1,14 +1,19 @@
 """Property-based tests: SQL engine vs an in-memory oracle, WAL recovery."""
 
 import io
+import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
 from repro.db.index import HashIndex
+from repro.db.replica import ReadReplica
 from repro.db.table import Column
-from repro.db.wal import decode_value, encode_value
+from repro.db.wal import WriteAheadLog, decode_value, encode_value
+from repro.errors import DatabaseError
+from repro.simkernel import Simulator
 
 values = st.one_of(
     st.none(),
@@ -24,6 +29,63 @@ def test_wal_codec_roundtrip(items):
     buf = io.BytesIO()
     encode_value(items, buf)
     assert decode_value(io.BytesIO(buf.getvalue())) == items
+
+
+def _reference_encode(value, out):
+    """The recursive encoder the flat pass replaced, kept as reference."""
+    if value is None:
+        out.write(b"N")
+    elif isinstance(value, bool):
+        raise DatabaseError("booleans are not storable")
+    elif isinstance(value, int):
+        raw = str(value).encode()
+        out.write(b"I" + struct.pack("<I", len(raw)) + raw)
+    elif isinstance(value, float):
+        out.write(b"R" + struct.pack("<d", value))
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        out.write(b"S" + struct.pack("<I", len(raw)) + raw)
+    elif isinstance(value, (bytes, bytearray)):
+        out.write(b"B" + struct.pack("<I", len(value)) + bytes(value))
+    elif isinstance(value, (list, tuple)):
+        out.write(b"L" + struct.pack("<I", len(value)))
+        for item in value:
+            _reference_encode(item, out)
+    else:
+        raise DatabaseError(f"cannot encode {type(value).__name__}")
+
+
+class _Text(str):
+    """A subclass: the flat encoder's exact-type dispatch must not drop it."""
+
+
+encodable = st.recursive(
+    st.one_of(values, st.booleans(), st.just({"a": 1}),
+              st.binary(max_size=8).map(bytearray),
+              st.text(max_size=8).map(_Text)),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple)),
+    max_leaves=25)
+
+
+@given(encodable)
+def test_flat_encoder_is_byte_identical_to_the_recursive_one(value):
+    want, got = io.BytesIO(), io.BytesIO()
+    try:
+        _reference_encode(value, want)
+    except DatabaseError as exc:
+        with pytest.raises(DatabaseError) as caught:
+            encode_value(value, got)
+        assert str(caught.value) == str(exc)
+        return
+    encode_value(value, got)
+    assert got.getvalue() == want.getvalue()
+    # ...and a log frame is exactly that payload behind its header.
+    wal = WriteAheadLog()
+    wal.append((value,))
+    want_frame = io.BytesIO()
+    _reference_encode([value], want_frame)
+    assert wal.snapshot()[8:] == want_frame.getvalue()
 
 
 # Operations applied both to the engine and a plain-dict oracle.
@@ -152,15 +214,23 @@ probes = st.one_of(keys, groups, scores, texts, st.just([1]),
 changes = st.fixed_dictionaries({}, optional={
     "g": groups, "s": scores, "v": texts}).filter(bool)
 
+statements = st.one_of(
+    st.tuples(st.just("insert"), keys, groups, scores, texts),
+    st.tuples(st.just("upsert"), keys, groups, scores, texts),
+    st.tuples(st.just("update_eq"), st.sampled_from(COLUMNS), probes,
+              changes),
+    st.tuples(st.just("delete_eq"), st.sampled_from(COLUMNS), probes),
+    st.tuples(st.just("find_eq"), st.sampled_from(COLUMNS), probes),
+    st.tuples(st.just("update_lt"), st.integers(0, 4), changes),
+    st.tuples(st.just("delete_lt"), st.integers(0, 4)),
+)
+# ``with db.transaction():`` around a few statements, optionally failing
+# at the end: opens its own unit, or joins the one a "begin" left open.
+units = st.tuples(st.just("unit"), st.lists(statements, max_size=3),
+                  st.booleans())
 keyed_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), keys, groups, scores, texts),
-        st.tuples(st.just("update_eq"), st.sampled_from(COLUMNS), probes,
-                  changes),
-        st.tuples(st.just("delete_eq"), st.sampled_from(COLUMNS), probes),
-        st.tuples(st.just("find_eq"), st.sampled_from(COLUMNS), probes),
-        st.tuples(st.just("update_lt"), st.integers(0, 4), changes),
-        st.tuples(st.just("delete_lt"), st.integers(0, 4)),
+        statements, units,
         st.tuples(st.sampled_from(["begin", "commit", "rollback",
                                    "snap_open", "snap_read", "snap_close"])),
     ),
@@ -188,6 +258,14 @@ def _apply(db, op, keyed, snaps):
     kind = op[0]
     if kind == "insert":
         return db.insert("t", list(op[1:]))
+    if kind == "upsert":
+        return db.upsert("t", list(op[1:]))
+    if kind == "unit":
+        with db.transaction():
+            out = [_outcome(db, sub, keyed, snaps) for sub in op[1]]
+            if op[2]:
+                raise RuntimeError(f"unit failed after {out}")
+        return out
     if kind == "update_eq":
         _, col, value, updates = op
         if keyed:
@@ -221,6 +299,8 @@ def _apply(db, op, keyed, snaps):
 def _outcome(db, op, keyed, snaps):
     try:
         return _apply(db, op, keyed, snaps)
+    except AssertionError:    # a check inside a test double: not an outcome
+        raise
     except Exception as exc:  # duplicate key, txn misuse: same in both
         return type(exc), str(exc)
 
@@ -256,3 +336,192 @@ def test_keyed_dml_is_only_an_access_path(operations, indexed, mvcc):
             for row in keyed.select("t"):
                 assert (recovered.find_eq("t", col, row[col])
                         == keyed.find_eq("t", col, row[col]))
+
+
+# ------------------------------------- one frame per committed transaction
+#
+# The log used to frame a transaction as three kinds of record — begin,
+# one per changed row, commit (or abort) — and recovery / replicas made
+# it atomic by looking for the commit.  That framing stays here as the
+# reference: every frame the engine writes is expanded back into it,
+# every rollback (which now writes nothing) is entered as begin … abort,
+# a crash leaves its torn transaction as begin … with no commit, and the
+# old two-pass recovery over that stream must land where the engine,
+# its replica and its open snapshots do.
+
+
+def reference_frames(txn):
+    """The records the three-record framing held for one ``txn`` frame."""
+    _, txn_id, dml = txn
+    return ([("begin", txn_id)]
+            + [(entry[0], txn_id, *entry[1:]) for entry in dml]
+            + [("commit", txn_id)])
+
+
+def reference_recover(records):
+    """Recovery as it was: DDL as it comes, DML only for ids whose
+    commit record made it.  Returns ({table: {rowid: row}}, {indexes})."""
+    committed = {r[1] for r in records if r[0] == "commit"}
+    tables, indexes = {}, set()
+    for record in records:
+        op = record[0]
+        if op == "create_table":
+            tables[record[1]] = {}
+        elif op == "create_index" and record[1] in tables:
+            indexes.add((record[1], record[2]))
+        elif op in ("insert", "delete", "update"):
+            _, txn_id, table, rowid = record[:4]
+            if txn_id not in committed or table not in tables:
+                continue
+            if op == "delete":
+                del tables[table][rowid]
+            else:
+                tables[table][rowid] = tuple(record[-1])
+    return tables, indexes
+
+
+class _ReferenceLog:
+    """Shadows a database's log in the three-record framing and checks,
+    as it goes, that only a commit with work in it touches the log."""
+
+    def __init__(self, db):
+        self.db = db
+        # One entry per frame the engine wrote — (True, its reference
+        # records) — and per rollback, which wrote none: (False, ...).
+        self.units = [(True, [r]) for r in db.wal.records()]
+        self.calls = 0
+        db.wal.taps.append(self._on_frame)
+        db.wal.observer = self._on_bytes
+        self._commit, self._rollback = db.commit, db.rollback
+        db.commit, db.rollback = self.commit, self.rollback
+
+    def _on_frame(self, record):
+        self.calls += 1
+        self.units.append((True, reference_frames(record)
+                           if record[0] == "txn" else [record]))
+
+    def _on_bytes(self, delta, total):
+        self.calls += 1
+        assert delta > 0 and total == self.db.wal.size()
+
+    def _torn(self):
+        """The open transaction as a crash leaves it: no commit record."""
+        if self.db._active_txn is None:
+            return []
+        return reference_frames(("txn", self.db._active_txn,
+                                 self.db._txn_dml))[:-1]
+
+    def commit(self):
+        work = bool(self.db._txn_dml) and self.db._active_txn is not None
+        before = (self.db.wal.size(), self.calls)
+        self._commit()
+        after = (self.db.wal.size(), self.calls)
+        if work:    # one frame: one tap call, one observer call
+            assert after[0] > before[0] and after[1] == before[1] + 2
+        else:
+            assert after == before
+
+    def rollback(self):
+        aborted = self._torn()
+        before = (self.db.wal.size(), self.calls)
+        self._rollback()
+        assert (self.db.wal.size(), self.calls) == before
+        if aborted:
+            self.units.append((False, aborted + [("abort", aborted[0][1])]))
+
+    def records(self, frames=None):
+        """The reference stream; with *frames*, as a crash that tore the
+        engine's log after that many frames would have left it."""
+        out, seen = [], 0
+        for framed, records in self.units:
+            if framed and seen == frames:
+                # The torn frame: its records reached the old log one by
+                # one, its commit never did.
+                return out + (records[:-1] if records[0][0] == "begin"
+                              else [])
+            seen += framed
+            out += records
+        return out + self._torn()
+
+
+def _expect(db, reference):
+    """*db* holds exactly what reference recovery says, indexes included."""
+    tables, indexes = reference
+    assert set(db.tables) == set(tables)
+    assert set(db._indexes) == indexes
+    for name, rows in tables.items():
+        assert dict(db.tables[name].scan()) == rows
+        assert db.tables[name]._pk_map == {
+            row[0]: rowid for rowid, row in rows.items()}
+    for (table, column), index in db._indexes.items():
+        pos = db.tables[table].schema.index_of(column)
+        if isinstance(index, HashIndex):
+            want = {}
+            for rowid, row in tables[table].items():
+                want.setdefault(row[pos], set()).add(rowid)
+            assert index._map == want
+        else:
+            assert index._entries == sorted(
+                (row[pos], rowid) for rowid, row in tables[table].items()
+                if row[pos] is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(keyed_ops, st.booleans(), st.booleans(),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_one_frame_per_transaction_matches_three_record_framing(
+        operations, indexed, mvcc, cut):
+    db = _keyed_db(indexed, mvcc)
+    replica = ReadReplica(Simulator(), db, lag=0.0)
+    log = _ReferenceLog(db)
+    snaps = []   # (handle, the rows reference recovery held when opened)
+
+    def check_snapshots():
+        for snap, rows in snaps:
+            assert snap.select("t") == rows
+            assert snap.count("t") == len(rows)
+
+    for op in operations:
+        kind = op[0]
+        if kind == "snap_open":
+            committed = reference_recover(log.records())[0]["t"]
+            names = db.tables["t"].schema.names()
+            snaps.append((db.snapshot(), [dict(zip(names, committed[r]))
+                                          for r in sorted(committed)]))
+        elif kind == "snap_close":
+            if snaps:
+                snaps.pop()[0].close()
+        else:
+            joined, size = db._active_txn, db.wal.size()
+            _outcome(db, op, True, None)
+            if joined is not None and kind not in ("commit", "rollback"):
+                # Statements and ``transaction()`` blocks join the open
+                # unit: the outermost scope decides, and until it does
+                # the log does not move.
+                assert db._active_txn == joined and db.wal.size() == size
+        if mvcc:
+            check_snapshots()
+
+    # The replica applied frame by frame what the reference commits —
+    # and nothing of a transaction still open.
+    replica.catch_up()
+    _expect(replica.db, reference_recover(log.records()))
+    # A crash at any byte: recovery of the torn log lands where the
+    # reference recovery of the equally torn reference stream does.
+    image = db.wal.snapshot()
+    torn = image[:int(cut * len(image))]
+    survived = len(WriteAheadLog(torn))
+    for image_, frames in ((torn, survived), (image, None)):
+        recovered = Database.recover(image_, mvcc=mvcc)
+        _expect(recovered, reference_recover(log.records(frames)))
+        # The recovered database logs on from there, frame by frame.
+        if "t" in recovered.tables:
+            recovered.upsert("t", [0, "a", 1.0, "x"])
+            again = Database.recover(recovered.wal.snapshot())
+            assert (dict(again.tables["t"].scan())
+                    == dict(recovered.tables["t"].scan()))
+    # And the live database, once whatever is still open is undone, is
+    # that same committed state: the log and the heap never disagree.
+    if db._active_txn is not None:
+        db.rollback()
+    _expect(db, reference_recover(log.records()))

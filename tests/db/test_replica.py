@@ -166,6 +166,40 @@ def test_router_commit_restamps_freshness():
     assert late.count("users") == 1
 
 
+def test_router_serves_primary_while_a_transaction_is_open():
+    """Table stamps land at commit, so during the open unit a replica
+    looks fresh for a table the unit already wrote — the router must not
+    believe it."""
+    sim = Simulator()
+    db = Database()
+    db.create_table("users", users_schema())
+    db.create_table("other", users_schema())
+    replica = ReadReplica(sim, db, lag=LAG)
+    router = ReadRouter(sim, db, replicas=(replica,), lag=LAG)
+
+    def flow():
+        yield sim.timeout(LAG)  # DDL replicated: both tables are fresh
+        assert router.reader("users") is replica.db
+        with db.transaction():
+            db.insert("users", [1, "ada"])
+            inside = router.reader("users")
+            # ...and for any table: the unit may be about to write it.
+            assert router.reader("other") is db
+            assert inside.get_by_pk("users", 1)["name"] == "ada"
+        after = router.reader("users")   # committed just now: still primary
+        db.begin()
+        db.insert("users", [2, "bob"])
+        db.rollback()
+        yield sim.timeout(LAG)
+        return inside, after, router.reader("users")
+
+    inside, after, late = sim.run(until=sim.process(flow()))
+    assert inside is db and after is db
+    # The rolled-back write stamped nothing and shipped nothing.
+    assert late is replica.db and late.count("users") == 1
+    assert (router.replica_reads, router.primary_reads) == (2, 3)
+
+
 def test_router_bounded_staleness():
     sim = Simulator()
     db = Database()

@@ -107,9 +107,9 @@ def test_wal_taps_see_records_in_append_order():
 
 
 def test_observer_byte_gauge_consistent_under_rollback():
-    """Sum of observer deltas tracks wal.size() — a rollback appends an
-    abort record (growing the log), it never double-counts or rewinds
-    the undone mutations."""
+    """Sum of observer deltas tracks wal.size() — a rollback never had a
+    frame, so the observer stays silent; the totals stay consistent on
+    the commits around it."""
     from repro.db.engine import Database
     from repro.db.table import Column
 
@@ -129,11 +129,11 @@ def test_observer_byte_gauge_consistent_under_rollback():
     db.insert("t", [2])
     db.rollback()
     assert db.count("t") == 0
-    # Every delta was a forward append; the running total never jumped.
-    assert all(d > 0 for d in deltas)
-    assert base + sum(deltas) == db.wal.size()
-    assert totals[-1] == db.wal.size()
+    # The log never grew and nobody was told otherwise.
+    assert deltas == [] and db.wal.size() == base
     # Committed work after the rollback keeps the same invariant.
     with db.transaction():
         db.insert("t", [3])
-    assert base + sum(deltas) == db.wal.size()
+        db.insert("t", [4])
+    assert len(deltas) == 1 and deltas[0] > 0  # one frame, one callback
+    assert base + sum(deltas) == db.wal.size() == totals[-1]

@@ -215,3 +215,69 @@ def test_await_notification_rejects_bad_timeout():
     queue = make_queue(sim)
     with pytest.raises(ValueError):
         await_notification(sim, queue, "ncsa", "j", timeout=0.0)
+
+
+# -- one unit per state transition ----------------------------------------
+
+
+def test_publish_and_deliver_are_one_frame_each():
+    sim = Simulator()
+    queue = make_queue(sim)
+    frames = []
+    queue.db.wal.taps.append(frames.append)
+
+    def tables():
+        return [sorted({dml[1] for dml in f[2]}) for f in frames]
+
+    queue.publish("ncsa", "j1", "pending")
+    assert tables() == [[JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE]]
+    queue.record_state("ncsa", "j1", "active")
+    queue.publish("ncsa", "j1", "done", terminal=True)
+    sim.run()  # both deliveries land
+    assert tables() == [[JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE],
+                        [JOB_STATES_TABLE],
+                        [JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE],
+                        [NOTIFY_QUEUE_TABLE], [NOTIFY_QUEUE_TABLE]]
+    # The job_states row is rewritten where it stands, never re-inserted.
+    assert [dml[0] for f in frames for dml in f[2]
+            if dml[1] == JOB_STATES_TABLE] == ["insert", "update", "update"]
+
+
+def test_queue_over_recovered_database_resumes_numbering():
+    sim = Simulator()
+    queue = make_queue(sim)
+    assert queue.publish("ncsa", "j1", "pending") == 1
+    assert queue.publish("ncsa", "j1", "done", terminal=True) == 2
+    # Crash: the appliance comes back over the recovered WAL image.
+    recovered = Database.recover(queue.db.wal.snapshot())
+    sim2 = Simulator()
+    reborn = NotifyQueue(sim2, recovered, propagation=0.5)
+    assert reborn.publish("ncsa", "j2", "done", terminal=True) == 3
+    waiter = reborn.subscribe("ncsa", "j2")
+    sim2.run()
+    assert reborn.delivered == 1
+    assert waiter.value["state"] == "done"
+    assert recovered.get_by_pk(NOTIFY_QUEUE_TABLE, 3)["delivered_at"] \
+        == pytest.approx(0.5)
+    # History survived beside it, undelivered rows included.
+    assert recovered.count(NOTIFY_QUEUE_TABLE) == 3
+    assert reborn.job_state("j1")["state"] == "done"
+
+
+def test_failing_queue_insert_rolls_the_state_row_back():
+    from repro.errors import DatabaseError
+
+    sim = Simulator()
+    queue = make_queue(sim)
+    queue.publish("ncsa", "j1", "pending")
+    size, scheduled = queue.db.wal.size(), len(sim._heap)
+    queue._seq = 0  # the next publish collides on seq 1
+    with pytest.raises(DatabaseError, match="duplicate primary key"):
+        queue.publish("ncsa", "j1", "done", terminal=True)
+    # Neither row: the state table still says pending, nothing was
+    # logged, counted or scheduled, and the sequence was not consumed.
+    assert queue.job_state("j1")["state"] == "pending"
+    assert queue.db.wal.size() == size
+    assert queue.published == 1 and len(sim._heap) == scheduled
+    assert queue.db.count(NOTIFY_QUEUE_TABLE) == 1
+    assert queue._seq == 0
