@@ -231,6 +231,52 @@ def test_micro_wal_commit():
         f"three-record framing (floor: 1.5x)")
 
 
+def test_micro_wal_blob_append():
+    """A frame carrying a 1 MB BLOB must cost its small parts and one CRC
+    pass, not three copies of the BLOB — and a BLOB-free frame no more
+    than it did on the flat buffer.
+
+    The reference is the ``bytearray`` log the segment list replaced,
+    kept verbatim beside the property test that holds the two to the
+    same image.  Each round times a fresh log of either kind, turn and
+    turn about in one process, so host-speed drift cancels; the BLOB
+    rounds grow each log to 64 MB, past the size up to which malloc
+    recycles a freed buffer, because the appliance's log only ever grows.
+    """
+    from repro.db.wal import WriteAheadLog
+    from tests.db.test_properties import reference_log
+
+    def append_seconds(record, n, rounds):
+        best = {reference_log: float("inf"), WriteAheadLog: float("inf")}
+        for _ in range(rounds):
+            for make in best:
+                log = make()
+                t0 = time.perf_counter()
+                for _ in range(n):
+                    log.append(record)
+                best[make] = min(best[make], time.perf_counter() - t0)
+        return best[reference_log] / n, best[WriteAheadLog] / n
+
+    flat_small, seg_small = append_seconds(("txn", 7, [(
+        "insert", "invocations", 3,
+        (3, "Hot00Service", "ncsa-job-00001", 6.0))]), 20000, rounds=15)
+    blob = random.Random(0).randbytes(1 << 20)
+    flat, shared = append_seconds(("txn", 7, [(
+        "insert", "executables", 3,
+        ("a.bin", "bench", "n:string", blob, 1 << 20, 1 << 20, 6.0))]), 64,
+        rounds=5)
+    print(f"\n1 MB-BLOB frame: by reference {shared * 1e6:.0f} us, "
+          f"copied {flat * 1e6:.0f} us, {flat / shared:.1f}x; "
+          f"BLOB-free frame: segment {seg_small * 1e6:.2f} us, "
+          f"flat {flat_small * 1e6:.2f} us, {seg_small / flat_small:.2f}x")
+    assert flat / shared >= 3.0, (
+        f"a 1 MB-BLOB frame by reference only {flat / shared:.1f}x faster "
+        f"than copying it into a flat buffer (floor: 3x)")
+    assert seg_small <= 1.10 * flat_small, (
+        f"a BLOB-free frame costs {seg_small / flat_small:.2f}x the flat "
+        f"buffer's (ceiling: 1.10x)")
+
+
 def test_micro_rsl_roundtrip(benchmark):
     desc = JobDescription(executable="/scratch/app", count=16,
                           arguments=[f"arg{i}" for i in range(8)],

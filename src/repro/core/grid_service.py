@@ -256,7 +256,7 @@ class GridServiceRuntime:
                     staged = spec.staged_path()
                     staged_hit = (cfg.upload_cache and
                                   self.onserve.is_staged(site, staged,
-                                                         exe.payload))
+                                                         exe.digest))
                     if cfg.upload_cache:
                         self.onserve.bus.emit(
                             "cache.hit" if staged_hit else "cache.miss",
@@ -293,11 +293,10 @@ class GridServiceRuntime:
                                 label=f"upload:{site}",
                                 on_retry=self._recover_session)
                             self.onserve.mark_staged(site, staged,
-                                                     exe.payload)
+                                                     exe.digest)
 
                         flights = self.onserve.flights
-                        digest = (self.onserve._digest(exe.payload)
-                                  if flights.enabled else "")
+                        digest = exe.digest if flights.enabled else ""
                         # Keyed by replica: fabrics share one DbManager,
                         # and replica A's staging flight must never be
                         # joined by an invocation running on replica B

@@ -15,7 +15,6 @@ ready-to-use :class:`OnServeStack`.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Generator, List, Optional
 
 from repro.appliance.deploy import DeployedAppliance, deploy_image
@@ -316,17 +315,13 @@ class OnServe:
         self.store.seed_counters()
 
     # -- upload cache (ablation support) ---------------------------------------
+    # *digest* is :attr:`StoredExecutable.digest`: one hash per load.
 
-    @staticmethod
-    def _digest(payload: bytes) -> str:
-        return hashlib.sha256(payload).hexdigest()
+    def is_staged(self, site: str, path: str, digest: str) -> bool:
+        return self.store.staged_digest(site, path) == digest
 
-    def is_staged(self, site: str, path: str, payload: bytes) -> bool:
-        return self.store.staged_digest(site, path) == self._digest(payload)
-
-    def mark_staged(self, site: str, path: str, payload: bytes) -> None:
-        self.store.mark_staged(site, path, self._digest(payload),
-                               self.replica)
+    def mark_staged(self, site: str, path: str, digest: str) -> None:
+        self.store.mark_staged(site, path, digest, self.replica)
 
     # -- §VII.A "further treatment" -----------------------------------------------
 

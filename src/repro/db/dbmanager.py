@@ -11,7 +11,9 @@ database") and the second disk-write peak in Figure 8.
 
 from __future__ import annotations
 
+import hashlib
 import zlib
+from functools import cached_property
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.db.engine import Database
@@ -95,6 +97,13 @@ class StoredExecutable:
         self.size = len(payload)
         self.compressed_size = compressed_size
         self.stored_at = stored_at
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the payload, hashed on first use: the upload cache
+        and the staging flight key of every invocation sharing this load
+        read the same one."""
+        return hashlib.sha256(self.payload).hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<StoredExecutable {self.name!r} {self.size}B>"

@@ -12,6 +12,9 @@ unit and everything before the tear is replayed as it stands.
 
 Payloads are encoded with a tiny self-describing binary format (no
 pickle): type-tagged values composed into record tuples.
+
+In memory the log is a list of segments, not one buffer, and a BLOB is
+logged *by reference*: see :class:`WriteAheadLog`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from typing import Any, BinaryIO, Iterator, Tuple
+from typing import Any, BinaryIO, Iterator, List, Tuple
 
 from repro.errors import DatabaseError
 
@@ -27,20 +30,23 @@ __all__ = ["WriteAheadLog", "encode_value", "decode_value"]
 
 # -- value codec -----------------------------------------------------------
 
-_TAG_NONE = b"N"
-_TAG_INT = b"I"
-_TAG_REAL = b"R"
-_TAG_TEXT = b"S"
-_TAG_BLOB = b"B"
-_TAG_LIST = b"L"
+_TAG_NONE = ord("N")
+_TAG_INT = ord("I")
+_TAG_REAL = ord("R")
+_TAG_TEXT = ord("S")
+_TAG_BLOB = ord("B")
+_TAG_LIST = ord("L")
 
 _U32 = struct.Struct("<I").pack
 _F64 = struct.Struct("<d").pack
+_U32_AT = struct.Struct("<I").unpack_from
+_F64_AT = struct.Struct("<d").unpack_from
 _FRAME_HEADER = struct.Struct("<II")
 
 
-def _encode_items(items: Any, add: Any) -> None:
-    """Append the encoding of each of *items* to a parts list, via *add*.
+def _encode_items(items: Any, add: Any, blob: Any) -> None:
+    """Append the encoding of each of *items* to a parts list, via *add*;
+    the bytes of a BLOB go to *blob* instead, as the caller's own object.
 
     One flat pass: scalars are encoded inline on their exact type and
     only a nested list costs a call; subclasses and ``bytearray`` go
@@ -62,12 +68,12 @@ def _encode_items(items: Any, add: Any) -> None:
             add(b"N")
         elif kind is list or kind is tuple:
             add(b"L" + _U32(len(value)))
-            _encode_items(value, add)
+            _encode_items(value, add, blob)
         elif kind is bytes:
             add(b"B" + _U32(len(value)))
-            add(value)  # a BLOB may be megabytes: joined, never copied twice
+            blob(value)  # may be megabytes: handed on, never copied here
         else:
-            _encode_items((_plain(value),), add)
+            _encode_items((_plain(value),), add, blob)
 
 
 def _plain(value: Any) -> Any:
@@ -81,61 +87,91 @@ def _plain(value: Any) -> Any:
     raise DatabaseError(f"cannot encode {type(value).__name__}")
 
 
-def _encode(value: Any) -> bytes:
-    parts: list = []
-    _encode_items((value,), parts.append)
-    return b"".join(parts)
-
-
 def encode_value(value: Any, out: BinaryIO) -> None:
     """Append the binary encoding of *value* to *out*."""
-    out.write(_encode(value))
+    parts: list = []
+    _encode_items((value,), parts.append, parts.append)
+    out.write(b"".join(parts))
 
 
 def decode_value(buf: BinaryIO) -> Any:
     """Decode one value from *buf* (inverse of :func:`encode_value`)."""
-    tag = buf.read(1)
-    if not tag:
+    data = buf.read()
+    value, end = _decode_at(data, 0, len(data))
+    buf.seek(end - len(data), io.SEEK_CUR)
+    return value
+
+
+def _decode_at(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
+    """Decode in place the value that starts at ``data[pos]`` and must
+    stop by *end*; returns it and the offset just past it.  The only
+    copy made is the decoded value's own slice."""
+    if pos >= end:
         raise DatabaseError("truncated value")
+    tag = data[pos]
+    pos += 1
     if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_INT:
-        (n,) = struct.unpack("<I", _need(buf, 4))
-        return int(_need(buf, n).decode())
+        return None, pos
     if tag == _TAG_REAL:
-        (v,) = struct.unpack("<d", _need(buf, 8))
-        return v
-    if tag == _TAG_TEXT:
-        (n,) = struct.unpack("<I", _need(buf, 4))
-        return _need(buf, n).decode("utf-8")
-    if tag == _TAG_BLOB:
-        (n,) = struct.unpack("<I", _need(buf, 4))
-        return _need(buf, n)
-    if tag == _TAG_LIST:
-        (n,) = struct.unpack("<I", _need(buf, 4))
-        return [decode_value(buf) for _ in range(n)]
-    raise DatabaseError(f"unknown value tag {tag!r}")
-
-
-def _need(buf: BinaryIO, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
+        if pos + 8 > end:
+            raise DatabaseError("truncated value")
+        return _F64_AT(data, pos)[0], pos + 8
+    if tag not in (_TAG_INT, _TAG_TEXT, _TAG_BLOB, _TAG_LIST):
+        raise DatabaseError(f"unknown value tag {bytes((tag,))!r}")
+    if pos + 4 > end:
         raise DatabaseError("truncated value")
-    return data
+    (n,) = _U32_AT(data, pos)
+    pos += 4
+    if tag == _TAG_LIST:
+        out = []
+        for _ in range(n):
+            value, pos = _decode_at(data, pos, end)
+            out.append(value)
+        return out, pos
+    stop = pos + n
+    if stop > end:
+        raise DatabaseError("truncated value")
+    raw = data[pos:stop]
+    if tag == _TAG_INT:
+        return int(raw), stop
+    return (raw if tag == _TAG_BLOB else raw.decode("utf-8")), stop
 
 
 # -- the log -----------------------------------------------------------------
 
-class WriteAheadLog:
-    """An append-only record log over a bytes buffer.
+def _splice(parts: List[bytes], blobs: List[bytes]) -> List[bytes]:
+    """A frame's payload as segments: each of *blobs* as the object it
+    is, behind the part that announces it (every part starts with its
+    tag byte, so those are the ``B`` ones), the parts in between joined."""
+    segments: List[bytes] = []
+    start, values = 0, iter(blobs)
+    for stop, part in enumerate(parts, 1):
+        if part[0] == _TAG_BLOB:
+            segments += (b"".join(parts[start:stop]), next(values))
+            start = stop
+    segments.append(b"".join(parts[start:]))
+    return segments
 
-    The log owns an in-memory ``bytearray`` by default (deterministic,
-    fast, no filesystem involvement in simulations); pass ``data`` to
-    recover an existing log image.
+
+class WriteAheadLog:
+    """An append-only record log over a list of byte segments.
+
+    The log lives in memory (deterministic, fast, no filesystem
+    involvement in simulations); pass ``data`` to recover an existing
+    log image, which is kept as the one segment it is.  A frame is one
+    segment — header and encoded values joined — unless the record holds
+    BLOBs: each of those stays the caller's own ``bytes`` object (the
+    one the heap row holds), a segment between the joined runs around
+    it, so a megabyte executable is neither copied nor held twice.
+    That is safe because ``bytes`` is immutable and the codec hands on
+    nothing else (:func:`_plain` copies a ``bytearray``); the fault
+    drills that do write into the image (:meth:`truncate`,
+    :meth:`corrupt`) flatten it into a buffer of the log's own first.
     """
 
     def __init__(self, data: bytes = b""):
-        self._buf = bytearray(data)
+        self._segments: List[bytes] = [bytes(data)] if data else []
+        self._size = len(data)
         #: Optional pure observer, called as ``observer(delta, total)``
         #: after every size change (append/truncate/reset).  The WAL
         #: layer stays telemetry-free; :class:`~repro.db.dbmanager
@@ -153,38 +189,59 @@ class WriteAheadLog:
 
     def append(self, record: Tuple[Any, ...]) -> int:
         """Append *record*; returns the encoded record size in bytes."""
-        payload = _encode(record)
-        frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        self._buf.extend(frame)
+        # To the codec a record is a list: its header is written here and
+        # its items go straight to the encoder, one call less per frame.
+        parts: list = [b"L" + _U32(len(record))]
+        blobs: list = []
+        _encode_items(record, parts.append, blobs.append)
+        segments = _splice(parts, blobs) if blobs else [b"".join(parts)]
+        crc, nbytes = 0, 8
+        for segment in segments:  # one CRC over the frame, chained
+            crc = zlib.crc32(segment, crc)
+            nbytes += len(segment)
+        segments[0] = _FRAME_HEADER.pack(nbytes - 8, crc) + segments[0]
+        self._segments += segments
+        self._size += nbytes
         if self.observer is not None:
-            self.observer(len(frame), len(self._buf))
+            self.observer(nbytes, self._size)
         for tap in self.taps:
             tap(record)
-        return len(frame)
+        return nbytes
 
     def snapshot(self) -> bytes:
         """The full log image (for persistence or crash simulation)."""
-        return bytes(self._buf)
+        return b"".join(self._segments)
 
     def size(self) -> int:
-        return len(self._buf)
+        return self._size
+
+    def _flatten(self) -> bytearray:
+        """The image as one private, writable segment (fault drills
+        only): nothing the log shares with a heap row is ever mutated."""
+        image = bytearray().join(self._segments)
+        self._segments = [image]
+        return image
 
     def truncate(self, nbytes: int) -> None:
         """Chop the log to its first *nbytes* bytes (simulates a crash)."""
-        before = len(self._buf)
-        del self._buf[nbytes:]
-        if self.observer is not None and len(self._buf) != before:
-            self.observer(len(self._buf) - before, len(self._buf))
+        if nbytes < 0:
+            raise DatabaseError(f"cannot truncate a log to {nbytes} bytes")
+        if nbytes >= self._size:
+            return
+        del self._flatten()[nbytes:]
+        delta, self._size = nbytes - self._size, nbytes
+        if self.observer is not None:
+            self.observer(delta, nbytes)
 
     def corrupt(self, offset: int) -> None:
         """Flip a byte at *offset* (simulates media corruption)."""
-        if 0 <= offset < len(self._buf):
-            self._buf[offset] ^= 0xFF
+        if 0 <= offset < self._size:
+            self._flatten()[offset] ^= 0xFF
 
     def reset(self) -> None:
         """Discard all records (checkpoint complete)."""
-        before = len(self._buf)
-        self._buf.clear()
+        before, self._size = self._size, 0
+        self._segments = []
         if self.observer is not None and before:
             self.observer(-before, 0)
 
@@ -194,21 +251,23 @@ class WriteAheadLog:
         """Yield records up to the first torn/corrupt frame.
 
         A damaged tail silently ends iteration — that is WAL recovery
-        semantics, not an error.
+        semantics, not an error.  Frames are checked and decoded in
+        place on the image (a recovered log's single segment is that
+        image; a live log is joined once).
         """
+        image = self.snapshot()
+        view = memoryview(image)
         pos = 0
-        buf = self._buf
-        while pos + 8 <= len(buf):
-            length, crc = struct.unpack_from("<II", buf, pos)
+        while pos + 8 <= len(image):
+            length, crc = _FRAME_HEADER.unpack_from(image, pos)
             start = pos + 8
             end = start + length
-            if end > len(buf):
+            if end > len(image):
                 return  # torn tail
-            payload = bytes(buf[start:end])
-            if zlib.crc32(payload) != crc:
+            if zlib.crc32(view[start:end]) != crc:
                 return  # corrupt frame
             try:
-                record = decode_value(io.BytesIO(payload))
+                record, _ = _decode_at(image, start, end)
             except DatabaseError:
                 return
             yield tuple(record)

@@ -216,11 +216,11 @@ def parse_payload(payload: bytes) -> Tuple[str, Dict[str, str]]:
     """
     if not payload.startswith(_MAGIC):
         raise JobError("payload is not a repro executable (bad magic)")
-    head, sep, _rest = payload.partition(b"\n--\n")
-    if not sep:
+    end = payload.find(b"\n--\n")  # slice the header alone, not the body
+    if end < 0:
         raise JobError("payload header is not terminated")
     options: Dict[str, str] = {}
-    for line in head.decode("utf-8", "replace").splitlines()[1:]:
+    for line in payload[:end].decode("utf-8", "replace").splitlines()[1:]:
         if "=" not in line:
             raise JobError(f"malformed payload header line {line!r}")
         key, _, value = line.partition("=")

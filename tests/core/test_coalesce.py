@@ -160,3 +160,32 @@ def test_coalescing_defaults_off():
     stack = sim_stack.sim.run(until=deploy_onserve(sim_stack))
     assert stack.onserve.config.coalesce is False
     assert stack.onserve.flights.enabled is False
+
+
+def test_one_sha256_per_loaded_executable(monkeypatch):
+    import hashlib
+
+    tb, stack = coalesced_stack(n_users=4)
+    payload = make_payload("echo", size=int(KB(64)))
+    real, hashed = hashlib.sha256, []
+
+    def counting(data=b"", **kw):
+        if data == payload:
+            hashed.append(len(data))
+        return real(data, **kw)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    # One invocation consults the upload cache, keys the staging flight
+    # and marks the copy staged — all three read the load's one digest.
+    out = tb.sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[0], "Hello%", name="solo"))
+    assert out == "solo\n" and len(hashed) == 1
+    digest = real(payload).hexdigest()
+    staged = stack.onserve.store.db.select("staged_copies")
+    assert staged and all(row["digest"] == digest for row in staged)
+    # A wave that joins one db-load flight shares the object and its hash.
+    procs = [discover_and_invoke(stack, stack.user_clients[i], "Hello%",
+                                 name=f"u{i}") for i in range(4)]
+    tb.sim.run(until=tb.sim.all_of(procs))
+    loads = stack.onserve.flights.stats()["db-load"]["flights"]
+    assert loads == 2 and len(hashed) == loads

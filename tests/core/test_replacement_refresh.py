@@ -112,18 +112,18 @@ def test_eviction_only_drops_the_exact_staged_path():
     tb, stack = stack_env()
     onserve = stack.onserve
     # Two executables whose staged paths are suffix-related.
-    onserve.mark_staged("siteA", staged_path_for("echo.sh"), b"inner")
+    onserve.mark_staged("siteA", staged_path_for("echo.sh"), "inner")
     onserve.mark_staged("siteA", staged_path_for("cyberaide/echo.sh"),
-                        b"outer")
+                        "outer")
     upload(tb, stack, "cyberaide/echo.sh", payload=b"#!x v1")
     upload(tb, stack, "cyberaide/echo.sh", payload=b"#!x v2")
     # Replacing cyberaide/echo.sh dropped *its* staged copy only;
     # suffix matching used to evict echo.sh's entry too, because
     # "/scratch/cyberaide/echo.sh".endswith("/cyberaide/echo.sh").
-    assert onserve.is_staged("siteA", staged_path_for("echo.sh"), b"inner")
+    assert onserve.is_staged("siteA", staged_path_for("echo.sh"), "inner")
     assert not onserve.is_staged("siteA",
                                  staged_path_for("cyberaide/echo.sh"),
-                                 b"outer")
+                                 "outer")
 
 
 def test_suffix_named_replacement_keeps_other_service_cached():

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from repro.db import Database
 from repro.db.index import HashIndex
 from repro.db.replica import ReadReplica
 from repro.db.table import Column
-from repro.db.wal import WriteAheadLog, decode_value, encode_value
+from repro.db.wal import (
+    WriteAheadLog, _encode_items, decode_value, encode_value)
 from repro.errors import DatabaseError
 from repro.simkernel import Simulator
 
@@ -525,3 +527,176 @@ def test_one_frame_per_transaction_matches_three_record_framing(
     if db._active_txn is not None:
         db.rollback()
     _expect(db, reference_recover(log.records()))
+
+
+# -- the segment log vs the flat buffer it replaced -------------------------
+
+def _reference_decode(buf):
+    """The stream decoder the in-place one replaced, kept as reference."""
+    def need(n):
+        data = buf.read(n)
+        if len(data) != n:
+            raise DatabaseError("truncated value")
+        return data
+
+    tag = buf.read(1)
+    if not tag:
+        raise DatabaseError("truncated value")
+    if tag == b"N":
+        return None
+    if tag == b"I":
+        (n,) = struct.unpack("<I", need(4))
+        return int(need(n).decode())
+    if tag == b"R":
+        (v,) = struct.unpack("<d", need(8))
+        return v
+    if tag == b"S":
+        (n,) = struct.unpack("<I", need(4))
+        return need(n).decode("utf-8")
+    if tag == b"B":
+        (n,) = struct.unpack("<I", need(4))
+        return need(n)
+    if tag == b"L":
+        (n,) = struct.unpack("<I", need(4))
+        return [_reference_decode(buf) for _ in range(n)]
+    raise DatabaseError(f"unknown value tag {tag!r}")
+
+
+_FRAME_HEADER = struct.Struct("<II")
+
+
+class reference_log:
+    """The log as one ever-growing ``bytearray`` — what the segment log
+    replaced, verbatim: every frame is joined, prefixed and extended into
+    the buffer (three copies of a BLOB), reading copies each payload out
+    through a ``BytesIO``."""
+
+    def __init__(self, data=b""):
+        self._buf = bytearray(data)
+        self.observer = None
+        self.taps = []
+
+    def append(self, record):
+        parts = []
+        _encode_items((record,), parts.append, parts.append)
+        payload = b"".join(parts)
+        frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        self._buf.extend(frame)
+        if self.observer is not None:
+            self.observer(len(frame), len(self._buf))
+        for tap in self.taps:
+            tap(record)
+        return len(frame)
+
+    def snapshot(self):
+        return bytes(self._buf)
+
+    def size(self):
+        return len(self._buf)
+
+    def truncate(self, nbytes):
+        before = len(self._buf)
+        del self._buf[nbytes:]
+        if self.observer is not None and len(self._buf) != before:
+            self.observer(len(self._buf) - before, len(self._buf))
+
+    def corrupt(self, offset):
+        if 0 <= offset < len(self._buf):
+            self._buf[offset] ^= 0xFF
+
+    def reset(self):
+        before = len(self._buf)
+        self._buf.clear()
+        if self.observer is not None and before:
+            self.observer(-before, 0)
+
+    def records(self):
+        pos = 0
+        buf = self._buf
+        while pos + 8 <= len(buf):
+            length, crc = struct.unpack_from("<II", buf, pos)
+            start = pos + 8
+            end = start + length
+            if end > len(buf):
+                return  # torn tail
+            payload = bytes(buf[start:end])
+            if zlib.crc32(payload) != crc:
+                return  # corrupt frame
+            try:
+                record = _reference_decode(io.BytesIO(payload))
+            except DatabaseError:
+                return
+            yield tuple(record)
+            pos = end
+
+    def __len__(self):
+        return sum(1 for _ in self.records())
+
+
+# BLOBs of 0 B - 256 KB, cheap to draw and to shrink: a fill byte and a
+# length; every other one arrives as a ``bytearray``.
+blobs = st.builds(
+    lambda fill, n, mutable: (bytearray if mutable else bytes)(
+        bytes([fill, fill ^ 0x5A]) * (n // 2) + bytes([fill]) * (n % 2)),
+    st.integers(0, 255),
+    st.one_of(st.integers(0, 40),
+              st.sampled_from([4095, 65536, 200001, 262144])),
+    st.booleans())
+# Rows with the BLOB first, last, in the middle, several, or none.
+rows = st.lists(st.one_of(values, blobs), max_size=6).map(tuple)
+log_records = st.one_of(
+    st.tuples(st.just("ddl"), st.text(max_size=8)),
+    st.tuples(st.just("txn"), st.integers(1, 99),
+              st.lists(st.tuples(st.sampled_from(["insert", "delete"]),
+                                 st.just("t"), st.integers(1, 9), rows),
+                       min_size=1, max_size=3)))
+# Where a drill strikes: a fraction of the log, or a byte offset near its
+# start; either may fall outside it.
+offsets = st.one_of(st.floats(-0.1, 1.1), st.integers(-4, 64))
+log_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), log_records),
+        st.tuples(st.just("append"), log_records),
+        st.tuples(st.sampled_from(["truncate", "corrupt"]), offsets),
+        st.tuples(st.sampled_from(["reset", "snapshot", "reload"])),
+    ),
+    max_size=14)
+
+
+@settings(max_examples=120, deadline=None)
+@given(log_ops)
+def test_segment_log_matches_flat_log(operations):
+    seen = {"ref": ([], []), "seg": ([], [])}   # observer calls, tap calls
+
+    def watch(log, key):
+        calls, tapped = seen[key]
+        log.observer = lambda delta, total: calls.append((delta, total))
+        log.taps.append(tapped.append)
+        return log
+
+    ref, seg = watch(reference_log(), "ref"), watch(WriteAheadLog(), "seg")
+    for op, *args in operations:
+        if op in ("truncate", "corrupt"):
+            at = args[0]
+            at = int(at * ref.size()) if isinstance(at, float) else at
+            # A negative length is refused now; the flat log sliced.
+            args = [max(at, 0) if op == "truncate" else at]
+        if op == "reload":
+            # A WriteAheadLog(image) round trip: recovery's way in.
+            ref = watch(reference_log(ref.snapshot()), "ref")
+            seg = watch(WriteAheadLog(seg.snapshot()), "seg")
+        elif op == "snapshot":
+            assert seg.snapshot() == ref.snapshot()
+            assert list(seg.records()) == list(ref.records())
+        else:
+            assert getattr(seg, op)(*args) == getattr(ref, op)(*args)
+        assert seg.size() == ref.size()
+    image = seg.snapshot()
+    assert type(image) is bytes and image == ref.snapshot()
+    assert len(image) == seg.size()
+    assert list(seg.records()) == list(ref.records())
+    assert len(seg) == len(ref)
+    assert seen["seg"] == seen["ref"]
+    # The image recovers the same from either side.
+    assert (list(WriteAheadLog(image).records())
+            == list(reference_log(image).records()))

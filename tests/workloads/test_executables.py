@@ -139,3 +139,17 @@ def test_workload_spec_validation():
         WorkloadSpec(kind="weird")
     with pytest.raises(ValueError):
         WorkloadSpec(count=0)
+
+
+def test_parse_payload_reads_the_header_without_copying_the_body():
+    from tests.db.test_wal import allocated_by
+
+    payload = make_payload("fixed", size=4 << 20, runtime="5")
+    allocated, parsed = allocated_by(lambda: parse_payload(payload))
+    assert parsed == ("fixed", {"runtime": "5"})
+    assert allocated < 64 * 1024
+    # The terminator is looked for in the whole payload, as before.
+    with pytest.raises(JobError, match="not terminated"):
+        parse_payload(payload.replace(b"\n--\n", b"\n-+\n"))
+    with pytest.raises(JobError, match="bad magic"):
+        parse_payload(b"x" + payload)
