@@ -277,6 +277,76 @@ def test_micro_wal_blob_append():
         f"buffer's (ceiling: 1.10x)")
 
 
+def test_micro_hot_blob_load():
+    """Loading a BLOB version again must cost the simulated fetch, not a
+    second inflate and a second SHA-256 — and the first load of a version
+    no more than it did without the memo.
+
+    The reference is the ``DbManager`` load path the memo replaced, kept
+    verbatim beside the property test that holds the two to the same
+    payloads, events and clock.  Each round times a fresh manager of
+    either kind over the same stored rows, turn and turn about in one
+    process, and the ratios are taken round by round, so host-speed
+    drift cancels.  A load is what the service runtime does with it: run
+    the fetch process to completion and read the digest.
+    """
+    from statistics import median
+
+    from repro.db import DbManager
+    from repro.hardware import Host, Network
+    from repro.hardware.host import HostSpec
+    from tests.db.test_properties import reference_manager
+
+    blob = random.Random(0).randbytes(64 << 10) * 4  # 256 KB, compressible
+    names = [f"exe{i:02d}.bin" for i in range(12)]
+
+    def manager(make, db=None):
+        sim = Simulator()
+        host = Host(sim, "appliance", Network(sim), HostSpec())
+        return sim, make(host, db=db)
+
+    sim, stored = manager(DbManager)
+    for name in names:
+        sim.run(until=stored.store_executable(name, blob))
+
+    def seconds(make, repeats=50):
+        """(first load of a version, a later load of one), per load."""
+        sim, mgr = manager(make, stored.db)  # same rows, nothing derived yet
+        first = float("inf")
+        for name in names:
+            t0 = time.perf_counter()
+            sim.run(until=mgr.load_executable(name)).digest
+            first = min(first, time.perf_counter() - t0)
+        sim.run(until=mgr.load_executable(names[0])).digest
+        t0 = time.perf_counter()
+        for _ in range(repeats):
+            exe = sim.run(until=mgr.load_executable(names[0]))
+            exe.digest
+        again = (time.perf_counter() - t0) / repeats
+        assert exe.payload == blob
+        return first, again
+
+    # Paired by round: the two sides of a ratio ran within milliseconds of
+    # each other, and the median round is the verdict.
+    rounds = [(seconds(reference_manager), seconds(DbManager))
+              for _ in range(41)]
+    first_ratio = median(new[0] / ref[0] for ref, new in rounds)
+    again_ratio = median(ref[1] / new[1] for ref, new in rounds)
+    print(f"\n256 KB BLOB, repeated load: memo "
+          f"{median(new[1] for _, new in rounds) * 1e6:.0f} us, "
+          f"inflate+hash every time "
+          f"{median(ref[1] for ref, _ in rounds) * 1e6:.0f} us, "
+          f"{again_ratio:.1f}x; first load: "
+          f"{median(ref[0] for ref, _ in rounds) * 1e6:.0f} us, "
+          f"memo {first_ratio:.2f}x")
+    assert again_ratio >= 3.0, (
+        f"a repeated 256 KB load only {again_ratio:.1f}x cheaper than "
+        f"inflating and hashing it again (floor: 3x)")
+    assert first_ratio <= 1.05, (
+        f"a first load costs {first_ratio:.2f}x the uncached path's "
+        f"(ceiling: 1.05x)")
+
+
 def test_micro_rsl_roundtrip(benchmark):
     desc = JobDescription(executable="/scratch/app", count=16,
                           arguments=[f"arg{i}" for i in range(8)],

@@ -451,7 +451,6 @@ class GridServiceRuntime:
             # every runtime (one MyProxy logon for N services).
             session = yield from self.onserve.ensure_agent_session(ctx)
             self._session = session
-            self._session_expires = self.onserve.agent_session_expires()
             return session
         while True:
             if (self._session is not None

@@ -476,12 +476,6 @@ class OnServe:
 
     # -- shared agent session (single-flight across runtimes) -----------------
 
-    def agent_session_expires(self) -> float:
-        """When this replica's leased agent session expires (0 if none)."""
-        lease = self.store.get_lease(self.replica,
-                                     self.config.grid_username)
-        return lease[1] if lease is not None else 0.0
-
     def ensure_agent_session(self, ctx: Optional[RequestContext] = None
                              ) -> Generator[Event, None, str]:
         """One appliance-wide agent session, logons coalesced.

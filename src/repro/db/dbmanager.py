@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import zlib
+from collections import OrderedDict
 from functools import cached_property
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.db.engine import Database
 from repro.db.replica import ReadReplica, ReadRouter
@@ -109,6 +110,80 @@ class StoredExecutable:
         return f"<StoredExecutable {self.name!r} {self.size}B>"
 
 
+#: The unit of the per-MB CPU costs, evaluated once.
+_MB = MB(1)
+
+#: Bytes the inflate memo may pin (compressed + decompressed).  A
+#: constant, not a knob: it bounds host memory only, and no simulated
+#: number, event or stored byte depends on what the memo holds.
+_MEMO_BUDGET = 32 * 1024 * 1024
+
+
+class _InflateMemo:
+    """Decompressed payload and digest per BLOB *version* (host side only).
+
+    Both are pure functions of the compressed bytes, so they are derived
+    once per version instead of once per fetch.  The key is the identity
+    of the row's compressed ``data`` object, and every entry pins that
+    object, so its ``id`` cannot be recycled while the entry lives: a
+    replaced, deleted or crash-recovered row holds a *different* object
+    and simply never matches — no invalidation hook exists or is needed.
+
+    A version is admitted on its **second** fetch (the first only leaves
+    a marker pinning the compressed bytes the row and the log already
+    share), so a BLOB fetched once never has its payload retained.
+    Least-recently-fetched entries fall out once the pinned bytes pass
+    :data:`_MEMO_BUDGET`; a version that alone exceeds it is never held.
+    """
+
+    def __init__(self) -> None:
+        #: id(data) -> (data, payload or None, digest or None, bytes
+        #: pinned), least recently fetched first.
+        self._entries: OrderedDict[int, Tuple[bytes, Any, Any, int]] = (
+            OrderedDict())
+        self._pinned = 0
+
+    def stored(self, record: Dict[str, Any]) -> StoredExecutable:
+        """The row as a :class:`StoredExecutable`: metadata from *record*,
+        payload and digest derived from — or remembered for — its
+        ``data`` object.  Host work only; the callers have already
+        charged every simulated step of the fetch."""
+        data = record["data"]
+        entries = self._entries
+        key = id(data)
+        entry = entries.get(key)
+        digest = None
+        if entry is not None and entry[1] is not None:
+            entries.move_to_end(key)
+            payload, digest = entry[1], entry[2]
+        else:
+            payload = zlib.decompress(data)
+            # First fetch: a marker that pins *data* only.  Second: admit
+            # the payload, hashed once here for every later load.
+            admit = entry is not None
+            pinned = len(data) + (len(payload) if admit else 0)
+            if pinned <= _MEMO_BUDGET:
+                if admit:
+                    digest = hashlib.sha256(payload).hexdigest()
+                    self._pinned -= entries.pop(key)[3]
+                entries[key] = (data, payload if admit else None, digest,
+                                pinned)
+                self._pinned += pinned
+                while self._pinned > _MEMO_BUDGET:
+                    self._pinned -= entries.popitem(last=False)[1][3]
+        exe = StoredExecutable(
+            name=record["name"],
+            payload=payload,
+            description=record["description"],
+            params_spec=record["params_spec"],
+            compressed_size=record["compressed_size"],
+            stored_at=record["stored_at"],
+        )
+        if digest is not None:
+            exe.digest = digest  # fills the cached_property's slot
+        return exe
+
+
 _SCHEMA = [
     Column("name", "TEXT", primary_key=True),
     Column("description", "TEXT"),
@@ -158,13 +233,14 @@ class DbManager:
             if self.replicas else None)
         self._snap_gauge = None
         self._chunk_gauge = None
+        self._memo = _InflateMemo()
         # Observability plane: WAL pressure as a gauge + append events.
         # The log itself stays telemetry-free (it has no simulator); the
         # manager, which owns the clock, feeds the plane via the log's
         # observer hook.  Pure recording — no simulation events.
         from repro.telemetry.events import bus
         from repro.telemetry.gauges import gauges
-        wal_bus = bus(self.sim)
+        wal_bus = self._bus = bus(self.sim)
         wal_gauge = gauges(self.sim).gauge("db.wal_bytes", unit="B")
         wal_gauge.set(self.db.wal.size())
 
@@ -193,8 +269,7 @@ class DbManager:
         self._lock_held = True
         waited = self.sim.now - t0
         if waited > 0:
-            from repro.telemetry.events import bus
-            bus(self.sim).emit("db.lock.wait", layer="db", waited=waited)
+            self._bus.emit("db.lock.wait", layer="db", waited=waited)
         return waited
 
     def _release_conn(self) -> None:
@@ -222,10 +297,9 @@ class DbManager:
 
     def _emit_fetch(self, name: str, mode: str, size: int, chunks: int,
                     resident_peak: float, waited: float) -> None:
-        from repro.telemetry.events import bus
-        bus(self.sim).emit("db.fetch", layer="db", name=name, mode=mode,
-                           nbytes=size, chunks=chunks,
-                           resident_peak=resident_peak, waited=waited)
+        self._bus.emit("db.fetch", layer="db", name=name, mode=mode,
+                       nbytes=size, chunks=chunks,
+                       resident_peak=resident_peak, waited=waited)
 
     # -- executables --------------------------------------------------------
 
@@ -252,7 +326,7 @@ class DbManager:
             try:
                 # CPU: compression cost scales with the uncompressed size.
                 yield self.host.compute(
-                    self.costs.compress_cpu_per_mb * len(payload) / MB(1)
+                    self.costs.compress_cpu_per_mb * len(payload) / _MB
                     + self.costs.statement_cpu,
                     tag="db",
                 )
@@ -340,20 +414,13 @@ class DbManager:
                 # CPU: decompression scales with the uncompressed size —
                 # this is the paper's "loading and decompressing" CPU peak.
                 yield self.host.compute(
-                    self.costs.decompress_cpu_per_mb * record["size"] / MB(1),
+                    self.costs.decompress_cpu_per_mb * record["size"] / _MB,
                     tag="db",
                 )
-                payload = zlib.decompress(record["data"])
+                exe = self._memo.stored(record)
                 self._emit_fetch(name, "whole", record["size"], 1,
                                  record["size"], waited)
-                return StoredExecutable(
-                    name=record["name"],
-                    payload=payload,
-                    description=record["description"],
-                    params_spec=record["params_spec"],
-                    compressed_size=record["compressed_size"],
-                    stored_at=record["stored_at"],
-                )
+                return exe
             finally:
                 if locked:
                     self._release_conn()
@@ -368,37 +435,30 @@ class DbManager:
 
         Simulated residency is charged per chunk (allocate -> consume ->
         release), so the peak is at most two chunk sizes regardless of
-        BLOB size; the real payload bytes are still reassembled and
-        returned, because they are the data plane of the simulation.
+        BLOB size; the real payload bytes are still returned whole,
+        because they are the data plane of the simulation — inflated
+        once, after the last simulated chunk (chunking is a model of
+        residency, not of how the host inflates).
         """
         size = int(record["size"])
         csize = record["compressed_size"]
-        data = record["data"]
         chunk = self.tier.chunk_bytes
         n = max(1, (size + chunk - 1) // chunk) if size > 0 else 1
-        decomp = zlib.decompressobj()
-        parts: List[bytes] = []
         resident = 0.0
         peak = 0.0
         consumer: Optional[Process] = None
         prev_bytes = 0.0
         for i in range(n):
             this_bytes = float(min(chunk, size - i * chunk)) if size else 0.0
-            lo = i * len(data) // n
-            hi = (i + 1) * len(data) // n
             self.host.allocate_memory(this_bytes)
             resident += this_bytes
             peak = max(peak, resident)
             self._set_chunk_stream(resident)
             yield self.host.disk_read(csize / n)
             yield self.host.compute(
-                self.costs.decompress_cpu_per_mb * this_bytes / MB(1),
+                self.costs.decompress_cpu_per_mb * this_bytes / _MB,
                 tag="db",
             )
-            part = decomp.decompress(data[lo:hi])
-            if i == n - 1:
-                part += decomp.flush()
-            parts.append(part)
             if on_chunk is not None:
                 if consumer is not None:
                     # Pipelined: we fetched chunk i while the consumer
@@ -419,15 +479,9 @@ class DbManager:
         self.host.release_memory(prev_bytes)
         resident -= prev_bytes
         self._set_chunk_stream(resident)
+        exe = self._memo.stored(record)
         self._emit_fetch(name, "chunked", size, n, peak, waited)
-        return StoredExecutable(
-            name=record["name"],
-            payload=b"".join(parts),
-            description=record["description"],
-            params_spec=record["params_spec"],
-            compressed_size=record["compressed_size"],
-            stored_at=record["stored_at"],
-        )
+        return exe
 
     def delete_executable(self, name: str) -> Process:
         """Remove *name*; the process-event's value is True if it existed."""

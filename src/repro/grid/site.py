@@ -152,7 +152,8 @@ class GridSite:
         try:
             profile_name, options = parse_payload(self.read_file(path))
             profile = get_profile(profile_name)
-            rng = self.sim.rng.stream(f"job:{job.job_id}")
+            # One draw per job id, never asked for again: not retained.
+            rng = self.sim.rng.one_shot(f"job:{job.job_id}")
             runtime = profile.runtime(job.description.arguments,
                                       job.description.count, options, rng)
             job.output_size = profile.output_size(

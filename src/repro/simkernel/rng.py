@@ -31,12 +31,20 @@ class RngRegistry:
         """
         rng = self._streams.get(name)
         if rng is None:
-            digest = hashlib.sha256(
-                f"{self.master_seed}:{name}".encode()
-            ).digest()
-            rng = random.Random(int.from_bytes(digest[:8], "big"))
-            self._streams[name] = rng
+            rng = self._streams[name] = self.one_shot(name)
         return rng
+
+    def one_shot(self, name: str) -> random.Random:
+        """A fresh generator seeded for *name* that the registry does
+        **not** keep: for names drawn from once and never asked for
+        again (one per grid job, say), where :meth:`stream` would hold
+        2.5 KB of Mersenne state per name for the simulator's life.
+        Its draws are exactly the first draws of ``stream(name)``.
+        """
+        digest = hashlib.sha256(
+            f"{self.master_seed}:{name}".encode()
+        ).digest()
+        return random.Random(int.from_bytes(digest[:8], "big"))
 
     def reseed(self, master_seed: int) -> None:
         """Reset the registry with a new master seed, dropping all streams."""

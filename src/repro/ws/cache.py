@@ -10,8 +10,10 @@ attached to a :class:`~repro.ws.client.WsClient` memoises all three:
   wsdl_location)``, so a warm call skips both inquiry round-trips;
 * **wsdl** — endpoint -> document bytes, skipping the document transfer
   over the (thin) appliance uplink;
-* **stub** — WSDL digest -> generated class, skipping re-parsing and
-  class synthesis (zero simulated cost, real CPU).
+* **stub** — the generated class itself is memoised process-wide by
+  :func:`~repro.ws.client.generate_stub` (keyed by the WSDL bytes); the
+  cache only remembers which classes *this* client has imported, so its
+  hit/miss events keep meaning "did this client have to run wsimport".
 
 Freshness is bounded by a *sim-time* TTL (never wall clock, so cached
 runs stay deterministic), and entries are dropped eagerly through the
@@ -24,8 +26,7 @@ a run (the golden-series guard pins this byte-for-byte).
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Set, Tuple, Type
 
 from repro.telemetry.events import bus
 
@@ -49,7 +50,14 @@ class ClientCache:
         self.enabled = enabled
         self._discovery: Dict[str, Tuple[float, Discovery]] = {}
         self._wsdl: Dict[str, Tuple[float, bytes]] = {}
-        self._stubs: Dict[str, Type] = {}
+        # service name -> keys stored for it, so invalidating a service
+        # nobody cached costs two dict misses instead of two scans.
+        # Supersets: only stores add to them; expiry and eviction leave
+        # them alone and ``invalidate_service`` re-checks each key.
+        self._patterns_of: Dict[str, Set[str]] = {}
+        self._endpoints_of: Dict[str, Set[str]] = {}
+        #: Stub classes this client has imported (hit/miss bookkeeping).
+        self._imported: Set[Type] = set()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -85,6 +93,7 @@ class ClientCache:
     def store_discovery(self, pattern: str, triple: Discovery) -> None:
         if self.enabled:
             self._discovery[pattern] = (self.sim.now, triple)
+            self._patterns_of.setdefault(triple[0], set()).add(pattern)
 
     # -- WSDL documents -----------------------------------------------------
 
@@ -103,28 +112,31 @@ class ClientCache:
     def store_wsdl(self, endpoint: str, document: bytes) -> None:
         if self.enabled:
             self._wsdl[endpoint] = (self.sim.now, document)
+            # Filed under the endpoint's last path segment — the service
+            # name in every ``soap://host/Service`` address.
+            _, slash, service_name = endpoint.rpartition("/")
+            if slash:
+                self._endpoints_of.setdefault(service_name,
+                                              set()).add(endpoint)
 
     # -- generated stubs ----------------------------------------------------
 
     def stub_class(self, document: bytes) -> Type:
-        """The wsimport product for *document*, memoised by digest.
+        """The wsimport product for *document*.
 
-        Stub classes are pure derivations of the WSDL bytes, so the
-        digest key makes staleness impossible: a republished service
-        with a changed interface has different bytes, hence a new stub.
+        Stub classes are pure derivations of the WSDL bytes and
+        :func:`~repro.ws.client.generate_stub` memoises them by those
+        bytes, so staleness is impossible: a republished service with a
+        changed interface has different bytes, hence a new stub.  A hit
+        is a class this client has imported before.
         """
         from repro.ws.client import generate_stub
 
-        if not self.enabled:
-            return generate_stub(document)
-        digest = hashlib.sha256(document).hexdigest()
-        cached = self._stubs.get(digest)
-        if cached is not None:
-            self._record("stub", digest[:12], hit=True)
-            return cached
-        self._record("stub", digest[:12], hit=False)
         stub = generate_stub(document)
-        self._stubs[digest] = stub
+        if self.enabled:
+            hit = stub in self._imported
+            self._imported.add(stub)
+            self._record("stub", stub.__name__, hit=hit)
         return stub
 
     # -- invalidation -------------------------------------------------------
@@ -136,10 +148,13 @@ class ClientCache:
         :meth:`repro.core.onserve.OnServe.on_republish`, so neither an
         undeployed nor a replaced service can be served stale.
         """
-        suffix = f"/{service_name}"
-        stale_patterns = [p for p, (_, triple) in self._discovery.items()
-                          if triple[0] == service_name]
-        stale_endpoints = [e for e in self._wsdl if e.endswith(suffix)]
+        discovery = self._discovery
+        stale_patterns = [
+            p for p in self._patterns_of.pop(service_name, ())
+            if p in discovery and discovery[p][1][0] == service_name]
+        stale_endpoints = [
+            e for e in self._endpoints_of.pop(service_name, ())
+            if e in self._wsdl]
         for pattern in stale_patterns:
             del self._discovery[pattern]
         for endpoint in stale_endpoints:
@@ -159,8 +174,7 @@ class ClientCache:
         document pointing at it may name a corpse: evict them so the
         next attempt re-resolves through UDDI/the router instead of
         re-dialing from a stale binding.  Stub classes stay — they are
-        pure derivations of WSDL bytes, keyed by digest, and carry no
-        endpoint.
+        pure derivations of WSDL bytes and carry no endpoint state.
         """
         stale_patterns = [p for p, (_, triple) in self._discovery.items()
                           if triple[1] == endpoint]
@@ -177,9 +191,12 @@ class ClientCache:
                            wsdl=int(had_wsdl))
 
     def clear(self) -> None:
+        """Forget every discovery triple and WSDL document.  Imported
+        stubs stay: they are pure and carry no endpoint state."""
         self._discovery.clear()
         self._wsdl.clear()
-        self._stubs.clear()
+        self._patterns_of.clear()
+        self._endpoints_of.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         state = "on" if self.enabled else "off"

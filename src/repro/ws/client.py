@@ -12,6 +12,7 @@ workflow of §VII.B.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, Generator, Optional, Type
 
 from repro.core.context import RequestContext, span
@@ -92,6 +93,7 @@ class WsClient:
         return self.sim.process(op(), name=f"fetch-wsdl:{service_name}")
 
 
+@lru_cache(maxsize=256)
 def generate_stub(wsdl_document: bytes) -> Type:
     """Build a client-stub class from a WSDL document (wsimport).
 
@@ -105,6 +107,13 @@ def generate_stub(wsdl_document: bytes) -> Type:
     Arguments are validated against the WSDL parameter types *before*
     anything touches the network, mirroring the static typing wsimport
     gives Java clients.
+
+    The class is a pure function of the document bytes and carries no
+    client, endpoint-liveness or simulator state, so it is built once
+    per distinct document for the whole process (a bounded memo keyed by
+    the bytes themselves): changed bytes are a different key, hence a
+    new class, and nothing ever needs invalidating.  Stub generation
+    has no simulated cost in this model, so only host CPU is saved.
     """
     from repro.ws.wsdl import parse_wsdl
 

@@ -75,6 +75,8 @@ class HashRing:
         #: Sorted (point, node) pairs — the ring.
         self._points: List[Tuple[int, str]] = []
         self._nodes: Dict[str, bool] = {}
+        #: key -> its walk of the ring, valid until membership changes.
+        self._walks: Dict[str, List[str]] = {}
 
     @staticmethod
     def _hash(key: str) -> int:
@@ -84,6 +86,7 @@ class HashRing:
         if node in self._nodes:
             raise WsError(f"node {node!r} already on the ring")
         self._nodes[node] = True
+        self._walks.clear()
         for i in range(self.vnodes):
             insort(self._points, (self._hash(f"{node}#{i}"), node))
 
@@ -91,6 +94,7 @@ class HashRing:
         if node not in self._nodes:
             raise WsError(f"node {node!r} not on the ring")
         del self._nodes[node]
+        self._walks.clear()
         self._points = [(p, n) for p, n in self._points if n != node]
 
     def nodes(self) -> List[str]:
@@ -123,10 +127,10 @@ class HashRing:
 
     def owner(self, key: str) -> str:
         """The node owning *key* (first point clockwise of its hash)."""
-        preference = self.preference(key)
-        if not preference:
+        walk = self._walk(key)
+        if not walk:
             raise WsError("hash ring is empty")
-        return preference[0]
+        return walk[0]
 
     def preference(self, key: str) -> List[str]:
         """Every node, ordered by ring distance from *key*.
@@ -134,16 +138,23 @@ class HashRing:
         The head is the owner; the tail is the fallback walk order used
         when breakers skip nodes or load spills requests over.
         """
-        if not self._points:
-            return []
-        start = bisect_right(self._points, (self._hash(key), chr(0x10FFFF)))
-        seen: List[str] = []
-        for i in range(len(self._points)):
-            node = self._points[(start + i) % len(self._points)][1]
-            if node not in seen:
-                seen.append(node)
-                if len(seen) == len(self._nodes):
-                    break
+        return list(self._walk(key))
+
+    def _walk(self, key: str) -> List[str]:
+        """The preference order of *key*: a pure function of (key,
+        membership), so it is walked once per key between ``add`` /
+        ``remove`` calls.  The list is shared — callers must copy."""
+        seen = self._walks.get(key)
+        if seen is None:
+            points = self._points
+            start = bisect_right(points, (self._hash(key), chr(0x10FFFF)))
+            seen = self._walks[key] = []
+            for i in range(len(points)):
+                node = points[(start + i) % len(points)][1]
+                if node not in seen:
+                    seen.append(node)
+                    if len(seen) == len(self._nodes):
+                        break
         return seen
 
 

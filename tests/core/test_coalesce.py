@@ -155,6 +155,24 @@ def test_concurrent_invocations_share_db_fetch_and_logon():
     assert auths <= 2
 
 
+def test_one_lease_read_per_session_check(monkeypatch):
+    """A coalesced invocation asks for the session three times (auth,
+    upload, submit) and each ask reads the lease once — the second read
+    that only refreshed a never-consulted expiry is gone."""
+    tb, stack = coalesced_stack(n_users=1)
+    tb.sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[0], "Hello%", name="warm-up"))
+    store = stack.onserve.store
+    reads, real = [], store.get_lease
+    monkeypatch.setattr(store, "get_lease",
+                        lambda *a: (reads.append(a), real(*a))[1])
+    out = tb.sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[0], "Hello%", name="counted"))
+    # upload_cache is on and the copy is staged: no upload_try this time.
+    assert out == "counted\n" and len(reads) == 2
+    assert not hasattr(stack.onserve, "agent_session_expires")
+
+
 def test_coalescing_defaults_off():
     sim_stack = build_testbed(n_sites=2, nodes_per_site=2, cores_per_node=4)
     stack = sim_stack.sim.run(until=deploy_onserve(sim_stack))
@@ -189,3 +207,17 @@ def test_one_sha256_per_loaded_executable(monkeypatch):
     tb.sim.run(until=tb.sim.all_of(procs))
     loads = stack.onserve.flights.stats()["db-load"]["flights"]
     assert loads == 2 and len(hashed) == loads
+    # That second load admitted the version to the DbManager's memo, so
+    # a third neither inflates the BLOB nor hashes the payload again.
+    import zlib
+    inflated = []
+    real_inflate = zlib.decompress
+    monkeypatch.setattr(
+        zlib, "decompress",
+        lambda data, *a, **kw: (inflated.append(len(data)),
+                                real_inflate(data, *a, **kw))[1])
+    out = tb.sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[0], "Hello%", name="third"))
+    assert out == "third\n"
+    assert stack.onserve.flights.stats()["db-load"]["flights"] == 3
+    assert len(hashed) == 2 and inflated == []

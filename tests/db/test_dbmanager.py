@@ -1,8 +1,13 @@
 """Unit tests for the DbManager facade (simulated-cost executable store)."""
 
+import hashlib
+import random
+import sys
+import zlib
+
 import pytest
 
-from repro.db import DbManager
+from repro.db import DbManager, dbmanager
 from repro.db.dbmanager import DbCostModel, DbTierConfig
 from repro.errors import RecordNotFound
 from repro.hardware import Host, Network
@@ -246,3 +251,107 @@ def test_recover_from_crash_keeps_tier():
     assert recovered.tier is tier
     assert recovered.db.mvcc
     assert recovered.has_executable("x")
+
+
+# ------------------------------------------------------- derive-once memo
+
+def counted(monkeypatch):
+    """Count every inflate and every SHA-256 made while the patch lives."""
+    calls = {"inflate": 0, "sha256": 0}
+
+    def counting(real, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(zlib, "decompress",
+                        counting(zlib.decompress, "inflate"))
+    monkeypatch.setattr(zlib, "decompressobj",
+                        counting(zlib.decompressobj, "inflate"))
+    monkeypatch.setattr(hashlib, "sha256",
+                        counting(hashlib.sha256, "sha256"))
+    return calls
+
+
+def load(sim, mgr, name):
+    return sim.run(until=mgr.load_executable(name))
+
+
+def held_elsewhere(exe):
+    """Does anything but *exe* itself hold a reference to its payload?
+    (Ask in a statement of its own: a rewritten ``assert`` keeps the
+    values of its sub-expressions alive while it evaluates the rest.)"""
+    control = bytes(bytearray(b"nobody else holds this"))
+    return sys.getrefcount(exe.payload) > sys.getrefcount(control)
+
+
+@pytest.mark.parametrize("tier", [None, DbTierConfig(chunk_bytes=4096),
+                                  DbTierConfig(mvcc=True)],
+                         ids=["whole", "chunked", "mvcc"])
+def test_third_load_of_a_version_inflates_and_hashes_nothing(
+        monkeypatch, tier):
+    sim, host, mgr = make_env(tier=tier)
+    payload = bytes(range(256)) * 100
+    want = hashlib.sha256(payload).hexdigest()
+    sim.run(until=mgr.store_executable("x", payload))
+    calls = counted(monkeypatch)
+    t0, events = sim.now, sim.events_processed
+    first = load(sim, mgr, "x")
+    cold = (sim.now - t0, sim.events_processed - events)
+    assert first.digest == want and not held_elsewhere(first)
+    second = load(sim, mgr, "x")  # admitted here: inflated and hashed once
+    assert second.digest == want and second.payload is not first.payload
+    assert calls == {"inflate": 2, "sha256": 2}
+    t0, events = sim.now, sim.events_processed
+    third = load(sim, mgr, "x")
+    # The simulated fetch is charged in full all the same.
+    assert (sim.now - t0, sim.events_processed - events) == (
+        pytest.approx(cold[0], rel=1e-9), cold[1])
+    assert calls == {"inflate": 2, "sha256": 2}
+    assert third.payload is second.payload and third.digest == want
+    assert held_elsewhere(third)
+    # A re-upload is a new version, even of the very same bytes: nothing
+    # is served from the old one, and the metadata is the new row's.
+    sim.run(until=mgr.store_executable("x", payload, description="again"))
+    fourth = load(sim, mgr, "x")
+    assert calls["inflate"] == 3
+    assert fourth.payload == payload and fourth.payload is not third.payload
+    assert fourth.description == "again" and fourth.stored_at > third.stored_at
+
+
+def test_memo_holds_neither_one_shot_nor_over_budget_blobs(monkeypatch):
+    monkeypatch.setattr(dbmanager, "_MEMO_BUDGET", 4096)
+    sim, host, mgr = make_env()
+    noise = random.Random(7).randbytes(8192)   # compressed alone > budget
+    zeros = bytes(65536)                       # ~100 B compressed, 64 KB inflated
+    small_a = b"a" * 3000                      # each fits; both do not
+    small_b = b"b" * 3000
+    for name, payload in (("noise", noise), ("zeros", zeros),
+                          ("a", small_a), ("b", small_b), ("once", b"1" * 500)):
+        sim.run(until=mgr.store_executable(name, payload))
+    calls = counted(monkeypatch)
+    assert not held_elsewhere(load(sim, mgr, "once"))
+    for name, payload in (("noise", noise), ("zeros", zeros)):
+        for _ in range(3):
+            exe = load(sim, mgr, name)
+            assert exe.payload == payload
+            assert not held_elsewhere(exe)
+    assert calls["inflate"] == 7
+    # Least recently fetched goes first: admitting b pushes a out.
+    for name in ("a", "a", "a", "b", "b", "b"):
+        load(sim, mgr, name)
+    assert calls["inflate"] == 7 + 2 + 2
+    assert held_elsewhere(load(sim, mgr, "b")) and calls["inflate"] == 11
+    assert load(sim, mgr, "a").payload == small_a and calls["inflate"] == 12
+
+
+def test_recovered_manager_starts_with_an_empty_memo(monkeypatch):
+    sim, host, mgr = make_env()
+    sim.run(until=mgr.store_executable("x", b"payload bytes" * 50))
+    load(sim, mgr, "x"), load(sim, mgr, "x")
+    recovered = mgr.recover_from_crash()
+    calls = counted(monkeypatch)
+    exe = load(sim, recovered, "x")
+    assert exe.payload == b"payload bytes" * 50
+    assert calls["inflate"] == 1 and not held_elsewhere(exe)

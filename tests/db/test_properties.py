@@ -1,6 +1,7 @@
 """Property-based tests: SQL engine vs an in-memory oracle, WAL recovery."""
 
 import io
+import random
 import struct
 import zlib
 
@@ -8,14 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database
+from repro.db import Database, DbManager
+from repro.db.dbmanager import DbTierConfig, StoredExecutable
 from repro.db.index import HashIndex
 from repro.db.replica import ReadReplica
 from repro.db.table import Column
 from repro.db.wal import (
     WriteAheadLog, _encode_items, decode_value, encode_value)
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, RecordNotFound
+from repro.hardware import Host, Network
+from repro.hardware.host import HostSpec
 from repro.simkernel import Simulator
+from repro.telemetry.events import bus
+from repro.units import MB
 
 values = st.one_of(
     st.none(),
@@ -700,3 +706,226 @@ def test_segment_log_matches_flat_log(operations):
     # The image recovers the same from either side.
     assert (list(WriteAheadLog(image).records())
             == list(reference_log(image).records()))
+
+
+# -- derive once: the inflate memo vs the load path it replaced ---------------
+
+
+class reference_manager(DbManager):
+    """``DbManager`` with the load path the inflate memo replaced, verbatim:
+    every fetch inflates the BLOB again (``zlib.decompress``, or a
+    ``decompressobj`` fed one slice per chunk and joined), and every
+    returned object hashes its own payload."""
+
+    def load_executable(self, name, on_chunk=None):
+        def op():
+            waited = 0.0
+            locked = False
+            if self.tier.serialize and not self.db.mvcc:
+                waited = yield from self._acquire_conn()
+                locked = True
+            try:
+                yield self.host.compute(self.costs.statement_cpu, tag="db")
+                if self.db.mvcc:
+                    with self.db.snapshot() as snap:
+                        record = snap.get_by_pk(self.TABLE, name)
+                    self._note_snapshot_reads()
+                else:
+                    record = self.db.get_by_pk(self.TABLE, name)
+                if self.tier.chunk_bytes > 0:
+                    if locked:
+                        self._release_conn()
+                        locked = False
+                    return (yield from self._fetch_chunked(
+                        name, record, on_chunk, waited))
+                yield self.host.disk_read(record["compressed_size"])
+                if locked:
+                    self._release_conn()
+                    locked = False
+                yield self.host.compute(
+                    self.costs.decompress_cpu_per_mb * record["size"] / MB(1),
+                    tag="db",
+                )
+                payload = zlib.decompress(record["data"])
+                self._emit_fetch(name, "whole", record["size"], 1,
+                                 record["size"], waited)
+                return StoredExecutable(
+                    name=record["name"],
+                    payload=payload,
+                    description=record["description"],
+                    params_spec=record["params_spec"],
+                    compressed_size=record["compressed_size"],
+                    stored_at=record["stored_at"],
+                )
+            finally:
+                if locked:
+                    self._release_conn()
+
+        return self.sim.process(op(), name=f"db-load:{name}")
+
+    def _fetch_chunked(self, name, record, on_chunk, waited):
+        size = int(record["size"])
+        csize = record["compressed_size"]
+        data = record["data"]
+        chunk = self.tier.chunk_bytes
+        n = max(1, (size + chunk - 1) // chunk) if size > 0 else 1
+        decomp = zlib.decompressobj()
+        parts = []
+        resident = 0.0
+        peak = 0.0
+        consumer = None
+        prev_bytes = 0.0
+        for i in range(n):
+            this_bytes = float(min(chunk, size - i * chunk)) if size else 0.0
+            lo = i * len(data) // n
+            hi = (i + 1) * len(data) // n
+            self.host.allocate_memory(this_bytes)
+            resident += this_bytes
+            peak = max(peak, resident)
+            self._set_chunk_stream(resident)
+            yield self.host.disk_read(csize / n)
+            yield self.host.compute(
+                self.costs.decompress_cpu_per_mb * this_bytes / MB(1),
+                tag="db",
+            )
+            part = decomp.decompress(data[lo:hi])
+            if i == n - 1:
+                part += decomp.flush()
+            parts.append(part)
+            if on_chunk is not None:
+                if consumer is not None:
+                    yield consumer
+                    self.host.release_memory(prev_bytes)
+                    resident -= prev_bytes
+                    self._set_chunk_stream(resident)
+                consumer = self.sim.process(on_chunk(this_bytes),
+                                            name=f"db-chunk:{name}:{i}")
+            elif i > 0:
+                self.host.release_memory(prev_bytes)
+                resident -= prev_bytes
+                self._set_chunk_stream(resident)
+            prev_bytes = this_bytes
+        if consumer is not None:
+            yield consumer
+        self.host.release_memory(prev_bytes)
+        resident -= prev_bytes
+        self._set_chunk_stream(resident)
+        self._emit_fetch(name, "chunked", size, n, peak, waited)
+        return StoredExecutable(
+            name=record["name"],
+            payload=b"".join(parts),
+            description=record["description"],
+            params_spec=record["params_spec"],
+            compressed_size=record["compressed_size"],
+            stored_at=record["stored_at"],
+        )
+
+    def recover_from_crash(self):
+        image = self.db.wal.snapshot()
+        recovered = Database.recover(image, mvcc=self.db.mvcc)
+        return reference_manager(self.host, db=recovered, costs=self.costs,
+                                 tier=self.tier)
+
+
+def manager_on_fresh_host(cls, tier):
+    """(sim, host, manager, the ``db.fetch`` events it will emit)."""
+    sim = Simulator()
+    host = Host(sim, "appliance", Network(sim),
+                HostSpec(cores=2, disk_bandwidth=MB(50), disk_latency=0.0))
+    fetches = []
+    bus(sim).subscribe(lambda ev: fetches.append(dict(ev.fields)),
+                       kinds=("db.fetch",))
+    return sim, host, cls(host, tier=tier), fetches
+
+
+# 0 B - 40 KB, compressible or not; with ``chunk_bytes = 4096`` below that
+# is 1 to 10 chunks.
+executables = st.builds(
+    lambda seed, n, noisy: (random.Random(seed).randbytes(n) if noisy
+                            else bytes([seed]) * n),
+    st.integers(0, 255), st.sampled_from([0, 1, 700, 4096, 9000, 40000]),
+    st.booleans())
+names = st.sampled_from(["a.sh", "b.sh", "c.sh"])
+manager_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), names, executables),
+        st.tuples(st.just("store"), names, executables),
+        st.tuples(st.just("load"), names, st.integers(1, 4), st.booleans()),
+        st.tuples(st.just("load"), names, st.integers(1, 4), st.booleans()),
+        st.tuples(st.just("delete"), names),
+        st.tuples(st.just("recover")),
+    ),
+    max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(manager_ops, st.booleans(), st.booleans())
+def test_inflate_memo_is_invisible_next_to_the_uncached_load(
+        operations, chunked, mvcc):
+    # [sim, host, manager, db.fetch events] of the reference and the memo.
+    sides = [list(manager_on_fresh_host(cls, DbTierConfig(
+        mvcc=mvcc, chunk_bytes=4096 if chunked else 0)))
+        for cls in (reference_manager, DbManager)]
+    versions = []      # every compressed object fetched: pins its identity
+    fetched = {}       # id(compressed object) -> completed fetches
+
+    def to_temp(host, nbytes):
+        yield host.disk_write(nbytes)
+
+    def both(start):
+        """Run ``start(manager, host)`` to completion on either side."""
+        out = []
+        for sim, host, mgr, _ in sides:
+            try:
+                out.append(("ok", sim.run(until=start(mgr, host))))
+            except RecordNotFound as exc:
+                out.append(("missing", str(exc)))
+        return out
+
+    for op, *args in operations:
+        if op == "store":
+            name, payload = args
+            want, got = both(lambda mgr, host: mgr.store_executable(
+                name, payload, "d", "p:string"))
+            assert got == want
+        elif op == "delete":
+            want, got = both(
+                lambda mgr, host: mgr.delete_executable(args[0]))
+            assert got == want
+        elif op == "recover":
+            for side in sides:
+                side[2] = side[2].recover_from_crash()
+            assert type(sides[1][2]) is DbManager
+        else:
+            name, times, consume = args
+            for _ in range(times):
+                want, got = both(lambda mgr, host: mgr.load_executable(
+                    name, on_chunk=(lambda n: to_temp(host, n))
+                    if consume and chunked else None))
+                assert got[0] == want[0]
+                if got[0] == "missing":
+                    assert got == want
+                    continue
+                mgr = sides[1][2]
+                data = mgr.db.get_by_pk(mgr.TABLE, name)["data"]
+                versions.append(data)
+                fetched[id(data)] = fetched.get(id(data), 0) + 1
+                exe, ref_exe = got[1], want[1]
+                assert exe.payload == ref_exe.payload
+                assert exe.digest == ref_exe.digest
+                assert vars(exe) == vars(ref_exe)
+        (ref_sim, ref_host, _, ref_fetches), (sim, host, mgr, fetches) = sides
+        assert sim.now == ref_sim.now
+        assert sim.events_processed == ref_sim.events_processed
+        assert ((host.memory_used, host.memory_peak)
+                == (ref_host.memory_used, ref_host.memory_peak))
+        assert fetches == ref_fetches
+    # Retention: the (current) manager's memo holds a payload — and its
+    # digest — exactly for the versions fetched from it twice or more,
+    # never for a one-shot BLOB.  Nothing here comes near the budget.
+    memo = sides[1][2]._memo
+    for key, (data, payload, digest, pinned) in memo._entries.items():
+        assert key == id(data)
+        assert pinned == len(data) + len(payload or b"")
+        assert (payload is not None) == (fetched[key] >= 2)
+        assert (digest is not None) == (payload is not None)

@@ -258,3 +258,32 @@ def test_myproxy_logon_rejects_wrong_passphrase():
 
     with pytest.raises(AuthenticationFailed):
         tb.sim.run(until=tb.sim.process(flow()))
+
+
+def test_job_runtime_draw_leaves_no_stream_behind(monkeypatch):
+    """One grid job draws from a generator seeded by its id — the draws
+    ``stream("job:<id>")`` would give — and none is kept per job."""
+    from repro.simkernel.rng import RngRegistry
+    from repro.workloads import executables
+
+    class Jittered(executables.ExecutableProfile):
+        name = "jittered"
+
+        def runtime(self, arguments, count, options, rng):
+            return rng.uniform(1.0, 9.0)
+
+        def compute_output(self, arguments, count, options):
+            return b"done\n"
+
+    monkeypatch.setitem(executables.PROFILE_REGISTRY, "jittered", Jittered())
+    tb = quick_testbed(n_sites=1)
+    site = tb.sites[0]
+    site.store_file("/x", make_payload("jittered"))
+    for _ in range(3):
+        job = site.create_job(JobDescription(executable="/x"), "/CN=u")
+        tb.sim.run(until=site.run_job(job))
+        assert job.state is JobState.DONE
+        want = RngRegistry(tb.sim.rng.master_seed).stream(
+            f"job:{job.job_id}").uniform(1.0, 9.0)
+        assert job.finished_at - job.started_at == pytest.approx(want)
+        assert f"job:{job.job_id}" not in tb.sim.rng

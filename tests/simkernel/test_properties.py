@@ -67,6 +67,28 @@ def test_rng_streams_independent_of_sibling_consumption(seed):
     assert [s2.random() for _ in range(5)] == baseline
 
 
+@given(st.integers(min_value=0, max_value=2**31),
+       st.text(min_size=1, max_size=20), st.integers(0, 3))
+def test_rng_one_shot_is_the_head_of_the_stream_and_is_not_kept(
+        seed, name, earlier):
+    registry = RngRegistry(seed)
+    for i in range(earlier):  # other names in use never matter
+        registry.stream(f"sibling-{i}").random()
+    once = registry.one_shot(name)
+    draws = [once.random() for _ in range(5)] + [once.randint(0, 99)]
+    assert name not in registry
+    again = registry.one_shot(name)  # nothing remembered: same head again
+    assert again is not once and again.random() == draws[0]
+    stream = RngRegistry(seed).stream(name)
+    assert draws == [stream.random() for _ in range(5)] + [
+        stream.randint(0, 99)]
+    # ...and a retained stream of that name is not disturbed by it.
+    kept = registry.stream(name)
+    assert name in registry and kept.random() == draws[0]
+    registry.one_shot(name).random()
+    assert kept.random() == draws[1]
+
+
 @settings(max_examples=25)
 @given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=100),
                           st.floats(min_value=0.01, max_value=100)),

@@ -201,6 +201,27 @@ def test_ring_remove_then_readd_is_deterministic():
     assert {key: ring.owner(key) for key in KEYS} == before_owners
 
 
+def test_ring_preference_memo_follows_membership():
+    """The memoised walk equals a cold ring's after every add/remove,
+    and a caller scribbling on its copy cannot poison the next answer."""
+    ring = ring_with(["r1", "r2", "r3"])
+    members = ["r1", "r2", "r3"]
+    for change in ("+r4", "-r2", "+r5", "-r1", "+r2", "-r4"):
+        for key in KEYS[:40]:   # warm the memo on the old membership
+            ring.preference(key).clear()
+        if change[0] == "+":
+            ring.add(change[1:])
+            members.append(change[1:])
+        else:
+            ring.remove(change[1:])
+            members.remove(change[1:])
+        cold = ring_with(members)
+        for key in KEYS[:40]:
+            assert ring.preference(key) == cold._walk(key)
+            assert ring.preference(key) == cold._walk(key)  # memo hit
+            assert ring.owner(key) == cold._walk(key)[0]
+
+
 def test_disabled_router_owns_no_endpoint():
     sim = Simulator()
     net = Network(sim)
