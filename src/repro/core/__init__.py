@@ -12,8 +12,9 @@ This package implements the SaaS-to-JSE translation middleware:
   what the *generated* web service does when its ``execute`` operation
   is invoked (§VII.B: retrieve, authenticate, upload, describe, submit,
   poll, return),
-* :mod:`~repro.core.onserve` — the middleware facade + full-stack
-  deployment onto a testbed,
+* :mod:`~repro.core.onserve` — the middleware facade,
+* :mod:`~repro.core.fabric` — the one deployer: the full stack onto a
+  testbed, as one appliance (``deploy_onserve``) or N behind a router,
 * :mod:`~repro.core.portal` — the extended Cyberaide portal upload flow
   (§VII.A, with its faithful double disk write),
 * :mod:`~repro.core.invocation` — the *client-side* workflow: discover

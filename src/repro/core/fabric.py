@@ -1,7 +1,9 @@
-"""The replica fabric: N stateless onServe appliances behind a router.
+"""The one deployer: N stateless onServe appliances behind a router.
 
-:func:`deploy_fabric` generalizes :func:`~repro.core.onserve.deploy_onserve`
-from one virtual appliance to a sharded deployment (DESIGN.md §11):
+:func:`deploy_fabric` is the on-demand story of §V — build the appliance
+image, deploy it, boot the packages, wire up every component, enrol the
+grid identity — for one virtual appliance or a sharded deployment
+(DESIGN.md §11):
 
 * **N replica hosts** cloned from the testbed's appliance host, each
   with its own thin WAN uplink to the grid and its own LAN links, each
@@ -19,10 +21,12 @@ from one virtual appliance to a sharded deployment (DESIGN.md §11):
   the *router* endpoint, so every invocation is hash-routed with
   breaker-aware skip and least-loaded spill.
 
-``deploy_fabric(replicas=1)`` (router off) delegates to the exact
-``deploy_onserve`` sequence and merely *constructs* a disabled router —
-the default single-appliance timeline stays byte-identical, which the
-golden guard asserts.
+The paper's single appliance is the same function with its default
+arguments (``replicas=1``, router off): no clone hosts, no router host,
+and a *disabled* router ringed on the appliance itself — it owns no
+endpoint and creates no simulation events, so the faithful timeline the
+goldens pin cannot see it.
+:func:`~repro.core.onserve.deploy_onserve` is exactly that call.
 """
 
 from __future__ import annotations
@@ -31,9 +35,7 @@ from typing import Dict, Generator, List, Optional
 
 from repro.appliance.deploy import DeployedAppliance, deploy_image
 from repro.appliance.image import ImageBuilder, ONSERVE_PACKAGES
-from repro.core.onserve import (
-    OnServe, OnServeConfig, OnServeStack, deploy_onserve,
-)
+from repro.core.onserve import OnServe, OnServeConfig, OnServeStack
 from repro.core.registry import ServiceStateStore
 from repro.cyberaide.agent import AgentConfig, CyberaideAgent
 from repro.db.dbmanager import DbManager, DbTierConfig
@@ -146,8 +148,8 @@ class FabricStack(OnServeStack):
 
         Models a process crash: the replica refuses new connections,
         its heartbeat stops renewing the lease, and every request in
-        flight against it dies mid-exchange (the router's healing
-        transport fails those over).  The *router* is not told — it
+        flight against it dies mid-exchange (the router's transport
+        fails those over).  The *router* is not told — it
         must detect the death through transport faults or lease
         expiry, which is exactly what the chaos scenario measures.
         Returns how many in-flight requests were killed.
@@ -302,26 +304,28 @@ def deploy_fabric(testbed: Testbed,
                   replicas: int = 1,
                   router: Optional[bool] = None,
                   spill_threshold: int = 4,
-                  router_spec: Optional[HostSpec] = None,
                   self_healing: bool = False,
                   lease_ttl: float = 15.0,
                   lease_check_interval: float = 5.0,
                   fault_threshold: int = 2,
                   shed_limit: Optional[int] = None,
                   backpressure_threshold: Optional[int] = None) -> Process:
-    """Deploy a replicated onServe fabric onto *testbed* (a sim process).
+    """Deploy onServe onto *testbed* (a sim process) — the one deployer.
 
-    The process-event's value is a :class:`FabricStack`.  With
-    ``replicas=1`` and the router off (the default), the deployment is
-    the *exact* ``deploy_onserve`` sequence — byte-identical timeline —
-    with a disabled router attached for the golden guard to poke at.
-    ``router=None`` enables the router automatically when ``replicas >
-    1``.
+    The process-event's value is a :class:`FabricStack`.  The defaults
+    (``replicas=1``, router off) are the paper's single virtual
+    appliance (§V): no extra hosts, and a *disabled* router ringed on
+    the appliance host itself, which owns no endpoint and routes
+    nothing.  ``router=None`` enables the router automatically when
+    ``replicas > 1``.  Passing a *dbmanager* (e.g. one recovered with
+    :meth:`~repro.db.dbmanager.DbManager.recover_from_crash`) redeploys
+    over existing data: every stored executable's service is rebuilt
+    and republished automatically.
 
     With ``self_healing=True`` (routed deployments) the stack arms the
     lease/failover plane after deployment: replicas heartbeat their
     membership leases into the shared store, the router watches for
-    expiry, crashed replicas fail over with idempotent retry, and the
+    expiry and dedups failover replays, and the
     ``shed_limit``/``backpressure_threshold`` overload ladder guards
     admission (DESIGN.md §13).
     """
@@ -329,28 +333,9 @@ def deploy_fabric(testbed: Testbed,
         raise OnServeError("replicas must be >= 1")
     config = config or OnServeConfig()
     router_on = (replicas > 1) if router is None else bool(router)
+    if self_healing and not router_on:
+        raise OnServeError("self-healing needs the router enabled")
     sim = testbed.sim
-
-    if replicas == 1 and not router_on:
-        if self_healing:
-            raise OnServeError("self-healing needs the router enabled")
-        def passthrough() -> Generator[Event, None, FabricStack]:
-            stack = yield deploy_onserve(testbed, config, dbmanager)
-            # Attached-but-disabled: constructed, ringed, *not* in the
-            # fabric — it owns no endpoint and routes nothing.
-            idle = RequestRouter(stack.appliance_host, stack.fabric,
-                                 enabled=False,
-                                 spill_threshold=spill_threshold)
-            idle.add_replica(stack.appliance_host.name, stack.soap_server,
-                             stack.onserve)
-            stack.onserve.router = idle
-            return FabricStack(
-                testbed, stack.appliance, stack.fabric, stack.soap_server,
-                stack.uddi, stack.dbmanager, stack.agent, stack.onserve,
-                stack.user_clients, onserves=[stack.onserve], router=idle,
-                store=stack.onserve.store)
-
-        return sim.process(passthrough(), name="deploy-fabric")
 
     def op() -> Generator[Event, None, FabricStack]:
         network = testbed.network
@@ -377,14 +362,18 @@ def deploy_fabric(testbed: Testbed,
                 network.connect(user.name, host.name, bandwidth=lan_bw,
                                 latency=lan_lat)
             hosts.append(host)
-        router_host = Host(sim, "router", network,
-                           router_spec or HostSpec(cores=4))
-        for peer in hosts + testbed.user_hosts:
-            network.connect(router_host.name, peer.name, bandwidth=lan_bw,
-                            latency=lan_lat)
+        if replicas == 1 and not router_on:
+            # The single appliance: its (disabled) router needs no host
+            # of its own, so the paper's topology gains nothing.
+            router_host = primary
+        else:
+            router_host = Host(sim, "router", network, HostSpec(cores=4))
+            for peer in hosts + testbed.user_hosts:
+                network.connect(router_host.name, peer.name,
+                                bandwidth=lan_bw, latency=lan_lat)
 
-        # 1. One appliance image, deployed onto every replica host in
-        #    parallel (on-demand deployment, fabric-style).
+        # 1. One appliance image (the rBuilder step), deployed onto
+        #    every replica host in parallel (on-demand deployment).
         builder = ImageBuilder()
         for package in ONSERVE_PACKAGES():
             builder.provide(package)
@@ -405,11 +394,15 @@ def deploy_fabric(testbed: Testbed,
                               replica_lag=config.db_replica_lag))
         store = ServiceStateStore(db.db, read_router=db.read_router)
 
-        # 3. Grid identity, once — replicas share the onserve principal.
+        # 3. Enrol the grid identity (certificate -> MyProxy ->
+        #    gridmaps), the once-per-user out-of-band step — replicas
+        #    share the onserve principal.
         testbed.new_grid_identity(config.grid_username,
                                   config.grid_passphrase)
 
-        # 4. Per-replica software stack.
+        # 4. Per-replica software stack; the registry's inquiry API and
+        #    the management API are web services of their own (jUDDI
+        #    inquiry / portal management).
         from repro.core.management import ManagementService
         from repro.ws.uddi_service import UddiInquiryService
         onserves: List[OnServe] = []
@@ -433,7 +426,24 @@ def deploy_fabric(testbed: Testbed,
             onserves.append(onserve)
             servers.append(soap_server)
 
-        # 5. The router endpoint over all replicas.
+        if config.notify:
+            # Push path: one durable notification queue over the DB
+            # tier, shared by every replica; each gatekeeper attached
+            # with its site's capability (heterogeneous on purpose —
+            # sites outside notify_sites keep the poll ladder).
+            from repro.grid.notify import NotifyQueue
+            queue = NotifyQueue(sim, db.db,
+                                propagation=config.notify_propagation,
+                                read_router=db.read_router)
+            for name, gatekeeper in testbed.gatekeepers.items():
+                gatekeeper.attach_notify(
+                    queue, capable=("*" in config.notify_sites
+                                    or name in config.notify_sites))
+            for onserve in onserves:
+                onserve.notify_queue = queue
+
+        # 5. The router over all replicas.  Disabled, it is constructed
+        #    and ringed but stays out of the endpoint fabric.
         request_router = RequestRouter(
             router_host, fabric, enabled=router_on,
             spill_threshold=spill_threshold,

@@ -38,7 +38,7 @@ from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.context import RequestContext, span
 from repro.core.datastructures import ExecutableRecord
-from repro.core.watchdog import await_mux, await_notification, poll_until
+from repro.core.watchdog import await_waiter, poll_until
 from repro.cyberaide.jobspec import CyberaideJobSpec
 from repro.errors import (
     InvocationError, JobError, JobNotFound, is_retryable, root_cause_name,
@@ -92,6 +92,12 @@ class InvocationReport:
 
 class GridServiceRuntime:
     """The handler behind one generated service."""
+
+    #: CPU for RSL generation + submission bookkeeping (2nd CPU peak).
+    SUBMIT_CPU = 0.25
+    #: Every generated job is one process on the site's default queue.
+    JOB_QUEUE = "normal"
+    JOB_COUNT = 1
 
     def __init__(self, onserve: "OnServe", record: ExecutableRecord):
         self.onserve = onserve
@@ -193,24 +199,19 @@ class GridServiceRuntime:
                           or cfg.db_replicas > 0)
             db_ctx = ctx if db_tier_on else None
             with span(ctx, "service:retrieval", executable=self.record.name):
-                if chunked:
+                def to_temp(nbytes):
                     # Streamed retrieval: each decompressed chunk goes
                     # straight from the DB fetch to the temp file, so
                     # resident RAM stays O(chunk) instead of O(blob).
-                    def db_fetch():
-                        def to_temp(nbytes):
-                            yield host.disk_write(nbytes)
-                        with span(db_ctx, "db:fetch",
-                                  executable=self.record.name):
-                            return (yield self.onserve.dbmanager
-                                    .load_executable(self.record.name,
-                                                     on_chunk=to_temp))
-                else:
-                    def db_fetch():
-                        with span(db_ctx, "db:fetch",
-                                  executable=self.record.name):
-                            return (yield self.onserve.dbmanager
-                                    .load_executable(self.record.name))
+                    yield host.disk_write(nbytes)
+
+                def db_fetch():
+                    with span(db_ctx, "db:fetch",
+                              executable=self.record.name):
+                        return (yield self.onserve.dbmanager
+                                .load_executable(
+                                    self.record.name,
+                                    on_chunk=to_temp if chunked else None))
 
                 exe = yield from self.onserve.flights.do(
                     ("db-load", self.onserve.replica, self.record.name),
@@ -238,9 +239,9 @@ class GridServiceRuntime:
             tag = self.onserve.new_job_tag()
             spec = CyberaideJobSpec(
                 self.record.name, arguments=arguments,
-                count=cfg.default_count,
+                count=self.JOB_COUNT,
                 max_wall_time=cfg.default_walltime,
-                queue=cfg.default_queue)
+                queue=self.JOB_QUEUE)
 
             def attempt_on_site(site: str):
                 """Steps 3-6 against one site (a delegated generator)."""
@@ -313,7 +314,7 @@ class GridServiceRuntime:
                 # 4.+5. Job description generation + submission.
                 mark = self.sim.now
                 with span(ctx, "service:submit", site=site):
-                    yield host.compute(cfg.submit_cpu, tag="service")
+                    yield host.compute(self.SUBMIT_CPU, tag="service")
                     rsl = spec.to_rsl(job_tag=tag)
 
                     def submit_try():
@@ -476,10 +477,18 @@ class GridServiceRuntime:
                       tag: str, job_id: str, report: InvocationReport,
                       ctx: Optional[RequestContext] = None
                       ) -> Generator[Event, None, bytes]:
-        """Completion detection, with and without the status workaround."""
+        """Completion detection down the site's fallback ladder.
+
+        One detector per site — status ablation → notify → PollMux →
+        the faithful tentative poll — reports ``(state, polls)``; the
+        shared tail classifies the state and performs the one per-job
+        step no rung can batch or skip: fetching the final output.
+        """
         cfg = self.onserve.config
         host = self.onserve.host
         stub = self.onserve.agent_stub
+        queue = self.onserve.notify_queue
+        batched = pushed = False
 
         if cfg.status_supported:
             # Ablation: clean status polling, output fetched exactly once.
@@ -487,161 +496,94 @@ class GridServiceRuntime:
                 return stub.jobStatus(session=session, site=site,
                                       jobId=job_id, ctx=ctx)
 
-            (state, polls) = yield poll_until(
+            state, polls = yield poll_until(
                 self.sim,
                 poll_factory=status_poll,
                 accept=lambda s: s in ("done", "failed", "canceled"),
                 interval=cfg.poll_interval,
                 timeout=cfg.watchdog_timeout)
-            report.polls += polls
-            self._emit_detected(ctx, job_id, site, polls, batched=False)
-            if state != "done":
-                # A JobError (retryable): a crash-killed job may well
-                # succeed when resubmitted on another site.
-                raise JobError(f"grid job {job_id} ended {state}")
-            output = yield stub.fetchOutput(session=session, site=site,
-                                            jobId=job_id, ctx=ctx)
-            yield host.disk_write(len(output))
-            return output
+        elif queue is not None and queue.site_capable(site):
+            # Push path (the ladder's top rung): the site's gatekeeper
+            # publishes the terminal state onto the durable queue and
+            # this waiter parks on the subscription — zero poller
+            # exchanges, detection lag = one propagation delay.
+            pushed = True
+            with span(ctx, "notify:await", site=site, job=job_id):
+                note = yield await_waiter(
+                    self.sim, lambda: queue.subscribe(site, job_id),
+                    lambda waiter: queue.unsubscribe(job_id, waiter),
+                    cfg.watchdog_timeout, f"notification for {job_id!r}")
+            state, polls = ("lost" if note["error"] else note["state"]), 0
+        elif cfg.datapath:
+            # Batched data path: the per-site multiplexer runs one
+            # tentative poll covering every in-flight job on the site;
+            # this waiter just parks on its event.
+            batched = True
+            mux = self.onserve.poll_mux(site)
+            result, polls = yield await_waiter(
+                self.sim,
+                lambda: mux.register(job_id, spec.stdout_path(tag)),
+                lambda waiter: mux.unregister(job_id),
+                cfg.watchdog_timeout,
+                f"multiplexed polling for {job_id!r}")
+            state = "lost" if result["error"] else "done"
+        else:
+            # Faithful workaround: tentatively fetch output every
+            # interval, writing each (partial) result to local disk,
+            # until the stdout file exists on the grid.
+            stdout_path = spec.stdout_path(tag)
 
-        queue = self.onserve.notify_queue
-        if queue is not None and queue.site_capable(site):
-            # Push path (the fallback ladder's top rung): the site's
-            # gatekeeper delivers the terminal state change to us —
-            # zero poller exchanges, detection lag = one propagation.
-            return (yield from self._await_output_notify(
-                queue, session, site, job_id, report, ctx))
+            def poll():
+                def round_trip() -> Generator[Event, None, bool]:
+                    data = yield stub.fetchOutput(
+                        session=session, site=site, jobId=job_id, ctx=ctx)
+                    if data:
+                        # "the output of the running job is written to
+                        # the hard disk" — every poll, the periodic
+                        # write peaks.
+                        yield host.disk_write(len(data))
+                    ready = yield stub.outputReady(
+                        session=session, site=site, path=stdout_path,
+                        ctx=ctx)
+                    return ready
 
-        if cfg.datapath:
-            # Batched data path: the per-site multiplexer detects
-            # completion for us; only the final fetch stays per-job.
-            return (yield from self._await_output_mux(
-                session, site, spec, tag, job_id, report, ctx))
+                return self.sim.process(round_trip(), name="tentative-poll")
 
-        # Faithful workaround: tentatively fetch output every interval,
-        # writing each (partial) result to local disk, until the stdout
-        # file exists on the grid.
-        stdout_path = spec.stdout_path(tag)
-        collected: Dict[str, bytes] = {"data": b""}
+            _ready, polls = yield poll_until(
+                self.sim,
+                poll_factory=poll,
+                accept=lambda ready: bool(ready),
+                interval=cfg.poll_interval,
+                timeout=cfg.watchdog_timeout)
+            state = "done"
 
-        def poll():
-            def round_trip() -> Generator[Event, None, bool]:
-                data = yield stub.fetchOutput(session=session, site=site,
-                                              jobId=job_id, ctx=ctx)
-                collected["data"] = data
-                if data:
-                    # "the output of the running job is written to the
-                    # hard disk" — every poll, the periodic write peaks.
-                    yield host.disk_write(len(data))
-                ready = yield stub.outputReady(session=session, site=site,
-                                               path=stdout_path, ctx=ctx)
-                return ready
-
-            return self.sim.process(round_trip(), name="tentative-poll")
-
-        (_ready, polls) = yield poll_until(
-            self.sim,
-            poll_factory=poll,
-            accept=lambda ready: bool(ready),
-            interval=cfg.poll_interval,
-            timeout=cfg.watchdog_timeout)
         report.polls += polls
-        self._emit_detected(ctx, job_id, site, polls, batched=False)
-        # The last tentative fetch may predate completion; fetch final.
-        output = yield stub.fetchOutput(session=session, site=site,
-                                        jobId=job_id, ctx=ctx)
-        yield host.disk_write(len(output))
-        if output and set(output) == {0}:
-            raise JobError(
-                f"grid job {job_id} produced no final output "
-                f"(failed on the grid?)")
-        return output
-
-    def _await_output_mux(self, session: str, site: str,
-                          spec: CyberaideJobSpec, tag: str, job_id: str,
-                          report: InvocationReport,
-                          ctx: Optional[RequestContext] = None
-                          ) -> Generator[Event, None, bytes]:
-        """Completion detection through the per-site PollMux.
-
-        The multiplexer runs one batched tentative poll covering every
-        in-flight job on the site; this waiter just parks on its event
-        (under the same watchdog deadline as the per-job loop) and then
-        performs the one per-job step that cannot batch — fetching the
-        final output.
-        """
-        cfg = self.onserve.config
-        host = self.onserve.host
-        stub = self.onserve.agent_stub
-        mux = self.onserve.poll_mux(site)
-        result, polls = yield await_mux(
-            self.sim, mux, job_id, spec.stdout_path(tag),
-            cfg.watchdog_timeout)
-        report.polls += polls
-        self._emit_detected(ctx, job_id, site, polls, batched=True)
-        if result["error"]:
-            # The gatekeeper lost the job record — same classification
-            # as the per-job path's raised lookup, so failover applies.
-            raise JobNotFound(
-                f"gatekeeper has no record of job {job_id!r}")
-        output = yield stub.fetchOutput(session=session, site=site,
-                                        jobId=job_id, ctx=ctx)
-        yield host.disk_write(len(output))
-        if output and set(output) == {0}:
-            raise JobError(
-                f"grid job {job_id} produced no final output "
-                f"(failed on the grid?)")
-        return output
-
-    def _await_output_notify(self, queue, session: str, site: str,
-                             job_id: str, report: InvocationReport,
-                             ctx: Optional[RequestContext] = None
-                             ) -> Generator[Event, None, bytes]:
-        """Completion detection by subscription (the push path).
-
-        The notify-capable gatekeeper publishes the job's terminal
-        state onto the durable queue; this waiter parks on the
-        subscription — under the same watchdog deadline as every other
-        rung of the ladder — and wakes one propagation delay after the
-        job actually finished.  No tentative polls at all: the only
-        per-job exchange left is fetching the final output.
-        """
-        cfg = self.onserve.config
-        host = self.onserve.host
-        stub = self.onserve.agent_stub
-        with span(ctx, "notify:await", site=site, job=job_id):
-            note = yield await_notification(
-                self.sim, queue, site, job_id, cfg.watchdog_timeout)
-        self._emit_detected(ctx, job_id, site, polls=0, batched=False,
-                            pushed=True)
-        if note["error"]:
-            # The job manager lost the job and said so — same
-            # classification as the poll paths' lookup failure, so
-            # failover applies.
-            raise JobNotFound(
-                f"gatekeeper has no record of job {job_id!r}")
-        if note["state"] != "done":
-            raise JobError(f"grid job {job_id} ended {note['state']}")
-        output = yield stub.fetchOutput(session=session, site=site,
-                                        jobId=job_id, ctx=ctx)
-        yield host.disk_write(len(output))
-        if output and set(output) == {0}:
-            raise JobError(
-                f"grid job {job_id} produced no final output "
-                f"(failed on the grid?)")
-        return output
-
-    def _emit_detected(self, ctx: Optional[RequestContext], job_id: str,
-                       site: str, polls: int, batched: bool,
-                       pushed: bool = False) -> None:
-        """Observational completion-detection marker (no sim events):
-        correlated with the scheduler's ``sched.finish`` it yields the
-        detection lag the datapath/notify ablations report."""
+        # Observational marker (no sim events): correlated with the
+        # scheduler's ``sched.finish`` it yields the detection lag the
+        # datapath/notify ablations report.
         self.onserve.bus.emit(
             "core.output_detected", layer="core",
             request_id=ctx.request_id if ctx else None,
             service=self.record.name, site=site, job_id=job_id,
             polls=polls, batched=batched, pushed=pushed)
+        if state == "lost":
+            # The gatekeeper lost the job record and said so — same
+            # classification as a raised lookup, so failover applies.
+            raise JobNotFound(
+                f"gatekeeper has no record of job {job_id!r}")
+        if state != "done":
+            # A JobError (retryable): a crash-killed job may well
+            # succeed when resubmitted on another site.
+            raise JobError(f"grid job {job_id} ended {state}")
+        # Whatever a tentative poll fetched may predate completion.
+        output = yield stub.fetchOutput(session=session, site=site,
+                                        jobId=job_id, ctx=ctx)
+        yield host.disk_write(len(output))
+        if output and set(output) == {0}:
+            raise JobError(
+                f"grid job {job_id} produced no final output "
+                f"(failed on the grid?)")
+        return output
 
 
 def _argument(value: Any) -> str:

@@ -7,18 +7,16 @@ implements §VII.A's "further treatment" (storage, service build,
 publishing); the generated services themselves run
 :class:`~repro.core.grid_service.GridServiceRuntime`.
 
-:func:`deploy_onserve` is the on-demand story of §V: build the appliance
-image, deploy it onto the testbed's appliance host, boot the packages,
-wire up every component, enrol the grid identity — and hand back a
-ready-to-use :class:`OnServeStack`.
+:func:`deploy_onserve` is the on-demand story of §V for the paper's
+single appliance: :func:`~repro.core.fabric.deploy_fabric` — the one
+deployer — with its default arguments.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.appliance.deploy import DeployedAppliance, deploy_image
-from repro.appliance.image import ImageBuilder, ONSERVE_PACKAGES
+from repro.appliance.deploy import DeployedAppliance
 from repro.core.coalesce import SingleFlight
 from repro.core.context import RequestContext, span
 from repro.core.datastructures import (
@@ -27,9 +25,9 @@ from repro.core.datastructures import (
 from repro.core.grid_service import GridServiceRuntime
 from repro.core.registry import ServiceStateStore
 from repro.core.service_builder import ServiceBuilder
-from repro.cyberaide.agent import AgentConfig, CyberaideAgent
+from repro.cyberaide.agent import CyberaideAgent
 from repro.cyberaide.jobspec import staged_path_for
-from repro.db.dbmanager import DbManager, DbTierConfig
+from repro.db.dbmanager import DbManager
 from repro.errors import OnServeError, ServiceNotFound, UddiError, UploadError
 from repro.grid.testbed import Testbed
 from repro.hardware.host import Host
@@ -53,21 +51,14 @@ class OnServeConfig:
                  grid_passphrase: str = "appliance-secret",
                  poll_interval: float = 9.0,
                  watchdog_timeout: float = 6 * 3600.0,
-                 default_queue: str = "normal",
                  default_walltime: int = 3600,
-                 default_count: int = 1,
-                 submit_cpu: float = 0.25,
                  session_renewal: float = 3600.0,
-                 portal_cpu_fixed: float = 0.15,
-                 portal_cpu_per_mb: float = 0.01,
-                 form_overhead_bytes: int = 2048,
                  double_write: bool = True,
                  upload_cache: bool = False,
                  status_supported: bool = False,
                  site_policy: str = "best",
                  retry_max_attempts: int = 3,
                  retry_base_delay: float = 2.0,
-                 retry_multiplier: float = 2.0,
                  retry_max_delay: float = 30.0,
                  retry_jitter: float = 0.0,
                  breaker_failure_threshold: int = 3,
@@ -104,15 +95,8 @@ class OnServeConfig:
         #: Tentative-poll period (the "relative constant interval").
         self.poll_interval = poll_interval
         self.watchdog_timeout = watchdog_timeout
-        self.default_queue = default_queue
         self.default_walltime = default_walltime
-        self.default_count = default_count
-        #: CPU for RSL generation + submission bookkeeping (2nd CPU peak).
-        self.submit_cpu = submit_cpu
         self.session_renewal = session_renewal
-        self.portal_cpu_fixed = portal_cpu_fixed
-        self.portal_cpu_per_mb = portal_cpu_per_mb
-        self.form_overhead_bytes = form_overhead_bytes
         #: Faithful flaw: uploads hit the disk twice (temp, then DB).
         #: False is the "may be improved" ablation (§VIII.D.3).
         self.double_write = double_write
@@ -128,7 +112,6 @@ class OnServeConfig:
         #: Resilience: retry policy for transient agent/grid/db calls.
         self.retry_max_attempts = retry_max_attempts
         self.retry_base_delay = retry_base_delay
-        self.retry_multiplier = retry_multiplier
         self.retry_max_delay = retry_max_delay
         self.retry_jitter = retry_jitter
         #: Resilience: per-site circuit breakers.
@@ -206,8 +189,7 @@ class OnServe:
     def __init__(self, host: Host, soap_server: SoapServer,
                  fabric: SoapFabric, uddi: UddiRegistry,
                  dbmanager: DbManager, agent: CyberaideAgent,
-                 config: Optional[OnServeConfig] = None,
-                 store: Optional[ServiceStateStore] = None):
+                 config: OnServeConfig, store: ServiceStateStore):
         self.host = host
         self.sim = host.sim
         self.soap_server = soap_server
@@ -215,16 +197,13 @@ class OnServe:
         self.uddi = uddi
         self.dbmanager = dbmanager
         self.agent = agent
-        self.config = config or OnServeConfig()
+        self.config = config
         self.builder = ServiceBuilder(host, soap_server)
         #: This replica's identity in the fabric (the host name).
         self.replica = host.name
-        #: The replicated source of truth for service/deployment state.
-        #: A lone appliance creates its own store over its own database;
+        #: The replicated source of truth for service/deployment state:
         #: ``deploy_fabric`` passes one shared store to every replica.
-        self.store = store if store is not None \
-            else ServiceStateStore(dbmanager.db,
-                                   read_router=dbmanager.read_router)
+        self.store = store
         #: Set by ``deploy_fabric`` when a request router fronts this
         #: replica; generated services then publish the router endpoint.
         self.router = None
@@ -234,7 +213,6 @@ class OnServe:
         self.retry_policy = RetryPolicy(
             max_attempts=self.config.retry_max_attempts,
             base_delay=self.config.retry_base_delay,
-            multiplier=self.config.retry_multiplier,
             max_delay=self.config.retry_max_delay,
             jitter=self.config.retry_jitter)
         self.breakers = BreakerBoard(
@@ -290,7 +268,7 @@ class OnServe:
         #: mode); created lazily, schedules nothing while unused.
         self._poll_muxes: Dict[str, "PollMux"] = {}
         #: The durable job-state notification queue (push path), wired
-        #: by ``deploy_onserve`` when ``config.notify`` is set — or
+        #: by ``deploy_fabric`` when ``config.notify`` is set — or
         #: attached externally (the golden guard attaches one with zero
         #: capable sites to prove it is byte-invisible).  The runtime
         #: takes the push rung only for sites the queue marks capable.
@@ -878,85 +856,11 @@ class OnServeStack:
 def deploy_onserve(testbed: Testbed,
                    config: Optional[OnServeConfig] = None,
                    dbmanager: Optional[DbManager] = None) -> Process:
-    """Deploy the whole onServe stack onto *testbed* (a sim process).
+    """Deploy the paper's single virtual appliance (§V) onto *testbed*.
 
-    The process-event's value is an :class:`OnServeStack`.  Passing a
-    *dbmanager* (e.g. one recovered with
-    :meth:`~repro.db.dbmanager.DbManager.recover_from_crash`) redeploys
-    an appliance over existing data: every stored executable's service
-    is rebuilt and republished automatically.
+    :func:`~repro.core.fabric.deploy_fabric` with its default arguments;
+    the process-event's value is a :class:`~repro.core.fabric.FabricStack`
+    (an :class:`OnServeStack`) of one replica behind a disabled router.
     """
-    config = config or OnServeConfig()
-    sim = testbed.sim
-
-    def op() -> Generator[Event, None, OnServeStack]:
-        # 1. Build the appliance image (the rBuilder step).
-        builder = ImageBuilder()
-        for package in ONSERVE_PACKAGES():
-            builder.provide(package)
-        image = builder.build("cyberaide-onserve", ["cyberaide-onserve"])
-
-        # 2. On-demand deployment onto the appliance host.
-        appliance = yield deploy_image(image, testbed.appliance_host)
-
-        # 3. Wire the software stack.
-        fabric = SoapFabric()
-        soap_server = SoapServer(testbed.appliance_host, fabric)
-        uddi = UddiRegistry()
-        db = dbmanager if dbmanager is not None \
-            else DbManager(testbed.appliance_host,
-                           tier=DbTierConfig(
-                               mvcc=config.db_mvcc,
-                               serialize=config.db_serialize,
-                               chunk_bytes=config.db_chunk_bytes,
-                               replicas=config.db_replicas,
-                               replica_lag=config.db_replica_lag))
-        agent = CyberaideAgent(
-            testbed.appliance_host, testbed,
-            AgentConfig(status_supported=config.status_supported,
-                        session_reuse=config.datapath,
-                        ftp_idle_timeout=config.ftp_session_idle))
-        soap_server.deploy(agent.service_description(), agent.handler)
-
-        # 4. Enrol the appliance's grid identity (certificate -> MyProxy
-        #    -> gridmaps), the once-per-user out-of-band step.
-        testbed.new_grid_identity(config.grid_username,
-                                  config.grid_passphrase)
-
-        onserve = OnServe(testbed.appliance_host, soap_server, fabric,
-                          uddi, db, agent, config)
-
-        if config.notify:
-            # Push path: one durable notification queue over the DB
-            # tier, each gatekeeper attached with its site's capability
-            # (heterogeneous on purpose — sites outside notify_sites
-            # keep the poll ladder).
-            from repro.grid.notify import NotifyQueue
-            queue = NotifyQueue(sim, db.db,
-                                propagation=config.notify_propagation,
-                                read_router=db.read_router)
-            for name, gatekeeper in testbed.gatekeepers.items():
-                capable = ("*" in config.notify_sites
-                           or name in config.notify_sites)
-                gatekeeper.attach_notify(queue, capable=capable)
-            onserve.notify_queue = queue
-
-        # Publish the registry's inquiry API and the management API as
-        # web services of their own (jUDDI inquiry / portal management).
-        from repro.core.management import ManagementService
-        from repro.ws.uddi_service import UddiInquiryService
-        inquiry = UddiInquiryService(uddi)
-        soap_server.deploy(inquiry.service_description(), inquiry.handler)
-        management = ManagementService(onserve)
-        soap_server.deploy(management.service_description(),
-                           management.handler)
-
-        user_clients = [WsClient(host, fabric)
-                        for host in testbed.user_hosts]
-        if dbmanager is not None:
-            # Redeployment over recovered data: bring the services back.
-            yield onserve.restore_services()
-        return OnServeStack(testbed, appliance, fabric, soap_server, uddi,
-                            db, agent, onserve, user_clients)
-
-    return sim.process(op(), name="deploy-onserve")
+    from repro.core.fabric import deploy_fabric
+    return deploy_fabric(testbed, config, dbmanager)

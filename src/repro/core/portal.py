@@ -37,6 +37,13 @@ __all__ = ["CyberaidePortal"]
 class CyberaidePortal:
     """The web portal component on the appliance host."""
 
+    #: Tomcat + JSP handling: fixed CPU seconds per form submission
+    #: plus a per-megabyte share for parsing the multipart body.
+    CPU_FIXED = 0.15
+    CPU_PER_MB = 0.01
+    #: Multipart form fields and headers around the file itself.
+    FORM_OVERHEAD_BYTES = 2048
+
     def __init__(self, onserve: "OnServe"):
         self.onserve = onserve
         self.host = onserve.host
@@ -69,15 +76,15 @@ class CyberaidePortal:
                 #    in RAM.
                 with span(ctx, "portal:receive"):
                     yield user_host.send(
-                        self.host, len(data) + config.form_overhead_bytes,
+                        self.host, len(data) + self.FORM_OVERHEAD_BYTES,
                         label=f"portal-upload:{filename}")
                 self.host.allocate_memory(len(data))
                 try:
                     # 2. Tomcat + JSP handling.
                     with span(ctx, "portal:handle"):
                         yield self.host.compute(
-                            config.portal_cpu_fixed
-                            + config.portal_cpu_per_mb * len(data) / MB(1),
+                            self.CPU_FIXED
+                            + self.CPU_PER_MB * len(data) / MB(1),
                             tag="portal")
                         # 3. Temporary storage (first of the two writes).
                         if config.double_write:

@@ -4,7 +4,7 @@
 to react correctly in some situations where a problem may occur. (For
 example when a process takes too long to complete.)" (paper §VI).
 
-Two tools live here:
+Three tools live here:
 
 * :meth:`Watchdog.guard` — run a process under a deadline; if it is
   still alive when the deadline passes, interrupt it and raise
@@ -12,13 +12,11 @@ Two tools live here:
 * :func:`poll_until` — the tentative-polling loop (§VIII.B workaround):
   run a poll action every ``interval`` until a predicate accepts its
   result or the deadline passes.
-* :func:`await_mux` — the multiplexed variant: park on a
-  :class:`~repro.grid.poller.PollMux` waiter under the same deadline
-  discipline, unregistering on timeout so the mux stops polling for us.
-* :func:`await_notification` — the push-path variant: park on a
-  :class:`~repro.grid.notify.NotifyQueue` subscription under the same
-  deadline discipline (the fallback ladder's top rung: notify →
-  PollMux → ``poll_until``).
+* :func:`await_waiter` — the same deadline discipline for completion
+  sources that hand out a waiter event instead of being polled: a
+  :class:`~repro.grid.poller.PollMux` registration or a
+  :class:`~repro.grid.notify.NotifyQueue` subscription (the fallback
+  ladder's upper rungs: notify → PollMux → ``poll_until``).
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.simkernel.events import Event
 from repro.simkernel.kernel import Simulator
 from repro.simkernel.process import Interrupt, Process
 
-__all__ = ["Watchdog", "await_mux", "await_notification", "poll_until"]
+__all__ = ["Watchdog", "await_waiter", "poll_until"]
 
 
 def _abandon(waiter: Event) -> None:
@@ -134,63 +132,34 @@ def poll_until(sim: Simulator,
     return sim.process(op(), name="poll-until")
 
 
-def await_mux(sim: Simulator, mux, key: Any, token: Any,
-              timeout: float) -> Process:
-    """Wait on a PollMux for *key* under a deadline.
+def await_waiter(sim: Simulator, register: Callable[[], Event],
+                 cancel: Callable[[Event], None], timeout: float,
+                 what: str) -> Process:
+    """Park on a waiter event under a deadline.
 
-    Registers *key* with the multiplexer and parks until either the mux
-    detects the job (value is the mux's ``(result, polls)``) or
-    *timeout* elapses — in which case the key is unregistered (the mux
-    must not keep polling for a waiter that gave up) and
+    ``register()`` hands out the waiter — a
+    :class:`~repro.grid.poller.PollMux` registration, a
+    :class:`~repro.grid.notify.NotifyQueue` subscription — and is called
+    *inside* the waiting process.  The value is the waiter's value; a
+    failure propagated through the waiter (a batch poll that raised) is
+    re-raised as-is.  If *timeout* elapses first, ``cancel(waiter)``
+    detaches it (the source must not keep working for a waiter that
+    gave up), the abandoned waiter is defused, and
     :class:`WatchdogTimeout` is raised, exactly like :func:`poll_until`.
-    A batch failure propagated through the waiter is re-raised as-is.
     """
     if timeout <= 0:
-        raise ValueError("await_mux timeout must be positive")
-
-    def op() -> Generator[Event, None, Tuple[Any, int]]:
-        waiter = mux.register(key, token)
-        deadline = sim.timeout(timeout)
-        yield sim.any_of([waiter, deadline])
-        if waiter.triggered:
-            if waiter.ok:
-                return waiter.value
-            raise waiter.value
-        mux.unregister(key)
-        _abandon(waiter)
-        raise WatchdogTimeout(
-            f"multiplexed polling for {key!r} gave up ({timeout:.0f}s)")
-
-    return sim.process(op(), name=f"await-mux:{key}")
-
-
-def await_notification(sim: Simulator, queue, site: str, job_id: str,
-                       timeout: float) -> Process:
-    """Wait for *job_id*'s terminal push notification under a deadline.
-
-    Subscribes to the :class:`~repro.grid.notify.NotifyQueue` and parks
-    until the terminal state-change message is delivered (value is the
-    queue's payload dict) or *timeout* elapses — in which case the
-    subscription is dropped, the abandoned waiter defused, and
-    :class:`WatchdogTimeout` raised: the same deadline discipline as
-    :func:`poll_until` and :func:`await_mux`, so the watchdog covers
-    the push path too.  A subscriber arriving after the durable
-    ``job_states`` row is already terminal completes immediately.
-    """
-    if timeout <= 0:
-        raise ValueError("await_notification timeout must be positive")
+        raise ValueError("await_waiter timeout must be positive")
 
     def op() -> Generator[Event, None, Any]:
-        waiter = queue.subscribe(site, job_id)
+        waiter = register()
         deadline = sim.timeout(timeout)
         yield sim.any_of([waiter, deadline])
         if waiter.triggered:
             if waiter.ok:
                 return waiter.value
             raise waiter.value
-        queue.unsubscribe(job_id, waiter)
+        cancel(waiter)
         _abandon(waiter)
-        raise WatchdogTimeout(
-            f"notification for {job_id!r} never arrived ({timeout:.0f}s)")
+        raise WatchdogTimeout(f"{what} gave up ({timeout:.0f}s)")
 
-    return sim.process(op(), name=f"await-notify:{job_id}")
+    return sim.process(op(), name=f"await:{what}")

@@ -76,6 +76,8 @@ class GramGatekeeper:
         #: queue with ``capable=False`` is never published to.
         self.notify_queue = None
         self.notify_capable = False
+        #: Unsubscribes the attached queue's ``sched.start`` mirror.
+        self._unmirror = None
         #: Notification accounting (plain counters, like the data-path
         #: ones): messages pushed and their modelled control bytes.
         #: Deliberately *not* folded into ``exchanges`` — a push is not
@@ -109,15 +111,20 @@ class GramGatekeeper:
         observers must stay pure).  With ``capable=False`` the queue is
         merely referenced — nothing is ever published, recorded or
         scheduled, which is what keeps an attached-but-incapable queue
-        byte-invisible to the goldens.
+        byte-invisible to the goldens.  Attaching again *replaces*: the
+        previous queue's mirror is unsubscribed, so a detached queue
+        stops writing ``job_states`` rows.
         """
+        if self._unmirror is not None:
+            self._unmirror()
+            self._unmirror = None
         self.notify_queue = queue
         self.notify_capable = capable
         if not capable:
             return
         queue.attach_site(self.site.name)
         prefix = f"{self.site.name}-job-"
-        self._bus.subscribe(
+        self._unmirror = self._bus.subscribe(
             lambda ev: queue.record_state(
                 self.site.name, ev.fields["job_id"], JobState.ACTIVE.value)
             if ev.fields.get("job_id", "").startswith(prefix) else None,

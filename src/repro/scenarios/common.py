@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from repro.core.onserve import OnServeConfig, OnServeStack, deploy_onserve
@@ -11,10 +12,17 @@ from repro.telemetry.sampler import HostSampler
 from repro.telemetry.series import TimeSeries
 from repro.units import KBps
 
-__all__ = ["ScenarioEnv", "standard_env"]
+__all__ = ["ScenarioEnv", "percentile", "standard_env"]
 
 #: The paper's monitoring interval (Figures 6-8 captions: "3 seconds").
 PAPER_SAMPLE_INTERVAL = 3.0
+
+
+def percentile(values: List[float], p: float) -> float:
+    """Nearest-rank percentile (deterministic, no interpolation)."""
+    ordered = sorted(values)
+    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+    return ordered[rank - 1]
 
 
 class ScenarioEnv:

@@ -27,12 +27,11 @@ bytes *and* modelled head CPU by >= 40% while lowering mean lag.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Generator, List, Sequence
 
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
-from repro.scenarios.common import ScenarioEnv, standard_env
+from repro.scenarios.common import ScenarioEnv, percentile, standard_env
 from repro.simkernel.events import Event
 from repro.telemetry.events import bus
 from repro.units import KB
@@ -110,13 +109,6 @@ def run_datapath(levels: Sequence[int] = (1, 2, 4, 8, 16, 32),
     return DatapathResult(rows)
 
 
-def _percentile(values: List[float], p: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
 def _control_bytes(env: ScenarioEnv) -> float:
     tb = env.testbed
     return float(sum(g.control_bytes for g in tb.gatekeepers.values())
@@ -179,7 +171,7 @@ def _one_mode(n: int, seed: int, batched: bool,
         "ctl": _control_bytes(env) - ctl0,
         "cpu": _head_cpu(env) - cpu0,
         "lag_mean": sum(lags) / len(lags),
-        "lag_p50": _percentile(lags, 50.0),
-        "lag_p95": _percentile(lags, 95.0),
+        "lag_p50": percentile(lags, 50.0),
+        "lag_p95": percentile(lags, 95.0),
         "latency": sum(latencies) / len(latencies),
     }

@@ -32,13 +32,12 @@ read observed ``behind <= lag_bound`` — the router's staleness guard.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Generator, List
 
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
 from repro.hardware.host import HostSpec
-from repro.scenarios.common import standard_env
+from repro.scenarios.common import percentile, standard_env
 from repro.simkernel.events import Event
 from repro.telemetry.events import bus
 from repro.units import GB, MB, MBps
@@ -62,13 +61,6 @@ def _blob(size: int, runtime: float) -> bytes:
     header = make_payload("fixed", runtime=f"{runtime}",
                           output_bytes="1024")
     return header + b"\x00" * max(0, size - len(header))
-
-
-def _percentile(values: List[float], p: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 class ArmResult:
@@ -97,7 +89,7 @@ class ArmResult:
 
     @property
     def p95(self) -> float:
-        return _percentile(self.latencies, 95.0)
+        return percentile(self.latencies, 95.0)
 
     @property
     def mean(self) -> float:

@@ -30,13 +30,12 @@ fully drained, and ``job_states`` rows exist only for notify-site jobs.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Generator, List
 
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
 from repro.grid.notify import JOB_STATES_TABLE
-from repro.scenarios.common import standard_env
+from repro.scenarios.common import percentile, standard_env
 from repro.simkernel.events import Event
 from repro.telemetry.events import bus
 from repro.units import KB
@@ -119,13 +118,6 @@ class NotifyResult:
         return "\n".join(lines)
 
 
-def _percentile(values: List[float], p: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
 def run_notify(n: int = 12, seed: int = 0,
                smoke: bool = False) -> NotifyResult:
     """Run the mixed-capability ablation; see the module docstring."""
@@ -186,7 +178,7 @@ def run_notify(n: int = 12, seed: int = 0,
         per_site[site] = {
             "jobs": float(len(site_lags)),
             "lag_mean": sum(site_lags) / len(site_lags),
-            "lag_p95": _percentile(site_lags, 95.0),
+            "lag_p95": percentile(site_lags, 95.0),
             "poller_batches": float(batches.get(site, 0)),
             "notifications": float(gatekeeper.notifications),
             "capable": queue.site_capable(site),

@@ -28,8 +28,9 @@ bounds below 5% at ``replicas=1``.
 
 A *disabled* router can be constructed and wired without being
 registered in the fabric; it then owns no endpoint, routes nothing and
-creates zero simulation events — the attached-but-disabled guard in the
-golden tests proves the default single-appliance timeline cannot see it.
+creates zero simulation events — every single-appliance deployment
+carries one (``deploy_fabric``'s defaults), so the golden figures
+themselves prove the faithful timeline cannot see it.
 """
 
 from __future__ import annotations
@@ -222,11 +223,13 @@ class RequestRouter:
         board = gauges(self.sim)
         self._queue_gauge = board.gauge("router.queue", unit="reqs")
         self._board = board
-        # -- self-healing plane (attached-but-disabled by default) ----
-        # With ``self_healing=False`` nothing below ever runs: the
-        # routed path is byte-for-byte the pre-healing one, and the
-        # constructor creates zero simulation events either way (the
-        # membership watchdog only starts via start_membership_watch).
+        # -- failover, overload ladder, self-healing ------------------
+        # Every routed request fails over off a crashed replica.  What
+        # ``self_healing`` (with a *store*) adds is durable state: the
+        # invocation-dedup table behind replayed mutations, membership
+        # leases and the watchdog that expires them.  The constructor
+        # creates zero simulation events either way (the watchdog only
+        # starts via start_membership_watch).
         if lease_ttl <= 0 or lease_check_interval <= 0:
             raise WsError("lease_ttl and lease_check_interval must be > 0")
         if fault_threshold < 1:
@@ -390,7 +393,7 @@ class RequestRouter:
 
         Called by the crash path: each tracked proxy process receives an
         :class:`Interrupt` whose cause is a :class:`ReplicaDown`, which
-        the healing transport converts into a failover retry.  Returns
+        :meth:`transport` converts into a failover retry.  Returns
         how many were interrupted.
         """
         procs = self._inflight_procs.pop(name, None)
@@ -532,88 +535,28 @@ class RequestRouter:
         client→router, the router charges its routing CPU, picks a
         replica, (lazily) materializes the service there, proxies the
         call over the router↔replica links, and relays the response —
-        or the fault envelope — back to the client.
+        or the fault envelope — back to the client.  On the way:
 
-        With ``self_healing=True`` the dispatch runs as an interruptible
-        sub-process so a replica crash can fail over mid-request (see
-        :meth:`_transport_healing`); otherwise the pre-healing direct
-        path runs, event-for-event identical to what it always was.
+        * the replica dispatch runs in a sub-process the crash path can
+          interrupt, and a :class:`ReplicaDown` (refused connection or
+          mid-request interrupt) fails over to the next preference-list
+          survivor under the failover :class:`RetryPolicy`;
+        * with a dedup store (``self_healing``), mutating operations
+          replay under the invocation-dedup table: a retried call whose
+          first attempt actually completed returns the recorded result
+          instead of double-executing;
+        * the overload ladder — spill (in :meth:`choose`), then shed
+          with a typed :class:`ServerOverloaded` once every live
+          replica's admission queue is at ``shed_limit``, with
+          router-level backpressure pacing admissions before that;
+          both rungs are no-ops while their limit is ``None``.
         """
-        if self.self_healing:
-            return self._transport_healing(client, service_name, operation,
-                                           params, ctx)
-        return self._transport_direct(client, service_name, operation,
-                                      params, ctx)
-
-    def _transport_direct(self, client: Host, service_name: str,
-                          operation: str, params: Dict[str, Any],
-                          ctx: Optional[RequestContext] = None,
-                          ) -> Generator[Event, None, Any]:
         request = SoapEnvelope.request(operation, params,
                                        namespace=f"urn:repro:{service_name}")
         # The hop span brackets the *entire* routed exchange — request
         # envelope in, routing decision, proxied call, response (or
         # fault) relay out — so every replica-side span nests under one
         # parent and a cross-replica trace reads as a single tree.
-        with span(ctx, "router:hop", router=self.host.name,
-                  service=service_name) as hop:
-            yield client.send(self.host, request.size(),
-                              label=f"route-req:{service_name}.{operation}")
-            yield self.host.compute(self.ROUTE_CPU, tag="router")
-            replica = self.choose(service_name)
-            if hop is not None:
-                hop.meta["replica"] = replica.name
-            self.requests_routed += 1
-            self._admit(replica.name)
-            try:
-                with span(ctx, "router:route", replica=replica.name,
-                          service=service_name):
-                    if replica.onserve is not None:
-                        # Deploy-on-A / invoke-on-B: build the runtime
-                        # from the store before dispatching (free when
-                        # local).
-                        yield from replica.onserve.ensure_local_service(
-                            service_name, ctx)
-                    result = yield from replica.server.transport(
-                        self.host, service_name, operation, params, ctx)
-            except SoapFault as fault:
-                if is_retryable(fault):
-                    self.breakers.failure(replica.name)
-                else:
-                    self.breakers.success(replica.name)
-                yield from self._relay_fault(client, service_name,
-                                             operation, fault)
-                raise
-            finally:
-                self._release(replica.name)
-            self.breakers.success(replica.name)
-            response = SoapEnvelope.response(operation, result)
-            yield self.host.send(client, response.size(),
-                                 label=f"route-rsp:{service_name}.{operation}")
-        return result
-
-    def _transport_healing(self, client: Host, service_name: str,
-                           operation: str, params: Dict[str, Any],
-                           ctx: Optional[RequestContext] = None,
-                           ) -> Generator[Event, None, Any]:
-        """The self-healing routed round-trip.
-
-        Same wire shape as the direct path, with three additions:
-
-        * the replica dispatch runs in a sub-process the crash path can
-          interrupt, and a :class:`ReplicaDown` (refused connection or
-          mid-request interrupt) fails over to the next preference-list
-          survivor under the failover :class:`RetryPolicy`;
-        * mutating operations replay under the invocation-dedup table:
-          a retried call whose first attempt actually completed returns
-          the recorded result instead of double-executing;
-        * the overload ladder — spill (in :meth:`choose`), then shed
-          with a typed :class:`ServerOverloaded` once every live
-          replica's admission queue is at ``shed_limit``, with
-          router-level backpressure pacing admissions before that.
-        """
-        request = SoapEnvelope.request(operation, params,
-                                       namespace=f"urn:repro:{service_name}")
         with span(ctx, "router:hop", router=self.host.name,
                   service=service_name) as hop:
             yield client.send(self.host, request.size(),
@@ -687,8 +630,8 @@ class RequestRouter:
                     crash = exc
                 except SoapFault as fault:
                     # Application-level fault: the replica answered, so
-                    # it is alive — relay the fault as the direct path
-                    # would, never fail over on it.
+                    # it is alive — relay the fault, never fail over
+                    # on it.
                     if is_retryable(fault):
                         self.breakers.failure(replica.name)
                     else:

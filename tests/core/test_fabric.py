@@ -8,6 +8,7 @@ from repro.core.onserve import OnServeConfig
 from repro.errors import OnServeError
 from repro.grid.testbed import build_testbed
 from repro.simkernel import Simulator
+from repro.telemetry.events import bus
 from repro.units import KB
 from repro.workloads.executables import make_payload
 
@@ -47,6 +48,20 @@ def test_single_replica_passthrough_keeps_direct_endpoints():
         stack, stack.user_clients[0], "Route%"))
     assert result
     assert stack.router.requests_routed == 0
+
+
+def test_deploy_onserve_is_deploy_fabric_with_defaults():
+    from repro.core.onserve import deploy_onserve
+    sim = Simulator(seed=0)
+    testbed = build_testbed(sim=sim, n_users=1)
+    stack = sim.run(until=deploy_onserve(testbed))
+    assert isinstance(stack, FabricStack)
+    assert stack.onserves == [stack.onserve]
+    assert not stack.router.enabled
+    assert stack.router.host is stack.appliance_host
+    # The paper's topology: no clone, no router host.
+    assert "router" not in testbed.network.hosts()
+    assert "appliance02" not in testbed.network.hosts()
 
 
 def test_fabric_publishes_router_endpoint():
@@ -126,6 +141,88 @@ def test_invocation_counts_are_fabric_wide():
         sim.run(until=discover_and_invoke(stack, client, "Route%"))
     row = stack.store.get_record("RouteService")
     assert row["invocations"] == 2
+
+
+def test_fabric_wires_config_notify_for_every_replica():
+    """``config.notify`` used to be honoured by ``deploy_onserve`` only:
+    a fabric needed its queue attached by hand."""
+    config = OnServeConfig(notify=True, notify_sites=("ncsa",),
+                           site_policy="round_robin")
+    sim = Simulator(seed=0)
+    testbed = build_testbed(sim=sim, n_sites=2, n_users=1)  # ncsa, sdsc
+    stack = sim.run(until=deploy_fabric(testbed, config, replicas=2))
+    queue = stack.onserve.notify_queue
+    assert queue is not None
+    assert all(o.notify_queue is queue for o in stack.onserves)
+    assert queue.capable_sites == ["ncsa"]
+    assert {name for name, gk in testbed.gatekeepers.items()
+            if gk.notify_capable} == {"ncsa"}
+    assert all(gk.notify_queue is queue
+               for gk in testbed.gatekeepers.values())
+    publish(sim, testbed, stack)
+    assert sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[0], "Route%"))
+    detected = bus(sim).first("core.output_detected")
+    assert detected.fields["site"] == "ncsa"
+    assert detected.fields["pushed"] and detected.fields["polls"] == 0
+    counts = bus(sim).counts()
+    assert counts.get("poller.batch", 0) == 0
+    assert counts.get("notify.deliver", 0) >= 1
+
+
+def test_crash_fails_over_without_self_healing():
+    """A routed fabric built *without* ``self_healing`` used to keep
+    dispatching to a crashed replica: the direct transport never looked
+    at the flag."""
+    from tests.ws.test_router_healing import crash_at
+    sim, testbed, stack = deploy(replicas=3, n_users=1)
+    assert not stack.router.self_healing and stack.router.store is None
+    publish(sim, testbed, stack, runtime="6")
+    # Crash a secondary (the primary hosts the DB tier): pick a service
+    # name owned by one.
+    owner = stack.router.ring.owner("RouteService")
+    if owner == stack.onserve.replica:
+        pytest.skip("ring owner is the primary under this seed")
+    proc = discover_and_invoke(stack, stack.user_clients[0], "Route%")
+    crasher = crash_at(sim, stack, owner, at=sim.now + 8.0)
+    assert sim.run(until=sim.all_of([proc, crasher]))[proc]
+    # The in-flight proxy died with the replica; the request failed
+    # over and completed on a survivor.
+    crash = bus(sim).first("fabric.replica_crash")
+    assert crash.fields["inflight_killed"] == 1
+    assert stack.router.failovers >= 1
+    failover = bus(sim).first("router.failover")
+    assert failover.fields["from_replica"] == owner
+    # Nothing is dispatched to the corpse afterwards: later requests
+    # are refused there, fail over, and (fault_threshold=2) get the
+    # replica declared dead without any lease machinery.
+    served = []
+    bus(sim).subscribe(lambda ev: served.append(ev.fields["origin"])
+                       if ev.fields["side"] == "server" else None,
+                       kinds=("ws.request",))
+    for _ in range(2):
+        assert sim.run(until=discover_and_invoke(
+            stack, stack.user_clients[0], "Route%"))
+    assert served and owner not in served
+    assert owner not in stack.router.replicas()
+    assert stack.store.dedup_count() == 0   # no store, no dedup rows
+
+
+def test_shed_limit_sheds_without_self_healing():
+    from repro.errors import SoapFault
+    sim = Simulator(seed=0)
+    testbed = build_testbed(sim=sim, n_users=1)
+    stack = sim.run(until=deploy_fabric(
+        testbed, replicas=2, spill_threshold=1, shed_limit=1))
+    assert not stack.router.self_healing
+    publish(sim, testbed, stack)
+    for name in stack.router.replicas():
+        stack.router._admit(name)    # saturate every candidate
+    with pytest.raises(SoapFault) as exc_info:
+        sim.run(until=discover_and_invoke(
+            stack, stack.user_clients[0], "Route%"))
+    assert exc_info.value.root_cause == "ServerOverloaded"
+    assert stack.router.sheds == 1
 
 
 def test_enable_client_caches_is_idempotent():

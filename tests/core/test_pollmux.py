@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.watchdog import await_mux
+from repro.core.watchdog import await_waiter
 from repro.errors import GridError, WatchdogTimeout
 from repro.grid.poller import PollMux
 from repro.simkernel import Simulator
@@ -216,7 +216,14 @@ def test_validation():
         PollMux(sim, "x", lambda b: None, lambda r: True, backoff=0.5)
 
 
-# ------------------------------------------------------------- await_mux
+# --------------------------------------------------- await_waiter on a mux
+
+def await_mux(sim, mux, key, token, timeout):
+    """await_waiter wired to a PollMux the way ``_await_output`` does."""
+    return await_waiter(sim, lambda: mux.register(key, token),
+                        lambda waiter: mux.unregister(key), timeout,
+                        f"multiplexed polling for {key!r}")
+
 
 def test_await_mux_returns_result_and_polls():
     sim = Simulator()

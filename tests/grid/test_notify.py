@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.watchdog import await_notification
+from repro.core.watchdog import await_waiter
 from repro.db.engine import Database
 from repro.errors import WatchdogTimeout
 from repro.grid.notify import (
@@ -161,7 +161,14 @@ def test_validation_rejects_nonpositive_propagation():
         NotifyQueue(sim, Database(), propagation=0.0)
 
 
-# ----------------------------------------------------- await_notification
+# --------------------------------------------- await_waiter on the queue
+
+def await_notification(sim, queue, site, job_id, timeout):
+    """await_waiter wired to the queue the way ``_await_output`` does."""
+    return await_waiter(sim, lambda: queue.subscribe(site, job_id),
+                        lambda waiter: queue.unsubscribe(job_id, waiter),
+                        timeout, f"notification for {job_id!r}")
+
 
 def test_await_notification_returns_payload():
     sim = Simulator()
@@ -215,6 +222,37 @@ def test_await_notification_rejects_bad_timeout():
     queue = make_queue(sim)
     with pytest.raises(ValueError):
         await_notification(sim, queue, "ncsa", "j", timeout=0.0)
+
+
+# -- gatekeeper attachment ------------------------------------------------
+
+
+def test_reattaching_a_queue_replaces_the_sched_start_mirror():
+    """Regression: a second ``attach_notify`` left the first queue's
+    ``sched.start`` mirror subscribed, so the detached queue kept
+    upserting ``job_states`` rows beside the attached one."""
+    from repro.grid.testbed import build_testbed
+
+    sim = Simulator()
+    tb = build_testbed(sim=sim, n_sites=1, nodes_per_site=1)
+    db = Database()
+    first = NotifyQueue(sim, db)
+    second = NotifyQueue(sim, db)
+    gatekeeper = tb.gatekeepers["ncsa"]
+    gatekeeper.attach_notify(first, capable=True)
+    gatekeeper.attach_notify(second, capable=True)
+    assert gatekeeper.notify_queue is second
+    frames = []
+    db.wal.taps.append(frames.append)
+    bus(sim).emit("sched.start", layer="grid", job_id="ncsa-job-00001")
+    # One job started: one ACTIVE upsert, one WAL frame.
+    assert len(frames) == 1
+    assert [dml[0] for dml in frames[0][2]] == ["insert"]
+    assert second.job_state("ncsa-job-00001")["state"] == "active"
+    # Downgrading to incapable detaches the mirror altogether.
+    gatekeeper.attach_notify(second, capable=False)
+    bus(sim).emit("sched.start", layer="grid", job_id="ncsa-job-00002")
+    assert len(frames) == 1
 
 
 # -- one unit per state transition ----------------------------------------

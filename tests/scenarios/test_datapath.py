@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.scenarios.datapath import _percentile, run_datapath
+from repro.scenarios.common import percentile
+from repro.scenarios.datapath import run_datapath
 
 
 def test_acceptance_criteria_at_16_jobs():
@@ -39,7 +40,7 @@ def test_smoke_levels_and_render():
 
 def test_percentile_nearest_rank():
     values = [5.0, 1.0, 3.0, 2.0, 4.0]
-    assert _percentile(values, 50.0) == 3.0
-    assert _percentile(values, 95.0) == 5.0
-    assert _percentile(values, 1.0) == 1.0
-    assert _percentile([7.0], 95.0) == 7.0
+    assert percentile(values, 50.0) == 3.0
+    assert percentile(values, 95.0) == 5.0
+    assert percentile(values, 1.0) == 1.0
+    assert percentile([7.0], 95.0) == 7.0

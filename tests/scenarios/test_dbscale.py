@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.scenarios.dbscale import REPLICA_LAG, _percentile, run_dbscale
+from repro.scenarios.common import percentile
+from repro.scenarios.dbscale import REPLICA_LAG, run_dbscale
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,6 @@ def test_render_shape(smoke):
 
 def test_percentile_nearest_rank():
     values = [5.0, 1.0, 3.0, 2.0, 4.0]
-    assert _percentile(values, 50.0) == 3.0
-    assert _percentile(values, 95.0) == 5.0
-    assert _percentile([7.0], 95.0) == 7.0
+    assert percentile(values, 50.0) == 3.0
+    assert percentile(values, 95.0) == 5.0
+    assert percentile([7.0], 95.0) == 7.0

@@ -34,8 +34,124 @@ def test_figure_series_match_committed_goldens(name):
         f"(or the scenario changed; regenerate the golden deliberately)")
 
 
+@pytest.fixture
+def golden_with(monkeypatch):
+    """``golden_with(name, attach)``: assert figure *name* still matches
+    its golden when ``attach(stack)`` runs right after deployment."""
+    import repro.scenarios.common as common
+
+    real_deploy = common.deploy_onserve
+
+    def check(name, attach, what):
+        def attaching_deploy(testbed, config=None, **kw):
+            proc = real_deploy(testbed, config, **kw)
+            proc.add_callback(
+                lambda ev: attach(ev._value) if ev._ok else None)
+            return proc
+
+        monkeypatch.setattr(common, "deploy_onserve", attaching_deploy)
+        golden = (GOLDEN_DIR / f"{name}.csv").read_text()
+        actual = to_csv(FIGURES[name](seed=0).series) + "\n"
+        assert actual == golden, (
+            f"{name} drifted with {what} attached — the plane perturbed "
+            f"the simulation")
+
+    return check
+
+
+def attach_inert_caches(stack):
+    stack.enable_client_caches(enabled=False)
+
+
+def attach_healing_router(stack):
+    """A disabled router carrying the *full* self-healing configuration
+    (leases, dedup store, overload ladder); returns its store."""
+    from repro.core.registry import ServiceStateStore
+    from repro.ws.router import RequestRouter
+
+    store = ServiceStateStore(stack.dbmanager.db)
+    idle = RequestRouter(stack.appliance_host, stack.fabric,
+                         enabled=False, store=store,
+                         self_healing=True, lease_ttl=15.0,
+                         lease_check_interval=5.0, fault_threshold=2,
+                         shed_limit=8, backpressure_threshold=16)
+    idle.add_replica(stack.appliance_host.name, stack.soap_server,
+                     stack.onserve)
+    stack.onserve.router = idle
+    return store
+
+
+def assert_healing_plane_idle(store):
+    # Nothing leased, nothing deduped: the plane never woke up.
+    assert store.members() == []
+    assert store.dedup_count() == 0
+
+
+def attach_idle_queue(stack):
+    """A durable queue with every gatekeeper attached as *incapable*."""
+    from repro.grid.notify import NotifyQueue
+
+    queue = NotifyQueue(stack.sim, stack.dbmanager.db)
+    for gatekeeper in stack.testbed.gatekeepers.values():
+        gatekeeper.attach_notify(queue, capable=False)
+    stack.onserve.notify_queue = queue
+    return queue
+
+
+def assert_queue_idle(queue):
+    from repro.grid.notify import JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE
+
+    # Provably idle: nothing published, both durable tables empty.
+    assert queue.published == 0 and queue.capable_sites == []
+    assert queue.db.select(JOB_STATES_TABLE, lambda r: True) == []
+    assert queue.db.select(NOTIFY_QUEUE_TABLE, lambda r: True) == []
+
+
+def attach_db_tier(stack):
+    """MVCC on (pure bookkeeping) + a *disabled* WAL-shipping replica."""
+    from repro.db.replica import ReadReplica
+
+    stack.dbmanager.db.mvcc = True
+    return ReadReplica(stack.sim, stack.dbmanager.db, lag=0.5,
+                       enabled=False)
+
+
+def assert_replica_idle(replica):
+    # Provably inert: the disabled replica shipped and applied nothing.
+    assert replica.db.tables == {}
+    assert replica.backlog() == 0
+    assert replica.records_applied == 0
+
+
+def attach_tower(stack):
+    from repro.telemetry.fleet import ControlTower
+    from repro.telemetry.profiler import KernelProfiler
+    from repro.telemetry.slo import BurnRule, SloSpec
+
+    specs = [SloSpec("golden-availability", availability=0.99,
+                     compliance_window=600.0, min_samples=1),
+             SloSpec("golden-latency", latency_target=30.0,
+                     compliance_window=600.0, min_samples=1)]
+    return ControlTower(stack.sim, specs=specs,
+                        rules=(BurnRule(30.0, 120.0, 2.0),),
+                        profiler=KernelProfiler(stack.sim))
+
+
+def assert_tower_observed(tower):
+    # The tower actually observed the run (not vacuously pure).  fig8
+    # is upload+generate — no client-side ws.request stream — so the
+    # SLO sample check only applies where that stream exists.
+    from repro.telemetry.events import bus as telemetry_bus
+
+    assert tower.profiler.events_dispatched > 0
+    requests = telemetry_bus(tower.sim).events("ws.request")
+    if any(ev.get("side") == "client" for ev in requests):
+        assert tower.slo.samples_recorded > 0
+    tower.close()
+
+
 @pytest.mark.parametrize("name", sorted(FIGURES))
-def test_goldens_unchanged_with_inert_cache_layer(name, monkeypatch):
+def test_goldens_unchanged_with_inert_cache_layer(name, golden_with):
     """Attached-but-disabled client caches must not perturb a run.
 
     The cache layer's determinism contract: disabled caches store and
@@ -44,119 +160,32 @@ def test_goldens_unchanged_with_inert_cache_layer(name, monkeypatch):
     path.  Re-running each figure with inert caches on every client
     must therefore reproduce the committed goldens byte-for-byte.
     """
-    import repro.scenarios.common as common
-
-    real_deploy = common.deploy_onserve
-
-    def caching_deploy(testbed, config=None, **kw):
-        proc = real_deploy(testbed, config, **kw)
-        proc.add_callback(
-            lambda ev: ev._value.enable_client_caches(enabled=False)
-            if ev._ok else None)
-        return proc
-
-    monkeypatch.setattr(common, "deploy_onserve", caching_deploy)
-    golden = (GOLDEN_DIR / f"{name}.csv").read_text()
-    actual = to_csv(FIGURES[name](seed=0).series) + "\n"
-    assert actual == golden, (
-        f"{name} drifted with inert client caches attached — the "
-        f"disabled cache layer perturbed the simulation")
-
-
-@pytest.mark.parametrize("name", sorted(FIGURES))
-def test_goldens_unchanged_with_idle_router_attached(name, monkeypatch):
-    """An attached-but-disabled request router must not perturb a run.
-
-    The replica-fabric determinism contract (DESIGN.md §11): a disabled
-    :class:`~repro.ws.router.RequestRouter` is constructed, ringed and
-    wired to the OnServe — exactly what ``deploy_fabric(replicas=1)``
-    does — but owns no fabric endpoint and creates zero simulation
-    events.  Re-running each figure with one attached must therefore
-    reproduce the committed goldens byte-for-byte.
-    """
-    import repro.scenarios.common as common
-    from repro.ws.router import RequestRouter
-
-    real_deploy = common.deploy_onserve
-
-    def attach_idle_router(ev):
-        if not ev._ok:
-            return
-        stack = ev._value
-        idle = RequestRouter(stack.appliance_host, stack.fabric,
-                             enabled=False)
-        idle.add_replica(stack.appliance_host.name, stack.soap_server,
-                         stack.onserve)
-        stack.onserve.router = idle
-
-    def routed_deploy(testbed, config=None, **kw):
-        proc = real_deploy(testbed, config, **kw)
-        proc.add_callback(attach_idle_router)
-        return proc
-
-    monkeypatch.setattr(common, "deploy_onserve", routed_deploy)
-    golden = (GOLDEN_DIR / f"{name}.csv").read_text()
-    actual = to_csv(FIGURES[name](seed=0).series) + "\n"
-    assert actual == golden, (
-        f"{name} drifted with a disabled router attached — the idle "
-        f"routing layer perturbed the simulation")
+    golden_with(name, attach_inert_caches, "inert client caches")
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_goldens_unchanged_with_idle_healing_plane_attached(
-        name, monkeypatch):
+        name, golden_with):
     """A self-healing-*configured* but disabled router must stay inert.
 
     The self-healing determinism contract (DESIGN.md §13): leases,
     failover dedup and the overload ladder all hang off a router that
     is ``self_healing=True`` and holds a state store — but none of it
     runs until ``start_membership_watch`` / heartbeats start.  A
-    disabled router with the full healing configuration attached must
-    not cost one event, and its membership/dedup tables must stay
-    empty for the whole run.
+    disabled router with the full healing configuration attached (in
+    place of the plain disabled one every single-appliance deployment
+    already carries) must not cost one event, and its membership/dedup
+    tables must stay empty for the whole run.
     """
-    import repro.scenarios.common as common
-    from repro.core.registry import ServiceStateStore
-    from repro.ws.router import RequestRouter
-
-    real_deploy = common.deploy_onserve
     stores = []
-
-    def attach_healing_router(ev):
-        if not ev._ok:
-            return
-        stack = ev._value
-        store = ServiceStateStore(stack.dbmanager.db)
-        stores.append(store)
-        idle = RequestRouter(stack.appliance_host, stack.fabric,
-                             enabled=False, store=store,
-                             self_healing=True, lease_ttl=15.0,
-                             lease_check_interval=5.0, fault_threshold=2,
-                             shed_limit=8, backpressure_threshold=16)
-        idle.add_replica(stack.appliance_host.name, stack.soap_server,
-                         stack.onserve)
-        stack.onserve.router = idle
-
-    def healing_deploy(testbed, config=None, **kw):
-        proc = real_deploy(testbed, config, **kw)
-        proc.add_callback(attach_healing_router)
-        return proc
-
-    monkeypatch.setattr(common, "deploy_onserve", healing_deploy)
-    golden = (GOLDEN_DIR / f"{name}.csv").read_text()
-    actual = to_csv(FIGURES[name](seed=0).series) + "\n"
-    assert actual == golden, (
-        f"{name} drifted with the idle self-healing plane attached — "
-        f"the disabled lease/dedup machinery perturbed the simulation")
-    # Nothing leased, nothing deduped: the plane never woke up.
-    assert stores
-    assert stores[-1].members() == []
-    assert stores[-1].dedup_count() == 0
+    golden_with(name, lambda s: stores.append(attach_healing_router(s)),
+                "the idle self-healing plane")
+    assert_healing_plane_idle(stores[-1])
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_goldens_unchanged_with_idle_notify_queue_attached(
-        name, monkeypatch):
+        name, golden_with):
     """An attached durable queue with no capable site must stay inert.
 
     The notification-plane determinism contract (DESIGN.md §14): a
@@ -167,46 +196,14 @@ def test_goldens_unchanged_with_idle_notify_queue_attached(
     Re-running each figure with one attached must reproduce the
     committed goldens byte-for-byte.
     """
-    import repro.scenarios.common as common
-    from repro.grid.notify import (
-        JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE, NotifyQueue,
-    )
-
-    real_deploy = common.deploy_onserve
     queues = []
-
-    def notify_deploy(testbed, config=None, **kw):
-        proc = real_deploy(testbed, config, **kw)
-
-        def attach_idle_queue(ev):
-            if not ev._ok:
-                return
-            stack = ev._value
-            queue = NotifyQueue(stack.sim, stack.dbmanager.db)
-            queues.append(queue)
-            for gatekeeper in testbed.gatekeepers.values():
-                gatekeeper.attach_notify(queue, capable=False)
-            stack.onserve.notify_queue = queue
-
-        proc.add_callback(attach_idle_queue)
-        return proc
-
-    monkeypatch.setattr(common, "deploy_onserve", notify_deploy)
-    golden = (GOLDEN_DIR / f"{name}.csv").read_text()
-    actual = to_csv(FIGURES[name](seed=0).series) + "\n"
-    assert actual == golden, (
-        f"{name} drifted with an idle notify queue attached — the "
-        f"incapable notification plane perturbed the simulation")
-    # Provably idle: nothing published, both durable tables empty.
-    assert queues
-    queue = queues[-1]
-    assert queue.published == 0 and queue.capable_sites == []
-    assert queue.db.select(JOB_STATES_TABLE, lambda r: True) == []
-    assert queue.db.select(NOTIFY_QUEUE_TABLE, lambda r: True) == []
+    golden_with(name, lambda s: queues.append(attach_idle_queue(s)),
+                "an idle notify queue")
+    assert_queue_idle(queues[-1])
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
-def test_goldens_unchanged_with_mvcc_and_idle_replica(name, monkeypatch):
+def test_goldens_unchanged_with_mvcc_and_idle_replica(name, golden_with):
     """MVCC on + an attached-but-disabled read replica must stay inert.
 
     The DB-scale determinism contract (DESIGN.md §15): MVCC is pure
@@ -217,41 +214,14 @@ def test_goldens_unchanged_with_mvcc_and_idle_replica(name, monkeypatch):
     MVCC mode and a disabled replica attached to the appliance database
     must reproduce the committed goldens byte-for-byte.
     """
-    import repro.scenarios.common as common
-    from repro.db.replica import ReadReplica
-
-    real_deploy = common.deploy_onserve
     replicas = []
-
-    def attach_db_tier(ev):
-        if not ev._ok:
-            return
-        stack = ev._value
-        stack.dbmanager.db.mvcc = True
-        replicas.append(ReadReplica(
-            stack.sim, stack.dbmanager.db, lag=0.5, enabled=False))
-
-    def tiered_deploy(testbed, config=None, **kw):
-        proc = real_deploy(testbed, config, **kw)
-        proc.add_callback(attach_db_tier)
-        return proc
-
-    monkeypatch.setattr(common, "deploy_onserve", tiered_deploy)
-    golden = (GOLDEN_DIR / f"{name}.csv").read_text()
-    actual = to_csv(FIGURES[name](seed=0).series) + "\n"
-    assert actual == golden, (
-        f"{name} drifted with MVCC + a disabled replica attached — the "
-        f"DB-scale plane perturbed the simulation")
-    # Provably inert: the disabled replica shipped and applied nothing.
-    assert replicas
-    replica = replicas[-1]
-    assert replica.db.tables == {}
-    assert replica.backlog() == 0
-    assert replica.records_applied == 0
+    golden_with(name, lambda s: replicas.append(attach_db_tier(s)),
+                "MVCC + a disabled replica")
+    assert_replica_idle(replicas[-1])
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
-def test_goldens_unchanged_with_control_tower_attached(name, monkeypatch):
+def test_goldens_unchanged_with_control_tower_attached(name, golden_with):
     """An attached-but-observing control tower must not perturb a run.
 
     The observability-plane determinism contract (DESIGN.md §12): the
@@ -261,45 +231,43 @@ def test_goldens_unchanged_with_control_tower_attached(name, monkeypatch):
     (SLO specs live, profiler hooks installed) must reproduce the
     committed goldens byte-for-byte.
     """
-    import repro.scenarios.common as common
-    from repro.telemetry.fleet import ControlTower
-    from repro.telemetry.profiler import KernelProfiler
-    from repro.telemetry.slo import BurnRule, SloSpec
-
-    real_deploy = common.deploy_onserve
     towers = []
+    golden_with(name, lambda s: towers.append(attach_tower(s)),
+                "the control tower")
+    assert_tower_observed(towers[-1])
 
-    def attach_tower(ev):
-        if not ev._ok:
-            return
-        sim = ev._value.sim
-        specs = [SloSpec("golden-availability", availability=0.99,
-                         compliance_window=600.0, min_samples=1),
-                 SloSpec("golden-latency", latency_target=30.0,
-                         compliance_window=600.0, min_samples=1)]
-        towers.append(ControlTower(
-            sim, specs=specs, rules=(BurnRule(30.0, 120.0, 2.0),),
-            profiler=KernelProfiler(sim)))
 
-    def towered_deploy(testbed, config=None, **kw):
-        proc = real_deploy(testbed, config, **kw)
-        proc.add_callback(attach_tower)
-        return proc
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_goldens_unchanged_with_every_plane_attached(
+        name, golden_with, monkeypatch):
+    """All of the above at once, plus the planes with no guard of their
+    own: a fault plane with zero specs on the simulator, the (disabled)
+    GridFTP session pool and one idle PollMux per site.  The planes must
+    stay invisible *together*, not only one at a time."""
+    import repro.scenarios.common as common
+    from repro.faults.injector import fault_plane
 
-    monkeypatch.setattr(common, "deploy_onserve", towered_deploy)
-    golden = (GOLDEN_DIR / f"{name}.csv").read_text()
-    actual = to_csv(FIGURES[name](seed=0).series) + "\n"
-    assert actual == golden, (
-        f"{name} drifted with the control tower attached — the "
-        f"observability plane perturbed the simulation")
-    # The tower actually observed the run (not vacuously pure).  fig8
-    # is upload+generate — no client-side ws.request stream — so the
-    # SLO sample check only applies where that stream exists.
-    from repro.telemetry.events import bus as telemetry_bus
-    assert towers
-    tower = towers[-1]
-    assert tower.profiler.events_dispatched > 0
-    requests = telemetry_bus(tower.sim).events("ws.request")
-    if any(ev.get("side") == "client" for ev in requests):
-        assert tower.slo.samples_recorded > 0
-    tower.close()
+    class FaultAwareSimulator(common.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fault_plane(self)  # attached, zero specs => disabled
+
+    monkeypatch.setattr(common, "Simulator", FaultAwareSimulator)
+    attached = []
+
+    def attach_everything(stack):
+        attach_inert_caches(stack)
+        pool = stack.agent._ftp_sessions
+        assert pool is not None and not pool.enabled
+        for site in stack.testbed.gatekeepers:
+            assert stack.onserve.poll_mux(site).pending == 0
+        attached.append((attach_healing_router(stack),
+                         attach_idle_queue(stack), attach_db_tier(stack),
+                         attach_tower(stack)))
+
+    golden_with(name, attach_everything, "every plane")
+    store, queue, replica, tower = attached[-1]
+    assert_healing_plane_idle(store)
+    assert_queue_idle(queue)
+    assert_replica_idle(replica)
+    assert_tower_observed(tower)
