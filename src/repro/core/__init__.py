@@ -39,7 +39,6 @@ _EXPORTS = {
     "ServiceBuilder": "repro.core.service_builder",
     "OnServe": "repro.core.onserve",
     "OnServeConfig": "repro.core.onserve",
-    "OnServeStack": "repro.core.onserve",
     "deploy_onserve": "repro.core.onserve",
     "CyberaidePortal": "repro.core.portal",
     "discover_and_invoke": "repro.core.invocation",

@@ -35,10 +35,11 @@ from typing import Dict, Generator, List, Optional
 
 from repro.appliance.deploy import DeployedAppliance, deploy_image
 from repro.appliance.image import ImageBuilder, ONSERVE_PACKAGES
-from repro.core.onserve import OnServe, OnServeConfig, OnServeStack
+from repro.core.onserve import OnServe, OnServeConfig
+from repro.core.portal import CyberaidePortal
 from repro.core.registry import ServiceStateStore
 from repro.cyberaide.agent import AgentConfig, CyberaideAgent
-from repro.db.dbmanager import DbManager, DbTierConfig
+from repro.db.dbmanager import DbManager
 from repro.errors import OnServeError
 from repro.grid.testbed import Testbed
 from repro.hardware.host import Host, HostSpec
@@ -46,31 +47,46 @@ from repro.simkernel.events import Event
 from repro.simkernel.process import Interrupt, Process
 from repro.telemetry.events import bus
 from repro.units import Gbps
+from repro.ws.cache import DEFAULT_TTL, ClientCache
 from repro.ws.client import WsClient
 from repro.ws.router import RequestRouter
 from repro.ws.server import SoapFabric, SoapServer
 from repro.ws.uddi import UddiRegistry
+from repro.ws.uddi_service import UddiInquiryService
 
 __all__ = ["FabricStack", "deploy_fabric"]
 
 
-class FabricStack(OnServeStack):
+class FabricStack:
     """Everything :func:`deploy_fabric` brings up, in one handle.
 
-    Subclasses :class:`OnServeStack` — ``soap_server``, ``onserve`` etc.
-    refer to the *primary* replica, so every single-appliance consumer
-    (portal, scenarios, tests) works unchanged — and adds the fabric
-    surfaces: the replica list, the shared store and the router.
+    ``onserve``, ``soap_server``, ``agent`` and ``portal`` refer to the
+    *primary* replica — all a single-appliance consumer needs; the
+    fabric surfaces beside them are the replica list, the shared store
+    and the router.
     """
 
-    def __init__(self, *args, onserves: List[OnServe],
+    def __init__(self, testbed: Testbed, appliance: DeployedAppliance,
+                 fabric: SoapFabric, uddi: UddiRegistry,
+                 dbmanager: DbManager, onserves: List[OnServe],
                  router: RequestRouter, store: ServiceStateStore,
-                 **kwargs):
-        super().__init__(*args, **kwargs)
+                 user_clients: List[WsClient]):
+        self.testbed = testbed
+        self.sim = testbed.sim
+        self.appliance_host = testbed.appliance_host
+        self.appliance = appliance
+        self.fabric = fabric
+        self.uddi = uddi
+        self.dbmanager = dbmanager
         #: Every replica's OnServe, primary first.
         self.onserves = onserves
+        self.onserve = onserves[0]
+        self.soap_server = self.onserve.soap_server
+        self.agent = self.onserve.agent
         self.router = router
         self.store = store
+        self.user_clients = user_clients
+        self.portal = CyberaidePortal(self.onserve)
         # -- self-healing plane (inert until start_self_healing) ------
         self.self_healing = False
         self.heartbeat_interval = 5.0
@@ -252,10 +268,39 @@ class FabricStack(OnServeStack):
         self.restart_replica(name)
 
     def inquiry_endpoint(self) -> str:
-        if self.router.enabled:
-            from repro.ws.uddi_service import UddiInquiryService
-            return self.router.endpoint_for(UddiInquiryService.SERVICE_NAME)
-        return super().inquiry_endpoint()
+        """Where clients reach the UDDI inquiry service: the router when
+        it is enabled (discovery traffic spreads over the replicas
+        too), the primary's container otherwise."""
+        front = self.router if self.router.enabled else self.soap_server
+        return front.endpoint_for(UddiInquiryService.SERVICE_NAME)
+
+    # -- client caches ------------------------------------------------------
+
+    def enable_client_caches(self, ttl: float = DEFAULT_TTL
+                             ) -> List[ClientCache]:
+        """Attach a discovery/WSDL/stub cache to every user client.
+
+        Each cache subscribes to the shared store — the one place a
+        service change is announced (DESIGN.md §9) — so an undeployed
+        or replaced service is dropped from every client immediately,
+        once per cache, whichever replica made the change.  Returns the
+        caches (one per client).
+
+        Idempotent: calling it again *replaces* the previous caches on
+        the clients and under their store subscriptions, so repeated
+        enabling can never stack stale caches or double-fire
+        invalidation.
+        """
+        caches = []
+        for i, client in enumerate(self.user_clients):
+            client.cache = cache = ClientCache(self.sim, ttl=ttl)
+            # The key is never a replica (host) name, so the fan-out's
+            # skip-the-origin rule never skips a cache.
+            self.store.subscribe(f"client-cache:{i}",
+                                 cache.invalidate_service,
+                                 cache.invalidate_service)
+            caches.append(cache)
+        return caches
 
     def attach_control_tower(self, specs=(), rules=None,
                              profiler: bool = False, **detector_kwargs):
@@ -276,19 +321,6 @@ class FabricStack(OnServeStack):
         return ControlTower(self.sim, specs=specs, rules=rules,
                             router=self.router, profiler=prof,
                             **detector_kwargs)
-
-    def _attach_cache_hooks(self, cache) -> None:
-        # Invalidation must reach a client cache no matter *which*
-        # replica undeploys or republishes a service.
-        for onserve in self.onserves:
-            onserve.soap_server.on_undeploy(cache.invalidate_service)
-            onserve.on_republish(cache.invalidate_service)
-
-    def _detach_cache_hooks(self, cache) -> None:
-        for onserve in self.onserves:
-            onserve.soap_server.remove_undeploy_listener(
-                cache.invalidate_service)
-            onserve.remove_republish_listener(cache.invalidate_service)
 
 
 def _link_between(testbed: Testbed, a: str, b: str):
@@ -386,12 +418,7 @@ def deploy_fabric(testbed: Testbed,
         fabric = SoapFabric()
         uddi = UddiRegistry()
         db = dbmanager if dbmanager is not None else DbManager(
-            primary,
-            tier=DbTierConfig(mvcc=config.db_mvcc,
-                              serialize=config.db_serialize,
-                              chunk_bytes=config.db_chunk_bytes,
-                              replicas=config.db_replicas,
-                              replica_lag=config.db_replica_lag))
+            primary, tier=config.db_tier)
         store = ServiceStateStore(db.db, read_router=db.read_router)
 
         # 3. Enrol the grid identity (certificate -> MyProxy ->
@@ -404,7 +431,6 @@ def deploy_fabric(testbed: Testbed,
         #    the management API are web services of their own (jUDDI
         #    inquiry / portal management).
         from repro.core.management import ManagementService
-        from repro.ws.uddi_service import UddiInquiryService
         onserves: List[OnServe] = []
         servers: List[SoapServer] = []
         for host in hosts:
@@ -412,8 +438,7 @@ def deploy_fabric(testbed: Testbed,
             agent = CyberaideAgent(
                 host, testbed,
                 AgentConfig(status_supported=config.status_supported,
-                            session_reuse=config.datapath,
-                            ftp_idle_timeout=config.ftp_session_idle))
+                            session_reuse=config.datapath))
             soap_server.deploy(agent.service_description(), agent.handler)
             onserve = OnServe(host, soap_server, fabric, uddi, db, agent,
                               config, store=store)
@@ -465,10 +490,8 @@ def deploy_fabric(testbed: Testbed,
             # Redeployment over recovered data: the primary rebuilds the
             # published surface; other replicas materialize on demand.
             yield onserves[0].restore_services()
-        stack = FabricStack(
-            testbed, appliances[0], fabric, servers[0], uddi, db,
-            onserves[0].agent, onserves[0], user_clients,
-            onserves=onserves, router=request_router, store=store)
+        stack = FabricStack(testbed, appliances[0], fabric, uddi, db,
+                            onserves, request_router, store, user_clients)
         if self_healing:
             stack.start_self_healing()
         return stack

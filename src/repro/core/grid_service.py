@@ -98,6 +98,8 @@ class GridServiceRuntime:
     #: Every generated job is one process on the site's default queue.
     JOB_QUEUE = "normal"
     JOB_COUNT = 1
+    #: ... and may run for an hour before the LRM kills it.
+    JOB_WALLTIME = 3600
 
     def __init__(self, onserve: "OnServe", record: ExecutableRecord):
         self.onserve = onserve
@@ -191,12 +193,13 @@ class GridServiceRuntime:
             #    Under coalescing, concurrent invocations share one DB
             #    fetch (the leader's) instead of N decompressions.
             mark = self.sim.now
-            chunked = cfg.db_chunk_bytes > 0
+            tier = cfg.db_tier
+            chunked = tier.chunk_bytes > 0
             # When the DB-scale plane is on, fetch time gets its own
             # db:fetch span so the critical-path analyzer attributes it
             # to db/storage instead of folding it into service self-time.
-            db_tier_on = (chunked or cfg.db_mvcc or cfg.db_serialize
-                          or cfg.db_replicas > 0)
+            db_tier_on = (chunked or tier.mvcc or tier.serialize
+                          or tier.replicas > 0)
             db_ctx = ctx if db_tier_on else None
             with span(ctx, "service:retrieval", executable=self.record.name):
                 def to_temp(nbytes):
@@ -240,7 +243,7 @@ class GridServiceRuntime:
             spec = CyberaideJobSpec(
                 self.record.name, arguments=arguments,
                 count=self.JOB_COUNT,
-                max_wall_time=cfg.default_walltime,
+                max_wall_time=self.JOB_WALLTIME,
                 queue=self.JOB_QUEUE)
 
             def attempt_on_site(site: str):
@@ -439,9 +442,6 @@ class GridServiceRuntime:
             site = ordered[self._rr_cursor % len(ordered)]
             self._rr_cursor += 1
             return site
-        if policy == "random":
-            rng = self.sim.rng.stream(f"site-policy:{self.record.name}")
-            return rng.choice(sorted(sites))
         return sites[0]
 
     def _ensure_session(self, ctx: Optional[RequestContext] = None
@@ -467,7 +467,8 @@ class GridServiceRuntime:
                     username=cfg.grid_username,
                     passphrase=cfg.grid_passphrase, ctx=ctx)
                 # Renew well before the delegated proxy actually expires.
-                self._session_expires = self.sim.now + cfg.session_renewal
+                self._session_expires = (self.sim.now
+                                         + self.onserve.SESSION_RENEWAL)
             finally:
                 pending, self._auth_pending = self._auth_pending, None
                 pending.succeed()

@@ -22,12 +22,12 @@ from repro.ws.client import WsClient, generate_stub
 from repro.ws.uddi_service import parse_binding_lines, parse_service_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.onserve import OnServeStack
+    from repro.core.fabric import FabricStack
 
 __all__ = ["discover_service", "discover_and_invoke"]
 
 
-def discover_service(stack: "OnServeStack", client: WsClient,
+def discover_service(stack: "FabricStack", client: WsClient,
                      name_pattern: str,
                      ctx: Optional[RequestContext] = None) -> Process:
     """UDDI inquiry from the client's host (over real SOAP).
@@ -67,7 +67,7 @@ def discover_service(stack: "OnServeStack", client: WsClient,
     return client.sim.process(op(), name=f"discover:{name_pattern}")
 
 
-def discover_and_invoke(stack: "OnServeStack", client: WsClient,
+def discover_and_invoke(stack: "FabricStack", client: WsClient,
                         name_pattern: str,
                         ctx: Optional[RequestContext] = None,
                         **params: Any) -> Process:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.appliance.deploy import DeployedAppliance
 from repro.core.coalesce import SingleFlight
 from repro.core.context import RequestContext, span
 from repro.core.datastructures import (
@@ -27,7 +26,7 @@ from repro.core.registry import ServiceStateStore
 from repro.core.service_builder import ServiceBuilder
 from repro.cyberaide.agent import CyberaideAgent
 from repro.cyberaide.jobspec import staged_path_for
-from repro.db.dbmanager import DbManager
+from repro.db.dbmanager import DbManager, DbTierConfig
 from repro.errors import OnServeError, ServiceNotFound, UddiError, UploadError
 from repro.grid.testbed import Testbed
 from repro.hardware.host import Host
@@ -40,7 +39,7 @@ from repro.ws.client import WsClient, generate_stub
 from repro.ws.server import SoapFabric, SoapServer
 from repro.ws.uddi import UddiRegistry
 
-__all__ = ["OnServeConfig", "OnServe", "OnServeStack", "deploy_onserve"]
+__all__ = ["OnServeConfig", "OnServe", "deploy_onserve"]
 
 
 class OnServeConfig:
@@ -51,8 +50,6 @@ class OnServeConfig:
                  grid_passphrase: str = "appliance-secret",
                  poll_interval: float = 9.0,
                  watchdog_timeout: float = 6 * 3600.0,
-                 default_walltime: int = 3600,
-                 session_renewal: float = 3600.0,
                  double_write: bool = True,
                  upload_cache: bool = False,
                  status_supported: bool = False,
@@ -66,37 +63,25 @@ class OnServeConfig:
                  failover_sites: int = 2,
                  coalesce: bool = False,
                  datapath: bool = False,
-                 poll_min_interval: float = 2.0,
-                 poll_max_interval: Optional[float] = None,
-                 poll_backoff: float = 2.0,
-                 ftp_session_idle: float = 600.0,
                  notify: bool = False,
                  notify_sites: tuple = ("*",),
                  notify_propagation: float = 0.5,
                  db_mvcc: bool = False,
                  db_serialize: bool = False,
                  db_chunk_bytes: int = 0,
-                 db_replicas: int = 0,
-                 db_replica_lag: float = 0.5):
-        if site_policy not in ("best", "round_robin", "random"):
+                 db_replicas: int = 0):
+        if site_policy not in ("best", "round_robin"):
             raise OnServeError(f"unknown site policy {site_policy!r}")
         if failover_sites < 0:
             raise OnServeError("failover_sites must be >= 0")
-        if poll_min_interval <= 0:
-            raise OnServeError("poll_min_interval must be positive")
-        if poll_backoff < 1.0:
-            raise OnServeError("poll_backoff must be >= 1.0")
-        if ftp_session_idle <= 0:
-            raise OnServeError("ftp_session_idle must be positive")
         if notify_propagation <= 0:
             raise OnServeError("notify_propagation must be positive")
         self.grid_username = grid_username
         self.grid_passphrase = grid_passphrase
-        #: Tentative-poll period (the "relative constant interval").
+        #: Tentative-poll period (the "relative constant interval");
+        #: also the cap of the datapath PollMux's adaptive interval.
         self.poll_interval = poll_interval
         self.watchdog_timeout = watchdog_timeout
-        self.default_walltime = default_walltime
-        self.session_renewal = session_renewal
         #: Faithful flaw: uploads hit the disk twice (temp, then DB).
         #: False is the "may be improved" ablation (§VIII.D.3).
         self.double_write = double_write
@@ -107,7 +92,7 @@ class OnServeConfig:
         #: output polling.  True is the clean-status ablation.
         self.status_supported = status_supported
         #: Resource selection: "best" (most free cores, the MDS
-        #: ranking), "round_robin", or "random" (seeded).
+        #: ranking) or "round_robin".
         self.site_policy = site_policy
         #: Resilience: retry policy for transient agent/grid/db calls.
         self.retry_max_attempts = retry_max_attempts
@@ -130,18 +115,6 @@ class OnServeConfig:
         #: polls instead of N fixed-interval per-job loops.  Off by
         #: default: the goldens pin the pay-per-operation timeline.
         self.datapath = datapath
-        #: Adaptive poll interval: floor, cap (defaults to the faithful
-        #: fixed interval) and exponential backoff factor.
-        self.poll_min_interval = poll_min_interval
-        self.poll_max_interval = (poll_max_interval
-                                  if poll_max_interval is not None
-                                  else poll_interval)
-        if self.poll_max_interval < poll_min_interval:
-            raise OnServeError(
-                "poll_max_interval must be >= poll_min_interval")
-        self.poll_backoff = poll_backoff
-        #: GridFTP control-channel idle timeout (session reuse).
-        self.ftp_session_idle = ftp_session_idle
         #: Push path (ROADMAP item 1): attach the durable notification
         #: queue and mark the listed sites' gatekeepers capable ("*"
         #: means every site).  Off by default: the goldens pin the
@@ -154,37 +127,24 @@ class OnServeConfig:
         #: state-change message — the whole detection lag of the push
         #: path.
         self.notify_propagation = notify_propagation
-        if db_chunk_bytes < 0:
-            raise OnServeError("db_chunk_bytes must be >= 0")
-        if db_replicas < 0:
-            raise OnServeError("db_replicas must be >= 0")
-        if db_replica_lag < 0:
-            raise OnServeError("db_replica_lag must be >= 0")
         #: DB tier scale-out (ROADMAP item 2), all off by default so the
-        #: goldens pin the single-connection whole-BLOB timeline.
-        #: MVCC snapshot reads: executable fetches read the last
-        #: committed row through a snapshot handle instead of blocking
-        #: behind an in-flight store's open transaction.
-        self.db_mvcc = db_mvcc
-        #: Model DB connection contention: a store holds the FIFO
-        #: connection lock (and its transaction) across its CPU/disk
-        #: time; non-MVCC reads queue behind it.
-        self.db_serialize = db_serialize
-        #: Chunked BLOB streaming: fetch payloads in chunks of this many
-        #: bytes (0 = whole-BLOB), bounding resident payload memory to
-        #: two chunks per fetch.
-        self.db_chunk_bytes = db_chunk_bytes
-        #: WAL-shipping read replicas for discovery/WSDL/lease/notify
-        #: replay reads, with a bounded-staleness read router.
-        self.db_replicas = db_replicas
-        #: Modeled WAL ship+apply lag per replica, seconds.
-        self.db_replica_lag = db_replica_lag
+        #: goldens pin the single-connection whole-BLOB timeline: MVCC
+        #: snapshot reads, modelled connection contention, chunked BLOB
+        #: streaming and WAL-shipping read replicas.  The tier config
+        #: owns the fields and their range checks; ``deploy_fabric``
+        #: hands this object to the :class:`DbManager` it builds.
+        self.db_tier = DbTierConfig(mvcc=db_mvcc, serialize=db_serialize,
+                                    chunk_bytes=db_chunk_bytes,
+                                    replicas=db_replicas)
 
 
 class OnServe:
     """The middleware running inside the appliance."""
 
     BUSINESS_NAME = "Cyberaide onServe"
+    #: Agent sessions are renewed hourly, well before the delegated
+    #: proxy behind them (``AgentConfig.default_proxy_lifetime``) expires.
+    SESSION_RENEWAL = 3600.0
 
     def __init__(self, host: Host, soap_server: SoapServer,
                  fabric: SoapFabric, uddi: UddiRegistry,
@@ -245,9 +205,11 @@ class OnServe:
         # bindingTemplates behind).
         soap_server.on_undeploy(self._on_soap_undeploy)
         # Cross-replica invalidation: another replica's undeploy or
-        # replacement upload must drop this replica's cached objects.
+        # replacement upload must drop this replica's cached objects
+        # (after a replacement the next request rebuilds them from the
+        # fresh row).
         self.store.subscribe(self.replica, self._on_store_removed,
-                             self._on_store_republished)
+                             self._on_store_removed)
         #: Guard flag: the service currently being dropped *because* of
         #: a store fan-out (so the local undeploy hook does not recurse
         #: back into the store).
@@ -255,9 +217,6 @@ class OnServe:
         #: In-flight materializations, one pending event per service
         #: (prevents two concurrent requests double-building a service).
         self._materializing: Dict[str, Event] = {}
-        #: Listeners told when a replacement upload republishes a
-        #: service in place (client caches hang invalidation off this).
-        self._republish_listeners: List = []
         #: Single-flight coalescing of concurrent invocations' shared
         #: work (enabled by ``config.coalesce``; a no-op pass-through
         #: otherwise, so the default timeline is untouched).  Flight
@@ -413,8 +372,8 @@ class OnServe:
         showed the old size/description.  Staged grid copies of the old
         bytes are evicted by their *exact* staging path (suffix matching
         could evict another executable whose name path-suffixes this
-        one), and republish listeners — client caches — drop the
-        service.
+        one), and the store announces the change to its other
+        subscribers: every other replica and every client cache.
         """
         service_name = existing.service_name
         runtime = self.runtimes.get(service_name)
@@ -434,23 +393,10 @@ class OnServe:
         self.bus.emit("core.service_republished", layer="core",
                       service=service_name, executable=record.name,
                       size=record.size)
-        for listener in list(self._republish_listeners):
-            listener(service_name)
         # Other replicas drop their stale materializations of this
-        # service; the next request there rebuilds from the fresh row.
+        # service (the next request there rebuilds from the fresh row)
+        # and client caches drop what they hold about it.
         self.store.record_republished(service_name, origin=self.replica)
-
-    def on_republish(self, listener) -> None:
-        """Register *listener(service_name)* to run after a replacement
-        upload republishes a service in place (cache invalidation)."""
-        self._republish_listeners.append(listener)
-
-    def remove_republish_listener(self, listener) -> None:
-        """Detach a republish listener (idempotent)."""
-        try:
-            self._republish_listeners.remove(listener)
-        except ValueError:
-            pass
 
     # -- shared agent session (single-flight across runtimes) -----------------
 
@@ -480,7 +426,7 @@ class OnServe:
                 username=cfg.grid_username,
                 passphrase=cfg.grid_passphrase, ctx=ctx)
             self.store.put_lease(self.replica, cfg.grid_username, session,
-                                 self.sim.now + cfg.session_renewal)
+                                 self.sim.now + self.SESSION_RENEWAL)
             return session
 
         return (yield from self.flights.do(
@@ -504,7 +450,6 @@ class OnServe:
         if mux is not None:
             return mux
         from repro.grid.poller import PollMux
-        cfg = self.config
 
         def batch_poll(batch):
             def op() -> Generator[Event, None, Dict[str, Dict]]:
@@ -522,12 +467,14 @@ class OnServe:
 
             return self.sim.process(op(), name=f"pollmux-batch:{site}")
 
+        interval = self.config.poll_interval
         mux = PollMux(
             self.sim, site, batch_poll,
             accept=lambda r: r is not None and (r["ready"] or r["error"]),
-            min_interval=cfg.poll_min_interval,
-            max_interval=cfg.poll_max_interval,
-            backoff=cfg.poll_backoff)
+            # Adaptive between the mux's own floor and the faithful
+            # fixed interval (a shorter interval is its own floor).
+            min_interval=min(PollMux.MIN_INTERVAL, interval),
+            max_interval=interval)
         self._poll_muxes[site] = mux
         return mux
 
@@ -721,24 +668,17 @@ class OnServe:
             pass  # already unpublished by an explicit teardown
 
     def _on_store_removed(self, service_name: str) -> None:
-        """Another replica undeployed: drop local surfaces only."""
+        """Another replica undeployed or replaced the service: drop
+        local surfaces only."""
         self._cascading = service_name
         try:
             try:
-                self.soap_server.undeploy(service_name)  # fires caches
+                self.soap_server.undeploy(service_name)
             except ServiceNotFound:
                 self.services.pop(service_name, None)
                 self.runtimes.pop(service_name, None)
         finally:
             self._cascading = None
-
-    def _on_store_republished(self, service_name: str) -> None:
-        """Another replica replaced the bytes/spec: drop any stale local
-        materialization (the next request rebuilds from the fresh row)
-        and invalidate this replica's client caches."""
-        self._on_store_removed(service_name)
-        for listener in list(self._republish_listeners):
-            listener(service_name)
 
     def undeploy_service(self, service_name: str) -> Process:
         """Remove a generated service everywhere (SOAP, UDDI, DB).
@@ -769,90 +709,6 @@ class OnServe:
         return f"<OnServe services={sorted(self.services)}>"
 
 
-class OnServeStack:
-    """Everything a deployed onServe brings up, in one handle."""
-
-    def __init__(self, testbed: Testbed, appliance: DeployedAppliance,
-                 fabric: SoapFabric, soap_server: SoapServer,
-                 uddi: UddiRegistry, dbmanager: DbManager,
-                 agent: CyberaideAgent, onserve: OnServe,
-                 user_clients: List[WsClient]):
-        self.testbed = testbed
-        self.sim = testbed.sim
-        self.appliance = appliance
-        self.fabric = fabric
-        self.soap_server = soap_server
-        self.uddi = uddi
-        self.dbmanager = dbmanager
-        self.agent = agent
-        self.onserve = onserve
-        self.user_clients = user_clients
-
-    @property
-    def portal(self):
-        from repro.core.portal import CyberaidePortal
-        if not hasattr(self, "_portal"):
-            self._portal = CyberaidePortal(self.onserve)
-        return self._portal
-
-    def inquiry_endpoint(self) -> str:
-        """Where clients reach the UDDI inquiry service.
-
-        The fabric stack overrides this to the router endpoint so
-        discovery traffic spreads over the replicas too.
-        """
-        from repro.ws.uddi_service import UddiInquiryService
-        return self.soap_server.endpoint_for(UddiInquiryService.SERVICE_NAME)
-
-    def enable_client_caches(self, ttl: Optional[float] = None,
-                             enabled: bool = True) -> List:
-        """Attach a discovery/WSDL/stub cache to every user client.
-
-        Each cache is wired into the container's undeploy hook and
-        onServe's republish hook, so an undeployed or replaced service
-        is dropped from every client immediately — the invalidation
-        contract of DESIGN.md §9.  Returns the caches (one per client).
-        ``enabled=False`` attaches inert caches, which the golden-series
-        guard uses to prove attachment alone cannot perturb a run.
-
-        Idempotent: calling it again *replaces* the previous caches —
-        the old ones are detached from every client and every hook, so
-        repeated enabling can never stack stale caches or double-fire
-        invalidation listeners.
-        """
-        from repro.ws.cache import ClientCache
-        self._detach_client_caches()
-        caches = []
-        for client in self.user_clients:
-            kwargs = {} if ttl is None else {"ttl": ttl}
-            cache = ClientCache(self.sim, enabled=enabled, **kwargs)
-            client.cache = cache
-            self._attach_cache_hooks(cache)
-            caches.append(cache)
-        self._client_caches = caches
-        return caches
-
-    def _attach_cache_hooks(self, cache) -> None:
-        """Wire one cache into the invalidation hooks (overridable)."""
-        self.soap_server.on_undeploy(cache.invalidate_service)
-        self.onserve.on_republish(cache.invalidate_service)
-
-    def _detach_cache_hooks(self, cache) -> None:
-        self.soap_server.remove_undeploy_listener(cache.invalidate_service)
-        self.onserve.remove_republish_listener(cache.invalidate_service)
-
-    def _detach_client_caches(self) -> None:
-        for cache in getattr(self, "_client_caches", []):
-            self._detach_cache_hooks(cache)
-        for client in self.user_clients:
-            client.cache = None
-        self._client_caches = []
-
-    @property
-    def appliance_host(self) -> Host:
-        return self.testbed.appliance_host
-
-
 def deploy_onserve(testbed: Testbed,
                    config: Optional[OnServeConfig] = None,
                    dbmanager: Optional[DbManager] = None) -> Process:
@@ -860,7 +716,7 @@ def deploy_onserve(testbed: Testbed,
 
     :func:`~repro.core.fabric.deploy_fabric` with its default arguments;
     the process-event's value is a :class:`~repro.core.fabric.FabricStack`
-    (an :class:`OnServeStack`) of one replica behind a disabled router.
+    of one replica behind a disabled router.
     """
     from repro.core.fabric import deploy_fabric
     return deploy_fabric(testbed, config, dbmanager)

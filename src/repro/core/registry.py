@@ -46,11 +46,12 @@ disk/CPU charges the surrounding operations already pay (the same rule
 ``OnServe.record_invocation`` follows), which is what keeps the
 ``replicas=1`` fabric byte-identical to the pre-fabric appliance.
 
-Cross-replica invalidation rides on the store: each replica subscribes
-``on_removed`` / ``on_republished`` listeners, and the replica that
-performs an undeploy or replacement upload fires them (minus itself) so
-every other replica drops or refreshes its write-through cache — the
-same contract the client caches follow one layer up.
+The store is the one place a service change is announced: each replica
+and each client cache subscribes ``on_removed`` / ``on_republished``
+listeners, and the replica that performs an undeploy or replacement
+upload fires them (minus itself), so every other replica drops its
+write-through cache and every client cache its bindings — once each
+(DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ class ServiceStateStore:
                               (DEDUP_TABLE, _DEDUP_SCHEMA)):
             if table not in db.tables:
                 db.create_table(table, schema)
-        #: Cross-replica cache-invalidation listeners, keyed by replica.
+        #: Service-change listeners, keyed by subscriber (a replica's
+        #: host name, or a client cache's key).
         self._removed: Dict[str, Callable[[str], None]] = {}
         self._republished: Dict[str, Callable[[str], None]] = {}
         #: Shared monotonic counters (lazily seeded from history so an
@@ -157,29 +159,31 @@ class ServiceStateStore:
             return self.read_router.reader(table)
         return self.db
 
-    # -- replica subscription (cache invalidation fan-out) -------------------
+    # -- the change feed (cache invalidation fan-out) -------------------------
 
-    def subscribe(self, replica: str,
+    def subscribe(self, key: str,
                   on_removed: Callable[[str], None],
                   on_republished: Callable[[str], None]) -> None:
-        """Register *replica*'s invalidation hooks.
+        """Register (or replace) subscriber *key*'s invalidation hooks.
 
-        ``on_removed(service_name)`` fires when another replica removes
-        a record (undeploy); ``on_republished(service_name)`` when
-        another replica refreshes one in place (replacement upload).
+        ``on_removed(service_name)`` fires when a replica other than
+        *key* removes a record (undeploy); ``on_republished(
+        service_name)`` when one refreshes a record in place
+        (replacement upload).  Replicas subscribe under their host
+        name; any other key hears of every change.
         """
-        self._removed[replica] = on_removed
-        self._republished[replica] = on_republished
+        self._removed[key] = on_removed
+        self._republished[key] = on_republished
 
-    def unsubscribe(self, replica: str) -> None:
-        self._removed.pop(replica, None)
-        self._republished.pop(replica, None)
+    def unsubscribe(self, key: str) -> None:
+        self._removed.pop(key, None)
+        self._republished.pop(key, None)
 
     def _fan_out(self, listeners: Dict[str, Callable[[str], None]],
                  service_name: str, origin: Optional[str]) -> None:
-        for replica in sorted(listeners):
-            if replica != origin:
-                listeners[replica](service_name)
+        for key in sorted(listeners):
+            if key != origin:
+                listeners[key](service_name)
 
     # -- service records ------------------------------------------------------
 
@@ -204,9 +208,9 @@ class ServiceStateStore:
                       ) -> Optional[Dict[str, Any]]:
         """Delete a record; returns the old row (None if absent).
 
-        When a row was actually removed, every *other* replica's
-        ``on_removed`` hook fires so write-through caches drop the
-        service everywhere.
+        When a row was actually removed, every subscriber's
+        ``on_removed`` hook fires (the origin's excepted) so replicas
+        and client caches drop the service everywhere.
         """
         row = self.get_record(service_name)
         if row is None:
@@ -217,7 +221,7 @@ class ServiceStateStore:
 
     def record_republished(self, service_name: str,
                            origin: Optional[str] = None) -> None:
-        """Tell every other replica a service was refreshed in place."""
+        """Tell every other subscriber a service was refreshed in place."""
         self._fan_out(self._republished, service_name, origin)
 
     def all_records(self) -> List[Dict[str, Any]]:

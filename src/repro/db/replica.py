@@ -7,8 +7,8 @@ after a modeled propagation/apply *lag*.  Application is **lazy**: the
 replica buffers shipped records with their ship timestamps and replays
 everything that has become due when a reader calls :meth:`catch_up`.
 That keeps replication pure bookkeeping — it schedules no simulation
-events, so an attached-but-disabled (or even enabled-but-unread)
-replica can never perturb a faithful timeline.
+events, so an attached-but-unread replica can never perturb a faithful
+timeline.
 
 The :class:`ReadRouter` decides, per read, whether a replica may serve
 a table.  The guard is conservative: a replica is eligible only when
@@ -44,15 +44,13 @@ class ReadReplica:
     """A lagged, WAL-fed, read-only copy of a primary database."""
 
     def __init__(self, sim, primary: Database, lag: float = 0.5,
-                 name: str = "db-replica-1", enabled: bool = True):
+                 name: str = "db-replica-1"):
         if lag < 0:
             raise DatabaseError(f"replica lag must be >= 0, got {lag}")
         self.sim = sim
         self.primary = primary
         self.lag = float(lag)
         self.name = name
-        #: Disabled replicas tap nothing and stay provably empty.
-        self.enabled = enabled
         #: The replica's own database (never written by callers).
         self.db = Database()
         # Shipped-but-not-yet-applied records: (ship_ts, record).
@@ -61,8 +59,7 @@ class ReadReplica:
         self.txns_applied = 0
         #: Ship timestamp of the newest applied record.
         self.applied_ts = 0.0
-        if enabled:
-            self._bootstrap()
+        self._bootstrap()
         primary.wal.taps.append(self._tap)
 
     # -- shipping ----------------------------------------------------------
@@ -77,8 +74,7 @@ class ReadReplica:
             self.db = Database.recover(image)
 
     def _tap(self, record: Tuple[Any, ...]) -> None:
-        if self.enabled:
-            self._pending.append((self.sim.now, record))
+        self._pending.append((self.sim.now, record))
 
     def backlog(self) -> int:
         """Shipped records not yet applied."""
@@ -107,8 +103,7 @@ class ReadReplica:
         return max(0.0, now - self._pending[0][0])
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        state = "on" if self.enabled else "off"
-        return (f"<ReadReplica {self.name} {state} lag={self.lag} "
+        return (f"<ReadReplica {self.name} lag={self.lag} "
                 f"backlog={self.backlog()}>")
 
 
@@ -159,10 +154,9 @@ class ReadRouter:
         then no replica can be proven to hold what the caller wrote.
         """
         now = self.sim.now
-        live = [r for r in self.replicas if r.enabled]
-        if (live and self.primary._active_txn is None
+        if (self.replicas and self.primary._active_txn is None
                 and self.fresh_for(table, now)):
-            replica = live[self._rr % len(live)]
+            replica = self.replicas[self._rr % len(self.replicas)]
             self._rr += 1
             replica.catch_up(now)
             if table in replica.db.tables:

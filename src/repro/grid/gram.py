@@ -261,48 +261,6 @@ class GramGatekeeper:
 
         return self.sim.process(op(), name=f"gram-cancel:{job_id}")
 
-    def status_many(self, client: Host, job_ids: Sequence[str],
-                    ctx: Optional[RequestContext] = None) -> Process:
-        """Query k jobs in one exchange; value maps id -> state.
-
-        The request pays one envelope (:attr:`POLL_BYTES`) plus
-        :attr:`BATCH_ITEM_BYTES` per extra job; a job the gatekeeper has
-        no record of maps to ``None`` instead of failing the batch.
-        """
-        ids = list(job_ids)
-
-        def op() -> Generator[Event, None, Dict[str, Optional[JobState]]]:
-            if not ids:
-                return {}
-            injector = get_injector(self.sim)
-            k = len(ids)
-            with span(ctx, "gram:status-many", site=self.site.name, jobs=k):
-                if injector is not None and injector.down(self.site.name):
-                    raise SubmissionRefused(
-                        f"{self.site.name}: gatekeeper unreachable "
-                        f"(site outage)")
-                request = self.POLL_BYTES + self.BATCH_ITEM_BYTES * (k - 1)
-                response = 256 + 16 * (k - 1)
-                self._account(request + response, jobs=k)
-                yield client.send(self.host, request,
-                                  label="gram-status-many")
-                yield self.host.compute(
-                    0.005 + self.BATCH_ITEM_CPU * (k - 1), tag="gram")
-                states: Dict[str, Optional[JobState]] = {}
-                for job_id in ids:
-                    try:
-                        states[job_id] = self.site.get_job(job_id).state
-                    except JobNotFound:
-                        states[job_id] = None
-                yield self.host.send(client, response,
-                                     label="gram-status-many-rsp")
-            self._bus.emit("gram.status_many", layer="grid",
-                           request_id=ctx.request_id if ctx else None,
-                           site=self.site.name, jobs=k)
-            return states
-
-        return self.sim.process(op(), name=f"gram-status-many:{len(ids)}")
-
     def fetch_output_many(self, client: Host, job_ids: Sequence[str],
                           ctx: Optional[RequestContext] = None) -> Process:
         """Tentative-poll k jobs in one exchange; value maps id -> bytes.

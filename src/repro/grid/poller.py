@@ -5,8 +5,8 @@ loop *per in-flight job* — N jobs on a site means N independent
 gatekeeper exchanges per interval, each paying the full control
 envelope.  The multiplexer replaces them with a single loop per site
 that polls every registered job in one batch exchange (the
-``status_many`` / ``fetch_output_many`` APIs, or anything else the
-``batch_poll`` callable wraps) on an *adaptive* interval: it starts
+``fetch_output_many`` API, or anything else the ``batch_poll``
+callable wraps) on an *adaptive* interval: it starts
 fast, backs off exponentially while nothing changes, and snaps back to
 the floor the moment a job completes — bursts of completions are
 detected quickly, long quiet stretches cost few exchanges.
@@ -53,10 +53,13 @@ class PollMux:
     key's result.
     """
 
+    #: Default floor of the adaptive interval (seconds).
+    MIN_INTERVAL = 2.0
+
     def __init__(self, sim: Simulator, name: str,
                  batch_poll: Callable[[List[Tuple[Any, Any]]], Process],
                  accept: Callable[[Any], bool],
-                 min_interval: float = 2.0,
+                 min_interval: float = MIN_INTERVAL,
                  max_interval: float = 30.0,
                  backoff: float = 2.0):
         if min_interval <= 0:

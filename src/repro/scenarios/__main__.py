@@ -6,8 +6,8 @@ rendered report — the same output the benchmarks save under
 
 Experiments: fig6, fig7, fig8, scalability, overhead, smallfiles,
 bottleneck, faults, throughput, datapath, scaleout, controltower,
-chaos, notify, dbscale, all.  ``--smoke`` shrinks the workloads that
-support it (currently ``bottleneck``, ``faults``, ``throughput``,
+chaos, notify, dbscale, all.  ``--smoke`` shrinks the workloads whose
+``run_*`` takes ``smoke=`` (``bottleneck``, ``faults``, ``throughput``,
 ``datapath``, ``scaleout``, ``controltower``, ``chaos``, ``notify``
 and ``dbscale``) for fast CI validation.
 """
@@ -15,8 +15,9 @@ and ``dbscale``) for fast CI validation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from repro.scenarios import (
     run_bottleneck, run_chaos, run_controltower, run_datapath,
@@ -26,127 +27,57 @@ from repro.scenarios import (
 )
 from repro.units import MB
 
-#: Set by main() before dispatch; experiments read it where relevant.
-_SMOKE = False
+#: ``gated`` values — the ``--smoke`` settings under which a result
+#: whose ``ok`` is false fails the process: CI runs these experiments as
+#: its gates, so a broken invariant must fail the job, not just print a
+#: FAIL row.  The control tower's smoke run is too short for a burn
+#: alert to lead its breach, so only the full run gates.
+NEVER, FULL_ONLY, ALWAYS = (), (False,), (False, True)
+
+#: One row per run: ``(experiment, run, full-size kwargs, gated)``.  An
+#: experiment's rows render in order; a run that takes ``smoke=`` gets
+#: the command line's flag.
+ROWS: Tuple[Tuple[str, Callable[..., Any], Dict[str, Any],
+                  Tuple[bool, ...]], ...] = (
+    ("fig6", run_fig6, {}, NEVER),
+    ("fig7", run_fig7, {}, NEVER),
+    ("fig8", run_fig8, {}, NEVER),
+    ("fig8", run_fig8, {"double_write": False}, NEVER),
+    ("scalability", run_scalability,
+     {"workload": "upload", "network": "fast", "levels": (1, 2, 4, 8),
+      "file_bytes": int(5 * MB(1))}, NEVER),
+    ("scalability", run_scalability,
+     {"workload": "invoke", "network": "slow", "levels": (1, 2, 4)}, NEVER),
+    ("overhead", run_overhead,
+     {"runtimes": (10.0, 60.0, 300.0, 1800.0)}, NEVER),
+    ("smallfiles", run_smallfiles, {"levels": (4, 8, 16)}, NEVER),
+    ("bottleneck", run_bottleneck, {}, NEVER),
+    ("faults", run_faults, {}, ALWAYS),
+    ("throughput", run_throughput, {}, NEVER),
+    ("datapath", run_datapath, {}, NEVER),
+    ("scaleout", run_scaleout, {}, NEVER),
+    ("controltower", run_controltower, {}, FULL_ONLY),
+    ("chaos", run_chaos, {}, ALWAYS),
+    ("notify", run_notify, {}, ALWAYS),
+    ("dbscale", run_dbscale, {}, ALWAYS),
+)
+EXPERIMENTS = sorted({row[0] for row in ROWS})
 
 
-def _fig6() -> str:
-    return run_fig6().render()
-
-
-def _fig7() -> str:
-    return run_fig7().render()
-
-
-def _fig8() -> str:
-    faithful = run_fig8()
-    improved = run_fig8(double_write=False)
-    return faithful.render() + "\n\n" + improved.render()
-
-
-def _scalability() -> str:
-    uploads = run_scalability(workload="upload", network="fast",
-                              levels=(1, 2, 4, 8),
-                              file_bytes=int(5 * MB(1)))
-    invokes = run_scalability(workload="invoke", network="slow",
-                              levels=(1, 2, 4))
-    return uploads.render() + "\n\n" + invokes.render()
-
-
-def _overhead() -> str:
-    return run_overhead(runtimes=(10.0, 60.0, 300.0, 1800.0)).render()
-
-
-def _smallfiles() -> str:
-    return run_smallfiles(levels=(4, 8, 16)).render()
-
-
-def _bottleneck() -> str:
-    return run_bottleneck(smoke=_SMOKE).render()
-
-
-def _faults() -> str:
-    result = run_faults(smoke=_SMOKE)
-    if not result.ok:
-        # CI runs this experiment as its robustness gate: a broken
-        # invariant must fail the job, not just print a FAIL row.
-        print(result.render())
-        raise SystemExit(1)
-    return result.render()
-
-
-def _throughput() -> str:
-    return run_throughput(smoke=_SMOKE).render()
-
-
-def _datapath() -> str:
-    return run_datapath(smoke=_SMOKE).render()
-
-
-def _scaleout() -> str:
-    return run_scaleout(smoke=_SMOKE).render()
-
-
-def _controltower() -> str:
-    result = run_controltower(smoke=_SMOKE)
-    if not _SMOKE and not result.ok:
-        # The full run gates both control-plane claims: alert-leads-
-        # breach ordering and hot-shard localization.
-        print(result.render())
-        raise SystemExit(1)
-    return result.render()
-
-
-def _chaos() -> str:
-    result = run_chaos(smoke=_SMOKE)
-    if not result.ok:
-        # The drill's invariants (zero lost, no double execution,
-        # bounded detection, rejoin, SLO held) are the robustness gate
-        # for the self-healing plane: a miss must fail the job.
-        print(result.render())
-        raise SystemExit(1)
-    return result.render()
-
-
-def _dbscale() -> str:
-    result = run_dbscale(smoke=_SMOKE)
-    if not result.ok:
-        # The DB-scale claims (storm-proof invocation p95, bounded
-        # per-fetch residency, staleness-guarded replica reads) are
-        # CI's gate for the scaled tier: a miss fails the job.
-        print(result.render())
-        raise SystemExit(1)
-    return result.render()
-
-
-def _notify() -> str:
-    result = run_notify(smoke=_SMOKE)
-    if not result.ok:
-        # The push-path claims (near-zero detection lag, zero poller
-        # exchanges on notify sites, drained durable queue) are CI's
-        # gate for the event-driven lifecycle: a miss fails the job.
-        print(result.render())
-        raise SystemExit(1)
-    return result.render()
-
-
-EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "scalability": _scalability,
-    "overhead": _overhead,
-    "smallfiles": _smallfiles,
-    "bottleneck": _bottleneck,
-    "faults": _faults,
-    "throughput": _throughput,
-    "datapath": _datapath,
-    "scaleout": _scaleout,
-    "controltower": _controltower,
-    "chaos": _chaos,
-    "notify": _notify,
-    "dbscale": _dbscale,
-}
+def run_experiment(name: str, smoke: bool = False) -> str:
+    """Run every row of experiment *name*; returns the rendered report."""
+    reports = []
+    for experiment, run, kwargs, gated in ROWS:
+        if experiment != name:
+            continue
+        if "smoke" in inspect.signature(run).parameters:
+            kwargs = dict(kwargs, smoke=smoke)
+        result = run(**kwargs)
+        if smoke in gated and not result.ok:
+            print(result.render())
+            raise SystemExit(1)
+        reports.append(result.render())
+    return "\n\n".join(reports)
 
 
 def main(argv=None) -> int:
@@ -154,19 +85,16 @@ def main(argv=None) -> int:
         prog="python -m repro.scenarios",
         description="Regenerate the paper's evaluation artefacts.")
     parser.add_argument("experiment",
-                        choices=sorted(EXPERIMENTS) + ["all"],
+                        choices=EXPERIMENTS + ["all"],
                         help="which experiment to run")
     parser.add_argument("--smoke", action="store_true",
                         help="shrink supported workloads for fast CI runs")
     args = parser.parse_args(argv)
-    global _SMOKE
-    _SMOKE = args.smoke
-    names = sorted(EXPERIMENTS) if args.experiment == "all" \
-        else [args.experiment]
+    names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
     for i, name in enumerate(names):
         if i:
             print()
-        print(EXPERIMENTS[name]())
+        print(run_experiment(name, smoke=args.smoke))
     return 0
 
 

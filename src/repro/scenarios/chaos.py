@@ -33,14 +33,11 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.core.fabric import deploy_fabric
 from repro.core.invocation import discover_and_invoke
-from repro.core.onserve import OnServeConfig
 from repro.errors import root_cause_name
 from repro.faults import FaultSpec, fault_plane
-from repro.grid.testbed import build_testbed
+from repro.scenarios.common import standard_env
 from repro.simkernel.events import Event
-from repro.simkernel.kernel import Simulator
 from repro.telemetry.events import bus
 from repro.telemetry.slo import SloSpec
 from repro.units import KB
@@ -243,14 +240,13 @@ def _one_run(replicas: int, clients: int, services: int, rounds: int,
              seed: int, kill: int, restart: int,
              span: Optional[float]) -> Dict[str, object]:
     """One full pass; ``kill=0`` is the fault-free calibration."""
-    sim = Simulator(seed=seed)
-    testbed = build_testbed(sim=sim, n_sites=4, nodes_per_site=4,
-                            cores_per_node=8, n_users=clients)
-    stack = sim.run(until=deploy_fabric(
-        testbed, OnServeConfig(), replicas=replicas,
-        self_healing=True, lease_ttl=lease_ttl,
-        lease_check_interval=lease_check_interval,
-        fault_threshold=fault_threshold))
+    env = standard_env(sample_interval=None, seed=seed, n_users=clients,
+                       fabric=dict(
+                           replicas=replicas, self_healing=True,
+                           lease_ttl=lease_ttl,
+                           lease_check_interval=lease_check_interval,
+                           fault_threshold=fault_threshold))
+    sim, testbed, stack = env.sim, env.testbed, env.stack
     tower = stack.attach_control_tower(specs=[SloSpec(
         "chaos-availability", availability=0.90,
         compliance_window=10_000_000.0, min_samples=10)])

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.core.onserve import OnServeConfig, OnServeStack, deploy_onserve
+from repro.core.fabric import FabricStack, deploy_fabric
+from repro.core.onserve import OnServeConfig
 from repro.grid.testbed import Testbed, build_testbed
 from repro.simkernel.kernel import Simulator
 from repro.telemetry.sampler import HostSampler
@@ -28,8 +29,9 @@ def percentile(values: List[float], p: float) -> float:
 class ScenarioEnv:
     """A deployed testbed + stack + appliance instrumentation."""
 
-    def __init__(self, testbed: Testbed, stack: OnServeStack,
-                 sampler: HostSampler, fine_sampler: HostSampler):
+    def __init__(self, testbed: Testbed, stack: FabricStack,
+                 sampler: Optional[HostSampler],
+                 fine_sampler: Optional[HostSampler]):
         self.testbed = testbed
         self.stack = stack
         self.sim = testbed.sim
@@ -53,13 +55,22 @@ class ScenarioEnv:
 
 def standard_env(appliance_uplink: float = KBps(85),
                  config: Optional[OnServeConfig] = None,
-                 sample_interval: float = PAPER_SAMPLE_INTERVAL,
+                 sample_interval: Optional[float] = PAPER_SAMPLE_INTERVAL,
                  seed: int = 0,
+                 fabric: Optional[Dict[str, Any]] = None,
                  **testbed_kw) -> ScenarioEnv:
     """Deploy the standard evaluation environment.
 
-    Returns a :class:`ScenarioEnv` with samplers attached *after*
-    deployment so the series start clean.
+    *fabric* holds :func:`~repro.core.fabric.deploy_fabric` keywords
+    (``replicas``, ``router``, the healing/overload settings); without
+    it the deployment is the paper's single appliance.  Returns a
+    :class:`ScenarioEnv` with samplers attached *after* deployment so
+    the series start clean — or none for ``sample_interval=None``:
+    reading a fair-share resource's counters advances its float
+    integration, so a sampled run and an unsampled one differ in the
+    last bits, and a routed fabric's least-loaded ties amplify that.
+    The scenarios that measure clients rather than the appliance
+    (scaleout, chaos, controltower) therefore run unsampled.
     """
     testbed_kw.setdefault("n_sites", 4)
     testbed_kw.setdefault("nodes_per_site", 4)
@@ -67,7 +78,9 @@ def standard_env(appliance_uplink: float = KBps(85),
     sim = Simulator(seed=seed)
     testbed = build_testbed(sim=sim, appliance_uplink=appliance_uplink,
                             **testbed_kw)
-    stack = sim.run(until=deploy_onserve(testbed, config))
+    stack = sim.run(until=deploy_fabric(testbed, config, **(fabric or {})))
+    if sample_interval is None:
+        return ScenarioEnv(testbed, stack, None, None)
     sampler = HostSampler(testbed.appliance_host, interval=sample_interval)
     fine = HostSampler(testbed.appliance_host, interval=1.0)
     return ScenarioEnv(testbed, stack, sampler, fine)

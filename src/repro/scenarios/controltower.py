@@ -42,13 +42,11 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.context import RequestContext
-from repro.core.fabric import deploy_fabric
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
 from repro.faults import FaultSpec
-from repro.grid.testbed import build_testbed
+from repro.scenarios.common import standard_env
 from repro.simkernel.events import Event
-from repro.simkernel.kernel import Simulator
 from repro.telemetry.events import bus
 from repro.telemetry.export import chrome_trace, prometheus_text
 from repro.telemetry.gauges import gauges
@@ -260,9 +258,6 @@ def run_controltower(replicas: int = 8,
     if workers < 2 or replicas < 2:
         raise ValueError("need >= 2 workers and >= 2 replicas")
 
-    sim = Simulator(seed=seed)
-    testbed = build_testbed(sim=sim, n_sites=4, nodes_per_site=4,
-                            cores_per_node=8, n_users=workers)
     # Crisp failure semantics: no retries, no failover, breakers never
     # open — an invocation during an outage burst faults exactly once,
     # fast, so the good/bad request stream follows the burst windows
@@ -271,8 +266,10 @@ def run_controltower(replicas: int = 8,
                            retry_max_attempts=1,
                            failover_sites=0,
                            breaker_failure_threshold=10 ** 6)
-    stack = sim.run(until=deploy_fabric(testbed, config, replicas=replicas,
-                                        router=True))
+    env = standard_env(config=config, sample_interval=None, seed=seed,
+                       n_users=workers,
+                       fabric=dict(replicas=replicas, router=True))
+    sim, testbed, stack = env.sim, env.testbed, env.stack
     # Discovery/WSDL caches keep the UDDI inquiry service's owner
     # replica from absorbing one inquiry per round — after the first
     # round, server-side load is the *service* traffic the skew is in.

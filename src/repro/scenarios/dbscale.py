@@ -36,6 +36,7 @@ from typing import Dict, Generator, List
 
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
+from repro.db.dbmanager import DbTierConfig
 from repro.hardware.host import HostSpec
 from repro.scenarios.common import percentile, standard_env
 from repro.simkernel.events import Event
@@ -48,8 +49,9 @@ __all__ = ["DbScaleResult", "run_dbscale"]
 EXECUTABLE = "dbscale.bin"
 SERVICE_PATTERN = "Dbscale%"
 
-#: Replica propagation lag modeled in the scaled arm (seconds).
-REPLICA_LAG = 0.5
+#: Replica propagation lag modeled in the scaled arm (seconds): the
+#: DB tier's own default, which is also the staleness bound it promises.
+REPLICA_LAG = DbTierConfig().replica_lag
 
 
 def _blob(size: int, runtime: float) -> bytes:
@@ -187,8 +189,7 @@ def _run_arm(label: str, *, storm: int, scaled: bool, blob_bytes: int,
         db_serialize=True,
         db_mvcc=scaled,
         db_chunk_bytes=chunk_bytes if scaled else 0,
-        db_replicas=2 if scaled else 0,
-        db_replica_lag=REPLICA_LAG)
+        db_replicas=2 if scaled else 0)
     # A roomy appliance: the arms must differ by lock queueing and
     # residency, not by CPU starvation on the 2-core default.
     env = standard_env(

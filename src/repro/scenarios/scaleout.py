@@ -30,12 +30,9 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Sequence
 
-from repro.core.fabric import deploy_fabric
 from repro.core.invocation import discover_and_invoke
-from repro.core.onserve import OnServeConfig
-from repro.grid.testbed import build_testbed
+from repro.scenarios.common import standard_env
 from repro.simkernel.events import Event
-from repro.simkernel.kernel import Simulator
 from repro.telemetry.events import bus
 from repro.units import KB
 from repro.workloads.executables import make_payload
@@ -143,6 +140,8 @@ def run_scaleout(replica_levels: Sequence[int] = (1, 2, 4, 8, 16),
 
 
 def _p95(samples: List[float]) -> float:
+    # Rounded-index rank, not ``common.percentile``'s nearest rank: the
+    # two pick different samples and scaleout.txt commits this one's.
     ordered = sorted(samples)
     index = int(round(0.95 * (len(ordered) - 1)))
     return ordered[min(index, len(ordered) - 1)]
@@ -152,12 +151,10 @@ def _one_level(replicas: int, router_on: bool, clients: int, services: int,
                rounds: int, file_bytes: int, runtime: str,
                spill_threshold: int, seed: int) -> Dict[str, float]:
     """Deploy one fabric and push the full client population through it."""
-    sim = Simulator(seed=seed)
-    testbed = build_testbed(sim=sim, n_sites=4, nodes_per_site=4,
-                            cores_per_node=8, n_users=clients)
-    stack = sim.run(until=deploy_fabric(
-        testbed, OnServeConfig(), replicas=replicas, router=router_on,
-        spill_threshold=spill_threshold))
+    env = standard_env(sample_interval=None, seed=seed, n_users=clients,
+                       fabric=dict(replicas=replicas, router=router_on,
+                                   spill_threshold=spill_threshold))
+    sim, testbed, stack = env.sim, env.testbed, env.stack
     telemetry = bus(sim)
 
     payload = make_payload("fixed", size=file_bytes, runtime=runtime,

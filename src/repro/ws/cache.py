@@ -16,12 +16,12 @@ attached to a :class:`~repro.ws.client.WsClient` memoises all three:
   hit/miss events keep meaning "did this client have to run wsimport".
 
 Freshness is bounded by a *sim-time* TTL (never wall clock, so cached
-runs stay deterministic), and entries are dropped eagerly through the
-container's undeploy hook and onServe's republish hook — the
-invalidation contract DESIGN.md §9 spells out.  Every lookup emits a
-``cache.hit`` / ``cache.miss`` event on the telemetry bus; emission is
-observationally pure, so an attached-but-disabled cache cannot perturb
-a run (the golden-series guard pins this byte-for-byte).
+runs stay deterministic), and entries are dropped eagerly when the
+shared :class:`~repro.core.registry.ServiceStateStore` announces an
+undeploy or a replacement upload — the contract DESIGN.md §9 spells
+out.  Every lookup emits a ``cache.hit`` / ``cache.miss`` event on the
+telemetry bus; a cache schedules nothing, so one that is attached but
+never consulted cannot perturb a run.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ DEFAULT_TTL = 3600.0
 class ClientCache:
     """Per-client TTL cache over the discover -> WSDL -> stub pipeline."""
 
-    def __init__(self, sim, ttl: float = DEFAULT_TTL, enabled: bool = True):
+    def __init__(self, sim, ttl: float = DEFAULT_TTL):
         if ttl <= 0:
             raise ValueError("cache ttl must be > 0 (simulated seconds)")
         self.sim = sim
         self.ttl = ttl
-        self.enabled = enabled
         self._discovery: Dict[str, Tuple[float, Discovery]] = {}
         self._wsdl: Dict[str, Tuple[float, bytes]] = {}
         # service name -> keys stored for it, so invalidating a service
@@ -79,8 +78,6 @@ class ClientCache:
     # -- discovery ----------------------------------------------------------
 
     def lookup_discovery(self, pattern: str) -> Optional[Discovery]:
-        if not self.enabled:
-            return None
         entry = self._discovery.get(pattern)
         if entry is not None and self._fresh(entry[0]):
             self._record("discovery", pattern, hit=True)
@@ -91,15 +88,12 @@ class ClientCache:
         return None
 
     def store_discovery(self, pattern: str, triple: Discovery) -> None:
-        if self.enabled:
-            self._discovery[pattern] = (self.sim.now, triple)
-            self._patterns_of.setdefault(triple[0], set()).add(pattern)
+        self._discovery[pattern] = (self.sim.now, triple)
+        self._patterns_of.setdefault(triple[0], set()).add(pattern)
 
     # -- WSDL documents -----------------------------------------------------
 
     def lookup_wsdl(self, endpoint: str) -> Optional[bytes]:
-        if not self.enabled:
-            return None
         entry = self._wsdl.get(endpoint)
         if entry is not None and self._fresh(entry[0]):
             self._record("wsdl", endpoint, hit=True)
@@ -110,14 +104,12 @@ class ClientCache:
         return None
 
     def store_wsdl(self, endpoint: str, document: bytes) -> None:
-        if self.enabled:
-            self._wsdl[endpoint] = (self.sim.now, document)
-            # Filed under the endpoint's last path segment — the service
-            # name in every ``soap://host/Service`` address.
-            _, slash, service_name = endpoint.rpartition("/")
-            if slash:
-                self._endpoints_of.setdefault(service_name,
-                                              set()).add(endpoint)
+        self._wsdl[endpoint] = (self.sim.now, document)
+        # Filed under the endpoint's last path segment — the service
+        # name in every ``soap://host/Service`` address.
+        _, slash, service_name = endpoint.rpartition("/")
+        if slash:
+            self._endpoints_of.setdefault(service_name, set()).add(endpoint)
 
     # -- generated stubs ----------------------------------------------------
 
@@ -133,10 +125,9 @@ class ClientCache:
         from repro.ws.client import generate_stub
 
         stub = generate_stub(document)
-        if self.enabled:
-            hit = stub in self._imported
-            self._imported.add(stub)
-            self._record("stub", stub.__name__, hit=hit)
+        hit = stub in self._imported
+        self._imported.add(stub)
+        self._record("stub", stub.__name__, hit=hit)
         return stub
 
     # -- invalidation -------------------------------------------------------
@@ -144,9 +135,9 @@ class ClientCache:
     def invalidate_service(self, service_name: str) -> None:
         """Drop everything cached about *service_name*.
 
-        Wired to :meth:`repro.ws.server.SoapServer.on_undeploy` and
-        :meth:`repro.core.onserve.OnServe.on_republish`, so neither an
-        undeployed nor a replaced service can be served stale.
+        Subscribed to the shared state store's removal and republish
+        fan-out, so neither an undeployed nor a replaced service can be
+        served stale.
         """
         discovery = self._discovery
         stale_patterns = [
@@ -199,6 +190,5 @@ class ClientCache:
         self._endpoints_of.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        state = "on" if self.enabled else "off"
-        return (f"<ClientCache {state} hits={self.hits} "
+        return (f"<ClientCache hits={self.hits} "
                 f"misses={self.misses} ttl={self.ttl}>")

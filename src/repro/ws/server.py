@@ -221,13 +221,6 @@ class SoapServer:
         """
         self._undeploy_listeners.append(listener)
 
-    def remove_undeploy_listener(self, listener: Callable[[str], None]) -> None:
-        """Detach an undeploy listener (idempotent)."""
-        try:
-            self._undeploy_listeners.remove(listener)
-        except ValueError:
-            pass
-
     def endpoint_for(self, service_name: str) -> str:
         return f"{SoapFabric.SCHEME}{self.host.name}/{service_name}"
 

@@ -72,9 +72,11 @@ def test_result_before_completion_faults(env):
         tb.sim.run(until=stub.result(ticket=ticket))
 
 
-def test_failed_async_job_faults_at_result(env):
+def test_failed_async_job_faults_at_result(env, monkeypatch):
+    from repro.core.grid_service import GridServiceRuntime
     tb, stack, client = env
-    stack.onserve.config.default_walltime = 30  # job needs 120 s -> killed
+    # The job needs 120 s -> killed.
+    monkeypatch.setattr(GridServiceRuntime, "JOB_WALLTIME", 30)
     stack.onserve.config.watchdog_timeout = 300.0
     stack.onserve.config.poll_interval = 5.0
     stub = stub_for(tb, stack, client)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig, deploy_onserve
-from repro.errors import OnServeError
 from repro.grid import build_testbed
 from repro.simkernel import Simulator
 from repro.telemetry.events import bus
@@ -99,14 +98,28 @@ def test_poll_mux_is_per_site_and_lazy():
 
 
 def test_config_validation():
-    with pytest.raises(OnServeError):
-        OnServeConfig(poll_min_interval=0.0)
-    with pytest.raises(OnServeError):
-        OnServeConfig(poll_backoff=0.9)
-    with pytest.raises(OnServeError):
-        OnServeConfig(ftp_session_idle=0.0)
-    with pytest.raises(OnServeError):
-        OnServeConfig(poll_min_interval=10.0, poll_max_interval=5.0)
-    # The adaptive cap defaults to the faithful fixed interval.
-    assert OnServeConfig(poll_interval=9.0).poll_max_interval == 9.0
-    assert OnServeConfig(poll_max_interval=42.0).poll_max_interval == 42.0
+    """The mux bounds are derived where the mux is built: the faithful
+    fixed interval is the cap, and the floor never exceeds it."""
+    from repro.grid.poller import PollMux
+
+    def bounds(**cfg_kw):
+        sim, tb, stack = deploy(n_users=1, **cfg_kw)
+        mux = stack.onserve.poll_mux(next(iter(tb.gatekeepers)))
+        return mux.min_interval, mux.max_interval
+
+    assert bounds() == (PollMux.MIN_INTERVAL, 9.0)
+    assert bounds(poll_interval=42.0) == (PollMux.MIN_INTERVAL, 42.0)
+    assert bounds(poll_interval=1.0) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("datapath", [False, True])
+def test_one_second_poll_interval_constructs_and_invokes(datapath):
+    """Regression: ``OnServeConfig(poll_interval=1.0)`` used to raise
+    "poll_max_interval must be >= poll_min_interval" — two options the
+    caller never set, on a plane that may not even be on."""
+    sim, tb, stack = deploy(n_users=1, datapath=datapath, poll_interval=1.0)
+    upload(sim, tb, stack)
+    assert sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[0], "Sleeper%", seconds=3.0)) == "slept\n"
+    report = next(iter(stack.onserve.runtimes.values())).reports[-1]
+    assert report.ok and report.polls >= 1

@@ -55,13 +55,27 @@ def test_deploy_onserve_is_deploy_fabric_with_defaults():
     sim = Simulator(seed=0)
     testbed = build_testbed(sim=sim, n_users=1)
     stack = sim.run(until=deploy_onserve(testbed))
-    assert isinstance(stack, FabricStack)
+    # One stack class for every deployment, with nothing beneath it.
+    assert type(stack) is FabricStack
+    assert FabricStack.__bases__ == (object,)
     assert stack.onserves == [stack.onserve]
     assert not stack.router.enabled
     assert stack.router.host is stack.appliance_host
     # The paper's topology: no clone, no router host.
     assert "router" not in testbed.network.hosts()
     assert "appliance02" not in testbed.network.hosts()
+
+
+def test_config_builds_the_db_tier_once_and_the_fabric_passes_it_on():
+    # Bad values are still rejected at construction — by the owner.
+    for bad in ({"db_chunk_bytes": -1}, {"db_replicas": -1}):
+        with pytest.raises(OnServeError, match="must be >= 0"):
+            OnServeConfig(**bad)
+    config = OnServeConfig(db_mvcc=True, db_chunk_bytes=4096, db_replicas=1)
+    sim, testbed, stack = deploy(replicas=1, n_users=1, config=config)
+    assert stack.dbmanager.tier is config.db_tier
+    assert (config.db_tier.mvcc, config.db_tier.chunk_bytes,
+            config.db_tier.replicas) == (True, 4096, 1)
 
 
 def test_fabric_publishes_router_endpoint():
@@ -227,17 +241,62 @@ def test_shed_limit_sheds_without_self_healing():
 
 def test_enable_client_caches_is_idempotent():
     sim, testbed, stack = deploy(replicas=2)
-    stack.enable_client_caches()
-    listeners = [len(o.soap_server._undeploy_listeners)
-                 for o in stack.onserves]
-    caches = [client.cache for client in stack.user_clients]
-    stack.enable_client_caches()
-    # Second call replaces the caches instead of stacking hook layers.
+    old = stack.enable_client_caches()
+    new = stack.enable_client_caches()
+    # Second call replaces the caches instead of stacking subscriptions:
+    # the store holds one per replica plus exactly one per *new* cache.
+    assert [client.cache for client in stack.user_clients] == new
+    assert not set(map(id, old)) & set(map(id, new))
+    subscribers = [hook.__self__ for hook in stack.store._removed.values()]
+    assert subscribers == [hook.__self__
+                           for hook in stack.store._republished.values()]
+    assert [s for s in subscribers if s not in stack.onserves] == new
+    # The container's undeploy hook keeps its one tenant: the replica.
     assert [len(o.soap_server._undeploy_listeners)
-            for o in stack.onserves] == listeners
-    assert all(client.cache is not None for client in stack.user_clients)
-    assert all(client.cache is not old
-               for client, old in zip(stack.user_clients, caches))
+            for o in stack.onserves] == [1, 1]
+
+
+def test_one_invalidation_per_cache_per_change_whatever_the_replica_count(
+        monkeypatch):
+    """A re-upload and an undeploy each reach every client cache exactly
+    once — through the store, not once per replica hook — and leave no
+    stale discovery or WSDL entry behind."""
+    from repro.ws.cache import ClientCache
+    calls = []
+    real = ClientCache.invalidate_service
+
+    def counting(cache, service_name):
+        calls.append((cache, service_name))
+        real(cache, service_name)
+
+    monkeypatch.setattr(ClientCache, "invalidate_service", counting)
+    sim, testbed, stack = deploy(replicas=8, n_users=4, router=True)
+    assert type(stack) is FabricStack
+    caches = stack.enable_client_caches()
+    assert len(caches) == 4
+    publish(sim, testbed, stack)
+    endpoint = "soap://router/RouteService"
+
+    def warm():
+        for client in stack.user_clients:
+            assert sim.run(until=discover_and_invoke(stack, client, "Route%"))
+        assert all(c.lookup_discovery("Route%") and c.lookup_wsdl(endpoint)
+                   for c in caches)
+        calls.clear()
+
+    def assert_each_cache_invalidated_once():
+        assert sorted(calls, key=lambda call: caches.index(call[0])) \
+            == [(cache, "RouteService") for cache in caches]
+        assert not any(c.lookup_discovery("Route%") or c.lookup_wsdl(endpoint)
+                       for c in caches)
+
+    warm()
+    publish(sim, testbed, stack, runtime="3")       # replacement upload
+    assert_each_cache_invalidated_once()
+    warm()
+    # Undeploy through a replica that is not the publisher.
+    sim.run(until=stack.onserves[5].undeploy_service("RouteService"))
+    assert_each_cache_invalidated_once()
 
 
 def test_remediation_drains_and_restarts_the_hot_replica():

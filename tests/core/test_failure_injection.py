@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core import OnServeConfig, deploy_onserve, discover_and_invoke
+from repro.core import (
+    OnServe, OnServeConfig, deploy_onserve, discover_and_invoke,
+)
+from repro.core.grid_service import GridServiceRuntime
 from repro.errors import HardwareError, SoapFault
 from repro.grid import build_testbed
 from repro.hardware.host import HostSpec
@@ -29,9 +32,9 @@ def upload(tb, stack, name="job.sh", payload=None, params=""):
 
 # ------------------------------------------------------------ session expiry
 
-def test_agent_session_renews_between_invocations():
-    config = OnServeConfig(session_renewal=60.0)
-    tb, stack = stack_env(config)
+def test_agent_session_renews_between_invocations(monkeypatch):
+    monkeypatch.setattr(OnServe, "SESSION_RENEWAL", 60.0)
+    tb, stack = stack_env()
     upload(tb, stack)
     client = stack.user_clients[0]
     tb.sim.run(until=discover_and_invoke(stack, client, "Job%"))
@@ -42,8 +45,9 @@ def test_agent_session_renews_between_invocations():
     assert tb.myproxy.logons_served == logons_after_first + 1
 
 
-def test_session_cached_within_renewal_window():
-    tb, stack = stack_env(OnServeConfig(session_renewal=7200.0))
+def test_session_cached_within_renewal_window(monkeypatch):
+    monkeypatch.setattr(OnServe, "SESSION_RENEWAL", 7200.0)
+    tb, stack = stack_env()
     upload(tb, stack)
     client = stack.user_clients[0]
     tb.sim.run(until=discover_and_invoke(stack, client, "Job%"))
@@ -53,9 +57,9 @@ def test_session_cached_within_renewal_window():
 
 # ------------------------------------------------------------ watchdog
 
-def test_watchdog_gives_up_on_everlasting_job():
-    config = OnServeConfig(poll_interval=5.0, watchdog_timeout=60.0,
-                           default_walltime=1800)
+def test_watchdog_gives_up_on_everlasting_job(monkeypatch):
+    monkeypatch.setattr(GridServiceRuntime, "JOB_WALLTIME", 1800)
+    config = OnServeConfig(poll_interval=5.0, watchdog_timeout=60.0)
     tb, stack = stack_env(config)
     payload = make_payload("fixed", size=int(KB(2)), runtime="1200")
     upload(tb, stack, payload=payload)

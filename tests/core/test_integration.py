@@ -176,10 +176,11 @@ def test_undeploy_removes_everywhere():
         stack.onserve.get_service("HelloService")
 
 
-def test_grid_job_failure_surfaces_as_fault():
+def test_grid_job_failure_surfaces_as_fault(monkeypatch):
     # Executable sleeps longer than the walltime -> killed on the grid.
-    config = OnServeConfig(default_walltime=30, poll_interval=5.0,
-                           watchdog_timeout=120.0)
+    from repro.core.grid_service import GridServiceRuntime
+    monkeypatch.setattr(GridServiceRuntime, "JOB_WALLTIME", 30)
+    config = OnServeConfig(poll_interval=5.0, watchdog_timeout=120.0)
     tb, stack = stack_env(config)
     payload = make_payload("fixed", size=int(KB(1)), runtime="300")
     upload(tb, stack, name="runaway.sh", payload=payload, params="")

@@ -39,12 +39,13 @@ def test_history_rows_accumulate(env):
     assert stack.onserve.get_service("AlphaService").invocations == 2
 
 
-def test_history_captures_failures(env):
+def test_history_captures_failures(env, monkeypatch):
+    from repro.core.grid_service import GridServiceRuntime
     tb, stack = env
     payload = make_payload("fixed", size=int(KB(1)), runtime="500")
     tb.sim.run(until=stack.portal.upload_and_generate(
         tb.user_hosts[0], "doomed.sh", payload, params_spec=""))
-    stack.onserve.config.default_walltime = 30
+    monkeypatch.setattr(GridServiceRuntime, "JOB_WALLTIME", 30)
     stack.onserve.config.watchdog_timeout = 200.0
     with pytest.raises(SoapFault):
         invoke(tb, stack, "Doomed%")
@@ -97,7 +98,7 @@ def test_record_invocation_is_one_frame_and_reads_before_the_unit():
     tb = build_testbed(n_sites=2, nodes_per_site=2, cores_per_node=4,
                        appliance_uplink=Mbps(10))
     stack = tb.sim.run(until=deploy_onserve(
-        tb, OnServeConfig(db_replicas=1, db_replica_lag=0.5)))
+        tb, OnServeConfig(db_replicas=1)))
     tb.sim.run(until=stack.portal.upload_and_generate(
         tb.user_hosts[0], "alpha.sh", make_payload("echo", size=int(KB(2))),
         params_spec="x:string"))

@@ -25,8 +25,9 @@ def run_invocations(policy, n=4):
 
 
 def test_policy_validation():
-    with pytest.raises(OnServeError, match="site policy"):
-        OnServeConfig(site_policy="nearest-pub")
+    for policy in ("nearest-pub", "random"):
+        with pytest.raises(OnServeError, match="site policy"):
+            OnServeConfig(site_policy=policy)
 
 
 def test_round_robin_rotates_sites():
@@ -41,10 +42,3 @@ def test_best_prefers_idle_sites():
     # ranking ties and "best" keeps the deterministic first pick.
     tb, sites = run_invocations("best", n=2)
     assert len(set(sites)) == 1
-
-
-def test_random_is_seed_deterministic():
-    _, a = run_invocations("random", n=4)
-    _, b = run_invocations("random", n=4)
-    assert a == b
-    assert set(a) <= {"ncsa", "sdsc", "anl"}

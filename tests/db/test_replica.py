@@ -99,19 +99,20 @@ def test_aborted_transaction_never_applies():
     assert replica.backlog() == 0
 
 
-def test_disabled_replica_stays_provably_empty():
+def test_unread_replica_applies_nothing_and_schedules_nothing():
     sim = Simulator()
     db = Database()
-    replica = ReadReplica(sim, db, lag=LAG, enabled=False)
+    replica = ReadReplica(sim, db, lag=LAG)
     db.create_table("users", users_schema())
     db.insert("users", [1, "ada"])
     with db.transaction():
         db.insert("users", [2, "bob"])
-    # The tap buffers nothing and the tables never materialize.
-    assert replica.backlog() == 0
-    assert replica.catch_up(now=100.0) == 0
+    # Application is lazy: until a reader asks, shipped records only
+    # queue — no table materializes and no simulation event exists.
+    assert replica.backlog() == 3
     assert replica.db.tables == {}
     assert replica.records_applied == 0
+    assert sim.peek() == float("inf")
 
 
 def test_router_read_your_writes_then_replica():

@@ -6,7 +6,6 @@ from repro.core.context import RequestContext
 from repro.errors import SubmissionRefused
 from repro.faults import FaultSpec, fault_plane
 from repro.grid import build_testbed
-from repro.grid.job import JobState
 from repro.grid.rsl import JobDescription, generate_rsl
 from repro.telemetry.events import bus
 from repro.units import Mbps
@@ -54,40 +53,6 @@ def submit_sleepers(tb, chain, client, runtimes, site="ncsa"):
 
 
 # ------------------------------------------------------------ batch ops
-
-def test_status_many_matches_individual_status():
-    tb = quick_testbed()
-    chain, client = logon(tb)
-    ids = submit_sleepers(tb, chain, client, [5.0, 50.0])
-    gram = tb.gatekeepers["ncsa"]
-
-    def flow():
-        yield tb.sim.timeout(20.0)  # first done, second still running
-        batch = yield gram.status_many(client, ids)
-        singles = {}
-        for job_id in ids:
-            singles[job_id] = (yield gram.status(client, job_id))
-        return batch, singles
-
-    batch, singles = tb.sim.run(until=tb.sim.process(flow()))
-    assert batch == singles
-    assert batch[ids[0]] is JobState.DONE
-    assert batch[ids[1]] is JobState.ACTIVE
-
-
-def test_status_many_unknown_job_maps_to_none():
-    tb = quick_testbed()
-    chain, client = logon(tb)
-    ids = submit_sleepers(tb, chain, client, [1.0])
-    gram = tb.gatekeepers["ncsa"]
-
-    def flow():
-        return (yield gram.status_many(client, ids + ["job-bogus"]))
-
-    states = tb.sim.run(until=tb.sim.process(flow()))
-    assert states["job-bogus"] is None
-    assert states[ids[0]] is not None
-
 
 def test_fetch_output_many_matches_individual_fetches():
     tb = quick_testbed()
@@ -145,12 +110,9 @@ def test_empty_batch_is_free():
     before = (gram.control_bytes, gram.exchanges)
 
     def flow():
-        states = yield gram.status_many(client, [])
-        outputs = yield gram.fetch_output_many(client, [])
-        return states, outputs
+        return (yield gram.fetch_output_many(client, []))
 
-    states, outputs = tb.sim.run(until=tb.sim.process(flow()))
-    assert states == {} and outputs == {}
+    assert tb.sim.run(until=tb.sim.process(flow())) == {}
     assert (gram.control_bytes, gram.exchanges) == before
 
 
@@ -171,7 +133,7 @@ def test_status_and_cancel_fail_during_outage():
         yield gram.cancel(client, ids[0])
 
     def batch_flow():
-        yield gram.status_many(client, ids)
+        yield gram.fetch_output_many(client, ids)
 
     for flow in (status_flow, cancel_flow, batch_flow):
         with pytest.raises(SubmissionRefused, match="outage"):

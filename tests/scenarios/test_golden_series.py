@@ -40,7 +40,7 @@ def golden_with(monkeypatch):
     its golden when ``attach(stack)`` runs right after deployment."""
     import repro.scenarios.common as common
 
-    real_deploy = common.deploy_onserve
+    real_deploy = common.deploy_fabric
 
     def check(name, attach, what):
         def attaching_deploy(testbed, config=None, **kw):
@@ -49,7 +49,7 @@ def golden_with(monkeypatch):
                 lambda ev: attach(ev._value) if ev._ok else None)
             return proc
 
-        monkeypatch.setattr(common, "deploy_onserve", attaching_deploy)
+        monkeypatch.setattr(common, "deploy_fabric", attaching_deploy)
         golden = (GOLDEN_DIR / f"{name}.csv").read_text()
         actual = to_csv(FIGURES[name](seed=0).series) + "\n"
         assert actual == golden, (
@@ -59,8 +59,10 @@ def golden_with(monkeypatch):
     return check
 
 
-def attach_inert_caches(stack):
-    stack.enable_client_caches(enabled=False)
+def attach_cold_caches(stack):
+    """Real caches: each figure binds its one service once, so every
+    lookup is a first miss and nothing is ever served from a cache."""
+    return stack.enable_client_caches()
 
 
 def attach_healing_router(stack):
@@ -108,18 +110,18 @@ def assert_queue_idle(queue):
 
 
 def attach_db_tier(stack):
-    """MVCC on (pure bookkeeping) + a *disabled* WAL-shipping replica."""
+    """MVCC on (pure bookkeeping) + a WAL-shipping replica no read router
+    ever consults."""
     from repro.db.replica import ReadReplica
 
     stack.dbmanager.db.mvcc = True
-    return ReadReplica(stack.sim, stack.dbmanager.db, lag=0.5,
-                       enabled=False)
+    return ReadReplica(stack.sim, stack.dbmanager.db, lag=0.5)
 
 
 def assert_replica_idle(replica):
-    # Provably inert: the disabled replica shipped and applied nothing.
-    assert replica.db.tables == {}
-    assert replica.backlog() == 0
+    # Shipping is a list append and application is lazy: the unread
+    # replica queued the run's frames and never applied one.
+    assert replica.backlog() > 0
     assert replica.records_applied == 0
 
 
@@ -152,15 +154,20 @@ def assert_tower_observed(tower):
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_goldens_unchanged_with_inert_cache_layer(name, golden_with):
-    """Attached-but-disabled client caches must not perturb a run.
+    """Attached client caches that never hit must not perturb a run.
 
-    The cache layer's determinism contract: disabled caches store and
-    serve nothing, and the coalescing plane (always attached, enabled
-    only by ``config.coalesce``) creates zero events on the default
-    path.  Re-running each figure with inert caches on every client
-    must therefore reproduce the committed goldens byte-for-byte.
+    The cache layer's determinism contract: a cache schedules nothing —
+    a miss costs two dict lookups and a bus event — and the coalescing
+    plane (always attached, enabled only by ``config.coalesce``)
+    creates zero events on the default path.  Each figure binds its
+    service at most once, so with caches on every client no lookup is
+    ever a hit and the run must reproduce the committed goldens
+    byte-for-byte.
     """
-    golden_with(name, attach_inert_caches, "inert client caches")
+    caches = []
+    golden_with(name, lambda s: caches.extend(attach_cold_caches(s)),
+                "cold client caches")
+    assert all(cache.hits == 0 for cache in caches)
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
@@ -204,19 +211,20 @@ def test_goldens_unchanged_with_idle_notify_queue_attached(
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_goldens_unchanged_with_mvcc_and_idle_replica(name, golden_with):
-    """MVCC on + an attached-but-disabled read replica must stay inert.
+    """MVCC on + an attached-but-unread read replica must stay inert.
 
     The DB-scale determinism contract (DESIGN.md §15): MVCC is pure
     bookkeeping — version chains are saved and pruned in the writer's
-    stack frame, no simulation event is ever created — and a disabled
-    :class:`~repro.db.replica.ReadReplica` taps nothing, so its tables
-    stay provably empty.  Re-running each figure with the engine in
-    MVCC mode and a disabled replica attached to the appliance database
-    must reproduce the committed goldens byte-for-byte.
+    stack frame, no simulation event is ever created — and a
+    :class:`~repro.db.replica.ReadReplica` only queues what the WAL tap
+    ships until a reader asks for it.  Re-running each figure with the
+    engine in MVCC mode and a replica nobody reads attached to the
+    appliance database must reproduce the committed goldens
+    byte-for-byte.
     """
     replicas = []
     golden_with(name, lambda s: replicas.append(attach_db_tier(s)),
-                "MVCC + a disabled replica")
+                "MVCC + an unread replica")
     assert_replica_idle(replicas[-1])
 
 
@@ -256,7 +264,7 @@ def test_goldens_unchanged_with_every_plane_attached(
     attached = []
 
     def attach_everything(stack):
-        attach_inert_caches(stack)
+        attach_cold_caches(stack)
         pool = stack.agent._ftp_sessions
         assert pool is not None and not pool.enabled
         for site in stack.testbed.gatekeepers:

@@ -38,16 +38,6 @@ def test_discovery_entries_expire_by_sim_time():
     assert cache.hits == 1 and cache.misses == 1
 
 
-def test_disabled_cache_stores_and_serves_nothing():
-    sim = Simulator(seed=0)
-    cache = ClientCache(sim, enabled=False)
-    cache.store_discovery("X%", ("X", "soap://a/X", "soap://a/X?wsdl"))
-    cache.store_wsdl("soap://a/X", b"<wsdl/>")
-    assert cache.lookup_discovery("X%") is None
-    assert cache.lookup_wsdl("soap://a/X") is None
-    assert cache.hits == 0 and cache.misses == 0  # not even counted
-
-
 def test_stub_memo_is_keyed_by_document_bytes():
     sim = Simulator(seed=0)
     cache = ClientCache(sim)
@@ -166,15 +156,6 @@ def test_stub_hit_and_miss_are_per_client_not_per_process():
     # A changed document is a miss and another class.
     assert first.stub_class(wsdl_for("MemoB", "name")) is not stub
     assert (first.hits, first.misses) == (2, 2)
-
-
-def test_disabled_cache_neither_counts_nor_emits_stub_lookups():
-    doc = wsdl_for("MemoC")
-    sim = Simulator(seed=0)
-    cache = ClientCache(sim, enabled=False)
-    assert cache.stub_class(doc) is cache.stub_class(doc) is generate_stub(doc)
-    assert (cache.hits, cache.misses) == (0, 0)
-    assert stub_events(sim) == [] and len(bus(sim).events()) == 0
 
 
 class reference_cache(ClientCache):
