@@ -12,7 +12,10 @@ initializes the execution of an associated executable on the Grid"
 3. *Upload* — push the executable to the chosen site via the agent
    (GridFTP over the thin WAN uplink: Figure 7's 60-second plateau).
    Faithfully, the file "will even be reloaded when executed a 2nd
-   time" — no upload cache unless the ablation flag is set.
+   time"; under ``config.stage_once`` (the ``upload_cache`` ablation,
+   or the ``datapath`` plane) a site the store shows holding these
+   exact bytes is skipped, and one that lacks them is fed from a site
+   that has them instead of over the uplink.
 4. *Job description generation* — build the RSL from the invocation
    parameters (second CPU peak: "when the job is being created and
    submitted").
@@ -41,7 +44,8 @@ from repro.core.datastructures import ExecutableRecord
 from repro.core.watchdog import await_waiter, poll_until
 from repro.cyberaide.jobspec import CyberaideJobSpec
 from repro.errors import (
-    InvocationError, JobError, JobNotFound, is_retryable, root_cause_name,
+    InvocationError, JobError, JobNotFound, ReproError, is_retryable,
+    root_cause_name,
 )
 from repro.resilience.retry import retry_call
 from repro.simkernel.events import Event
@@ -251,17 +255,19 @@ class GridServiceRuntime:
                 nonlocal held_bytes
                 policy = self.onserve.retry_policy
 
-                # 3. Upload the executable to the site (re-uploaded every
-                #    time unless the upload-cache ablation is on).  Under
-                #    coalescing, concurrent invocations staging the same
-                #    (site, path, bytes) share one GridFTP transfer.
+                # 3. Upload the executable to the site — every time
+                #    (the faithful flaw), or under ``cfg.stage_once``
+                #    only when the store does not already show these
+                #    exact bytes there.  Under coalescing, concurrent
+                #    invocations staging the same (site, path, bytes)
+                #    share one GridFTP transfer.
                 mark = self.sim.now
                 with span(ctx, "service:upload", site=site):
                     staged = spec.staged_path()
-                    staged_hit = (cfg.upload_cache and
-                                  self.onserve.is_staged(site, staged,
-                                                         exe.digest))
-                    if cfg.upload_cache:
+                    once = cfg.stage_once
+                    staged_hit = once and self.onserve.is_staged(
+                        site, staged, exe.digest)
+                    if once:
                         self.onserve.bus.emit(
                             "cache.hit" if staged_hit else "cache.miss",
                             layer="core", cache="staged",
@@ -277,6 +283,9 @@ class GridServiceRuntime:
                             held_bytes = exe.size
 
                         def stage():
+                            if once and (yield from self._replicate(
+                                    site, staged, exe.digest, ctx)):
+                                return
                             if chunked:
                                 # Read the temp copy back for the
                                 # GridFTP trip; the blob never re-enters
@@ -296,8 +305,9 @@ class GridServiceRuntime:
                                 self.sim, policy, upload_try, ctx=ctx,
                                 label=f"upload:{site}",
                                 on_retry=self._recover_session)
-                            self.onserve.mark_staged(site, staged,
-                                                     exe.digest)
+                            if once:
+                                self.onserve.mark_staged(site, staged,
+                                                         exe.digest)
 
                         flights = self.onserve.flights
                         digest = exe.digest if flights.enabled else ""
@@ -335,8 +345,15 @@ class GridServiceRuntime:
                 # 6. Wait for completion.
                 mark = self.sim.now
                 with span(ctx, "service:polling", job=job_id):
-                    result = yield from self._await_output(
-                        self._session, site, spec, tag, job_id, report, ctx)
+                    try:
+                        result = yield from self._await_output(
+                            self._session, site, spec, tag, job_id, report,
+                            ctx)
+                    except JobError:
+                        if staged_hit:
+                            yield from self._drop_if_unstaged(site, staged,
+                                                              ctx)
+                        raise
                 report.polling += self.sim.now - mark
                 return result
 
@@ -405,6 +422,60 @@ class GridServiceRuntime:
                 continue
             breakers.success(site)
             return result
+
+    def _replicate(self, site: str, staged: str, digest: str,
+                   ctx: Optional[RequestContext] = None
+                   ) -> Generator[Event, None, bool]:
+        """Feed *site* from a site that already holds *digest*.
+
+        A generator meant to be delegated to; ``True`` means *site* now
+        holds the bytes and is recorded so.  The copy runs head node to
+        head node (GridFTP third-party mode) instead of a second trip
+        over the appliance uplink.  ``False`` — no holder with a closed
+        breaker, a transient failure of the copy, or a source row that
+        no longer says *digest* once the copy is done (a republish
+        raced it: what landed may be the new bytes) — leaves the caller
+        to upload the bytes it loaded, as if this had not been tried.
+        """
+        onserve = self.onserve
+        source = onserve.replication_source(site, staged, digest)
+        if source is None:
+            return False
+        try:
+            session = yield from self._ensure_session(ctx)
+            yield onserve.agent_stub.replicateExecutable(
+                session=session, fromSite=source, toSite=site, path=staged,
+                ctx=ctx)
+        except ReproError as exc:
+            if not is_retryable(exc):
+                raise
+            self._recover_session(exc, 0)
+            return False
+        if not onserve.is_staged(source, staged, digest):
+            return False
+        onserve.mark_staged(site, staged, digest)
+        return True
+
+    def _drop_if_unstaged(self, site: str, staged: str,
+                          ctx: Optional[RequestContext] = None
+                          ) -> Generator[Event, None, None]:
+        """A job failed on a copy this invocation did not stage itself.
+
+        The agent reports no job status, let alone the LRM's ``not
+        staged`` reason, so ask the site's filesystem (the existence
+        probe that already stands in for status): if the file is gone
+        the ``(site, path)`` row is stale — drop exactly that row, so
+        the next invocation re-stages instead of failing over for ever.
+        A probe that fails leaves the row alone: the job's own failure
+        is what the caller reports.
+        """
+        try:
+            present = yield self.onserve.agent_stub.outputReady(
+                session=self._session, site=site, path=staged, ctx=ctx)
+        except ReproError:
+            return
+        if not present:
+            self.onserve.store.evict_staged(staged, site=site)
 
     def _recover_session(self, exc: BaseException, attempt: int) -> None:
         """Retry hook: a dead credential means re-authenticate, not just

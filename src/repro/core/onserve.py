@@ -30,7 +30,7 @@ from repro.db.dbmanager import DbManager, DbTierConfig
 from repro.errors import OnServeError, ServiceNotFound, UddiError, UploadError
 from repro.grid.testbed import Testbed
 from repro.hardware.host import Host
-from repro.resilience.breaker import BreakerBoard
+from repro.resilience.breaker import OPEN, BreakerBoard
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.simkernel.events import Event
 from repro.simkernel.process import Process
@@ -86,7 +86,9 @@ class OnServeConfig:
         #: False is the "may be improved" ablation (§VIII.D.3).
         self.double_write = double_write
         #: Faithful flaw: executables re-upload on every invocation.
-        #: True caches staged files per site (ablation).
+        #: True is the ablation: one of the two switches behind
+        #: :attr:`stage_once`, and the only one that leaves the rest of
+        #: the faithful timeline alone.
         self.upload_cache = upload_cache
         #: Faithful flaw: agent job status unavailable -> tentative
         #: output polling.  True is the clean-status ablation.
@@ -110,10 +112,11 @@ class OnServeConfig:
         #: GridFTP staging per (site, path).  Off by default: the
         #: faithful timeline (and every golden figure) runs without it.
         self.coalesce = coalesce
-        #: Grid data-path batching: GridFTP session reuse on the agent
-        #: plus one per-site adaptive PollMux driving batched tentative
-        #: polls instead of N fixed-interval per-job loops.  Off by
-        #: default: the goldens pin the pay-per-operation timeline.
+        #: Grid data-path plane: GridFTP session reuse on the agent, one
+        #: per-site adaptive PollMux driving batched tentative polls
+        #: instead of N fixed-interval per-job loops, and staging by
+        #: content, once (:attr:`stage_once`).  Off by default: the
+        #: goldens pin the pay-per-operation timeline.
         self.datapath = datapath
         #: Push path (ROADMAP item 1): attach the durable notification
         #: queue and mark the listed sites' gatekeepers capable ("*"
@@ -136,6 +139,19 @@ class OnServeConfig:
         self.db_tier = DbTierConfig(mvcc=db_mvcc, serialize=db_serialize,
                                     chunk_bytes=db_chunk_bytes,
                                     replicas=db_replicas)
+
+    @property
+    def stage_once(self) -> bool:
+        """Stage by content, once: trust the store's ``staged_copies``.
+
+        The one predicate the runtime's staging step asks.  On, a site
+        whose row carries the digest of the bytes an invocation just
+        loaded is not uploaded to again, a site that lacks them is fed
+        head node to head node from one that has them, and every
+        staging is recorded; off (the faithful flaw), nothing reads or
+        writes the table.
+        """
+        return self.upload_cache or self.datapath
 
 
 class OnServe:
@@ -251,7 +267,7 @@ class OnServe:
         # the counters are fabric-wide, so this seeds only once.
         self.store.seed_counters()
 
-    # -- upload cache (ablation support) ---------------------------------------
+    # -- staged grid copies (``config.stage_once``) --------------------------
     # *digest* is :attr:`StoredExecutable.digest`: one hash per load.
 
     def is_staged(self, site: str, path: str, digest: str) -> bool:
@@ -259,6 +275,16 @@ class OnServe:
 
     def mark_staged(self, site: str, path: str, digest: str) -> None:
         self.store.mark_staged(site, path, digest, self.replica)
+
+    def replication_source(self, site: str, path: str,
+                           digest: str) -> Optional[str]:
+        """A site other than *site* the store shows holding *digest* at
+        *path*, first by name among those whose breaker is not open."""
+        states = self.breakers.states()
+        for holder in self.store.staged_sites(path, digest):
+            if holder != site and states.get(holder) != OPEN:
+                return holder
+        return None
 
     # -- §VII.A "further treatment" -----------------------------------------------
 

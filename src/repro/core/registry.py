@@ -19,7 +19,8 @@ Tables
 ``staged_copies``
     Which (site, path) on the grid holds which payload digest.  A copy
     staged by any replica is on the site for every replica, so this is
-    naturally fabric-global state.
+    naturally fabric-global state.  Read and written only under
+    ``OnServeConfig.stage_once`` (DESIGN.md §10).
 ``agent_leases``
     The MyProxy-backed agent session per (replica, username).  Sessions
     are minted by each replica's own agent, so the lease key includes
@@ -280,9 +281,18 @@ class ServiceStateStore:
         self.db.upsert(STAGED_TABLE, [self._staged_key(site, path),
                                       site, path, digest, replica])
 
-    def evict_staged(self, path: str) -> int:
-        """Drop every site's copy of exactly *path* (replacement upload)."""
+    def evict_staged(self, path: str, site: Optional[str] = None) -> int:
+        """Drop *site*'s copy of exactly *path* (the file turned out to
+        be gone) — or every site's (replacement upload)."""
+        if site is not None:
+            return self.db.delete_eq(STAGED_TABLE, "key",
+                                     self._staged_key(site, path))
         return self.db.delete_eq(STAGED_TABLE, "path", path)
+
+    def staged_sites(self, path: str, digest: str) -> List[str]:
+        """The sites recorded as holding *digest* at *path*, by name."""
+        rows = self._read(STAGED_TABLE).find_eq(STAGED_TABLE, "path", path)
+        return sorted(r["site"] for r in rows if r["digest"] == digest)
 
     def staged_copies(self) -> List[Tuple[str, str, str]]:
         """(site, path, digest) rows, ordered (test/inspection hook)."""

@@ -80,6 +80,8 @@ class CyberaideAgent:
         self._counter = itertools.count(1)
         #: Experiment counters.
         self.uploads = 0
+        #: Site-to-site copies directed (``replicateExecutable``).
+        self.replications = 0
         self.submissions = 0
         self.output_polls = 0
         self.batch_polls = 0
@@ -109,6 +111,11 @@ class CyberaideAgent:
                            ParameterSpec("path", s),
                            ParameterSpec("data", "xsd:base64Binary")],
                           "xsd:int"),
+            OperationSpec("replicateExecutable",
+                          [ParameterSpec("session", s),
+                           ParameterSpec("fromSite", s),
+                           ParameterSpec("toSite", s),
+                           ParameterSpec("path", s)], "xsd:int"),
             OperationSpec("submitJob",
                           [ParameterSpec("session", s),
                            ParameterSpec("site", s),
@@ -189,6 +196,26 @@ class CyberaideAgent:
         self._bus.emit("agent.upload", layer="agent",
                        request_id=ctx.request_id if ctx else None,
                        site=site, path=path, nbytes=n)
+        return n
+
+    def _op_replicateExecutable(self, session: str, fromSite: str,
+                                toSite: str, path: str,
+                                ctx: Optional[RequestContext] = None
+                                ) -> Generator[Event, None, int]:
+        """Copy *path* from one site to the same path on another.
+
+        GridFTP third-party mode: the agent only directs the transfer
+        over two control channels; the bytes move head node to head
+        node and never cross the appliance uplink.
+        """
+        sess = self._session(session)
+        source, dest = self._ftp(fromSite), self._ftp(toSite)
+        n = yield source.third_party_transfer(self.host, sess.chain, path,
+                                              dest, path, ctx=ctx)
+        self.replications += 1
+        self._bus.emit("agent.replicate", layer="agent",
+                       request_id=ctx.request_id if ctx else None,
+                       src=fromSite, dest=toSite, path=path, nbytes=n)
         return n
 
     def _op_submitJob(self, session: str, site: str, rsl: str,

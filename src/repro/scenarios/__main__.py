@@ -54,7 +54,7 @@ ROWS: Tuple[Tuple[str, Callable[..., Any], Dict[str, Any],
     ("bottleneck", run_bottleneck, {}, NEVER),
     ("faults", run_faults, {}, ALWAYS),
     ("throughput", run_throughput, {}, NEVER),
-    ("datapath", run_datapath, {}, NEVER),
+    ("datapath", run_datapath, {}, ALWAYS),
     ("scaleout", run_scaleout, {}, NEVER),
     ("controltower", run_controltower, {}, FULL_ONLY),
     ("chaos", run_chaos, {}, ALWAYS),

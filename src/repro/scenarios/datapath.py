@@ -23,6 +23,14 @@ Job runtimes are staggered (``base + 6·i`` seconds) so completions
 spread over time and the adaptive interval's snap-back actually matters.
 The acceptance bar: at >= 16 concurrent jobs, batched mode cuts control
 bytes *and* modelled head CPU by >= 40% while lowering mean lag.
+
+A second, sequential part measures the plane's other half — staging by
+content, once (DESIGN.md §10): one 256 KB executable invoked eight
+times in a row over two sites.  Per-operation mode pushes the bytes
+over the appliance uplink every time; ``datapath`` mode uploads them
+once, copies them site to site once, and hits the store's row for the
+rest.  Its bar (gated by ``--smoke`` and ``bench_datapath.py``): uplink
+bytes down >= 80% with exactly one grid upload.
 """
 
 from __future__ import annotations
@@ -43,8 +51,11 @@ __all__ = ["DatapathResult", "run_datapath"]
 class DatapathResult:
     """One sweep: per-concurrency baseline-vs-batched measurements."""
 
-    def __init__(self, rows: List[Dict[str, float]]):
+    def __init__(self, rows: List[Dict[str, float]],
+                 repeat: Dict[str, Dict[str, float]]):
         self.rows = rows
+        #: The repeat-invoke part: mode ("base" | "batch") -> counts.
+        self.repeat = repeat
 
     def _row(self, n: int) -> Dict[str, float]:
         for row in self.rows:
@@ -67,6 +78,17 @@ class DatapathResult:
         row = self._row(n)
         return row["batch_lag_mean"] < row["base_lag_mean"]
 
+    @property
+    def uplink_reduction(self) -> float:
+        """Fractional uplink-byte reduction of the repeat-invoke part."""
+        return 1.0 - (self.repeat["batch"]["uplink"]
+                      / self.repeat["base"]["uplink"])
+
+    @property
+    def ok(self) -> bool:
+        return (self.uplink_reduction >= REPEAT_UPLINK_BAR
+                and self.repeat["batch"]["uploads"] == 1)
+
     def render(self) -> str:
         title = ("Grid data-path ablation — per-operation vs "
                  "batched/session mode")
@@ -83,6 +105,23 @@ class DatapathResult:
                 f"{100 * self.cpu_reduction_at(n):>5.1f}% "
                 f"{row['base_lag_mean']:>5.1f}->{row['batch_lag_mean']:<6.1f} "
                 f"{row['base_lag_p95']:>5.1f}->{row['batch_lag_p95']:<6.1f}")
+        lines += [
+            "",
+            f"Repeat invoke — {REPEAT_INVOKES} sequential invokes of one "
+            f"{REPEAT_FILE_BYTES // 1024} KB executable over {REPEAT_SITES} "
+            f"sites (round robin)",
+            f"{'mode':<14} {'uplink KB':>10} {'grid uploads':>13} "
+            f"{'replications':>13} {'staged hit/miss':>16}"]
+        for label, mode in (("per-operation", "base"), ("datapath", "batch")):
+            part = self.repeat[mode]
+            lines.append(
+                f"{label:<14} {part['uplink'] / 1024:>10.1f} "
+                f"{part['uploads']:>13} {part['replications']:>13} "
+                f"{part['hits']:>13}/{part['misses']}")
+        lines.append(
+            f"uplink bytes down {100 * self.uplink_reduction:.1f}% "
+            f"(bar: >= {100 * REPEAT_UPLINK_BAR:.0f}% with one grid "
+            f"upload): {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines)
 
 
@@ -106,7 +145,54 @@ def run_datapath(levels: Sequence[int] = (1, 2, 4, 8, 16, 32),
             "base_lag_p95": base["lag_p95"], "batch_lag_p95": batch["lag_p95"],
             "base_latency": base["latency"], "batch_latency": batch["latency"],
         })
-    return DatapathResult(rows)
+    return DatapathResult(rows, {
+        "base": _repeat_invoke(seed, batched=False),
+        "batch": _repeat_invoke(seed, batched=True)})
+
+
+#: The repeat-invoke part's shape (the same under ``--smoke``: eight
+#: short jobs, and fewer would not amortize the one upload to the bar).
+REPEAT_INVOKES = 8
+REPEAT_FILE_BYTES = int(KB(256))
+REPEAT_SITES = 2
+#: ... and its bar: this share of the uplink bytes gone, one grid upload.
+REPEAT_UPLINK_BAR = 0.80
+
+
+def _repeat_invoke(seed: int, batched: bool) -> Dict[str, float]:
+    """Sequential invokes of one executable, alternating two sites.
+
+    Round robin, because "best" keeps an idle testbed on one site.
+    Every count is one the system keeps for any reader: the agent's
+    ``uploads`` / ``replications`` and the ``cache.hit`` / ``cache.miss``
+    events of the staged-copy lookup.
+    """
+    config = OnServeConfig(datapath=batched, site_policy="round_robin")
+    env = standard_env(config=config, seed=seed, n_sites=REPEAT_SITES)
+    stack, sim = env.stack, env.sim
+    sim.run(until=stack.portal.upload_and_generate(
+        env.testbed.user_hosts[0], "repeat.bin",
+        make_payload("echo", size=REPEAT_FILE_BYTES),
+        params_spec="token:string"))
+    [uplink] = env.testbed.network.route(stack.appliance_host.name,
+                                         "wan-core")
+    uplink0 = uplink.server.work_integral()
+    for i in range(REPEAT_INVOKES):
+        token = f"repeat-{i}"
+        reply = sim.run(until=discover_and_invoke(
+            stack, stack.user_clients[0], "Repeat%", token=token))
+        if reply != token + "\n":
+            raise RuntimeError(f"repeat invoke {i} answered {reply!r}")
+    staged = [ev.kind for ev in bus(sim).events()
+              if ev.kind in ("cache.hit", "cache.miss")
+              and ev.fields.get("cache") == "staged"]
+    return {
+        "uplink": uplink.server.work_integral() - uplink0,
+        "uploads": stack.agent.uploads,
+        "replications": stack.agent.replications,
+        "hits": staged.count("cache.hit"),
+        "misses": staged.count("cache.miss"),
+    }
 
 
 def _control_bytes(env: ScenarioEnv) -> float:

@@ -7,6 +7,7 @@ from repro.cyberaide.mediator import Mediator, TaskState
 from repro.errors import AuthenticationFailed, RslError, SoapFault
 from repro.grid import build_testbed
 from repro.simkernel import Simulator
+from repro.telemetry.events import bus
 from repro.units import KB, Mbps
 from repro.workloads import make_payload
 from repro.ws import SoapFabric, SoapServer, WsClient, generate_stub
@@ -173,6 +174,84 @@ def test_unknown_site_fault():
 
     with pytest.raises(SoapFault, match="GridFTP"):
         tb.sim.run(until=tb.sim.process(flow()))
+
+
+# ------------------------------------------------ replicateExecutable
+
+def _replicate_flow(tb, stub, stage=True, **call):
+    """Stage a file on ncsa (optionally), then direct one site-to-site
+    copy with *call* overriding the default arguments; the process's
+    value is (bytes copied, bytes the copy put on the appliance uplink)."""
+    payload = make_payload("echo", size=int(KB(64)))
+    [uplink] = tb.network.route("appliance", "wan-core")
+
+    def flow():
+        session = yield stub.authenticate(username="onserve", passphrase="pw")
+        if stage:
+            yield stub.uploadExecutable(session=session, site="ncsa",
+                                        path="/x/echo.sh", data=payload)
+        before = uplink.server.work_integral()
+        args = dict(session=session, fromSite="ncsa", toSite="sdsc",
+                    path="/x/echo.sh")
+        args.update(call)
+        n = yield stub.replicateExecutable(**args)
+        return n, uplink.server.work_integral() - before
+
+    return payload, tb.sim.process(flow())
+
+
+def test_replicate_copies_site_to_site_off_the_uplink():
+    tb, agent, stub = agent_env()
+    payload, proc = _replicate_flow(tb, stub)
+    copied, over_uplink = tb.sim.run(until=proc)
+    assert copied == len(payload)
+    # Two control channels crossed the uplink; the bytes did not.
+    assert over_uplink < len(payload) / 4
+    assert tb.site("sdsc").read_file("/x/echo.sh") == payload
+    assert (agent.uploads, agent.replications) == (1, 1)
+    [event] = bus(tb.sim).events(kind="agent.replicate")
+    assert (event.fields["src"], event.fields["dest"],
+            event.fields["nbytes"]) == ("ncsa", "sdsc", len(payload))
+
+
+@pytest.mark.parametrize("call, root_cause", [
+    ({"fromSite": "mars"}, "GridError"),
+    ({"toSite": "mars"}, "GridError"),
+    ({"session": "sess-bogus"}, "AuthenticationFailed"),
+])
+def test_replicate_rejects_unknown_site_and_dead_session(call, root_cause):
+    tb, agent, stub = agent_env()
+    _payload, proc = _replicate_flow(tb, stub, **call)
+    with pytest.raises(SoapFault) as excinfo:
+        tb.sim.run(until=proc)
+    assert excinfo.value.root_cause == root_cause
+    assert agent.replications == 0
+    assert not tb.site("sdsc").has_file("/x/echo.sh")
+
+
+def test_replicate_expired_session_is_an_authentication_failure():
+    tb, agent, stub = agent_env()
+    agent.config.default_proxy_lifetime = 100.0
+
+    def flow():
+        session = yield stub.authenticate(username="onserve", passphrase="pw")
+        yield tb.sim.timeout(7200.0)
+        yield stub.replicateExecutable(session=session, fromSite="ncsa",
+                                       toSite="sdsc", path="/x/echo.sh")
+
+    with pytest.raises(SoapFault, match="expired") as excinfo:
+        tb.sim.run(until=tb.sim.process(flow()))
+    assert excinfo.value.root_cause == "AuthenticationFailed"
+
+
+def test_replicate_missing_source_file_is_a_transfer_error():
+    tb, agent, stub = agent_env()
+    _payload, proc = _replicate_flow(tb, stub, stage=False)
+    with pytest.raises(SoapFault, match="no such file") as excinfo:
+        tb.sim.run(until=proc)
+    assert excinfo.value.root_cause == "TransferError"
+    assert excinfo.value.retryable
+    assert agent.replications == 0
 
 
 # ---------------------------------------------------------------- mediator

@@ -17,6 +17,7 @@ def test_sweep_is_deterministic():
     a = run_datapath(levels=(1, 4), smoke=False, seed=0)
     b = run_datapath(levels=(1, 4), smoke=False, seed=0)
     assert a.rows == b.rows
+    assert a.repeat == b.repeat
 
 
 def test_savings_grow_with_concurrency():
@@ -36,6 +37,15 @@ def test_smoke_levels_and_render():
     assert text.count("\n") >= 3
     with pytest.raises(KeyError):
         result.control_reduction_at(99)
+    # The repeat-invoke part: per-operation re-uploads every time,
+    # datapath stages by content once and copies site to site once.
+    base, batch = result.repeat["base"], result.repeat["batch"]
+    assert (base["uploads"], base["replications"]) == (8, 0)
+    assert (base["hits"], base["misses"]) == (0, 0)
+    assert (batch["uploads"], batch["replications"]) == (1, 1)
+    assert (batch["hits"], batch["misses"]) == (6, 2)
+    assert result.ok and result.uplink_reduction >= 0.80
+    assert "PASS" in text
 
 
 def test_percentile_nearest_rank():
