@@ -347,6 +347,69 @@ def test_micro_hot_blob_load():
         f"(ceiling: 1.05x)")
 
 
+def test_micro_wal_compaction(monkeypatch):
+    """A log that keeps being superseded must stay within twice what is
+    live plus the floor, for at most a tenth more time than never
+    compacting — and a log with nothing heavy in it never compacts.
+
+    200 versions of four 256 KB BLOB rows (delete + insert, the way
+    ``store_executable`` replaces one), each followed by ten small-row
+    transactions, against the very same run with the floor out of reach.
+    Turn and turn about in one process, so host-speed drift cancels; the
+    ratio is the median over the rounds.
+    """
+    from statistics import median
+
+    from repro.db import engine
+
+    def run(floor, versions=200, blob=256 << 10):
+        monkeypatch.setattr(engine, "_COMPACT_FLOOR", floor)
+        db = Database()
+        db.create_table("executables", [
+            Column("name", "TEXT", primary_key=True), Column("data", "BLOB")])
+        db.create_table("invocations", [
+            Column("id", "INT", primary_key=True),
+            Column("service", "TEXT", nullable=False),
+            Column("job_id", "TEXT"), Column("total", "REAL", nullable=False),
+        ])
+        ids = iter(range(10 ** 9))
+        t0 = time.perf_counter()
+        for version in range(versions):
+            name = f"own{version % 4:02d}.bin"
+            with db.transaction():
+                db.delete_eq("executables", "name", name)
+                db.insert("executables",
+                          [name, bytes([version % 251]) * blob])
+            for _ in range(5):
+                row = next(ids)
+                db.insert("invocations", [row, "Own00Service", None, 0.0])
+                db.update_eq("invocations", "id", row,
+                             {"job_id": "ncsa-job-00001", "total": 6.0})
+        seconds = time.perf_counter() - t0
+        unique = sum(len(s) for s in
+                     {id(s): s for s in db.wal._segments}.values())
+        return seconds, unique, db
+
+    floor = engine._COMPACT_FLOOR
+    rounds = [(run(floor), run(float("inf"))) for _ in range(7)]
+    (_, unique, db), (_, unbounded, never) = rounds[-1]
+    assert never.stats["compactions"] == 0 < db.stats["compactions"]
+    db.checkpoint()
+    live = db.wal.size()
+    ratio = median(kept[0] / grew[0] for kept, grew in rounds)
+    print(f"\n200 x 256 KB versions + 2000 small transactions: "
+          f"{db.stats['compactions'] - 1} compactions, log holds "
+          f"{unique / 2**20:.1f} MB (live {live / 2**20:.1f} MB; "
+          f"{unbounded / 2**20:.1f} MB uncompacted), time {ratio:.2f}x")
+    assert unique <= 2 * live + floor
+    assert ratio <= 1.10, (
+        f"compacting costs {ratio:.2f}x the run that never does "
+        f"(ceiling: 1.10x)")
+    # The same number of frames with no BLOB in them: nothing to shed.
+    _, _, small = run(floor, versions=220, blob=0)
+    assert len(small.wal) >= 2200 and small.stats["compactions"] == 0
+
+
 def test_micro_rsl_roundtrip(benchmark):
     desc = JobDescription(executable="/scratch/app", count=16,
                           arguments=[f"arg{i}" for i in range(8)],

@@ -129,19 +129,26 @@ class _InflateMemo:
     replaced, deleted or crash-recovered row holds a *different* object
     and simply never matches — no invalidation hook exists or is needed.
 
-    A version is admitted on its **second** fetch (the first only leaves
-    a marker pinning the compressed bytes the row and the log already
-    share), so a BLOB fetched once never has its payload retained.
+    A version is admitted on its **second** fetch, so a BLOB fetched
+    once never has its payload retained.  The first fetch only leaves a
+    marker, and a marker pins nothing: it is the row version's
+    ``(stored_at, compressed length)`` under the row's name (the newest
+    version fetched replaces it), so a version the store has dropped is
+    not kept alive here.  A marker that matches a different version of
+    equal time and length can at worst admit that one a fetch early;
+    what is served always comes from an entry found by its own object.
     Least-recently-fetched entries fall out once the pinned bytes pass
     :data:`_MEMO_BUDGET`; a version that alone exceeds it is never held.
     """
 
     def __init__(self) -> None:
-        #: id(data) -> (data, payload or None, digest or None, bytes
-        #: pinned), least recently fetched first.
-        self._entries: OrderedDict[int, Tuple[bytes, Any, Any, int]] = (
+        #: id(data) -> (data, payload, digest, bytes pinned), least
+        #: recently fetched first.
+        self._entries: OrderedDict[int, Tuple[bytes, bytes, str, int]] = (
             OrderedDict())
         self._pinned = 0
+        #: name -> (stored_at, len(data)) of the version fetched once.
+        self._markers: Dict[str, Tuple[float, int]] = {}
 
     def stored(self, record: Dict[str, Any]) -> StoredExecutable:
         """The row as a :class:`StoredExecutable`: metadata from *record*,
@@ -153,21 +160,22 @@ class _InflateMemo:
         key = id(data)
         entry = entries.get(key)
         digest = None
-        if entry is not None and entry[1] is not None:
+        if entry is not None:
             entries.move_to_end(key)
             payload, digest = entry[1], entry[2]
         else:
             payload = zlib.decompress(data)
-            # First fetch: a marker that pins *data* only.  Second: admit
-            # the payload, hashed once here for every later load.
-            admit = entry is not None
-            pinned = len(data) + (len(payload) if admit else 0)
-            if pinned <= _MEMO_BUDGET:
-                if admit:
-                    digest = hashlib.sha256(payload).hexdigest()
-                    self._pinned -= entries.pop(key)[3]
-                entries[key] = (data, payload if admit else None, digest,
-                                pinned)
+            name = record["name"]
+            version = (record["stored_at"], len(data))
+            pinned = len(data) + len(payload)
+            if self._markers.get(name) != version:
+                self._markers[name] = version  # first fetch
+            elif pinned <= _MEMO_BUDGET:
+                # Second fetch: admit the payload, hashed once here for
+                # every later load.
+                del self._markers[name]
+                digest = hashlib.sha256(payload).hexdigest()
+                entries[key] = (data, payload, digest, pinned)
                 self._pinned += pinned
                 while self._pinned > _MEMO_BUDGET:
                     self._pinned -= entries.popitem(last=False)[1][3]

@@ -7,21 +7,46 @@ log: ``rollback()`` walks it backwards and ``commit()`` appends it to
 the write-ahead log as **one CRC-framed record**, so a crash at any
 byte boundary recovers to the last committed transaction; a rollback,
 an empty transaction and a keyed miss write nothing.
+
+The log does not grow with the rows it has outlived: ``commit()`` counts
+the bytes its deletes and updates kill and, once they outweigh what is
+live, rewrites the log as an image of the committed state — silently,
+nothing is shipped or drawn for it (see ``Database._compact``).
 """
 
 from __future__ import annotations
 
-import itertools
+from operator import is_
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DatabaseError, RecordNotFound, TransactionError
 from repro.db.index import HashIndex, SortedIndex
 from repro.db.table import Column, HeapTable, Schema
-from repro.db.wal import WriteAheadLog
+from repro.db.wal import WriteAheadLog, encode_frame
 
 __all__ = ["Database", "Snapshot"]
 
 Predicate = Callable[[Dict[str, Any]], bool]
+
+#: Dead log bytes under which the log is never compacted.  A constant,
+#: not a knob: it bounds host memory only — the log's size carries no
+#: simulated cost and a compaction creates no event, record or bus event.
+_COMPACT_FLOOR = 8 * 1024 * 1024
+
+#: Rows per frame of a compacted image.  A frame whose rows are the very
+#: objects it was encoded from is handed to the next image as it is, so
+#: a compaction costs what changed since the last one, not what is live.
+_IMAGE_CHUNK = 32
+
+#: What a superseded row image weighs in the log besides its BLOBs (its
+#: frame entry, roughly): the dead-byte count is an estimate.
+_ROW_BYTES = 64
+
+
+def _create_table_record(name: str, schema: Schema) -> Tuple[Any, ...]:
+    return ("create_table", name,
+            [[c.name, c.type, int(c.nullable), int(c.primary_key)]
+             for c in schema.columns])
 
 
 class Database:
@@ -40,7 +65,7 @@ class Database:
         self._indexes: Dict[Tuple[str, str], Any] = {}
         # table -> [(column position, index)], what every write walks.
         self._table_indexes: Dict[str, List[Tuple[int, Any]]] = {}
-        self._txn_counter = itertools.count(1)
+        self._last_txn = 0  # ids count up; a compacted image reuses it
         self._active_txn: Optional[int] = None
         # The active transaction's DML, in order, each entry with the
         # row image before and after: commit() logs the list as the body
@@ -54,9 +79,17 @@ class Database:
         self._txn_touched: Set[Tuple[str, int]] = set()
         # Open snapshot read handles (for version pruning).
         self._snapshots: List["Snapshot"] = []
-        #: Query-planner counters (pure bookkeeping, used by tests/telemetry).
+        # Log bytes a compaction would shed, estimated as commits kill
+        # row images (see commit()).
+        self._dead_bytes = 0
+        # The frames of the last compacted image, each with what it
+        # encodes: (table, first rowid) -> (rowids, rows, frame).
+        self._image: Dict[Tuple[str, int], Tuple] = {}
+        #: Query-planner and log counters (pure bookkeeping, used by
+        #: tests/telemetry).
         self.stats: Dict[str, int] = {
             "rows_scanned": 0, "index_rows": 0, "snapshot_reads": 0,
+            "compactions": 0,
         }
 
     # ------------------------------------------------------------------ DDL
@@ -75,11 +108,7 @@ class Database:
         if name in self.tables:
             raise DatabaseError(f"table {name!r} already exists")
         schema = Schema(columns)
-        self.wal.append((
-            "create_table", name,
-            [[c.name, c.type, int(c.nullable), int(c.primary_key)]
-             for c in schema.columns],
-        ))
+        self.wal.append(_create_table_record(name, schema))
         self.tables[name] = HeapTable(name, schema)
 
     def drop_table(self, name: str) -> None:
@@ -118,16 +147,32 @@ class Database:
         """Start an explicit transaction; returns its id."""
         if self._active_txn is not None:
             raise TransactionError("a transaction is already active")
-        self._active_txn = txn = next(self._txn_counter)
-        return txn
+        self._last_txn += 1
+        self._active_txn = self._last_txn
+        return self._last_txn
 
     def commit(self) -> None:
-        """Commit the active transaction: its DML becomes one WAL frame."""
-        if self._active_txn is None:
+        """Commit the active transaction: its DML becomes one WAL frame.
+
+        A delete or update leaves two dead row images in the log — the
+        one it superseded and the copy its own entry carries; once they
+        outweigh both :data:`_COMPACT_FLOOR` and what is still live, the
+        log is compacted on the spot.
+        """
+        txn = self._active_txn
+        if txn is None:
             raise TransactionError("no active transaction")
-        if self._txn_dml:
-            self.wal.append(("txn", self._active_txn, self._txn_dml))
+        dml = self._txn_dml
+        if dml:
+            self.wal.append(("txn", txn, dml))
             self._txn_dml = []  # rebound, not cleared: the taps keep it
+            killed = 0
+            for entry in dml:
+                if entry[0] != "insert":
+                    killed += _ROW_BYTES
+                    for pos in self.tables[entry[1]].schema.blob_positions:
+                        killed += len(entry[3][pos] or b"")
+            self._dead_bytes += 2 * killed
         self._active_txn = None
         # The staged pre-images become permanent history at the old
         # watermark; open snapshots keep reading them.
@@ -137,6 +182,9 @@ class Database:
             # anything newly prunable; a closing snapshot sweeps them all.
             self._prune_versions({table for table, _ in self._txn_touched})
             self._txn_touched = set()
+        dead = self._dead_bytes
+        if dead > _COMPACT_FLOOR and 2 * dead > self.wal.size():
+            self._compact()
 
     def rollback(self) -> None:
         """Abort the active transaction, undoing its changes in memory.
@@ -350,24 +398,49 @@ class Database:
     # ----------------------------------------------------------- persistence
 
     def checkpoint(self) -> None:
-        """Compact the WAL: rewrite it as a snapshot of current state."""
+        """Compact the WAL now: rewrite it as a snapshot of current state.
+
+        Invisible to whoever tails the log (see :meth:`WriteAheadLog
+        .compact`): replicas and the read router hold this state already.
+        """
         if self._active_txn is not None:
             raise TransactionError("cannot checkpoint inside a transaction")
-        self.wal.reset()
-        for name, tbl in self.tables.items():
-            self.wal.append((
-                "create_table", name,
-                [[c.name, c.type, int(c.nullable), int(c.primary_key)]
-                 for c in tbl.schema.columns],
-            ))
+        self._compact()
+
+    def _compact(self) -> None:
+        """Rewrite the log as the image of the committed state: the
+        schema, then each table's rows, :data:`_IMAGE_CHUNK` to a frame.
+        A frame encoded here carries the newest transaction id there is;
+        none is drawn for a frame nobody is shipped."""
+        txn = self._last_txn
+        frames = [encode_frame(_create_table_record(name, tbl.schema))
+                  for name, tbl in self.tables.items()]
         for (table, column), index in self._indexes.items():
             kind = "hash" if isinstance(index, HashIndex) else "sorted"
-            self.wal.append(("create_index", table, column, kind))
-        rows = [("insert", name, rowid, row)
-                for name, tbl in self.tables.items()
-                for rowid, row in tbl.scan()]
-        if rows:
-            self.wal.append(("txn", next(self._txn_counter), rows))
+            frames.append(encode_frame(("create_index", table, column, kind)))
+        image = {}
+        for name, tbl in self.tables.items():
+            all_rowids, all_rows = tbl.image()
+            # A BLOB row is a frame of its own: its checksum runs over
+            # the BLOB, and only a new version should pay that again.
+            chunk = 1 if tbl.schema.blob_positions else _IMAGE_CHUNK
+            for at in range(0, len(all_rowids), chunk):
+                rowids = all_rowids[at:at + chunk]
+                rows = all_rows[at:at + chunk]
+                held = self._image.get((name, rowids[0]))
+                # Rows are immutable and replaced on update: the same
+                # objects under the same rowids encode to the same frame.
+                if (held is None or held[0] != rowids
+                        or not all(map(is_, held[1], rows))):
+                    held = (rowids, rows, encode_frame(("txn", txn, [
+                        ("insert", name, rowid, row)
+                        for rowid, row in zip(rowids, rows)])))
+                image[name, rowids[0]] = held
+                frames.append(held[2])
+        self._image = image
+        self.wal.compact(frames)
+        self._dead_bytes = 0
+        self.stats["compactions"] += 1
 
     @classmethod
     def recover(cls, wal_image: bytes, mvcc: bool = False) -> "Database":
@@ -382,7 +455,7 @@ class Database:
             if record[0] == "txn":
                 max_txn = max(max_txn, record[1])
             db._replay(record)
-        db._txn_counter = itertools.count(max_txn + 1)
+        db._last_txn = max_txn
         # The recovered database starts a fresh log reflecting its state.
         db.checkpoint()
         return db
@@ -391,9 +464,9 @@ class Database:
         """Apply one logged frame to this database, bypassing its own
         transaction machinery (recovery and WAL-shipped replicas).
 
-        Tolerant of a re-shipped frame (a primary checkpoint re-logs
-        everything): existing tables/indexes are kept, a re-inserted
-        rowid is replaced, DML on a missing table or rowid is dropped.
+        Tolerant of a frame that does not fit (a log image comes from
+        outside): existing tables/indexes are kept, a re-inserted rowid
+        is replaced, DML on a missing table or rowid is dropped.
         """
         op = record[0]
         if op == "txn":

@@ -80,6 +80,9 @@ class Schema:
         self._by_name: Dict[str, int] = {c.name: i for i, c in enumerate(columns)}
         self._stored: Tuple[type, ...] = tuple(
             _STORED_AS[c.type] for c in columns)
+        #: Positions of the BLOB columns (what makes a row heavy).
+        self.blob_positions: Tuple[int, ...] = tuple(
+            i for i, c in enumerate(columns) if c.type == "BLOB")
         self.primary_key: Optional[Column] = pks[0] if pks else None
         #: Column position of the primary key (None without one).
         self.pk_pos: Optional[int] = (
@@ -245,10 +248,18 @@ class HeapTable:
 
         A live view: collect what you need before inserting or deleting.
         """
+        return iter(self._ordered().items())
+
+    def image(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[Any, ...], ...]]:
+        """All rowids, and the row at each, in rowid order."""
+        rows = self._ordered()
+        return tuple(rows), tuple(rows.values())
+
+    def _ordered(self) -> Dict[int, Tuple[Any, ...]]:
         if self._unsorted:
             self._rows = dict(sorted(self._rows.items()))
             self._unsorted = False
-        return iter(self._rows.items())
+        return self._rows
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -22,11 +22,11 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from typing import Any, BinaryIO, Iterator, List, Tuple
+from typing import Any, BinaryIO, Iterable, Iterator, List, Tuple
 
 from repro.errors import DatabaseError
 
-__all__ = ["WriteAheadLog", "encode_value", "decode_value"]
+__all__ = ["WriteAheadLog", "encode_frame", "encode_value", "decode_value"]
 
 # -- value codec -----------------------------------------------------------
 
@@ -139,6 +139,29 @@ def _decode_at(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
 
 # -- the log -----------------------------------------------------------------
 
+def encode_frame(record: Tuple[Any, ...]) -> Tuple[List[bytes], int]:
+    """*record* as the segments of one CRC-framed record, and their size
+    (a BLOB is a segment of its own: the caller's object, see
+    :class:`WriteAheadLog`)."""
+    # To the codec a record is a list: its header is written here and
+    # its items go straight to the encoder, one call less per frame.
+    parts: list = [b"L" + _U32(len(record))]
+    blobs: list = []
+    _encode_items(record, parts.append, blobs.append)
+    if not blobs:
+        payload = b"".join(parts)
+        nbytes = len(payload)
+        return [_FRAME_HEADER.pack(nbytes, zlib.crc32(payload)) + payload], \
+            nbytes + 8
+    segments = _splice(parts, blobs)
+    crc, nbytes = 0, 8
+    for segment in segments:  # one CRC over the frame, chained
+        crc = zlib.crc32(segment, crc)
+        nbytes += len(segment)
+    segments[0] = _FRAME_HEADER.pack(nbytes - 8, crc) + segments[0]
+    return segments, nbytes
+
+
 def _splice(parts: List[bytes], blobs: List[bytes]) -> List[bytes]:
     """A frame's payload as segments: each of *blobs* as the object it
     is, behind the part that announces it (every part starts with its
@@ -167,13 +190,20 @@ class WriteAheadLog:
     nothing else (:func:`_plain` copies a ``bytearray``); the fault
     drills that do write into the image (:meth:`truncate`,
     :meth:`corrupt`) flatten it into a buffer of the log's own first.
+
+    The log is append-only between two calls of :meth:`compact`, which
+    swaps in a whole new image of the caller's making.
     """
 
     def __init__(self, data: bytes = b""):
         self._segments: List[bytes] = [bytes(data)] if data else []
         self._size = len(data)
+        # The durability floor: the size of the last compacted image.  A
+        # real WAL recycles old segments only once the checkpoint that
+        # replaces them is synced, so no crash cuts into it.
+        self._floor = 0
         #: Optional pure observer, called as ``observer(delta, total)``
-        #: after every size change (append/truncate/reset).  The WAL
+        #: after every size change (append/truncate/reset/compact).  The WAL
         #: layer stays telemetry-free; :class:`~repro.db.dbmanager
         #: .DbManager` hangs the log-pressure gauge and ``wal.append``
         #: events off this hook.
@@ -189,17 +219,7 @@ class WriteAheadLog:
 
     def append(self, record: Tuple[Any, ...]) -> int:
         """Append *record*; returns the encoded record size in bytes."""
-        # To the codec a record is a list: its header is written here and
-        # its items go straight to the encoder, one call less per frame.
-        parts: list = [b"L" + _U32(len(record))]
-        blobs: list = []
-        _encode_items(record, parts.append, blobs.append)
-        segments = _splice(parts, blobs) if blobs else [b"".join(parts)]
-        crc, nbytes = 0, 8
-        for segment in segments:  # one CRC over the frame, chained
-            crc = zlib.crc32(segment, crc)
-            nbytes += len(segment)
-        segments[0] = _FRAME_HEADER.pack(nbytes - 8, crc) + segments[0]
+        segments, nbytes = encode_frame(record)
         self._segments += segments
         self._size += nbytes
         if self.observer is not None:
@@ -207,6 +227,26 @@ class WriteAheadLog:
         for tap in self.taps:
             tap(record)
         return nbytes
+
+    def compact(self, frames: Iterable[Tuple[List[bytes], int]]) -> None:
+        """Replace the whole log by *frames* (of :func:`encode_frame`,
+        which the caller may keep and hand in again), silently.
+
+        The caller vouches that they replay to the state the log holds:
+        whoever tails the log has that state already, so no tap fires,
+        and the observer sees the one net size change.  The new image is
+        built aside and swapped in whole, and becomes the floor below
+        which :meth:`truncate` cannot cut.
+        """
+        image: List[bytes] = []
+        size = 0
+        for segments, nbytes in frames:
+            image += segments
+            size += nbytes
+        delta = size - self._size
+        self._segments, self._size, self._floor = image, size, size
+        if self.observer is not None and delta:
+            self.observer(delta, size)
 
     def snapshot(self) -> bytes:
         """The full log image (for persistence or crash simulation)."""
@@ -223,9 +263,11 @@ class WriteAheadLog:
         return image
 
     def truncate(self, nbytes: int) -> None:
-        """Chop the log to its first *nbytes* bytes (simulates a crash)."""
+        """Chop the log to its first *nbytes* bytes (simulates a crash);
+        never to less than the last compacted image."""
         if nbytes < 0:
             raise DatabaseError(f"cannot truncate a log to {nbytes} bytes")
+        nbytes = max(nbytes, self._floor)
         if nbytes >= self._size:
             return
         del self._flatten()[nbytes:]
@@ -239,11 +281,8 @@ class WriteAheadLog:
             self._flatten()[offset] ^= 0xFF
 
     def reset(self) -> None:
-        """Discard all records (checkpoint complete)."""
-        before, self._size = self._size, 0
-        self._segments = []
-        if self.observer is not None and before:
-            self.observer(-before, 0)
+        """Discard all records."""
+        self.compact(())
 
     # -- reading -----------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.db import engine
 from repro.db.engine import Database
 from repro.db.table import Column
 from repro.errors import DatabaseError, RecordNotFound, TransactionError
@@ -414,6 +415,83 @@ def test_checkpoint_compacts_and_preserves_state():
     assert db.wal.size() < size_before
     recovered = Database.recover(db.wal.snapshot())
     assert recovered.count("users") == 10
+
+
+def test_commit_compacts_once_the_dead_outweigh_the_live(monkeypatch):
+    """Online, silent and crash-safe: no tap fires, the observer sees one
+    net shrink, no transaction id is drawn, and no crash cuts the image."""
+    monkeypatch.setattr(engine, "_COMPACT_FLOOR", 4096)
+    db = Database()
+    db.create_table("files", [Column("name", "TEXT", primary_key=True),
+                              Column("data", "BLOB")])
+    db.insert("files", ["keep", b"k" * 700])
+    shipped, sizes = [], []
+    db.wal.taps.append(shipped.append)
+    db.wal.observer = lambda delta, total: sizes.append((delta, total))
+    version = 0
+    while not db.stats["compactions"]:
+        version += 1
+        db.upsert("files", ["hot", bytes([version]) * 1000])
+        assert version < 10
+    # Two dead kilobytes a version after the first: the second update
+    # passes the floor and the live image both.
+    assert version == 3
+    # Every commit was shipped and observed as an append; the compaction
+    # was shipped to nobody and observed as one negative step.
+    assert len(shipped) == version
+    assert [d > 0 for d, _ in sizes] == [True] * version + [False]
+    assert sizes[-1][1] == db.wal.size() < sizes[-2][1] - 4096
+    # The image carries the committing transaction's id; the next
+    # transaction gets the next one.
+    ids = [r[1] for r in db.wal.records() if r[0] == "txn"]
+    assert set(ids) == {version + 1} and db.begin() == version + 2
+    db.rollback()
+    # The heap rows' own BLOB objects are what the image logs.
+    held = {id(row[1]) for _, row in db.tables["files"].scan()}
+    assert held <= {id(seg) for seg in db.wal._segments}
+    # No crash cuts below the image; the tail tears as ever.
+    image = db.wal.size()
+    db.upsert("files", ["hot", b"tail" * 100])
+    db.wal.truncate(image // 2)
+    assert db.wal.size() == image
+    recovered = Database.recover(db.wal.snapshot())
+    assert recovered.get_by_pk("files", "keep")["data"] == b"k" * 700
+    assert recovered.get_by_pk("files", "hot")["data"] == bytes([version]) * 1000
+
+
+def test_a_log_with_nothing_dead_never_compacts(monkeypatch):
+    monkeypatch.setattr(engine, "_COMPACT_FLOOR", 4096)
+    db = Database()
+    db.create_table("files", [Column("name", "TEXT", primary_key=True),
+                              Column("data", "BLOB")])
+    for i in range(50):      # fresh names: 50 KB logged, nothing superseded
+        db.upsert("files", [f"f{i}", bytes([i]) * 1000])
+    with db.transaction():   # dead, but a sliver of what is live
+        db.delete_eq("files", "name", "f0")
+    assert db.stats["compactions"] == 0
+    db.begin()
+    db.delete_where("files")
+    db.rollback()            # killed nothing
+    assert db.stats["compactions"] == 0
+
+
+def test_compaction_re_encodes_only_the_frames_whose_rows_changed():
+    db = fresh_db()
+    for i in range(100):
+        db.insert("users", [i, f"u{i}", None])
+    db.checkpoint()
+    before = list(db.wal._segments)
+    db.update_eq("users", "id", 99, {"score": 1.0})
+    db.insert("users", [100, "u100", None])
+    db.checkpoint()
+    after = db.wal._segments
+    # 101 rows, 32 to a frame: the first three frames are the very
+    # objects they were; the last holds the changed and the new row.
+    assert len(after) == len(before) == 1 + 4
+    assert [a is b for a, b in zip(after, before)] == [False] + [True] * 3 + [False]
+    assert after[0] == before[0]   # the schema, encoded again
+    recovered = Database.recover(db.wal.snapshot())
+    assert recovered.select("users") == db.select("users")
 
 
 def test_checkpoint_inside_txn_rejected():

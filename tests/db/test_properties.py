@@ -8,8 +8,11 @@ import zlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule)
 
 from repro.db import Database, DbManager
+from repro.db import engine
 from repro.db.dbmanager import DbTierConfig, StoredExecutable
 from repro.db.index import HashIndex
 from repro.db.replica import ReadReplica
@@ -706,6 +709,134 @@ def test_segment_log_matches_flat_log(operations):
     # The image recovers the same from either side.
     assert (list(WriteAheadLog(image).records())
             == list(reference_log(image).records()))
+
+
+# -- the log's lifetime: compaction, the floor, late replicas ------------------
+
+
+class LogLifetime(RuleBasedStateMachine):
+    """Any interleaving of DML, transactions, compactions (forced, and
+    the engine's own under a tiny floor), crashes at any byte, media
+    corruption and replicas attached before or after a compaction keeps
+    the log, the heap and every replica telling one story."""
+
+    def __init__(self):
+        super().__init__()
+        self.floor = engine._COMPACT_FLOOR
+
+    def teardown(self):
+        engine._COMPACT_FLOOR = self.floor
+
+    @initialize(floor=st.sampled_from([64, 1 << 60]), mvcc=st.booleans())
+    def fresh(self, floor, mvcc):
+        engine._COMPACT_FLOOR = floor
+        self.sim = Simulator()
+        self.adopt(Database(mvcc=mvcc))
+        # The never-compacted log, shadowed by the flat one it replaced.
+        self.flat = reference_log(self.db.wal.snapshot())
+        self.db.wal.taps.append(self.flat.append)
+
+    def adopt(self, db):
+        """*db* is the primary from here on (fresh, or just recovered)."""
+        self.db, self.replicas, self.flat = db, [], None
+        self.history = [self.heap(db)]   # committed states, oldest first
+        self.durable = 0                 # history index of the last image
+        self.compactions = db.stats["compactions"]
+        if "t" not in db.tables:         # new, or cut below its DDL
+            db.create_table("t", [Column("k", "INT", primary_key=True),
+                                  Column("v", "TEXT"), Column("b", "BLOB")])
+        if not db._indexes:
+            db.create_index("t", "v", "hash")
+        self.committed()
+
+    @staticmethod
+    def heap(db):
+        return {name: dict(tbl.scan()) for name, tbl in db.tables.items()}
+
+    def committed(self):
+        """Called after anything that may have committed."""
+        if self.db._active_txn is None:
+            if self.heap(self.db) != self.history[-1]:
+                self.history.append(self.heap(self.db))
+            if self.db.stats["compactions"] != self.compactions:
+                self.compactions = self.db.stats["compactions"]
+                self.durable, self.flat = len(self.history) - 1, None
+
+    @rule(k=st.integers(0, 6), v=st.text(max_size=4),
+          b=st.one_of(st.none(), st.binary(max_size=48)))
+    def upsert(self, k, v, b):
+        self.db.upsert("t", [k, v, b])
+        self.committed()
+
+    @rule(k=st.integers(0, 6))
+    def delete(self, k):
+        self.db.delete_eq("t", "k", k)
+        self.committed()
+
+    @precondition(lambda self: self.db._active_txn is None)
+    @rule()
+    def begin(self):
+        self.db.begin()
+
+    @precondition(lambda self: self.db._active_txn is not None)
+    @rule(keep=st.booleans())
+    def end(self, keep):
+        self.db.commit() if keep else self.db.rollback()
+        self.committed()
+
+    @precondition(lambda self: self.db._active_txn is None)
+    @rule()
+    def checkpoint(self):
+        self.db.checkpoint()
+        self.committed()
+        assert self.durable == len(self.history) - 1
+
+    @precondition(lambda self: self.db._active_txn is None)
+    @rule()
+    def attach_replica(self):
+        self.replicas.append(ReadReplica(self.sim, self.db, lag=0.0))
+
+    @rule(at=st.floats(0.0, 1.0), tear=st.booleans())
+    def crash(self, at, tear):
+        """Truncate (or corrupt) the log at any byte and go on from what
+        recovery makes of it."""
+        wal = self.db.wal
+        held = [(v, bytearray(v)) for rows in self.heap(self.db).values()
+                for row in rows.values() for v in row if type(v) is bytes]
+        offset = int(at * wal.size())
+        if tear:
+            wal.truncate(offset)
+            assert wal.size() >= wal._floor
+        else:
+            wal.corrupt(offset)
+        # Neither drill writes into a BLOB the log shares with a heap row.
+        assert all(v == copy for v, copy in held)
+        recovered = Database.recover(wal.snapshot(), mvcc=self.db.mvcc)
+        if tear or offset >= wal._floor:
+            # A committed prefix, never older than the last compaction.
+            assert self.heap(recovered) in self.history[self.durable:]
+        self.adopt(recovered)
+
+    @invariant()
+    def one_story(self):
+        if not hasattr(self, "db"):
+            return
+        db, committed = self.db, self.history[-1]
+        if db._active_txn is None:
+            assert self.heap(db) == committed
+        recovered = Database.recover(db.wal.snapshot())
+        assert self.heap(recovered) == committed
+        assert set(recovered._indexes) == set(db._indexes)
+        for replica in self.replicas:
+            replica.catch_up()
+            assert self.heap(replica.db) == committed
+        if self.flat is not None:
+            assert db.wal.snapshot() == self.flat.snapshot()
+
+
+LogLifetime.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)
+test_log_lifetime = LogLifetime.TestCase
 
 
 # -- derive once: the inflate memo vs the load path it replaced ---------------

@@ -233,3 +233,39 @@ def test_router_without_replicas_serves_primary():
     assert router.reader("users") is db
     assert router.primary_reads == 1
     assert router.replica_reads == 0
+
+
+def test_a_checkpoint_is_invisible_to_replication():
+    """Compacting the primary's log ships nothing: the replica holds the
+    state already and the router's freshness stamps do not move."""
+    sim = Simulator()
+    db = Database()
+    db.create_table("users", users_schema())
+    db.create_table("idle", users_schema())
+    replica = ReadReplica(sim, db, lag=LAG)
+    router = ReadRouter(sim, db, replicas=(replica,), lag=LAG)
+    got = []
+
+    def flow():
+        db.insert("users", [1, "ada"])
+        db.update_eq("users", "id", 1, {"name": "grace"})
+        yield sim.timeout(LAG)
+        got.append(router.reader("users"))
+        fresh = {t: router.fresh_for(t) for t in ("users", "idle")}
+        size = db.wal.size()
+        db.checkpoint()
+        assert db.wal.size() < size
+        assert replica.backlog() == 0
+        assert {t: router.fresh_for(t) for t in fresh} == fresh
+        got.append(router.reader("users"))
+        # A write after the checkpoint is shipped as ever.
+        db.insert("users", [2, "edsger"])
+        assert replica.backlog() == 1 and not router.fresh_for("users")
+
+    sim.run(until=sim.process(flow()))
+    assert got == [replica.db, replica.db]
+    assert (router.replica_reads, router.primary_reads) == (2, 0)
+    assert replica.db.get_by_pk("users", 1)["name"] == "grace"
+    # A replica attached now bootstraps from the compacted image + tail.
+    late = ReadReplica(sim, db, lag=LAG)
+    assert late.db.select("users") == db.select("users")
