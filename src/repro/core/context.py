@@ -22,6 +22,7 @@ keeps the figure scenarios byte-identical with tracing on.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
@@ -126,6 +127,18 @@ class RequestContext:
                                     baggage=self.baggage)
         ctx.baggage["parent_request"] = self.request_id
         return ctx
+
+    def fork(self) -> "RequestContext":
+        """This request, for a branch that runs *beside* the caller.
+
+        Same id, principal, deadline, baggage and trace tree, but its
+        own stack of open spans rooted at the caller's innermost one:
+        spans the branch opens nest under each other instead of under
+        whatever a concurrent sibling happens to have open.
+        """
+        branch = copy.copy(self)
+        branch._stack = [self._stack[-1] if self._stack else self.root]
+        return branch
 
     # -- deadline -----------------------------------------------------------
 

@@ -163,12 +163,13 @@ class FabricStack:
         """Kill replica *name* abruptly (fail-stop, no goodbye).
 
         Models a process crash: the replica refuses new connections,
-        its heartbeat stops renewing the lease, and every request in
-        flight against it dies mid-exchange (the router's transport
-        fails those over).  The *router* is not told — it
-        must detect the death through transport faults or lease
-        expiry, which is exactly what the chaos scenario measures.
-        Returns how many in-flight requests were killed.
+        its heartbeat stops renewing the lease, and everything the
+        router hosts on it dies mid-exchange — requests in flight (the
+        router's transport fails those over) and ranges it carries for
+        a peer's striped stage (their leader sends those itself).  The
+        *router* is not told — it must detect the death through
+        transport faults or lease expiry, which is exactly what the
+        chaos scenario measures.  Returns how many were killed.
         """
         replica = self.router.replica_handle(name)
         replica.crashed = True
@@ -376,8 +377,11 @@ def deploy_fabric(testbed: Testbed,
         # Replica hosts clone the primary's hardware and connectivity:
         # each gets its own thin WAN uplink (the per-appliance 85 KB/s
         # pipe is exactly what sharding multiplies) and LAN links to the
-        # users and the router.  Multi-hop through the primary would
-        # funnel everything back through one uplink.
+        # users, the router and every other replica (a range of a
+        # striped stage crosses to the peer that carries it; the
+        # shortest path used to be the two thin uplinks).  Multi-hop
+        # through the primary would funnel everything back through one
+        # uplink.
         uplink = _link_between(testbed, primary.name, "wan-core")
         lan = (_link_between(testbed, testbed.user_hosts[0].name,
                              primary.name)
@@ -390,8 +394,8 @@ def deploy_fabric(testbed: Testbed,
             network.connect(host.name, "wan-core",
                             bandwidth=uplink.bandwidth,
                             latency=uplink.latency)
-            for user in testbed.user_hosts:
-                network.connect(user.name, host.name, bandwidth=lan_bw,
+            for peer in testbed.user_hosts + hosts:
+                network.connect(peer.name, host.name, bandwidth=lan_bw,
                                 latency=lan_lat)
             hosts.append(host)
         if replicas == 1 and not router_on:

@@ -44,11 +44,12 @@ from repro.core.datastructures import ExecutableRecord
 from repro.core.watchdog import await_waiter, poll_until
 from repro.cyberaide.jobspec import CyberaideJobSpec
 from repro.errors import (
-    InvocationError, JobError, JobNotFound, ReproError, is_retryable,
-    root_cause_name,
+    InvocationError, JobError, JobNotFound, ReplicaDown, ReproError,
+    is_retryable, root_cause_name,
 )
 from repro.resilience.retry import retry_call
 from repro.simkernel.events import Event
+from repro.simkernel.process import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.onserve import OnServe
@@ -104,6 +105,9 @@ class GridServiceRuntime:
     JOB_COUNT = 1
     #: ... and may run for an hour before the LRM kills it.
     JOB_WALLTIME = 3600
+    #: Smallest range of a staged executable worth its own uplink, given
+    #: a stripe's fixed cost (LAN hop, SOAP dispatch, GridFTP control).
+    STRIPE_MIN_BYTES = 128 * 1024
 
     def __init__(self, onserve: "OnServe", record: ExecutableRecord):
         self.onserve = onserve
@@ -291,20 +295,7 @@ class GridServiceRuntime:
                                 # GridFTP trip; the blob never re-enters
                                 # RAM whole.
                                 yield host.disk_read(exe.size)
-
-                            def upload_try():
-                                session = yield from self._ensure_session(
-                                    ctx)
-                                return (yield self.onserve.agent_stub
-                                        .uploadExecutable(
-                                            session=session, site=site,
-                                            path=staged, data=exe.payload,
-                                            ctx=ctx))
-
-                            yield from retry_call(
-                                self.sim, policy, upload_try, ctx=ctx,
-                                label=f"upload:{site}",
-                                on_retry=self._recover_session)
+                            yield from self._upload(site, staged, exe, ctx)
                             if once:
                                 self.onserve.mark_staged(site, staged,
                                                          exe.digest)
@@ -422,6 +413,102 @@ class GridServiceRuntime:
                 continue
             breakers.success(site)
             return result
+
+    def _upload(self, site: str, staged: str, exe,
+                ctx: Optional[RequestContext] = None
+                ) -> Generator[Event, None, None]:
+        """Move *exe*'s bytes to *site* — over as many uplinks as help.
+
+        A generator meant to be delegated to.  One thin uplink is the
+        paper's bottleneck (§VIII.D) and a fabric owns one per replica,
+        mostly idle: under ``config.stage_once`` a payload is cut into
+        up to ``size // STRIPE_MIN_BYTES`` ranges — zero-copy views —
+        and all but the first are handed to peer replicas
+        (:meth:`_carry`), each PUT over its peer's own uplink; the site
+        shows the file once the ranges cover it.  A range whose peer
+        crashed, refused or failed is sent from here, under the retry
+        policy like the first.  No peers or a small payload is the
+        whole file in one PUT: the single appliance's only case.
+        """
+        onserve = self.onserve
+        router = onserve.router
+
+        def put(data, **where):
+            def upload_try():
+                session = yield from self._ensure_session(ctx)
+                return (yield _put(onserve, session, site, staged, data,
+                                   ctx, **where))
+
+            return retry_call(self.sim, onserve.retry_policy, upload_try,
+                              ctx=ctx, label=f"upload:{site}",
+                              on_retry=self._recover_session)
+
+        k = exe.size // self.STRIPE_MIN_BYTES
+        peers = (router.peers(onserve.replica)[:k - 1]
+                 if k > 1 and router is not None
+                 and onserve.config.stage_once else [])
+        if not peers:
+            yield from put(exe.payload)
+            return
+        k = 1 + len(peers)
+        view = memoryview(exe.payload)
+        step = exe.size // k
+        ranges = [(view[i * step:(i + 1) * step if i < k - 1 else exe.size],
+                   dict(offset=i * step, total=exe.size,
+                        transfer=exe.digest)) for i in range(k)]
+        carried = [router.run_on(
+            peer.name,
+            self._carry(peer, site, staged, data, where,
+                        ctx.fork() if ctx is not None else None),
+            f"stripe:{peer.name}:{staged}")
+            for peer, (data, where) in zip(peers, ranges[1:])]
+        yield from put(ranges[0][0], **ranges[0][1])
+        for landed, (data, where) in zip(carried, ranges[1:]):
+            if not (yield landed):
+                yield from put(data, **where)
+
+    def _carry(self, peer, site: str, staged: str, data, where: dict,
+               ctx: Optional[RequestContext] = None
+               ) -> Generator[Event, None, bool]:
+        """One range of a striped stage on *peer*'s uplink.
+
+        Runs as a process the router hosts on *peer* (it dies with it):
+        the range crosses the LAN, then goes out through the peer's own
+        agent session and pooled GridFTP channel.  ``False`` — the peer
+        is down, was killed under the range, or the transfer failed —
+        hands the range back to the leader; nothing is raised, whatever
+        failed it the leader's own attempt will meet and classify.
+        """
+        helper = peer.onserve
+        session = None
+        try:
+            if peer.crashed:
+                raise ReplicaDown(f"connection refused by {peer.name!r}")
+            with span(ctx, "service:stripe", replica=peer.name,
+                      bytes=len(data)):
+                yield self.onserve.host.send(helper.host, len(data),
+                                             label=f"stripe:{staged}")
+                helper.host.allocate_memory(len(data))
+                try:
+                    session = yield from helper.ensure_agent_session(ctx)
+                    yield _put(helper, session, site, staged, data, ctx,
+                               **where)
+                finally:
+                    helper.host.release_memory(len(data))
+        except (Interrupt, ReproError) as exc:
+            if isinstance(exc, Interrupt):
+                exc = exc.cause
+                if not isinstance(exc, ReplicaDown):
+                    raise
+            if root_cause_name(exc) in ("CredentialExpired",
+                                        "AuthenticationFailed"):
+                helper.drop_agent_session(session)
+            self.onserve.bus.emit(
+                "core.stripe_failed", layer="core",
+                request_id=ctx.request_id if ctx else None,
+                replica=peer.name, site=site, error=root_cause_name(exc))
+            return False
+        return True
 
     def _replicate(self, site: str, staged: str, digest: str,
                    ctx: Optional[RequestContext] = None
@@ -656,6 +743,17 @@ class GridServiceRuntime:
                 f"grid job {job_id} produced no final output "
                 f"(failed on the grid?)")
         return output
+
+
+def _put(onserve: "OnServe", session: str, site: str, path: str, data,
+         ctx: Optional[RequestContext] = None, **where):
+    """The one call that sends executable bytes to a site, through
+    *onserve*'s agent: the whole file, or — *where* = its ``offset``,
+    the file's ``total`` and the ``transfer`` id — one range of it."""
+    stub = onserve.agent_stub
+    send = stub.uploadRange if where else stub.uploadExecutable
+    return send(session=session, site=site, path=path, data=data, ctx=ctx,
+                **where)
 
 
 def _argument(value: Any) -> str:

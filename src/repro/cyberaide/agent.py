@@ -111,6 +111,14 @@ class CyberaideAgent:
                            ParameterSpec("path", s),
                            ParameterSpec("data", "xsd:base64Binary")],
                           "xsd:int"),
+            OperationSpec("uploadRange",
+                          [ParameterSpec("session", s),
+                           ParameterSpec("site", s),
+                           ParameterSpec("path", s),
+                           ParameterSpec("data", "xsd:base64Binary"),
+                           ParameterSpec("offset", "xsd:int"),
+                           ParameterSpec("total", "xsd:int"),
+                           ParameterSpec("transfer", s)], "xsd:int"),
             OperationSpec("replicateExecutable",
                           [ParameterSpec("session", s),
                            ParameterSpec("fromSite", s),
@@ -186,17 +194,22 @@ class CyberaideAgent:
 
     def _op_uploadExecutable(self, session: str, site: str, path: str,
                              data: bytes,
-                             ctx: Optional[RequestContext] = None
-                             ) -> Generator[Event, None, int]:
+                             ctx: Optional[RequestContext] = None,
+                             **where) -> Generator[Event, None, int]:
+        """Also ``uploadRange``: *where* is then the ``offset`` /
+        ``total`` / ``transfer`` of GridFTP's partial-file PUT, and
+        *data* one range of the file."""
         sess = self._session(session)
         ftp = self._ftp(site)
         n = yield self._ftp_sessions.put(ftp, self.host, sess.chain, path,
-                                         data, ctx=ctx)
+                                         data, ctx=ctx, **where)
         self.uploads += 1
         self._bus.emit("agent.upload", layer="agent",
                        request_id=ctx.request_id if ctx else None,
                        site=site, path=path, nbytes=n)
         return n
+
+    _op_uploadRange = _op_uploadExecutable
 
     def _op_replicateExecutable(self, session: str, fromSite: str,
                                 toSite: str, path: str,
@@ -205,13 +218,14 @@ class CyberaideAgent:
         """Copy *path* from one site to the same path on another.
 
         GridFTP third-party mode: the agent only directs the transfer
-        over two control channels; the bytes move head node to head
-        node and never cross the appliance uplink.
+        over two control channels (the pooled ones under
+        ``session_reuse``); the bytes move head node to head node and
+        never cross the appliance uplink.
         """
         sess = self._session(session)
-        source, dest = self._ftp(fromSite), self._ftp(toSite)
-        n = yield source.third_party_transfer(self.host, sess.chain, path,
-                                              dest, path, ctx=ctx)
+        n = yield self._ftp_sessions.third_party(
+            self._ftp(fromSite), self._ftp(toSite), self.host, sess.chain,
+            path, path, ctx=ctx)
         self.replications += 1
         self._bus.emit("agent.replicate", layer="agent",
                        request_id=ctx.request_id if ctx else None,

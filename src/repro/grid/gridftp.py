@@ -7,9 +7,10 @@ in Figure 7 is exactly a ``put`` through a thin uplink.
 
 Two control-path modes exist:
 
-* **Per-operation** (:meth:`GridFtpServer.put` / :meth:`~GridFtpServer.get`)
-  — every transfer pays a fresh GSI handshake plus control bytes, the
-  faithful pay-per-operation cost the goldens pin down.
+* **Per-operation** (:meth:`GridFtpServer.put` / :meth:`~GridFtpServer.get`
+  / :meth:`~GridFtpServer.third_party_transfer`) — every transfer pays a
+  fresh GSI handshake plus control bytes, the faithful pay-per-operation
+  cost the goldens pin down.
 * **Session-oriented** (:class:`GridFtpSession`, pooled by
   :class:`GridFtpSessionPool`) — one handshake + control channel per
   ``(client, site, credential)``, reused across pipelined operations;
@@ -73,71 +74,160 @@ class GridFtpServer:
         schedule empty parallel sends)."""
         return max(1, min(streams, nbytes))
 
-    # -- shared halves (control already done by the caller) ------------------
+    def _refuse_if_down(self, injector) -> None:
+        if injector is not None and injector.down(self.site.name):
+            raise TransferError(
+                f"{self.site.name}: GridFTP unreachable (site outage)")
 
-    def _ingest(self, client: Host, path: str, data: bytes, streams: int,
-                injector) -> Generator[Event, None, int]:
-        """Data-channel half of an upload: faults, parallel sends,
-        head-node checksumming, disk, storage-area bookkeeping."""
-        if injector is not None:
-            # A degraded link stalls the data channel before any
-            # byte moves; an abort dies mid-transfer, after half
-            # the payload already crossed the wire.
-            stall = injector.fire("gridftp.degrade", self.site.name)
-            if stall is not None and stall.duration > 0:
-                yield self.sim.timeout(stall.duration,
-                                       name="fault:gridftp-degrade")
-            if injector.fire("gridftp.abort", self.site.name):
-                yield client.send(self.host, len(data) // 2,
-                                  label=f"gridftp-put:{path}#aborted")
-                raise TransferError(
-                    f"{self.site.name}: data channel aborted "
-                    f"mid-transfer ({path!r})")
-        self._streams.adjust(+streams)
-        try:
-            if streams == 1:
-                yield client.send(self.host, len(data),
-                                  label=f"gridftp-put:{path}")
-            else:
-                chunk = len(data) // streams
-                sizes = [chunk] * (streams - 1)
-                sizes.append(len(data) - chunk * (streams - 1))
-                yield self.sim.all_of([
-                    client.send(self.host, size,
-                                label=f"gridftp-put:{path}#{i}")
-                    for i, size in enumerate(sizes)])
-        finally:
-            self._streams.adjust(-streams)
-        yield self.host.compute(
-            self.CPU_PER_MB * len(data) / (1024 * 1024),
-            tag="gridftp")
-        yield self.host.disk_write(len(data))
-        self.site.store_file(path, data)
-        self.transfers_in += 1
+    def _data_faults(self, injector, sender: Host, receiver: Host,
+                     nbytes: int, kind: str, path: str
+                     ) -> Generator[Event, None, None]:
+        """A degraded link stalls the data channel before any byte
+        moves; an abort dies mid-transfer, after half the payload
+        already crossed the wire."""
+        if injector is None:
+            return
+        stall = injector.fire("gridftp.degrade", self.site.name)
+        if stall is not None and stall.duration > 0:
+            yield self.sim.timeout(stall.duration,
+                                   name="fault:gridftp-degrade")
+        if injector.fire("gridftp.abort", self.site.name):
+            yield sender.send(receiver, nbytes // 2,
+                              label=f"gridftp-{kind}:{path}#aborted")
+            raise TransferError(f"{self.site.name}: data channel aborted "
+                                f"mid-transfer ({path!r})")
+
+    def _handshake(self, client: Host, chain: Sequence[Certificate],
+                   streams: int = 1, label: str = "gridftp-ctl"
+                   ) -> Generator[Event, None, None]:
+        """Per-operation control: a fresh GSI handshake + command bytes."""
+        nbytes = (GsiAcceptor.handshake_bytes(chain)
+                  + streams * self.CONTROL_BYTES)
+        yield client.send(self.host, nbytes, label=label)
+        self._authenticate(chain)
+        self.control_bytes += nbytes
+
+    # -- the operations; *control* is the mode's control-channel step --------
+
+    def _put(self, client: Host, control, path: str, data: bytes,
+             streams: int, ctx: Optional[RequestContext], where,
+             **mode) -> Generator[Event, None, int]:
+        """Upload: faults, parallel sends, head-node checksumming, disk,
+        storage-area bookkeeping.  *where* is ``put``'s ``(offset,
+        total, transfer)`` (:meth:`GridSite.store_file`)."""
+        started = self.sim.now
+        injector = get_injector(self.sim)
+        with span(ctx, "gridftp:put", site=self.site.name, bytes=len(data),
+                  **mode):
+            self._refuse_if_down(injector)
+            yield from control()
+            yield from self._data_faults(injector, client, self.host,
+                                         len(data), "put", path)
+            self._streams.adjust(+streams)
+            try:
+                if streams == 1:
+                    yield client.send(self.host, len(data),
+                                      label=f"gridftp-put:{path}")
+                else:
+                    chunk = len(data) // streams
+                    sizes = [chunk] * (streams - 1)
+                    sizes.append(len(data) - chunk * (streams - 1))
+                    yield self.sim.all_of([
+                        client.send(self.host, size,
+                                    label=f"gridftp-put:{path}#{i}")
+                        for i, size in enumerate(sizes)])
+            finally:
+                self._streams.adjust(-streams)
+            yield self.host.compute(
+                self.CPU_PER_MB * len(data) / (1024 * 1024),
+                tag="gridftp")
+            yield self.host.disk_write(len(data))
+            self.site.store_file(path, data, *where)
+            self.transfers_in += 1
+        self._bus.emit("gridftp.put", layer="grid",
+                       request_id=ctx.request_id if ctx else None,
+                       site=self.site.name, path=path, nbytes=len(data),
+                       streams=streams, seconds=self.sim.now - started,
+                       **mode)
         return len(data)
 
-    def _egress(self, client: Host, path: str
-                ) -> Generator[Event, None, bytes]:
-        """Data-channel half of a download: disk read + send back."""
-        if not self.site.has_file(path):
-            raise TransferError(
-                f"{self.site.name}: no such file {path!r}")
-        data = self.site.read_file(path)
-        yield self.host.disk_read(len(data))
-        self._streams.adjust(+1)
-        try:
-            yield self.host.send(client, len(data),
-                                 label=f"gridftp-get:{path}")
-        finally:
-            self._streams.adjust(-1)
-        self.transfers_out += 1
+    def _get(self, client: Host, control, path: str,
+             ctx: Optional[RequestContext], **mode
+             ) -> Generator[Event, None, bytes]:
+        """Download: disk read + send back."""
+        started = self.sim.now
+        injector = get_injector(self.sim)
+        with span(ctx, "gridftp:get", site=self.site.name, **mode):
+            self._refuse_if_down(injector)
+            yield from control()
+            if not self.site.has_file(path):
+                raise TransferError(
+                    f"{self.site.name}: no such file {path!r}")
+            data = self.site.read_file(path)
+            yield self.host.disk_read(len(data))
+            self._streams.adjust(+1)
+            try:
+                yield self.host.send(client, len(data),
+                                     label=f"gridftp-get:{path}")
+            finally:
+                self._streams.adjust(-1)
+            self.transfers_out += 1
+        self._bus.emit("gridftp.get", layer="grid",
+                       request_id=ctx.request_id if ctx else None,
+                       site=self.site.name, path=path, nbytes=len(data),
+                       streams=1, seconds=self.sim.now - started, **mode)
         return data
+
+    def _third_party(self, control, src_path: str, dest: "GridFtpServer",
+                     dst_path: str, ctx: Optional[RequestContext], **mode
+                     ) -> Generator[Event, None, int]:
+        """Site-to-site copy: read here, move head node to head node,
+        land at *dest*.  Fault plane and telemetry parity with put/get:
+        an outage at either end refuses the transfer, degrade/abort
+        faults hit the head-to-head data channel, both ends' stream
+        gauges track the connection, and a ``gridftp.third_party`` event
+        records the move."""
+        started = self.sim.now
+        injector = get_injector(self.sim)
+        with span(ctx, "gridftp:3pt", src=self.site.name,
+                  dest=dest.site.name, **mode):
+            for end in (self, dest):
+                end._refuse_if_down(injector)
+            yield from control()
+            if not self.site.has_file(src_path):
+                raise TransferError(
+                    f"{self.site.name}: no such file {src_path!r}")
+            data = self.site.read_file(src_path)
+            yield self.host.disk_read(len(data))
+            yield from self._data_faults(injector, self.host, dest.host,
+                                         len(data), "3pt", src_path)
+            # Data channel: head node to head node.
+            self._streams.adjust(+1)
+            dest._streams.adjust(+1)
+            try:
+                yield self.host.send(dest.host, len(data),
+                                     label=f"gridftp-3pt:{src_path}")
+            finally:
+                self._streams.adjust(-1)
+                dest._streams.adjust(-1)
+            yield dest.host.disk_write(len(data))
+            dest.site.store_file(dst_path, data)
+            self.transfers_out += 1
+            dest.transfers_in += 1
+        self._bus.emit("gridftp.third_party", layer="grid",
+                       request_id=ctx.request_id if ctx else None,
+                       src=self.site.name, dest=dest.site.name,
+                       path=dst_path, nbytes=len(data),
+                       seconds=self.sim.now - started, **mode)
+        return len(data)
 
     # -- per-operation mode (fresh handshake every time) ---------------------
 
     def put(self, client: Host, chain: Sequence[Certificate],
             path: str, data: bytes, streams: int = 1,
-            ctx: Optional[RequestContext] = None) -> Process:
+            ctx: Optional[RequestContext] = None, offset: int = 0,
+            total: Optional[int] = None,
+            transfer: Optional[str] = None) -> Process:
         """Upload *data* to *path* in the site storage area.
 
         *streams* opens that many parallel data connections (GridFTP's
@@ -146,59 +236,28 @@ class GridFtpServer:
         transfer outruns single-stream competitors — exactly why the
         option exists.  Streams are clamped to the payload size: a
         3-byte file on 8 streams opens 3 connections, not 8.
+
+        With a *transfer* id this is GridFTP's partial-file PUT: *data*
+        is the range at *offset* of a *total*-byte file, which the site
+        makes visible once the ranges of that id cover it — so several
+        clients can each carry a range over their own link.  The whole
+        file is the same transfer with one range and no id.
         """
         if streams < 1:
             raise TransferError("streams must be >= 1")
         streams = self.effective_streams(streams, len(data))
-
-        def op() -> Generator[Event, None, int]:
-            started = self.sim.now
-            injector = get_injector(self.sim)
-            with span(ctx, "gridftp:put", site=self.site.name,
-                      bytes=len(data)):
-                if injector is not None and injector.down(self.site.name):
-                    raise TransferError(
-                        f"{self.site.name}: GridFTP unreachable "
-                        f"(site outage)")
-                handshake = GsiAcceptor.handshake_bytes(chain)
-                yield client.send(self.host,
-                                  handshake + streams * self.CONTROL_BYTES,
-                                  label="gridftp-ctl")
-                self._authenticate(chain)
-                self.control_bytes += handshake + streams * self.CONTROL_BYTES
-                yield from self._ingest(client, path, data, streams, injector)
-            self._bus.emit("gridftp.put", layer="grid",
-                           request_id=ctx.request_id if ctx else None,
-                           site=self.site.name, path=path, nbytes=len(data),
-                           streams=streams, seconds=self.sim.now - started)
-            return len(data)
-
-        return self.sim.process(op(), name=f"gridftp-put:{path}")
+        return self.sim.process(
+            self._put(client, lambda: self._handshake(client, chain, streams),
+                      path, data, streams, ctx, (offset, total, transfer)),
+            name=f"gridftp-put:{path}")
 
     def get(self, client: Host, chain: Sequence[Certificate],
             path: str, ctx: Optional[RequestContext] = None) -> Process:
         """Download *path* from the site storage area."""
-        def op() -> Generator[Event, None, bytes]:
-            started = self.sim.now
-            injector = get_injector(self.sim)
-            with span(ctx, "gridftp:get", site=self.site.name):
-                if injector is not None and injector.down(self.site.name):
-                    raise TransferError(
-                        f"{self.site.name}: GridFTP unreachable "
-                        f"(site outage)")
-                handshake = GsiAcceptor.handshake_bytes(chain)
-                yield client.send(self.host, handshake + self.CONTROL_BYTES,
-                                  label="gridftp-ctl")
-                self._authenticate(chain)
-                self.control_bytes += handshake + self.CONTROL_BYTES
-                data = yield from self._egress(client, path)
-            self._bus.emit("gridftp.get", layer="grid",
-                           request_id=ctx.request_id if ctx else None,
-                           site=self.site.name, path=path, nbytes=len(data),
-                           streams=1, seconds=self.sim.now - started)
-            return data
-
-        return self.sim.process(op(), name=f"gridftp-get:{path}")
+        return self.sim.process(
+            self._get(client, lambda: self._handshake(client, chain),
+                      path, ctx),
+            name=f"gridftp-get:{path}")
 
     def third_party_transfer(self, client: Host,
                              chain: Sequence[Certificate],
@@ -211,73 +270,16 @@ class GridFtpServer:
         data moves directly between the site head nodes (never through
         the client) — the classic GridFTP third-party mode that makes
         staging between centres practical over thin client links.
-
-        Fault plane and telemetry parity with :meth:`put`/:meth:`get`:
-        an outage at either end refuses the transfer, degrade/abort
-        faults hit the head-to-head data channel, both ends' stream
-        gauges track the connection, and a ``gridftp.third_party`` event
-        records the move.
         """
+        def control() -> Generator[Event, None, None]:
+            yield from self._handshake(client, chain,
+                                       label="gridftp-3pt-src")
+            yield from dest._handshake(client, chain,
+                                       label="gridftp-3pt-dst")
 
-        def op() -> Generator[Event, None, int]:
-            started = self.sim.now
-            injector = get_injector(self.sim)
-            with span(ctx, "gridftp:3pt", src=self.site.name,
-                      dest=dest.site.name):
-                if injector is not None:
-                    for end in (self, dest):
-                        if injector.down(end.site.name):
-                            raise TransferError(
-                                f"{end.site.name}: GridFTP unreachable "
-                                f"(site outage)")
-                handshake = GsiAcceptor.handshake_bytes(chain)
-                # Control channels to both ends.
-                yield client.send(self.host, handshake + self.CONTROL_BYTES,
-                                  label="gridftp-3pt-src")
-                self._authenticate(chain)
-                self.control_bytes += handshake + self.CONTROL_BYTES
-                yield client.send(dest.host, handshake + dest.CONTROL_BYTES,
-                                  label="gridftp-3pt-dst")
-                dest._authenticate(chain)
-                dest.control_bytes += handshake + dest.CONTROL_BYTES
-                if not self.site.has_file(src_path):
-                    raise TransferError(
-                        f"{self.site.name}: no such file {src_path!r}")
-                data = self.site.read_file(src_path)
-                yield self.host.disk_read(len(data))
-                if injector is not None:
-                    stall = injector.fire("gridftp.degrade", self.site.name)
-                    if stall is not None and stall.duration > 0:
-                        yield self.sim.timeout(stall.duration,
-                                               name="fault:gridftp-degrade")
-                    if injector.fire("gridftp.abort", self.site.name):
-                        yield self.host.send(
-                            dest.host, len(data) // 2,
-                            label=f"gridftp-3pt:{src_path}#aborted")
-                        raise TransferError(
-                            f"{self.site.name}: data channel aborted "
-                            f"mid-transfer ({src_path!r})")
-                # Data channel: head node to head node.
-                self._streams.adjust(+1)
-                dest._streams.adjust(+1)
-                try:
-                    yield self.host.send(dest.host, len(data),
-                                         label=f"gridftp-3pt:{src_path}")
-                finally:
-                    self._streams.adjust(-1)
-                    dest._streams.adjust(-1)
-                yield dest.host.disk_write(len(data))
-                dest.site.store_file(dst_path, data)
-                self.transfers_out += 1
-                dest.transfers_in += 1
-            self._bus.emit("gridftp.third_party", layer="grid",
-                           request_id=ctx.request_id if ctx else None,
-                           src=self.site.name, dest=dest.site.name,
-                           path=dst_path, nbytes=len(data),
-                           seconds=self.sim.now - started)
-            return len(data)
-
-        return self.sim.process(op(), name=f"gridftp-3pt:{src_path}")
+        return self.sim.process(
+            self._third_party(control, src_path, dest, dst_path, ctx),
+            name=f"gridftp-3pt:{src_path}")
 
     def exists(self, path: str) -> bool:
         """Control-channel existence check (no data transfer modelled)."""
@@ -347,12 +349,7 @@ class GridFtpSession:
                 self.invalidate()
             self._establishing = self.sim.event("gridftp-sess-establish")
             try:
-                handshake = GsiAcceptor.handshake_bytes(self.chain)
-                yield self.client.send(
-                    server.host, handshake + server.CONTROL_BYTES,
-                    label="gridftp-ctl")
-                server._authenticate(self.chain)
-                server.control_bytes += handshake + server.CONTROL_BYTES
+                yield from server._handshake(self.client, self.chain)
                 self.handshakes += 1
                 self._open = True
                 self._last_used = self.sim.now
@@ -365,73 +362,61 @@ class GridFtpSession:
                 pending.succeed()
             return
 
+    def _pipelined(self, operation: Generator, name: str,
+                   *others: "GridFtpSession") -> Process:
+        """Run a server operation on this channel (and *others*'): any
+        failure closes them, success counts as one use of each."""
+        def op() -> Generator[Event, None, object]:
+            try:
+                result = yield from operation
+            except BaseException:
+                for session in (self, *others):
+                    session.invalidate()
+                raise
+            for session in (self, *others):
+                session.ops += 1
+                session._last_used = self.sim.now
+            return result
+
+        return self.sim.process(op(), name=name)
+
     def put(self, path: str, data: bytes, streams: int = 1,
-            ctx: Optional[RequestContext] = None) -> Process:
-        """Pipelined upload over the session's control channel."""
+            ctx: Optional[RequestContext] = None, offset: int = 0,
+            total: Optional[int] = None,
+            transfer: Optional[str] = None) -> Process:
+        """Pipelined upload (whole file or one range, as
+        :meth:`GridFtpServer.put`) over the session's control channel."""
         if streams < 1:
             raise TransferError("streams must be >= 1")
         streams = GridFtpServer.effective_streams(streams, len(data))
-        server = self.server
-
-        def op() -> Generator[Event, None, int]:
-            started = self.sim.now
-            injector = get_injector(self.sim)
-            try:
-                with span(ctx, "gridftp:put", site=server.site.name,
-                          bytes=len(data), session=True):
-                    if (injector is not None
-                            and injector.down(server.site.name)):
-                        raise TransferError(
-                            f"{server.site.name}: GridFTP unreachable "
-                            f"(site outage)")
-                    yield from self._ensure_control()
-                    yield from server._ingest(self.client, path, data,
-                                              streams, injector)
-            except BaseException:
-                self.invalidate()
-                raise
-            self.ops += 1
-            self._last_used = self.sim.now
-            server._bus.emit("gridftp.put", layer="grid",
-                             request_id=ctx.request_id if ctx else None,
-                             site=server.site.name, path=path,
-                             nbytes=len(data), streams=streams,
-                             seconds=self.sim.now - started, session=True)
-            return len(data)
-
-        return self.sim.process(op(), name=f"gridftp-put:{path}")
+        return self._pipelined(
+            self.server._put(self.client, self._ensure_control, path, data,
+                             streams, ctx, (offset, total, transfer),
+                             session=True),
+            f"gridftp-put:{path}")
 
     def get(self, path: str,
             ctx: Optional[RequestContext] = None) -> Process:
         """Pipelined download over the session's control channel."""
-        server = self.server
+        return self._pipelined(
+            self.server._get(self.client, self._ensure_control, path, ctx,
+                             session=True),
+            f"gridftp-get:{path}")
 
-        def op() -> Generator[Event, None, bytes]:
-            started = self.sim.now
-            injector = get_injector(self.sim)
-            try:
-                with span(ctx, "gridftp:get", site=server.site.name,
-                          session=True):
-                    if (injector is not None
-                            and injector.down(server.site.name)):
-                        raise TransferError(
-                            f"{server.site.name}: GridFTP unreachable "
-                            f"(site outage)")
-                    yield from self._ensure_control()
-                    data = yield from server._egress(self.client, path)
-            except BaseException:
-                self.invalidate()
-                raise
-            self.ops += 1
-            self._last_used = self.sim.now
-            server._bus.emit("gridftp.get", layer="grid",
-                             request_id=ctx.request_id if ctx else None,
-                             site=server.site.name, path=path,
-                             nbytes=len(data), streams=1,
-                             seconds=self.sim.now - started, session=True)
-            return data
+    def third_party(self, src_path: str, dest: "GridFtpSession",
+                    dst_path: str,
+                    ctx: Optional[RequestContext] = None) -> Process:
+        """Pipelined site-to-site copy from this session's site to
+        *dest*'s: one command on each open channel directs what the
+        per-operation transfer pays two handshakes for."""
+        def control() -> Generator[Event, None, None]:
+            yield from self._ensure_control()
+            yield from dest._ensure_control()
 
-        return self.sim.process(op(), name=f"gridftp-get:{path}")
+        return self._pipelined(
+            self.server._third_party(control, src_path, dest.server,
+                                     dst_path, ctx, session=True),
+            f"gridftp-3pt:{src_path}", dest)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         state = "open" if self.open else "closed"
@@ -442,10 +427,10 @@ class GridFtpSession:
 class GridFtpSessionPool:
     """Sessions keyed by ``(site, client, credential subject)``.
 
-    Disabled (the default), :meth:`put`/:meth:`get` delegate straight to
-    the per-operation server methods — no session objects are created,
-    no state is kept, and the timeline is byte-identical to a build
-    without this class.  Enabled, each distinct endpoint/credential pair
+    Disabled (the default), :meth:`put`/:meth:`get`/:meth:`third_party`
+    delegate straight to the per-operation server methods — no session
+    objects are created, no state is kept, and the timeline is
+    byte-identical to a build without this class.  Enabled, each distinct endpoint/credential pair
     gets one reusable :class:`GridFtpSession`; presenting a *different*
     credential chain for the same endpoint replaces the session (the old
     control channel cannot authenticate the new delegation).
@@ -476,13 +461,14 @@ class GridFtpSessionPool:
 
     def put(self, server: GridFtpServer, client: Host,
             chain: Sequence[Certificate], path: str, data: bytes,
-            streams: int = 1,
-            ctx: Optional[RequestContext] = None) -> Process:
+            streams: int = 1, ctx: Optional[RequestContext] = None,
+            **where) -> Process:
+        """*where*: ``offset`` / ``total`` / ``transfer`` of a ranged PUT."""
         if not self.enabled:
             return server.put(client, chain, path, data, streams=streams,
-                              ctx=ctx)
+                              ctx=ctx, **where)
         return self.session(server, client, chain).put(
-            path, data, streams=streams, ctx=ctx)
+            path, data, streams=streams, ctx=ctx, **where)
 
     def get(self, server: GridFtpServer, client: Host,
             chain: Sequence[Certificate], path: str,
@@ -490,6 +476,16 @@ class GridFtpSessionPool:
         if not self.enabled:
             return server.get(client, chain, path, ctx=ctx)
         return self.session(server, client, chain).get(path, ctx=ctx)
+
+    def third_party(self, source: GridFtpServer, dest: GridFtpServer,
+                    client: Host, chain: Sequence[Certificate],
+                    src_path: str, dst_path: str,
+                    ctx: Optional[RequestContext] = None) -> Process:
+        if not self.enabled:
+            return source.third_party_transfer(client, chain, src_path,
+                                               dest, dst_path, ctx=ctx)
+        return self.session(source, client, chain).third_party(
+            src_path, self.session(dest, client, chain), dst_path, ctx=ctx)
 
     @property
     def open_sessions(self) -> int:

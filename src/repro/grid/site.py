@@ -11,7 +11,7 @@ and job outputs are actual profile-computed bytes.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import GridError, JobError, JobNotFound
 from repro.grid.job import GridJob, JobState
@@ -86,13 +86,53 @@ class GridSite:
         self.acceptor = GsiAcceptor(f"{name}-gk")
         #: Storage area: absolute path -> bytes (real payloads/outputs).
         self.storage: Dict[str, bytes] = {}
+        #: Ranged uploads still short of their file: (path, transfer id)
+        #: -> the (offset, bytes) ranges landed so far.  Nothing here is
+        #: visible to ``has_file`` / ``read_file`` / a job.
+        self.incoming: Dict[Tuple[str, str], List[Tuple[int, bytes]]] = {}
+        #: path -> id of the ranged transfer whose bytes are visible.
+        self._visible_as: Dict[str, str] = {}
         self._jobs: Dict[str, GridJob] = {}
         self._job_counter = itertools.count(1)
 
     # -- storage -----------------------------------------------------------
 
-    def store_file(self, path: str, data: bytes) -> None:
-        self.storage[path] = data
+    def store_file(self, path: str, data: bytes, offset: int = 0,
+                   total: Optional[int] = None,
+                   transfer: Optional[str] = None) -> None:
+        """Land *data* at *path*: a whole file, visible at once, or —
+        with a *transfer* id — the bytes at *offset* of a *total*-byte
+        file that becomes visible when the ranges carrying that id
+        cover all of it.
+
+        The id names the content (callers pass its digest), so ranges
+        of one id are ranges of the same bytes whoever sends them and
+        however often: a re-sent range, a second staging of the same
+        bytes and a range arriving after its file became visible are
+        all absorbed, and ranges of different ids never mix.
+        """
+        if transfer is None:
+            self.storage[path] = data
+            self._visible_as.pop(path, None)
+            return
+        if total is None or offset < 0 or offset + len(data) > total:
+            raise GridError(
+                f"{self.name}: range {offset}+{len(data)} does not fit a "
+                f"{total}-byte file ({path!r})")
+        if self._visible_as.get(path) == transfer:
+            return
+        ranges = self.incoming.setdefault((path, transfer), [])
+        ranges.append((offset, data))
+        covered = 0
+        for start, part in sorted(ranges, key=lambda r: r[0]):
+            if start > covered:
+                return
+            covered = max(covered, start + len(part))
+        if covered < total:
+            return
+        del self.incoming[(path, transfer)]
+        self.storage[path] = _assemble(ranges, total)
+        self._visible_as[path] = transfer
 
     def read_file(self, path: str) -> bytes:
         try:
@@ -105,6 +145,7 @@ class GridSite:
 
     def delete_file(self, path: str) -> None:
         self.storage.pop(path, None)
+        self._visible_as.pop(path, None)
 
     # -- jobs --------------------------------------------------------------------
 
@@ -231,3 +272,22 @@ class GridSite:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<GridSite {self.name!r} cores={self.pool.total_cores}>"
+
+
+def _assemble(ranges: List[Tuple[int, bytes]], total: int) -> bytes:
+    """The *total*-byte file that *ranges* cover.
+
+    A striped stage sends zero-copy views of one ``bytes`` object; when
+    every range is such a view, and equals that object at its offset,
+    the object itself is the file and nothing is copied.
+    """
+    whole = getattr(ranges[0][1], "obj", None)
+    if (type(whole) is bytes and len(whole) == total
+            and all(getattr(part, "obj", None) is whole
+                    and whole.startswith(part, start)  # a memcmp
+                    for start, part in ranges)):
+        return whole
+    buffer = bytearray(total)
+    for start, part in ranges:
+        buffer[start:start + len(part)] = part
+    return bytes(buffer)

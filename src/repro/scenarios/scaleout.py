@@ -30,11 +30,13 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Sequence
 
+from repro.core.context import RequestContext
 from repro.core.invocation import discover_and_invoke
+from repro.core.onserve import OnServeConfig
 from repro.scenarios.common import standard_env
 from repro.simkernel.events import Event
 from repro.telemetry.events import bus
-from repro.units import KB
+from repro.units import KB, MB
 from repro.workloads.executables import make_payload
 
 __all__ = ["ScaleoutResult", "run_scaleout"]
@@ -45,8 +47,12 @@ class ScaleoutResult:
 
     def __init__(self, rows: List[Dict[str, float]],
                  baseline_elapsed: float, routed_elapsed: float,
-                 clients: int, rounds: int, services: int):
+                 clients: int, rounds: int, services: int,
+                 cold_rows: Sequence[Dict[str, float]] = ()):
         self.rows = rows
+        #: One cold stage per (payload size, replica count): what one
+        #: request gains from the uplinks of replicas not serving it.
+        self.cold_rows = list(cold_rows)
         #: replicas=1, router *off* — the stock deploy_onserve timeline.
         self.baseline_elapsed = baseline_elapsed
         #: replicas=1, router *on* — same workload through the router.
@@ -89,6 +95,15 @@ class ScaleoutResult:
             f"router overhead @1 replica: {100 * self.router_overhead():.2f}%"
             f" (direct {self.baseline_elapsed:.1f}s -> routed "
             f"{self.routed_elapsed:.1f}s)")
+        if self.cold_rows:
+            lines += ["", "cold stage vs replicas (stage by content; "
+                      "peers' sessions warm)",
+                      f"{'size(KB)':>8} {'N':>3} {'stage(s)':>9} "
+                      f"{'stripes':>8} {'uplink(KB)':>11}"]
+            lines += [f"{row['size'] / KB(1):>8.0f} {row['replicas']:>3.0f} "
+                      f"{row['stage']:>9.2f} {row['stripes']:>8.0f} "
+                      f"{row['uplink'] / KB(1):>11.1f}"
+                      for row in self.cold_rows]
         return "\n".join(lines)
 
 
@@ -135,8 +150,12 @@ def run_scaleout(replica_levels: Sequence[int] = (1, 2, 4, 8, 16),
         routed_elapsed = routed["elapsed"]
     baseline = _one_level(1, False, clients, services, rounds, file_bytes,
                           runtime, spill_threshold, seed)
+    cold = [_cold_stage(n, size, seed)
+            for size in ((int(KB(256)),) if smoke
+                         else (int(KB(256)), int(MB(1))))
+            for n in (1, 2, 4, 8) if n <= max(replica_levels)]
     return ScaleoutResult(rows, baseline["elapsed"], routed_elapsed,
-                          clients, rounds, services)
+                          clients, rounds, services, cold)
 
 
 def _p95(samples: List[float]) -> float:
@@ -192,4 +211,37 @@ def _one_level(replicas: int, router_on: bool, clients: int, services: int,
         "materialized": float(
             counts.get("core.service_materialized", 0)
             - counts0.get("core.service_materialized", 0)),
+    }
+
+
+def _cold_stage(replicas: int, size: int, seed: int) -> Dict[str, float]:
+    """One cold stage of *size* bytes on a *replicas*-wide fabric.
+
+    Staging by content (``datapath``), so bytes nobody holds are striped
+    over the peers' uplinks.  A first 1 MB executable is staged and run
+    to open every replica's agent session and GridFTP channel (a serving
+    fabric's state); the second is measured: its ``service:upload``
+    seconds, the PUTs under it, its invocation's bytes on all uplinks.
+    """
+    env = standard_env(sample_interval=None, seed=seed, n_users=1,
+                       config=OnServeConfig(coalesce=True, datapath=True),
+                       fabric=dict(replicas=replicas, router=True))
+    sim, testbed, stack = env.sim, env.testbed, env.stack
+    uplinks = [testbed.network.route(o.host.name, "wan-core")[0].server
+               for o in stack.onserves]
+    for name, nbytes in (("warm", int(MB(1))), ("cold", size)):
+        sim.run(until=stack.portal.upload_and_generate(
+            testbed.user_hosts[0], f"{name}.bin",
+            make_payload("fixed", size=nbytes, runtime="1")))
+        before = sum(server.work_integral() for server in uplinks)
+        ctx = RequestContext.create(sim)
+        sim.run(until=discover_and_invoke(
+            stack, stack.user_clients[0], f"{name.capitalize()}%", ctx=ctx))
+    upload = ctx.root.find("service:upload")
+    return {
+        "replicas": float(replicas), "size": float(size),
+        "stage": upload.duration,
+        "stripes": float(sum(node.name == "gridftp:put"
+                             for _, node in upload.walk())),
+        "uplink": sum(server.work_integral() for server in uplinks) - before,
     }

@@ -20,10 +20,12 @@ the end-to-end latency to one ``layer/category`` bucket:
   (job actually running) and ``core/queueing`` (detection lag: the
   interval between job completion and the poll that notices).
 
-Because self-times partition the root interval (spans nest; children
-within one request are sequential), the bucket totals reconcile with
-the end-to-end duration exactly — :meth:`Attribution.reconciles`
-asserts it to a relative tolerance.
+Self-times partition the root interval: spans nest, and where children
+of one span ran side by side (the ranges of a striped stage) only the
+chain the parent waited for — back from the child that finished last —
+is charged.  The bucket totals therefore reconcile with the end-to-end
+duration exactly — :meth:`Attribution.reconciles` asserts it to a
+relative tolerance.
 """
 
 from __future__ import annotations
@@ -237,12 +239,28 @@ def analyze_request(ctx: RequestContext,
     if board is not None:
         attribution.queue_peaks = board.peaks()
 
-    for _, node in ctx.root.walk():
-        window = (root_window if node is ctx.root
-                  else _span_window(node, root_window[1]))
-        covered = _merge([_span_window(child, root_window[1])
-                          for child in node.children])
-        self_intervals = _complement(window, covered)
+    # Depth-first, each span with the window it is *charged* for.  A
+    # span's children are laid on its window back to front: the one that
+    # finished last keeps its interval, the next what is left before
+    # that, and so on.  Sequential children (the usual case) keep
+    # exactly their own intervals; of concurrent ones — the ranges of a
+    # striped stage — only the chain the parent actually waited for is
+    # charged: the rest overlap it and cost the request nothing.
+    fallback = root_window[1]
+    stack = [(ctx.root, root_window)]
+    while stack:
+        node, window = stack.pop()
+        cursor = window[1]
+        charged: Dict[int, Interval] = {}
+        spans = [(child, _span_window(child, fallback))
+                 for child in node.children]
+        for child, (start, end) in sorted(spans, key=lambda s: s[1][1],
+                                          reverse=True):
+            start, end = max(start, window[0]), min(end, cursor)
+            if end > start:
+                charged[id(child)] = (start, end)
+                cursor = start
+        self_intervals = _complement(window, _merge(list(charged.values())))
         if node.name in ("service:polling", "notify:await"):
             _split_polling_idle(attribution, self_intervals,
                                 node.meta.get("job"), bus)
@@ -250,4 +268,8 @@ def analyze_request(ctx: RequestContext,
             bucket = _classify(node.name)
             attribution.add(
                 bucket, sum(b - a for a, b in self_intervals))
+        # Trace order: the stack pops what was pushed last.
+        stack.extend((child, charged[id(child)])
+                     for child in reversed(node.children)
+                     if id(child) in charged)
     return attribution

@@ -37,8 +37,8 @@ class ParameterSpec:
             raise WsError(f"parameter {self.name!r}: bool is not xsd:int")
         if expected is float and isinstance(value, int) and not isinstance(value, bool):
             return  # ints are acceptable doubles
-        if expected is bytes and isinstance(value, bytearray):
-            return
+        if expected is bytes and isinstance(value, (bytearray, memoryview)):
+            return  # a view is a zero-copy range of someone's bytes
         if not isinstance(value, expected):
             raise WsError(
                 f"parameter {self.name!r} expects {self.xsd_type}, "

@@ -47,7 +47,7 @@ from repro.errors import (
     is_retryable,
 )
 from repro.hardware.host import Host
-from repro.resilience.breaker import BreakerBoard
+from repro.resilience.breaker import OPEN, BreakerBoard
 from repro.resilience.retry import RetryPolicy
 from repro.simkernel.events import Event
 from repro.simkernel.process import Interrupt, Process
@@ -388,13 +388,37 @@ class RequestRouter:
             raise WsError(f"replica {name!r} not registered")
         return replica
 
-    def kill_inflight(self, name: str) -> int:
-        """Interrupt every proxied request in flight against *name*.
+    def run_on(self, name: str, work: Generator, label: str) -> Process:
+        """Run *work* as a process replica *name* hosts: a proxied
+        request, or a peer's share of a striped stage.  It dies with the
+        replica — :meth:`kill_inflight` interrupts it, in the order the
+        work was admitted."""
+        proc = self.sim.process(work, name=label)
+        procs = self._inflight_procs.setdefault(name, {})
+        procs[proc] = None
+        proc.add_callback(lambda _done: procs.pop(proc, None))
+        return proc
 
-        Called by the crash path: each tracked proxy process receives an
+    def peers(self, name: str) -> List[Replica]:
+        """The routable replicas beside *name* whose circuit is not
+        open, by name from *name*'s successor round (so neighbouring
+        replicas lean on different peers first)."""
+        names = sorted(self._replicas)
+        if name not in names:
+            return []
+        at = names.index(name)
+        states = self.breakers.states()
+        return [self._replicas[n] for n in names[at + 1:] + names[:at]
+                if states.get(n) != OPEN]
+
+    def kill_inflight(self, name: str) -> int:
+        """Interrupt everything :meth:`run_on` hosts on *name*.
+
+        Called by the crash path: each tracked process receives an
         :class:`Interrupt` whose cause is a :class:`ReplicaDown`, which
-        :meth:`transport` converts into a failover retry.  Returns
-        how many were interrupted.
+        :meth:`transport` converts into a failover retry (and a striped
+        stage into a range its leader sends itself).  Returns how many
+        were interrupted.
         """
         procs = self._inflight_procs.pop(name, None)
         if not procs:
@@ -612,12 +636,11 @@ class RequestRouter:
                 if hop is not None:
                     hop.meta["replica"] = replica.name
                 self._admit(replica.name)
-                proc = self.sim.process(
+                proc = self.run_on(
+                    replica.name,
                     self._proxy(replica, service_name, operation, params,
                                 ctx, dkey),
-                    name=f"router:proxy:{service_name}.{operation}")
-                self._inflight_procs.setdefault(replica.name,
-                                                {})[proc] = None
+                    f"router:proxy:{service_name}.{operation}")
                 crash: Optional[ReplicaDown] = None
                 try:
                     result = yield proc
@@ -641,9 +664,6 @@ class RequestRouter:
                                                  operation, fault)
                     raise
                 finally:
-                    procs = self._inflight_procs.get(replica.name)
-                    if procs is not None:
-                        procs.pop(proc, None)
                     self._release(replica.name)
                 if crash is None:
                     self.breakers.success(replica.name)

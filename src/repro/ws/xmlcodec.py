@@ -46,7 +46,7 @@ def python_to_xsd(value: Any) -> str:
         return "xsd:double"
     if isinstance(value, str):
         return "xsd:string"
-    if isinstance(value, (bytes, bytearray)):
+    if isinstance(value, (bytes, bytearray, memoryview)):
         return "xsd:base64Binary"
     raise WsError(f"no XSD mapping for {type(value).__name__}")
 

@@ -13,14 +13,15 @@ from repro.workloads import make_payload
 from repro.ws import SoapFabric, SoapServer, WsClient, generate_stub
 
 
-def agent_env(status_supported=False):
+def agent_env(status_supported=False, session_reuse=False):
     tb = build_testbed(n_sites=2, nodes_per_site=2, cores_per_node=4,
                        appliance_uplink=Mbps(10))
     tb.new_grid_identity("onserve", "pw")
     fabric = SoapFabric()
     server = SoapServer(tb.appliance_host, fabric)
     agent = CyberaideAgent(tb.appliance_host, tb,
-                           AgentConfig(status_supported=status_supported))
+                           AgentConfig(status_supported=status_supported,
+                                       session_reuse=session_reuse))
     server.deploy(agent.service_description(), agent.handler)
     stub = generate_stub(server.wsdl(agent.SERVICE_NAME))(
         WsClient(tb.appliance_host, fabric))
@@ -212,6 +213,61 @@ def test_replicate_copies_site_to_site_off_the_uplink():
     [event] = bus(tb.sim).events(kind="agent.replicate")
     assert (event.fields["src"], event.fields["dest"],
             event.fields["nbytes"]) == ("ncsa", "sdsc", len(payload))
+
+
+def test_replicate_rides_the_session_pool_only_under_session_reuse():
+    from repro.grid.gridftp import GridFtpSession
+    from repro.security.gsi import GsiAcceptor
+    control = {}
+    for reuse in (False, True):
+        tb, agent, stub = agent_env(session_reuse=reuse)
+        ends = [tb.ftp("ncsa"), tb.ftp("sdsc")]
+
+        def flow():
+            session = yield stub.authenticate(username="onserve",
+                                              passphrase="pw")
+            args = dict(session=session, site="ncsa", path="/x/echo.sh",
+                        data=make_payload("echo", size=int(KB(8))))
+            yield stub.uploadExecutable(**args)
+            yield stub.uploadExecutable(**dict(args, site="sdsc",
+                                               path="/x/other"))
+            before = [end.control_bytes for end in ends]
+            yield stub.replicateExecutable(
+                session=session, fromSite="ncsa", toSite="sdsc",
+                path="/x/echo.sh")
+            return ([end.control_bytes - b for end, b in zip(ends, before)],
+                    agent._sessions[session].chain)
+
+        control[reuse], chain = tb.sim.run(until=tb.sim.process(flow()))
+        assert tb.site("sdsc").has_file("/x/echo.sh")
+    # Per-operation mode is what it was: a GSI handshake to each end.
+    per_op = GsiAcceptor.handshake_bytes(chain) + ends[0].CONTROL_BYTES
+    assert control[False] == [per_op, per_op]
+    assert control[True] == [GridFtpSession.SESSION_OP_BYTES] * 2
+
+
+def test_upload_range_lands_a_view_and_shows_the_file_when_whole():
+    tb, agent, stub = agent_env()
+    payload = make_payload("echo", size=int(KB(64)))
+    view, half = memoryview(payload), len(payload) // 2
+    [uplink] = tb.network.route("appliance", "wan-core")
+
+    def flow():
+        session = yield stub.authenticate(username="onserve", passphrase="pw")
+        args = dict(session=session, site="ncsa", path="/x/echo.sh",
+                    total=len(payload), transfer="digest-1")
+        before = uplink.server.work_integral()
+        n = yield stub.uploadRange(data=view[:half], offset=0, **args)
+        sent = uplink.server.work_integral() - before
+        seen = tb.site("ncsa").has_file("/x/echo.sh")
+        yield stub.uploadRange(data=view[half:], offset=half, **args)
+        return n, sent, seen
+
+    n, sent, seen = tb.sim.run(until=tb.sim.process(flow()))
+    assert n == half and not seen
+    assert half < sent < half + int(KB(16))  # the range, not the payload
+    assert tb.site("ncsa").read_file("/x/echo.sh") is payload
+    assert agent.uploads == 2
 
 
 @pytest.mark.parametrize("call, root_cause", [

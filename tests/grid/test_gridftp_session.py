@@ -262,3 +262,93 @@ def test_third_party_transfer_abort_fault():
     with pytest.raises(TransferError, match="aborted"):
         tb.sim.run(until=tb.sim.process(flow()))
     assert not tb.site("sdsc").has_file("/dst")
+
+
+# ------------------------------------- third party on the session pool
+
+def test_third_party_on_open_channels_pays_one_command_per_end():
+    tb = quick_testbed()
+    chain, client = logon(tb)
+    src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
+    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    payload = make_payload("echo", size=int(KB(16)))
+    ctx = RequestContext.create(tb.sim)
+
+    def flow():
+        yield pool.put(src, client, chain, "/src", payload)
+        yield pool.put(dst, client, chain, "/other", payload)
+        before = src.control_bytes, dst.control_bytes
+        n = yield pool.third_party(src, dst, client, chain, "/src", "/dst",
+                                   ctx=ctx)
+        return n, before
+
+    n, (src0, dst0) = tb.sim.run(until=tb.sim.process(flow()))
+    assert n == len(payload)
+    assert tb.site("sdsc").read_file("/dst") is payload
+    assert src.control_bytes - src0 == GridFtpSession.SESSION_OP_BYTES
+    assert dst.control_bytes - dst0 == GridFtpSession.SESSION_OP_BYTES
+    sessions = [pool.session(end, client, chain) for end in (src, dst)]
+    assert [(s.handshakes, s.ops) for s in sessions] == [(1, 2), (1, 2)]
+    assert (src.transfers_out, dst.transfers_in) == (1, 2)
+    [event] = bus(tb.sim).events(kind="gridftp.third_party")
+    assert event.fields["session"] and event.fields["nbytes"] == n
+    [node] = [s for s in ctx.spans() if s.name == "gridftp:3pt"]
+    assert node.meta["session"] and node.closed
+
+
+def test_third_party_on_a_cold_pool_opens_both_channels_once():
+    tb = quick_testbed()
+    chain, client = logon(tb)
+    payload = make_payload("echo", size=int(KB(4)))
+    _stage_source(tb, chain, client, "/src", payload)
+    src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
+    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    tb.sim.run(until=pool.third_party(src, dst, client, chain, "/src", "/a"))
+    tb.sim.run(until=pool.third_party(src, dst, client, chain, "/src", "/b"))
+    assert tb.site("sdsc").read_file("/b") == payload
+    assert pool.open_sessions == 2
+    assert bus(tb.sim).counts()["gridftp.session_open"] == 2
+
+
+def test_disabled_pool_third_party_is_the_per_operation_transfer():
+    runs = []
+    for pooled_call in (False, True):
+        tb = quick_testbed()
+        chain, client = logon(tb)
+        payload = make_payload("echo", size=int(KB(16)))
+        _stage_source(tb, chain, client, "/src", payload)
+        src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
+        pool = GridFtpSessionPool(tb.sim)  # disabled: the default
+        before = tb.sim.events_processed
+        tb.sim.run(until=(
+            pool.third_party(src, dst, client, chain, "/src", "/dst")
+            if pooled_call else
+            src.third_party_transfer(client, chain, "/src", dst, "/dst")))
+        runs.append((tb.sim.now, tb.sim.events_processed - before,
+                     src.control_bytes, dst.control_bytes,
+                     [(e.kind, sorted(e.fields.items()))
+                      for e in bus(tb.sim).events()]))
+        assert pool.open_sessions == 0
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("fault", [
+    FaultSpec("gridftp.abort", target="ncsa"),
+    FaultSpec("site.outage", target="sdsc", window=(0.0, 1e9)),
+])
+def test_a_failed_pooled_third_party_drops_both_channels(fault):
+    tb = quick_testbed()
+    chain, client = logon(tb)
+    payload = make_payload("echo", size=int(KB(4)))
+    src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
+    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    tb.sim.run(until=pool.put(src, client, chain, "/src", payload))
+    tb.sim.run(until=pool.put(dst, client, chain, "/other", payload))
+    assert pool.open_sessions == 2
+    fault_plane(tb.sim).add(fault)
+    with pytest.raises(TransferError, match="aborted|outage"):
+        tb.sim.run(until=pool.third_party(src, dst, client, chain, "/src",
+                                          "/dst"))
+    assert pool.open_sessions == 0
+    assert not tb.site("sdsc").has_file("/dst")
+

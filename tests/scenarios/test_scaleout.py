@@ -28,6 +28,16 @@ def test_adding_a_replica_helps_even_at_smoke_scale(result):
     assert result.row_at(2)["materialized"] > 0
 
 
+def test_a_cold_stage_halves_with_a_second_uplink(result):
+    alone, paired = result.cold_rows
+    assert (alone["replicas"], alone["stripes"]) == (1, 1)
+    assert (paired["replicas"], paired["stripes"]) == (2, 2)
+    assert paired["stage"] < 0.6 * alone["stage"]
+    # Striping moves the same bytes: a few control bytes more, no copy.
+    assert 0 <= paired["uplink"] - alone["uplink"] < 1024
+    assert "cold stage vs replicas" in result.render()
+
+
 def test_router_overhead_is_small(result):
     assert result.router_overhead() < 0.05
 

@@ -103,3 +103,58 @@ def test_empty_request_attributes_nothing():
     assert att.total == 0.0
     assert att.buckets == {}
     assert att.reconciles()
+
+
+def test_concurrent_siblings_charge_only_the_chain_the_parent_waited_for():
+    """Three ranges of a striped stage side by side under service:upload.
+
+    request [0, 10]
+      service:upload [1, 9]
+        client:Agent.uploadRange [1, 6]        (the leader's own range)
+          gridftp:put [2, 6]
+        service:stripe [1, 8]                  (finishes last)
+          client:Agent.uploadRange [1.5, 8]
+            gridftp:put [3, 8]
+        service:stripe [1, 5]
+          gridftp:put [2, 5]
+      service:submit [9, 10]
+
+    Only the last-finishing branch is on the critical chain: 5 s of
+    staging, not the 12 s the three puts add up to.
+    """
+    sim = Simulator(seed=0)
+    ctx = RequestContext(sim, "req-striped")
+    ctx.root.end = 10.0
+    upload = _span(ctx, ctx.root, "service:upload", 1.0, 9.0)
+    own = _span(ctx, upload, "client:Agent.uploadRange", 1.0, 6.0)
+    _span(ctx, own, "gridftp:put", 2.0, 6.0)
+    last = _span(ctx, upload, "service:stripe", 1.0, 8.0)
+    call = _span(ctx, last, "client:Agent.uploadRange", 1.5, 8.0)
+    _span(ctx, call, "gridftp:put", 3.0, 8.0)
+    first = _span(ctx, upload, "service:stripe", 1.0, 5.0)
+    _span(ctx, first, "gridftp:put", 2.0, 5.0)
+    _span(ctx, ctx.root, "service:submit", 9.0, 10.0)
+    att = analyze_request(ctx)
+    assert att.buckets["grid/transfer"] == pytest.approx(5.0)
+    assert att.buckets["ws/transfer"] == pytest.approx(1.5)
+    # upload [8, 9] + the last stripe [1, 1.5] + submit [9, 10]
+    assert att.buckets["core/compute"] == pytest.approx(2.5)
+    assert att.buckets["ws/compute"] == pytest.approx(1.0)  # root [0, 1]
+    assert att.attributed == att.total == 10.0
+    assert att.reconciles(tol=0.0)
+
+
+def test_a_sibling_reaching_back_before_the_last_one_is_charged_the_rest():
+    """request [0, 10]: gridftp:put [0, 6] beside db:fetch [4, 10] — the
+    fetch finished last and keeps [4, 10]; the put is charged [0, 4]."""
+    sim = Simulator(seed=0)
+    ctx = RequestContext(sim, "req-overlap")
+    ctx.root.end = 10.0
+    put = _span(ctx, ctx.root, "gridftp:put", 0.0, 6.0)
+    _span(ctx, put, "agent:outputReady", 3.0, 6.0)
+    _span(ctx, ctx.root, "db:fetch", 4.0, 10.0)
+    att = analyze_request(ctx)
+    assert att.buckets == {"grid/transfer": 3.0, "agent/transfer": 1.0,
+                           "db/storage": 6.0}
+    assert att.unattributed == 0.0
+
