@@ -640,14 +640,17 @@ class GridServiceRuntime:
 
         One detector per site — status ablation → notify → PollMux →
         the faithful tentative poll — reports ``(state, polls)``; the
-        shared tail classifies the state and performs the one per-job
-        step no rung can batch or skip: fetching the final output.
+        shared tail classifies the state and fetches the final output —
+        unless the push already carried it: a ``done`` job's output of
+        at most ``GramGatekeeper.INLINE_OUTPUT_BYTES``, delivered live
+        (a replayed subscription carries none).
         """
         cfg = self.onserve.config
         host = self.onserve.host
         stub = self.onserve.agent_stub
         queue = self.onserve.notify_queue
         batched = pushed = False
+        output = None
 
         if cfg.status_supported:
             # Ablation: clean status polling, output fetched exactly once.
@@ -673,6 +676,7 @@ class GridServiceRuntime:
                     lambda waiter: queue.unsubscribe(job_id, waiter),
                     cfg.watchdog_timeout, f"notification for {job_id!r}")
             state, polls = ("lost" if note["error"] else note["state"]), 0
+            output = note["output"]
         elif cfg.datapath:
             # Batched data path: the per-site multiplexer runs one
             # tentative poll covering every in-flight job on the site;
@@ -734,9 +738,10 @@ class GridServiceRuntime:
             # A JobError (retryable): a crash-killed job may well
             # succeed when resubmitted on another site.
             raise JobError(f"grid job {job_id} ended {state}")
-        # Whatever a tentative poll fetched may predate completion.
-        output = yield stub.fetchOutput(session=session, site=site,
-                                        jobId=job_id, ctx=ctx)
+        if output is None:
+            # Whatever a tentative poll fetched may predate completion.
+            output = yield stub.fetchOutput(session=session, site=site,
+                                            jobId=job_id, ctx=ctx)
         yield host.disk_write(len(output))
         if output and set(output) == {0}:
             raise JobError(

@@ -21,7 +21,7 @@ from typing import Any, Dict, Generator, List, Optional
 from repro.core.context import RequestContext, span
 from repro.errors import AuthenticationFailed, CredentialExpired, GridError
 from repro.faults.injector import get_injector
-from repro.grid.gridftp import GridFtpSessionPool
+from repro.grid.channel import GsiChannelPool
 from repro.grid.testbed import Testbed
 from repro.hardware.host import Host
 from repro.security.x509 import Certificate
@@ -39,17 +39,18 @@ class AgentConfig:
                  default_proxy_lifetime: float = 12 * 3600.0,
                  session_cpu: float = 0.01,
                  session_reuse: bool = False,
-                 ftp_idle_timeout: float = 600.0):
+                 channel_idle_timeout: float = 600.0):
         #: The paper's workaround: False means jobStatus raises and
         #: clients must poll output tentatively.  True is the ablation.
         self.status_supported = status_supported
         self.default_proxy_lifetime = default_proxy_lifetime
         #: CPU charged per agent call for session bookkeeping.
         self.session_cpu = session_cpu
-        #: Data-path batching: reuse one GridFTP control channel per
-        #: (site, credential) instead of a handshake per transfer.
+        #: Data-path batching: reuse one authenticated control channel
+        #: per (site, endpoint, credential) — GridFTP and GRAM — instead
+        #: of a GSI handshake per transfer and per submit.
         self.session_reuse = session_reuse
-        self.ftp_idle_timeout = ftp_idle_timeout
+        self.channel_idle_timeout = channel_idle_timeout
 
 
 class AgentSession:
@@ -88,11 +89,12 @@ class CyberaideAgent:
         #: Control bytes spent on outputReady existence probes (single
         #: and batched) — the agent-side share of the poll overhead.
         self.probe_bytes = 0
-        #: GridFTP control channels, reused when session_reuse is on;
-        #: disabled the pool is a pure pass-through to the per-op path.
-        self._ftp_sessions = GridFtpSessionPool(
+        #: GridFTP and GRAM control channels, reused when session_reuse
+        #: is on; disabled the pool is a pure pass-through to the per-op
+        #: path.
+        self._channels = GsiChannelPool(
             self.sim, enabled=self.config.session_reuse,
-            idle_timeout=self.config.ftp_idle_timeout)
+            idle_timeout=self.config.channel_idle_timeout)
         #: Observability plane: agent milestones become events.
         self._bus = bus(self.sim)
 
@@ -201,7 +203,7 @@ class CyberaideAgent:
         *data* one range of the file."""
         sess = self._session(session)
         ftp = self._ftp(site)
-        n = yield self._ftp_sessions.put(ftp, self.host, sess.chain, path,
+        n = yield self._channels.put(ftp, self.host, sess.chain, path,
                                          data, ctx=ctx, **where)
         self.uploads += 1
         self._bus.emit("agent.upload", layer="agent",
@@ -223,7 +225,7 @@ class CyberaideAgent:
         never cross the appliance uplink.
         """
         sess = self._session(session)
-        n = yield self._ftp_sessions.third_party(
+        n = yield self._channels.third_party(
             self._ftp(fromSite), self._ftp(toSite), self.host, sess.chain,
             path, path, ctx=ctx)
         self.replications += 1
@@ -237,7 +239,8 @@ class CyberaideAgent:
                       ) -> Generator[Event, None, str]:
         sess = self._session(session)
         gram = self._gram(site)
-        job_id = yield gram.submit(self.host, sess.chain, rsl, ctx=ctx)
+        job_id = yield self._channels.submit(gram, self.host, sess.chain,
+                                             rsl, ctx=ctx)
         self.submissions += 1
         self._bus.emit("agent.submit", layer="agent",
                        request_id=ctx.request_id if ctx else None,
@@ -292,7 +295,7 @@ class CyberaideAgent:
                       ctx: Optional[RequestContext] = None
                       ) -> Generator[Event, None, bytes]:
         sess = self._session(session)
-        data = yield self._ftp_sessions.get(self._ftp(site), self.host,
+        data = yield self._channels.get(self._ftp(site), self.host,
                                             sess.chain, path, ctx=ctx)
         return data
 

@@ -9,7 +9,10 @@ onServe's translation layer necessary.
 The paper notes "K-GRAM permits to submit a large number of jobs quite
 efficiently" (§VIII.B): submission here is a short control exchange plus
 an authentication, independent of executable size (staging is GridFTP's
-job), which is why many-small-jobs workloads amortize well.
+job), which is why many-small-jobs workloads amortize well.  Per
+operation, every submit opens with a fresh GSI handshake on its one
+message; on a pooled :class:`~repro.grid.channel.GsiChannel` only the
+first does, and every submit is still authorized (``acceptor.accept``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Dict, Generator, Optional, Sequence
 from repro.core.context import RequestContext, span
 from repro.errors import JobNotFound, SubmissionRefused
 from repro.faults.injector import get_injector
-from repro.grid.job import JobState
+from repro.grid.job import GridJob, JobState
 from repro.grid.rsl import parse_rsl
 from repro.grid.site import GridSite
 from repro.hardware.host import Host
@@ -36,6 +39,8 @@ __all__ = ["GramGatekeeper"]
 class GramGatekeeper:
     """The GRAM endpoint of one grid site."""
 
+    #: Names this endpoint's pooled channels (gauge and bus event prefix).
+    PROTOCOL = "gram"
     #: Control bytes for a submit exchange (RSL travels inside).
     SUBMIT_OVERHEAD_BYTES = 1536
     #: Control bytes for status/cancel/poll exchanges.
@@ -53,6 +58,9 @@ class GramGatekeeper:
     #: callback message, no envelope negotiation — the connection the
     #: subscription holds open already paid it).
     NOTIFY_BYTES = 256
+    #: Largest output a ``done`` job's terminal notification carries
+    #: itself; a larger one is fetched (``fetch_output``) as before.
+    INLINE_OUTPUT_BYTES = 4 * 1024
 
     def __init__(self, site: GridSite):
         self.site = site
@@ -68,6 +76,10 @@ class GramGatekeeper:
         self.control_bytes = 0
         self.exchanges = 0
         self.head_cpu_modeled = 0.0
+        #: GSI handshakes paid, and submits carried on an already-open
+        #: pooled channel instead (:class:`~repro.grid.channel.GsiChannel`).
+        self.handshakes = 0
+        self.pooled_ops = 0
         #: job_id -> completion event (fires with the terminal job).
         self._completions: Dict[str, Event] = {}
         #: Push path (ROADMAP item 1): the durable notification queue
@@ -79,7 +91,8 @@ class GramGatekeeper:
         #: Unsubscribes the attached queue's ``sched.start`` mirror.
         self._unmirror = None
         #: Notification accounting (plain counters, like the data-path
-        #: ones): messages pushed and their modelled control bytes.
+        #: ones): messages pushed and their modelled bytes (an inline
+        #: output included).
         #: Deliberately *not* folded into ``exchanges`` — a push is not
         #: a client-initiated poller exchange.
         self.notifications = 0
@@ -131,93 +144,118 @@ class GramGatekeeper:
             kinds=["sched.start"])
 
     def _push_state(self, job_id: str, state: str, terminal: bool,
-                    error: bool = False) -> None:
+                    error: bool = False,
+                    output: Optional[bytes] = None) -> None:
         """Publish one state change (and book its modelled bytes)."""
         self.notifications += 1
-        self.notify_bytes += self.NOTIFY_BYTES
+        self.notify_bytes += self.NOTIFY_BYTES + len(output or b"")
         self.notify_queue.publish(self.site.name, job_id, state,
-                                  terminal=terminal, error=error)
+                                  terminal=terminal, error=error,
+                                  output=output)
+
+    def _push_terminal(self, job: GridJob) -> None:
+        """Publish *job*'s terminal state.  A ``done`` job's output rides
+        on the message when it fits :attr:`INLINE_OUTPUT_BYTES`: the job
+        manager holds the stdout it just wrote, so the subscriber needs
+        no ``fetch_output`` exchange."""
+        output = job.output if (
+            job.state is JobState.DONE
+            and len(job.output) <= self.INLINE_OUTPUT_BYTES) else None
+        self._push_state(job.job_id, job.state.value, terminal=True,
+                         output=output)
 
     # -- operations (all simulation processes) ------------------------------
+
+    def _handshake(self, client: Host, chain: Sequence[Certificate],
+                   carry: int = 0) -> Generator[Event, None, None]:
+        """Per-operation control: a fresh GSI handshake on the one message
+        that also carries the request (*carry* bytes) — there is no
+        separate command round trip.  Authorization is the submit body's
+        ``accept``, which runs on every submit."""
+        handshake = GsiAcceptor.handshake_bytes(chain)
+        self.control_bytes += handshake
+        self.handshakes += 1
+        yield client.send(self.host, handshake + carry, label="gram-submit")
+
+    def _submit(self, client: Host, chain: Sequence[Certificate], control,
+                rsl_text: str, ctx: Optional[RequestContext], **mode
+                ) -> Generator[Event, None, str]:
+        """Submit: one request message (*control* puts the mode's
+        preamble in front of it), authorization, LRM hand-off, handle."""
+        rid = ctx.request_id if ctx is not None else None
+        injector = get_injector(self.sim)
+        self._inflight.adjust(+1)
+        try:
+            with span(ctx, "gram:submit", site=self.site.name, **mode):
+                if (injector is not None
+                        and injector.down(self.site.name)):
+                    self.refusals += 1
+                    raise SubmissionRefused(
+                        f"{self.site.name}: gatekeeper unreachable "
+                        f"(site outage)")
+                request = self.SUBMIT_OVERHEAD_BYTES + len(rsl_text)
+                self._account(request + 512)
+                yield from control(request)
+                try:
+                    gsi = self.site.acceptor.accept(chain, self.sim.now)
+                    description = parse_rsl(rsl_text)
+                    if (injector is not None and
+                            injector.fire("gram.refuse", self.site.name)):
+                        raise SubmissionRefused(
+                            f"{self.site.name}: gatekeeper refused the "
+                            f"submission (transient LRM rejection)")
+                except Exception as exc:
+                    self.refusals += 1
+                    self._bus.emit("gram.refused", layer="grid",
+                                   request_id=rid, site=self.site.name,
+                                   reason=type(exc).__name__)
+                    yield self.host.send(client, 512, label="gram-refused")
+                    raise
+                yield self.host.compute(self.REQUEST_CPU, tag="gram")
+                job = self.site.create_job(description, owner=gsi.subject)
+                if (injector is not None and
+                        injector.fire("gram.lost_job", self.site.name)):
+                    # The classic lost job: the gatekeeper hands out a
+                    # perfectly good handle, but the LRM never hears of
+                    # it — later polls find nothing (JobNotFound).  A
+                    # notify-capable job manager *knows* it lost track
+                    # and surfaces that as an error callback, so push
+                    # subscribers fail over as fast as they complete.
+                    self.site.drop_job(job.job_id)
+                    if self.notify_capable:
+                        self._push_state(job.job_id, "lost",
+                                         terminal=True, error=True)
+                    self.submissions += 1
+                    yield self.host.send(client, 512, label="gram-handle")
+                    return job.job_id
+                done = self.site.run_job(job)
+                self._completions[job.job_id] = done
+                if self.notify_capable:
+                    if not job.is_terminal:
+                        # Same frame as the submission's state change.
+                        self._push_state(job.job_id, job.state.value,
+                                         terminal=False)
+                    done.add_callback(
+                        lambda ev: self._push_terminal(ev._value)
+                        if ev._ok else None)
+                self.submissions += 1
+                self._bus.emit("gram.submit", layer="grid",
+                               request_id=rid, site=self.site.name,
+                               job_id=job.job_id, **mode)
+                yield self.host.send(client, 512, label="gram-handle")
+        finally:
+            self._inflight.adjust(-1)
+        return job.job_id
 
     def submit(self, client: Host, chain: Sequence[Certificate],
                rsl_text: str,
                ctx: Optional[RequestContext] = None) -> Process:
         """Submit a job described by *rsl_text*; value is the job id."""
-
-        def op() -> Generator[Event, None, str]:
-            rid = ctx.request_id if ctx is not None else None
-            injector = get_injector(self.sim)
-            self._inflight.adjust(+1)
-            try:
-                with span(ctx, "gram:submit", site=self.site.name):
-                    if (injector is not None
-                            and injector.down(self.site.name)):
-                        self.refusals += 1
-                        raise SubmissionRefused(
-                            f"{self.site.name}: gatekeeper unreachable "
-                            f"(site outage)")
-                    handshake = GsiAcceptor.handshake_bytes(chain)
-                    self._account(handshake + self.SUBMIT_OVERHEAD_BYTES
-                                  + len(rsl_text) + 512)
-                    yield client.send(
-                        self.host,
-                        handshake + self.SUBMIT_OVERHEAD_BYTES + len(rsl_text),
-                        label="gram-submit")
-                    try:
-                        gsi = self.site.acceptor.accept(chain, self.sim.now)
-                        description = parse_rsl(rsl_text)
-                        if (injector is not None and
-                                injector.fire("gram.refuse", self.site.name)):
-                            raise SubmissionRefused(
-                                f"{self.site.name}: gatekeeper refused the "
-                                f"submission (transient LRM rejection)")
-                    except Exception as exc:
-                        self.refusals += 1
-                        self._bus.emit("gram.refused", layer="grid",
-                                       request_id=rid, site=self.site.name,
-                                       reason=type(exc).__name__)
-                        yield self.host.send(client, 512, label="gram-refused")
-                        raise
-                    yield self.host.compute(self.REQUEST_CPU, tag="gram")
-                    job = self.site.create_job(description, owner=gsi.subject)
-                    if (injector is not None and
-                            injector.fire("gram.lost_job", self.site.name)):
-                        # The classic lost job: the gatekeeper hands out a
-                        # perfectly good handle, but the LRM never hears of
-                        # it — later polls find nothing (JobNotFound).  A
-                        # notify-capable job manager *knows* it lost track
-                        # and surfaces that as an error callback, so push
-                        # subscribers fail over as fast as they complete.
-                        self.site.drop_job(job.job_id)
-                        if self.notify_capable:
-                            self._push_state(job.job_id, "lost",
-                                             terminal=True, error=True)
-                        self.submissions += 1
-                        yield self.host.send(client, 512,
-                                             label="gram-handle")
-                        return job.job_id
-                    done = self.site.run_job(job)
-                    self._completions[job.job_id] = done
-                    if self.notify_capable:
-                        if not job.is_terminal:
-                            # Same frame as the submission's state change.
-                            self._push_state(job.job_id, job.state.value,
-                                             terminal=False)
-                        done.add_callback(
-                            lambda ev, jid=job.job_id: self._push_state(
-                                jid, ev._value.state.value, terminal=True)
-                            if ev._ok else None)
-                    self.submissions += 1
-                    self._bus.emit("gram.submit", layer="grid",
-                                   request_id=rid, site=self.site.name,
-                                   job_id=job.job_id)
-                    yield self.host.send(client, 512, label="gram-handle")
-            finally:
-                self._inflight.adjust(-1)
-            return job.job_id
-
-        return self.sim.process(op(), name="gram-submit")
+        return self.sim.process(
+            self._submit(client, chain,
+                         lambda carry: self._handshake(client, chain, carry),
+                         rsl_text, ctx),
+            name="gram-submit")
 
     def status(self, client: Host, job_id: str,
                ctx: Optional[RequestContext] = None) -> Process:

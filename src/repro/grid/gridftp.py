@@ -11,18 +11,15 @@ Two control-path modes exist:
   / :meth:`~GridFtpServer.third_party_transfer`) — every transfer pays a
   fresh GSI handshake plus control bytes, the faithful pay-per-operation
   cost the goldens pin down.
-* **Session-oriented** (:class:`GridFtpSession`, pooled by
-  :class:`GridFtpSessionPool`) — one handshake + control channel per
-  ``(client, site, credential)``, reused across pipelined operations;
-  later operations pay only :attr:`GridFtpSession.SESSION_OP_BYTES` of
-  control traffic.  Sessions close lazily on idle timeout (checked at
-  the next use — an idle session schedules *no* simulation events, so a
-  constructed-but-unused pool cannot perturb a run).
+* **Pooled** — one authenticated control channel per ``(client, site,
+  credential)``, reused across pipelined operations
+  (:class:`~repro.grid.channel.GsiChannel`, the same channel the
+  gatekeeper's submits ride).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Sequence, Tuple
+from typing import Generator, Optional, Sequence
 
 from repro.core.context import RequestContext, span
 from repro.errors import TransferError
@@ -36,12 +33,14 @@ from repro.simkernel.process import Process
 from repro.telemetry.events import bus
 from repro.telemetry.gauges import gauges
 
-__all__ = ["GridFtpServer", "GridFtpSession", "GridFtpSessionPool"]
+__all__ = ["GridFtpServer"]
 
 
 class GridFtpServer:
     """The file-transfer endpoint of one grid site."""
 
+    #: Names this endpoint's pooled channels (gauge and bus event prefix).
+    PROTOCOL = "gridftp"
     #: Control-channel bytes per operation (commands + replies).
     CONTROL_BYTES = 2048
     #: CPU seconds per MB for checksumming/marshalling on the head node.
@@ -57,6 +56,10 @@ class GridFtpServer:
         #: + command traffic; data payloads excluded).  Pure bookkeeping
         #: — the data-path ablation reads it, the timeline never does.
         self.control_bytes = 0
+        #: GSI handshakes paid, and operations carried on an already-open
+        #: pooled channel instead (:class:`~repro.grid.channel.GsiChannel`).
+        self.handshakes = 0
+        self.pooled_ops = 0
         #: Observability plane: concurrent data connections become a
         #: gauge, completed transfers become events.
         self._bus = bus(self.sim)
@@ -98,14 +101,16 @@ class GridFtpServer:
                                 f"mid-transfer ({path!r})")
 
     def _handshake(self, client: Host, chain: Sequence[Certificate],
-                   streams: int = 1, label: str = "gridftp-ctl"
-                   ) -> Generator[Event, None, None]:
-        """Per-operation control: a fresh GSI handshake + command bytes."""
+                   streams: int = 1, label: str = "gridftp-ctl",
+                   carry: int = 0) -> Generator[Event, None, None]:
+        """Per-operation control: a fresh GSI handshake + command bytes
+        (+ *carry* bytes of the operation's own, none for a transfer)."""
         nbytes = (GsiAcceptor.handshake_bytes(chain)
                   + streams * self.CONTROL_BYTES)
-        yield client.send(self.host, nbytes, label=label)
+        yield client.send(self.host, nbytes + carry, label=label)
         self._authenticate(chain)
         self.control_bytes += nbytes
+        self.handshakes += 1
 
     # -- the operations; *control* is the mode's control-channel step --------
 
@@ -284,214 +289,3 @@ class GridFtpServer:
     def exists(self, path: str) -> bool:
         """Control-channel existence check (no data transfer modelled)."""
         return self.site.has_file(path)
-
-
-class GridFtpSession:
-    """One reusable control channel between a client and a site.
-
-    The first operation (and the first after an idle timeout, a fault,
-    or a credential change) pays the full GSI handshake; every pipelined
-    operation after that pays only :attr:`SESSION_OP_BYTES` of command
-    traffic.  Establishment is single-flighted: concurrent first
-    operations share one handshake instead of racing several.
-    """
-
-    #: Command/reply bytes per pipelined operation on an open channel.
-    SESSION_OP_BYTES = 256
-
-    def __init__(self, server: GridFtpServer, client: Host,
-                 chain: Sequence[Certificate], idle_timeout: float = 600.0):
-        if idle_timeout <= 0:
-            raise TransferError("session idle timeout must be positive")
-        self.server = server
-        self.sim = server.sim
-        self.client = client
-        self.chain = chain
-        self.idle_timeout = idle_timeout
-        #: Experiment counters: handshakes paid vs operations carried.
-        self.handshakes = 0
-        self.ops = 0
-        self._open = False
-        self._last_used = 0.0
-        self._establishing: Optional[Event] = None
-        self._bus = bus(self.sim)
-        self._sessions_gauge = gauges(self.sim).gauge(
-            f"gridftp.{server.site.name}.sessions", unit="sessions")
-
-    @property
-    def open(self) -> bool:
-        """True while the control channel is usable *right now* (lazy
-        idle-close: an expired channel reads as closed)."""
-        return (self._open
-                and self.sim.now - self._last_used <= self.idle_timeout)
-
-    def invalidate(self) -> None:
-        """Drop the control channel (failure or credential change)."""
-        if self._open:
-            self._open = False
-            self._sessions_gauge.adjust(-1)
-
-    def _ensure_control(self) -> Generator[Event, None, None]:
-        """Handshake if needed, else pay the pipelined-op bytes."""
-        server = self.server
-        while True:
-            if self.open:
-                yield self.client.send(server.host, self.SESSION_OP_BYTES,
-                                       label="gridftp-sess-op")
-                server.control_bytes += self.SESSION_OP_BYTES
-                return
-            if self._establishing is not None:
-                # Another operation is mid-handshake: piggyback on it.
-                yield self._establishing
-                continue
-            if self._open:
-                # Stale (idle-expired) channel: close before reopening.
-                self.invalidate()
-            self._establishing = self.sim.event("gridftp-sess-establish")
-            try:
-                yield from server._handshake(self.client, self.chain)
-                self.handshakes += 1
-                self._open = True
-                self._last_used = self.sim.now
-                self._sessions_gauge.adjust(+1)
-                self._bus.emit("gridftp.session_open", layer="grid",
-                               site=server.site.name,
-                               client=self.client.name)
-            finally:
-                pending, self._establishing = self._establishing, None
-                pending.succeed()
-            return
-
-    def _pipelined(self, operation: Generator, name: str,
-                   *others: "GridFtpSession") -> Process:
-        """Run a server operation on this channel (and *others*'): any
-        failure closes them, success counts as one use of each."""
-        def op() -> Generator[Event, None, object]:
-            try:
-                result = yield from operation
-            except BaseException:
-                for session in (self, *others):
-                    session.invalidate()
-                raise
-            for session in (self, *others):
-                session.ops += 1
-                session._last_used = self.sim.now
-            return result
-
-        return self.sim.process(op(), name=name)
-
-    def put(self, path: str, data: bytes, streams: int = 1,
-            ctx: Optional[RequestContext] = None, offset: int = 0,
-            total: Optional[int] = None,
-            transfer: Optional[str] = None) -> Process:
-        """Pipelined upload (whole file or one range, as
-        :meth:`GridFtpServer.put`) over the session's control channel."""
-        if streams < 1:
-            raise TransferError("streams must be >= 1")
-        streams = GridFtpServer.effective_streams(streams, len(data))
-        return self._pipelined(
-            self.server._put(self.client, self._ensure_control, path, data,
-                             streams, ctx, (offset, total, transfer),
-                             session=True),
-            f"gridftp-put:{path}")
-
-    def get(self, path: str,
-            ctx: Optional[RequestContext] = None) -> Process:
-        """Pipelined download over the session's control channel."""
-        return self._pipelined(
-            self.server._get(self.client, self._ensure_control, path, ctx,
-                             session=True),
-            f"gridftp-get:{path}")
-
-    def third_party(self, src_path: str, dest: "GridFtpSession",
-                    dst_path: str,
-                    ctx: Optional[RequestContext] = None) -> Process:
-        """Pipelined site-to-site copy from this session's site to
-        *dest*'s: one command on each open channel directs what the
-        per-operation transfer pays two handshakes for."""
-        def control() -> Generator[Event, None, None]:
-            yield from self._ensure_control()
-            yield from dest._ensure_control()
-
-        return self._pipelined(
-            self.server._third_party(control, src_path, dest.server,
-                                     dst_path, ctx, session=True),
-            f"gridftp-3pt:{src_path}", dest)
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        state = "open" if self.open else "closed"
-        return (f"<GridFtpSession {self.client.name}->"
-                f"{self.server.site.name} {state} ops={self.ops}>")
-
-
-class GridFtpSessionPool:
-    """Sessions keyed by ``(site, client, credential subject)``.
-
-    Disabled (the default), :meth:`put`/:meth:`get`/:meth:`third_party`
-    delegate straight to the per-operation server methods — no session
-    objects are created, no state is kept, and the timeline is
-    byte-identical to a build without this class.  Enabled, each distinct endpoint/credential pair
-    gets one reusable :class:`GridFtpSession`; presenting a *different*
-    credential chain for the same endpoint replaces the session (the old
-    control channel cannot authenticate the new delegation).
-    """
-
-    def __init__(self, sim, enabled: bool = False,
-                 idle_timeout: float = 600.0):
-        self.sim = sim
-        self.enabled = enabled
-        self.idle_timeout = idle_timeout
-        self._sessions: Dict[Tuple[str, str, str], GridFtpSession] = {}
-
-    def session(self, server: GridFtpServer, client: Host,
-                chain: Sequence[Certificate]) -> GridFtpSession:
-        """The (created-on-first-use) session for this endpoint pair."""
-        key = (server.site.name, client.name, chain[0].subject)
-        session = self._sessions.get(key)
-        if session is not None and session.chain is not chain:
-            # Fresh delegation (e.g. re-logon after expiry): the old
-            # control channel dies with its credential.
-            session.invalidate()
-            session = None
-        if session is None:
-            session = GridFtpSession(server, client, chain,
-                                     idle_timeout=self.idle_timeout)
-            self._sessions[key] = session
-        return session
-
-    def put(self, server: GridFtpServer, client: Host,
-            chain: Sequence[Certificate], path: str, data: bytes,
-            streams: int = 1, ctx: Optional[RequestContext] = None,
-            **where) -> Process:
-        """*where*: ``offset`` / ``total`` / ``transfer`` of a ranged PUT."""
-        if not self.enabled:
-            return server.put(client, chain, path, data, streams=streams,
-                              ctx=ctx, **where)
-        return self.session(server, client, chain).put(
-            path, data, streams=streams, ctx=ctx, **where)
-
-    def get(self, server: GridFtpServer, client: Host,
-            chain: Sequence[Certificate], path: str,
-            ctx: Optional[RequestContext] = None) -> Process:
-        if not self.enabled:
-            return server.get(client, chain, path, ctx=ctx)
-        return self.session(server, client, chain).get(path, ctx=ctx)
-
-    def third_party(self, source: GridFtpServer, dest: GridFtpServer,
-                    client: Host, chain: Sequence[Certificate],
-                    src_path: str, dst_path: str,
-                    ctx: Optional[RequestContext] = None) -> Process:
-        if not self.enabled:
-            return source.third_party_transfer(client, chain, src_path,
-                                               dest, dst_path, ctx=ctx)
-        return self.session(source, client, chain).third_party(
-            src_path, self.session(dest, client, chain), dst_path, ctx=ctx)
-
-    @property
-    def open_sessions(self) -> int:
-        return sum(1 for s in self._sessions.values() if s.open)
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        state = "on" if self.enabled else "off"
-        return (f"<GridFtpSessionPool {state} "
-                f"sessions={len(self._sessions)}>")

@@ -80,6 +80,11 @@ class NotifyQueue:
     subscriber arriving after the terminal row exists (crash replay,
     slow middleware) completes immediately from durable state instead
     of waiting for a delivery that already happened.
+
+    A message may carry the job's *output* (a small one, on a ``done``
+    job's terminal message).  It travels with the delivery only: neither
+    table stores it, so a replayed subscription's payload has
+    ``output=None`` and its subscriber fetches the output as before.
     """
 
     def __init__(self, sim: Simulator, db: Database,
@@ -154,7 +159,8 @@ class NotifyQueue:
     # -- publish / deliver ----------------------------------------------------
 
     def publish(self, site: str, job_id: str, state: str,
-                terminal: bool = False, error: bool = False) -> int:
+                terminal: bool = False, error: bool = False,
+                output: Optional[bytes] = None) -> int:
         """Append one state-change message; returns its sequence number.
 
         The durable rows (state table + queue) are written in the
@@ -176,7 +182,7 @@ class NotifyQueue:
                        terminal=terminal)
         message = {"seq": seq, "site": site, "job_id": job_id,
                    "state": state, "terminal": terminal, "error": error,
-                   "published_at": self.sim.now}
+                   "published_at": self.sim.now, "output": output}
         trip = self.sim.timeout(self.propagation,
                                 name=f"notify-deliver:{seq}")
         trip.add_callback(lambda ev: self._deliver(message))
@@ -196,7 +202,8 @@ class NotifyQueue:
             return
         payload = {"state": message["state"], "error": message["error"],
                    "published_at": message["published_at"],
-                   "delivered_at": self.sim.now}
+                   "delivered_at": self.sim.now,
+                   "output": message["output"]}
         for waiter in self._waiters.pop(message["job_id"], []):
             waiter.succeed(payload)
 
@@ -219,7 +226,7 @@ class NotifyQueue:
             waiter.succeed({"state": row["state"],
                             "error": row["state"] == "lost",
                             "published_at": row["updated_at"],
-                            "delivered_at": self.sim.now})
+                            "delivered_at": self.sim.now, "output": None})
             return waiter
         self._waiters.setdefault(job_id, []).append(waiter)
         self._bus.emit("notify.subscribe", layer="grid", site=site,

@@ -17,7 +17,11 @@ growing N, once per mode, and reports per level:
   (``REQUEST_CPU`` per exchange + ``BATCH_ITEM_CPU`` per extra batched
   job), i.e. what a real gatekeeper would burn serving the exchanges;
 * **completion-detection lag** — ``core.output_detected`` minus the
-  scheduler's ``sched.finish``, mean/p50/p95 over the N jobs.
+  scheduler's ``sched.finish``, mean/p50/p95 over the N jobs;
+* **GRAM control** at the largest N — submits, GSI handshakes paid,
+  submits carried on an already-open pooled channel, and gatekeeper
+  control bytes per submit (polls included): per operation every submit
+  opens with a handshake, on the agent's pooled channel only the first.
 
 Job runtimes are staggered (``base + 6·i`` seconds) so completions
 spread over time and the adaptive interval's snap-back actually matters.
@@ -105,6 +109,19 @@ class DatapathResult:
                 f"{100 * self.cpu_reduction_at(n):>5.1f}% "
                 f"{row['base_lag_mean']:>5.1f}->{row['batch_lag_mean']:<6.1f} "
                 f"{row['base_lag_p95']:>5.1f}->{row['batch_lag_p95']:<6.1f}")
+        last = self.rows[-1]
+        lines += [
+            "",
+            f"GRAM control @ N={int(last['n'])}",
+            f"{'mode':<14} {'submits':>8} {'handshakes':>11} {'pooled':>7} "
+            f"{'ctl B/submit':>13}"]
+        for label, mode in (("per-operation", "base"), ("datapath", "batch")):
+            submits = int(last[f"{mode}_submits"])
+            lines.append(
+                f"{label:<14} {submits:>8} "
+                f"{int(last[f'{mode}_handshakes']):>11} "
+                f"{int(last[f'{mode}_pooled']):>7} "
+                f"{last[f'{mode}_gram_ctl'] / submits:>13.0f}")
         lines += [
             "",
             f"Repeat invoke — {REPEAT_INVOKES} sequential invokes of one "
@@ -144,11 +161,17 @@ def run_datapath(levels: Sequence[int] = (1, 2, 4, 8, 16, 32),
             "base_lag_p50": base["lag_p50"], "batch_lag_p50": batch["lag_p50"],
             "base_lag_p95": base["lag_p95"], "batch_lag_p95": batch["lag_p95"],
             "base_latency": base["latency"], "batch_latency": batch["latency"],
+            **{f"{mode}_{key}": part[key]
+               for mode, part in (("base", base), ("batch", batch))
+               for key in GRAM_KEYS},
         })
     return DatapathResult(rows, {
         "base": _repeat_invoke(seed, batched=False),
         "batch": _repeat_invoke(seed, batched=True)})
 
+
+#: GRAM control counts each sweep level keeps (see ``_one_mode``).
+GRAM_KEYS = ("submits", "handshakes", "pooled", "gram_ctl")
 
 #: The repeat-invoke part's shape (the same under ``--smoke``: eight
 #: short jobs, and fewer would not amortize the one upload to the bar).
@@ -207,6 +230,14 @@ def _head_cpu(env: ScenarioEnv) -> float:
                for g in env.testbed.gatekeepers.values())
 
 
+def _gram(env: ScenarioEnv) -> Dict[str, float]:
+    gates = env.testbed.gatekeepers.values()
+    return {"submits": sum(g.submissions for g in gates),
+            "handshakes": sum(g.handshakes for g in gates),
+            "pooled": sum(g.pooled_ops for g in gates),
+            "gram_ctl": sum(g.control_bytes for g in gates)}
+
+
 def _one_mode(n: int, seed: int, batched: bool,
               smoke: bool) -> Dict[str, float]:
     """One concurrency level in one mode, on a single-site testbed."""
@@ -235,6 +266,7 @@ def _one_mode(n: int, seed: int, batched: bool,
     env.mark()
     ctl0 = _control_bytes(env)
     cpu0 = _head_cpu(env)
+    gram0 = _gram(env)
 
     base_runtime = 10.0 if smoke else 25.0
     latencies: List[float] = []
@@ -253,7 +285,9 @@ def _one_mode(n: int, seed: int, batched: bool,
             for job in detected if job in finished]
     if not lags:
         raise RuntimeError("datapath scenario detected no completions")
+    gram = _gram(env)
     return {
+        **{key: gram[key] - gram0[key] for key in GRAM_KEYS},
         "ctl": _control_bytes(env) - ctl0,
         "cpu": _head_cpu(env) - cpu0,
         "lag_mean": sum(lags) / len(lags),

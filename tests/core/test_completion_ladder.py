@@ -10,6 +10,8 @@ the ``core.output_detected`` fields and exactly one final
 ``fetchOutput`` after a successful detection.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.core.context import RequestContext
@@ -19,6 +21,7 @@ from repro.core.onserve import OnServeConfig, deploy_onserve
 from repro.cyberaide.jobspec import CyberaideJobSpec
 from repro.errors import JobError, JobNotFound, WatchdogTimeout
 from repro.grid import build_testbed
+from repro.hardware.host import Host
 from repro.simkernel import Simulator
 from repro.telemetry.events import bus
 
@@ -93,7 +96,7 @@ class ScriptedAgent:
             f"{item.split('|')[0]}|{flag}|0" for item in jobs.split(";")))
 
 
-def run_cell(rung, outcome):
+def run_cell(rung, outcome, inline=None):
     sim = Simulator(seed=0)
     tb = build_testbed(sim=sim, n_sites=1, nodes_per_site=1,
                        cores_per_node=2, n_users=1)
@@ -111,7 +114,7 @@ def run_cell(rung, outcome):
         # What a notify-capable gatekeeper does when the job ends.
         yield sim.timeout(JOB_SECONDS)
         onserve.notify_queue.publish(SITE, JOB_ID, outcome, terminal=True,
-                                     error=outcome == "lost")
+                                     error=outcome == "lost", output=inline)
 
     if rung == "notify" and outcome != "timeout":
         sim.process(publisher(), name="test:publisher")
@@ -197,3 +200,25 @@ def test_completion_ladder(rung, outcome):
         assert after == ["fetchOutput"]
     else:
         assert after == []
+
+
+@pytest.mark.parametrize("inline,expected_error", [
+    (OUTPUT, None), (b"\0" * 8, JobError)], ids=["output", "all-zero"])
+def test_notify_rung_takes_an_inline_output_instead_of_fetching(
+        inline, expected_error):
+    """A ``done`` push that carries the output ends the wait with no
+    ``fetchOutput``; the tail still writes it to disk and still refuses
+    an all-zero one."""
+    with mock.patch.object(Host, "disk_write", autospec=True,
+                           side_effect=Host.disk_write) as disk_write:
+        _, agent, report, output, error, detected, _ = run_cell(
+            "notify", "done", inline=inline)
+    assert agent.log[agent.log.index("detected") + 1:] == []
+    assert "fetchOutput" not in agent.log
+    if expected_error is None:
+        assert error is None and output == OUTPUT
+    else:
+        assert type(error) is expected_error and "no final output" in str(
+            error)
+    assert disk_write.call_args.args[1] == len(inline)
+    assert report.polls == 0 and detected.fields["pushed"]

@@ -55,10 +55,13 @@ def test_concurrent_invocations_share_batched_polls():
     batch_sizes = [ev.fields["jobs"]
                    for ev in bus(sim).events(kind="agent.poll_batch")]
     assert max(batch_sizes) > 1
-    # Session reuse: three stagings, one GridFTP handshake.
-    sessions = agent._ftp_sessions._sessions
-    assert sum(s.handshakes for s in sessions.values()) == 1
-    assert sum(s.ops for s in sessions.values()) == 3
+    # Channel reuse: three stagings, one GridFTP handshake; three
+    # submits, one GRAM handshake.
+    channels = agent._channels._channels
+    for protocol in ("gridftp", "gram"):
+        mine = [c for key, c in channels.items() if key[0] == protocol]
+        assert sum(c.handshakes for c in mine) == 1
+        assert sum(c.ops for c in mine) == 3
 
 
 def test_disabled_datapath_uses_per_job_polling():
@@ -72,8 +75,8 @@ def test_disabled_datapath_uses_per_job_polling():
     assert stack.agent.batch_polls == 0
     # The observational detection marker exists on the faithful path too.
     assert counts.get("core.output_detected") == 1
-    # No session objects were ever created by the disabled pool.
-    assert stack.agent._ftp_sessions._sessions == {}
+    # No channel objects were ever created by the disabled pool.
+    assert stack.agent._channels._channels == {}
 
 
 def test_datapath_reports_polls_and_records_invocation():

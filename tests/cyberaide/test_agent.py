@@ -216,7 +216,7 @@ def test_replicate_copies_site_to_site_off_the_uplink():
 
 
 def test_replicate_rides_the_session_pool_only_under_session_reuse():
-    from repro.grid.gridftp import GridFtpSession
+    from repro.grid.channel import GsiChannel
     from repro.security.gsi import GsiAcceptor
     control = {}
     for reuse in (False, True):
@@ -243,7 +243,27 @@ def test_replicate_rides_the_session_pool_only_under_session_reuse():
     # Per-operation mode is what it was: a GSI handshake to each end.
     per_op = GsiAcceptor.handshake_bytes(chain) + ends[0].CONTROL_BYTES
     assert control[False] == [per_op, per_op]
-    assert control[True] == [GridFtpSession.SESSION_OP_BYTES] * 2
+    assert control[True] == [GsiChannel.SESSION_OP_BYTES] * 2
+
+
+@pytest.mark.parametrize("reuse", [False, True])
+def test_submits_ride_one_gram_channel_only_under_session_reuse(reuse):
+    tb, agent, stub = agent_env(session_reuse=reuse)
+    gram = tb.gatekeepers["ncsa"]
+    rsl = CyberaideJobSpec("echo.sh").to_rsl("t1")
+
+    def flow():
+        session = yield stub.authenticate(username="onserve", passphrase="pw")
+        ids = []
+        for _ in range(3):
+            ids.append((yield stub.submitJob(session=session, site="ncsa",
+                                             rsl=rsl)))
+        return ids
+
+    ids = tb.sim.run(until=tb.sim.process(flow()))
+    assert len(set(ids)) == 3 and agent.submissions == 3
+    assert (gram.handshakes, gram.pooled_ops) == ((1, 2) if reuse else (3, 0))
+    assert bus(tb.sim).counts().get("gram.session_open", 0) == int(reuse)
 
 
 def test_upload_range_lands_a_view_and_shows_the_file_when_whole():

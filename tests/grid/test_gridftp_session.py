@@ -1,4 +1,4 @@
-"""GridFtpSession/pool: reuse, idle-close, clamping, 3pt parity."""
+"""GsiChannel/pool: reuse, idle-close, clamping, 3pt parity."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro.core.context import RequestContext
 from repro.errors import TransferError
 from repro.faults import FaultSpec, fault_plane
 from repro.grid import build_testbed
-from repro.grid.gridftp import GridFtpServer, GridFtpSession, \
-    GridFtpSessionPool
+from repro.grid.channel import GsiChannel, GsiChannelPool
+from repro.grid.gridftp import GridFtpServer
 from repro.security.gsi import GsiAcceptor
 from repro.simkernel import Simulator
 from repro.telemetry.events import bus
@@ -43,7 +43,7 @@ def test_session_reuse_handshakes_once():
     tb = quick_testbed()
     chain, client = logon(tb)
     ftp = tb.ftp("ncsa")
-    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    pool = GsiChannelPool(tb.sim, enabled=True)
     payload = make_payload("echo", size=int(KB(8)))
 
     def flow():
@@ -54,15 +54,15 @@ def test_session_reuse_handshakes_once():
 
     data = tb.sim.run(until=tb.sim.process(flow()))
     assert data == payload
-    session = pool.session(ftp, client, chain)
+    session = pool.channel(ftp, client, chain)
     assert session.handshakes == 1
     assert session.ops == 3
-    assert pool.open_sessions == 1
+    assert pool.open_channels == 1
     # Control cost: one handshake + per-op command bytes, not three
     # handshakes.
     handshake = GsiAcceptor.handshake_bytes(chain)
     assert ftp.control_bytes == (handshake + ftp.CONTROL_BYTES
-                                 + 2 * GridFtpSession.SESSION_OP_BYTES)
+                                 + 2 * GsiChannel.SESSION_OP_BYTES)
     assert bus(tb.sim).counts().get("gridftp.session_open") == 1
 
 
@@ -70,7 +70,7 @@ def test_session_concurrent_first_ops_share_one_handshake():
     tb = quick_testbed()
     chain, client = logon(tb)
     ftp = tb.ftp("ncsa")
-    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    pool = GsiChannelPool(tb.sim, enabled=True)
     payload = make_payload("echo", size=int(KB(4)))
 
     def flow():
@@ -79,14 +79,14 @@ def test_session_concurrent_first_ops_share_one_handshake():
         yield tb.sim.all_of([a, b])
 
     tb.sim.run(until=tb.sim.process(flow()))
-    assert pool.session(ftp, client, chain).handshakes == 1
+    assert pool.channel(ftp, client, chain).handshakes == 1
 
 
 def test_session_idle_timeout_rehandshakes():
     tb = quick_testbed()
     chain, client = logon(tb)
     ftp = tb.ftp("ncsa")
-    pool = GridFtpSessionPool(tb.sim, enabled=True, idle_timeout=60.0)
+    pool = GsiChannelPool(tb.sim, enabled=True, idle_timeout=60.0)
     payload = make_payload("echo", size=int(KB(4)))
 
     def flow():
@@ -95,7 +95,7 @@ def test_session_idle_timeout_rehandshakes():
         yield pool.put(ftp, client, chain, "/b", payload)
 
     tb.sim.run(until=tb.sim.process(flow()))
-    session = pool.session(ftp, client, chain)
+    session = pool.channel(ftp, client, chain)
     assert session.handshakes == 2
     assert session.ops == 2
 
@@ -106,7 +106,7 @@ def test_disabled_pool_is_timing_identical_to_direct_ops():
         chain, client = logon(tb)
         ftp = tb.ftp("ncsa")
         payload = make_payload("echo", size=int(KB(16)))
-        pool = GridFtpSessionPool(tb.sim, enabled=False)
+        pool = GsiChannelPool(tb.sim, enabled=False)
 
         def flow():
             if via_pool:
@@ -126,7 +126,7 @@ def test_session_invalidated_by_failure():
     tb = quick_testbed()
     chain, client = logon(tb)
     ftp = tb.ftp("ncsa")
-    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    pool = GsiChannelPool(tb.sim, enabled=True)
     payload = make_payload("echo", size=int(KB(4)))
     fault_plane(tb.sim).add(
         FaultSpec("site.outage", target="ncsa", window=(5.0, 1e9)))
@@ -138,15 +138,15 @@ def test_session_invalidated_by_failure():
 
     with pytest.raises(TransferError):
         tb.sim.run(until=tb.sim.process(flow()))
-    assert not pool.session(ftp, client, chain).open
-    assert pool.open_sessions == 0
+    assert not pool.channel(ftp, client, chain).open
+    assert pool.open_channels == 0
 
 
 def test_new_credential_replaces_session():
     tb = quick_testbed()
     chain, client = logon(tb)
     ftp = tb.ftp("ncsa")
-    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    pool = GsiChannelPool(tb.sim, enabled=True)
     payload = make_payload("echo", size=int(KB(4)))
 
     def flow(use_chain):
@@ -155,10 +155,10 @@ def test_new_credential_replaces_session():
         return tb.sim.process(op())
 
     tb.sim.run(until=flow(chain))
-    first = pool.session(ftp, client, chain)
+    first = pool.channel(ftp, client, chain)
     chain2, _ = logon(tb, username="ada", passphrase="pw")  # fresh proxy
     tb.sim.run(until=flow(chain2))
-    second = pool.session(ftp, client, chain2)
+    second = pool.channel(ftp, client, chain2)
     assert second is not first
     assert not first.open
 
@@ -270,7 +270,7 @@ def test_third_party_on_open_channels_pays_one_command_per_end():
     tb = quick_testbed()
     chain, client = logon(tb)
     src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
-    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    pool = GsiChannelPool(tb.sim, enabled=True)
     payload = make_payload("echo", size=int(KB(16)))
     ctx = RequestContext.create(tb.sim)
 
@@ -285,9 +285,9 @@ def test_third_party_on_open_channels_pays_one_command_per_end():
     n, (src0, dst0) = tb.sim.run(until=tb.sim.process(flow()))
     assert n == len(payload)
     assert tb.site("sdsc").read_file("/dst") is payload
-    assert src.control_bytes - src0 == GridFtpSession.SESSION_OP_BYTES
-    assert dst.control_bytes - dst0 == GridFtpSession.SESSION_OP_BYTES
-    sessions = [pool.session(end, client, chain) for end in (src, dst)]
+    assert src.control_bytes - src0 == GsiChannel.SESSION_OP_BYTES
+    assert dst.control_bytes - dst0 == GsiChannel.SESSION_OP_BYTES
+    sessions = [pool.channel(end, client, chain) for end in (src, dst)]
     assert [(s.handshakes, s.ops) for s in sessions] == [(1, 2), (1, 2)]
     assert (src.transfers_out, dst.transfers_in) == (1, 2)
     [event] = bus(tb.sim).events(kind="gridftp.third_party")
@@ -302,11 +302,11 @@ def test_third_party_on_a_cold_pool_opens_both_channels_once():
     payload = make_payload("echo", size=int(KB(4)))
     _stage_source(tb, chain, client, "/src", payload)
     src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
-    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    pool = GsiChannelPool(tb.sim, enabled=True)
     tb.sim.run(until=pool.third_party(src, dst, client, chain, "/src", "/a"))
     tb.sim.run(until=pool.third_party(src, dst, client, chain, "/src", "/b"))
     assert tb.site("sdsc").read_file("/b") == payload
-    assert pool.open_sessions == 2
+    assert pool.open_channels == 2
     assert bus(tb.sim).counts()["gridftp.session_open"] == 2
 
 
@@ -318,7 +318,7 @@ def test_disabled_pool_third_party_is_the_per_operation_transfer():
         payload = make_payload("echo", size=int(KB(16)))
         _stage_source(tb, chain, client, "/src", payload)
         src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
-        pool = GridFtpSessionPool(tb.sim)  # disabled: the default
+        pool = GsiChannelPool(tb.sim)  # disabled: the default
         before = tb.sim.events_processed
         tb.sim.run(until=(
             pool.third_party(src, dst, client, chain, "/src", "/dst")
@@ -328,7 +328,7 @@ def test_disabled_pool_third_party_is_the_per_operation_transfer():
                      src.control_bytes, dst.control_bytes,
                      [(e.kind, sorted(e.fields.items()))
                       for e in bus(tb.sim).events()]))
-        assert pool.open_sessions == 0
+        assert pool.open_channels == 0
     assert runs[0] == runs[1]
 
 
@@ -341,14 +341,14 @@ def test_a_failed_pooled_third_party_drops_both_channels(fault):
     chain, client = logon(tb)
     payload = make_payload("echo", size=int(KB(4)))
     src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
-    pool = GridFtpSessionPool(tb.sim, enabled=True)
+    pool = GsiChannelPool(tb.sim, enabled=True)
     tb.sim.run(until=pool.put(src, client, chain, "/src", payload))
     tb.sim.run(until=pool.put(dst, client, chain, "/other", payload))
-    assert pool.open_sessions == 2
+    assert pool.open_channels == 2
     fault_plane(tb.sim).add(fault)
     with pytest.raises(TransferError, match="aborted|outage"):
         tb.sim.run(until=pool.third_party(src, dst, client, chain, "/src",
                                           "/dst"))
-    assert pool.open_sessions == 0
+    assert pool.open_channels == 0
     assert not tb.site("sdsc").has_file("/dst")
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.errors import GridError, TransferError
 from repro.faults import FaultSpec, fault_plane
 from repro.grid import build_testbed
-from repro.grid.gridftp import GridFtpSessionPool
+from repro.grid.channel import GsiChannelPool
 from repro.units import Mbps
 
 
@@ -54,7 +54,7 @@ def test_ranges_in_any_order_leave_what_one_put_leaves(size, k, data):
     sim, client, site, ftp = (tb.sim, tb.appliance_host, tb.site("ncsa"),
                               tb.ftp("ncsa"))
     chain = logon(tb)
-    pool = GridFtpSessionPool(sim, enabled=pooled)
+    pool = GsiChannelPool(sim, enabled=pooled)
     digest = hashlib.sha256(payload).hexdigest()
     sim.run(until=ftp.put(client, chain, "/ref", payload))
     if aborts:
@@ -91,7 +91,7 @@ def test_one_range_costs_exactly_what_a_whole_file_put_costs(pooled):
     for where in ({}, dict(offset=0, total=len(payload), transfer="t-1")):
         tb = quick_testbed()
         chain = logon(tb)
-        pool = GridFtpSessionPool(tb.sim, enabled=pooled)
+        pool = GsiChannelPool(tb.sim, enabled=pooled)
         ftp = tb.ftp("ncsa")
         before = tb.sim.events_processed
         tb.sim.run(until=pool.put(ftp, tb.appliance_host, chain, "/x",

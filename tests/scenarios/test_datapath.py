@@ -46,6 +46,14 @@ def test_smoke_levels_and_render():
     assert (batch["hits"], batch["misses"]) == (6, 2)
     assert result.ok and result.uplink_reduction >= 0.80
     assert "PASS" in text
+    # GRAM control: a handshake per submit, or one per pooled channel.
+    last = result.rows[-1]
+    assert (last["base_submits"], last["base_handshakes"],
+            last["base_pooled"]) == (4, 4, 0)
+    assert (last["batch_submits"], last["batch_handshakes"],
+            last["batch_pooled"]) == (4, 1, 3)
+    assert last["batch_gram_ctl"] < last["base_gram_ctl"]
+    assert "GRAM control @ N=4" in text
 
 
 def test_percentile_nearest_rank():

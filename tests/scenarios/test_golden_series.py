@@ -250,7 +250,7 @@ def test_goldens_unchanged_with_every_plane_attached(
         name, golden_with, monkeypatch):
     """All of the above at once, plus the planes with no guard of their
     own: a fault plane with zero specs on the simulator, the (disabled)
-    GridFTP session pool and one idle PollMux per site.  The planes must
+    control-channel pool and one idle PollMux per site.  The planes must
     stay invisible *together*, not only one at a time."""
     import repro.scenarios.common as common
     from repro.faults.injector import fault_plane
@@ -265,7 +265,7 @@ def test_goldens_unchanged_with_every_plane_attached(
 
     def attach_everything(stack):
         attach_cold_caches(stack)
-        pool = stack.agent._ftp_sessions
+        pool = stack.agent._channels
         assert pool is not None and not pool.enabled
         for site in stack.testbed.gatekeepers:
             assert stack.onserve.poll_mux(site).pending == 0
