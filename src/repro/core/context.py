@@ -75,6 +75,17 @@ class TraceSpan:
                 return node
         return None
 
+    def copy_to(self, parent: "TraceSpan") -> "TraceSpan":
+        """A copy of this subtree, hung under *parent*: how a request
+        that waited on work another trace recorded (a seed it joined)
+        takes that work's spans into its own tree."""
+        twin = TraceSpan(self.name, self.start, parent=parent)
+        twin.end = self.end
+        twin.meta.update(self.meta)
+        for child in self.children:
+            child.copy_to(twin)
+        return twin
+
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         state = f"{self.duration:.3f}s" if self.closed else "open"
         return f"<TraceSpan {self.name!r} {state}>"

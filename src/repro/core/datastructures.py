@@ -95,6 +95,9 @@ class GeneratedService:
         self.uddi_binding_key = uddi_binding_key
         self.archive_size = archive_size
         self.created_at = created_at
+        #: SHA-256 of the executable it runs, when recorded at publish
+        #: (publish-time staging, DESIGN.md §10); "" otherwise.
+        self.digest = ""
         #: Usage counters.
         self.invocations = 0
 

@@ -15,7 +15,11 @@ initializes the execution of an associated executable on the Grid"
    time"; under ``config.stage_once`` (the ``upload_cache`` ablation,
    or the ``datapath`` plane) a site the store shows holding these
    exact bytes is skipped, and one that lacks them is fed from a site
-   that has them instead of over the uplink.
+   that has them instead of over the uplink.  On a routed fabric
+   (publish-time staging) step 1 moves behind the site choice: the
+   site is checked against the digest the service row records — or
+   waited for while a republish's seed fills it — and only a miss
+   loads from the database.
 4. *Job description generation* — build the RSL from the invocation
    parameters (second CPU peak: "when the job is being created and
    submitted").
@@ -40,13 +44,14 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.context import RequestContext, span
-from repro.core.datastructures import ExecutableRecord
+from repro.core.datastructures import ExecutableRecord, service_name_for
 from repro.core.watchdog import await_waiter, poll_until
-from repro.cyberaide.jobspec import CyberaideJobSpec
+from repro.cyberaide.jobspec import CyberaideJobSpec, staged_path_for
 from repro.errors import (
     InvocationError, JobError, JobNotFound, ReplicaDown, ReproError,
-    is_retryable, root_cause_name,
+    TransferSuperseded, is_retryable, root_cause_name,
 )
+from repro.resilience.breaker import OPEN
 from repro.resilience.retry import retry_call
 from repro.simkernel.events import Event
 from repro.simkernel.process import Interrupt
@@ -195,20 +200,23 @@ class GridServiceRuntime:
         report = InvocationReport(self.record.name, self.sim.now)
         self.reports.append(report)
         held_bytes = 0  # RAM held for the in-flight payload
-        try:
+        exe = None
+        tier = cfg.db_tier
+        chunked = tier.chunk_bytes > 0
+        # When the DB-scale plane is on, fetch time gets its own db:fetch
+        # span so the critical-path analyzer attributes it to db/storage
+        # instead of folding it into service self-time.
+        db_tier_on = (chunked or tier.mvcc or tier.serialize
+                      or tier.replicas > 0)
+        db_ctx = ctx if db_tier_on else None
+
+        def retrieve():
             # 1. File retrieval: DB load + temp copy on local disk.  The
             #    decompressed payload sits in RAM until staged to the grid.
             #    Under coalescing, concurrent invocations share one DB
             #    fetch (the leader's) instead of N decompressions.
+            nonlocal exe, held_bytes
             mark = self.sim.now
-            tier = cfg.db_tier
-            chunked = tier.chunk_bytes > 0
-            # When the DB-scale plane is on, fetch time gets its own
-            # db:fetch span so the critical-path analyzer attributes it
-            # to db/storage instead of folding it into service self-time.
-            db_tier_on = (chunked or tier.mvcc or tier.serialize
-                          or tier.replicas > 0)
-            db_ctx = ctx if db_tier_on else None
             with span(ctx, "service:retrieval", executable=self.record.name):
                 def to_temp(nbytes):
                     # Streamed retrieval: each decompressed chunk goes
@@ -232,7 +240,15 @@ class GridServiceRuntime:
                     held_bytes = exe.size
                     # "stored in a temporary location"
                     yield host.disk_write(exe.size)
-            report.retrieval = self.sim.now - mark
+            report.retrieval += self.sim.now - mark
+
+        try:
+            # Publish-time staging moves the retrieval behind the site
+            # choice: a site holding the digest the service row records
+            # is a hit that never touches the DB.
+            ahead = self.onserve.stages_at_publish
+            if not ahead:
+                yield from retrieve()
 
             # 2. Authentication through the agent (cached while fresh).
             mark = self.sim.now
@@ -253,6 +269,19 @@ class GridServiceRuntime:
                 count=self.JOB_COUNT,
                 max_wall_time=self.JOB_WALLTIME,
                 queue=self.JOB_QUEUE)
+            staged = spec.staged_path()
+            digest = ""
+            if ahead:
+                # The bytes the service runs now, as its row says; a
+                # seed filling a site with them ranks that site first.
+                store = self.onserve.store
+                row = store.get_record(service_name_for(self.record.name))
+                digest = (row["digest"] or "") if row is not None else ""
+                flight = store.seed_flight(staged)
+                if (flight is not None and flight["digest"] == digest
+                        and flight["site"] in available):
+                    available.remove(flight["site"])
+                    available.insert(0, flight["site"])
 
             def attempt_on_site(site: str):
                 """Steps 3-6 against one site (a delegated generator)."""
@@ -265,12 +294,26 @@ class GridServiceRuntime:
                 #    exact bytes there.  Under coalescing, concurrent
                 #    invocations staging the same (site, path, bytes)
                 #    share one GridFTP transfer.
+                once = cfg.stage_once
+                on_row = False
+                if exe is None:
+                    # The hit rule: the row's digest on the site, or a
+                    # seed of it landing there; only a miss loads the
+                    # bytes — and is checked below against the digest
+                    # it loaded, which a republish may have moved
+                    # since the row was read.
+                    mark = self.sim.now
+                    on_row = (
+                        self.onserve.is_staged(site, staged, digest)
+                        or (yield from self._join_seed(site, staged, digest,
+                                                       ctx)))
+                    report.upload += self.sim.now - mark
+                    if not on_row:
+                        yield from retrieve()
                 mark = self.sim.now
                 with span(ctx, "service:upload", site=site):
-                    staged = spec.staged_path()
-                    once = cfg.stage_once
-                    staged_hit = once and self.onserve.is_staged(
-                        site, staged, exe.digest)
+                    staged_hit = on_row or (once and self.onserve.is_staged(
+                        site, staged, exe.digest))
                     if once:
                         self.onserve.bus.emit(
                             "cache.hit" if staged_hit else "cache.miss",
@@ -285,30 +328,8 @@ class GridServiceRuntime:
                             # into RAM for the second GridFTP trip.
                             host.allocate_memory(exe.size)
                             held_bytes = exe.size
-
-                        def stage():
-                            if once and (yield from self._replicate(
-                                    site, staged, exe.digest, ctx)):
-                                return
-                            if chunked:
-                                # Read the temp copy back for the
-                                # GridFTP trip; the blob never re-enters
-                                # RAM whole.
-                                yield host.disk_read(exe.size)
-                            yield from self._upload(site, staged, exe, ctx)
-                            if once:
-                                self.onserve.mark_staged(site, staged,
-                                                         exe.digest)
-
-                        flights = self.onserve.flights
-                        digest = exe.digest if flights.enabled else ""
-                        # Keyed by replica: fabrics share one DbManager,
-                        # and replica A's staging flight must never be
-                        # joined by an invocation running on replica B
-                        # (each replica stages over its own uplink).
-                        yield from flights.do(
-                            ("stage", self.onserve.replica, site, staged,
-                             digest), stage, group="staging")
+                        yield from self._stage(site, staged, exe, ctx,
+                                               spooled=chunked)
                     # The buffer is staged (or cached); collect it now.
                     if held_bytes:
                         host.release_memory(held_bytes)
@@ -363,7 +384,6 @@ class GridServiceRuntime:
             if held_bytes:
                 host.release_memory(held_bytes)
             report.finished_at = self.sim.now
-            from repro.core.datastructures import service_name_for
             self.onserve.record_invocation(
                 service_name_for(self.record.name), report)
 
@@ -414,6 +434,177 @@ class GridServiceRuntime:
             breakers.success(site)
             return result
 
+    def _stage(self, site: str, staged: str, exe,
+               ctx: Optional[RequestContext] = None, spooled: bool = False,
+               seed: Optional[str] = None) -> Generator[Event, None, None]:
+        """Put *exe*'s bytes on *site*: the one stage body, an
+        invocation's and a seed's.
+
+        A generator meant to be delegated to.  Under ``stage_once`` a
+        site holding the bytes feeds *site* head node to head node;
+        otherwise they go up from here (*spooled*: read back off the
+        temp copy first) and the store records the copy.  Under
+        coalescing, concurrent stages of the same (site, path, bytes)
+        on this replica share one transfer.  A seed's stage (*seed*: its
+        id) gives up once a republish has cancelled the seed — before
+        sending the bytes up, and before recording a copy — with
+        :class:`~repro.errors.TransferSuperseded`.
+        """
+        onserve = self.onserve
+        once = onserve.config.stage_once
+
+        def still_wanted():
+            if seed is not None and not onserve.store.owns_seed(staged, seed):
+                raise TransferSuperseded(
+                    f"{seed} of {staged!r} was cancelled by a republish")
+
+        def stage():
+            if once and (yield from self._replicate(
+                    site, staged, exe.digest, ctx)):
+                return
+            still_wanted()
+            if spooled:
+                # Read the temp copy back for the GridFTP trip; the
+                # blob never re-enters RAM whole.
+                yield onserve.host.disk_read(exe.size)
+            yield from self._upload(site, staged, exe, ctx)
+            if once:
+                still_wanted()
+                onserve.mark_staged(site, staged, exe.digest)
+
+        flights = onserve.flights
+        digest = exe.digest if flights.enabled else ""
+        # Keyed by replica: fabrics share one DbManager, and replica A's
+        # staging flight must never be joined by an invocation running
+        # on replica B (each replica stages over its own uplink).
+        yield from flights.do(
+            ("stage", onserve.replica, site, staged, digest), stage,
+            group="staging")
+
+    def _join_seed(self, site: str, staged: str, digest: str,
+                   ctx: Optional[RequestContext] = None
+                   ) -> Generator[Event, None, bool]:
+        """Wait for a seed filling *site* with *digest*, if one is.
+
+        A generator meant to be delegated to; ``True`` means the site
+        holds the bytes now.  The seed may run on any replica: it is
+        found through the store's marker and awaited on the store's
+        feed, which wakes this waiter when the seed moves past *site*,
+        ends or is dropped (cancelled, or its replica crashed) — then
+        the store's row decides.  The seed's staging spans are taken
+        into this request's trace: the wait was for that transfer.
+        """
+        onserve = self.onserve
+        flight = onserve.store.seed_flight(staged)
+        if (flight is None or flight["site"] != site
+                or flight["digest"] != digest):
+            return False
+        moved = self.sim.event(f"seed-join:{staged}")
+        onserve.store.watch_seed(staged, moved.succeed)
+        onserve.bus.emit("core.seed_joined", layer="core",
+                         request_id=ctx.request_id if ctx else None,
+                         seed=flight["seed"], site=site,
+                         replica=onserve.replica, origin=flight["replica"])
+        with span(ctx, "service:seed-join", site=site) as wait:
+            trace = yield moved
+            if wait is not None and trace is not None \
+                    and trace.meta.get("site") == site:
+                trace.copy_to(wait)
+        return onserve.is_staged(site, staged, digest)
+
+    def _seed(self, origin: "OnServe", exe, sites: List[str],
+              ctx: RequestContext) -> Generator[Event, None, None]:
+        """Stage a republished executable where its predecessor was.
+
+        Runs as a process the router hosts on this runtime's replica —
+        the service's ring owner — and dies with it.  The payload comes
+        over the LAN from *origin*, the replica that took the publish;
+        the best-ranked of *sites* is staged through :meth:`_stage`
+        (striped, as an invocation's cold stage is), and the rest are
+        fed site to site from it.  The store's marker names the site
+        being filled, so invocations on any replica wait for it instead
+        of staging the bytes again.  A republish cancels the seed: one
+        that finds the service row on other bytes never starts, one
+        whose marker is gone stops at its next step — it sends no bytes
+        up and records no copy after that — and evicts the row of the
+        site it was filling.
+        """
+        onserve = self.onserve
+        store = onserve.store
+        service_name = service_name_for(exe.name)
+        staged = staged_path_for(exe.name)
+        host = onserve.host
+        held = 0
+        trace = None
+        seed = None
+        cancelled = False
+        try:
+            if origin is not onserve:
+                yield origin.host.send(host, exe.size,
+                                       label=f"seed:{staged}")
+            host.allocate_memory(exe.size)
+            held = exe.size
+            listing = yield onserve.agent_stub.listSites(ctx=ctx)
+            states = onserve.breakers.states()
+            ranked = [s for s in listing.split(",")
+                      if s in sites and states.get(s) != OPEN]
+            row = store.get_record(service_name)
+            if row is None or row["digest"] != exe.digest:
+                onserve.bus.emit("core.seed_cancelled", layer="core",
+                                 service=service_name,
+                                 replica=onserve.replica,
+                                 reason="republished")
+                return
+            if not ranked:
+                return
+            seed = store.begin_seed(staged, exe.digest, ranked[0],
+                                    onserve.replica)
+            onserve.bus.emit("core.seed_started", layer="core",
+                             service=service_name, seed=seed,
+                             replica=onserve.replica, site=ranked[0],
+                             sites=len(ranked), nbytes=exe.size)
+
+            def landed(span_):
+                # Told once the marker moved on: the seed still owned it.
+                onserve.bus.emit("core.seed_landed", layer="core",
+                                 seed=seed, site=span_.meta["site"],
+                                 seconds=span_.duration)
+
+            for site in ranked:
+                if trace is not None:
+                    cancelled = not store.seed_at(staged, seed, site, trace)
+                    if cancelled:
+                        break
+                    landed(trace)
+                with span(ctx, "service:seed", site=site) as trace:
+                    yield from self._stage(site, staged, exe, ctx, seed=seed)
+            else:
+                cancelled = not store.end_seed(staged, seed, trace)
+                if not cancelled:
+                    landed(trace)
+        except Interrupt as intr:
+            if not isinstance(intr.cause, ReplicaDown):
+                raise
+            # Crashed: the fabric dropped the marker with the replica.
+        except ReproError as exc:
+            if seed is not None:
+                cancelled = not store.end_seed(staged, seed)
+                if not cancelled:
+                    onserve.bus.emit("core.seed_cancelled", layer="core",
+                                     service=service_name, seed=seed,
+                                     replica=onserve.replica,
+                                     reason=root_cause_name(exc))
+        finally:
+            if held:
+                host.release_memory(held)
+        if cancelled:
+            # A republish cancelled the seed and evicted every row of the
+            # path.  A copy the seed commanded at the site it was filling
+            # before it knew may still land there — over the new bytes,
+            # if commanded after them — so that site's row goes too,
+            # whatever it says: its next invocation stages afresh.
+            store.evict_staged(staged, site=trace.meta["site"])
+
     def _upload(self, site: str, staged: str, exe,
                 ctx: Optional[RequestContext] = None
                 ) -> Generator[Event, None, None]:
@@ -428,7 +619,10 @@ class GridServiceRuntime:
         shows the file once the ranges cover it.  A range whose peer
         crashed, refused or failed is sent from here, under the retry
         policy like the first.  No peers or a small payload is the
-        whole file in one PUT: the single appliance's only case.
+        whole file in one PUT: the single appliance's only case.  A PUT
+        the site refused because newer bytes were commanded at the path
+        (:class:`~repro.errors.TransferSuperseded`) fails the stage: no
+        range of it is sent again.
         """
         onserve = self.onserve
         router = onserve.router
@@ -441,6 +635,8 @@ class GridServiceRuntime:
 
             return retry_call(self.sim, onserve.retry_policy, upload_try,
                               ctx=ctx, label=f"upload:{site}",
+                              classify=lambda exc: (is_retryable(exc)
+                                                    and not _superseded(exc)),
                               on_retry=self._recover_session)
 
         k = exe.size // self.STRIPE_MIN_BYTES
@@ -464,20 +660,26 @@ class GridServiceRuntime:
             for peer, (data, where) in zip(peers, ranges[1:])]
         yield from put(ranges[0][0], **ranges[0][1])
         for landed, (data, where) in zip(carried, ranges[1:]):
-            if not (yield landed):
-                yield from put(data, **where)
+            failed = yield landed
+            if failed is None:
+                continue
+            if _superseded(failed):
+                raise failed
+            yield from put(data, **where)
 
     def _carry(self, peer, site: str, staged: str, data, where: dict,
                ctx: Optional[RequestContext] = None
-               ) -> Generator[Event, None, bool]:
+               ) -> Generator[Event, None, Optional[BaseException]]:
         """One range of a striped stage on *peer*'s uplink.
 
         Runs as a process the router hosts on *peer* (it dies with it):
         the range crosses the LAN, then goes out through the peer's own
-        agent session and pooled GridFTP channel.  ``False`` — the peer
-        is down, was killed under the range, or the transfer failed —
-        hands the range back to the leader; nothing is raised, whatever
-        failed it the leader's own attempt will meet and classify.
+        agent session and pooled GridFTP channel.  ``None`` means the
+        range landed; otherwise the error that failed it — the peer is
+        down, was killed under the range, or the transfer failed — is
+        returned, not raised, and the leader sends the range itself
+        (its own attempt will meet and classify whatever failed it),
+        unless the site refused the range as superseded.
         """
         helper = peer.onserve
         session = None
@@ -507,8 +709,8 @@ class GridServiceRuntime:
                 "core.stripe_failed", layer="core",
                 request_id=ctx.request_id if ctx else None,
                 replica=peer.name, site=site, error=root_cause_name(exc))
-            return False
-        return True
+            return exc
+        return None
 
     def _replicate(self, site: str, staged: str, digest: str,
                    ctx: Optional[RequestContext] = None
@@ -759,6 +961,14 @@ def _put(onserve: "OnServe", session: str, site: str, path: str, data,
     send = stub.uploadRange if where else stub.uploadExecutable
     return send(session=session, site=site, path=path, data=data, ctx=ctx,
                 **where)
+
+
+def _superseded(exc: BaseException) -> bool:
+    """The site refused a PUT because newer bytes were commanded at its
+    path since: the transfer's other ranges went with that command, so
+    sending this one again cannot land the file — only a fresh stage
+    (failover) can."""
+    return root_cause_name(exc) == TransferSuperseded.__name__
 
 
 def _argument(value: Any) -> str:

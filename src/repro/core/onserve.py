@@ -14,6 +14,7 @@ deployer — with its default arguments.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Generator, List, Optional
 
 from repro.core.coalesce import SingleFlight
@@ -26,7 +27,7 @@ from repro.core.registry import ServiceStateStore
 from repro.core.service_builder import ServiceBuilder
 from repro.cyberaide.agent import CyberaideAgent
 from repro.cyberaide.jobspec import staged_path_for
-from repro.db.dbmanager import DbManager, DbTierConfig
+from repro.db.dbmanager import DbManager, DbTierConfig, StoredExecutable
 from repro.errors import OnServeError, ServiceNotFound, UddiError, UploadError
 from repro.grid.testbed import Testbed
 from repro.hardware.host import Host
@@ -270,6 +271,16 @@ class OnServe:
     # -- staged grid copies (``config.stage_once``) --------------------------
     # *digest* is :attr:`StoredExecutable.digest`: one hash per load.
 
+    @property
+    def stages_at_publish(self) -> bool:
+        """Publish-time staging: :attr:`OnServeConfig.stage_once` on a
+        routed fabric.  A publish records its digest on the service
+        row, an invocation loads from the DB only when the chosen site
+        misses that digest, and a republish reseeds where the old bytes
+        were (DESIGN.md §10)."""
+        return (self.config.stage_once and self.router is not None
+                and self.router.enabled)
+
     def is_staged(self, site: str, path: str, digest: str) -> bool:
         return self.store.staged_digest(site, path) == digest
 
@@ -317,13 +328,20 @@ class OnServe:
             # Storage: the executable lands in the database.  Transient
             # engine failures (stalled/aborted commits) are retried under
             # the shared policy; the first attempt is driven exactly as
-            # the bare call would be.
+            # the bare call would be.  Under publish-time staging the
+            # service row takes the new bytes' digest in the same frame
+            # (a first publish writes it with the record).
+            digest = (hashlib.sha256(payload).hexdigest()
+                      if self.stages_at_publish else "")
+            on_commit = ((lambda: self.store.set_digest(service_name,
+                                                        digest))
+                         if digest else None)
             with span(ctx, "onserve:store", executable=name):
-                yield from retry_call(
+                compressed = yield from retry_call(
                     self.sim, self.retry_policy,
                     lambda: self.dbmanager.store_executable(
                         name, payload, description=description,
-                        params_spec=params_spec),
+                        params_spec=params_spec, on_commit=on_commit),
                     ctx=ctx, label=f"db-store:{name}")
 
             record = ExecutableRecord(name, description, params,
@@ -335,21 +353,31 @@ class OnServe:
                 # Replacement upload: same service, new bytes.  The DB
                 # row is already refreshed above; propagate the new
                 # record to every in-memory surface too.
-                self._refresh_replaced(existing, record)
+                evicted = self._refresh_replaced(existing, record)
+                if digest:
+                    exe = StoredExecutable(name, payload, description,
+                                           params_spec, compressed,
+                                           self.sim.now)
+                    exe.digest = digest
+                    self._reseed(existing.service_name, record, exe,
+                                 evicted)
                 return existing
 
             # Service build + publication.
-            service = yield from self._build_and_publish(record, ctx=ctx)
+            service = yield from self._build_and_publish(record, ctx=ctx,
+                                                         digest=digest)
             return service
 
         return self.sim.process(op(), name=f"generate:{name}")
 
     def _build_and_publish(self, record: ExecutableRecord,
-                           ctx: Optional[RequestContext] = None):
+                           ctx: Optional[RequestContext] = None,
+                           digest: str = ""):
         """Build the service archive, deploy it, publish it in UDDI.
 
         A generator meant to be delegated to (``yield from``) inside a
-        simulation process; returns the :class:`GeneratedService`.
+        simulation process; returns the :class:`GeneratedService`, whose
+        record carries *digest*.
         """
         service_name = service_name_for(record.name)
         runtime = GridServiceRuntime(self, record)
@@ -377,6 +405,7 @@ class OnServe:
             uddi_binding_key=binding.key,
             archive_size=len(archive),
             created_at=self.sim.now)
+        service.digest = digest
         self.services[service_name] = service
         self.runtimes[service_name] = runtime
         self.store.put_record(service, self.replica)
@@ -387,7 +416,7 @@ class OnServe:
         return service
 
     def _refresh_replaced(self, existing: GeneratedService,
-                          record: ExecutableRecord) -> None:
+                          record: ExecutableRecord) -> List[str]:
         """Propagate a replacement upload beyond the database row.
 
         Pure bookkeeping (no simulated cost): the runtime's in-memory
@@ -400,6 +429,7 @@ class OnServe:
         could evict another executable whose name path-suffixes this
         one), and the store announces the change to its other
         subscribers: every other replica and every client cache.
+        Returns the sites that held the old bytes.
         """
         service_name = existing.service_name
         runtime = self.runtimes.get(service_name)
@@ -415,7 +445,7 @@ class OnServe:
                 record.description
         except UddiError:
             pass  # unpublished out-of-band; nothing to refresh
-        self.store.evict_staged(staged_path_for(record.name))
+        evicted = self.store.evict_staged(staged_path_for(record.name))
         self.bus.emit("core.service_republished", layer="core",
                       service=service_name, executable=record.name,
                       size=record.size)
@@ -423,6 +453,42 @@ class OnServe:
         # service (the next request there rebuilds from the fresh row)
         # and client caches drop what they hold about it.
         self.store.record_republished(service_name, origin=self.replica)
+        return evicted
+
+    def _reseed(self, service_name: str, record: ExecutableRecord,
+                exe: StoredExecutable, sites: List[str]) -> None:
+        """Stage a republished service's new bytes where the old ones
+        were, ahead of the first invocation (DESIGN.md §10).
+
+        Pure bookkeeping here: a seed in flight for the old bytes is
+        cancelled, and — when some site held the old bytes; a first
+        publish has no such evidence of demand and is never seeded — a
+        new one is handed to the service's ring owner
+        (:meth:`GridServiceRuntime._seed`), which stages to the
+        best-ranked of *sites* and copies site to site to the rest.
+        """
+        old = self.store.cancel_seed(staged_path_for(record.name))
+        if old is not None:
+            self.bus.emit("core.seed_cancelled", layer="core",
+                          service=service_name, seed=old["seed"],
+                          replica=old["replica"], reason="republished")
+        if not sites:
+            return
+        # The ring owner — or, if its connection is refused, the next.
+        owner = next(
+            (handle for handle in map(self.router.replica_handle,
+                                      self.router.ring.preference(
+                                          service_name))
+             if not handle.crashed), None)
+        if owner is None:
+            return
+        runtime = (owner.onserve.runtimes.get(service_name)
+                   or GridServiceRuntime(owner.onserve, record))
+        ctx = RequestContext(self.sim, f"seed:{service_name}",
+                             principal=self.replica)
+        self.router.run_on(owner.name,
+                           runtime._seed(self, exe, sites, ctx),
+                           f"seed:{service_name}")
 
     # -- shared agent session (single-flight across runtimes) -----------------
 
@@ -531,7 +597,12 @@ class OnServe:
                     parse_params_spec(row["params_spec"]),
                     size=row["size"], uploaded_by="restore",
                     uploaded_at=row["stored_at"])
-                service = yield from self._build_and_publish(record)
+                # The row must name the bytes again, or no invocation
+                # of a restored service could hit a staged copy.
+                digest = (self.dbmanager.executable_digest(row["name"])
+                          if self.stages_at_publish else "")
+                service = yield from self._build_and_publish(record,
+                                                             digest=digest)
                 restored.append(service.service_name)
             return restored
 

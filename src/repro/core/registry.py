@@ -21,6 +21,12 @@ Tables
     staged by any replica is on the site for every replica, so this is
     naturally fabric-global state.  Read and written only under
     ``OnServeConfig.stage_once`` (DESIGN.md §10).
+``seed_flights``
+    The publish-time stages in flight, one marker per staged path: the
+    digest being seeded, the site it is filling now, the replica
+    running it and the seed's id.  Any replica's invocation finds a
+    seed here, and waits on its change feed instead of staging the
+    same bytes a second time (DESIGN.md §10, "Digest at publish").
 ``agent_leases``
     The MyProxy-backed agent session per (replica, username).  Sessions
     are minted by each replica's own agent, so the lease key includes
@@ -69,6 +75,7 @@ __all__ = ["ServiceStateStore"]
 
 SERVICE_TABLE = "service_records"
 STAGED_TABLE = "staged_copies"
+SEED_TABLE = "seed_flights"
 LEASE_TABLE = "agent_leases"
 MEMBER_TABLE = "replica_members"
 DEDUP_TABLE = "invocation_dedup"
@@ -84,6 +91,7 @@ _SERVICE_SCHEMA = [
     Column("created_at", "REAL", nullable=False),
     Column("invocations", "INT", nullable=False),
     Column("replica", "TEXT", nullable=False),
+    Column("digest", "TEXT"),
 ]
 
 _STAGED_SCHEMA = [
@@ -92,6 +100,14 @@ _STAGED_SCHEMA = [
     Column("path", "TEXT", nullable=False),
     Column("digest", "TEXT", nullable=False),
     Column("replica", "TEXT", nullable=False),
+]
+
+_SEED_SCHEMA = [
+    Column("path", "TEXT", primary_key=True),
+    Column("digest", "TEXT", nullable=False),
+    Column("site", "TEXT", nullable=False),
+    Column("replica", "TEXT", nullable=False),
+    Column("seed", "TEXT", nullable=False),
 ]
 
 _LEASE_SCHEMA = [
@@ -129,6 +145,7 @@ class ServiceStateStore:
         self.read_router = read_router
         for table, schema in ((SERVICE_TABLE, _SERVICE_SCHEMA),
                               (STAGED_TABLE, _STAGED_SCHEMA),
+                              (SEED_TABLE, _SEED_SCHEMA),
                               (LEASE_TABLE, _LEASE_SCHEMA),
                               (MEMBER_TABLE, _MEMBER_SCHEMA),
                               (DEDUP_TABLE, _DEDUP_SCHEMA)):
@@ -138,6 +155,11 @@ class ServiceStateStore:
         #: host name, or a client cache's key).
         self._removed: Dict[str, Callable[[str], None]] = {}
         self._republished: Dict[str, Callable[[str], None]] = {}
+        #: Seed watchers per staged path, each told once — with the span
+        #: of the stage that just finished, if any — when the path's
+        #: marker next moves on, lands or goes.
+        self._seed_watchers: Dict[str, List[Callable[[Any], None]]] = {}
+        self._seed_seq = 0
         #: Shared monotonic counters (lazily seeded from history so an
         #: appliance redeployed over recovered data resumes numbering).
         self._invocation_counter: Optional[int] = None
@@ -195,7 +217,7 @@ class ServiceStateStore:
             service.endpoint, service.wsdl_location,
             service.uddi_service_key, service.uddi_binding_key,
             service.archive_size, service.created_at,
-            service.invocations, replica,
+            service.invocations, replica, service.digest,
         ])
 
     def get_record(self, service_name: str) -> Optional[Dict[str, Any]]:
@@ -232,6 +254,17 @@ class ServiceStateStore:
     def record_count(self) -> int:
         return self._read(SERVICE_TABLE).count(SERVICE_TABLE)
 
+    def set_digest(self, service_name: str, digest: str) -> None:
+        """Record the digest of the bytes *service_name* now runs.
+
+        Called inside the transaction that commits a replacement upload,
+        so the row and the executable change in one WAL frame; a service
+        not recorded yet (a first publish) writes its digest with the
+        record instead.
+        """
+        self.db.update_eq(SERVICE_TABLE, "service_name", service_name,
+                          {"digest": digest})
+
     def bump_invocations(self, service_name: str,
                          row: Optional[Dict[str, Any]] = None) -> int:
         """Count one more invocation on the record; returns the new count.
@@ -261,6 +294,7 @@ class ServiceStateStore:
             archive_size=row["archive_size"],
             created_at=row["created_at"])
         service.invocations = row["invocations"]
+        service.digest = row["digest"] or ""
         return service
 
     # -- staged grid copies ---------------------------------------------------
@@ -281,13 +315,16 @@ class ServiceStateStore:
         self.db.upsert(STAGED_TABLE, [self._staged_key(site, path),
                                       site, path, digest, replica])
 
-    def evict_staged(self, path: str, site: Optional[str] = None) -> int:
+    def evict_staged(self, path: str, site: Optional[str] = None
+                     ) -> List[str]:
         """Drop *site*'s copy of exactly *path* (the file turned out to
-        be gone) — or every site's (replacement upload)."""
-        if site is not None:
-            return self.db.delete_eq(STAGED_TABLE, "key",
-                                     self._staged_key(site, path))
-        return self.db.delete_eq(STAGED_TABLE, "path", path)
+        be gone) — or every site's (replacement upload).  Returns the
+        sites whose row went, by name: where the old bytes were."""
+        column, value = (("key", self._staged_key(site, path))
+                         if site is not None else ("path", path))
+        rows = self.db.find_eq(STAGED_TABLE, column, value)
+        self.db.delete_eq(STAGED_TABLE, column, value)
+        return sorted(r["site"] for r in rows)
 
     def staged_sites(self, path: str, digest: str) -> List[str]:
         """The sites recorded as holding *digest* at *path*, by name."""
@@ -298,6 +335,87 @@ class ServiceStateStore:
         """(site, path, digest) rows, ordered (test/inspection hook)."""
         rows = self._read(STAGED_TABLE).select(STAGED_TABLE)
         return sorted((r["site"], r["path"], r["digest"]) for r in rows)
+
+    # -- seeds: publish-time stages in flight ---------------------------------
+
+    def begin_seed(self, path: str, digest: str, site: str,
+                   replica: str) -> str:
+        """Announce a seed of *digest* at *path*, filling *site* first,
+        run by *replica*; returns the seed's id.  A marker still there
+        is overwritten — that seed is cancelled: its watchers are told
+        now, and its next :meth:`seed_at` or :meth:`end_seed` finds the
+        marker no longer its own."""
+        self._seed_seq += 1
+        seed = f"seed-{self._seed_seq:06d}"
+        self.db.upsert(SEED_TABLE, [path, digest, site, replica, seed])
+        self._seed_moved(path, None)
+        return seed
+
+    def seed_flight(self, path: str) -> Optional[Dict[str, Any]]:
+        """The marker of the seed in flight at *path*, if any."""
+        try:
+            return self._read(SEED_TABLE).get_by_pk(SEED_TABLE, path)
+        except RecordNotFound:
+            return None
+
+    def owns_seed(self, path: str, seed: str) -> bool:
+        """Whether *path*'s marker is still seed *seed*'s (it was not
+        cancelled, ended or dropped)."""
+        row = self.db.find_eq(SEED_TABLE, "path", path)
+        return bool(row) and row[0]["seed"] == seed
+
+    def seed_at(self, path: str, seed: str, site: str,
+                trace: Any = None) -> bool:
+        """Seed *seed* moves on to *site*; ``False`` if it was cancelled.
+
+        Watchers of the path are told, with *trace* — the span of the
+        stage that just finished — so those waiting on the previous
+        site find it staged.
+        """
+        if not self.owns_seed(path, seed):
+            return False
+        self.db.update_eq(SEED_TABLE, "path", path, {"site": site})
+        self._seed_moved(path, trace)
+        return True
+
+    def end_seed(self, path: str, seed: str, trace: Any = None) -> bool:
+        """Seed *seed* is over (done or failed): drop its marker and tell
+        the watchers; ``False`` if it had been cancelled already."""
+        if not self.owns_seed(path, seed):
+            return False
+        self._drop_seed(path, trace)
+        return True
+
+    def cancel_seed(self, path: str) -> Optional[Dict[str, Any]]:
+        """Drop whatever seed is in flight at *path* (its bytes were
+        replaced); returns its marker."""
+        rows = self.db.find_eq(SEED_TABLE, "path", path)
+        if not rows:
+            return None
+        self._drop_seed(path, None)
+        return rows[0]
+
+    def drop_seeds(self, replica: str) -> List[Dict[str, Any]]:
+        """Drop the markers of every seed *replica* was running (it
+        crashed), telling their watchers; returns the markers."""
+        rows = sorted(self.db.find_eq(SEED_TABLE, "replica", replica),
+                      key=lambda r: r["path"])
+        for row in rows:
+            self._drop_seed(row["path"], None)
+        return rows
+
+    def watch_seed(self, path: str, listener: Callable[[Any], None]) -> None:
+        """Call ``listener(trace)`` once, when *path*'s marker next moves
+        on (:meth:`seed_at`), ends, is cancelled or is dropped."""
+        self._seed_watchers.setdefault(path, []).append(listener)
+
+    def _drop_seed(self, path: str, trace: Any) -> None:
+        self.db.delete_eq(SEED_TABLE, "path", path)
+        self._seed_moved(path, trace)
+
+    def _seed_moved(self, path: str, trace: Any) -> None:
+        for listener in self._seed_watchers.pop(path, ()):
+            listener(trace)
 
     # -- agent-session leases -------------------------------------------------
 

@@ -313,12 +313,16 @@ class DbManager:
 
     def store_executable(self, name: str, payload: bytes,
                          description: str = "",
-                         params_spec: str = "") -> Process:
+                         params_spec: str = "",
+                         on_commit: Optional[Callable[[], None]] = None
+                         ) -> Process:
         """Compress and store *payload* under *name* (a simulation process).
 
         The returned process-event's value is the compressed size.
         Storing an existing name replaces the old row (upsert), which is
-        what lets users re-upload a fixed executable.
+        what lets users re-upload a fixed executable.  *on_commit* runs
+        inside the storing transaction: what it writes commits in the
+        same WAL frame as the row.
         """
 
         def op() -> Generator[Event, None, int]:
@@ -364,6 +368,8 @@ class DbManager:
                         name, description, params_spec, compressed,
                         len(payload), len(compressed), self.sim.now,
                     ])
+                    if on_commit is not None:
+                        on_commit()
             finally:
                 if locked:
                     self._release_conn()
@@ -535,6 +541,12 @@ class DbManager:
             return True
         except RecordNotFound:
             return False
+
+    def executable_digest(self, name: str) -> str:
+        """SHA-256 of the stored payload, from the primary's row (host
+        work only: no simulated cost)."""
+        record = self.db.get_by_pk(self.TABLE, name)
+        return hashlib.sha256(zlib.decompress(record["data"])).hexdigest()
 
     def executable_sizes(self, name: str) -> Dict[str, int]:
         """(uncompressed, compressed) sizes without loading the payload."""

@@ -50,6 +50,7 @@ __all__ = [
     "WalltimeExceeded",
     "SubmissionRefused",
     "TransferError",
+    "TransferSuperseded",
     "ApplianceError",
     "OnServeError",
     "ServiceBuildError",
@@ -270,6 +271,16 @@ class TransferError(GridError):
     """A GridFTP transfer failed."""
 
     retryable = True
+
+
+class TransferSuperseded(TransferError):
+    """The bytes being staged were replaced under the transfer: the site
+    refused them because a PUT of newer bytes was commanded at the path
+    since, or the seed carrying them was cancelled by a republish.
+
+    Retryable by staging afresh (failover), never by re-sending the one
+    PUT: the transfer's other ranges went with the newer command.
+    """
 
 
 # --------------------------------------------------------------------------

@@ -126,6 +126,7 @@ class GridFtpServer:
                   **mode):
             self._refuse_if_down(injector)
             yield from control()
+            self.site.begin_put(path, where[2])
             yield from self._data_faults(injector, client, self.host,
                                          len(data), "put", path)
             self._streams.adjust(+streams)
@@ -203,6 +204,12 @@ class GridFtpServer:
                 raise TransferError(
                     f"{self.site.name}: no such file {src_path!r}")
             data = self.site.read_file(src_path)
+            # The copy is a PUT at *dest* like any other, one range of
+            # the transfer the source's bytes came in as (if ranged): a
+            # stage of the same bytes in flight there is joined, not
+            # dropped.
+            transfer = self.site.transfer_of(src_path)
+            dest.site.begin_put(dst_path, transfer)
             yield self.host.disk_read(len(data))
             yield from self._data_faults(injector, self.host, dest.host,
                                          len(data), "3pt", src_path)
@@ -216,7 +223,7 @@ class GridFtpServer:
                 self._streams.adjust(-1)
                 dest._streams.adjust(-1)
             yield dest.host.disk_write(len(data))
-            dest.site.store_file(dst_path, data)
+            dest.site.store_file(dst_path, data, 0, len(data), transfer)
             self.transfers_out += 1
             dest.transfers_in += 1
         self._bus.emit("gridftp.third_party", layer="grid",

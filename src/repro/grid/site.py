@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import GridError, JobError, JobNotFound
+from repro.errors import GridError, JobError, JobNotFound, TransferSuperseded
 from repro.grid.job import GridJob, JobState
 from repro.grid.node import ComputeNode, NodePool
 from repro.grid.rsl import JobDescription
@@ -92,10 +92,27 @@ class GridSite:
         self.incoming: Dict[Tuple[str, str], List[Tuple[int, bytes]]] = {}
         #: path -> id of the ranged transfer whose bytes are visible.
         self._visible_as: Dict[str, str] = {}
+        #: path -> transfer id of the newest PUT commanded there (None:
+        #: a whole file); only that transfer's ranges may land.
+        self._writing: Dict[str, Optional[str]] = {}
+        #: Ranges refused because a newer PUT was commanded at their
+        #: path since their own (:meth:`begin_put`); a whole file counts
+        #: as its one range.
+        self.refused_ranges = 0
         self._jobs: Dict[str, GridJob] = {}
         self._job_counter = itertools.count(1)
 
     # -- storage -----------------------------------------------------------
+
+    def begin_put(self, path: str, transfer: Optional[str] = None) -> None:
+        """A PUT of *path* was commanded — one range of *transfer*, or a
+        whole file.  It is now the path's current one: an unfinished
+        transfer of other bytes there is dropped, and its late ranges
+        are refused when they land (:meth:`store_file`)."""
+        current = self._writing.get(path)
+        if current is not None and current != transfer:
+            self.incoming.pop((path, current), None)
+        self._writing[path] = transfer
 
     def store_file(self, path: str, data: bytes, offset: int = 0,
                    total: Optional[int] = None,
@@ -110,8 +127,19 @@ class GridSite:
         however often: a re-sent range, a second staging of the same
         bytes and a range arriving after its file became visible are
         all absorbed, and ranges of different ids never mix.
+
+        Newest command wins: a range whose id is no longer the path's
+        current one — its bytes were republished and a PUT of the new
+        ones commanded since — and a whole file commanded before a
+        ranged PUT of the path are refused with
+        :class:`~repro.errors.TransferSuperseded`, so no sender takes
+        them as landed; a refused range never opens a transfer.  Whole
+        files among themselves keep "last to land wins" (the faithful
+        re-upload of the same bytes).
         """
         if transfer is None:
+            if self._writing.get(path) is not None:
+                self._refuse(path, "a whole file")
             self.storage[path] = data
             self._visible_as.pop(path, None)
             return
@@ -119,6 +147,8 @@ class GridSite:
             raise GridError(
                 f"{self.name}: range {offset}+{len(data)} does not fit a "
                 f"{total}-byte file ({path!r})")
+        if self._writing.get(path, transfer) != transfer:
+            self._refuse(path, f"a range of {transfer[:12]}")
         if self._visible_as.get(path) == transfer:
             return
         ranges = self.incoming.setdefault((path, transfer), [])
@@ -133,6 +163,17 @@ class GridSite:
         del self.incoming[(path, transfer)]
         self.storage[path] = _assemble(ranges, total)
         self._visible_as[path] = transfer
+
+    def _refuse(self, path: str, what: str) -> None:
+        self.refused_ranges += 1
+        raise TransferSuperseded(
+            f"{self.name}: {what} of {path!r} was refused: a newer PUT "
+            f"was commanded there since")
+
+    def transfer_of(self, path: str) -> Optional[str]:
+        """The id of the ranged transfer whose bytes *path* shows (None:
+        a whole file, or no file)."""
+        return self._visible_as.get(path)
 
     def read_file(self, path: str) -> bytes:
         try:

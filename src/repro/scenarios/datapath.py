@@ -35,6 +35,14 @@ over the appliance uplink every time; ``datapath`` mode uploads them
 once, copies them site to site once, and hits the store's row for the
 rest.  Its bar (gated by ``--smoke`` and ``bench_datapath.py``): uplink
 bytes down >= 80% with exactly one grid upload.
+
+A third part follows a republish on a routed ``datapath`` fabric: a
+512 KB executable staged by one invoke, then re-uploaded and invoked
+once more.  The republish seeds the new bytes where the old ones were
+(DESIGN.md §10) and the first invoke joins that seed.  It reports
+whether the invoke joined, the uplink bytes from republish to answer,
+and the first invoke's latency; its bar: joined, and one copy of the
+payload on the uplinks.
 """
 
 from __future__ import annotations
@@ -56,10 +64,13 @@ class DatapathResult:
     """One sweep: per-concurrency baseline-vs-batched measurements."""
 
     def __init__(self, rows: List[Dict[str, float]],
-                 repeat: Dict[str, Dict[str, float]]):
+                 repeat: Dict[str, Dict[str, float]],
+                 republish: Dict[str, float]):
         self.rows = rows
         #: The repeat-invoke part: mode ("base" | "batch") -> counts.
         self.repeat = repeat
+        #: The republish part: joined, uplink bytes, first-invoke s.
+        self.republish = republish
 
     def _row(self, n: int) -> Dict[str, float]:
         for row in self.rows:
@@ -89,9 +100,20 @@ class DatapathResult:
                       / self.repeat["base"]["uplink"])
 
     @property
-    def ok(self) -> bool:
+    def repeat_ok(self) -> bool:
         return (self.uplink_reduction >= REPEAT_UPLINK_BAR
                 and self.repeat["batch"]["uploads"] == 1)
+
+    @property
+    def republish_ok(self) -> bool:
+        part = self.republish
+        return (part["joined"] == 1
+                and part["uplink"] < REPUBLISH_UPLINK_BAR
+                * REPUBLISH_FILE_BYTES)
+
+    @property
+    def ok(self) -> bool:
+        return self.repeat_ok and self.republish_ok
 
     def render(self) -> str:
         title = ("Grid data-path ablation — per-operation vs "
@@ -138,7 +160,18 @@ class DatapathResult:
         lines.append(
             f"uplink bytes down {100 * self.uplink_reduction:.1f}% "
             f"(bar: >= {100 * REPEAT_UPLINK_BAR:.0f}% with one grid "
-            f"upload): {'PASS' if self.ok else 'FAIL'}")
+            f"upload): {'PASS' if self.repeat_ok else 'FAIL'}")
+        part = self.republish
+        lines += [
+            "",
+            f"Republish -> first invoke — one "
+            f"{REPUBLISH_FILE_BYTES // 1024} KB executable on "
+            f"{REPUBLISH_REPLICAS} replicas (datapath)",
+            f"{'seed joined':>11} {'uplink KB':>10} {'first invoke s':>15}",
+            f"{int(part['joined']):>11} {part['uplink'] / 1024:>10.1f} "
+            f"{part['latency']:>15.2f}",
+            f"one joined seed, uplink < {REPUBLISH_UPLINK_BAR:.2f}x the "
+            f"payload: {'PASS' if self.republish_ok else 'FAIL'}"]
         return "\n".join(lines)
 
 
@@ -167,7 +200,8 @@ def run_datapath(levels: Sequence[int] = (1, 2, 4, 8, 16, 32),
         })
     return DatapathResult(rows, {
         "base": _repeat_invoke(seed, batched=False),
-        "batch": _repeat_invoke(seed, batched=True)})
+        "batch": _repeat_invoke(seed, batched=True)},
+        _republish_invoke(seed))
 
 
 #: GRAM control counts each sweep level keeps (see ``_one_mode``).
@@ -180,6 +214,11 @@ REPEAT_FILE_BYTES = int(KB(256))
 REPEAT_SITES = 2
 #: ... and its bar: this share of the uplink bytes gone, one grid upload.
 REPEAT_UPLINK_BAR = 0.80
+#: The republish part's shape, and its bar: uplink bytes from republish
+#: to answer under this multiple of the payload (one copy, plus control).
+REPUBLISH_FILE_BYTES = int(KB(512))
+REPUBLISH_REPLICAS = 4
+REPUBLISH_UPLINK_BAR = 1.10
 
 
 def _repeat_invoke(seed: int, batched: bool) -> Dict[str, float]:
@@ -215,6 +254,40 @@ def _repeat_invoke(seed: int, batched: bool) -> Dict[str, float]:
         "replications": stack.agent.replications,
         "hits": staged.count("cache.hit"),
         "misses": staged.count("cache.miss"),
+    }
+
+
+def _republish_invoke(seed: int) -> Dict[str, float]:
+    """Stage, republish, invoke: does the first invoke join the seed?"""
+    config = OnServeConfig(coalesce=True, datapath=True, notify=True)
+    env = standard_env(config=config, seed=seed, sample_interval=None,
+                       fabric=dict(replicas=REPUBLISH_REPLICAS))
+    stack, sim = env.stack, env.sim
+    uplinks = [env.testbed.network.route(o.host.name, "wan-core")[0].server
+               for o in stack.onserves]
+
+    def publish(version: str):
+        sim.run(until=stack.portal.upload_and_generate(
+            env.testbed.user_hosts[0], "republish.bin",
+            make_payload("echo", size=REPUBLISH_FILE_BYTES, nonce=version),
+            params_spec="token:string"))
+
+    def invoke(token: str) -> None:
+        reply = sim.run(until=discover_and_invoke(
+            stack, stack.user_clients[0], "Republish%", token=token))
+        if reply != token + "\n":
+            raise RuntimeError(f"republish invoke answered {reply!r}")
+
+    publish("v1")
+    invoke("staged")
+    before = sum(server.work_integral() for server in uplinks)
+    publish("v2")
+    t0 = sim.now
+    invoke("first")
+    return {
+        "joined": float(bus(sim).counts().get("core.seed_joined", 0)),
+        "uplink": sum(server.work_integral() for server in uplinks) - before,
+        "latency": sim.now - t0,
     }
 
 

@@ -42,6 +42,7 @@ CLASSIFICATION = {
     "WalltimeExceeded": False,       # longer wall time won't appear
     "SubmissionRefused": True,       # transient LRM rejection
     "TransferError": True,           # data channels come back
+    "TransferSuperseded": True,      # stage afresh (never one PUT again)
     "ApplianceError": False,
     "OnServeError": False,
     "ServiceBuildError": False,

@@ -110,7 +110,7 @@ def test_staged_copies_are_fabric_global():
     store.mark_staged("siteA", "/tmp/hello", "d9", replica="b")
     assert store.staged_digest("siteA", "/tmp/hello") == "d9"
     # A replacement upload evicts every site's copy of that path.
-    assert store.evict_staged("/tmp/hello") == 2
+    assert store.evict_staged("/tmp/hello") == ["siteA", "siteB"]
     assert store.staged_digest("siteA", "/tmp/hello") is None
     assert store.staged_copies() == [("siteA", "/tmp/other", "d2")]
 

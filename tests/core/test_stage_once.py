@@ -268,9 +268,9 @@ def test_evict_staged_by_site_drops_exactly_that_row():
         store.mark_staged(site, "/p/a", "d1", "appliance")
         store.mark_staged(site, "/p/b", "d2", "appliance")
     assert store.staged_sites("/p/a", "d1") == list(SITES)
-    assert store.evict_staged("/p/a", site="sdsc") == 1
+    assert store.evict_staged("/p/a", site="sdsc") == ["sdsc"]
     assert store.staged_sites("/p/a", "d1") == ["ncsa"]
     assert store.staged_sites("/p/a", "other") == []
     assert store.staged_sites("/p/b", "d2") == list(SITES)
-    assert store.evict_staged("/p/a", site="sdsc") == 0
-    assert store.evict_staged("/p/b") == 2
+    assert store.evict_staged("/p/a", site="sdsc") == []
+    assert store.evict_staged("/p/b") == list(SITES)

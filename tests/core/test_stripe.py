@@ -20,6 +20,7 @@ from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
 from repro.cyberaide.jobspec import staged_path_for
 from repro.faults import FaultSpec, fault_plane
+from repro.grid.site import GridSite
 from repro.grid.testbed import build_testbed
 from repro.resilience.breaker import OPEN
 from repro.simkernel import Simulator
@@ -203,6 +204,52 @@ def test_a_site_outage_refuses_every_range_and_the_stage_fails_over():
     assert len(bus(sim).events(kind="core.stripe_failed")) == 3
     assert assert_staged_exactly_once(tb, stack, payload) != first
     assert not tb.site(first).has_file(PATH)
+
+
+@pytest.mark.parametrize("newer_after, refused", [
+    ("the first range landed", 3), ("every range was commanded", 4)])
+def test_a_stage_whose_ranges_the_site_refuses_fails_over_sending_none_again(
+        monkeypatch, newer_after, refused):
+    """A newer PUT of the path is commanded at the site once the stage's
+    first range landed there (that range goes with the command) or once
+    all four ranges were commanded; the site refuses every range that
+    lands after it.  Sending one again could not make the file whole, so
+    the stage neither retries a range nor hands one back to the leader:
+    it fails over, and no row names bytes the site never took."""
+    sim, tb, stack, payload = deploy()
+    digest = hashlib.sha256(payload).hexdigest()
+    commands, fired = [], []
+    begin_put, store_file = GridSite.begin_put, GridSite.store_file
+
+    def newer(site, path):
+        if not fired:
+            fired.append(site.name)
+            site.begin_put(path, "newer")
+
+    def record_command(site, path, transfer=None):
+        commands.append((site.name, transfer))
+        begin_put(site, path, transfer)
+        if (newer_after == "every range was commanded"
+                and commands.count((site.name, digest)) == 4):
+            newer(site, path)
+
+    def land(site, path, data, *where):
+        store_file(site, path, data, *where)
+        if newer_after == "the first range landed" and where[2:] == (digest,):
+            newer(site, path)
+
+    monkeypatch.setattr(GridSite, "begin_put", record_command)
+    monkeypatch.setattr(GridSite, "store_file", land)
+    assert sim.run(until=invoke(sim, stack)) == "tok\n"
+    [first] = fired
+    assert commands.count((first, digest)) == 4
+    assert tb.site(first).refused_ranges == refused
+    assert [ev for ev in bus(sim).events(kind="retry.attempt")
+            if ev.fields["label"].startswith("upload:")] == []
+    [failover] = bus(sim).events(kind="core.failover")
+    assert (failover.fields["from_site"], failover.fields["error"]) == \
+        (first, "TransferSuperseded")
+    assert assert_staged_exactly_once(tb, stack, payload) != first
 
 
 def test_a_leader_killed_mid_transfer_is_restaged_by_the_failover():

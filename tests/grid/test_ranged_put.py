@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GridError, TransferError
+from repro.errors import GridError, TransferError, TransferSuperseded
 from repro.faults import FaultSpec, fault_plane
 from repro.grid import build_testbed
 from repro.grid.channel import GsiChannelPool
@@ -135,23 +135,45 @@ def test_two_transfers_of_one_path_never_mix_their_bytes():
     sim, client, ftp = tb.sim, tb.appliance_host, tb.ftp("ncsa")
     site = tb.site("ncsa")
     a, b = b"a" * 900, b"b" * 900
-    order = [(a, "A", 0), (b, "B", 1), (a, "A", 2), (b, "B", 0),
-             (b, "B", 2), (a, "A", 1)]
-    seen = []
-    for payload, transfer, i in order:
+
+    refused = []
+
+    def land(payload, transfer, i):
+        # The data of a PUT whose command reached the site earlier.
+        try:
+            site.store_file("/exe",
+                            memoryview(payload)[300 * i:300 * (i + 1)],
+                            300 * i, 900, transfer)
+        except TransferSuperseded:
+            refused.append((transfer, i))
+        return site.storage.get("/exe")
+
+    # A's three ranges are commanded, two land; then B is commanded —
+    # the republished bytes — and B is the path's current transfer.
+    site.begin_put("/exe", "A")
+    seen = [land(a, "A", 0), land(a, "A", 1)]
+    site.begin_put("/exe", "B")
+    assert site.incoming == {}  # A's open ranges went with the command
+    # A's last range lands late, among B's: refused, it opens nothing.
+    seen += [land(b, "B", 1), land(a, "A", 2), land(b, "B", 0),
+             land(b, "B", 2)]
+    assert seen == [None, None, None, None, None, b]
+    assert refused == [("A", 2)] and site.refused_ranges == 1
+    assert site.incoming == {}
+    # Later still, after B became visible: refused, nothing opened.
+    assert land(a, "A", 0) == b
+    assert refused[-1] == ("A", 0) and site.refused_ranges == 2
+    assert site.incoming == {}
+    # A stage of A commanded now makes A current again (each put sends
+    # its command, then its data), and a range that arrives after its
+    # file became visible (a re-send's) is absorbed instead of opening
+    # a transfer nobody ends.
+    for i in (1, 2, 0, 1):
         sim.run(until=ftp.put(client, chain, "/exe",
-                              memoryview(payload)[300 * i:300 * (i + 1)],
-                              offset=300 * i, total=900, transfer=transfer))
-        seen.append(site.storage.get("/exe"))
-    # Nothing until one transfer is whole, then always one whole payload:
-    # the transfer that finished last.
-    assert seen == [None, None, None, None, b, a]
-    assert site.incoming == {}
-    # A range that arrives after its file became visible (a zombie's, a
-    # re-send's) is absorbed instead of opening a transfer nobody ends.
-    sim.run(until=ftp.put(client, chain, "/exe", memoryview(a)[:300],
-                          offset=0, total=900, transfer="A"))
-    assert site.incoming == {}
+                              memoryview(a)[300 * i:300 * (i + 1)],
+                              offset=300 * i, total=900, transfer="A"))
+    assert site.read_file("/exe") == a
+    assert site.incoming == {} and site.refused_ranges == 2
     # Re-sent, overlapping and copied ranges still assemble the file.
     parts = [(0, b"x" * 500), (0, b"x" * 500), (400, b"x" * 200 + b"y" * 300)]
     for offset, part in parts:
@@ -166,3 +188,107 @@ def test_a_range_that_does_not_fit_its_file_is_refused():
         with pytest.raises(GridError, match="does not fit"):
             site.store_file("/x", b"abc", offset, total, "t")
     assert site.incoming == {}
+
+
+def test_a_late_range_of_replaced_bytes_is_refused_and_opens_nothing():
+    """A republish while a range of the old bytes is on the wire: the
+    new bytes' PUT is commanded after it, so when the old range lands it
+    is refused — counted, and no transfer of the old bytes is left open
+    for nobody to finish."""
+    tb = quick_testbed()
+    chain = logon(tb)
+    sim, client, ftp = tb.sim, tb.appliance_host, tb.ftp("ncsa")
+    site = tb.site("ncsa")
+    old, new = b"o" * 90_000, b"n" * 30_000
+
+    def republish():
+        yield sim.timeout(0.01)  # the old range's command has landed
+        yield sim.all_of([
+            ftp.put(client, chain, "/exe", memoryview(new)[i:i + 10_000],
+                    offset=i, total=30_000, transfer="new")
+            for i in range(0, 30_000, 10_000)])
+        assert site.read_file("/exe") == new
+        assert ("/exe", "old") not in site.incoming
+
+    late = sim.process(outcome(ftp.put(
+        client, chain, "/exe", memoryview(old)[:60_000], offset=0,
+        total=90_000, transfer="old")))
+    sim.run(until=sim.all_of([late, sim.process(republish())]))
+    # The sender learns its bytes did not land: nothing records them.
+    assert late.value == "TransferSuperseded"
+    assert site.refused_ranges == 1
+    assert site.incoming == {} and site.read_file("/exe") == new
+
+
+def outcome(put):
+    """A process body: *put*'s fate, as the name of what failed it."""
+    try:
+        yield put
+    except TransferError as exc:
+        return type(exc).__name__
+    return "landed"
+
+
+def test_a_whole_file_commanded_before_a_ranged_put_is_refused():
+    """Whole files among themselves keep "last to land wins" (the
+    faithful re-upload of the same bytes), but one commanded before a
+    ranged PUT of newer bytes does not land over them."""
+    tb = quick_testbed()
+    chain = logon(tb)
+    sim, client, ftp = tb.sim, tb.appliance_host, tb.ftp("ncsa")
+    site = tb.site("ncsa")
+    old, new = b"o" * 90_000, b"n" * 30_000
+
+    def ranged():
+        yield sim.timeout(0.01)  # the whole file's command has landed
+        yield ftp.put(client, chain, "/exe", new, offset=0, total=30_000,
+                      transfer="new")
+
+    whole = sim.process(outcome(ftp.put(client, chain, "/exe", old)))
+    sim.run(until=sim.all_of([whole, sim.process(ranged())]))
+    assert whole.value == "TransferSuperseded"
+    assert site.read_file("/exe") == new and site.refused_ranges == 1
+    # A whole file commanded after it lands, as does one after that.
+    for data in (old, new):
+        sim.run(until=ftp.put(client, chain, "/exe", data))
+        assert site.read_file("/exe") == data
+
+
+def test_a_site_to_site_copy_is_a_put_like_any_other():
+    """A third-party copy lands under the same rule: commanded while a
+    ranged PUT of other bytes is on its way to the destination, it
+    takes the path and the late range is refused; a copy of the bytes a
+    transfer in flight there carries joins that transfer instead."""
+    tb = quick_testbed()
+    chain = logon(tb)
+    sim, client = tb.sim, tb.appliance_host
+    src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
+    sdsc = tb.site("sdsc")
+    old, new = b"o" * 600_000, b"n" * 900
+    for i in range(3):  # ncsa shows the new bytes, as transfer "new"
+        sim.run(until=src.put(client, chain, "/exe",
+                              memoryview(new)[300 * i:300 * (i + 1)],
+                              offset=300 * i, total=900, transfer="new"))
+
+    def copy():
+        yield sim.timeout(0.01)  # the old range's command has landed
+        yield src.third_party_transfer(client, chain, "/exe", dst, "/exe")
+        assert sdsc.read_file("/exe") == new
+
+    late = sim.process(outcome(dst.put(
+        client, chain, "/exe", memoryview(old)[:300_000], offset=0,
+        total=600_000, transfer="old")))
+    sim.run(until=sim.all_of([late, sim.process(copy())]))
+    assert late.value == "TransferSuperseded"
+    assert sdsc.read_file("/exe") == new and sdsc.refused_ranges == 1
+    assert sdsc.incoming == {}
+    # A stage of "new" under way at sdsc: a copy of "new" completes it,
+    # and the stage's own later range is absorbed.
+    sim.run(until=dst.put(client, chain, "/new", memoryview(new)[:300],
+                          offset=0, total=900, transfer="new"))
+    sim.run(until=src.third_party_transfer(client, chain, "/exe", dst,
+                                           "/new"))
+    assert sdsc.read_file("/new") == new and sdsc.incoming == {}
+    sim.run(until=dst.put(client, chain, "/new", memoryview(new)[300:],
+                          offset=300, total=900, transfer="new"))
+    assert sdsc.read_file("/new") == new and sdsc.refused_ranges == 1

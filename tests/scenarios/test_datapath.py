@@ -3,7 +3,9 @@
 import pytest
 
 from repro.scenarios.common import percentile
-from repro.scenarios.datapath import run_datapath
+from repro.scenarios.datapath import (
+    REPUBLISH_FILE_BYTES, _republish_invoke, run_datapath,
+)
 
 
 def test_acceptance_criteria_at_16_jobs():
@@ -18,6 +20,7 @@ def test_sweep_is_deterministic():
     b = run_datapath(levels=(1, 4), smoke=False, seed=0)
     assert a.rows == b.rows
     assert a.repeat == b.repeat
+    assert a.republish == b.republish
 
 
 def test_savings_grow_with_concurrency():
@@ -54,6 +57,16 @@ def test_smoke_levels_and_render():
             last["batch_pooled"]) == (4, 1, 3)
     assert last["batch_gram_ctl"] < last["base_gram_ctl"]
     assert "GRAM control @ N=4" in text
+
+
+def test_the_first_invoke_after_a_republish_joins_its_seed():
+    # The republish stages the new bytes where the old ones were; the
+    # invoke that follows waits for that seed instead of sending them
+    # again: one copy of the payload crosses the uplinks.
+    part = _republish_invoke(seed=0)
+    assert part["joined"] == 1
+    assert REPUBLISH_FILE_BYTES <= part["uplink"] \
+        < 1.10 * REPUBLISH_FILE_BYTES
 
 
 def test_percentile_nearest_rank():

@@ -279,3 +279,33 @@ def test_goldens_unchanged_with_every_plane_attached(
     assert_queue_idle(queue)
     assert_replica_idle(replica)
     assert_tower_observed(tower)
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_goldens_unchanged_and_nothing_seeded_on_the_faithful_path(
+        name, golden_with):
+    """The faithful profile never stages at publish.
+
+    Publish-time staging (DESIGN.md §10) runs only under ``stage_once``
+    on a routed fabric; the paper's appliance keeps §VII.B's order —
+    the DB load before the agent stages anything — writes no digest and
+    no seed marker, and emits no ``core.seed_*`` event.
+    """
+    from repro.core.registry import SEED_TABLE
+    from repro.telemetry.events import bus as telemetry_bus
+
+    seen = []
+
+    def watch(stack):
+        assert not stack.onserve.stages_at_publish
+        kinds = []
+        telemetry_bus(stack.sim).subscribe(lambda ev: kinds.append(ev.kind))
+        seen.append((stack, kinds))
+
+    golden_with(name, watch, "a bus observer of the seed ladder")
+    stack, kinds = seen[-1]
+    assert not [k for k in kinds if k.startswith("core.seed")]
+    assert stack.store.db.count(SEED_TABLE) == 0
+    assert all(r["digest"] == "" for r in stack.store.all_records())
+    if "agent.upload" in kinds:
+        assert kinds.index("db.fetch") < kinds.index("agent.upload")
