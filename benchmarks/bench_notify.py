@@ -4,12 +4,12 @@ Runs the :mod:`repro.scenarios.notify` mixed-capability testbed and
 saves the paper-shaped report — the measured numbers behind the
 EXPERIMENTS.md NOTIFY entry.  The headline claims are asserted here
 too: on the notify-capable site, mean detection lag is one event-
-propagation delay (no poll-floor term at all) and the multiplexer runs
-zero batch rounds; the poll-only site on the same run pays measurably
-more lag for its exchanges; and the durable queue drains completely.
+propagation delay (no poll-floor term at all) and no job is polled;
+the poll-only site on the same run polls every job and pays measurably
+more lag for it; and the durable queue drains completely.
 """
 
-from repro.scenarios.notify import run_notify
+from repro.scenarios.notify import POLL_SITE, run_notify
 
 
 def test_notify_push_path(benchmark, save_report):
@@ -21,8 +21,11 @@ def test_notify_push_path(benchmark, save_report):
     assert result.n_ok == result.n
     # Push detection: exactly one propagation delay, nothing more.
     assert result.notify_lag_mean <= result.propagation + 0.1
-    # The push path runs zero tentative poll rounds on its site.
-    assert result.notify_poller_batches == 0
+    # The push path runs zero tentative poll rounds on its site; the
+    # poll site polls each of its jobs at least once.
+    assert result.notify_polls == 0
+    poll_site = result.per_site[POLL_SITE]
+    assert poll_site["polls"] >= poll_site["jobs"]
     # The poll site pays >= the poll floor; push beats it clearly.
     assert result.poll_lag_mean > 2.0 * result.notify_lag_mean
     # The durable queue drained and only the capable site wrote rows.

@@ -295,25 +295,26 @@ class GridServiceRuntime:
                 #    invocations staging the same (site, path, bytes)
                 #    share one GridFTP transfer.
                 once = cfg.stage_once
-                on_row = False
+                staged_hit = False
                 if exe is None:
                     # The hit rule: the row's digest on the site, or a
                     # seed of it landing there; only a miss loads the
-                    # bytes — and is checked below against the digest
-                    # it loaded, which a republish may have moved
-                    # since the row was read.
+                    # bytes.
                     mark = self.sim.now
-                    on_row = (
+                    staged_hit = (
                         self.onserve.is_staged(site, staged, digest)
                         or (yield from self._join_seed(site, staged, digest,
                                                        ctx)))
                     report.upload += self.sim.now - mark
-                    if not on_row:
+                    if not staged_hit:
                         yield from retrieve()
                 mark = self.sim.now
                 with span(ctx, "service:upload", site=site):
-                    staged_hit = on_row or (once and self.onserve.is_staged(
-                        site, staged, exe.digest))
+                    if once and not staged_hit:
+                        # The digest in hand is the one loaded — which a
+                        # republish may have moved since the row was read.
+                        staged_hit = self.onserve.is_staged(site, staged,
+                                                            exe.digest)
                     if once:
                         self.onserve.bus.emit(
                             "cache.hit" if staged_hit else "cache.miss",
@@ -840,18 +841,19 @@ class GridServiceRuntime:
                       ) -> Generator[Event, None, bytes]:
         """Completion detection down the site's fallback ladder.
 
-        One detector per site — status ablation → notify → PollMux →
-        the faithful tentative poll — reports ``(state, polls)``; the
-        shared tail classifies the state and fetches the final output —
-        unless the push already carried it: a ``done`` job's output of
-        at most ``GramGatekeeper.INLINE_OUTPUT_BYTES``, delivered live
-        (a replayed subscription carries none).
+        One detector per site — the status ablation, else notify where
+        the site pushes, else the paper's per-job tentative poll —
+        reports ``(state, polls)``; the shared tail classifies the state
+        and fetches the final output — unless the push already carried
+        it: a ``done`` job's output of at most
+        ``GramGatekeeper.INLINE_OUTPUT_BYTES``, delivered live (a
+        replayed subscription carries none).
         """
         cfg = self.onserve.config
         host = self.onserve.host
         stub = self.onserve.agent_stub
         queue = self.onserve.notify_queue
-        batched = pushed = False
+        pushed = False
         output = None
 
         if cfg.status_supported:
@@ -879,19 +881,6 @@ class GridServiceRuntime:
                     cfg.watchdog_timeout, f"notification for {job_id!r}")
             state, polls = ("lost" if note["error"] else note["state"]), 0
             output = note["output"]
-        elif cfg.datapath:
-            # Batched data path: the per-site multiplexer runs one
-            # tentative poll covering every in-flight job on the site;
-            # this waiter just parks on its event.
-            batched = True
-            mux = self.onserve.poll_mux(site)
-            result, polls = yield await_waiter(
-                self.sim,
-                lambda: mux.register(job_id, spec.stdout_path(tag)),
-                lambda waiter: mux.unregister(job_id),
-                cfg.watchdog_timeout,
-                f"multiplexed polling for {job_id!r}")
-            state = "lost" if result["error"] else "done"
         else:
             # Faithful workaround: tentatively fetch output every
             # interval, writing each (partial) result to local disk,
@@ -925,12 +914,12 @@ class GridServiceRuntime:
         report.polls += polls
         # Observational marker (no sim events): correlated with the
         # scheduler's ``sched.finish`` it yields the detection lag the
-        # datapath/notify ablations report.
+        # notify ablation reports.
         self.onserve.bus.emit(
             "core.output_detected", layer="core",
             request_id=ctx.request_id if ctx else None,
             service=self.record.name, site=site, job_id=job_id,
-            polls=polls, batched=batched, pushed=pushed)
+            polls=polls, pushed=pushed)
         if state == "lost":
             # The gatekeeper lost the job record and said so — same
             # classification as a raised lookup, so failover applies.

@@ -79,8 +79,9 @@ class OnServeConfig:
             raise OnServeError("notify_propagation must be positive")
         self.grid_username = grid_username
         self.grid_passphrase = grid_passphrase
-        #: Tentative-poll period (the "relative constant interval");
-        #: also the cap of the datapath PollMux's adaptive interval.
+        #: Tentative-poll period (the "relative constant interval") of
+        #: every per-job poll: the faithful output poll and the status
+        #: ablation's.
         self.poll_interval = poll_interval
         self.watchdog_timeout = watchdog_timeout
         #: Faithful flaw: uploads hit the disk twice (temp, then DB).
@@ -88,8 +89,9 @@ class OnServeConfig:
         self.double_write = double_write
         #: Faithful flaw: executables re-upload on every invocation.
         #: True is the ablation: one of the two switches behind
-        #: :attr:`stage_once`, and the only one that leaves the rest of
-        #: the faithful timeline alone.
+        #: :attr:`stage_once`, and the only one that isolates the
+        #: §VIII.B re-upload flaw with the rest of the faithful timeline
+        #: alone (``bench_ablations.py``, ``scenarios/throughput.py``).
         self.upload_cache = upload_cache
         #: Faithful flaw: agent job status unavailable -> tentative
         #: output polling.  True is the clean-status ablation.
@@ -112,19 +114,21 @@ class OnServeConfig:
         #: invocations' shared work — agent logon, DB executable fetch,
         #: GridFTP staging per (site, path).  Off by default: the
         #: faithful timeline (and every golden figure) runs without it.
+        #: A flag of its own while ``benchmarks/e2e`` passes
+        #: ``coalesce=True`` and reads ``flights.flights`` / ``joins``.
         self.coalesce = coalesce
-        #: Grid data-path plane: GridFTP session reuse on the agent, one
-        #: per-site adaptive PollMux driving batched tentative polls
-        #: instead of N fixed-interval per-job loops, and staging by
-        #: content, once (:attr:`stage_once`).  Off by default: the
-        #: goldens pin the pay-per-operation timeline.
+        #: Grid data-path plane: one pooled GSI channel per (site,
+        #: endpoint, credential) on the agent for GridFTP and GRAM, and
+        #: staging by content, once (:attr:`stage_once`).  Completion
+        #: detection is not its business: a site without notify polls
+        #: per job either way.  Off by default: the goldens pin the
+        #: pay-per-operation timeline.
         self.datapath = datapath
-        #: Push path (ROADMAP item 1): attach the durable notification
-        #: queue and mark the listed sites' gatekeepers capable ("*"
-        #: means every site).  Off by default: the goldens pin the
-        #: poll-based timeline, and even when the queue is attached a
-        #: site absent from ``notify_sites`` keeps using the ladder's
-        #: lower rungs (PollMux / poll_until).
+        #: Push path: attach the durable notification queue and mark
+        #: the listed sites' gatekeepers capable ("*" means every site).
+        #: Off by default: the goldens pin the poll-based timeline, and
+        #: even when the queue is attached a site absent from
+        #: ``notify_sites`` falls to the paper's per-job ``poll_until``.
         self.notify = notify
         self.notify_sites = tuple(notify_sites)
         #: Event-propagation delay: gatekeeper -> appliance trip of one
@@ -240,9 +244,6 @@ class OnServe:
         #: keys include ``self.replica`` so two replicas sharing one
         #: DbManager can never alias each other's flights.
         self.flights = SingleFlight(self.sim, enabled=self.config.coalesce)
-        #: One adaptive batch-polling multiplexer per site (datapath
-        #: mode); created lazily, schedules nothing while unused.
-        self._poll_muxes: Dict[str, "PollMux"] = {}
         #: The durable job-state notification queue (push path), wired
         #: by ``deploy_fabric`` when ``config.notify`` is set — or
         #: attached externally (the golden guard attaches one with zero
@@ -524,51 +525,6 @@ class OnServe:
         return (yield from self.flights.do(
             ("agent-auth", self.replica, cfg.grid_username), logon,
             group="auth"))
-
-    # -- per-site poll multiplexers (datapath mode) ---------------------------
-
-    def poll_mux(self, site: str) -> "PollMux":
-        """The (lazily created) batch-polling multiplexer for *site*.
-
-        Its batch operation is one ``pollOutputs`` agent call covering
-        every registered job; a per-job result is accepted once the
-        stdout file exists (output ready) or the gatekeeper reports the
-        job lost (flag ``E`` — the runtime turns that into
-        :class:`~repro.errors.JobNotFound` for failover).  Creating the
-        mux schedules nothing: an idle multiplexer cannot perturb a
-        timeline, which is what the golden guard proves.
-        """
-        mux = self._poll_muxes.get(site)
-        if mux is not None:
-            return mux
-        from repro.grid.poller import PollMux
-
-        def batch_poll(batch):
-            def op() -> Generator[Event, None, Dict[str, Dict]]:
-                session = yield from self.ensure_agent_session(None)
-                encoded = ";".join(f"{key}|{token}" for key, token in batch)
-                reply = yield self.agent_stub.pollOutputs(
-                    session=session, site=site, jobs=encoded)
-                results: Dict[str, Dict] = {}
-                for item in reply.split(";"):
-                    job_id, flag, nbytes = item.split("|")
-                    results[job_id] = {"ready": flag == "1",
-                                       "error": flag == "E",
-                                       "nbytes": int(nbytes)}
-                return results
-
-            return self.sim.process(op(), name=f"pollmux-batch:{site}")
-
-        interval = self.config.poll_interval
-        mux = PollMux(
-            self.sim, site, batch_poll,
-            accept=lambda r: r is not None and (r["ready"] or r["error"]),
-            # Adaptive between the mux's own floor and the faithful
-            # fixed interval (a shorter interval is its own floor).
-            min_interval=min(PollMux.MIN_INTERVAL, interval),
-            max_interval=interval)
-        self._poll_muxes[site] = mux
-        return mux
 
     def drop_agent_session(self, session: Optional[str]) -> None:
         """Forget the shared session (dead credential recovery hook)."""

@@ -12,11 +12,10 @@ Three tools live here:
 * :func:`poll_until` — the tentative-polling loop (§VIII.B workaround):
   run a poll action every ``interval`` until a predicate accepts its
   result or the deadline passes.
-* :func:`await_waiter` — the same deadline discipline for completion
-  sources that hand out a waiter event instead of being polled: a
-  :class:`~repro.grid.poller.PollMux` registration or a
+* :func:`await_waiter` — the same deadline discipline for a completion
+  source that hands out a waiter event instead of being polled: a
   :class:`~repro.grid.notify.NotifyQueue` subscription (the fallback
-  ladder's upper rungs: notify → PollMux → ``poll_until``).
+  ladder's upper rung: notify, else per-job ``poll_until``).
 """
 
 from __future__ import annotations
@@ -35,11 +34,10 @@ def _abandon(waiter: Event) -> None:
     """Defuse an abandoned waiter so nothing can cross wires later.
 
     A waiter its owner stopped caring about (deadline passed) may still
-    be triggered by machinery that held a reference to it — a batch
-    failure racing the timeout, a late delivery.  Marking any eventual
-    failure defused keeps the kernel from re-raising it at end of run,
-    and the owner never confuses it with the *fresh* waiter a
-    re-registration of the same key creates.
+    be triggered by machinery that held a reference to it — a late
+    delivery.  Marking any eventual failure defused keeps the kernel
+    from re-raising it at end of run, and the owner never confuses it
+    with the *fresh* waiter a re-registration of the same key creates.
     """
     waiter.add_callback(lambda ev: ev.defused() if not ev._ok else None)
 
@@ -138,11 +136,10 @@ def await_waiter(sim: Simulator, register: Callable[[], Event],
     """Park on a waiter event under a deadline.
 
     ``register()`` hands out the waiter — a
-    :class:`~repro.grid.poller.PollMux` registration, a
     :class:`~repro.grid.notify.NotifyQueue` subscription — and is called
     *inside* the waiting process.  The value is the waiter's value; a
-    failure propagated through the waiter (a batch poll that raised) is
-    re-raised as-is.  If *timeout* elapses first, ``cancel(waiter)``
+    failure propagated through the waiter is re-raised as-is.  If
+    *timeout* elapses first, ``cancel(waiter)``
     detaches it (the source must not keep working for a waiter that
     gave up), the abandoned waiter is defused, and
     :class:`WatchdogTimeout` is raised, exactly like :func:`poll_until`.

@@ -46,7 +46,7 @@ class AgentConfig:
         self.default_proxy_lifetime = default_proxy_lifetime
         #: CPU charged per agent call for session bookkeeping.
         self.session_cpu = session_cpu
-        #: Data-path batching: reuse one authenticated control channel
+        #: Data-path plane: reuse one authenticated control channel
         #: per (site, endpoint, credential) — GridFTP and GRAM — instead
         #: of a GSI handshake per transfer and per submit.
         self.session_reuse = session_reuse
@@ -85,9 +85,8 @@ class CyberaideAgent:
         self.replications = 0
         self.submissions = 0
         self.output_polls = 0
-        self.batch_polls = 0
-        #: Control bytes spent on outputReady existence probes (single
-        #: and batched) — the agent-side share of the poll overhead.
+        #: Control bytes spent on outputReady existence probes — the
+        #: agent-side share of the poll overhead.
         self.probe_bytes = 0
         #: GridFTP and GRAM control channels, reused when session_reuse
         #: is on; disabled the pool is a pure pass-through to the per-op
@@ -150,10 +149,6 @@ class CyberaideAgent:
                           [ParameterSpec("session", s),
                            ParameterSpec("site", s),
                            ParameterSpec("path", s)], "xsd:base64Binary"),
-            OperationSpec("pollOutputs",
-                          [ParameterSpec("session", s),
-                           ParameterSpec("site", s),
-                           ParameterSpec("jobs", s)], s),
         ], documentation="Cyberaide agent: production-grid access functions")
 
     def handler(self, operation: str, params: Dict[str, Any],
@@ -298,60 +293,6 @@ class CyberaideAgent:
         data = yield self._channels.get(self._ftp(site), self.host,
                                             sess.chain, path, ctx=ctx)
         return data
-
-    def _op_pollOutputs(self, session: str, site: str, jobs: str,
-                        ctx: Optional[RequestContext] = None
-                        ) -> Generator[Event, None, str]:
-        """Batched tentative poll: k jobs in one gatekeeper exchange.
-
-        *jobs* is ``"jobId|stdoutPath;..."``; the reply is
-        ``"jobId|flag|nbytes;..."`` with flag ``1`` (stdout file exists
-        — output ready), ``0`` (still running) or ``E`` (the gatekeeper
-        has no record of the job — the classic lost job).  One
-        ``fetch_output_many`` exchange plus one batched existence probe
-        replace k of each.
-        """
-        self._session(session)
-        gram = self._gram(site)
-        ftp = self._ftp(site)
-        entries = []
-        for item in jobs.split(";"):
-            if not item:
-                continue
-            parts = item.split("|")
-            if len(parts) != 2 or not parts[0]:
-                raise GridError(f"malformed pollOutputs batch item {item!r}")
-            entries.append((parts[0], parts[1]))
-        if not entries:
-            raise GridError("pollOutputs requires at least one job")
-        k = len(entries)
-        with span(ctx, "agent:pollOutputs", site=site, jobs=k):
-            outputs = yield gram.fetch_output_many(
-                self.host, [job_id for job_id, _ in entries], ctx=ctx)
-            # One existence probe covers the whole batch: the job ids
-            # already crossed in the request, only the paths ride along.
-            probe = 512 + 16 * (k - 1)
-            answer = 128 + 4 * (k - 1)
-            yield self.host.send(gram.host, probe,
-                                 label="exists-probe-batch")
-            flags = {job_id: ftp.exists(path) for job_id, path in entries}
-            yield gram.host.send(self.host, answer,
-                                 label="exists-answer-batch")
-        self.probe_bytes += probe + answer
-        self.batch_polls += 1
-        self.output_polls += k
-        self._bus.emit("agent.poll_batch", layer="agent",
-                       request_id=ctx.request_id if ctx else None,
-                       site=site, jobs=k)
-        parts = []
-        for job_id, _path in entries:
-            data = outputs.get(job_id)
-            if data is None:
-                parts.append(f"{job_id}|E|0")
-            else:
-                flag = "1" if flags[job_id] else "0"
-                parts.append(f"{job_id}|{flag}|{len(data)}")
-        return ";".join(parts)
 
     # -- internals ---------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional, Sequence
 
 from repro.core.context import RequestContext, span
-from repro.errors import JobNotFound, SubmissionRefused
+from repro.errors import SubmissionRefused
 from repro.faults.injector import get_injector
 from repro.grid.job import GridJob, JobState
 from repro.grid.rsl import parse_rsl
@@ -45,15 +45,8 @@ class GramGatekeeper:
     SUBMIT_OVERHEAD_BYTES = 1536
     #: Control bytes for status/cancel/poll exchanges.
     POLL_BYTES = 768
-    #: Head-node CPU per request (authorization, RSL handling, LRM talk).
+    #: Head-node CPU per submit (authorization, RSL handling, LRM talk).
     REQUEST_CPU = 0.05
-    #: Marginal control bytes per extra job folded into a batch exchange
-    #: (a job id + a flag ride in the request that already paid the
-    #: authentication/envelope cost once).
-    BATCH_ITEM_BYTES = 32
-    #: Marginal head-node CPU per extra job in a batch (one table lookup
-    #: vs a full authorization + envelope parse).
-    BATCH_ITEM_CPU = 0.001
     #: Control bytes per push notification (a small state-change
     #: callback message, no envelope negotiation — the connection the
     #: subscription holds open already paid it).
@@ -69,13 +62,11 @@ class GramGatekeeper:
         self.submissions = 0
         self.refusals = 0
         #: Data-path accounting (plain counters, never simulation events):
-        #: control-plane bytes exchanged, number of gatekeeper exchanges,
-        #: and the modelled head-node CPU cost — REQUEST_CPU per exchange
-        #: plus BATCH_ITEM_CPU per extra batched job.  The ablation in
-        #: ``scenarios/datapath.py`` reads these; the timeline never does.
+        #: control-plane bytes exchanged and number of gatekeeper
+        #: exchanges.  ``scenarios/datapath.py`` reads these; the
+        #: timeline never does.
         self.control_bytes = 0
         self.exchanges = 0
-        self.head_cpu_modeled = 0.0
         #: GSI handshakes paid, and submits carried on an already-open
         #: pooled channel instead (:class:`~repro.grid.channel.GsiChannel`).
         self.handshakes = 0
@@ -103,12 +94,10 @@ class GramGatekeeper:
         self._inflight = gauges(self.sim).gauge(
             f"gram.{site.name}.inflight", unit="reqs")
 
-    def _account(self, nbytes: int, jobs: int = 1) -> None:
-        """Book one control exchange covering *jobs* jobs."""
+    def _account(self, nbytes: int) -> None:
+        """Book one control exchange."""
         self.control_bytes += nbytes
         self.exchanges += 1
-        self.head_cpu_modeled += (self.REQUEST_CPU
-                                  + self.BATCH_ITEM_CPU * (jobs - 1))
 
     # -- push notifications (ROADMAP item 1) ---------------------------------
 
@@ -298,58 +287,6 @@ class GramGatekeeper:
             return True
 
         return self.sim.process(op(), name=f"gram-cancel:{job_id}")
-
-    def fetch_output_many(self, client: Host, job_ids: Sequence[str],
-                          ctx: Optional[RequestContext] = None) -> Process:
-        """Tentative-poll k jobs in one exchange; value maps id -> bytes.
-
-        One request envelope, one amortized site disk read covering all
-        jobs' partial output, one response.  A lost job (the gatekeeper
-        has no record) maps to ``None`` — the caller decides whether
-        that is fatal, exactly as a raised :class:`JobNotFound` would be
-        on the per-job path.
-        """
-        ids = list(job_ids)
-
-        def op() -> Generator[Event, None, Dict[str, Optional[bytes]]]:
-            if not ids:
-                return {}
-            injector = get_injector(self.sim)
-            k = len(ids)
-            with span(ctx, "gram:fetch-output-many", site=self.site.name,
-                      jobs=k):
-                if injector is not None and injector.down(self.site.name):
-                    raise SubmissionRefused(
-                        f"{self.site.name}: gatekeeper unreachable "
-                        f"(site outage)")
-                request = self.POLL_BYTES + self.BATCH_ITEM_BYTES * (k - 1)
-                yield client.send(self.host, request,
-                                  label="gram-output-many")
-                yield self.host.compute(
-                    0.005 + self.BATCH_ITEM_CPU * (k - 1), tag="gram")
-                outputs: Dict[str, Optional[bytes]] = {}
-                total = 0
-                for job_id in ids:
-                    try:
-                        data = self.site.partial_output(job_id)
-                    except JobNotFound:
-                        outputs[job_id] = None
-                        continue
-                    outputs[job_id] = data
-                    total += len(data)
-                if total:
-                    # One seek/read pass over the spool covers the batch.
-                    yield self.host.disk_read(total)
-                response = max(total, 128) + 16 * (k - 1)
-                self._account(request + 128 + 16 * (k - 1), jobs=k)
-                yield self.host.send(client, response,
-                                     label="gram-output-many-rsp")
-            self._bus.emit("gram.fetch_output_many", layer="grid",
-                           request_id=ctx.request_id if ctx else None,
-                           site=self.site.name, jobs=k, nbytes=total)
-            return outputs
-
-        return self.sim.process(op(), name=f"gram-output-many:{len(ids)}")
 
     def fetch_output(self, client: Host, job_id: str,
                      ctx: Optional[RequestContext] = None) -> Process:

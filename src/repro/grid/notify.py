@@ -21,8 +21,8 @@ detection lag of the push path.
 
 Capability is **per site** and heterogeneous: only gatekeepers
 explicitly attached as capable publish here (TeraGrid realism — not
-every site's GRAM deployment supports callbacks).  The runtime falls
-back down the ladder notify → PollMux → ``poll_until`` per site.
+every site's GRAM deployment supports callbacks).  A site that does
+not push falls back to the paper's per-job ``poll_until``.
 
 Determinism contract (the golden guard proves it): a constructed queue
 with *no* capable site never publishes, never schedules, and leaves

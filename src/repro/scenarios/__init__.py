@@ -20,8 +20,8 @@ paper-shaped output; ``tests/scenarios`` asserts the expected shapes
 * :mod:`~repro.scenarios.throughput` — invocation hot-path ablation:
   caches + single-flight coalescing off vs on under concurrency
 * :mod:`~repro.scenarios.datapath` — grid data-path ablation:
-  per-operation control path vs GridFTP session reuse + batched
-  adaptive polling under per-site concurrency
+  per-operation control path vs pooled GSI channels and staging by
+  content, once
 * :mod:`~repro.scenarios.scaleout` — replica fabric sweep: sharded
   stateless appliances behind the request router, 1 → 16 replicas
 * :mod:`~repro.scenarios.controltower` — fleet observability: SLO

@@ -4,28 +4,27 @@ ROADMAP item 1 made flesh: a two-site testbed where one site's
 gatekeeper supports push notifications (state changes ride the durable
 :class:`~repro.grid.notify.NotifyQueue`) and the other "doesn't" —
 TeraGrid heterogeneity — so every invocation lands on one rung of the
-fallback ladder notify → PollMux → ``poll_until`` purely by site
-capability.  Round-robin site selection splits N concurrent sleep-job
-invocations evenly over both sites; runtimes are staggered so
-completions spread out and the poll path's adaptive interval actually
-backs off (its worst detection case).
+fallback ladder, notify or the paper's per-job ``poll_until``, purely
+by site capability.  Round-robin site selection splits N concurrent
+sleep-job invocations evenly over both sites; runtimes are staggered so
+completions spread over the poll interval.
 
 Per site the harness reports:
 
 * **detection lag** — ``core.output_detected`` minus the scheduler's
   ``sched.finish``, mean/p95.  On the notify site this is exactly one
-  event-propagation delay; on the poll site it is bounded below by the
-  poll floor and degrades with backoff.
-* **poller exchanges** — batched ``poller.batch`` rounds attributable
-  to the site.  ~0 on the notify site (the push path performs no
-  tentative polls at all; only the final output fetch remains).
+  event-propagation delay; on the poll site it is up to one poll
+  interval.
+* **poll rounds** — the per-job tentative polls ``core.output_detected``
+  counts on the site.  0 on the notify site (the push path performs no
+  tentative polls at all).
 * **notifications** — messages the site's gatekeeper published, all of
   which must also be delivered (the queue drains to depth 0).
 
 The acceptance bar (``NotifyResult.ok``, CI's gate): every invocation
-succeeds, notify-site mean lag <= propagation + 0.1 s, notify-site
-poller exchanges == 0, poll-site mean lag strictly worse, the queue
-fully drained, and ``job_states`` rows exist only for notify-site jobs.
+succeeds, notify-site mean lag <= propagation + 0.1 s, notify-site poll
+rounds == 0, poll-site mean lag strictly worse, the queue fully
+drained, and ``job_states`` rows exist only for notify-site jobs.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ class NotifyResult:
         self.propagation = propagation
         self.n = n
         self.n_ok = n_ok
-        #: site -> jobs / lag_mean / lag_p95 / poller_batches /
-        #: notifications / capable.
+        #: site -> jobs / lag_mean / lag_p95 / polls / notifications /
+        #: capable.
         self.per_site = per_site
         self.published = published
         self.delivered = delivered
@@ -76,8 +75,8 @@ class NotifyResult:
         return self.per_site[POLL_SITE]["lag_mean"]
 
     @property
-    def notify_poller_batches(self) -> int:
-        return int(self.per_site[NOTIFY_SITE]["poller_batches"])
+    def notify_polls(self) -> int:
+        return int(self.per_site[NOTIFY_SITE]["polls"])
 
     @property
     def ok(self) -> bool:
@@ -85,9 +84,9 @@ class NotifyResult:
                 # Push detection: one propagation delay, nothing more.
                 and self.notify_lag_mean <= self.propagation + 0.1
                 # The push path performs zero tentative poll rounds.
-                and self.notify_poller_batches == 0
+                and self.notify_polls == 0
                 # The poll site actually polls, and pays for it in lag.
-                and self.per_site[POLL_SITE]["poller_batches"] > 0
+                and self.per_site[POLL_SITE]["polls"] > 0
                 and self.poll_lag_mean > self.notify_lag_mean
                 # Durable queue drained; lifecycle rows only where the
                 # capability exists.
@@ -107,7 +106,7 @@ class NotifyResult:
             lines.append(
                 f"{site:>6} {mode:>7} {int(row['jobs']):>5} "
                 f"{row['lag_mean']:>11.2f} {row['lag_p95']:>10.2f} "
-                f"{int(row['poller_batches']):>12} "
+                f"{int(row['polls']):>12} "
                 f"{int(row['notifications']):>7}")
         lines.append(
             f"queue: {self.published} published, {self.delivered} "
@@ -163,10 +162,10 @@ def run_notify(n: int = 12, seed: int = 0,
         if job_id in finished:
             site = job_id.split("-job-")[0]
             lags.setdefault(site, []).append(at - finished[job_id])
-    batches: Dict[str, int] = {}
-    for ev in telemetry.events(kind="poller.batch"):
-        site = ev.fields["name"]
-        batches[site] = batches.get(site, 0) + 1
+    polls: Dict[str, int] = {}
+    for ev in telemetry.events(kind="core.output_detected"):
+        site = ev.fields["site"]
+        polls[site] = polls.get(site, 0) + ev.fields["polls"]
 
     queue = stack.onserve.notify_queue
     per_site: Dict[str, Dict[str, float]] = {}
@@ -179,7 +178,7 @@ def run_notify(n: int = 12, seed: int = 0,
             "jobs": float(len(site_lags)),
             "lag_mean": sum(site_lags) / len(site_lags),
             "lag_p95": percentile(site_lags, 95.0),
-            "poller_batches": float(batches.get(site, 0)),
+            "polls": float(polls.get(site, 0)),
             "notifications": float(gatekeeper.notifications),
             "capable": queue.site_capable(site),
         }

@@ -33,7 +33,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 from repro.core.context import RequestContext
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
-from repro.scenarios.common import standard_env
+from repro.scenarios.common import percentile, standard_env
 from repro.simkernel.events import Event
 from repro.telemetry.events import bus
 from repro.units import KB, MB
@@ -158,14 +158,6 @@ def run_scaleout(replica_levels: Sequence[int] = (1, 2, 4, 8, 16),
                           clients, rounds, services, cold)
 
 
-def _p95(samples: List[float]) -> float:
-    # Rounded-index rank, not ``common.percentile``'s nearest rank: the
-    # two pick different samples and scaleout.txt commits this one's.
-    ordered = sorted(samples)
-    index = int(round(0.95 * (len(ordered) - 1)))
-    return ordered[min(index, len(ordered) - 1)]
-
-
 def _one_level(replicas: int, router_on: bool, clients: int, services: int,
                rounds: int, file_bytes: int, runtime: str,
                spill_threshold: int, seed: int) -> Dict[str, float]:
@@ -205,7 +197,7 @@ def _one_level(replicas: int, router_on: bool, clients: int, services: int,
         "elapsed": elapsed,
         "throughput": len(latencies) / elapsed,
         "mean": sum(latencies) / len(latencies),
-        "p95": _p95(latencies),
+        "p95": percentile(latencies, 95.0),
         "rebalances": float(stack.router.rebalances),
         "routed": float(stack.router.requests_routed),
         "materialized": float(

@@ -1,10 +1,10 @@
 """The completion ladder: every rung × every outcome through one tail.
 
 ``GridServiceRuntime._await_output`` picks one detector per site (status
-ablation → notify → PollMux → faithful tentative poll) and funnels all
-of them into one tail.  Each cell below runs the real runtime over a
-real deployment (real ``NotifyQueue``, real ``PollMux``, real watchdog
-helpers) against a scripted agent stub that decides the job's fate, and
+ablation → notify → faithful per-job tentative poll) and funnels all of
+them into one tail.  Each cell below runs the real runtime over a real
+deployment (real ``NotifyQueue``, real watchdog helpers) against a
+scripted agent stub that decides the job's fate, and
 checks what the tail promises: the exception type, ``report.polls``,
 the ``core.output_detected`` fields and exactly one final
 ``fetchOutput`` after a successful detection.
@@ -34,7 +34,6 @@ OUTPUT = b"42\n"
 RUNGS = {
     "status": dict(status_supported=True),
     "notify": dict(notify=True),
-    "mux": dict(datapath=True),
     "faithful": dict(),
 }
 
@@ -88,13 +87,6 @@ class ScriptedAgent:
     def outputReady(self, **_kw):
         return self._reply("outputReady", self.finished)
 
-    def pollOutputs(self, jobs, **_kw):
-        flag = "0"
-        if self.finished:
-            flag = "E" if self.outcome == "lost" else "1"
-        return self._reply("pollOutputs", ";".join(
-            f"{item.split('|')[0]}|{flag}|0" for item in jobs.split(";")))
-
 
 def run_cell(rung, outcome, inline=None):
     sim = Simulator(seed=0)
@@ -143,10 +135,6 @@ CELLS = {
     ("notify", "failed"): (JobError, True),
     ("notify", "lost"): (JobNotFound, True),
     ("notify", "timeout"): (WatchdogTimeout, False),
-    ("mux", "done"): (None, True),
-    ("mux", "failed"): (JobError, True),
-    ("mux", "lost"): (JobNotFound, True),
-    ("mux", "timeout"): (WatchdogTimeout, False),
     ("faithful", "done"): (None, True),
     ("faithful", "failed"): (JobError, True),
     ("faithful", "lost"): (JobNotFound, False),
@@ -170,8 +158,6 @@ def test_completion_ladder(rung, outcome):
         assert elapsed >= 60.0
         if rung == "notify":
             assert onserve.notify_queue._waiters == {}
-        if rung == "mux":
-            assert onserve.poll_mux(SITE).pending == 0
 
     if not reaches_tail:
         assert detected is None and report.polls == 0
@@ -179,18 +165,15 @@ def test_completion_ladder(rung, outcome):
         return
     fields = detected.fields
     assert fields["job_id"] == JOB_ID and fields["site"] == SITE
-    assert fields["batched"] == (rung == "mux")
     assert fields["pushed"] == (rung == "notify")
     assert report.polls == fields["polls"]
     if rung == "notify":
         assert fields["polls"] == 0
-        assert not {"jobStatus", "outputReady", "pollOutputs"} & set(agent.log)
-    elif rung in ("status", "faithful"):
+        assert not {"jobStatus", "outputReady"} & set(agent.log)
+    else:
         # Polls start every 9 s (+ the exchanges): the fourth is past 20 s.
         first_poll = "jobStatus" if rung == "status" else "outputReady"
         assert fields["polls"] == agent.log.count(first_poll) == 4
-    else:
-        assert fields["polls"] >= 1
 
     # After detection: exactly one final fetch — unless the detector
     # already knows the job did not end "done" (status/notify rungs).

@@ -1,4 +1,4 @@
-"""End-to-end datapath mode: batched polling + session reuse in situ."""
+"""End-to-end datapath mode: per-job polling over pooled channels."""
 
 import pytest
 
@@ -28,7 +28,7 @@ def upload(sim, tb, stack):
         params_spec="seconds:double"))
 
 
-def test_concurrent_invocations_share_batched_polls():
+def test_concurrent_invocations_poll_per_job_on_pooled_channels():
     sim, tb, stack = deploy(n_users=3)
     upload(sim, tb, stack)
     results = []
@@ -45,16 +45,12 @@ def test_concurrent_invocations_share_batched_polls():
     sim.run(until=sim.all_of([invoke(i) for i in range(3)]))
     assert results == ["slept\n"] * 3
     agent = stack.agent
-    # The polling ran through pollOutputs batches, not per-job loops...
-    assert agent.batch_polls > 0
-    counts = bus(sim).counts()
-    assert counts.get("poller.batch", 0) == agent.batch_polls
-    assert counts.get("poller.detect") == 3
-    assert counts.get("core.output_detected") == 3
-    # ...at least one of which actually multiplexed >1 job.
-    batch_sizes = [ev.fields["jobs"]
-                   for ev in bus(sim).events(kind="agent.poll_batch")]
-    assert max(batch_sizes) > 1
+    # No site pushes, so each job's own waiter polled it: one
+    # fetchOutput per poll plus the final fetch.
+    detected = bus(sim).events(kind="core.output_detected")
+    assert len(detected) == 3
+    polls = sum(ev.fields["polls"] for ev in detected)
+    assert polls >= 3 and agent.output_polls == polls + 3
     # Channel reuse: three stagings, one GridFTP handshake; three
     # submits, one GRAM handshake.
     channels = agent._channels._channels
@@ -71,8 +67,6 @@ def test_disabled_datapath_uses_per_job_polling():
         stack, stack.user_clients[0], "Sleeper%", seconds=3.0))
     assert out == "slept\n"
     counts = bus(sim).counts()
-    assert counts.get("poller.batch", 0) == 0
-    assert stack.agent.batch_polls == 0
     # The observational detection marker exists on the faithful path too.
     assert counts.get("core.output_detected") == 1
     # No channel objects were ever created by the disabled pool.
@@ -89,30 +83,6 @@ def test_datapath_reports_polls_and_records_invocation():
     assert report.ok
     assert report.polls >= 1
     assert report.job_id
-
-
-def test_poll_mux_is_per_site_and_lazy():
-    sim, tb, stack = deploy(n_users=1)
-    site = next(iter(tb.gatekeepers))
-    assert stack.onserve._poll_muxes == {}
-    mux = stack.onserve.poll_mux(site)
-    assert stack.onserve.poll_mux(site) is mux
-    assert mux.pending == 0
-
-
-def test_config_validation():
-    """The mux bounds are derived where the mux is built: the faithful
-    fixed interval is the cap, and the floor never exceeds it."""
-    from repro.grid.poller import PollMux
-
-    def bounds(**cfg_kw):
-        sim, tb, stack = deploy(n_users=1, **cfg_kw)
-        mux = stack.onserve.poll_mux(next(iter(tb.gatekeepers)))
-        return mux.min_interval, mux.max_interval
-
-    assert bounds() == (PollMux.MIN_INTERVAL, 9.0)
-    assert bounds(poll_interval=42.0) == (PollMux.MIN_INTERVAL, 42.0)
-    assert bounds(poll_interval=1.0) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("datapath", [False, True])

@@ -180,7 +180,7 @@ def test_fabric_wires_config_notify_for_every_replica():
     assert detected.fields["site"] == "ncsa"
     assert detected.fields["pushed"] and detected.fields["polls"] == 0
     counts = bus(sim).counts()
-    assert counts.get("poller.batch", 0) == 0
+    assert counts.get("agent.poll", 0) == 0
     assert counts.get("notify.deliver", 0) >= 1
 
 

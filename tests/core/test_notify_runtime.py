@@ -1,5 +1,6 @@
 """End-to-end push path: subscription detection, fallback, failover."""
 
+from repro.core.context import RequestContext
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig, deploy_onserve
 from repro.errors import OnServeError
@@ -39,8 +40,8 @@ def test_push_completion_runs_zero_poll_rounds():
         stack, stack.user_clients[0], "Sleeper%", seconds=5.0))
     assert out == "slept\n"
     counts = bus(sim).counts()
-    # Detection came by subscription: no batched or per-job polling.
-    assert counts.get("poller.batch", 0) == 0
+    # Detection came by subscription: no tentative poll at all.
+    assert counts.get("agent.poll", 0) == 0
     assert counts.get("notify.publish", 0) >= 2  # pending + done
     detected = bus(sim).first("core.output_detected")
     assert detected.fields["pushed"] and detected.fields["polls"] == 0
@@ -72,15 +73,23 @@ def test_job_states_table_tracks_the_lifecycle():
     assert states[0] in ("pending", "active") and states[-1] == "done"
 
 
-def test_incapable_site_falls_back_to_the_poll_mux():
+def test_incapable_site_falls_back_to_per_job_polling():
     sim, tb, stack = deploy(notify_sites=())  # queue attached, no sites
     upload(sim, tb, stack)
+    ctx = RequestContext.create(sim)
     out = sim.run(until=discover_and_invoke(
-        stack, stack.user_clients[0], "Sleeper%", seconds=5.0))
+        stack, stack.user_clients[0], "Sleeper%", seconds=5.0, ctx=ctx))
     assert out == "slept\n"
+    # The ladder stepped down to the paper's rung even with datapath on:
+    # this invocation's own waiter polled its job, one fetchOutput +
+    # outputReady round per poll, then fetched the final output.
+    detected = bus(sim).first("core.output_detected")
+    polls = detected.fields["polls"]
+    assert polls >= 1 and not detected.fields["pushed"]
+    names = [s.name for s in ctx.spans()]
+    assert names.count("agent:outputReady") == polls
+    assert names.count("gram:fetch-output") == polls + 1
     counts = bus(sim).counts()
-    # The ladder stepped down one rung: batched polling did the work.
-    assert counts.get("poller.batch", 0) > 0
     assert counts.get("notify.publish", 0) == 0
     queue = stack.onserve.notify_queue
     assert queue.published == 0

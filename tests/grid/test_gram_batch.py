@@ -1,4 +1,4 @@
-"""GRAM batch operations + status/cancel fault/trace parity."""
+"""GRAM status/cancel: fault and trace parity with submit."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.errors import SubmissionRefused
 from repro.faults import FaultSpec, fault_plane
 from repro.grid import build_testbed
 from repro.grid.rsl import JobDescription, generate_rsl
-from repro.telemetry.events import bus
 from repro.units import Mbps
 from repro.workloads import make_payload
 
@@ -52,70 +51,6 @@ def submit_sleepers(tb, chain, client, runtimes, site="ncsa"):
     return tb.sim.run(until=tb.sim.process(flow()))
 
 
-# ------------------------------------------------------------ batch ops
-
-def test_fetch_output_many_matches_individual_fetches():
-    tb = quick_testbed()
-    chain, client = logon(tb)
-    ids = submit_sleepers(tb, chain, client, [2.0, 3.0])
-    gram = tb.gatekeepers["ncsa"]
-
-    def flow():
-        yield tb.sim.timeout(30.0)  # both done
-        batch = yield gram.fetch_output_many(client, ids + ["job-lost"])
-        singles = {}
-        for job_id in ids:
-            singles[job_id] = (yield gram.fetch_output(client, job_id))
-        return batch, singles
-
-    batch, singles = tb.sim.run(until=tb.sim.process(flow()))
-    assert batch["job-lost"] is None
-    for job_id in ids:
-        assert batch[job_id] == singles[job_id]
-    assert bus(tb.sim).counts().get("gram.fetch_output_many") == 1
-
-
-def test_batch_control_bytes_amortize():
-    tb = quick_testbed()
-    chain, client = logon(tb)
-    ids = submit_sleepers(tb, chain, client, [1.0] * 8)
-    gram = tb.gatekeepers["ncsa"]
-
-    def measure(op_factory):
-        before_bytes = gram.control_bytes
-        before_cpu = gram.head_cpu_modeled
-        tb.sim.run(until=tb.sim.process(op_factory()))
-        return (gram.control_bytes - before_bytes,
-                gram.head_cpu_modeled - before_cpu)
-
-    def batched():
-        yield gram.fetch_output_many(client, ids)
-
-    def individual():
-        for job_id in ids:
-            yield gram.fetch_output(client, job_id)
-
-    batch_bytes, batch_cpu = measure(batched)
-    single_bytes, single_cpu = measure(individual)
-    # One envelope + marginal per-item bytes beats 8 full envelopes.
-    assert batch_bytes < single_bytes / 2
-    assert batch_cpu < single_cpu / 2
-    assert gram.exchanges >= 9  # 1 batch + 8 singles (plus submits)
-
-
-def test_empty_batch_is_free():
-    tb = quick_testbed()
-    chain, client = logon(tb)
-    gram = tb.gatekeepers["ncsa"]
-    before = (gram.control_bytes, gram.exchanges)
-
-    def flow():
-        return (yield gram.fetch_output_many(client, []))
-
-    assert tb.sim.run(until=tb.sim.process(flow())) == {}
-    assert (gram.control_bytes, gram.exchanges) == before
-
-
 # ----------------------------------------- status/cancel fault + traces
 
 def test_status_and_cancel_fail_during_outage():
@@ -132,10 +67,7 @@ def test_status_and_cancel_fail_during_outage():
     def cancel_flow():
         yield gram.cancel(client, ids[0])
 
-    def batch_flow():
-        yield gram.fetch_output_many(client, ids)
-
-    for flow in (status_flow, cancel_flow, batch_flow):
+    for flow in (status_flow, cancel_flow):
         with pytest.raises(SubmissionRefused, match="outage"):
             tb.sim.run(until=tb.sim.process(flow()))
 
