@@ -91,10 +91,6 @@ class FabricStack:
         self.self_healing = False
         self.heartbeat_interval = 5.0
         self._heartbeats: Dict[str, Process] = {}
-        self._unsubscribe_remediation = None
-        self._last_remediation = None
-        #: (ts, replica, action) remediation log.
-        self.remediations: List = []
 
     @property
     def replica_hosts(self) -> List[Host]:
@@ -139,7 +135,6 @@ class FabricStack:
                 proc.interrupt("stop")
         self._heartbeats.clear()
         self.router.stop_membership_watch()
-        self.disable_remediation()
         self.self_healing = False
 
     def _start_heartbeat(self, name: str) -> None:
@@ -224,55 +219,6 @@ class FabricStack:
                 self.store.drop_lease(name, onserve.config.grid_username)
 
         return self.sim.process(op(), name=f"fabric:drain:{name}")
-
-    # -- SLO-driven remediation ---------------------------------------------
-
-    def enable_remediation(self, tower, cooldown: float = 120.0) -> None:
-        """Drain-and-restart the hot replica when the SLO burns.
-
-        Subscribes to ``slo.burn``: when a burn alert fires and the
-        control tower's hot-shard detector has a currently-flagged
-        replica, that replica is drained (in-flight finishes, no loss)
-        and restarted — the simulated equivalent of recycling a sick
-        process.  One remediation per *cooldown* seconds, never against
-        the last live replica.  This is the one deliberately *active*
-        bus subscriber in the stack: it exists to close the loop from
-        observation to action, so it is opt-in and detachable.
-        """
-        if self._unsubscribe_remediation is not None:
-            return
-
-        def on_burn(event) -> None:
-            if not self.self_healing:
-                return
-            now = self.sim.now
-            if (self._last_remediation is not None
-                    and now - self._last_remediation < cooldown):
-                return
-            detector = getattr(tower, "detector", None)
-            target = detector.hot if detector is not None else None
-            if target is None or target not in self.router.replicas():
-                return
-            if len(self.router.replicas()) <= 1:
-                return
-            self._last_remediation = now
-            self.remediations.append((now, target, "drain_restart"))
-            bus(self.sim).emit("fabric.remediate", layer="core",
-                               replica=target, trigger="slo.burn")
-            self.sim.process(self._remediate(target),
-                             name=f"fabric:remediate:{target}")
-
-        self._unsubscribe_remediation = bus(self.sim).subscribe(
-            on_burn, kinds=("slo.burn",))
-
-    def disable_remediation(self) -> None:
-        if self._unsubscribe_remediation is not None:
-            self._unsubscribe_remediation()
-            self._unsubscribe_remediation = None
-
-    def _remediate(self, name: str) -> Generator[Event, None, None]:
-        yield self.drain_replica(name, reason="slo_burn")
-        self.restart_replica(name)
 
     def inquiry_endpoint(self) -> str:
         """Where clients reach the UDDI inquiry service: the router when
@@ -462,8 +408,8 @@ def deploy_fabric(testbed: Testbed,
             servers.append(soap_server)
 
         if config.notify:
-            # Push path: one durable notification queue over the DB
-            # tier, shared by every replica; each gatekeeper attached
+            # Push path: one notification queue over the DB tier,
+            # shared by every replica; each gatekeeper attached
             # with its site's capability (heterogeneous on purpose —
             # sites outside notify_sites keep the poll ladder).
             from repro.grid.notify import NotifyQueue

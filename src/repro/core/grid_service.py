@@ -870,7 +870,7 @@ class GridServiceRuntime:
                 timeout=cfg.watchdog_timeout)
         elif queue is not None and queue.site_capable(site):
             # Push path (the ladder's top rung): the site's gatekeeper
-            # publishes the terminal state onto the durable queue and
+            # publishes the terminal state onto the notify queue and
             # this waiter parks on the subscription — zero poller
             # exchanges, detection lag = one propagation delay.
             pushed = True

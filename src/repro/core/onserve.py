@@ -124,8 +124,9 @@ class OnServeConfig:
         #: per job either way.  Off by default: the goldens pin the
         #: pay-per-operation timeline.
         self.datapath = datapath
-        #: Push path: attach the durable notification queue and mark
-        #: the listed sites' gatekeepers capable ("*" means every site).
+        #: Push path: attach the notification queue and mark the listed
+        #: sites' gatekeepers capable ("*" means every site); each job
+        #: on a capable site pushes one message, its terminal state.
         #: Off by default: the goldens pin the poll-based timeline, and
         #: even when the queue is attached a site absent from
         #: ``notify_sites`` falls to the paper's per-job ``poll_until``.
@@ -244,7 +245,7 @@ class OnServe:
         #: keys include ``self.replica`` so two replicas sharing one
         #: DbManager can never alias each other's flights.
         self.flights = SingleFlight(self.sim, enabled=self.config.coalesce)
-        #: The durable job-state notification queue (push path), wired
+        #: The terminal job-state notification queue (push path), wired
         #: by ``deploy_fabric`` when ``config.notify`` is set — or
         #: attached externally (the golden guard attaches one with zero
         #: capable sites to prove it is byte-invisible).  The runtime

@@ -73,14 +73,12 @@ class GramGatekeeper:
         self.pooled_ops = 0
         #: job_id -> completion event (fires with the terminal job).
         self._completions: Dict[str, Event] = {}
-        #: Push path (ROADMAP item 1): the durable notification queue
-        #: this gatekeeper publishes job-state changes to, if its site
+        #: Push path (ROADMAP item 1): the notification queue this
+        #: gatekeeper publishes each job's terminal state to, if its site
         #: "supports" callbacks.  Heterogeneous on purpose: an attached
         #: queue with ``capable=False`` is never published to.
         self.notify_queue = None
         self.notify_capable = False
-        #: Unsubscribes the attached queue's ``sched.start`` mirror.
-        self._unmirror = None
         #: Notification accounting (plain counters, like the data-path
         #: ones): messages pushed and their modelled bytes (an inline
         #: output included).
@@ -102,56 +100,37 @@ class GramGatekeeper:
     # -- push notifications (ROADMAP item 1) ---------------------------------
 
     def attach_notify(self, queue, capable: bool = True) -> None:
-        """Wire this gatekeeper to the durable notification queue.
+        """Wire this gatekeeper to the notification queue.
 
         With ``capable=True`` the site registers in the queue's
-        capability set, every ``submit`` publishes the job's lifecycle
-        (submit-frame state, then the terminal state the moment it is
-        reached — same frame as the state change, PR 8's durability
-        discipline), and the scheduler's ``sched.start`` events are
-        mirrored into the ``job_states`` table (a row write only: bus
-        observers must stay pure).  With ``capable=False`` the queue is
-        merely referenced — nothing is ever published, recorded or
-        scheduled, which is what keeps an attached-but-incapable queue
-        byte-invisible to the goldens.  Attaching again *replaces*: the
-        previous queue's mirror is unsubscribed, so a detached queue
-        stops writing ``job_states`` rows.
+        capability set and every ``submit`` publishes the job's terminal
+        state the moment it is reached (same frame as the state change,
+        PR 8's durability discipline).  With ``capable=False`` the queue
+        is merely referenced — nothing is ever published or scheduled,
+        which is what keeps an attached-but-incapable queue
+        byte-invisible to the goldens.  Attaching again replaces the
+        queue later jobs publish to.
         """
-        if self._unmirror is not None:
-            self._unmirror()
-            self._unmirror = None
         self.notify_queue = queue
         self.notify_capable = capable
-        if not capable:
-            return
-        queue.attach_site(self.site.name)
-        prefix = f"{self.site.name}-job-"
-        self._unmirror = self._bus.subscribe(
-            lambda ev: queue.record_state(
-                self.site.name, ev.fields["job_id"], JobState.ACTIVE.value)
-            if ev.fields.get("job_id", "").startswith(prefix) else None,
-            kinds=["sched.start"])
+        if capable:
+            queue.attach_site(self.site.name)
 
-    def _push_state(self, job_id: str, state: str, terminal: bool,
-                    error: bool = False,
-                    output: Optional[bytes] = None) -> None:
-        """Publish one state change (and book its modelled bytes)."""
-        self.notifications += 1
-        self.notify_bytes += self.NOTIFY_BYTES + len(output or b"")
-        self.notify_queue.publish(self.site.name, job_id, state,
-                                  terminal=terminal, error=error,
-                                  output=output)
-
-    def _push_terminal(self, job: GridJob) -> None:
-        """Publish *job*'s terminal state.  A ``done`` job's output rides
-        on the message when it fits :attr:`INLINE_OUTPUT_BYTES`: the job
-        manager holds the stdout it just wrote, so the subscriber needs
-        no ``fetch_output`` exchange."""
+    def _push(self, job: GridJob, lost: bool = False) -> None:
+        """Publish *job*'s terminal state — ``lost``, an error, when the
+        LRM forgot it — and book its modelled bytes.  A ``done`` job's
+        output rides on the message when it fits
+        :attr:`INLINE_OUTPUT_BYTES`: the job manager holds the stdout it
+        just wrote, so the subscriber needs no ``fetch_output``
+        exchange."""
         output = job.output if (
             job.state is JobState.DONE
             and len(job.output) <= self.INLINE_OUTPUT_BYTES) else None
-        self._push_state(job.job_id, job.state.value, terminal=True,
-                         output=output)
+        self.notifications += 1
+        self.notify_bytes += self.NOTIFY_BYTES + len(output or b"")
+        self.notify_queue.publish(
+            self.site.name, job.job_id, "lost" if lost else job.state.value,
+            error=lost, output=output)
 
     # -- operations (all simulation processes) ------------------------------
 
@@ -212,21 +191,15 @@ class GramGatekeeper:
                     # subscribers fail over as fast as they complete.
                     self.site.drop_job(job.job_id)
                     if self.notify_capable:
-                        self._push_state(job.job_id, "lost",
-                                         terminal=True, error=True)
+                        self._push(job, lost=True)
                     self.submissions += 1
                     yield self.host.send(client, 512, label="gram-handle")
                     return job.job_id
                 done = self.site.run_job(job)
                 self._completions[job.job_id] = done
                 if self.notify_capable:
-                    if not job.is_terminal:
-                        # Same frame as the submission's state change.
-                        self._push_state(job.job_id, job.state.value,
-                                         terminal=False)
                     done.add_callback(
-                        lambda ev: self._push_terminal(ev._value)
-                        if ev._ok else None)
+                        lambda ev: self._push(ev._value) if ev._ok else None)
                 self.submissions += 1
                 self._bus.emit("gram.submit", layer="grid",
                                request_id=rid, site=self.site.name,

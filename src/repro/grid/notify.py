@@ -1,23 +1,21 @@
-"""NotifyQueue: the durable job-state event pipeline (push path).
+"""NotifyQueue: the job-state push path.
 
 ROADMAP item 1 — kill the poll loop.  The faithful §VIII.B story is
 that job status "can't be retrieved" through the agent, so completion
 detection is tentative polling.  This module models the fix the
 modern stacks apply (cloudify-manager's amqp-postgres pipeline,
-diracx-tasks): the gatekeeper *pushes* job-state-change events onto a
-durable in-sim message queue, and a ``job_states`` table in the DB
-tier becomes the source of truth for where every job is in its
-lifecycle.
+diracx-tasks): the gatekeeper *pushes* each job's terminal state to the
+appliance, and a ``job_states`` table in the DB tier holds it durably.
 
-Durability discipline (PR 8's dedup rule): the ``job_states`` row and
-the ``notify_queue`` row are written **in the same frame** as the state
-change itself, as one transaction — one WAL frame, both rows or
-neither — so a crash between "the job finished" and "the row says so"
-cannot exist, and replaying a subscriber against the table after a
-crash observes exactly what the live delivery would have shown.
-Delivery then takes one propagation delay of simulated time (the
-event's trip from the gatekeeper to the appliance), which is the whole
-detection lag of the push path.
+One row and one message per job.  Durability discipline (PR 8's dedup
+rule): the ``job_states`` row is written **in the same frame** as the
+state change itself — one upsert, one WAL frame — so a crash between
+"the job finished" and "the row says so" cannot exist, and a subscriber
+replaying against the table after a crash observes exactly what the
+live delivery would have shown.  Delivery then takes one propagation
+delay of simulated time (the message's trip from the gatekeeper to the
+appliance), which is the whole detection lag of the push path, and
+writes nothing.
 
 Capability is **per site** and heterogeneous: only gatekeepers
 explicitly attached as capable publish here (TeraGrid realism — not
@@ -26,11 +24,7 @@ not push falls back to the paper's per-job ``poll_until``.
 
 Determinism contract (the golden guard proves it): a constructed queue
 with *no* capable site never publishes, never schedules, and leaves
-both tables empty — attaching it to a faithful run is byte-invisible.
-Row writes are pure bookkeeping (no simulated cost; the same rule
-``ServiceStateStore`` follows), so recording an intermediate state
-from a telemetry-bus observer frame is legal; only ``publish`` — which
-schedules the delivery timeout — needs a real process frame.
+``job_states`` empty — attaching it to a faithful run is byte-invisible.
 """
 
 from __future__ import annotations
@@ -38,52 +32,39 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.db.engine import Database
-from repro.db.sql import execute_sql
 from repro.db.table import Column
 from repro.simkernel.events import Event
 from repro.simkernel.kernel import Simulator
 from repro.telemetry.events import bus
 from repro.telemetry.gauges import gauges
 
-__all__ = ["NotifyQueue", "JOB_STATES_TABLE", "NOTIFY_QUEUE_TABLE"]
+__all__ = ["NotifyQueue", "JOB_STATES_TABLE"]
 
 JOB_STATES_TABLE = "job_states"
-NOTIFY_QUEUE_TABLE = "notify_queue"
 
 _JOB_STATES_SCHEMA = [
     Column("job_id", "TEXT", primary_key=True),
     Column("site", "TEXT", nullable=False),
     Column("state", "TEXT", nullable=False),
     Column("updated_at", "REAL", nullable=False),
-    Column("terminal", "INT", nullable=False),
-]
-
-_QUEUE_SCHEMA = [
-    Column("seq", "INT", primary_key=True),
-    Column("site", "TEXT", nullable=False),
-    Column("job_id", "TEXT", nullable=False),
-    Column("state", "TEXT", nullable=False),
-    Column("terminal", "INT", nullable=False),
-    Column("error", "INT", nullable=False),
-    Column("published_at", "REAL", nullable=False),
-    Column("delivered_at", "REAL"),
 ]
 
 
 class NotifyQueue:
-    """Durable job-state-change queue between GRAM and the appliance.
+    """Terminal job-state notifications between GRAM and the appliance.
 
-    ``publish`` appends a message and upserts the job's ``job_states``
-    row as one unit in the caller's frame, then delivers it one
-    *propagation* delay later; a terminal delivery fires every
-    subscribed waiter with the message payload.  ``subscribe`` consults the table first: a
-    subscriber arriving after the terminal row exists (crash replay,
-    slow middleware) completes immediately from durable state instead
-    of waiting for a delivery that already happened.
+    ``publish`` writes the job's ``job_states`` row in the caller's
+    frame, then delivers the message one *propagation* delay later,
+    firing every subscribed waiter with its payload.  Only terminal
+    states are published, so a row that exists is terminal:
+    ``subscribe`` consults the table first, and a subscriber arriving
+    after the row exists (crash replay, slow middleware) completes
+    immediately from durable state instead of waiting for a delivery
+    that already happened.
 
     A message may carry the job's *output* (a small one, on a ``done``
-    job's terminal message).  It travels with the delivery only: neither
-    table stores it, so a replayed subscription's payload has
+    job's message).  It travels with the delivery only: the table does
+    not store it, so a replayed subscription's payload has
     ``output=None`` and its subscriber fetches the output as before.
     """
 
@@ -100,7 +81,7 @@ class NotifyQueue:
         self.propagation = propagation
         #: Sites whose gatekeeper publishes here (capability registry).
         self._capable: set = set()
-        #: job_id -> waiter events parked until the terminal delivery.
+        #: job_id -> waiter events parked until the delivery.
         self._waiters: Dict[str, List[Event]] = {}
         self.published = 0
         self.delivered = 0
@@ -111,12 +92,6 @@ class NotifyQueue:
                                               unit="msgs")
         if JOB_STATES_TABLE not in db.tables:
             db.create_table(JOB_STATES_TABLE, _JOB_STATES_SCHEMA)
-        if NOTIFY_QUEUE_TABLE not in db.tables:
-            db.create_table(NOTIFY_QUEUE_TABLE, _QUEUE_SCHEMA)
-            db.create_index(NOTIFY_QUEUE_TABLE, "job_id", "hash")
-        # Resume numbering past recovered history (``seq`` is the key).
-        row = execute_sql(db, f"SELECT MAX(seq) FROM {NOTIFY_QUEUE_TABLE}")[0]
-        self._seq = row["max(seq)"] or 0
 
     # -- capability registry --------------------------------------------------
 
@@ -132,16 +107,6 @@ class NotifyQueue:
         return sorted(self._capable)
 
     # -- durable state --------------------------------------------------------
-
-    def record_state(self, site: str, job_id: str, state: str,
-                     terminal: bool = False) -> None:
-        """Upsert the ``job_states`` row (same frame, pure bookkeeping).
-
-        Safe from any frame — including telemetry-bus observer
-        callbacks — because it creates no simulation events.
-        """
-        self.db.upsert(JOB_STATES_TABLE, [
-            job_id, site, state, self.sim.now, 1 if terminal else 0])
 
     def job_state(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The durable ``job_states`` row for *job_id* (or ``None``)."""
@@ -159,52 +124,37 @@ class NotifyQueue:
     # -- publish / deliver ----------------------------------------------------
 
     def publish(self, site: str, job_id: str, state: str,
-                terminal: bool = False, error: bool = False,
-                output: Optional[bytes] = None) -> int:
-        """Append one state-change message; returns its sequence number.
+                error: bool = False, output: Optional[bytes] = None) -> int:
+        """Publish *job_id*'s terminal *state*; returns its sequence number.
 
-        The durable rows (state table + queue) are written in the
-        calling frame; delivery to subscribers happens one propagation
-        delay later.  Must run from a frame that may create simulation
-        events (it schedules the delivery timeout).
+        The ``job_states`` row is written in the calling frame; delivery
+        to subscribers happens one propagation delay later.  Must run
+        from a frame that may create simulation events (it schedules the
+        delivery timeout).
         """
-        seq = self._seq + 1
-        with self.db.transaction():  # one unit: both rows or neither
-            self.record_state(site, job_id, state, terminal)
-            self.db.insert(NOTIFY_QUEUE_TABLE, [
-                seq, site, job_id, state, 1 if terminal else 0,
-                1 if error else 0, self.sim.now, None])
-        self._seq = seq
+        self.db.upsert(JOB_STATES_TABLE, [job_id, site, state, self.sim.now])
         self.published += 1
+        seq = self.published
         self._depth_gauge.adjust(+1)
         self._bus.emit("notify.publish", layer="grid", site=site,
-                       job_id=job_id, state=state, seq=seq,
-                       terminal=terminal)
-        message = {"seq": seq, "site": site, "job_id": job_id,
-                   "state": state, "terminal": terminal, "error": error,
+                       job_id=job_id, state=state, seq=seq)
+        payload = {"state": state, "error": error,
                    "published_at": self.sim.now, "output": output}
         trip = self.sim.timeout(self.propagation,
                                 name=f"notify-deliver:{seq}")
-        trip.add_callback(lambda ev: self._deliver(message))
+        trip.add_callback(
+            lambda ev: self._deliver(seq, site, job_id, payload))
         return seq
 
-    def _deliver(self, message: Dict[str, Any]) -> None:
-        seq = message["seq"]
-        self.db.update_eq(NOTIFY_QUEUE_TABLE, "seq", seq,
-                          {"delivered_at": self.sim.now})
+    def _deliver(self, seq: int, site: str, job_id: str,
+                 payload: Dict[str, Any]) -> None:
         self.delivered += 1
         self._depth_gauge.adjust(-1)
-        self._bus.emit("notify.deliver", layer="grid",
-                       site=message["site"], job_id=message["job_id"],
-                       state=message["state"], seq=seq,
-                       lag=self.sim.now - message["published_at"])
-        if not message["terminal"]:
-            return
-        payload = {"state": message["state"], "error": message["error"],
-                   "published_at": message["published_at"],
-                   "delivered_at": self.sim.now,
-                   "output": message["output"]}
-        for waiter in self._waiters.pop(message["job_id"], []):
+        payload["delivered_at"] = self.sim.now
+        self._bus.emit("notify.deliver", layer="grid", site=site,
+                       job_id=job_id, state=payload["state"], seq=seq,
+                       lag=self.sim.now - payload["published_at"])
+        for waiter in self._waiters.pop(job_id, []):
             waiter.succeed(payload)
 
     # -- subscribe ------------------------------------------------------------
@@ -212,14 +162,14 @@ class NotifyQueue:
     def subscribe(self, site: str, job_id: str) -> Event:
         """An event that fires with the terminal payload for *job_id*.
 
-        If the durable table already holds a terminal row — the
+        If the durable table already holds the job's row — the
         subscriber arrived after the fact (crash replay) — the event
         completes immediately from that row; otherwise it parks until
-        the terminal delivery.
+        the delivery.
         """
         waiter = self.sim.event(f"notify:{job_id}")
         row = self.job_state(job_id)
-        if row is not None and row["terminal"]:
+        if row is not None:
             self.replayed += 1
             self._bus.emit("notify.replay", layer="grid", site=site,
                            job_id=job_id, state=row["state"])

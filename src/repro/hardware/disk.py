@@ -98,10 +98,5 @@ class Disk:
         """Cumulative bytes written (including in-flight partial progress)."""
         return self._server.cumulative("write")
 
-    @property
-    def active_operations(self) -> int:
-        """Number of operations currently moving data."""
-        return self._server.active_flows
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<Disk {self.name!r} bw={self.bandwidth:.0f}B/s>"

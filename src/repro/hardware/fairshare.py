@@ -168,13 +168,6 @@ class FairShareServer:
         self._settle()
         return self._work_integral
 
-    def utilization_since(self, t0: float, integral_at_t0: float) -> float:
-        """Mean utilization in [t0, now] given the integral sampled at t0."""
-        dt = self.sim.now - t0
-        if dt <= 0:
-            return 0.0
-        return (self.work_integral() - integral_at_t0) / (self.capacity * dt)
-
     # -- internals ------------------------------------------------------------
 
     def _settle(self, force_finish: frozenset[int] = frozenset()) -> None:

@@ -1,8 +1,8 @@
 """Mixed notify/poll testbed: the event-driven job lifecycle ablation.
 
 ROADMAP item 1 made flesh: a two-site testbed where one site's
-gatekeeper supports push notifications (state changes ride the durable
-:class:`~repro.grid.notify.NotifyQueue`) and the other "doesn't" —
+gatekeeper supports push notifications (each job's terminal state rides
+the :class:`~repro.grid.notify.NotifyQueue`) and the other "doesn't" —
 TeraGrid heterogeneity — so every invocation lands on one rung of the
 fallback ladder, notify or the paper's per-job ``poll_until``, purely
 by site capability.  Round-robin site selection splits N concurrent
@@ -18,8 +18,8 @@ Per site the harness reports:
 * **poll rounds** — the per-job tentative polls ``core.output_detected``
   counts on the site.  0 on the notify site (the push path performs no
   tentative polls at all).
-* **notifications** — messages the site's gatekeeper published, all of
-  which must also be delivered (the queue drains to depth 0).
+* **notifications** — messages the site's gatekeeper published, one per
+  job, all of which must also be delivered (the queue drains to depth 0).
 
 The acceptance bar (``NotifyResult.ok``, CI's gate): every invocation
 succeeds, notify-site mean lag <= propagation + 0.1 s, notify-site poll
@@ -88,7 +88,7 @@ class NotifyResult:
                 # The poll site actually polls, and pays for it in lag.
                 and self.per_site[POLL_SITE]["polls"] > 0
                 and self.poll_lag_mean > self.notify_lag_mean
-                # Durable queue drained; lifecycle rows only where the
+                # Queue drained; job_states rows only where the
                 # capability exists.
                 and self.depth == 0 and self.delivered == self.published
                 and self.state_rows.get(NOTIFY_SITE, 0) > 0

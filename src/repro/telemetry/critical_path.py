@@ -190,8 +190,8 @@ def _split_polling_idle(attribution: Attribution, idle: List[Interval],
             run_iv = (start.ts, finish.ts if finish is not None
                       else float("inf"))
         if finish is not None:
-            # The first delivery at or after the finish is the terminal
-            # one (earlier deliveries carried pre-terminal states).
+            # A job has exactly one delivery, its terminal state, and
+            # it never precedes the finish.
             arrivals = [ev.ts for ev in bus.events("notify.deliver")
                         if ev.fields.get("job_id") == job_id
                         and ev.ts >= finish.ts]

@@ -179,9 +179,6 @@ class MetricsRegistry:
     def total_calls(self) -> int:
         return sum(m.calls for m in self._ops.values())
 
-    def total_faults(self) -> int:
-        return sum(m.faults for m in self._ops.values())
-
     def table(self) -> str:
         """An aligned text table of every operation's headline numbers."""
         rows = [("service.operation", "calls", "faults", "mean_s", "max_s")]

@@ -28,7 +28,6 @@ from repro.core.context import RequestContext
 from repro.errors import ServiceNotFound, SoapFault, WsError
 from repro.hardware.host import Host
 from repro.simkernel.events import Event
-from repro.simkernel.process import Process
 from repro.telemetry.metrics import MetricsRegistry
 from repro.units import KB
 from repro.ws.pipeline import (
@@ -240,20 +239,6 @@ class SoapServer:
             self.endpoint_for(service_name))
 
     # -- invocation ---------------------------------------------------------------
-
-    def invoke_from(self, client: Host, service_name: str, operation: str,
-                    params: Dict[str, Any],
-                    ctx: Optional[RequestContext] = None) -> Process:
-        """Invoke ``service.operation(params)`` from *client*.
-
-        Returns a simulation process whose value is the operation's
-        return value; SOAP faults raise :class:`SoapFault` in the caller.
-        (:class:`~repro.ws.client.WsClient` wraps :meth:`transport` in
-        its own pipeline instead, so client-side interceptors run too.)
-        """
-        return self.sim.process(
-            self.transport(client, service_name, operation, params, ctx),
-            name=f"invoke:{service_name}.{operation}")
 
     def transport(self, client: Host, service_name: str, operation: str,
                   params: Dict[str, Any],

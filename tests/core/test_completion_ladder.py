@@ -105,7 +105,7 @@ def run_cell(rung, outcome, inline=None):
     def publisher():
         # What a notify-capable gatekeeper does when the job ends.
         yield sim.timeout(JOB_SECONDS)
-        onserve.notify_queue.publish(SITE, JOB_ID, outcome, terminal=True,
+        onserve.notify_queue.publish(SITE, JOB_ID, outcome,
                                      error=outcome == "lost", output=inline)
 
     if rung == "notify" and outcome != "timeout":

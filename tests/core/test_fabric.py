@@ -298,58 +298,3 @@ def test_one_invalidation_per_cache_per_change_whatever_the_replica_count(
     sim.run(until=stack.onserves[5].undeploy_service("RouteService"))
     assert_each_cache_invalidated_once()
 
-
-def test_remediation_drains_and_restarts_the_hot_replica():
-    from types import SimpleNamespace
-    from repro.telemetry.events import bus
-    sim = Simulator(seed=0)
-    testbed = build_testbed(sim=sim, n_users=1)
-    stack = sim.run(until=deploy_fabric(testbed, OnServeConfig(),
-                                        replicas=3, self_healing=True,
-                                        lease_ttl=12.0,
-                                        lease_check_interval=3.0))
-    hot = [n for n in stack.router.replicas()
-           if n != stack.onserves[0].replica][0]
-    tower = SimpleNamespace(detector=SimpleNamespace(hot=hot))
-    stack.enable_remediation(tower, cooldown=60.0)
-    bus(sim).emit("slo.burn", layer="telemetry", slo="availability")
-    bus(sim).emit("slo.burn", layer="telemetry", slo="availability")
-    sim.run(until=sim.timeout(5.0))
-    # One remediation despite two burn alerts (cooldown), and the hot
-    # replica came back: drained out of the ring, then restarted in.
-    assert [(name, action) for _, name, action
-            in stack.remediations] == [(hot, "drain_restart")]
-    assert hot in stack.router.replicas()
-    reasons = [str(ev.get("reason", ""))
-               for ev in bus(sim).events("router.rebalance")
-               if ev.get("replica") == hot]
-    assert "drain:slo_burn" in reasons and "revive" in reasons
-    assert bus(sim).first("fabric.remediate") is not None
-    # Detached, further burns do nothing.
-    stack.disable_remediation()
-    sim.run(until=sim.timeout(120.0))
-    bus(sim).emit("slo.burn", layer="telemetry", slo="availability")
-    sim.run(until=sim.timeout(5.0))
-    assert len(stack.remediations) == 1
-    stack.stop_self_healing()
-
-
-def test_remediation_never_recycles_the_last_replica():
-    from types import SimpleNamespace
-    from repro.telemetry.events import bus
-    sim = Simulator(seed=0)
-    testbed = build_testbed(sim=sim, n_users=1)
-    stack = sim.run(until=deploy_fabric(testbed, OnServeConfig(),
-                                        replicas=2, self_healing=True))
-    survivor, other = stack.router.replicas()[0], \
-        stack.router.replicas()[1]
-    stack.crash_replica(other)
-    sim.run(until=sim.timeout(30.0))   # watchdog buries the crash
-    assert stack.router.replicas() == [survivor]
-    tower = SimpleNamespace(detector=SimpleNamespace(hot=survivor))
-    stack.enable_remediation(tower, cooldown=1.0)
-    bus(sim).emit("slo.burn", layer="telemetry", slo="availability")
-    sim.run(until=sim.timeout(5.0))
-    assert stack.remediations == []
-    assert stack.router.replicas() == [survivor]
-    stack.stop_self_healing()

@@ -4,7 +4,7 @@ A notify-capable gatekeeper puts a ``done`` job's output on the terminal
 notification when it fits ``GramGatekeeper.INLINE_OUTPUT_BYTES``; the
 runtime then skips its final ``fetchOutput``.  Every other terminal
 message carries none and the runtime fetches exactly as before: a
-replayed subscription (the tables never store the output), an output
+replayed subscription (the table never stores the output), an output
 over the cap, a failed or a lost job.
 """
 
@@ -21,7 +21,7 @@ from repro.db.engine import Database
 from repro.faults import FaultSpec
 from repro.grid import build_testbed
 from repro.grid.gram import GramGatekeeper
-from repro.grid.notify import NOTIFY_QUEUE_TABLE, NotifyQueue
+from repro.grid.notify import JOB_STATES_TABLE, NotifyQueue
 from repro.grid.rsl import JobDescription, generate_rsl
 from repro.simkernel import Simulator
 from repro.telemetry.events import bus
@@ -57,7 +57,7 @@ def invoke(token, **cfg_kw):
         "notify_bytes": gram.notify_bytes,
         "notifications": gram.notifications,
         "wal_appends": counts.get("wal.append", 0),
-        "queue_rows": stack.dbmanager.db.select(NOTIFY_QUEUE_TABLE,
+        "state_rows": stack.dbmanager.db.select(JOB_STATES_TABLE,
                                                 lambda r: True),
     }
 
@@ -76,9 +76,10 @@ def test_done_output_rides_the_push_up_to_the_cap(size, inline):
     assert seen["notify_bytes"] == (
         seen["notifications"] * GramGatekeeper.NOTIFY_BYTES
         + (size if inline else 0))
-    # Neither table stores it.
-    assert seen["queue_rows"] and all(
-        "output" not in row for row in seen["queue_rows"])
+    # One push per job, and the table does not store it.
+    assert seen["notifications"] == 1
+    assert seen["state_rows"] and all(
+        "output" not in row for row in seen["state_rows"])
 
 
 def test_inline_output_writes_no_extra_wal_frames():
@@ -87,7 +88,7 @@ def test_inline_output_writes_no_extra_wal_frames():
         _out, fetched = invoke("abc")
     assert (inline["fetches"], fetched["fetches"]) == (0, 1)
     assert inline["wal_appends"] == fetched["wal_appends"]
-    assert len(inline["queue_rows"]) == len(fetched["queue_rows"])
+    assert inline["state_rows"] == fetched["state_rows"]
 
 
 _TOKENS = st.text(alphabet=string.ascii_letters + string.digits + "-_.:",
@@ -182,7 +183,7 @@ def test_a_replayed_subscription_carries_no_output():
     payload, queue, job_id, _gram, tb = _push()
     assert payload["output"] == b"hi\n"
     row = queue.job_state(job_id)
-    assert row["terminal"] and "output" not in row
+    assert row["state"] == "done" and "output" not in row
     replay = tb.sim.run(until=queue.subscribe("ncsa", job_id))
     assert replay["state"] == "done" and replay["output"] is None
     assert queue.replayed == 1

@@ -1,5 +1,7 @@
 """End-to-end push path: subscription detection, fallback, failover."""
 
+from unittest import mock
+
 from repro.core.context import RequestContext
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig, deploy_onserve
@@ -8,7 +10,7 @@ from repro.faults import FaultSpec
 from repro.grid import build_testbed
 from repro.grid.notify import JOB_STATES_TABLE
 from repro.simkernel import Simulator
-from repro.telemetry.events import bus
+from repro.telemetry.events import EventBus, bus
 from repro.units import KB, Mbps
 from repro.workloads import make_payload
 
@@ -42,7 +44,7 @@ def test_push_completion_runs_zero_poll_rounds():
     counts = bus(sim).counts()
     # Detection came by subscription: no tentative poll at all.
     assert counts.get("agent.poll", 0) == 0
-    assert counts.get("notify.publish", 0) >= 2  # pending + done
+    assert counts.get("notify.publish", 0) == 1  # the terminal state
     detected = bus(sim).first("core.output_detected")
     assert detected.fields["pushed"] and detected.fields["polls"] == 0
     runtime = next(iter(stack.onserve.runtimes.values()))
@@ -55,22 +57,35 @@ def test_push_completion_runs_zero_poll_rounds():
     assert lag == pytest.approx(stack.onserve.config.notify_propagation)
 
 
-def test_job_states_table_tracks_the_lifecycle():
-    sim, tb, stack = deploy()
-    upload(sim, tb, stack)
-    sim.run(until=discover_and_invoke(
-        stack, stack.user_clients[0], "Sleeper%", seconds=3.0))
+def test_a_notify_job_writes_one_state_frame_and_mirrors_nothing():
+    """After ``attach_notify`` a notify-path invocation subscribes
+    nothing to ``sched.start``, publishes one message and logs one
+    ``job_states`` frame: the terminal state, inserted once."""
+    subscribed = []
+    real = EventBus.subscribe
+
+    def spy(self, callback, kinds=None):
+        subscribed.extend(kinds or ["*"])
+        return real(self, callback, kinds)
+
+    with mock.patch.object(EventBus, "subscribe", spy):
+        sim, tb, stack = deploy()  # attaches every gatekeeper
+        upload(sim, tb, stack)
+        frames = []
+        stack.dbmanager.db.wal.taps.append(frames.append)
+        out = sim.run(until=discover_and_invoke(
+            stack, stack.user_clients[0], "Sleeper%", seconds=3.0))
+    assert out == "slept\n"
+    assert "sched.start" not in subscribed
+    state_frames = [[dml for dml in f[2] if dml[1] == JOB_STATES_TABLE]
+                    for f in frames]
+    assert [(dml[0], dml[3][2]) for dml in sum(state_frames, [])] \
+        == [("insert", "done")]
+    assert sum(1 for writes in state_frames if writes) == 1
     queue = stack.onserve.notify_queue
-    rows = queue.db.select(JOB_STATES_TABLE, lambda r: True)
-    assert len(rows) == 1  # upsert: one row per job, latest state
-    assert rows[0]["state"] == "done" and rows[0]["terminal"]
-    assert queue.depth == 0 and queue.delivered == queue.published
-    # An intermediate state was pushed at submit (already "active" when
-    # free cores start the job in the same frame) and the terminal one
-    # closed the lifecycle.
-    states = [ev.fields["state"]
-              for ev in bus(sim).events(kind="notify.publish")]
-    assert states[0] in ("pending", "active") and states[-1] == "done"
+    assert [r["state"] for r in queue.db.select(JOB_STATES_TABLE,
+                                                lambda r: True)] == ["done"]
+    assert queue.depth == 0 and queue.delivered == queue.published == 1
 
 
 def test_incapable_site_falls_back_to_per_job_polling():
@@ -117,7 +132,7 @@ def test_mixed_capability_splits_by_site():
     pushed = {ev.fields["job_id"].split("-job-")[0]: ev.fields["pushed"]
               for ev in bus(sim).events(kind="core.output_detected")}
     assert pushed == {"ncsa": True, "sdsc": False}
-    # Lifecycle rows exist only where the capability does.
+    # job_states rows exist only where the capability does.
     queue = stack.onserve.notify_queue
     sites = {r["site"]
              for r in queue.db.select(JOB_STATES_TABLE, lambda r: True)}

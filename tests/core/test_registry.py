@@ -235,10 +235,8 @@ def _per_job_costs(n_jobs):
     db.wal.taps.append(frames.append)
     for j in range(n_jobs):
         job, replica = f"job-{j}", f"appliance{j % 4:02d}"
-        queue.publish("ncsa", job, "pending")
-        queue.record_state("ncsa", job, "active")
-        queue.publish("ncsa", job, "done", terminal=True)
-        sim.run(until=sim.timeout(1.0))             # both deliveries land
+        queue.publish("ncsa", job, "done")
+        sim.run(until=sim.timeout(1.0))             # the delivery lands
         assert queue.job_state(job)["state"] == "done"
         assert queue.subscribe("ncsa", job).value["state"] == "done"
         store.put_lease(replica, "grid", f"session-{j}", sim.now + 60.0)
@@ -250,7 +248,7 @@ def _per_job_costs(n_jobs):
                                   sim.now)
         assert store.dedup_result(f"req-{j}|Hello.execute") == "out"
         assert store.bump_invocations("HelloService") == j + 1
-    assert queue.delivered == 2 * n_jobs and db.count("job_states") == n_jobs
+    assert queue.delivered == n_jobs and db.count("job_states") == n_jobs
     written = Counter("+".join(sorted({dml[1] for dml in frame[2]}))
                       for frame in frames)
     return (db.stats["rows_scanned"] / n_jobs,
@@ -271,9 +269,7 @@ def test_per_job_frame_budget_is_one_frame_per_state_transition():
     # write split back into delete + insert, or a unit into its
     # statements, shows here as a count.
     budget = {
-        "job_states+notify_queue": 2,   # publish pending, publish done
-        "job_states": 1,                # record_state("active")
-        "notify_queue": 2,              # the two deliveries
+        "job_states": 1,                # publish done (delivery: none)
         "replica_members": 1,           # renew_member
         "staged_copies": 1,             # mark_staged
         "invocation_dedup": 1,          # record_dedup
@@ -283,7 +279,7 @@ def test_per_job_frame_budget_is_one_frame_per_state_transition():
     for n_jobs in (25, 100):
         _, frames = _per_job_costs(n_jobs)
         assert frames == budget
-        assert sum(frames.values()) - frames["agent_leases"] <= 9
+        assert sum(frames.values()) - frames["agent_leases"] <= 5
 
 
 def test_upsert_sites_update_in_place():

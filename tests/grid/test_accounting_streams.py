@@ -1,13 +1,10 @@
-"""Tests for grid accounting and GridFTP parallel streams."""
+"""Tests for GridFTP parallel streams and time-series percentiles."""
 
 import pytest
 
-from repro.errors import GridError, TransferError
-from repro.grid import JobDescription, build_testbed
-from repro.grid.accounting import AccountingService
-from repro.grid.rsl import generate_rsl
-from repro.simkernel import Simulator
-from repro.units import KB, KBps, MB, Mbps
+from repro.errors import TransferError
+from repro.grid import build_testbed
+from repro.units import KB, KBps, Mbps
 from repro.workloads import make_payload
 
 
@@ -29,90 +26,6 @@ def logon(tb, username="ada"):
         return [proxy, ee]
 
     return tb.sim.run(until=tb.sim.process(flow())), client
-
-
-def run_job(tb, chain, client, site="ncsa", runtime=10.0, cores=2,
-            name="/exe", walltime=3600):
-    payload = make_payload("fixed", size=1024, runtime=str(runtime))
-    rsl = generate_rsl(JobDescription(executable=name, count=cores,
-                                      max_wall_time=walltime))
-
-    def flow():
-        yield tb.ftp(site).put(client, chain, name, payload)
-        job_id = yield tb.gram(site).submit(client, chain, rsl)
-        job = yield tb.gram(site).completion_event(job_id)
-        return job
-
-    return tb.sim.run(until=tb.sim.process(flow()))
-
-
-# ---------------------------------------------------------------- accounting
-
-def test_accounting_records_completed_jobs():
-    tb = quick_testbed()
-    acct = AccountingService()
-    for site in tb.sites:
-        acct.attach(site)
-    chain, client = logon(tb)
-    job = run_job(tb, chain, client, runtime=10.0, cores=2)
-    assert acct.total_jobs() == 1
-    usage = acct.core_seconds_by_owner()
-    assert usage["/O=ReproGrid/CN=ada"] == pytest.approx(20.0)
-    assert acct.jobs_by_state() == {"done": 1}
-
-
-def test_accounting_aggregates_across_owners_and_sites():
-    tb = quick_testbed()
-    acct = AccountingService()
-    for site in tb.sites:
-        acct.attach(site)
-    chain_a, client = logon(tb, "ada")
-    chain_b, _ = logon(tb, "bob")
-    run_job(tb, chain_a, client, site="ncsa", runtime=10.0, cores=1,
-            name="/a")
-    run_job(tb, chain_b, client, site="ncsa", runtime=20.0, cores=2,
-            name="/b")
-    run_job(tb, chain_b, client, site="sdsc", runtime=5.0, cores=4,
-            name="/c")
-    usage = acct.core_seconds_by_owner()
-    assert usage["/O=ReproGrid/CN=ada"] == pytest.approx(10.0)
-    assert usage["/O=ReproGrid/CN=bob"] == pytest.approx(60.0)
-    ncsa = acct.site_report("ncsa")
-    assert ncsa["jobs"] == 2
-    assert ncsa["core_seconds"] == pytest.approx(50.0)
-    assert ncsa["widest_job"] == 2
-    assert len(acct.records_for("/O=ReproGrid/CN=bob")) == 2
-
-
-def test_accounting_records_failures_too():
-    tb = quick_testbed()
-    acct = AccountingService()
-    acct.attach(tb.site("ncsa"))
-    chain, client = logon(tb)
-    job = run_job(tb, chain, client, runtime=500.0, walltime=60)
-    assert job.state.value == "failed"
-    states = acct.jobs_by_state()
-    assert states == {"failed": 1}
-    # Walltime kills still bill the occupied cores.
-    usage = acct.core_seconds_by_owner()
-    assert usage["/O=ReproGrid/CN=ada"] == pytest.approx(120.0)  # 2 x 60 s
-
-
-def test_accounting_double_attach_rejected():
-    tb = quick_testbed()
-    acct = AccountingService()
-    acct.attach(tb.site("ncsa"))
-    with pytest.raises(GridError, match="already attached"):
-        acct.attach(tb.site("ncsa"))
-
-
-def test_record_requires_terminal_job():
-    tb = quick_testbed()
-    acct = AccountingService()
-    site = tb.site("ncsa")
-    job = site.create_job(JobDescription(executable="/x"), owner="/CN=a")
-    with pytest.raises(GridError, match="not terminal"):
-        acct.record("ncsa", job)
 
 
 # ---------------------------------------------------------------- streams

@@ -5,9 +5,7 @@ import pytest
 from repro.core.watchdog import await_waiter
 from repro.db.engine import Database
 from repro.errors import WatchdogTimeout
-from repro.grid.notify import (
-    JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE, NotifyQueue,
-)
+from repro.grid.notify import JOB_STATES_TABLE, NotifyQueue
 from repro.simkernel import Simulator
 from repro.telemetry.events import bus
 from repro.telemetry.gauges import gauges
@@ -23,7 +21,7 @@ def test_publish_delivers_after_one_propagation_delay():
 
     def flow():
         yield sim.timeout(3.0)
-        queue.publish("ncsa", "ncsa-job-00001", "done", terminal=True)
+        queue.publish("ncsa", "ncsa-job-00001", "done")
 
     sim.run(until=sim.process(flow()))
     sim.run()  # drain the delivery timeout
@@ -32,10 +30,10 @@ def test_publish_delivers_after_one_propagation_delay():
     deliver = bus(sim).first("notify.deliver", job_id="ncsa-job-00001")
     assert deliver.ts == pytest.approx(3.5)
     assert deliver.fields["lag"] == pytest.approx(0.5)
-    # The durable queue row records both timestamps.
-    row, = queue.db.select(NOTIFY_QUEUE_TABLE, lambda r: r["seq"] == 1)
-    assert row["published_at"] == pytest.approx(3.0)
-    assert row["delivered_at"] == pytest.approx(3.5)
+    # The durable row keeps the publish time; the delivery wrote nothing.
+    row = queue.job_state("ncsa-job-00001")
+    assert row["state"] == "done"
+    assert row["updated_at"] == pytest.approx(3.0)
     assert gauges(sim).gauge("notify.queue.depth").current == 0
 
 
@@ -44,17 +42,13 @@ def test_state_row_written_in_the_publish_frame():
     queue = make_queue(sim)
 
     def flow():
-        queue.publish("ncsa", "ncsa-job-00001", "pending")
+        yield sim.timeout(4.0)
+        queue.publish("ncsa", "ncsa-job-00001", "done")
         # Same frame: the durable row already says so, pre-delivery.
         row = queue.job_state("ncsa-job-00001")
-        assert row["state"] == "pending" and not row["terminal"]
-        yield sim.timeout(4.0)
-        queue.publish("ncsa", "ncsa-job-00001", "done", terminal=True)
-        row = queue.job_state("ncsa-job-00001")
-        assert row["state"] == "done" and row["terminal"]
+        assert row["state"] == "done" and queue.delivered == 0
 
     sim.run(until=sim.process(flow()))
-    # Upsert, not append: one job_states row per job.
     rows = queue.db.select(JOB_STATES_TABLE, lambda r: True)
     assert len(rows) == 1
     assert rows[0]["updated_at"] == pytest.approx(4.0)
@@ -71,13 +65,13 @@ def test_subscriber_before_publish_gets_terminal_payload():
 
     def publisher():
         yield sim.timeout(2.0)
-        queue.publish("ncsa", "ncsa-job-00001", "active")
+        queue.publish("ncsa", "ncsa-job-00002", "done")  # another job's
         yield sim.timeout(8.0)
-        queue.publish("ncsa", "ncsa-job-00001", "done", terminal=True)
+        queue.publish("ncsa", "ncsa-job-00001", "done")
 
     sim.process(publisher(), name="pub")
     sim.run(until=sim.process(subscriber(), name="sub"))
-    # Only the terminal message fires the waiter, one delay after it.
+    # Only the job's own message fires the waiter, one delay after it.
     assert got["at"] == pytest.approx(10.5)
     assert got["state"] == "done" and not got["error"]
     assert got["delivered_at"] == pytest.approx(10.5)
@@ -89,7 +83,7 @@ def test_late_subscriber_replays_from_durable_table():
     got = {}
 
     def flow():
-        queue.publish("ncsa", "ncsa-job-00001", "done", terminal=True)
+        queue.publish("ncsa", "ncsa-job-00001", "done")
         yield sim.timeout(30.0)  # delivery long past
         payload = yield queue.subscribe("ncsa", "ncsa-job-00001")
         got.update(payload, at=sim.now)
@@ -108,8 +102,7 @@ def test_replay_of_lost_job_carries_the_error_flag():
     got = {}
 
     def flow():
-        queue.publish("ncsa", "ncsa-job-00001", "lost",
-                      terminal=True, error=True)
+        queue.publish("ncsa", "ncsa-job-00001", "lost", error=True)
         yield sim.timeout(5.0)
         payload = yield queue.subscribe("ncsa", "ncsa-job-00001")
         got.update(payload)
@@ -127,7 +120,7 @@ def test_unsubscribe_is_idempotent_and_detaches_the_waiter():
         queue.unsubscribe("ncsa-job-00001", waiter)
         queue.unsubscribe("ncsa-job-00001", waiter)  # idempotent
         queue.unsubscribe("never-seen", waiter)      # unknown key too
-        queue.publish("ncsa", "ncsa-job-00001", "done", terminal=True)
+        queue.publish("ncsa", "ncsa-job-00001", "done")
         yield sim.timeout(2.0)
         assert not waiter.triggered  # detached: delivery skipped it
 
@@ -151,7 +144,6 @@ def test_attached_idle_queue_schedules_nothing():
     assert sim.run() is None  # heap empty: zero events created
     assert sim.now == 0.0
     assert queue.db.select(JOB_STATES_TABLE, lambda r: True) == []
-    assert queue.db.select(NOTIFY_QUEUE_TABLE, lambda r: True) == []
     assert bus(sim).events() == []
 
 
@@ -176,7 +168,7 @@ def test_await_notification_returns_payload():
 
     def publisher():
         yield sim.timeout(4.0)
-        queue.publish("ncsa", "ncsa-job-00001", "done", terminal=True)
+        queue.publish("ncsa", "ncsa-job-00001", "done")
 
     def flow():
         note = yield await_notification(sim, queue, "ncsa",
@@ -208,7 +200,7 @@ def test_await_notification_timeout_detaches_then_fresh_waiter_wins():
 
     def publisher():
         yield sim.timeout(6.0)
-        queue.publish("ncsa", "ncsa-job-00001", "done", terminal=True)
+        queue.publish("ncsa", "ncsa-job-00001", "done")
 
     sim.process(publisher(), name="pub")
     sim.run(until=sim.process(flow(), name="flow"))
@@ -227,95 +219,102 @@ def test_await_notification_rejects_bad_timeout():
 # -- gatekeeper attachment ------------------------------------------------
 
 
-def test_reattaching_a_queue_replaces_the_sched_start_mirror():
-    """Regression: a second ``attach_notify`` left the first queue's
-    ``sched.start`` mirror subscribed, so the detached queue kept
-    upserting ``job_states`` rows beside the attached one."""
+def submit_one(tb, gatekeeper, path):
+    """Submit one short echo job through *gatekeeper*; its id, once the
+    job has finished."""
+    from repro.grid.rsl import JobDescription, generate_rsl
+    from repro.workloads import make_payload
+
+    client = tb.appliance_host
+
+    def flow():
+        _key, proxy, ee = yield tb.myproxy.logon(client, "ada", "pw",
+                                                 lifetime=3600.0)
+        chain = [proxy, ee]
+        yield tb.ftp(gatekeeper.site.name).put(
+            client, chain, path, make_payload("echo", runtime="1"))
+        job_id = yield gatekeeper.submit(client, chain, generate_rsl(
+            JobDescription(executable=path, arguments=["hi"],
+                           stdout=path + ".out")))
+        yield gatekeeper.completion_event(job_id)
+        return job_id
+
+    return tb.sim.run(until=tb.sim.process(flow()))
+
+
+def test_reattaching_a_queue_sends_later_publishes_to_it_only():
+    """Attaching is an assignment: a job submitted after a second
+    ``attach_notify`` publishes to the second queue alone, and an
+    incapable attachment publishes nothing."""
     from repro.grid.testbed import build_testbed
 
     sim = Simulator()
     tb = build_testbed(sim=sim, n_sites=1, nodes_per_site=1)
-    db = Database()
-    first = NotifyQueue(sim, db)
-    second = NotifyQueue(sim, db)
+    tb.new_grid_identity("ada", "pw")
+    first, second = NotifyQueue(sim, Database()), NotifyQueue(sim, Database())
     gatekeeper = tb.gatekeepers["ncsa"]
     gatekeeper.attach_notify(first, capable=True)
     gatekeeper.attach_notify(second, capable=True)
     assert gatekeeper.notify_queue is second
-    frames = []
-    db.wal.taps.append(frames.append)
-    bus(sim).emit("sched.start", layer="grid", job_id="ncsa-job-00001")
-    # One job started: one ACTIVE upsert, one WAL frame.
-    assert len(frames) == 1
-    assert [dml[0] for dml in frames[0][2]] == ["insert"]
-    assert second.job_state("ncsa-job-00001")["state"] == "active"
-    # Downgrading to incapable detaches the mirror altogether.
+    job = submit_one(tb, gatekeeper, "/x/a.sh")
+    sim.run()  # the delivery lands
+    assert (first.published, second.published) == (0, 1)
+    assert first.job_state(job) is None
+    assert second.job_state(job)["state"] == "done"
     gatekeeper.attach_notify(second, capable=False)
-    bus(sim).emit("sched.start", layer="grid", job_id="ncsa-job-00002")
-    assert len(frames) == 1
+    job = submit_one(tb, gatekeeper, "/x/b.sh")
+    sim.run()
+    assert second.published == 1 and second.job_state(job) is None
 
 
 # -- one unit per state transition ----------------------------------------
 
 
-def test_publish_and_deliver_are_one_frame_each():
+def test_publish_is_one_frame_and_delivery_writes_none():
     sim = Simulator()
     queue = make_queue(sim)
     frames = []
     queue.db.wal.taps.append(frames.append)
-
-    def tables():
-        return [sorted({dml[1] for dml in f[2]}) for f in frames]
-
-    queue.publish("ncsa", "j1", "pending")
-    assert tables() == [[JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE]]
-    queue.record_state("ncsa", "j1", "active")
-    queue.publish("ncsa", "j1", "done", terminal=True)
+    queue.publish("ncsa", "j1", "done")
+    queue.publish("ncsa", "j2", "lost", error=True)
     sim.run()  # both deliveries land
-    assert tables() == [[JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE],
-                        [JOB_STATES_TABLE],
-                        [JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE],
-                        [NOTIFY_QUEUE_TABLE], [NOTIFY_QUEUE_TABLE]]
-    # The job_states row is rewritten where it stands, never re-inserted.
-    assert [dml[0] for f in frames for dml in f[2]
-            if dml[1] == JOB_STATES_TABLE] == ["insert", "update", "update"]
+    assert queue.delivered == 2
+    # One insert per job, each its own frame; the deliveries logged nothing.
+    assert [[dml[:2] for dml in f[2]] for f in frames] == [
+        [("insert", JOB_STATES_TABLE)], [("insert", JOB_STATES_TABLE)]]
 
 
-def test_queue_over_recovered_database_resumes_numbering():
+def test_queue_over_recovered_database_replays_history():
     sim = Simulator()
     queue = make_queue(sim)
-    assert queue.publish("ncsa", "j1", "pending") == 1
-    assert queue.publish("ncsa", "j1", "done", terminal=True) == 2
+    assert queue.publish("ncsa", "j1", "done") == 1
     # Crash: the appliance comes back over the recovered WAL image.
     recovered = Database.recover(queue.db.wal.snapshot())
     sim2 = Simulator()
     reborn = NotifyQueue(sim2, recovered, propagation=0.5)
-    assert reborn.publish("ncsa", "j2", "done", terminal=True) == 3
+    # A job that ended before the crash replays from its row ...
+    assert reborn.subscribe("ncsa", "j1").value["state"] == "done"
+    assert reborn.replayed == 1
+    # ... and a new one is published and delivered beside it.
+    assert reborn.publish("ncsa", "j2", "done") == 1
     waiter = reborn.subscribe("ncsa", "j2")
+    assert reborn.replayed == 2  # its row exists from the publish frame
     sim2.run()
     assert reborn.delivered == 1
     assert waiter.value["state"] == "done"
-    assert recovered.get_by_pk(NOTIFY_QUEUE_TABLE, 3)["delivered_at"] \
-        == pytest.approx(0.5)
-    # History survived beside it, undelivered rows included.
-    assert recovered.count(NOTIFY_QUEUE_TABLE) == 3
-    assert reborn.job_state("j1")["state"] == "done"
+    assert recovered.count(JOB_STATES_TABLE) == 2
 
 
-def test_failing_queue_insert_rolls_the_state_row_back():
+def test_failing_state_write_publishes_nothing():
     from repro.errors import DatabaseError
 
     sim = Simulator()
     queue = make_queue(sim)
-    queue.publish("ncsa", "j1", "pending")
+    queue.publish("ncsa", "j1", "done")
     size, scheduled = queue.db.wal.size(), len(sim._heap)
-    queue._seq = 0  # the next publish collides on seq 1
-    with pytest.raises(DatabaseError, match="duplicate primary key"):
-        queue.publish("ncsa", "j1", "done", terminal=True)
-    # Neither row: the state table still says pending, nothing was
-    # logged, counted or scheduled, and the sequence was not consumed.
-    assert queue.job_state("j1")["state"] == "pending"
+    with pytest.raises(DatabaseError, match="NOT NULL"):
+        queue.publish("ncsa", "j2", None)
+    # No row, nothing logged, counted or scheduled.
+    assert queue.job_state("j2") is None
     assert queue.db.wal.size() == size
     assert queue.published == 1 and len(sim._heap) == scheduled
-    assert queue.db.count(NOTIFY_QUEUE_TABLE) == 1
-    assert queue._seq == 0

@@ -90,7 +90,7 @@ def assert_healing_plane_idle(store):
 
 
 def attach_idle_queue(stack):
-    """A durable queue with every gatekeeper attached as *incapable*."""
+    """A notify queue with every gatekeeper attached as *incapable*."""
     from repro.grid.notify import NotifyQueue
 
     queue = NotifyQueue(stack.sim, stack.dbmanager.db)
@@ -101,12 +101,11 @@ def attach_idle_queue(stack):
 
 
 def assert_queue_idle(queue):
-    from repro.grid.notify import JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE
+    from repro.grid.notify import JOB_STATES_TABLE
 
-    # Provably idle: nothing published, both durable tables empty.
+    # Provably idle: nothing published, the durable table empty.
     assert queue.published == 0 and queue.capable_sites == []
     assert queue.db.select(JOB_STATES_TABLE, lambda r: True) == []
-    assert queue.db.select(NOTIFY_QUEUE_TABLE, lambda r: True) == []
 
 
 def attach_db_tier(stack):
@@ -193,12 +192,12 @@ def test_goldens_unchanged_with_idle_healing_plane_attached(
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_goldens_unchanged_with_idle_notify_queue_attached(
         name, golden_with):
-    """An attached durable queue with no capable site must stay inert.
+    """An attached notify queue with no capable site must stay inert.
 
     The notification-plane determinism contract (DESIGN.md §14): a
     :class:`~repro.grid.notify.NotifyQueue` wired to the stack — every
     gatekeeper attached as *incapable* — publishes nothing, schedules
-    nothing and leaves both durable tables empty, because the only
+    nothing and leaves the ``job_states`` table empty, because the only
     event source is ``publish`` and only capable gatekeepers call it.
     Re-running each figure with one attached must reproduce the
     committed goldens byte-for-byte.
