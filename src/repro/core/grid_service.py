@@ -22,7 +22,8 @@ initializes the execution of an associated executable on the Grid"
    loads from the database.
 4. *Job description generation* — build the RSL from the invocation
    parameters (second CPU peak: "when the job is being created and
-   submitted").
+   submitted").  Under publish-time staging its CPU runs from the
+   authentication on, beside the site choice and the stage.
 5. *Job submission* — through the agent to the gatekeeper.
 6. *Tentative output polling* — the status workaround: on a fixed
    interval fetch whatever output exists, write it to the local disk
@@ -110,9 +111,12 @@ class GridServiceRuntime:
     JOB_COUNT = 1
     #: ... and may run for an hour before the LRM kills it.
     JOB_WALLTIME = 3600
-    #: Smallest range of a staged executable worth its own uplink, given
-    #: a stripe's fixed cost (LAN hop, SOAP dispatch, GridFTP control).
-    STRIPE_MIN_BYTES = 128 * 1024
+    #: Smallest range of a staged executable worth its own uplink.  A
+    #: carried range pays a fixed ~0.1 s (LAN hop, peer SOAP dispatch,
+    #: pooled GridFTP control); at the uplink's 85 KB/s that is the wire
+    #: time of ~8.5 KB, so a range earns its own uplink above that —
+    #: rounded up to 16 KB.
+    STRIPE_MIN_BYTES = 16 * 1024
 
     def __init__(self, onserve: "OnServe", record: ExecutableRecord):
         self.onserve = onserve
@@ -255,6 +259,11 @@ class GridServiceRuntime:
             with span(ctx, "service:auth"):
                 yield from self._ensure_session(ctx)
             report.auth = self.sim.now - mark
+            # 4. Job description generation needs neither the site nor
+            #    the bytes: under publish-time staging it runs while they
+            #    are found or moved, once however many sites are tried.
+            rsl_cpu = (host.compute(self.SUBMIT_CPU, tag="service")
+                       if ahead else None)
 
             # Resource selection via the information service: the ranked
             # listing is fetched once; the failover loop below walks it.
@@ -340,7 +349,8 @@ class GridServiceRuntime:
                 # 4.+5. Job description generation + submission.
                 mark = self.sim.now
                 with span(ctx, "service:submit", site=site):
-                    yield host.compute(self.SUBMIT_CPU, tag="service")
+                    yield (rsl_cpu if rsl_cpu is not None
+                           else host.compute(self.SUBMIT_CPU, tag="service"))
                     rsl = spec.to_rsl(job_tag=tag)
 
                     def submit_try():

@@ -15,7 +15,7 @@ deployer — with its default arguments.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.core.coalesce import SingleFlight
 from repro.core.context import RequestContext, span
@@ -226,12 +226,11 @@ class OnServe:
         # a service (previously a direct SoapServer.undeploy left stale
         # bindingTemplates behind).
         soap_server.on_undeploy(self._on_soap_undeploy)
-        # Cross-replica invalidation: another replica's undeploy or
-        # replacement upload must drop this replica's cached objects
-        # (after a replacement the next request rebuilds them from the
-        # fresh row).
+        # Cross-replica invalidation: another replica's undeploy drops
+        # this replica's cached objects; its replacement upload
+        # refreshes them in place.
         self.store.subscribe(self.replica, self._on_store_removed,
-                             self._on_store_removed)
+                             self._on_store_republished)
         #: Guard flag: the service currently being dropped *because* of
         #: a store fan-out (so the local undeploy hook does not recurse
         #: back into the store).
@@ -434,14 +433,7 @@ class OnServe:
         Returns the sites that held the old bytes.
         """
         service_name = existing.service_name
-        runtime = self.runtimes.get(service_name)
-        if runtime is not None:
-            runtime.record = record
-        try:
-            self.soap_server.update_description(
-                service_name, self.builder.description_for(record))
-        except ServiceNotFound:
-            pass  # not materialized on this replica; nothing deployed
+        self._refresh_local(service_name, record)
         try:
             self.uddi.get_service(existing.uddi_service_key).description = \
                 record.description
@@ -451,11 +443,34 @@ class OnServe:
         self.bus.emit("core.service_republished", layer="core",
                       service=service_name, executable=record.name,
                       size=record.size)
-        # Other replicas drop their stale materializations of this
-        # service (the next request there rebuilds from the fresh row)
-        # and client caches drop what they hold about it.
+        # Other replicas refresh their materializations of this service
+        # in place and client caches drop what they hold about it.
         self.store.record_republished(service_name, origin=self.replica)
         return evicted
+
+    def _refresh_local(self, service_name: str,
+                       record: ExecutableRecord) -> None:
+        """Point this replica's materialization of *service_name*, if
+        any, at *record*: the runtime and the container's interface
+        change in place — a re-upload replaces the executable, not the
+        service — so no request pays a rebuild."""
+        runtime = self.runtimes.get(service_name)
+        if runtime is None:
+            return  # not materialized here: a request builds it afresh
+        runtime.record = record
+        self.soap_server.update_description(
+            service_name, self.builder.description_for(record))
+
+    def _on_store_republished(self, service_name: str) -> None:
+        """Another replica replaced the service's bytes: refresh the
+        local materialization from the executables row."""
+        if service_name in self.runtimes:
+            row = self.store.get_record(service_name)
+            self.services[service_name] = ServiceStateStore.rehydrate(row)
+            exe = self.dbmanager.db.get_by_pk(self.dbmanager.TABLE,
+                                              row["executable_name"])
+            self._refresh_local(service_name,
+                                _record_of(exe, uploaded_by="materialize"))
 
     def _reseed(self, service_name: str, record: ExecutableRecord,
                 exe: StoredExecutable, sites: List[str]) -> None:
@@ -549,11 +564,7 @@ class OnServe:
                 service_name = service_name_for(row["name"])
                 if service_name in self.services:
                     continue
-                record = ExecutableRecord(
-                    row["name"], row["description"],
-                    parse_params_spec(row["params_spec"]),
-                    size=row["size"], uploaded_by="restore",
-                    uploaded_at=row["stored_at"])
+                record = _record_of(row, uploaded_by="restore")
                 # The row must name the bytes again, or no invocation
                 # of a restored service could hit a staged copy.
                 digest = (self.dbmanager.executable_digest(row["name"])
@@ -677,11 +688,7 @@ class OnServe:
             raise ServiceNotFound(
                 f"service {service_name!r} lost its executable "
                 f"{row['executable_name']!r}") from None
-        record = ExecutableRecord(
-            exe["name"], exe["description"],
-            parse_params_spec(exe["params_spec"]),
-            size=exe["size"], uploaded_by="materialize",
-            uploaded_at=exe["stored_at"])
+        record = _record_of(exe, uploaded_by="materialize")
         runtime = GridServiceRuntime(self, record)
         pending = self.sim.event(f"materialize:{service_name}")
         self._materializing[service_name] = pending
@@ -761,6 +768,14 @@ class OnServe:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<OnServe services={sorted(self.services)}>"
+
+
+def _record_of(row: Dict[str, Any], uploaded_by: str) -> ExecutableRecord:
+    """The :class:`ExecutableRecord` an executables-table *row* holds."""
+    return ExecutableRecord(row["name"], row["description"],
+                            parse_params_spec(row["params_spec"]),
+                            size=row["size"], uploaded_by=uploaded_by,
+                            uploaded_at=row["stored_at"])
 
 
 def deploy_onserve(testbed: Testbed,

@@ -318,14 +318,17 @@ class GridSite:
 def _assemble(ranges: List[Tuple[int, bytes]], total: int) -> bytes:
     """The *total*-byte file that *ranges* cover.
 
-    A striped stage sends zero-copy views of one ``bytes`` object; when
-    every range is such a view, and equals that object at its offset,
-    the object itself is the file and nothing is copied.
+    A striped stage sends zero-copy views of one ``bytes`` object, and a
+    site-to-site copy sends the source's file itself as one range; when
+    every range is that object, or a view of it equal to it at its
+    offset, the object itself is the file and nothing is copied.
     """
-    whole = getattr(ranges[0][1], "obj", None)
+    first = ranges[0][1]
+    whole = first if type(first) is bytes else getattr(first, "obj", None)
     if (type(whole) is bytes and len(whole) == total
-            and all(getattr(part, "obj", None) is whole
-                    and whole.startswith(part, start)  # a memcmp
+            and all(part is whole
+                    or (getattr(part, "obj", None) is whole
+                        and whole.startswith(part, start))  # a memcmp
                     for start, part in ranges)):
         return whole
     buffer = bytearray(total)

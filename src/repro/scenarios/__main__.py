@@ -55,7 +55,7 @@ ROWS: Tuple[Tuple[str, Callable[..., Any], Dict[str, Any],
     ("faults", run_faults, {}, ALWAYS),
     ("throughput", run_throughput, {}, NEVER),
     ("datapath", run_datapath, {}, ALWAYS),
-    ("scaleout", run_scaleout, {}, NEVER),
+    ("scaleout", run_scaleout, {}, ALWAYS),
     ("controltower", run_controltower, {}, FULL_ONLY),
     ("chaos", run_chaos, {}, ALWAYS),
     ("notify", run_notify, {}, ALWAYS),

@@ -24,6 +24,10 @@ Two acceptance gates ride on these numbers (EXPERIMENTS.md SCALEOUT,
   at ``replicas=1``, measured by re-running the 1-replica level with
   the router disabled (the byte-identical ``deploy_onserve`` path) and
   comparing elapsed times.
+
+The cold-stage block is gated too (``ScaleoutResult.ok``, in CI through
+``--smoke`` up to N = 4): a cold 256 KB stage rides one range per
+replica.
 """
 
 from __future__ import annotations
@@ -76,6 +80,12 @@ class ScaleoutResult:
         """Fractional end-to-end cost of the router hop at replicas=1."""
         return ((self.routed_elapsed - self.baseline_elapsed)
                 / self.baseline_elapsed)
+
+    @property
+    def ok(self) -> bool:
+        """Every cold stage rode the full width: one range per replica."""
+        return all(row["stripes"] == row["replicas"]
+                   for row in self.cold_rows)
 
     def render(self) -> str:
         title = (f"Replica scale-out — {self.clients} clients x "
@@ -150,10 +160,14 @@ def run_scaleout(replica_levels: Sequence[int] = (1, 2, 4, 8, 16),
         routed_elapsed = routed["elapsed"]
     baseline = _one_level(1, False, clients, services, rounds, file_bytes,
                           runtime, spill_threshold, seed)
+    # The smoke keeps N = 4: two ranges cannot tell a coarse range floor
+    # from one that fills every uplink.
+    widths = ((1, 2, 4) if smoke
+              else [n for n in (1, 2, 4, 8) if n <= max(replica_levels)])
     cold = [_cold_stage(n, size, seed)
             for size in ((int(KB(256)),) if smoke
                          else (int(KB(256)), int(MB(1))))
-            for n in (1, 2, 4, 8) if n <= max(replica_levels)]
+            for n in widths]
     return ScaleoutResult(rows, baseline["elapsed"], routed_elapsed,
                           clients, rounds, services, cold)
 

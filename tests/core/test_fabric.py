@@ -131,21 +131,26 @@ def test_cross_replica_undeploy_invalidates_everywhere():
         assert "RouteService" not in onserve.soap_server.services()
 
 
-def test_replacement_upload_drops_stale_materializations():
+def test_replacement_upload_refreshes_materializations_in_place():
     sim, testbed, stack = deploy(replicas=2)
     publish(sim, testbed, stack)
-    sim.run(until=sim.process(
-        stack.onserves[1].ensure_local_service("RouteService")))
-    assert "RouteService" in stack.onserves[1].services
-    # Re-uploading the same filename republishes in place on the
-    # primary; the store fan-out must drop replica 1's stale runtime.
-    publish(sim, testbed, stack)
-    assert "RouteService" not in stack.onserves[1].services
-    assert "RouteService" not in stack.onserves[1].soap_server.services()
-    # It materializes again on demand, from the fresh record.
-    sim.run(until=sim.process(
-        stack.onserves[1].ensure_local_service("RouteService")))
-    assert "RouteService" in stack.onserves[1].services
+    replica = stack.onserves[1]
+    sim.run(until=sim.process(replica.ensure_local_service("RouteService")))
+    runtime, builds = replica.runtimes["RouteService"], replica.builder.builds
+    # Re-uploading the same filename with a new parameter spec
+    # republishes in place on the primary; the store fan-out refreshes
+    # replica 1's runtime and interface instead of dropping them.
+    payload = make_payload("fixed", size=int(KB(32)), runtime="2",
+                           output_bytes="64")
+    sim.run(until=stack.portal.upload_and_generate(
+        testbed.user_hosts[0], "route.bin", payload, params_spec="n:int"))
+    assert replica.runtimes["RouteService"] is runtime
+    assert [p.name for p in runtime.record.params] == ["n"]
+    execute = replica.soap_server.service("RouteService").description
+    assert [p.name for p in execute.operation("execute").params] == ["n"]
+    # Nothing rebuilds it: replica 1 serves the new spec as it stands.
+    sim.run(until=sim.process(replica.ensure_local_service("RouteService")))
+    assert replica.builder.builds == builds
 
 
 def test_invocation_counts_are_fabric_wide():

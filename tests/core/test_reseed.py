@@ -31,7 +31,10 @@ from repro.telemetry.gauges import gauges
 from repro.units import KB
 from repro.workloads.executables import make_payload
 
-SIZE = 4 * GridServiceRuntime.STRIPE_MIN_BYTES  # four ranges' worth
+#: Four replicas' worth of ranges, each long enough on the wire (~1.5 s
+#: at 85 KB/s) that its fixed cost is noise and a test can act while
+#: every range is in flight.
+SIZE = 4 * 8 * GridServiceRuntime.STRIPE_MIN_BYTES
 PATH = staged_path_for("echo.sh")
 
 
@@ -257,6 +260,24 @@ def test_the_joined_wait_reads_as_grid_transfer():
     att = analyze_request(ctx)
     assert att.reconciles(tol=1e-9)
     assert att.buckets["grid/transfer"] > 0.8 * wait.duration
+
+
+def test_the_job_description_is_written_under_the_seed_join():
+    sim, tb, stack = deploy()
+    publish(sim, tb, stack, echo("v1"))
+    assert invoke(sim, stack, "one") == "one\n"
+    publish(sim, tb, stack, echo("v2"))
+    ctx = RequestContext.create(sim)
+    assert invoke(sim, stack, "two", ctx=ctx) == "two\n"
+    wait = ctx.root.find("service:seed-join")
+    assert wait.duration > GridServiceRuntime.SUBMIT_CPU
+    # The RSL's CPU ran while the bytes travelled: what is left of the
+    # submit step is the exchange with the gatekeeper.
+    submit = ctx.root.find("service:submit")
+    [exchange] = [s for _d, s in submit.walk()
+                  if s.name.endswith(".submitJob")
+                  and s.name.startswith("client:")]
+    assert submit.duration <= exchange.duration + 1e-9
 
 
 # -- (4) cancel and crash -------------------------------------------------------

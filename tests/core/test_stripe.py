@@ -27,9 +27,13 @@ from repro.simkernel import Simulator
 from repro.telemetry.critical_path import analyze_request
 from repro.telemetry.events import bus
 from repro.telemetry.gauges import gauges
+from repro.units import KB
 from repro.workloads.executables import make_payload
 
-SIZE = 4 * GridServiceRuntime.STRIPE_MIN_BYTES  # four ranges' worth
+#: Four replicas' worth of ranges, each long enough on the wire (~1.5 s
+#: at 85 KB/s) that its fixed cost is noise and a test can act while
+#: every range is in flight.
+SIZE = 4 * 8 * GridServiceRuntime.STRIPE_MIN_BYTES
 PATH = staged_path_for("echo.sh")
 
 
@@ -115,6 +119,22 @@ def test_a_cold_stage_rides_every_uplink_and_a_warm_one_none():
     # Warm: the row is there, nothing moves.
     assert sim.run(until=invoke(sim, stack, "two")) == "two\n"
     assert sum(uploads(stack).values()) == 4
+
+
+def test_a_256kb_cold_stage_on_eight_replicas_makes_eight_puts():
+    # Each 32 KB range's wire time dwarfs its fixed cost, so every idle
+    # uplink carries one (the peers log on cold here, hence only 3x).
+    size = int(KB(256))
+    sim, tb, stack, payload = deploy(replicas=8, size=size)
+    ctx = RequestContext.create(sim)
+    assert sim.run(until=invoke(sim, stack, ctx=ctx)) == "tok\n"
+    upload = ctx.root.find("service:upload")
+    puts = [s for _d, s in upload.walk() if s.name == "gridftp:put"]
+    assert len(puts) == 8
+    assert [ev.fields["nbytes"] for ev in bus(sim).events(
+        kind="agent.upload")] == [size // 8] * 8
+    assert upload.duration < size / 85e3 / 3
+    assert_staged_exactly_once(tb, stack, payload)
 
 
 def test_a_single_appliance_and_a_small_payload_send_one_whole_file():
@@ -204,6 +224,26 @@ def test_a_site_outage_refuses_every_range_and_the_stage_fails_over():
     assert len(bus(sim).events(kind="core.stripe_failed")) == 3
     assert assert_staged_exactly_once(tb, stack, payload) != first
     assert not tb.site(first).has_file(PATH)
+
+
+def test_a_site_failover_writes_the_job_description_once(monkeypatch):
+    """The RSL depends on neither the site nor the bytes: a job lost on
+    the first site fails over, and the second submit reuses the CPU the
+    first one paid for."""
+    sim, tb, stack, _payload = deploy()
+    charged = []
+    for onserve in stack.onserves:
+        def compute(cpu_seconds, tag="compute",
+                    _compute=onserve.host.compute):
+            charged.append(cpu_seconds)
+            return _compute(cpu_seconds, tag=tag)
+        monkeypatch.setattr(onserve.host, "compute", compute)
+    fault_plane(sim).add(FaultSpec("gram.lost_job", max_fires=1))
+    assert sim.run(until=invoke(sim, stack)) == "tok\n"
+    [failover] = bus(sim).events(kind="core.failover")
+    assert failover.fields["error"] == "JobNotFound"
+    assert sum(gk.submissions for gk in tb.gatekeepers.values()) == 2
+    assert charged.count(GridServiceRuntime.SUBMIT_CPU) == 1
 
 
 @pytest.mark.parametrize("newer_after, refused", [

@@ -182,6 +182,27 @@ def test_two_transfers_of_one_path_never_mix_their_bytes():
     assert site.read_file("/joined") == b"x" * 600 + b"y" * 300
 
 
+def test_a_site_to_site_copy_of_a_striped_file_shares_its_bytes():
+    """A striped file lands as its source object (its ranges are views
+    of it); a copy of it to another site lands as the very same object,
+    not a fresh buffer per site."""
+    tb = quick_testbed()
+    chain = logon(tb)
+    sim, client = tb.sim, tb.appliance_host
+    src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
+    payload = bytes(range(256)) * 40
+    digest = hashlib.sha256(payload).hexdigest()
+    view = memoryview(payload)
+    for a, b in cut(len(payload), 4):
+        sim.run(until=src.put(client, chain, "/exe", view[a:b], offset=a,
+                              total=len(payload), transfer=digest))
+    assert tb.site("ncsa").read_file("/exe") is payload
+    sim.run(until=src.third_party_transfer(client, chain, "/exe", dst,
+                                           "/exe"))
+    assert tb.site("sdsc").read_file("/exe") is payload
+    assert tb.site("sdsc").incoming == {}
+
+
 def test_a_range_that_does_not_fit_its_file_is_refused():
     site = quick_testbed().site("ncsa")
     for offset, total in ((-1, 10), (8, 10), (0, None)):
