@@ -1,16 +1,18 @@
 """Steady-state sweep: does anything grow with the operations done?
 
 ``python benchmarks/scale.py [--seed N]`` runs one untraced benchmark
-pass of ``production_mixed`` at 1x, 2x and 4x its length, each in a
-child process, and prints per length ``host_peak_rss_mb``,
-``host_ms_per_op``, how often the database compacted its log
-(``db.stats["compactions"]``) and the unique bytes the log holds at the
-end.  The gate is slope, not level (ROADMAP item 5a): RSS growth per 1x
-of run length and ms/op at 4x against 1x.
+pass of ``production_mixed`` and of ``production_hot`` at 1x, 2x and 4x
+its length, each in a child process, and prints per length
+``host_peak_rss_mb``, ``host_ms_per_op``, how often the database
+compacted its log (``db.stats["compactions"]``) and the unique bytes the
+log holds at the end.  The gate is slope, not level (ROADMAP item 5a):
+per workload, RSS growth per 1x of run length and ms/op at 4x against 1x.
 
 ``--smoke`` is the CI form: 0.25x and 0.5x, and it fails unless
 ``production_mixed`` compacted at least once, ``faithful_bulk`` (fresh
-uploads, nothing superseded) never did, and no operation failed.
+uploads, nothing superseded) never did, ``production_hot``'s peak RSS
+grew by at most ``HOT_RSS_GROWTH_MB`` from 0.25x to 0.5x, and no
+operation failed.
 
 A child is ``python -m benchmarks.e2e pass`` in all but one thing: the
 pass record does not carry the two log figures, so the child calls the
@@ -31,6 +33,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SCALES = (1.0, 2.0, 4.0)
 SMOKE_SCALES = (0.25, 0.5)
 PASS_TIMEOUT_S = 600
+#: production_hot's peak RSS growth allowed from 0.25x to 0.5x, in MB:
+#: +2.7 with a 4 096-event bus ring, +5.5 when the ring held the run.
+HOT_RSS_GROWTH_MB = 3.5
 
 
 def _child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
@@ -96,20 +101,31 @@ def main(argv=None) -> int:
         print(json.dumps(_child(args.child, args.scale, args.seed)))
         return 0
     if not args.smoke:
-        mixed = sweep("production_mixed", SCALES, args.seed)
-        rss = [r["host"]["host_peak_rss_mb"] for r in mixed]
-        ms = [r["host"]["host_ms_per_op"] for r in mixed]
-        print(f"  RSS growth 1x -> 2x: {rss[1] - rss[0]:+.1f} MB; "
-              f"ms/op at 4x / at 1x: {ms[2] / ms[0]:.3f}")
+        slopes = {name: sweep(name, SCALES, args.seed)
+                  for name in ("production_mixed", "production_hot")}
+        for name, records in slopes.items():
+            rss = [r["host"]["host_peak_rss_mb"] for r in records]
+            ms = [r["host"]["host_ms_per_op"] for r in records]
+            print(f"{name:<16} RSS per 1x (1x -> 2x): "
+                  f"{rss[1] - rss[0]:+6.1f} MB; "
+                  f"ms/op at 4x / at 1x: {ms[2] / ms[0]:.3f}")
         return 0
     mixed = sweep("production_mixed", SMOKE_SCALES, args.seed)
     bulk = sweep("faithful_bulk", SMOKE_SCALES, args.seed)
+    hot = sweep("production_hot", SMOKE_SCALES, args.seed)
     problems = [f"{r['workload']} at {r['scale']}x: {r['failed']} failed"
-                for r in mixed + bulk if r["failed"]]
+                for r in mixed + bulk + hot if r["failed"]]
     if not any(r["log"]["compactions"] for r in mixed):
         problems.append("production_mixed never compacted its log")
     if any(r["log"]["compactions"] for r in bulk):
         problems.append("faithful_bulk compacted a log with nothing dead")
+    growth = (hot[1]["host"]["host_peak_rss_mb"]
+              - hot[0]["host"]["host_peak_rss_mb"])
+    print(f"  RSS growth {SMOKE_SCALES[0]:g}x -> {SMOKE_SCALES[1]:g}x: "
+          f"{growth:+.1f} MB (at most +{HOT_RSS_GROWTH_MB:g})")
+    if growth > HOT_RSS_GROWTH_MB:
+        problems.append(f"production_hot peak RSS grew {growth:+.1f} MB "
+                        f"from {SMOKE_SCALES[0]:g}x to {SMOKE_SCALES[1]:g}x")
     for problem in problems:
         print(f"check failed: {problem}", file=sys.stderr)
     return 1 if problems else 0

@@ -18,7 +18,8 @@ models one form submission end to end:
 
 from __future__ import annotations
 
-from typing import Generator, Optional, TYPE_CHECKING
+from collections import deque
+from typing import Deque, Generator, Optional, TYPE_CHECKING
 
 from repro.core.context import RequestContext, span
 from repro.core.datastructures import GeneratedService
@@ -49,8 +50,10 @@ class CyberaidePortal:
         self.host = onserve.host
         self.sim = onserve.sim
         self.uploads_handled = 0
-        #: Contexts of handled uploads, newest last (trace inspection).
-        self.recent_requests: list = []
+        #: Contexts of the newest handled uploads, newest last (trace
+        #: inspection).  Each holds its whole span tree and a reader
+        #: wants the last few, so a long run keeps 64, not all of them.
+        self.recent_requests: Deque[RequestContext] = deque(maxlen=64)
 
     def upload_and_generate(self, user_host: Host, filename: str,
                             data: bytes, description: str = "",

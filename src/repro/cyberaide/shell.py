@@ -17,7 +17,8 @@ output as a string.
 from __future__ import annotations
 
 import shlex
-from typing import Dict, Generator, List, Optional
+from collections import deque
+from typing import Deque, Dict, Generator, List, Optional
 
 from repro.core.context import RequestContext, span
 from repro.cyberaide.jobspec import CyberaideJobSpec
@@ -64,8 +65,10 @@ class CyberaideShell:
         #: Virtual local files the user can upload/run.
         self.files: Dict[str, bytes] = {}
         self.history: List[str] = []
-        #: Context of each executed command, in order (trace inspection).
-        self.recent_requests: List[RequestContext] = []
+        #: Contexts of the newest commands, in order (trace inspection).
+        #: Each holds its whole span tree and a reader wants the last
+        #: few, so a long session keeps 64, not all of them.
+        self.recent_requests: Deque[RequestContext] = deque(maxlen=64)
 
     def add_file(self, name: str, data: bytes) -> None:
         """Drop a file into the shell's virtual working directory."""

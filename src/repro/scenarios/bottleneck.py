@@ -24,7 +24,9 @@ from repro.core.context import RequestContext
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
 from repro.scenarios.common import ScenarioEnv, standard_env
-from repro.telemetry.critical_path import Attribution, analyze_request
+from repro.telemetry.critical_path import (
+    BUS_KINDS, Attribution, analyze_request,
+)
 from repro.telemetry.events import bus
 from repro.telemetry.export import chrome_trace, prometheus_text
 from repro.telemetry.gauges import gauges
@@ -109,6 +111,7 @@ def run_bottleneck(file_bytes: Optional[int] = None,
     env = standard_env(appliance_uplink=appliance_uplink, config=config,
                        seed=seed)
     tb, stack, sim = env.testbed, env.stack, env.sim
+    grid_events = bus(sim).record(*BUS_KINDS)
 
     payload = make_payload("fixed", size=file_bytes,
                            runtime=f"{runtime_seconds}",
@@ -127,6 +130,6 @@ def run_bottleneck(file_bytes: Optional[int] = None,
     # Capacity history for the run's epilogue (feeds mds.history too).
     tb.mds.snapshot()
 
-    attribution = analyze_request(ctx, bus=bus(sim), board=gauges(sim))
+    attribution = analyze_request(ctx, bus=grid_events, board=gauges(sim))
     return BottleneckResult(env=env, ctx=ctx, attribution=attribution,
                             file_bytes=file_bytes)

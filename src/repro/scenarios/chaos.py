@@ -250,7 +250,8 @@ def _one_run(replicas: int, clients: int, services: int, rounds: int,
     tower = stack.attach_control_tower(specs=[SloSpec(
         "chaos-availability", availability=0.90,
         compliance_window=10_000_000.0, min_samples=10)])
-    telemetry = bus(sim)
+    telemetry = bus(sim).record("fabric.replica_crash",
+                                "router.replica_dead")
 
     payload = make_payload("fixed", size=file_bytes, runtime=runtime,
                            output_bytes=str(int(KB(4))))
@@ -319,6 +320,7 @@ def _one_run(replicas: int, clients: int, services: int, rounds: int,
     rejoined = all(name in stack.router.replicas() for name in restarted)
 
     tower.close()
+    telemetry.close()
     stack.stop_self_healing()
     return {
         "invocations": clients * rounds,

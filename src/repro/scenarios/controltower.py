@@ -61,7 +61,7 @@ class ControlTowerResult:
     """One control-tower run: alert timeline + fleet view + kernel profile."""
 
     def __init__(self, tower, router, contexts: List[RequestContext],
-                 metrics, event_bus, board,
+                 metrics, event_bus, fleet_events, board,
                  requests: int, faulted: int,
                  fault_window: float, fault_starts: List[float],
                  hot_service: str, hot_owner: str,
@@ -72,6 +72,8 @@ class ControlTowerResult:
         self.contexts = contexts
         self.metrics = metrics
         self.bus = event_bus
+        #: Every ``fleet.imbalance`` of the run (the ring keeps the newest).
+        self.fleet_events = fleet_events
         self.board = board
         self.requests = requests
         self.faulted = faulted
@@ -296,6 +298,7 @@ def run_controltower(replicas: int = 8,
                 latency_target=60.0, latency_quantile=0.9,
                 compliance_window=1350.0),
     ]
+    fleet_events = bus(sim).record("fleet.imbalance")
     tower = stack.attach_control_tower(
         specs=specs, rules=rules, profiler=True,
         detector_window=300.0, detector_threshold=2.0,
@@ -347,7 +350,7 @@ def run_controltower(replicas: int = 8,
 
     return ControlTowerResult(
         tower, stack.router, contexts, stack.soap_server.metrics,
-        bus(sim), gauges(sim),
+        bus(sim), fleet_events, gauges(sim),
         requests=len(outcomes), faulted=outcomes.count(False),
         fault_window=burst_length, fault_starts=fault_starts,
         hot_service=hot_service, hot_owner=hot_owner,

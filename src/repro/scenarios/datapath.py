@@ -181,6 +181,7 @@ def _repeat_invoke(seed: int, datapath: bool) -> Dict[str, float]:
     config = OnServeConfig(datapath=datapath, site_policy="round_robin")
     env = standard_env(config=config, seed=seed, n_sites=REPEAT_SITES)
     stack, sim = env.stack, env.sim
+    lookups = bus(sim).record("cache.hit", "cache.miss")
     sim.run(until=stack.portal.upload_and_generate(
         env.testbed.user_hosts[0], "repeat.bin",
         make_payload("echo", size=REPEAT_FILE_BYTES),
@@ -194,9 +195,8 @@ def _repeat_invoke(seed: int, datapath: bool) -> Dict[str, float]:
             stack, stack.user_clients[0], "Repeat%", token=token))
         if reply != token + "\n":
             raise RuntimeError(f"repeat invoke {i} answered {reply!r}")
-    staged = [ev.kind for ev in bus(sim).events()
-              if ev.kind in ("cache.hit", "cache.miss")
-              and ev.fields.get("cache") == "staged"]
+    staged = [ev.kind for ev in lookups.events()
+              if ev.fields.get("cache") == "staged"]
     return {
         "uplink": uplink.server.work_integral() - uplink0,
         "uploads": stack.agent.uploads,

@@ -198,7 +198,8 @@ def _run_arm(label: str, *, storm: int, scaled: bool, blob_bytes: int,
         appliance_spec=HostSpec(cores=8, disk_bandwidth=MBps(200),
                                 memory_bytes=GB(8)))
     stack, sim = env.stack, env.sim
-    telemetry = bus(sim)
+    telemetry = bus(sim).record("db.fetch", "db.lock.wait",
+                                "db.replica.read")
 
     payload = _blob(blob_bytes, runtime)
     sim.run(until=stack.portal.upload_and_generate(

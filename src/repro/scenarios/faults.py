@@ -301,6 +301,7 @@ def _run_once(case: FaultCase, seed: int) -> Dict[str, object]:
     env = standard_env(appliance_uplink=MBps(2), config=config, seed=seed,
                        n_sites=3, nodes_per_site=2, cores_per_node=4)
     tb, stack, sim = env.testbed, env.stack, env.sim
+    resilience = bus(sim).record(*RESILIENCE_KINDS)
     payload = make_payload("fixed", size=int(64 * KB(1)),
                            runtime=f"{case.runtime}",
                            output_bytes=str(int(KB(2))))
@@ -352,7 +353,7 @@ def _run_once(case: FaultCase, seed: int) -> Dict[str, object]:
     plane = bus(sim)
     trace = tuple((round(ev.ts, 9), ev.kind, ev.request_id,
                    tuple(sorted(ev.fields.items())))
-                  for ev in plane.events() if ev.kind in RESILIENCE_KINDS)
+                  for ev in resilience.events())
     from repro.faults.injector import get_injector
     injector = get_injector(sim)
     return {

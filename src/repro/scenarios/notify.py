@@ -131,13 +131,10 @@ def run_notify(n: int = 12, seed: int = 0,
     telemetry = bus(sim)
 
     finished: Dict[str, float] = {}
-    detected: Dict[str, float] = {}
     telemetry.subscribe(
         lambda ev: finished.setdefault(ev.fields["job_id"], ev.ts),
         kinds=["sched.finish"])
-    telemetry.subscribe(
-        lambda ev: detected.setdefault(ev.fields["job_id"], ev.ts),
-        kinds=["core.output_detected"])
+    detections = telemetry.record("core.output_detected")
 
     payload = make_payload("sleep", size=int(KB(64)))
     sim.run(until=stack.portal.upload_and_generate(
@@ -157,15 +154,17 @@ def run_notify(n: int = 12, seed: int = 0,
     procs = [sim.process(invoke(i), name=f"invoke:{i}") for i in range(n)]
     sim.run(until=sim.all_of(procs))
 
+    detected: Dict[str, float] = {}
+    polls: Dict[str, int] = {}
+    for ev in detections.events():
+        detected.setdefault(ev.fields["job_id"], ev.ts)
+        site = ev.fields["site"]
+        polls[site] = polls.get(site, 0) + ev.fields["polls"]
     lags: Dict[str, List[float]] = {}
     for job_id, at in detected.items():
         if job_id in finished:
             site = job_id.split("-job-")[0]
             lags.setdefault(site, []).append(at - finished[job_id])
-    polls: Dict[str, int] = {}
-    for ev in telemetry.events(kind="core.output_detected"):
-        site = ev.fields["site"]
-        polls[site] = polls.get(site, 0) + ev.fields["polls"]
 
     queue = stack.onserve.notify_queue
     per_site: Dict[str, Dict[str, float]] = {}

@@ -30,15 +30,20 @@ relative tolerance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.context import RequestContext, TraceSpan
-from repro.telemetry.events import EventBus
+from repro.telemetry.events import EventBus, Recorder
 from repro.telemetry.gauges import GaugeBoard
 
-__all__ = ["Attribution", "analyze_request"]
+__all__ = ["Attribution", "analyze_request", "BUS_KINDS"]
 
 Interval = Tuple[float, float]
+
+#: The event kinds :func:`analyze_request` reads off its *bus*: record
+#: these (``bus(sim).record(*BUS_KINDS)``) before a run whose requests
+#: may outlive the ring.
+BUS_KINDS = ("sched.submit", "sched.start", "sched.finish", "notify.deliver")
 
 
 def _merge(intervals: List[Interval]) -> List[Interval]:
@@ -169,7 +174,7 @@ def _span_window(node: TraceSpan, fallback_end: float) -> Interval:
 
 def _split_polling_idle(attribution: Attribution, idle: List[Interval],
                         job_id: Optional[str],
-                        bus: Optional[EventBus]) -> None:
+                        bus: Optional[Union[EventBus, Recorder]]) -> None:
     """Split polling-span idle time into queueing/compute/detection.
 
     The push path (a ``notify:await`` span) gets the same treatment,
@@ -219,12 +224,13 @@ def _split_polling_idle(attribution: Attribution, idle: List[Interval],
 
 
 def analyze_request(ctx: RequestContext,
-                    bus: Optional[EventBus] = None,
+                    bus: Optional[Union[EventBus, Recorder]] = None,
                     board: Optional[GaugeBoard] = None) -> Attribution:
     """Attribute *ctx*'s end-to-end latency to layer/category buckets.
 
-    *bus* (the run's event bus) enables the grid-side split of polling
-    idle time; *board* adds queue peaks to the result for context.
+    *bus* (the run's event bus, or a recorder of :data:`BUS_KINDS`)
+    enables the grid-side split of polling idle time; *board* adds
+    queue peaks to the result for context.
     Neither is required — without them the polling idle time lands in
     ``core/queueing`` undivided.
     """

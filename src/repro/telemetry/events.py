@@ -18,9 +18,13 @@ in the emitter's stack frame.  Attaching (or ignoring) the bus therefore
 cannot change a run's timing — the property the golden-series tests
 pin down byte-for-byte.
 
-The bus is a *ring*: the newest ``capacity`` events are retained
-(per-kind counters keep exact totals across eviction), which bounds
-memory on arbitrarily long runs.
+The bus is a *flight recorder*: its ring keeps the newest ``capacity``
+events, what one dumps when something has just gone wrong, so a long
+run holds no more of them than a short one.  Per-kind counters stay
+exact across eviction and :attr:`EventBus.dropped` counts what the ring
+let go.  A reader that needs every event of some kinds for the whole
+run opens a :class:`Recorder` before the run (``bus(sim).record(...)``)
+and asks it instead of the ring.
 
 Usage::
 
@@ -43,10 +47,12 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
 
-__all__ = ["TelemetryEvent", "EventBus", "bus"]
+__all__ = ["TelemetryEvent", "EventBus", "Recorder", "bus"]
 
-#: Default ring capacity (events, not bytes).
-DEFAULT_CAPACITY = 65536
+#: Default ring capacity (events, not bytes).  At ~40 events per
+#: invocation this is the last ~100 invocations: what a flight recorder
+#: dumps, not the whole run, which readers of it record instead.
+DEFAULT_CAPACITY = 4096
 
 
 class TelemetryEvent:
@@ -142,35 +148,30 @@ class EventBus:
 
         return unsubscribe
 
+    def record(self, *kinds: str) -> "Recorder":
+        """Keep every future event of *kinds*, whatever the ring evicts."""
+        return Recorder(self, kinds)
+
     # -- queries ------------------------------------------------------------
 
     def events(self, kind: Optional[str] = None,
                layer: Optional[str] = None,
                request_id: Optional[str] = None) -> List[TelemetryEvent]:
         """Retained events matching the filters, oldest first."""
-        out = []
-        for ev in self._ring:
-            if kind is not None and ev.kind != kind:
-                continue
-            if layer is not None and ev.layer != layer:
-                continue
-            if request_id is not None and ev.request_id != request_id:
-                continue
-            out.append(ev)
-        return out
+        return _select(self._ring, kind, layer, request_id)
 
     def first(self, kind: str, **field_filters: Any) -> Optional[TelemetryEvent]:
         """Oldest retained event of *kind* whose fields match the filters."""
-        for ev in self._ring:
-            if ev.kind != kind:
-                continue
-            if all(ev.fields.get(k) == v for k, v in field_filters.items()):
-                return ev
-        return None
+        return _first(self._ring, kind, field_filters)
 
     def counts(self) -> Dict[str, int]:
         """Exact per-kind emission totals (eviction-proof)."""
         return dict(self._counts)
+
+    @property
+    def dropped(self) -> int:
+        """Events the ring has evicted: emitted minus retained."""
+        return self.emitted - len(self._ring)
 
     def __len__(self) -> int:
         """Number of *retained* events (<= capacity)."""
@@ -182,6 +183,68 @@ class EventBus:
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (f"<EventBus retained={len(self._ring)} "
                 f"emitted={self.emitted} kinds={len(self._counts)}>")
+
+
+class Recorder:
+    """Every event of some kinds since it opened, in emission order.
+
+    One bus subscription: the whole-run counterpart of the ring, for a
+    reader (a scenario's epilogue, the critical-path analyzer) that
+    needs events the ring may have evicted.  It answers :meth:`events`
+    and :meth:`first` as :class:`EventBus` does; asking it for a kind it
+    does not record is an error, not an empty answer.
+    """
+
+    def __init__(self, bus: EventBus, kinds: Iterable[str]):
+        self.kinds = frozenset(kinds)
+        self._events: List[TelemetryEvent] = []
+        self._unsubscribe = bus.subscribe(self._events.append,
+                                          kinds=self.kinds)
+
+    def close(self) -> None:
+        """Stop recording; what was recorded stays readable."""
+        self._unsubscribe()
+
+    def events(self, kind: Optional[str] = None,
+               layer: Optional[str] = None,
+               request_id: Optional[str] = None) -> List[TelemetryEvent]:
+        """Recorded events matching the filters, oldest first."""
+        self._check(kind)
+        return _select(self._events, kind, layer, request_id)
+
+    def first(self, kind: str, **field_filters: Any) -> Optional[TelemetryEvent]:
+        """Oldest recorded event of *kind* whose fields match the filters."""
+        self._check(kind)
+        return _first(self._events, kind, field_filters)
+
+    def _check(self, kind: Optional[str]) -> None:
+        if kind is not None and kind not in self.kinds:
+            raise ValueError(f"recorder does not record {kind!r}")
+
+
+def _select(events: Iterable[TelemetryEvent], kind: Optional[str],
+            layer: Optional[str],
+            request_id: Optional[str]) -> List[TelemetryEvent]:
+    out = []
+    for ev in events:
+        if kind is not None and ev.kind != kind:
+            continue
+        if layer is not None and ev.layer != layer:
+            continue
+        if request_id is not None and ev.request_id != request_id:
+            continue
+        out.append(ev)
+    return out
+
+
+def _first(events: Iterable[TelemetryEvent], kind: str,
+           field_filters: Dict[str, Any]) -> Optional[TelemetryEvent]:
+    for ev in events:
+        if ev.kind != kind:
+            continue
+        if all(ev.fields.get(k) == v for k, v in field_filters.items()):
+            return ev
+    return None
 
 
 def bus(sim: "Simulator") -> EventBus:

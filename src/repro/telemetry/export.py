@@ -73,7 +73,8 @@ def prometheus_text(metrics: Optional[MetricsRegistry] = None,
       ``service`` and ``operation``.
     * Each gauge becomes ``repro_<name>`` with its current level.
     * Each event kind becomes a ``repro_events_total`` counter sample
-      labelled by ``kind`` (exact totals, eviction-proof).
+      labelled by ``kind`` (exact totals, eviction-proof), and
+      ``repro_events_dropped_total`` counts what the bus ring evicted.
     """
     lines: List[str] = []
 
@@ -132,6 +133,11 @@ def prometheus_text(metrics: Optional[MetricsRegistry] = None,
         for kind in sorted(bus.counts()):
             lines.append(f'{events}{{kind="{_escape_label(kind)}"}} '
                          f"{bus.counts()[kind]}")
+        dropped = "repro_events_dropped_total"
+        lines.append(f"# HELP {dropped} Telemetry events the bus ring "
+                     f"evicted.")
+        lines.append(f"# TYPE {dropped} counter")
+        lines.append(f"{dropped} {bus.dropped}")
 
     return "\n".join(lines) + ("\n" if lines else "")
 

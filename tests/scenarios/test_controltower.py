@@ -31,7 +31,7 @@ def test_hot_shard_detector_localizes_the_skewed_replica(result):
     assert result.detected_at is not None
     # The ring owner of the hot service is what the detector must name.
     assert result.router.ring.owner(result.hot_service) == result.hot_owner
-    imbalance = result.bus.events("fleet.imbalance")
+    imbalance = result.fleet_events.events("fleet.imbalance")
     assert imbalance and imbalance[0].get("replica") == result.hot_owner
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the structured event bus."""
 
+import pytest
+
 from repro.simkernel.kernel import Simulator
 from repro.telemetry.events import EventBus, bus
 
@@ -114,3 +116,61 @@ def test_ring_eviction_with_subscriber_attached_mid_run():
     unsub()
     b.emit("tick", i=99)
     assert seen[-1] == 15
+
+
+def test_default_ring_is_a_flight_recorder_that_counts_its_drops():
+    sim = Simulator(seed=0)
+    b = bus(sim)
+    for i in range(10_000):
+        b.emit("tick" if i % 2 else "tock", i=i)
+    assert len(b) == 4096
+    assert b.dropped == 5904
+    assert b.counts() == {"tick": 5000, "tock": 5000}
+    assert [ev.get("i") for ev in b][0] == 5904
+
+
+def test_recorder_keeps_its_kinds_after_the_ring_evicted_them():
+    sim = Simulator(seed=0)
+    b = EventBus(sim, capacity=4)
+    rec = b.record("sched.submit", "sched.finish")
+    for i in range(10):
+        b.emit("sched.submit", job_id=f"j{i}")
+        b.emit("noise")
+        b.emit("sched.finish", job_id=f"j{i}")
+    assert b.first("sched.submit", job_id="j0") is None  # evicted
+    assert len(rec.events()) == 20
+    assert rec.first("sched.submit", job_id="j0").get("job_id") == "j0"
+    assert [ev.get("job_id") for ev in rec.events("sched.finish")] == \
+        [f"j{i}" for i in range(10)]
+    assert [ev.kind for ev in rec.events()][:2] == ["sched.submit",
+                                                    "sched.finish"]
+
+
+def test_recorder_answers_as_the_ring_on_a_run_it_holds():
+    sim = Simulator(seed=0)
+    b = bus(sim)
+    rec = b.record("a.one", "sched.start")
+    b.emit("a.one", layer="ws", request_id="r1")
+    b.emit("sched.start", layer="grid", request_id="r1", job_id="j1")
+    b.emit("b.two", layer="grid", request_id="r1")
+    b.emit("a.one", layer="ws", request_id="r2")
+    b.emit("sched.start", layer="grid", request_id="r2", job_id="j2")
+    for query in ({"kind": "a.one"}, {"kind": "a.one", "request_id": "r2"},
+                  {"kind": "sched.start", "layer": "grid"}):
+        assert rec.events(**query) == b.events(**query)
+    for filters in ({"job_id": "j2"}, {"job_id": "j9"}, {}):
+        assert rec.first("sched.start", **filters) is \
+            b.first("sched.start", **filters)
+    with pytest.raises(ValueError):
+        rec.events("b.two")  # not recorded: an error, not an empty list
+
+
+def test_recorder_close_stops_recording():
+    sim = Simulator(seed=0)
+    b = bus(sim)
+    rec = b.record("tick")
+    b.emit("tick", i=0)
+    rec.close()
+    b.emit("tick", i=1)
+    assert [ev.get("i") for ev in rec.events("tick")] == [0]
+    assert len(b) == 2

@@ -44,6 +44,7 @@ def test_prometheus_text_parses_and_counts_match():
     assert samples["repro_gram_anl_inflight"] == 3
     assert samples['repro_events_total{kind="ws.request"}'] == 2
     assert samples['repro_events_total{kind="sched.start"}'] == 1
+    assert samples["repro_events_dropped_total"] == 0
 
 
 def test_prometheus_histogram_buckets_are_cumulative():
