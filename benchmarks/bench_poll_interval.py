@@ -26,7 +26,7 @@ def _one(interval: float, runtime: float = 60.0):
     t0 = tb.sim.now
     tb.sim.run(until=discover_and_invoke(stack, stack.user_clients[0], "P%"))
     elapsed = tb.sim.now - t0
-    report = stack.onserve.runtimes["PService"].reports[0]
+    report = stack.onserve.runtimes["PService"].last_report
     wasted = tb.appliance_host.net_bytes_in() - net_before
     return {"interval": interval, "elapsed": elapsed,
             "latency_overhead": elapsed - runtime,

@@ -19,8 +19,10 @@ sha, seed and scale and, per workload:
   the untraced pass — recorded, never checked: they are this machine's.
 
 The sha is ``git describe --always --dirty``: a record made before its
-change is committed carries its parent's sha and ``-dirty``; to label a
-record with a commit, run ``record`` on a clean checkout of it.
+change is committed carries its parent's sha and ``-dirty``.  So that
+the trajectory reads without the change log beside it, ``record --label
+"PR 31"`` stores a label naming the change beside the sha, and
+``check`` prints it.
 
 ``python benchmarks/ledger.py check`` re-runs the same passes and exits 1
 when anything but ``host`` differs from the last record, the committed
@@ -56,6 +58,12 @@ def _describe() -> str:
         return done.stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "nogit"
+
+
+def _name(record: Dict[str, Any]) -> str:
+    """A record's sha, and its label when it has one."""
+    label = record.get("label")
+    return f"{record['git_sha']} ({label})" if label else record["git_sha"]
 
 
 def measure() -> Dict[str, Any]:
@@ -121,7 +129,9 @@ def differences(recorded: Dict[str, Any], measured: Dict[str, Any]
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="benchmarks/ledger.py")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("record", help="measure and add a record")
+    record_cmd = sub.add_parser("record", help="measure and add a record")
+    record_cmd.add_argument("--label", default="",
+                            help='what the record is of, e.g. "PR 31"')
     sub.add_parser("check", help="re-measure; fail if HEAD's record "
                                  "no longer holds")
     args = parser.parse_args(argv)
@@ -130,11 +140,13 @@ def main(argv=None) -> int:
         sha = _describe()
         record = {"git_sha": sha, "seed": SEED, "scale": SCALE,
                   "workloads": measure()}
+        if args.label:
+            record["label"] = args.label
         ledger["records"] = [r for r in ledger["records"]
                              if r["git_sha"] != sha] + [record]
         LEDGER.write_text(json.dumps(ledger, indent=1, sort_keys=True)
                           + "\n")
-        print(f"recorded {sha} in {LEDGER.name}")
+        print(f"recorded {_name(record)} in {LEDGER.name}")
         return 0
     if not ledger["records"]:
         print(f"check failed: {LEDGER.name} holds no record",
@@ -143,9 +155,10 @@ def main(argv=None) -> int:
     head = ledger["records"][-1]
     problems = differences(head["workloads"], measure())
     for problem in problems:
-        print(f"check failed: {problem}", file=sys.stderr)
+        print(f"check failed against {_name(head)}: {problem}",
+              file=sys.stderr)
     if not problems:
-        print(f"{LEDGER.name}: the record of {head['git_sha']} holds")
+        print(f"{LEDGER.name}: the record of {_name(head)} holds")
     return 1 if problems else 0
 
 

@@ -8,6 +8,12 @@ compacted its log (``db.stats["compactions"]``) and the unique bytes the
 log holds at the end.  The gate is slope, not level (ROADMAP item 5a):
 per workload, RSS growth per 1x of run length and ms/op at 4x against 1x.
 
+Under each length it prints what the pass left held at its end: rows
+per table on the primary and on each DB replica, gauge samples, the
+kernel's queued events, GRAM job records (and how many still hold a
+parsed RSL), queued timers still hooked to a condition that has fired,
+and staged copies of an executable that are not the memo's payload.
+
 ``--smoke`` is the CI form: 0.25x and 0.5x, and it fails unless
 ``production_mixed`` compacted at least once, ``faithful_bulk`` (fresh
 uploads, nothing superseded) never did, ``production_hot``'s peak RSS
@@ -15,9 +21,9 @@ grew by at most ``HOT_RSS_GROWTH_MB`` from 0.25x to 0.5x, and no
 operation failed.
 
 A child is ``python -m benchmarks.e2e pass`` in all but one thing: the
-pass record does not carry the two log figures, so the child calls the
-same ``run_pass`` with ``_deploy`` wrapped to remember the stack it
-built, and reads them off ``stack.dbmanager.db`` when the pass is over.
+pass record does not carry the log figures or what is held, so the
+child calls the same ``run_pass`` with ``_deploy`` wrapped to remember
+what it built, and reads them off the stack when the pass is over.
 """
 
 from __future__ import annotations
@@ -34,30 +40,65 @@ SCALES = (1.0, 2.0, 4.0)
 SMOKE_SCALES = (0.25, 0.5)
 PASS_TIMEOUT_S = 600
 #: production_hot's peak RSS growth allowed from 0.25x to 0.5x, in MB:
-#: +2.7 with a 4 096-event bus ring, +5.5 when the ring held the run.
-HOT_RSS_GROWTH_MB = 3.5
+#: +2.7 with a 4 096-event bus ring and every finished invocation's
+#: leftovers, +1.7 once those are bounded at their source.
+HOT_RSS_GROWTH_MB = 2.0
+
+
+def _held(sim, tb, stack) -> Dict[str, Any]:
+    """What the pass left held: the figures that must not grow with the
+    operations done, beside the durable rows that may."""
+    from repro.simkernel.events import ConditionEvent, Timeout
+    from repro.telemetry.gauges import gauges
+    manager = stack.dbmanager
+    rows = {"primary": {t: manager.db.count(t) for t in manager.db.tables}}
+    for replica in manager.replicas:
+        rows[replica.name] = {t: replica.db.count(t)
+                              for t in replica.db.tables}
+    jobs = [job for site in tb.sites for job in site._jobs.values()]
+    fired_hooks = sum(
+        1 for _, _, ev in sim._heap if isinstance(ev, Timeout)
+        for cb in ev.callbacks or ()
+        if isinstance(getattr(cb, "__self__", None), ConditionEvent)
+        and cb.__self__.triggered)
+    memo = {id(exe.payload): exe.payload
+            for _, exe, _ in manager._memo._entries.values()}
+    copies = sum(1 for site in tb.sites for data in site.storage.values()
+                 for payload in memo.values()
+                 if data is not payload and data == payload)
+    return {"rows": rows,
+            "gauge_samples": sum(len(s) for s in gauges(sim).series()),
+            "queued_events": sim.queued_events,
+            "fired_condition_hooks": fired_hooks,
+            "gram_jobs": len(jobs),
+            "gram_jobs_with_rsl": sum(job.description is not None
+                                      for job in jobs),
+            "payload_copies": copies}
 
 
 def _child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
-    """One pass in this process; its record plus the log's figures."""
+    """One pass in this process; its record, the log's figures and what
+    the pass left held."""
     from benchmarks.e2e import passes
     built: List[Any] = []
     deploy = passes._deploy
 
     def remembering(sim, schedule):
         tb, stack = deploy(sim, schedule)
-        built.append(stack)
+        built.append((sim, tb, stack))
         return tb, stack
 
     passes._deploy = remembering
     record = passes.run_pass(workload, seed, scale=scale)
-    db = built[0].dbmanager.db
+    sim, tb, stack = built[0]
+    db = stack.dbmanager.db
     record["log"] = {
         "compactions": db.stats.get("compactions", 0),
         "bytes": db.wal.size(),
         "unique_bytes": sum(len(s) for s in
                             {id(s): s for s in db.wal._segments}.values()),
     }
+    record["held"] = _held(sim, tb, stack)
     return record
 
 
@@ -84,6 +125,17 @@ def sweep(workload: str, scales, seed: int) -> List[Dict[str, Any]]:
               f"{host['host_peak_rss_mb']:8.1f} {host['host_ms_per_op']:7.3f} "
               f"{log['compactions']:11d} {log['bytes'] / 2**20:8.1f} "
               f"{log['unique_bytes'] / 2**20:9.1f}", flush=True)
+        held = r["held"]
+        for db_name, tables in held["rows"].items():
+            print(f"        rows on {db_name}: " + (", ".join(
+                f"{t} {n}" for t, n in tables.items()) or "none"))
+        print(f"        held: {held['gauge_samples']} gauge samples, "
+              f"{held['queued_events']} queued events "
+              f"({held['fired_condition_hooks']} timers hooked to a fired "
+              f"condition), {held['gram_jobs']} GRAM job records "
+              f"({held['gram_jobs_with_rsl']} with parsed RSL), "
+              f"{held['payload_copies']} second copies of a memo payload",
+              flush=True)
         records.append(r)
     return records
 

@@ -60,7 +60,7 @@ def main() -> None:
     for line in output.splitlines():
         print(f"  | {line}")
 
-    report = stack.onserve.runtimes[service.service_name].reports[-1]
+    report = stack.onserve.runtimes[service.service_name].last_report
     print("behind the scenes:")
     print(f"  grid job        : {report.job_id}")
     print(f"  DB retrieval    : {fmt_duration(report.retrieval)}")

@@ -130,8 +130,11 @@ class GridServiceRuntime:
         self._rr_cursor = 0
         #: Asynchronous invocations in flight: ticket -> background process.
         self._tickets: Dict[str, Any] = {}
-        #: One report per execute() call, in order.
-        self.reports: List[InvocationReport] = []
+        #: execute() calls started, and how many of them returned output.
+        self.invocations = 0
+        self.invocations_ok = 0
+        #: The report of the newest execute() call (None before the first).
+        self.last_report: Optional[InvocationReport] = None
 
     # -- the SOAP handler -----------------------------------------------------
 
@@ -201,8 +204,9 @@ class GridServiceRuntime:
                  ) -> Generator[Event, None, str]:
         cfg = self.onserve.config
         host = self.onserve.host
-        report = InvocationReport(self.record.name, self.sim.now)
-        self.reports.append(report)
+        report = self.last_report = InvocationReport(self.record.name,
+                                                     self.sim.now)
+        self.invocations += 1
         held_bytes = 0  # RAM held for the in-flight payload
         exe = None
         tier = cfg.db_tier
@@ -384,6 +388,7 @@ class GridServiceRuntime:
                 available, attempt_on_site, ctx)
             report.output_bytes = len(output)
             report.ok = True
+            self.invocations_ok += 1
             try:
                 return output.decode("utf-8")
             except UnicodeDecodeError:

@@ -78,8 +78,8 @@ class ManagementService:
         # record-level invocation count instead of local reports then.
         runtime = self.onserve.runtimes.get(name)
         if runtime is not None:
-            ok = sum(1 for r in runtime.reports if r.ok)
-            invocations = f"{len(runtime.reports)} ({ok} ok)"
+            invocations = (f"{runtime.invocations} "
+                           f"({runtime.invocations_ok} ok)")
         else:
             invocations = f"{service.invocations} (fabric-wide)"
         lines = [

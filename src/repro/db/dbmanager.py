@@ -120,76 +120,64 @@ _MEMO_BUDGET = 32 * 1024 * 1024
 
 
 class _InflateMemo:
-    """Decompressed payload and digest per BLOB *version* (host side only).
+    """The newest fetched version of each BLOB, inflated (host side only).
 
-    Both are pure functions of the compressed bytes, so they are derived
-    once per version instead of once per fetch.  The key is the identity
-    of the row's compressed ``data`` object, and every entry pins that
-    object, so its ``id`` cannot be recycled while the entry lives: a
-    replaced, deleted or crash-recovered row holds a *different* object
-    and simply never matches — no invalidation hook exists or is needed.
+    The payload and its digest are pure functions of the compressed
+    bytes, so a version is inflated once, on its first fetch, and every
+    later fetch of it is handed the *same* :class:`StoredExecutable` —
+    the payload a site stages is the one held here, never a second copy,
+    and the digest is hashed once, when someone first asks for it.
 
-    A version is admitted on its **second** fetch, so a BLOB fetched
-    once never has its payload retained.  The first fetch only leaves a
-    marker, and a marker pins nothing: it is the row version's
-    ``(stored_at, compressed length)`` under the row's name (the newest
-    version fetched replaces it), so a version the store has dropped is
-    not kept alive here.  A marker that matches a different version of
-    equal time and length can at worst admit that one a fetch early;
-    what is served always comes from an entry found by its own object.
-    Least-recently-fetched entries fall out once the pinned bytes pass
-    :data:`_MEMO_BUDGET`; a version that alone exceeds it is never held.
+    An entry sits under the row's name and matches only the identity of
+    the row's compressed ``data`` object, which it pins: a replaced,
+    deleted or crash-recovered row holds a *different* object and never
+    matches.  Storing or deleting the name drops its entry, and a fetch
+    of another version replaces it: one version per name at most, and
+    not one the store has replaced since.  Least-recently-fetched names
+    fall out once the pinned bytes pass :data:`_MEMO_BUDGET`; a version
+    that alone exceeds it is never held.
     """
 
     def __init__(self) -> None:
-        #: id(data) -> (data, payload, digest, bytes pinned), least
+        #: name -> (data, the version's executable, bytes pinned), least
         #: recently fetched first.
-        self._entries: OrderedDict[int, Tuple[bytes, bytes, str, int]] = (
-            OrderedDict())
+        self._entries: OrderedDict[
+            str, Tuple[bytes, StoredExecutable, int]] = OrderedDict()
         self._pinned = 0
-        #: name -> (stored_at, len(data)) of the version fetched once.
-        self._markers: Dict[str, Tuple[float, int]] = {}
 
     def stored(self, record: Dict[str, Any]) -> StoredExecutable:
-        """The row as a :class:`StoredExecutable`: metadata from *record*,
-        payload and digest derived from — or remembered for — its
-        ``data`` object.  Host work only; the callers have already
-        charged every simulated step of the fetch."""
-        data = record["data"]
+        """The row as a :class:`StoredExecutable`: remembered for its
+        ``data`` object, else built from *record* and the inflated
+        payload.  Host work only; the callers have already charged every
+        simulated step of the fetch."""
+        data, name = record["data"], record["name"]
         entries = self._entries
-        key = id(data)
-        entry = entries.get(key)
-        digest = None
-        if entry is not None:
-            entries.move_to_end(key)
-            payload, digest = entry[1], entry[2]
-        else:
-            payload = zlib.decompress(data)
-            name = record["name"]
-            version = (record["stored_at"], len(data))
-            pinned = len(data) + len(payload)
-            if self._markers.get(name) != version:
-                self._markers[name] = version  # first fetch
-            elif pinned <= _MEMO_BUDGET:
-                # Second fetch: admit the payload, hashed once here for
-                # every later load.
-                del self._markers[name]
-                digest = hashlib.sha256(payload).hexdigest()
-                entries[key] = (data, payload, digest, pinned)
-                self._pinned += pinned
-                while self._pinned > _MEMO_BUDGET:
-                    self._pinned -= entries.popitem(last=False)[1][3]
+        entry = entries.get(name)
+        if entry is not None and entry[0] is data:
+            entries.move_to_end(name)
+            return entry[1]
+        self.drop(name)
         exe = StoredExecutable(
-            name=record["name"],
-            payload=payload,
+            name=name,
+            payload=zlib.decompress(data),
             description=record["description"],
             params_spec=record["params_spec"],
             compressed_size=record["compressed_size"],
             stored_at=record["stored_at"],
         )
-        if digest is not None:
-            exe.digest = digest  # fills the cached_property's slot
+        pinned = len(data) + exe.size
+        if pinned <= _MEMO_BUDGET:
+            entries[name] = (data, exe, pinned)
+            self._pinned += pinned
+            while self._pinned > _MEMO_BUDGET:
+                self._pinned -= entries.popitem(last=False)[1][2]
         return exe
+
+    def drop(self, name: str) -> None:
+        """Forget what is held under *name*."""
+        entry = self._entries.pop(name, None)
+        if entry is not None:
+            self._pinned -= entry[2]
 
 
 _SCHEMA = [
@@ -370,6 +358,7 @@ class DbManager:
                     ])
                     if on_commit is not None:
                         on_commit()
+                self._memo.drop(name)
             finally:
                 if locked:
                     self._release_conn()
@@ -503,6 +492,7 @@ class DbManager:
         def op() -> Generator[Event, None, bool]:
             yield self.host.compute(self.costs.statement_cpu, tag="db")
             count = self.db.delete_eq(self.TABLE, "name", name)
+            self._memo.drop(name)
             yield self.host.disk_write(self.costs.commit_disk_overhead)
             return count > 0
 

@@ -49,6 +49,12 @@ def _create_table_record(name: str, schema: Schema) -> Tuple[Any, ...]:
              for c in schema.columns])
 
 
+def _create_index_record(table: str, column: str,
+                         index: Any) -> Tuple[Any, ...]:
+    kind = "hash" if isinstance(index, HashIndex) else "sorted"
+    return ("create_index", table, column, kind)
+
+
 class Database:
     """An embedded single-writer relational database.
 
@@ -407,6 +413,20 @@ class Database:
             raise TransactionError("cannot checkpoint inside a transaction")
         self._compact()
 
+    def table_records(self, name: str) -> List[Tuple[Any, ...]]:
+        """The log records that rebuild table *name* as it stands: its
+        schema, its indexes and one frame of its rows, under their own
+        rowids (what a replica replays to start holding the table)."""
+        tbl = self._table(name)
+        rowids, rows = tbl.image()
+        return [_create_table_record(name, tbl.schema),
+                *[_create_index_record(table, column, index)
+                  for (table, column), index in self._indexes.items()
+                  if table == name],
+                ("txn", self._last_txn,
+                 [("insert", name, rowid, row)
+                  for rowid, row in zip(rowids, rows)])]
+
     def _compact(self) -> None:
         """Rewrite the log as the image of the committed state: the
         schema, then each table's rows, :data:`_IMAGE_CHUNK` to a frame.
@@ -416,8 +436,8 @@ class Database:
         frames = [encode_frame(_create_table_record(name, tbl.schema))
                   for name, tbl in self.tables.items()]
         for (table, column), index in self._indexes.items():
-            kind = "hash" if isinstance(index, HashIndex) else "sorted"
-            frames.append(encode_frame(("create_index", table, column, kind)))
+            frames.append(encode_frame(_create_index_record(table, column,
+                                                            index)))
         image = {}
         for name, tbl in self.tables.items():
             all_rowids, all_rows = tbl.image()

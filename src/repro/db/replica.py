@@ -10,6 +10,13 @@ That keeps replication pure bookkeeping — it schedules no simulation
 events, so an attached-but-unread replica can never perturb a faithful
 timeline.
 
+A replica behind a router holds only what reads are routed to: it
+materialises a table on the first read routed to it, by copying the
+primary's rows — the router has just proven them equal to what the
+replica would hold — and from then on applies only the tables it holds.
+A table no read is routed to (the invocation history, the dedup keys)
+is never copied.
+
 The :class:`ReadRouter` decides, per read, whether a replica may serve
 a table.  The guard is conservative: a replica is eligible only when
 the table's newest primary write is at least one lag interval old —
@@ -59,6 +66,8 @@ class ReadReplica:
         self.txns_applied = 0
         #: Ship timestamp of the newest applied record.
         self.applied_ts = 0.0
+        #: Only tables a read was routed to are held (see :meth:`serve`).
+        self.on_demand = False
         self._bootstrap()
         primary.wal.taps.append(self._tap)
 
@@ -80,13 +89,38 @@ class ReadReplica:
         """Shipped records not yet applied."""
         return len(self._pending)
 
+    def hold_on_demand(self) -> None:
+        """Drop every table, and from now on hold a table only once
+        :meth:`serve` has materialised it (what a router asks of the
+        replicas it routes to)."""
+        self.on_demand = True
+        self.db = Database()
+
+    def serve(self, table: str) -> bool:
+        """Does the replica hold *table*?  On demand, one the primary
+        has is materialised now from the primary's rows.
+
+        The caller vouches that those rows are what the replica would
+        hold: every write to *table* is due and the primary has no
+        transaction open — :meth:`ReadRouter.reader`'s guard.
+        """
+        if table in self.db.tables:
+            return True
+        if not self.on_demand or table not in self.primary.tables:
+            return False
+        for record in self.primary.table_records(table):
+            self.db._replay(record)
+        return True
+
     def catch_up(self, now: Optional[float] = None) -> int:
-        """Apply every shipped record whose lag has elapsed by *now*."""
+        """Apply every shipped record whose lag has elapsed by *now*
+        (on demand: to the tables held; the rest are only consumed)."""
         now = self.sim.now if now is None else now
         applied = 0
         while self._pending and self._pending[0][0] + self.lag <= now:
             ts, record = self._pending.popleft()
-            self.db._replay(record)
+            if not (self.on_demand and record[0] == "create_table"):
+                self.db._replay(record)
             self.applied_ts = ts
             self.records_applied += 1
             if record[0] == "txn":
@@ -130,6 +164,8 @@ class ReadRouter:
         self._rr = 0
         self.replica_reads = 0
         self.primary_reads = 0
+        for replica in self.replicas:
+            replica.hold_on_demand()
         primary.wal.taps.append(self._observe)
 
     def _observe(self, record: Tuple[Any, ...]) -> None:
@@ -159,7 +195,7 @@ class ReadRouter:
             replica = self.replicas[self._rr % len(self.replicas)]
             self._rr += 1
             replica.catch_up(now)
-            if table in replica.db.tables:
+            if replica.serve(table):
                 self.replica_reads += 1
                 self._note_replica_read(table, replica, now)
                 return replica.db

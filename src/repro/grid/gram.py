@@ -17,10 +17,10 @@ first does, and every submit is still authorized (``acceptor.accept``).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from repro.core.context import RequestContext, span
-from repro.errors import SubmissionRefused
+from repro.errors import JobNotFound, SubmissionRefused
 from repro.faults.injector import get_injector
 from repro.grid.job import GridJob, JobState
 from repro.grid.rsl import parse_rsl
@@ -71,8 +71,6 @@ class GramGatekeeper:
         #: pooled channel instead (:class:`~repro.grid.channel.GsiChannel`).
         self.handshakes = 0
         self.pooled_ops = 0
-        #: job_id -> completion event (fires with the terminal job).
-        self._completions: Dict[str, Event] = {}
         #: Push path (ROADMAP item 1): the notification queue this
         #: gatekeeper publishes each job's terminal state to, if its site
         #: "supports" callbacks.  Heterogeneous on purpose: an attached
@@ -196,7 +194,6 @@ class GramGatekeeper:
                     yield self.host.send(client, 512, label="gram-handle")
                     return job.job_id
                 done = self.site.run_job(job)
-                self._completions[job.job_id] = done
                 if self.notify_capable:
                     done.add_callback(
                         lambda ev: self._push(ev._value) if ev._ok else None)
@@ -297,9 +294,10 @@ class GramGatekeeper:
         return self.sim.process(op(), name=f"gram-output:{job_id}")
 
     def completion_event(self, job_id: str) -> Event:
-        """The event that fires when *job_id* reaches a terminal state."""
+        """The event that fires when *job_id* reaches a terminal state
+        (see :meth:`GridSite.completion`)."""
         try:
-            return self._completions[job_id]
-        except KeyError:
+            return self.site.completion(job_id)
+        except JobNotFound:
             raise SubmissionRefused(
                 f"gatekeeper has no record of job {job_id!r}") from None

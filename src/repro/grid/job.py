@@ -7,6 +7,7 @@ from typing import Dict, Optional
 
 from repro.errors import JobError
 from repro.grid.rsl import JobDescription
+from repro.simkernel.events import Event
 
 __all__ = ["JobState", "GridJob"]
 
@@ -46,12 +47,22 @@ TERMINAL_STATES = frozenset({JobState.DONE, JobState.FAILED,
 
 
 class GridJob:
-    """One submitted job: description + state + timing + results."""
+    """One submitted job: description + state + timing + results.
+
+    Once terminal and done with, the site *retires* the record
+    (:meth:`retire`): it keeps what a later lookup reads — state,
+    output, times, failure reason — and lets the parsed description,
+    the state history and the completion event go.
+    """
+
+    __slots__ = ("job_id", "description", "owner", "state", "history",
+                 "runtime", "started_at", "finished_at", "output",
+                 "output_size", "failure_reason", "completion")
 
     def __init__(self, job_id: str, description: JobDescription,
                  owner: str, submitted_at: float):
         self.job_id = job_id
-        self.description = description
+        self.description: Optional[JobDescription] = description
         self.owner = owner
         self.state = JobState.UNSUBMITTED
         #: Timestamps of every state entry (state -> simulated time).
@@ -67,6 +78,9 @@ class GridJob:
         #: partial-output polling).
         self.output_size: int = 0
         self.failure_reason: str = ""
+        #: Fires with this job once it is terminal (set by the site that
+        #: runs it; dropped when the record is retired).
+        self.completion: Optional[Event] = None
 
     # -- state machine --------------------------------------------------------
 
@@ -90,6 +104,14 @@ class GridJob:
     def is_terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
+    def retire(self) -> None:
+        """Drop what no lookup of a terminal job reads."""
+        if not self.is_terminal:
+            raise JobError(f"job {self.job_id} is still {self.state.value}")
+        self.description = None
+        self.history = None
+        self.completion = None
+
     # -- progress ------------------------------------------------------------------
 
     def progress(self, now: float) -> float:
@@ -105,8 +127,10 @@ class GridJob:
         return int(self.output_size * self.progress(now))
 
     def queue_wait(self) -> Optional[float]:
-        """Seconds spent PENDING, once the job has started."""
-        if self.started_at is None or JobState.PENDING not in self.history:
+        """Seconds spent PENDING, once the job has started (None before,
+        and once the record is retired)."""
+        if (self.started_at is None or not self.history
+                or JobState.PENDING not in self.history):
             return None
         return self.started_at - self.history[JobState.PENDING]
 

@@ -219,18 +219,18 @@ class GridSite:
     def run_job(self, job: GridJob) -> Event:
         """Stage-in, queue and eventually execute *job*.
 
-        Returns an event that fires with the job once terminal.  The
-        executable must already be in the site storage area (GridFTP put
-        happens before submission — the JSE contract).
+        Returns an event that fires with the job once it is terminal
+        and its record retired; until then the record keeps the event as
+        ``job.completion``.  The executable must already be in the site
+        storage area (GridFTP put happens before submission — the JSE
+        contract).
         """
         path = job.description.executable
         job.transition(JobState.STAGE_IN, self.sim.now)
         if not self.has_file(path):
             job.transition(JobState.FAILED, self.sim.now,
                            reason=f"executable {path!r} not staged")
-            ev = self.sim.event(f"job-failed:{job.job_id}")
-            ev.succeed(job)
-            return ev
+            return self._finish(job, f"job-failed:{job.job_id}")
         try:
             profile_name, options = parse_payload(self.read_file(path))
             profile = get_profile(profile_name)
@@ -242,14 +242,12 @@ class GridSite:
                 job.description.arguments, job.description.count, options)
         except JobError as exc:
             job.transition(JobState.FAILED, self.sim.now, reason=str(exc))
-            ev = self.sim.event(f"job-failed:{job.job_id}")
-            ev.succeed(job)
-            return ev
+            return self._finish(job, f"job-failed:{job.job_id}")
 
         job.transition(JobState.PENDING, self.sim.now)
         policy = self.queues[job.description.queue]
         done = self.scheduler.submit(job, runtime, priority=policy.priority)
-        finished = self.sim.event(f"job-final:{job.job_id}")
+        finished = job.completion = self.sim.event(f"job-final:{job.job_id}")
 
         def _on_done(event: Event) -> None:
             finished_job: GridJob = event.value
@@ -259,10 +257,25 @@ class GridSite:
                     finished_job.description.count, options)
                 finished_job.output = output
                 self.store_file(finished_job.description.stdout, output)
+            finished_job.retire()
             finished.succeed(finished_job)
 
         done.add_callback(_on_done)
         return finished
+
+    def _finish(self, job: GridJob, name: str) -> Event:
+        """Retire a job that ended before reaching the LRM; its
+        completion fires now."""
+        job.retire()
+        return self.sim.event(name).succeed(job)
+
+    def completion(self, job_id: str) -> Event:
+        """The event that fires with job *job_id* once it is terminal —
+        for a retired record, a fresh one firing with it now."""
+        job = self.get_job(job_id)
+        if job.completion is not None:
+            return job.completion
+        return self.sim.event(f"job-final:{job_id}").succeed(job)
 
     def drop_job(self, job_id: str) -> None:
         """Forget a job record entirely (the lost-job fault).

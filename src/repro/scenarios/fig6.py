@@ -89,7 +89,7 @@ def run_fig6(runtime_seconds: float = 75.0,
     sim.run(until=sim.now + env.sampler.interval)
 
     runtime = stack.onserve.runtimes["TinyService"]
-    report = runtime.reports[-1]
+    report = runtime.last_report
 
     # Credential-traffic estimate: the MyProxy exchange plus one GSI
     # handshake per grid operation (upload, submit, N output polls).

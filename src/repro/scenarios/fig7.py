@@ -80,7 +80,7 @@ def run_fig7(file_bytes: Optional[int] = None,
     invocation_total = sim.now - t0
     sim.run(until=sim.now + env.sampler.interval)
 
-    report = stack.onserve.runtimes["BigfileService"].reports[-1]
+    report = stack.onserve.runtimes["BigfileService"].last_report
 
     # Plateau detection on the appliance's outbound rate.
     uplink_kbps = appliance_uplink / KB(1)

@@ -112,8 +112,8 @@ def _direct_path(runtime: float, file_bytes: int, uplink: float,
         yield tb.ftp(site).put(client, chain, spec.staged_path(), payload)
         job_id = yield tb.gram(site).submit(client, chain,
                                             spec.to_rsl("direct"))
-        job = yield tb.gram(site).completion_event(job_id)
-        yield tb.ftp(site).get(client, chain, job.description.stdout)
+        yield tb.gram(site).completion_event(job_id)
+        yield tb.ftp(site).get(client, chain, spec.stdout_path("direct"))
 
     t0 = sim.now
     sim.run(until=sim.process(flow()))

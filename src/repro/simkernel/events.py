@@ -190,6 +190,27 @@ class ConditionEvent(Event):
     def _check(self, event: Event) -> None:
         raise NotImplementedError
 
+    def _fire(self, event: Event) -> None:
+        """Take *event*'s failure or succeed, then unhook from every
+        child ``Timeout`` still pending.
+
+        A fired condition has nothing left to hear from a timer, but the
+        timer stays queued until its instant — a six-hour deadline would
+        keep the condition, and all that hangs off it, alive that long.
+        A ``Timeout`` cannot fail, so no defuse is lost; every other
+        pending child keeps the hook that defuses its later failure.
+        """
+        if event._ok:
+            self.succeed(self._collect())
+        else:
+            event.defused()
+            self.fail(event._value)
+        check = self._check
+        for ev in self.events:
+            callbacks = ev.callbacks
+            if callbacks and isinstance(ev, Timeout):
+                callbacks[:] = [cb for cb in callbacks if cb != check]
+
 
 class AnyOf(ConditionEvent):
     """Fires as soon as any child event fires.
@@ -205,11 +226,7 @@ class AnyOf(ConditionEvent):
             if not event._ok:
                 event.defused()
             return
-        if not event._ok:
-            event.defused()
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
+        self._fire(event)
 
 
 class AllOf(ConditionEvent):
@@ -226,10 +243,8 @@ class AllOf(ConditionEvent):
             if not event._ok:
                 event.defused()
             return
-        if not event._ok:
-            event.defused()
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._collect())
+        if event._ok:
+            self._remaining -= 1
+            if self._remaining:
+                return
+        self._fire(event)

@@ -113,8 +113,7 @@ def prometheus_text(metrics: Optional[MetricsRegistry] = None,
         for family in sorted(families):
             children = families[family]
             metric = "repro_" + _sanitize(family)
-            unit = (f" ({children[0].series.unit})"
-                    if children[0].series.unit else "")
+            unit = (f" ({children[0].unit})" if children[0].unit else "")
             lines.append(f"# HELP {metric} Gauge {family}{unit}.")
             lines.append(f"# TYPE {metric} gauge")
             for gauge in children:

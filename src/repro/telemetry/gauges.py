@@ -1,13 +1,18 @@
-"""Gauges: instantaneous levels (queue depths, utilization) as series.
+"""Gauges: instantaneous levels (queue depths, utilization).
 
 Where the host sampler polls cumulative hardware counters on a fixed
 interval, a :class:`Gauge` is *change-driven*: the instrumented
-component records the new level at the simulated instant it changes,
-and the gauge appends a sample only when the value actually moved.  No
+component sets the new level at the simulated instant it changes.  No
 sampling process, no simulation events — attaching gauges cannot
-perturb a run (the same purity rule the event bus follows), yet the
-result is an ordinary :class:`~repro.telemetry.series.TimeSeries` that
-plots and summarizes alongside the sampler's.
+perturb a run (the same purity rule the event bus follows).
+
+A gauge holds its current level and its peak, nothing that grows with
+the run.  A reader that needs the history asks for it first, the way
+a whole-run reader opens ``EventBus.record``: after
+``gauges(sim).record(name, ...)`` the named gauges append a sample each
+time their level moves, into an ordinary
+:class:`~repro.telemetry.series.TimeSeries` that plots and summarizes
+alongside the sampler's.
 
 The :class:`GaugeBoard` is the per-simulator registry.  Components
 create their gauges through ``gauges(sim).gauge(name, unit)``; analysis
@@ -20,7 +25,7 @@ simkernel layer knowing telemetry exists.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.telemetry.series import TimeSeries
 
@@ -46,9 +51,15 @@ def _labels_key(name: str, labels: Optional[Dict[str, str]]) -> str:
 
 
 class Gauge:
-    """One instantaneous level, recorded as a step series on change."""
+    """One instantaneous level: its current value and its peak.
 
-    __slots__ = ("sim", "series", "_current", "family", "labels", "profiler")
+    A gauge keeps no history unless someone asked for it: a recorded
+    gauge (:meth:`GaugeBoard.record`) also appends a step-series sample
+    each time the level moves.
+    """
+
+    __slots__ = ("sim", "name", "unit", "series", "_current", "_peak",
+                 "family", "labels", "profiler")
 
     def __init__(self, sim: "Simulator", name: str, unit: str = "",
                  labels: Optional[Dict[str, str]] = None):
@@ -57,8 +68,13 @@ class Gauge:
         self.family = name
         #: Label set distinguishing this child within its family.
         self.labels: Dict[str, str] = dict(labels or {})
-        self.series = TimeSeries(_labels_key(name, self.labels), unit=unit)
+        #: The board key: the family name plus its labels.
+        self.name = _labels_key(name, self.labels)
+        self.unit = unit
+        #: Every level since recording began (None: not recorded).
+        self.series: Optional[TimeSeries] = None
         self._current = 0.0
+        self._peak: Optional[float] = None  # None: never set
         #: Wall-clock profiler accounting recorder (None = off).
         self.profiler = None
 
@@ -66,35 +82,37 @@ class Gauge:
     def current(self) -> float:
         return self._current
 
-    @property
-    def name(self) -> str:
-        return self.series.name
-
     def set(self, value: float) -> None:
-        """Record *value* at the current simulated time (if it changed)."""
-        if value == self._current and len(self.series):
+        """Take *value* as the level now (a sample only if it moved)."""
+        if value == self._current and self._peak is not None:
             return
         profiler = self.profiler
-        if profiler is None:
-            self._current = float(value)
-            self.series.append(self.sim.now, self._current)
-            return
-        t0 = profiler.clock()
-        self._current = float(value)
-        self.series.append(self.sim.now, self._current)
-        profiler.telemetry_seconds += profiler.clock() - t0
+        t0 = profiler.clock() if profiler is not None else 0.0
+        self._current = value = float(value)
+        if self._peak is None or value > self._peak:
+            self._peak = value
+        if self.series is not None:
+            self.series.append(self.sim.now, value)
+        if profiler is not None:
+            profiler.telemetry_seconds += profiler.clock() - t0
 
     def adjust(self, delta: float) -> None:
         """Shift the level by *delta* (e.g. +1 on enqueue, -1 on grant)."""
         self.set(self._current + delta)
 
     def peak(self) -> float:
-        """Highest level ever recorded."""
-        return self.series.max()
+        """Highest level ever set (0 before the first)."""
+        return 0.0 if self._peak is None else self._peak
+
+    def _record(self) -> None:
+        if self.series is None:
+            self.series = TimeSeries(self.name, unit=self.unit)
+            if self._peak is not None:
+                self.series.append(self.sim.now, self._current)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return (f"<Gauge {self.series.name!r} current={self._current:g} "
-                f"samples={len(self.series)}>")
+        return (f"<Gauge {self.name!r} current={self._current:g} "
+                f"peak={self.peak():g}>")
 
 
 class GaugeBoard:
@@ -103,6 +121,8 @@ class GaugeBoard:
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self._gauges: Dict[str, Gauge] = {}
+        #: Keys whose gauges keep a series (see :meth:`record`).
+        self._recorded: Set[str] = set()
         #: Propagated onto every new gauge (wall-clock accounting only).
         self.profiler = None
 
@@ -119,7 +139,22 @@ class GaugeBoard:
             cell = self._gauges[key] = Gauge(self.sim, name, unit=unit,
                                              labels=labels)
             cell.profiler = self.profiler
+            if key in self._recorded:
+                cell._record()
         return cell
+
+    def record(self, *keys: str) -> None:
+        """Keep the series of the gauges called *keys* from now on.
+
+        A gauge created later keeps it from its first sample, so
+        recording before a run gives every sample of it; one that
+        already has a level starts its series with that level, now.
+        """
+        self._recorded.update(keys)
+        for key in keys:
+            cell = self._gauges.get(key)
+            if cell is not None:
+                cell._record()
 
     def get(self, name: str,
             labels: Optional[Dict[str, str]] = None) -> Optional[Gauge]:
@@ -134,8 +169,9 @@ class GaugeBoard:
         return sorted(self._gauges)
 
     def series(self) -> List[TimeSeries]:
-        """Every gauge's series, name-ordered (for reports/exporters)."""
-        return [self._gauges[name].series for name in sorted(self._gauges)]
+        """Every recorded gauge's series, name-ordered (for reports)."""
+        return [self._gauges[name].series for name in sorted(self._gauges)
+                if self._gauges[name].series is not None]
 
     def peaks(self) -> Dict[str, float]:
         """name -> peak level, for bottleneck summaries."""

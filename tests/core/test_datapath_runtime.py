@@ -79,7 +79,7 @@ def test_datapath_reports_polls_and_records_invocation():
     sim.run(until=discover_and_invoke(
         stack, stack.user_clients[0], "Sleeper%", seconds=4.0))
     runtime = next(iter(stack.onserve.runtimes.values()))
-    report = runtime.reports[-1]
+    report = runtime.last_report
     assert report.ok
     assert report.polls >= 1
     assert report.job_id
@@ -94,5 +94,5 @@ def test_one_second_poll_interval_constructs_and_invokes(datapath):
     upload(sim, tb, stack)
     assert sim.run(until=discover_and_invoke(
         stack, stack.user_clients[0], "Sleeper%", seconds=3.0)) == "slept\n"
-    report = next(iter(stack.onserve.runtimes.values())).reports[-1]
+    report = next(iter(stack.onserve.runtimes.values())).last_report
     assert report.ok and report.polls >= 1

@@ -66,7 +66,7 @@ def test_watchdog_gives_up_on_everlasting_job(monkeypatch):
     with pytest.raises(SoapFault, match="polling gave up"):
         tb.sim.run(until=discover_and_invoke(stack, stack.user_clients[0],
                                              "Job%"))
-    report = stack.onserve.runtimes["JobService"].reports[0]
+    report = stack.onserve.runtimes["JobService"].last_report
     assert "WatchdogTimeout" in report.error
 
 

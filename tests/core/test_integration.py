@@ -59,7 +59,7 @@ def test_full_saas_invocation_returns_real_output():
                                                name="world"))
     assert out == "world\n"
     runtime = stack.onserve.runtimes["HelloService"]
-    report = runtime.reports[0]
+    report = runtime.last_report
     assert report.ok
     assert report.polls >= 1
     assert report.job_id
@@ -89,7 +89,7 @@ def test_tentative_polling_produces_periodic_disk_writes():
     tb.sim.run(until=discover_and_invoke(stack, stack.user_clients[0],
                                          "Long%"))
     runtime = stack.onserve.runtimes["LongService"]
-    report = runtime.reports[0]
+    report = runtime.last_report
     # ~120 s at a 9 s poll interval -> on the order of a dozen polls.
     assert report.polls >= 8
     assert host.disk.bytes_written() > written_before
@@ -187,9 +187,11 @@ def test_grid_job_failure_surfaces_as_fault(monkeypatch):
     with pytest.raises(SoapFault):
         tb.sim.run(until=discover_and_invoke(stack, stack.user_clients[0],
                                              "Runaway%"))
-    report = stack.onserve.runtimes["RunawayService"].reports[0]
+    runtime = stack.onserve.runtimes["RunawayService"]
+    report = runtime.last_report
     assert not report.ok
     assert report.error
+    assert (runtime.invocations, runtime.invocations_ok) == (1, 0)
 
 
 def test_describe_operation():

@@ -48,7 +48,7 @@ def test_push_completion_runs_zero_poll_rounds():
     detected = bus(sim).first("core.output_detected")
     assert detected.fields["pushed"] and detected.fields["polls"] == 0
     runtime = next(iter(stack.onserve.runtimes.values()))
-    report = runtime.reports[-1]
+    report = runtime.last_report
     assert report.ok and report.polls == 0
     # The scheduler finished the job exactly one propagation before.
     finish = bus(sim).first("sched.finish",

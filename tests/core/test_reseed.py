@@ -125,9 +125,10 @@ def test_a_hit_on_the_row_digest_loads_nothing_and_writes_no_temp_copy():
     assert ctx.root.find("service:retrieval") is None
     assert ctx.root.find("db:fetch") is None
     assert ctx.root.find("service:upload") is not None
-    [report] = [r for o in stack.onserves
-                for rt in o.runtimes.values() for r in rt.reports
-                if r.started_at >= ctx.root.start]
+    [report] = [rt.last_report for o in stack.onserves
+                for rt in o.runtimes.values()
+                if rt.last_report is not None
+                and rt.last_report.started_at >= ctx.root.start]
     assert report.retrieval == 0.0 and report.ok
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core import deploy_onserve
 from repro.core.invocation import discover_and_invoke
 from repro.errors import SoapFault
+from repro.telemetry.events import bus
 from repro.grid import build_testbed
 from repro.units import KB, Mbps
 from repro.workloads import make_payload
@@ -101,6 +102,26 @@ def test_management_describe(env):
                   name="HelloService")
     assert "executable   : hello.sh" in detail
     assert "invocations  : 1 (1 ok)" in detail
+
+
+def test_report_counts_and_the_last_report_survive_the_list(env):
+    """A runtime keeps counts and its newest report, not one report per
+    execute: what management and the figures read is all there is."""
+    tb, stack = env
+    runtime = stack.onserve.runtimes["HelloService"]
+    assert (runtime.invocations, runtime.last_report) == (0, None)
+    for name in ("a", "b", "c"):
+        tb.sim.run(until=discover_and_invoke(stack, stack.user_clients[0],
+                                             "Hello%", name=name))
+    last = bus(tb.sim).events(kind="gram.submit")[-1]
+    report = runtime.last_report
+    assert report.ok and report.job_id == last.fields["job_id"]
+    assert report.output_bytes == len("c\n")
+    assert (runtime.invocations, runtime.invocations_ok) == (3, 3)
+    assert not hasattr(runtime, "reports")
+    detail = call(tb, stack, "OnServeManagement", "describeService",
+                  name="HelloService")
+    assert "invocations  : 3 (3 ok)" in detail
 
 
 def test_management_describe_unknown_faults(env):

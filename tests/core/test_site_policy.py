@@ -18,10 +18,12 @@ def run_invocations(policy, n=4):
     tb.sim.run(until=stack.portal.upload_and_generate(
         tb.user_hosts[0], "p.bin", payload))
     runtime = stack.onserve.runtimes["PService"]
+    sites = []
     for _ in range(n):
         tb.sim.run(until=discover_and_invoke(stack, stack.user_clients[0],
                                              "P%"))
-    return tb, [r.job_id.rsplit("-job-", 1)[0] for r in runtime.reports]
+        sites.append(runtime.last_report.job_id.rsplit("-job-", 1)[0])
+    return tb, sites
 
 
 def test_policy_validation():

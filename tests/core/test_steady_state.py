@@ -3,7 +3,7 @@
 A provider that keeps re-uploading a fixed executable must not make the
 appliance's memory grow with the uploads done: the database compacts its
 log once the dead versions outweigh the live ones, and the inflate memo
-does not pin a version the store has dropped.  Fresh uploads supersede
+never holds a version the store has replaced.  Fresh uploads supersede
 nothing and must never trigger a compaction.
 """
 
@@ -13,6 +13,7 @@ from repro.core.onserve import OnServeConfig
 from repro.db import engine
 from repro.grid.testbed import build_testbed
 from repro.simkernel import Simulator
+from repro.simkernel.events import ConditionEvent, Timeout
 from repro.telemetry.gauges import gauges
 from repro.units import KB
 from repro.workloads.executables import make_payload
@@ -79,8 +80,9 @@ def test_re_uploads_hold_a_bounded_number_of_versions(monkeypatch):
     live = db.wal.size()
     assert max(sizes) <= 2 * live + FLOOR
     assert live < 2 * len(versions[-1]) + 64 * 1024
-    # One fetch a version: each left a marker, and a marker pins nothing.
-    assert not memo._entries and list(memo._markers) == ["own.sh"]
+    # Only round 0 loaded the bytes (each republish seeds its own); the
+    # next store dropped that version from the memo.
+    assert not memo._entries
 
 
 def test_fresh_uploads_never_compact(monkeypatch):
@@ -93,3 +95,49 @@ def test_fresh_uploads_never_compact(monkeypatch):
     db = stack.dbmanager.db
     assert db.wal.size() > 4 * FLOOR    # a megabyte logged, none of it dead
     assert db.stats["compactions"] == 0
+
+
+def test_the_staged_copy_is_the_memos_payload(monkeypatch):
+    sim, tb, stack = production_fabric(monkeypatch)
+    reply, want = upload_then_invoke(sim, tb, stack, "a.sh", "A%", 0)
+    assert reply == want
+    [(_data, exe, _pinned)] = stack.dbmanager._memo._entries.values()
+    staged = [data for site in tb.sites
+              for path, data in site.storage.items()
+              if path.endswith("/a.sh")]
+    assert staged and all(copy is exe.payload for copy in staged)
+    # Every later load of the version hands out that one executable.
+    assert sim.run(until=stack.dbmanager.load_executable("a.sh")) is exe
+
+
+def test_finished_invocations_leave_only_their_durable_rows(monkeypatch):
+    sim, tb, stack = production_fabric(monkeypatch)
+    upload_then_invoke(sim, tb, stack, "hot.sh", "Hot%", 0)
+    for round_ in range(ROUNDS):
+        token = f"hot-{round_}"
+        assert sim.run(until=discover_and_invoke(
+            stack, stack.user_clients[round_ % 2], "Hot%",
+            token=token)) == token + "\n"
+    manager = stack.dbmanager
+    # The durable rows are there, on the primary ...
+    assert manager.db.count("invocations") == ROUNDS + 1
+    assert manager.db.count("invocation_dedup") == ROUNDS + 1
+    # ... and on no replica: no read is routed to them.
+    for replica in manager.replicas:
+        assert "invocations" not in replica.db.tables
+        assert "invocation_dedup" not in replica.db.tables
+    # Each invocation's six-hour deadline is still queued, bare.
+    assert not [ev for _, _, ev in sim._heap if isinstance(ev, Timeout)
+                for cb in ev.callbacks or ()
+                if isinstance(getattr(cb, "__self__", None), ConditionEvent)
+                and cb.__self__.triggered]
+    # Nobody recorded a gauge, so none holds a series.
+    assert gauges(sim).series() == []
+    # Every job is a retired record: no parsed RSL, no completion event.
+    jobs = [job for site in tb.sites for job in site._jobs.values()]
+    assert len(jobs) == ROUNDS + 1
+    assert all(job.description is None and job.completion is None
+               for job in jobs)
+    runtimes = [o.runtimes["HotService"] for o in stack.onserves
+                if "HotService" in o.runtimes]
+    assert sum(rt.invocations_ok for rt in runtimes) == ROUNDS + 1

@@ -176,3 +176,19 @@ def test_interval_must_be_positive():
     with pytest.raises(ValueError, match="interval"):
         poll_until(sim, poll_factory=lambda: sim.timeout(0.0),
                    accept=lambda r: True, interval=0.0, timeout=10.0)
+
+
+def test_a_guarded_victim_that_finishes_leaves_its_deadline_bare():
+    """Watchdog.guard is unchanged: its six-hour-style deadline stays
+    queued after the victim returns, holding no callback of the fired
+    wait (the kernel's condition unhooks itself)."""
+    sim = Simulator()
+
+    def quick():
+        yield sim.timeout(1.0)
+        return "done"
+
+    guard = Watchdog(sim, timeout=6 * 3600.0).guard(sim.process(quick()))
+    assert sim.run(until=guard) == "done"
+    [deadline] = [ev for _, _, ev in sim._heap]
+    assert deadline.callbacks == [] and sim.now == 1.0

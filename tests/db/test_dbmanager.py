@@ -1,8 +1,9 @@
 """Unit tests for the DbManager facade (simulated-cost executable store)."""
 
+import gc
 import hashlib
 import random
-import sys
+import weakref
 import zlib
 
 import pytest
@@ -278,12 +279,10 @@ def load(sim, mgr, name):
     return sim.run(until=mgr.load_executable(name))
 
 
-def held_elsewhere(exe):
-    """Does anything but *exe* itself hold a reference to its payload?
-    (Ask in a statement of its own: a rewritten ``assert`` keeps the
-    values of its sub-expressions alive while it evaluates the rest.)"""
-    control = bytes(bytearray(b"nobody else holds this"))
-    return sys.getrefcount(exe.payload) > sys.getrefcount(control)
+def memo_holds(mgr, exe):
+    """Is *exe* the executable the manager's memo holds for its name?"""
+    entry = mgr._memo._entries.get(exe.name)
+    return entry is not None and entry[1] is exe
 
 
 @pytest.mark.parametrize("tier", [None, DbTierConfig(chunk_bytes=4096),
@@ -297,30 +296,47 @@ def test_third_load_of_a_version_inflates_and_hashes_nothing(
     sim.run(until=mgr.store_executable("x", payload))
     calls = counted(monkeypatch)
     t0, events = sim.now, sim.events_processed
-    first = load(sim, mgr, "x")
+    first = load(sim, mgr, "x")  # admitted here: inflated once
     cold = (sim.now - t0, sim.events_processed - events)
-    assert first.digest == want and not held_elsewhere(first)
-    second = load(sim, mgr, "x")  # admitted here: inflated and hashed once
-    assert second.digest == want and second.payload is not first.payload
-    assert calls == {"inflate": 2, "sha256": 2}
+    assert calls == {"inflate": 1, "sha256": 0} and memo_holds(mgr, first)
+    second = load(sim, mgr, "x")
+    # One executable per version: the digest is hashed when first asked.
+    assert second is first and second.digest == want
+    assert calls == {"inflate": 1, "sha256": 1}
     t0, events = sim.now, sim.events_processed
     third = load(sim, mgr, "x")
     # The simulated fetch is charged in full all the same.
     assert (sim.now - t0, sim.events_processed - events) == (
         pytest.approx(cold[0], rel=1e-9), cold[1])
-    assert calls == {"inflate": 2, "sha256": 2}
-    assert third.payload is second.payload and third.digest == want
-    assert held_elsewhere(third)
+    assert third is first and third.digest == want
+    assert calls == {"inflate": 1, "sha256": 1}
     # A re-upload is a new version, even of the very same bytes: nothing
     # is served from the old one, and the metadata is the new row's.
     sim.run(until=mgr.store_executable("x", payload, description="again"))
     fourth = load(sim, mgr, "x")
-    assert calls["inflate"] == 3
+    assert calls["inflate"] == 2
     assert fourth.payload == payload and fourth.payload is not third.payload
     assert fourth.description == "again" and fourth.stored_at > third.stored_at
 
 
-def test_memo_holds_neither_one_shot_nor_over_budget_blobs(monkeypatch):
+def test_a_superseded_version_is_released_once_its_successor_is_fetched():
+    sim, host, mgr = make_env()
+    sim.run(until=mgr.store_executable("x", b"version one" * 100))
+    old = weakref.ref(load(sim, mgr, "x"))
+    assert memo_holds(mgr, old())
+    sim.run(until=mgr.store_executable("x", b"version two" * 100))
+    new = load(sim, mgr, "x")
+    gc.collect()
+    assert old() is None
+    assert memo_holds(mgr, new) and new.payload == b"version two" * 100
+    assert list(mgr._memo._entries) == ["x"]
+    # A delete lets the last version go too.
+    sim.run(until=mgr.delete_executable("x"))
+    assert not mgr._memo._entries and mgr._memo._pinned == 0
+
+
+def test_memo_holds_no_over_budget_blob_and_lets_the_least_recent_go(
+        monkeypatch):
     monkeypatch.setattr(dbmanager, "_MEMO_BUDGET", 4096)
     sim, host, mgr = make_env()
     noise = random.Random(7).randbytes(8192)   # compressed alone > budget
@@ -328,30 +344,31 @@ def test_memo_holds_neither_one_shot_nor_over_budget_blobs(monkeypatch):
     small_a = b"a" * 3000                      # each fits; both do not
     small_b = b"b" * 3000
     for name, payload in (("noise", noise), ("zeros", zeros),
-                          ("a", small_a), ("b", small_b), ("once", b"1" * 500)):
+                          ("a", small_a), ("b", small_b)):
         sim.run(until=mgr.store_executable(name, payload))
     calls = counted(monkeypatch)
-    assert not held_elsewhere(load(sim, mgr, "once"))
     for name, payload in (("noise", noise), ("zeros", zeros)):
         for _ in range(3):
             exe = load(sim, mgr, name)
             assert exe.payload == payload
-            assert not held_elsewhere(exe)
-    assert calls["inflate"] == 7
+            assert not memo_holds(mgr, exe)
+    assert calls["inflate"] == 6
     # Least recently fetched goes first: admitting b pushes a out.
     for name in ("a", "a", "a", "b", "b", "b"):
         load(sim, mgr, name)
-    assert calls["inflate"] == 7 + 2 + 2
-    assert held_elsewhere(load(sim, mgr, "b")) and calls["inflate"] == 11
-    assert load(sim, mgr, "a").payload == small_a and calls["inflate"] == 12
+    assert calls["inflate"] == 6 + 1 + 1
+    assert memo_holds(mgr, load(sim, mgr, "b")) and calls["inflate"] == 8
+    assert load(sim, mgr, "a").payload == small_a and calls["inflate"] == 9
+    assert list(mgr._memo._entries) == ["a"]
 
 
 def test_recovered_manager_starts_with_an_empty_memo(monkeypatch):
     sim, host, mgr = make_env()
     sim.run(until=mgr.store_executable("x", b"payload bytes" * 50))
-    load(sim, mgr, "x"), load(sim, mgr, "x")
+    held = load(sim, mgr, "x")
     recovered = mgr.recover_from_crash()
+    assert not recovered._memo._entries
     calls = counted(monkeypatch)
     exe = load(sim, recovered, "x")
-    assert exe.payload == b"payload bytes" * 50
-    assert calls["inflate"] == 1 and not held_elsewhere(exe)
+    assert exe.payload == b"payload bytes" * 50 and exe is not held
+    assert calls["inflate"] == 1 and memo_holds(recovered, exe)

@@ -999,6 +999,7 @@ def test_inflate_memo_is_invisible_next_to_the_uncached_load(
         for cls in (reference_manager, DbManager)]
     versions = []      # every compressed object fetched: pins its identity
     fetched = {}       # id(compressed object) -> completed fetches
+    last = {}          # name -> stored_at of the version fetched last
 
     def to_temp(host, nbytes):
         yield host.disk_write(nbytes)
@@ -1041,6 +1042,7 @@ def test_inflate_memo_is_invisible_next_to_the_uncached_load(
                 data = mgr.db.get_by_pk(mgr.TABLE, name)["data"]
                 versions.append(data)
                 fetched[id(data)] = fetched.get(id(data), 0) + 1
+                last[name] = got[1].stored_at
                 exe, ref_exe = got[1], want[1]
                 assert exe.payload == ref_exe.payload
                 assert exe.digest == ref_exe.digest
@@ -1051,12 +1053,11 @@ def test_inflate_memo_is_invisible_next_to_the_uncached_load(
         assert ((host.memory_used, host.memory_peak)
                 == (ref_host.memory_used, ref_host.memory_peak))
         assert fetches == ref_fetches
-    # Retention: the (current) manager's memo holds a payload — and its
-    # digest — exactly for the versions fetched from it twice or more,
-    # never for a one-shot BLOB.  Nothing here comes near the budget.
+    # Retention: the (current) manager's memo holds one version per
+    # name, the one fetched last under it.  Nothing here comes near the
+    # budget.
     memo = sides[1][2]._memo
-    for key, (data, payload, digest, pinned) in memo._entries.items():
-        assert key == id(data)
-        assert pinned == len(data) + len(payload or b"")
-        assert (payload is not None) == (fetched[key] >= 2)
-        assert (digest is not None) == (payload is not None)
+    for name, (data, exe, pinned) in memo._entries.items():
+        assert exe.name == name and exe.stored_at == last[name]
+        assert pinned == len(data) + exe.size
+        assert id(data) in fetched

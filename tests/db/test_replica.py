@@ -1,6 +1,8 @@
 """Unit tests for WAL-shipping read replicas and the read router."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.engine import Database
 from repro.db.replica import ReadReplica, ReadRouter
@@ -269,3 +271,109 @@ def test_a_checkpoint_is_invisible_to_replication():
     # A replica attached now bootstraps from the compacted image + tail.
     late = ReadReplica(sim, db, lag=LAG)
     assert late.db.select("users") == db.select("users")
+
+
+# -- a replica behind a router holds only what reads are routed to ----------
+
+def test_a_routed_replica_holds_only_the_tables_reads_went_to():
+    sim = Simulator()
+    db = Database()
+    for table in ("users", "history"):
+        db.create_table(table, users_schema())
+        db.create_index(table, "name", "hash")
+    db.insert("users", [1, "ada"])
+    replica = ReadReplica(sim, db, lag=LAG)
+    router = ReadRouter(sim, db, replicas=(replica,), lag=LAG)
+    assert replica.db.tables == {}
+
+    def flow():
+        for i in range(20):
+            db.insert("history", [i, f"run{i}"])
+            yield sim.timeout(1.0)
+        return router.reader("users")
+
+    served = sim.run(until=sim.process(flow()))
+    # Materialised on the first routed read, indexes and all; the table
+    # no read went to was never copied, however much it was written.
+    assert served is replica.db and list(replica.db.tables) == ["users"]
+    assert served.find_eq("users", "name", "ada") == db.find_eq(
+        "users", "name", "ada")
+    assert ("users", "name") in served._indexes
+    assert replica.records_applied == replica.txns_applied == 20
+    # From then on the replica applies what it holds, after the lag.
+    db.update_eq("users", "id", 1, {"name": "grace"})
+    sim.run(until=sim.now + LAG)
+    assert router.reader("users").get_by_pk("users", 1)["name"] == "grace"
+
+
+TABLES = ("users", "audit")
+KEYS = st.integers(0, 5)
+STEPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("insert", "update", "delete")),
+              st.sampled_from(TABLES), KEYS),
+    st.tuples(st.just("txn"), st.sampled_from(TABLES), KEYS, st.booleans()),
+    st.tuples(st.sampled_from(("index", "drop")), st.sampled_from(TABLES)),
+    st.tuples(st.just("wait"), st.sampled_from((0.0, 0.2, LAG, 1.0))),
+    st.tuples(st.just("read"), st.sampled_from(TABLES))),
+    min_size=4, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(STEPS)
+def test_a_replica_on_demand_answers_every_routed_read_as_an_eager_one(steps):
+    sim = Simulator()
+    db = Database()
+    db.create_table("users", users_schema())
+    db.insert("users", [0, "seed"])
+    eager = ReadReplica(sim, db, lag=LAG, name="eager")  # holds every table
+    lazy = ReadReplica(sim, db, lag=LAG, name="lazy")
+    router = ReadRouter(sim, db, replicas=(lazy,), lag=LAG)
+    routed = set()
+
+    def write(op, table, key):
+        if table not in db.tables:
+            db.create_table(table, users_schema())
+        if op == "insert":
+            if db.find_eq(table, "id", key) == []:
+                db.insert(table, [key, f"{table}{key}"])
+        elif op == "update":
+            db.update_eq(table, "id", key, {"name": f"at{sim.now}"})
+        else:
+            db.delete_eq(table, "id", key)
+
+    def flow():
+        for op, *args in steps:
+            if op == "wait":
+                yield sim.timeout(args[0])
+            elif op == "txn":
+                table, key, commit = args
+                if table not in db.tables:
+                    db.create_table(table, users_schema())
+                db.begin()
+                write("insert", table, key)
+                write("update", table, key)
+                db.commit() if commit else db.rollback()
+            elif op == "index":
+                if args[0] in db.tables and (args[0], "name") not in \
+                        db._indexes:
+                    db.create_index(args[0], "name", "sorted")
+            elif op == "drop":
+                if args[0] in db.tables:
+                    db.drop_table(args[0])
+            elif op == "read":
+                table = args[0]
+                reader = router.reader(table)
+                if reader is db:
+                    continue
+                routed.add(table)
+                eager.catch_up()
+                assert reader is lazy.db and table in eager.db.tables
+                assert reader.select(table) == eager.db.select(table)
+                for key in range(6):
+                    assert (reader.find_eq(table, "id", key)
+                            == eager.db.find_eq(table, "id", key))
+            else:
+                write(op, *args)
+
+    sim.run(until=sim.process(flow()))
+    assert set(lazy.db.tables) <= routed

@@ -125,6 +125,26 @@ def test_gram_submit_and_complete():
     assert site.read_file("exe.out") == job.output
 
 
+def test_a_terminal_job_is_one_retired_record():
+    """One completion map — the site's job records — and a terminal
+    record keeps what a lookup reads, not its parsed RSL."""
+    tb, gram, client, chain, job_id = submit_job(quick_testbed())
+    site = tb.site("ncsa")
+    done = gram.completion_event(job_id)
+    assert site.get_job(job_id).completion is done
+    job = tb.sim.run(until=done)
+    assert not hasattr(gram, "_completions")
+    assert site.get_job(job_id) is job and job.state is JobState.DONE
+    assert job.description is None and job.history is None
+    assert job.completion is None and job.finished_at is not None
+    assert job.output.startswith(b"fixed-profile output")
+    # Status, output and completion still answer from the record.
+    full = tb.sim.run(until=gram.fetch_output(client, job_id))
+    assert full == job.output
+    assert tb.sim.run(until=gram.status(client, job_id)) is JobState.DONE
+    assert tb.sim.run(until=gram.completion_event(job_id)) is job
+
+
 def test_gram_status_progression():
     tb, gram, client, chain, job_id = submit_job(quick_testbed(),
                                                  runtime=100.0)

@@ -23,7 +23,7 @@ def _full_run(seed):
         "events": sim.events_processed,
         "series": {name: (s.times, s.values)
                    for name, s in sampler.series.items()},
-        "report": stack.onserve.runtimes["DService"].reports[0].as_dict(),
+        "report": stack.onserve.runtimes["DService"].last_report.as_dict(),
     }
 
 

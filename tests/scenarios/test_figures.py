@@ -49,7 +49,7 @@ def test_fig6_cpu_active_during_invocation(fig6):
     assert cpu.nonzero_fraction() < 0.9
     # Both CPU-charged phases actually happened: DB load+decompress and
     # job creation+submission (the paper's two peaks).
-    report = fig6.env.stack.onserve.runtimes["TinyService"].reports[-1]
+    report = fig6.env.stack.onserve.runtimes["TinyService"].last_report
     assert report.retrieval > 0
     assert report.submit > 0
 

@@ -197,3 +197,60 @@ def test_same_time_events_fifo_order():
         sim.timeout(1.0, value=i).add_callback(lambda e: order.append(e.value))
     sim.run()
     assert order == list(range(10))
+
+
+# -- a fired condition lets go of its pending timers -------------------------
+
+def test_a_fired_anyof_leaves_no_callback_on_a_pending_timeout():
+    sim = Simulator()
+    deadline = sim.timeout(6 * 3600.0)
+    done = sim.event()
+    cond = sim.any_of([done, deadline])
+    done.succeed("out")
+    sim.run(until=cond)
+    assert cond.value == {done: "out"}
+    # The timer is still queued — the clock and event count of a run to
+    # exhaustion are what they were — but holds nothing of the condition.
+    assert sim.queued_events == 1 and deadline.callbacks == []
+    sim.run()
+    assert sim.now == 6 * 3600.0 and sim.events_processed == 3
+
+
+def test_a_failed_allof_unhooks_from_timeouts_only():
+    sim = Simulator()
+    timer = sim.timeout(10.0)
+    failing, later = sim.event(), sim.event()
+    cond = sim.all_of([failing, timer, later])
+    failing.fail(RuntimeError("boom"))
+    with pytest.raises(RuntimeError):
+        sim.run(until=cond)
+    assert timer.callbacks == [] and later.callbacks == [cond._check]
+
+
+def test_a_pending_process_child_keeps_its_hook_and_its_failure_is_defused():
+    sim = Simulator()
+
+    def dies_later():
+        yield sim.timeout(5.0)
+        raise ValueError("late")
+
+    victim = sim.process(dies_later())
+    early = sim.timeout(1.0)
+    cond = sim.any_of([victim, early])
+    sim.run(until=cond)
+    assert early in cond.value and victim.callbacks == [cond._check]
+    sim.run()  # the late failure is defused by the hook, not raised
+    assert not victim.ok and sim.now == 5.0
+
+
+def test_other_conditions_on_a_timeout_keep_their_hooks():
+    sim = Simulator()
+    shared = sim.timeout(3.0)
+    first, second = sim.event(), sim.event()
+    fired = sim.any_of([first, shared])
+    waiting = sim.any_of([second, shared])
+    first.succeed()
+    sim.run(until=fired)
+    assert shared.callbacks == [waiting._check]
+    sim.run(until=waiting)
+    assert waiting.value == {shared: None}
