@@ -255,26 +255,6 @@ class FabricStack:
             caches.append(cache)
         return caches
 
-    def attach_control_tower(self, specs=(), rules=None,
-                             profiler: bool = False, **detector_kwargs):
-        """Attach the observability control tower to this fabric.
-
-        Bundles the SLO tracker (over *specs* / *rules*), the
-        per-replica fleet rollup, the hot-shard detector scoring load
-        against the router's hash ring, and — with ``profiler=True`` —
-        the wall-clock kernel profiler.  Pure observation: the tower
-        subscribes to the bus and hooks wall-clock timers only, so the
-        simulated timeline is untouched (the golden guard attaches one
-        to prove it).  Returns the :class:`~repro.telemetry.fleet.
-        ControlTower`; call ``close()`` to detach.
-        """
-        from repro.telemetry.fleet import ControlTower
-        from repro.telemetry.profiler import KernelProfiler
-        prof = KernelProfiler(self.sim) if profiler else None
-        return ControlTower(self.sim, specs=specs, rules=rules,
-                            router=self.router, profiler=prof,
-                            **detector_kwargs)
-
 
 def _link_between(testbed: Testbed, a: str, b: str):
     for link in testbed.network.links():

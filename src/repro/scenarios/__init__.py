@@ -24,9 +24,10 @@ paper-shaped output; ``tests/scenarios`` asserts the expected shapes
   content, once
 * :mod:`~repro.scenarios.scaleout` — replica fabric sweep: sharded
   stateless appliances behind the request router, 1 → 16 replicas
-* :mod:`~repro.scenarios.controltower` — fleet observability: SLO
-  burn-rate alerts leading hard violations under injected outages,
-  hot-shard localization of skewed load, kernel profiling
+* :mod:`~repro.scenarios.controltower` — fleet observability: two
+  replays over the recorded request stream — a burn-rate alert leading
+  the hard violation under injected outages, hot-shard localization of
+  skewed load — plus kernel profiling
 * :mod:`~repro.scenarios.chaos` — self-healing drill: kill replicas at
   peak load; zero lost requests, bounded re-route detection, restart
   rejoins the ring

@@ -11,9 +11,6 @@ cumulative counters each interval, and records per-interval rates into
 from repro.telemetry.critical_path import Attribution, analyze_request
 from repro.telemetry.events import EventBus, TelemetryEvent, bus
 from repro.telemetry.export import chrome_trace, prometheus_text
-from repro.telemetry.fleet import (
-    ControlTower, FleetRollup, HotShardDetector, ReplicaStats,
-)
 from repro.telemetry.gauges import Gauge, GaugeBoard, gauges
 from repro.telemetry.metrics import (
     LatencyHistogram, MetricsRegistry, OperationMetrics,
@@ -22,13 +19,10 @@ from repro.telemetry.profiler import KernelProfiler, profile
 from repro.telemetry.report import from_csv, render_figure, series_table, to_csv
 from repro.telemetry.sampler import HostSampler
 from repro.telemetry.series import TimeSeries
-from repro.telemetry.slo import DEFAULT_BURN_RULES, BurnRule, SloSpec, SloTracker
 
 __all__ = ["TimeSeries", "HostSampler", "render_figure", "series_table",
            "to_csv", "from_csv", "LatencyHistogram", "MetricsRegistry",
            "OperationMetrics", "TelemetryEvent", "EventBus", "bus",
            "Gauge", "GaugeBoard", "gauges", "prometheus_text",
            "chrome_trace", "Attribution", "analyze_request",
-           "SloSpec", "BurnRule", "SloTracker", "DEFAULT_BURN_RULES",
-           "ReplicaStats", "FleetRollup", "HotShardDetector", "ControlTower",
            "KernelProfiler", "profile"]

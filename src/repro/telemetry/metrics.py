@@ -52,38 +52,6 @@ class LatencyHistogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold *other*'s samples into this histogram, in place.
-
-        The fleet rollups aggregate per-replica histograms into
-        per-service / per-principal views, so two histograms must be
-        combinable after the fact.  Requires identical bucket bounds —
-        resampling across different bucketings would silently distort
-        quantiles.  Returns ``self`` for chaining.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds "
-                f"({self.bounds} vs {other.bounds})")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-        return self
-
-    def __iadd__(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        return self.merge(other)
-
-    def __add__(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """A fresh histogram holding both sides' samples."""
-        out = LatencyHistogram(self.bounds)
-        out.merge(self)
-        out.merge(other)
-        return out
-
     def quantile(self, q: float) -> float:
         """Approximate quantile from the bucket counts (upper bound).
 

@@ -206,11 +206,11 @@ class MetricsInterceptor(Interceptor):
     Besides the histogram registry, every completed crossing is emitted
     on the simulator's :class:`~repro.telemetry.events.EventBus` as a
     ``ws.request`` event (service, operation, side, latency, fault,
-    request id, origin host, principal) — the bus record that lets
-    downstream analysis join a SOAP request with the grid activity it
-    caused, and the fleet rollups attribute server-side load to the
-    replica (*origin*) that served it.  Emission is pure bookkeeping:
-    no simulation events, no simulated time.
+    request id, origin host) — the bus record that lets downstream
+    analysis join a SOAP request with the grid activity it caused, and
+    attribute server-side load to the replica (*origin*) that served
+    it.  Emission is pure bookkeeping: no simulation events, no
+    simulated time.
     """
 
     name = "metrics"
@@ -234,8 +234,7 @@ class MetricsInterceptor(Interceptor):
                       request_id=ctx.request_id if ctx else None,
                       service=inv.service_name, operation=inv.operation,
                       side=inv.side, latency=latency, fault=fault,
-                      origin=self.origin,
-                      principal=ctx.principal if ctx else None)
+                      origin=self.origin)
 
     def invoke(self, inv: Invocation, call_next: Continuation) -> Generator:
         started = self.sim.now

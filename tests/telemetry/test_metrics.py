@@ -49,53 +49,3 @@ def test_quantile_empty_and_out_of_range():
         h.quantile(-0.1)
     with pytest.raises(ValueError):
         h.quantile(1.1)
-
-
-# -- merging (fleet rollups fold per-replica histograms) ---------------------
-
-def test_merge_folds_counts_totals_and_extrema():
-    a, b = LatencyHistogram(), LatencyHistogram()
-    for v in (0.004, 0.05):
-        a.observe(v)
-    for v in (2.0, 30.0):
-        b.observe(v)
-    out = a.merge(b)
-    assert out is a  # in place, chainable
-    assert a.count == 4
-    assert a.total == pytest.approx(32.054)
-    assert a.min == 0.004
-    assert a.max == 30.0
-    assert a.quantile(1.0) == 30.0
-    assert sum(a.counts) == 4
-
-
-def test_add_builds_a_fresh_histogram_and_iadd_mutates():
-    a, b = LatencyHistogram(), LatencyHistogram()
-    a.observe(0.5)
-    b.observe(5.0)
-    c = a + b
-    assert c.count == 2 and a.count == 1 and b.count == 1
-    assert c.min == 0.5 and c.max == 5.0
-    a += b
-    assert a.count == 2
-    assert a.max == 5.0
-
-
-def test_merge_empty_histogram_leaves_extrema_untouched():
-    a, empty = LatencyHistogram(), LatencyHistogram()
-    a.observe(1.0)
-    a.merge(empty)
-    assert a.count == 1
-    assert a.min == 1.0 and a.max == 1.0
-    empty2 = LatencyHistogram()
-    empty2.merge(a)  # merging *into* an empty one adopts the extrema
-    assert empty2.min == 1.0 and empty2.max == 1.0
-
-
-def test_merge_rejects_mismatched_bucket_bounds():
-    a = LatencyHistogram(bounds=(0.1, 1.0))
-    b = LatencyHistogram(bounds=(0.5, 5.0))
-    with pytest.raises(ValueError):
-        a.merge(b)
-    with pytest.raises(ValueError):
-        a + b
