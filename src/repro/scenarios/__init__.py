@@ -3,9 +3,11 @@
 Each scenario deploys a standard testbed + onServe stack, instruments
 the appliance host with the paper's 3-second sampler, drives the
 workload, and returns a result object carrying the telemetry series and
-the headline numbers.  The ``benchmarks/`` tree calls these to print the
-paper-shaped output; ``tests/scenarios`` asserts the expected shapes
-(see DESIGN.md §4).
+the headline numbers; its ``ok`` states the scenario's claims, once.
+``ROWS`` in :mod:`repro.scenarios.__main__` is the one table of runs:
+``python -m repro.scenarios`` and ``benchmarks/bench_scenarios.py``
+both drive it and fail on a false ``ok``; ``tests/scenarios`` asserts
+the shapes ``ok`` does not carry (see DESIGN.md §4).
 
 * :mod:`~repro.scenarios.fig6` — WS execution, small file (Figure 6)
 * :mod:`~repro.scenarios.fig7` — WS execution, ~5 MB file (Figure 7)

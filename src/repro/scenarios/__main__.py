@@ -1,15 +1,15 @@
 """Command-line experiment runner: ``python -m repro.scenarios <exp>``.
 
-Runs one (or all) of the paper-reproduction harnesses and prints the
-rendered report — the same output the benchmarks save under
-``benchmarks/reports/``.
+Runs one (or all) of the paper-reproduction harnesses, prints the
+rendered report — the same text ``benchmarks/bench_scenarios.py`` saves
+under ``benchmarks/reports/`` — and exits 1 if any run's claims do not
+hold (its result's ``ok``, at the size it ran).
 
 Experiments: fig6, fig7, fig8, scalability, overhead, smallfiles,
 bottleneck, faults, throughput, datapath, scaleout, controltower,
-chaos, notify, dbscale, all.  ``--smoke`` shrinks the workloads whose
-``run_*`` takes ``smoke=`` (``bottleneck``, ``faults``, ``throughput``,
-``datapath``, ``scaleout``, ``controltower``, ``chaos``, ``notify``
-and ``dbscale``) for fast CI validation.
+chaos, notify, dbscale, all.  ``--smoke`` shrinks every run whose
+``run_*`` takes ``smoke=`` (all but the six §VIII artefacts fig6 …
+smallfiles) for fast CI validation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.scenarios import (
     run_bottleneck, run_chaos, run_controltower, run_datapath,
@@ -27,57 +27,49 @@ from repro.scenarios import (
 )
 from repro.units import MB
 
-#: ``gated`` values — the ``--smoke`` settings under which a result
-#: whose ``ok`` is false fails the process: CI runs these experiments as
-#: its gates, so a broken invariant must fail the job, not just print a
-#: FAIL row.  The control tower's smoke run is too short for a burn
-#: alert to lead its breach, so only the full run gates.
-NEVER, FULL_ONLY, ALWAYS = (), (False,), (False, True)
-
-#: One row per run: ``(experiment, run, full-size kwargs, gated)``.  An
-#: experiment's rows render in order; a run that takes ``smoke=`` gets
-#: the command line's flag.
-ROWS: Tuple[Tuple[str, Callable[..., Any], Dict[str, Any],
-                  Tuple[bool, ...]], ...] = (
-    ("fig6", run_fig6, {}, NEVER),
-    ("fig7", run_fig7, {}, NEVER),
-    ("fig8", run_fig8, {}, NEVER),
-    ("fig8", run_fig8, {"double_write": False}, NEVER),
-    ("scalability", run_scalability,
+#: The one table of runs: ``(experiment, report, run, full-size
+#: kwargs)``.  ``report`` is the stem of the committed
+#: ``benchmarks/reports/<report>.txt`` (None: the run commits none).
+#: An experiment's rows render in order.
+ROWS: Tuple[Tuple[str, Optional[str], Callable[..., Any],
+                  Dict[str, Any]], ...] = (
+    ("fig6", "fig6", run_fig6, {}),
+    ("fig7", "fig7", run_fig7, {}),
+    ("fig8", "fig8", run_fig8, {}),
+    ("fig8", "fig8_ablation_single_write", run_fig8,
+     {"double_write": False}),
+    ("scalability", "scalability_upload_fast", run_scalability,
      {"workload": "upload", "network": "fast", "levels": (1, 2, 4, 8),
-      "file_bytes": int(5 * MB(1))}, NEVER),
-    ("scalability", run_scalability,
-     {"workload": "invoke", "network": "slow", "levels": (1, 2, 4)}, NEVER),
-    ("overhead", run_overhead,
-     {"runtimes": (10.0, 60.0, 300.0, 1800.0)}, NEVER),
-    ("smallfiles", run_smallfiles, {"levels": (4, 8, 16)}, NEVER),
-    ("bottleneck", run_bottleneck, {}, NEVER),
-    ("faults", run_faults, {}, ALWAYS),
-    ("throughput", run_throughput, {}, NEVER),
-    ("datapath", run_datapath, {}, ALWAYS),
-    ("scaleout", run_scaleout, {}, ALWAYS),
-    ("controltower", run_controltower, {}, FULL_ONLY),
-    ("chaos", run_chaos, {}, ALWAYS),
-    ("notify", run_notify, {}, ALWAYS),
-    ("dbscale", run_dbscale, {}, ALWAYS),
+      "file_bytes": int(5 * MB(1))}),
+    ("scalability", "scalability_invoke_slow", run_scalability,
+     {"workload": "invoke", "network": "slow", "levels": (1, 2, 4)}),
+    ("overhead", "overhead", run_overhead,
+     {"runtimes": (10.0, 60.0, 300.0, 1800.0)}),
+    ("smallfiles", "small_files", run_smallfiles, {"levels": (4, 8, 16)}),
+    ("bottleneck", None, run_bottleneck, {}),
+    ("faults", None, run_faults, {}),
+    ("throughput", "throughput", run_throughput, {}),
+    ("datapath", "datapath", run_datapath, {}),
+    ("scaleout", "scaleout", run_scaleout, {}),
+    ("controltower", None, run_controltower, {}),
+    ("chaos", "chaos", run_chaos, {}),
+    ("notify", "notify", run_notify, {}),
+    ("dbscale", "dbscale", run_dbscale, {}),
 )
 EXPERIMENTS = sorted({row[0] for row in ROWS})
 
 
-def run_experiment(name: str, smoke: bool = False) -> str:
-    """Run every row of experiment *name*; returns the rendered report."""
-    reports = []
-    for experiment, run, kwargs, gated in ROWS:
-        if experiment != name:
-            continue
-        if "smoke" in inspect.signature(run).parameters:
-            kwargs = dict(kwargs, smoke=smoke)
-        result = run(**kwargs)
-        if smoke in gated and not result.ok:
-            print(result.render())
-            raise SystemExit(1)
-        reports.append(result.render())
-    return "\n\n".join(reports)
+def row_id(row) -> str:
+    """A row's name: its report stem, else its experiment."""
+    return row[1] or row[0]
+
+
+def run_row(row, smoke: bool = False) -> Any:
+    """Run one row; *smoke* reaches only a ``run_*`` that takes it."""
+    _experiment, _report, run, kwargs = row
+    if smoke and "smoke" in inspect.signature(run).parameters:
+        kwargs = dict(kwargs, smoke=True)
+    return run(**kwargs)
 
 
 def main(argv=None) -> int:
@@ -90,12 +82,18 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="shrink supported workloads for fast CI runs")
     args = parser.parse_args(argv)
-    names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
-    for i, name in enumerate(names):
+    rows = [row for row in ROWS if args.experiment in ("all", row[0])]
+    failed = []
+    for i, row in enumerate(rows):
+        result = run_row(row, smoke=args.smoke)
         if i:
             print()
-        print(run_experiment(name, smoke=args.smoke))
-    return 0
+        print(result.render())
+        if not result.ok:
+            failed.append(row_id(row))
+    if failed:
+        print(f"claims do not hold: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main()

@@ -59,6 +59,11 @@ class BottleneckResult:
         """The request's span tree as Chrome ``trace_event`` JSON."""
         return chrome_trace([self.ctx])
 
+    @property
+    def ok(self) -> bool:
+        """The per-layer rows add up to the end-to-end latency."""
+        return self.attribution.reconciles(tol=0.01)
+
     # -- report -------------------------------------------------------------
 
     def render(self) -> str:

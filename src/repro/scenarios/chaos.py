@@ -22,6 +22,9 @@ ring.  The drill holds the fabric to four invariants:
 * **restart rejoins** — the restarted replica is back in the routing
   set at the end of the run.
 
+``ChaosResult.ok`` also asks that the drill was not vacuous: the router
+failed over at least once.
+
 The drill runs twice: a *calibration* pass with no faults measures the
 workload's natural span, then the *chaos* pass places the crash windows
 at fixed fractions of it, so "at peak" stays true across parameter
@@ -124,6 +127,8 @@ class ChaosResult:
                 and self.dedup_duplicates == 0
                 and len(self.crashed) == self.kill
                 and self.detection_ok
+                # Not vacuous: the router actually failed over.
+                and self.failovers >= 1
                 and self.rejoined
                 and not self.slo_violated)
 

@@ -29,7 +29,8 @@ Three parts, each run per mode where it has two:
   uplink bytes from republish to answer, and the first invoke's
   latency; its bar: joined, and one copy of the payload on the uplinks.
 
-``ok`` is all three bars (gated by ``--smoke`` and ``bench_datapath.py``).
+``ok`` is all three bars; the GRAM bar also holds the exact counts — a
+handshake per submit per operation, N - 1 submits on the pooled channel.
 """
 
 from __future__ import annotations
@@ -73,7 +74,10 @@ class DatapathResult:
 
     @property
     def gram_ok(self) -> bool:
-        return (self.gram["datapath"]["handshakes"] == 1
+        per_op, pooled = self.gram["per-operation"], self.gram["datapath"]
+        return (per_op["handshakes"] == per_op["submits"] == self.n
+                and pooled["handshakes"] == 1
+                and pooled["pooled"] == self.n - 1
                 and self.control_per_submit("datapath")
                 < self.control_per_submit("per-operation"))
 

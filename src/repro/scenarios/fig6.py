@@ -48,6 +48,11 @@ class Fig6Result:
             return 0.0
         return min(1.0, self.security_bytes_estimate / self.net_out_total)
 
+    @property
+    def ok(self) -> bool:
+        """Security traffic is a large share; the job was polled."""
+        return self.security_fraction > 0.25 and self.polls >= 5
+
     def render(self) -> str:
         lines = [render_figure(
             "Figure 6 — WS execution, small file "

@@ -42,6 +42,12 @@ class Fig7Result:
         self.polls = polls
         self.invocation_total = invocation_total
 
+    @property
+    def ok(self) -> bool:
+        """About 60 s of upload, at 80-90 KB/s."""
+        return (50.0 <= self.upload_seconds <= 75.0
+                and 80.0 <= self.plateau_rate_kbps <= 90.0)
+
     def render(self) -> str:
         lines = [render_figure(
             "Figure 7 — WS execution, ~5 MB file "

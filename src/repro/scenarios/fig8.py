@@ -42,6 +42,11 @@ class Fig8Result:
         self.bytes_written = bytes_written
         self.double_write = double_write
 
+    @property
+    def ok(self) -> bool:
+        """The file hits the disk twice, or once without double write."""
+        return len(self.disk_write_bursts) == (2 if self.double_write else 1)
+
     def render(self) -> str:
         mode = "faithful double write" if self.double_write else \
             "improved single write (ablation)"

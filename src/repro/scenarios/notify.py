@@ -21,10 +21,11 @@ Per site the harness reports:
 * **notifications** — messages the site's gatekeeper published, one per
   job, all of which must also be delivered (the queue drains to depth 0).
 
-The acceptance bar (``NotifyResult.ok``, CI's gate): every invocation
-succeeds, notify-site mean lag <= propagation + 0.1 s, notify-site poll
-rounds == 0, poll-site mean lag strictly worse, the queue fully
-drained, and ``job_states`` rows exist only for notify-site jobs.
+The acceptance bar (``NotifyResult.ok``): every invocation succeeds,
+notify-site mean lag <= propagation + 0.1 s, notify-site poll rounds
+== 0 with one push per job, every poll-site job polled, poll-site mean
+lag over twice the notify site's, the queue fully drained, and
+``job_states`` rows exist only for notify-site jobs.
 """
 
 from __future__ import annotations
@@ -80,14 +81,18 @@ class NotifyResult:
 
     @property
     def ok(self) -> bool:
+        pushed, polled = self.per_site[NOTIFY_SITE], self.per_site[POLL_SITE]
         return (self.n_ok == self.n
                 # Push detection: one propagation delay, nothing more.
                 and self.notify_lag_mean <= self.propagation + 0.1
-                # The push path performs zero tentative poll rounds.
+                # The push path performs zero tentative poll rounds and
+                # pushes one message per job, its terminal state.
                 and self.notify_polls == 0
-                # The poll site actually polls, and pays for it in lag.
-                and self.per_site[POLL_SITE]["polls"] > 0
-                and self.poll_lag_mean > self.notify_lag_mean
+                and pushed["notifications"] == pushed["jobs"]
+                and self.published == pushed["jobs"]
+                # The poll site polls every job, and pays for it in lag.
+                and polled["polls"] >= polled["jobs"]
+                and self.poll_lag_mean > 2.0 * self.notify_lag_mean
                 # Queue drained; job_states rows only where the
                 # capability exists.
                 and self.depth == 0 and self.delivered == self.published

@@ -38,6 +38,14 @@ class OverheadResult:
     def __init__(self, rows: List[Dict[str, float]]):
         self.rows = rows
 
+    @property
+    def ok(self) -> bool:
+        """Relative overhead falls with runtime, under 2% from 30 min."""
+        rels = [row["relative"] for row in self.rows]
+        return (rels == sorted(rels, reverse=True)
+                and all(row["relative"] < 0.02 for row in self.rows
+                        if row["runtime"] >= 1800.0))
+
     def render(self) -> str:
         title = "Overhead study (§VIII.B) — onServe vs direct JSE"
         lines = [title, "=" * len(title),

@@ -30,6 +30,11 @@ NETWORKS = {
     "fast": dict(appliance_uplink=Mbps(100), lan_bandwidth=Mbps(1000)),
 }
 
+#: §VIII.D.2-3: what limits each sweep the paper discusses — disk for
+#: uploads over a good network, the network for invocations over a
+#: slow one.  Any other sweep is limited by one of the two.
+LIMITS = {("upload", "fast"): ("disk",), ("invoke", "slow"): ("network",)}
+
 
 class ScalabilityResult:
     """One sweep: rows of per-concurrency measurements."""
@@ -44,6 +49,14 @@ class ScalabilityResult:
         loads = {"network": row["net_load"], "disk": row["disk_load"],
                  "cpu": row["cpu_load"], "memory": row["mem_load"]}
         return max(loads, key=loads.get)
+
+    @property
+    def ok(self) -> bool:
+        """CPU never saturates; the most loaded level hits its limit."""
+        limits = LIMITS.get((self.workload, self.network),
+                            ("disk", "network"))
+        return (all(row["cpu_load"] < 0.85 for row in self.rows)
+                and self.bottleneck(self.rows[-1]) in limits)
 
     def render(self) -> str:
         title = (f"Scalability (§VIII.D) — workload={self.workload}, "

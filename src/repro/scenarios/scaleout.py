@@ -15,19 +15,17 @@ throughput, mean and p95 invocation latency, how often the router
 deviated from the hash owner (spill/breaker rebalances) and how many
 on-demand service materializations the replicas performed.
 
-Two acceptance gates ride on these numbers (EXPERIMENTS.md SCALEOUT,
-``benchmarks/bench_scaleout.py``):
+``ScaleoutResult.ok`` holds three claims (EXPERIMENTS.md SCALEOUT):
 
-* near-linear scaling — ``speedup_at(8) >= 6`` over the 1-replica
-  fabric, and
 * cheap indirection — the router's extra hop costs **< 5%** end-to-end
   at ``replicas=1``, measured by re-running the 1-replica level with
   the router disabled (the byte-identical ``deploy_onserve`` path) and
-  comparing elapsed times.
-
-The cold-stage block is gated too (``ScaleoutResult.ok``, in CI through
-``--smoke`` up to N = 4): a cold 256 KB stage rides one range per
-replica.
+  comparing elapsed times;
+* full width — every cold stage rides one range per replica; and
+* near-linear scaling — at least 1.7x / 3.2x / 6x the 1-replica
+  throughput at 2 / 4 / 8 replicas, still growing at 16.  Only the
+  full-size sweep shows this: the smoke's six clients cannot fill two
+  replicas.
 """
 
 from __future__ import annotations
@@ -52,7 +50,8 @@ class ScaleoutResult:
     def __init__(self, rows: List[Dict[str, float]],
                  baseline_elapsed: float, routed_elapsed: float,
                  clients: int, rounds: int, services: int,
-                 cold_rows: Sequence[Dict[str, float]] = ()):
+                 cold_rows: Sequence[Dict[str, float]] = (),
+                 smoke: bool = False):
         self.rows = rows
         #: One cold stage per (payload size, replica count): what one
         #: request gains from the uplinks of replicas not serving it.
@@ -64,6 +63,7 @@ class ScaleoutResult:
         self.clients = clients
         self.rounds = rounds
         self.services = services
+        self.smoke = smoke
 
     def row_at(self, replicas: int) -> Dict[str, float]:
         for row in self.rows:
@@ -82,10 +82,19 @@ class ScaleoutResult:
                 / self.baseline_elapsed)
 
     @property
+    def scales(self) -> bool:
+        """Near-linear to 8 replicas, still growing at 16 (the full
+        sweep's levels)."""
+        return (self.speedup_at(2) >= 1.7 and self.speedup_at(4) >= 3.2
+                and self.speedup_at(8) >= 6.0
+                and self.speedup_at(16) > self.speedup_at(8))
+
+    @property
     def ok(self) -> bool:
-        """Every cold stage rode the full width: one range per replica."""
-        return all(row["stripes"] == row["replicas"]
-                   for row in self.cold_rows)
+        return (self.router_overhead() < 0.05
+                and all(row["stripes"] == row["replicas"]
+                        for row in self.cold_rows)
+                and (self.smoke or self.scales))
 
     def render(self) -> str:
         title = (f"Replica scale-out — {self.clients} clients x "
@@ -169,7 +178,7 @@ def run_scaleout(replica_levels: Sequence[int] = (1, 2, 4, 8, 16),
                          else (int(KB(256)), int(MB(1))))
             for n in widths]
     return ScaleoutResult(rows, baseline["elapsed"], routed_elapsed,
-                          clients, rounds, services, cold)
+                          clients, rounds, services, cold, smoke)
 
 
 def _one_level(replicas: int, router_on: bool, clients: int, services: int,

@@ -34,6 +34,13 @@ class SmallFilesResult:
         self.rows = rows
         self.large_file_row = large_file_row
 
+    @property
+    def ok(self) -> bool:
+        """Per-job time stays flat, far below the large file's."""
+        per_job = [row["per_job"] for row in self.rows]
+        return (per_job[-1] <= per_job[0] * 1.15
+                and self.large_file_row["makespan"] > 3 * per_job[-1])
+
     def render(self) -> str:
         title = "Many small files (§VIII.B)"
         lines = [title, "=" * len(title),

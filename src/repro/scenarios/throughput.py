@@ -47,6 +47,14 @@ class ThroughputResult:
                 return row["reduction"]
         raise KeyError(f"no concurrency level {n} in this sweep")
 
+    @property
+    def ok(self) -> bool:
+        """One staging transfer per level; from 8 clients on, cached
+        mode cuts mean latency by at least 20%."""
+        return all(row["cached_transfers"] == 1.0
+                   and (row["n"] < 8 or row["reduction"] >= 0.20)
+                   for row in self.rows)
+
     def render(self) -> str:
         title = (f"Invocation throughput ablation — caches off vs on, "
                  f"{self.rounds} rounds per level")

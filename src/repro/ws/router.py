@@ -23,7 +23,7 @@ The router is itself a fabric target: it has a ``host``, a ``wsdl``
 and a ``transport``, so :class:`~repro.ws.client.WsClient` talks to it
 exactly as it would to a :class:`~repro.ws.server.SoapServer` — the
 extra hop is two real envelope transfers (client↔router) plus a small
-routing CPU charge, which is what ``benchmarks/bench_scaleout.py``
+routing CPU charge, which ``ScaleoutResult.ok`` (scenarios/scaleout.py)
 bounds below 5% at ``replicas=1``.
 
 A *disabled* router can be constructed and wired without being
