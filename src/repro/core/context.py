@@ -8,8 +8,8 @@ context carries:
 
 * a **request id**, unique per simulator run (deterministic counter),
 * the **principal** on whose behalf the request runs,
-* an optional absolute **deadline** in simulated seconds, checked by the
-  deadline interceptor at every dispatch point along the way,
+* an optional absolute **deadline** in simulated seconds, checked by
+  each SOAP crossing along the way,
 * a **trace**: a tree of sim-time spans, dumpable as a per-request
   waterfall covering every layer the request crossed, and
 * a **baggage** dict for request-scoped key/values that must survive

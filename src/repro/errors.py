@@ -153,7 +153,7 @@ class SoapFault(WsError):
     """A SOAP fault returned by a service or generated by the stack.
 
     Attributes mirror the (simplified) SOAP 1.1 fault structure.  The
-    fault translation interceptor writes the server-side root cause into
+    server's fault translation writes the server-side root cause into
     ``detail`` as ``"TypeName: message"``, so :attr:`root_cause` and the
     derived :attr:`retryable` let a client classify a fault without the
     original exception object ever crossing the wire.
@@ -316,7 +316,7 @@ class WatchdogTimeout(OnServeError):
 # --------------------------------------------------------------------------
 
 #: Fault details that are transient without naming a ReproError class
-#: (infrastructure rejections emitted by the WS pipeline).
+#: (a container's load rejection, from any SOAP peer).
 _TRANSIENT_FAULT_DETAILS = frozenset({"AdmissionReject"})
 
 #: Exported name -> error class, for detail-string lookups.

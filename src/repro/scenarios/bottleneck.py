@@ -13,12 +13,12 @@ critical-path analyzer, printing a per-layer latency attribution table
 end-to-end latency.
 
 ``smoke=True`` shrinks the payload and job runtime so CI can run the
-whole thing (plus both exporters) in a couple of seconds.
+whole thing in a couple of seconds.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.context import RequestContext
 from repro.core.invocation import discover_and_invoke
@@ -28,7 +28,6 @@ from repro.telemetry.critical_path import (
     BUS_KINDS, Attribution, analyze_request,
 )
 from repro.telemetry.events import bus
-from repro.telemetry.export import chrome_trace, prometheus_text
 from repro.telemetry.gauges import gauges
 from repro.units import KB, KBps, MB
 from repro.workloads.executables import make_payload
@@ -37,7 +36,7 @@ __all__ = ["BottleneckResult", "run_bottleneck"]
 
 
 class BottleneckResult:
-    """Attribution + trace + exporter feeds of one analyzed request."""
+    """Attribution + trace of one analyzed request."""
 
     def __init__(self, env: ScenarioEnv, ctx: RequestContext,
                  attribution: Attribution, file_bytes: int):
@@ -45,19 +44,6 @@ class BottleneckResult:
         self.ctx = ctx
         self.attribution = attribution
         self.file_bytes = file_bytes
-
-    # -- exporter feeds (for CI validation and offline inspection) ----------
-
-    def prometheus(self) -> str:
-        """The run's metrics/gauges/event counters as exposition text."""
-        return prometheus_text(
-            metrics=self.env.stack.soap_server.metrics,
-            board=gauges(self.env.sim),
-            bus=bus(self.env.sim))
-
-    def trace_json(self) -> str:
-        """The request's span tree as Chrome ``trace_event`` JSON."""
-        return chrome_trace([self.ctx])
 
     @property
     def ok(self) -> bool:
@@ -105,7 +91,7 @@ def run_bottleneck(file_bytes: Optional[int] = None,
     """Run the traced Figure 7 workload and attribute its latency.
 
     *smoke* overrides the payload/runtime knobs with small values so
-    the full pipeline (including exporters) finishes fast in CI.
+    the full pipeline finishes fast in CI.
     """
     if smoke:
         file_bytes = file_bytes or int(256 * KB(1))

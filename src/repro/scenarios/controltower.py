@@ -35,10 +35,8 @@ the sim short while preserving the ordering (warm-phase good traffic
 must exceed ``factor x long_window``, which it does by construction).
 
 Outputs: the per-replica table (load share vs ring ownership, faults),
-the alert/violation lead time, the kernel profiler's events-per-second
-+ telemetry-overhead split, and the standard exports
-(``prometheus_text`` with replica-labelled families, ``chrome_trace``
-with router-hop parent spans and replica/principal args).
+the alert/violation lead time, and the kernel profiler's
+events-per-second + telemetry-overhead split.
 """
 
 from __future__ import annotations
@@ -56,8 +54,6 @@ from repro.faults import FaultSpec
 from repro.scenarios.common import standard_env
 from repro.simkernel.events import Event
 from repro.telemetry.events import TelemetryEvent, bus
-from repro.telemetry.export import chrome_trace, prometheus_text
-from repro.telemetry.gauges import gauges
 from repro.telemetry.profiler import KernelProfiler
 from repro.units import KB
 from repro.workloads.executables import make_payload
@@ -173,8 +169,7 @@ def served_by_replica(events: Sequence[TelemetryEvent]
 class ControlTowerResult:
     """One control-tower run: alert timeline + fleet view + kernel profile."""
 
-    def __init__(self, router, contexts: List[RequestContext],
-                 metrics, event_bus, board, profiler: KernelProfiler,
+    def __init__(self, router, profiler: KernelProfiler,
                  served: Dict[str, Tuple[int, int]],
                  alert_at: Optional[float], breach_at: Optional[float],
                  hot: Optional[Tuple[float, str]],
@@ -183,11 +178,6 @@ class ControlTowerResult:
                  hot_service: str, hot_owner: str,
                  warm_until: float, run_until: float, smoke: bool):
         self.router = router
-        #: Traced request contexts (bounded sample for chrome_trace).
-        self.contexts = contexts
-        self.metrics = metrics
-        self.bus = event_bus
-        self.board = board
         self.profiler = profiler
         #: replica -> (server-side calls, faults) over the recording.
         self.served = served
@@ -233,15 +223,6 @@ class ControlTowerResult:
         smoke's two bursts leave it under one fault window."""
         return self.hot_shard_localized and (self.smoke
                                              or self.alert_led_breach)
-
-    # -- exports -------------------------------------------------------------
-
-    def prometheus(self) -> str:
-        return prometheus_text(metrics=self.metrics, board=self.board,
-                               bus=self.bus)
-
-    def trace_json(self) -> str:
-        return chrome_trace(self.contexts)
 
     # -- report --------------------------------------------------------------
 
@@ -308,8 +289,7 @@ def run_controltower(replicas: int = 8,
                      burst_period: float = 150.0,
                      hot_fraction: float = 2 / 3,
                      seed: int = 0,
-                     smoke: bool = False,
-                     trace_sample: int = 12) -> ControlTowerResult:
+                     smoke: bool = False) -> ControlTowerResult:
     """Run the control-tower demonstration; returns the result handle.
 
     The burn-rate ordering is arithmetic, not luck: with availability
@@ -378,7 +358,6 @@ def run_controltower(replicas: int = 8,
 
     hot_workers = max(1, round(hot_fraction * workers))
     outcomes: List[bool] = []
-    contexts: List[RequestContext] = []
 
     def worker(i: int) -> Generator[Event, None, None]:
         client = stack.user_clients[i]
@@ -392,8 +371,6 @@ def run_controltower(replicas: int = 8,
             if sim.now < slot:
                 yield sim.timeout(slot - sim.now)
             ctx = RequestContext.create(sim, principal=client.host.name)
-            if len(contexts) < trace_sample:
-                contexts.append(ctx)
             try:
                 yield discover_and_invoke(stack, client, pattern, ctx=ctx)
                 outcomes.append(True)
@@ -419,8 +396,7 @@ def run_controltower(replicas: int = 8,
                     end=sim.now)
 
     return ControlTowerResult(
-        stack.router, contexts, stack.soap_server.metrics, bus(sim),
-        gauges(sim), profiler, served_by_replica(events), alert_at,
+        stack.router, profiler, served_by_replica(events), alert_at,
         breach_at, hot,
         requests=len(outcomes), faulted=outcomes.count(False),
         fault_window=burst_length, fault_starts=fault_starts,

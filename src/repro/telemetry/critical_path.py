@@ -83,7 +83,7 @@ def _classify(name: str) -> str:
     if prefix == "client":
         return "ws/transfer"       # SOAP envelopes on the wire + stub time
     if prefix in ("server", "request"):
-        return "ws/compute"        # parse, dispatch, interceptor chain
+        return "ws/compute"        # parse, dispatch, crossing
     if prefix == "agent":
         return ("agent/transfer" if "outputReady" in name
                 else "agent/compute")

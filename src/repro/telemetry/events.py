@@ -1,14 +1,12 @@
 """The structured event bus: one shared stream every layer feeds.
 
-Before this module the stack's instrumentation was three disconnected
-islands — the host sampler (3-second resource rates), the per-operation
-:class:`~repro.telemetry.metrics.MetricsRegistry`, and per-request
-:class:`~repro.core.context.TraceSpan` trees.  The bus ties them
-together: every layer (WS pipeline, onServe core, the Cyberaide agent,
-GRAM, GridFTP, the batch scheduler, the WAL) emits small *typed* events
-with the simulated timestamp and, where one exists, the request id —
-so any analysis can correlate a SOAP request with the GridFTP transfer
-and LRM job it caused.
+Beside the host sampler (3-second resource rates) and per-request
+:class:`~repro.core.context.TraceSpan` trees, the bus is the stack's
+one stream of what happened: every layer (each SOAP crossing, onServe
+core, the Cyberaide agent, GRAM, GridFTP, the batch scheduler, the WAL)
+emits small *typed* events with the simulated timestamp and, where one
+exists, the request id — so any analysis can correlate a SOAP request
+with the GridFTP transfer and LRM job it caused.
 
 Observational purity
 --------------------

@@ -41,8 +41,7 @@ def _labels_key(name: str, labels: Optional[Dict[str, str]]) -> str:
 
     Labelled gauges share a *family* name and differ by label set —
     ``router.inflight{replica="appliance02"}`` — mirroring Prometheus
-    child series, so exporters can render one ``# TYPE`` header per
-    family with one labelled sample per child.
+    child series.
     """
     if not labels:
         return name
@@ -59,17 +58,13 @@ class Gauge:
     """
 
     __slots__ = ("sim", "name", "unit", "series", "_current", "_peak",
-                 "family", "labels", "profiler")
+                 "profiler")
 
     def __init__(self, sim: "Simulator", name: str, unit: str = "",
                  labels: Optional[Dict[str, str]] = None):
         self.sim = sim
-        #: Family name without labels (what Prometheus calls the metric).
-        self.family = name
-        #: Label set distinguishing this child within its family.
-        self.labels: Dict[str, str] = dict(labels or {})
         #: The board key: the family name plus its labels.
-        self.name = _labels_key(name, self.labels)
+        self.name = _labels_key(name, labels)
         self.unit = unit
         #: Every level since recording began (None: not recorded).
         self.series: Optional[TimeSeries] = None
@@ -159,11 +154,6 @@ class GaugeBoard:
     def get(self, name: str,
             labels: Optional[Dict[str, str]] = None) -> Optional[Gauge]:
         return self._gauges.get(_labels_key(name, labels))
-
-    def family(self, name: str) -> List[Gauge]:
-        """Every child gauge of family *name*, key-ordered."""
-        return [self._gauges[key] for key in sorted(self._gauges)
-                if self._gauges[key].family == name]
 
     def names(self) -> List[str]:
         return sorted(self._gauges)

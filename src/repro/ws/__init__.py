@@ -12,22 +12,18 @@ Layering::
     client.py   WsClient + wsimport-style stub generation
     uddi.py     UDDI registry (publish / find)
     server.py   SoapServer: deploy services, dispatch invocations
-    pipeline.py interceptor chain (fault/metrics/admission/trace/deadline)
+    pipeline.py one SOAP crossing: span, deadline, one ws.request event
     wsdl.py     WSDL generation and parsing
     soap.py     Envelope encode/decode, faults
     xmlcodec.py typed value <-> XML codec
 
-Both :class:`SoapServer` and :class:`WsClient` route every request
-through a :class:`~repro.ws.pipeline.Pipeline` — the unified request
-fabric's dispatch spine.
+Both :class:`SoapServer` and :class:`WsClient` run every request as
+one :func:`~repro.ws.pipeline.cross`, which leaves one record of it: a
+``ws.request`` event on the simulator's bus.
 """
 
 from repro.ws.client import WsClient, generate_stub
-from repro.ws.pipeline import (
-    AdmissionControlInterceptor, DeadlineInterceptor,
-    FaultTranslationInterceptor, Interceptor, Invocation,
-    MetricsInterceptor, Pipeline, TracingInterceptor,
-)
+from repro.ws.pipeline import Invocation, cross
 from repro.ws.registryapi import OperationSpec, ParameterSpec, ServiceDescription
 from repro.ws.server import SoapFabric, SoapServer
 from repro.ws.soap import SoapEnvelope
@@ -46,12 +42,6 @@ __all__ = [
     "WsClient",
     "generate_stub",
     "UddiRegistry",
-    "Pipeline",
-    "Interceptor",
     "Invocation",
-    "FaultTranslationInterceptor",
-    "MetricsInterceptor",
-    "AdmissionControlInterceptor",
-    "TracingInterceptor",
-    "DeadlineInterceptor",
+    "cross",
 ]

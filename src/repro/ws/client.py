@@ -19,11 +19,8 @@ from repro.core.context import RequestContext, span
 from repro.hardware.host import Host
 from repro.simkernel.events import Event
 from repro.simkernel.process import Process
-from repro.telemetry.metrics import MetricsRegistry
-from repro.ws.pipeline import (
-    DeadlineInterceptor, Invocation, MetricsInterceptor, Pipeline,
-    TracingInterceptor,
-)
+from repro.telemetry.events import bus
+from repro.ws.pipeline import Invocation, cross
 from repro.ws.registryapi import OperationSpec
 from repro.ws.server import SoapFabric
 
@@ -40,36 +37,26 @@ class WsClient:
         #: Optional :class:`~repro.ws.cache.ClientCache` memoising
         #: discovery / WSDL / stub work (None = the faithful hot path).
         self.cache = cache
-        self.calls_made = 0
-        #: Per-operation metrics as seen from this caller (includes
-        #: network time, unlike the server's registry).
-        self.metrics = MetricsRegistry(name=f"client@{host.name}")
-        #: Client-side interceptor chain around the wire round-trip.
-        #: No fault translation here: faults must *raise* in the caller.
-        self.pipeline = Pipeline([
-            MetricsInterceptor(self.sim, registry=self.metrics,
-                               origin=host.name),
-            TracingInterceptor(),
-            DeadlineInterceptor(self.sim),
-        ])
+        self._bus = bus(self.sim)
 
     def call(self, endpoint: str, operation: str,
              ctx: Optional[RequestContext] = None, **params: Any) -> Process:
         """Invoke ``operation`` at *endpoint* (a simulation process).
 
         *ctx*, when given, rides along to the server: spans open on both
-        sides of the wire and the deadline is enforced at each hop.
+        sides of the wire and the deadline is enforced at each hop.  The
+        crossing has no fault translation: faults raise in the caller.
         """
         server, service_name = self.fabric.resolve(endpoint)
-        self.calls_made += 1
-        inv = Invocation(ctx, service_name, operation, params, side="client")
+        inv = Invocation(ctx, service_name, operation, params, "client")
 
         def terminal(inv: Invocation) -> Generator[Event, None, Any]:
             return (yield from server.transport(
                 self.host, inv.service_name, inv.operation, inv.params,
                 inv.ctx))
 
-        return self.sim.process(self.pipeline.run(inv, terminal),
+        return self.sim.process(cross(self._bus, self.host.name, inv,
+                                      terminal),
                                 name=f"invoke:{service_name}.{operation}")
 
     def fetch_wsdl(self, endpoint: str,

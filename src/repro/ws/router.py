@@ -53,6 +53,7 @@ from repro.simkernel.events import Event
 from repro.simkernel.process import Interrupt, Process
 from repro.telemetry.events import bus
 from repro.telemetry.gauges import gauges
+from repro.ws.pipeline import soap_fault
 from repro.ws.server import SoapFabric, SoapServer
 from repro.ws.soap import SoapEnvelope
 
@@ -612,7 +613,7 @@ class RequestRouter:
                 try:
                     replica = self.choose(service_name, exclude=tried)
                 except WsError as exc:
-                    fault = self._fault_for(ReplicaDown(
+                    fault = soap_fault(ReplicaDown(
                         f"no live replica left for {service_name!r}: {exc}"))
                     yield from self._relay_fault(client, service_name,
                                                  operation, fault)
@@ -627,7 +628,7 @@ class RequestRouter:
                                   service=service_name, operation=operation,
                                   replica=replica.name,
                                   inflight=self._inflight[replica.name])
-                    fault = self._fault_for(ServerOverloaded(
+                    fault = soap_fault(ServerOverloaded(
                         f"all replicas at admission limit "
                         f"{self.shed_limit} for {service_name!r}"))
                     yield from self._relay_fault(client, service_name,
@@ -677,7 +678,7 @@ class RequestRouter:
                 tried.append(replica.name)
                 attempt += 1
                 if attempt >= self.failover_policy.max_attempts:
-                    fault = self._fault_for(ReplicaDown(
+                    fault = soap_fault(ReplicaDown(
                         f"request failed over {attempt} times "
                         f"(last: {crash})"))
                     yield from self._relay_fault(client, service_name,
@@ -775,22 +776,6 @@ class RequestRouter:
             self._board.gauge("router.backpressure").set(0)
             self.bus.emit("router.backpressure_clear", layer="ws",
                           inflight=total)
-
-    @staticmethod
-    def _fault_for(exc: WsError) -> SoapFault:
-        """Wrap a router-side error the way the server pipeline would.
-
-        Same ``"TypeName: message"`` detail convention, so the client
-        side classifies router faults (ReplicaDown, ServerOverloaded)
-        through the standard :attr:`SoapFault.root_cause` machinery.
-        """
-        message = str(exc)
-        fault = SoapFault(faultcode="Server",
-                          faultstring=message or type(exc).__name__,
-                          detail=(f"{type(exc).__name__}: {message}"
-                                  if message else type(exc).__name__))
-        fault.__cause__ = exc
-        return fault
 
     def _relay_fault(self, client: Host, service_name: str, operation: str,
                      fault: SoapFault) -> Generator[Event, None, None]:

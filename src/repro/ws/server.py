@@ -8,9 +8,9 @@ callable; invocations are full simulation processes that
 1. move the request envelope's encoded size over the network (the size
    is computed, the envelope never rendered — ``SoapEnvelope.size``),
 2. charge the server CPU for parsing/dispatch (scaled by message size),
-3. run the request through the server's interceptor
-   :class:`~repro.ws.pipeline.Pipeline` (fault translation, metrics,
-   admission control, tracing, deadline) around the handler dispatch,
+3. run the handler dispatch as one :func:`~repro.ws.pipeline.cross`
+   (span, deadline, one ``ws.request`` event), any exception becoming
+   a fault envelope,
 4. run the handler (which may itself be a simulation process — the
    generated GridService handler submits grid jobs and takes minutes),
 5. move the response (or fault) envelope's size back to the client.
@@ -25,16 +25,12 @@ import inspect
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.context import RequestContext
-from repro.errors import ServiceNotFound, SoapFault, WsError
+from repro.errors import ServiceNotFound, WsError
 from repro.hardware.host import Host
 from repro.simkernel.events import Event
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.events import bus
 from repro.units import KB
-from repro.ws.pipeline import (
-    AdmissionControlInterceptor, DeadlineInterceptor,
-    FaultTranslationInterceptor, Invocation, MetricsInterceptor, Pipeline,
-    TracingInterceptor,
-)
+from repro.ws.pipeline import Invocation, cross, soap_fault
 from repro.ws.registryapi import ServiceDescription
 from repro.ws.soap import SoapEnvelope
 from repro.ws.wsdl import generate_wsdl
@@ -159,22 +155,7 @@ class SoapServer:
         self._services: Dict[str, DeployedService] = {}
         self._undeploy_listeners: List[Callable[[str], None]] = []
         self.requests_served = 0
-        #: Per-operation latency/fault metrics, fed by the pipeline.
-        self.metrics = MetricsRegistry(name=f"{name}@{host.name}")
-        self.admission = AdmissionControlInterceptor(self.sim)
-        #: The server-side interceptor chain every request runs through.
-        #: Fault translation sits outermost so any exception — including
-        #: admission rejects and deadline expirations — still becomes a
-        #: fault envelope that travels back over the wire.
-        self.pipeline = Pipeline([
-            FaultTranslationInterceptor(
-                on_fault=lambda inv: self._count_fault(inv.service_name)),
-            MetricsInterceptor(self.sim, registry=self.metrics,
-                               origin=host.name),
-            self.admission,
-            TracingInterceptor(),
-            DeadlineInterceptor(self.sim),
-        ])
+        self._bus = bus(self.sim)
 
     # -- deployment -----------------------------------------------------------
 
@@ -264,22 +245,28 @@ class SoapServer:
                params: Dict[str, Any],
                ctx: Optional[RequestContext] = None,
                ) -> Generator[Event, None, SoapEnvelope]:
-        """Server-side half: parse, then pipeline around the dispatch.
+        """Server-side half: parse, then one crossing around the dispatch.
 
-        Always returns an envelope — the outermost fault-translation
-        interceptor turns any exception into a fault envelope, which
-        travels back over the network like a regular response.
+        Always returns an envelope — any exception, deadline expiry
+        included, becomes a counted fault envelope, which travels back
+        over the network like a regular response.
         """
         yield self.host.compute(
             self.DISPATCH_CPU + self.PARSE_CPU_PER_KB * request_bytes / KB(1),
             tag="soap")
         self.requests_served += 1
-        inv = Invocation(ctx, service_name, operation, params, side="server",
-                         request_bytes=request_bytes)
-        return (yield from self.pipeline.run(inv, self._dispatch))
+        inv = Invocation(ctx, service_name, operation, params, "server")
+        try:
+            return (yield from cross(self._bus, self.host.name, inv,
+                                     self._dispatch))
+        except Exception as exc:
+            svc = self._services.get(service_name)
+            if svc is not None:
+                svc.faults += 1
+            return SoapEnvelope.fault_response(soap_fault(exc))
 
     def _dispatch(self, inv: Invocation) -> Generator[Event, None, SoapEnvelope]:
-        """Pipeline terminal: validate, run the handler, build the response."""
+        """Crossing terminal: validate, run the handler, build the response."""
         svc = self.service(inv.service_name)
         spec = svc.description.operation(inv.operation)
         spec.validate_arguments(inv.params)
@@ -293,15 +280,10 @@ class SoapServer:
                 result, name=f"handler:{inv.service_name}.{inv.operation}")
         response = SoapEnvelope.response(inv.operation, result)
         # A result the codec cannot carry must fail here, inside the
-        # pipeline, so it travels back as a counted fault envelope.  The
+        # crossing, so it travels back as a counted fault envelope.  The
         # envelope keeps the measurement for transport() to send.
         response.size()
         return response
-
-    def _count_fault(self, service_name: str) -> None:
-        svc = self._services.get(service_name)
-        if svc is not None:
-            svc.faults += 1
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<SoapServer {self.host.name!r} services={self.services()}>"

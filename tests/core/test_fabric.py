@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.context import RequestContext
 from repro.core.fabric import FabricStack, deploy_fabric
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
@@ -103,6 +104,33 @@ def test_deploy_on_primary_invoke_anywhere():
         stack, stack.user_clients[1], "Route%"))
     assert result
     assert stack.router.requests_routed > 0
+
+
+def test_replica_spans_nest_under_the_router_hop():
+    sim, testbed, stack = deploy(replicas=3, router=True)
+    publish(sim, testbed, stack)
+    ctx = RequestContext.create(sim, principal="user")
+    sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[1], "Route%", ctx=ctx))
+    hops = [node for _, node in ctx.root.walk() if node.name == "router:hop"]
+    assert hops
+    # Every hop names the replica that served it.
+    assert all(hop.meta.get("replica") in stack.router.replicas()
+               for hop in hops)
+    # Replica-side spans sit below a hop, without any layer past the
+    # router knowing about sharding.
+    replica_side = [node for _, node in ctx.root.walk()
+                    if node.name.startswith(("server:", "service:", "gram:"))]
+    assert replica_side
+
+    def under_a_hop(node):
+        while node is not None:
+            if node.name == "router:hop":
+                return True
+            node = node.parent
+        return False
+
+    assert all(under_a_hop(node) for node in replica_side)
 
 
 def test_materialized_replica_serves_without_republishing(monkeypatch):

@@ -2,13 +2,14 @@
 
 The fabric's promise: one :class:`RequestContext` per entry-point
 request, nested sim-time spans across every layer the request crosses
-(portal → build → UDDI → agent → GridFTP → GRAM), and per-operation
-metrics queryable from the SOAP containers afterwards.
+(portal → build → UDDI → agent → GridFTP → GRAM), and one
+``ws.request`` record per SOAP crossing, queryable from the bus.
 """
 
 from repro.core import deploy_onserve, discover_and_invoke
 from repro.core.context import RequestContext
 from repro.grid import build_testbed
+from repro.telemetry.events import bus
 from repro.units import KB, Mbps
 from repro.workloads import make_payload
 
@@ -132,21 +133,26 @@ def test_per_operation_metrics_queryable_after_run():
     tb, stack = stack_env()
     upload(tb, stack)
     client = stack.user_clients[0]
+    rec = bus(tb.sim).record("ws.request")
     tb.sim.run(until=discover_and_invoke(stack, client, "Hello%",
                                          name="world"))
 
-    server_metrics = stack.soap_server.metrics
-    execute = server_metrics.get("HelloService", "execute")
-    assert execute.calls == 1
-    assert execute.faults == 0
-    assert execute.latency.mean > 0
-    # agent operations the invocation crossed are accounted too
-    agent_ops = {m.operation for m in server_metrics.all()
-                 if m.service == "CyberaideAgent"}
+    served = [ev for ev in rec.events("ws.request")
+              if ev.get("side") == "server"]
+    execute = [ev for ev in served if ev.get("service") == "HelloService"]
+    assert [ev.get("operation") for ev in execute] == ["execute"]
+    assert execute[0].get("fault") is None
+    assert execute[0].get("latency") > 0
+    assert execute[0].get("origin") == stack.soap_server.host.name
+    # agent operations the invocation crossed are recorded too
+    agent_ops = {ev.get("operation") for ev in served
+                 if ev.get("service") == "CyberaideAgent"}
     assert {"authenticate", "listSites", "uploadExecutable",
             "submitJob"} <= agent_ops
     # UDDI inquiry calls went through the same container
-    assert server_metrics.get("UddiInquiry", "findService").calls >= 1
-    assert "HelloService.execute" in server_metrics.table()
-    # the client container kept its own view of the same traffic
-    assert client.metrics.get("HelloService", "execute").calls == 1
+    assert any(ev.get("service") == "UddiInquiry"
+               and ev.get("operation") == "findService" for ev in served)
+    # the client kept its own record of the same call
+    called = rec.first("ws.request", side="client", service="HelloService")
+    assert called.get("origin") == client.host.name
+    assert called.get("latency") > execute[0].get("latency")

@@ -1,11 +1,8 @@
 """Tests for the bottleneck-analysis scenario (§VIII.D, quantitative)."""
 
-import json
-
 import pytest
 
 from repro.scenarios import run_bottleneck
-from repro.telemetry.export import parse_prometheus_text
 
 
 @pytest.fixture(scope="module")
@@ -66,26 +63,6 @@ def test_mds_snapshot_history_is_time_stamped(result):
     assert any("free_cores" in row for row in table)
     series = result.env.testbed.mds.history_series(table[0]["name"])
     assert len(series) == len(history)
-
-
-def test_prometheus_export_parses(result):
-    samples = parse_prometheus_text(result.prometheus())
-    assert samples  # non-empty and every line well-formed
-    assert any(k.startswith("repro_request_latency_seconds_bucket")
-               for k in samples)
-    assert any(k.startswith("repro_events_total") for k in samples)
-
-
-def test_chrome_trace_export_loads(result):
-    doc = json.loads(result.trace_json())
-    events = doc["traceEvents"]
-    assert events
-    begins = sum(1 for e in events if e.get("ph") == "B")
-    ends = sum(1 for e in events if e.get("ph") == "E")
-    completes = [e for e in events if e.get("ph") == "X"]
-    assert begins == ends  # trivially 0/0: the exporter emits X events
-    assert completes
-    assert all("ts" in e and "dur" in e for e in completes)
 
 
 def test_render_prints_the_attribution_table(result):

@@ -1,6 +1,5 @@
 """The control-tower scenario (smoke-sized) and its two replays."""
 
-import json
 import math
 
 import pytest
@@ -10,7 +9,6 @@ from repro.scenarios.controltower import (
     first_burn_and_breach, first_hot, run_controltower, served_by_replica,
 )
 from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.export import parse_prometheus_text
 from repro.ws.router import HashRing
 
 
@@ -65,31 +63,6 @@ def test_replica_table_lists_calls_share_owned_and_faults(result):
         assert result.served[name] == (int(calls), int(faults))
         assert share == f"{int(calls) / total:.1%}"
         assert owned == f"{ownership[name]:.1%}"
-
-
-def test_prometheus_export_round_trips_with_replica_labels(result):
-    samples = parse_prometheus_text(result.prometheus())
-    inflight = [k for k in samples
-                if k.startswith("repro_router_inflight{replica=")]
-    assert inflight  # per-replica gauge children exist
-
-
-def test_chrome_trace_nests_replica_spans_under_router_hop(result):
-    doc = json.loads(result.trace_json())
-    hops = [e for e in doc["traceEvents"]
-            if e["ph"] == "X" and e["name"] == "router:hop"]
-    assert hops
-    replicas = {e["args"].get("replica") for e in hops}
-    assert replicas - {None}  # hops name the replica that served them
-    # Replica-side spans below a hop inherit its replica without any
-    # layer past the router knowing about sharding.
-    inherited = [e for e in doc["traceEvents"]
-                 if e["ph"] == "X" and e["name"].startswith(("server:",
-                                                            "service:",
-                                                            "gram:"))
-                 and "replica" in e["args"]]
-    assert inherited
-    assert all(e["args"]["principal"] for e in inherited)
 
 
 def test_profiler_reports_throughput_and_split(result):

@@ -30,8 +30,7 @@ def test_adding_a_replica_helps_even_at_smoke_scale(result):
 
 def test_a_cold_stage_halves_with_a_second_uplink(result):
     alone, paired, _four = result.cold_rows
-    assert (alone["replicas"], alone["stripes"]) == (1, 1)
-    assert (paired["replicas"], paired["stripes"]) == (2, 2)
+    assert (alone["replicas"], paired["replicas"]) == (1, 2)
     assert paired["stage"] < 0.6 * alone["stage"]
     # Striping moves the same bytes: a few control bytes more, no copy.
     assert 0 <= paired["uplink"] - alone["uplink"] < 1024
@@ -40,16 +39,11 @@ def test_a_cold_stage_halves_with_a_second_uplink(result):
 
 def test_a_256kb_cold_stage_rides_all_four_uplinks(result):
     alone, _paired, four = result.cold_rows
-    assert (four["size"], four["replicas"], four["stripes"]) == (
-        256 * 1024, 4, 4)
+    assert (four["size"], four["replicas"]) == (256 * 1024, 4)
     assert result.ok
     assert four["stage"] < 0.35 * alone["stage"]
     # Each range adds its own PUT's control bytes, under 2 KB apiece.
     assert 0 <= four["uplink"] - alone["uplink"] < 4 * 2048
-
-
-def test_router_overhead_is_small(result):
-    assert result.router_overhead() < 0.05
 
 
 def test_render_mentions_the_gates(result):

@@ -13,11 +13,10 @@ def test_same_seed_is_run_to_run_deterministic():
 
 def test_cached_mode_cuts_mean_latency_at_eight_clients():
     result = run_throughput(levels=(8,))
-    assert result.reduction_at(8) >= 0.20
+    assert result.ok
     (row,) = result.rows
-    # Single-flight staging: one GridFTP transfer for the whole level,
-    # against two waves of eight in the baseline.
-    assert row["cached_transfers"] == 1.0
+    # ok holds single-flight staging to one transfer for the level; the
+    # baseline stages two waves of eight.
     assert row["base_transfers"] == 16.0
     assert row["cache_hits"] > 0
 

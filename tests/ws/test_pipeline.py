@@ -1,4 +1,4 @@
-"""Unit tests for the interceptor pipeline (the request-fabric spine)."""
+"""Unit tests for the SOAP crossing (the request-fabric spine)."""
 
 import pytest
 
@@ -8,10 +8,10 @@ from repro.hardware import Host, Network
 from repro.hardware.host import HostSpec
 from repro.simkernel import Simulator
 from repro.units import Mbps
+from repro.telemetry.events import bus
 from repro.ws import (
-    AdmissionControlInterceptor, DeadlineInterceptor, Interceptor,
-    Invocation, MetricsInterceptor, OperationSpec, ParameterSpec, Pipeline,
-    ServiceDescription, SoapFabric, SoapServer, TracingInterceptor, WsClient,
+    Invocation, OperationSpec, ParameterSpec, ServiceDescription, SoapFabric,
+    SoapServer, WsClient, cross,
 )
 
 
@@ -38,169 +38,40 @@ def echo_handler(operation, params):
 
 
 def drive(gen):
-    """Run a yield-free pipeline generator to completion."""
+    """Run a yield-free crossing generator to completion."""
     try:
         next(gen)
     except StopIteration as stop:
         return stop.value
-    raise AssertionError("pipeline unexpectedly yielded")
+    raise AssertionError("crossing unexpectedly yielded")
 
 
-# -- chain composition -------------------------------------------------------
+# -- the crossing ------------------------------------------------------------
 
-class Recorder(Interceptor):
-    def __init__(self, tag, log):
-        self.tag = tag
-        self.log = log
-
-    def invoke(self, inv, call_next):
-        self.log.append(f"{self.tag}:in")
-        result = yield from call_next(inv)
-        self.log.append(f"{self.tag}:out")
-        return result
-
-
-def test_interceptors_run_in_order_and_unwind_in_reverse():
+def test_crossing_closes_its_span_before_its_one_event():
+    sim = Simulator()
+    events = bus(sim)
+    ctx = RequestContext.create(sim, principal="user")
     log = []
-    pipe = Pipeline([Recorder("a", log), Recorder("b", log),
-                     Recorder("c", log)])
+
+    def span_closed():
+        return ctx.root.find("server:Svc.op").closed
 
     def terminal(inv):
-        log.append("terminal")
+        log.append(("terminal", span_closed()))
         return inv.params["x"] * 2
         yield  # pragma: no cover - makes terminal a generator
 
-    inv = Invocation(None, "Svc", "op", {"x": 21}, side="server")
-    assert drive(pipe.run(inv, terminal)) == 42
-    assert log == ["a:in", "b:in", "c:in", "terminal",
-                   "c:out", "b:out", "a:out"]
-
-
-def test_pipeline_find_locates_interceptor_by_class():
-    sim = Simulator()
-    admission = AdmissionControlInterceptor(sim)
-    pipe = Pipeline([TracingInterceptor(), admission])
-    assert pipe.find(AdmissionControlInterceptor) is admission
-    assert pipe.find(DeadlineInterceptor) is None
-
-
-# -- admission control -------------------------------------------------------
-
-def test_admission_reject_short_circuits_before_handler():
-    sim, server, client = make_env()
-    calls = []
-
-    def slow_handler(operation, params):
-        calls.append(params["text"])
-        yield sim.timeout(5.0)
-        return "done"
-
-    endpoint = server.deploy(echo_service(), slow_handler)
-    server.admission.set_policy("Echo", max_concurrent=1)
-
-    results = {}
-
-    def first():
-        results["first"] = yield client.call(endpoint, "say", text="one")
-
-    def second():
-        yield sim.timeout(0.5)  # arrives while the first is in flight
-        try:
-            yield client.call(endpoint, "say", text="two")
-        except SoapFault as fault:
-            results["fault"] = fault
-
-    sim.process(first())
-    sim.process(second())
-    sim.run()
-
-    assert results["first"] == "done"
-    fault = results["fault"]
-    assert fault.faultcode == "Server.Busy"
-    assert fault.detail == "AdmissionReject"
-    assert calls == ["one"]  # the rejected request never reached the handler
-    stats = server.admission.stats("Echo")
-    assert stats.admitted == 1
-    assert stats.rejected == 1
-    # the fault is visible in the server's per-operation metrics too
-    cell = server.metrics.get("Echo", "say")
-    assert cell.calls == 2
-    assert cell.fault_codes == {"Server.Busy": 1}
-
-
-def test_admission_queue_mode_serialises_instead_of_rejecting():
-    sim, server, client = make_env()
-    running = {"now": 0, "peak": 0}
-
-    def slow_handler(operation, params):
-        running["now"] += 1
-        running["peak"] = max(running["peak"], running["now"])
-        yield sim.timeout(2.0)
-        running["now"] -= 1
-        return params["text"]
-
-    endpoint = server.deploy(echo_service(), slow_handler)
-    server.admission.set_policy("Echo", max_concurrent=1, queue=True)
-
-    done = []
-
-    def caller(tag, delay):
-        yield sim.timeout(delay)
-        done.append((yield client.call(endpoint, "say", text=tag)))
-
-    for i, tag in enumerate(["a", "b", "c"]):
-        sim.process(caller(tag, 0.1 * i))
-    sim.run()
-
-    assert sorted(done) == ["a", "b", "c"]
-    assert running["peak"] == 1  # never more than the cap in flight
-    stats = server.admission.stats("Echo")
-    assert stats.admitted == 3
-    assert stats.rejected == 0
-    assert stats.queued >= 2
-
-
-def test_admission_queue_bound_rejects_overflow():
-    sim, server, client = make_env()
-
-    def slow_handler(operation, params):
-        yield sim.timeout(2.0)
-        return "ok"
-
-    endpoint = server.deploy(echo_service(), slow_handler)
-    server.admission.set_policy("Echo", max_concurrent=1, queue=True,
-                                max_queue=1)
-    faults = []
-
-    def caller(delay):
-        yield sim.timeout(delay)
-        try:
-            yield client.call(endpoint, "say", text="x")
-        except SoapFault as fault:
-            faults.append(fault.faultcode)
-
-    for i in range(3):
-        sim.process(caller(0.1 * i))
-    sim.run()
-
-    assert faults == ["Server.Busy"]  # third caller found the queue full
-    assert server.admission.stats("Echo").rejected == 1
-
-
-def test_admission_policy_can_be_removed():
-    sim = Simulator()
-    admission = AdmissionControlInterceptor(sim)
-    admission.set_policy("Echo", max_concurrent=2)
-    admission.set_policy("Echo", None)
-    inv = Invocation(None, "Echo", "say", {}, side="server")
-
-    def terminal(inv):
-        return "through"
-        yield  # pragma: no cover
-
-    assert drive(Pipeline([admission]).run(inv, terminal)) == "through"
-    with pytest.raises(ValueError):
-        admission.set_policy("Echo", 0)
+    events.subscribe(lambda ev: log.append(("event", span_closed())),
+                     kinds=["ws.request"])
+    inv = Invocation(ctx, "Svc", "op", {"x": 21}, "server")
+    assert drive(cross(events, "appliance", inv, terminal)) == 42
+    assert log == [("terminal", False), ("event", True)]
+    (ev,) = events.events("ws.request")
+    assert ev.request_id == ctx.request_id
+    assert ev.fields == {"service": "Svc", "operation": "op",
+                         "side": "server", "latency": 0.0, "fault": None,
+                         "origin": "appliance"}
 
 
 # -- deadlines ---------------------------------------------------------------
@@ -222,12 +93,10 @@ def test_deadline_exceeded_faults_at_the_caller():
     sim.run()
 
     (fault,) = faults
-    # the client-side interceptor refuses first: no bytes hit the wire
+    # the client-side crossing refuses first: no bytes hit the wire
     assert fault.faultcode == "Client.DeadlineExceeded"
     assert fault.detail == "DeadlineExceeded"
     assert server.requests_served == 0
-    deadline = client.pipeline.find(DeadlineInterceptor)
-    assert deadline.expirations == 1
     assert ctx.expired
 
 
@@ -275,39 +144,63 @@ def test_trace_span_marks_faulting_call():
     assert server_span.meta["error"] == "RuntimeError"
 
 
-# -- metrics -----------------------------------------------------------------
+# -- the ws.request record ---------------------------------------------------
 
 def test_metrics_record_latency_on_both_sides():
     sim, server, client = make_env()
 
     def working_handler(operation, params):
-        yield sim.timeout(0.25)  # give the server span real sim time
+        yield sim.timeout(0.25)  # give the server side real sim time
         return f"echo: {params['text']}"
 
     endpoint = server.deploy(echo_service(), working_handler)
+    rec = bus(sim).record("ws.request")
     sim.run(until=client.call(endpoint, "say", text="hi"))
     sim.run(until=client.call(endpoint, "say", text="ho"))
 
-    for registry in (server.metrics, client.metrics):
-        cell = registry.get("Echo", "say")
-        assert cell.calls == 2
-        assert cell.faults == 0
-        assert cell.latency.mean > 0
+    events = rec.events("ws.request")
+    assert [ev.get("side") for ev in events] == ["server", "client"] * 2
+    for ev in events:
+        assert (ev.get("service"), ev.get("operation")) == ("Echo", "say")
+        assert ev.get("fault") is None
+        assert ev.get("latency") > 0
+    assert [ev.get("origin") for ev in events[:2]] == ["appliance", "user"]
     # client-observed latency includes the network; server's does not
-    assert (client.metrics.get("Echo", "say").latency.mean
-            > server.metrics.get("Echo", "say").latency.mean)
+    for server_ev, client_ev in (events[0:2], events[2:4]):
+        assert client_ev.get("latency") > server_ev.get("latency")
 
 
 def test_metrics_interceptor_standalone_counts_faults():
     sim = Simulator()
-    metrics = MetricsInterceptor(sim, side="client")
+    rec = bus(sim).record("ws.request")
 
     def failing(inv):
         raise SoapFault(faultcode="Server", faultstring="nope")
         yield  # pragma: no cover
 
-    inv = Invocation(None, "Svc", "op", {}, side="client")
+    inv = Invocation(None, "Svc", "op", {}, "client")
     with pytest.raises(SoapFault):
-        drive(Pipeline([metrics]).run(inv, failing))
-    cell = metrics.registry.get("Svc", "op")
-    assert cell.fault_codes == {"Server": 1}
+        drive(cross(bus(sim), None, inv, failing))
+    (ev,) = rec.events("ws.request")
+    assert ev.request_id is None
+    assert (ev.get("side"), ev.get("fault")) == ("client", "Server")
+
+
+def test_a_faulting_call_leaves_one_client_and_one_server_record():
+    sim, server, client = make_env()
+
+    def refusing(operation, params):
+        raise SoapFault(faultcode="Server.Refused", faultstring="no")
+
+    endpoint = server.deploy(echo_service(), refusing)
+    rec = bus(sim).record("ws.request")
+    ctx = RequestContext.create(sim, principal="user")
+    with pytest.raises(SoapFault):
+        sim.run(until=client.call(endpoint, "say", ctx=ctx, text="hi"))
+
+    server_ev, client_ev = rec.events("ws.request")
+    assert (server_ev.get("side"), client_ev.get("side")) == ("server",
+                                                              "client")
+    assert server_ev.request_id == client_ev.request_id == ctx.request_id
+    assert server_ev.get("fault") == client_ev.get("fault") == "Server.Refused"
+    assert server.service("Echo").faults == 1

@@ -6,6 +6,7 @@ from repro.errors import SoapFault
 from repro.hardware import Host, Network
 from repro.hardware.host import HostSpec
 from repro.simkernel import Simulator
+from repro.telemetry.events import bus
 from repro.units import Mbps
 from repro.ws import (
     OperationSpec, ServiceDescription, SoapFabric, SoapServer, WsClient,
@@ -92,10 +93,11 @@ def test_server_survives_faults_and_keeps_serving():
                          ids=["None", "dict", "list"])
 def test_unencodable_result_becomes_counted_fault(result):
     # A result with no XSD mapping used to raise a raw WsError from
-    # response.size() in transport(), after the pipeline had finished:
-    # no fault envelope, svc.faults == 0, metrics recorded a success.
+    # response.size() in transport(), after the crossing had finished:
+    # no fault envelope, svc.faults == 0, ws.request recorded a success.
     sim, server, client = make_env()
     endpoint = deploy(server, lambda operation, params: result)
+    rec = bus(sim).record("ws.request")
     with pytest.raises(SoapFault) as exc_info:
         sim.run(until=client.call(endpoint, "go"))
     fault = exc_info.value
@@ -105,8 +107,8 @@ def test_unencodable_result_becomes_counted_fault(result):
         f"WsError: no XSD mapping for {type(result).__name__}")
     svc = server.service("T")
     assert (svc.invocations, svc.faults) == (1, 1)
-    stats = server.metrics.get("T", "go")
-    assert (stats.calls, stats.faults) == (1, 1)
+    served = rec.first("ws.request", side="server")
+    assert served.get("fault") == "WsError"
 
 
 def test_unencodable_string_result_becomes_fault():
