@@ -338,12 +338,16 @@ class OnServe:
                                                         digest))
                          if digest else None)
             with span(ctx, "onserve:store", executable=name):
-                compressed = yield from retry_call(
+                exe = yield from retry_call(
                     self.sim, self.retry_policy,
                     lambda: self.dbmanager.store_executable(
                         name, payload, description=description,
                         params_spec=params_spec, on_commit=on_commit),
                     ctx=ctx, label=f"db-store:{name}")
+            if digest:
+                # The stored version's digest is the one just hashed:
+                # its first fetch hashes nothing again.
+                exe.digest = digest
 
             record = ExecutableRecord(name, description, params,
                                       size=len(payload),
@@ -356,10 +360,6 @@ class OnServe:
                 # record to every in-memory surface too.
                 evicted = self._refresh_replaced(existing, record)
                 if digest:
-                    exe = StoredExecutable(name, payload, description,
-                                           params_spec, compressed,
-                                           self.sim.now)
-                    exe.digest = digest
                     self._reseed(existing.service_name, record, exe,
                                  evicted)
                 return existing

@@ -120,58 +120,76 @@ _MEMO_BUDGET = 32 * 1024 * 1024
 
 
 class _InflateMemo:
-    """The newest fetched version of each BLOB, inflated (host side only).
+    """The newest stored or fetched version of each BLOB (host side only).
 
     The payload and its digest are pure functions of the compressed
-    bytes, so a version is inflated once, on its first fetch, and every
-    later fetch of it is handed the *same* :class:`StoredExecutable` —
-    the payload a site stages is the one held here, never a second copy,
-    and the digest is hashed once, when someone first asks for it.
+    bytes, so a version is held from the frame that stores it — as the
+    very ``bytes`` object the store was handed — or, if this manager
+    did not store it (a recovered manager, an evicted entry), inflated
+    once, on its first fetch.  Every later fetch of it is handed the
+    *same* :class:`StoredExecutable`: the payload a site stages is the
+    uploader's object, never a second copy, and the digest is hashed
+    once, when someone first asks for it (or set by the publish that
+    already hashed it).
 
     An entry sits under the row's name and matches only the identity of
     the row's compressed ``data`` object, which it pins: a replaced,
     deleted or crash-recovered row holds a *different* object and never
-    matches.  Storing or deleting the name drops its entry, and a fetch
-    of another version replaces it: one version per name at most, and
-    not one the store has replaced since.  Least-recently-fetched names
-    fall out once the pinned bytes pass :data:`_MEMO_BUDGET`; a version
-    that alone exceeds it is never held.
+    matches.  Storing a name replaces its entry, deleting it drops the
+    entry, and a fetch of another version replaces it: one version per
+    name at most, and not one the store has replaced since.
+    Least-recently-used names fall out once the pinned bytes pass
+    :data:`_MEMO_BUDGET`; a version that alone exceeds it is never held.
     """
 
     def __init__(self) -> None:
         #: name -> (data, the version's executable, bytes pinned), least
-        #: recently fetched first.
+        #: recently stored or fetched first.
         self._entries: OrderedDict[
             str, Tuple[bytes, StoredExecutable, int]] = OrderedDict()
         self._pinned = 0
+
+    def held(self, record: Dict[str, Any]) -> Optional[StoredExecutable]:
+        """The executable remembered for the row's ``data`` object, if
+        any."""
+        entry = self._entries.get(record["name"])
+        if entry is not None and entry[0] is record["data"]:
+            return entry[1]
+        return None
 
     def stored(self, record: Dict[str, Any]) -> StoredExecutable:
         """The row as a :class:`StoredExecutable`: remembered for its
         ``data`` object, else built from *record* and the inflated
         payload.  Host work only; the callers have already charged every
         simulated step of the fetch."""
-        data, name = record["data"], record["name"]
-        entries = self._entries
-        entry = entries.get(name)
-        if entry is not None and entry[0] is data:
-            entries.move_to_end(name)
-            return entry[1]
-        self.drop(name)
+        exe = self.held(record)
+        if exe is not None:
+            self._entries.move_to_end(exe.name)
+            return exe
+        data = record["data"]
         exe = StoredExecutable(
-            name=name,
+            name=record["name"],
             payload=zlib.decompress(data),
             description=record["description"],
             params_spec=record["params_spec"],
             compressed_size=record["compressed_size"],
             stored_at=record["stored_at"],
         )
+        self.remember(data, exe)
+        return exe
+
+    def remember(self, data: bytes, exe: StoredExecutable) -> None:
+        """Hold *exe* as the version whose compressed bytes are *data*,
+        in place of whatever its name held, unless it alone is over
+        budget."""
+        self.drop(exe.name)
         pinned = len(data) + exe.size
         if pinned <= _MEMO_BUDGET:
-            entries[name] = (data, exe, pinned)
+            entries = self._entries
+            entries[exe.name] = (data, exe, pinned)
             self._pinned += pinned
             while self._pinned > _MEMO_BUDGET:
                 self._pinned -= entries.popitem(last=False)[1][2]
-        return exe
 
     def drop(self, name: str) -> None:
         """Forget what is held under *name*."""
@@ -306,14 +324,19 @@ class DbManager:
                          ) -> Process:
         """Compress and store *payload* under *name* (a simulation process).
 
-        The returned process-event's value is the compressed size.
-        Storing an existing name replaces the old row (upsert), which is
-        what lets users re-upload a fixed executable.  *on_commit* runs
+        The returned process-event's value is the stored version as a
+        :class:`StoredExecutable` whose payload is *payload* itself (a
+        ``bytes`` object is kept as it is; any other buffer is copied
+        once, so a later mutation of it cannot reach a fetch).  Storing
+        an existing name replaces the old row (upsert), which is what
+        lets users re-upload a fixed executable.  *on_commit* runs
         inside the storing transaction: what it writes commits in the
         same WAL frame as the row.
         """
+        if type(payload) is not bytes:
+            payload = bytes(payload)
 
-        def op() -> Generator[Event, None, int]:
+        def op() -> Generator[Event, None, StoredExecutable]:
             compressed = zlib.compress(payload, level=6)
             # Contended tier (``serialize``): the writer occupies the
             # single connection across the operation's CPU and disk
@@ -358,11 +381,16 @@ class DbManager:
                     ])
                     if on_commit is not None:
                         on_commit()
-                self._memo.drop(name)
+                # The row's ``data`` is *compressed* itself, so the memo
+                # matches it until the row is replaced.
+                exe = StoredExecutable(name, payload, description,
+                                       params_spec, len(compressed),
+                                       self.sim.now)
+                self._memo.remember(compressed, exe)
             finally:
                 if locked:
                     self._release_conn()
-            return len(compressed)
+            return exe
 
         return self.sim.process(op(), name=f"db-store:{name}")
 
@@ -534,8 +562,12 @@ class DbManager:
 
     def executable_digest(self, name: str) -> str:
         """SHA-256 of the stored payload, from the primary's row (host
-        work only: no simulated cost)."""
+        work only: no simulated cost): a held version's own digest, or
+        the hash of the inflated row."""
         record = self.db.get_by_pk(self.TABLE, name)
+        exe = self._memo.held(record)
+        if exe is not None:
+            return exe.digest
         return hashlib.sha256(zlib.decompress(record["data"])).hexdigest()
 
     def executable_sizes(self, name: str) -> Dict[str, int]:

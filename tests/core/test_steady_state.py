@@ -9,7 +9,7 @@ nothing and must never trigger a compaction.
 
 from repro.core.fabric import deploy_fabric
 from repro.core.invocation import discover_and_invoke
-from repro.core.onserve import OnServeConfig
+from repro.core.onserve import OnServeConfig, deploy_onserve
 from repro.db import engine
 from repro.grid.testbed import build_testbed
 from repro.simkernel import Simulator
@@ -17,6 +17,7 @@ from repro.simkernel.events import ConditionEvent, Timeout
 from repro.telemetry.gauges import gauges
 from repro.units import KB
 from repro.workloads.executables import make_payload
+from tests.db.test_dbmanager import counted
 
 FLOOR = 256 * 1024
 ROUNDS = 12
@@ -80,9 +81,15 @@ def test_re_uploads_hold_a_bounded_number_of_versions(monkeypatch):
     live = db.wal.size()
     assert max(sizes) <= 2 * live + FLOOR
     assert live < 2 * len(versions[-1]) + 64 * 1024
-    # Only round 0 loaded the bytes (each republish seeds its own); the
-    # next store dropped that version from the memo.
-    assert not memo._entries
+    # The memo holds the current version alone, as its store left it:
+    # the row's compressed object and the very payload each republish
+    # seeded to the sites.
+    [(name, (data, exe, _pinned))] = memo._entries.items()
+    assert name == "own.sh" and data is versions[-1]
+    staged = [copy for site in tb.sites
+              for path, copy in site.storage.items()
+              if path.endswith("/own.sh")]
+    assert staged and all(copy is exe.payload for copy in staged)
 
 
 def test_fresh_uploads_never_compact(monkeypatch):
@@ -108,6 +115,26 @@ def test_the_staged_copy_is_the_memos_payload(monkeypatch):
     assert staged and all(copy is exe.payload for copy in staged)
     # Every later load of the version hands out that one executable.
     assert sim.run(until=stack.dbmanager.load_executable("a.sh")) is exe
+
+
+def test_a_faithful_invoke_stages_the_uploaded_object_and_inflates_nothing(
+        monkeypatch):
+    sim = Simulator(seed=0)
+    tb = build_testbed(sim=sim, n_sites=2, nodes_per_site=2,
+                       cores_per_node=4, n_users=2)
+    stack = sim.run(until=deploy_onserve(tb))
+    calls = counted(monkeypatch)
+    payload = make_payload("echo", size=int(KB(96)), nonce="faithful")
+    sim.run(until=stack.portal.upload_and_generate(
+        tb.user_hosts[0], "f.sh", payload, params_spec="token:string"))
+    reply = sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[1], "F%", token="t"))
+    assert reply == "t\n"
+    staged = [data for site in tb.sites
+              for path, data in site.storage.items()
+              if path.endswith("/f.sh")]
+    assert staged and all(copy is payload for copy in staged)
+    assert calls["inflate"] == 0
 
 
 def test_finished_invocations_leave_only_their_durable_rows(monkeypatch):

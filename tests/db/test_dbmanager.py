@@ -296,26 +296,29 @@ def test_third_load_of_a_version_inflates_and_hashes_nothing(
     sim.run(until=mgr.store_executable("x", payload))
     calls = counted(monkeypatch)
     t0, events = sim.now, sim.events_processed
-    first = load(sim, mgr, "x")  # admitted here: inflated once
+    # Held since the store: the first load inflates nothing, and its
+    # payload is the object the store was handed.
+    first = load(sim, mgr, "x")
     cold = (sim.now - t0, sim.events_processed - events)
-    assert calls == {"inflate": 1, "sha256": 0} and memo_holds(mgr, first)
+    assert calls == {"inflate": 0, "sha256": 0} and memo_holds(mgr, first)
+    assert first.payload is payload
     second = load(sim, mgr, "x")
     # One executable per version: the digest is hashed when first asked.
     assert second is first and second.digest == want
-    assert calls == {"inflate": 1, "sha256": 1}
+    assert calls == {"inflate": 0, "sha256": 1}
     t0, events = sim.now, sim.events_processed
     third = load(sim, mgr, "x")
     # The simulated fetch is charged in full all the same.
     assert (sim.now - t0, sim.events_processed - events) == (
         pytest.approx(cold[0], rel=1e-9), cold[1])
     assert third is first and third.digest == want
-    assert calls == {"inflate": 1, "sha256": 1}
+    assert calls == {"inflate": 0, "sha256": 1}
     # A re-upload is a new version, even of the very same bytes: nothing
     # is served from the old one, and the metadata is the new row's.
     sim.run(until=mgr.store_executable("x", payload, description="again"))
     fourth = load(sim, mgr, "x")
-    assert calls["inflate"] == 2
-    assert fourth.payload == payload and fourth.payload is not third.payload
+    assert calls["inflate"] == 0
+    assert fourth is not third and fourth.payload is payload
     assert fourth.description == "again" and fourth.stored_at > third.stored_at
 
 
@@ -372,3 +375,46 @@ def test_recovered_manager_starts_with_an_empty_memo(monkeypatch):
     exe = load(sim, recovered, "x")
     assert exe.payload == b"payload bytes" * 50 and exe is not held
     assert calls["inflate"] == 1 and memo_holds(recovered, exe)
+
+
+def test_store_holds_a_copy_of_a_mutable_buffer(monkeypatch):
+    sim, host, mgr = make_env()
+    buffer = bytearray(b"version one" * 100)
+    stored = sim.run(until=mgr.store_executable("x", buffer))
+    buffer[:7] = b"mutated"
+    calls = counted(monkeypatch)
+    exe = load(sim, mgr, "x")
+    assert exe is stored and calls["inflate"] == 0
+    assert type(exe.payload) is bytes and exe.payload == b"version one" * 100
+
+
+def test_over_budget_version_is_not_held_at_store_and_inflates_once(
+        monkeypatch):
+    monkeypatch.setattr(dbmanager, "_MEMO_BUDGET", 4096)
+    sim, host, mgr = make_env()
+    payload = b"a" * 3000
+    sim.run(until=mgr.store_executable("x", payload))
+    assert memo_holds(mgr, load(sim, mgr, "x"))
+    noise = random.Random(7).randbytes(8192)   # compressed alone > budget
+    stored = sim.run(until=mgr.store_executable("x", noise))
+    # Over budget: not held, and the version it replaced is gone too.
+    assert stored.payload is noise and not mgr._memo._entries
+    calls = counted(monkeypatch)
+    exe = load(sim, mgr, "x")
+    assert exe.payload == noise and exe is not stored
+    assert calls["inflate"] == 1 and not memo_holds(mgr, exe)
+
+
+def test_executable_digest_inflates_only_a_version_it_does_not_hold(
+        monkeypatch):
+    sim, host, mgr = make_env()
+    payload = b"payload bytes" * 50
+    want = hashlib.sha256(payload).hexdigest()
+    stored = sim.run(until=mgr.store_executable("x", payload))
+    stored.digest = want     # what a publish that hashed it leaves
+    recovered = mgr.recover_from_crash()
+    calls = counted(monkeypatch)
+    assert mgr.executable_digest("x") == want
+    assert calls == {"inflate": 0, "sha256": 0}
+    assert recovered.executable_digest("x") == want
+    assert calls == {"inflate": 1, "sha256": 1}
