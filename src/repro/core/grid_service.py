@@ -209,6 +209,7 @@ class GridServiceRuntime:
         self.invocations += 1
         held_bytes = 0  # RAM held for the in-flight payload
         exe = None
+        crashed = False
         tier = cfg.db_tier
         chunked = tier.chunk_bytes > 0
         # When the DB-scale plane is on, fetch time gets its own db:fetch
@@ -395,13 +396,18 @@ class GridServiceRuntime:
                 return f"(binary output, {len(output)} bytes)"
         except Exception as exc:
             report.error = f"{type(exc).__name__}: {exc}"
+            # A crashed replica's attempt unwinds here and records
+            # nothing: the survivor it failed over to records the row.
+            crashed = (isinstance(exc, Interrupt)
+                       and isinstance(exc.cause, ReplicaDown))
             raise
         finally:
             if held_bytes:
                 host.release_memory(held_bytes)
             report.finished_at = self.sim.now
-            self.onserve.record_invocation(
-                service_name_for(self.record.name), report)
+            if not crashed:
+                self.onserve.record_invocation(
+                    service_name_for(self.record.name), report)
 
     def _run_with_failover(self, available: List[str], attempt,
                            ctx: Optional[RequestContext] = None

@@ -6,12 +6,14 @@ interrupt and nothing in it can fail on its own, so it is not a
 process: it is a single :class:`HardwareOp` event whose bound methods
 chain
 
-    start slot → latency timeout → flow on the rated server → succeed
+    latency timeout (or start slot) → flow on the rated server → succeed
 
 and whose value is the time elapsed since the operation was issued
-(see DESIGN.md §5).  The start slot is the one queue hop a process start
-used to provide: the flow joins its server in the order the operations
-were issued relative to everything else queued for that instant.
+(see DESIGN.md §5).  An operation with latency arms its latency timer
+when it is created, and the timer's callback joins the flow.  One
+without latency (or a local one) takes a start slot instead, the one
+queue hop a process start used to provide: the flow joins its server in
+creation order relative to everything else queued for that instant.
 """
 
 from __future__ import annotations
@@ -35,24 +37,24 @@ class HardwareOp(Event):
     instant, still via the queue.
     """
 
-    __slots__ = ("_server", "_latency", "_work", "_tags", "_issued_at")
+    __slots__ = ("_server", "_work", "_tags", "_issued_at")
 
     def __init__(self, sim: "Simulator", name: str,
                  server: Optional["FairShareServer"], latency: float,
                  work: float, tags: Tuple[str, ...]):
         super().__init__(sim, name)
         self._server = server
-        self._latency = latency
         self._work = work
         self._tags = tags
         self._issued_at = sim.now
-        sim._enqueue(self)  # pending: a start slot
+        if server is not None and latency > 0:
+            Timeout(sim, latency).callbacks.append(self._join)
+        else:
+            sim._enqueue(self)  # pending: a start slot
 
     def _start(self, _slot: Event) -> None:
         if self._server is None:
             self.succeed(0.0)
-        elif self._latency > 0:
-            Timeout(self.sim, self._latency).callbacks.append(self._join)
         else:
             self._join(self)
 

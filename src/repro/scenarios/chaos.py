@@ -5,12 +5,15 @@ fabric of N stateless replicas runs a closed-loop client population,
 and at the traffic peak the fault plane fail-stops ``kill`` of them —
 heartbeats stop, in-flight requests die mid-exchange, new connections
 are refused.  Later one of the corpses is restarted and must rejoin the
-ring.  The drill holds the fabric to four invariants:
+ring.  The drill holds the fabric to five invariants:
 
 * **zero lost requests** — every client invocation completes; crashed
   in-flight work fails over to a preference-list survivor under the
-  invocation-dedup layer (no double execution: the store's duplicate
-  counter must stay 0);
+  invocation-dedup layer;
+* **no double execution** — in each pass, every invocation id reaches
+  the grid as exactly one ``gram.submit`` (a crashed replica's request
+  dies with it, so only the survivor's attempt submits), and the
+  store's duplicate counter stays 0;
 * **bounded detection** — for every crash, the gap between the crash
   instant (``fabric.replica_crash``) and the router's death declaration
   (``router.replica_dead``) is at most ``lease_ttl +
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
+from repro.core.context import RequestContext
 from repro.core.invocation import discover_and_invoke
 from repro.errors import root_cause_name
 from repro.faults import FaultSpec, fault_plane
@@ -58,7 +62,7 @@ RESTART_AT = 0.72
 
 
 class ChaosResult:
-    """One chaos drill: workload numbers + the four invariants."""
+    """One chaos drill: workload numbers + the five invariants."""
 
     def __init__(self, *, replicas: int, clients: int, services: int,
                  rounds: int, kill: int, restart: int,
@@ -70,6 +74,7 @@ class ChaosResult:
                  detection_bound: float, slo_violated: bool,
                  failovers: int, dedup_hits: int, dedup_duplicates: int,
                  inflight_killed: int, requests_routed: int,
+                 submits: List[Dict[str, int]],
                  seed: int, smoke: bool):
         self.replicas = replicas
         self.clients = clients
@@ -95,6 +100,9 @@ class ChaosResult:
         self.dedup_duplicates = dedup_duplicates
         self.inflight_killed = inflight_killed
         self.requests_routed = requests_routed
+        #: Per pass (calibration, chaos): ``gram.submit`` count per
+        #: request id, every invocation id present (0 if never submitted).
+        self.submits = submits
         self.seed = seed
         self.smoke = smoke
 
@@ -115,6 +123,17 @@ class ChaosResult:
         return max(self.detection_lags.values(), default=0.0)
 
     @property
+    def grid_submits(self) -> int:
+        return sum(sum(counts.values()) for counts in self.submits)
+
+    @property
+    def exactly_once(self) -> bool:
+        """Each pass submitted each of its invocation ids exactly once."""
+        return all(len(counts) == self.invocations
+                   and all(n == 1 for n in counts.values())
+                   for counts in self.submits)
+
+    @property
     def detection_ok(self) -> bool:
         """Every crash was declared, within the lease-path worst case."""
         return (len(self.detection_lags) == len(self.crashed)
@@ -124,6 +143,7 @@ class ChaosResult:
     @property
     def ok(self) -> bool:
         return (self.lost == 0
+                and self.exactly_once
                 and self.dedup_duplicates == 0
                 and len(self.crashed) == self.kill
                 and self.detection_ok
@@ -144,9 +164,10 @@ class ChaosResult:
              self.lost == 0,
              f"{self.completed}/{self.invocations} completed"),
             ("no double execution",
-             self.dedup_duplicates == 0,
-             f"{self.dedup_hits} dedup hits, "
-             f"{self.dedup_duplicates} duplicates"),
+             self.exactly_once and self.dedup_duplicates == 0,
+             f"{self.grid_submits} submits for "
+             f"{len(self.submits) * self.invocations} invocations, "
+             f"{self.dedup_hits} dedup hits"),
             ("detection lag bounded",
              self.detection_ok,
              f"max {self.max_detection_lag:.1f}s "
@@ -236,6 +257,7 @@ def run_chaos(replicas: int = 8,
         dedup_duplicates=chaos["dedup_duplicates"],
         inflight_killed=chaos["inflight_killed"],
         requests_routed=chaos["requests_routed"],
+        submits=[calibration["submits"], chaos["submits"]],
         seed=seed, smoke=smoke)
 
 
@@ -253,7 +275,7 @@ def _one_run(replicas: int, clients: int, services: int, rounds: int,
                            fault_threshold=fault_threshold))
     sim, testbed, stack = env.sim, env.testbed, env.stack
     telemetry = bus(sim).record("ws.request", "fabric.replica_crash",
-                                "router.replica_dead")
+                                "router.replica_dead", "gram.submit")
 
     payload = make_payload("fixed", size=file_bytes, runtime=runtime,
                            output_bytes=str(int(KB(4))))
@@ -264,6 +286,7 @@ def _one_run(replicas: int, clients: int, services: int, rounds: int,
     t0 = sim.now
     latencies: List[float] = []
     losses: List[Tuple[int, str]] = []
+    submits: Dict[str, int] = {}
 
     targets: List[str] = []
     restarted: List[str] = []
@@ -296,8 +319,10 @@ def _one_run(replicas: int, clients: int, services: int, rounds: int,
         pattern = f"Chaos{i % services:02d}%"
         for _ in range(rounds):
             t_req = sim.now
+            ctx = RequestContext.create(sim, principal=client.host.name)
+            submits[ctx.request_id] = 0
             try:
-                yield discover_and_invoke(stack, client, pattern)
+                yield discover_and_invoke(stack, client, pattern, ctx=ctx)
             except Exception as exc:
                 losses.append((i, root_cause_name(exc)))
             else:
@@ -322,6 +347,9 @@ def _one_run(replicas: int, clients: int, services: int, rounds: int,
     inflight_killed = sum(ev.get("inflight_killed", 0)
                           for ev in telemetry.events("fabric.replica_crash"))
     rejoined = all(name in stack.router.replicas() for name in restarted)
+    for ev in telemetry.events("gram.submit"):
+        if ev.ts >= t0:
+            submits[ev.request_id] = submits.get(ev.request_id, 0) + 1
 
     telemetry.close()
     stack.stop_self_healing()
@@ -340,4 +368,5 @@ def _one_run(replicas: int, clients: int, services: int, rounds: int,
         "dedup_duplicates": stack.store.dedup_duplicates,
         "inflight_killed": inflight_killed,
         "requests_routed": stack.router.requests_routed,
+        "submits": submits,
     }

@@ -3,17 +3,19 @@
 A :class:`SoapServer` lives on a simulated host (the appliance's Tomcat
 stand-in).  Services are deployed with a
 :class:`~repro.ws.registryapi.ServiceDescription` plus a *handler*
-callable; invocations are full simulation processes that
+callable; an invocation runs inside the simulation process that carried
+the request (the client's call, or the router's proxy), which
 
-1. move the request envelope's encoded size over the network (the size
+1. moves the request envelope's encoded size over the network (the size
    is computed, the envelope never rendered — ``SoapEnvelope.size``),
-2. charge the server CPU for parsing/dispatch (scaled by message size),
-3. run the handler dispatch as one :func:`~repro.ws.pipeline.cross`
+2. charges the server CPU for parsing/dispatch (scaled by message size),
+3. runs the handler dispatch as one :func:`~repro.ws.pipeline.cross`
    (span, deadline, one ``ws.request`` event), any exception becoming
-   a fault envelope,
-4. run the handler (which may itself be a simulation process — the
+   a fault envelope — except an :class:`~repro.simkernel.process.Interrupt`,
+   which unwinds the carrying process (a replica crash),
+4. runs the handler (a generator handler is delegated to — the
    generated GridService handler submits grid jobs and takes minutes),
-5. move the response (or fault) envelope's size back to the client.
+5. moves the response (or fault) envelope's size back to the client.
 
 :class:`SoapFabric` is the name service mapping ``soap://host/Service``
 endpoints to server objects, standing in for DNS+TCP connection setup.
@@ -28,6 +30,7 @@ from repro.core.context import RequestContext
 from repro.errors import ServiceNotFound, WsError
 from repro.hardware.host import Host
 from repro.simkernel.events import Event
+from repro.simkernel.process import Interrupt
 from repro.telemetry.events import bus
 from repro.units import KB
 from repro.ws.pipeline import Invocation, cross, soap_fault
@@ -235,8 +238,8 @@ class SoapServer:
         request_bytes = request.size()
         yield client.send(self.host, request_bytes,
                           label=f"soap-req:{service_name}.{operation}")
-        response = yield self.sim.process(
-            self._serve(request_bytes, service_name, operation, params, ctx))
+        response = yield from self._serve(request_bytes, service_name,
+                                          operation, params, ctx)
         yield self.host.send(client, response.size(),
                              label=f"soap-rsp:{service_name}.{operation}")
         return response.result()  # raises the fault, if any
@@ -247,9 +250,11 @@ class SoapServer:
                ) -> Generator[Event, None, SoapEnvelope]:
         """Server-side half: parse, then one crossing around the dispatch.
 
-        Always returns an envelope — any exception, deadline expiry
-        included, becomes a counted fault envelope, which travels back
-        over the network like a regular response.
+        Returns an envelope — any exception, deadline expiry included,
+        becomes a counted fault envelope, which travels back over the
+        network like a regular response.  An :class:`Interrupt` is no
+        exception of the service: it propagates, so a crash reaches
+        whoever interrupted the carrying process untranslated.
         """
         yield self.host.compute(
             self.DISPATCH_CPU + self.PARSE_CPU_PER_KB * request_bytes / KB(1),
@@ -259,6 +264,8 @@ class SoapServer:
         try:
             return (yield from cross(self._bus, self.host.name, inv,
                                      self._dispatch))
+        except Interrupt:
+            raise  # a crash unwinds the carrying process, it is no fault
         except Exception as exc:
             svc = self._services.get(service_name)
             if svc is not None:
@@ -276,8 +283,7 @@ class SoapServer:
         else:
             result = svc.handler(inv.operation, dict(inv.params))
         if inspect.isgenerator(result):
-            result = yield self.sim.process(
-                result, name=f"handler:{inv.service_name}.{inv.operation}")
+            result = yield from result
         response = SoapEnvelope.response(inv.operation, result)
         # A result the codec cannot carry must fail here, inside the
         # crossing, so it travels back as a counted fault envelope.  The

@@ -179,12 +179,15 @@ def _back_to_back(sim, make_op, n):
     return sim.events_processed - 2  # minus the driver's start and end
 
 
-@pytest.mark.parametrize("latency, per_op", [(0.0005, 4), (0.0, 3)],
+@pytest.mark.parametrize("latency, per_op, per_process",
+                         [(0.0005, 3, 5), (0.0, 3, 4)],
                          ids=["latency", "no-latency"])
-def test_event_budget_per_transfer_and_disk_op(latency, per_op):
-    # Start slot, latency timeout (when there is latency), the flow's
-    # completion timer, the completion event: per_op events each.  The
-    # process form paid one more, for the process's own completion on
+def test_event_budget_per_transfer_and_disk_op(latency, per_op,
+                                               per_process):
+    # The latency timeout armed on creation (or, without latency, the
+    # start slot), the flow's completion timer, the completion event:
+    # per_op events each.  The process form pays its start slot, the
+    # latency timeout when there is latency, and its own completion on
     # top of the flow's.
     n = 50
     sim, net, _ = _world(latency, latency)
@@ -195,7 +198,7 @@ def test_event_budget_per_transfer_and_disk_op(latency, per_op):
     sim, net, _ = _world(latency, latency)
     assert _back_to_back(
         sim, lambda: reference_transfer(net, "a", "b", 4096), n
-    ) == (per_op + 1) * n
+    ) == per_process * n
 
 
 def test_local_and_empty_operations_cost_two_events():

@@ -1,5 +1,7 @@
 """The chaos drill: invariants, shape, determinism (smoke-sized)."""
 
+import copy
+
 import pytest
 
 from repro.scenarios import ChaosResult, run_chaos
@@ -71,7 +73,22 @@ def test_failed_gate_renders_fail(result):
         dedup_duplicates=result.dedup_duplicates,
         inflight_killed=result.inflight_killed,
         requests_routed=result.requests_routed,
+        submits=result.submits,
         seed=result.seed, smoke=result.smoke)
     assert not broken.ok
     assert broken.availability < 1.0
     assert "FAIL" in broken.render()
+
+
+def test_a_request_submitted_twice_fails_the_gate(result):
+    # Both passes send every invocation id to the grid exactly once.
+    assert result.grid_submits == 2 * result.invocations
+    broken = copy.copy(result)
+    broken.submits = [dict(counts) for counts in result.submits]
+    request_id = next(iter(broken.submits[1]))
+    broken.submits[1][request_id] += 1
+    assert not broken.exactly_once and not broken.ok
+    text = broken.render()
+    assert "FAIL  no double execution" in text
+    assert (f"{result.grid_submits + 1} submits for "
+            f"{result.grid_submits} invocations") in text

@@ -92,15 +92,15 @@ def test_hardware_operations_are_charged_to_named_buckets():
     prof.detach()
     assert all(op.processed for op in ops)
     calls = prof.calls
-    # Start slot + latency hop per transfer; the disk op's start slot
-    # and its seek timeout; one fair-share timer per device.
-    assert calls["xfer:h#->h#:soap-req:Svc.go"] == 2
-    assert calls["xfer:h#->h#"] == 2
-    assert calls["h#.disk:write"] == 2
+    # The latency hop per transfer (armed on creation, no start slot);
+    # the disk op's seek timeout; one fair-share timer per device.
+    assert calls["xfer:h#->h#:soap-req:Svc.go"] == 1
+    assert calls["xfer:h#->h#"] == 1
+    assert calls["h#.disk:write"] == 1
     assert calls["h#<->h#"] == 2 and calls["h#.disk"] == 1
     assert not any("lambda" in b or "locals" in b or b == "<callback>"
                    for b in calls)
-    assert sum(calls.values()) == 9  # nobody waits on the ops here
+    assert sum(calls.values()) == 6  # nobody waits on the ops here
 
 
 def test_telemetry_split_charges_bus_and_gauges():

@@ -296,3 +296,35 @@ def test_crash_under_several_inflight_requests_is_deterministic():
     del ballast
     assert again[2] == dispatches
     assert again[3] == trace
+
+
+def test_crash_before_the_submit_runs_the_request_once():
+    # The owner crashes mid-execute, after its agent calls began but
+    # before its grid submit.  The crash unwinds the owner's handler, so
+    # only the survivor's attempt reaches GRAM and records the
+    # invocation.
+    sim, testbed, stack = deploy_healing(replicas=3, n_users=1,
+                                         fault_threshold=1)
+    publish(sim, testbed, stack, runtime="6")
+    owner = stack.router.ring.owner("RouteService")
+    primary = stack.onserves[0].replica
+    if owner == primary:  # keep the DB tier up: crash a secondary
+        pytest.skip("ring owner is the primary under this seed")
+    db = stack.onserves[0].dbmanager.db
+    rows_before = db.count("invocations")
+    rec = bus(sim).record("ws.request", "gram.submit")
+    ctx = RequestContext.create(sim)
+    proc = discover_and_invoke(stack, stack.user_clients[0], "Route%",
+                               ctx=ctx)
+    crasher = crash_at(sim, stack, owner, at=sim.now + 1.0)
+    result = sim.run(until=sim.all_of([proc, crasher]))[proc]
+    sim.run(until=sim.timeout(30.0))  # let any zombie work surface
+    assert result
+    crashed = [ev for ev in rec.events("ws.request")
+               if ev.get("side") == "server" and ev.get("origin") == owner
+               and ev.get("operation") == "execute"]
+    assert [ev.get("fault") for ev in crashed] == ["Interrupt"]
+    submits = [ev.request_id for ev in rec.events("gram.submit")]
+    assert submits == [ctx.request_id]
+    assert db.count("invocations") == rows_before + 1
+    stack.stop_self_healing()

@@ -196,3 +196,24 @@ def test_fetch_wsdl_transfers_document():
     document = sim.run(until=sim.process(flow()))
     assert b"definitions" in document
     assert client.host.net_bytes_in() >= len(document)
+
+
+def test_event_budget_of_one_served_request():
+    # The client's invoke process (start slot + completion), two
+    # transfers whose latency timer is armed on creation (latency, flow
+    # timer, completion), the dispatch CPU (flow timer, completion) and
+    # the handler's own timeout.  The server half and the handler run
+    # inside the invoke process: they add no process of their own, whose
+    # start slot and completion would cost two events each.
+    sim, server, client = make_env()
+
+    def slow(operation, params):
+        yield server.sim.timeout(1.0)
+        return "done"
+
+    endpoint = server.deploy(
+        ServiceDescription("Slow", [OperationSpec("work")]), slow)
+    before = sim.events_processed
+    assert sim.run(until=client.call(endpoint, "work")) == "done"
+    assert sim.events_processed - before == 11
+    assert sim.queued_events == 0

@@ -163,3 +163,47 @@ def test_each_envelope_is_sized_once(monkeypatch, path):
         sim.run(until=client.call(endpoint, "go"))
     assert len(built) == 2 * per_call
     assert sorted(map(id, walked)) == sorted(map(id, built))
+
+
+def test_interrupt_unwinds_the_handler_and_is_no_fault():
+    # The server half runs in the process that carried the request, so
+    # interrupting that process (a replica crash) unwinds the handler at
+    # its yield point instead of leaving it to run on.
+    from repro.simkernel.process import Interrupt
+
+    sim, server, client = make_env()
+    after_yield = []
+
+    def slow(operation, params):
+        yield server.sim.timeout(10.0)
+        after_yield.append(server.sim.now)
+        return "late"
+
+    endpoint = deploy(server, slow)
+    call = client.call(endpoint, "go")
+
+    def crash():
+        yield sim.timeout(5.0)
+        call.interrupt("crash")
+
+    sim.process(crash())
+    with pytest.raises(Interrupt) as exc_info:
+        sim.run(until=call)
+    assert exc_info.value.cause == "crash"
+    sim.run()
+    assert after_yield == []
+    assert server.service("T").faults == 0
+    served = [ev for ev in bus(sim).events("ws.request")
+              if ev.get("side") == "server"]
+    assert [ev.get("fault") for ev in served] == ["Interrupt"]
+
+    # An ordinary handler exception still becomes a counted fault.
+    def broken(operation, params):
+        yield server.sim.timeout(1.0)
+        raise KeyError("deep inside")
+
+    endpoint = server.deploy(
+        ServiceDescription("U", [OperationSpec("go")]), broken)
+    with pytest.raises(SoapFault, match="deep inside"):
+        sim.run(until=client.call(endpoint, "go"))
+    assert server.service("U").faults == 1
