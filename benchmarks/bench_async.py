@@ -28,7 +28,7 @@ def _setup(runtime="90"):
 
     def flow():
         _n, endpoint, _w = yield discover_service(stack, client, "Job%")
-        document = yield client.fetch_wsdl(endpoint)
+        document = yield from client.wsdl(endpoint)
         return generate_stub(document)(client)
 
     stub = tb.sim.run(until=tb.sim.process(flow()))
@@ -40,20 +40,20 @@ def test_sync_vs_async_client_blocking(benchmark, save_report):
         # Synchronous: execute() blocks for the whole job.
         tb, stub = _setup()
         t0 = tb.sim.now
-        tb.sim.run(until=stub.execute())
+        tb.sim.run(until=tb.sim.process(stub.execute()))
         sync_blocked = tb.sim.now - t0
 
         # Asynchronous: submit() returns a ticket at once; the client is
         # only "busy" during the submit call itself.
         tb, stub = _setup()
         t0 = tb.sim.now
-        ticket = tb.sim.run(until=stub.submit())
+        ticket = tb.sim.run(until=tb.sim.process(stub.submit()))
         submit_blocked = tb.sim.now - t0
 
         def collect():
-            while not (yield stub.poll(ticket=ticket)):
+            while not (yield from stub.poll(ticket=ticket)):
                 yield tb.sim.timeout(20.0)
-            return (yield stub.result(ticket=ticket))
+            return (yield from stub.result(ticket=ticket))
 
         t1 = tb.sim.now
         tb.sim.run(until=tb.sim.process(collect()))

@@ -272,7 +272,7 @@ class GridServiceRuntime:
 
             # Resource selection via the information service: the ranked
             # listing is fetched once; the failover loop below walks it.
-            sites = yield self.onserve.agent_stub.listSites(ctx=ctx)
+            sites = yield from self.onserve.agent_stub.listSites(ctx=ctx)
             available = [s for s in (sites.split(",") if sites else []) if s]
 
             # Build the job spec from the declared parameters, in order.
@@ -360,7 +360,7 @@ class GridServiceRuntime:
 
                     def submit_try():
                         session = yield from self._ensure_session(ctx)
-                        return (yield self.onserve.agent_stub.submitJob(
+                        return (yield from self.onserve.agent_stub.submitJob(
                             session=session, site=site, rsl=rsl, ctx=ctx))
 
                     job_id = yield from retry_call(
@@ -566,7 +566,7 @@ class GridServiceRuntime:
                                        label=f"seed:{staged}")
             host.allocate_memory(exe.size)
             held = exe.size
-            listing = yield onserve.agent_stub.listSites(ctx=ctx)
+            listing = yield from onserve.agent_stub.listSites(ctx=ctx)
             states = onserve.breakers.states()
             ranked = [s for s in listing.split(",")
                       if s in sites and states.get(s) != OPEN]
@@ -754,7 +754,7 @@ class GridServiceRuntime:
             return False
         try:
             session = yield from self._ensure_session(ctx)
-            yield onserve.agent_stub.replicateExecutable(
+            yield from onserve.agent_stub.replicateExecutable(
                 session=session, fromSite=source, toSite=site, path=staged,
                 ctx=ctx)
         except ReproError as exc:
@@ -781,7 +781,7 @@ class GridServiceRuntime:
         is what the caller reports.
         """
         try:
-            present = yield self.onserve.agent_stub.outputReady(
+            present = yield from self.onserve.agent_stub.outputReady(
                 session=self._session, site=site, path=staged, ctx=ctx)
         except ReproError:
             return
@@ -845,7 +845,7 @@ class GridServiceRuntime:
                 continue
             self._auth_pending = self.sim.event("auth-pending")
             try:
-                self._session = yield self.onserve.agent_stub.authenticate(
+                self._session = yield from self.onserve.agent_stub.authenticate(
                     username=cfg.grid_username,
                     passphrase=cfg.grid_passphrase, ctx=ctx)
                 # Renew well before the delegated proxy actually expires.
@@ -880,8 +880,10 @@ class GridServiceRuntime:
         if cfg.status_supported:
             # Ablation: clean status polling, output fetched exactly once.
             def status_poll():
-                return stub.jobStatus(session=session, site=site,
-                                      jobId=job_id, ctx=ctx)
+                return self.sim.process(
+                    stub.jobStatus(session=session, site=site,
+                                   jobId=job_id, ctx=ctx),
+                    name="status-poll")
 
             state, polls = yield poll_until(
                 self.sim,
@@ -910,14 +912,14 @@ class GridServiceRuntime:
 
             def poll():
                 def round_trip() -> Generator[Event, None, bool]:
-                    data = yield stub.fetchOutput(
+                    data = yield from stub.fetchOutput(
                         session=session, site=site, jobId=job_id, ctx=ctx)
                     if data:
                         # "the output of the running job is written to
                         # the hard disk" — every poll, the periodic
                         # write peaks.
                         yield host.disk_write(len(data))
-                    ready = yield stub.outputReady(
+                    ready = yield from stub.outputReady(
                         session=session, site=site, path=stdout_path,
                         ctx=ctx)
                     return ready
@@ -952,8 +954,8 @@ class GridServiceRuntime:
             raise JobError(f"grid job {job_id} ended {state}")
         if output is None:
             # Whatever a tentative poll fetched may predate completion.
-            output = yield stub.fetchOutput(session=session, site=site,
-                                            jobId=job_id, ctx=ctx)
+            output = yield from stub.fetchOutput(session=session, site=site,
+                                                 jobId=job_id, ctx=ctx)
         yield host.disk_write(len(output))
         if output and set(output) == {0}:
             raise JobError(
@@ -966,11 +968,15 @@ def _put(onserve: "OnServe", session: str, site: str, path: str, data,
          ctx: Optional[RequestContext] = None, **where):
     """The one call that sends executable bytes to a site, through
     *onserve*'s agent: the whole file, or — *where* = its ``offset``,
-    the file's ``total`` and the ``transfer`` id — one range of it."""
+    the file's ``total`` and the ``transfer`` id — one range of it.
+    The call runs as a process of its own (``agent-put``), which an
+    interrupt of its caller leaves running."""
     stub = onserve.agent_stub
     send = stub.uploadRange if where else stub.uploadExecutable
-    return send(session=session, site=site, path=path, data=data, ctx=ctx,
-                **where)
+    return onserve.sim.process(
+        send(session=session, site=site, path=path, data=data, ctx=ctx,
+             **where),
+        name="agent-put")
 
 
 def _superseded(exc: BaseException) -> bool:

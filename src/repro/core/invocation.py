@@ -37,34 +37,39 @@ def discover_service(stack: "FabricStack", client: WsClient,
     :class:`~repro.ws.cache.ClientCache` on the client answers without
     touching the network at all.
     """
+    return client.sim.process(_discover(stack, client, name_pattern, ctx),
+                              name=f"discover:{name_pattern}")
+
+
+def _discover(stack: "FabricStack", client: WsClient, name_pattern: str,
+              ctx: Optional[RequestContext]
+              ) -> Generator[Event, None, Tuple[str, str, str]]:
+    """:func:`discover_service`'s body, driven inline by
+    :func:`discover_and_invoke`."""
+    if client.cache is not None:
+        cached = client.cache.lookup_discovery(name_pattern)
+        if cached is not None:
+            return cached
     inquiry_endpoint = stack.inquiry_endpoint()
-
-    def op() -> Generator[Event, None, Tuple[str, str, str]]:
-        if client.cache is not None:
-            cached = client.cache.lookup_discovery(name_pattern)
-            if cached is not None:
-                return cached
-        with span(ctx, "uddi:discover", pattern=name_pattern):
-            listing = yield client.call(inquiry_endpoint, "findService",
-                                        ctx=ctx, pattern=name_pattern)
-            hits = parse_service_lines(listing)
-            if not hits:
-                raise ServiceNotFound(
-                    f"UDDI has no service matching {name_pattern!r}")
-            service = hits[0]
-            raw = yield client.call(inquiry_endpoint, "getBindings",
-                                    ctx=ctx, serviceKey=service["key"])
-            bindings = parse_binding_lines(raw)
-            if not bindings:
-                raise ServiceNotFound(
-                    f"UDDI service {service['name']!r} has no binding")
-        triple = (service["name"], bindings[0]["access_point"],
-                  bindings[0]["wsdl_location"])
-        if client.cache is not None:
-            client.cache.store_discovery(name_pattern, triple)
-        return triple
-
-    return client.sim.process(op(), name=f"discover:{name_pattern}")
+    with span(ctx, "uddi:discover", pattern=name_pattern):
+        listing = yield from client.call(inquiry_endpoint, "findService",
+                                         ctx=ctx, pattern=name_pattern)
+        hits = parse_service_lines(listing)
+        if not hits:
+            raise ServiceNotFound(
+                f"UDDI has no service matching {name_pattern!r}")
+        service = hits[0]
+        raw = yield from client.call(inquiry_endpoint, "getBindings",
+                                     ctx=ctx, serviceKey=service["key"])
+        bindings = parse_binding_lines(raw)
+        if not bindings:
+            raise ServiceNotFound(
+                f"UDDI service {service['name']!r} has no binding")
+    triple = (service["name"], bindings[0]["access_point"],
+              bindings[0]["wsdl_location"])
+    if client.cache is not None:
+        client.cache.store_discovery(name_pattern, triple)
+    return triple
 
 
 def discover_and_invoke(stack: "FabricStack", client: WsClient,
@@ -76,6 +81,8 @@ def discover_and_invoke(stack: "FabricStack", client: WsClient,
     A request-fabric entry point: mints a :class:`RequestContext` for
     the whole discover → wsimport → execute workflow unless the caller
     brought one, so the resulting trace covers every hop down to GRAM.
+    Discovery, the WSDL fetch and ``execute`` all run inside this one
+    process, the way a consumer's thread blocks on each in turn.
     """
     if ctx is None:
         ctx = RequestContext.create(client.sim,
@@ -91,20 +98,20 @@ def discover_and_invoke(stack: "FabricStack", client: WsClient,
         # path and every pre-existing failure mode are untouched.
         rebound = False
         while True:
-            _name, endpoint, _wsdl_loc = yield discover_service(
-                stack, client, name_pattern, ctx=ctx)
+            _name, endpoint, _wsdl_loc = yield from _discover(
+                stack, client, name_pattern, ctx)
             cache = client.cache
             document = (cache.lookup_wsdl(endpoint)
                         if cache is not None else None)
             if document is None:
-                document = yield client.fetch_wsdl(endpoint, ctx=ctx)
+                document = yield from client.wsdl(endpoint, ctx=ctx)
                 if cache is not None:
                     cache.store_wsdl(endpoint, document)
             stub_class = (cache.stub_class(document) if cache is not None
                           else generate_stub(document))
             stub = stub_class(client)
             try:
-                result = yield stub.execute(ctx=ctx, **params)
+                result = yield from stub.execute(ctx=ctx, **params)
             except SoapFault as fault:
                 if fault.root_cause != "ReplicaDown" or rebound:
                     raise

@@ -531,7 +531,7 @@ class OnServe:
         def logon() -> Generator[Event, None, str]:
             self.bus.emit("cache.miss", layer="core", cache="session",
                           key=cfg.grid_username)
-            session = yield self.agent_stub.authenticate(
+            session = yield from self.agent_stub.authenticate(
                 username=cfg.grid_username,
                 passphrase=cfg.grid_passphrase, ctx=ctx)
             self.store.put_lease(self.replica, cfg.grid_username, session,

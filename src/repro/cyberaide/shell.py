@@ -11,7 +11,8 @@ gives examples and tests a user-shaped surface::
     output ncsa <job-id>
 
 Every command executes as a simulation process and returns its printed
-output as a string.
+output as a string; the agent calls a command makes run inside that
+process.
 """
 
 from __future__ import annotations
@@ -139,14 +140,14 @@ class CyberaideShell:
     def _cmd_auth(self, args, ctx=None) -> Generator[Event, None, str]:
         if len(args) != 2:
             raise ReproError("usage: auth <user> <passphrase>")
-        self.session = yield self._agent("authenticate", ctx=ctx,
-                                         username=args[0],
-                                         passphrase=args[1])
+        self.session = yield from self._agent("authenticate", ctx=ctx,
+                                              username=args[0],
+                                              passphrase=args[1])
         return f"authenticated: session {self.session}"
 
     def _cmd_sites(self, args, ctx=None) -> Generator[Event, None, str]:
         self._require_session()
-        listing = yield self._agent("listSites", ctx=ctx)
+        listing = yield from self._agent("listSites", ctx=ctx)
         return listing.replace(",", "\n")
 
     def _cmd_run(self, args, ctx=None) -> Generator[Event, None, str]:
@@ -157,28 +158,30 @@ class CyberaideShell:
         if filename not in self.files:
             raise ReproError(f"no local file {filename!r} (see 'files')")
         spec = CyberaideJobSpec(filename, arguments=job_args)
-        yield self._agent("uploadExecutable", ctx=ctx, session=session,
-                          site=site, path=spec.staged_path(),
-                          data=self.files[filename])
-        job_id = yield self._agent("submitJob", ctx=ctx, session=session,
-                                   site=site,
-                                   rsl=spec.to_rsl(job_tag="shell"))
+        yield from self._agent("uploadExecutable", ctx=ctx, session=session,
+                               site=site, path=spec.staged_path(),
+                               data=self.files[filename])
+        job_id = yield from self._agent("submitJob", ctx=ctx,
+                                        session=session, site=site,
+                                        rsl=spec.to_rsl(job_tag="shell"))
         return f"submitted: {job_id}"
 
     def _cmd_status(self, args, ctx=None) -> Generator[Event, None, str]:
         if len(args) != 2:
             raise ReproError("usage: status <site> <job-id>")
         session = self._require_session()
-        state = yield self._agent("jobStatus", ctx=ctx, session=session,
-                                  site=args[0], jobId=args[1])
+        state = yield from self._agent("jobStatus", ctx=ctx,
+                                       session=session, site=args[0],
+                                       jobId=args[1])
         return f"{args[1]}: {state}"
 
     def _cmd_output(self, args, ctx=None) -> Generator[Event, None, str]:
         if len(args) != 2:
             raise ReproError("usage: output <site> <job-id>")
         session = self._require_session()
-        data = yield self._agent("fetchOutput", ctx=ctx, session=session,
-                                 site=args[0], jobId=args[1])
+        data = yield from self._agent("fetchOutput", ctx=ctx,
+                                      session=session, site=args[0],
+                                      jobId=args[1])
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError:
@@ -188,8 +191,8 @@ class CyberaideShell:
         if len(args) != 2:
             raise ReproError("usage: cancel <site> <job-id>")
         session = self._require_session()
-        ok = yield self._agent("cancelJob", ctx=ctx, session=session,
-                               site=args[0], jobId=args[1])
+        ok = yield from self._agent("cancelJob", ctx=ctx, session=session,
+                                    site=args[0], jobId=args[1])
         return f"{args[1]}: {'canceled' if ok else 'not canceled'}"
 
     # -- SaaS-side commands (need the UDDI inquiry endpoint) -----------------
@@ -203,8 +206,8 @@ class CyberaideShell:
         if len(args) != 1:
             raise ReproError("usage: discover <name-pattern>")
         inquiry = self._require_inquiry()
-        raw = yield self.client.call(inquiry, "findService", ctx=ctx,
-                                     pattern=args[0])
+        raw = yield from self.client.call(inquiry, "findService", ctx=ctx,
+                                          pattern=args[0])
         from repro.ws.uddi_service import parse_service_lines
         hits = parse_service_lines(raw)
         if not hits:
@@ -228,17 +231,17 @@ class CyberaideShell:
         from repro.ws.uddi_service import parse_binding_lines, parse_service_lines
 
         hits = parse_service_lines(
-            (yield self.client.call(inquiry, "findService", ctx=ctx,
-                                    pattern=pattern)))
+            (yield from self.client.call(inquiry, "findService", ctx=ctx,
+                                         pattern=pattern)))
         if not hits:
             raise ReproError(f"no service matches {pattern!r}")
         bindings = parse_binding_lines(
-            (yield self.client.call(inquiry, "getBindings", ctx=ctx,
-                                    serviceKey=hits[0]["key"])))
+            (yield from self.client.call(inquiry, "getBindings", ctx=ctx,
+                                         serviceKey=hits[0]["key"])))
         if not bindings:
             raise ReproError(f"service {hits[0]['name']!r} has no binding")
         endpoint = bindings[0]["access_point"]
-        document = yield self.client.fetch_wsdl(endpoint, ctx=ctx)
+        document = yield from self.client.wsdl(endpoint, ctx=ctx)
         stub = generate_stub(document)(self.client)
         execute = stub.DESCRIPTION.operation("execute")
         # Coerce the string parameters to the WSDL-declared types.
@@ -252,5 +255,5 @@ class CyberaideShell:
         extra = set(raw_params) - {p.name for p in execute.params}
         if extra:
             raise ReproError(f"unknown parameters {sorted(extra)}")
-        result = yield stub.execute(ctx=ctx, **typed)
+        result = yield from stub.execute(ctx=ctx, **typed)
         return str(result)

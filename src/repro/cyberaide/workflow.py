@@ -138,14 +138,14 @@ class WorkflowRunner:
         workflow.validate()
 
         def op() -> Generator[Event, None, Workflow]:
-            session = yield self.agent.authenticate(username=username,
-                                                    passphrase=passphrase)
+            session = yield from self.agent.authenticate(
+                username=username, passphrase=passphrase)
             # Upload each distinct executable once.
             uploaded: Set[str] = set()
             for node in workflow.nodes.values():
                 path = node.spec.staged_path()
                 if path not in uploaded:
-                    yield self.agent.uploadExecutable(
+                    yield from self.agent.uploadExecutable(
                         session=session, site=self.site, path=path,
                         data=node.payload)
                     uploaded.add(path)
@@ -195,12 +195,12 @@ class WorkflowRunner:
         try:
             tag = f"wf-{node.name}"
             rsl = node.spec.to_rsl(job_tag=tag)
-            node.job_id = yield self.agent.submitJob(
+            node.job_id = yield from self.agent.submitJob(
                 session=session, site=self.site, rsl=rsl)
             stdout_path = node.spec.stdout_path(tag)
             deadline = self.sim.now + self.max_node_seconds
             while True:
-                ready = yield self.agent.outputReady(
+                ready = yield from self.agent.outputReady(
                     session=session, site=self.site, path=stdout_path)
                 if ready:
                     break
@@ -208,7 +208,7 @@ class WorkflowRunner:
                     raise JobError(f"node {node.name!r} exceeded "
                                    f"{self.max_node_seconds:.0f}s")
                 yield self.sim.timeout(self.poll_interval)
-            output = yield self.agent.fetchOutput(
+            output = yield from self.agent.fetchOutput(
                 session=session, site=self.site, jobId=node.job_id)
             if output and set(output) == {0}:
                 raise JobError(f"node {node.name!r} produced no output "

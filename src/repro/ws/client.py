@@ -1,7 +1,10 @@
 """Web-service clients: dynamic calls and wsimport-style stubs.
 
 :class:`WsClient` is the dynamic API: give it an endpoint and an
-operation, it performs the call (as a simulation process).
+operation, and it hands back the call as a generator the calling
+simulation process drives with ``yield from`` — the caller blocks on it,
+like a stub call blocks a Java thread.  A caller that wants the call to
+run beside its own work wraps it in ``sim.process(...)`` itself.
 
 :func:`generate_stub` is the paper's ``wsimport`` equivalent: it parses a
 WSDL document and *builds a Python class* whose methods mirror the
@@ -40,44 +43,48 @@ class WsClient:
         self._bus = bus(self.sim)
 
     def call(self, endpoint: str, operation: str,
-             ctx: Optional[RequestContext] = None, **params: Any) -> Process:
-        """Invoke ``operation`` at *endpoint* (a simulation process).
+             ctx: Optional[RequestContext] = None, **params: Any
+             ) -> Generator[Event, None, Any]:
+        """Invoke ``operation`` at *endpoint*: ``yield from`` the result.
 
+        The endpoint resolves now; the crossing runs in the process that
+        drives the generator, so an interrupt of that process unwinds
+        the call (and the server half it carries) at its yield point.
         *ctx*, when given, rides along to the server: spans open on both
         sides of the wire and the deadline is enforced at each hop.  The
         crossing has no fault translation: faults raise in the caller.
         """
         server, service_name = self.fabric.resolve(endpoint)
-        inv = Invocation(ctx, service_name, operation, params, "client")
+        host = self.host
+        return cross(self._bus, host.name,
+                     Invocation(ctx, service_name, operation, params,
+                                "client"),
+                     lambda inv: server.transport(
+                         host, inv.service_name, inv.operation, inv.params,
+                         inv.ctx))
 
-        def terminal(inv: Invocation) -> Generator[Event, None, Any]:
-            return (yield from server.transport(
-                self.host, inv.service_name, inv.operation, inv.params,
-                inv.ctx))
+    def wsdl(self, endpoint: str, ctx: Optional[RequestContext] = None
+             ) -> Generator[Event, None, bytes]:
+        """Download a service's WSDL document: ``yield from`` the bytes.
 
-        return self.sim.process(cross(self._bus, self.host.name, inv,
-                                      terminal),
-                                name=f"invoke:{service_name}.{operation}")
-
-    def fetch_wsdl(self, endpoint: str,
-                   ctx: Optional[RequestContext] = None) -> Process:
-        """Download a service's WSDL document (a simulation process).
-
-        The document travels over the network like any other payload; the
-        process-event's value is the WSDL bytes.
+        The document travels over the network like any other payload.
         """
         server, service_name = self.fabric.resolve(endpoint)
         document = server.wsdl(service_name)
+        with span(ctx, f"client:wsdl.{service_name}"):
+            # Small request; the document itself dominates.
+            yield self.host.send(server.host, 256, label="wsdl-req")
+            yield server.host.send(self.host, len(document),
+                                   label="wsdl-doc")
+        return document
 
-        def op() -> Generator[Event, None, bytes]:
-            with span(ctx, f"client:wsdl.{service_name}"):
-                # Small request; the document itself dominates.
-                yield self.host.send(server.host, 256, label="wsdl-req")
-                yield server.host.send(self.host, len(document),
-                                       label="wsdl-doc")
-            return document
-
-        return self.sim.process(op(), name=f"fetch-wsdl:{service_name}")
+    def fetch_wsdl(self, endpoint: str,
+                   ctx: Optional[RequestContext] = None) -> Process:
+        """:meth:`wsdl` as a simulation process, for a caller that waits
+        on an event; the process-event's value is the WSDL bytes."""
+        _server, service_name = self.fabric.resolve(endpoint)
+        return self.sim.process(self.wsdl(endpoint, ctx),
+                                name=f"fetch-wsdl:{service_name}")
 
 
 @lru_cache(maxsize=256)
@@ -85,11 +92,12 @@ def generate_stub(wsdl_document: bytes) -> Type:
     """Build a client-stub class from a WSDL document (wsimport).
 
     The returned class is instantiated with a :class:`WsClient`; each
-    WSDL operation becomes a method returning a simulation process::
+    WSDL operation becomes a method returning the call, which a
+    simulation process drives (see :meth:`WsClient.call`)::
 
         ServiceStub = generate_stub(wsdl_bytes)
         stub = ServiceStub(ws_client)
-        result = yield stub.execute(param1="x")
+        result = yield from stub.execute(param1="x")
 
     Arguments are validated against the WSDL parameter types *before*
     anything touches the network, mirroring the static typing wsimport
@@ -144,7 +152,11 @@ def generate_stub_source(wsdl_document: bytes) -> str:
         "",
         "",
         f"class {description.name}Stub:",
-        f'    """Calls {description.name} through a repro WsClient."""',
+        f'    """Calls {description.name} through a repro WsClient.',
+        "",
+        "    Each method returns the call; a simulation process drives it",
+        "    with ``yield from``.",
+        '    """',
         "",
         f"    ENDPOINT = {endpoint!r}",
         "",
@@ -169,7 +181,8 @@ def generate_stub_source(wsdl_document: bytes) -> str:
 def _make_method(spec: OperationSpec):
     """A stub method for one operation (closure over its spec)."""
 
-    def method(self, ctx: Any = None, **params: Any) -> Process:
+    def method(self, ctx: Any = None, **params: Any
+               ) -> Generator[Event, None, Any]:
         spec.validate_arguments(params)
         return self._client.call(self._endpoint, spec.name, ctx=ctx, **params)
 

@@ -4,10 +4,11 @@ A :class:`SoapServer` lives on a simulated host (the appliance's Tomcat
 stand-in).  Services are deployed with a
 :class:`~repro.ws.registryapi.ServiceDescription` plus a *handler*
 callable; an invocation runs inside the simulation process that carried
-the request (the client's call, or the router's proxy), which
+the request (the caller's own, or the router's proxy), which
 
 1. moves the request envelope's encoded size over the network (the size
-   is computed, the envelope never rendered — ``SoapEnvelope.size``),
+   is computed, the envelope never rendered — ``SoapEnvelope.size``;
+   a loopback request from the server's own host moves nothing),
 2. charges the server CPU for parsing/dispatch (scaled by message size),
 3. runs the handler dispatch as one :func:`~repro.ws.pipeline.cross`
    (span, deadline, one ``ws.request`` event), any exception becoming
@@ -231,17 +232,24 @@ class SoapServer:
         """The wire round-trip, as a generator for embedding in a process:
 
         size + send the request envelope, serve it on this host, send
-        the response back, unwrap it (raising the fault, if any).
+        the response back, unwrap it (raising the fault, if any).  A
+        loopback crossing (*client* is this host) sends nothing: it
+        still pays the parse and dispatch CPU, but a transfer from a
+        host to itself takes no time and touches no link.
         """
         request = SoapEnvelope.request(operation, params,
                                        namespace=f"urn:repro:{service_name}")
         request_bytes = request.size()
-        yield client.send(self.host, request_bytes,
-                          label=f"soap-req:{service_name}.{operation}")
+        host = self.host
+        wire = client is not host
+        if wire:
+            yield client.send(host, request_bytes,
+                              label=f"soap-req:{service_name}.{operation}")
         response = yield from self._serve(request_bytes, service_name,
                                           operation, params, ctx)
-        yield self.host.send(client, response.size(),
-                             label=f"soap-rsp:{service_name}.{operation}")
+        if wire:
+            yield host.send(client, response.size(),
+                            label=f"soap-rsp:{service_name}.{operation}")
         return response.result()  # raises the fault, if any
 
     def _serve(self, request_bytes: int, service_name: str, operation: str,

@@ -37,7 +37,7 @@ def test_submit_returns_immediately(env):
     tb, stack, client = env
     stub = stub_for(tb, stack, client)
     t0 = tb.sim.now
-    ticket = tb.sim.run(until=stub.submit())
+    ticket = tb.sim.run(until=tb.sim.process(stub.submit()))
     assert ticket.startswith("tkt-")
     # Submission is near-instant; the 120 s job runs in the background.
     assert tb.sim.now - t0 < 5.0
@@ -46,30 +46,30 @@ def test_submit_returns_immediately(env):
 def test_poll_then_result_roundtrip(env):
     tb, stack, client = env
     stub = stub_for(tb, stack, client)
-    ticket = tb.sim.run(until=stub.submit())
-    assert tb.sim.run(until=stub.poll(ticket=ticket)) is False
+    ticket = tb.sim.run(until=tb.sim.process(stub.submit()))
+    assert tb.sim.run(until=tb.sim.process(stub.poll(ticket=ticket))) is False
 
     def wait_and_collect():
         while True:
-            done = yield stub.poll(ticket=ticket)
+            done = yield from stub.poll(ticket=ticket)
             if done:
                 break
             yield tb.sim.timeout(15.0)
-        return (yield stub.result(ticket=ticket))
+        return (yield from stub.result(ticket=ticket))
 
     output = tb.sim.run(until=tb.sim.process(wait_and_collect()))
     assert output.startswith("fixed-profile")
     # The ticket is consumed.
     with pytest.raises(SoapFault, match="unknown ticket"):
-        tb.sim.run(until=stub.result(ticket=ticket))
+        tb.sim.run(until=tb.sim.process(stub.result(ticket=ticket)))
 
 
 def test_result_before_completion_faults(env):
     tb, stack, client = env
     stub = stub_for(tb, stack, client)
-    ticket = tb.sim.run(until=stub.submit())
+    ticket = tb.sim.run(until=tb.sim.process(stub.submit()))
     with pytest.raises(SoapFault, match="still running"):
-        tb.sim.run(until=stub.result(ticket=ticket))
+        tb.sim.run(until=tb.sim.process(stub.result(ticket=ticket)))
 
 
 def test_failed_async_job_faults_at_result(env, monkeypatch):
@@ -80,23 +80,24 @@ def test_failed_async_job_faults_at_result(env, monkeypatch):
     stack.onserve.config.watchdog_timeout = 300.0
     stack.onserve.config.poll_interval = 5.0
     stub = stub_for(tb, stack, client)
-    ticket = tb.sim.run(until=stub.submit())
+    ticket = tb.sim.run(until=tb.sim.process(stub.submit()))
     tb.sim.run(until=tb.sim.timeout(400.0))
-    assert tb.sim.run(until=stub.poll(ticket=ticket)) is True
+    assert tb.sim.run(until=tb.sim.process(stub.poll(ticket=ticket))) is True
     with pytest.raises(SoapFault, match="failed"):
-        tb.sim.run(until=stub.result(ticket=ticket))
+        tb.sim.run(until=tb.sim.process(stub.result(ticket=ticket)))
 
 
 def test_concurrent_async_submissions(env):
     tb, stack, client = env
     stub = stub_for(tb, stack, client)
-    tickets = [tb.sim.run(until=stub.submit()) for _ in range(3)]
+    tickets = [tb.sim.run(until=tb.sim.process(stub.submit()))
+               for _ in range(3)]
     assert len(set(tickets)) == 3
 
     def collect(ticket):
-        while not (yield stub.poll(ticket=ticket)):
+        while not (yield from stub.poll(ticket=ticket)):
             yield tb.sim.timeout(15.0)
-        return (yield stub.result(ticket=ticket))
+        return (yield from stub.result(ticket=ticket))
 
     procs = [tb.sim.process(collect(t)) for t in tickets]
     done = tb.sim.all_of(procs)

@@ -45,9 +45,9 @@ def test_generated_source_is_valid_python():
 def test_bundle_download_over_soap(env):
     tb, stack = env
     client = stack.user_clients[0]
-    data = tb.sim.run(until=client.call(
+    data = tb.sim.run(until=tb.sim.process(client.call(
         stack.soap_server.endpoint_for("OnServeManagement"),
-        "clientBundle", name="HelloService"))
+        "clientBundle", name="HelloService")))
     with zipfile.ZipFile(io.BytesIO(data)) as bundle:
         names = set(bundle.namelist())
         assert names == {"helloservice_stub.py", "HelloService.wsdl",
@@ -63,15 +63,16 @@ def test_downloaded_stub_actually_works(env):
     invoke the grid through it."""
     tb, stack = env
     client = stack.user_clients[0]
-    data = tb.sim.run(until=client.call(
+    data = tb.sim.run(until=tb.sim.process(client.call(
         stack.soap_server.endpoint_for("OnServeManagement"),
-        "clientBundle", name="HelloService"))
+        "clientBundle", name="HelloService")))
     with zipfile.ZipFile(io.BytesIO(data)) as bundle:
         source = bundle.read("helloservice_stub.py").decode()
     namespace = {}
     exec(compile(source, "helloservice_stub.py", "exec"), namespace)
     stub = namespace["HelloServiceStub"](client)
-    out = tb.sim.run(until=stub.execute(name="bundled", times=2))
+    out = tb.sim.run(until=tb.sim.process(
+        stub.execute(name="bundled", times=2)))
     assert out == "bundled\n2\n"
 
 
@@ -79,6 +80,6 @@ def test_bundle_for_unknown_service_faults(env):
     tb, stack = env
     client = stack.user_clients[0]
     with pytest.raises(SoapFault, match="no service"):
-        tb.sim.run(until=client.call(
+        tb.sim.run(until=tb.sim.process(client.call(
             stack.soap_server.endpoint_for("OnServeManagement"),
-            "clientBundle", name="Ghost"))
+            "clientBundle", name="Ghost")))

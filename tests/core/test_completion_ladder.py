@@ -61,7 +61,7 @@ class ScriptedAgent:
                 raise error
             return value
 
-        return self.sim.process(exchange(), name=f"scripted:{op}")
+        return exchange()
 
     def _lost(self):
         if self.outcome == "lost" and self.finished:

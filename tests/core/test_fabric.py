@@ -137,12 +137,12 @@ def test_materialized_replica_serves_without_republishing(monkeypatch):
     sim, testbed, stack = deploy(replicas=2)
     publish(sim, testbed, stack)
     # Materialization must not touch UDDI: placement truth stays put.
-    before = sim.run(until=stack.user_clients[0].call(
-        stack.inquiry_endpoint(), "findService", pattern="Route%"))
+    before = sim.run(until=sim.process(stack.user_clients[0].call(
+        stack.inquiry_endpoint(), "findService", pattern="Route%")))
     sim.run(until=sim.process(
         stack.onserves[1].ensure_local_service("RouteService")))
-    after = sim.run(until=stack.user_clients[0].call(
-        stack.inquiry_endpoint(), "findService", pattern="Route%"))
+    after = sim.run(until=sim.process(stack.user_clients[0].call(
+        stack.inquiry_endpoint(), "findService", pattern="Route%")))
     assert before == after
 
 

@@ -198,8 +198,8 @@ def test_describe_operation():
     tb, stack = stack_env()
     upload(tb, stack, description="the hello service")
     client = stack.user_clients[0]
-    result = tb.sim.run(until=client.call("soap://appliance/HelloService",
-                                          "describe"))
+    result = tb.sim.run(until=tb.sim.process(client.call(
+        "soap://appliance/HelloService", "describe")))
     assert result == "the hello service"
 
 

@@ -70,8 +70,8 @@ def test_usage_report_over_soap(env):
     tb, stack = env
     invoke(tb, stack, "Beta%", x="9")
     client = stack.user_clients[0]
-    raw = tb.sim.run(until=client.call(
-        stack.soap_server.endpoint_for("OnServeManagement"), "usageReport"))
+    raw = tb.sim.run(until=tb.sim.process(client.call(
+        stack.soap_server.endpoint_for("OnServeManagement"), "usageReport")))
     lines = [l for l in raw.splitlines() if l]
     assert len(lines) == 1
     service, count, ok, total, overhead, polls = lines[0].split("|")

@@ -71,7 +71,7 @@ def on_replica(sim, stack, name, token):
 
     def call():
         yield from onserve.ensure_local_service("EchoService")
-        return (yield stack.user_clients[0].call(
+        return (yield from stack.user_clients[0].call(
             f"soap://{name}/EchoService", "execute", token=token))
 
     return sim.process(call(), name=f"test:invoke-on:{name}")

@@ -27,7 +27,8 @@ def env():
 def call(tb, stack, service, operation, **params):
     client = stack.user_clients[0]
     endpoint = stack.soap_server.endpoint_for(service)
-    return tb.sim.run(until=client.call(endpoint, operation, **params))
+    return tb.sim.run(until=tb.sim.process(
+        client.call(endpoint, operation, **params)))
 
 
 # ---------------------------------------------------------------- inquiry

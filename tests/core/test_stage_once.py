@@ -105,9 +105,9 @@ def test_fabric_uploads_once_and_replicates_to_each_further_site():
     # replica: the one the ring never picked, addressed directly, hits.
     [idle] = [o for o in stack.onserves if not o.agent.submissions]
     sim.run(until=sim.process(idle.ensure_local_service("EchoService")))
-    assert sim.run(until=stack.user_clients[0].call(
+    assert sim.run(until=sim.process(stack.user_clients[0].call(
         f"soap://{idle.replica}/EchoService", "execute",
-        token="direct")) == "direct\n"
+        token="direct"))) == "direct\n"
     assert idle.agent.submissions == 1
     assert counts(stack) == once
     assert staged_events(sim)[-1][0] == "hit"

@@ -54,7 +54,8 @@ def test_authenticate_creates_session():
     tb, agent, stub = agent_env()
 
     def flow():
-        return (yield stub.authenticate(username="onserve", passphrase="pw"))
+        return (yield from stub.authenticate(username="onserve",
+                                             passphrase="pw"))
 
     session = tb.sim.run(until=tb.sim.process(flow()))
     assert session.startswith("sess-")
@@ -65,7 +66,7 @@ def test_authenticate_bad_credentials_fault():
     tb, agent, stub = agent_env()
 
     def flow():
-        yield stub.authenticate(username="onserve", passphrase="nope")
+        yield from stub.authenticate(username="onserve", passphrase="nope")
 
     with pytest.raises(SoapFault, match="passphrase"):
         tb.sim.run(until=tb.sim.process(flow()))
@@ -75,8 +76,8 @@ def test_list_sites_best_first():
     tb, agent, stub = agent_env()
 
     def flow():
-        yield stub.authenticate(username="onserve", passphrase="pw")
-        return (yield stub.listSites())
+        yield from stub.authenticate(username="onserve", passphrase="pw")
+        return (yield from stub.listSites())
 
     sites = tb.sim.run(until=tb.sim.process(flow()))
     assert set(sites.split(",")) == {"ncsa", "sdsc"}
@@ -88,21 +89,23 @@ def test_full_job_cycle_through_agent():
     spec = CyberaideJobSpec("echo.sh", arguments=["hi"])
 
     def flow():
-        session = yield stub.authenticate(username="onserve", passphrase="pw")
-        n = yield stub.uploadExecutable(session=session, site="ncsa",
-                                        path=spec.staged_path(), data=payload)
+        session = yield from stub.authenticate(username="onserve",
+                                               passphrase="pw")
+        n = yield from stub.uploadExecutable(session=session, site="ncsa",
+                                             path=spec.staged_path(),
+                                             data=payload)
         assert n == len(payload)
-        job_id = yield stub.submitJob(session=session, site="ncsa",
-                                      rsl=spec.to_rsl("t"))
+        job_id = yield from stub.submitJob(session=session, site="ncsa",
+                                           rsl=spec.to_rsl("t"))
         # Tentative polling until the stdout file appears.
         while True:
-            ready = yield stub.outputReady(session=session, site="ncsa",
-                                           path=spec.stdout_path("t"))
+            ready = yield from stub.outputReady(session=session, site="ncsa",
+                                                path=spec.stdout_path("t"))
             if ready:
                 break
             yield tb.sim.timeout(3.0)
-        output = yield stub.fetchOutput(session=session, site="ncsa",
-                                        jobId=job_id)
+        output = yield from stub.fetchOutput(session=session, site="ncsa",
+                                             jobId=job_id)
         return output
 
     output = tb.sim.run(until=tb.sim.process(flow()))
@@ -116,8 +119,9 @@ def test_job_status_blocked_by_default():
     tb, agent, stub = agent_env(status_supported=False)
 
     def flow():
-        session = yield stub.authenticate(username="onserve", passphrase="pw")
-        yield stub.jobStatus(session=session, site="ncsa", jobId="x")
+        session = yield from stub.authenticate(username="onserve",
+                                               passphrase="pw")
+        yield from stub.jobStatus(session=session, site="ncsa", jobId="x")
 
     with pytest.raises(SoapFault, match="not retrievable"):
         tb.sim.run(until=tb.sim.process(flow()))
@@ -129,14 +133,15 @@ def test_job_status_works_in_ablation():
     spec = CyberaideJobSpec("f.sh")
 
     def flow():
-        session = yield stub.authenticate(username="onserve", passphrase="pw")
-        yield stub.uploadExecutable(session=session, site="ncsa",
-                                    path=spec.staged_path(), data=payload)
-        job_id = yield stub.submitJob(session=session, site="ncsa",
-                                      rsl=spec.to_rsl("t"))
+        session = yield from stub.authenticate(username="onserve",
+                                               passphrase="pw")
+        yield from stub.uploadExecutable(session=session, site="ncsa",
+                                         path=spec.staged_path(), data=payload)
+        job_id = yield from stub.submitJob(session=session, site="ncsa",
+                                           rsl=spec.to_rsl("t"))
         yield tb.sim.timeout(30.0)
-        return (yield stub.jobStatus(session=session, site="ncsa",
-                                     jobId=job_id))
+        return (yield from stub.jobStatus(session=session, site="ncsa",
+                                          jobId=job_id))
 
     assert tb.sim.run(until=tb.sim.process(flow())) == "done"
 
@@ -145,7 +150,7 @@ def test_calls_require_session():
     tb, agent, stub = agent_env()
 
     def flow():
-        yield stub.submitJob(session="sess-bogus", site="ncsa", rsl="&")
+        yield from stub.submitJob(session="sess-bogus", site="ncsa", rsl="&")
 
     with pytest.raises(SoapFault, match="no such agent session"):
         tb.sim.run(until=tb.sim.process(flow()))
@@ -156,10 +161,11 @@ def test_session_expires():
     agent.config.default_proxy_lifetime = 100.0
 
     def flow():
-        session = yield stub.authenticate(username="onserve", passphrase="pw")
+        session = yield from stub.authenticate(username="onserve",
+                                               passphrase="pw")
         yield tb.sim.timeout(7200.0)
-        yield stub.listSites()  # fine: needs no session
-        yield stub.fetchOutput(session=session, site="ncsa", jobId="x")
+        yield from stub.listSites()  # fine: needs no session
+        yield from stub.fetchOutput(session=session, site="ncsa", jobId="x")
 
     with pytest.raises(SoapFault, match="expired"):
         tb.sim.run(until=tb.sim.process(flow()))
@@ -169,9 +175,10 @@ def test_unknown_site_fault():
     tb, agent, stub = agent_env()
 
     def flow():
-        session = yield stub.authenticate(username="onserve", passphrase="pw")
-        yield stub.uploadExecutable(session=session, site="mars",
-                                    path="/x", data=b"d")
+        session = yield from stub.authenticate(username="onserve",
+                                               passphrase="pw")
+        yield from stub.uploadExecutable(session=session, site="mars",
+                                         path="/x", data=b"d")
 
     with pytest.raises(SoapFault, match="GridFTP"):
         tb.sim.run(until=tb.sim.process(flow()))
@@ -187,15 +194,16 @@ def _replicate_flow(tb, stub, stage=True, **call):
     [uplink] = tb.network.route("appliance", "wan-core")
 
     def flow():
-        session = yield stub.authenticate(username="onserve", passphrase="pw")
+        session = yield from stub.authenticate(username="onserve",
+                                               passphrase="pw")
         if stage:
-            yield stub.uploadExecutable(session=session, site="ncsa",
-                                        path="/x/echo.sh", data=payload)
+            yield from stub.uploadExecutable(session=session, site="ncsa",
+                                             path="/x/echo.sh", data=payload)
         before = uplink.server.work_integral()
         args = dict(session=session, fromSite="ncsa", toSite="sdsc",
                     path="/x/echo.sh")
         args.update(call)
-        n = yield stub.replicateExecutable(**args)
+        n = yield from stub.replicateExecutable(**args)
         return n, uplink.server.work_integral() - before
 
     return payload, tb.sim.process(flow())
@@ -224,15 +232,15 @@ def test_replicate_rides_the_session_pool_only_under_session_reuse():
         ends = [tb.ftp("ncsa"), tb.ftp("sdsc")]
 
         def flow():
-            session = yield stub.authenticate(username="onserve",
-                                              passphrase="pw")
+            session = yield from stub.authenticate(username="onserve",
+                                                   passphrase="pw")
             args = dict(session=session, site="ncsa", path="/x/echo.sh",
                         data=make_payload("echo", size=int(KB(8))))
-            yield stub.uploadExecutable(**args)
-            yield stub.uploadExecutable(**dict(args, site="sdsc",
-                                               path="/x/other"))
+            yield from stub.uploadExecutable(**args)
+            yield from stub.uploadExecutable(**dict(args, site="sdsc",
+                                                    path="/x/other"))
             before = [end.control_bytes for end in ends]
-            yield stub.replicateExecutable(
+            yield from stub.replicateExecutable(
                 session=session, fromSite="ncsa", toSite="sdsc",
                 path="/x/echo.sh")
             return ([end.control_bytes - b for end, b in zip(ends, before)],
@@ -253,11 +261,12 @@ def test_submits_ride_one_gram_channel_only_under_session_reuse(reuse):
     rsl = CyberaideJobSpec("echo.sh").to_rsl("t1")
 
     def flow():
-        session = yield stub.authenticate(username="onserve", passphrase="pw")
+        session = yield from stub.authenticate(username="onserve",
+                                               passphrase="pw")
         ids = []
         for _ in range(3):
-            ids.append((yield stub.submitJob(session=session, site="ncsa",
-                                             rsl=rsl)))
+            ids.append((yield from stub.submitJob(session=session, site="ncsa",
+                                                  rsl=rsl)))
         return ids
 
     ids = tb.sim.run(until=tb.sim.process(flow()))
@@ -273,14 +282,15 @@ def test_upload_range_lands_a_view_and_shows_the_file_when_whole():
     [uplink] = tb.network.route("appliance", "wan-core")
 
     def flow():
-        session = yield stub.authenticate(username="onserve", passphrase="pw")
+        session = yield from stub.authenticate(username="onserve",
+                                               passphrase="pw")
         args = dict(session=session, site="ncsa", path="/x/echo.sh",
                     total=len(payload), transfer="digest-1")
         before = uplink.server.work_integral()
-        n = yield stub.uploadRange(data=view[:half], offset=0, **args)
+        n = yield from stub.uploadRange(data=view[:half], offset=0, **args)
         sent = uplink.server.work_integral() - before
         seen = tb.site("ncsa").has_file("/x/echo.sh")
-        yield stub.uploadRange(data=view[half:], offset=half, **args)
+        yield from stub.uploadRange(data=view[half:], offset=half, **args)
         return n, sent, seen
 
     n, sent, seen = tb.sim.run(until=tb.sim.process(flow()))
@@ -310,10 +320,11 @@ def test_replicate_expired_session_is_an_authentication_failure():
     agent.config.default_proxy_lifetime = 100.0
 
     def flow():
-        session = yield stub.authenticate(username="onserve", passphrase="pw")
+        session = yield from stub.authenticate(username="onserve",
+                                               passphrase="pw")
         yield tb.sim.timeout(7200.0)
-        yield stub.replicateExecutable(session=session, fromSite="ncsa",
-                                       toSite="sdsc", path="/x/echo.sh")
+        yield from stub.replicateExecutable(session=session, fromSite="ncsa",
+                                            toSite="sdsc", path="/x/echo.sh")
 
     with pytest.raises(SoapFault, match="expired") as excinfo:
         tb.sim.run(until=tb.sim.process(flow()))

@@ -28,11 +28,11 @@ def test_fetchfile_roundtrip():
     payload = make_payload("echo", size=int(KB(8)))
 
     def flow():
-        session = yield stub.authenticate(username="ada", passphrase="pw")
-        yield stub.uploadExecutable(session=session, site="ncsa",
-                                    path="/data/f.bin", data=payload)
-        back = yield stub.fetchFile(session=session, site="ncsa",
-                                    path="/data/f.bin")
+        session = yield from stub.authenticate(username="ada", passphrase="pw")
+        yield from stub.uploadExecutable(session=session, site="ncsa",
+                                         path="/data/f.bin", data=payload)
+        back = yield from stub.fetchFile(session=session, site="ncsa",
+                                         path="/data/f.bin")
         return back
 
     assert tb.sim.run(until=tb.sim.process(flow())) == payload
@@ -42,8 +42,8 @@ def test_fetchfile_missing_faults():
     tb, stub = env()
 
     def flow():
-        session = yield stub.authenticate(username="ada", passphrase="pw")
-        yield stub.fetchFile(session=session, site="ncsa", path="/ghost")
+        session = yield from stub.authenticate(username="ada", passphrase="pw")
+        yield from stub.fetchFile(session=session, site="ncsa", path="/ghost")
 
     with pytest.raises(SoapFault, match="no such file"):
         tb.sim.run(until=tb.sim.process(flow()))

@@ -35,7 +35,7 @@ def test_cpu_bound_handlers_contend():
 
     endpoint = server.deploy(
         ServiceDescription("Burn", [OperationSpec("go")]), burn)
-    procs = [c.call(endpoint, "go") for c in clients[:2]]
+    procs = [sim.process(c.call(endpoint, "go")) for c in clients[:2]]
     sim.run(until=sim.all_of(procs))
     # Two 10 s CPU-bound handlers on one core: ~20 s, not ~10.
     assert sim.now > 19.0
@@ -50,7 +50,7 @@ def test_parallel_handlers_on_multicore():
 
     endpoint = server.deploy(
         ServiceDescription("Burn", [OperationSpec("go")]), burn)
-    procs = [c.call(endpoint, "go") for c in clients[:2]]
+    procs = [sim.process(c.call(endpoint, "go")) for c in clients[:2]]
     sim.run(until=sim.all_of(procs))
     assert sim.now < 12.0  # both handlers fit the two cores
 
@@ -68,7 +68,7 @@ def test_interleaved_requests_all_answered():
             "go", [ParameterSpec("delay", "xsd:int")], "xsd:int")]), echo)
 
     def caller(client, delay):
-        result = yield client.call(endpoint, "go", delay=delay)
+        result = yield from client.call(endpoint, "go", delay=delay)
         answered.append(result)
 
     for client, delay in zip(clients, (30, 10, 20)):

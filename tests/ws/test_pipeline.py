@@ -85,7 +85,7 @@ def test_deadline_exceeded_faults_at_the_caller():
     def caller():
         yield sim.timeout(2.0)  # the deadline passes before we dispatch
         try:
-            yield client.call(endpoint, "say", ctx=ctx, text="late")
+            yield from client.call(endpoint, "say", ctx=ctx, text="late")
         except SoapFault as fault:
             faults.append(fault)
 
@@ -104,7 +104,8 @@ def test_live_deadline_lets_the_request_through():
     sim, server, client = make_env()
     endpoint = server.deploy(echo_service(), echo_handler)
     ctx = RequestContext.create(sim, principal="user", deadline=100.0)
-    result = sim.run(until=client.call(endpoint, "say", ctx=ctx, text="hi"))
+    result = sim.run(until=sim.process(
+        client.call(endpoint, "say", ctx=ctx, text="hi")))
     assert result == "echo: hi"
     assert not ctx.expired
     assert ctx.remaining < 100.0  # the call consumed simulated time
@@ -116,7 +117,8 @@ def test_trace_spans_nest_client_around_server():
     sim, server, client = make_env()
     endpoint = server.deploy(echo_service(), echo_handler)
     ctx = RequestContext.create(sim, principal="user")
-    sim.run(until=client.call(endpoint, "say", ctx=ctx, text="hi"))
+    sim.run(until=sim.process(
+        client.call(endpoint, "say", ctx=ctx, text="hi")))
 
     client_span = ctx.root.find("client:Echo.say")
     server_span = ctx.root.find("server:Echo.say")
@@ -139,7 +141,8 @@ def test_trace_span_marks_faulting_call():
     endpoint = server.deploy(echo_service(), broken)
     ctx = RequestContext.create(sim, principal="user")
     with pytest.raises(SoapFault):
-        sim.run(until=client.call(endpoint, "say", ctx=ctx, text="hi"))
+        sim.run(until=sim.process(
+            client.call(endpoint, "say", ctx=ctx, text="hi")))
     server_span = ctx.root.find("server:Echo.say")
     assert server_span.meta["error"] == "RuntimeError"
 
@@ -155,8 +158,8 @@ def test_metrics_record_latency_on_both_sides():
 
     endpoint = server.deploy(echo_service(), working_handler)
     rec = bus(sim).record("ws.request")
-    sim.run(until=client.call(endpoint, "say", text="hi"))
-    sim.run(until=client.call(endpoint, "say", text="ho"))
+    sim.run(until=sim.process(client.call(endpoint, "say", text="hi")))
+    sim.run(until=sim.process(client.call(endpoint, "say", text="ho")))
 
     events = rec.events("ws.request")
     assert [ev.get("side") for ev in events] == ["server", "client"] * 2
@@ -196,7 +199,8 @@ def test_a_faulting_call_leaves_one_client_and_one_server_record():
     rec = bus(sim).record("ws.request")
     ctx = RequestContext.create(sim, principal="user")
     with pytest.raises(SoapFault):
-        sim.run(until=client.call(endpoint, "say", ctx=ctx, text="hi"))
+        sim.run(until=sim.process(
+            client.call(endpoint, "say", ctx=ctx, text="hi")))
 
     server_ev, client_ev = rec.events("ws.request")
     assert (server_ev.get("side"), client_ev.get("side")) == ("server",

@@ -174,7 +174,8 @@ def test_a_call_round_trip_renders_no_xml_and_no_base64(monkeypatch):
     monkeypatch.setattr(ET, "tostring", rendered)
     monkeypatch.setattr(base64, "b64encode", rendered)
     data = bytes(range(256)) * 64
-    call = client.call(endpoint, "put", data=data, note="a<b & c>d é")
+    call = sim.process(
+        client.call(endpoint, "put", data=data, note="a<b & c>d é"))
     assert sim.run(until=call) == data[::-1]
     assert server.service("Blob").faults == 0
     # ...and the guard itself bites: encode() is what would have tripped it.

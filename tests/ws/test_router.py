@@ -309,7 +309,7 @@ def test_router_relays_unencodable_result_as_fault(self_healing):
     sim, router, owner, client = routed_service(
         handler=lambda operation, params: None, self_healing=self_healing)
     with pytest.raises(SoapFault) as exc_info:
-        sim.run(until=client.call(router.endpoint_for("T"), "go"))
+        sim.run(until=sim.process(client.call(router.endpoint_for("T"), "go")))
     assert exc_info.value.root_cause == "WsError"
     assert "no XSD mapping for NoneType" in exc_info.value.detail
     assert owner.service("T").faults == 1

@@ -298,11 +298,30 @@ def test_crash_under_several_inflight_requests_is_deterministic():
     assert again[3] == trace
 
 
-def test_crash_before_the_submit_runs_the_request_once():
-    # The owner crashes mid-execute, after its agent calls began but
-    # before its grid submit.  The crash unwinds the owner's handler, so
-    # only the survivor's attempt reaches GRAM and records the
-    # invocation.
+def _one_second_in(sim):
+    return sim.now + 1.0
+
+
+def _inside_the_agent_submit(sim):
+    # Read off an uncrashed twin run (same seed, same steps): halfway
+    # through the parse CPU of the owner's submitJob crossing to its own
+    # agent — the handler is inside that crossing and the gatekeeper
+    # does not have the job yet.
+    twin, testbed, stack = deploy_healing(replicas=3, n_users=1,
+                                          fault_threshold=1)
+    publish(twin, testbed, stack, runtime="6")
+    assert twin.now == sim.now
+    ctx = RequestContext.create(twin)
+    twin.run(until=discover_and_invoke(stack, stack.user_clients[0],
+                                       "Route%", ctx=ctx))
+    stack.stop_self_healing()
+    call = ctx.root.find("client:CyberaideAgent.submitJob")
+    served = call.find("server:CyberaideAgent.submitJob")
+    assert served.start > call.start
+    return (call.start + served.start) / 2
+
+
+def _crash_runs_the_request_once(crash_instant):
     sim, testbed, stack = deploy_healing(replicas=3, n_users=1,
                                          fault_threshold=1)
     publish(sim, testbed, stack, runtime="6")
@@ -310,13 +329,14 @@ def test_crash_before_the_submit_runs_the_request_once():
     primary = stack.onserves[0].replica
     if owner == primary:  # keep the DB tier up: crash a secondary
         pytest.skip("ring owner is the primary under this seed")
+    at = crash_instant(sim)
     db = stack.onserves[0].dbmanager.db
     rows_before = db.count("invocations")
     rec = bus(sim).record("ws.request", "gram.submit")
     ctx = RequestContext.create(sim)
     proc = discover_and_invoke(stack, stack.user_clients[0], "Route%",
                                ctx=ctx)
-    crasher = crash_at(sim, stack, owner, at=sim.now + 1.0)
+    crasher = crash_at(sim, stack, owner, at=at)
     result = sim.run(until=sim.all_of([proc, crasher]))[proc]
     sim.run(until=sim.timeout(30.0))  # let any zombie work surface
     assert result
@@ -327,4 +347,19 @@ def test_crash_before_the_submit_runs_the_request_once():
     submits = [ev.request_id for ev in rec.events("gram.submit")]
     assert submits == [ctx.request_id]
     assert db.count("invocations") == rows_before + 1
+    # No submitJob crossing the owner carried ran to an answer.
+    assert all(ev.get("fault") == "Interrupt"
+               for ev in rec.events("ws.request")
+               if ev.get("origin") == owner
+               and ev.get("operation") == "submitJob")
     stack.stop_self_healing()
+
+
+def test_crash_before_the_submit_runs_the_request_once():
+    # The owner crashes mid-execute, after its agent calls began but
+    # before its grid submit: one second in, and inside its submitJob
+    # call to its own agent.  The crash unwinds the owner's handler and
+    # the agent call it is in, so only the survivor's attempt reaches
+    # GRAM and records the invocation.
+    for crash_instant in (_one_second_in, _inside_the_agent_submit):
+        _crash_runs_the_request_once(crash_instant)

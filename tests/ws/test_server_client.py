@@ -43,7 +43,8 @@ def test_deploy_and_invoke():
     sim, server, client = make_env()
     endpoint = server.deploy(echo_service(), echo_handler)
     assert endpoint == "soap://appliance/Echo"
-    result = sim.run(until=client.call(endpoint, "say", text="hi"))
+    result = sim.run(until=sim.process(
+        client.call(endpoint, "say", text="hi")))
     assert result == "echo: hi"
     assert sim.now > 0  # network + CPU took simulated time
     assert server.requests_served == 1
@@ -53,7 +54,8 @@ def test_deploy_and_invoke():
 def test_typed_result():
     sim, server, client = make_env()
     endpoint = server.deploy(echo_service(), echo_handler)
-    assert sim.run(until=client.call(endpoint, "add", a=2, b=3)) == 5
+    call = sim.process(client.call(endpoint, "add", a=2, b=3))
+    assert sim.run(until=call) == 5
 
 
 def test_generator_handler_takes_time():
@@ -65,7 +67,7 @@ def test_generator_handler_takes_time():
 
     svc = ServiceDescription("Slow", [OperationSpec("work")])
     endpoint = server.deploy(svc, slow_handler)
-    result = sim.run(until=client.call(endpoint, "work"))
+    result = sim.run(until=sim.process(client.call(endpoint, "work")))
     assert result == "done"
     assert sim.now > 42.0
 
@@ -80,7 +82,7 @@ def test_handler_exception_becomes_fault():
     endpoint = server.deploy(ServiceDescription("B", [OperationSpec("go")]),
                              broken)
     with pytest.raises(SoapFault, match="on fire") as exc_info:
-        sim.run(until=client.call(endpoint, "go"))
+        sim.run(until=sim.process(client.call(endpoint, "go")))
     assert exc_info.value.detail == "JobError: the grid is on fire"
     assert exc_info.value.root_cause == "JobError"
     assert exc_info.value.retryable  # JobError is transient
@@ -97,7 +99,7 @@ def test_bad_arguments_fault_before_handler_runs():
 
     endpoint = server.deploy(echo_service(), handler)
     with pytest.raises(SoapFault, match="missing"):
-        sim.run(until=client.call(endpoint, "say"))
+        sim.run(until=sim.process(client.call(endpoint, "say")))
     assert calls == []
 
 
@@ -107,9 +109,11 @@ def test_unknown_service_and_operation():
     # Unknown service/operation surface as SOAP faults at the caller
     # (the server answers; it does not silently drop the request).
     with pytest.raises(SoapFault, match="not deployed"):
-        sim.run(until=client.call("soap://appliance/Nope", "say", text="x"))
+        sim.run(until=sim.process(
+            client.call("soap://appliance/Nope", "say", text="x")))
     with pytest.raises(SoapFault):
-        sim.run(until=client.call("soap://appliance/Echo", "nope"))
+        sim.run(until=sim.process(
+            client.call("soap://appliance/Echo", "nope")))
 
 
 def test_fabric_resolution_errors():
@@ -145,7 +149,8 @@ def test_one_server_per_host():
 def test_invocation_moves_bytes_both_ways():
     sim, server, client = make_env()
     endpoint = server.deploy(echo_service(), echo_handler)
-    sim.run(until=client.call(endpoint, "say", text="payload " * 100))
+    sim.run(until=sim.process(
+        client.call(endpoint, "say", text="payload " * 100)))
     assert client.host.net_bytes_out() > 500   # request envelope
     assert client.host.net_bytes_in() > 100    # response envelope
 
@@ -160,7 +165,7 @@ def test_stub_generation_and_call():
         document = yield client.fetch_wsdl(endpoint)
         Stub = generate_stub(document)
         stub = Stub(client)
-        result = yield stub.add(a=20, b=22)
+        result = yield from stub.add(a=20, b=22)
         return result, Stub
 
     result, Stub = sim.run(until=sim.process(flow()))
@@ -199,12 +204,13 @@ def test_fetch_wsdl_transfers_document():
 
 
 def test_event_budget_of_one_served_request():
-    # The client's invoke process (start slot + completion), two
+    # The process the call runs in (start slot + completion), two
     # transfers whose latency timer is armed on creation (latency, flow
     # timer, completion), the dispatch CPU (flow timer, completion) and
-    # the handler's own timeout.  The server half and the handler run
-    # inside the invoke process: they add no process of their own, whose
-    # start slot and completion would cost two events each.
+    # the handler's own timeout.  The client half, the server half and
+    # the handler all run inside that one process: they add no process
+    # of their own, whose start slot and completion would cost two
+    # events each.
     sim, server, client = make_env()
 
     def slow(operation, params):
@@ -214,6 +220,58 @@ def test_event_budget_of_one_served_request():
     endpoint = server.deploy(
         ServiceDescription("Slow", [OperationSpec("work")]), slow)
     before = sim.events_processed
-    assert sim.run(until=client.call(endpoint, "work")) == "done"
+    call = sim.process(client.call(endpoint, "work"))
+    assert sim.run(until=call) == "done"
     assert sim.events_processed - before == 11
     assert sim.queued_events == 0
+
+
+def test_event_budget_of_one_loopback_request():
+    # A caller on the server's own host (onServe calling its agent):
+    # the process (start slot + completion), the dispatch CPU (flow
+    # timer, completion) and the handler's timeout.  The request and
+    # the response cross no wire, so neither is a transfer: a local
+    # one would cost a start slot and a completion each way.
+    sim, server, _client = make_env()
+
+    def slow(operation, params):
+        yield server.sim.timeout(1.0)
+        return "done"
+
+    endpoint = server.deploy(
+        ServiceDescription("Slow", [OperationSpec("work")]), slow)
+    loopback = WsClient(server.host, server.fabric)
+    before = sim.events_processed
+    call = sim.process(loopback.call(endpoint, "work"))
+    assert sim.run(until=call) == "done"
+    assert sim.events_processed - before == 5
+    assert sim.queued_events == 0
+    assert server.host.net_bytes_out() == 0
+
+
+def test_a_call_driven_inline_creates_no_process(monkeypatch):
+    # ``yield from`` a call or a stub method runs the whole crossing in
+    # the caller's process: no process is started for it.
+    from repro.simkernel.process import Process
+
+    sim, server, client = make_env()
+    endpoint = server.deploy(echo_service(), echo_handler)
+    stub = generate_stub(server.wsdl("Echo"))(client)
+
+    def caller():
+        said = yield from client.call(endpoint, "say", text="hi")
+        added = yield from stub.add(a=20, b=22)
+        return said, added
+
+    outer = sim.process(caller())
+    started = []
+    real_init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        started.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    assert sim.run(until=outer) == ("echo: hi", 42)
+    assert started == []
+    assert server.requests_served == 2

@@ -38,7 +38,7 @@ def test_plain_python_exception_becomes_internal_fault():
 
     endpoint = deploy(server, broken)
     with pytest.raises(SoapFault, match="not a repro error") as exc_info:
-        sim.run(until=client.call(endpoint, "go"))
+        sim.run(until=sim.process(client.call(endpoint, "go")))
     assert exc_info.value.faultcode == "Server.Internal"
     assert exc_info.value.detail == "ValueError: not a repro error"
     assert exc_info.value.root_cause == "ValueError"
@@ -53,7 +53,7 @@ def test_generator_handler_exception_becomes_fault():
 
     endpoint = deploy(server, broken)
     with pytest.raises(SoapFault) as exc_info:
-        sim.run(until=client.call(endpoint, "go"))
+        sim.run(until=sim.process(client.call(endpoint, "go")))
     assert exc_info.value.detail == "KeyError: 'deep inside'"
     assert exc_info.value.root_cause == "KeyError"
 
@@ -67,7 +67,7 @@ def test_repro_errors_keep_server_faultcode():
 
     endpoint = deploy(server, broken)
     with pytest.raises(SoapFault) as exc_info:
-        sim.run(until=client.call(endpoint, "go"))
+        sim.run(until=sim.process(client.call(endpoint, "go")))
     assert exc_info.value.faultcode == "Server"
 
 
@@ -83,8 +83,9 @@ def test_server_survives_faults_and_keeps_serving():
 
     endpoint = deploy(server, flaky)
     with pytest.raises(SoapFault):
-        sim.run(until=client.call(endpoint, "go"))
-    assert sim.run(until=client.call(endpoint, "go")) == "recovered"
+        sim.run(until=sim.process(client.call(endpoint, "go")))
+    call = sim.process(client.call(endpoint, "go"))
+    assert sim.run(until=call) == "recovered"
     assert server.service("T").faults == 1
     assert server.service("T").invocations == 2
 
@@ -99,7 +100,7 @@ def test_unencodable_result_becomes_counted_fault(result):
     endpoint = deploy(server, lambda operation, params: result)
     rec = bus(sim).record("ws.request")
     with pytest.raises(SoapFault) as exc_info:
-        sim.run(until=client.call(endpoint, "go"))
+        sim.run(until=sim.process(client.call(endpoint, "go")))
     fault = exc_info.value
     assert fault.faultcode == "Server"
     assert fault.root_cause == "WsError"
@@ -115,7 +116,7 @@ def test_unencodable_string_result_becomes_fault():
     sim, server, client = make_env()
     endpoint = deploy(server, lambda operation, params: "bell\x07")
     with pytest.raises(SoapFault, match="XML cannot carry") as exc_info:
-        sim.run(until=client.call(endpoint, "go"))
+        sim.run(until=sim.process(client.call(endpoint, "go")))
     assert exc_info.value.root_cause == "WsError"
     assert server.service("T").faults == 1
 
@@ -158,9 +159,9 @@ def test_each_envelope_is_sized_once(monkeypatch, path):
 
     monkeypatch.setattr(SoapEnvelope, "__init__", counting_init)
     monkeypatch.setattr(SoapEnvelope, "_measure", counting_measure)
-    assert sim.run(until=client.call(endpoint, "go")) == "x" * 512
+    assert sim.run(until=sim.process(client.call(endpoint, "go"))) == "x" * 512
     with pytest.raises(SoapFault, match="boom"):
-        sim.run(until=client.call(endpoint, "go"))
+        sim.run(until=sim.process(client.call(endpoint, "go")))
     assert len(built) == 2 * per_call
     assert sorted(map(id, walked)) == sorted(map(id, built))
 
@@ -168,34 +169,57 @@ def test_each_envelope_is_sized_once(monkeypatch, path):
 def test_interrupt_unwinds_the_handler_and_is_no_fault():
     # The server half runs in the process that carried the request, so
     # interrupting that process (a replica crash) unwinds the handler at
-    # its yield point instead of leaving it to run on.
+    # its yield point instead of leaving it to run on.  The same holds
+    # one level down: a handler's own call to a service on its host (an
+    # onServe handler calling its agent) runs in that process too, so
+    # both halves of that call unwind with it.
     from repro.simkernel.process import Interrupt
 
-    sim, server, client = make_env()
-    after_yield = []
+    for nested in (False, True):
+        sim, server, client = make_env()
+        after_yield = []
 
-    def slow(operation, params):
-        yield server.sim.timeout(10.0)
-        after_yield.append(server.sim.now)
-        return "late"
+        def slow(operation, params):
+            yield server.sim.timeout(10.0)
+            after_yield.append(server.sim.now)
+            return "late"
 
-    endpoint = deploy(server, slow)
-    call = client.call(endpoint, "go")
+        if nested:
+            inner = server.deploy(
+                ServiceDescription("A", [OperationSpec("go")]), slow)
+            loopback = WsClient(server.host, server.fabric)
 
-    def crash():
-        yield sim.timeout(5.0)
-        call.interrupt("crash")
+            def outer(operation, params):
+                result = yield from loopback.call(inner, "go")
+                after_yield.append(server.sim.now)
+                return result
 
-    sim.process(crash())
-    with pytest.raises(Interrupt) as exc_info:
-        sim.run(until=call)
-    assert exc_info.value.cause == "crash"
-    sim.run()
-    assert after_yield == []
-    assert server.service("T").faults == 0
-    served = [ev for ev in bus(sim).events("ws.request")
-              if ev.get("side") == "server"]
-    assert [ev.get("fault") for ev in served] == ["Interrupt"]
+            endpoint = deploy(server, outer)
+        else:
+            endpoint = deploy(server, slow)
+        call = sim.process(client.call(endpoint, "go"))
+
+        def crash():
+            yield sim.timeout(5.0)
+            call.interrupt("crash")
+
+        sim.process(crash())
+        with pytest.raises(Interrupt) as exc_info:
+            sim.run(until=call)
+        assert exc_info.value.cause == "crash"
+        sim.run()
+        assert after_yield == []
+        assert server.service("T").faults == 0
+        served = [ev for ev in bus(sim).events("ws.request")
+                  if ev.get("side") == "server"]
+        assert ([ev.get("fault") for ev in served]
+                == ["Interrupt"] * (1 + nested))
+        if nested:
+            assert server.service("A").faults == 0
+            inner_call = [ev for ev in bus(sim).events("ws.request")
+                          if ev.get("side") == "client"
+                          and ev.get("service") == "A"]
+            assert [ev.get("fault") for ev in inner_call] == ["Interrupt"]
 
     # An ordinary handler exception still becomes a counted fault.
     def broken(operation, params):
@@ -205,5 +229,5 @@ def test_interrupt_unwinds_the_handler_and_is_no_fault():
     endpoint = server.deploy(
         ServiceDescription("U", [OperationSpec("go")]), broken)
     with pytest.raises(SoapFault, match="deep inside"):
-        sim.run(until=client.call(endpoint, "go"))
+        sim.run(until=sim.process(client.call(endpoint, "go")))
     assert server.service("U").faults == 1
