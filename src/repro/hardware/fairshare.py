@@ -7,7 +7,8 @@ bytes/s for links and disks, cores for CPUs).  Each active flow receives
 
 so capacity is divided equally, optionally capped per flow (a single task
 cannot use more than one core).  Progress is integrated lazily: state is
-only settled when flows arrive/finish or when a counter is read, so the
+only settled when flows arrive or finish.  A counter read adds the
+in-flight progress without settling, so reading changes nothing and the
 model is exact regardless of sampling interval.
 
 Flows carry a tuple of *tags*; completed work is credited to every tag,
@@ -17,12 +18,12 @@ and "bytes sent by host Y" from the same flow population.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.errors import HardwareError
-from repro.simkernel.events import Event, Timeout
+from repro.simkernel.events import _PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
@@ -36,12 +37,11 @@ _EPS = 1e-9
 class Flow:
     """One unit of in-flight work on a :class:`FairShareServer`."""
 
-    __slots__ = ("flow_id", "total", "remaining", "finish_below", "tags",
-                 "done", "started_at")
+    __slots__ = ("total", "remaining", "finish_below", "tags", "done",
+                 "started_at")
 
-    def __init__(self, flow_id: int, total: float, tags: Tuple[str, ...],
-                 done: Event, started_at: float):
-        self.flow_id = flow_id
+    def __init__(self, total: float, tags: Tuple[str, ...], done: Event,
+                 started_at: float):
         self.total = total
         self.remaining = total
         #: Remaining-work threshold below which the flow counts as finished.
@@ -51,8 +51,40 @@ class Flow:
         self.started_at = started_at
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return (f"<Flow #{self.flow_id} {self.remaining:.1f}/{self.total:.1f} "
+        return (f"<Flow {self.remaining:.1f}/{self.total:.1f} "
                 f"tags={self.tags}>")
+
+
+class _Tick:
+    """A completion timer: a bare start slot on the kernel's queue.
+
+    It is never triggered, so when it pops the kernel calls
+    :meth:`_start`.  It carries the generation it was armed in; a later
+    re-arm makes it stale, and a stale tick pops as a no-op.
+    """
+
+    __slots__ = ("_server", "_generation")
+    _value = _PENDING
+
+    def __init__(self, server: "FairShareServer", generation: int):
+        self._server = server
+        self._generation = generation
+
+    @property
+    def name(self) -> str:
+        """The server's name: the profiler charges a tick to its device."""
+        return self._server.name
+
+    def _start(self, _slot: "_Tick") -> None:
+        server = self._server
+        if self._generation == server._timer_generation:
+            # Always re-arm: completions change rates, and rounding can
+            # leave the least flow a hair above its finish threshold.
+            server._advance(server._expected_finishers)
+            server._reschedule()
+
+    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
+        return f"<_Tick {self._server.name!r} gen={self._generation}>"
 
 
 class FairShareServer:
@@ -81,18 +113,16 @@ class FairShareServer:
         self.per_flow_cap = per_flow_cap
         self.name = name
         self._flow_name = f"flow:{name}"
-        self._timer_name = f"fairshare-timer:{name}"
         self._flows: list[Flow] = []
         self._last_update = sim.now
-        self._counter = itertools.count(1)
         # Cumulative completed work per tag (settled portion only).
-        self._cumulative: Dict[str, float] = {}
+        self._cumulative: Dict[str, float] = defaultdict(float)
         # Integral of instantaneous throughput over time (work units).
         self._work_integral = 0.0
-        # Generation token invalidating stale completion timers.
+        # Generation token invalidating stale completion ticks.
         self._timer_generation = 0
-        # Flow ids the armed timer is expected to complete (see _on_timer).
-        self._expected_finishers: frozenset[int] = frozenset()
+        # Flows the armed tick is expected to complete (see _advance).
+        self._expected_finishers: Tuple[Flow, ...] = ()
 
     # -- public API ---------------------------------------------------------
 
@@ -133,16 +163,19 @@ class FairShareServer:
         """
         if work < 0:
             raise HardwareError(f"{self.name}: negative work {work!r}")
-        for tag in tags:
-            self._cumulative.setdefault(tag, 0.0)
         if work == 0:
             done.succeed(self.sim.now - started_at)
             return done
-        # Advance without re-arming: the one timer that counts is the
-        # one armed below, once the new flow has changed the rates.
-        self._advance()
-        self._flows.append(
-            Flow(next(self._counter), float(work), tags, done, started_at))
+        flows = self._flows
+        if flows:
+            # Advance without re-arming: the one tick that counts is the
+            # one armed below, once the new flow has changed the rates.
+            self._advance()
+        else:
+            # Idle: nothing to integrate, and the new flow will run
+            # alone, so its tick is its work over the solo rate.
+            self._last_update = self.sim.now
+        flows.append(Flow(float(work), tags, done, started_at))
         self._reschedule()
         return done
 
@@ -154,71 +187,71 @@ class FairShareServer:
         """
         if at is not None and at != self.sim.now:
             raise HardwareError("cumulative() can only be read at the current time")
-        done = self._cumulative.get(tag, 0.0)
-        rate = self.current_rate()
-        elapsed = self.sim.now - self._last_update
-        if rate > 0 and elapsed > 0:
-            for flow in self._flows:
-                if tag in flow.tags:
-                    done += min(flow.remaining, rate * elapsed)
-        return done
+        return self._read(self._cumulative.get(tag, 0.0), tag)
 
     def work_integral(self) -> float:
-        """Total work units served so far (all tags, exact)."""
-        self._settle()
-        return self._work_integral
+        """Total work units served so far (all tags, exact).
+
+        Like :meth:`cumulative` it adds the partial progress of active
+        flows without settling them: a read changes no state.
+        """
+        return self._read(self._work_integral, None)
 
     # -- internals ------------------------------------------------------------
 
-    def _settle(self, force_finish: frozenset[int] = frozenset()) -> None:
-        """Bring the flows up to now, then re-arm the completion timer.
+    def _read(self, done: float, tag: Optional[str]) -> float:
+        """*done* plus the unsettled progress of the flows tagged *tag*
+        (every flow for ``None``)."""
+        rate = self.current_rate()
+        elapsed = self.sim.now - self._last_update
+        if rate > 0 and elapsed > 0:
+            step = rate * elapsed
+            for flow in self._flows:
+                if tag is None or tag in flow.tags:
+                    done += min(flow.remaining, step)
+        return done
 
-        Always re-arm: completions change rates, and floating-point
-        rounding can leave the least flow a hair above the finish
-        threshold when its timer fires — without a fresh timer it would
-        stall forever.
-        """
-        self._advance(force_finish)
-        self._reschedule()
-
-    def _advance(self, force_finish: frozenset[int] = frozenset()) -> None:
+    def _advance(self, force_finish: Tuple[Flow, ...] = ()) -> None:
         """Integrate progress since the last update and finish done flows.
 
-        *force_finish* names flows whose completion timer just fired:
+        *force_finish* names flows whose completion tick just fired:
         they are completed even if floating-point cancellation (large
         clock value, tiny delay) left a residue above the epsilon
-        threshold — without this the timer loop could stall, re-arming
-        zero-length timers forever.
+        threshold — without this the tick loop could stall, re-arming
+        zero-length ticks forever.
         """
         now = self.sim.now
         flows = self._flows
         cumulative = self._cumulative
         elapsed = now - self._last_update
+        self._last_update = now
         if elapsed > 0 and flows:
-            step = self.current_rate() * elapsed
+            rate = self.capacity / len(flows)  # current_rate(), inlined
+            cap = self.per_flow_cap
+            if cap is not None and cap < rate:
+                rate = cap
+            step = rate * elapsed
             integral = self._work_integral
+            finished = []
             for flow in flows:
                 remaining = flow.remaining
                 progress = step if step < remaining else remaining
-                flow.remaining = remaining - progress
+                remaining -= progress
+                flow.remaining = remaining
                 integral += progress
                 for tag in flow.tags:
                     cumulative[tag] += progress
+                if remaining <= flow.finish_below or flow in force_finish:
+                    finished.append(flow)
             self._work_integral = integral
-        self._last_update = now
-
-        finished = None
-        for flow in flows:
-            if (flow.remaining <= flow.finish_below
-                    or flow.flow_id in force_finish):
-                if finished is None:
-                    finished = []
-                finished.append(flow)
-        if finished is None:
-            return
+        else:
+            finished = [flow for flow in flows
+                        if flow.remaining <= flow.finish_below
+                        or flow in force_finish]
+        # Absorb the finishers' sub-epsilon residues only after every
+        # flow's progress, so the counters' addition order stays put.
         for flow in finished:
             flows.remove(flow)
-            # Absorb the sub-epsilon residue so counters stay exact.
             for tag in flow.tags:
                 cumulative[tag] += flow.remaining
             self._work_integral += flow.remaining
@@ -226,39 +259,35 @@ class FairShareServer:
             flow.done.succeed(now - flow.started_at)
 
     def _reschedule(self) -> None:
-        """Arm a timer for the next flow completion."""
+        """Arm a tick for the next flow completion; every tick armed
+        before goes stale."""
         self._timer_generation += 1
         flows = self._flows
-        if not flows:
+        n = len(flows)
+        if n == 0:
             return
-        rate = self.current_rate()
-        if len(flows) == 1:
-            only = flows[0]
-            least = only.remaining
-            expected = frozenset((only.flow_id,))
+        rate = self.capacity / n  # current_rate(), inlined
+        cap = self.per_flow_cap
+        if cap is not None and cap < rate:
+            rate = cap
+        if n == 1:
+            least = flows[0].remaining
+            expected = (flows[0],)
         else:
             least = flows[0].remaining
             for flow in flows:
                 if flow.remaining < least:
                     least = flow.remaining
-            # The flows this timer is for: everyone tied (within float
+            # The flows this tick is for: everyone tied (within float
             # noise) with the least-remaining flow finishes when it fires.
             tolerance = least * 1e-9 + _EPS
-            expected = frozenset([flow.flow_id for flow in flows
-                                  if flow.remaining - least <= tolerance])
+            expected = tuple([flow for flow in flows
+                              if flow.remaining - least <= tolerance])
         delay = least / rate if rate > 0 else math.inf
         if delay == math.inf:
             raise HardwareError(f"{self.name}: flow can never complete (rate 0)")
         self._expected_finishers = expected
-        # The timer carries the generation it was armed in; a later
-        # re-arm makes it stale.
-        timer = Timeout(self.sim, delay, self._timer_generation,
-                        self._timer_name)
-        timer.callbacks.append(self._on_timer)
-
-    def _on_timer(self, timer: Event) -> None:
-        if timer._value == self._timer_generation:
-            self._settle(force_finish=self._expected_finishers)
+        self.sim._enqueue(_Tick(self, self._timer_generation), delay)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (f"<FairShareServer {self.name!r} cap={self.capacity} "

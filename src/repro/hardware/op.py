@@ -6,21 +6,22 @@ interrupt and nothing in it can fail on its own, so it is not a
 process: it is a single :class:`HardwareOp` event whose bound methods
 chain
 
-    latency timeout (or start slot) → flow on the rated server → succeed
+    latency slot → flow on the rated server → tick → succeed
 
 and whose value is the time elapsed since the operation was issued
-(see DESIGN.md §5).  An operation with latency arms its latency timer
-when it is created, and the timer's callback joins the flow.  One
-without latency (or a local one) takes a start slot instead, the one
-queue hop a process start used to provide: the flow joins its server in
-creation order relative to everything else queued for that instant.
+(see DESIGN.md §5).  The operation queues itself, still pending, when it
+is created: a start slot *latency* seconds out (0 for a local operation
+or one without latency), whose pop joins the flow.  Without latency
+that is the one queue hop a process start used to provide: the flow
+joins its server in creation order relative to everything else queued
+for that instant.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.simkernel.events import Event, Timeout
+from repro.simkernel.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.fairshare import FairShareServer
@@ -33,8 +34,8 @@ class HardwareOp(Event):
     """An event that fires when *work* has crossed *server* after *latency*.
 
     ``server=None`` is an operation that touches no device (a transfer
-    from a host to itself): it completes with ``0.0`` in the same
-    instant, still via the queue.
+    from a host to itself, *latency* 0): it completes with ``0.0`` in
+    the same instant, still via the queue.
     """
 
     __slots__ = ("_server", "_work", "_tags", "_issued_at")
@@ -47,16 +48,10 @@ class HardwareOp(Event):
         self._work = work
         self._tags = tags
         self._issued_at = sim.now
-        if server is not None and latency > 0:
-            Timeout(sim, latency).callbacks.append(self._join)
-        else:
-            sim._enqueue(self)  # pending: a start slot
+        sim._enqueue(self, latency)  # pending: a start slot
 
     def _start(self, _slot: Event) -> None:
         if self._server is None:
             self.succeed(0.0)
         else:
-            self._join(self)
-
-    def _join(self, _event: Event) -> None:
-        self._server.join(self._work, self._tags, self, self._issued_at)
+            self._server.join(self._work, self._tags, self, self._issued_at)

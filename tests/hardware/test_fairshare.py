@@ -165,3 +165,34 @@ def test_overlapping_submits_arm_one_timer_each(stagger):
     assert sim.events_processed - n == 3 * n - 1  # minus the arrivals
     assert srv.work_integral() == pytest.approx(
         sum(1000.0 * (i + 1) for i in range(n)))
+
+
+def _six_flows(read):
+    """Six overlapping flows on an 85 KB/s link, sampled at five off-grid
+    instants; *read* says whether the samples read ``work_integral()``."""
+    sim = Simulator(seed=0)
+    srv = FairShareServer(sim, capacity=85 * 1024.0)
+    rng = sim.rng.stream("flows")
+    done = []
+    for _ in range(6):
+        at = round(rng.uniform(0.0, 3.0), 4) + 0.00013
+        work = rng.uniform(16e3, 160e3)
+        sim.timeout(at).add_callback(
+            lambda _event, work=work: done.append(srv.submit(work)))
+    reads = []
+    for at in (0.7311, 1.9093, 2.4417, 3.1537, 4.6029):
+        sim.timeout(at).add_callback(
+            lambda _event: reads.append(srv.work_integral()) if read else None)
+    sim.run()
+    return [flow.value for flow in done], sim.events_processed, reads
+
+
+def test_reading_the_work_integral_changes_nothing():
+    # A counter read used to settle the server: it re-rounded the
+    # flows' progress and armed a timer of its own, so a sampled run
+    # finished its flows a last digit away from an unsampled one.
+    unread_values, unread_events, _ = _six_flows(read=False)
+    values, events, reads = _six_flows(read=True)
+    assert values == unread_values
+    assert events == unread_events
+    assert reads == sorted(reads) and len(reads) == 5
