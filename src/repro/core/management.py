@@ -55,10 +55,8 @@ class ManagementService:
         if operation == "usageReport":
             rows = self.onserve.usage_report()
             return "\n".join(
-                f"{r['service']}|{r['count(*)']}|{r['sum(ok)'] or 0}"
-                f"|{(r['avg(total)'] or 0.0):.1f}"
-                f"|{(r['avg(overhead)'] or 0.0):.1f}"
-                f"|{r['sum(polls)'] or 0}"
+                f"{r['service']}|{r['count']}|{r['ok']}"
+                f"|{r['avg_total']:.1f}|{r['avg_overhead']:.1f}|{r['polls']}"
                 for r in rows)
         if operation == "clientBundle":
             return self._client_bundle(params["name"])

@@ -46,6 +46,10 @@ __all__ = ["OnServeConfig", "OnServe", "deploy_onserve"]
 class OnServeConfig:
     """All tunables of the middleware (ablation flags included)."""
 
+    #: Event-propagation delay: gatekeeper -> appliance trip of one
+    #: state-change message — the whole detection lag of the push path.
+    notify_propagation = 0.5
+
     def __init__(self,
                  grid_username: str = "onserve",
                  grid_passphrase: str = "appliance-secret",
@@ -66,7 +70,6 @@ class OnServeConfig:
                  datapath: bool = False,
                  notify: bool = False,
                  notify_sites: tuple = ("*",),
-                 notify_propagation: float = 0.5,
                  db_mvcc: bool = False,
                  db_serialize: bool = False,
                  db_chunk_bytes: int = 0,
@@ -75,8 +78,6 @@ class OnServeConfig:
             raise OnServeError(f"unknown site policy {site_policy!r}")
         if failover_sites < 0:
             raise OnServeError("failover_sites must be >= 0")
-        if notify_propagation <= 0:
-            raise OnServeError("notify_propagation must be positive")
         self.grid_username = grid_username
         self.grid_passphrase = grid_passphrase
         #: Tentative-poll period (the "relative constant interval") of
@@ -132,10 +133,6 @@ class OnServeConfig:
         #: ``notify_sites`` falls to the paper's per-job ``poll_until``.
         self.notify = notify
         self.notify_sites = tuple(notify_sites)
-        #: Event-propagation delay: gatekeeper -> appliance trip of one
-        #: state-change message — the whole detection lag of the push
-        #: path.
-        self.notify_propagation = notify_propagation
         #: DB tier scale-out (ROADMAP item 2), all off by default so the
         #: goldens pin the single-connection whole-BLOB timeline: MVCC
         #: snapshot reads, modelled connection contention, chunked BLOB
@@ -615,12 +612,18 @@ class OnServe:
                       polls=report.polls, ok=report.ok)
 
     def usage_report(self) -> List[Dict[str, object]]:
-        """Per-service usage aggregates from the history table."""
-        from repro.db.sql import execute_sql
-        return execute_sql(
-            self.dbmanager.db,
-            "SELECT service, COUNT(*), SUM(ok), AVG(total), AVG(overhead), "
-            "SUM(polls) FROM invocations GROUP BY service")
+        """Per-service usage aggregates from the history table, one row
+        per service in name order: invocations, successes, mean total
+        and overhead seconds, poll rounds."""
+        groups: Dict[str, List[Dict[str, object]]] = {}
+        for row in self.dbmanager.db.select("invocations"):
+            groups.setdefault(row["service"], []).append(row)
+        return [{"service": service, "count": len(rows),
+                 "ok": sum(r["ok"] for r in rows),
+                 "avg_total": sum(r["total"] for r in rows) / len(rows),
+                 "avg_overhead": sum(r["overhead"] for r in rows) / len(rows),
+                 "polls": sum(r["polls"] for r in rows)}
+                for service, rows in sorted(groups.items())]
 
     # -- management ---------------------------------------------------------------
 

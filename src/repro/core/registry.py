@@ -67,7 +67,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.datastructures import GeneratedService
 from repro.db.engine import Database
-from repro.db.sql import execute_sql
 from repro.db.table import Column
 from repro.errors import RecordNotFound
 
@@ -523,8 +522,8 @@ class ServiceStateStore:
         """Seed both counters from recorded history, exactly once.
 
         Called by each replica's init; only the first call (across the
-        fabric) reads MAX(id), so later replicas cannot rewind the
-        sequence below ids already handed out this run.
+        fabric) reads the largest history id, so later replicas cannot
+        rewind the sequence below ids already handed out this run.
         """
         if self._invocation_counter is None:
             self._invocation_counter = self._seed_counter()
@@ -534,8 +533,8 @@ class ServiceStateStore:
     def _seed_counter(self) -> int:
         if "invocations" not in self.db.tables:
             return 0
-        row = execute_sql(self.db, "SELECT MAX(id) FROM invocations")[0]
-        return row["max(id)"] or 0
+        return max((row["id"] for row in self.db.select("invocations")),
+                   default=0)
 
     def next_invocation_id(self) -> int:
         """Fabric-unique invocation row id (resumes past history)."""

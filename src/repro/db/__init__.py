@@ -3,12 +3,12 @@
 A small but real database engine, built from scratch:
 
 * typed heap tables with schema validation (:mod:`repro.db.table`),
-* secondary hash and sorted indexes (:mod:`repro.db.index`),
+* secondary hash indexes for equality lookups (:mod:`repro.db.index`),
 * a write-ahead log with CRC-framed records and crash recovery
   (:mod:`repro.db.wal`),
 * transactions with rollback (:mod:`repro.db.engine`),
-* a SQL dialect — CREATE TABLE / INSERT / SELECT / UPDATE / DELETE with
-  WHERE, ORDER BY and LIMIT (:mod:`repro.db.sql`),
+* one SQL statement, the keyed ``SELECT * | cols FROM t [WHERE col =
+  literal]`` (:mod:`repro.db.sql`); everything else is a method call,
 * and the :class:`~repro.db.dbmanager.DbManager` facade the paper's
   ``dataIO`` package provided: store/retrieve executables as compressed
   BLOBs, with the I/O and CPU costs of each operation charged to a

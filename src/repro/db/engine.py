@@ -20,7 +20,7 @@ from operator import is_
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DatabaseError, RecordNotFound, TransactionError
-from repro.db.index import HashIndex, SortedIndex
+from repro.db.index import HashIndex
 from repro.db.table import Column, HeapTable, Schema
 from repro.db.wal import WriteAheadLog, encode_frame
 
@@ -49,10 +49,8 @@ def _create_table_record(name: str, schema: Schema) -> Tuple[Any, ...]:
              for c in schema.columns])
 
 
-def _create_index_record(table: str, column: str,
-                         index: Any) -> Tuple[Any, ...]:
-    kind = "hash" if isinstance(index, HashIndex) else "sorted"
-    return ("create_index", table, column, kind)
+def _create_index_record(table: str, column: str) -> Tuple[Any, ...]:
+    return ("create_index", table, column, "hash")
 
 
 class Database:
@@ -68,9 +66,9 @@ class Database:
                  mvcc: bool = False):
         self.wal = wal if wal is not None else WriteAheadLog()
         self.tables: Dict[str, HeapTable] = {}
-        self._indexes: Dict[Tuple[str, str], Any] = {}
+        self._indexes: Dict[Tuple[str, str], HashIndex] = {}
         # table -> [(column position, index)], what every write walks.
-        self._table_indexes: Dict[str, List[Tuple[int, Any]]] = {}
+        self._table_indexes: Dict[str, List[Tuple[int, HashIndex]]] = {}
         self._last_txn = 0  # ids count up; a compacted image reuses it
         self._active_txn: Optional[int] = None
         # The active transaction's DML, in order, each entry with the
@@ -128,19 +126,17 @@ class Database:
         self._table_indexes.pop(name, None)
 
     def create_index(self, table: str, column: str, kind: str = "hash") -> None:
-        """Create (and backfill) a secondary index on table.column."""
+        """Create (and backfill) a hash index on table.column; *kind*
+        must be ``"hash"``, the one kind there is."""
         self._ddl_guard("create_index")
         tbl = self._table(table)
         tbl.schema.index_of(column)  # validates the column exists
         if (table, column) in self._indexes:
             raise DatabaseError(f"index on {table}.{column} already exists")
-        if kind == "hash":
-            index: Any = HashIndex(table, column)
-        elif kind == "sorted":
-            index = SortedIndex(table, column)
-        else:
+        if kind != "hash":
             raise DatabaseError(f"unknown index kind {kind!r}")
-        self.wal.append(("create_index", table, column, kind))
+        index = HashIndex(table, column)
+        self.wal.append(_create_index_record(table, column))
         col_pos = tbl.schema.index_of(column)
         for rowid, row in tbl.scan():
             index.add(row[col_pos], rowid)
@@ -341,43 +337,6 @@ class Database:
         return [self._as_dict(tbl, tbl.get(r))
                 for r in self._rowids_eq(table, column, value)]
 
-    def find_range(self, table: str, column: str,
-                   lo: Any = None, hi: Any = None,
-                   lo_open: bool = False,
-                   hi_open: bool = False) -> List[Dict[str, Any]]:
-        """Range lookup, via a sorted index when one exists.
-
-        Bounds follow SQL semantics: ``None`` column values never match,
-        ``lo_open``/``hi_open`` exclude the endpoint.  Results come back
-        in rowid order (matching a heap scan).
-        """
-        tbl = self._table(table)
-        index = self._indexes.get((table, column))
-        if isinstance(index, SortedIndex):
-            try:
-                rowids = sorted(index.range(lo, hi, lo_open, hi_open))
-            except TypeError:
-                rowids = None  # uncomparable bound; fall back to a scan
-            if rowids is not None:
-                self.stats["index_rows"] += len(rowids)
-                return [self._as_dict(tbl, tbl.get(r)) for r in rowids]
-        col_pos = tbl.schema.index_of(column)
-        out = []
-        for _r, row in tbl.scan():
-            self.stats["rows_scanned"] += 1
-            v = row[col_pos]
-            if v is None:
-                continue
-            try:
-                if lo is not None and (v < lo or (lo_open and v == lo)):
-                    continue
-                if hi is not None and (v > hi or (hi_open and v == hi)):
-                    continue
-            except TypeError:
-                continue  # SQL three-valued logic, collapsed to no-match
-            out.append(self._as_dict(tbl, row))
-        return out
-
     def get_by_pk(self, table: str, key: Any) -> Dict[str, Any]:
         """Primary-key point lookup."""
         tbl = self._table(table)
@@ -420,9 +379,8 @@ class Database:
         tbl = self._table(name)
         rowids, rows = tbl.image()
         return [_create_table_record(name, tbl.schema),
-                *[_create_index_record(table, column, index)
-                  for (table, column), index in self._indexes.items()
-                  if table == name],
+                *[_create_index_record(table, column)
+                  for table, column in self._indexes if table == name],
                 ("txn", self._last_txn,
                  [("insert", name, rowid, row)
                   for rowid, row in zip(rowids, rows)])]
@@ -435,9 +393,8 @@ class Database:
         txn = self._last_txn
         frames = [encode_frame(_create_table_record(name, tbl.schema))
                   for name, tbl in self.tables.items()]
-        for (table, column), index in self._indexes.items():
-            frames.append(encode_frame(_create_index_record(table, column,
-                                                            index)))
+        for table, column in self._indexes:
+            frames.append(encode_frame(_create_index_record(table, column)))
         image = {}
         for name, tbl in self.tables.items():
             all_rowids, all_rows = tbl.image()
@@ -502,9 +459,9 @@ class Database:
             if record[1] in self.tables:
                 self.drop_table(record[1])
         elif op == "create_index":
-            _, table, column, kind = record
+            _, table, column, _kind = record  # every index is a hash index
             if (table, column) not in self._indexes and table in self.tables:
-                self.create_index(table, column, kind)
+                self.create_index(table, column)
 
     def _replay_dml(self, op: str, table: str, rowid: int,
                     image: Sequence[Any], new: Sequence[Any] = ()) -> None:
@@ -555,9 +512,9 @@ class Database:
         """Rowids whose *column* equals *value*, in rowid order.
 
         The one access path for point reads and keyed DML: primary-key
-        map, else hash index, else sorted index, else a positional heap
-        scan.  A value the keyed rung cannot hash or compare drops to
-        the scan, which answers with plain ``==``.
+        map, else hash index, else a positional heap scan.  A value the
+        keyed rung cannot hash drops to the scan, which answers with
+        plain ``==``.
         """
         tbl = self._table(table)
         col_pos = tbl.schema.index_of(column)
@@ -569,12 +526,10 @@ class Database:
                 rowids = [] if rowid is None else [rowid]
             else:
                 index = self._indexes.get((table, column))
-                if isinstance(index, HashIndex):
+                if index is not None:
                     rowids = sorted(index.find(value))
-                elif isinstance(index, SortedIndex) and value is not None:
-                    rowids = sorted(index.range(value, value))
         except TypeError:
-            pass  # unhashable or uncomparable value: the scan answers it
+            pass  # unhashable value: the scan answers it
         if rowids is not None:
             self.stats["index_rows"] += len(rowids)
             return rowids

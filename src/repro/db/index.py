@@ -1,12 +1,11 @@
-"""Secondary indexes: hash (equality) and sorted (range)."""
+"""Secondary index: a hash map for equality lookups."""
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Dict, Iterator, List, Set, Tuple
+from typing import Any, Dict, Set
 
 
-__all__ = ["HashIndex", "SortedIndex"]
+__all__ = ["HashIndex"]
 
 
 class HashIndex:
@@ -37,55 +36,6 @@ class HashIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<HashIndex {self.table_name}.{self.column} keys={len(self._map)}>"
-
-
-class SortedIndex:
-    """Sorted (value, rowid) pairs supporting range scans.
-
-    ``None`` values are not indexed (SQL semantics: NULL never matches a
-    range predicate).
-    """
-
-    def __init__(self, table_name: str, column: str):
-        self.table_name = table_name
-        self.column = column
-        self._entries: List[Tuple[Any, int]] = []
-
-    def add(self, value: Any, rowid: int) -> None:
-        if value is None:
-            return
-        bisect.insort(self._entries, (value, rowid))
-
-    def remove(self, value: Any, rowid: int) -> None:
-        if value is None:
-            return
-        pos = bisect.bisect_left(self._entries, (value, rowid))
-        if pos < len(self._entries) and self._entries[pos] == (value, rowid):
-            self._entries.pop(pos)
-
-    def range(self, lo: Any = None, hi: Any = None,
-              lo_open: bool = False, hi_open: bool = False) -> Iterator[int]:
-        """Rowids with lo (<|<=) value (<|<=) hi, in value order."""
-        entries = self._entries
-        if lo is None:
-            start = 0
-        elif lo_open:
-            start = bisect.bisect_right(entries, (lo, float("inf")))
-        else:
-            start = bisect.bisect_left(entries, (lo, -1))
-        for value, rowid in entries[start:]:
-            if hi is not None:
-                if hi_open and value >= hi:
-                    break
-                if not hi_open and value > hi:
-                    break
-            yield rowid
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"<SortedIndex {self.table_name}.{self.column} n={len(self)}>"
 
 
 def _hashable(value: Any) -> Any:

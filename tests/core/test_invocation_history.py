@@ -61,24 +61,35 @@ def test_usage_report_aggregates(env):
     invoke(tb, stack, "Alpha%", x="2")
     report = stack.onserve.usage_report()
     by_service = {r["service"]: r for r in report}
-    assert by_service["AlphaService"]["count(*)"] == 2
-    assert by_service["AlphaService"]["sum(ok)"] == 2
-    assert by_service["AlphaService"]["avg(total)"] > 0
+    assert by_service["AlphaService"]["count"] == 2
+    assert by_service["AlphaService"]["ok"] == 2
+    assert by_service["AlphaService"]["avg_total"] > 0
 
 
-def test_usage_report_over_soap(env):
+def test_usage_report_over_soap(env, monkeypatch):
+    """Two services, one failed run: a line per service in name order,
+    the failure counted in ``count`` but not ``ok``, means to 0.1 s."""
+    from repro.core.grid_service import GridServiceRuntime
     tb, stack = env
+    tb.sim.run(until=stack.portal.upload_and_generate(
+        tb.user_hosts[0], "doomed.sh",
+        make_payload("fixed", size=int(KB(1)), runtime="500"),
+        params_spec=""))
+    stack.onserve.config.watchdog_timeout = 200.0
+    with monkeypatch.context() as patch:
+        patch.setattr(GridServiceRuntime, "JOB_WALLTIME", 30)
+        with pytest.raises(SoapFault):
+            invoke(tb, stack, "Doomed%")
     invoke(tb, stack, "Beta%", x="9")
+    stack.onserve.config.watchdog_timeout = 6 * 3600.0
+    invoke(tb, stack, "Doomed%")
     client = stack.user_clients[0]
     raw = tb.sim.run(until=tb.sim.process(client.call(
         stack.soap_server.endpoint_for("OnServeManagement"), "usageReport")))
-    lines = [l for l in raw.splitlines() if l]
-    assert len(lines) == 1
-    service, count, ok, total, overhead, polls = lines[0].split("|")
-    assert service == "BetaService"
-    assert count == "1" and ok == "1"
-    assert float(total) > 0
-    assert int(polls) >= 1
+    assert raw.splitlines() == [
+        "BetaService|1|1|10.2|0.7|2",
+        "DoomedService|2|1|354.7|0.6|56",
+    ]
 
 
 def test_history_survives_db_recovery(env):

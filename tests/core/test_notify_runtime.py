@@ -5,7 +5,6 @@ from unittest import mock
 from repro.core.context import RequestContext
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig, deploy_onserve
-from repro.errors import OnServeError
 from repro.faults import FaultSpec
 from repro.grid import build_testbed
 from repro.grid.notify import JOB_STATES_TABLE
@@ -162,8 +161,6 @@ def test_lost_job_error_notification_drives_failover():
 
 
 def test_config_validation_and_default_off():
-    with pytest.raises(OnServeError):
-        OnServeConfig(notify_propagation=0.0)
     assert OnServeConfig().notify is False
     # notify off -> no queue object on the deployed stack at all.
     sim, tb, stack = deploy(notify=False)

@@ -231,6 +231,11 @@ def test_duplicate_index_rejected():
         db.create_index("users", "name")
     with pytest.raises(DatabaseError):
         db.create_index("users", "nope")
+    # Hash is the one kind there is; any other is refused before the log.
+    log = db.wal.snapshot()
+    with pytest.raises(DatabaseError, match="unknown index kind"):
+        db.create_index("users", "score", "sorted")
+    assert db.wal.snapshot() == log and ("users", "score") not in db._indexes
 
 
 # ------------------------------------------------------------ keyed access
@@ -263,7 +268,7 @@ def test_resolver_primary_key_rung():
         (10, 1.0), (30, 0.5), (40, 4.0), (50, 5.0)]
 
 
-@pytest.mark.parametrize("index", ["hash", "sorted"])
+@pytest.mark.parametrize("index", ["hash"])
 def test_resolver_secondary_index_rungs(index):
     db = people_db(index)
     rows, scanned, keyed = _counted(
@@ -297,12 +302,12 @@ def test_resolver_scan_rung_counts_every_heap_row():
 
 
 def test_resolver_falls_back_on_unhashable_or_uncomparable_value():
-    db = people_db("sorted")
-    # A list cannot be hashed (PK map) nor ordered against str (sorted
-    # index): both rungs give way to the positional scan, which simply
-    # finds nothing equal.
+    db = people_db("hash")
+    # A list cannot be hashed (PK map, hash index): both rungs give way
+    # to the positional scan, which simply finds nothing equal.
     assert _counted(db, lambda: db.find_eq("users", "id", [10])) == ([], 5, 0)
-    assert _counted(db, lambda: db.delete_eq("users", "name", 7)) == (0, 5, 0)
+    assert _counted(db, lambda: db.delete_eq(
+        "users", "name", ["ada"])) == (0, 5, 0)
     blobs = Database()
     blobs.create_table("b", [Column("k", "BLOB", primary_key=True)])
     blobs.insert("b", [b"\x01"])

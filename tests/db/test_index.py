@@ -1,6 +1,6 @@
 """Unit tests for secondary indexes."""
 
-from repro.db.index import HashIndex, SortedIndex
+from repro.db.index import HashIndex
 
 
 def test_hash_index_add_find_remove():
@@ -31,34 +31,3 @@ def test_hash_index_bytearray_keys():
     idx.add(bytearray(b"blob"), 1)
     assert idx.find(b"blob") == {1}
 
-
-def test_sorted_index_range_closed():
-    idx = SortedIndex("t", "c")
-    for i, v in enumerate([10, 20, 30, 40, 50]):
-        idx.add(v, i)
-    assert list(idx.range(lo=20, hi=40)) == [1, 2, 3]
-
-
-def test_sorted_index_range_open_bounds():
-    idx = SortedIndex("t", "c")
-    for i, v in enumerate([10, 20, 30, 40, 50]):
-        idx.add(v, i)
-    assert list(idx.range(lo=20, hi=40, lo_open=True, hi_open=True)) == [2]
-    assert list(idx.range()) == [0, 1, 2, 3, 4]
-    assert list(idx.range(hi=10)) == [0]
-
-
-def test_sorted_index_duplicates_and_removal():
-    idx = SortedIndex("t", "c")
-    idx.add(5, 1)
-    idx.add(5, 2)
-    assert list(idx.range(lo=5, hi=5)) == [1, 2]
-    idx.remove(5, 1)
-    assert list(idx.range(lo=5, hi=5)) == [2]
-
-
-def test_sorted_index_ignores_null():
-    idx = SortedIndex("t", "c")
-    idx.add(None, 1)
-    assert len(idx) == 0
-    idx.remove(None, 1)  # no error

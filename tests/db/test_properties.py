@@ -14,7 +14,6 @@ from hypothesis.stateful import (
 from repro.db import Database, DbManager
 from repro.db import engine
 from repro.db.dbmanager import DbTierConfig, StoredExecutable
-from repro.db.index import HashIndex
 from repro.db.replica import ReadReplica
 from repro.db.table import Column
 from repro.db.wal import (
@@ -213,7 +212,7 @@ def test_rollback_is_exact_inverse(rows):
 # writes, transactions and snapshot reads leaves the same heap, the same
 # index contents, the same WAL bytes and the same recovered state.
 
-COLUMNS = ("k", "g", "s", "v")          # pk / hash idx / sorted idx / none
+COLUMNS = ("k", "g", "s", "v")          # pk / hash idx / hash idx / none
 keys = st.integers(0, 12)
 groups = st.one_of(st.none(), st.sampled_from(["a", "b", "c"]))
 scores = st.one_of(st.none(), st.integers(0, 4).map(float))
@@ -256,7 +255,7 @@ def _keyed_db(indexed, mvcc):
                           Column("v", "TEXT", nullable=False)])
     if indexed:
         db.create_index("t", "g", "hash")
-        db.create_index("t", "s", "sorted")
+        db.create_index("t", "s", "hash")
     return db
 
 
@@ -319,9 +318,7 @@ def _outcome(db, op, keyed, snaps):
 def _state(db):
     """Heap in scan order, primary-key map and every index's contents."""
     tbl = db.tables["t"]
-    indexes = {key: (index._map if isinstance(index, HashIndex)
-                     else index._entries)
-               for key, index in db._indexes.items()}
+    indexes = {key: index._map for key, index in db._indexes.items()}
     return list(tbl.scan()), tbl._pk_map, indexes
 
 
@@ -466,15 +463,10 @@ def _expect(db, reference):
             row[0]: rowid for rowid, row in rows.items()}
     for (table, column), index in db._indexes.items():
         pos = db.tables[table].schema.index_of(column)
-        if isinstance(index, HashIndex):
-            want = {}
-            for rowid, row in tables[table].items():
-                want.setdefault(row[pos], set()).add(rowid)
-            assert index._map == want
-        else:
-            assert index._entries == sorted(
-                (row[pos], rowid) for rowid, row in tables[table].items()
-                if row[pos] is not None)
+        want = {}
+        for rowid, row in tables[table].items():
+            want.setdefault(row[pos], set()).add(rowid)
+        assert index._map == want
 
 
 @settings(max_examples=150, deadline=None)

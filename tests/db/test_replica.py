@@ -356,7 +356,7 @@ def test_a_replica_on_demand_answers_every_routed_read_as_an_eager_one(steps):
             elif op == "index":
                 if args[0] in db.tables and (args[0], "name") not in \
                         db._indexes:
-                    db.create_index(args[0], "name", "sorted")
+                    db.create_index(args[0], "name", "hash")
             elif op == "drop":
                 if args[0] in db.tables:
                     db.drop_table(args[0])

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, execute_sql
-from repro.db.table import Column
 from repro.hardware import Network
 from repro.simkernel import Simulator
 from repro.telemetry import TimeSeries
@@ -101,35 +99,3 @@ def test_nonzero_fraction_bounds(values):
         s.append(float(i), v)
     f = s.nonzero_fraction()
     assert 0.0 <= f <= 1.0
-
-
-# ---------------------------------------------------------------- SQL aggregates
-
-groups = st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c"]),
-              st.one_of(st.none(), st.integers(-100, 100))),
-    max_size=30)
-
-
-@settings(max_examples=50)
-@given(groups)
-def test_group_by_matches_python_oracle(rows):
-    db = Database()
-    db.create_table("t", [Column("g", "TEXT"), Column("v", "INT")])
-    for g, v in rows:
-        db.insert("t", [g, v])
-    got = execute_sql(db, "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(v), "
-                          "MAX(v) FROM t GROUP BY g")
-    oracle = {}
-    for g, v in rows:
-        oracle.setdefault(g, []).append(v)
-    assert len(got) == len(oracle)
-    for record in got:
-        g = record["g"]
-        values = oracle[g]
-        non_null = [v for v in values if v is not None]
-        assert record["count(*)"] == len(values)
-        assert record["count(v)"] == len(non_null)
-        assert record["sum(v)"] == (sum(non_null) if non_null else None)
-        assert record["min(v)"] == (min(non_null) if non_null else None)
-        assert record["max(v)"] == (max(non_null) if non_null else None)
