@@ -102,7 +102,7 @@ class FabricStack:
                 return onserve
         return None
 
-    # -- self-healing: leases, crash, restart, drain ------------------------
+    # -- self-healing: leases, crash, restart --------------------------------
 
     def start_self_healing(self,
                            heartbeat_interval: Optional[float] = None
@@ -114,13 +114,13 @@ class FabricStack:
         (default: a third of the router's ``lease_ttl``, so two beats
         can be lost before the lease lapses), and the router starts the
         lease watchdog that declares lapsed replicas dead.  Requires a
-        router constructed with ``self_healing=True`` and a store.
+        router constructed with a state store.
         """
         if self.self_healing:
             return self
-        if not self.router.self_healing or self.router.store is None:
+        if self.router.store is None:
             raise OnServeError("self-healing needs a router built with "
-                               "self_healing=True and a state store")
+                               "a state store")
         self.heartbeat_interval = (heartbeat_interval
                                    or self.router.lease_ttl / 3.0)
         self.self_healing = True
@@ -183,7 +183,7 @@ class FabricStack:
         return killed
 
     def restart_replica(self, name: str) -> None:
-        """Bring a crashed/drained replica back into service.
+        """Bring a crashed replica back into service.
 
         The replica is stateless — everything it needs lives in the
         shared DB tier — so restart is: clear the crash flag, rejoin
@@ -197,28 +197,6 @@ class FabricStack:
                 self._start_heartbeat(name)
         bus(self.sim).emit("fabric.replica_restart", layer="core",
                            replica=name)
-
-    def drain_replica(self, name: str, reason: str = "admin") -> Process:
-        """Gracefully remove *name*: stop new routes, finish in-flight.
-
-        Returns the drain process; its completion means the replica is
-        out of the ring with zero requests in flight, its membership
-        lease released and its agent session lease dropped.
-        """
-        def op() -> Generator[Event, None, None]:
-            heartbeat = self._heartbeats.pop(name, None)
-            if heartbeat is not None and heartbeat.is_alive:
-                heartbeat.interrupt("drain")
-            if self.store.member(name) is not None:
-                self.store.mark_draining(name)
-            drain = self.router.remove_replica(name, reason=reason,
-                                               drain=True)
-            yield drain
-            onserve = self.onserve_for(name)
-            if onserve is not None:
-                self.store.drop_lease(name, onserve.config.grid_username)
-
-        return self.sim.process(op(), name=f"fabric:drain:{name}")
 
     def inquiry_endpoint(self) -> str:
         """Where clients reach the UDDI inquiry service: the router when
@@ -268,13 +246,9 @@ def deploy_fabric(testbed: Testbed,
                   dbmanager: Optional[DbManager] = None,
                   replicas: int = 1,
                   router: Optional[bool] = None,
-                  spill_threshold: int = 4,
                   self_healing: bool = False,
                   lease_ttl: float = 15.0,
-                  lease_check_interval: float = 5.0,
-                  fault_threshold: int = 2,
-                  shed_limit: Optional[int] = None,
-                  backpressure_threshold: Optional[int] = None) -> Process:
+                  lease_check_interval: float = 5.0) -> Process:
     """Deploy onServe onto *testbed* (a sim process) — the one deployer.
 
     The process-event's value is a :class:`FabricStack`.  The defaults
@@ -289,10 +263,8 @@ def deploy_fabric(testbed: Testbed,
 
     With ``self_healing=True`` (routed deployments) the stack arms the
     lease/failover plane after deployment: replicas heartbeat their
-    membership leases into the shared store, the router watches for
-    expiry and dedups failover replays, and the
-    ``shed_limit``/``backpressure_threshold`` overload ladder guards
-    admission (DESIGN.md §13).
+    membership leases into the shared store, and the router watches for
+    expiry and dedups failover replays (DESIGN.md §13).
     """
     if replicas < 1:
         raise OnServeError("replicas must be >= 1")
@@ -407,15 +379,10 @@ def deploy_fabric(testbed: Testbed,
         #    and ringed but stays out of the endpoint fabric.
         request_router = RequestRouter(
             router_host, fabric, enabled=router_on,
-            spill_threshold=spill_threshold,
             breaker_failure_threshold=config.breaker_failure_threshold,
             store=store if self_healing else None,
-            self_healing=self_healing,
             lease_ttl=lease_ttl,
-            lease_check_interval=lease_check_interval,
-            fault_threshold=fault_threshold,
-            shed_limit=shed_limit,
-            backpressure_threshold=backpressure_threshold)
+            lease_check_interval=lease_check_interval)
         for onserve, server in zip(onserves, servers):
             request_router.add_replica(onserve.replica, server, onserve)
             onserve.router = request_router

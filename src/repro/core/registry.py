@@ -34,9 +34,9 @@ Tables
     a replica process restart.
 ``replica_members``
     The self-healing plane's membership leases: one row per live
-    replica, refreshed by its heartbeat, carrying the lease expiry, a
-    process-incarnation epoch and an ``up``/``draining`` status.  The
-    router declares a replica dead when its lease lapses.
+    replica, refreshed by its heartbeat, carrying the lease expiry and
+    a process-incarnation epoch.  The router declares a replica dead
+    when its lease lapses.
 ``invocation_dedup``
     Idempotency records for crash failover: one row per completed
     mutating invocation, written in the same simulation frame the
@@ -121,7 +121,6 @@ _MEMBER_SCHEMA = [
     Column("replica", "TEXT", primary_key=True),
     Column("expires", "REAL", nullable=False),
     Column("epoch", "INT", nullable=False),
-    Column("status", "TEXT", nullable=False),
 ]
 
 _DEDUP_SCHEMA = [
@@ -449,8 +448,7 @@ class ServiceStateStore:
 
     # -- replica membership leases (self-healing plane) -----------------------
 
-    def renew_member(self, replica: str, expires: float,
-                     status: str = "up") -> None:
+    def renew_member(self, replica: str, expires: float) -> None:
         """Write/refresh *replica*'s membership lease (heartbeat).
 
         ``epoch`` counts process incarnations: it bumps whenever a
@@ -459,7 +457,7 @@ class ServiceStateStore:
         """
         row = self.member(replica)
         epoch = row["epoch"] if row is not None else self._next_epoch()
-        self.db.upsert(MEMBER_TABLE, [replica, expires, epoch, status])
+        self.db.upsert(MEMBER_TABLE, [replica, expires, epoch])
 
     def _next_epoch(self) -> int:
         self._member_epoch += 1
@@ -480,10 +478,6 @@ class ServiceStateStore:
         return sorted(r["replica"]
                       for r in self._read(MEMBER_TABLE).select(MEMBER_TABLE)
                       if r["expires"] <= now)
-
-    def mark_draining(self, replica: str) -> None:
-        self.db.update_eq(MEMBER_TABLE, "replica", replica,
-                          {"status": "draining"})
 
     def drop_member(self, replica: str) -> None:
         self.db.delete_eq(MEMBER_TABLE, "replica", replica)

@@ -42,7 +42,6 @@ __all__ = [
     "UddiError",
     "ServiceNotFound",
     "ReplicaDown",
-    "ServerOverloaded",
     "GridError",
     "RslError",
     "JobError",
@@ -203,17 +202,6 @@ class ReplicaDown(WsError):
     Retryable: the request can be replayed on a preference-list
     survivor — under the router's invocation-dedup layer for mutating
     operations, freely for idempotent reads.
-    """
-
-    retryable = True
-
-
-class ServerOverloaded(WsError):
-    """Every live replica's admission queue is at its bounded depth.
-
-    The router sheds the request instead of queueing toward collapse
-    (spill before shed, shed before collapse).  Retryable: load is a
-    transient condition — back off and repeat.
     """
 
     retryable = True

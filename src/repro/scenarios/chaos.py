@@ -210,7 +210,6 @@ def run_chaos(replicas: int = 8,
               restart: int = 1,
               lease_ttl: float = 12.0,
               lease_check_interval: float = 3.0,
-              fault_threshold: int = 2,
               seed: int = 0,
               smoke: bool = False) -> ChaosResult:
     """Run the chaos drill (calibration pass + chaos pass)."""
@@ -236,11 +235,10 @@ def run_chaos(replicas: int = 8,
 
     calibration = _one_run(replicas, clients, services, rounds, file_bytes,
                            runtime, lease_ttl, lease_check_interval,
-                           fault_threshold, seed, kill=0, restart=0,
-                           span=None)
+                           seed, kill=0, restart=0, span=None)
     chaos = _one_run(replicas, clients, services, rounds, file_bytes,
                      runtime, lease_ttl, lease_check_interval,
-                     fault_threshold, seed, kill=kill, restart=restart,
+                     seed, kill=kill, restart=restart,
                      span=calibration["elapsed"])
     return ChaosResult(
         replicas=replicas, clients=clients, services=services,
@@ -263,16 +261,14 @@ def run_chaos(replicas: int = 8,
 
 def _one_run(replicas: int, clients: int, services: int, rounds: int,
              file_bytes: int, runtime: str, lease_ttl: float,
-             lease_check_interval: float, fault_threshold: int,
-             seed: int, kill: int, restart: int,
+             lease_check_interval: float, seed: int, kill: int, restart: int,
              span: Optional[float]) -> Dict[str, object]:
     """One full pass; ``kill=0`` is the fault-free calibration."""
     env = standard_env(sample_interval=None, seed=seed, n_users=clients,
                        fabric=dict(
                            replicas=replicas, self_healing=True,
                            lease_ttl=lease_ttl,
-                           lease_check_interval=lease_check_interval,
-                           fault_threshold=fault_threshold))
+                           lease_check_interval=lease_check_interval))
     sim, testbed, stack = env.sim, env.testbed, env.stack
     telemetry = bus(sim).record("ws.request", "fabric.replica_crash",
                                 "router.replica_dead", "gram.submit")

@@ -62,15 +62,13 @@ def standard_env(appliance_uplink: float = KBps(85),
     """Deploy the standard evaluation environment.
 
     *fabric* holds :func:`~repro.core.fabric.deploy_fabric` keywords
-    (``replicas``, ``router``, the healing/overload settings); without
-    it the deployment is the paper's single appliance.  Returns a
-    :class:`ScenarioEnv` with samplers attached *after* deployment so
-    the series start clean — or none for ``sample_interval=None``:
-    reading a fair-share resource's counters advances its float
-    integration, so a sampled run and an unsampled one differ in the
-    last bits, and a routed fabric's least-loaded ties amplify that.
-    The scenarios that measure clients rather than the appliance
-    (scaleout, chaos, controltower) therefore run unsampled.
+    (``replicas``, ``router``, ``self_healing`` and the lease timings);
+    without it the deployment is the paper's single appliance.  Returns
+    a :class:`ScenarioEnv` with samplers attached *after* deployment so
+    the series start clean — or none for ``sample_interval=None``.
+    Reading a fair-share counter changes no state, but the fabric
+    scenarios (scaleout, chaos, controltower, datapath) still run
+    unsampled: turning their samplers back on changes their reports.
     """
     testbed_kw.setdefault("n_sites", 4)
     testbed_kw.setdefault("nodes_per_site", 4)

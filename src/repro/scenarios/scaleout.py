@@ -132,7 +132,6 @@ def run_scaleout(replica_levels: Sequence[int] = (1, 2, 4, 8, 16),
                  rounds: Optional[int] = None,
                  file_bytes: Optional[int] = None,
                  runtime: str = "6",
-                 spill_threshold: int = 4,
                  seed: int = 0,
                  smoke: bool = False) -> ScaleoutResult:
     """Sweep replica counts under a fixed closed-loop client population.
@@ -159,16 +158,16 @@ def run_scaleout(replica_levels: Sequence[int] = (1, 2, 4, 8, 16),
     routed_elapsed = None
     for n in replica_levels:
         level = _one_level(n, True, clients, services, rounds, file_bytes,
-                           runtime, spill_threshold, seed)
+                           runtime, seed)
         rows.append(level)
         if n == 1:
             routed_elapsed = level["elapsed"]
     if routed_elapsed is None:
         routed = _one_level(1, True, clients, services, rounds, file_bytes,
-                            runtime, spill_threshold, seed)
+                            runtime, seed)
         routed_elapsed = routed["elapsed"]
     baseline = _one_level(1, False, clients, services, rounds, file_bytes,
-                          runtime, spill_threshold, seed)
+                          runtime, seed)
     # The smoke keeps N = 4: two ranges cannot tell a coarse range floor
     # from one that fills every uplink.
     widths = ((1, 2, 4) if smoke
@@ -183,11 +182,10 @@ def run_scaleout(replica_levels: Sequence[int] = (1, 2, 4, 8, 16),
 
 def _one_level(replicas: int, router_on: bool, clients: int, services: int,
                rounds: int, file_bytes: int, runtime: str,
-               spill_threshold: int, seed: int) -> Dict[str, float]:
+               seed: int) -> Dict[str, float]:
     """Deploy one fabric and push the full client population through it."""
     env = standard_env(sample_interval=None, seed=seed, n_users=clients,
-                       fabric=dict(replicas=replicas, router=router_on,
-                                   spill_threshold=spill_threshold))
+                       fabric=dict(replicas=replicas, router=router_on))
     sim, testbed, stack = env.sim, env.testbed, env.stack
     telemetry = bus(sim)
 

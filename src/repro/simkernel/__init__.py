@@ -26,7 +26,7 @@ Quick example::
 from repro.simkernel.events import AllOf, AnyOf, Event, Timeout
 from repro.simkernel.kernel import Simulator
 from repro.simkernel.process import Interrupt, Process
-from repro.simkernel.resources import Container, Resource, Store
+from repro.simkernel.resources import Resource
 from repro.simkernel.rng import RngRegistry
 
 __all__ = [
@@ -38,7 +38,5 @@ __all__ = [
     "Process",
     "Interrupt",
     "Resource",
-    "Container",
-    "Store",
     "RngRegistry",
 ]

@@ -1,20 +1,14 @@
-"""Shared-resource primitives: Resource, Container and Store.
+"""The shared-resource primitive: :class:`Resource`.
 
-These mirror the classic SimPy trio:
-
-* :class:`Resource` — a fixed number of slots; processes queue for one.
-* :class:`Container` — a homogeneous quantity (e.g. disk space) that can
-  be put into / taken from.
-* :class:`Store` — a queue of distinct Python objects.
-
-All waiting is FIFO (optionally priority-ordered for ``Resource``), which
-keeps contention deterministic.
+A fixed number of slots, as in SimPy; processes queue for one.  Waiting
+is FIFO, optionally priority-ordered, which keeps contention
+deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.simkernel.events import Event
@@ -22,7 +16,7 @@ from repro.simkernel.events import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
 
-__all__ = ["Resource", "Request", "Container", "Store"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -109,106 +103,3 @@ class Resource:
             req = self.queue.pop(0)
             self.users.append(req)
             req.succeed(req)
-
-
-class Container:
-    """A homogeneous quantity with blocking put/get.
-
-    ``get`` events fire once the requested amount is available; ``put``
-    events fire once there is room below *capacity*.  Waiters are served
-    FIFO — a large get at the head blocks smaller ones behind it, which is
-    exactly the fairness you want for disk-space style accounting.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf"),
-                 init: float = 0.0, name: str = ""):
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise SimulationError("init must lie within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = float(init)
-        self.name = name
-        self._getters: list[tuple[float, Event]] = []
-        self._putters: list[tuple[float, Event]] = []
-
-    def put(self, amount: float) -> Event:
-        """Add *amount*; fires when it fits under capacity."""
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        ev = Event(self.sim, name=f"put:{self.name}")
-        self._putters.append((amount, ev))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Remove *amount*; fires when that much is available."""
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        ev = Event(self.sim, name=f"get:{self.name}")
-        self._getters.append((amount, ev))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                amount, ev = self._putters[0]
-                if self.level + amount <= self.capacity:
-                    self._putters.pop(0)
-                    self.level += amount
-                    ev.succeed(amount)
-                    progressed = True
-            if self._getters:
-                amount, ev = self._getters[0]
-                if amount <= self.level:
-                    self._getters.pop(0)
-                    self.level -= amount
-                    ev.succeed(amount)
-                    progressed = True
-
-
-class Store:
-    """A FIFO queue of distinct items with blocking put/get."""
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf"),
-                 name: str = ""):
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.items: list[Any] = []
-        self._getters: list[Event] = []
-        self._putters: list[tuple[Any, Event]] = []
-
-    def put(self, item: Any) -> Event:
-        """Append *item*; fires when there is room."""
-        ev = Event(self.sim, name=f"put:{self.name}")
-        self._putters.append((item, ev))
-        self._settle()
-        return ev
-
-    def get(self) -> Event:
-        """Pop the oldest item; fires when one exists."""
-        ev = Event(self.sim, name=f"get:{self.name}")
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and len(self.items) < self.capacity:
-                item, ev = self._putters.pop(0)
-                self.items.append(item)
-                ev.succeed(item)
-                progressed = True
-            if self._getters and self.items:
-                ev = self._getters.pop(0)
-                ev.succeed(self.items.pop(0))
-                progressed = True

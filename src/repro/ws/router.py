@@ -15,9 +15,9 @@ Two deviations from the hash owner are allowed, in order:
   circuit removes it from the candidate walk until the reset timeout,
   so requests do not queue behind a dead replica, and
 * **least-loaded spill** — when the owner already has
-  ``spill_threshold`` requests in flight, the request goes to the
-  least-loaded live candidate instead (ties broken by ring preference,
-  keeping the choice deterministic).
+  :attr:`RequestRouter.spill_threshold` requests in flight, the request
+  goes to the least-loaded live candidate instead (ties broken by ring
+  preference, keeping the choice deterministic).
 
 The router is itself a fabric target: it has a ``host``, a ``wsdl``
 and a ``transport``, so :class:`~repro.ws.client.WsClient` talks to it
@@ -43,8 +43,7 @@ from typing import (
 
 from repro.core.context import RequestContext, span
 from repro.errors import (
-    ReplicaDown, ServerOverloaded, ServiceNotFound, SoapFault, WsError,
-    is_retryable,
+    ReplicaDown, ServiceNotFound, SoapFault, WsError, is_retryable,
 )
 from repro.hardware.host import Host
 from repro.resilience.breaker import OPEN, BreakerBoard
@@ -193,74 +192,66 @@ class RequestRouter:
     READ_OPS = frozenset({"findService", "getBindings", "listServices",
                           "describe", "status"})
 
+    #: Seconds an open replica circuit stays open.
+    BREAKER_RESET_TIMEOUT = 60.0
+
+    # The three lower-case settings below are plain class attributes
+    # a test may shadow on one router instance.
+
+    #: Requests in flight on the hash owner at which the next one
+    #: spills to the least-loaded live candidate.
+    spill_threshold = 4
+    #: Consecutive transport faults that declare a replica dead ahead
+    #: of its lease expiry.
+    fault_threshold = 2
+    #: How a request crashed off a replica backs off and walks on.
+    failover_policy = RetryPolicy(max_attempts=3, base_delay=0.25,
+                                  multiplier=2.0, max_delay=2.0)
+
     def __init__(self, host: Host, fabric: Optional[SoapFabric] = None,
-                 enabled: bool = True, spill_threshold: int = 4,
-                 vnodes: int = 64, breaker_failure_threshold: int = 3,
-                 breaker_reset_timeout: float = 60.0,
-                 store=None, self_healing: bool = False,
-                 lease_ttl: float = 15.0,
-                 lease_check_interval: float = 5.0,
-                 fault_threshold: int = 2,
-                 shed_limit: Optional[int] = None,
-                 backpressure_threshold: Optional[int] = None,
-                 failover_policy: Optional[RetryPolicy] = None):
+                 enabled: bool = True, breaker_failure_threshold: int = 3,
+                 store=None, lease_ttl: float = 15.0,
+                 lease_check_interval: float = 5.0):
         self.host = host
         self.sim = host.sim
         self.enabled = enabled
-        if spill_threshold < 1:
-            raise WsError("spill_threshold must be >= 1")
-        self.spill_threshold = spill_threshold
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing()
         self._replicas: Dict[str, Replica] = {}
         self._inflight: Dict[str, int] = {}
         #: Per-replica circuit breakers: an open circuit drops the
         #: replica from the candidate walk until the reset timeout.
         self.breakers = BreakerBoard(
             self.sim, failure_threshold=breaker_failure_threshold,
-            reset_timeout=breaker_reset_timeout)
+            reset_timeout=self.BREAKER_RESET_TIMEOUT)
         self.requests_routed = 0
         self.rebalances = 0
         self.bus = bus(self.sim)
         board = gauges(self.sim)
         self._queue_gauge = board.gauge("router.queue", unit="reqs")
         self._board = board
-        # -- failover, overload ladder, self-healing ------------------
+        # -- failover, self-healing ----------------------------------
         # Every routed request fails over off a crashed replica.  What
-        # ``self_healing`` (with a *store*) adds is durable state: the
+        # a *store* adds is the self-healing plane's durable state: the
         # invocation-dedup table behind replayed mutations, membership
         # leases and the watchdog that expires them.  The constructor
         # creates zero simulation events either way (the watchdog only
         # starts via start_membership_watch).
         if lease_ttl <= 0 or lease_check_interval <= 0:
             raise WsError("lease_ttl and lease_check_interval must be > 0")
-        if fault_threshold < 1:
-            raise WsError("fault_threshold must be >= 1")
-        if shed_limit is not None and shed_limit < spill_threshold:
-            raise WsError("shed_limit must be >= spill_threshold "
-                          "(spill before shed)")
         self.store = store
-        self.self_healing = self_healing
         self.lease_ttl = lease_ttl
         self.lease_check_interval = lease_check_interval
-        self.fault_threshold = fault_threshold
-        self.shed_limit = shed_limit
-        self.backpressure_threshold = backpressure_threshold
-        self.failover_policy = failover_policy or RetryPolicy(
-            max_attempts=3, base_delay=0.25, multiplier=2.0, max_delay=2.0)
         self._consecutive_faults: Dict[str, int] = {}
         # Per replica, in admission order (a dict as an ordered set): a
         # crash must interrupt them in the same order on every run.
         self._inflight_procs: Dict[str, Dict[Process, None]] = {}
-        #: Replicas declared dead or drained, parked for revival.
+        #: Replicas declared dead, parked for revival.
         self._dead: Dict[str, Replica] = {}
-        self._drain_waiters: Dict[str, List[Event]] = {}
         self._watchdog: Optional[Process] = None
-        self._backpressured = False
         #: (ts, replica, reason) death declarations, in order.
         self.deaths: List[Tuple[float, str, str]] = []
         self.failovers = 0
         self.dedup_hits = 0
-        self.sheds = 0
         # Only an *enabled* router owns an endpoint.  A disabled router
         # stays out of the fabric entirely: nothing resolves to it,
         # nothing routes through it, no timeline can be perturbed by it.
@@ -278,34 +269,17 @@ class RequestRouter:
         self._inflight[name] = 0
         self.ring.add(name)
 
-    def remove_replica(self, name: str, reason: str = "admin",
-                       drain: bool = False) -> Optional[Process]:
-        """Take *name* out of the routing set.
+    def remove_replica(self, name: str, reason: str = "admin") -> None:
+        """Take *name* out of the routing set, at once.
 
-        Immediate removal (the default) also clears the replica's share
-        of the router gauges — its per-replica inflight gauge drops to
-        zero and the aggregate queue gauge sheds its in-flight count —
-        so a removed replica never lingers as a ghost in telemetry.  A
-        ``router.rebalance`` event records the membership change.
-
-        With ``drain=True`` the replica leaves the ring (no *new*
-        requests route to it) but keeps its registration until every
-        in-flight request finishes; returns the drain process to wait
-        on.  Draining a replica with nothing in flight completes
-        immediately (still via a process, for a uniform return type).
+        Removal also clears the replica's share of the router gauges —
+        its per-replica inflight gauge drops to zero and the aggregate
+        queue gauge loses its in-flight count — so a removed replica
+        never lingers as a ghost in telemetry.  A ``router.rebalance``
+        event records the membership change.
         """
         if name not in self._replicas:
             raise WsError(f"replica {name!r} not registered")
-        if drain:
-            self.ring.remove(name)
-            self.rebalances += 1
-            self._board.gauge("router.rebalances").set(self.rebalances)
-            self.bus.emit("router.rebalance", layer="ws", replica=name,
-                          reason=f"drain:{reason}",
-                          inflight=self._inflight.get(name, 0),
-                          replicas=len(self.ring))
-            return self.sim.process(self._drain(name, reason),
-                                    name=f"router:drain:{name}")
         inflight = self._inflight.pop(name, 0)
         del self._replicas[name]
         self.ring.remove(name)
@@ -318,34 +292,6 @@ class RequestRouter:
         self.bus.emit("router.rebalance", layer="ws", replica=name,
                       reason=f"remove:{reason}", inflight=inflight,
                       replicas=len(self.ring))
-        return None
-
-    def _drain(self, name: str, reason: str
-               ) -> Generator[Event, None, None]:
-        """Finish in-flight work on *name*, then complete the removal."""
-        while self._inflight.get(name, 0) > 0:
-            gate = self.sim.event(name=f"router:drain-gate:{name}")
-            self._drain_waiters.setdefault(name, []).append(gate)
-            yield gate
-        self._drain_waiters.pop(name, None)
-        replica = self._replicas.pop(name, None)
-        self._inflight.pop(name, None)
-        self._board.gauge("router.inflight", unit="reqs",
-                          labels={"replica": name}).set(0)
-        self.bus.emit("router.rebalance", layer="ws", replica=name,
-                      reason=f"drained:{reason}", replicas=len(self.ring))
-        if replica is not None:
-            self._dead[name] = replica
-            if self.store is not None:
-                self.store.drop_member(name)
-
-    def _notify_drain(self, name: str) -> None:
-        """Wake a drain waiting on *name* once its inflight hits zero."""
-        if self._inflight.get(name, 0) > 0:
-            return
-        for gate in self._drain_waiters.pop(name, ()):  # pragma: no branch
-            if not gate.triggered:
-                gate.succeed()
 
     def _declare_dead(self, name: str, reason: str) -> None:
         """Declare *name* dead: un-route it and park it for revival."""
@@ -362,7 +308,7 @@ class RequestRouter:
             self.store.drop_member(name)
 
     def revive_replica(self, name: str) -> None:
-        """Bring a previously dead/drained replica back into the ring.
+        """Bring a previously dead replica back into the ring.
 
         Tolerant of the replica never having been declared dead (e.g. a
         restart that raced the watchdog): reviving an already-routable
@@ -441,16 +387,15 @@ class RequestRouter:
     # -- lease-based membership --------------------------------------------------
 
     def start_membership_watch(self) -> Process:
-        """Start the lease watchdog (requires a store and self-healing).
+        """Start the lease watchdog (requires a state store).
 
         The watchdog scans the shared membership table every
         ``lease_check_interval`` seconds and declares any replica whose
         lease expired dead — the slow path that catches replicas which
         died quietly (no traffic, so no transport faults to count).
         """
-        if not self.self_healing or self.store is None:
-            raise WsError("membership watch needs self_healing=True "
-                          "and a state store")
+        if self.store is None:
+            raise WsError("membership watch needs a state store")
         if self._watchdog is not None and self._watchdog.is_alive:
             return self._watchdog
         self._watchdog = self.sim.process(
@@ -478,7 +423,7 @@ class RequestRouter:
     def _note_transport_fault(self, name: str) -> None:
         """Count a transport-level fault against *name* (fast path).
 
-        ``fault_threshold`` consecutive transport faults declare the
+        :attr:`fault_threshold` consecutive transport faults declare the
         replica dead without waiting out the lease — the fast path for
         replicas that die under traffic.
         """
@@ -566,15 +511,10 @@ class RequestRouter:
           interrupt, and a :class:`ReplicaDown` (refused connection or
           mid-request interrupt) fails over to the next preference-list
           survivor under the failover :class:`RetryPolicy`;
-        * with a dedup store (``self_healing``), mutating operations
-          replay under the invocation-dedup table: a retried call whose
-          first attempt actually completed returns the recorded result
-          instead of double-executing;
-        * the overload ladder — spill (in :meth:`choose`), then shed
-          with a typed :class:`ServerOverloaded` once every live
-          replica's admission queue is at ``shed_limit``, with
-          router-level backpressure pacing admissions before that;
-          both rungs are no-ops while their limit is ``None``.
+        * with a dedup store (the self-healing plane), mutating
+          operations replay under the invocation-dedup table: a retried
+          call whose first attempt actually completed returns the
+          recorded result instead of double-executing.
         """
         request = SoapEnvelope.request(operation, params,
                                        namespace=f"urn:repro:{service_name}")
@@ -587,7 +527,6 @@ class RequestRouter:
             yield client.send(self.host, request.size(),
                               label=f"route-req:{service_name}.{operation}")
             yield self.host.compute(self.ROUTE_CPU, tag="router")
-            yield from self._check_backpressure()
             # Idempotency key: mutating operations (anything outside
             # READ_OPS) dedup on (request id, service, operation) so a
             # failover replay of an attempt that actually completed
@@ -615,22 +554,6 @@ class RequestRouter:
                 except WsError as exc:
                     fault = soap_fault(ReplicaDown(
                         f"no live replica left for {service_name!r}: {exc}"))
-                    yield from self._relay_fault(client, service_name,
-                                                 operation, fault)
-                    raise fault
-                if (self.shed_limit is not None
-                        and self._inflight[replica.name] >= self.shed_limit):
-                    # Even the least-loaded candidate is saturated:
-                    # shed instead of queueing toward collapse.
-                    self.sheds += 1
-                    self._board.gauge("router.sheds").set(self.sheds)
-                    self.bus.emit("router.shed", layer="ws",
-                                  service=service_name, operation=operation,
-                                  replica=replica.name,
-                                  inflight=self._inflight[replica.name])
-                    fault = soap_fault(ServerOverloaded(
-                        f"all replicas at admission limit "
-                        f"{self.shed_limit} for {service_name!r}"))
                     yield from self._relay_fault(client, service_name,
                                                  operation, fault)
                     raise fault
@@ -722,7 +645,7 @@ class RequestRouter:
                                     self.sim.now)
         return result
 
-    # -- admission / overload helpers --------------------------------------------
+    # -- admission helpers --------------------------------------------------------
 
     def _admit(self, name: str) -> None:
         """Count one request into *name*'s admission queue (gauges)."""
@@ -735,8 +658,8 @@ class RequestRouter:
     def _release(self, name: str) -> None:
         """Undo :meth:`_admit` — tolerant of a concurrent removal.
 
-        If the replica was removed (crash declared, drain completed)
-        while this request unwound, its gauges were already cleared by
+        If the replica was removed (a crash declared) while this request
+        unwound, its gauges were already cleared by
         :meth:`remove_replica`; decrementing again would leave ghost
         negative counts, so a missing entry is a no-op.
         """
@@ -747,35 +670,6 @@ class RequestRouter:
         self._board.gauge("router.inflight", unit="reqs",
                           labels={"replica": name}
                           ).set(self._inflight[name])
-        self._notify_drain(name)
-
-    def _check_backpressure(self) -> Generator[Event, None, None]:
-        """Router-level backpressure: pace admissions before shedding.
-
-        When total in-flight crosses ``backpressure_threshold`` the
-        router delays new admissions by one failover base-delay — a
-        gentle brake that flattens arrival bursts so the shed limit is
-        the last resort, not the first.  Hysteresis (clear two below
-        the threshold) keeps the gauge from flapping.
-        """
-        if self.backpressure_threshold is None:
-            return
-        total = sum(self._inflight.values())
-        if total >= self.backpressure_threshold:
-            if not self._backpressured:
-                self._backpressured = True
-                self._board.gauge("router.backpressure").set(1)
-                self.bus.emit("router.backpressure", layer="ws",
-                              inflight=total,
-                              threshold=self.backpressure_threshold)
-            yield self.sim.timeout(self.failover_policy.base_delay,
-                                   name="router:backpressure")
-        elif (self._backpressured
-              and total <= max(0, self.backpressure_threshold - 2)):
-            self._backpressured = False
-            self._board.gauge("router.backpressure").set(0)
-            self.bus.emit("router.backpressure_clear", layer="ws",
-                          inflight=total)
 
     def _relay_fault(self, client: Host, service_name: str, operation: str,
                      fault: SoapFault) -> Generator[Event, None, None]:

@@ -34,7 +34,6 @@ CLASSIFICATION = {
     "UddiError": False,
     "ServiceNotFound": False,
     "ReplicaDown": True,             # fail over to a survivor
-    "ServerOverloaded": True,        # transient load: back off, repeat
     "GridError": False,
     "RslError": False,
     "JobError": True,                # resubmission may well succeed

@@ -223,7 +223,7 @@ def test_crash_fails_over_without_self_healing():
     at the flag."""
     from tests.ws.test_router_healing import crash_at
     sim, testbed, stack = deploy(replicas=3, n_users=1)
-    assert not stack.router.self_healing and stack.router.store is None
+    assert stack.router.store is None
     publish(sim, testbed, stack, runtime="6")
     # Crash a secondary (the primary hosts the DB tier): pick a service
     # name owned by one.
@@ -253,23 +253,6 @@ def test_crash_fails_over_without_self_healing():
     assert served and owner not in served
     assert owner not in stack.router.replicas()
     assert stack.store.dedup_count() == 0   # no store, no dedup rows
-
-
-def test_shed_limit_sheds_without_self_healing():
-    from repro.errors import SoapFault
-    sim = Simulator(seed=0)
-    testbed = build_testbed(sim=sim, n_users=1)
-    stack = sim.run(until=deploy_fabric(
-        testbed, replicas=2, spill_threshold=1, shed_limit=1))
-    assert not stack.router.self_healing
-    publish(sim, testbed, stack)
-    for name in stack.router.replicas():
-        stack.router._admit(name)    # saturate every candidate
-    with pytest.raises(SoapFault) as exc_info:
-        sim.run(until=discover_and_invoke(
-            stack, stack.user_clients[0], "Route%"))
-    assert exc_info.value.root_cause == "ServerOverloaded"
-    assert stack.router.sheds == 1
 
 
 def test_enable_client_caches_is_idempotent():

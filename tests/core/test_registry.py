@@ -165,7 +165,7 @@ def test_member_lease_lifecycle_and_epochs():
     store.renew_member("a", expires=10.0)
     store.renew_member("b", expires=20.0)
     row = store.member("a")
-    assert row["status"] == "up" and row["expires"] == 10.0
+    assert row["expires"] == 10.0
     first_epoch = row["epoch"]
     # Renewal refreshes the expiry without bumping the incarnation.
     store.renew_member("a", expires=15.0)
@@ -179,7 +179,7 @@ def test_member_lease_lifecycle_and_epochs():
     assert store.member("a")["epoch"] > first_epoch
 
 
-def test_expired_members_and_draining():
+def test_expired_members():
     sim, store = make_store()
     store.renew_member("a", expires=10.0)
     store.renew_member("b", expires=20.0)
@@ -187,10 +187,6 @@ def test_expired_members_and_draining():
     assert store.expired_members(4.9) == []
     assert store.expired_members(10.0) == ["a", "c"]  # lapse inclusive
     assert store.expired_members(99.0) == ["a", "b", "c"]
-    store.mark_draining("b")
-    assert store.member("b")["status"] == "draining"
-    # Draining does not exempt a replica from lease expiry.
-    assert "b" in store.expired_members(99.0)
     # Dropping an unknown member is a no-op, not an error.
     store.drop_member("ghost")
     assert [r["replica"] for r in store.members()] == ["a", "b", "c"]
@@ -295,7 +291,7 @@ def test_upsert_sites_update_in_place():
     store.put_record(make_service(invocations=3), replica="b")
     store.mark_staged("ncsa", "/stage/x", "d2", "b")
     store.put_lease("a", "grid", "s2", 20.0)
-    store.renew_member("a", 24.0, status="draining")
+    store.renew_member("a", 24.0)
     # Same rows, rewritten where they stand: one update each, one frame each.
     assert [[dml[0] for dml in f[2]] for f in frames] == [["update"]] * 4
     assert rowids == {t: [r for r, _ in db.tables[t].scan()]
@@ -303,4 +299,4 @@ def test_upsert_sites_update_in_place():
     assert store.get_record("HelloService")["invocations"] == 3
     assert store.staged_digest("ncsa", "/stage/x") == "d2"
     assert store.get_lease("a", "grid") == ("s2", 20.0)
-    assert store.member("a")["status"] == "draining"
+    assert store.member("a")["expires"] == 24.0

@@ -293,7 +293,8 @@ def test_a_stage_whose_ranges_the_site_refuses_fails_over_sending_none_again(
 
 
 def test_a_leader_killed_mid_transfer_is_restaged_by_the_failover():
-    sim, tb, stack, payload = deploy(self_healing=True, fault_threshold=1)
+    sim, tb, stack, payload = deploy(self_healing=True)
+    stack.router.fault_threshold = 1
     leader, _peers = leader_and_peers(stack)
     if leader == stack.onserves[0].replica:
         pytest.skip("ring owner is the primary (the DB tier) under this seed")

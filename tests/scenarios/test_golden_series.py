@@ -67,16 +67,14 @@ def attach_cold_caches(stack):
 
 def attach_healing_router(stack):
     """A disabled router carrying the *full* self-healing configuration
-    (leases, dedup store, overload ladder); returns its store."""
+    (dedup store and lease timings); returns its store."""
     from repro.core.registry import ServiceStateStore
     from repro.ws.router import RequestRouter
 
     store = ServiceStateStore(stack.dbmanager.db)
     idle = RequestRouter(stack.appliance_host, stack.fabric,
-                         enabled=False, store=store,
-                         self_healing=True, lease_ttl=15.0,
-                         lease_check_interval=5.0, fault_threshold=2,
-                         shed_limit=8, backpressure_threshold=16)
+                         enabled=False, store=store, lease_ttl=15.0,
+                         lease_check_interval=5.0)
     idle.add_replica(stack.appliance_host.name, stack.soap_server,
                      stack.onserve)
     stack.onserve.router = idle
@@ -159,10 +157,10 @@ def test_goldens_unchanged_with_idle_healing_plane_attached(
         name, golden_with):
     """A self-healing-*configured* but disabled router must stay inert.
 
-    The self-healing determinism contract (DESIGN.md §13): leases,
-    failover dedup and the overload ladder all hang off a router that
-    is ``self_healing=True`` and holds a state store — but none of it
-    runs until ``start_membership_watch`` / heartbeats start.  A
+    The self-healing determinism contract (DESIGN.md §13): leases and
+    failover dedup hang off a router that holds a state store — but
+    none of it runs until ``start_membership_watch`` / heartbeats
+    start.  A
     disabled router with the full healing configuration attached (in
     place of the plain disabled one every single-appliance deployment
     already carries) must not cost one event, and its membership/dedup

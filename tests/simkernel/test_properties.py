@@ -115,31 +115,3 @@ def test_resource_never_oversubscribed(jobs, capacity):
     sim.run()
     assert len(max_seen) == len(jobs)  # everyone got served
     assert max(max_seen) <= capacity
-
-
-@settings(max_examples=25)
-@given(st.lists(st.floats(min_value=0.1, max_value=50), min_size=1, max_size=10))
-def test_container_conserves_quantity(amounts):
-    """Total put == total got + residual level."""
-    from repro.simkernel import Container
-
-    sim = Simulator()
-    tank = Container(sim, capacity=sum(amounts) + 1)
-    got = []
-
-    def producer():
-        for a in amounts:
-            yield tank.put(a)
-            yield sim.timeout(1)
-
-    def consumer():
-        for a in amounts:
-            ev = tank.get(a)
-            yield ev
-            got.append(ev.value)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert abs(sum(got) - sum(amounts)) < 1e-9
-    assert tank.level == 0

@@ -1,9 +1,9 @@
-"""Unit tests for Resource, Container and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simkernel import Container, Resource, Simulator, Store
+from repro.simkernel import Resource, Simulator
 
 
 def test_resource_grants_up_to_capacity():
@@ -82,98 +82,3 @@ def test_resource_capacity_validation():
     sim = Simulator()
     with pytest.raises(SimulationError):
         Resource(sim, capacity=0)
-
-
-def test_container_get_blocks_until_available():
-    sim = Simulator()
-    tank = Container(sim, capacity=100, init=0)
-    times = []
-
-    def consumer():
-        yield tank.get(30)
-        times.append(sim.now)
-
-    def producer():
-        yield sim.timeout(7)
-        yield tank.put(30)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert times == [7.0]
-    assert tank.level == 0
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    tank = Container(sim, capacity=10, init=10)
-    times = []
-
-    def producer():
-        yield tank.put(5)
-        times.append(sim.now)
-
-    def consumer():
-        yield sim.timeout(3)
-        yield tank.get(5)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert times == [3.0]
-    assert tank.level == 10
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Container(sim, capacity=0)
-    with pytest.raises(SimulationError):
-        Container(sim, capacity=5, init=6)
-    tank = Container(sim, capacity=5)
-    with pytest.raises(SimulationError):
-        tank.put(-1)
-    with pytest.raises(SimulationError):
-        tank.get(-1)
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    def producer():
-        for item in ("a", "b", "c"):
-            yield store.put(item)
-            yield sim.timeout(1)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == ["a", "b", "c"]
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
-
-    def producer():
-        yield store.put(1)
-        events.append(("put1", sim.now))
-        yield store.put(2)
-        events.append(("put2", sim.now))
-
-    def consumer():
-        yield sim.timeout(5)
-        yield store.get()
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert events == [("put1", 0.0), ("put2", 5.0)]

@@ -86,15 +86,6 @@ def test_report_rendering_edges():
     assert "only" in series_table([s])
 
 
-def test_store_capacity_validation():
-    from repro.errors import SimulationError
-    from repro.simkernel import Store
-
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Store(sim, capacity=0)
-
-
 def test_network_hosts_and_links_listing():
     sim = Simulator()
     net = Network(sim)

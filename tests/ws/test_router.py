@@ -102,7 +102,8 @@ def test_choose_prefers_hash_owner_when_idle():
 
 
 def test_choose_spills_to_least_loaded_under_skew():
-    sim, router = make_router(spill_threshold=2)
+    sim, router = make_router()
+    router.spill_threshold = 2
     order = router.ring.preference("HelloService")
     owner, second, third = order
     router._inflight[owner] = 2   # at threshold: must spill
@@ -246,8 +247,12 @@ def test_enabled_router_is_a_fabric_target():
 
 # -- real servers behind the router: WSDL documents and fault relay ----------
 
-def routed_service(handler=lambda operation, params: "ok", **router_kw):
-    """Two SoapServers behind a router, ``T`` deployed on the hash owner."""
+def routed_service(handler=lambda operation, params: "ok",
+                   self_healing=False):
+    """Two SoapServers behind a router, ``T`` deployed on the hash owner;
+    a *self_healing* router holds a state store (the dedup table)."""
+    from repro.core.registry import ServiceStateStore
+    from repro.db.engine import Database
     from repro.units import Mbps
     from repro.ws import (
         OperationSpec, ServiceDescription, SoapServer, WsClient,
@@ -256,8 +261,9 @@ def routed_service(handler=lambda operation, params: "ok", **router_kw):
     sim = Simulator()
     net = Network(sim)
     fabric = SoapFabric()
+    store = ServiceStateStore(Database()) if self_healing else None
     router = RequestRouter(Host(sim, "router", net, HostSpec(cores=4)),
-                           fabric, enabled=True, **router_kw)
+                           fabric, enabled=True, store=store)
     client_host = Host(sim, "c", net, HostSpec())
     net.connect("router", "c", bandwidth=Mbps(100))
     servers = {}
@@ -330,7 +336,8 @@ def _routed_run():
     sim = Simulator(seed=0)
     testbed = build_testbed(sim=sim, n_users=4)
     stack = sim.run(until=deploy_fabric(testbed, OnServeConfig(),
-                                        replicas=2, spill_threshold=1))
+                                        replicas=2))
+    stack.router.spill_threshold = 1
     payload = make_payload("fixed", size=int(KB(32)), runtime="3",
                            output_bytes="64")
     sim.run(until=stack.portal.upload_and_generate(

@@ -1,11 +1,10 @@
-"""The self-healing routed fabric: crash failover, dedup, shed, leases.
+"""The self-healing routed fabric: crash failover, dedup, leases.
 
 These tests exercise the plane the chaos drill (scenarios/chaos.py)
 gates at scale, but one invariant at a time on small fabrics: a crash
 mid-request fails over to a survivor without losing the call, a
 replayed invocation returns the recorded result instead of executing
-twice, the overload ladder sheds with a typed retryable fault, and
-lease expiry declares a silent replica dead.
+twice, and lease expiry declares a silent replica dead.
 """
 
 import pytest
@@ -14,22 +13,27 @@ from repro.core.context import RequestContext
 from repro.core.fabric import deploy_fabric
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
-from repro.errors import OnServeError, SoapFault, WsError
+from repro.errors import OnServeError, WsError
 from repro.grid.testbed import build_testbed
 from repro.resilience.retry import RetryPolicy
 from repro.simkernel import Simulator
 from repro.telemetry.events import bus
 from repro.units import KB
+from repro.ws.router import RequestRouter
 from repro.workloads.executables import make_payload
 
 
-def deploy_healing(replicas=3, n_users=2, seed=0, **kw):
+def deploy_healing(replicas=3, n_users=2, seed=0, **router_settings):
+    """A self-healing fabric; *router_settings* (``fault_threshold``,
+    ``spill_threshold``) shadow the router's class defaults."""
     sim = Simulator(seed=seed)
     testbed = build_testbed(sim=sim, n_users=n_users)
     stack = sim.run(until=deploy_fabric(
         testbed, OnServeConfig(), replicas=replicas,
-        self_healing=True, lease_ttl=12.0, lease_check_interval=3.0,
-        **kw))
+        self_healing=True, lease_ttl=12.0, lease_check_interval=3.0))
+    for name, value in router_settings.items():
+        assert hasattr(RequestRouter, name), name
+        setattr(stack.router, name, value)
     return sim, testbed, stack
 
 
@@ -65,7 +69,6 @@ def test_self_healing_deploy_heartbeats_every_replica():
     rows = {r["replica"]: r for r in stack.store.members()}
     assert sorted(rows) == names
     for row in rows.values():
-        assert row["status"] == "up"
         assert row["expires"] > sim.now
     assert stack.store.expired_members(sim.now) == []
     stack.stop_self_healing()
@@ -174,61 +177,6 @@ def test_read_operations_bypass_the_dedup_table():
     # Exactly the execute() call is recorded; the discovery traffic
     # (findService et al) must not bloat the idempotency table.
     assert stack.store.dedup_count() == 1
-    stack.stop_self_healing()
-
-
-def test_shed_raises_retryable_server_overloaded():
-    sim, testbed, stack = deploy_healing(
-        replicas=2, n_users=1, spill_threshold=1, shed_limit=1)
-    publish(sim, testbed, stack)
-    for name in stack.router.replicas():
-        stack.router._admit(name)    # saturate every candidate
-    with pytest.raises(SoapFault) as exc_info:
-        sim.run(until=discover_and_invoke(
-            stack, stack.user_clients[0], "Route%"))
-    assert exc_info.value.root_cause == "ServerOverloaded"
-    assert exc_info.value.retryable   # callers may back off and repeat
-    assert stack.router.sheds == 1
-    assert bus(sim).first("router.shed") is not None
-    for name in stack.router.replicas():
-        stack.router._release(name)
-    stack.stop_self_healing()
-
-
-def test_shed_limit_must_not_undercut_spill():
-    sim = Simulator(seed=0)
-    testbed = build_testbed(sim=sim, n_users=1)
-    with pytest.raises(WsError):
-        sim.run(until=deploy_fabric(testbed, replicas=2,
-                                    self_healing=True,
-                                    spill_threshold=4, shed_limit=2))
-
-
-def test_drain_waits_for_inflight_then_drops_lease():
-    sim, testbed, stack = deploy_healing(replicas=3, n_users=1)
-    publish(sim, testbed, stack, runtime="6")
-    victim = stack.router.ring.owner("RouteService")
-    if victim == stack.onserves[0].replica:
-        pytest.skip("ring owner is the primary under this seed")
-    proc = discover_and_invoke(stack, stack.user_clients[0], "Route%")
-
-    def drainer():
-        yield sim.timeout(8.0, name="test:drain-timer")
-        assert stack.router.inflight(victim) > 0
-        yield stack.drain_replica(victim)
-
-    drain_proc = sim.process(drainer(), name="test:drainer")
-    result = sim.run(until=sim.all_of([proc, drain_proc]))[proc]
-    # The draining replica finished its request before leaving; its
-    # membership lease is gone and nothing new routes to it.
-    assert result
-    assert victim not in stack.router.replicas()
-    assert stack.store.member(victim) is None
-    assert stack.router.inflight(victim) == 0
-    drained = [ev for ev in bus(sim).events("router.rebalance")
-               if ev.get("replica") == victim
-               and str(ev.get("reason", "")).startswith("drained:")]
-    assert drained
     stack.stop_self_healing()
 
 
