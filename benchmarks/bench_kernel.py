@@ -16,18 +16,25 @@ on:
   what it always did — a gate that fails for a reason nobody broke.
 
 The profiled run's report (throughput, simulation-vs-telemetry split,
-hottest handlers) is saved to ``benchmarks/reports/kernel.txt`` — the
-number EXPERIMENTS.md quotes for the observability tax.
+processes started per invocation, hottest handlers) is saved to
+``benchmarks/reports/kernel.txt`` — the number EXPERIMENTS.md quotes for
+the observability tax.  Processes are counted by wrapping
+``Process.__init__`` for the length of the workload, here in the bench:
+``src/`` keeps no counter for it.
 """
 
+import collections
 import gc
+import re
 import time
+from contextlib import contextmanager
 
 from repro.core.fabric import deploy_fabric
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
 from repro.grid.testbed import build_testbed
 from repro.simkernel.kernel import Simulator
+from repro.simkernel.process import Process
 from repro.telemetry.profiler import KernelProfiler
 from repro.units import KB
 from repro.workloads.executables import make_payload
@@ -50,8 +57,37 @@ PROFILER_US_PER_CALLBACK_CEILING = 1.5
 MIN_PAIRS, MAX_PAIRS = 5, 15
 
 
+@contextmanager
+def _counting_processes():
+    """Count the processes started inside the block, by name (digits
+    folded to ``#``, as the profiler's handler table folds them)."""
+    started = collections.Counter()
+    real_init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        started[re.sub(r"\d+", "#", self.name)] += 1
+
+    Process.__init__ = counting_init
+    try:
+        yield started
+    finally:
+        Process.__init__ = real_init
+
+
+def _process_table(started) -> str:
+    """Processes started per invocation: the total, then by name."""
+    invocations = WORKERS * ROUNDS
+    width = max(map(len, started), default=0)
+    rows = [f"processes/invocation {sum(started.values()) / invocations:.2f}"]
+    rows += [f"  {name:<{width}}  {count / invocations:.2f}"
+             for name, count in started.most_common()]
+    return "\n".join(rows) + "\n\n"
+
+
 def _drive(profiled: bool):
-    """One deterministic fabric run; returns (wall_seconds, profiler)."""
+    """One deterministic fabric run; returns (wall_seconds, profiler,
+    processes started by name)."""
     sim = Simulator(seed=0)
     testbed = build_testbed(sim=sim, n_sites=2, nodes_per_site=4,
                             cores_per_node=8, n_users=WORKERS)
@@ -71,32 +107,33 @@ def _drive(profiled: bool):
         for _ in range(ROUNDS):
             yield discover_and_invoke(stack, client, pattern)
 
-    procs = [sim.process(worker(i), name=f"tenant:{i}")
-             for i in range(WORKERS)]
-    prof = KernelProfiler(sim).attach() if profiled else None
-    t0 = time.perf_counter()
-    sim.run(until=sim.all_of(procs))
-    wall = time.perf_counter() - t0
+    with _counting_processes() as started:
+        procs = [sim.process(worker(i), name=f"tenant:{i}")
+                 for i in range(WORKERS)]
+        prof = KernelProfiler(sim).attach() if profiled else None
+        t0 = time.perf_counter()
+        sim.run(until=sim.all_of(procs))
+        wall = time.perf_counter() - t0
     if prof is not None:
         prof.detach()
-    return wall, prof
+    return wall, prof, started
 
 
 def _best_of(n: int, profiled: bool):
     """Min wall time over *n* runs (noise floor), last profiler kept."""
     best, keep = float("inf"), None
     for _ in range(n):
-        wall, prof = _drive(profiled)
+        wall, prof, started = _drive(profiled)
         if wall < best:
-            best, keep = wall, prof
+            best, keep = wall, (prof, started)
     return best, keep
 
 
 def test_kernel_events_per_second_floor(save_report):
-    wall, prof = _best_of(2, profiled=True)
+    wall, (prof, started) = _best_of(2, profiled=True)
     header = (f"kernel throughput — {REPLICAS}-replica fabric, "
               f"{WORKERS} tenants x {ROUNDS} invocations\n")
-    save_report("kernel", header + prof.report())
+    save_report("kernel", header + _process_table(started) + prof.report())
     assert prof.events_dispatched > 10_000  # the workload is non-trivial
     assert prof.events_per_second() >= EVENTS_PER_SECOND_FLOOR
     # The split is measured, not residual noise: both halves are real.
@@ -118,7 +155,7 @@ def test_profiler_overhead_per_callback_is_reported():
     while pairs < MAX_PAIRS:
         for profiled in ((False, True) if pairs % 2 == 0 else (True, False)):
             gc.collect()
-            wall, kept = _drive(profiled)
+            wall, kept, _started = _drive(profiled)
             floor[profiled] = min(floor[profiled], wall)
             prof = kept or prof
         pairs += 1

@@ -27,14 +27,14 @@ def _contended_put(streams: int) -> float:
     result = {}
 
     def background():
-        yield tb.ftp("sdsc").put(client, chain, "/bg",
-                                 make_payload("echo", size=int(KB(3000))))
+        yield from tb.ftp("sdsc").put(
+            client, chain, "/bg", make_payload("echo", size=int(KB(3000))))
 
     def measured():
         yield tb.sim.timeout(1.0)
         t0 = tb.sim.now
-        yield tb.ftp("ncsa").put(client, chain, "/f", payload,
-                                 streams=streams)
+        yield from tb.ftp("ncsa").put(client, chain, "/f", payload,
+                                      streams=streams)
         result["t"] = tb.sim.now - t0
 
     tb.sim.process(background())

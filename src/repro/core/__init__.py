@@ -4,8 +4,8 @@ This package implements the SaaS-to-JSE translation middleware:
 
 * :mod:`~repro.core.datastructures` — executable and generated-service
   records (the paper's "datastructures" package),
-* :mod:`~repro.core.watchdog` — the "tools" package watchdog (timeouts,
-  tentative polling),
+* :mod:`~repro.core.watchdog` — the "tools" package watchdog (tentative
+  polling, deadline waits),
 * :mod:`~repro.core.service_builder` — the ant-build equivalent that
   turns an uploaded executable into a deployable service archive,
 * :mod:`~repro.core.grid_service` — the GridService template runtime:
@@ -35,7 +35,6 @@ _EXPORTS = {
     "GeneratedService": "repro.core.datastructures",
     "RequestContext": "repro.core.context",
     "TraceSpan": "repro.core.context",
-    "Watchdog": "repro.core.watchdog",
     "ServiceBuilder": "repro.core.service_builder",
     "OnServe": "repro.core.onserve",
     "OnServeConfig": "repro.core.onserve",

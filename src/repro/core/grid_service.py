@@ -236,10 +236,9 @@ class GridServiceRuntime:
                 def db_fetch():
                     with span(db_ctx, "db:fetch",
                               executable=self.record.name):
-                        return (yield self.onserve.dbmanager
-                                .load_executable(
-                                    self.record.name,
-                                    on_chunk=to_temp if chunked else None))
+                        return (yield from self.onserve.dbmanager.load(
+                            self.record.name,
+                            on_chunk=to_temp if chunked else None))
 
                 exe = yield from self.onserve.flights.do(
                     ("db-load", self.onserve.replica, self.record.name),
@@ -652,8 +651,8 @@ class GridServiceRuntime:
         def put(data, **where):
             def upload_try():
                 session = yield from self._ensure_session(ctx)
-                return (yield _put(onserve, session, site, staged, data,
-                                   ctx, **where))
+                return (yield from _put(onserve, session, site, staged,
+                                        data, ctx, **where))
 
             return retry_call(self.sim, onserve.retry_policy, upload_try,
                               ctx=ctx, label=f"upload:{site}",
@@ -715,8 +714,8 @@ class GridServiceRuntime:
                 helper.host.allocate_memory(len(data))
                 try:
                     session = yield from helper.ensure_agent_session(ctx)
-                    yield _put(helper, session, site, staged, data, ctx,
-                               **where)
+                    yield from _put(helper, session, site, staged, data,
+                                    ctx, **where)
                 finally:
                     helper.host.release_memory(len(data))
         except (Interrupt, ReproError) as exc:
@@ -879,15 +878,10 @@ class GridServiceRuntime:
 
         if cfg.status_supported:
             # Ablation: clean status polling, output fetched exactly once.
-            def status_poll():
-                return self.sim.process(
-                    stub.jobStatus(session=session, site=site,
-                                   jobId=job_id, ctx=ctx),
-                    name="status-poll")
-
-            state, polls = yield poll_until(
+            state, polls = yield from poll_until(
                 self.sim,
-                poll_factory=status_poll,
+                poll_factory=lambda: stub.jobStatus(
+                    session=session, site=site, jobId=job_id, ctx=ctx),
                 accept=lambda s: s in ("done", "failed", "canceled"),
                 interval=cfg.poll_interval,
                 timeout=cfg.watchdog_timeout)
@@ -898,7 +892,7 @@ class GridServiceRuntime:
             # exchanges, detection lag = one propagation delay.
             pushed = True
             with span(ctx, "notify:await", site=site, job=job_id):
-                note = yield await_waiter(
+                note = yield from await_waiter(
                     self.sim, lambda: queue.subscribe(site, job_id),
                     lambda waiter: queue.unsubscribe(job_id, waiter),
                     cfg.watchdog_timeout, f"notification for {job_id!r}")
@@ -910,23 +904,17 @@ class GridServiceRuntime:
             # until the stdout file exists on the grid.
             stdout_path = spec.stdout_path(tag)
 
-            def poll():
-                def round_trip() -> Generator[Event, None, bool]:
-                    data = yield from stub.fetchOutput(
-                        session=session, site=site, jobId=job_id, ctx=ctx)
-                    if data:
-                        # "the output of the running job is written to
-                        # the hard disk" — every poll, the periodic
-                        # write peaks.
-                        yield host.disk_write(len(data))
-                    ready = yield from stub.outputReady(
-                        session=session, site=site, path=stdout_path,
-                        ctx=ctx)
-                    return ready
+            def poll() -> Generator[Event, None, bool]:
+                data = yield from stub.fetchOutput(
+                    session=session, site=site, jobId=job_id, ctx=ctx)
+                if data:
+                    # "the output of the running job is written to the
+                    # hard disk" — every poll, the periodic write peaks.
+                    yield host.disk_write(len(data))
+                return (yield from stub.outputReady(
+                    session=session, site=site, path=stdout_path, ctx=ctx))
 
-                return self.sim.process(round_trip(), name="tentative-poll")
-
-            _ready, polls = yield poll_until(
+            _ready, polls = yield from poll_until(
                 self.sim,
                 poll_factory=poll,
                 accept=lambda ready: bool(ready),
@@ -969,14 +957,12 @@ def _put(onserve: "OnServe", session: str, site: str, path: str, data,
     """The one call that sends executable bytes to a site, through
     *onserve*'s agent: the whole file, or — *where* = its ``offset``,
     the file's ``total`` and the ``transfer`` id — one range of it.
-    The call runs as a process of its own (``agent-put``), which an
-    interrupt of its caller leaves running."""
+    A generator the caller drives with ``yield from``: the call runs in
+    the caller's process, and an interrupt of that process unwinds it."""
     stub = onserve.agent_stub
     send = stub.uploadRange if where else stub.uploadExecutable
-    return onserve.sim.process(
-        send(session=session, site=site, path=path, data=data, ctx=ctx,
-             **where),
-        name="agent-put")
+    return send(session=session, site=site, path=path, data=data, ctx=ctx,
+                **where)
 
 
 def _superseded(exc: BaseException) -> bool:

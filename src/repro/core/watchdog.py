@@ -4,11 +4,10 @@
 to react correctly in some situations where a problem may occur. (For
 example when a process takes too long to complete.)" (paper §VI).
 
-Three tools live here:
+Two tools live here, each a generator its caller drives with
+``yield from``: the deadline is a bound the wait checks, not a process
+racing it, so a crash of the caller's process unwinds the wait too.
 
-* :meth:`Watchdog.guard` — run a process under a deadline; if it is
-  still alive when the deadline passes, interrupt it and raise
-  :class:`~repro.errors.WatchdogTimeout` in the waiter.
 * :func:`poll_until` — the tentative-polling loop (§VIII.B workaround):
   run a poll action every ``interval`` until a predicate accepts its
   result or the deadline passes.
@@ -25,13 +24,13 @@ from typing import Any, Callable, Generator, Optional, Tuple
 from repro.errors import WatchdogTimeout
 from repro.simkernel.events import Event
 from repro.simkernel.kernel import Simulator
-from repro.simkernel.process import Interrupt, Process
 
-__all__ = ["Watchdog", "await_waiter", "poll_until"]
+__all__ = ["await_waiter", "poll_until"]
 
 
 def _abandon(waiter: Event) -> None:
-    """Defuse an abandoned waiter so nothing can cross wires later.
+    """Defuse an abandoned waiter (or a wait on one) so nothing can
+    cross wires later.
 
     A waiter its owner stopped caring about (deadline passed) may still
     be triggered by machinery that held a reference to it — a late
@@ -42,121 +41,72 @@ def _abandon(waiter: Event) -> None:
     waiter.add_callback(lambda ev: ev.defused() if not ev._ok else None)
 
 
-class Watchdog:
-    """Deadline enforcement for simulation processes."""
-
-    def __init__(self, sim: Simulator, timeout: float):
-        if timeout <= 0:
-            raise ValueError("watchdog timeout must be positive")
-        self.sim = sim
-        self.timeout = timeout
-        self.timeouts_fired = 0
-
-    def guard(self, victim: Process, label: str = "") -> Process:
-        """Wait on *victim* with a deadline.
-
-        Returns a process whose value is the victim's value; raises
-        :class:`WatchdogTimeout` (after interrupting the victim) if the
-        deadline passes first.  A victim that dies of a *genuine*
-        exception — before, at, or while handling the deadline — has
-        that exception re-raised to the waiter; only the termination the
-        watchdog itself caused (the :class:`Interrupt`) is absorbed.
-        """
-
-        def op() -> Generator[Event, None, Any]:
-            deadline = self.sim.timeout(self.timeout)
-            yield self.sim.any_of([victim, deadline])
-            if victim.triggered:
-                # Finished no later than the deadline's own instant.
-                # Completed work beats a photo-finish timeout — and a
-                # genuine error racing the deadline (any_of defuses it)
-                # is re-raised, never masked as a mere timeout.
-                if victim.ok:
-                    return victim.value
-                raise victim.value
-            self.timeouts_fired += 1
-            victim.interrupt("watchdog deadline")
-            try:
-                # Wait for the victim to actually terminate: its real
-                # errors must reach the waiter, not be swallowed.
-                return (yield victim)
-            except Interrupt:
-                pass  # our own interrupt ran its course
-            raise WatchdogTimeout(
-                f"{label or 'operation'} exceeded {self.timeout:.0f}s")
-
-        return self.sim.process(op(), name=f"watchdog:{label}")
-
-
 def poll_until(sim: Simulator,
-               poll_factory: Callable[[], Process],
+               poll_factory: Callable[[], Generator],
                accept: Callable[[Any], bool],
                interval: float,
                timeout: float,
-               on_result: Optional[Callable[[Any], Optional[Process]]] = None
-               ) -> Process:
+               on_result: Optional[Callable[[Any], Optional[Generator]]] = None
+               ) -> Generator[Event, None, Tuple[Any, int]]:
     """Poll on a fixed interval until *accept* likes a result.
 
-    Each round runs ``poll_factory()`` and passes the result to
-    *accept*; between rounds it sleeps *interval*.  ``on_result`` (if
-    given) runs after every poll — it may return a process to wait on
-    (e.g. "write what we fetched to disk", producing the periodic
-    disk-write peaks of Figures 6-7).  Raises
+    Each round drives ``poll_factory()`` (a generator) and passes its
+    value to *accept*; between rounds it sleeps *interval*.
+    ``on_result`` (if given) runs after every poll — it may return a
+    generator to drive (e.g. "write what we fetched to disk", producing
+    the periodic disk-write peaks of Figures 6-7).  Raises
     :class:`WatchdogTimeout` when *timeout* elapses first.
 
     The value is ``(result, polls)``.
     """
     if interval <= 0:
         raise ValueError("poll interval must be positive")
-
-    def op() -> Generator[Event, None, Tuple[Any, int]]:
-        deadline = sim.now + timeout
-        polls = 0
-        while True:
-            result = yield poll_factory()
-            polls += 1
-            if on_result is not None:
-                side_effect = on_result(result)
-                if side_effect is not None:
-                    yield side_effect
-            if accept(result):
-                return result, polls
-            if sim.now >= deadline:
-                raise WatchdogTimeout(
-                    f"tentative polling gave up after {polls} polls "
-                    f"({timeout:.0f}s)")
-            yield sim.timeout(interval)
-
-    return sim.process(op(), name="poll-until")
+    deadline = sim.now + timeout
+    polls = 0
+    while True:
+        result = yield from poll_factory()
+        polls += 1
+        if on_result is not None:
+            side_effect = on_result(result)
+            if side_effect is not None:
+                yield from side_effect
+        if accept(result):
+            return result, polls
+        if sim.now >= deadline:
+            raise WatchdogTimeout(
+                f"tentative polling gave up after {polls} polls "
+                f"({timeout:.0f}s)")
+        yield sim.timeout(interval)
 
 
 def await_waiter(sim: Simulator, register: Callable[[], Event],
                  cancel: Callable[[Event], None], timeout: float,
-                 what: str) -> Process:
+                 what: str) -> Generator[Event, None, Any]:
     """Park on a waiter event under a deadline.
 
     ``register()`` hands out the waiter — a
-    :class:`~repro.grid.notify.NotifyQueue` subscription — and is called
-    *inside* the waiting process.  The value is the waiter's value; a
-    failure propagated through the waiter is re-raised as-is.  If
-    *timeout* elapses first, ``cancel(waiter)``
-    detaches it (the source must not keep working for a waiter that
-    gave up), the abandoned waiter is defused, and
+    :class:`~repro.grid.notify.NotifyQueue` subscription.  The value is
+    the waiter's value; a failure propagated through the waiter is
+    re-raised as-is.  If *timeout* elapses first,
     :class:`WatchdogTimeout` is raised, exactly like :func:`poll_until`.
+    However the wait ends — an interrupt of the caller included —
+    ``cancel(waiter)`` detaches the waiter (the source must not keep
+    working for a waiter that gave up) and the waiter is defused.
     """
     if timeout <= 0:
         raise ValueError("await_waiter timeout must be positive")
-
-    def op() -> Generator[Event, None, Any]:
-        waiter = register()
-        deadline = sim.timeout(timeout)
-        yield sim.any_of([waiter, deadline])
+    waiter = register()
+    wait = sim.any_of([waiter, sim.timeout(timeout)])
+    try:
+        yield wait
         if waiter.triggered:
             if waiter.ok:
                 return waiter.value
             raise waiter.value
-        cancel(waiter)
-        _abandon(waiter)
         raise WatchdogTimeout(f"{what} gave up ({timeout:.0f}s)")
-
-    return sim.process(op(), name=f"await:{what}")
+    finally:
+        cancel(waiter)
+        # An unwound wait leaves its condition hooked on the waiter: a
+        # late failure must not surface through either.
+        _abandon(waiter)
+        _abandon(wait)

@@ -198,8 +198,8 @@ class CyberaideAgent:
         *data* one range of the file."""
         sess = self._session(session)
         ftp = self._ftp(site)
-        n = yield self._channels.put(ftp, self.host, sess.chain, path,
-                                         data, ctx=ctx, **where)
+        n = yield from self._channels.put(ftp, self.host, sess.chain, path,
+                                          data, ctx=ctx, **where)
         self.uploads += 1
         self._bus.emit("agent.upload", layer="agent",
                        request_id=ctx.request_id if ctx else None,
@@ -220,7 +220,7 @@ class CyberaideAgent:
         never cross the appliance uplink.
         """
         sess = self._session(session)
-        n = yield self._channels.third_party(
+        n = yield from self._channels.third_party(
             self._ftp(fromSite), self._ftp(toSite), self.host, sess.chain,
             path, path, ctx=ctx)
         self.replications += 1
@@ -234,8 +234,8 @@ class CyberaideAgent:
                       ) -> Generator[Event, None, str]:
         sess = self._session(session)
         gram = self._gram(site)
-        job_id = yield self._channels.submit(gram, self.host, sess.chain,
-                                             rsl, ctx=ctx)
+        job_id = yield from self._channels.submit(gram, self.host, sess.chain,
+                                                  rsl, ctx=ctx)
         self.submissions += 1
         self._bus.emit("agent.submit", layer="agent",
                        request_id=ctx.request_id if ctx else None,
@@ -251,15 +251,15 @@ class CyberaideAgent:
             raise GridError(
                 "job status is not retrievable through the Cyberaide agent "
                 "(known limitation); poll output tentatively instead")
-        state = yield self._gram(site).status(self.host, jobId, ctx=ctx)
+        state = yield from self._gram(site).status(self.host, jobId, ctx=ctx)
         return state.value
 
     def _op_cancelJob(self, session: str, site: str, jobId: str,
                       ctx: Optional[RequestContext] = None
                       ) -> Generator[Event, None, bool]:
         self._session(session)
-        result = yield self._gram(site).cancel(self.host, jobId, ctx=ctx)
-        return result
+        return (yield from self._gram(site).cancel(self.host, jobId,
+                                                   ctx=ctx))
 
     def _op_outputReady(self, session: str, site: str, path: str,
                         ctx: Optional[RequestContext] = None
@@ -279,7 +279,8 @@ class CyberaideAgent:
                         ctx: Optional[RequestContext] = None
                         ) -> Generator[Event, None, bytes]:
         self._session(session)
-        data = yield self._gram(site).fetch_output(self.host, jobId, ctx=ctx)
+        data = yield from self._gram(site).fetch_output(self.host, jobId,
+                                                        ctx=ctx)
         self.output_polls += 1
         self._bus.emit("agent.poll", layer="agent",
                        request_id=ctx.request_id if ctx else None,
@@ -290,9 +291,8 @@ class CyberaideAgent:
                       ctx: Optional[RequestContext] = None
                       ) -> Generator[Event, None, bytes]:
         sess = self._session(session)
-        data = yield self._channels.get(self._ftp(site), self.host,
-                                            sess.chain, path, ctx=ctx)
-        return data
+        return (yield from self._channels.get(self._ftp(site), self.host,
+                                             sess.chain, path, ctx=ctx))
 
     # -- internals ---------------------------------------------------------------
 

@@ -212,9 +212,11 @@ _SCHEMA = [
 class DbManager:
     """Executable storage on top of the embedded database.
 
-    All public operations are *simulation processes* (call them from a
-    process and ``yield`` the result) because they consume simulated host
-    time.  The underlying data operations are real.
+    The operations consume simulated host time: :meth:`load` is a
+    generator its caller drives with ``yield from``; the others, and
+    :meth:`load_executable`, return *simulation processes* (``yield``
+    the result from a process).  The underlying data operations are
+    real.
     """
 
     TABLE = "executables"
@@ -279,7 +281,16 @@ class DbManager:
         if self._lock_held:
             waiter = self.sim.event(name="db:lock-wait")
             self._lock_waiters.append(waiter)
-            yield waiter
+            try:
+                yield waiter
+            except BaseException:
+                # Unwound in the queue: leave it, or pass on the lock
+                # if it had already been handed over.
+                if waiter.triggered:
+                    self._release_conn()
+                else:
+                    self._lock_waiters.remove(waiter)
+                raise
         self._lock_held = True
         waited = self.sim.now - t0
         if waited > 0:
@@ -397,10 +408,21 @@ class DbManager:
     def load_executable(self, name: str,
                         on_chunk: Optional[Callable[[float], Any]] = None
                         ) -> Process:
-        """Load and decompress the executable *name* (a simulation process).
+        """:meth:`load` as a simulation process of its own."""
+        return self.sim.process(self.load(name, on_chunk),
+                                name=f"db-load:{name}")
 
-        The process-event's value is a :class:`StoredExecutable`; it fails
-        with :class:`~repro.errors.RecordNotFound` for unknown names.
+    def load(self, name: str,
+             on_chunk: Optional[Callable[[float], Any]] = None
+             ) -> Generator[Event, None, StoredExecutable]:
+        """Load and decompress the executable *name*.
+
+        A generator the caller drives with ``yield from``, so it runs in
+        the caller's process: an interrupt of that process unwinds it,
+        giving up its place in the connection queue (or the lock) and
+        its resident chunk bytes.  The value is a
+        :class:`StoredExecutable`; it fails with
+        :class:`~repro.errors.RecordNotFound` for unknown names.
 
         Tier behaviour: with MVCC the row lookup goes through a
         :meth:`~repro.db.engine.Database.snapshot` handle (never blocked
@@ -412,51 +434,47 @@ class DbManager:
         (the consumer); fetch of chunk ``i+1`` is pipelined with the
         consumer of chunk ``i``, so at most two chunks are resident.
         """
-
-        def op() -> Generator[Event, None, StoredExecutable]:
-            waited = 0.0
-            locked = False
-            if self.tier.serialize and not self.db.mvcc:
-                waited = yield from self._acquire_conn()
-                locked = True
-            try:
-                yield self.host.compute(self.costs.statement_cpu, tag="db")
-                if self.db.mvcc:
-                    with self.db.snapshot() as snap:
-                        record = snap.get_by_pk(self.TABLE, name)
-                    self._note_snapshot_reads()
-                else:
-                    record = self.db.get_by_pk(self.TABLE, name)
-                if self.tier.chunk_bytes > 0:
-                    # The connection is occupied for the row lookup
-                    # only; the chunk loop streams from the local spool.
-                    if locked:
-                        self._release_conn()
-                        locked = False
-                    return (yield from self._fetch_chunked(
-                        name, record, on_chunk, waited))
-                # Disk: the compressed blob travels over the connection.
-                yield self.host.disk_read(record["compressed_size"])
+        waited = 0.0
+        locked = False
+        if self.tier.serialize and not self.db.mvcc:
+            waited = yield from self._acquire_conn()
+            locked = True
+        try:
+            yield self.host.compute(self.costs.statement_cpu, tag="db")
+            if self.db.mvcc:
+                with self.db.snapshot() as snap:
+                    record = snap.get_by_pk(self.TABLE, name)
+                self._note_snapshot_reads()
+            else:
+                record = self.db.get_by_pk(self.TABLE, name)
+            if self.tier.chunk_bytes > 0:
+                # The connection is occupied for the row lookup only;
+                # the chunk loop streams from the local spool.
                 if locked:
-                    # The blob is in the driver's buffer; decompression
-                    # is local CPU and does not occupy the connection.
                     self._release_conn()
                     locked = False
-                # CPU: decompression scales with the uncompressed size —
-                # this is the paper's "loading and decompressing" CPU peak.
-                yield self.host.compute(
-                    self.costs.decompress_cpu_per_mb * record["size"] / _MB,
-                    tag="db",
-                )
-                exe = self._memo.stored(record)
-                self._emit_fetch(name, "whole", record["size"], 1,
-                                 record["size"], waited)
-                return exe
-            finally:
-                if locked:
-                    self._release_conn()
-
-        return self.sim.process(op(), name=f"db-load:{name}")
+                return (yield from self._fetch_chunked(
+                    name, record, on_chunk, waited))
+            # Disk: the compressed blob travels over the connection.
+            yield self.host.disk_read(record["compressed_size"])
+            if locked:
+                # The blob is in the driver's buffer; decompression is
+                # local CPU and does not occupy the connection.
+                self._release_conn()
+                locked = False
+            # CPU: decompression scales with the uncompressed size — this
+            # is the paper's "loading and decompressing" CPU peak.
+            yield self.host.compute(
+                self.costs.decompress_cpu_per_mb * record["size"] / _MB,
+                tag="db",
+            )
+            exe = self._memo.stored(record)
+            self._emit_fetch(name, "whole", record["size"], 1,
+                             record["size"], waited)
+            return exe
+        finally:
+            if locked:
+                self._release_conn()
 
     def _fetch_chunked(self, name: str, record: Dict[str, Any],
                        on_chunk: Optional[Callable[[float], Any]],
@@ -479,34 +497,41 @@ class DbManager:
         peak = 0.0
         consumer: Optional[Process] = None
         prev_bytes = 0.0
-        for i in range(n):
-            this_bytes = float(min(chunk, size - i * chunk)) if size else 0.0
-            self.host.allocate_memory(this_bytes)
-            resident += this_bytes
-            peak = max(peak, resident)
-            self._set_chunk_stream(resident)
-            yield self.host.disk_read(csize / n)
-            yield self.host.compute(
-                self.costs.decompress_cpu_per_mb * this_bytes / _MB,
-                tag="db",
-            )
-            if on_chunk is not None:
-                if consumer is not None:
-                    # Pipelined: we fetched chunk i while the consumer
-                    # still worked on chunk i-1; join before recycling.
-                    yield consumer
+        try:
+            for i in range(n):
+                this_bytes = (float(min(chunk, size - i * chunk))
+                              if size else 0.0)
+                self.host.allocate_memory(this_bytes)
+                resident += this_bytes
+                peak = max(peak, resident)
+                self._set_chunk_stream(resident)
+                yield self.host.disk_read(csize / n)
+                yield self.host.compute(
+                    self.costs.decompress_cpu_per_mb * this_bytes / _MB,
+                    tag="db",
+                )
+                if on_chunk is not None:
+                    if consumer is not None:
+                        # Pipelined: we fetched chunk i while the consumer
+                        # still worked on chunk i-1; join before recycling.
+                        yield consumer
+                        self.host.release_memory(prev_bytes)
+                        resident -= prev_bytes
+                        self._set_chunk_stream(resident)
+                    consumer = self.sim.process(on_chunk(this_bytes),
+                                                name=f"db-chunk:{name}:{i}")
+                elif i > 0:
                     self.host.release_memory(prev_bytes)
                     resident -= prev_bytes
                     self._set_chunk_stream(resident)
-                consumer = self.sim.process(on_chunk(this_bytes),
-                                            name=f"db-chunk:{name}:{i}")
-            elif i > 0:
-                self.host.release_memory(prev_bytes)
-                resident -= prev_bytes
-                self._set_chunk_stream(resident)
-            prev_bytes = this_bytes
-        if consumer is not None:
-            yield consumer
+                prev_bytes = this_bytes
+            if consumer is not None:
+                yield consumer
+        except BaseException:
+            # Unwound mid-stream: every chunk still resident goes.
+            self.host.release_memory(resident)
+            self._set_chunk_stream(0.0)
+            raise
         self.host.release_memory(prev_bytes)
         resident -= prev_bytes
         self._set_chunk_stream(resident)

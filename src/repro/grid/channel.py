@@ -46,7 +46,6 @@ from repro.errors import GridError, TransferError
 from repro.hardware.host import Host
 from repro.security.x509 import Certificate
 from repro.simkernel.events import Event
-from repro.simkernel.process import Process
 from repro.telemetry.events import bus
 from repro.telemetry.gauges import gauges
 
@@ -129,30 +128,28 @@ class GsiChannel:
                 pending.succeed()
             return
 
-    def _pipelined(self, operation: Generator, name: str,
-                   *others: "GsiChannel") -> Process:
+    def _pipelined(self, operation: Generator, *others: "GsiChannel"
+                   ) -> Generator[Event, None, object]:
         """Run an endpoint operation on this channel (and *others*'):
-        any failure closes them, success counts as one use of each."""
-        def op() -> Generator[Event, None, object]:
-            try:
-                result = yield from operation
-            except BaseException:
-                for channel in (self, *others):
-                    channel.invalidate()
-                raise
+        any failure or unwind closes them, success counts as one use of
+        each."""
+        try:
+            result = yield from operation
+        except BaseException:
             for channel in (self, *others):
-                channel.ops += 1
-                channel._last_used = self.sim.now
-            return result
-
-        return self.sim.process(op(), name=name)
+                channel.invalidate()
+            raise
+        for channel in (self, *others):
+            channel.ops += 1
+            channel._last_used = self.sim.now
+        return result
 
     # -- GridFTP operations ----------------------------------------------------
 
     def put(self, path: str, data: bytes, streams: int = 1,
             ctx: Optional[RequestContext] = None, offset: int = 0,
             total: Optional[int] = None,
-            transfer: Optional[str] = None) -> Process:
+            transfer: Optional[str] = None) -> Generator:
         """Pipelined upload (whole file or one range, as
         :meth:`GridFtpServer.put`) over this channel."""
         if streams < 1:
@@ -161,20 +158,18 @@ class GsiChannel:
         return self._pipelined(
             self.server._put(self.client, self._ensure_control, path, data,
                              streams, ctx, (offset, total, transfer),
-                             session=True),
-            f"gridftp-put:{path}")
+                             session=True))
 
     def get(self, path: str,
-            ctx: Optional[RequestContext] = None) -> Process:
+            ctx: Optional[RequestContext] = None) -> Generator:
         """Pipelined download over this channel."""
         return self._pipelined(
             self.server._get(self.client, self._ensure_control, path, ctx,
-                             session=True),
-            f"gridftp-get:{path}")
+                             session=True))
 
     def third_party(self, src_path: str, dest: "GsiChannel",
                     dst_path: str,
-                    ctx: Optional[RequestContext] = None) -> Process:
+                    ctx: Optional[RequestContext] = None) -> Generator:
         """Pipelined site-to-site copy from this channel's site to
         *dest*'s: one command on each open channel directs what the
         per-operation transfer pays two handshakes for."""
@@ -185,19 +180,18 @@ class GsiChannel:
         return self._pipelined(
             self.server._third_party(control, src_path, dest.server,
                                      dst_path, ctx, session=True),
-            f"gridftp-3pt:{src_path}", dest)
+            dest)
 
     # -- GRAM operations -------------------------------------------------------
 
     def submit(self, rsl_text: str,
-               ctx: Optional[RequestContext] = None) -> Process:
+               ctx: Optional[RequestContext] = None) -> Generator:
         """Pipelined job submission over this (gatekeeper) channel: still
         one message, the request behind the pipelined-op bytes."""
         return self._pipelined(
             self.server._submit(self.client, self.chain,
                                 self._ensure_control, rsl_text, ctx,
-                                session=True),
-            "gram-submit")
+                                session=True))
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         state = "open" if self.open else "closed"
@@ -240,7 +234,7 @@ class GsiChannelPool:
 
     def put(self, server, client: Host, chain: Sequence[Certificate],
             path: str, data: bytes, streams: int = 1,
-            ctx: Optional[RequestContext] = None, **where) -> Process:
+            ctx: Optional[RequestContext] = None, **where) -> Generator:
         """*where*: ``offset`` / ``total`` / ``transfer`` of a ranged PUT."""
         if not self.enabled:
             return server.put(client, chain, path, data, streams=streams,
@@ -249,7 +243,7 @@ class GsiChannelPool:
             path, data, streams=streams, ctx=ctx, **where)
 
     def get(self, server, client: Host, chain: Sequence[Certificate],
-            path: str, ctx: Optional[RequestContext] = None) -> Process:
+            path: str, ctx: Optional[RequestContext] = None) -> Generator:
         if not self.enabled:
             return server.get(client, chain, path, ctx=ctx)
         return self.channel(server, client, chain).get(path, ctx=ctx)
@@ -257,7 +251,7 @@ class GsiChannelPool:
     def third_party(self, source, dest, client: Host,
                     chain: Sequence[Certificate], src_path: str,
                     dst_path: str,
-                    ctx: Optional[RequestContext] = None) -> Process:
+                    ctx: Optional[RequestContext] = None) -> Generator:
         if not self.enabled:
             return source.third_party_transfer(client, chain, src_path,
                                                dest, dst_path, ctx=ctx)
@@ -266,7 +260,7 @@ class GsiChannelPool:
 
     def submit(self, gatekeeper, client: Host, chain: Sequence[Certificate],
                rsl_text: str,
-               ctx: Optional[RequestContext] = None) -> Process:
+               ctx: Optional[RequestContext] = None) -> Generator:
         if not self.enabled:
             return gatekeeper.submit(client, chain, rsl_text, ctx=ctx)
         return self.channel(gatekeeper, client, chain).submit(rsl_text,

@@ -29,7 +29,6 @@ from repro.hardware.host import Host
 from repro.security.gsi import GsiAcceptor
 from repro.security.x509 import Certificate
 from repro.simkernel.events import Event
-from repro.simkernel.process import Process
 from repro.telemetry.events import bus
 from repro.telemetry.gauges import gauges
 
@@ -130,7 +129,7 @@ class GramGatekeeper:
             self.site.name, job.job_id, "lost" if lost else job.state.value,
             error=lost, output=output)
 
-    # -- operations (all simulation processes) ------------------------------
+    # -- operations: generators the caller drives with ``yield from`` -------
 
     def _handshake(self, client: Host, chain: Sequence[Certificate],
                    carry: int = 0) -> Generator[Event, None, None]:
@@ -207,59 +206,48 @@ class GramGatekeeper:
         return job.job_id
 
     def submit(self, client: Host, chain: Sequence[Certificate],
-               rsl_text: str,
-               ctx: Optional[RequestContext] = None) -> Process:
-        """Submit a job described by *rsl_text*; value is the job id."""
-        return self.sim.process(
-            self._submit(client, chain,
-                         lambda carry: self._handshake(client, chain, carry),
-                         rsl_text, ctx),
-            name="gram-submit")
+               rsl_text: str, ctx: Optional[RequestContext] = None
+               ) -> Generator[Event, None, str]:
+        """Submit a job described by *rsl_text*; the value is the job id."""
+        return self._submit(
+            client, chain, lambda carry: self._handshake(client, chain, carry),
+            rsl_text, ctx)
+
+    def _refuse_if_down(self) -> None:
+        injector = get_injector(self.sim)
+        if injector is not None and injector.down(self.site.name):
+            raise SubmissionRefused(
+                f"{self.site.name}: gatekeeper unreachable (site outage)")
 
     def status(self, client: Host, job_id: str,
-               ctx: Optional[RequestContext] = None) -> Process:
-        """Query a job's state; value is the :class:`JobState`."""
-
-        def op() -> Generator[Event, None, JobState]:
-            injector = get_injector(self.sim)
-            with span(ctx, "gram:status", site=self.site.name, job=job_id):
-                if injector is not None and injector.down(self.site.name):
-                    raise SubmissionRefused(
-                        f"{self.site.name}: gatekeeper unreachable "
-                        f"(site outage)")
-                self._account(self.POLL_BYTES + 256)
-                yield client.send(self.host, self.POLL_BYTES,
-                                  label="gram-status")
-                yield self.host.compute(0.005, tag="gram")
-                job = self.site.get_job(job_id)
-                yield self.host.send(client, 256, label="gram-status-rsp")
-            return job.state
-
-        return self.sim.process(op(), name=f"gram-status:{job_id}")
+               ctx: Optional[RequestContext] = None
+               ) -> Generator[Event, None, JobState]:
+        """Query a job's state; the value is the :class:`JobState`."""
+        with span(ctx, "gram:status", site=self.site.name, job=job_id):
+            self._refuse_if_down()
+            self._account(self.POLL_BYTES + 256)
+            yield client.send(self.host, self.POLL_BYTES, label="gram-status")
+            yield self.host.compute(0.005, tag="gram")
+            job = self.site.get_job(job_id)
+            yield self.host.send(client, 256, label="gram-status-rsp")
+        return job.state
 
     def cancel(self, client: Host, job_id: str,
-               ctx: Optional[RequestContext] = None) -> Process:
-        """Cancel a queued/running job; value is True."""
-
-        def op() -> Generator[Event, None, bool]:
-            injector = get_injector(self.sim)
-            with span(ctx, "gram:cancel", site=self.site.name, job=job_id):
-                if injector is not None and injector.down(self.site.name):
-                    raise SubmissionRefused(
-                        f"{self.site.name}: gatekeeper unreachable "
-                        f"(site outage)")
-                self._account(self.POLL_BYTES + 256)
-                yield client.send(self.host, self.POLL_BYTES,
-                                  label="gram-cancel")
-                yield self.host.compute(0.01, tag="gram")
-                self.site.cancel_job(job_id)
-                yield self.host.send(client, 256, label="gram-cancel-rsp")
-            return True
-
-        return self.sim.process(op(), name=f"gram-cancel:{job_id}")
+               ctx: Optional[RequestContext] = None
+               ) -> Generator[Event, None, bool]:
+        """Cancel a queued/running job; the value is True."""
+        with span(ctx, "gram:cancel", site=self.site.name, job=job_id):
+            self._refuse_if_down()
+            self._account(self.POLL_BYTES + 256)
+            yield client.send(self.host, self.POLL_BYTES, label="gram-cancel")
+            yield self.host.compute(0.01, tag="gram")
+            self.site.cancel_job(job_id)
+            yield self.host.send(client, 256, label="gram-cancel-rsp")
+        return True
 
     def fetch_output(self, client: Host, job_id: str,
-                     ctx: Optional[RequestContext] = None) -> Process:
+                     ctx: Optional[RequestContext] = None
+                     ) -> Generator[Event, None, bytes]:
         """Fetch whatever output exists *now* (the tentative poll).
 
         For a running job this transfers the partial placeholder bytes;
@@ -269,29 +257,19 @@ class GramGatekeeper:
         (§VIII.B) — each call costs a disk read at the site and a
         transfer back, producing the periodic write peaks in Figs 6-7.
         """
-
-        def op() -> Generator[Event, None, bytes]:
-            injector = get_injector(self.sim)
-            with span(ctx, "gram:fetch-output", job=job_id):
-                if injector is not None and injector.down(self.site.name):
-                    raise SubmissionRefused(
-                        f"{self.site.name}: gatekeeper unreachable "
-                        f"(site outage)")
-                self._account(self.POLL_BYTES + 128)
-                yield client.send(self.host, self.POLL_BYTES,
-                                  label="gram-output")
-                data = self.site.partial_output(job_id)
-                if data:
-                    yield self.host.disk_read(len(data))
-                yield self.host.send(client, max(len(data), 128),
-                                     label="gram-output-rsp")
-            self._bus.emit("gram.fetch_output", layer="grid",
-                           request_id=ctx.request_id if ctx else None,
-                           site=self.site.name, job_id=job_id,
-                           nbytes=len(data))
-            return data
-
-        return self.sim.process(op(), name=f"gram-output:{job_id}")
+        with span(ctx, "gram:fetch-output", job=job_id):
+            self._refuse_if_down()
+            self._account(self.POLL_BYTES + 128)
+            yield client.send(self.host, self.POLL_BYTES, label="gram-output")
+            data = self.site.partial_output(job_id)
+            if data:
+                yield self.host.disk_read(len(data))
+            yield self.host.send(client, max(len(data), 128),
+                                 label="gram-output-rsp")
+        self._bus.emit("gram.fetch_output", layer="grid",
+                       request_id=ctx.request_id if ctx else None,
+                       site=self.site.name, job_id=job_id, nbytes=len(data))
+        return data
 
     def completion_event(self, job_id: str) -> Event:
         """The event that fires when *job_id* reaches a terminal state

@@ -1,9 +1,11 @@
 """GridFTP: authenticated, bandwidth-limited file transfer to a site.
 
-Every operation is a simulation process: the GSI handshake bytes and the
-file bytes travel over the (typically slow WAN) path to the site's head
-node, then land on its disk.  The ~60-second, 80-90 KB/s upload plateau
-in Figure 7 is exactly a ``put`` through a thin uplink.
+Every operation is a generator its caller drives with ``yield from``,
+so it runs in the caller's process (a crash of that process unwinds it):
+the GSI handshake bytes and the file bytes travel over the (typically
+slow WAN) path to the site's head node, then land on its disk.  The
+~60-second, 80-90 KB/s upload plateau in Figure 7 is exactly a ``put``
+through a thin uplink.
 
 Two control-path modes exist:
 
@@ -29,7 +31,6 @@ from repro.hardware.host import Host
 from repro.security.gsi import GsiAcceptor
 from repro.security.x509 import Certificate
 from repro.simkernel.events import Event
-from repro.simkernel.process import Process
 from repro.telemetry.events import bus
 from repro.telemetry.gauges import gauges
 
@@ -239,8 +240,9 @@ class GridFtpServer:
             path: str, data: bytes, streams: int = 1,
             ctx: Optional[RequestContext] = None, offset: int = 0,
             total: Optional[int] = None,
-            transfer: Optional[str] = None) -> Process:
-        """Upload *data* to *path* in the site storage area.
+            transfer: Optional[str] = None) -> Generator[Event, None, int]:
+        """Upload *data* to *path* in the site storage area; the value is
+        the byte count.
 
         *streams* opens that many parallel data connections (GridFTP's
         ``-p``).  Alone on a link it changes nothing; under contention
@@ -258,24 +260,23 @@ class GridFtpServer:
         if streams < 1:
             raise TransferError("streams must be >= 1")
         streams = self.effective_streams(streams, len(data))
-        return self.sim.process(
-            self._put(client, lambda: self._handshake(client, chain, streams),
-                      path, data, streams, ctx, (offset, total, transfer)),
-            name=f"gridftp-put:{path}")
+        return self._put(client,
+                         lambda: self._handshake(client, chain, streams),
+                         path, data, streams, ctx, (offset, total, transfer))
 
     def get(self, client: Host, chain: Sequence[Certificate],
-            path: str, ctx: Optional[RequestContext] = None) -> Process:
+            path: str, ctx: Optional[RequestContext] = None
+            ) -> Generator[Event, None, bytes]:
         """Download *path* from the site storage area."""
-        return self.sim.process(
-            self._get(client, lambda: self._handshake(client, chain),
-                      path, ctx),
-            name=f"gridftp-get:{path}")
+        return self._get(client, lambda: self._handshake(client, chain),
+                         path, ctx)
 
     def third_party_transfer(self, client: Host,
                              chain: Sequence[Certificate],
                              src_path: str, dest: "GridFtpServer",
                              dst_path: str,
-                             ctx: Optional[RequestContext] = None) -> Process:
+                             ctx: Optional[RequestContext] = None
+                             ) -> Generator[Event, None, int]:
         """Site-to-site transfer directed by a third party.
 
         The client authenticates to both ends over control channels; the
@@ -289,9 +290,7 @@ class GridFtpServer:
             yield from dest._handshake(client, chain,
                                        label="gridftp-3pt-dst")
 
-        return self.sim.process(
-            self._third_party(control, src_path, dest, dst_path, ctx),
-            name=f"gridftp-3pt:{src_path}")
+        return self._third_party(control, src_path, dest, dst_path, ctx)
 
     def exists(self, path: str) -> bool:
         """Control-channel existence check (no data transfer modelled)."""

@@ -117,11 +117,12 @@ def _direct_path(runtime: float, file_bytes: int, uplink: float,
         _key, proxy, ee = yield tb.myproxy.logon(client, "poweruser", "pw",
                                                  lifetime=3600.0)
         chain = [proxy, ee]
-        yield tb.ftp(site).put(client, chain, spec.staged_path(), payload)
-        job_id = yield tb.gram(site).submit(client, chain,
-                                            spec.to_rsl("direct"))
+        yield from tb.ftp(site).put(client, chain, spec.staged_path(),
+                                    payload)
+        job_id = yield from tb.gram(site).submit(client, chain,
+                                                 spec.to_rsl("direct"))
         yield tb.gram(site).completion_event(job_id)
-        yield tb.ftp(site).get(client, chain, spec.stdout_path("direct"))
+        yield from tb.ftp(site).get(client, chain, spec.stdout_path("direct"))
 
     t0 = sim.now
     sim.run(until=sim.process(flow()))

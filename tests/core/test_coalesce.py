@@ -6,6 +6,7 @@ from repro.core import OnServeConfig, deploy_onserve, discover_and_invoke
 from repro.core.coalesce import SingleFlight
 from repro.grid import build_testbed
 from repro.simkernel.kernel import Simulator
+from repro.simkernel.process import Interrupt
 from repro.units import KB, KBps
 from repro.workloads import make_payload
 
@@ -75,6 +76,32 @@ def test_leader_failure_reaches_every_joiner():
     sim.run(until=sim.all_of(procs))
     assert outcomes == [(0, "down"), (1, "down")]
     assert not flights.inflight("k")  # a failed flight is over
+
+
+def test_interrupting_a_joiner_leaves_the_shared_flight_running():
+    """A joiner waits on the flight; it does not own it.  Unwinding one
+    joiner (a timeout or crash of its process) cancels nothing: the
+    leader's flight lands, and the leader and every other joiner get
+    its value."""
+    sim = Simulator(seed=0)
+    flights = SingleFlight(sim, enabled=True)
+    log, results = [], []
+
+    def caller(i):
+        if i:
+            yield sim.timeout(1.0 * i)  # arrive while the leader runs
+        out = yield from flights.do("k", slow_op(sim, log), group="g")
+        results.append((i, sim.now, out))
+
+    procs = [sim.process(caller(i)) for i in range(3)]
+    sim.run(until=2.5)
+    procs[1].interrupt("gave up")
+    with pytest.raises(Interrupt):
+        sim.run(until=procs[1])
+    sim.run(until=sim.all_of([procs[0], procs[2]]))
+    assert log == [("run", 0.0)]  # the flight ran once, to its end
+    assert results == [(0, 5.0, "v"), (2, 5.0, "v")]
+    assert not flights.inflight("k")
 
 
 def test_landed_flights_are_not_memoised():

@@ -150,9 +150,9 @@ def _push(stage=True, faults=()):
                                                  lifetime=3600.0)
         chain = [proxy, ee]
         if stage:
-            yield tb.ftp(gram.site.name).put(
+            yield from tb.ftp(gram.site.name).put(
                 client, chain, "/x/echo.sh", make_payload("echo", runtime="1"))
-        job_id = yield gram.submit(client, chain, generate_rsl(
+        job_id = yield from gram.submit(client, chain, generate_rsl(
             JobDescription(executable="/x/echo.sh", arguments=["hi"],
                            stdout="/x/out")))
         return (yield queue.subscribe(gram.site.name, job_id)), job_id

@@ -9,7 +9,7 @@ from repro.core.datastructures import (
     ExecutableRecord, parse_params_spec, service_name_for,
 )
 from repro.core.service_builder import ServiceBuilder
-from repro.core.watchdog import Watchdog, poll_until
+from repro.core.watchdog import await_waiter, poll_until
 from repro.errors import OnServeError, WatchdogTimeout, WsError
 from repro.hardware import Host, Network
 from repro.hardware.host import HostSpec
@@ -53,40 +53,48 @@ def test_executable_record_validation():
 # ---------------------------------------------------------------- watchdog
 
 def test_watchdog_passes_through_fast_result():
+    """A waiter fired in time hands back its value, and the wait still
+    detaches it from its source (``cancel`` runs on every ending)."""
     sim = Simulator()
+    waiter, cancelled = sim.event(), []
 
-    def quick():
+    def source():
         yield sim.timeout(5)
-        return "fast"
+        waiter.succeed("fast")
 
-    dog = Watchdog(sim, timeout=100)
-    assert sim.run(until=dog.guard(sim.process(quick()))) == "fast"
-    assert dog.timeouts_fired == 0
+    sim.process(source())
+    wait = await_waiter(sim, lambda: waiter, cancelled.append,
+                        timeout=100, what="fast-op")
+    assert sim.run(until=sim.process(wait)) == "fast"
+    assert sim.now == 5
+    assert cancelled == [waiter]
 
 
 def test_watchdog_kills_slow_process():
+    """At the deadline the wait gives up and its ``cancel`` hook can
+    stop the slow worker that would have fired the waiter."""
     sim = Simulator()
-    interrupted = []
+    waiter, interrupted = sim.event(), []
 
     def slow():
         try:
             yield sim.timeout(1000)
+            waiter.succeed("late")
         except BaseException as exc:
             interrupted.append(type(exc).__name__)
             raise
 
-    dog = Watchdog(sim, timeout=10)
-    with pytest.raises(WatchdogTimeout, match="exceeded 10"):
-        sim.run(until=dog.guard(sim.process(slow()), label="slow-op"))
+    worker = sim.process(slow())
+    worker.defused()
+    wait = await_waiter(sim, lambda: waiter,
+                        lambda ev: worker.interrupt("deadline"),
+                        timeout=10, what="slow-op")
+    with pytest.raises(WatchdogTimeout, match=r"slow-op gave up \(10s\)"):
+        sim.run(until=sim.process(wait))
+    assert sim.now == 10
     sim.run()
     assert interrupted == ["Interrupt"]
-    assert dog.timeouts_fired == 1
-
-
-def test_watchdog_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Watchdog(sim, timeout=0)
+    assert not waiter.triggered
 
 
 def test_poll_until_accepts_and_counts():
@@ -94,14 +102,12 @@ def test_poll_until_accepts_and_counts():
     state = {"n": 0}
 
     def poll():
-        def p():
-            yield sim.timeout(0.5)
-            state["n"] += 1
-            return state["n"]
-        return sim.process(p())
+        yield sim.timeout(0.5)
+        state["n"] += 1
+        return state["n"]
 
-    result, polls = sim.run(until=poll_until(
-        sim, poll, accept=lambda v: v >= 3, interval=10.0, timeout=1000.0))
+    result, polls = sim.run(until=sim.process(poll_until(
+        sim, poll, accept=lambda v: v >= 3, interval=10.0, timeout=1000.0)))
     assert result == 3
     assert polls == 3
     assert sim.now >= 20.0  # two sleep intervals
@@ -111,14 +117,12 @@ def test_poll_until_times_out():
     sim = Simulator()
 
     def poll():
-        def p():
-            yield sim.timeout(0.1)
-            return False
-        return sim.process(p())
+        yield sim.timeout(0.1)
+        return False
 
     with pytest.raises(WatchdogTimeout, match="gave up"):
-        sim.run(until=poll_until(sim, poll, accept=lambda v: v,
-                                 interval=5.0, timeout=20.0))
+        sim.run(until=sim.process(poll_until(sim, poll, accept=lambda v: v,
+                                             interval=5.0, timeout=20.0)))
 
 
 def test_poll_until_side_effect_runs():
@@ -126,26 +130,24 @@ def test_poll_until_side_effect_runs():
     effects = []
 
     def poll():
-        def p():
-            yield sim.timeout(0.1)
-            return True
-        return sim.process(p())
+        yield sim.timeout(0.1)
+        return True
 
     def side(result):
-        def writer():
-            yield sim.timeout(1.0)
-            effects.append(result)
-        return sim.process(writer())
+        yield sim.timeout(1.0)
+        effects.append(result)
 
-    sim.run(until=poll_until(sim, poll, accept=lambda v: v, interval=1.0,
-                             timeout=100.0, on_result=side))
+    sim.run(until=sim.process(poll_until(sim, poll, accept=lambda v: v,
+                                         interval=1.0, timeout=100.0,
+                                         on_result=side)))
     assert effects == [True]
 
 
 def test_poll_until_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
-        poll_until(sim, lambda: None, lambda v: True, interval=0, timeout=1)
+        sim.run(until=sim.process(poll_until(
+            sim, lambda: None, lambda v: True, interval=0, timeout=1)))
 
 
 # ---------------------------------------------------------------- service builder

@@ -1,102 +1,119 @@
-"""Watchdog.guard exception routing + poll_until edge cases."""
+"""await_waiter exception routing + poll_until edge cases."""
 
 import pytest
 
-from repro.core.watchdog import Watchdog, poll_until
+from repro.core.watchdog import await_waiter, poll_until
 from repro.errors import WatchdogTimeout
 from repro.simkernel import Simulator
 from repro.simkernel.process import Interrupt
 
 
-def drive(sim, proc):
-    return sim.run(until=proc)
+def drive(sim, op):
+    """Run the generator *op* as a process to its end; its value."""
+    return sim.run(until=sim.process(op))
 
 
-# ---------------------------------------------------------------- guard
+def instant(sim, value):
+    """One zero-time poll round answering *value*."""
+    return (yield sim.timeout(0.0, value=value))
+
+
+# ---------------------------------------------------------- await_waiter
+
+def wait_on(sim, waiter, timeout=10.0, cancelled=None):
+    """await_waiter over *waiter*, noting each waiter it cancels."""
+    return await_waiter(
+        sim, lambda: waiter,
+        lambda ev: cancelled.append(ev) if cancelled is not None else None,
+        timeout, "job")
+
+
+def fire_at(sim, waiter, delay, exc=None):
+    """Start a process that fires *waiter* after *delay*."""
+    def op():
+        yield sim.timeout(delay)
+        if exc is None:
+            waiter.succeed("done")
+        else:
+            waiter.fail(exc)
+
+    return sim.process(op())
+
 
 def test_victim_finishing_in_time_returns_its_value():
     sim = Simulator()
-    dog = Watchdog(sim, timeout=10.0)
-
-    def victim():
-        yield sim.timeout(3.0)
-        return "done"
-
-    assert drive(sim, dog.guard(sim.process(victim()))) == "done"
-    assert dog.timeouts_fired == 0
+    waiter = sim.event()
+    fire_at(sim, waiter, 3.0)
+    assert drive(sim, wait_on(sim, waiter)) == "done"
+    assert sim.now == 3.0
 
 
 def test_slow_victim_times_out():
     sim = Simulator()
-    dog = Watchdog(sim, timeout=10.0)
+    waiter, cancelled = sim.event(), []
+    with pytest.raises(WatchdogTimeout, match=r"job gave up \(10s\)"):
+        drive(sim, wait_on(sim, waiter, cancelled=cancelled))
+    assert sim.now == 10.0
+    assert cancelled == [waiter]
+    # A late failure of the abandoned waiter is defused, not re-raised.
+    waiter.fail(RuntimeError("late"))
+    sim.run()
 
-    def victim():
-        yield sim.timeout(100.0)
 
-    with pytest.raises(WatchdogTimeout, match="exceeded 10s"):
-        drive(sim, dog.guard(sim.process(victim()), label="slow job"))
-    assert dog.timeouts_fired == 1
-    assert sim.now == 10.0          # did not wait out the full sleep
-
-
-def test_victim_genuine_error_propagates_not_timeout():
+def test_waiter_failure_propagates_not_timeout():
     sim = Simulator()
-    dog = Watchdog(sim, timeout=10.0)
-
-    def victim():
-        yield sim.timeout(2.0)
-        raise ValueError("genuinely broken")
-
+    waiter = sim.event()
+    fire_at(sim, waiter, 2.0, ValueError("genuinely broken"))
     with pytest.raises(ValueError, match="genuinely broken"):
-        drive(sim, dog.guard(sim.process(victim())))
-    assert dog.timeouts_fired == 0
+        drive(sim, wait_on(sim, waiter))
 
 
-def test_error_while_handling_interrupt_is_not_absorbed():
-    """The regression: only the watchdog's own Interrupt may be defused.
-
-    A victim whose cleanup *itself* fails must surface that failure —
-    masking it as a plain WatchdogTimeout loses the real diagnosis.
-    """
+def test_waiter_failing_at_the_deadline_instant_propagates():
     sim = Simulator()
-    dog = Watchdog(sim, timeout=10.0)
-
-    def victim():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            raise RuntimeError("cleanup failed") from None
-
-    with pytest.raises(RuntimeError, match="cleanup failed"):
-        drive(sim, dog.guard(sim.process(victim())))
-    assert dog.timeouts_fired == 1
-
-
-def test_victim_completing_on_interrupt_wins_over_timeout():
-    sim = Simulator()
-    dog = Watchdog(sim, timeout=10.0)
-
-    def victim():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            return "partial result"
-
-    assert drive(sim, dog.guard(sim.process(victim()))) == "partial result"
-    assert dog.timeouts_fired == 1
-
-
-def test_error_racing_the_deadline_instant_propagates():
-    sim = Simulator()
-    dog = Watchdog(sim, timeout=10.0)
-
-    def victim():
-        # Fails at exactly the deadline instant (photo finish).
-        yield sim.timeout(10.0)
-        raise ValueError("same-instant failure")
-
+    waiter = sim.event()
+    # Fails at exactly the deadline instant (photo finish).
+    fire_at(sim, waiter, 10.0, ValueError("same-instant failure"))
     with pytest.raises(ValueError, match="same-instant"):
-        drive(sim, dog.guard(sim.process(victim())))
+        drive(sim, wait_on(sim, waiter))
+
+
+def test_an_interrupted_wait_cancels_and_defuses_its_waiter():
+    """The wait runs in its caller's process: an interrupt of that
+    process unwinds it, and the waiter is detached from its source at
+    once instead of at the deadline."""
+    sim = Simulator()
+    waiter, cancelled = sim.event(), []
+    caller = sim.process(wait_on(sim, waiter, timeout=60.0,
+                                 cancelled=cancelled))
+
+    def crash():
+        yield sim.timeout(5.0)
+        caller.interrupt("crash")
+
+    sim.process(crash())
+    with pytest.raises(Interrupt):
+        sim.run(until=caller)
+    assert sim.now == 5.0 and cancelled == [waiter]
+    waiter.fail(RuntimeError("late"))
+    sim.run()
+
+
+def test_a_fired_waiter_leaves_its_deadline_bare():
+    """A six-hour-style deadline stays queued after the waiter fires,
+    holding no callback of the fired wait (the kernel's condition
+    unhooks itself)."""
+    sim = Simulator()
+    waiter = sim.event()
+    fire_at(sim, waiter, 1.0)
+    assert drive(sim, wait_on(sim, waiter, timeout=6 * 3600.0)) == "done"
+    [deadline] = [ev for _, _, ev in sim._heap]
+    assert deadline.callbacks == [] and sim.now == 1.0
+
+
+def test_await_waiter_timeout_must_be_positive():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="timeout"):
+        drive(sim, wait_on(sim, sim.event(), timeout=0.0))
 
 
 # ---------------------------------------------------------------- poll_until
@@ -105,7 +122,7 @@ def test_accept_on_first_poll_takes_zero_time():
     sim = Simulator()
     result = drive(sim, poll_until(
         sim,
-        poll_factory=lambda: sim.timeout(0.0, value="ready"),
+        poll_factory=lambda: instant(sim, "ready"),
         accept=lambda r: True,
         interval=5.0, timeout=60.0))
     assert result == ("ready", 1)
@@ -116,7 +133,7 @@ def test_accept_exactly_at_the_deadline_boundary_wins():
     sim = Simulator()
     result = drive(sim, poll_until(
         sim,
-        poll_factory=lambda: sim.timeout(0.0, value=sim.now),
+        poll_factory=lambda: instant(sim, sim.now),
         accept=lambda t: t >= 10.0,
         interval=5.0, timeout=10.0))
     # Polls at t=0, 5, 10; the boundary poll is accepted, not timed out.
@@ -128,7 +145,7 @@ def test_timeout_exactly_at_poll_boundary_gives_up_after_that_poll():
     with pytest.raises(WatchdogTimeout, match="3 polls"):
         drive(sim, poll_until(
             sim,
-            poll_factory=lambda: sim.timeout(0.0, value="no"),
+            poll_factory=lambda: instant(sim, "no"),
             accept=lambda r: False,
             interval=5.0, timeout=10.0))
     assert sim.now == 10.0           # no extra interval past the deadline
@@ -138,16 +155,13 @@ def test_failing_on_result_side_effect_propagates():
     sim = Simulator()
 
     def bad_side_effect(result):
-        def op():
-            yield sim.timeout(0.5)
-            raise OSError("disk full")
-
-        return sim.process(op())
+        yield sim.timeout(0.5)
+        raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
         drive(sim, poll_until(
             sim,
-            poll_factory=lambda: sim.timeout(0.0, value="x"),
+            poll_factory=lambda: instant(sim, "x"),
             accept=lambda r: False,
             interval=5.0, timeout=60.0,
             on_result=bad_side_effect))
@@ -157,11 +171,8 @@ def test_failing_poll_itself_propagates():
     sim = Simulator()
 
     def broken_poll():
-        def op():
-            yield sim.timeout(1.0)
-            raise ConnectionError("poll target gone")
-
-        return sim.process(op())
+        yield sim.timeout(1.0)
+        raise ConnectionError("poll target gone")
 
     with pytest.raises(ConnectionError, match="target gone"):
         drive(sim, poll_until(
@@ -174,21 +185,6 @@ def test_failing_poll_itself_propagates():
 def test_interval_must_be_positive():
     sim = Simulator()
     with pytest.raises(ValueError, match="interval"):
-        poll_until(sim, poll_factory=lambda: sim.timeout(0.0),
-                   accept=lambda r: True, interval=0.0, timeout=10.0)
-
-
-def test_a_guarded_victim_that_finishes_leaves_its_deadline_bare():
-    """Watchdog.guard is unchanged: its six-hour-style deadline stays
-    queued after the victim returns, holding no callback of the fired
-    wait (the kernel's condition unhooks itself)."""
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-        return "done"
-
-    guard = Watchdog(sim, timeout=6 * 3600.0).guard(sim.process(quick()))
-    assert sim.run(until=guard) == "done"
-    [deadline] = [ev for _, _, ev in sim._heap]
-    assert deadline.callbacks == [] and sim.now == 1.0
+        drive(sim, poll_until(sim, poll_factory=lambda: instant(sim, None),
+                              accept=lambda r: True, interval=0.0,
+                              timeout=10.0))

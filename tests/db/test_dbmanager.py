@@ -14,6 +14,7 @@ from repro.errors import RecordNotFound
 from repro.hardware import Host, Network
 from repro.hardware.host import HostSpec
 from repro.simkernel import Simulator
+from repro.simkernel.process import Interrupt
 from repro.units import KB, MB
 
 
@@ -184,6 +185,29 @@ def test_chunked_fetch_pipelines_consumer():
     assert len(consumed) == 3
 
 
+def test_an_unwound_chunked_fetch_releases_its_resident_chunks():
+    chunk = int(MB(1))
+    sim, host, mgr = make_env(tier=DbTierConfig(chunk_bytes=chunk))
+    sim.run(until=mgr.store_executable("big", b"q" * int(MB(5))))
+    before = host.memory_used
+
+    def on_chunk(nbytes):
+        yield host.disk_write(nbytes)
+
+    def reader():
+        return (yield from mgr.load("big", on_chunk=on_chunk))
+
+    proc = sim.process(reader())
+    while host.memory_used - before < 2 * chunk:  # two chunks resident
+        sim.step()
+    proc.interrupt("crash")
+    with pytest.raises(Interrupt):
+        sim.run(until=proc)
+    sim.run()
+    assert host.memory_used == before
+    assert mgr._chunk_gauge.current == 0
+
+
 # ------------------------------------------------------------ tier: serialize
 
 def test_serialized_reads_queue_behind_store():
@@ -210,6 +234,42 @@ def test_serialized_reads_queue_behind_store():
     r = sim.process(reader())
     sim.run(until=sim.all_of([w, r]))
     assert order == ["store-done", "read-done"]
+
+
+def test_an_interrupted_queued_load_leaves_the_lock_queue():
+    """A load queued behind a store and unwound there gives up its
+    place: the store's release finds no dead waiter to hand the lock
+    to, so the next store runs."""
+    sim, host, mgr = make_env(tier=DbTierConfig(serialize=True))
+    payload = b"z" * int(MB(4))
+    sim.run(until=mgr.store_executable("x", payload))
+    store = mgr.store_executable("x", payload)  # holds the connection
+    load = mgr.load_executable("x")
+    sim.run(until=sim.now + 0.001)
+    assert len(mgr._lock_waiters) == 1
+    load.interrupt("crash")
+    with pytest.raises(Interrupt):
+        sim.run(until=load)
+    sim.run(until=store)
+    assert not mgr._lock_held and mgr._lock_waiters == []
+    exe = sim.run(until=mgr.store_executable("x", b"later"))
+    assert exe.payload == b"later"
+
+
+def test_a_load_unwound_as_the_lock_reaches_it_passes_the_lock_on():
+    """Unwound in the frame the lock was handed to it, a load passes
+    the lock to the next waiter instead of taking it to its grave."""
+    sim, host, mgr = make_env(tier=DbTierConfig(serialize=True))
+    sim.run(until=mgr.store_executable("x", b"z" * 1000))
+    mgr._lock_held = True  # a writer holds the connection
+    first, second = mgr.load_executable("x"), mgr.load_executable("x")
+    sim.run(until=sim.now + 0.001)
+    first.interrupt("crash")
+    mgr._release_conn()  # the writer hands the lock to *first*
+    with pytest.raises(Interrupt):
+        sim.run(until=first)
+    assert sim.run(until=second).name == "x"
+    assert not mgr._lock_held and mgr._lock_waiters == []
 
 
 def test_mvcc_reads_skip_the_lock():

@@ -39,8 +39,8 @@ def test_single_vs_multi_stream_alone_is_equal():
 
         def flow():
             t0 = tb.sim.now
-            yield tb.ftp("ncsa").put(client, chain, "/f", payload,
-                                     streams=streams)
+            yield from tb.ftp("ncsa").put(client, chain, "/f", payload,
+                                          streams=streams)
             return tb.sim.now - t0
 
         results[streams] = tb.sim.run(until=tb.sim.process(flow()))
@@ -56,14 +56,14 @@ def test_multi_stream_wins_under_contention():
 
     def competitor():
         # A long single-stream background transfer hogging the uplink.
-        yield tb.ftp("sdsc").put(client, chain, "/bg",
-                                 make_payload("echo", size=int(KB(2000))))
+        yield from tb.ftp("sdsc").put(
+            client, chain, "/bg", make_payload("echo", size=int(KB(2000))))
 
     def contender(streams, path):
         yield tb.sim.timeout(1.0)  # let the competitor start
         t0 = tb.sim.now
-        yield tb.ftp("ncsa").put(client, chain, path, payload,
-                                 streams=streams)
+        yield from tb.ftp("ncsa").put(client, chain, path, payload,
+                                      streams=streams)
         durations[streams] = tb.sim.now - t0
 
     tb.sim.process(competitor())
@@ -74,14 +74,14 @@ def test_multi_stream_wins_under_contention():
     chain2, client2 = logon(tb2)
 
     def competitor2():
-        yield tb2.ftp("sdsc").put(client2, chain2, "/bg",
-                                  make_payload("echo", size=int(KB(2000))))
+        yield from tb2.ftp("sdsc").put(
+            client2, chain2, "/bg", make_payload("echo", size=int(KB(2000))))
 
     def contender2():
         yield tb2.sim.timeout(1.0)
         t0 = tb2.sim.now
-        yield tb2.ftp("ncsa").put(client2, chain2, "/single", payload,
-                                  streams=1)
+        yield from tb2.ftp("ncsa").put(client2, chain2, "/single", payload,
+                                       streams=1)
         durations[1] = tb2.sim.now - t0
 
     tb2.sim.process(competitor2())
@@ -99,7 +99,7 @@ def test_stream_validation_and_integrity():
     payload = make_payload("echo", size=12345)  # not stream-divisible
 
     def flow():
-        yield tb.ftp("ncsa").put(client, chain, "/f", payload, streams=4)
+        yield from tb.ftp("ncsa").put(client, chain, "/f", payload, streams=4)
         return tb.site("ncsa").read_file("/f")
 
     assert tb.sim.run(until=tb.sim.process(flow())) == payload

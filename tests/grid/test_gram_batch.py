@@ -38,14 +38,15 @@ def submit_sleepers(tb, chain, client, runtimes, site="ncsa"):
     gram = tb.gatekeepers[site]
 
     def flow():
-        yield tb.ftp(site).put(client, chain, "/scratch/sleep.bin", payload)
+        yield from tb.ftp(site).put(client, chain, "/scratch/sleep.bin",
+                                    payload)
         ids = []
         for i, runtime in enumerate(runtimes):
             rsl = generate_rsl(JobDescription(
                 executable="/scratch/sleep.bin",
                 arguments=[str(runtime)],
                 stdout=f"/scratch/out{i}.txt"))
-            ids.append((yield gram.submit(client, chain, rsl)))
+            ids.append((yield from gram.submit(client, chain, rsl)))
         return ids
 
     return tb.sim.run(until=tb.sim.process(flow()))
@@ -62,10 +63,10 @@ def test_status_and_cancel_fail_during_outage():
         FaultSpec("site.outage", target="ncsa", window=(0.0, 1e9)))
 
     def status_flow():
-        yield gram.status(client, ids[0])
+        yield from gram.status(client, ids[0])
 
     def cancel_flow():
-        yield gram.cancel(client, ids[0])
+        yield from gram.cancel(client, ids[0])
 
     for flow in (status_flow, cancel_flow):
         with pytest.raises(SubmissionRefused, match="outage"):
@@ -80,8 +81,8 @@ def test_status_and_cancel_record_spans():
     ctx = RequestContext.create(tb.sim)
 
     def flow():
-        yield gram.status(client, ids[0], ctx=ctx)
-        yield gram.cancel(client, ids[0], ctx=ctx)
+        yield from gram.status(client, ids[0], ctx=ctx)
+        yield from gram.cancel(client, ids[0], ctx=ctx)
 
     tb.sim.run(until=tb.sim.process(flow()))
     names = [s.name for s in ctx.spans()]

@@ -53,8 +53,8 @@ def rsl(i=0):
 def submit(tb, pool, client, chain, i=0):
     """One submit through *pool*; its job id (the job itself fails:
     nothing is staged, which a submit does not care about)."""
-    return tb.sim.run(until=pool.submit(tb.gatekeepers[SITE], client, chain,
-                                        rsl(i)))
+    return tb.sim.run(until=tb.sim.process(
+        pool.submit(tb.gatekeepers[SITE], client, chain, rsl(i))))
 
 
 def pooled_env(**pool_kw):
@@ -99,7 +99,7 @@ def test_disabled_pool_submit_is_the_per_operation_submit():
         chain, client = logon(tb)
         gram = tb.gatekeepers[SITE]
         before = tb.sim.events_processed
-        tb.sim.run(until=(
+        tb.sim.run(until=tb.sim.process(
             GsiChannelPool(tb.sim).submit(gram, client, chain, rsl())
             if via_pool else gram.submit(client, chain, rsl())))
         runs.append((tb.sim.now, tb.sim.events_processed - before,
@@ -122,7 +122,8 @@ def test_every_pooled_submit_is_authorized():
 
 def test_concurrent_first_submits_pay_one_handshake():
     tb, chain, client, pool, gram = pooled_env()
-    procs = [pool.submit(gram, client, chain, rsl(i)) for i in range(5)]
+    procs = [tb.sim.process(pool.submit(gram, client, chain, rsl(i)))
+             for i in range(5)]
     ids = tb.sim.run(until=tb.sim.all_of(procs))
     assert len(set(ids.values())) == 5
     assert (gram.handshakes, gram.pooled_ops) == (1, 4)
@@ -161,7 +162,8 @@ def _per_op_error(setup):
     chain, client = logon(tb, lifetime=100.0)
     setup(tb, chain)
     with pytest.raises(Exception) as info:
-        tb.sim.run(until=tb.gatekeepers[SITE].submit(client, chain, rsl()))
+        tb.sim.run(until=tb.sim.process(
+            tb.gatekeepers[SITE].submit(client, chain, rsl())))
     return type(info.value)
 
 

@@ -47,9 +47,9 @@ def test_session_reuse_handshakes_once():
     payload = make_payload("echo", size=int(KB(8)))
 
     def flow():
-        yield pool.put(ftp, client, chain, "/a", payload)
-        yield pool.put(ftp, client, chain, "/b", payload)
-        data = yield pool.get(ftp, client, chain, "/a")
+        yield from pool.put(ftp, client, chain, "/a", payload)
+        yield from pool.put(ftp, client, chain, "/b", payload)
+        data = yield from pool.get(ftp, client, chain, "/a")
         return data
 
     data = tb.sim.run(until=tb.sim.process(flow()))
@@ -74,8 +74,8 @@ def test_session_concurrent_first_ops_share_one_handshake():
     payload = make_payload("echo", size=int(KB(4)))
 
     def flow():
-        a = pool.put(ftp, client, chain, "/a", payload)
-        b = pool.put(ftp, client, chain, "/b", payload)
+        a = tb.sim.process(pool.put(ftp, client, chain, "/a", payload))
+        b = tb.sim.process(pool.put(ftp, client, chain, "/b", payload))
         yield tb.sim.all_of([a, b])
 
     tb.sim.run(until=tb.sim.process(flow()))
@@ -90,9 +90,9 @@ def test_session_idle_timeout_rehandshakes():
     payload = make_payload("echo", size=int(KB(4)))
 
     def flow():
-        yield pool.put(ftp, client, chain, "/a", payload)
+        yield from pool.put(ftp, client, chain, "/a", payload)
         yield tb.sim.timeout(120.0)  # idle past the timeout
-        yield pool.put(ftp, client, chain, "/b", payload)
+        yield from pool.put(ftp, client, chain, "/b", payload)
 
     tb.sim.run(until=tb.sim.process(flow()))
     session = pool.channel(ftp, client, chain)
@@ -110,11 +110,12 @@ def test_disabled_pool_is_timing_identical_to_direct_ops():
 
         def flow():
             if via_pool:
-                yield pool.put(ftp, client, chain, "/x", payload, streams=2)
-                yield pool.get(ftp, client, chain, "/x")
+                yield from pool.put(ftp, client, chain, "/x", payload,
+                                    streams=2)
+                yield from pool.get(ftp, client, chain, "/x")
             else:
-                yield ftp.put(client, chain, "/x", payload, streams=2)
-                yield ftp.get(client, chain, "/x")
+                yield from ftp.put(client, chain, "/x", payload, streams=2)
+                yield from ftp.get(client, chain, "/x")
 
         tb.sim.run(until=tb.sim.process(flow()))
         return tb.sim.now
@@ -132,9 +133,9 @@ def test_session_invalidated_by_failure():
         FaultSpec("site.outage", target="ncsa", window=(5.0, 1e9)))
 
     def flow():
-        yield pool.put(ftp, client, chain, "/a", payload)
+        yield from pool.put(ftp, client, chain, "/a", payload)
         yield tb.sim.timeout(10.0)  # into the outage window
-        yield pool.put(ftp, client, chain, "/b", payload)
+        yield from pool.put(ftp, client, chain, "/b", payload)
 
     with pytest.raises(TransferError):
         tb.sim.run(until=tb.sim.process(flow()))
@@ -151,7 +152,7 @@ def test_new_credential_replaces_session():
 
     def flow(use_chain):
         def op():
-            yield pool.put(ftp, client, use_chain, "/a", payload)
+            yield from pool.put(ftp, client, use_chain, "/a", payload)
         return tb.sim.process(op())
 
     tb.sim.run(until=flow(chain))
@@ -171,7 +172,7 @@ def test_put_clamps_streams_to_payload():
     ftp = tb.ftp("ncsa")
 
     def flow():
-        yield ftp.put(client, chain, "/tiny", b"abc", streams=8)
+        yield from ftp.put(client, chain, "/tiny", b"abc", streams=8)
 
     tb.sim.run(until=tb.sim.process(flow()))
     # Only 3 data connections ever opened — no zero-byte streams.
@@ -198,7 +199,7 @@ def test_effective_streams_floor_is_one():
 
 def _stage_source(tb, chain, client, path, payload):
     def flow():
-        yield tb.ftp("ncsa").put(client, chain, path, payload)
+        yield from tb.ftp("ncsa").put(client, chain, path, payload)
 
     tb.sim.run(until=tb.sim.process(flow()))
 
@@ -213,8 +214,8 @@ def test_third_party_transfer_traced_and_counted():
     ctx = RequestContext.create(tb.sim)
 
     def flow():
-        yield src.third_party_transfer(client, chain, "/src", dst, "/dst",
-                                       ctx=ctx)
+        yield from src.third_party_transfer(client, chain, "/src", dst,
+                                            "/dst", ctx=ctx)
 
     tb.sim.run(until=tb.sim.process(flow()))
     assert tb.site("sdsc").read_file("/dst") == payload
@@ -241,7 +242,7 @@ def test_third_party_transfer_respects_site_outage():
         FaultSpec("site.outage", target="sdsc", window=(0.0, 1e9)))
 
     def flow():
-        yield tb.ftp("ncsa").third_party_transfer(
+        yield from tb.ftp("ncsa").third_party_transfer(
             client, chain, "/src", tb.ftp("sdsc"), "/dst")
 
     with pytest.raises(TransferError, match="outage"):
@@ -256,7 +257,7 @@ def test_third_party_transfer_abort_fault():
     fault_plane(tb.sim).add(FaultSpec("gridftp.abort", target="ncsa"))
 
     def flow():
-        yield tb.ftp("ncsa").third_party_transfer(
+        yield from tb.ftp("ncsa").third_party_transfer(
             client, chain, "/src", tb.ftp("sdsc"), "/dst")
 
     with pytest.raises(TransferError, match="aborted"):
@@ -275,11 +276,11 @@ def test_third_party_on_open_channels_pays_one_command_per_end():
     ctx = RequestContext.create(tb.sim)
 
     def flow():
-        yield pool.put(src, client, chain, "/src", payload)
-        yield pool.put(dst, client, chain, "/other", payload)
+        yield from pool.put(src, client, chain, "/src", payload)
+        yield from pool.put(dst, client, chain, "/other", payload)
         before = src.control_bytes, dst.control_bytes
-        n = yield pool.third_party(src, dst, client, chain, "/src", "/dst",
-                                   ctx=ctx)
+        n = yield from pool.third_party(src, dst, client, chain, "/src",
+                                        "/dst", ctx=ctx)
         return n, before
 
     n, (src0, dst0) = tb.sim.run(until=tb.sim.process(flow()))
@@ -303,8 +304,9 @@ def test_third_party_on_a_cold_pool_opens_both_channels_once():
     _stage_source(tb, chain, client, "/src", payload)
     src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
     pool = GsiChannelPool(tb.sim, enabled=True)
-    tb.sim.run(until=pool.third_party(src, dst, client, chain, "/src", "/a"))
-    tb.sim.run(until=pool.third_party(src, dst, client, chain, "/src", "/b"))
+    for dst_path in ("/a", "/b"):
+        tb.sim.run(until=tb.sim.process(pool.third_party(
+            src, dst, client, chain, "/src", dst_path)))
     assert tb.site("sdsc").read_file("/b") == payload
     assert pool.open_channels == 2
     assert bus(tb.sim).counts()["gridftp.session_open"] == 2
@@ -320,7 +322,7 @@ def test_disabled_pool_third_party_is_the_per_operation_transfer():
         src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
         pool = GsiChannelPool(tb.sim)  # disabled: the default
         before = tb.sim.events_processed
-        tb.sim.run(until=(
+        tb.sim.run(until=tb.sim.process(
             pool.third_party(src, dst, client, chain, "/src", "/dst")
             if pooled_call else
             src.third_party_transfer(client, chain, "/src", dst, "/dst")))
@@ -342,13 +344,14 @@ def test_a_failed_pooled_third_party_drops_both_channels(fault):
     payload = make_payload("echo", size=int(KB(4)))
     src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
     pool = GsiChannelPool(tb.sim, enabled=True)
-    tb.sim.run(until=pool.put(src, client, chain, "/src", payload))
-    tb.sim.run(until=pool.put(dst, client, chain, "/other", payload))
+    for end, path in ((src, "/src"), (dst, "/other")):
+        tb.sim.run(until=tb.sim.process(
+            pool.put(end, client, chain, path, payload)))
     assert pool.open_channels == 2
     fault_plane(tb.sim).add(fault)
     with pytest.raises(TransferError, match="aborted|outage"):
-        tb.sim.run(until=pool.third_party(src, dst, client, chain, "/src",
-                                          "/dst"))
+        tb.sim.run(until=tb.sim.process(pool.third_party(
+            src, dst, client, chain, "/src", "/dst")))
     assert pool.open_channels == 0
     assert not tb.site("sdsc").has_file("/dst")
 

@@ -171,8 +171,8 @@ def test_await_notification_returns_payload():
         queue.publish("ncsa", "ncsa-job-00001", "done")
 
     def flow():
-        note = yield await_notification(sim, queue, "ncsa",
-                                        "ncsa-job-00001", timeout=60.0)
+        note = yield from await_notification(sim, queue, "ncsa",
+                                             "ncsa-job-00001", timeout=60.0)
         return note, sim.now
 
     sim.process(publisher(), name="pub")
@@ -188,14 +188,14 @@ def test_await_notification_timeout_detaches_then_fresh_waiter_wins():
 
     def flow():
         try:
-            yield await_notification(sim, queue, "ncsa",
-                                     "ncsa-job-00001", timeout=2.0)
+            yield from await_notification(sim, queue, "ncsa",
+                                          "ncsa-job-00001", timeout=2.0)
         except WatchdogTimeout:
             history.append(("timeout", sim.now))
         # Re-subscribe the same job: the fresh waiter must get the
         # payload even though an abandoned one timed out earlier.
-        note = yield await_notification(sim, queue, "ncsa",
-                                        "ncsa-job-00001", timeout=60.0)
+        note = yield from await_notification(sim, queue, "ncsa",
+                                             "ncsa-job-00001", timeout=60.0)
         history.append(("done", sim.now, note["state"]))
 
     def publisher():
@@ -213,7 +213,8 @@ def test_await_notification_rejects_bad_timeout():
     sim = Simulator()
     queue = make_queue(sim)
     with pytest.raises(ValueError):
-        await_notification(sim, queue, "ncsa", "j", timeout=0.0)
+        sim.run(until=sim.process(
+            await_notification(sim, queue, "ncsa", "j", timeout=0.0)))
 
 
 # -- gatekeeper attachment ------------------------------------------------
@@ -231,9 +232,9 @@ def submit_one(tb, gatekeeper, path):
         _key, proxy, ee = yield tb.myproxy.logon(client, "ada", "pw",
                                                  lifetime=3600.0)
         chain = [proxy, ee]
-        yield tb.ftp(gatekeeper.site.name).put(
+        yield from tb.ftp(gatekeeper.site.name).put(
             client, chain, path, make_payload("echo", runtime="1"))
-        job_id = yield gatekeeper.submit(client, chain, generate_rsl(
+        job_id = yield from gatekeeper.submit(client, chain, generate_rsl(
             JobDescription(executable=path, arguments=["hi"],
                            stdout=path + ".out")))
         yield gatekeeper.completion_event(job_id)

@@ -93,8 +93,8 @@ def test_node_failure_kills_running_jobs():
                                       max_wall_time=3600))
 
     def flow():
-        yield ftp.put(client, chain, "/exe", payload)
-        job_id = yield gram.submit(client, chain, rsl)
+        yield from ftp.put(client, chain, "/exe", payload)
+        job_id = yield from gram.submit(client, chain, rsl)
         yield tb.sim.timeout(10.0)
         killed = site.fail_node(site.pool.nodes[0].name)
         job = yield gram.completion_event(job_id)
@@ -186,10 +186,10 @@ def test_third_party_transfer_moves_site_to_site():
     payload = make_payload("echo", size=int(KB(64)))
 
     def flow():
-        yield src.put(client, chain, "/data", payload)
+        yield from src.put(client, chain, "/data", payload)
         out_before = client.net_bytes_out()
-        n = yield src.third_party_transfer(client, chain, "/data", dst,
-                                           "/staged")
+        n = yield from src.third_party_transfer(client, chain, "/data", dst,
+                                                "/staged")
         return n, client.net_bytes_out() - out_before
 
     n, client_bytes = tb.sim.run(until=tb.sim.process(flow()))
@@ -204,7 +204,7 @@ def test_third_party_missing_source():
     chain, client = logon(tb)
 
     def flow():
-        yield tb.ftp("ncsa").third_party_transfer(
+        yield from tb.ftp("ncsa").third_party_transfer(
             client, chain, "/ghost", tb.ftp("sdsc"), "/x")
 
     from repro.errors import TransferError
@@ -220,7 +220,7 @@ def test_revoked_certificate_rejected_after_crl_refresh():
     site = tb.site("ncsa")
 
     def use():
-        yield tb.ftp("ncsa").put(client, chain, "/f", b"x" * 100)
+        yield from tb.ftp("ncsa").put(client, chain, "/f", b"x" * 100)
 
     tb.sim.run(until=tb.sim.process(use()))  # works before revocation
 
@@ -243,7 +243,7 @@ def test_crl_only_affects_revoked_serials():
     site.acceptor.update_crl(tb.ca)
 
     def use(chain, path):
-        yield tb.ftp("ncsa").put(client, chain, path, b"x")
+        yield from tb.ftp("ncsa").put(client, chain, path, b"x")
 
     with pytest.raises(CertificateInvalid):
         tb.sim.run(until=tb.sim.process(use(chain_a, "/a")))

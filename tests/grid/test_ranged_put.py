@@ -24,6 +24,11 @@ def quick_testbed():
                          appliance_uplink=Mbps(10))
 
 
+def drive(sim, op):
+    """Run the generator *op* as a process to its end; its value."""
+    return sim.run(until=sim.process(op))
+
+
 def logon(tb, username="ada", passphrase="pw"):
     tb.new_grid_identity(username, passphrase)
 
@@ -32,7 +37,7 @@ def logon(tb, username="ada", passphrase="pw"):
             tb.appliance_host, username, passphrase, lifetime=3600.0)
         return [proxy, ee]
 
-    return tb.sim.run(until=tb.sim.process(flow()))
+    return drive(tb.sim, flow())
 
 
 def cut(size, k):
@@ -56,7 +61,7 @@ def test_ranges_in_any_order_leave_what_one_put_leaves(size, k, data):
     chain = logon(tb)
     pool = GsiChannelPool(sim, enabled=pooled)
     digest = hashlib.sha256(payload).hexdigest()
-    sim.run(until=ftp.put(client, chain, "/ref", payload))
+    drive(sim, ftp.put(client, chain, "/ref", payload))
     if aborts:
         fault_plane(sim).add(FaultSpec("gridftp.abort", target="ncsa",
                                        max_fires=aborts))
@@ -68,8 +73,9 @@ def test_ranges_in_any_order_leave_what_one_put_leaves(size, k, data):
         while True:  # the leader's re-send of a range that failed
             early.append(site.has_file("/striped"))
             try:
-                yield pool.put(ftp, client, chain, "/striped", view[a:b],
-                               offset=a, total=size, transfer=digest)
+                yield from pool.put(ftp, client, chain, "/striped",
+                                    view[a:b], offset=a, total=size,
+                                    transfer=digest)
                 return
             except TransferError:
                 pass
@@ -94,8 +100,8 @@ def test_one_range_costs_exactly_what_a_whole_file_put_costs(pooled):
         pool = GsiChannelPool(tb.sim, enabled=pooled)
         ftp = tb.ftp("ncsa")
         before = tb.sim.events_processed
-        tb.sim.run(until=pool.put(ftp, tb.appliance_host, chain, "/x",
-                                  payload, **where))
+        drive(tb.sim, pool.put(ftp, tb.appliance_host, chain, "/x",
+                               payload, **where))
         runs.append((tb.sim.now, tb.sim.events_processed - before,
                      ftp.control_bytes, tb.site("ncsa").read_file("/x")))
     assert runs[0] == runs[1]
@@ -108,23 +114,23 @@ def test_an_incomplete_transfer_is_invisible_to_every_reader():
     src, dst = tb.ftp("ncsa"), tb.ftp("sdsc")
     site = tb.site("ncsa")
     old, new = b"o" * 1000, b"n" * 1000
-    sim.run(until=src.put(client, chain, "/exe", old))
-    sim.run(until=src.put(client, chain, "/exe", memoryview(new)[:600],
-                          offset=0, total=1000, transfer="new"))
+    drive(sim, src.put(client, chain, "/exe", old))
+    drive(sim, src.put(client, chain, "/exe", memoryview(new)[:600],
+                       offset=0, total=1000, transfer="new"))
     # The old file stays what every reader sees ...
     assert site.read_file("/exe") == old
-    assert sim.run(until=src.get(client, chain, "/exe")) == old
-    sim.run(until=src.third_party_transfer(client, chain, "/exe", dst,
-                                           "/copy"))
+    assert drive(sim, src.get(client, chain, "/exe")) == old
+    drive(sim, src.third_party_transfer(client, chain, "/exe", dst,
+                                        "/copy"))
     assert tb.site("sdsc").read_file("/copy") == old
     # ... and a path with nothing but ranges does not exist.
-    sim.run(until=src.put(client, chain, "/fresh", memoryview(new)[:600],
-                          offset=0, total=1000, transfer="new"))
+    drive(sim, src.put(client, chain, "/fresh", memoryview(new)[:600],
+                       offset=0, total=1000, transfer="new"))
     assert not site.has_file("/fresh") and not src.exists("/fresh")
     with pytest.raises(TransferError, match="no such file"):
-        sim.run(until=src.get(client, chain, "/fresh"))
-    sim.run(until=src.put(client, chain, "/exe", memoryview(new)[600:],
-                          offset=600, total=1000, transfer="new"))
+        drive(sim, src.get(client, chain, "/fresh"))
+    drive(sim, src.put(client, chain, "/exe", memoryview(new)[600:],
+                       offset=600, total=1000, transfer="new"))
     assert site.read_file("/exe") == new
     assert list(site.incoming) == [("/fresh", "new")]
 
@@ -169,16 +175,16 @@ def test_two_transfers_of_one_path_never_mix_their_bytes():
     # file became visible (a re-send's) is absorbed instead of opening
     # a transfer nobody ends.
     for i in (1, 2, 0, 1):
-        sim.run(until=ftp.put(client, chain, "/exe",
-                              memoryview(a)[300 * i:300 * (i + 1)],
-                              offset=300 * i, total=900, transfer="A"))
+        drive(sim, ftp.put(client, chain, "/exe",
+                           memoryview(a)[300 * i:300 * (i + 1)],
+                           offset=300 * i, total=900, transfer="A"))
     assert site.read_file("/exe") == a
     assert site.incoming == {} and site.refused_ranges == 2
     # Re-sent, overlapping and copied ranges still assemble the file.
     parts = [(0, b"x" * 500), (0, b"x" * 500), (400, b"x" * 200 + b"y" * 300)]
     for offset, part in parts:
-        sim.run(until=ftp.put(client, chain, "/joined", part, offset=offset,
-                              total=900, transfer="J"))
+        drive(sim, ftp.put(client, chain, "/joined", part, offset=offset,
+                           total=900, transfer="J"))
     assert site.read_file("/joined") == b"x" * 600 + b"y" * 300
 
 
@@ -194,11 +200,11 @@ def test_a_site_to_site_copy_of_a_striped_file_shares_its_bytes():
     digest = hashlib.sha256(payload).hexdigest()
     view = memoryview(payload)
     for a, b in cut(len(payload), 4):
-        sim.run(until=src.put(client, chain, "/exe", view[a:b], offset=a,
-                              total=len(payload), transfer=digest))
+        drive(sim, src.put(client, chain, "/exe", view[a:b], offset=a,
+                           total=len(payload), transfer=digest))
     assert tb.site("ncsa").read_file("/exe") is payload
-    sim.run(until=src.third_party_transfer(client, chain, "/exe", dst,
-                                           "/exe"))
+    drive(sim, src.third_party_transfer(client, chain, "/exe", dst,
+                                        "/exe"))
     assert tb.site("sdsc").read_file("/exe") is payload
     assert tb.site("sdsc").incoming == {}
 
@@ -225,8 +231,9 @@ def test_a_late_range_of_replaced_bytes_is_refused_and_opens_nothing():
     def republish():
         yield sim.timeout(0.01)  # the old range's command has landed
         yield sim.all_of([
-            ftp.put(client, chain, "/exe", memoryview(new)[i:i + 10_000],
-                    offset=i, total=30_000, transfer="new")
+            sim.process(ftp.put(client, chain, "/exe",
+                                memoryview(new)[i:i + 10_000], offset=i,
+                                total=30_000, transfer="new"))
             for i in range(0, 30_000, 10_000)])
         assert site.read_file("/exe") == new
         assert ("/exe", "old") not in site.incoming
@@ -244,7 +251,7 @@ def test_a_late_range_of_replaced_bytes_is_refused_and_opens_nothing():
 def outcome(put):
     """A process body: *put*'s fate, as the name of what failed it."""
     try:
-        yield put
+        yield from put
     except TransferError as exc:
         return type(exc).__name__
     return "landed"
@@ -262,8 +269,8 @@ def test_a_whole_file_commanded_before_a_ranged_put_is_refused():
 
     def ranged():
         yield sim.timeout(0.01)  # the whole file's command has landed
-        yield ftp.put(client, chain, "/exe", new, offset=0, total=30_000,
-                      transfer="new")
+        yield from ftp.put(client, chain, "/exe", new, offset=0,
+                           total=30_000, transfer="new")
 
     whole = sim.process(outcome(ftp.put(client, chain, "/exe", old)))
     sim.run(until=sim.all_of([whole, sim.process(ranged())]))
@@ -271,7 +278,7 @@ def test_a_whole_file_commanded_before_a_ranged_put_is_refused():
     assert site.read_file("/exe") == new and site.refused_ranges == 1
     # A whole file commanded after it lands, as does one after that.
     for data in (old, new):
-        sim.run(until=ftp.put(client, chain, "/exe", data))
+        drive(sim, ftp.put(client, chain, "/exe", data))
         assert site.read_file("/exe") == data
 
 
@@ -287,13 +294,14 @@ def test_a_site_to_site_copy_is_a_put_like_any_other():
     sdsc = tb.site("sdsc")
     old, new = b"o" * 600_000, b"n" * 900
     for i in range(3):  # ncsa shows the new bytes, as transfer "new"
-        sim.run(until=src.put(client, chain, "/exe",
-                              memoryview(new)[300 * i:300 * (i + 1)],
-                              offset=300 * i, total=900, transfer="new"))
+        drive(sim, src.put(client, chain, "/exe",
+                           memoryview(new)[300 * i:300 * (i + 1)],
+                           offset=300 * i, total=900, transfer="new"))
 
     def copy():
         yield sim.timeout(0.01)  # the old range's command has landed
-        yield src.third_party_transfer(client, chain, "/exe", dst, "/exe")
+        yield from src.third_party_transfer(client, chain, "/exe", dst,
+                                            "/exe")
         assert sdsc.read_file("/exe") == new
 
     late = sim.process(outcome(dst.put(
@@ -305,11 +313,11 @@ def test_a_site_to_site_copy_is_a_put_like_any_other():
     assert sdsc.incoming == {}
     # A stage of "new" under way at sdsc: a copy of "new" completes it,
     # and the stage's own later range is absorbed.
-    sim.run(until=dst.put(client, chain, "/new", memoryview(new)[:300],
-                          offset=0, total=900, transfer="new"))
-    sim.run(until=src.third_party_transfer(client, chain, "/exe", dst,
-                                           "/new"))
+    drive(sim, dst.put(client, chain, "/new", memoryview(new)[:300],
+                       offset=0, total=900, transfer="new"))
+    drive(sim, src.third_party_transfer(client, chain, "/exe", dst,
+                                        "/new"))
     assert sdsc.read_file("/new") == new and sdsc.incoming == {}
-    sim.run(until=dst.put(client, chain, "/new", memoryview(new)[300:],
-                          offset=300, total=900, transfer="new"))
+    drive(sim, dst.put(client, chain, "/new", memoryview(new)[300:],
+                       offset=300, total=900, transfer="new"))
     assert sdsc.read_file("/new") == new and sdsc.refused_ranges == 1

@@ -44,8 +44,8 @@ def test_gridftp_put_get_roundtrip():
     ftp = tb.ftp("ncsa")
 
     def flow():
-        yield ftp.put(client, chain, "/scratch/echo.bin", payload)
-        data = yield ftp.get(client, chain, "/scratch/echo.bin")
+        yield from ftp.put(client, chain, "/scratch/echo.bin", payload)
+        data = yield from ftp.get(client, chain, "/scratch/echo.bin")
         return data
 
     data = tb.sim.run(until=tb.sim.process(flow()))
@@ -62,7 +62,7 @@ def test_gridftp_requires_valid_chain():
     other_chain, _ = logon(stranger_tb, "eve", "x")
 
     def flow():
-        yield tb.ftp("ncsa").put(client, other_chain, "/f", b"data")
+        yield from tb.ftp("ncsa").put(client, other_chain, "/f", b"data")
 
     with pytest.raises(Exception):  # CertificateInvalid (untrusted CA)
         tb.sim.run(until=tb.sim.process(flow()))
@@ -73,7 +73,7 @@ def test_gridftp_get_missing_file():
     chain, client = logon(tb)
 
     def flow():
-        yield tb.ftp("ncsa").get(client, chain, "/nope")
+        yield from tb.ftp("ncsa").get(client, chain, "/nope")
 
     with pytest.raises(TransferError):
         tb.sim.run(until=tb.sim.process(flow()))
@@ -86,7 +86,7 @@ def test_gridftp_transfer_rate_limited_by_uplink():
 
     def flow():
         t0 = tb.sim.now
-        yield tb.ftp("ncsa").put(client, chain, "/big", payload)
+        yield from tb.ftp("ncsa").put(client, chain, "/big", payload)
         return tb.sim.now - t0
 
     elapsed = tb.sim.run(until=tb.sim.process(flow()))
@@ -107,8 +107,8 @@ def submit_job(tb, site="ncsa", runtime=10.0, walltime=3600,
                                       stdout="exe.out"))
 
     def flow():
-        yield ftp.put(client, chain, path, payload)
-        job_id = yield gram.submit(client, chain, rsl)
+        yield from ftp.put(client, chain, path, payload)
+        job_id = yield from gram.submit(client, chain, rsl)
         return job_id
 
     job_id = tb.sim.run(until=tb.sim.process(flow()))
@@ -139,9 +139,10 @@ def test_a_terminal_job_is_one_retired_record():
     assert job.completion is None and job.finished_at is not None
     assert job.output.startswith(b"fixed-profile output")
     # Status, output and completion still answer from the record.
-    full = tb.sim.run(until=gram.fetch_output(client, job_id))
+    full = tb.sim.run(until=tb.sim.process(gram.fetch_output(client, job_id)))
     assert full == job.output
-    assert tb.sim.run(until=gram.status(client, job_id)) is JobState.DONE
+    assert tb.sim.run(until=tb.sim.process(
+        gram.status(client, job_id))) is JobState.DONE
     assert tb.sim.run(until=gram.completion_event(job_id)) is job
 
 
@@ -150,9 +151,9 @@ def test_gram_status_progression():
                                                  runtime=100.0)
 
     def flow():
-        first = yield gram.status(client, job_id)
+        first = yield from gram.status(client, job_id)
         yield tb.sim.timeout(200.0)
-        second = yield gram.status(client, job_id)
+        second = yield from gram.status(client, job_id)
         return first, second
 
     first, second = tb.sim.run(until=tb.sim.process(flow()))
@@ -166,7 +167,7 @@ def test_gram_cancel():
 
     def flow():
         yield tb.sim.timeout(5.0)
-        yield gram.cancel(client, job_id)
+        yield from gram.cancel(client, job_id)
 
     tb.sim.run(until=tb.sim.process(flow()))
     job = tb.site("ncsa").get_job(job_id)
@@ -179,9 +180,9 @@ def test_gram_fetch_output_partial_then_full():
 
     def flow():
         yield tb.sim.timeout(60.0)  # job is mid-run
-        partial = yield gram.fetch_output(client, job_id)
+        partial = yield from gram.fetch_output(client, job_id)
         yield gram.completion_event(job_id)
-        full = yield gram.fetch_output(client, job_id)
+        full = yield from gram.fetch_output(client, job_id)
         return partial, full
 
     partial, full = tb.sim.run(until=tb.sim.process(flow()))
@@ -195,7 +196,7 @@ def test_gram_submit_rejects_bad_rsl():
     chain, client = logon(tb)
 
     def flow():
-        yield tb.gram("ncsa").submit(client, chain, "not rsl at all")
+        yield from tb.gram("ncsa").submit(client, chain, "not rsl at all")
 
     with pytest.raises(Exception):
         tb.sim.run(until=tb.sim.process(flow()))
@@ -208,7 +209,7 @@ def test_gram_unstaged_executable_fails_job():
     rsl = generate_rsl(JobDescription(executable="/missing"))
 
     def flow():
-        job_id = yield tb.gram("ncsa").submit(client, chain, rsl)
+        job_id = yield from tb.gram("ncsa").submit(client, chain, rsl)
         job = yield tb.gram("ncsa").completion_event(job_id)
         return job
 
@@ -223,8 +224,9 @@ def test_gram_garbage_payload_fails_job():
     rsl = generate_rsl(JobDescription(executable="/junk"))
 
     def flow():
-        yield tb.ftp("ncsa").put(client, chain, "/junk", b"\x7fELF not ours")
-        job_id = yield tb.gram("ncsa").submit(client, chain, rsl)
+        yield from tb.ftp("ncsa").put(client, chain, "/junk",
+                                      b"\x7fELF not ours")
+        job_id = yield from tb.gram("ncsa").submit(client, chain, rsl)
         return (yield tb.gram("ncsa").completion_event(job_id))
 
     job = tb.sim.run(until=tb.sim.process(flow()))
