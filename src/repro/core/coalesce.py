@@ -2,8 +2,9 @@
 
 §VIII.D names the appliance's *per-request* work as the scaling limit:
 N concurrent invocations of the same service each re-fetch the
-executable from the database, each log on through MyProxy, and each
-push the same payload through the thin GridFTP uplink.  A
+executable from the database and each push the same payload through
+the thin GridFTP uplink (their MyProxy logon is shared by the
+replica's :class:`~repro.core.session.SessionCache`).  A
 :class:`SingleFlight` group deduplicates that work *while it is in
 flight*: the first caller of a key runs the real operation, every
 concurrent caller of the same key waits on the leader's outcome and

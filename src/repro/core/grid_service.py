@@ -46,6 +46,7 @@ from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.context import RequestContext, span
 from repro.core.datastructures import ExecutableRecord, service_name_for
+from repro.core.session import SessionCache
 from repro.core.watchdog import await_waiter, poll_until
 from repro.cyberaide.jobspec import CyberaideJobSpec, staged_path_for
 from repro.errors import (
@@ -61,6 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.onserve import OnServe
 
 __all__ = ["GridServiceRuntime", "InvocationReport"]
+
+#: Failures of a call whose agent session died: log on again.
+_DEAD_CREDENTIAL = ("CredentialExpired", "AuthenticationFailed")
 
 
 class InvocationReport:
@@ -122,11 +126,11 @@ class GridServiceRuntime:
         self.onserve = onserve
         self.record = record
         self.sim = onserve.sim
-        self._session: Optional[str] = None
-        self._session_expires = 0.0
-        #: Event shared by callers waiting on an in-flight authentication
-        #: (prevents a thundering herd of MyProxy logons).
-        self._auth_pending = None
+        #: The agent session this runtime logs on with: the replica's,
+        #: shared by every runtime, under coalescing; else its own.
+        self.session_cache = (onserve.session_cache
+                              if onserve.config.coalesce
+                              else SessionCache(onserve))
         self._rr_cursor = 0
         #: Asynchronous invocations in flight: ticket -> background process.
         self._tickets: Dict[str, Any] = {}
@@ -261,7 +265,7 @@ class GridServiceRuntime:
             # 2. Authentication through the agent (cached while fresh).
             mark = self.sim.now
             with span(ctx, "service:auth"):
-                yield from self._ensure_session(ctx)
+                yield from self.session_cache.get(ctx)
             report.auth = self.sim.now - mark
             # 4. Job description generation needs neither the site nor
             #    the bytes: under publish-time staging it runs while they
@@ -358,7 +362,7 @@ class GridServiceRuntime:
                     rsl = spec.to_rsl(job_tag=tag)
 
                     def submit_try():
-                        session = yield from self._ensure_session(ctx)
+                        session = yield from self.session_cache.get(ctx)
                         return (yield from self.onserve.agent_stub.submitJob(
                             session=session, site=site, rsl=rsl, ctx=ctx))
 
@@ -374,8 +378,8 @@ class GridServiceRuntime:
                 with span(ctx, "service:polling", job=job_id):
                     try:
                         result = yield from self._await_output(
-                            self._session, site, spec, tag, job_id, report,
-                            ctx)
+                            self.session_cache.session, site, spec, tag,
+                            job_id, report, ctx)
                     except JobError:
                         if staged_hit:
                             yield from self._drop_if_unstaged(site, staged,
@@ -650,7 +654,7 @@ class GridServiceRuntime:
 
         def put(data, **where):
             def upload_try():
-                session = yield from self._ensure_session(ctx)
+                session = yield from self.session_cache.get(ctx)
                 return (yield from _put(onserve, session, site, staged,
                                         data, ctx, **where))
 
@@ -713,7 +717,7 @@ class GridServiceRuntime:
                                              label=f"stripe:{staged}")
                 helper.host.allocate_memory(len(data))
                 try:
-                    session = yield from helper.ensure_agent_session(ctx)
+                    session = yield from helper.session_cache.get(ctx)
                     yield from _put(helper, session, site, staged, data,
                                     ctx, **where)
                 finally:
@@ -723,9 +727,8 @@ class GridServiceRuntime:
                 exc = exc.cause
                 if not isinstance(exc, ReplicaDown):
                     raise
-            if root_cause_name(exc) in ("CredentialExpired",
-                                        "AuthenticationFailed"):
-                helper.drop_agent_session(session)
+            if root_cause_name(exc) in _DEAD_CREDENTIAL:
+                helper.session_cache.drop(session)
             self.onserve.bus.emit(
                 "core.stripe_failed", layer="core",
                 request_id=ctx.request_id if ctx else None,
@@ -752,7 +755,7 @@ class GridServiceRuntime:
         if source is None:
             return False
         try:
-            session = yield from self._ensure_session(ctx)
+            session = yield from self.session_cache.get(ctx)
             yield from onserve.agent_stub.replicateExecutable(
                 session=session, fromSite=source, toSite=site, path=staged,
                 ctx=ctx)
@@ -781,7 +784,8 @@ class GridServiceRuntime:
         """
         try:
             present = yield from self.onserve.agent_stub.outputReady(
-                session=self._session, site=site, path=staged, ctx=ctx)
+                session=self.session_cache.session, site=site, path=staged,
+                ctx=ctx)
         except ReproError:
             return
         if not present:
@@ -790,12 +794,8 @@ class GridServiceRuntime:
     def _recover_session(self, exc: BaseException, attempt: int) -> None:
         """Retry hook: a dead credential means re-authenticate, not just
         repeat — drop the cached session so the next attempt logs on."""
-        if root_cause_name(exc) in ("CredentialExpired",
-                                    "AuthenticationFailed"):
-            if self.onserve.config.coalesce:
-                self.onserve.drop_agent_session(self._session)
-            self._session = None
-            self._session_expires = 0.0
+        if root_cause_name(exc) in _DEAD_CREDENTIAL:
+            self.session_cache.drop(self.session_cache.session)
 
     def _choose_site(self, sites: List[str]) -> str:
         """Apply the configured site-selection policy.
@@ -824,36 +824,6 @@ class GridServiceRuntime:
             self._rr_cursor += 1
             return site
         return sites[0]
-
-    def _ensure_session(self, ctx: Optional[RequestContext] = None
-                        ) -> Generator[Event, None, str]:
-        cfg = self.onserve.config
-        if cfg.coalesce:
-            # Appliance-wide session, logons single-flighted across
-            # every runtime (one MyProxy logon for N services).
-            session = yield from self.onserve.ensure_agent_session(ctx)
-            self._session = session
-            return session
-        while True:
-            if (self._session is not None
-                    and self.sim.now < self._session_expires):
-                return self._session
-            if self._auth_pending is not None:
-                # Someone else is already logging on; piggyback on it.
-                yield self._auth_pending
-                continue
-            self._auth_pending = self.sim.event("auth-pending")
-            try:
-                self._session = yield from self.onserve.agent_stub.authenticate(
-                    username=cfg.grid_username,
-                    passphrase=cfg.grid_passphrase, ctx=ctx)
-                # Renew well before the delegated proxy actually expires.
-                self._session_expires = (self.sim.now
-                                         + self.onserve.SESSION_RENEWAL)
-            finally:
-                pending, self._auth_pending = self._auth_pending, None
-                pending.succeed()
-            return self._session
 
     def _await_output(self, session: str, site: str, spec: CyberaideJobSpec,
                       tag: str, job_id: str, report: InvocationReport,

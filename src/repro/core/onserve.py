@@ -25,6 +25,7 @@ from repro.core.datastructures import (
 from repro.core.grid_service import GridServiceRuntime
 from repro.core.registry import ServiceStateStore
 from repro.core.service_builder import ServiceBuilder
+from repro.core.session import SessionCache
 from repro.cyberaide.agent import CyberaideAgent
 from repro.cyberaide.jobspec import staged_path_for
 from repro.db.dbmanager import DbManager, DbTierConfig, StoredExecutable
@@ -111,12 +112,13 @@ class OnServeConfig:
         #: Resilience: how many *additional* sites one invocation may
         #: fail over to after its first choice (0 disables failover).
         self.failover_sites = failover_sites
-        #: Hot-path optimisation: single-flight coalescing of concurrent
-        #: invocations' shared work — agent logon, DB executable fetch,
-        #: GridFTP staging per (site, path).  Off by default: the
-        #: faithful timeline (and every golden figure) runs without it.
-        #: A flag of its own while ``benchmarks/e2e`` passes
-        #: ``coalesce=True`` and reads ``flights.flights`` / ``joins``.
+        #: Hot-path optimisation: concurrent invocations share work —
+        #: one agent session per replica instead of one per service,
+        #: single-flight DB executable fetch and GridFTP staging per
+        #: (site, path).  Off by default: the faithful timeline (and
+        #: every golden figure) runs without it.  A flag of its own
+        #: while ``benchmarks/e2e`` passes ``coalesce=True`` and reads
+        #: ``flights.flights`` / ``joins``.
         self.coalesce = coalesce
         #: Grid data-path plane: one pooled GSI channel per (site,
         #: endpoint, credential) on the agent for GridFTP and GRAM, and
@@ -241,6 +243,9 @@ class OnServe:
         #: keys include ``self.replica`` so two replicas sharing one
         #: DbManager can never alias each other's flights.
         self.flights = SingleFlight(self.sim, enabled=self.config.coalesce)
+        #: This replica's agent session: every stripe carried here logs
+        #: on with it, and so do the runtimes under ``config.coalesce``.
+        self.session_cache = SessionCache(self)
         #: The terminal job-state notification queue (push path), wired
         #: by ``deploy_fabric`` when ``config.notify`` is set — or
         #: attached externally (the golden guard attaches one with zero
@@ -503,46 +508,6 @@ class OnServe:
         self.router.run_on(owner.name,
                            runtime._seed(self, exe, sites, ctx),
                            f"seed:{service_name}")
-
-    # -- shared agent session (single-flight across runtimes) -----------------
-
-    def ensure_agent_session(self, ctx: Optional[RequestContext] = None
-                             ) -> Generator[Event, None, str]:
-        """One appliance-wide agent session, logons coalesced.
-
-        A generator meant to be delegated to (``yield from``) inside a
-        simulation process.  While the leased session is fresh it is
-        returned without any simulated work; otherwise exactly one
-        MyProxy logon runs per expiry, no matter how many invocations
-        (of however many services) race for it.  The lease lives in the
-        store keyed by replica: each replica's own agent mints its own
-        session, and flights on different replicas never coalesce.
-        """
-        cfg = self.config
-        lease = self.store.get_lease(self.replica, cfg.grid_username)
-        if lease is not None and self.sim.now < lease[1]:
-            self.bus.emit("cache.hit", layer="core", cache="session",
-                          key=cfg.grid_username)
-            return lease[0]
-
-        def logon() -> Generator[Event, None, str]:
-            self.bus.emit("cache.miss", layer="core", cache="session",
-                          key=cfg.grid_username)
-            session = yield from self.agent_stub.authenticate(
-                username=cfg.grid_username,
-                passphrase=cfg.grid_passphrase, ctx=ctx)
-            self.store.put_lease(self.replica, cfg.grid_username, session,
-                                 self.sim.now + self.SESSION_RENEWAL)
-            return session
-
-        return (yield from self.flights.do(
-            ("agent-auth", self.replica, cfg.grid_username), logon,
-            group="auth"))
-
-    def drop_agent_session(self, session: Optional[str]) -> None:
-        """Forget the shared session (dead credential recovery hook)."""
-        self.store.drop_lease(self.replica, self.config.grid_username,
-                              session)
 
     def restore_services(self) -> Process:
         """Regenerate every service from the executables table.

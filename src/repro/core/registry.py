@@ -2,12 +2,15 @@
 
 Before the appliance sharded, :class:`~repro.core.onserve.OnServe` kept
 everything that describes a deployed service in process-local dicts —
-``services``, ``runtimes``, staged-copy digests, the agent-session
-lease.  That made the appliance stateful: only the process that
-generated a service could serve it.  The fabric refactor moves the
-*source of truth* into tables of the shared :mod:`repro.db` engine, so
-that N stateless replicas over one DB tier all see the same state and a
-service deployed through replica A is servable by replica B.
+``services``, ``runtimes``, staged-copy digests.  That made the
+appliance stateful: only the process that generated a service could
+serve it.  The fabric refactor moves the *source of truth* into tables
+of the shared :mod:`repro.db` engine, so that N stateless replicas over
+one DB tier all see the same state and a service deployed through
+replica A is servable by replica B.
+
+The agent session is not store state: it is cached beside the agent
+that minted it (:class:`~repro.core.session.SessionCache`).
 
 Tables
 ------
@@ -27,11 +30,6 @@ Tables
     running it and the seed's id.  Any replica's invocation finds a
     seed here, and waits on its change feed instead of staging the
     same bytes a second time (DESIGN.md §10, "Digest at publish").
-``agent_leases``
-    The MyProxy-backed agent session per (replica, username).  Sessions
-    are minted by each replica's own agent, so the lease key includes
-    the replica — but the lease itself lives in the DB tier, surviving
-    a replica process restart.
 ``replica_members``
     The self-healing plane's membership leases: one row per live
     replica, refreshed by its heartbeat, carrying the lease expiry and
@@ -75,7 +73,6 @@ __all__ = ["ServiceStateStore"]
 SERVICE_TABLE = "service_records"
 STAGED_TABLE = "staged_copies"
 SEED_TABLE = "seed_flights"
-LEASE_TABLE = "agent_leases"
 MEMBER_TABLE = "replica_members"
 DEDUP_TABLE = "invocation_dedup"
 
@@ -109,14 +106,6 @@ _SEED_SCHEMA = [
     Column("seed", "TEXT", nullable=False),
 ]
 
-_LEASE_SCHEMA = [
-    Column("key", "TEXT", primary_key=True),
-    Column("replica", "TEXT", nullable=False),
-    Column("username", "TEXT", nullable=False),
-    Column("session", "TEXT", nullable=False),
-    Column("expires", "REAL", nullable=False),
-]
-
 _MEMBER_SCHEMA = [
     Column("replica", "TEXT", primary_key=True),
     Column("expires", "REAL", nullable=False),
@@ -144,7 +133,6 @@ class ServiceStateStore:
         for table, schema in ((SERVICE_TABLE, _SERVICE_SCHEMA),
                               (STAGED_TABLE, _STAGED_SCHEMA),
                               (SEED_TABLE, _SEED_SCHEMA),
-                              (LEASE_TABLE, _LEASE_SCHEMA),
                               (MEMBER_TABLE, _MEMBER_SCHEMA),
                               (DEDUP_TABLE, _DEDUP_SCHEMA)):
             if table not in db.tables:
@@ -414,37 +402,6 @@ class ServiceStateStore:
     def _seed_moved(self, path: str, trace: Any) -> None:
         for listener in self._seed_watchers.pop(path, ()):
             listener(trace)
-
-    # -- agent-session leases -------------------------------------------------
-
-    @staticmethod
-    def _lease_key(replica: str, username: str) -> str:
-        return f"{replica}|{username}"
-
-    def get_lease(self, replica: str, username: str
-                  ) -> Optional[Tuple[str, float]]:
-        """(session, expires) for the replica's agent user, if leased."""
-        try:
-            row = self._read(LEASE_TABLE).get_by_pk(
-                LEASE_TABLE, self._lease_key(replica, username))
-        except RecordNotFound:
-            return None
-        return row["session"], row["expires"]
-
-    def put_lease(self, replica: str, username: str, session: str,
-                  expires: float) -> None:
-        self.db.upsert(LEASE_TABLE, [self._lease_key(replica, username),
-                                     replica, username, session, expires])
-
-    def drop_lease(self, replica: str, username: str,
-                   session: Optional[str] = None) -> None:
-        """Revoke the lease (matching *session* if given, else any)."""
-        key = self._lease_key(replica, username)
-        if session is not None:
-            held = self.db.find_eq(LEASE_TABLE, "key", key)
-            if held and held[0]["session"] != session:
-                return  # someone else's newer lease: leave it
-        self.db.delete_eq(LEASE_TABLE, "key", key)
 
     # -- replica membership leases (self-healing plane) -----------------------
 

@@ -19,7 +19,7 @@ racing it, so a crash of the caller's process unwinds the wait too.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Tuple
+from typing import Any, Callable, Generator, Tuple
 
 from repro.errors import WatchdogTimeout
 from repro.simkernel.events import Event
@@ -45,16 +45,12 @@ def poll_until(sim: Simulator,
                poll_factory: Callable[[], Generator],
                accept: Callable[[Any], bool],
                interval: float,
-               timeout: float,
-               on_result: Optional[Callable[[Any], Optional[Generator]]] = None
+               timeout: float
                ) -> Generator[Event, None, Tuple[Any, int]]:
     """Poll on a fixed interval until *accept* likes a result.
 
     Each round drives ``poll_factory()`` (a generator) and passes its
-    value to *accept*; between rounds it sleeps *interval*.
-    ``on_result`` (if given) runs after every poll — it may return a
-    generator to drive (e.g. "write what we fetched to disk", producing
-    the periodic disk-write peaks of Figures 6-7).  Raises
+    value to *accept*; between rounds it sleeps *interval*.  Raises
     :class:`WatchdogTimeout` when *timeout* elapses first.
 
     The value is ``(result, polls)``.
@@ -66,10 +62,6 @@ def poll_until(sim: Simulator,
     while True:
         result = yield from poll_factory()
         polls += 1
-        if on_result is not None:
-            side_effect = on_result(result)
-            if side_effect is not None:
-                yield from side_effect
         if accept(result):
             return result, polls
         if sim.now >= deadline:

@@ -35,22 +35,25 @@ __all__ = ["AgentConfig", "CyberaideAgent", "AgentSession"]
 class AgentConfig:
     """Behaviour switches of the agent."""
 
+    # The three settings below are plain class attributes a test may
+    # shadow on one instance.
+
+    #: Lifetime of the proxy a MyProxy logon delegates to a session.
+    default_proxy_lifetime = 12 * 3600.0
+    #: CPU charged per agent call for session bookkeeping.
+    session_cpu = 0.01
+    #: A pooled control channel idle this long is closed.
+    channel_idle_timeout = 600.0
+
     def __init__(self, status_supported: bool = False,
-                 default_proxy_lifetime: float = 12 * 3600.0,
-                 session_cpu: float = 0.01,
-                 session_reuse: bool = False,
-                 channel_idle_timeout: float = 600.0):
+                 session_reuse: bool = False):
         #: The paper's workaround: False means jobStatus raises and
         #: clients must poll output tentatively.  True is the ablation.
         self.status_supported = status_supported
-        self.default_proxy_lifetime = default_proxy_lifetime
-        #: CPU charged per agent call for session bookkeeping.
-        self.session_cpu = session_cpu
         #: Data-path plane: reuse one authenticated control channel
         #: per (site, endpoint, credential) — GridFTP and GRAM — instead
         #: of a GSI handshake per transfer and per submit.
         self.session_reuse = session_reuse
-        self.channel_idle_timeout = channel_idle_timeout
 
 
 class AgentSession:

@@ -19,7 +19,7 @@ scale-out legs):
 * **storm/scaled** — the same storm with MVCC snapshot reads (fetches
   never touch the lock and see the last committed row), chunked BLOB
   streaming (peak resident payload <= 2 chunks), and WAL-shipping read
-  replicas behind the bounded-staleness router (lease/metadata/notify
+  replicas behind the bounded-staleness router (metadata and notify
   reads leave the primary).
 
 The acceptance bar (``DbScaleResult.ok``, CI's gate): every invocation

@@ -182,22 +182,22 @@ def test_concurrent_invocations_share_db_fetch_and_logon():
     assert auths <= 2
 
 
-def test_one_lease_read_per_session_check(monkeypatch):
-    """A coalesced invocation asks for the session three times (auth,
-    upload, submit) and each ask reads the lease once — the second read
-    that only refreshed a never-consulted expiry is gone."""
+def test_a_warm_session_check_is_a_cache_hit_and_no_db_row():
+    """A coalesced invocation asks for the session twice (auth, submit)
+    and each ask is a hit on the replica's in-memory cache: no logon,
+    and no table of the DB tier holds a session."""
     tb, stack = coalesced_stack(n_users=1)
     tb.sim.run(until=discover_and_invoke(
         stack, stack.user_clients[0], "Hello%", name="warm-up"))
-    store = stack.onserve.store
-    reads, real = [], store.get_lease
-    monkeypatch.setattr(store, "get_lease",
-                        lambda *a: (reads.append(a), real(*a))[1])
+    rec = stack.onserve.bus.record("cache.hit", "cache.miss", "agent.auth")
     out = tb.sim.run(until=discover_and_invoke(
         stack, stack.user_clients[0], "Hello%", name="counted"))
     # upload_cache is on and the copy is staged: no upload_try this time.
-    assert out == "counted\n" and len(reads) == 2
-    assert not hasattr(stack.onserve, "agent_session_expires")
+    sessions = [ev.kind for ev in rec.events()
+                if ev.kind == "agent.auth"
+                or ev.fields.get("cache") == "session"]
+    assert out == "counted\n" and sessions == ["cache.hit"] * 2
+    assert "agent_leases" not in stack.onserve.store.db.tables
 
 
 def test_coalescing_defaults_off():

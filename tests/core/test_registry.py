@@ -115,23 +115,6 @@ def test_staged_copies_are_fabric_global():
     assert store.staged_copies() == [("siteA", "/tmp/other", "d2")]
 
 
-def test_agent_leases_keyed_by_replica():
-    sim, store = make_store()
-    assert store.get_lease("a", "onserve") is None
-    store.put_lease("a", "onserve", "sess-1", expires=100.0)
-    store.put_lease("b", "onserve", "sess-2", expires=200.0)
-    assert store.get_lease("a", "onserve") == ("sess-1", 100.0)
-    assert store.get_lease("b", "onserve") == ("sess-2", 200.0)
-    # Dropping with a stale session id keeps the current lease.
-    store.drop_lease("a", "onserve", session="stale")
-    assert store.get_lease("a", "onserve") == ("sess-1", 100.0)
-    store.drop_lease("a", "onserve", session="sess-1")
-    assert store.get_lease("a", "onserve") is None
-    # Dropping without a session id revokes unconditionally.
-    store.drop_lease("b", "onserve")
-    assert store.get_lease("b", "onserve") is None
-
-
 def test_counters_monotonic_and_seed_once():
     sim, store = make_store()
     store.seed_counters()
@@ -215,9 +198,8 @@ def test_dedup_records_once_and_flags_duplicates():
 
 def _per_job_costs(n_jobs):
     """(heap rows visited, WAL frames by tables written) per job for the
-    per-invocation bookkeeping: notify publish/deliver/replay, agent
-    lease, heartbeat, staging mark, dedup record and the invocation
-    counter."""
+    per-invocation bookkeeping: notify publish/deliver/replay,
+    heartbeat, staging mark, dedup record and the invocation counter."""
     from collections import Counter
 
     from repro.grid.notify import NotifyQueue
@@ -235,8 +217,6 @@ def _per_job_costs(n_jobs):
         sim.run(until=sim.timeout(1.0))             # the delivery lands
         assert queue.job_state(job)["state"] == "done"
         assert queue.subscribe("ncsa", job).value["state"] == "done"
-        store.put_lease(replica, "grid", f"session-{j}", sim.now + 60.0)
-        assert store.get_lease(replica, "grid")[0] == f"session-{j}"
         store.renew_member(replica, sim.now + 12.0)
         store.mark_staged("ncsa", f"/stage/{j}.bin", f"digest-{j}", replica)
         assert store.staged_digest("ncsa", f"/stage/{j}.bin")
@@ -270,12 +250,11 @@ def test_per_job_frame_budget_is_one_frame_per_state_transition():
         "staged_copies": 1,             # mark_staged
         "invocation_dedup": 1,          # record_dedup
         "service_records": 1,           # the invocation counter
-        "agent_leases": 1,              # put_lease (per session in production)
     }
     for n_jobs in (25, 100):
         _, frames = _per_job_costs(n_jobs)
         assert frames == budget
-        assert sum(frames.values()) - frames["agent_leases"] <= 5
+        assert sum(frames.values()) <= 5
 
 
 def test_upsert_sites_update_in_place():
@@ -283,20 +262,17 @@ def test_upsert_sites_update_in_place():
     db = store.db
     store.put_record(make_service(), replica="a")
     store.mark_staged("ncsa", "/stage/x", "d1", "a")
-    store.put_lease("a", "grid", "s1", 10.0)
     store.renew_member("a", 12.0)
     rowids = {t: [r for r, _ in db.tables[t].scan()] for t in db.tables}
     frames = []
     db.wal.taps.append(frames.append)
     store.put_record(make_service(invocations=3), replica="b")
     store.mark_staged("ncsa", "/stage/x", "d2", "b")
-    store.put_lease("a", "grid", "s2", 20.0)
     store.renew_member("a", 24.0)
     # Same rows, rewritten where they stand: one update each, one frame each.
-    assert [[dml[0] for dml in f[2]] for f in frames] == [["update"]] * 4
+    assert [[dml[0] for dml in f[2]] for f in frames] == [["update"]] * 3
     assert rowids == {t: [r for r, _ in db.tables[t].scan()]
                       for t in db.tables}
     assert store.get_record("HelloService")["invocations"] == 3
     assert store.staged_digest("ncsa", "/stage/x") == "d2"
-    assert store.get_lease("a", "grid") == ("s2", 20.0)
     assert store.member("a")["expires"] == 24.0

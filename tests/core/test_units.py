@@ -125,24 +125,6 @@ def test_poll_until_times_out():
                                              interval=5.0, timeout=20.0)))
 
 
-def test_poll_until_side_effect_runs():
-    sim = Simulator()
-    effects = []
-
-    def poll():
-        yield sim.timeout(0.1)
-        return True
-
-    def side(result):
-        yield sim.timeout(1.0)
-        effects.append(result)
-
-    sim.run(until=sim.process(poll_until(sim, poll, accept=lambda v: v,
-                                         interval=1.0, timeout=100.0,
-                                         on_result=side)))
-    assert effects == [True]
-
-
 def test_poll_until_validation():
     sim = Simulator()
     with pytest.raises(ValueError):

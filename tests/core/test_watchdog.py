@@ -151,22 +151,6 @@ def test_timeout_exactly_at_poll_boundary_gives_up_after_that_poll():
     assert sim.now == 10.0           # no extra interval past the deadline
 
 
-def test_failing_on_result_side_effect_propagates():
-    sim = Simulator()
-
-    def bad_side_effect(result):
-        yield sim.timeout(0.5)
-        raise OSError("disk full")
-
-    with pytest.raises(OSError, match="disk full"):
-        drive(sim, poll_until(
-            sim,
-            poll_factory=lambda: instant(sim, "x"),
-            accept=lambda r: False,
-            interval=5.0, timeout=60.0,
-            on_result=bad_side_effect))
-
-
 def test_failing_poll_itself_propagates():
     sim = Simulator()
 

@@ -1,5 +1,5 @@
-"""The knob budget: every setting the deployer, the router and onServe's
-configuration accept, pinned by name and order.
+"""The knob budget: every setting the deployer, the router, onServe's
+configuration and the agent's accept, pinned by name and order.
 
 A keyword can only come back by being added here on purpose, and a
 smaller budget (a setting folded into a config object, or made a
@@ -10,6 +10,7 @@ import inspect
 
 from repro.core.fabric import deploy_fabric
 from repro.core.onserve import OnServeConfig
+from repro.cyberaide.agent import AgentConfig
 from repro.ws.router import RequestRouter
 
 DEPLOY_FABRIC = ("testbed", "config", "dbmanager", "replicas", "router",
@@ -17,6 +18,8 @@ DEPLOY_FABRIC = ("testbed", "config", "dbmanager", "replicas", "router",
 
 REQUEST_ROUTER = ("host", "fabric", "enabled", "breaker_failure_threshold",
                   "store", "lease_ttl", "lease_check_interval")
+
+AGENT_CONFIG = ("status_supported", "session_reuse")
 
 ONSERVE_CONFIG = (
     "grid_username", "grid_passphrase", "poll_interval", "watchdog_timeout",
@@ -50,3 +53,8 @@ def test_request_router_takes_exactly_its_seven_parameters():
 def test_onserve_config_takes_exactly_its_twenty_three_parameters():
     assert parameters(OnServeConfig.__init__) == ONSERVE_CONFIG
     assert len(ONSERVE_CONFIG) == 23
+
+
+def test_agent_config_takes_exactly_its_two_parameters():
+    assert parameters(AgentConfig.__init__) == AGENT_CONFIG
+    assert len(AGENT_CONFIG) == 2
