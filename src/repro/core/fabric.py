@@ -162,8 +162,8 @@ class FabricStack:
         router hosts on it dies mid-exchange — requests in flight (the
         router's transport fails those over), ranges it carries for a
         peer's striped stage (their leader sends those itself) and the
-        seeds it runs, whose markers go with it so that invocations
-        waiting on them stage for themselves.  The
+        seeds it runs, each of which ends its own marker as it unwinds
+        so that invocations waiting on it stage for themselves.  The
         *router* is not told — it must detect the death through
         transport faults or lease expiry, which is exactly what the
         chaos scenario measures.  Returns how many were killed.
@@ -173,10 +173,6 @@ class FabricStack:
         heartbeat = self._heartbeats.pop(name, None)
         if heartbeat is not None and heartbeat.is_alive:
             heartbeat.interrupt("crash")
-        for flight in self.store.drop_seeds(name):
-            bus(self.sim).emit("core.seed_cancelled", layer="core",
-                               seed=flight["seed"], replica=name,
-                               reason="ReplicaDown")
         killed = self.router.kill_inflight(name)
         bus(self.sim).emit("fabric.replica_crash", layer="core",
                            replica=name, inflight_killed=killed)

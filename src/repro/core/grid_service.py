@@ -607,18 +607,19 @@ class GridServiceRuntime:
                 cancelled = not store.end_seed(staged, seed, trace)
                 if not cancelled:
                     landed(trace)
-        except Interrupt as intr:
-            if not isinstance(intr.cause, ReplicaDown):
+        except (Interrupt, ReproError) as exc:
+            # Failed, or its replica crashed: the seed ends its own
+            # marker, so its waiters stage for themselves.
+            cause = exc.cause if isinstance(exc, Interrupt) else exc
+            if cause is not exc and not isinstance(cause, ReplicaDown):
                 raise
-            # Crashed: the fabric dropped the marker with the replica.
-        except ReproError as exc:
             if seed is not None:
                 cancelled = not store.end_seed(staged, seed)
                 if not cancelled:
                     onserve.bus.emit("core.seed_cancelled", layer="core",
                                      service=service_name, seed=seed,
                                      replica=onserve.replica,
-                                     reason=root_cause_name(exc))
+                                     reason=root_cause_name(cause))
         finally:
             if held:
                 host.release_memory(held)

@@ -10,7 +10,9 @@ one DB tier all see the same state and a service deployed through
 replica A is servable by replica B.
 
 The agent session is not store state: it is cached beside the agent
-that minted it (:class:`~repro.core.session.SessionCache`).
+that minted it (:class:`~repro.core.session.SessionCache`); nor is a
+seed's in-flight marker, held in memory beside its watchers
+(DESIGN.md §10).
 
 Tables
 ------
@@ -24,12 +26,6 @@ Tables
     staged by any replica is on the site for every replica, so this is
     naturally fabric-global state.  Read and written only under
     ``OnServeConfig.stage_once`` (DESIGN.md §10).
-``seed_flights``
-    The publish-time stages in flight, one marker per staged path: the
-    digest being seeded, the site it is filling now, the replica
-    running it and the seed's id.  Any replica's invocation finds a
-    seed here, and waits on its change feed instead of staging the
-    same bytes a second time (DESIGN.md §10, "Digest at publish").
 ``replica_members``
     The self-healing plane's membership leases: one row per live
     replica, refreshed by its heartbeat, carrying the lease expiry and
@@ -72,7 +68,6 @@ __all__ = ["ServiceStateStore"]
 
 SERVICE_TABLE = "service_records"
 STAGED_TABLE = "staged_copies"
-SEED_TABLE = "seed_flights"
 MEMBER_TABLE = "replica_members"
 DEDUP_TABLE = "invocation_dedup"
 
@@ -96,14 +91,6 @@ _STAGED_SCHEMA = [
     Column("path", "TEXT", nullable=False),
     Column("digest", "TEXT", nullable=False),
     Column("replica", "TEXT", nullable=False),
-]
-
-_SEED_SCHEMA = [
-    Column("path", "TEXT", primary_key=True),
-    Column("digest", "TEXT", nullable=False),
-    Column("site", "TEXT", nullable=False),
-    Column("replica", "TEXT", nullable=False),
-    Column("seed", "TEXT", nullable=False),
 ]
 
 _MEMBER_SCHEMA = [
@@ -132,7 +119,6 @@ class ServiceStateStore:
         self.read_router = read_router
         for table, schema in ((SERVICE_TABLE, _SERVICE_SCHEMA),
                               (STAGED_TABLE, _STAGED_SCHEMA),
-                              (SEED_TABLE, _SEED_SCHEMA),
                               (MEMBER_TABLE, _MEMBER_SCHEMA),
                               (DEDUP_TABLE, _DEDUP_SCHEMA)):
             if table not in db.tables:
@@ -141,6 +127,9 @@ class ServiceStateStore:
         #: host name, or a client cache's key).
         self._removed: Dict[str, Callable[[str], None]] = {}
         self._republished: Dict[str, Callable[[str], None]] = {}
+        #: Seeds in flight, one marker per staged path (digest, site
+        #: being filled, replica, seed id); each seed drops its own.
+        self._seeds: Dict[str, Dict[str, Any]] = {}
         #: Seed watchers per staged path, each told once — with the span
         #: of the stage that just finished, if any — when the path's
         #: marker next moves on, lands or goes.
@@ -333,22 +322,20 @@ class ServiceStateStore:
         marker no longer its own."""
         self._seed_seq += 1
         seed = f"seed-{self._seed_seq:06d}"
-        self.db.upsert(SEED_TABLE, [path, digest, site, replica, seed])
+        self._seeds[path] = {"digest": digest, "site": site,
+                             "replica": replica, "seed": seed}
         self._seed_moved(path, None)
         return seed
 
     def seed_flight(self, path: str) -> Optional[Dict[str, Any]]:
         """The marker of the seed in flight at *path*, if any."""
-        try:
-            return self._read(SEED_TABLE).get_by_pk(SEED_TABLE, path)
-        except RecordNotFound:
-            return None
+        return self._seeds.get(path)
 
     def owns_seed(self, path: str, seed: str) -> bool:
         """Whether *path*'s marker is still seed *seed*'s (it was not
-        cancelled, ended or dropped)."""
-        row = self.db.find_eq(SEED_TABLE, "path", path)
-        return bool(row) and row[0]["seed"] == seed
+        cancelled or ended)."""
+        flight = self._seeds.get(path)
+        return flight is not None and flight["seed"] == seed
 
     def seed_at(self, path: str, seed: str, site: str,
                 trace: Any = None) -> bool:
@@ -360,44 +347,31 @@ class ServiceStateStore:
         """
         if not self.owns_seed(path, seed):
             return False
-        self.db.update_eq(SEED_TABLE, "path", path, {"site": site})
+        self._seeds[path]["site"] = site
         self._seed_moved(path, trace)
         return True
 
     def end_seed(self, path: str, seed: str, trace: Any = None) -> bool:
-        """Seed *seed* is over (done or failed): drop its marker and tell
-        the watchers; ``False`` if it had been cancelled already."""
+        """Seed *seed* is over (done, failed or crashed): drop its marker
+        and tell the watchers; ``False`` if it had been cancelled already."""
         if not self.owns_seed(path, seed):
             return False
-        self._drop_seed(path, trace)
+        del self._seeds[path]
+        self._seed_moved(path, trace)
         return True
 
     def cancel_seed(self, path: str) -> Optional[Dict[str, Any]]:
         """Drop whatever seed is in flight at *path* (its bytes were
         replaced); returns its marker."""
-        rows = self.db.find_eq(SEED_TABLE, "path", path)
-        if not rows:
-            return None
-        self._drop_seed(path, None)
-        return rows[0]
-
-    def drop_seeds(self, replica: str) -> List[Dict[str, Any]]:
-        """Drop the markers of every seed *replica* was running (it
-        crashed), telling their watchers; returns the markers."""
-        rows = sorted(self.db.find_eq(SEED_TABLE, "replica", replica),
-                      key=lambda r: r["path"])
-        for row in rows:
-            self._drop_seed(row["path"], None)
-        return rows
+        flight = self._seeds.pop(path, None)
+        if flight is not None:
+            self._seed_moved(path, None)
+        return flight
 
     def watch_seed(self, path: str, listener: Callable[[Any], None]) -> None:
         """Call ``listener(trace)`` once, when *path*'s marker next moves
-        on (:meth:`seed_at`), ends, is cancelled or is dropped."""
+        on (:meth:`seed_at`), ends or is cancelled."""
         self._seed_watchers.setdefault(path, []).append(listener)
-
-    def _drop_seed(self, path: str, trace: Any) -> None:
-        self.db.delete_eq(SEED_TABLE, "path", path)
-        self._seed_moved(path, trace)
 
     def _seed_moved(self, path: str, trace: Any) -> None:
         for listener in self._seed_watchers.pop(path, ()):

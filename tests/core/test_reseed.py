@@ -407,6 +407,31 @@ def test_crashing_the_seeding_replica_makes_its_waiters_stage_for_themselves():
     stack.stop_self_healing()
 
 
+def test_a_fabric_redeployed_over_data_recovered_mid_seed_stages_for_itself():
+    sim, tb, stack = deploy()
+    publish(sim, tb, stack, echo("v1"))
+    assert invoke(sim, stack, "one") == "one\n"
+    publish(sim, tb, stack, echo("v2"))
+    recovered = []
+
+    def crash():
+        # Only the WAL survives; every old replica dies with its seed.
+        recovered.append(stack.dbmanager.recover_from_crash())
+        for onserve in stack.onserves:
+            stack.crash_replica(onserve.replica)
+            stack.fabric.unregister(onserve.soap_server)
+
+    sim.run(until=when_ranges_are_in_flight(sim, tb, 4, crash))
+    again = sim.run(until=deploy_fabric(tb, stack.onserve.config,
+                                        replicas=4, dbmanager=recovered[0]))
+    assert again.store.seed_flight(PATH) is None
+    # No marker of the dead seed parks the first invocation.
+    call = discover_and_invoke(again, again.user_clients[0], "Echo%",
+                               token="two")
+    sim.run(until=sim.any_of([call, sim.timeout(600.0)]))
+    assert call.triggered and call.value == "two\n"
+
+
 # -- (5) the faithful path: no seed, no reordering -------------------------------
 
 @pytest.mark.parametrize("replicas, config", [

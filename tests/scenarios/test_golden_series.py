@@ -270,7 +270,7 @@ def test_goldens_unchanged_and_nothing_seeded_on_the_faithful_path(
     the DB load before the agent stages anything — writes no digest and
     no seed marker, and emits no ``core.seed_*`` event.
     """
-    from repro.core.registry import SEED_TABLE
+    from repro.cyberaide.jobspec import staged_path_for
     from repro.telemetry.events import bus as telemetry_bus
 
     seen = []
@@ -284,7 +284,8 @@ def test_goldens_unchanged_and_nothing_seeded_on_the_faithful_path(
     golden_with(name, watch, "a bus observer of the seed ladder")
     stack, kinds = seen[-1]
     assert not [k for k in kinds if k.startswith("core.seed")]
-    assert stack.store.db.count(SEED_TABLE) == 0
+    assert all(stack.store.seed_flight(staged_path_for(r["executable_name"]))
+               is None for r in stack.store.all_records())
     assert all(r["digest"] == "" for r in stack.store.all_records())
     if "agent.upload" in kinds:
         assert kinds.index("db.fetch") < kinds.index("agent.upload")

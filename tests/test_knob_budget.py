@@ -1,16 +1,21 @@
 """The knob budget: every setting the deployer, the router, onServe's
-configuration and the agent's accept, pinned by name and order.
+configuration and the agent's accept, pinned by name and order — and
+every table the service state store keeps in the durable DB.
 
 A keyword can only come back by being added here on purpose, and a
 smaller budget (a setting folded into a config object, or made a
-constant) is a one-line edit of the tuple it leaves.
+constant) is a one-line edit of the tuple it leaves.  A table is what a
+restart replays from the WAL, so in-flight state put there outlives the
+process that owns it: adding one is an edit of ``STORE_TABLES``.
 """
 
 import inspect
 
 from repro.core.fabric import deploy_fabric
 from repro.core.onserve import OnServeConfig
+from repro.core.registry import ServiceStateStore
 from repro.cyberaide.agent import AgentConfig
+from repro.db.engine import Database
 from repro.ws.router import RequestRouter
 
 DEPLOY_FABRIC = ("testbed", "config", "dbmanager", "replicas", "router",
@@ -20,6 +25,9 @@ REQUEST_ROUTER = ("host", "fabric", "enabled", "breaker_failure_threshold",
                   "store", "lease_ttl", "lease_check_interval")
 
 AGENT_CONFIG = ("status_supported", "session_reuse")
+
+STORE_TABLES = ("service_records", "staged_copies", "replica_members",
+                "invocation_dedup")
 
 ONSERVE_CONFIG = (
     "grid_username", "grid_passphrase", "poll_interval", "watchdog_timeout",
@@ -58,3 +66,7 @@ def test_onserve_config_takes_exactly_its_twenty_three_parameters():
 def test_agent_config_takes_exactly_its_two_parameters():
     assert parameters(AgentConfig.__init__) == AGENT_CONFIG
     assert len(AGENT_CONFIG) == 2
+
+
+def test_the_state_store_keeps_exactly_its_four_tables():
+    assert tuple(ServiceStateStore(Database()).db.tables) == STORE_TABLES
