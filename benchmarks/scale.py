@@ -18,7 +18,9 @@ and staged copies of an executable that are not the memo's payload.
 ``production_mixed`` compacted at least once, ``faithful_bulk`` (fresh
 uploads, nothing superseded) never did, ``production_hot``'s peak RSS
 grew by at most ``HOT_RSS_GROWTH_MB`` and ``faithful_bulk``'s by at most
-``BULK_RSS_GROWTH_MB`` from 0.25x to 0.5x, and no operation failed.
+``BULK_RSS_GROWTH_MB`` from 0.25x to 0.5x, ``production_hot`` left no
+more queued events at 0.5x than at 0.25x (a timer that outlives its
+wait shows here first), and no operation failed.
 
 A child is ``python -m benchmarks.e2e pass`` in all but one thing: the
 pass record does not carry the log figures or what is held, so the
@@ -188,6 +190,14 @@ def main(argv=None) -> int:
         if growth > ceiling:
             problems.append(f"{name} peak RSS grew {growth:+.1f} MB from "
                             f"{SMOKE_SCALES[0]:g}x to {SMOKE_SCALES[1]:g}x")
+    queued = [r["held"]["queued_events"] for r in hot]
+    print(f"production_hot queued events {queued[0]} at "
+          f"{SMOKE_SCALES[0]:g}x, {queued[1]} at {SMOKE_SCALES[1]:g}x "
+          f"(must not grow)")
+    if queued[1] > queued[0]:
+        problems.append(f"production_hot left {queued[1]} queued events at "
+                        f"{SMOKE_SCALES[1]:g}x, {queued[0]} at "
+                        f"{SMOKE_SCALES[0]:g}x")
     for problem in problems:
         print(f"check failed: {problem}", file=sys.stderr)
     return 1 if problems else 0

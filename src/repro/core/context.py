@@ -23,7 +23,6 @@ keeps the figure scenarios byte-identical with tracing on.
 from __future__ import annotations
 
 import copy
-from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -206,18 +205,31 @@ class RequestContext:
                 f"principal={self.principal!r} spans={len(self.spans())}>")
 
 
-@contextmanager
-def span(ctx: Optional[RequestContext], name: str, **meta: Any):
-    """Open a trace span if *ctx* is present; no-op otherwise.
+class span:
+    """``with span(ctx, name, **meta) as node:`` — open a trace span if
+    *ctx* is present; a no-op (``node`` is None) otherwise.
 
     Safe to use inside simulation-process generators: the span brackets
-    the sim-time interval the enclosed code takes, including its yields.
+    the sim-time interval the enclosed code takes, including its yields,
+    and closes however the block is left.  A plain class rather than a
+    ``@contextmanager`` generator: a request opens dozens, and each of
+    those costs a generator and its wrapper.
     """
-    if ctx is None:
-        yield None
-        return
-    span_ = ctx.begin_span(name, **meta)
-    try:
-        yield span_
-    finally:
-        ctx.end_span(span_)
+
+    __slots__ = ("ctx", "name", "meta", "node")
+
+    def __init__(self, ctx: Optional[RequestContext], name: str,
+                 **meta: Any):
+        self.ctx = ctx
+        self.name = name
+        self.meta = meta
+        self.node: Optional[TraceSpan] = None
+
+    def __enter__(self) -> Optional[TraceSpan]:
+        if self.ctx is not None:
+            self.node = self.ctx.begin_span(self.name, **self.meta)
+        return self.node
+
+    def __exit__(self, *exc: Any) -> None:
+        if self.node is not None:
+            self.ctx.end_span(self.node)

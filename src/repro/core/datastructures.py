@@ -98,8 +98,6 @@ class GeneratedService:
         #: SHA-256 of the executable it runs, when recorded at publish
         #: (publish-time staging, DESIGN.md §10); "" otherwise.
         self.digest = ""
-        #: Usage counters.
-        self.invocations = 0
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (f"<GeneratedService {self.service_name!r} "

@@ -46,7 +46,7 @@ class ManagementService:
         if operation == "listServices":
             return "\n".join(
                 f"{s.service_name}|{s.endpoint}|{s.executable_name}"
-                f"|{s.invocations}"
+                f"|{self.onserve.invocation_count(s)}"
                 for s in self.onserve.list_services())
         if operation == "describeService":
             return self._describe(params["name"])
@@ -73,13 +73,15 @@ class ManagementService:
         service = self.onserve.get_service(name)
         # A fabric replica may know the service only as a store record
         # (generated elsewhere, not yet materialized here) — report the
-        # record-level invocation count instead of local reports then.
+        # fabric-wide count from the history table instead of local
+        # reports then.
         runtime = self.onserve.runtimes.get(name)
         if runtime is not None:
             invocations = (f"{runtime.invocations} "
                            f"({runtime.invocations_ok} ok)")
         else:
-            invocations = f"{service.invocations} (fabric-wide)"
+            invocations = (f"{self.onserve.invocation_count(service)} "
+                           f"(fabric-wide)")
         lines = [
             f"service      : {service.service_name}",
             f"executable   : {service.executable_name}",

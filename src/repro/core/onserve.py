@@ -550,31 +550,32 @@ class OnServe:
     # -- invocation history ---------------------------------------------------
 
     def record_invocation(self, service_name: str, report) -> None:
-        """Persist one execute() report (bookkeeping; no simulated cost —
-        the row rides along the WAL writes already charged elsewhere)."""
-        svc = self.services.get(service_name)
-        if svc is not None:
-            svc.invocations += 1
-        # Read before the unit opens (a replica may serve it); the
-        # history row and the counter bump then land as one WAL frame.
-        record = self.store.get_record(service_name)
-        with self.dbmanager.db.transaction() as db:
-            self.store.bump_invocations(service_name, record)
-            db.insert("invocations", [
-                self.store.next_invocation_id(),
-                service_name,
-                report.job_id,
-                report.started_at,
-                report.total,
-                report.overhead,
-                report.polls,
-                1 if report.ok else 0,
-                report.error,
-            ])
+        """Persist one execute() report: one history row, one WAL frame
+        (bookkeeping; no simulated cost — the row rides along the WAL
+        writes already charged elsewhere)."""
+        self.dbmanager.db.insert("invocations", [
+            self.store.next_invocation_id(),
+            service_name,
+            report.job_id,
+            report.started_at,
+            report.total,
+            report.overhead,
+            report.polls,
+            1 if report.ok else 0,
+            report.error,
+        ])
         self.bus.emit("core.invocation", layer="core",
                       service=service_name, job_id=report.job_id,
                       total=report.total, overhead=report.overhead,
                       polls=report.polls, ok=report.ok)
+
+    def invocation_count(self, service: GeneratedService) -> int:
+        """How often *service* ran, fabric-wide: its history rows since
+        it was published, so a name undeployed and published again
+        counts from zero."""
+        return sum(1 for row in self.dbmanager.db.find_eq(
+                       "invocations", "service", service.service_name)
+                   if row["started_at"] >= service.created_at)
 
     def usage_report(self) -> List[Dict[str, object]]:
         """Per-service usage aggregates from the history table, one row

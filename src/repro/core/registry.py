@@ -18,9 +18,11 @@ Tables
 ------
 ``service_records``
     One row per generated service: naming, public endpoint, UDDI keys,
-    archive size, creation time, invocation count, and the generating
-    replica (placement provenance; UDDI remains the *placement* source
-    of truth clients resolve through).
+    archive size, creation time, the generating replica (placement
+    provenance; UDDI remains the *placement* source of truth clients
+    resolve through) and the digest of the bytes it runs.  How often a
+    service ran is not kept here: the ``invocations`` history table
+    holds one row per run (:meth:`OnServe.invocation_count`).
 ``staged_copies``
     Which (site, path) on the grid holds which payload digest.  A copy
     staged by any replica is on the site for every replica, so this is
@@ -80,7 +82,6 @@ _SERVICE_SCHEMA = [
     Column("uddi_binding_key", "TEXT"),
     Column("archive_size", "INT", nullable=False),
     Column("created_at", "REAL", nullable=False),
-    Column("invocations", "INT", nullable=False),
     Column("replica", "TEXT", nullable=False),
     Column("digest", "TEXT"),
 ]
@@ -192,7 +193,7 @@ class ServiceStateStore:
             service.endpoint, service.wsdl_location,
             service.uddi_service_key, service.uddi_binding_key,
             service.archive_size, service.created_at,
-            service.invocations, replica, service.digest,
+            replica, service.digest,
         ])
 
     def get_record(self, service_name: str) -> Optional[Dict[str, Any]]:
@@ -240,22 +241,6 @@ class ServiceStateStore:
         self.db.update_eq(SERVICE_TABLE, "service_name", service_name,
                           {"digest": digest})
 
-    def bump_invocations(self, service_name: str,
-                         row: Optional[Dict[str, Any]] = None) -> int:
-        """Count one more invocation on the record; returns the new count.
-
-        *row* is the record if the caller already read it — a caller
-        folding the bump into a larger unit reads first, because inside
-        an open transaction every read goes to the primary.
-        """
-        row = row or self.get_record(service_name)
-        if row is None:
-            return 0
-        count = row["invocations"] + 1
-        self.db.update_eq(SERVICE_TABLE, "service_name", service_name,
-                          {"invocations": count})
-        return count
-
     @staticmethod
     def rehydrate(row: Dict[str, Any]) -> GeneratedService:
         """A :class:`GeneratedService` view of a store row."""
@@ -268,7 +253,6 @@ class ServiceStateStore:
             uddi_binding_key=row["uddi_binding_key"],
             archive_size=row["archive_size"],
             created_at=row["created_at"])
-        service.invocations = row["invocations"]
         service.digest = row["digest"] or ""
         return service
 

@@ -83,12 +83,14 @@ def await_waiter(sim: Simulator, register: Callable[[], Event],
     :class:`WatchdogTimeout` is raised, exactly like :func:`poll_until`.
     However the wait ends — an interrupt of the caller included —
     ``cancel(waiter)`` detaches the waiter (the source must not keep
-    working for a waiter that gave up) and the waiter is defused.
+    working for a waiter that gave up), the waiter is defused and the
+    deadline leaves the event queue.
     """
     if timeout <= 0:
         raise ValueError("await_waiter timeout must be positive")
     waiter = register()
-    wait = sim.any_of([waiter, sim.timeout(timeout)])
+    deadline = sim.timeout(timeout)
+    wait = sim.any_of([waiter, deadline])
     try:
         yield wait
         if waiter.triggered:
@@ -97,6 +99,7 @@ def await_waiter(sim: Simulator, register: Callable[[], Event],
             raise waiter.value
         raise WatchdogTimeout(f"{what} gave up ({timeout:.0f}s)")
     finally:
+        sim.cancel(deadline)
         cancel(waiter)
         # An unwound wait leaves its condition hooked on the waiter: a
         # late failure must not surface through either.

@@ -167,6 +167,11 @@ class ReadRouter:
         for replica in self.replicas:
             replica.hold_on_demand()
         primary.wal.taps.append(self._observe)
+        # Imported here: the db layer must not hard-depend on telemetry.
+        from repro.telemetry.events import bus
+        from repro.telemetry.gauges import gauges
+        self._bus = bus(sim)
+        self._lag_gauge = gauges(sim).gauge("db.replica_lag", unit="s")
 
     def _observe(self, record: Tuple[Any, ...]) -> None:
         now = self.sim.now
@@ -204,14 +209,11 @@ class ReadRouter:
 
     def _note_replica_read(self, table: str, replica: ReadReplica,
                            now: float) -> None:
-        # Lazy import: the db layer must not hard-depend on telemetry.
-        from repro.telemetry.events import bus
-        from repro.telemetry.gauges import gauges
         behind = replica.lag_behind(now)
-        bus(self.sim).emit("db.replica.read", layer="db", table=table,
-                           target=replica.name, behind=behind,
-                           lag_bound=self.lag)
-        gauges(self.sim).gauge("db.replica_lag", unit="s").set(behind)
+        self._bus.emit("db.replica.read", layer="db", table=table,
+                       target=replica.name, behind=behind,
+                       lag_bound=self.lag)
+        self._lag_gauge.set(behind)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (f"<ReadRouter replicas={len(self.replicas)} "

@@ -33,6 +33,7 @@ _STR_ATTRS = {"executable", "stdout", "stderr", "queue", "directory",
 _LIST_ATTRS = {"arguments", "environment"}
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"[^\s)]+")
 
 
 class JobDescription:
@@ -174,9 +175,9 @@ def _parse_values(text: str, pos: int) -> Tuple[List[str], int]:
             values.append(text[pos + 1:end])
             pos = end + 1
         else:
-            m = re.match(r"[^\s)]+", text[pos:])
+            m = _TOKEN_RE.match(text, pos)
             values.append(m.group())
-            pos += m.end()
+            pos = m.end()
     if not values:
         raise RslError(f"empty value list at offset {pos}")
     return values, pos

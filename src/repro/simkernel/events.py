@@ -144,9 +144,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically after a fixed delay."""
+    """An event that fires automatically after a fixed delay.
 
-    __slots__ = ("delay",)
+    :meth:`Simulator.cancel` takes one off the queue before it fires.
+    """
+
+    __slots__ = ("delay", "_entry")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  name: str = ""):
@@ -157,7 +160,8 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        sim._enqueue(self, delay=delay)
+        #: Its queue entry, for :meth:`Simulator.cancel` to find.
+        self._entry = sim._enqueue(self, delay=delay)
 
 
 class ConditionEvent(Event):

@@ -72,8 +72,10 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        """Queue *event* for dispatch *delay* seconds from now.
+    def _enqueue(self, event: Event, delay: float = 0.0
+                 ) -> tuple[float, int, Event]:
+        """Queue *event* for dispatch *delay* seconds from now; returns
+        its queue entry.
 
         A triggered event has its callbacks run when it pops; a pending
         one holds a start slot and gets ``event._start(event)`` instead.
@@ -81,7 +83,31 @@ class Simulator:
         if delay < 0:
             raise CausalityError(f"cannot schedule event {delay} s in the past")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+        entry = (self.now + delay, self._seq, event)
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, timeout: Timeout) -> None:
+        """Take a queued *timeout* off the queue: it will never fire.
+
+        For a deadline whose wait ended first — left queued, a six-hour
+        deadline would hold its slot that long.  The queue orders by
+        (time, sequence number), so dropping one entry reorders nothing
+        that remains.  A timeout already dispatched or cancelled is left
+        as it is.
+        """
+        heap = self._heap
+        try:
+            at = heap.index(timeout._entry)
+        except ValueError:  # dispatched or cancelled before
+            return
+        last = heap.pop()
+        if at < len(heap):
+            # The last entry fills the hole and sifts to its place: two
+            # O(log n) walks, where heapify() would redo all n.
+            heap[at] = last
+            heapq._siftup(heap, at)
+            heapq._siftdown(heap, 0, at)
 
     # -- run loop -------------------------------------------------------------
 

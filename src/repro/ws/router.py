@@ -43,7 +43,7 @@ from typing import (
 
 from repro.core.context import RequestContext, span
 from repro.errors import (
-    ReplicaDown, ServiceNotFound, SoapFault, WsError, is_retryable,
+    ReplicaDown, ServiceNotFound, WsError, is_retryable,
 )
 from repro.hardware.host import Host
 from repro.resilience.breaker import OPEN, BreakerBoard
@@ -51,7 +51,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.simkernel.events import Event
 from repro.simkernel.process import Interrupt, Process
 from repro.telemetry.events import bus
-from repro.telemetry.gauges import gauges
+from repro.telemetry.gauges import Gauge, gauges
 from repro.ws.pipeline import soap_fault
 from repro.ws.server import SoapFabric, SoapServer
 from repro.ws.soap import SoapEnvelope
@@ -218,6 +218,9 @@ class RequestRouter:
         self.ring = HashRing()
         self._replicas: Dict[str, Replica] = {}
         self._inflight: Dict[str, int] = {}
+        #: Each routable replica's ``router.inflight`` gauge, made once
+        #: when it joins.
+        self._inflight_gauges: Dict[str, Gauge] = {}
         #: Per-replica circuit breakers: an open circuit drops the
         #: replica from the candidate walk until the reset timeout.
         self.breakers = BreakerBoard(
@@ -267,6 +270,8 @@ class RequestRouter:
             raise WsError(f"replica {name!r} already registered")
         self._replicas[name] = Replica(name, server, onserve)
         self._inflight[name] = 0
+        self._inflight_gauges[name] = self._board.gauge(
+            "router.inflight", unit="reqs", labels={"replica": name})
         self.ring.add(name)
 
     def remove_replica(self, name: str, reason: str = "admin") -> None:
@@ -285,8 +290,7 @@ class RequestRouter:
         self.ring.remove(name)
         if inflight:
             self._queue_gauge.adjust(-inflight)
-        self._board.gauge("router.inflight", unit="reqs",
-                          labels={"replica": name}).set(0)
+        self._inflight_gauges.pop(name).set(0)
         self.rebalances += 1
         self._board.gauge("router.rebalances").set(self.rebalances)
         self.bus.emit("router.rebalance", layer="ws", replica=name,
@@ -503,9 +507,11 @@ class RequestRouter:
         Mirrors :meth:`SoapServer.transport`'s contract so WsClient and
         generated stubs work unchanged: the request envelope travels
         client→router, the router charges its routing CPU, picks a
-        replica, (lazily) materializes the service there, proxies the
-        call over the router↔replica links, and relays the response —
-        or the fault envelope — back to the client.  On the way:
+        replica, (lazily) materializes the service there, forwards the
+        same envelope over the router↔replica links, and relays the
+        replica's response — or fault — envelope back to the client.
+        Each direction's envelope is built and sized once; only a dedup
+        hit or a fault of the router's own builds one here.  On the way:
 
         * the replica dispatch runs in a sub-process the crash path can
           interrupt, and a :class:`ReplicaDown` (refused connection or
@@ -547,27 +553,27 @@ class RequestRouter:
                         self.bus.emit("router.dedup_hit", layer="ws",
                                       service=service_name,
                                       operation=operation, key=dkey)
-                        result = cached
+                        response = SoapEnvelope.response(operation, cached)
                         break
                 try:
                     replica = self.choose(service_name, exclude=tried)
                 except WsError as exc:
                     fault = soap_fault(ReplicaDown(
                         f"no live replica left for {service_name!r}: {exc}"))
-                    yield from self._relay_fault(client, service_name,
-                                                 operation, fault)
+                    yield from self._relay_fault(
+                        client, service_name, operation,
+                        SoapEnvelope.fault_response(fault))
                     raise fault
                 if hop is not None:
                     hop.meta["replica"] = replica.name
                 self._admit(replica.name)
                 proc = self.run_on(
                     replica.name,
-                    self._proxy(replica, service_name, operation, params,
-                                ctx, dkey),
+                    self._proxy(replica, service_name, request, ctx, dkey),
                     f"router:proxy:{service_name}.{operation}")
                 crash: Optional[ReplicaDown] = None
                 try:
-                    result = yield proc
+                    response = yield proc
                 except Interrupt as intr:
                     cause = intr.cause
                     if not isinstance(cause, ReplicaDown):
@@ -575,18 +581,20 @@ class RequestRouter:
                     crash = cause
                 except ReplicaDown as exc:
                     crash = exc
-                except SoapFault as fault:
-                    # Application-level fault: the replica answered, so
-                    # it is alive — relay the fault, never fail over
-                    # on it.
-                    if is_retryable(fault):
-                        self.breakers.failure(replica.name)
-                    else:
-                        self.breakers.success(replica.name)
-                    self._consecutive_faults.pop(replica.name, None)
-                    yield from self._relay_fault(client, service_name,
-                                                 operation, fault)
-                    raise
+                else:
+                    fault = response.fault
+                    if fault is not None:
+                        # Application-level fault: the replica answered,
+                        # so it is alive — relay its fault envelope,
+                        # never fail over on it.
+                        if is_retryable(fault):
+                            self.breakers.failure(replica.name)
+                        else:
+                            self.breakers.success(replica.name)
+                        self._consecutive_faults.pop(replica.name, None)
+                        yield from self._relay_fault(client, service_name,
+                                                     operation, response)
+                        raise fault
                 finally:
                     self._release(replica.name)
                 if crash is None:
@@ -604,8 +612,9 @@ class RequestRouter:
                     fault = soap_fault(ReplicaDown(
                         f"request failed over {attempt} times "
                         f"(last: {crash})"))
-                    yield from self._relay_fault(client, service_name,
-                                                 operation, fault)
+                    yield from self._relay_fault(
+                        client, service_name, operation,
+                        SoapEnvelope.fault_response(fault))
                     raise fault
                 self.failovers += 1
                 self.bus.emit("router.failover", layer="ws",
@@ -614,15 +623,16 @@ class RequestRouter:
                 yield self.sim.timeout(
                     self.failover_policy.backoff(attempt, rng=rng),
                     name="router:failover-backoff")
-            response = SoapEnvelope.response(operation, result)
             yield self.host.send(client, response.size(),
                                  label=f"route-rsp:{service_name}.{operation}")
-        return result
+        return response.result()
 
-    def _proxy(self, replica: Replica, service_name: str, operation: str,
-               params: Dict[str, Any], ctx: Optional[RequestContext],
-               dkey: Optional[str]) -> Generator[Event, None, Any]:
-        """One dispatch attempt against one replica (interruptible).
+    def _proxy(self, replica: Replica, service_name: str,
+               request: SoapEnvelope, ctx: Optional[RequestContext],
+               dkey: Optional[str]
+               ) -> Generator[Event, None, SoapEnvelope]:
+        """One dispatch attempt against one replica (interruptible): the
+        value is the replica's response or fault envelope.
 
         Runs as its own process so :meth:`kill_inflight` can interrupt
         it when the replica crashes.  A replica that already crashed
@@ -638,22 +648,21 @@ class RequestRouter:
             if replica.onserve is not None:
                 yield from replica.onserve.ensure_local_service(
                     service_name, ctx)
-            result = yield from replica.server.transport(
-                self.host, service_name, operation, params, ctx)
-        if dkey is not None and self.store is not None:
-            self.store.record_dedup(dkey, replica.name, result,
+            response = yield from replica.server.exchange(
+                self.host, request, service_name, ctx)
+        if (dkey is not None and self.store is not None
+                and response.fault is None):
+            self.store.record_dedup(dkey, replica.name, response.result(),
                                     self.sim.now)
-        return result
+        return response
 
     # -- admission helpers --------------------------------------------------------
 
     def _admit(self, name: str) -> None:
         """Count one request into *name*'s admission queue (gauges)."""
-        self._inflight[name] += 1
+        count = self._inflight[name] = self._inflight[name] + 1
         self._queue_gauge.adjust(1)
-        self._board.gauge("router.inflight", unit="reqs",
-                          labels={"replica": name}
-                          ).set(self._inflight[name])
+        self._inflight_gauges[name].set(count)
 
     def _release(self, name: str) -> None:
         """Undo :meth:`_admit` — tolerant of a concurrent removal.
@@ -665,15 +674,12 @@ class RequestRouter:
         """
         if name not in self._inflight:
             return
-        self._inflight[name] -= 1
+        count = self._inflight[name] = self._inflight[name] - 1
         self._queue_gauge.adjust(-1)
-        self._board.gauge("router.inflight", unit="reqs",
-                          labels={"replica": name}
-                          ).set(self._inflight[name])
+        self._inflight_gauges[name].set(count)
 
     def _relay_fault(self, client: Host, service_name: str, operation: str,
-                     fault: SoapFault) -> Generator[Event, None, None]:
-        envelope = SoapEnvelope.fault_response(fault)
+                     envelope: SoapEnvelope) -> Generator[Event, None, None]:
         yield self.host.send(client, envelope.size(),
                              label=f"route-fault:{service_name}"
                                    f".{operation}")

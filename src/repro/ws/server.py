@@ -230,15 +230,28 @@ class SoapServer:
                   ctx: Optional[RequestContext] = None,
                   ) -> Generator[Event, None, Any]:
         """The wire round-trip, as a generator for embedding in a process:
-
-        size + send the request envelope, serve it on this host, send
-        the response back, unwrap it (raising the fault, if any).  A
-        loopback crossing (*client* is this host) sends nothing: it
-        still pays the parse and dispatch CPU, but a transfer from a
-        host to itself takes no time and touches no link.
-        """
+        build the request envelope, :meth:`exchange` it, unwrap the
+        response (raising the fault, if any)."""
         request = SoapEnvelope.request(operation, params,
                                        namespace=f"urn:repro:{service_name}")
+        response = yield from self.exchange(client, request, service_name,
+                                            ctx)
+        return response.result()  # raises the fault, if any
+
+    def exchange(self, client: Host, request: SoapEnvelope,
+                 service_name: str,
+                 ctx: Optional[RequestContext] = None,
+                 ) -> Generator[Event, None, SoapEnvelope]:
+        """Send *request* here from *client*, serve it, send the response
+        (or fault) envelope back; the value is that envelope.
+
+        A router forwards the envelope it received and relays the one
+        returned, so each direction is built and sized once.  A loopback
+        crossing (*client* is this host) sends nothing: it still pays
+        the parse and dispatch CPU, but a transfer from a host to itself
+        takes no time and touches no link.
+        """
+        operation = request.operation
         request_bytes = request.size()
         host = self.host
         wire = client is not host
@@ -246,11 +259,11 @@ class SoapServer:
             yield client.send(host, request_bytes,
                               label=f"soap-req:{service_name}.{operation}")
         response = yield from self._serve(request_bytes, service_name,
-                                          operation, params, ctx)
+                                          operation, request.params, ctx)
         if wire:
             yield host.send(client, response.size(),
                             label=f"soap-rsp:{service_name}.{operation}")
-        return response.result()  # raises the fault, if any
+        return response
 
     def _serve(self, request_bytes: int, service_name: str, operation: str,
                params: Dict[str, Any],
@@ -295,7 +308,7 @@ class SoapServer:
         response = SoapEnvelope.response(inv.operation, result)
         # A result the codec cannot carry must fail here, inside the
         # crossing, so it travels back as a counted fault envelope.  The
-        # envelope keeps the measurement for transport() to send.
+        # envelope keeps the measurement for exchange() to send.
         response.size()
         return response
 

@@ -186,8 +186,14 @@ def test_invocation_counts_are_fabric_wide():
     publish(sim, testbed, stack)
     for client in stack.user_clients[:2]:
         sim.run(until=discover_and_invoke(stack, client, "Route%"))
-    row = stack.store.get_record("RouteService")
-    assert row["invocations"] == 2
+    # Every replica reads the same count off the shared history table,
+    # whichever of them ran the invocations.
+    rows = stack.dbmanager.db.find_eq("invocations", "service",
+                                      "RouteService")
+    assert len(rows) == 2
+    for onserve in stack.onserves:
+        assert onserve.invocation_count(
+            onserve.get_service("RouteService")) == 2
 
 
 def test_fabric_wires_config_notify_for_every_replica():

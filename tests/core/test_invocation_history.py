@@ -36,7 +36,8 @@ def test_history_rows_accumulate(env):
     assert {r["service"] for r in rows} == {"AlphaService", "BetaService"}
     assert all(r["ok"] == 1 for r in rows)
     assert all(r["total"] > 0 for r in rows)
-    assert stack.onserve.get_service("AlphaService").invocations == 2
+    onserve = stack.onserve
+    assert onserve.invocation_count(onserve.get_service("AlphaService")) == 2
 
 
 def test_history_captures_failures(env, monkeypatch):
@@ -101,9 +102,9 @@ def test_history_survives_db_recovery(env):
     assert rows[0]["service"] == "AlphaService"
 
 
-def test_record_invocation_is_one_frame_and_reads_before_the_unit():
-    """History row + counter bump land as one WAL frame; the record read
-    happens before the unit opens, so a replica may still serve it."""
+def test_record_invocation_is_one_history_frame_and_reads_nothing():
+    """One ``invocations`` insert, one WAL frame, no other table written
+    and no read — routed or not — before it."""
     from types import SimpleNamespace
 
     tb = build_testbed(n_sites=2, nodes_per_site=2, cores_per_node=4,
@@ -115,18 +116,52 @@ def test_record_invocation_is_one_frame_and_reads_before_the_unit():
         params_spec="x:string"))
     tb.sim.run(until=tb.sim.timeout(1.0))    # every write has replicated
     db, router = stack.dbmanager.db, stack.dbmanager.read_router
+    record = db.get_by_pk("service_records", "AlphaService")
     frames = []
     db.wal.taps.append(frames.append)
     reads = (router.replica_reads, router.primary_reads)
     report = SimpleNamespace(job_id="j-1", started_at=tb.sim.now, total=6.0,
                              overhead=1.0, polls=0, ok=True, error=None)
-    stack.onserve.record_invocation("AlphaService", report)
-    assert [sorted(dml[1] for dml in f[2]) for f in frames] \
-        == [["invocations", "service_records"]]
-    assert (router.replica_reads, router.primary_reads) \
-        == (reads[0] + 1, reads[1])
-    assert db.get_by_pk("service_records", "AlphaService")["invocations"] == 1
-    # An unknown service still gets its history row (no counter to bump).
-    stack.onserve.record_invocation("GhostService", report)
-    assert [dml[1] for dml in frames[-1][2]] == ["invocations"]
+    for name in ("AlphaService", "GhostService"):
+        stack.onserve.record_invocation(name, report)
+    assert [[dml[:2] for dml in f[2]] for f in frames] \
+        == [[("insert", "invocations")]] * 2
+    assert (router.replica_reads, router.primary_reads) == reads
+    assert db.get_by_pk("service_records", "AlphaService") == record
     assert len(db.find_eq("invocations", "service", "GhostService")) == 1
+
+
+def _list_services(tb, stack):
+    client = stack.user_clients[0]
+    raw = tb.sim.run(until=tb.sim.process(client.call(
+        stack.soap_server.endpoint_for("OnServeManagement"),
+        "listServices")))
+    return {line.split("|")[0]: int(line.split("|")[3])
+            for line in raw.splitlines()}
+
+
+def test_the_count_is_the_history_rows_since_publish(env):
+    """``listServices`` counts history rows; a service undeployed and
+    published again under the same name starts from zero while its old
+    rows stay in the history."""
+    tb, stack = env
+    onserve, db = stack.onserve, stack.dbmanager.db
+    invoke(tb, stack, "Alpha%", x="1")
+    invoke(tb, stack, "Alpha%", x="2")
+    invoke(tb, stack, "Beta%", x="3")
+    for name in ("AlphaService", "BetaService"):
+        assert onserve.invocation_count(onserve.get_service(name)) \
+            == len(db.find_eq("invocations", "service", name))
+    assert _list_services(tb, stack) == {"AlphaService": 2,
+                                         "BetaService": 1}
+    tb.sim.run(until=onserve.undeploy_service("AlphaService"))
+    tb.sim.run(until=tb.sim.timeout(5.0))
+    tb.sim.run(until=stack.portal.upload_and_generate(
+        tb.user_hosts[0], "alpha.sh", make_payload("echo", size=int(KB(2))),
+        params_spec="x:string"))
+    assert len(db.find_eq("invocations", "service", "AlphaService")) == 2
+    assert _list_services(tb, stack) == {"AlphaService": 0,
+                                         "BetaService": 1}
+    invoke(tb, stack, "Alpha%", x="4")
+    assert _list_services(tb, stack) == {"AlphaService": 1,
+                                         "BetaService": 1}

@@ -15,28 +15,28 @@ def make_store():
     return sim, ServiceStateStore(DbManager(host).db)
 
 
-def make_service(name="HelloService", invocations=0):
-    service = GeneratedService(
+def make_service(name="HelloService", archive_size=1024):
+    return GeneratedService(
         service_name=name, executable_name="hello.sh",
         endpoint=f"soap://appliance/{name}",
         wsdl_location=f"soap://appliance/{name}?wsdl",
         uddi_service_key="S-1", uddi_binding_key="B-1",
-        archive_size=1024, created_at=1.5)
-    service.invocations = invocations
-    return service
+        archive_size=archive_size, created_at=1.5)
 
 
 def test_record_roundtrip_and_rehydrate():
     sim, store = make_store()
-    store.put_record(make_service(invocations=3), replica="appliance")
+    store.put_record(make_service(), replica="appliance")
     row = store.get_record("HelloService")
     assert row["replica"] == "appliance"
+    # How often a service ran is the history table's to say.
+    assert "invocations" not in row
     back = ServiceStateStore.rehydrate(row)
     assert back.service_name == "HelloService"
     assert back.endpoint == "soap://appliance/HelloService"
     assert back.archive_size == 1024
     assert back.created_at == 1.5
-    assert back.invocations == 3
+    assert not hasattr(back, "invocations")
 
 
 def test_put_record_replaces_in_place():
@@ -87,15 +87,6 @@ def test_republish_fans_out_minus_origin():
     fired.clear()
     store.record_republished("HelloService", origin="b")
     assert fired == []
-
-
-def test_bump_invocations_persists():
-    sim, store = make_store()
-    store.put_record(make_service(), replica="a")
-    assert store.bump_invocations("HelloService") == 1
-    assert store.bump_invocations("HelloService") == 2
-    assert store.get_record("HelloService")["invocations"] == 2
-    assert store.bump_invocations("Ghost") == 0
 
 
 def test_staged_copies_are_fabric_global():
@@ -199,7 +190,7 @@ def test_dedup_records_once_and_flags_duplicates():
 def _per_job_costs(n_jobs):
     """(heap rows visited, WAL frames by tables written) per job for the
     per-invocation bookkeeping: notify publish/deliver/replay,
-    heartbeat, staging mark, dedup record and the invocation counter."""
+    heartbeat, staging mark and dedup record."""
     from collections import Counter
 
     from repro.grid.notify import NotifyQueue
@@ -223,7 +214,6 @@ def _per_job_costs(n_jobs):
         assert store.record_dedup(f"req-{j}|Hello.execute", replica, "out",
                                   sim.now)
         assert store.dedup_result(f"req-{j}|Hello.execute") == "out"
-        assert store.bump_invocations("HelloService") == j + 1
     assert queue.delivered == n_jobs and db.count("job_states") == n_jobs
     written = Counter("+".join(sorted({dml[1] for dml in frame[2]}))
                       for frame in frames)
@@ -249,12 +239,11 @@ def test_per_job_frame_budget_is_one_frame_per_state_transition():
         "replica_members": 1,           # renew_member
         "staged_copies": 1,             # mark_staged
         "invocation_dedup": 1,          # record_dedup
-        "service_records": 1,           # the invocation counter
     }
     for n_jobs in (25, 100):
         _, frames = _per_job_costs(n_jobs)
         assert frames == budget
-        assert sum(frames.values()) <= 5
+        assert sum(frames.values()) <= 4
 
 
 def test_upsert_sites_update_in_place():
@@ -266,13 +255,13 @@ def test_upsert_sites_update_in_place():
     rowids = {t: [r for r, _ in db.tables[t].scan()] for t in db.tables}
     frames = []
     db.wal.taps.append(frames.append)
-    store.put_record(make_service(invocations=3), replica="b")
+    store.put_record(make_service(archive_size=2048), replica="b")
     store.mark_staged("ncsa", "/stage/x", "d2", "b")
     store.renew_member("a", 24.0)
     # Same rows, rewritten where they stand: one update each, one frame each.
     assert [[dml[0] for dml in f[2]] for f in frames] == [["update"]] * 3
     assert rowids == {t: [r for r, _ in db.tables[t].scan()]
                       for t in db.tables}
-    assert store.get_record("HelloService")["invocations"] == 3
+    assert store.get_record("HelloService")["archive_size"] == 2048
     assert store.staged_digest("ncsa", "/stage/x") == "d2"
     assert store.member("a")["expires"] == 24.0

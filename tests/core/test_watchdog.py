@@ -99,15 +99,42 @@ def test_an_interrupted_wait_cancels_and_defuses_its_waiter():
 
 
 def test_a_fired_waiter_leaves_its_deadline_bare():
-    """A six-hour-style deadline stays queued after the waiter fires,
-    holding no callback of the fired wait (the kernel's condition
-    unhooks itself)."""
+    """A six-hour-style deadline leaves the queue once its waiter fires:
+    100 fired waits leave at most one queued deadline, not 100."""
     sim = Simulator()
-    waiter = sim.event()
-    fire_at(sim, waiter, 1.0)
-    assert drive(sim, wait_on(sim, waiter, timeout=6 * 3600.0)) == "done"
-    [deadline] = [ev for _, _, ev in sim._heap]
-    assert deadline.callbacks == [] and sim.now == 1.0
+    for i in range(100):
+        waiter = sim.event()
+        fire_at(sim, waiter, 1.0)
+        assert drive(sim, wait_on(sim, waiter, timeout=6 * 3600.0)) == "done"
+    assert len(sim._heap) <= 1 and sim.now == 100.0
+    sim.run()
+    assert sim.now == 100.0
+
+
+def test_an_interrupted_wait_takes_its_deadline_off_the_queue():
+    sim = Simulator()
+    waiter, cancelled = sim.event(), []
+    proc = sim.process(wait_on(sim, waiter, timeout=6 * 3600.0,
+                               cancelled=cancelled))
+    sim.run(until=sim.timeout(2.0))
+    proc.interrupt("crash")
+    with pytest.raises(Interrupt):
+        sim.run(until=proc)
+    assert cancelled == [waiter] and sim._heap == []
+
+
+def test_cancelling_a_timer_keeps_the_order_of_the_rest():
+    sim = Simulator()
+    fired = []
+    timers = [sim.timeout(delay) for delay in (3.0, 1.0, 2.0, 1.0, 5.0)]
+    for i, timer in enumerate(timers):
+        timer.add_callback(lambda ev, i=i: fired.append(i))
+    sim.cancel(timers[1])
+    sim.cancel(timers[1])             # a second cancel is a no-op
+    sim.run(until=timers[2])
+    sim.cancel(timers[2])             # already dispatched: left alone
+    sim.run()
+    assert fired == [3, 2, 0, 4] and sim.now == 5.0
 
 
 def test_await_waiter_timeout_must_be_positive():

@@ -33,6 +33,27 @@ def test_clock_ends_at_max_delay(ds):
     assert sim.now == max(ds)
 
 
+@given(delays, st.data())
+def test_cancelled_timers_never_fire_and_the_rest_keep_their_order(ds, data):
+    """Dropping queued timers, in any order and at any point, leaves the
+    others firing exactly as they would have, in (time, creation) order."""
+    sim = Simulator()
+    fired = []
+    timers = []
+    for i, d in enumerate(ds):
+        timer = sim.timeout(d)
+        timer.add_callback(lambda e, i=i: fired.append(i))
+        timers.append(timer)
+    doomed = data.draw(st.lists(st.sampled_from(range(len(ds))),
+                                unique=True))
+    for i in doomed:
+        sim.cancel(timers[i])
+    sim.run()
+    kept = [i for i in range(len(ds)) if i not in doomed]
+    assert fired == sorted(kept, key=lambda i: (ds[i], i))
+    assert sim.queued_events == 0
+
+
 @given(delays)
 def test_same_seed_same_trace(ds):
     """Two simulators fed identical work produce identical event traces."""

@@ -171,6 +171,24 @@ def test_remove_replica_clears_gauges_and_emits_rebalance():
     assert board.gauge("router.queue", unit="reqs").current == 0
 
 
+def test_each_replica_keeps_one_inflight_gauge_from_join_to_removal():
+    sim, router = make_router(n_replicas=2)
+    board = gauges(sim)
+    cell = board.get("router.inflight", labels={"replica": "replica1"})
+    assert cell is not None and cell.current == 0    # made at add_replica
+    router._admit("replica1")
+    router._admit("replica1")
+    router._release("replica1")
+    assert cell.current == 1 and cell.peak() == 2
+    assert board.gauge("router.inflight", unit="reqs",
+                       labels={"replica": "replica1"}) is cell
+    router.remove_replica("replica1")
+    assert cell.current == 0
+    router.add_replica("replica1", _StubServer())
+    router._admit("replica1")
+    assert cell.current == 1
+
+
 # -- satellite: HashRing.remove coverage ------------------------------------
 
 def test_ring_remove_preference_excludes_removed_node():

@@ -154,8 +154,9 @@ def test_dedup_replays_recorded_result_without_resubmitting():
     ctx = RequestContext(sim, "req-replayed")
     stack.store.record_dedup("req-replayed|RouteService.execute",
                              "appliance", "recorded-output", now=sim.now)
-    invocations_before = stack.store.get_record("RouteService")[
-        "invocations"]
+    onserve = stack.onserve
+    invocations_before = onserve.invocation_count(
+        onserve.get_service("RouteService"))
     result = sim.run(until=discover_and_invoke(
         stack, stack.user_clients[0], "Route%", ctx=ctx))
     # The router short-circuits on the idempotency table: the recorded
@@ -163,8 +164,8 @@ def test_dedup_replays_recorded_result_without_resubmitting():
     assert result == "recorded-output"
     assert stack.router.dedup_hits == 1
     assert stack.store.dedup_duplicates == 0
-    row = stack.store.get_record("RouteService")
-    assert row["invocations"] == invocations_before
+    assert onserve.invocation_count(
+        onserve.get_service("RouteService")) == invocations_before
     assert bus(sim).first("router.dedup_hit") is not None
     stack.stop_self_healing()
 

@@ -125,6 +125,7 @@ def test_unencodable_string_result_becomes_fault():
 def test_each_envelope_is_sized_once(monkeypatch, path):
     # _dispatch sizes the response to validate it and the transport
     # sizes it again to send it: the second ask must not walk it again.
+    # A routed call builds no envelope of its own, faults included.
     from repro.ws.soap import SoapEnvelope
     from tests.ws.test_router import routed_service
 
@@ -144,7 +145,9 @@ def test_each_envelope_is_sized_once(monkeypatch, path):
         sim, router, _owner, client = routed_service(
             handler=handler, self_healing=(path == "healing"))
         endpoint = router.endpoint_for("T")
-        per_call = 4  # client -> router -> replica and back, one each
+        # The router forwards the client's request envelope and relays
+        # the replica's response (or fault) envelope: one each way.
+        per_call = 2
 
     built, walked = [], []
     init, measure = SoapEnvelope.__init__, SoapEnvelope._measure
