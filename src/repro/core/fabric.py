@@ -31,7 +31,7 @@ goldens pin cannot see it.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from repro.appliance.deploy import DeployedAppliance, deploy_image
 from repro.appliance.image import ImageBuilder, ONSERVE_PACKAGES
@@ -90,7 +90,6 @@ class FabricStack:
         # -- self-healing plane (inert until start_self_healing) ------
         self.self_healing = False
         self.heartbeat_interval = 5.0
-        self._heartbeats: Dict[str, Process] = {}
 
     @property
     def replica_hosts(self) -> List[Host]:
@@ -109,12 +108,13 @@ class FabricStack:
                            ) -> "FabricStack":
         """Arm the self-healing plane: leases + membership watchdog.
 
-        Every replica starts a heartbeat process renewing its lease in
-        the shared membership table every ``heartbeat_interval``
-        (default: a third of the router's ``lease_ttl``, so two beats
-        can be lost before the lease lapses), and the router starts the
-        lease watchdog that declares lapsed replicas dead.  Requires a
-        router constructed with a state store.
+        Every replica starts a heartbeat process renewing its lease on
+        the router every ``heartbeat_interval`` (default: a third of the
+        router's ``lease_ttl``, so two beats can be lost before the
+        lease lapses), and the router starts the lease watchdog that
+        declares lapsed replicas dead.  Requires a router constructed
+        with a state store, whose dedup table makes failover replays
+        safe.
         """
         if self.self_healing:
             return self
@@ -130,16 +130,20 @@ class FabricStack:
         return self
 
     def stop_self_healing(self) -> None:
-        for name, proc in list(self._heartbeats.items()):
-            if proc.is_alive:
-                proc.interrupt("stop")
-        self._heartbeats.clear()
+        for onserve in self.onserves:
+            self._stop_heartbeat(onserve.replica, "stop")
         self.router.stop_membership_watch()
         self.self_healing = False
 
     def _start_heartbeat(self, name: str) -> None:
-        self._heartbeats[name] = self.sim.process(
+        self.router.replica_handle(name).heartbeat = self.sim.process(
             self._heartbeat(name), name=f"fabric:heartbeat:{name}")
+
+    def _stop_heartbeat(self, name: str, cause: str) -> None:
+        replica = self.router.replica_handle(name)
+        heartbeat, replica.heartbeat = replica.heartbeat, None
+        if heartbeat is not None and heartbeat.is_alive:
+            heartbeat.interrupt(cause)
 
     def _heartbeat(self, name: str) -> Generator[Event, None, None]:
         # Renew-then-sleep: the lease is valid from the first beat, and
@@ -147,7 +151,7 @@ class FabricStack:
         # on its own and the watchdog declares the death.
         try:
             while True:
-                self.store.renew_member(
+                self.router.renew_lease(
                     name, self.sim.now + self.router.lease_ttl)
                 yield self.sim.timeout(self.heartbeat_interval,
                                        name=f"fabric:heartbeat:{name}")
@@ -168,11 +172,8 @@ class FabricStack:
         transport faults or lease expiry, which is exactly what the
         chaos scenario measures.  Returns how many were killed.
         """
-        replica = self.router.replica_handle(name)
-        replica.crashed = True
-        heartbeat = self._heartbeats.pop(name, None)
-        if heartbeat is not None and heartbeat.is_alive:
-            heartbeat.interrupt("crash")
+        self.router.replica_handle(name).crashed = True
+        self._stop_heartbeat(name, "crash")
         killed = self.router.kill_inflight(name)
         bus(self.sim).emit("fabric.replica_crash", layer="core",
                            replica=name, inflight_killed=killed)
@@ -182,14 +183,15 @@ class FabricStack:
         """Bring a crashed replica back into service.
 
         The replica is stateless — everything it needs lives in the
-        shared DB tier — so restart is: clear the crash flag, rejoin
-        the ring, close the breaker, and resume heartbeating.
+        shared DB tier — so restart is: clear the crash flag and the
+        fault count, rejoin the ring if the death was declared, close
+        the breaker, and resume heartbeating.
         """
         self.router.revive_replica(name)
         if self.self_healing:
-            self.store.renew_member(name,
+            self.router.renew_lease(name,
                                     self.sim.now + self.router.lease_ttl)
-            if name not in self._heartbeats:
+            if self.router.replica_handle(name).heartbeat is None:
                 self._start_heartbeat(name)
         bus(self.sim).emit("fabric.replica_restart", layer="core",
                            replica=name)
@@ -259,8 +261,8 @@ def deploy_fabric(testbed: Testbed,
 
     With ``self_healing=True`` (routed deployments) the stack arms the
     lease/failover plane after deployment: replicas heartbeat their
-    membership leases into the shared store, and the router watches for
-    expiry and dedups failover replays (DESIGN.md §13).
+    membership leases to the router, which watches for expiry and
+    dedups failover replays in the shared store (DESIGN.md §13).
     """
     if replicas < 1:
         raise OnServeError("replicas must be >= 1")

@@ -12,7 +12,8 @@ replica A is servable by replica B.
 The agent session is not store state: it is cached beside the agent
 that minted it (:class:`~repro.core.session.SessionCache`); nor is a
 seed's in-flight marker, held in memory beside its watchers
-(DESIGN.md §10).
+(DESIGN.md §10), nor a replica's membership lease, held on the
+router's record of that replica (DESIGN.md §13).
 
 Tables
 ------
@@ -28,11 +29,6 @@ Tables
     staged by any replica is on the site for every replica, so this is
     naturally fabric-global state.  Read and written only under
     ``OnServeConfig.stage_once`` (DESIGN.md §10).
-``replica_members``
-    The self-healing plane's membership leases: one row per live
-    replica, refreshed by its heartbeat, carrying the lease expiry and
-    a process-incarnation epoch.  The router declares a replica dead
-    when its lease lapses.
 ``invocation_dedup``
     Idempotency records for crash failover: one row per completed
     mutating invocation, written in the same simulation frame the
@@ -70,7 +66,6 @@ __all__ = ["ServiceStateStore"]
 
 SERVICE_TABLE = "service_records"
 STAGED_TABLE = "staged_copies"
-MEMBER_TABLE = "replica_members"
 DEDUP_TABLE = "invocation_dedup"
 
 _SERVICE_SCHEMA = [
@@ -94,12 +89,6 @@ _STAGED_SCHEMA = [
     Column("replica", "TEXT", nullable=False),
 ]
 
-_MEMBER_SCHEMA = [
-    Column("replica", "TEXT", primary_key=True),
-    Column("expires", "REAL", nullable=False),
-    Column("epoch", "INT", nullable=False),
-]
-
 _DEDUP_SCHEMA = [
     Column("key", "TEXT", primary_key=True),
     Column("replica", "TEXT", nullable=False),
@@ -120,7 +109,6 @@ class ServiceStateStore:
         self.read_router = read_router
         for table, schema in ((SERVICE_TABLE, _SERVICE_SCHEMA),
                               (STAGED_TABLE, _STAGED_SCHEMA),
-                              (MEMBER_TABLE, _MEMBER_SCHEMA),
                               (DEDUP_TABLE, _DEDUP_SCHEMA)):
             if table not in db.tables:
                 db.create_table(table, schema)
@@ -140,8 +128,6 @@ class ServiceStateStore:
         #: appliance redeployed over recovered data resumes numbering).
         self._invocation_counter: Optional[int] = None
         self._tag_seq: Optional[int] = None
-        #: Monotonic membership-epoch source (process incarnations).
-        self._member_epoch = 0
         #: Invocations that completed twice (must stay 0: each one is a
         #: request the idempotency layer failed to deduplicate).
         self.dedup_duplicates = 0
@@ -360,42 +346,6 @@ class ServiceStateStore:
     def _seed_moved(self, path: str, trace: Any) -> None:
         for listener in self._seed_watchers.pop(path, ()):
             listener(trace)
-
-    # -- replica membership leases (self-healing plane) -----------------------
-
-    def renew_member(self, replica: str, expires: float) -> None:
-        """Write/refresh *replica*'s membership lease (heartbeat).
-
-        ``epoch`` counts process incarnations: it bumps whenever a
-        replica (re)appears after its row was dropped, so a restarted
-        replica is distinguishable from one that never died.
-        """
-        row = self.member(replica)
-        epoch = row["epoch"] if row is not None else self._next_epoch()
-        self.db.upsert(MEMBER_TABLE, [replica, expires, epoch])
-
-    def _next_epoch(self) -> int:
-        self._member_epoch += 1
-        return self._member_epoch
-
-    def member(self, replica: str) -> Optional[Dict[str, Any]]:
-        try:
-            return self._read(MEMBER_TABLE).get_by_pk(MEMBER_TABLE, replica)
-        except RecordNotFound:
-            return None
-
-    def members(self) -> List[Dict[str, Any]]:
-        rows = self._read(MEMBER_TABLE).select(MEMBER_TABLE)
-        return sorted(rows, key=lambda r: r["replica"])
-
-    def expired_members(self, now: float) -> List[str]:
-        """Replicas whose lease has lapsed at *now* (sorted)."""
-        return sorted(r["replica"]
-                      for r in self._read(MEMBER_TABLE).select(MEMBER_TABLE)
-                      if r["expires"] <= now)
-
-    def drop_member(self, replica: str) -> None:
-        self.db.delete_eq(MEMBER_TABLE, "replica", replica)
 
     # -- invocation dedup (idempotent crash-failover retries) -----------------
 

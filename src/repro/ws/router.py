@@ -160,11 +160,15 @@ class HashRing:
 
 
 class Replica:
-    """One onServe replica as the router sees it."""
+    """One onServe replica as the router sees it: the one record of its
+    routing and liveness state, parked with it when it leaves the ring."""
 
-    __slots__ = ("name", "server", "onserve", "crashed")
+    __slots__ = ("name", "server", "onserve", "crashed", "inflight",
+                 "gauge", "procs", "faults", "lease_expires", "epoch",
+                 "heartbeat")
 
-    def __init__(self, name: str, server: SoapServer, onserve=None):
+    def __init__(self, name: str, server: SoapServer, onserve,
+                 gauge: Gauge):
         self.name = name
         self.server = server
         self.onserve = onserve
@@ -173,6 +177,20 @@ class Replica:
         #: through transport faults and lease expiry — this flag models
         #: the refused TCP connection, not router knowledge).
         self.crashed = False
+        #: Requests in flight, mirrored into its ``router.inflight`` gauge.
+        self.inflight = 0
+        self.gauge = gauge
+        #: What :meth:`RequestRouter.run_on` hosts here, in admission
+        #: order (a dict as an ordered set): a crash must interrupt them
+        #: in the same order on every run.
+        self.procs: Dict[Process, None] = {}
+        #: Consecutive transport faults.
+        self.faults = 0
+        #: The lease's expiry (None while unleased), the incarnation
+        #: holding it, and the heartbeat process renewing it.
+        self.lease_expires: Optional[float] = None
+        self.epoch = 0
+        self.heartbeat: Optional[Process] = None
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<Replica {self.name!r}>"
@@ -216,11 +234,8 @@ class RequestRouter:
         self.sim = host.sim
         self.enabled = enabled
         self.ring = HashRing()
+        #: The routable replicas' records.
         self._replicas: Dict[str, Replica] = {}
-        self._inflight: Dict[str, int] = {}
-        #: Each routable replica's ``router.inflight`` gauge, made once
-        #: when it joins.
-        self._inflight_gauges: Dict[str, Gauge] = {}
         #: Per-replica circuit breakers: an open circuit drops the
         #: replica from the candidate walk until the reset timeout.
         self.breakers = BreakerBoard(
@@ -234,22 +249,19 @@ class RequestRouter:
         self._board = board
         # -- failover, self-healing ----------------------------------
         # Every routed request fails over off a crashed replica.  What
-        # a *store* adds is the self-healing plane's durable state: the
-        # invocation-dedup table behind replayed mutations, membership
-        # leases and the watchdog that expires them.  The constructor
-        # creates zero simulation events either way (the watchdog only
-        # starts via start_membership_watch).
+        # a *store* adds is the invocation-dedup table behind replayed
+        # mutations; leases live on the replica records.  The
+        # constructor creates zero simulation events either way (the
+        # watchdog only starts via start_membership_watch).
         if lease_ttl <= 0 or lease_check_interval <= 0:
             raise WsError("lease_ttl and lease_check_interval must be > 0")
         self.store = store
         self.lease_ttl = lease_ttl
         self.lease_check_interval = lease_check_interval
-        self._consecutive_faults: Dict[str, int] = {}
-        # Per replica, in admission order (a dict as an ordered set): a
-        # crash must interrupt them in the same order on every run.
-        self._inflight_procs: Dict[str, Dict[Process, None]] = {}
-        #: Replicas declared dead, parked for revival.
-        self._dead: Dict[str, Replica] = {}
+        #: The last lease epoch handed out, router-wide.
+        self._epoch = 0
+        #: Replicas out of the ring (declared dead or removed).
+        self._parked: Dict[str, Replica] = {}
         self._watchdog: Optional[Process] = None
         #: (ts, replica, reason) death declarations, in order.
         self.deaths: List[Tuple[float, str, str]] = []
@@ -268,73 +280,77 @@ class RequestRouter:
                     onserve=None) -> None:
         if name in self._replicas:
             raise WsError(f"replica {name!r} already registered")
-        self._replicas[name] = Replica(name, server, onserve)
-        self._inflight[name] = 0
-        self._inflight_gauges[name] = self._board.gauge(
-            "router.inflight", unit="reqs", labels={"replica": name})
+        self._parked.pop(name, None)
+        self._replicas[name] = Replica(
+            name, server, onserve, self._board.gauge(
+                "router.inflight", unit="reqs", labels={"replica": name}))
         self.ring.add(name)
 
     def remove_replica(self, name: str, reason: str = "admin") -> None:
-        """Take *name* out of the routing set, at once.
+        """Take *name* out of the routing set, at once, and park it.
 
         Removal also clears the replica's share of the router gauges —
         its per-replica inflight gauge drops to zero and the aggregate
         queue gauge loses its in-flight count — so a removed replica
-        never lingers as a ghost in telemetry.  A ``router.rebalance``
-        event records the membership change.
+        never lingers as a ghost in telemetry — and its fault count and
+        lease.  A ``router.rebalance`` event records the change.
         """
-        if name not in self._replicas:
+        replica = self._replicas.pop(name, None)
+        if replica is None:
             raise WsError(f"replica {name!r} not registered")
-        inflight = self._inflight.pop(name, 0)
-        del self._replicas[name]
+        self._parked[name] = replica
         self.ring.remove(name)
+        inflight, replica.inflight = replica.inflight, 0
         if inflight:
             self._queue_gauge.adjust(-inflight)
-        self._inflight_gauges.pop(name).set(0)
-        self.rebalances += 1
-        self._board.gauge("router.rebalances").set(self.rebalances)
+        replica.gauge.set(0)
+        replica.faults = 0
+        replica.lease_expires = None
+        self._count_rebalance()
         self.bus.emit("router.rebalance", layer="ws", replica=name,
                       reason=f"remove:{reason}", inflight=inflight,
                       replicas=len(self.ring))
 
-    def _declare_dead(self, name: str, reason: str) -> None:
-        """Declare *name* dead: un-route it and park it for revival."""
-        if name not in self._replicas:
-            return
-        replica = self._replicas[name]
-        self.deaths.append((self.sim.now, name, reason))
-        self.bus.emit("router.replica_dead", layer="ws", replica=name,
-                      reason=reason, survivors=len(self.ring) - 1)
-        self.remove_replica(name, reason=reason)
-        self._dead[name] = replica
-        self._consecutive_faults.pop(name, None)
-        if self.store is not None:
-            self.store.drop_member(name)
+    def _declare_dead(self, replica: Replica, reason: str) -> None:
+        """Declare a routable *replica* dead: un-route and park it."""
+        self.deaths.append((self.sim.now, replica.name, reason))
+        self.bus.emit("router.replica_dead", layer="ws",
+                      replica=replica.name, reason=reason,
+                      survivors=len(self.ring) - 1)
+        self.remove_replica(replica.name, reason=reason)
 
     def revive_replica(self, name: str) -> None:
-        """Bring a previously dead replica back into the ring.
+        """Bring *name* back into service.
 
-        Tolerant of the replica never having been declared dead (e.g. a
-        restart that raced the watchdog): reviving an already-routable
-        replica is a no-op.
+        A parked replica rejoins the ring.  Every call — also for a
+        replica still routable because its restart raced the death
+        detection — clears the crash flag, the transport-fault count and
+        the circuit breaker, so the fresh process is not refused for
+        its predecessor's death.
         """
-        if name in self._replicas:
-            return
-        replica = self._dead.pop(name, None)
-        if replica is None:
-            raise WsError(f"replica {name!r} was never registered")
+        replica = self._replicas.get(name)
+        rejoined = replica is None
+        if rejoined:
+            replica = self._parked.pop(name, None)
+            if replica is None:
+                raise WsError(f"replica {name!r} was never registered")
+            self._replicas[name] = replica
+            self.ring.add(name)
         replica.crashed = False
-        self.add_replica(name, replica.server, replica.onserve)
+        replica.faults = 0
         self.breakers.reset(name)
-        self._consecutive_faults.pop(name, None)
+        if rejoined:
+            self._count_rebalance()
+            self.bus.emit("router.rebalance", layer="ws", replica=name,
+                          reason="revive", replicas=len(self.ring))
+
+    def _count_rebalance(self) -> None:
         self.rebalances += 1
         self._board.gauge("router.rebalances").set(self.rebalances)
-        self.bus.emit("router.rebalance", layer="ws", replica=name,
-                      reason="revive", replicas=len(self.ring))
 
     def replica_handle(self, name: str) -> Replica:
-        """The Replica object for *name*, routable or parked-dead."""
-        replica = self._replicas.get(name) or self._dead.get(name)
+        """The Replica record for *name*, routable or parked."""
+        replica = self._replicas.get(name) or self._parked.get(name)
         if replica is None:
             raise WsError(f"replica {name!r} not registered")
         return replica
@@ -344,8 +360,8 @@ class RequestRouter:
         request, or a peer's share of a striped stage.  It dies with the
         replica — :meth:`kill_inflight` interrupts it, in the order the
         work was admitted."""
+        procs = self.replica_handle(name).procs
         proc = self.sim.process(work, name=label)
-        procs = self._inflight_procs.setdefault(name, {})
         procs[proc] = None
         proc.add_callback(lambda _done: procs.pop(proc, None))
         return proc
@@ -371,9 +387,8 @@ class RequestRouter:
         stage into a range its leader sends itself).  Returns how many
         were interrupted.
         """
-        procs = self._inflight_procs.pop(name, None)
-        if not procs:
-            return 0
+        replica = self.replica_handle(name)
+        procs, replica.procs = replica.procs, {}
         killed = 0
         for proc in list(procs):
             if proc.is_alive:
@@ -386,20 +401,35 @@ class RequestRouter:
         return sorted(self._replicas)
 
     def inflight(self, name: str) -> int:
-        return self._inflight.get(name, 0)
+        replica = self._replicas.get(name)
+        return replica.inflight if replica is not None else 0
 
     # -- lease-based membership --------------------------------------------------
 
-    def start_membership_watch(self) -> Process:
-        """Start the lease watchdog (requires a state store).
+    def renew_lease(self, name: str, expires: float) -> None:
+        """Renew routable replica *name*'s lease to *expires* (heartbeat).
 
-        The watchdog scans the shared membership table every
-        ``lease_check_interval`` seconds and declares any replica whose
-        lease expired dead — the slow path that catches replicas which
-        died quietly (no traffic, so no transport faults to count).
+        A replica leased afresh — its first beat, or its first since a
+        death or removal dropped the lease — takes the next epoch, so a
+        restart is told from a slow heartbeat.  A parked or unknown
+        replica's renewal is ignored: only a revival brings one back.
         """
-        if self.store is None:
-            raise WsError("membership watch needs a state store")
+        replica = self._replicas.get(name)
+        if replica is None:
+            return
+        if replica.lease_expires is None:
+            self._epoch += 1
+            replica.epoch = self._epoch
+        replica.lease_expires = expires
+
+    def start_membership_watch(self) -> Process:
+        """Start the lease watchdog.
+
+        The watchdog scans the routable replicas, by name, every
+        ``lease_check_interval`` seconds and declares any whose lease
+        expired dead — the slow path that catches replicas which died
+        quietly (no traffic, so no transport faults to count).
+        """
         if self._watchdog is not None and self._watchdog.is_alive:
             return self._watchdog
         self._watchdog = self.sim.process(
@@ -416,25 +446,26 @@ class RequestRouter:
             while True:
                 yield self.sim.timeout(self.lease_check_interval,
                                        name="router:lease-check")
-                for name in self.store.expired_members(self.sim.now):
-                    if name in self._replicas:
-                        self._declare_dead(name, "lease_expired")
-                    else:
-                        self.store.drop_member(name)
+                now = self.sim.now
+                for name in sorted(self._replicas):
+                    replica = self._replicas[name]
+                    if (replica.lease_expires is not None
+                            and replica.lease_expires <= now):
+                        self._declare_dead(replica, "lease_expired")
         except Interrupt:
             return
 
-    def _note_transport_fault(self, name: str) -> None:
-        """Count a transport-level fault against *name* (fast path).
+    def _note_transport_fault(self, replica: Replica) -> None:
+        """Count a transport-level fault against *replica* (fast path).
 
         :attr:`fault_threshold` consecutive transport faults declare the
         replica dead without waiting out the lease — the fast path for
         replicas that die under traffic.
         """
-        count = self._consecutive_faults.get(name, 0) + 1
-        self._consecutive_faults[name] = count
-        if count >= self.fault_threshold and name in self._replicas:
-            self._declare_dead(name, "transport_faults")
+        replica.faults += 1
+        if (replica.faults >= self.fault_threshold
+                and self._replicas.get(replica.name) is replica):
+            self._declare_dead(replica, "transport_faults")
 
     # -- fabric-target surface (what WsClient needs) -----------------------------
 
@@ -481,22 +512,23 @@ class RequestRouter:
             raise WsError(
                 f"no live replica for {service_name!r} "
                 f"({len(order)} registered, all circuits open)")
-        owner = live[0]
-        chosen = owner
-        if self._inflight[owner] >= self.spill_threshold:
-            chosen = min(live, key=lambda n: (self._inflight[n],
-                                              live.index(n)))
-        if chosen != owner or owner != order[0]:
+        replicas = self._replicas
+        owner = chosen = replicas[live[0]]
+        if owner.inflight >= self.spill_threshold:
+            # The first least-loaded in preference order.
+            for name in live[1:]:
+                if replicas[name].inflight < chosen.inflight:
+                    chosen = replicas[name]
+        if chosen is not owner or owner.name != order[0]:
             # Deviated from the pure hash owner: spilled on load and/or
             # skipped an open breaker.
-            self.rebalances += 1
-            self._board.gauge("router.rebalances").set(self.rebalances)
+            self._count_rebalance()
             self.bus.emit("router.rebalance", layer="ws",
                           service=service_name, owner=order[0],
-                          chosen=chosen,
-                          reason=("breaker" if owner != order[0]
+                          chosen=chosen.name,
+                          reason=("breaker" if owner.name != order[0]
                                   else "load"))
-        return self._replicas[chosen]
+        return chosen
 
     def transport(self, client: Host, service_name: str, operation: str,
                   params: Dict[str, Any],
@@ -566,7 +598,7 @@ class RequestRouter:
                     raise fault
                 if hop is not None:
                     hop.meta["replica"] = replica.name
-                self._admit(replica.name)
+                self._admit(replica)
                 proc = self.run_on(
                     replica.name,
                     self._proxy(replica, service_name, request, ctx, dkey),
@@ -591,21 +623,21 @@ class RequestRouter:
                             self.breakers.failure(replica.name)
                         else:
                             self.breakers.success(replica.name)
-                        self._consecutive_faults.pop(replica.name, None)
+                        replica.faults = 0
                         yield from self._relay_fault(client, service_name,
                                                      operation, response)
                         raise fault
                 finally:
-                    self._release(replica.name)
+                    self._release(replica)
                 if crash is None:
                     self.breakers.success(replica.name)
-                    self._consecutive_faults.pop(replica.name, None)
+                    replica.faults = 0
                     break
                 # Crash signal: count it (fault_threshold consecutive
                 # faults declare the replica dead ahead of lease
                 # expiry), then walk the preference list forward.
                 self.breakers.failure(replica.name)
-                self._note_transport_fault(replica.name)
+                self._note_transport_fault(replica)
                 tried.append(replica.name)
                 attempt += 1
                 if attempt >= self.failover_policy.max_attempts:
@@ -658,25 +690,25 @@ class RequestRouter:
 
     # -- admission helpers --------------------------------------------------------
 
-    def _admit(self, name: str) -> None:
-        """Count one request into *name*'s admission queue (gauges)."""
-        count = self._inflight[name] = self._inflight[name] + 1
+    def _admit(self, replica: Replica) -> None:
+        """Count one request into *replica*'s admission queue (gauges)."""
+        replica.inflight += 1
         self._queue_gauge.adjust(1)
-        self._inflight_gauges[name].set(count)
+        replica.gauge.set(replica.inflight)
 
-    def _release(self, name: str) -> None:
+    def _release(self, replica: Replica) -> None:
         """Undo :meth:`_admit` — tolerant of a concurrent removal.
 
         If the replica was removed (a crash declared) while this request
         unwound, its gauges were already cleared by
         :meth:`remove_replica`; decrementing again would leave ghost
-        negative counts, so a missing entry is a no-op.
+        negative counts, so a parked replica's release is a no-op.
         """
-        if name not in self._inflight:
+        if self._replicas.get(replica.name) is not replica:
             return
-        count = self._inflight[name] = self._inflight[name] - 1
+        replica.inflight -= 1
         self._queue_gauge.adjust(-1)
-        self._inflight_gauges[name].set(count)
+        replica.gauge.set(replica.inflight)
 
     def _relay_fault(self, client: Host, service_name: str, operation: str,
                      envelope: SoapEnvelope) -> Generator[Event, None, None]:

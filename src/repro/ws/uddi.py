@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from repro.errors import UddiError
@@ -209,6 +210,8 @@ class UddiRegistry:
                 f"services={len(self._services)}>")
 
 
+@lru_cache(maxsize=256)
 def _pattern_to_regex(pattern: str) -> "re.Pattern[str]":
+    """*pattern*'s case-insensitive regex, built once per pattern."""
     parts = [re.escape(chunk) for chunk in pattern.split("%")]
     return re.compile("^" + ".*".join(parts) + "$", re.IGNORECASE)

@@ -133,39 +133,6 @@ def test_shared_store_single_schema():
     assert store_b.get_record("HelloService") is not None
 
 
-def test_member_lease_lifecycle_and_epochs():
-    sim, store = make_store()
-    assert store.members() == []
-    store.renew_member("a", expires=10.0)
-    store.renew_member("b", expires=20.0)
-    row = store.member("a")
-    assert row["expires"] == 10.0
-    first_epoch = row["epoch"]
-    # Renewal refreshes the expiry without bumping the incarnation.
-    store.renew_member("a", expires=15.0)
-    renewed = store.member("a")
-    assert renewed["expires"] == 15.0
-    assert renewed["epoch"] == first_epoch
-    # Drop + reappear = a new incarnation: the epoch must advance.
-    store.drop_member("a")
-    assert store.member("a") is None
-    store.renew_member("a", expires=30.0)
-    assert store.member("a")["epoch"] > first_epoch
-
-
-def test_expired_members():
-    sim, store = make_store()
-    store.renew_member("a", expires=10.0)
-    store.renew_member("b", expires=20.0)
-    store.renew_member("c", expires=5.0)
-    assert store.expired_members(4.9) == []
-    assert store.expired_members(10.0) == ["a", "c"]  # lapse inclusive
-    assert store.expired_members(99.0) == ["a", "b", "c"]
-    # Dropping an unknown member is a no-op, not an error.
-    store.drop_member("ghost")
-    assert [r["replica"] for r in store.members()] == ["a", "b", "c"]
-
-
 def test_dedup_records_once_and_flags_duplicates():
     sim, store = make_store()
     key = "req-1|RouteService.invoke"
@@ -189,8 +156,8 @@ def test_dedup_records_once_and_flags_duplicates():
 
 def _per_job_costs(n_jobs):
     """(heap rows visited, WAL frames by tables written) per job for the
-    per-invocation bookkeeping: notify publish/deliver/replay,
-    heartbeat, staging mark and dedup record."""
+    per-invocation bookkeeping: notify publish/deliver/replay, staging
+    mark and dedup record."""
     from collections import Counter
 
     from repro.grid.notify import NotifyQueue
@@ -208,7 +175,6 @@ def _per_job_costs(n_jobs):
         sim.run(until=sim.timeout(1.0))             # the delivery lands
         assert queue.job_state(job)["state"] == "done"
         assert queue.subscribe("ncsa", job).value["state"] == "done"
-        store.renew_member(replica, sim.now + 12.0)
         store.mark_staged("ncsa", f"/stage/{j}.bin", f"digest-{j}", replica)
         assert store.staged_digest("ncsa", f"/stage/{j}.bin")
         assert store.record_dedup(f"req-{j}|Hello.execute", replica, "out",
@@ -236,14 +202,13 @@ def test_per_job_frame_budget_is_one_frame_per_state_transition():
     # statements, shows here as a count.
     budget = {
         "job_states": 1,                # publish done (delivery: none)
-        "replica_members": 1,           # renew_member
         "staged_copies": 1,             # mark_staged
         "invocation_dedup": 1,          # record_dedup
     }
     for n_jobs in (25, 100):
         _, frames = _per_job_costs(n_jobs)
         assert frames == budget
-        assert sum(frames.values()) <= 4
+        assert sum(frames.values()) <= 3
 
 
 def test_upsert_sites_update_in_place():
@@ -251,17 +216,14 @@ def test_upsert_sites_update_in_place():
     db = store.db
     store.put_record(make_service(), replica="a")
     store.mark_staged("ncsa", "/stage/x", "d1", "a")
-    store.renew_member("a", 12.0)
     rowids = {t: [r for r, _ in db.tables[t].scan()] for t in db.tables}
     frames = []
     db.wal.taps.append(frames.append)
     store.put_record(make_service(archive_size=2048), replica="b")
     store.mark_staged("ncsa", "/stage/x", "d2", "b")
-    store.renew_member("a", 24.0)
     # Same rows, rewritten where they stand: one update each, one frame each.
-    assert [[dml[0] for dml in f[2]] for f in frames] == [["update"]] * 3
+    assert [[dml[0] for dml in f[2]] for f in frames] == [["update"]] * 2
     assert rowids == {t: [r for r, _ in db.tables[t].scan()]
                       for t in db.tables}
     assert store.get_record("HelloService")["archive_size"] == 2048
     assert store.staged_digest("ncsa", "/stage/x") == "d2"
-    assert store.member("a")["expires"] == 24.0

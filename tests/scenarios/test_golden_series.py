@@ -67,7 +67,7 @@ def attach_cold_caches(stack):
 
 def attach_healing_router(stack):
     """A disabled router carrying the *full* self-healing configuration
-    (dedup store and lease timings); returns its store."""
+    (dedup store and lease timings); returns the router."""
     from repro.core.registry import ServiceStateStore
     from repro.ws.router import RequestRouter
 
@@ -78,13 +78,14 @@ def attach_healing_router(stack):
     idle.add_replica(stack.appliance_host.name, stack.soap_server,
                      stack.onserve)
     stack.onserve.router = idle
-    return store
+    return idle
 
 
-def assert_healing_plane_idle(store):
+def assert_healing_plane_idle(router):
     # Nothing leased, nothing deduped: the plane never woke up.
-    assert store.members() == []
-    assert store.dedup_count() == 0
+    assert [router.replica_handle(name).lease_expires
+            for name in router.replicas()] == [None]
+    assert router.store.dedup_count() == 0
 
 
 def attach_idle_queue(stack):
@@ -163,13 +164,13 @@ def test_goldens_unchanged_with_idle_healing_plane_attached(
     start.  A
     disabled router with the full healing configuration attached (in
     place of the plain disabled one every single-appliance deployment
-    already carries) must not cost one event, and its membership/dedup
-    tables must stay empty for the whole run.
+    already carries) must not cost one event, its replica must stay
+    unleased and its dedup table empty for the whole run.
     """
-    stores = []
-    golden_with(name, lambda s: stores.append(attach_healing_router(s)),
+    routers = []
+    golden_with(name, lambda s: routers.append(attach_healing_router(s)),
                 "the idle self-healing plane")
-    assert_healing_plane_idle(stores[-1])
+    assert_healing_plane_idle(routers[-1])
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
@@ -253,8 +254,8 @@ def test_goldens_unchanged_with_every_plane_attached(
                          attach_profiler(stack)))
 
     golden_with(name, attach_everything, "every plane")
-    store, queue, replica, profiler = attached[-1]
-    assert_healing_plane_idle(store)
+    router, queue, replica, profiler = attached[-1]
+    assert_healing_plane_idle(router)
     assert_queue_idle(queue)
     assert_replica_idle(replica)
     assert_profiler_observed(profiler)

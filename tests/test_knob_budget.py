@@ -26,8 +26,7 @@ REQUEST_ROUTER = ("host", "fabric", "enabled", "breaker_failure_threshold",
 
 AGENT_CONFIG = ("status_supported", "session_reuse")
 
-STORE_TABLES = ("service_records", "staged_copies", "replica_members",
-                "invocation_dedup")
+STORE_TABLES = ("service_records", "staged_copies", "invocation_dedup")
 
 ONSERVE_CONFIG = (
     "grid_username", "grid_passphrase", "poll_interval", "watchdog_timeout",
@@ -68,5 +67,5 @@ def test_agent_config_takes_exactly_its_two_parameters():
     assert len(AGENT_CONFIG) == 2
 
 
-def test_the_state_store_keeps_exactly_its_four_tables():
+def test_the_state_store_keeps_exactly_its_three_tables():
     assert tuple(ServiceStateStore(Database()).db.tables) == STORE_TABLES

@@ -105,15 +105,39 @@ def test_choose_spills_to_least_loaded_under_skew():
     sim, router = make_router()
     router.spill_threshold = 2
     order = router.ring.preference("HelloService")
-    owner, second, third = order
-    router._inflight[owner] = 2   # at threshold: must spill
-    router._inflight[second] = 1
-    router._inflight[third] = 0
-    assert router.choose("HelloService").name == third
+    owner, second, third = (router.replica_handle(n) for n in order)
+    owner.inflight = 2   # at threshold: must spill
+    second.inflight = 1
+    third.inflight = 0
+    assert router.choose("HelloService") is third
     assert router.rebalances == 1
     # Ties break by ring preference, keeping the decision deterministic.
-    router._inflight[third] = 1
-    assert router.choose("HelloService").name == second
+    third.inflight = 1
+    assert router.choose("HelloService") is second
+
+
+def test_choose_spill_asks_every_breaker_in_ring_order_and_breaks_ties():
+    # allow() is not a pure query — it moves an open breaker whose reset
+    # timeout ran out to half-open — so the spill asks every replica of
+    # the preference walk, excluded ones too, once each, in ring order.
+    sim, router = make_router(n_replicas=4)
+    router.spill_threshold = 2
+    order = router.ring.preference("HelloService")
+    asked = []
+    allow = router.breakers.allow
+    router.breakers.allow = lambda name: asked.append(name) or allow(name)
+    records = [router.replica_handle(n) for n in order]
+    for record, load in zip(records, (2, 3, 1, 1)):
+        record.inflight = load
+    # The owner is at threshold; the second is excluded; the last two
+    # tie at 1 and the one earlier in ring order wins.
+    assert router.choose("HelloService", exclude=[order[1]]) is records[2]
+    assert asked == order
+    # A strictly lighter replica further down the walk beats the tie.
+    records[3].inflight = 0
+    asked.clear()
+    assert router.choose("HelloService") is records[3]
+    assert asked == order
 
 
 def test_choose_skips_open_breaker():
@@ -153,9 +177,10 @@ def test_remove_replica_clears_gauges_and_emits_rebalance():
     # announce the membership change on the bus.
     sim, router = make_router(n_replicas=3)
     board = gauges(sim)
-    router._admit("replica2")
-    router._admit("replica2")
-    router._admit("replica1")
+    replica1, replica2 = map(router.replica_handle, ("replica1", "replica2"))
+    router._admit(replica2)
+    router._admit(replica2)
+    router._admit(replica1)
     assert board.gauge("router.queue", unit="reqs").current == 3
     router.remove_replica("replica2", reason="test")
     assert board.gauge("router.queue", unit="reqs").current == 1
@@ -165,9 +190,9 @@ def test_remove_replica_clears_gauges_and_emits_rebalance():
     assert any(ev.get("replica") == "replica2"
                and ev.get("reason") == "remove:test" for ev in events)
     # A late release for the removed replica must not go negative.
-    router._release("replica2")
+    router._release(replica2)
     assert board.gauge("router.queue", unit="reqs").current == 1
-    router._release("replica1")
+    router._release(replica1)
     assert board.gauge("router.queue", unit="reqs").current == 0
 
 
@@ -176,17 +201,63 @@ def test_each_replica_keeps_one_inflight_gauge_from_join_to_removal():
     board = gauges(sim)
     cell = board.get("router.inflight", labels={"replica": "replica1"})
     assert cell is not None and cell.current == 0    # made at add_replica
-    router._admit("replica1")
-    router._admit("replica1")
-    router._release("replica1")
+    replica1 = router.replica_handle("replica1")
+    router._admit(replica1)
+    router._admit(replica1)
+    router._release(replica1)
     assert cell.current == 1 and cell.peak() == 2
     assert board.gauge("router.inflight", unit="reqs",
                        labels={"replica": "replica1"}) is cell
     router.remove_replica("replica1")
     assert cell.current == 0
     router.add_replica("replica1", _StubServer())
-    router._admit("replica1")
+    router._admit(router.replica_handle("replica1"))
     assert cell.current == 1
+
+
+# -- membership leases ------------------------------------------------------
+
+def test_lease_epoch_bumps_only_on_a_re_lease_after_death():
+    sim, router = make_router(n_replicas=2)
+    r1, r2 = map(router.replica_handle, ("replica1", "replica2"))
+    router.renew_lease("ghost", 10.0)       # unknown: renews nothing
+    with pytest.raises(WsError):
+        router.replica_handle("ghost")
+    router.renew_lease("replica1", 10.0)
+    router.renew_lease("replica2", 20.0)
+    assert (r1.lease_expires, r1.epoch) == (10.0, 1)
+    assert (r2.lease_expires, r2.epoch) == (20.0, 2)
+    # Renewal refreshes the expiry without bumping the incarnation.
+    router.renew_lease("replica1", 15.0)
+    assert (r1.lease_expires, r1.epoch) == (15.0, 1)
+    # Death drops the lease; the parked replica's beats are ignored,
+    # and once revived it is leased under the next router-wide epoch.
+    router._declare_dead(r1, "transport_faults")
+    assert r1.lease_expires is None
+    router.renew_lease("replica1", 30.0)
+    assert r1.lease_expires is None
+    router.revive_replica("replica1")
+    router.renew_lease("replica1", 30.0)
+    assert (r1.lease_expires, r1.epoch) == (30.0, 3)
+    assert r2.epoch == 2
+
+
+def test_the_watch_expires_only_routable_leased_replicas_by_name():
+    sim, router = make_router(n_replicas=4, lease_check_interval=1.0)
+    for name, expires in (("replica3", 9.5), ("replica1", 10.0),
+                          ("replica2", 5.0)):
+        router.renew_lease(name, expires)
+    router.remove_replica("replica2")       # parked before its lapse
+    router.start_membership_watch()
+    sim.run(until=sim.timeout(9.0))
+    assert router.deaths == []
+    # Both lapse by the same scan (expiry inclusive), declared in name
+    # order; replica4 never held a lease, so it never lapses.
+    sim.run(until=sim.timeout(21.0))
+    assert router.deaths == [(10.0, "replica1", "lease_expired"),
+                             (10.0, "replica3", "lease_expired")]
+    assert router.replicas() == ["replica4"]
+    router.stop_membership_watch()
 
 
 # -- satellite: HashRing.remove coverage ------------------------------------

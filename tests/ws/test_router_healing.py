@@ -64,14 +64,15 @@ def test_self_healing_deploy_heartbeats_every_replica():
     names = stack.router.replicas()
     assert len(names) == 3
     sim.run(until=sim.timeout(30.0))
-    # Heartbeats outlive the lease TTL: every member stays leased well
-    # past the initial grant, with a live (future) expiry.
-    rows = {r["replica"]: r for r in stack.store.members()}
-    assert sorted(rows) == names
-    for row in rows.values():
-        assert row["expires"] > sim.now
-    assert stack.store.expired_members(sim.now) == []
+    # Heartbeats outlive the lease TTL: every replica stays leased well
+    # past the initial grant, with a live (future) expiry, under the
+    # epoch of its first beat.
+    records = [stack.router.replica_handle(name) for name in names]
+    assert all(r.lease_expires > sim.now for r in records)
+    assert sorted(r.epoch for r in records) == [1, 2, 3]
+    assert stack.router.deaths == []
     stack.stop_self_healing()
+    assert all(r.heartbeat is None for r in records)
 
 
 def test_crash_mid_request_fails_over_without_loss():
@@ -135,17 +136,55 @@ def test_restart_rejoins_ring_lease_and_breaker():
     assert victim not in stack.router.replicas()
     stack.restart_replica(victim)
     assert victim in stack.router.replicas()
-    assert not stack.router.replica_handle(victim).crashed
-    # The restarted replica heartbeats again: its lease stays fresh.
+    record = stack.router.replica_handle(victim)
+    assert not record.crashed
+    # The restarted replica heartbeats again: its lease stays fresh,
+    # under an epoch no first beat held.
     sim.run(until=sim.timeout(20.0))
     assert victim in stack.router.replicas()
-    row = stack.store.member(victim)
-    assert row is not None and row["expires"] > sim.now
-    # Reviving a live replica is a no-op, reviving a stranger is not.
+    assert record.lease_expires > sim.now and record.epoch == 4
+    # Reviving a routable replica keeps it routable; a stranger raises.
     stack.router.revive_replica(victim)
+    assert victim in stack.router.replicas()
     with pytest.raises(WsError):
         stack.router.revive_replica("never-registered")
     stack.stop_self_healing()
+
+
+def test_restart_racing_the_detection_serves_again():
+    # Restarted before the router noticed the crash, the replica is
+    # still routable: the restart must clear its crash flag, or it keeps
+    # refusing, is declared dead by transport faults and never rejoins
+    # while its new heartbeat beats on.
+    sim, testbed, stack = deploy_healing(replicas=3, n_users=2)
+    publish(sim, testbed, stack)
+    victim = "appliance02"
+    stack.crash_replica(victim)
+    stack.restart_replica(victim)
+    for _ in range(3):
+        for client in stack.user_clients:
+            sim.run(until=discover_and_invoke(stack, client, "Route%"))
+    sim.run(until=sim.timeout(60.0))
+    assert victim in stack.router.replicas()
+    assert not stack.router.replica_handle(victim).crashed
+    assert stack.router.deaths == []
+    stack.stop_self_healing()
+
+
+def test_renewals_from_an_admin_removed_replica_are_ignored():
+    sim, testbed, stack = deploy_healing(replicas=3)
+    victim = "appliance03"
+    record = stack.router.replica_handle(victim)
+    stack.router.remove_replica(victim)
+    # Its heartbeat beats on, but a removed replica holds no lease and
+    # does not come back by renewing one.
+    sim.run(until=sim.timeout(30.0))
+    assert record.heartbeat.is_alive
+    assert record.lease_expires is None
+    assert victim not in stack.router.replicas()
+    assert stack.router.deaths == []
+    stack.stop_self_healing()
+    assert record.heartbeat is None
 
 
 def test_dedup_replays_recorded_result_without_resubmitting():

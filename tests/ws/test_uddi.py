@@ -107,3 +107,54 @@ def test_unknown_keys_raise():
         reg.get_bindings("uuid:missing")
     with pytest.raises(UddiError):
         reg.delete_service("uuid:missing")
+
+
+NAMES = ["HelloService", "helloWorld", "Hello.Service", "Word+Count",
+         "a%b", "zeta", "(Paren)", "hello", "Ünïcode"]
+PATTERNS = ["%", "hello%", "HELLO%", "%o%", "hello.service", "word+count",
+            "%(paren)", "a%b", "%%", "", "z_ta", "ü%", "nothing%"]
+
+
+def _reference_matches(names, pattern):
+    """The finders' contract, spelled out: ``%`` matches any run, the
+    rest literally and case-insensitively; hits sorted by name."""
+    import re
+    rx = re.compile("^" + ".*".join(map(re.escape, pattern.split("%")))
+                    + "$", re.IGNORECASE)
+    return sorted(n for n in names if rx.match(n))
+
+
+def test_finders_match_the_pattern_contract_in_name_order():
+    reg = UddiRegistry()
+    biz = reg.save_business("Owner")
+    for name in reversed(NAMES):
+        reg.save_business(name)
+        reg.save_service(biz.key, name)
+        reg.save_tmodel(name)
+    for pattern in PATTERNS:
+        for _ in range(2):      # a second, cached, answer is the same
+            expected = _reference_matches(NAMES, pattern)
+            assert [s.name for s in reg.find_service(pattern)] == expected
+            assert [t.name for t in reg.find_tmodel(pattern)] == expected
+            assert [b.name for b in reg.find_business(pattern)] == \
+                _reference_matches(NAMES + ["Owner"], pattern)
+
+
+def test_each_pattern_is_compiled_once(monkeypatch):
+    import re
+
+    from repro.ws import uddi
+
+    uddi._pattern_to_regex.cache_clear()
+    compiled = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile",
+                        lambda *a, **kw: compiled.append(a[0])
+                        or compile_(*a, **kw))
+    reg, biz, svc1, svc2 = registry_with_data()
+    for _ in range(3):
+        reg.find_service("hello%")
+        reg.find_business("hello%")
+        reg.find_tmodel("%")
+    assert compiled == ["^hello.*$", "^.*$"]
+    uddi._pattern_to_regex.cache_clear()
