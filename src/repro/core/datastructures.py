@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import List, Sequence
 
@@ -46,11 +47,13 @@ def parse_params_spec(spec: str) -> List[ParameterSpec]:
     return params
 
 
+@functools.lru_cache(maxsize=1024)
 def service_name_for(executable_name: str) -> str:
     """Derive the generated service's name from an executable name.
 
     ``word-count_2.sh`` -> ``WordCount2Service`` (the build script's
-    "modifies its name" step).
+    "modifies its name" step).  Memoised: every invocation asks it for
+    the same few names.
     """
     stem = executable_name.rsplit(".", 1)[0]
     words = re.split(r"[^0-9A-Za-z]+", stem)

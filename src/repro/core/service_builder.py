@@ -9,10 +9,17 @@ This builder does the same with real bytes: it instantiates the Java-ish
 template source, generates the ``services.xml`` descriptor, zips both
 into an ``.aar`` archive, charges the appliance CPU/disk for the build,
 and deploys the result into the SOAP server.
+
+An archive is a pure function of its record's name, description and
+parameters: every entry carries one fixed timestamp, so a record builds
+the same bytes on any replica at any time, and the bytes are zipped once
+per process and reused.  Each build still charges its CPU and its disk
+write of the archive's length.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import zipfile
 from typing import Callable, Generator, Tuple
@@ -40,6 +47,10 @@ public class {service_name} extends GridServiceTemplate {{
     }}
 }}
 """
+
+#: The modification time of every archive entry (the earliest a zip can
+#: hold), so that an archive's bytes never depend on the wall clock.
+_ENTRY_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 class ServiceBuilder:
@@ -80,36 +91,10 @@ class ServiceBuilder:
             f"Grid execution service for {record.name}")
 
     def build_archive(self, record: ExecutableRecord) -> bytes:
-        """Produce the real ``.aar`` bytes for *record*."""
-        service_name = service_name_for(record.name)
-        java_params = ", ".join(
-            f"String {p.name}" for p in record.params) or ""
-        java_args = ", ".join(p.name for p in record.params)
-        source = _TEMPLATE.format(service_name=service_name,
-                                  executable_name=record.name,
-                                  java_params=java_params,
-                                  java_args=java_args)
-        services_xml = self._services_xml(record, service_name)
-        buf = io.BytesIO()
-        with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as aar:
-            aar.writestr(f"{service_name}.java", source)
-            aar.writestr("META-INF/services.xml", services_xml)
-        return buf.getvalue()
-
-    @staticmethod
-    def _services_xml(record: ExecutableRecord, service_name: str) -> str:
-        params = "".join(
-            f'    <parameter name="{p.name}" type="{p.xsd_type}"/>\n'
-            for p in record.params)
-        return (
-            f'<serviceGroup>\n'
-            f'  <service name="{service_name}">\n'
-            f'    <description>{record.description}</description>\n'
-            f'    <parameter name="executable">{record.name}</parameter>\n'
-            f'{params}'
-            f'  </service>\n'
-            f'</serviceGroup>\n'
-        )
+        """Produce the real ``.aar`` bytes for *record* (the same bytes
+        for every record with its name, description and parameters)."""
+        return _archive(record.name, record.description,
+                        tuple((p.name, p.xsd_type) for p in record.params))
 
     def build_and_deploy(self, record: ExecutableRecord,
                          handler: Callable) -> Process:
@@ -135,3 +120,37 @@ class ServiceBuilder:
             return endpoint, archive
 
         return self.sim.process(op(), name=f"build:{record.name}")
+
+
+@functools.lru_cache(maxsize=256)
+def _archive(name: str, description: str,
+             params: Tuple[Tuple[str, str], ...]) -> bytes:
+    """The ``.aar`` of one (name, description, params) record."""
+    service_name = service_name_for(name)
+    java_params = ", ".join(f"String {p}" for p, _ in params)
+    java_args = ", ".join(p for p, _ in params)
+    source = _TEMPLATE.format(service_name=service_name,
+                              executable_name=name,
+                              java_params=java_params,
+                              java_args=java_args)
+    xml_params = "".join(
+        f'    <parameter name="{p}" type="{xsd_type}"/>\n'
+        for p, xsd_type in params)
+    services_xml = (
+        f'<serviceGroup>\n'
+        f'  <service name="{service_name}">\n'
+        f'    <description>{description}</description>\n'
+        f'    <parameter name="executable">{name}</parameter>\n'
+        f'{xml_params}'
+        f'  </service>\n'
+        f'</serviceGroup>\n'
+    )
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as aar:
+        for arcname, text in ((f"{service_name}.java", source),
+                              ("META-INF/services.xml", services_xml)):
+            entry = zipfile.ZipInfo(arcname, date_time=_ENTRY_DATE_TIME)
+            entry.compress_type = zipfile.ZIP_DEFLATED
+            entry.external_attr = 0o600 << 16  # what writestr(name) sets
+            aar.writestr(entry, text)
+    return buf.getvalue()

@@ -223,7 +223,9 @@ class GridSite:
         and its record retired; until then the record keeps the event as
         ``job.completion``.  The executable must already be in the site
         storage area (GridFTP put happens before submission — the JSE
-        contract).
+        contract).  The profile gets the job's own random stream,
+        ``sim.rng.one_shot(f"job:{job_id}")``, seeded on its first draw:
+        the built-in profiles never draw, so a job seeds nothing.
         """
         path = job.description.executable
         job.transition(JobState.STAGE_IN, self.sim.now)
@@ -234,8 +236,8 @@ class GridSite:
         try:
             profile_name, options = parse_payload(self.read_file(path))
             profile = get_profile(profile_name)
-            # One draw per job id, never asked for again: not retained.
-            rng = self.sim.rng.one_shot(f"job:{job.job_id}")
+            # Never retained, and seeded only if the profile draws.
+            rng = self.sim.rng.lazy(f"job:{job.job_id}")
             runtime = profile.runtime(job.description.arguments,
                                       job.description.count, options, rng)
             job.output_size = profile.output_size(

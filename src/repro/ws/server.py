@@ -25,6 +25,9 @@ endpoints to server objects, standing in for DNS+TCP connection setup.
 from __future__ import annotations
 
 import inspect
+import math
+import types
+import weakref
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.context import RequestContext
@@ -50,22 +53,40 @@ Handler = Callable[..., Any]
 def _handler_wants_context(handler: Handler) -> bool:
     """True if *handler* accepts the request context as a third argument.
 
-    Decided once at deploy time so the per-request dispatch stays a
-    plain call.  Existing two-argument handlers keep working unchanged.
+    Decided once per handler function, not per deploy, so neither a
+    replica's materialisation nor the per-request dispatch pays for
+    :func:`inspect.signature`.  Existing two-argument handlers keep
+    working unchanged.
     """
+    func = getattr(handler, "__func__", handler)
+    if not isinstance(func, types.FunctionType):
+        return _arity(handler) >= 3  # a builtin or callable object
+    arity = _ARITY.get(func)
+    if arity is None:
+        arity = _ARITY[func] = _arity(func)
+    return arity - (func is not handler) >= 3  # a bound method's self
+
+
+#: Handler function -> :func:`_arity`; forgets the functions that die,
+#: such as the closures tests deploy.
+_ARITY: "weakref.WeakKeyDictionary[types.FunctionType, float]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _arity(handler: Handler) -> float:
+    """Positional parameters of *handler*; infinite when it takes
+    ``*args`` or a ``ctx`` parameter, 0 without a signature."""
     try:
         sig = inspect.signature(handler)
     except (TypeError, ValueError):  # builtins without signatures
-        return False
+        return 0
     positional = 0
     for param in sig.parameters.values():
-        if param.kind == param.VAR_POSITIONAL:
-            return True
-        if param.name == "ctx":
-            return True
+        if param.kind == param.VAR_POSITIONAL or param.name == "ctx":
+            return math.inf
         if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
             positional += 1
-    return positional >= 3
+    return positional
 
 
 class SoapFabric:
@@ -186,13 +207,18 @@ class SoapServer:
         executable declares a new description or parameter spec: the
         handler, endpoint and usage counters survive, but dispatch
         validation and the generated WSDL reflect the new interface
-        immediately.
+        immediately.  An unchanged interface (a re-upload of new bytes
+        only) keeps the deployed description and its rendered WSDL.
         """
         svc = self.service(service_name)
         if description.name != service_name:
             raise WsError(
                 f"cannot redeploy {service_name!r} under the name "
                 f"{description.name!r}")
+        current = svc.description
+        if (description == current
+                and description.documentation == current.documentation):
+            return
         svc.description = description
 
     def on_undeploy(self, listener: Callable[[str], None]) -> None:

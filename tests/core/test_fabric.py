@@ -320,3 +320,48 @@ def test_one_invalidation_per_cache_per_change_whatever_the_replica_count(
     sim.run(until=stack.onserves[5].undeploy_service("RouteService"))
     assert_each_cache_invalidated_once()
 
+
+def test_every_replica_materialises_from_one_archive_and_one_signature(
+        monkeypatch):
+    """An archive is a function of its record and a handler's context
+    arity of its function: eight replicas serving one service zip once
+    and inspect each handler function once, while every build still
+    pays its own CPU and disk write."""
+    import inspect
+    import weakref
+    import zipfile
+    from repro.core import service_builder
+    from repro.core.grid_service import GridServiceRuntime
+    from repro.ws import server as server_module
+
+    service_builder._archive.cache_clear()
+    monkeypatch.setattr(server_module, "_ARITY",
+                        weakref.WeakKeyDictionary())
+    inspected = []
+    real_signature = inspect.signature
+
+    def signature(handler, *args, **kwargs):
+        inspected.append(getattr(handler, "__func__", handler))
+        return real_signature(handler, *args, **kwargs)
+
+    monkeypatch.setattr(server_module.inspect, "signature", signature)
+    zips = []
+
+    class CountingZipFile(zipfile.ZipFile):
+        def __init__(self, *args, **kwargs):
+            zips.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(service_builder.zipfile, "ZipFile", CountingZipFile)
+
+    sim, testbed, stack = deploy(replicas=8, n_users=1)
+    publish(sim, testbed, stack)
+    for onserve in stack.onserves[1:]:
+        sim.run(until=sim.process(
+            onserve.ensure_local_service("RouteService")))
+    assert all("RouteService" in o.soap_server.services()
+               for o in stack.onserves)
+    assert len(zips) == 1
+    assert [o.builder.builds for o in stack.onserves] == [1] * 8
+    assert inspected.count(GridServiceRuntime.handler) == 1
+    assert len(inspected) == len(set(inspected))

@@ -163,6 +163,30 @@ def test_builder_generates_real_archive():
         assert 'name="name" type="xsd:string"' in xml
 
 
+def test_builder_archive_is_the_same_bytes_whenever_it_is_built(
+        monkeypatch):
+    """Two builds of one record two seconds apart zip the same bytes:
+    every entry carries one fixed timestamp, not the wall clock."""
+    import time
+    from repro.core import service_builder
+
+    sim, host, server, builder = _builder()
+    clock = [1_700_000_000.0]
+    monkeypatch.setattr(time, "time", lambda: clock[0])
+    service_builder._archive.cache_clear()
+    first = builder.build_archive(_record())
+    clock[0] += 2.0
+    service_builder._archive.cache_clear()
+    second = builder.build_archive(_record())
+    assert second == first
+    with zipfile.ZipFile(io.BytesIO(first)) as aar:
+        assert {i.date_time for i in aar.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        assert {i.compress_type for i in aar.infolist()} == {
+            zipfile.ZIP_DEFLATED}
+    # A different record is a different archive.
+    assert builder.build_archive(_record(params="")) != first
+
+
 def test_builder_deploys_service():
     sim, host, server, builder = _builder()
     endpoint, archive = sim.run(until=builder.build_and_deploy(

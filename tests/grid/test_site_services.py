@@ -309,3 +309,58 @@ def test_job_runtime_draw_leaves_no_stream_behind(monkeypatch):
             f"job:{job.job_id}").uniform(1.0, 9.0)
         assert job.finished_at - job.started_at == pytest.approx(want)
         assert f"job:{job.job_id}" not in tb.sim.rng
+
+
+def _count_seedings(monkeypatch):
+    import random
+    seeded = []
+    real = random.Random.seed
+
+    def counting(self, *args, **kwargs):
+        seeded.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counting)
+    return seeded
+
+
+def test_a_job_whose_profile_never_draws_seeds_no_generator(monkeypatch):
+    tb = quick_testbed(n_sites=1)
+    site = tb.sites[0]
+    site.store_file("/echo", make_payload("echo"))
+    job = site.create_job(JobDescription(executable="/echo",
+                                         arguments=["hi"]), "/CN=u")
+    seeded = _count_seedings(monkeypatch)
+    tb.sim.run(until=site.run_job(job))
+    assert job.state is JobState.DONE and job.output == b"hi\n"
+    assert seeded == []
+
+
+def test_a_drawing_profile_gets_exactly_the_jobs_one_shot(monkeypatch):
+    from repro.workloads import executables
+
+    class Drawing(executables.ExecutableProfile):
+        name = "drawing"
+        draws = []
+
+        def runtime(self, arguments, count, options, rng):
+            got = [rng.random(), rng.randint(0, 999), rng.uniform(1.0, 9.0)]
+            self.draws.append(got)
+            return got[2]
+
+        def compute_output(self, arguments, count, options):
+            return b"done\n"
+
+    monkeypatch.setitem(executables.PROFILE_REGISTRY, "drawing", Drawing())
+    tb = quick_testbed(n_sites=1)
+    site = tb.sites[0]
+    site.store_file("/d", make_payload("drawing"))
+    for _ in range(2):
+        job = site.create_job(JobDescription(executable="/d"), "/CN=u")
+        tb.sim.run(until=site.run_job(job))
+        once = tb.sim.rng.one_shot(f"job:{job.job_id}")
+        assert Drawing.draws[-1] == [once.random(), once.randint(0, 999),
+                                     once.uniform(1.0, 9.0)]
+        assert job.finished_at - job.started_at == pytest.approx(
+            Drawing.draws[-1][2])
+    assert Drawing.draws[0] != Drawing.draws[1]

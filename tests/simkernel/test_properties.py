@@ -136,3 +136,25 @@ def test_resource_never_oversubscribed(jobs, capacity):
     sim.run()
     assert len(max_seen) == len(jobs)  # everyone got served
     assert max(max_seen) <= capacity
+
+
+@given(st.integers(min_value=0, max_value=2**31),
+       st.text(min_size=1, max_size=20))
+def test_rng_lazy_draws_are_one_shots_and_seed_nothing_until_asked(
+        seed, name):
+    registry = RngRegistry(seed)
+    seeded = []
+    real = registry.one_shot
+
+    def counting(n):
+        seeded.append(n)
+        return real(n)
+
+    registry.one_shot = counting
+    lazy = registry.lazy(name)
+    assert seeded == [] and name not in registry
+    draws = [lazy.random() for _ in range(3)] + [lazy.uniform(1.0, 9.0)]
+    assert seeded == [name] and name not in registry
+    once = real(name)
+    assert draws == [once.random() for _ in range(3)] + [
+        once.uniform(1.0, 9.0)]

@@ -177,3 +177,22 @@ def test_undeploy_then_redeploy_renders_the_new_interface(monkeypatch):
     assert fresh != stale
     assert parse_wsdl(fresh)[0] == narrowed_service()
     assert len(renders) == 2
+
+
+def test_an_equal_update_keeps_the_rendered_wsdl(monkeypatch):
+    """A re-upload of new bytes under the same interface re-renders
+    nothing; a changed parameter spec still does."""
+    server, renders = deployed_server(monkeypatch)
+    first = server.wsdl("HelloService")
+    deployed = server.service("HelloService").description
+    server.update_description("HelloService", sample_service())
+    assert server.service("HelloService").description is deployed
+    assert server.wsdl("HelloService") is first
+    assert len(renders) == 1
+    reworded = sample_service()
+    reworded.documentation = "Says hello, differently"
+    server.update_description("HelloService", reworded)
+    assert b"differently" in server.wsdl("HelloService")
+    server.update_description("HelloService", narrowed_service())
+    assert parse_wsdl(server.wsdl("HelloService"))[0] == narrowed_service()
+    assert len(renders) == 3
