@@ -137,7 +137,7 @@ class OnServeConfig:
         self.notify_sites = tuple(notify_sites)
         #: DB tier scale-out (ROADMAP item 2), all off by default so the
         #: goldens pin the single-connection whole-BLOB timeline: MVCC
-        #: snapshot reads, modelled connection contention, chunked BLOB
+        #: lock-free reads, modelled connection contention, chunked BLOB
         #: streaming and WAL-shipping read replicas.  The tier config
         #: owns the fields and their range checks; ``deploy_fabric``
         #: hands this object to the :class:`DbManager` it builds.

@@ -45,7 +45,8 @@ class DbTierConfig:
                  chunk_bytes: int = 0,
                  replicas: int = 0,
                  replica_lag: float = 0.5):
-        #: Snapshot-isolation reads: version chains + ``snapshot()`` handles.
+        #: Readers skip the connection lock: every engine transaction
+        #: commits in the frame it opened, so a read is a committed read.
         self.mvcc = bool(mvcc)
         #: Model connection contention: writers hold a FIFO lock (and the
         #: transaction) across the store's CPU/disk time; non-MVCC readers
@@ -227,9 +228,7 @@ class DbManager:
         self.host = host
         self.sim = host.sim
         self.tier = tier or DbTierConfig()
-        self.db = db if db is not None else Database(mvcc=self.tier.mvcc)
-        if self.tier.mvcc:
-            self.db.mvcc = True  # honor the tier on a passed-in engine
+        self.db = db if db is not None else Database()
         self.costs = costs or DbCostModel()
         if self.TABLE not in self.db.tables:
             self.db.create_table(self.TABLE, _SCHEMA)
@@ -307,12 +306,6 @@ class DbManager:
 
     # -- telemetry ----------------------------------------------------------
 
-    def _note_snapshot_reads(self) -> None:
-        from repro.telemetry.gauges import gauges
-        if self._snap_gauge is None:
-            self._snap_gauge = gauges(self.sim).gauge("db.snapshot_reads")
-        self._snap_gauge.set(self.db.stats["snapshot_reads"])
-
     def _set_chunk_stream(self, resident: float) -> None:
         from repro.telemetry.gauges import gauges
         if self._chunk_gauge is None:
@@ -353,7 +346,7 @@ class DbManager:
             # single connection across the operation's CPU and disk
             # time, the way the original's single JDBC connection did.
             # Non-MVCC readers queue on the lock — that is the spike
-            # dbscale measures; MVCC snapshot readers skip it entirely.
+            # dbscale measures; MVCC readers skip it entirely.
             locked = self.tier.serialize
             if locked:
                 yield from self._acquire_conn()
@@ -412,6 +405,25 @@ class DbManager:
         return self.sim.process(self.load(name, on_chunk),
                                 name=f"db-load:{name}")
 
+    def _committed_read(self, name: str) -> Dict[str, Any]:
+        """The lock-free MVCC read of *name*'s row, counted.
+
+        It is a committed read because no engine transaction stays open
+        across a yield; one found open raises rather than be read past.
+        """
+        if self.db._active_txn is not None:
+            raise TransactionError(
+                f"MVCC read of {name!r} inside an open engine "
+                f"transaction would see uncommitted rows")
+        stats = self.db.stats
+        stats["snapshot_reads"] += 1
+        record = self.db.get_by_pk(self.TABLE, name)
+        if self._snap_gauge is None:
+            from repro.telemetry.gauges import gauges
+            self._snap_gauge = gauges(self.sim).gauge("db.snapshot_reads")
+        self._snap_gauge.set(stats["snapshot_reads"])
+        return record
+
     def load(self, name: str,
              on_chunk: Optional[Callable[[float], Any]] = None
              ) -> Generator[Event, None, StoredExecutable]:
@@ -424,11 +436,12 @@ class DbManager:
         :class:`StoredExecutable`; it fails with
         :class:`~repro.errors.RecordNotFound` for unknown names.
 
-        Tier behaviour: with MVCC the row lookup goes through a
-        :meth:`~repro.db.engine.Database.snapshot` handle (never blocked
-        by — and blind to — an open writer transaction); with a
-        serialized non-MVCC tier the read queues on the connection lock
-        behind in-flight stores.  With ``chunk_bytes > 0`` the payload
+        Tier behaviour: with MVCC the row lookup skips the connection
+        lock and reads committed state — no engine transaction stays
+        open across a yield, and a read that finds one open raises
+        :class:`~repro.errors.TransactionError`; with a serialized
+        non-MVCC tier the read queues on the connection lock behind
+        in-flight stores.  With ``chunk_bytes > 0`` the payload
         streams in fixed chunks — *on_chunk*, when given, is called per
         chunk with its byte count and must return a process generator
         (the consumer); fetch of chunk ``i+1`` is pipelined with the
@@ -436,17 +449,13 @@ class DbManager:
         """
         waited = 0.0
         locked = False
-        if self.tier.serialize and not self.db.mvcc:
+        if self.tier.serialize and not self.tier.mvcc:
             waited = yield from self._acquire_conn()
             locked = True
         try:
             yield self.host.compute(self.costs.statement_cpu, tag="db")
-            if self.db.mvcc:
-                with self.db.snapshot() as snap:
-                    record = snap.get_by_pk(self.TABLE, name)
-                self._note_snapshot_reads()
-            else:
-                record = self.db.get_by_pk(self.TABLE, name)
+            record = (self._committed_read(name) if self.tier.mvcc
+                      else self.db.get_by_pk(self.TABLE, name))
             if self.tier.chunk_bytes > 0:
                 # The connection is occupied for the row lookup only;
                 # the chunk loop streams from the local spool.
@@ -561,7 +570,7 @@ class DbManager:
         recovery cost is one disk read of the log plus replay CPU.
         """
         image = self.db.wal.snapshot()
-        recovered = Database.recover(image, mvcc=self.db.mvcc)
+        recovered = Database.recover(image)
         return DbManager(self.host, db=recovered, costs=self.costs,
                          tier=self.tier)
 

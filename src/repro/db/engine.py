@@ -1,7 +1,9 @@
 """The database engine: tables + indexes + WAL + transactions.
 
 Concurrency model: single writer, serialized transactions (matching the
-way onServe's DbManager used its MySQL connection).  A transaction's
+way onServe's DbManager used its MySQL connection).  A transaction opens
+and commits in one simulation frame, so a read outside one reads
+committed state; the engine keeps no row versions.  A transaction's
 DML collects in one list that serves as both its undo and its redo
 log: ``rollback()`` walks it backwards and ``commit()`` appends it to
 the write-ahead log as **one CRC-framed record**, so a crash at any
@@ -17,14 +19,14 @@ nothing is shipped or drawn for it (see ``Database._compact``).
 from __future__ import annotations
 
 from operator import is_
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DatabaseError, RecordNotFound, TransactionError
 from repro.db.index import HashIndex
 from repro.db.table import Column, HeapTable, Schema
 from repro.db.wal import WriteAheadLog, encode_frame
 
-__all__ = ["Database", "Snapshot"]
+__all__ = ["Database"]
 
 Predicate = Callable[[Dict[str, Any]], bool]
 
@@ -56,10 +58,10 @@ def _create_index_record(table: str, column: str) -> Tuple[Any, ...]:
 class Database:
     """An embedded single-writer relational database.
 
-    With ``mvcc=True`` the engine keeps per-row version chains so that
-    :meth:`snapshot` read handles observe the last *committed* state even
-    while a writer transaction is open (snapshot isolation for readers).
-    Version bookkeeping is pure python — it creates no simulation events.
+    MVCC is the readers' lock policy of
+    :class:`~repro.db.dbmanager.DbManager`, not engine state.  *mvcc* is
+    accepted and ignored: it is kept for the benchmark harness's
+    ``Database(mvcc=...)`` call until ROADMAP item 1 removes that pin.
     """
 
     def __init__(self, wal: Optional[WriteAheadLog] = None,
@@ -75,14 +77,6 @@ class Database:
         # row image before and after: commit() logs the list as the body
         # of the frame, rollback() walks it backwards.
         self._txn_dml: List[Tuple] = []
-        #: Snapshot-isolation reads enabled?
-        self.mvcc = bool(mvcc)
-        # Commit-sequence watermark: bumps on every commit (incl. autocommit).
-        self._commit_seq = 0
-        # (table, rowid) pairs whose pre-image was saved by the active txn.
-        self._txn_touched: Set[Tuple[str, int]] = set()
-        # Open snapshot read handles (for version pruning).
-        self._snapshots: List["Snapshot"] = []
         # Log bytes a compaction would shed, estimated as commits kill
         # row images (see commit()).
         self._dead_bytes = 0
@@ -90,7 +84,8 @@ class Database:
         # encodes: (table, first rowid) -> (rowids, rows, frame).
         self._image: Dict[Tuple[str, int], Tuple] = {}
         #: Query-planner and log counters (pure bookkeeping, used by
-        #: tests/telemetry).
+        #: tests/telemetry); ``snapshot_reads`` counts the lock-free MVCC
+        #: reads DbManager makes.
         self.stats: Dict[str, int] = {
             "rows_scanned": 0, "index_rows": 0, "snapshot_reads": 0,
             "compactions": 0,
@@ -176,14 +171,6 @@ class Database:
                         killed += len(entry[3][pos] or b"")
             self._dead_bytes += 2 * killed
         self._active_txn = None
-        # The staged pre-images become permanent history at the old
-        # watermark; open snapshots keep reading them.
-        self._commit_seq += 1
-        if self._txn_touched:
-            # Only the tables this transaction versioned can hold
-            # anything newly prunable; a closing snapshot sweeps them all.
-            self._prune_versions({table for table, _ in self._txn_touched})
-            self._txn_touched = set()
         dead = self._dead_bytes
         if dead > _COMPACT_FLOOR and 2 * dead > self.wal.size():
             self._compact()
@@ -210,13 +197,6 @@ class Database:
                 self.tables[table].update(rowid, old)
                 self._index_remove(table, rowid, new)
                 self._index_add(table, rowid, old)
-        # Discard the pre-images this txn staged: the heap already holds
-        # the restored (committed) values again.
-        for table, rowid in self._txn_touched:
-            tbl = self.tables.get(table)
-            if tbl is not None:
-                tbl.discard_version(rowid, self._commit_seq)
-        self._txn_touched = set()
         self._active_txn = None
         self._txn_dml = []
 
@@ -238,7 +218,6 @@ class Database:
         with self.transaction():
             rowid = tbl.insert(row)
             stored = tbl.get(rowid)
-            self._save_preimage(table, rowid, None)
             self._txn_dml.append(("insert", table, rowid, stored))
             self._index_add(table, rowid, stored)
         return rowid
@@ -292,7 +271,6 @@ class Database:
         with self.transaction():
             for rowid in victims:
                 old = tbl.delete(rowid)
-                self._save_preimage(table, rowid, old)
                 self._txn_dml.append(("delete", table, rowid, old))
                 self._index_remove(table, rowid, old)
         return len(victims)
@@ -307,7 +285,6 @@ class Database:
                 new = list(old)
                 for pos, value in changes:
                     new[pos] = value
-                self._save_preimage(table, rowid, old)
                 tbl.update(rowid, new)
                 stored = tbl.get(rowid)
                 self._txn_dml.append(("update", table, rowid, old, stored))
@@ -349,16 +326,6 @@ class Database:
 
     def count(self, table: str) -> int:
         return len(self._table(table))
-
-    def snapshot(self) -> "Snapshot":
-        """Open a read handle pinned to the last committed state.
-
-        With MVCC enabled the handle ignores every mutation staged by an
-        open writer transaction (and any commit after the handle was
-        opened).  Without MVCC it simply reads current state.  Close it
-        (or use ``with``) so version chains can be pruned.
-        """
-        return Snapshot(self)
 
     # ----------------------------------------------------------- persistence
 
@@ -420,13 +387,13 @@ class Database:
         self.stats["compactions"] += 1
 
     @classmethod
-    def recover(cls, wal_image: bytes, mvcc: bool = False) -> "Database":
+    def recover(cls, wal_image: bytes) -> "Database":
         """Rebuild a database from a WAL image (crash recovery).
 
         Every frame that survives its CRC is a DDL statement or a whole
         committed transaction, so replay is one pass, frame by frame.
         """
-        db = cls(wal=WriteAheadLog(), mvcc=mvcc)
+        db = cls(wal=WriteAheadLog())
         max_txn = 0
         for record in WriteAheadLog(wal_image).records():
             if record[0] == "txn":
@@ -485,29 +452,6 @@ class Database:
 
     # ----------------------------------------------------------------- internals
 
-    def _save_preimage(self, table: str, rowid: int,
-                       old_row: Optional[Tuple[Any, ...]]) -> None:
-        """Stage the committed image of a row on its first touch in a txn."""
-        if not self.mvcc or self._active_txn is None:
-            return
-        key = (table, rowid)
-        if key in self._txn_touched:
-            return
-        self._txn_touched.add(key)
-        self.tables[table].save_version(rowid, self._commit_seq, old_row)
-
-    def _prune_versions(self, tables: Optional[Set[str]] = None) -> None:
-        """Drop version history no open snapshot can still need (in
-        *tables*; everywhere when not given)."""
-        if not self.mvcc:
-            return
-        watermark = min((s.watermark for s in self._snapshots),
-                        default=self._commit_seq)
-        for name in self.tables if tables is None else tables:
-            tbl = self.tables.get(name)
-            if tbl is not None and tbl.has_versions():
-                tbl.prune_versions(watermark)
-
     def _rowids_eq(self, table: str, column: str, value: Any) -> List[int]:
         """Rowids whose *column* equals *value*, in rowid order.
 
@@ -565,121 +509,6 @@ class Database:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<Database tables={sorted(self.tables)}>"
-
-
-class Snapshot:
-    """A read-only view of the last committed database state.
-
-    Opened via :meth:`Database.snapshot`.  The handle resolves each row
-    through the table's version chain at its pinned watermark, so writes
-    staged by an open transaction — and commits that land after the
-    handle was opened — are invisible.  Reads fall back to the plain
-    (indexed) paths whenever a table has no version history, so the
-    uncontended case stays O(index lookup).
-    """
-
-    def __init__(self, db: Database):
-        self._db = db
-        #: Commit-sequence this handle is pinned to.
-        self.watermark = db._commit_seq
-        self.closed = False
-        db._snapshots.append(self)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self._db._snapshots.remove(self)
-            self._db._prune_versions()
-
-    def __enter__(self) -> "Snapshot":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        self.close()
-        return False
-
-    # -- reads -------------------------------------------------------------
-
-    def _iter_rows(self, tbl: HeapTable):
-        """(rowid, row) pairs visible at the watermark, in rowid order."""
-        if not self._db.mvcc or not tbl.has_versions():
-            yield from tbl.scan()
-            return
-        for rowid in sorted(tbl.versioned_ids()):
-            row = tbl.visible_row(rowid, self.watermark)
-            if row is not None:
-                yield rowid, row
-
-    def select(self, table: str, predicate: Optional[Predicate] = None,
-               columns: Optional[Sequence[str]] = None) -> List[Dict[str, Any]]:
-        """Snapshot-visible rows matching *predicate*."""
-        db = self._db
-        db.stats["snapshot_reads"] += 1
-        tbl = db._table(table)
-        out = []
-        for _rowid, row in self._iter_rows(tbl):
-            db.stats["rows_scanned"] += 1
-            record = db._as_dict(tbl, row)
-            if predicate is None or predicate(record):
-                if columns is not None:
-                    record = {c: record[c] for c in columns}
-                out.append(record)
-        return out
-
-    def find_eq(self, table: str, column: str,
-                value: Any) -> List[Dict[str, Any]]:
-        """Equality lookup against the snapshot.
-
-        Falls back to a resolved scan when version history exists for
-        the table: secondary indexes reflect uncommitted writes, so they
-        cannot serve a snapshot directly.
-        """
-        db = self._db
-        tbl = db._table(table)
-        if not db.mvcc or not tbl.has_versions():
-            db.stats["snapshot_reads"] += 1
-            return db.find_eq(table, column, value)
-        db.stats["snapshot_reads"] += 1
-        col_pos = tbl.schema.index_of(column)
-        out = []
-        for _rowid, row in self._iter_rows(tbl):
-            db.stats["rows_scanned"] += 1
-            if row[col_pos] == value:
-                out.append(db._as_dict(tbl, row))
-        return out
-
-    def get_by_pk(self, table: str, key: Any) -> Dict[str, Any]:
-        """Primary-key point lookup against the snapshot."""
-        db = self._db
-        tbl = db._table(table)
-        if not db.mvcc or not tbl.has_versions():
-            db.stats["snapshot_reads"] += 1
-            return db.get_by_pk(table, key)
-        db.stats["snapshot_reads"] += 1
-        pk = tbl.schema.primary_key
-        if pk is None:
-            raise DatabaseError(f"table {table!r} has no primary key")
-        pk_pos = tbl.schema.index_of(pk.name)
-        for _rowid, row in self._iter_rows(tbl):
-            db.stats["rows_scanned"] += 1
-            if row[pk_pos] == key:
-                return db._as_dict(tbl, row)
-        raise RecordNotFound(f"{table}: no row with pk {key!r}")
-
-    def count(self, table: str) -> int:
-        """Snapshot-visible row count."""
-        db = self._db
-        db.stats["snapshot_reads"] += 1
-        tbl = db._table(table)
-        if not db.mvcc or not tbl.has_versions():
-            return len(tbl)
-        return sum(1 for _ in self._iter_rows(tbl))
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        state = "closed" if self.closed else "open"
-        return f"<Snapshot @{self.watermark} {state}>"
 
 
 class _Transaction:

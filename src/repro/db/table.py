@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import DatabaseError, RecordNotFound
 
@@ -127,10 +127,6 @@ class HeapTable:
         self._next_rowid = 1
         # Primary-key value -> rowid, for O(1) uniqueness + point lookup.
         self._pk_map: Dict[Any, int] = {}
-        # MVCC version chains, driven by the Database: rowid -> list of
-        # (last_valid_seq, row-or-None) committed images, in seq order.
-        # ``row is None`` means the rowid did not exist at that seq.
-        self._versions: Dict[int, List[Tuple[int, Optional[Tuple[Any, ...]]]]] = {}
 
     # -- mutation --------------------------------------------------------------
 
@@ -189,47 +185,6 @@ class HeapTable:
         if pk_pos is not None:
             self._pk_map[row[pk_pos]] = rowid
         self._next_rowid = max(self._next_rowid, rowid + 1)
-
-    # -- multi-version concurrency (driven by the Database) ----------------------
-
-    def save_version(self, rowid: int, last_seq: int,
-                     row: Optional[Tuple[Any, ...]]) -> None:
-        """Record that *row* (None = absent) was the committed image of
-        *rowid* through commit-sequence *last_seq*."""
-        self._versions.setdefault(rowid, []).append((last_seq, row))
-
-    def discard_version(self, rowid: int, last_seq: int) -> None:
-        """Drop the version staged at *last_seq* (writer rollback)."""
-        chain = self._versions.get(rowid)
-        if chain and chain[-1][0] == last_seq:
-            chain.pop()
-            if not chain:
-                del self._versions[rowid]
-
-    def visible_row(self, rowid: int,
-                    watermark: int) -> Optional[Tuple[Any, ...]]:
-        """Committed image of *rowid* as of *watermark* (None = absent)."""
-        for last_seq, row in self._versions.get(rowid, ()):
-            if last_seq >= watermark:
-                return row
-        return self._rows.get(rowid)
-
-    def versioned_ids(self) -> set:
-        """All rowids that may be visible to some snapshot."""
-        return set(self._rows) | set(self._versions)
-
-    def has_versions(self) -> bool:
-        return bool(self._versions)
-
-    def prune_versions(self, watermark: int) -> None:
-        """Drop version entries no snapshot at >= *watermark* can need."""
-        for rowid in list(self._versions):
-            chain = [(s, r) for s, r in self._versions[rowid]
-                     if s >= watermark]
-            if chain:
-                self._versions[rowid] = chain
-            else:
-                del self._versions[rowid]
 
     # -- access -----------------------------------------------------------------
 

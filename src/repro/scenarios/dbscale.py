@@ -16,8 +16,8 @@ scale-out legs):
 * **storm/locked** — upload storm, optimizations off.  Reads queue on
   the connection lock behind multi-second stores: the measured p95
   spike, with ``resident_peak`` = the whole BLOB per fetch.
-* **storm/scaled** — the same storm with MVCC snapshot reads (fetches
-  never touch the lock and see the last committed row), chunked BLOB
+* **storm/scaled** — the same storm with MVCC reads (fetches never
+  touch the lock and read the last committed row), chunked BLOB
   streaming (peak resident payload <= 2 chunks), and WAL-shipping read
   replicas behind the bounded-staleness router (metadata and notify
   reads leave the primary).

@@ -10,7 +10,7 @@ import pytest
 
 from repro.db import DbManager, dbmanager
 from repro.db.dbmanager import DbCostModel, DbTierConfig
-from repro.errors import RecordNotFound
+from repro.errors import RecordNotFound, TransactionError
 from repro.hardware import Host, Network
 from repro.hardware.host import HostSpec
 from repro.simkernel import Simulator
@@ -300,6 +300,19 @@ def test_mvcc_reads_skip_the_lock():
     assert mgr.db.stats["snapshot_reads"] > 0
 
 
+def test_mvcc_read_inside_an_open_transaction_raises():
+    """An MVCC read is a committed read only because no engine
+    transaction is open when it runs; one that finds one refuses."""
+    sim, host, mgr = make_env(tier=DbTierConfig(mvcc=True))
+    sim.run(until=mgr.store_executable("x", b"committed"))
+    mgr.db.begin()
+    mgr.db.update_eq(mgr.TABLE, "name", "x", {"description": "open"})
+    with pytest.raises(TransactionError, match="open engine transaction"):
+        sim.run(until=mgr.load_executable("x"))
+    mgr.db.rollback()
+    assert sim.run(until=mgr.load_executable("x")).payload == b"committed"
+
+
 def test_recover_from_crash_keeps_tier():
     tier = DbTierConfig(mvcc=True, chunk_bytes=int(MB(1)))
     sim, host, mgr = make_env(tier=tier)
@@ -310,7 +323,6 @@ def test_recover_from_crash_keeps_tier():
     sim.run(until=sim.process(flow()))
     recovered = mgr.recover_from_crash()
     assert recovered.tier is tier
-    assert recovered.db.mvcc
     assert recovered.has_executable("x")
 
 

@@ -554,73 +554,3 @@ def test_drop_table_crash_recovery_roundtrip():
     assert recovered.find_eq("users", "name", "ada") == []
     # The dropped incarnation's index did not leak into the new one.
     assert ("users", "name") in recovered._indexes
-
-
-# ------------------------------------------------------------ MVCC
-
-def mvcc_db():
-    db = Database(mvcc=True)
-    db.create_table("users", [
-        Column("id", "INT", primary_key=True),
-        Column("name", "TEXT", nullable=False),
-        Column("score", "REAL"),
-    ])
-    return db
-
-
-def test_snapshot_sees_last_committed_past_open_writer():
-    db = mvcc_db()
-    db.insert("users", [1, "ada", 1.0])
-    db.begin()
-    db.update_where("users", {"score": 99.0}, lambda r: r["id"] == 1)
-    db.insert("users", [2, "bob", None])
-    db.delete_where("users", lambda r: False)
-    with db.snapshot() as snap:
-        rows = snap.select("users")
-        assert rows == [{"id": 1, "name": "ada", "score": 1.0}]
-        assert snap.get_by_pk("users", 1)["score"] == 1.0
-        with pytest.raises(RecordNotFound):
-            snap.get_by_pk("users", 2)
-    db.commit()
-    with db.snapshot() as snap:
-        assert snap.get_by_pk("users", 1)["score"] == 99.0
-        assert snap.count("users") == 2
-    assert db.stats["snapshot_reads"] > 0
-
-
-def test_snapshot_pinned_across_commit():
-    """A handle opened before a commit keeps its watermark's view."""
-    db = mvcc_db()
-    db.insert("users", [1, "ada", 1.0])
-    snap = db.snapshot()
-    db.begin()
-    db.update_where("users", {"name": "zoe"}, lambda r: r["id"] == 1)
-    db.commit()
-    assert snap.get_by_pk("users", 1)["name"] == "ada"
-    snap.close()
-    with db.snapshot() as later:
-        assert later.get_by_pk("users", 1)["name"] == "zoe"
-
-
-def test_snapshot_invisible_to_rollback():
-    db = mvcc_db()
-    db.insert("users", [1, "ada", 1.0])
-    db.begin()
-    db.delete_where("users", lambda r: r["id"] == 1)
-    db.rollback()
-    with db.snapshot() as snap:
-        assert snap.get_by_pk("users", 1)["name"] == "ada"
-    # Version chains were discarded with the rollback.
-    assert not db.tables["users"].has_versions()
-
-
-def test_versions_pruned_after_commit():
-    db = mvcc_db()
-    db.insert("users", [1, "ada", 1.0])
-    for i in range(5):
-        with db.transaction():
-            db.update_where("users", {"score": float(i)},
-                            lambda r: r["id"] == 1)
-    # No snapshot is open: nothing pins the old versions.
-    assert not db.tables["users"].has_versions()
-    assert db.get_by_pk("users", 1)["score"] == 4.0

@@ -209,7 +209,7 @@ def test_rollback_is_exact_inverse(rows):
 # The keyed calls (find_eq / update_eq / delete_eq) must be a pure access
 # path change: applied to two databases — one through the keyed form,
 # one through the equivalent equality lambda — any interleaving of
-# writes, transactions and snapshot reads leaves the same heap, the same
+# writes and transactions leaves the same heap, the same
 # index contents, the same WAL bytes and the same recovered state.
 
 COLUMNS = ("k", "g", "s", "v")          # pk / hash idx / hash idx / none
@@ -241,8 +241,7 @@ units = st.tuples(st.just("unit"), st.lists(statements, max_size=3),
 keyed_ops = st.lists(
     st.one_of(
         statements, units,
-        st.tuples(st.sampled_from(["begin", "commit", "rollback",
-                                   "snap_open", "snap_read", "snap_close"])),
+        st.tuples(st.sampled_from(["begin", "commit", "rollback"])),
     ),
     max_size=40,
 )
@@ -263,7 +262,7 @@ def _below(bound):
     return lambda r: r["s"] is not None and r["s"] < bound
 
 
-def _apply(db, op, keyed, snaps):
+def _apply(db, op, keyed):
     """Run one op; returns what the caller would observe."""
     kind = op[0]
     if kind == "insert":
@@ -272,7 +271,7 @@ def _apply(db, op, keyed, snaps):
         return db.upsert("t", list(op[1:]))
     if kind == "unit":
         with db.transaction():
-            out = [_outcome(db, sub, keyed, snaps) for sub in op[1]]
+            out = [_outcome(db, sub, keyed) for sub in op[1]]
             if op[2]:
                 raise RuntimeError(f"unit failed after {out}")
         return out
@@ -295,20 +294,12 @@ def _apply(db, op, keyed, snaps):
         return db.update_where("t", op[2], _below(op[1]))
     if kind == "delete_lt":
         return db.delete_where("t", _below(op[1]))
-    if kind == "snap_open":
-        snaps.append(db.snapshot())
-        return None
-    if kind == "snap_read":
-        return [(s.select("t"), s.find_eq("t", "g", "a"), s.count("t"))
-                for s in snaps]
-    if kind == "snap_close":
-        return snaps.pop().close() if snaps else None
     return getattr(db, kind)()          # begin / commit / rollback
 
 
-def _outcome(db, op, keyed, snaps):
+def _outcome(db, op, keyed):
     try:
-        return _apply(db, op, keyed, snaps)
+        return _apply(db, op, keyed)
     except AssertionError:    # a check inside a test double: not an outcome
         raise
     except Exception as exc:  # duplicate key, txn misuse: same in both
@@ -326,17 +317,16 @@ def _state(db):
 @given(keyed_ops, st.booleans(), st.booleans())
 def test_keyed_dml_is_only_an_access_path(operations, indexed, mvcc):
     keyed, scanned = _keyed_db(indexed, mvcc), _keyed_db(indexed, mvcc)
-    keyed_snaps, scanned_snaps = [], []
     for op in operations:
-        assert (_outcome(keyed, op, True, keyed_snaps)
-                == _outcome(scanned, op, False, scanned_snaps)), op
+        assert (_outcome(keyed, op, True)
+                == _outcome(scanned, op, False)), op
     assert _state(keyed) == _state(scanned)
     image = keyed.wal.snapshot()
     assert image == scanned.wal.snapshot()
     # Recovery sees only committed work — and indexes it the same way a
     # database that never had the keyed calls would.
-    recovered = Database.recover(image, mvcc=mvcc)
-    twin = Database.recover(scanned.wal.snapshot(), mvcc=mvcc)
+    recovered = Database.recover(image)
+    twin = Database.recover(scanned.wal.snapshot())
     assert _state(recovered) == _state(twin)
     if keyed._active_txn is None:
         assert recovered.select("t") == keyed.select("t")
@@ -354,8 +344,8 @@ def test_keyed_dml_is_only_an_access_path(operations, indexed, mvcc):
 # reference: every frame the engine writes is expanded back into it,
 # every rollback (which now writes nothing) is entered as begin … abort,
 # a crash leaves its torn transaction as begin … with no commit, and the
-# old two-pass recovery over that stream must land where the engine,
-# its replica and its open snapshots do.
+# old two-pass recovery over that stream must land where the engine
+# and its replica do.
 
 
 def reference_frames(txn):
@@ -477,33 +467,14 @@ def test_one_frame_per_transaction_matches_three_record_framing(
     db = _keyed_db(indexed, mvcc)
     replica = ReadReplica(Simulator(), db, lag=0.0)
     log = _ReferenceLog(db)
-    snaps = []   # (handle, the rows reference recovery held when opened)
-
-    def check_snapshots():
-        for snap, rows in snaps:
-            assert snap.select("t") == rows
-            assert snap.count("t") == len(rows)
-
     for op in operations:
-        kind = op[0]
-        if kind == "snap_open":
-            committed = reference_recover(log.records())[0]["t"]
-            names = db.tables["t"].schema.names()
-            snaps.append((db.snapshot(), [dict(zip(names, committed[r]))
-                                          for r in sorted(committed)]))
-        elif kind == "snap_close":
-            if snaps:
-                snaps.pop()[0].close()
-        else:
-            joined, size = db._active_txn, db.wal.size()
-            _outcome(db, op, True, None)
-            if joined is not None and kind not in ("commit", "rollback"):
-                # Statements and ``transaction()`` blocks join the open
-                # unit: the outermost scope decides, and until it does
-                # the log does not move.
-                assert db._active_txn == joined and db.wal.size() == size
-        if mvcc:
-            check_snapshots()
+        joined, size = db._active_txn, db.wal.size()
+        _outcome(db, op, True)
+        if joined is not None and op[0] not in ("commit", "rollback"):
+            # Statements and ``transaction()`` blocks join the open
+            # unit: the outermost scope decides, and until it does
+            # the log does not move.
+            assert db._active_txn == joined and db.wal.size() == size
 
     # The replica applied frame by frame what the reference commits —
     # and nothing of a transaction still open.
@@ -515,7 +486,7 @@ def test_one_frame_per_transaction_matches_three_record_framing(
     torn = image[:int(cut * len(image))]
     survived = len(WriteAheadLog(torn))
     for image_, frames in ((torn, survived), (image, None)):
-        recovered = Database.recover(image_, mvcc=mvcc)
+        recovered = Database.recover(image_)
         _expect(recovered, reference_recover(log.records(frames)))
         # The recovered database logs on from there, frame by frame.
         if "t" in recovered.tables:
@@ -803,7 +774,7 @@ class LogLifetime(RuleBasedStateMachine):
             wal.corrupt(offset)
         # Neither drill writes into a BLOB the log shares with a heap row.
         assert all(v == copy for v, copy in held)
-        recovered = Database.recover(wal.snapshot(), mvcc=self.db.mvcc)
+        recovered = Database.recover(wal.snapshot())
         if tear or offset >= wal._floor:
             # A committed prefix, never older than the last compaction.
             assert self.heap(recovered) in self.history[self.durable:]
@@ -844,17 +815,13 @@ class reference_manager(DbManager):
         def op():
             waited = 0.0
             locked = False
-            if self.tier.serialize and not self.db.mvcc:
+            if self.tier.serialize and not self.tier.mvcc:
                 waited = yield from self._acquire_conn()
                 locked = True
             try:
                 yield self.host.compute(self.costs.statement_cpu, tag="db")
-                if self.db.mvcc:
-                    with self.db.snapshot() as snap:
-                        record = snap.get_by_pk(self.TABLE, name)
-                    self._note_snapshot_reads()
-                else:
-                    record = self.db.get_by_pk(self.TABLE, name)
+                record = (self._committed_read(name) if self.tier.mvcc
+                          else self.db.get_by_pk(self.TABLE, name))
                 if self.tier.chunk_bytes > 0:
                     if locked:
                         self._release_conn()
@@ -945,7 +912,7 @@ class reference_manager(DbManager):
 
     def recover_from_crash(self):
         image = self.db.wal.snapshot()
-        recovered = Database.recover(image, mvcc=self.db.mvcc)
+        recovered = Database.recover(image)
         return reference_manager(self.host, db=recovered, costs=self.costs,
                                  tier=self.tier)
 

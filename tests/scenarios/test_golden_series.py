@@ -108,17 +108,25 @@ def assert_queue_idle(queue):
 
 
 def attach_db_tier(stack):
-    """MVCC on (pure bookkeeping) + a WAL-shipping replica no read router
-    ever consults."""
+    """MVCC on, the way ``OnServeConfig(db_mvcc=True)`` sets it (on the
+    tier the config and the DbManager share), + a WAL-shipping replica
+    no read router ever consults; returns (DbManager, replica)."""
     from repro.db.replica import ReadReplica
 
-    stack.dbmanager.db.mvcc = True
-    return ReadReplica(stack.sim, stack.dbmanager.db, lag=0.5)
+    manager = stack.dbmanager
+    assert manager.tier is stack.onserve.config.db_tier
+    manager.tier.mvcc = True
+    return manager, ReadReplica(stack.sim, manager.db, lag=0.5)
 
 
-def assert_replica_idle(replica):
-    # Shipping is a list append and application is lazy: the unread
-    # replica queued the run's frames and never applied one.
+def assert_db_tier_inert(manager, replica):
+    from repro.telemetry.events import bus
+
+    # Every fetch (fig6 and fig7 make some) took the lock-free read...
+    fetches = bus(manager.sim).counts().get("db.fetch", 0)
+    assert manager.db.stats["snapshot_reads"] == fetches
+    # ...and shipping is a list append and application is lazy: the
+    # unread replica queued the run's frames and never applied one.
     assert replica.backlog() > 0
     assert replica.records_applied == 0
 
@@ -196,19 +204,19 @@ def test_goldens_unchanged_with_idle_notify_queue_attached(
 def test_goldens_unchanged_with_mvcc_and_idle_replica(name, golden_with):
     """MVCC on + an attached-but-unread read replica must stay inert.
 
-    The DB-scale determinism contract (DESIGN.md §15): MVCC is pure
-    bookkeeping — version chains are saved and pruned in the writer's
-    stack frame, no simulation event is ever created — and a
-    :class:`~repro.db.replica.ReadReplica` only queues what the WAL tap
-    ships until a reader asks for it.  Re-running each figure with the
-    engine in MVCC mode and a replica nobody reads attached to the
-    appliance database must reproduce the committed goldens
-    byte-for-byte.
+    The DB-scale determinism contract (DESIGN.md §15): an MVCC read is
+    the lock-free read of committed state, which an uncontended tier
+    reads in the same frame the locked read would — no simulation event
+    is ever created — and a :class:`~repro.db.replica.ReadReplica` only
+    queues what the WAL tap ships until a reader asks for it.
+    Re-running each figure with the tier in MVCC mode and a replica
+    nobody reads attached to the appliance database must reproduce the
+    committed goldens byte-for-byte.
     """
-    replicas = []
-    golden_with(name, lambda s: replicas.append(attach_db_tier(s)),
+    tiers = []
+    golden_with(name, lambda s: tiers.append(attach_db_tier(s)),
                 "MVCC + an unread replica")
-    assert_replica_idle(replicas[-1])
+    assert_db_tier_inert(*tiers[-1])
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
@@ -254,10 +262,10 @@ def test_goldens_unchanged_with_every_plane_attached(
                          attach_profiler(stack)))
 
     golden_with(name, attach_everything, "every plane")
-    router, queue, replica, profiler = attached[-1]
+    router, queue, db_tier, profiler = attached[-1]
     assert_healing_plane_idle(router)
     assert_queue_idle(queue)
-    assert_replica_idle(replica)
+    assert_db_tier_inert(*db_tier)
     assert_profiler_observed(profiler)
 
 
