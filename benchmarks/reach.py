@@ -15,11 +15,24 @@ It then prints every function defined under ``src/repro`` (nested defs
 included; lambdas, comprehensions and ``__repr__`` left out) that none
 of them called, one ``path::qualname`` a line, and the count.
 
-``--check`` compares that set with ``benchmarks/reach_allow.txt`` and
-exits 1 when a function outside the list went unreached, or a listed
-function was reached or no longer exists: the list can only shrink.
-``--write`` rewrites the list from this run.  The whole run takes about
-a minute on a laptop-class core.
+Each line of ``benchmarks/reach_allow.txt`` is one function kept
+unreached, with the reason it stays::
+
+    repro/db/engine.py::Database.rollback  # fault-path: aborts a transaction
+
+The tag is one of :data:`TAGS`.  A ``harness-pin`` reason names the file
+of ``benchmarks/e2e/`` that uses the function, and that file must hold
+the function's name.
+
+``--check`` compares the unreached set with the list and exits 1 when a
+function outside the list went unreached, a listed function was
+reached or no longer exists (the list can only shrink), or a line is
+malformed: no tag, a tag outside :data:`TAGS`, a ``harness-pin`` whose
+file does not name the function, or lines unsorted or repeated.
+``--write`` rewrites the list from this run, keeping the reason of
+every entry that stays; a new entry is written bare, for a reason to be
+added by hand.  The whole run takes about half a minute on a
+laptop-class core.
 """
 
 from __future__ import annotations
@@ -29,11 +42,12 @@ import contextlib
 import inspect
 import io
 import os
+import re
 import runpy
 import sys
 import types
 from pathlib import Path
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -42,6 +56,23 @@ ALLOW = ROOT / "benchmarks" / "reach_allow.txt"
 WORKLOADS = ("faithful_hot", "faithful_bulk", "production_hot",
              "production_mixed")
 SCALE = 0.25
+E2E = ROOT / "benchmarks" / "e2e"
+
+#: Why a function may stay unreached.
+TAGS = {
+    "harness-pin": "the frozen benchmarks/e2e/ code uses it",
+    "test-probe": "tests read state through it",
+    "fault-path": "only a failure or recovery runs it",
+    "oracle": "a reference that tests check other code against",
+    "abstract": "a base-class stub every subclass overrides",
+    "protocol": "part of an interface (Python, SOAP, SQL, GridFTP, ...) "
+                "that no run happens to use",
+    "full-size": "only a full-size benchmarks/bench_scenarios.py row "
+                 "reaches it",
+}
+_LINE = re.compile(
+    r"^(?P<name>\S+::\S+)\s+#\s*(?P<tag>[\w-]+):\s*(?P<why>\S.*)$")
+_E2E_FILE = re.compile(r"(?:benchmarks/)?e2e/(?P<file>[\w/]+\.py)")
 
 #: (real source path, first line, qualname) — what a code object is.
 Key = Tuple[str, int, str]
@@ -70,6 +101,74 @@ def defined() -> Dict[Key, str]:
                 out[real, code.co_firstlineno, code.co_qualname] = (
                     f"{rel}::{code.co_qualname}")
     return out
+
+
+def parse_allow(text: str) -> Tuple[Dict[str, Tuple[Optional[str], str]],
+                                     List[str]]:
+    """The allowlist's entries, ``name -> (tag, why)``, and its problems.
+
+    Blank lines and lines starting with ``#`` are skipped.  An entry
+    without a reason parses with tag ``None`` (and is a problem); the
+    problems also name unknown tags and unsorted or repeated names.
+    """
+    entries: Dict[str, Tuple[Optional[str], str]] = {}
+    problems: List[str] = []
+    names: List[str] = []
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = _LINE.match(line)
+        if match is None:
+            name, tag, why = line.split("#", 1)[0].strip(), None, ""
+            problems.append(f"line {number}: {name}: no '# <tag>: <why>'")
+        else:
+            name, tag, why = match["name"], match["tag"], match["why"]
+            if tag not in TAGS:
+                problems.append(f"line {number}: {name}: unknown tag "
+                                f"{tag!r} (one of {', '.join(TAGS)})")
+        if name in entries:
+            problems.append(f"line {number}: {name}: listed twice")
+        names.append(name)
+        entries[name] = (tag, why)
+    if names != sorted(names):
+        problems.append("lines are not sorted by name")
+    return entries, problems
+
+
+def leaf(name: str) -> str:
+    """The function's own name: ``a.py::C.f.<locals>.g`` -> ``g``."""
+    return name.split("::", 1)[1].split(".")[-1]
+
+
+def pin_problems(entries: Dict[str, Tuple[Optional[str], str]],
+                 e2e: Path = E2E) -> List[str]:
+    """``harness-pin`` entries whose reason names no ``benchmarks/e2e/``
+    file holding the function's name."""
+    problems = []
+    for name, (tag, why) in entries.items():
+        if tag != "harness-pin":
+            continue
+        match = _E2E_FILE.search(why)
+        path = e2e / match["file"] if match else None
+        if path is None or not path.is_file():
+            problems.append(f"{name}: harness-pin names no benchmarks/e2e/ "
+                            f"file")
+        elif not re.search(rf"\b{re.escape(leaf(name))}\b",
+                           path.read_text()):
+            problems.append(f"{name}: benchmarks/e2e/{match['file']} "
+                            f"does not use {leaf(name)!r}")
+    return problems
+
+
+def render_allow(unreached: List[str],
+                 entries: Dict[str, Tuple[Optional[str], str]]) -> str:
+    """The allowlist for *unreached*, each kept entry's reason kept."""
+    lines = []
+    for name in sorted(unreached):
+        tag, why = entries.get(name, (None, ""))
+        lines.append(f"{name}  # {tag}: {why}" if tag else name)
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _run_all() -> None:
@@ -145,21 +244,23 @@ def main(argv=None) -> int:
         print(name)
     print(f"{len(unreached)} of {len(functions)} functions unreached "
           f"(__repr__ not counted)")
+    entries, problems = parse_allow(ALLOW.read_text())
     if args.write:
-        ALLOW.write_text("".join(f"{name}\n" for name in unreached))
+        ALLOW.write_text(render_allow(unreached, entries))
         return 0
     if not args.check:
         return 0
-    allowed = {line.strip() for line in ALLOW.read_text().splitlines()
-               if line.strip() and not line.startswith("#")}
-    new = sorted(set(unreached) - allowed)
-    stale = sorted(allowed - set(unreached))
+    problems += pin_problems(entries)
+    new = sorted(set(unreached) - set(entries))
+    stale = sorted(set(entries) - set(unreached))
     for name in new:
         print(f"unreached, not in the allowlist: {name}", file=sys.stderr)
     for name in stale:
         print(f"in the allowlist, but reached or gone (drop the line): "
               f"{name}", file=sys.stderr)
-    return 1 if new or stale else 0
+    for problem in problems:
+        print(f"{ALLOW.relative_to(ROOT)}: {problem}", file=sys.stderr)
+    return 1 if new or stale or problems else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ Three users share one onServe appliance:
 
 The example closes with the Cyberaide Shell, the toolkit's command-line
 face, driving the agent directly (the power-user path that bypasses the
-generated services).
+generated services): it runs, queries, fetches and cancels grid jobs,
+then discovers and invokes the generated services from the prompt.
 """
 
 from repro.core import deploy_onserve
@@ -66,16 +67,30 @@ def main() -> None:
     testbed.new_grid_identity("poweruser", "pw")
     shell = CyberaideShell(
         WsClient(u2, stack.fabric),
-        stack.soap_server.endpoint_for("CyberaideAgent"))
+        stack.soap_server.endpoint_for("CyberaideAgent"),
+        inquiry_endpoint=stack.soap_server.endpoint_for("UddiInquiry"))
     shell.add_file("probe.sh", make_payload("echo", size=256))
-    for line in ("auth poweruser pw", "sites", "run ncsa probe.sh ping"):
+    shell.add_file("long.sh", make_payload("fixed", runtime="3600"))
+
+    def sh(line):
         result = sim.run(until=shell.execute(line))
         print(f"cyberaide> {line}\n{result}")
-    job_id = result.split(": ")[1]
-    sim.run(until=sim.timeout(30.0))
-    result = sim.run(until=shell.execute(f"output ncsa {job_id}"))
-    print(f"cyberaide> output ncsa {job_id}\n{result}")
+        return result
 
+    for line in ("help", "auth poweruser pw", "sites", "files"):
+        sh(line)
+    job_id = sh("run ncsa probe.sh ping").split(": ")[1]
+    # The agent cannot report job status (the paper's known limitation):
+    # the shell says so, and the output is fetched tentatively instead.
+    sh(f"status ncsa {job_id}")
+    sim.run(until=sim.timeout(30.0))
+    sh(f"output ncsa {job_id}")
+    long_id = sh("run sdsc long.sh").split(": ")[1]
+    sh(f"cancel sdsc {long_id}")
+    print("sdsc now reports it", testbed.site("sdsc").get_job(long_id).state)
+    # Generated services, found and called from the same prompt.
+    sh("discover %Service")
+    sh("invoke Echo% a=from b=shell")
 
 if __name__ == "__main__":
     main()

@@ -9,13 +9,14 @@ Eight users hammer the appliance at once — half uploading new 2 MB
 executables through the portal, half invoking already-published
 services — on a slow-uplink testbed.  The appliance host is instrumented
 with the paper's 3-second sampler; the run ends with the utilization
-figure and the per-request latency table.
+figure, the uplink's samples behind it and the per-request latency
+table.
 """
 
 from repro.core import deploy_onserve, OnServeConfig
 from repro.core.invocation import discover_and_invoke
 from repro.grid import build_testbed
-from repro.telemetry import HostSampler, render_figure
+from repro.telemetry import HostSampler, render_figure, series_table
 from repro.units import KB, KBps, MB, Mbps, fmt_duration
 from repro.workloads import make_payload
 
@@ -66,6 +67,8 @@ def main() -> None:
         f"Stress test — {n_users} simultaneous requests "
         f"(makespan {fmt_duration(makespan)})",
         [sampler.cpu, sampler.disk_write, sampler.net_in, sampler.net_out]))
+    print("\nthe uplink's samples behind the figure (KB/s):")
+    print(series_table([sampler.net_in, sampler.net_out], max_rows=8))
     print("\nper-request latency:")
     for label, latency in sorted(latencies):
         print(f"  {label:12s} {fmt_duration(latency)}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.appliance.image import ApplianceImage
-from repro.errors import ApplianceError
 from repro.hardware.host import Host
 from repro.simkernel.events import Event
 from repro.simkernel.process import Process
@@ -36,12 +35,6 @@ class DeployedAppliance:
     @property
     def startup_seconds(self) -> float:
         return self.ready_at - self.deployed_at
-
-    def shutdown(self) -> None:
-        if not self.running:
-            raise ApplianceError(f"{self.image.name}: already shut down")
-        self.running = False
-        self.host.disk.free(self.image.size_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         state = "running" if self.running else "stopped"

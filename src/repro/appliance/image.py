@@ -49,10 +49,6 @@ class ApplianceImage:
         base_os = MB(120)  # the "minimal Linux base" every appliance ships
         return base_os + sum(p.size_bytes for p in self.packages)
 
-    @property
-    def boot_seconds(self) -> float:
-        return 5.0 + sum(p.boot_seconds for p in self.packages)
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<ApplianceImage {self.name!r} {self.image_id}>"
 

@@ -52,7 +52,3 @@ def __getattr__(name: str) -> Any:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib
     return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))

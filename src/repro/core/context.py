@@ -150,20 +150,6 @@ class RequestContext:
         branch._stack = [self._stack[-1] if self._stack else self.root]
         return branch
 
-    # -- deadline -----------------------------------------------------------
-
-    @property
-    def expired(self) -> bool:
-        """True once the simulated clock has passed the deadline."""
-        return self.deadline is not None and self.sim.now > self.deadline
-
-    @property
-    def remaining(self) -> float:
-        """Seconds until the deadline (``inf`` when none is set)."""
-        if self.deadline is None:
-            return float("inf")
-        return self.deadline - self.sim.now
-
     # -- trace spans --------------------------------------------------------
 
     def begin_span(self, name: str, **meta: Any) -> TraceSpan:

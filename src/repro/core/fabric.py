@@ -91,10 +91,6 @@ class FabricStack:
         self.self_healing = False
         self.heartbeat_interval = 5.0
 
-    @property
-    def replica_hosts(self) -> List[Host]:
-        return [o.host for o in self.onserves]
-
     def onserve_for(self, name: str) -> Optional[OnServe]:
         for onserve in self.onserves:
             if onserve.replica == name:

@@ -134,6 +134,9 @@ class GridServiceRuntime:
         self._rr_cursor = 0
         #: Asynchronous invocations in flight: ticket -> background process.
         self._tickets: Dict[str, Any] = {}
+        #: Tickets issued so far: a collected ticket's number is never
+        #: handed out again.
+        self._tickets_issued = 0
         #: execute() calls started, and how many of them returned output.
         self.invocations = 0
         self.invocations_ok = 0
@@ -164,7 +167,8 @@ class GridServiceRuntime:
                       ) -> Generator[Event, None, str]:
         """Start the execute pipeline in the background; return a ticket."""
         yield self.onserve.host.compute(0.002, tag="service")
-        ticket = f"tkt-{self.record.name}-{len(self._tickets) + 1:05d}"
+        self._tickets_issued += 1
+        ticket = f"tkt-{self.record.name}-{self._tickets_issued:05d}"
         # The background work outlives this SOAP request: give it a
         # derived context so its trace collects separately.
         child = ctx.child() if ctx is not None else None

@@ -160,10 +160,6 @@ class ServiceStateStore:
         self._removed[key] = on_removed
         self._republished[key] = on_republished
 
-    def unsubscribe(self, key: str) -> None:
-        self._removed.pop(key, None)
-        self._republished.pop(key, None)
-
     def _fan_out(self, listeners: Dict[str, Callable[[str], None]],
                  service_name: str, origin: Optional[str]) -> None:
         for key in sorted(listeners):
@@ -212,9 +208,6 @@ class ServiceStateStore:
     def all_records(self) -> List[Dict[str, Any]]:
         rows = self._read(SERVICE_TABLE).select(SERVICE_TABLE)
         return sorted(rows, key=lambda r: r["service_name"])
-
-    def record_count(self) -> int:
-        return self._read(SERVICE_TABLE).count(SERVICE_TABLE)
 
     def set_digest(self, service_name: str, digest: str) -> None:
         """Record the digest of the bytes *service_name* now runs.
@@ -414,6 +407,6 @@ class ServiceStateStore:
         return self._tag_seq
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return (f"<ServiceStateStore services={self.record_count()} "
+        return (f"<ServiceStateStore services={self.db.count(SERVICE_TABLE)} "
                 f"staged={self.db.count(STAGED_TABLE)} "
                 f"replicas={sorted(self._removed)}>")

@@ -126,14 +126,6 @@ class Mediator:
                    if t.state in (TaskState.QUEUED, TaskState.RUNNING)]
         return self.sim.all_of(pending)
 
-    @property
-    def running(self) -> int:
-        return sum(1 for t in self.tasks if t.state is TaskState.RUNNING)
-
-    @property
-    def queued(self) -> int:
-        return sum(1 for t in self.tasks if t.state is TaskState.QUEUED)
-
     def stats(self) -> Dict[str, Any]:
         done = [t for t in self.tasks if t.state is TaskState.DONE]
         failed = [t for t in self.tasks if t.state is TaskState.FAILED]

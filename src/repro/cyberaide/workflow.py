@@ -15,7 +15,7 @@ produce data).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Generator, List, Optional, Sequence, Set
+from typing import Dict, Generator, Optional, Sequence, Set
 
 from repro.cyberaide.jobspec import CyberaideJobSpec
 from repro.errors import JobError, ReproError
@@ -92,9 +92,6 @@ class Workflow:
 
         for name in self.nodes:
             visit(name, ())
-
-    def roots(self) -> List[WorkflowNode]:
-        return [n for n in self.nodes.values() if not n.depends_on]
 
     def summary(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

@@ -59,9 +59,6 @@ class FaultInjector:
             self.add(spec)
         return self
 
-    def clear(self) -> None:
-        self._specs.clear()
-
     @property
     def active(self) -> bool:
         """True when any fault spec is configured."""

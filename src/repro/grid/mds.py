@@ -23,7 +23,7 @@ class InformationService:
     When built with a simulator the service keeps a time-stamped
     history of every :meth:`snapshot` and publishes each one on the
     telemetry bus, so capacity evolution over a run can be replayed
-    (``history`` / ``history_series``) without re-running the scenario.
+    (``history``) without re-running the scenario.
     """
 
     def __init__(self, name: str = "mds", sim=None):
@@ -89,16 +89,3 @@ class InformationService:
                                               for r in table))
         return table
 
-    def history_series(self, site_name: str, field: str = "free_cores"):
-        """One site's *field* over time, from the snapshot history.
-
-        Returns a :class:`~repro.telemetry.series.TimeSeries` built from
-        the recorded snapshots (empty if the site never appeared).
-        """
-        from repro.telemetry.series import TimeSeries
-        series = TimeSeries(f"mds.{site_name}.{field}")
-        for ts, table in self.history:
-            for row in table:
-                if row.get("name") == site_name and field in row:
-                    series.append(ts, float(row[field]))
-        return series

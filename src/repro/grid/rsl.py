@@ -75,9 +75,6 @@ class JobDescription:
         self.environment = list(environment)
         self.max_memory = max_memory
 
-    def to_rsl(self) -> str:
-        return generate_rsl(self)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JobDescription):
             return NotImplemented

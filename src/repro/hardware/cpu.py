@@ -57,25 +57,9 @@ class Cpu:
         return self._server.submit(cpu_seconds / self.speed_factor,
                                    tags=("all", tag))
 
-    @property
-    def running_tasks(self) -> int:
-        """Number of tasks currently on-CPU."""
-        return self._server.active_flows
-
     def busy_core_seconds(self) -> float:
         """Total core-seconds consumed so far (exact)."""
         return self._server.work_integral()
 
-    def utilization(self, since: float, busy_at_since: float) -> float:
-        """Mean utilization over [since, now], in [0, 1].
-
-        *busy_at_since* must be the value :meth:`busy_core_seconds`
-        returned at time *since* (the sampler keeps it).
-        """
-        dt = self.sim.now - since
-        if dt <= 0:
-            return 0.0
-        return (self.busy_core_seconds() - busy_at_since) / (self.cores * dt)
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"<Cpu {self.name!r} cores={self.cores} running={self.running_tasks}>"
+        return f"<Cpu {self.name!r} cores={self.cores}>"

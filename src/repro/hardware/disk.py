@@ -77,10 +77,6 @@ class Disk:
         self.used_bytes += nbytes
         return self._operation(nbytes, "write")
 
-    def free(self, nbytes: float) -> None:
-        """Release previously written space (file deletion)."""
-        self.used_bytes = max(0.0, self.used_bytes - nbytes)
-
     def _operation(self, nbytes: float, direction: str) -> HardwareOp:
         if nbytes < 0:
             raise HardwareError(f"{self.name}: negative {direction} size")

@@ -126,11 +126,6 @@ class FairShareServer:
 
     # -- public API ---------------------------------------------------------
 
-    @property
-    def active_flows(self) -> int:
-        """Number of flows currently being served."""
-        return len(self._flows)
-
     def current_rate(self) -> float:
         """Rate granted to each active flow right now (0 if idle)."""
         n = len(self._flows)

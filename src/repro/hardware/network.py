@@ -61,9 +61,6 @@ class Link:
         self.name = name or f"{a}<->{b}"
         self.server = FairShareServer(sim, capacity=bandwidth, name=self.name)
 
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.a, self.b)
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<Link {self.name} bw={self.bandwidth:.0f}B/s>"
 

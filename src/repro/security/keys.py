@@ -33,10 +33,6 @@ class PublicKey:
         expected = hmac.new(self._secret, data, hashlib.sha256).digest()
         return hmac.compare_digest(expected, signature)
 
-    def fingerprint(self) -> str:
-        """Short stable identifier (for UI/diagnostics)."""
-        return self.key_id[:16]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PublicKey) and other.key_id == self.key_id
 
@@ -44,7 +40,7 @@ class PublicKey:
         return hash(self.key_id)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"<PublicKey {self.fingerprint()}>"
+        return f"<PublicKey {self.key_id[:16]}>"
 
 
 class KeyPair:

@@ -75,9 +75,6 @@ class MyProxyServer:
             username, passphrase, keypair, certificate,
             max_delegation_lifetime)
 
-    def remove(self, username: str) -> bool:
-        return self._store.pop(username, None) is not None
-
     def has_credential(self, username: str) -> bool:
         return username in self._store
 

@@ -61,9 +61,6 @@ class Certificate:
             raise CertificateInvalid(
                 f"bad signature on certificate {self.subject!r}")
 
-    def remaining_lifetime(self, now: float) -> float:
-        return max(0.0, self.not_after - now)
-
     def wire_size(self) -> int:
         """Approximate on-the-wire size in bytes (for traffic modelling).
 

@@ -110,14 +110,6 @@ class Event:
         self.sim._enqueue(self)
         return self
 
-    def trigger(self, other: "Event") -> None:
-        """Copy *other*'s outcome onto this event (used by conditions)."""
-        if other._ok:
-            self.succeed(other._value)
-        else:
-            other.defused()
-            self.fail(other._value)
-
     def defused(self) -> None:
         """Mark a failed event as handled so the kernel won't re-raise it."""
         self._defused = True

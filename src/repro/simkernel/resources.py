@@ -62,11 +62,6 @@ class Resource:
         self.users: list[Request] = []
         self.queue: list[Request] = []
         self._ticket = itertools.count()
-        #: Optional pure observer, called with the resource after every
-        #: queue/grant/release change.  Telemetry gauges hang off this
-        #: hook (see :meth:`repro.telemetry.gauges.GaugeBoard
-        #: .attach_resource`); it must not create simulation events.
-        self.observer = None
 
     @property
     def count(self) -> int:
@@ -82,8 +77,6 @@ class Resource:
         self.queue.append(req)
         self.queue.sort(key=lambda r: r.key)
         self._grant()
-        if self.observer is not None:
-            self.observer(self)
         return req
 
     def release(self, request: Request) -> None:
@@ -95,8 +88,6 @@ class Resource:
             self.queue.remove(request)
         # Releasing twice is tolerated: __exit__ after an explicit release
         # must not blow up.
-        if self.observer is not None:
-            self.observer(self)
 
     def _grant(self) -> None:
         while self.queue and len(self.users) < self.capacity:

@@ -53,11 +53,6 @@ class RngRegistry:
         never draws pays neither the hash nor the Mersenne seeding."""
         return LazyStream(self, name)
 
-    def reseed(self, master_seed: int) -> None:
-        """Reset the registry with a new master seed, dropping all streams."""
-        self.master_seed = master_seed
-        self._streams.clear()
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 

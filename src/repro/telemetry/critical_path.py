@@ -134,14 +134,6 @@ class Attribution:
         """Buckets largest-first — the quantitative bottleneck ranking."""
         return sorted(self.buckets.items(), key=lambda kv: (-kv[1], kv[0]))
 
-    def by_layer(self) -> Dict[str, float]:
-        """Seconds per layer (bucket prefixes aggregated)."""
-        out: Dict[str, float] = {}
-        for bucket, secs in self.buckets.items():
-            layer = bucket.split("/", 1)[0]
-            out[layer] = out.get(layer, 0.0) + secs
-        return out
-
     def reconciles(self, tol: float = 0.01) -> bool:
         """Do the buckets sum to the end-to-end latency (within *tol*)?"""
         if self.total <= 0.0:

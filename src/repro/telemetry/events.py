@@ -74,10 +74,6 @@ class TelemetryEvent:
     def get(self, key: str, default: Any = None) -> Any:
         return self.fields.get(key, default)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {"ts": self.ts, "kind": self.kind, "layer": self.layer,
-                "request_id": self.request_id, **self.fields}
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         rid = f" rid={self.request_id}" if self.request_id else ""
         return f"<TelemetryEvent {self.kind}@{self.ts:.3f}{rid}>"

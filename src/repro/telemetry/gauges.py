@@ -16,11 +16,7 @@ alongside the sampler's.
 
 The :class:`GaugeBoard` is the per-simulator registry.  Components
 create their gauges through ``gauges(sim).gauge(name, unit)``; analysis
-code reads them back by name.  ``attach_resource`` instruments a
-:class:`~repro.simkernel.resources.Resource` (wait-queue depth and slot
-utilization) through the resource's observer hook, so GRAM head-node
-CPU queues and any other simkernel resource become visible without the
-simkernel layer knowing telemetry exists.
+code reads them back by name.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from repro.telemetry.series import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
-    from repro.simkernel.resources import Resource
 
 __all__ = ["Gauge", "GaugeBoard", "gauges"]
 
@@ -169,24 +164,6 @@ class GaugeBoard:
                 for name in sorted(self._gauges)}
 
     # -- instrumentation helpers -------------------------------------------
-
-    def attach_resource(self, resource: "Resource", prefix: str) -> None:
-        """Gauge a simkernel Resource's wait queue and utilization.
-
-        Installs an observer on *resource* feeding two gauges:
-        ``<prefix>.queue`` (waiting requests) and ``<prefix>.in_use``
-        (held slots).  The observer is a pure recorder; the resource
-        keeps zero telemetry knowledge.
-        """
-        queue_g = self.gauge(f"{prefix}.queue", unit="reqs")
-        used_g = self.gauge(f"{prefix}.in_use", unit="slots")
-
-        def observe(res: "Resource") -> None:
-            queue_g.set(len(res.queue))
-            used_g.set(len(res.users))
-
-        resource.observer = observe
-        observe(resource)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<GaugeBoard gauges={len(self._gauges)}>"

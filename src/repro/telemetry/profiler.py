@@ -43,22 +43,6 @@ __all__ = ["KernelProfiler", "profile"]
 _DIGITS = re.compile(r"\d+")
 
 
-def _bucket(callback: Callable) -> str:
-    """The attribution bucket of one event callback.
-
-    Bound methods of named objects (every :class:`Process` resume) are
-    charged to the owner's name with digit runs collapsed; bare
-    functions fall back to their qualified name.
-    """
-    owner = getattr(callback, "__self__", None)
-    if owner is not None:
-        name = getattr(owner, "name", "") or type(owner).__name__
-    else:
-        name = getattr(callback, "__qualname__",
-                       getattr(callback, "__name__", "<callback>"))
-    return _DIGITS.sub("#", name)
-
-
 class KernelProfiler:
     """Wall-clock accounting for one simulator run.
 
@@ -205,12 +189,6 @@ class KernelProfiler:
             return self.wall_seconds + (self.clock() - self._t_attach)
         return self.wall_seconds
 
-    def events_covered(self) -> int:
-        """Kernel events processed while the profiler was attached."""
-        if self._attached:
-            return self.sim.events_processed - self._events_at_attach
-        return self.events_dispatched
-
     def events_per_second(self) -> float:
         """Kernel events dispatched per wall-clock second."""
         elapsed = self.elapsed()
@@ -237,18 +215,6 @@ class KernelProfiler:
                 for b, s in self.self_seconds.items()]
         rows.sort(key=lambda r: (-r["self_seconds"], r["bucket"]))
         return rows[:n]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "wall_seconds": self.elapsed(),
-            "events_dispatched": self.events_dispatched,
-            "events_per_second": self.events_per_second(),
-            "dispatch_seconds": self.dispatch_seconds,
-            "simulation_seconds": self.simulation_seconds(),
-            "telemetry_seconds": self.telemetry_seconds,
-            "telemetry_fraction": self.telemetry_fraction(),
-            "buckets": self.top(n=len(self.self_seconds)),
-        }
 
     def report(self, top: int = 12) -> str:
         """An aligned text report: throughput, split, hottest handlers."""

@@ -87,10 +87,6 @@ class HostSampler:
         return self.series["cpu_pct"]
 
     @property
-    def disk_read(self) -> TimeSeries:
-        return self.series["disk_read_kbps"]
-
-    @property
     def disk_write(self) -> TimeSeries:
         return self.series["disk_write_kbps"]
 

@@ -13,7 +13,7 @@ class TimeSeries:
 
     Samples must be appended in non-decreasing time order; analysis
     helpers cover what the scenario assertions and benchmark reports
-    need (peaks, plateaus, integrals, basic stats).
+    need (peaks, plateaus, basic stats).
     """
 
     def __init__(self, name: str = "", unit: str = ""):
@@ -75,52 +75,8 @@ class TimeSeries:
     def max(self) -> float:
         return max(self._values) if self._values else 0.0
 
-    def min(self) -> float:
-        return min(self._values) if self._values else 0.0
-
     def mean(self) -> float:
         return sum(self._values) / len(self._values) if self._values else 0.0
-
-    def total(self) -> float:
-        """Sum of values (e.g. total KB when values are KB/interval)."""
-        return sum(self._values)
-
-    def percentile(self, p: float) -> float:
-        """The *p*-th percentile of the values (linear interpolation).
-
-        ``p`` is in [0, 100]; an empty series yields 0.
-        """
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile {p!r} outside [0, 100]")
-        if not self._values:
-            return 0.0
-        ordered = sorted(self._values)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(rank)
-        frac = rank - lo
-        if lo + 1 >= len(ordered):
-            return ordered[-1]
-        return ordered[lo] * (1 - frac) + ordered[lo + 1] * frac
-
-    def summary(self) -> dict:
-        """min/mean/p50/p95/max in one dict (for reports)."""
-        return {
-            "min": self.min(),
-            "mean": self.mean(),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "max": self.max(),
-        }
-
-    def integral(self) -> float:
-        """Trapezoidal integral of value over time."""
-        area = 0.0
-        for i in range(1, len(self._times)):
-            dt = self._times[i] - self._times[i - 1]
-            area += 0.5 * (self._values[i] + self._values[i - 1]) * dt
-        return area
 
     # -- shape analysis -----------------------------------------------------------
 

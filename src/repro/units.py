@@ -1,4 +1,4 @@
-"""Unit helpers: bytes, bandwidth and time.
+"""Unit helpers: bytes and bandwidth, and a duration formatter.
 
 All simulated quantities in this library use the base units
 
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 __all__ = [
     "KB", "MB", "GB",
-    "kbps", "Mbps", "Gbps", "KBps", "MBps",
-    "seconds", "minutes", "hours",
-    "fmt_bytes", "fmt_rate", "fmt_duration",
+    "Mbps", "Gbps", "KBps", "MBps",
+    "fmt_duration",
 ]
 
 _KIB = 1024
@@ -41,11 +40,6 @@ def GB(n: float) -> float:
     return n * _GIB
 
 
-def kbps(n: float) -> float:
-    """*n* kilobits per second, as bytes/second."""
-    return n * 1000.0 / 8.0
-
-
 def Mbps(n: float) -> float:
     """*n* megabits per second, as bytes/second."""
     return n * 1_000_000.0 / 8.0
@@ -64,35 +58,6 @@ def KBps(n: float) -> float:
 def MBps(n: float) -> float:
     """*n* megabytes per second (binary), as bytes/second."""
     return n * _MIB
-
-
-def seconds(n: float) -> float:
-    """Identity; for readability in scenario configs."""
-    return float(n)
-
-
-def minutes(n: float) -> float:
-    """*n* minutes, in seconds."""
-    return n * 60.0
-
-
-def hours(n: float) -> float:
-    """*n* hours, in seconds."""
-    return n * 3600.0
-
-
-def fmt_bytes(n: float) -> str:
-    """Human-readable byte count (binary units)."""
-    n = float(n)
-    for unit, size in (("GB", _GIB), ("MB", _MIB), ("KB", _KIB)):
-        if abs(n) >= size:
-            return f"{n / size:.2f} {unit}"
-    return f"{n:.0f} B"
-
-
-def fmt_rate(bps: float) -> str:
-    """Human-readable transfer rate in binary bytes/second units."""
-    return fmt_bytes(bps) + "/s"
 
 
 def fmt_duration(t: float) -> str:

@@ -67,7 +67,6 @@ def test_onserve_package_set_builds():
     assert names.index("tomcat") < names.index("axis2")
     assert names.index("mysql") < names.index("juddi")
     assert image.size_bytes > MB(150)
-    assert image.boot_seconds > 10
 
 
 def _deploy_env():
@@ -96,12 +95,3 @@ def test_deploy_from_repository_transfers_image():
     assert target.net_bytes_in() >= image.size_bytes
 
 
-def test_shutdown_frees_disk():
-    sim, target, repo = _deploy_env()
-    image = builder_with(Package("a", "1", MB(10))).build("img", ["a"])
-    appliance = sim.run(until=deploy_image(image, target))
-    used = target.disk.used_bytes
-    appliance.shutdown()
-    assert target.disk.used_bytes < used
-    with pytest.raises(ApplianceError):
-        appliance.shutdown()

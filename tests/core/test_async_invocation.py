@@ -107,3 +107,30 @@ def test_concurrent_async_submissions(env):
     history = stack.dbmanager.db.find_eq("invocations", "service",
                                          "SlowService")
     assert len(history) == 3
+
+
+def test_a_collected_ticket_is_never_reissued(env):
+    """Collecting one ticket must not free its number: a later submit
+    that reused an in-flight ticket would overwrite that job."""
+    tb, stack, client = env
+    stub = stub_for(tb, stack, client)
+
+    def flow():
+        first = yield from stub.submit()
+        yield tb.sim.timeout(60.0)
+        second = yield from stub.submit()
+        while not (yield from stub.poll(ticket=first)):
+            yield tb.sim.timeout(15.0)
+        yield from stub.result(ticket=first)
+        second_done = yield from stub.poll(ticket=second)
+        third = yield from stub.submit()
+        while not (yield from stub.poll(ticket=second)):
+            yield tb.sim.timeout(15.0)
+        return first, second, second_done, third, (
+            yield from stub.result(ticket=second))
+
+    first, second, second_done, third, output = tb.sim.run(
+        until=tb.sim.process(flow()))
+    assert len({first, second, third}) == 3
+    assert second_done is False
+    assert output.startswith("fixed-profile")

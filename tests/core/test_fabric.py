@@ -40,7 +40,7 @@ def test_single_replica_passthrough_keeps_direct_endpoints():
     sim, testbed, stack = deploy(replicas=1)
     assert isinstance(stack, FabricStack)
     assert not stack.router.enabled
-    assert stack.replica_hosts[0] is stack.appliance_host
+    assert stack.onserves[0].host is stack.appliance_host
     service = publish(sim, testbed, stack)
     # Router off: services publish the appliance's own endpoint and
     # nothing routes through the (attached-but-disabled) router.

@@ -19,8 +19,6 @@ def test_get_injector_is_none_until_specs_exist():
     assert get_injector(sim) is None          # attached but no specs
     injector.add(FaultSpec("gram.refuse"))
     assert get_injector(sim) is injector
-    injector.clear()
-    assert get_injector(sim) is None
 
 
 def test_fire_triggers_counts_and_emits():

@@ -103,23 +103,3 @@ def test_stream_validation_and_integrity():
         return tb.site("ncsa").read_file("/f")
 
     assert tb.sim.run(until=tb.sim.process(flow())) == payload
-
-
-# ---------------------------------------------------------------- percentiles
-
-def test_timeseries_percentiles():
-    from repro.telemetry import TimeSeries
-
-    s = TimeSeries("s")
-    for i, v in enumerate(range(1, 11)):  # 1..10
-        s.append(float(i), float(v))
-    assert s.percentile(0) == 1.0
-    assert s.percentile(100) == 10.0
-    assert s.percentile(50) == pytest.approx(5.5)
-    summary = s.summary()
-    assert summary["p95"] == pytest.approx(9.55)
-    assert summary["mean"] == pytest.approx(5.5)
-    empty = TimeSeries("e")
-    assert empty.percentile(50) == 0.0
-    with pytest.raises(ValueError):
-        s.percentile(101)

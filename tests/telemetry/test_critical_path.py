@@ -78,9 +78,6 @@ def test_ranked_table_and_repr():
     assert "layer/category" in table
     assert "total" in table
     assert "100.0%" in table
-    layers = att.by_layer()
-    assert layers["ws"] == pytest.approx(5.0)
-    assert layers["core"] == pytest.approx(5.0)
 
 
 def test_open_spans_fall_back_to_root_end():

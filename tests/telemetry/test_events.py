@@ -22,7 +22,7 @@ def test_emit_records_time_kind_and_fields():
     assert ev.request_id == "req-000001"
     assert ev.get("site") == "anl"
     assert ev.get("missing", "dflt") == "dflt"
-    assert ev.as_dict()["job_id"] == "j1"
+    assert ev.get("job_id") == "j1"
 
 
 def test_bus_is_per_simulator_singleton():

@@ -1,7 +1,6 @@
 """Unit tests for change-driven gauges and the gauge board."""
 
 from repro.simkernel.kernel import Simulator
-from repro.simkernel.resources import Resource
 from repro.telemetry.gauges import gauges
 
 
@@ -79,45 +78,3 @@ def test_board_series_and_peaks_are_name_ordered():
     assert board.names() == ["a", "b"]
     assert [s.name for s in board.series()] == ["a", "b"]
     assert board.peaks() == {"a": 1.0, "b": 5.0}
-
-
-def test_attach_resource_tracks_queue_and_utilization():
-    sim = Simulator(seed=0)
-    res = Resource(sim, capacity=1, name="cpu")
-    board = gauges(sim)
-    board.record("head.cpu.queue", "head.cpu.in_use")
-    board.attach_resource(res, "head.cpu")
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(5.0)
-        res.release(req)
-
-    def waiter():
-        yield sim.timeout(1.0)
-        req = res.request()
-        yield req
-        res.release(req)
-
-    sim.process(holder())
-    sim.process(waiter())
-    sim.run()
-    queue = board.gauge("head.cpu.queue").series
-    used = board.gauge("head.cpu.in_use").series
-    assert queue.max() == 1.0       # the waiter queued behind the holder
-    assert queue.value_at(2.0) == 1.0
-    assert queue.values[-1] == 0.0  # drained by the end
-    assert used.max() == 1.0
-    assert used.values[-1] == 0.0
-    # The resource itself knows nothing about telemetry.
-    assert not hasattr(res, "_gauge_board")
-
-
-def test_resource_without_observer_is_unaffected():
-    sim = Simulator(seed=0)
-    res = Resource(sim, capacity=1)
-    req = res.request()
-    sim.run(until=req)
-    res.release(req)
-    assert res.observer is None

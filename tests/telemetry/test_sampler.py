@@ -45,7 +45,7 @@ def test_disk_rates_sampled():
     sim.run(until=6.0)
     assert sampler.disk_write.values[0] == pytest.approx(100.0)
     assert sampler.disk_write.values[1] == pytest.approx(0.0)
-    assert sampler.disk_read.max() == 0.0
+    assert sampler.series["disk_read_kbps"].max() == 0.0
 
 
 def test_network_rates_sampled():

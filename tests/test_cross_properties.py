@@ -55,7 +55,7 @@ def test_route_is_valid_path(edges, src, dst):
         return
     at = f"h{src}"
     for link in path:
-        assert at in link.endpoints()
+        assert at in (link.a, link.b)
         at = link.b if link.a == at else link.a
     assert at == f"h{dst}"
     # BFS minimality: a path exists means its length is at most #hosts.

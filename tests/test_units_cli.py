@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.units import (
-    GB, Gbps, KB, KBps, MB, MBps, Mbps, fmt_bytes, fmt_duration, fmt_rate,
-    hours, kbps, minutes, seconds,
-)
+from repro.units import GB, Gbps, KB, KBps, MB, MBps, Mbps, fmt_duration
 
 
 def test_byte_units():
@@ -15,28 +12,13 @@ def test_byte_units():
 
 
 def test_bandwidth_units_telecom_convention():
-    assert kbps(8) == 1000.0           # 8 kbit/s = 1000 B/s
     assert Mbps(8) == 1_000_000.0
     assert Gbps(1) == 125_000_000.0
     assert KBps(1) == 1024.0
     assert MBps(1) == 1024 ** 2
 
 
-def test_time_units():
-    assert seconds(5) == 5.0
-    assert minutes(2) == 120.0
-    assert hours(1.5) == 5400.0
-
-
-def test_fmt_bytes():
-    assert fmt_bytes(512) == "512 B"
-    assert fmt_bytes(KB(2)) == "2.00 KB"
-    assert fmt_bytes(5 * MB(1)) == "5.00 MB"
-    assert fmt_bytes(GB(3)) == "3.00 GB"
-
-
 def test_fmt_rate_and_duration():
-    assert fmt_rate(KB(85)) == "85.00 KB/s"
     assert fmt_duration(0.0123) == "12.30 ms"
     assert fmt_duration(42.0) == "42.00 s"
     assert fmt_duration(90.0) == "1.50 min"

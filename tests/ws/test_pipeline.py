@@ -97,7 +97,7 @@ def test_deadline_exceeded_faults_at_the_caller():
     assert fault.faultcode == "Client.DeadlineExceeded"
     assert fault.detail == "DeadlineExceeded"
     assert server.requests_served == 0
-    assert ctx.expired
+    assert sim.now > ctx.deadline
 
 
 def test_live_deadline_lets_the_request_through():
@@ -107,8 +107,7 @@ def test_live_deadline_lets_the_request_through():
     result = sim.run(until=sim.process(
         client.call(endpoint, "say", ctx=ctx, text="hi")))
     assert result == "echo: hi"
-    assert not ctx.expired
-    assert ctx.remaining < 100.0  # the call consumed simulated time
+    assert 0.0 < sim.now <= ctx.deadline  # the call consumed simulated time
 
 
 # -- tracing -----------------------------------------------------------------
