@@ -190,9 +190,8 @@ def test_micro_wal_commit():
     three; the time ratio of the two is printed (expected >= 1.5x), not
     gated: a host-timed ratio failed here on unchanged code.
 
-    Same engine, same row, same DB tier around the log (byte gauge,
-    ``wal.append`` bus event, a replica's tap and the read router's) —
-    the reference only swaps in a log that spells each transaction frame
+    Same engine, same row, same DB tier around the log (byte gauge and
+    ``wal.append`` bus event) — the reference only swaps in a log that spells each transaction frame
     out as the three-record framing the property tests keep.  A ratio of
     two loops in one process, so host-speed drift cancels.
     """
@@ -212,7 +211,7 @@ def test_micro_wal_commit():
         sim = Simulator()
         manager = DbManager(Host(sim, "appliance", Network(sim)),
                             db=Database(wal=wal, mvcc=True),
-                            tier=DbTierConfig(mvcc=True, replicas=1))
+                            tier=DbTierConfig(mvcc=True))
         db = manager.db
         db.create_table("invocations", [
             Column("id", "INT", primary_key=True),

@@ -9,7 +9,7 @@ log holds at the end.  The gate is slope, not level (ROADMAP item 5a):
 per workload, RSS growth per 1x of run length and ms/op at 4x against 1x.
 
 Under each length it prints what the pass left held at its end: rows
-per table on the primary and on each DB replica, gauge samples, the
+per table on the primary (the one database), gauge samples, the
 kernel's queued events, GRAM job records (and how many still hold a
 parsed RSL), queued timers still hooked to a condition that has fired,
 and staged copies of an executable that are not the memo's payload.
@@ -58,10 +58,7 @@ def _held(sim, tb, stack) -> Dict[str, Any]:
     from repro.simkernel.events import ConditionEvent, Timeout
     from repro.telemetry.gauges import gauges
     manager = stack.dbmanager
-    rows = {"primary": {t: manager.db.count(t) for t in manager.db.tables}}
-    for replica in manager.replicas:
-        rows[replica.name] = {t: replica.db.count(t)
-                              for t in replica.db.tables}
+    rows = {t: manager.db.count(t) for t in manager.db.tables}
     jobs = [job for site in tb.sites for job in site._jobs.values()]
     fired_hooks = sum(
         1 for _, _, ev in sim._heap if isinstance(ev, Timeout)
@@ -133,9 +130,8 @@ def sweep(workload: str, scales, seed: int) -> List[Dict[str, Any]]:
               f"{log['compactions']:11d} {log['bytes'] / 2**20:8.1f} "
               f"{log['unique_bytes'] / 2**20:9.1f}", flush=True)
         held = r["held"]
-        for db_name, tables in held["rows"].items():
-            print(f"        rows on {db_name}: " + (", ".join(
-                f"{t} {n}" for t, n in tables.items()) or "none"))
+        print("        rows on primary: " + (", ".join(
+            f"{t} {n}" for t, n in held["rows"].items()) or "none"))
         print(f"        held: {held['gauge_samples']} gauge samples, "
               f"{held['queued_events']} queued events "
               f"({held['fired_condition_hooks']} timers hooked to a fired "

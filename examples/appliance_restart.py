@@ -43,6 +43,8 @@ def main() -> None:
     print("\n*** appliance crash at "
           f"t={fmt_duration(sim.now)} — only the WAL survives ***\n")
     recovered_db = stack.dbmanager.recover_from_crash()
+    print("replayed from the WAL:",
+          recovered_db.db.count(recovered_db.TABLE), "stored executables")
     stack.fabric.unregister(stack.soap_server)  # the old container is gone
 
     # ---- second life -----------------------------------------------------

@@ -321,7 +321,7 @@ def deploy_fabric(testbed: Testbed,
         uddi = UddiRegistry()
         db = dbmanager if dbmanager is not None else DbManager(
             primary, tier=config.db_tier)
-        store = ServiceStateStore(db.db, read_router=db.read_router)
+        store = ServiceStateStore(db.db)
 
         # 3. Enrol the grid identity (certificate -> MyProxy ->
         #    gridmaps), the once-per-user out-of-band step — replicas
@@ -360,8 +360,7 @@ def deploy_fabric(testbed: Testbed,
             # sites outside notify_sites keep the poll ladder).
             from repro.grid.notify import NotifyQueue
             queue = NotifyQueue(sim, db.db,
-                                propagation=config.notify_propagation,
-                                read_router=db.read_router)
+                                propagation=config.notify_propagation)
             for name, gatekeeper in testbed.gatekeepers.items():
                 gatekeeper.attach_notify(
                     queue, capable=("*" in config.notify_sites

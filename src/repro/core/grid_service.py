@@ -223,8 +223,7 @@ class GridServiceRuntime:
         # When the DB-scale plane is on, fetch time gets its own db:fetch
         # span so the critical-path analyzer attributes it to db/storage
         # instead of folding it into service self-time.
-        db_tier_on = (chunked or tier.mvcc or tier.serialize
-                      or tier.replicas > 0)
+        db_tier_on = chunked or tier.mvcc or tier.serialize
         db_ctx = ctx if db_tier_on else None
 
         def retrieve():

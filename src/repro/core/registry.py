@@ -100,13 +100,8 @@ _DEDUP_SCHEMA = [
 class ServiceStateStore:
     """Replicated service state over the shared database engine."""
 
-    def __init__(self, db: Database, read_router: Optional[Any] = None):
+    def __init__(self, db: Database):
         self.db = db
-        #: Optional :class:`~repro.db.replica.ReadRouter`: when present,
-        #: read-only lookups go to a caught-up replica; every write —
-        #: and the dedup check, which is correctness-critical — stays on
-        #: the primary.
-        self.read_router = read_router
         for table, schema in ((SERVICE_TABLE, _SERVICE_SCHEMA),
                               (STAGED_TABLE, _STAGED_SCHEMA),
                               (DEDUP_TABLE, _DEDUP_SCHEMA)):
@@ -131,18 +126,6 @@ class ServiceStateStore:
         #: Invocations that completed twice (must stay 0: each one is a
         #: request the idempotency layer failed to deduplicate).
         self.dedup_duplicates = 0
-
-    def _read(self, table: str) -> Database:
-        """The database a read-only op on *table* should use.
-
-        With a router attached this may be a WAL-shipping replica — but
-        only when the bounded-staleness guard proves the replica has
-        applied every committed write to *table*, so read-modify-write
-        callers observe exactly what the primary holds.
-        """
-        if self.read_router is not None:
-            return self.read_router.reader(table)
-        return self.db
 
     # -- the change feed (cache invalidation fan-out) -------------------------
 
@@ -180,7 +163,7 @@ class ServiceStateStore:
 
     def get_record(self, service_name: str) -> Optional[Dict[str, Any]]:
         try:
-            return self._read(SERVICE_TABLE).get_by_pk(SERVICE_TABLE, service_name)
+            return self.db.get_by_pk(SERVICE_TABLE, service_name)
         except RecordNotFound:
             return None
 
@@ -206,7 +189,7 @@ class ServiceStateStore:
         self._fan_out(self._republished, service_name, origin)
 
     def all_records(self) -> List[Dict[str, Any]]:
-        rows = self._read(SERVICE_TABLE).select(SERVICE_TABLE)
+        rows = self.db.select(SERVICE_TABLE)
         return sorted(rows, key=lambda r: r["service_name"])
 
     def set_digest(self, service_name: str, digest: str) -> None:
@@ -243,7 +226,7 @@ class ServiceStateStore:
 
     def staged_digest(self, site: str, path: str) -> Optional[str]:
         try:
-            return self._read(STAGED_TABLE).get_by_pk(
+            return self.db.get_by_pk(
                 STAGED_TABLE, self._staged_key(site, path))["digest"]
         except RecordNotFound:
             return None
@@ -266,12 +249,12 @@ class ServiceStateStore:
 
     def staged_sites(self, path: str, digest: str) -> List[str]:
         """The sites recorded as holding *digest* at *path*, by name."""
-        rows = self._read(STAGED_TABLE).find_eq(STAGED_TABLE, "path", path)
+        rows = self.db.find_eq(STAGED_TABLE, "path", path)
         return sorted(r["site"] for r in rows if r["digest"] == digest)
 
     def staged_copies(self) -> List[Tuple[str, str, str]]:
         """(site, path, digest) rows, ordered (test/inspection hook)."""
-        rows = self._read(STAGED_TABLE).select(STAGED_TABLE)
+        rows = self.db.select(STAGED_TABLE)
         return sorted((r["site"], r["path"], r["digest"]) for r in rows)
 
     # -- seeds: publish-time stages in flight ---------------------------------

@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.db.engine import Database
-from repro.db.replica import ReadReplica, ReadRouter
 from repro.db.table import Column
 from repro.errors import OnServeError, RecordNotFound, TransactionError
 from repro.faults.injector import get_injector
@@ -34,17 +33,15 @@ class DbTierConfig:
     """How the DB tier behaves under concurrent load (all off by default).
 
     The defaults reproduce the seed timeline byte-for-byte: statements
-    apply synchronously in one simulation frame, fetches materialize the
-    whole BLOB, and no replica exists.  Scenarios opt in to the scaled
-    tier feature by feature.
+    apply synchronously in one simulation frame and fetches materialize
+    the whole BLOB.  Scenarios opt in to the scaled tier feature by
+    feature.  Every read is a primary read.
     """
 
     def __init__(self,
                  mvcc: bool = False,
                  serialize: bool = False,
-                 chunk_bytes: int = 0,
-                 replicas: int = 0,
-                 replica_lag: float = 0.5):
+                 chunk_bytes: int = 0):
         #: Readers skip the connection lock: every engine transaction
         #: commits in the frame it opened, so a read is a committed read.
         self.mvcc = bool(mvcc)
@@ -54,17 +51,8 @@ class DbTierConfig:
         self.serialize = bool(serialize)
         #: Fetch BLOBs in fixed chunks of this size (0 = whole-BLOB).
         self.chunk_bytes = int(chunk_bytes)
-        #: Number of WAL-shipping read replicas (0 = none).
-        self.replicas = int(replicas)
-        #: Modeled ship+apply propagation lag per replica, seconds.
-        self.replica_lag = float(replica_lag)
         if self.chunk_bytes < 0:
             raise OnServeError(f"chunk_bytes must be >= 0, got {chunk_bytes}")
-        if self.replicas < 0:
-            raise OnServeError(f"replicas must be >= 0, got {replicas}")
-        if self.replica_lag < 0:
-            raise OnServeError(
-                f"replica_lag must be >= 0, got {replica_lag}")
 
 
 class DbCostModel:
@@ -222,6 +210,11 @@ class DbManager:
 
     TABLE = "executables"
 
+    #: Always None: every read is a primary read.  Kept only because the
+    #: benchmark harness (``benchmarks/e2e/passes.py``) passes it to
+    #: ``NotifyQueue(read_router=)``; ROADMAP item 1 removes it.
+    read_router = None
+
     def __init__(self, host: Host, db: Optional[Database] = None,
                  costs: Optional[DbCostModel] = None,
                  tier: Optional[DbTierConfig] = None):
@@ -236,16 +229,6 @@ class DbManager:
         # the wait event exists only when there is actual contention.
         self._lock_held = False
         self._lock_waiters: List[Event] = []
-        # WAL-shipping read replicas + the bounded-staleness router.
-        self.replicas: List[ReadReplica] = [
-            ReadReplica(self.sim, self.db, lag=self.tier.replica_lag,
-                        name=f"db-replica-{i + 1}")
-            for i in range(self.tier.replicas)
-        ]
-        self.read_router: Optional[ReadRouter] = (
-            ReadRouter(self.sim, self.db, tuple(self.replicas),
-                       lag=self.tier.replica_lag)
-            if self.replicas else None)
         self._snap_gauge = None
         self._chunk_gauge = None
         self._memo = _InflateMemo()
@@ -576,20 +559,14 @@ class DbManager:
 
     # -- synchronous metadata queries (no payload, negligible cost) ----------
 
-    def _meta_reader(self) -> Database:
-        """Where metadata reads go: a caught-up replica when routed."""
-        if self.read_router is not None:
-            return self.read_router.reader(self.TABLE)
-        return self.db
-
     def list_executables(self) -> List[Dict[str, Any]]:
         """Metadata of all stored executables (no payload bytes)."""
-        rows = self._meta_reader().select(self.TABLE)
+        rows = self.db.select(self.TABLE)
         return [{k: v for k, v in row.items() if k != "data"} for row in rows]
 
     def has_executable(self, name: str) -> bool:
         try:
-            self._meta_reader().get_by_pk(self.TABLE, name)
+            self.db.get_by_pk(self.TABLE, name)
             return True
         except RecordNotFound:
             return False
@@ -606,7 +583,7 @@ class DbManager:
 
     def executable_sizes(self, name: str) -> Dict[str, int]:
         """(uncompressed, compressed) sizes without loading the payload."""
-        record = self._meta_reader().get_by_pk(self.TABLE, name)
+        record = self.db.get_by_pk(self.TABLE, name)
         return {"size": record["size"],
                 "compressed_size": record["compressed_size"]}
 

@@ -333,24 +333,11 @@ class Database:
         """Compact the WAL now: rewrite it as a snapshot of current state.
 
         Invisible to whoever tails the log (see :meth:`WriteAheadLog
-        .compact`): replicas and the read router hold this state already.
+        .compact`): a replica holds this state already.
         """
         if self._active_txn is not None:
             raise TransactionError("cannot checkpoint inside a transaction")
         self._compact()
-
-    def table_records(self, name: str) -> List[Tuple[Any, ...]]:
-        """The log records that rebuild table *name* as it stands: its
-        schema, its indexes and one frame of its rows, under their own
-        rowids (what a replica replays to start holding the table)."""
-        tbl = self._table(name)
-        rowids, rows = tbl.image()
-        return [_create_table_record(name, tbl.schema),
-                *[_create_index_record(table, column)
-                  for table, column in self._indexes if table == name],
-                ("txn", self._last_txn,
-                 [("insert", name, rowid, row)
-                  for rowid, row in zip(rowids, rows)])]
 
     def _compact(self) -> None:
         """Rewrite the log as the image of the committed state: the

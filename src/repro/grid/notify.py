@@ -66,6 +66,10 @@ class NotifyQueue:
     job's message).  It travels with the delivery only: the table does
     not store it, so a replayed subscription's payload has
     ``output=None`` and its subscriber fetches the output as before.
+
+    ``read_router`` is accepted and ignored (every read is a primary
+    read): the benchmark harness (``benchmarks/e2e/passes.py``) still
+    passes it, and ROADMAP item 1 removes it.
     """
 
     def __init__(self, sim: Simulator, db: Database,
@@ -74,10 +78,6 @@ class NotifyQueue:
             raise ValueError("notify propagation delay must be positive")
         self.sim = sim
         self.db = db
-        #: Optional :class:`~repro.db.replica.ReadRouter`: replay reads
-        #: (``job_state``) may be served by a caught-up replica; all
-        #: durable writes stay on the primary.
-        self.read_router = read_router
         self.propagation = propagation
         #: Sites whose gatekeeper publishes here (capability registry).
         self._capable: set = set()
@@ -110,10 +110,7 @@ class NotifyQueue:
 
     def job_state(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The durable ``job_states`` row for *job_id* (or ``None``)."""
-        db = self.db
-        if self.read_router is not None:
-            db = self.read_router.reader(JOB_STATES_TABLE)
-        rows = db.find_eq(JOB_STATES_TABLE, "job_id", job_id)
+        rows = self.db.find_eq(JOB_STATES_TABLE, "job_id", job_id)
         return rows[0] if rows else None
 
     @property

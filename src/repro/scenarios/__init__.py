@@ -37,8 +37,8 @@ the shapes ``ok`` does not carry (see DESIGN.md §4).
   notify/poll testbed, push detection lag vs the poll floor, durable
   queue drained
 * :mod:`~repro.scenarios.dbscale` — DB tier scale-out ablation: upload
-  storm vs invocation p95 with MVCC lock-free reads, WAL-shipping read
-  replicas and chunked BLOB streaming on/off
+  storm vs invocation p95 with MVCC lock-free reads and chunked BLOB
+  streaming on/off, under the connection-lock model
 """
 
 from repro.scenarios.bottleneck import BottleneckResult, run_bottleneck

@@ -8,8 +8,8 @@ their row reads queue behind the writers' lock, and each fetch parks
 O(blob) bytes on the appliance.
 
 Three arms, same seed, fresh environment each (the serialized
-connection model is on everywhere so the arms differ only in the
-scale-out legs):
+connection-lock model is on everywhere, so the arms differ only in the
+two scale-out legs):
 
 * **baseline** — no storm, optimizations off.  What an invocation
   costs when the DB tier is idle.
@@ -17,17 +17,15 @@ scale-out legs):
   the connection lock behind multi-second stores: the measured p95
   spike, with ``resident_peak`` = the whole BLOB per fetch.
 * **storm/scaled** — the same storm with MVCC reads (fetches never
-  touch the lock and read the last committed row), chunked BLOB
-  streaming (peak resident payload <= 2 chunks), and WAL-shipping read
-  replicas behind the bounded-staleness router (metadata and notify
-  reads leave the primary).
+  touch the lock and read the last committed row) and chunked BLOB
+  streaming (peak resident payload <= 2 chunks).  Every read is a
+  primary read.
 
 The acceptance bar (``DbScaleResult.ok``, CI's gate): every invocation
 succeeds in every arm; the locked arm's p95 actually spikes (> 1.10x
 baseline) while the scaled arm stays within 10% of the no-storm
-baseline; every chunked fetch's ``resident_peak`` <= 2 chunk sizes
-(whole fetches demonstrably park the full BLOB); and every replica
-read observed ``behind <= lag_bound`` — the router's staleness guard.
+baseline; and every chunked fetch's ``resident_peak`` <= 2 chunk
+sizes (whole fetches demonstrably park the full BLOB).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from typing import Dict, Generator, List
 
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
-from repro.db.dbmanager import DbTierConfig
 from repro.hardware.host import HostSpec
 from repro.scenarios.common import percentile, standard_env
 from repro.simkernel.events import Event
@@ -48,10 +45,6 @@ __all__ = ["DbScaleResult", "run_dbscale"]
 
 EXECUTABLE = "dbscale.bin"
 SERVICE_PATTERN = "Dbscale%"
-
-#: Replica propagation lag modeled in the scaled arm (seconds): the
-#: DB tier's own default, which is also the staleness bound it promises.
-REPLICA_LAG = DbTierConfig().replica_lag
 
 
 def _blob(size: int, runtime: float) -> bytes:
@@ -70,9 +63,7 @@ class ArmResult:
 
     def __init__(self, label: str, n: int, n_ok: int,
                  latencies: List[float], fetches: List[Dict],
-                 lock_waits: List[float], replica_reads: int,
-                 primary_reads: int, max_behind: float,
-                 behind_ok: bool, replica_rows: int):
+                 lock_waits: List[float]):
         self.label = label
         self.n = n
         self.n_ok = n_ok
@@ -81,13 +72,6 @@ class ArmResult:
         #: resident_peak / waited.
         self.fetches = fetches
         self.lock_waits = lock_waits
-        self.replica_reads = replica_reads
-        self.primary_reads = primary_reads
-        self.max_behind = max_behind
-        #: Every ``db.replica.read`` satisfied ``behind <= lag_bound``.
-        self.behind_ok = behind_ok
-        #: Rows materialized across the replicas' tables.
-        self.replica_rows = replica_rows
 
     @property
     def p95(self) -> float:
@@ -136,23 +120,15 @@ class DbScaleResult:
                 # The problem exists: reads queue behind the storm.
                 and self.spike_factor > 1.10
                 and self.locked.lock_wait_total > 0
-                # The headline gate: with MVCC + replicas + chunking
-                # the storm is invisible to invocation p95 (within 10%
-                # of the no-storm baseline).
+                # The headline gate: with MVCC + chunking the storm is
+                # invisible to invocation p95 (within 10% of the
+                # no-storm baseline).
                 and self.scaled_factor <= 1.10
                 # Chunked streaming bounds per-fetch residency by two
                 # chunk sizes; whole fetches park the entire BLOB.
                 and self.scaled.peak_resident <= 2 * self.chunk_bytes
                 and self.locked.peak_resident >= self.blob_bytes
-                and all(f["mode"] == "chunked" for f in self.scaled.fetches)
-                # Replicas actually serve reads, within the staleness
-                # bound, and materialized the shipped rows.
-                and self.scaled.replica_reads > 0
-                and self.scaled.behind_ok
-                and self.scaled.replica_rows > 0
-                # The disabled arms never touch a replica.
-                and self.baseline.replica_reads == 0
-                and self.locked.replica_reads == 0)
+                and all(f["mode"] == "chunked" for f in self.scaled.fetches))
 
     def render(self) -> str:
         title = (f"DB tier scale-out — upload storm vs invocation "
@@ -161,7 +137,7 @@ class DbScaleResult:
         lines = [title, "=" * len(title),
                  f"{'arm':>14} {'ok':>5} {'p95 s':>8} {'mean s':>8} "
                  f"{'vs base':>8} {'lock wait s':>12} "
-                 f"{'peak resident':>14} {'replica reads':>14}"]
+                 f"{'peak resident':>14}"]
         for arm, factor in ((self.baseline, 1.0),
                             (self.locked, self.spike_factor),
                             (self.scaled, self.scaled_factor)):
@@ -169,13 +145,7 @@ class DbScaleResult:
                 f"{arm.label:>14} {arm.n_ok}/{arm.n:>3} {arm.p95:>8.2f} "
                 f"{arm.mean:>8.2f} {factor:>7.2f}x "
                 f"{arm.lock_wait_total:>12.2f} "
-                f"{arm.peak_resident / MB(1):>11.1f} MB "
-                f"{arm.replica_reads:>14}")
-        lines.append(
-            f"scaled arm: max replica staleness {self.scaled.max_behind:.3f}s"
-            f" (bound {REPLICA_LAG:.1f}s), replica rows "
-            f"{self.scaled.replica_rows}, chunked fetches "
-            f"{len(self.scaled.fetches)}")
+                f"{arm.peak_resident / MB(1):>11.1f} MB")
         lines.append(f"gate: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines)
 
@@ -188,8 +158,7 @@ def _run_arm(label: str, *, storm: int, scaled: bool, blob_bytes: int,
         notify=True, notify_sites=("ncsa", "sdsc"),
         db_serialize=True,
         db_mvcc=scaled,
-        db_chunk_bytes=chunk_bytes if scaled else 0,
-        db_replicas=2 if scaled else 0)
+        db_chunk_bytes=chunk_bytes if scaled else 0)
     # A roomy appliance: the arms must differ by lock queueing and
     # residency, not by CPU starvation on the 2-core default.
     env = standard_env(
@@ -198,8 +167,7 @@ def _run_arm(label: str, *, storm: int, scaled: bool, blob_bytes: int,
         appliance_spec=HostSpec(cores=8, disk_bandwidth=MBps(200),
                                 memory_bytes=GB(8)))
     stack, sim = env.stack, env.sim
-    telemetry = bus(sim).record("db.fetch", "db.lock.wait",
-                                "db.replica.read")
+    telemetry = bus(sim).record("db.fetch", "db.lock.wait")
 
     payload = _blob(blob_bytes, runtime)
     sim.run(until=stack.portal.upload_and_generate(
@@ -240,21 +208,9 @@ def _run_arm(label: str, *, storm: int, scaled: bool, blob_bytes: int,
                if ev.ts >= env.t_start]
     lock_waits = [ev.fields["waited"]
                   for ev in telemetry.events(kind="db.lock.wait")]
-    reads = list(telemetry.events(kind="db.replica.read"))
-    router = stack.dbmanager.read_router
-    replica_rows = sum(
-        replica.db.count(t)
-        for replica in stack.dbmanager.replicas
-        for t in replica.db.tables)
     return ArmResult(
         label=label, n=n, n_ok=n_ok, latencies=latencies,
-        fetches=fetches, lock_waits=lock_waits,
-        replica_reads=router.replica_reads if router else 0,
-        primary_reads=router.primary_reads if router else 0,
-        max_behind=max((ev.fields["behind"] for ev in reads), default=0.0),
-        behind_ok=all(ev.fields["behind"] <= ev.fields["lag_bound"]
-                      for ev in reads),
-        replica_rows=replica_rows)
+        fetches=fetches, lock_waits=lock_waits)
 
 
 def run_dbscale(n: int = 8, seed: int = 0,

@@ -69,14 +69,36 @@ def test_deploy_onserve_is_deploy_fabric_with_defaults():
 
 def test_config_builds_the_db_tier_once_and_the_fabric_passes_it_on():
     # Bad values are still rejected at construction — by the owner.
-    for bad in ({"db_chunk_bytes": -1}, {"db_replicas": -1}):
-        with pytest.raises(OnServeError, match="must be >= 0"):
-            OnServeConfig(**bad)
-    config = OnServeConfig(db_mvcc=True, db_chunk_bytes=4096, db_replicas=1)
+    with pytest.raises(OnServeError, match="must be >= 0"):
+        OnServeConfig(db_chunk_bytes=-1)
+    config = OnServeConfig(db_mvcc=True, db_chunk_bytes=4096)
     sim, testbed, stack = deploy(replicas=1, n_users=1, config=config)
     assert stack.dbmanager.tier is config.db_tier
-    assert (config.db_tier.mvcc, config.db_tier.chunk_bytes,
-            config.db_tier.replicas) == (True, 4096, 1)
+    assert (config.db_tier.mvcc, config.db_tier.chunk_bytes) == (True, 4096)
+
+
+def test_the_production_profile_reads_every_row_from_the_primary():
+    """The benchmark's ``production`` profile still passes
+    ``db_replicas=2``; no replica is built, nothing taps the primary's
+    log, and a hot invocation makes no replica read."""
+    config = OnServeConfig(coalesce=True, datapath=True, notify=True,
+                           db_mvcc=True, db_serialize=True,
+                           db_chunk_bytes=4 * 1024 * 1024, db_replicas=2)
+    sim = Simulator(seed=0)
+    testbed = build_testbed(sim=sim, n_users=2)
+    stack = sim.run(until=deploy_fabric(testbed, config, replicas=2,
+                                        router=True, self_healing=True))
+    assert stack.dbmanager.db.wal.taps == []
+    assert stack.dbmanager.read_router is None
+    publish(sim, testbed, stack)
+    assert sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[0], "Route%"))
+    rec = bus(sim).record("db.replica.read", "ws.request")
+    assert sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[1], "Route%"))
+    assert rec.events("ws.request")
+    assert rec.events("db.replica.read") == []
+    assert bus(sim).counts().get("db.replica.read", 0) == 0
 
 
 def test_fabric_publishes_router_endpoint():

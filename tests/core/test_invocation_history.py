@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OnServeConfig, deploy_onserve, discover_and_invoke
+from repro.core import deploy_onserve, discover_and_invoke
 from repro.errors import SoapFault
 from repro.grid import build_testbed
 from repro.units import KB, Mbps
@@ -103,30 +103,26 @@ def test_history_survives_db_recovery(env):
 
 
 def test_record_invocation_is_one_history_frame_and_reads_nothing():
-    """One ``invocations`` insert, one WAL frame, no other table written
-    and no read — routed or not — before it."""
+    """One ``invocations`` insert, one WAL frame, no other table
+    written."""
     from types import SimpleNamespace
 
     tb = build_testbed(n_sites=2, nodes_per_site=2, cores_per_node=4,
                        appliance_uplink=Mbps(10))
-    stack = tb.sim.run(until=deploy_onserve(
-        tb, OnServeConfig(db_replicas=1)))
+    stack = tb.sim.run(until=deploy_onserve(tb))
     tb.sim.run(until=stack.portal.upload_and_generate(
         tb.user_hosts[0], "alpha.sh", make_payload("echo", size=int(KB(2))),
         params_spec="x:string"))
-    tb.sim.run(until=tb.sim.timeout(1.0))    # every write has replicated
-    db, router = stack.dbmanager.db, stack.dbmanager.read_router
+    db = stack.dbmanager.db
     record = db.get_by_pk("service_records", "AlphaService")
     frames = []
     db.wal.taps.append(frames.append)
-    reads = (router.replica_reads, router.primary_reads)
     report = SimpleNamespace(job_id="j-1", started_at=tb.sim.now, total=6.0,
                              overhead=1.0, polls=0, ok=True, error=None)
     for name in ("AlphaService", "GhostService"):
         stack.onserve.record_invocation(name, report)
     assert [[dml[:2] for dml in f[2]] for f in frames] \
         == [[("insert", "invocations")]] * 2
-    assert (router.replica_reads, router.primary_reads) == reads
     assert db.get_by_pk("service_records", "AlphaService") == record
     assert len(db.find_eq("invocations", "service", "GhostService")) == 1
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.scenarios.common import percentile
-from repro.scenarios.dbscale import REPLICA_LAG, run_dbscale
+from repro.scenarios.dbscale import run_dbscale
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +23,6 @@ def test_every_invocation_succeeds(smoke):
 def test_chunking_bounds_residency(smoke):
     assert smoke.scaled.fetches
     assert all(f["mode"] == "whole" for f in smoke.locked.fetches)
-
-
-def test_replicas_serve_within_staleness_bound(smoke):
-    assert smoke.scaled.max_behind <= REPLICA_LAG
 
 
 def test_render_shape(smoke):

@@ -110,7 +110,7 @@ def assert_queue_idle(queue):
 def attach_db_tier(stack):
     """MVCC on, the way ``OnServeConfig(db_mvcc=True)`` sets it (on the
     tier the config and the DbManager share), + a WAL-shipping replica
-    no read router ever consults; returns (DbManager, replica)."""
+    nobody reads; returns (DbManager, replica)."""
     from repro.db.replica import ReadReplica
 
     manager = stack.dbmanager

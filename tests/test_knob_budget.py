@@ -15,6 +15,7 @@ from repro.core.fabric import deploy_fabric
 from repro.core.onserve import OnServeConfig
 from repro.core.registry import ServiceStateStore
 from repro.cyberaide.agent import AgentConfig
+from repro.db.dbmanager import DbTierConfig
 from repro.db.engine import Database
 from repro.ws.router import RequestRouter
 
@@ -28,6 +29,8 @@ AGENT_CONFIG = ("status_supported", "session_reuse")
 
 STORE_TABLES = ("service_records", "staged_copies", "invocation_dedup")
 
+DB_TIER_CONFIG = ("mvcc", "serialize", "chunk_bytes")
+
 ONSERVE_CONFIG = (
     "grid_username", "grid_passphrase", "poll_interval", "watchdog_timeout",
     "double_write", "upload_cache", "status_supported", "site_policy",
@@ -35,7 +38,8 @@ ONSERVE_CONFIG = (
     "retry_jitter", "breaker_failure_threshold", "breaker_reset_timeout",
     "failover_sites", "coalesce", "datapath", "notify", "notify_sites",
     "db_mvcc", "db_serialize", "db_chunk_bytes", "db_replicas",
-)
+)  # db_replicas is accepted and ignored: the harness's production
+#    profile passes it (DESIGN.md "Harness pins"; ROADMAP item 1)
 
 
 def parameters(fn):
@@ -65,6 +69,11 @@ def test_onserve_config_takes_exactly_its_twenty_three_parameters():
 def test_agent_config_takes_exactly_its_two_parameters():
     assert parameters(AgentConfig.__init__) == AGENT_CONFIG
     assert len(AGENT_CONFIG) == 2
+
+
+def test_db_tier_config_takes_exactly_its_three_parameters():
+    assert parameters(DbTierConfig.__init__) == DB_TIER_CONFIG
+    assert len(DB_TIER_CONFIG) == 3
 
 
 def test_the_state_store_keeps_exactly_its_three_tables():
