@@ -7,6 +7,11 @@ its length, each in a child process, and prints per length
 compacted its log (``db.stats["compactions"]``) and the unique bytes the
 log holds at the end.  The gate is slope, not level (ROADMAP item 5a):
 per workload, RSS growth per 1x of run length and ms/op at 4x against 1x.
+Beside each it prints the cyclic garbage per op: the objects the cyclic
+collector freed over the timed window (``gc.callbacks``' ``collected``)
+plus what one collect finds at its end, over the operations attempted.
+A finished request is freed by reference counting (DESIGN.md §5), so
+this reads 0 where every request ends cleanly.
 
 Under each length it prints what the pass left held at its end: rows
 per table on the primary (the one database), gauge samples, the
@@ -20,7 +25,9 @@ uploads, nothing superseded) never did, ``production_hot``'s peak RSS
 grew by at most ``HOT_RSS_GROWTH_MB`` and ``faithful_bulk``'s by at most
 ``BULK_RSS_GROWTH_MB`` from 0.25x to 0.5x, ``production_hot`` left no
 more queued events at 0.5x than at 0.25x (a timer that outlives its
-wait shows here first), and no operation failed.
+wait shows here first), ``production_hot`` left at most
+``HOT_CYCLIC_PER_OP`` cyclic garbage per op at either length, and no
+operation failed.
 
 A child is ``python -m benchmarks.e2e pass`` in all but one thing: the
 pass record does not carry the log figures or what is held, so the
@@ -31,6 +38,7 @@ what it built, and reads them off the stack when the pass is over.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import subprocess
 import sys
@@ -50,6 +58,10 @@ HOT_RSS_GROWTH_MB = 2.0
 #: harness's, the compressed row, an inflated copy), +48.4 once the
 #: stored version's payload is the uploaded object.
 BULK_RSS_GROWTH_MB = 55.0
+#: production_hot's cyclic garbage allowed per op: 41.6 at 1x while
+#: every trace span and its parent, and every timeout and its queue
+#: entry, held each other; 0 once neither does.
+HOT_CYCLIC_PER_OP = 0.5
 
 
 def _held(sim, tb, stack) -> Dict[str, Any]:
@@ -80,9 +92,28 @@ def _held(sim, tb, stack) -> Dict[str, Any]:
             "payload_copies": copies}
 
 
+class _WindowGc:
+    """Stands in for ``gc`` in the pass module: the ``collect()`` the
+    pass makes just before its timed window also restarts the count of
+    objects the cyclic collector frees."""
+
+    def __init__(self) -> None:
+        self.collected = 0
+        gc.callbacks.append(self._on_collect)
+
+    def _on_collect(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "stop":
+            self.collected += info["collected"]
+
+    def collect(self) -> int:
+        found = gc.collect()
+        self.collected = 0
+        return found
+
+
 def _child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
-    """One pass in this process; its record, the log's figures and what
-    the pass left held."""
+    """One pass in this process; its record, the log's figures, what
+    the pass left held and the cyclic garbage its window made."""
     from benchmarks.e2e import passes
     built: List[Any] = []
     deploy = passes._deploy
@@ -93,7 +124,11 @@ def _child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
         return tb, stack
 
     passes._deploy = remembering
+    window_gc = passes.gc = _WindowGc()
     record = passes.run_pass(workload, seed, scale=scale)
+    # The stack is still held (built), so this finds only garbage.
+    collected = window_gc.collected + gc.collect()
+    record["cyclic_per_op"] = collected / max(1, record["attempted"])
     sim, tb, stack = built[0]
     db = stack.dbmanager.db
     record["log"] = {
@@ -120,7 +155,8 @@ def run_child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
 def sweep(workload: str, scales, seed: int) -> List[Dict[str, Any]]:
     print(f"{workload} (seed {seed})")
     print(f"  {'scale':>5} {'ops':>6} {'failed':>6} {'rss MB':>8} "
-          f"{'ms/op':>7} {'compactions':>11} {'log MB':>8} {'unique MB':>9}")
+          f"{'ms/op':>7} {'compactions':>11} {'log MB':>8} {'unique MB':>9} "
+          f"{'cyclic/op':>9}")
     records = []
     for scale in scales:
         r = run_child(workload, scale, seed)
@@ -128,7 +164,8 @@ def sweep(workload: str, scales, seed: int) -> List[Dict[str, Any]]:
         print(f"  {scale:5g} {r['attempted']:6d} {r['failed']:6d} "
               f"{host['host_peak_rss_mb']:8.1f} {host['host_ms_per_op']:7.3f} "
               f"{log['compactions']:11d} {log['bytes'] / 2**20:8.1f} "
-              f"{log['unique_bytes'] / 2**20:9.1f}", flush=True)
+              f"{log['unique_bytes'] / 2**20:9.1f} "
+              f"{r['cyclic_per_op']:9.2f}", flush=True)
         held = r["held"]
         print("        rows on primary: " + (", ".join(
             f"{t} {n}" for t, n in held["rows"].items()) or "none"))
@@ -194,6 +231,13 @@ def main(argv=None) -> int:
         problems.append(f"production_hot left {queued[1]} queued events at "
                         f"{SMOKE_SCALES[1]:g}x, {queued[0]} at "
                         f"{SMOKE_SCALES[0]:g}x")
+    cyclic = [r["cyclic_per_op"] for r in hot]
+    print(f"production_hot cyclic garbage per op {cyclic[0]:.2f} at "
+          f"{SMOKE_SCALES[0]:g}x, {cyclic[1]:.2f} at {SMOKE_SCALES[1]:g}x "
+          f"(at most {HOT_CYCLIC_PER_OP:g})")
+    problems += [f"production_hot left {c:.2f} cyclic garbage per op at "
+                 f"{scale:g}x" for c, scale in zip(cyclic, SMOKE_SCALES)
+                 if c > HOT_CYCLIC_PER_OP]
     for problem in problems:
         print(f"check failed: {problem}", file=sys.stderr)
     return 1 if problems else 0

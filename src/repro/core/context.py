@@ -23,6 +23,7 @@ keeps the figure scenarios byte-identical with tracing on.
 from __future__ import annotations
 
 import copy
+import weakref
 from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,20 +33,37 @@ __all__ = ["TraceSpan", "RequestContext", "span"]
 
 
 class TraceSpan:
-    """One timed operation inside a request's trace tree."""
+    """One timed operation inside a request's trace tree.
 
-    __slots__ = ("name", "start", "end", "parent", "children", "meta")
+    The tree owns downward only: a span holds its ``children`` and
+    reaches its parent through a weak reference, so a finished request's
+    spans form no reference cycle and are freed the moment the last
+    holder of the root lets go, without waiting for the cyclic
+    collector.
+    """
+
+    __slots__ = ("name", "start", "end", "_parent", "children", "meta",
+                 "__weakref__")
 
     def __init__(self, name: str, start: float,
                  parent: Optional["TraceSpan"] = None):
         self.name = name
         self.start = start
         self.end: Optional[float] = None
-        self.parent = parent
         self.children: List["TraceSpan"] = []
         self.meta: Dict[str, Any] = {}
-        if parent is not None:
+        if parent is None:
+            self._parent = None
+        else:
+            self._parent = weakref.ref(parent)
             parent.children.append(self)
+
+    @property
+    def parent(self) -> Optional["TraceSpan"]:
+        """The enclosing span (None at the root), for as long as anything
+        holds the trace's root."""
+        ref = self._parent
+        return None if ref is None else ref()
 
     @property
     def duration(self) -> float:

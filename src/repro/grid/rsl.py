@@ -13,6 +13,13 @@ module is that language: a faithful small subset of Globus RSL::
 
 :func:`generate_rsl` and :func:`parse_rsl` are exact inverses (verified
 by property tests); :class:`JobDescription` validates field semantics.
+
+A process that renders a description and then submits the text (the
+agent and the gatekeeper share one) parses nothing: ``generate_rsl``
+remembers, for the last :data:`_RENDERED_MAX` texts it rendered, the
+attribute values that tokenising the text yields, and ``parse_rsl``
+starts from those.  Both paths end in the same validation, so a hit
+returns, or raises, exactly what a cold parse would.
 """
 
 from __future__ import annotations
@@ -34,6 +41,14 @@ _LIST_ATTRS = {"arguments", "environment"}
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"[^\s)]+")
+
+#: Texts :func:`generate_rsl` rendered -> the attribute values parsing
+#: them yields, oldest first.  A pure function of the text, so sharing
+#: it across simulators in one process changes no outcome.
+_RENDERED: Dict[str, Dict[str, Tuple[str, ...]]] = {}
+#: How many renderings :data:`_RENDERED` keeps: a text is parsed moments
+#: after it is rendered, so a short memory catches every such parse.
+_RENDERED_MAX = 256
 
 
 class JobDescription:
@@ -96,7 +111,7 @@ def _quote(value: str) -> str:
 
 
 def generate_rsl(desc: JobDescription) -> str:
-    """Render *desc* as RSL text."""
+    """Render *desc* as RSL text, and remember what parsing it yields."""
     clauses: List[str] = [f"(executable={_quote(desc.executable)})"]
     if desc.arguments:
         args = " ".join(_quote(a) for a in desc.arguments)
@@ -117,16 +132,57 @@ def generate_rsl(desc: JobDescription) -> str:
         clauses.append(f"(environment={env})")
     if desc.max_memory:
         clauses.append(f"(maxMemory={desc.max_memory})")
-    return "&" + "".join(clauses)
+    text = "&" + "".join(clauses)
+    if text not in _RENDERED:
+        _remember(text, desc)
+    return text
+
+
+def _remember(text: str, desc: JobDescription) -> None:
+    """Keep the attribute values tokenising *text*, just rendered from
+    *desc*, yields — when those are *desc*'s own: a ``str`` between
+    quotes (``_quote`` refused any ``'"'``) and an ``int`` as a bare
+    token come back unchanged.  Anything else is left to a cold parse."""
+    if type(desc.arguments) is not list or type(desc.environment) is not list:
+        return
+    strings = {"executable": [desc.executable], "arguments": desc.arguments,
+               "queue": [desc.queue], "stdout": [desc.stdout],
+               "stderr": [desc.stderr] if desc.stderr else [],
+               "directory": [desc.directory] if desc.directory else [],
+               "jobType": [desc.job_type],
+               "project": [desc.project] if desc.project else [],
+               "environment": desc.environment}
+    numbers = {"count": desc.count, "maxWallTime": desc.max_wall_time}
+    if desc.max_memory:
+        numbers["maxMemory"] = desc.max_memory
+    if (any(type(n) is not int for n in numbers.values())
+            or any(type(v) is not str
+                   for values in strings.values() for v in values)):
+        return
+    attrs = {name: tuple(values) for name, values in strings.items()
+             if values}
+    for name, n in numbers.items():
+        attrs[name] = (str(n),)
+    if len(_RENDERED) >= _RENDERED_MAX:
+        del _RENDERED[next(iter(_RENDERED))]
+    _RENDERED[text] = attrs
 
 
 def parse_rsl(text: str) -> JobDescription:
     """Parse RSL text into a :class:`JobDescription`."""
+    attrs = _RENDERED.get(text)
+    if attrs is None:
+        attrs = _tokenise(text)
+    return _attrs_to_description(attrs)
+
+
+def _tokenise(text: str) -> Dict[str, List[str]]:
+    """RSL text -> attribute name -> its values, as written."""
     text = text.strip()
     if not text.startswith("&"):
         raise RslError("RSL must start with '&'")
     pos = 1
-    attrs: Dict[str, Any] = {}
+    attrs: Dict[str, List[str]] = {}
     while pos < len(text):
         ch = text[pos]
         if ch.isspace():
@@ -153,8 +209,7 @@ def parse_rsl(text: str) -> JobDescription:
         if name in attrs:
             raise RslError(f"duplicate attribute {name!r}")
         attrs[name] = values
-
-    return _attrs_to_description(attrs)
+    return attrs
 
 
 def _parse_values(text: str, pos: int) -> Tuple[List[str], int]:
@@ -180,7 +235,8 @@ def _parse_values(text: str, pos: int) -> Tuple[List[str], int]:
     return values, pos
 
 
-def _attrs_to_description(attrs: Dict[str, List[str]]) -> JobDescription:
+def _attrs_to_description(attrs: Dict[str, Sequence[str]]
+                          ) -> JobDescription:
     known = _INT_ATTRS | _STR_ATTRS | _LIST_ATTRS
     unknown = set(attrs) - known
     if unknown:

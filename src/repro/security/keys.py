@@ -67,4 +67,4 @@ class KeyPair:
         return hmac.new(self._secret, data, hashlib.sha256).digest()
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"<KeyPair {self.public.fingerprint()}>"
+        return f"<KeyPair {self.public.key_id[:16]}>"

@@ -10,16 +10,22 @@ from repro.security.keys import KeyPair, PublicKey
 
 __all__ = ["Certificate", "CertificateAuthority"]
 
+#: The fields :meth:`Certificate.tbs_bytes` encodes: assigning one drops
+#: the kept encoding.
+_TBS_FIELDS = frozenset(("subject", "issuer", "public_key", "not_before",
+                         "not_after", "is_proxy", "serial"))
+
 
 class Certificate:
     """A signed binding of a subject name to a public key.
 
     Validity is expressed in *simulated seconds* (the simulator clock is
-    the only clock in this library).
+    the only clock in this library).  The to-be-signed encoding is made
+    once and kept until a field it covers is assigned.
     """
 
     __slots__ = ("subject", "issuer", "public_key", "not_before", "not_after",
-                 "is_proxy", "serial", "signature")
+                 "is_proxy", "serial", "signature", "_tbs")
 
     def __init__(self, subject: str, issuer: str, public_key: PublicKey,
                  not_before: float, not_after: float, serial: int,
@@ -36,13 +42,22 @@ class Certificate:
         self.serial = serial
         self.signature = signature
 
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in _TBS_FIELDS:
+            object.__setattr__(self, "_tbs", None)
+
     def tbs_bytes(self) -> bytes:
         """The to-be-signed canonical encoding."""
-        return "|".join([
-            self.subject, self.issuer, self.public_key.key_id,
-            f"{self.not_before:.6f}", f"{self.not_after:.6f}",
-            str(int(self.is_proxy)), str(self.serial),
-        ]).encode()
+        tbs = self._tbs
+        if tbs is None:
+            tbs = "|".join([
+                self.subject, self.issuer, self.public_key.key_id,
+                f"{self.not_before:.6f}", f"{self.not_after:.6f}",
+                str(int(self.is_proxy)), str(self.serial),
+            ]).encode()
+            object.__setattr__(self, "_tbs", tbs)
+        return tbs
 
     def check_validity(self, now: float) -> None:
         """Raise :class:`CredentialExpired` outside the validity window."""

@@ -141,7 +141,7 @@ class Timeout(Event):
     :meth:`Simulator.cancel` takes one off the queue before it fires.
     """
 
-    __slots__ = ("delay", "_entry")
+    __slots__ = ("delay", "_slot")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  name: str = ""):
@@ -152,8 +152,11 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        #: Its queue entry, for :meth:`Simulator.cancel` to find.
-        self._entry = sim._enqueue(self, delay=delay)
+        #: Its queue slot ``(time, seq)``, for :meth:`Simulator.cancel`
+        #: to find.  Not the queue entry itself: that holds the timeout,
+        #: and a timeout holding it back would be a reference cycle
+        #: only the cyclic collector frees.
+        self._slot = sim._enqueue(self, delay=delay)[:2]
 
 
 class ConditionEvent(Event):

@@ -97,8 +97,9 @@ class Simulator:
         as it is.
         """
         heap = self._heap
+        when, seq = timeout._slot
         try:
-            at = heap.index(timeout._entry)
+            at = heap.index((when, seq, timeout))
         except ValueError:  # dispatched or cancelled before
             return
         last = heap.pop()

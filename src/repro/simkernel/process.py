@@ -126,7 +126,11 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as error:
-            self.fail(error)
+            # Its traceback starts at this frame, whose locals hold the
+            # process that is about to hold the error: a cycle that would
+            # pin every frame the error crossed until the cyclic
+            # collector ran.  The trace from the generator inward stays.
+            self.fail(error.with_traceback(error.__traceback__.tb_next))
             return
 
         if not isinstance(target, Event):

@@ -7,6 +7,9 @@ never holds a version the store has replaced.  Fresh uploads supersede
 nothing and must never trigger a compaction.
 """
 
+import gc
+
+from repro.core.context import RequestContext
 from repro.core.fabric import deploy_fabric
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig, deploy_onserve
@@ -164,3 +167,48 @@ def test_finished_invocations_leave_only_their_durable_rows(monkeypatch):
     runtimes = [o.runtimes["HotService"] for o in stack.onserves
                 if "HotService" in o.runtimes]
     assert sum(rt.invocations_ok for rt in runtimes) == ROUNDS + 1
+
+
+def cyclic_garbage(run):
+    """What *run* leaves that only the cyclic collector can free: the
+    count ``gc.collect()`` finds with automatic collection off."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def hot_invokes(sim, stack, pattern, rounds=4):
+    def run():
+        for round_ in range(rounds):
+            token = f"hot-{round_}"
+            ctx = RequestContext.create(sim, principal="user")
+            assert sim.run(until=discover_and_invoke(
+                stack, stack.user_clients[round_ % 2], pattern, ctx=ctx,
+                token=token)) == token + "\n"
+            assert ctx.root.find("client:HotService.execute") is not None
+    return run
+
+
+def test_hot_invocations_on_a_production_fabric_leave_no_cyclic_garbage(
+        monkeypatch):
+    """A finished request is freed by reference counting: its trace
+    spans reach their parents weakly and its timeouts' queue slots do
+    not hold them (DESIGN.md §5, "A request's lifetime")."""
+    sim, tb, stack = production_fabric(monkeypatch)
+    upload_then_invoke(sim, tb, stack, "hot.sh", "Hot%", 0)
+    assert cyclic_garbage(hot_invokes(sim, stack, "Hot%")) == 0
+
+
+def test_hot_invocations_on_a_faithful_appliance_leave_no_cyclic_garbage():
+    sim = Simulator(seed=0)
+    tb = build_testbed(sim=sim, n_sites=2, nodes_per_site=2,
+                       cores_per_node=4, n_users=2)
+    stack = sim.run(until=deploy_onserve(tb))
+    upload_then_invoke(sim, tb, stack, "hot.sh", "Hot%", 0)
+    assert cyclic_garbage(hot_invokes(sim, stack, "Hot%")) == 0

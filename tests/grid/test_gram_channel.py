@@ -10,7 +10,7 @@ credential and re-handshake after its idle timeout.
 import pytest
 
 from repro.errors import CertificateInvalid, CredentialExpired, \
-    SubmissionRefused
+    RslError, SubmissionRefused
 from repro.faults import FaultSpec, fault_plane
 from repro.grid import build_testbed
 from repro.grid.channel import GsiChannel, GsiChannelPool
@@ -234,3 +234,19 @@ def test_after_a_refusal_the_next_submit_reopens_the_channel():
     submit(tb, pool, client, chain, 2)
     assert gram.handshakes == 2
     assert pool.open_channels == 1
+
+
+@pytest.mark.parametrize("text", [
+    '&(executable="/scratch/none.bin")(count=x)',  # malformed
+    "&(executable=/scratch/none.bin)(colour=red)",  # foreign attribute
+    "(executable=/scratch/none.bin)",              # not RSL at all
+])
+def test_a_text_no_rendering_produced_is_still_refused(text):
+    tb = quick_testbed()
+    chain, client = logon(tb)
+    rsl()  # something is remembered; this text is not it
+    gram = tb.gatekeepers[SITE]
+    with pytest.raises(RslError):
+        tb.sim.run(until=tb.sim.process(gram.submit(client, chain, text)))
+    assert gram.refusals == 1 and gram.submissions == 0
+    assert bus(tb.sim).counts()["gram.refused"] == 1

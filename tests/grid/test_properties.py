@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grid import BatchScheduler, GridJob, JobDescription, JobState
+from repro.grid import BatchScheduler, GridJob, JobDescription, JobState, rsl
 from repro.grid.node import ComputeNode, NodePool
 from repro.grid.rsl import generate_rsl, parse_rsl
 from repro.simkernel import Simulator
@@ -35,6 +35,57 @@ def descriptions(draw):
 @given(descriptions())
 def test_rsl_roundtrip_property(desc):
     assert parse_rsl(generate_rsl(desc)) == desc
+
+
+#: Values a caller may assign to a description's fields after it was
+#: validated: ill-typed, out of range, or holding RSL's own syntax.
+_odd_number = st.one_of(st.integers(-3, 10**6), st.booleans(),
+                        st.floats(-5, 100, allow_nan=False),
+                        st.text(max_size=4))
+_odd_string = st.one_of(st.text(max_size=12), st.integers(-3, 3),
+                        st.just(None), st.lists(safe_str, max_size=2))
+_odd_list = st.one_of(st.lists(st.one_of(st.text(max_size=8),
+                                         st.integers()), max_size=3),
+                      st.text(max_size=4))
+_ODD = {"count": _odd_number, "max_wall_time": _odd_number,
+        "max_memory": _odd_number, "executable": _odd_string,
+        "queue": _odd_string, "stdout": _odd_string,
+        "stderr": _odd_string, "directory": _odd_string,
+        "job_type": _odd_string, "project": _odd_string,
+        "arguments": _odd_list, "environment": _odd_list}
+
+
+def _outcome(fn):
+    """What *fn* returns or raises, comparably."""
+    try:
+        return "ok", vars(fn())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(descriptions(), st.dictionaries(st.sampled_from(sorted(_ODD)),
+                                       st.none(), max_size=3), st.data())
+def test_a_rendered_text_parses_as_a_cold_parse_of_it_would(desc, fields,
+                                                            data):
+    """``generate_rsl`` remembers what parsing its text yields; a parse
+    answered from that memory returns, or raises, exactly what a parse
+    of the bare text does, whatever was assigned to the description."""
+    for name in fields:
+        setattr(desc, name, data.draw(_ODD[name], label=name))
+    before = dict(rsl._RENDERED)
+    try:
+        text = generate_rsl(desc)
+    except Exception:
+        assert rsl._RENDERED == before  # a refused rendering is not kept
+        return
+    remembered = text in rsl._RENDERED
+    hit = _outcome(lambda: parse_rsl(text))
+    rsl._RENDERED.pop(text, None)
+    cold = _outcome(lambda: parse_rsl(text))
+    assert hit == cold
+    if not fields:
+        assert remembered and hit == ("ok", vars(desc))
 
 
 jobspecs = st.lists(

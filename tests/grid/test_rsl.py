@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RslError
-from repro.grid import JobDescription, generate_rsl, parse_rsl
+from repro.grid import JobDescription, generate_rsl, parse_rsl, rsl
 
 
 def test_minimal_description_defaults():
@@ -91,3 +91,31 @@ def test_quotes_in_strings_rejected():
     d.arguments = ['say "hi"']
     with pytest.raises(RslError):
         generate_rsl(d)
+
+
+def test_a_text_just_rendered_is_not_tokenised_again(monkeypatch):
+    text = generate_rsl(JobDescription(executable="/bin/x",
+                                       arguments=["a b", ")("], count=3))
+
+    def tokenise(_text):
+        raise AssertionError("a rendered text was tokenised")
+    monkeypatch.setattr(rsl, "_tokenise", tokenise)
+    d = parse_rsl(text)
+    assert (d.arguments, d.count) == (["a b", ")("], 3)
+    assert parse_rsl(text) is not d  # each parse is a fresh description
+
+
+def test_a_rendering_with_a_non_int_count_is_parsed_cold():
+    d = JobDescription(executable="/bin/x", count=2.0)
+    text = generate_rsl(d)
+    assert text not in rsl._RENDERED
+    with pytest.raises(RslError, match="needs an integer"):
+        parse_rsl(text)
+
+
+def test_the_rendered_memo_is_bounded():
+    texts = [generate_rsl(JobDescription(executable=f"/bin/x{i}"))
+             for i in range(rsl._RENDERED_MAX + 10)]
+    assert len(rsl._RENDERED) <= rsl._RENDERED_MAX
+    assert texts[-1] in rsl._RENDERED and texts[0] not in rsl._RENDERED
+    assert parse_rsl(texts[0]) == JobDescription(executable="/bin/x0")

@@ -56,6 +56,42 @@ def test_tampered_cert_fails_verification():
         cert.verify_signature(ca.public_key)
 
 
+def _encode(cert):
+    """The to-be-signed encoding, made from the fields as they are now."""
+    return "|".join([
+        cert.subject, cert.issuer, cert.public_key.key_id,
+        f"{cert.not_before:.6f}", f"{cert.not_after:.6f}",
+        str(int(cert.is_proxy)), str(cert.serial)]).encode()
+
+
+def test_the_signed_encoding_is_made_once_and_sizes_nothing_new():
+    ca, key, cert = identity()
+    first = cert.tbs_bytes()
+    assert first == _encode(cert)
+    assert cert.tbs_bytes() is first
+    cert.verify_signature(ca.public_key)
+    assert cert.tbs_bytes() is first
+    assert cert.wire_size() == len(_encode(cert)) + len(cert.signature) + 1200
+    proxy_key, proxy = delegate_proxy(cert, key, 10.0, 100.0, serial=3)
+    assert proxy.tbs_bytes() == _encode(proxy)
+    assert proxy.wire_size() == (len(_encode(proxy)) + len(proxy.signature)
+                                 + 1200)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("subject", "/O=Grid/CN=mallory"), ("issuer", "OtherCA"),
+    ("public_key", KeyPair.generate(random.Random(9)).public),
+    ("not_before", 1.0), ("not_after", 2000.0), ("is_proxy", True),
+    ("serial", 99)])
+def test_assigning_a_signed_field_after_a_check_fails_the_next(field, value):
+    ca, key, cert = identity()
+    cert.verify_signature(ca.public_key)  # the encoding is kept now
+    setattr(cert, field, value)
+    assert cert.tbs_bytes() == _encode(cert)
+    with pytest.raises(CertificateInvalid):
+        cert.verify_signature(ca.public_key)
+
+
 def test_validity_window():
     ca, key, cert = identity(t0=100.0, life=50.0)
     with pytest.raises(CredentialExpired, match="not yet valid"):
@@ -167,3 +203,8 @@ def test_chain_wire_size_positive():
     ca, key, cert = identity()
     _, proxy = delegate_proxy(cert, key, 0.0, 100.0)
     assert chain_wire_size([proxy, cert]) > 2000
+
+
+def test_a_keypair_repr_names_its_public_key():
+    kp = KeyPair.generate(random.Random(0))
+    assert kp.public.key_id[:16] in repr(kp)

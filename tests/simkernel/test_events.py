@@ -254,3 +254,59 @@ def test_other_conditions_on_a_timeout_keep_their_hooks():
     assert shared.callbacks == [waiting._check]
     sim.run(until=waiting)
     assert waiting.value == {shared: None}
+
+
+
+class _Payload:
+    """A timeout's value that only the timeout holds: it is freed when,
+    and only when, the timeout is (``Timeout`` takes no weak reference)."""
+
+
+def _without_gc(body):
+    import gc
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        body()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_fired_timeout_is_freed_by_reference_counting():
+    """A timeout's queue slot is ``(time, seq)``, not the entry that
+    holds the timeout: once it has fired and nothing else holds it, it
+    is gone without the cyclic collector."""
+    import weakref
+
+    sim = Simulator()
+    fired = []
+    timer = sim.timeout(1.0, value=_Payload())
+    timer.add_callback(lambda ev: fired.append(ev.ok))
+    ref = weakref.ref(timer.value)
+    del timer
+
+    def body():
+        sim.run()
+        assert fired == [True]
+        assert ref() is None
+    _without_gc(body)
+
+
+def test_a_cancelled_timeout_is_freed_by_reference_counting():
+    import weakref
+
+    sim = Simulator()
+    timer = sim.timeout(5.0, value=_Payload())
+    keep = sim.timeout(1.0)
+    ref = weakref.ref(timer.value)
+
+    def body():
+        sim.cancel(timer)
+        assert ref() is not None  # the caller still holds it
+        assert sim.queued_events == 1
+        sim.run()
+        assert sim.now == 1.0 and keep.processed
+    _without_gc(body)
+    del timer
+    assert ref() is None

@@ -302,3 +302,64 @@ def test_run_until_time_stops_clock_exactly():
     sim.run(until=25)
     assert sim.now == 25
     assert sim.queued_events >= 1
+
+
+def _cyclic_garbage(run):
+    """What *run* leaves that only the cyclic collector frees."""
+    import gc
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_failed_process_is_freed_by_reference_counting():
+    """The failed process holds its error, whose traceback must not hold
+    the process back through the kernel frame that caught it."""
+    sim = Simulator()
+    seen = []
+
+    def boom():
+        yield sim.timeout(1.0)
+        raise ValueError("boom")
+
+    def waiter():
+        try:
+            yield sim.process(boom())
+        except ValueError as exc:
+            seen.append(type(exc).__name__)
+            # The trace still reaches the line that raised.
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            seen.append(tb.tb_frame.f_code.co_name)
+
+    def run():
+        sim.run(until=sim.process(waiter()))
+
+    assert _cyclic_garbage(run) == 0
+    assert seen == ["ValueError", "boom"]
+
+
+def test_an_interrupted_process_is_freed_by_reference_counting():
+    sim = Simulator()
+    outcomes = []
+
+    def sleeper():
+        yield sim.timeout(10.0)
+
+    def run():
+        proc = sim.process(sleeper())
+        proc.add_callback(lambda ev: (outcomes.append(ev.value.cause),
+                                      ev.defused()))
+        sim.run(until=1.0)
+        proc.interrupt("stop")
+        sim.run()
+
+    assert _cyclic_garbage(run) == 0
+    assert outcomes == ["stop"]
