@@ -1,8 +1,8 @@
 """Steady-state sweep: does anything grow with the operations done?
 
 ``python benchmarks/scale.py [--seed N]`` runs one untraced benchmark
-pass of ``production_mixed`` and of ``production_hot`` at 1x, 2x and 4x
-its length, each in a child process, and prints per length
+pass of ``production_mixed``, ``production_hot`` and ``faithful_hot`` at
+1x, 2x and 4x its length, each in a child process, and prints per length
 ``host_peak_rss_mb``, ``host_ms_per_op``, how often the database
 compacted its log (``db.stats["compactions"]``) and the unique bytes the
 log holds at the end.  The gate is slope, not level (ROADMAP item 5a):
@@ -11,7 +11,11 @@ Beside each it prints the cyclic garbage per op: the objects the cyclic
 collector freed over the timed window (``gc.callbacks``' ``collected``)
 plus what one collect finds at its end, over the operations attempted.
 A finished request is freed by reference counting (DESIGN.md §5), so
-this reads 0 where every request ends cleanly.
+this reads 0 where every request ends cleanly.  Under each 1x pass it
+prints the raw host ms per op by tenth of the window's ops, stamped by
+a bus subscriber on each client-side ``execute`` crossing and each
+service (re)generation; ROADMAP item 9's gate is the last tenth at
+most 1.1x the first.
 
 Under each length it prints what the pass left held at its end: rows
 per table on the primary (the one database), gauge samples, the
@@ -25,7 +29,7 @@ uploads, nothing superseded) never did, ``production_hot``'s peak RSS
 grew by at most ``HOT_RSS_GROWTH_MB`` and ``faithful_bulk``'s by at most
 ``BULK_RSS_GROWTH_MB`` from 0.25x to 0.5x, ``production_hot`` left no
 more queued events at 0.5x than at 0.25x (a timer that outlives its
-wait shows here first), ``production_hot`` left at most
+wait shows here first), both production workloads left at most
 ``HOT_CYCLIC_PER_OP`` cyclic garbage per op at either length, and no
 operation failed.
 
@@ -42,6 +46,7 @@ import gc
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Any, Dict, List
 
@@ -58,10 +63,17 @@ HOT_RSS_GROWTH_MB = 2.0
 #: harness's, the compressed row, an inflated copy), +48.4 once the
 #: stored version's payload is the uploaded object.
 BULK_RSS_GROWTH_MB = 55.0
-#: production_hot's cyclic garbage allowed per op: 41.6 at 1x while
-#: every trace span and its parent, and every timeout and its queue
-#: entry, held each other; 0 once neither does.
+#: Cyclic garbage allowed per op on the production workloads: 41.6 at
+#: 1x on production_hot while every trace span and its parent, and every
+#: timeout and its queue entry, held each other; 0 once neither does
+#: (production_mixed: 0 once an interrupted wait unhooks its condition).
 HOT_CYCLIC_PER_OP = 0.5
+#: Parts of a 1x window's ops the host ms per op is printed by.
+DECILES = 10
+#: The bus kinds that stamp an op: an invoke's client-side ``execute``
+#: crossing, a publish's service (re)generation.
+OP_KINDS = ("ws.request", "core.service_generated",
+            "core.service_republished")
 
 
 def _held(sim, tb, stack) -> Dict[str, Any]:
@@ -99,6 +111,7 @@ class _WindowGc:
 
     def __init__(self) -> None:
         self.collected = 0
+        self.window_t0 = time.process_time()
         gc.callbacks.append(self._on_collect)
 
     def _on_collect(self, phase: str, info: Dict[str, int]) -> None:
@@ -108,19 +121,44 @@ class _WindowGc:
     def collect(self) -> int:
         found = gc.collect()
         self.collected = 0
+        self.window_t0 = time.process_time()
         return found
+
+
+def _deciles(t0: float, stamps: List[float]) -> List[float]:
+    """Host ms per stamp in each tenth of the *stamps* from *t0* on (by
+    count), the first tenth timed from *t0*."""
+    stamps = [t for t in stamps if t >= t0]
+    n = len(stamps)
+    if n < DECILES:
+        return []
+    out, start, done = [], t0, 0
+    for k in range(1, DECILES + 1):
+        end = n * k // DECILES
+        out.append(1000.0 * (stamps[end - 1] - start) / (end - done))
+        start, done = stamps[end - 1], end
+    return out
 
 
 def _child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
     """One pass in this process; its record, the log's figures, what
     the pass left held and the cyclic garbage its window made."""
     from benchmarks.e2e import passes
+    from repro.telemetry.events import bus
     built: List[Any] = []
+    stamps: List[float] = []
     deploy = passes._deploy
+
+    def stamp(event) -> None:
+        if event.kind != "ws.request" or (
+                event.get("side") == "client"
+                and event.get("operation") == "execute"):
+            stamps.append(time.process_time())
 
     def remembering(sim, schedule):
         tb, stack = deploy(sim, schedule)
         built.append((sim, tb, stack))
+        bus(sim).subscribe(stamp, kinds=OP_KINDS)
         return tb, stack
 
     passes._deploy = remembering
@@ -129,6 +167,7 @@ def _child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
     # The stack is still held (built), so this finds only garbage.
     collected = window_gc.collected + gc.collect()
     record["cyclic_per_op"] = collected / max(1, record["attempted"])
+    record["decile_ms"] = _deciles(window_gc.window_t0, stamps)
     sim, tb, stack = built[0]
     db = stack.dbmanager.db
     record["log"] = {
@@ -176,6 +215,12 @@ def sweep(workload: str, scales, seed: int) -> List[Dict[str, Any]]:
               f"({held['gram_jobs_with_rsl']} with parsed RSL), "
               f"{held['payload_copies']} second copies of a memo payload",
               flush=True)
+        deciles = r["decile_ms"]
+        if scale == 1.0 and deciles:
+            print("        host ms per op by tenth: "
+                  + " ".join(f"{ms:.2f}" for ms in deciles)
+                  + f"  (last / first {deciles[-1] / deciles[0]:.3f}, "
+                  f"item 9: at most 1.1)", flush=True)
         records.append(r)
     return records
 
@@ -194,7 +239,8 @@ def main(argv=None) -> int:
         return 0
     if not args.smoke:
         slopes = {name: sweep(name, SCALES, args.seed)
-                  for name in ("production_mixed", "production_hot")}
+                  for name in ("production_mixed", "production_hot",
+                               "faithful_hot")}
         for name, records in slopes.items():
             rss = [r["host"]["host_peak_rss_mb"] for r in records]
             ms = [r["host"]["host_ms_per_op"] for r in records]
@@ -231,13 +277,15 @@ def main(argv=None) -> int:
         problems.append(f"production_hot left {queued[1]} queued events at "
                         f"{SMOKE_SCALES[1]:g}x, {queued[0]} at "
                         f"{SMOKE_SCALES[0]:g}x")
-    cyclic = [r["cyclic_per_op"] for r in hot]
-    print(f"production_hot cyclic garbage per op {cyclic[0]:.2f} at "
-          f"{SMOKE_SCALES[0]:g}x, {cyclic[1]:.2f} at {SMOKE_SCALES[1]:g}x "
-          f"(at most {HOT_CYCLIC_PER_OP:g})")
-    problems += [f"production_hot left {c:.2f} cyclic garbage per op at "
-                 f"{scale:g}x" for c, scale in zip(cyclic, SMOKE_SCALES)
-                 if c > HOT_CYCLIC_PER_OP]
+    for name, records in (("production_mixed", mixed),
+                          ("production_hot", hot)):
+        cyclic = [r["cyclic_per_op"] for r in records]
+        print(f"{name} cyclic garbage per op {cyclic[0]:.3f} at "
+              f"{SMOKE_SCALES[0]:g}x, {cyclic[1]:.3f} at "
+              f"{SMOKE_SCALES[1]:g}x (at most {HOT_CYCLIC_PER_OP:g})")
+        problems += [f"{name} left {c:.3f} cyclic garbage per op at "
+                     f"{scale:g}x" for c, scale in zip(cyclic, SMOKE_SCALES)
+                     if c > HOT_CYCLIC_PER_OP]
     for problem in problems:
         print(f"check failed: {problem}", file=sys.stderr)
     return 1 if problems else 0

@@ -60,7 +60,7 @@ def deploy_image(image: ApplianceImage, host: Host,
         appliance = DeployedAppliance(image, host, started, ready_at=0.0)
         for package in image.packages:
             if package.boot_cpu_seconds > 0:
-                yield host.compute(package.boot_cpu_seconds, tag="boot")
+                yield host.compute(package.boot_cpu_seconds)
             if package.boot_seconds > 0:
                 yield sim.timeout(package.boot_seconds)
             appliance.boot_log.append((package.name, sim.now))

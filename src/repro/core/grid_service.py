@@ -166,7 +166,7 @@ class GridServiceRuntime:
                       ctx: Optional[RequestContext] = None
                       ) -> Generator[Event, None, str]:
         """Start the execute pipeline in the background; return a ticket."""
-        yield self.onserve.host.compute(0.002, tag="service")
+        yield self.onserve.host.compute(0.002)
         self._tickets_issued += 1
         ticket = f"tkt-{self.record.name}-{self._tickets_issued:05d}"
         # The background work outlives this SOAP request: give it a
@@ -180,11 +180,11 @@ class GridServiceRuntime:
         return ticket
 
     def _poll_async(self, ticket: str) -> Generator[Event, None, bool]:
-        yield self.onserve.host.compute(0.001, tag="service")
+        yield self.onserve.host.compute(0.001)
         return self._ticket(ticket).triggered
 
     def _result_async(self, ticket: str) -> Generator[Event, None, str]:
-        yield self.onserve.host.compute(0.001, tag="service")
+        yield self.onserve.host.compute(0.001)
         proc = self._ticket(ticket)
         if not proc.triggered:
             raise InvocationError(
@@ -202,7 +202,7 @@ class GridServiceRuntime:
         return proc
 
     def _describe(self) -> Generator[Event, None, str]:
-        yield self.onserve.host.compute(0.001, tag="service")
+        yield self.onserve.host.compute(0.001)
         return self.record.description or self.record.name
 
     # -- §VII.B: the execute workflow -----------------------------------------------
@@ -273,7 +273,7 @@ class GridServiceRuntime:
             # 4. Job description generation needs neither the site nor
             #    the bytes: under publish-time staging it runs while they
             #    are found or moved, once however many sites are tried.
-            rsl_cpu = (host.compute(self.SUBMIT_CPU, tag="service")
+            rsl_cpu = (host.compute(self.SUBMIT_CPU)
                        if ahead else None)
 
             # Resource selection via the information service: the ranked
@@ -361,7 +361,7 @@ class GridServiceRuntime:
                 mark = self.sim.now
                 with span(ctx, "service:submit", site=site):
                     yield (rsl_cpu if rsl_cpu is not None
-                           else host.compute(self.SUBMIT_CPU, tag="service"))
+                           else host.compute(self.SUBMIT_CPU))
                     rsl = spec.to_rsl(job_tag=tag)
 
                     def submit_try():

@@ -394,7 +394,7 @@ class OnServe:
         if self.router is not None and self.router.enabled:
             endpoint = self.router.endpoint_for(service_name)
         with span(ctx, "onserve:uddi-publish", service=service_name):
-            yield self.host.compute(0.02, tag="uddi")
+            yield self.host.compute(0.02)
             entry = self.uddi.save_service(
                 self.business.key, service_name, record.description)
             binding = self.uddi.save_binding(

@@ -87,8 +87,7 @@ class CyberaidePortal:
                     with span(ctx, "portal:handle"):
                         yield self.host.compute(
                             self.CPU_FIXED
-                            + self.CPU_PER_MB * len(data) / MB(1),
-                            tag="portal")
+                            + self.CPU_PER_MB * len(data) / MB(1))
                         # 3. Temporary storage (first of the two writes).
                         if config.double_write:
                             yield self.host.disk_write(len(data))

@@ -110,8 +110,7 @@ class ServiceBuilder:
                     f"service {description.name!r} already exists "
                     f"(re-upload replaces the executable, not the service)")
             yield self.host.compute(
-                self.BUILD_CPU + self.CPU_PER_PARAM * len(record.params),
-                tag="build")
+                self.BUILD_CPU + self.CPU_PER_PARAM * len(record.params))
             archive = self.build_archive(record)
             # "copied into the Web service framework's service directory"
             yield self.host.disk_write(len(archive))

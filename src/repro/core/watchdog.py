@@ -101,7 +101,9 @@ def await_waiter(sim: Simulator, register: Callable[[], Event],
     finally:
         sim.cancel(deadline)
         cancel(waiter)
-        # An unwound wait leaves its condition hooked on the waiter: a
-        # late failure must not surface through either.
+        # An unwound wait leaves its condition hooked on the waiter and
+        # the deadline: unhook it, and a late failure must not surface
+        # through either.
+        wait.detach()
         _abandon(waiter)
         _abandon(wait)

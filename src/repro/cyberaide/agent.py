@@ -173,7 +173,7 @@ class CyberaideAgent:
                          ctx: Optional[RequestContext] = None
                          ) -> Generator[Event, None, str]:
         with span(ctx, "agent:authenticate", username=username):
-            yield self.host.compute(self.config.session_cpu, tag="agent")
+            yield self.host.compute(self.config.session_cpu)
             key, proxy, ee = yield self.testbed.myproxy.logon(
                 self.host, username, passphrase,
                 lifetime=self.config.default_proxy_lifetime)
@@ -188,7 +188,7 @@ class CyberaideAgent:
     def _op_listSites(self, ctx: Optional[RequestContext] = None
                       ) -> Generator[Event, None, str]:
         with span(ctx, "agent:listSites"):
-            yield self.host.compute(self.config.session_cpu, tag="agent")
+            yield self.host.compute(self.config.session_cpu)
             sites = self.testbed.mds.query(min_free_cores=0)
         return ",".join(s.name for s in sites)
 

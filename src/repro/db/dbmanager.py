@@ -337,9 +337,7 @@ class DbManager:
                 # CPU: compression cost scales with the uncompressed size.
                 yield self.host.compute(
                     self.costs.compress_cpu_per_mb * len(payload) / _MB
-                    + self.costs.statement_cpu,
-                    tag="db",
-                )
+                    + self.costs.statement_cpu)
                 injector = get_injector(self.sim)
                 if injector is not None:
                     # A stalled WAL write blocks the commit for a while; a
@@ -436,7 +434,7 @@ class DbManager:
             waited = yield from self._acquire_conn()
             locked = True
         try:
-            yield self.host.compute(self.costs.statement_cpu, tag="db")
+            yield self.host.compute(self.costs.statement_cpu)
             record = (self._committed_read(name) if self.tier.mvcc
                       else self.db.get_by_pk(self.TABLE, name))
             if self.tier.chunk_bytes > 0:
@@ -457,9 +455,7 @@ class DbManager:
             # CPU: decompression scales with the uncompressed size — this
             # is the paper's "loading and decompressing" CPU peak.
             yield self.host.compute(
-                self.costs.decompress_cpu_per_mb * record["size"] / _MB,
-                tag="db",
-            )
+                self.costs.decompress_cpu_per_mb * record["size"] / _MB)
             exe = self._memo.stored(record)
             self._emit_fetch(name, "whole", record["size"], 1,
                              record["size"], waited)
@@ -499,9 +495,7 @@ class DbManager:
                 self._set_chunk_stream(resident)
                 yield self.host.disk_read(csize / n)
                 yield self.host.compute(
-                    self.costs.decompress_cpu_per_mb * this_bytes / _MB,
-                    tag="db",
-                )
+                    self.costs.decompress_cpu_per_mb * this_bytes / _MB)
                 if on_chunk is not None:
                     if consumer is not None:
                         # Pipelined: we fetched chunk i while the consumer
@@ -535,7 +529,7 @@ class DbManager:
         """Remove *name*; the process-event's value is True if it existed."""
 
         def op() -> Generator[Event, None, bool]:
-            yield self.host.compute(self.costs.statement_cpu, tag="db")
+            yield self.host.compute(self.costs.statement_cpu)
             count = self.db.delete_eq(self.TABLE, "name", name)
             self._memo.drop(name)
             yield self.host.disk_write(self.costs.commit_disk_overhead)

@@ -176,7 +176,7 @@ class GramGatekeeper:
                                    reason=type(exc).__name__)
                     yield self.host.send(client, 512, label="gram-refused")
                     raise
-                yield self.host.compute(self.REQUEST_CPU, tag="gram")
+                yield self.host.compute(self.REQUEST_CPU)
                 job = self.site.create_job(description, owner=gsi.subject)
                 if (injector is not None and
                         injector.fire("gram.lost_job", self.site.name)):
@@ -227,7 +227,7 @@ class GramGatekeeper:
             self._refuse_if_down()
             self._account(self.POLL_BYTES + 256)
             yield client.send(self.host, self.POLL_BYTES, label="gram-status")
-            yield self.host.compute(0.005, tag="gram")
+            yield self.host.compute(0.005)
             job = self.site.get_job(job_id)
             yield self.host.send(client, 256, label="gram-status-rsp")
         return job.state
@@ -240,7 +240,7 @@ class GramGatekeeper:
             self._refuse_if_down()
             self._account(self.POLL_BYTES + 256)
             yield client.send(self.host, self.POLL_BYTES, label="gram-cancel")
-            yield self.host.compute(0.01, tag="gram")
+            yield self.host.compute(0.01)
             self.site.cancel_job(job_id)
             yield self.host.send(client, 256, label="gram-cancel-rsp")
         return True

@@ -146,8 +146,7 @@ class GridFtpServer:
             finally:
                 self._streams.adjust(-streams)
             yield self.host.compute(
-                self.CPU_PER_MB * len(data) / (1024 * 1024),
-                tag="gridftp")
+                self.CPU_PER_MB * len(data) / (1024 * 1024))
             yield self.host.disk_write(len(data))
             self.site.store_file(path, data, *where)
             self.transfers_in += 1

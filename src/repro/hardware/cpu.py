@@ -50,12 +50,15 @@ class Cpu:
             sim, capacity=float(cores), per_flow_cap=1.0, name=name
         )
 
-    def compute(self, cpu_seconds: float, tag: str = "compute") -> Event:
-        """Run *cpu_seconds* of work; the event fires when it completes."""
+    def compute(self, cpu_seconds: float) -> Event:
+        """Run *cpu_seconds* of work; the event fires when it completes.
+
+        The flow carries no tag: the one counter a CPU is read by is
+        :meth:`busy_core_seconds`, the server's work integral.
+        """
         if cpu_seconds < 0:
             raise HardwareError(f"{self.name}: negative cpu_seconds")
-        return self._server.submit(cpu_seconds / self.speed_factor,
-                                   tags=("all", tag))
+        return self._server.submit(cpu_seconds / self.speed_factor, tags=())
 
     def busy_core_seconds(self) -> float:
         """Total core-seconds consumed so far (exact)."""

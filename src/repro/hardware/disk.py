@@ -4,7 +4,10 @@ Reads and writes share one bandwidth pool (a fair-share server), so
 concurrent operations slow each other down; each operation additionally
 pays a fixed access latency before data starts moving.  Separate
 cumulative read/write byte counters feed the telemetry sampler — the
-paper's Figures 6–8 plot exactly these two series.
+paper's Figures 6–8 plot exactly these two series.  A reader that needs
+the operations themselves opens an :class:`OpLog` (:meth:`Disk.record`)
+before issuing them: a disk with no log open keeps nothing per
+operation.
 """
 
 from __future__ import annotations
@@ -18,7 +21,24 @@ from repro.hardware.op import HardwareOp
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
 
-__all__ = ["Disk"]
+__all__ = ["Disk", "OpLog"]
+
+
+class OpLog(list):
+    """Every operation issued on one disk since the log opened:
+    ``(start_time, direction, bytes)`` tuples, in issue order."""
+
+    __slots__ = ("_disk",)
+
+    def __init__(self, disk: "Disk"):
+        super().__init__()
+        self._disk = disk
+
+    def close(self) -> None:
+        """Stop logging; what was logged stays readable."""
+        disk = self._disk
+        # By identity: two logs holding the same entries compare equal.
+        disk._logs = [log for log in disk._logs if log is not self]
 
 
 class Disk:
@@ -49,9 +69,18 @@ class Disk:
         self.name = name
         self.used_bytes = 0.0
         self._server = FairShareServer(sim, capacity=bandwidth, name=name)
-        #: Per-operation log: (start_time, direction, bytes).  Scenario
-        #: harnesses read it to resolve events finer than any sampler.
-        self.op_log: list[tuple[float, str, float]] = []
+        #: The open operation logs (see :meth:`record`).
+        self._logs: list[OpLog] = []
+
+    def record(self) -> OpLog:
+        """Log every operation issued from now on.
+
+        A scenario reads it to resolve events finer than any sampler
+        (Figure 8's two write bursts); :meth:`OpLog.close` stops it.
+        """
+        log = OpLog(self)
+        self._logs.append(log)
+        return log
 
     # -- operations ---------------------------------------------------------
 
@@ -80,9 +109,12 @@ class Disk:
     def _operation(self, nbytes: float, direction: str) -> HardwareOp:
         if nbytes < 0:
             raise HardwareError(f"{self.name}: negative {direction} size")
-        self.op_log.append((self.sim.now, direction, nbytes))
+        if self._logs:
+            entry = (self.sim.now, direction, nbytes)
+            for log in self._logs:
+                log.append(entry)
         return HardwareOp(self.sim, f"{self.name}:{direction}", self._server,
-                          self.access_latency, nbytes, ("all", direction))
+                          self.access_latency, nbytes, (direction,))
 
     # -- counters -------------------------------------------------------------
 

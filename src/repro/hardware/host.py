@@ -63,9 +63,9 @@ class Host:
 
     # -- resource operations (all return waitable events) ---------------------
 
-    def compute(self, cpu_seconds: float, tag: str = "compute"):
+    def compute(self, cpu_seconds: float):
         """Burn *cpu_seconds* of CPU time (processor-shared)."""
-        return self.cpu.compute(cpu_seconds, tag=tag)
+        return self.cpu.compute(cpu_seconds)
 
     def disk_read(self, nbytes: float) -> HardwareOp:
         """Read *nbytes* from local disk (completion event)."""

@@ -170,7 +170,7 @@ class Network:
             return (None, 0.0, ())
         bottleneck = min(path, key=lambda l: (l.bandwidth, l.name))
         return (bottleneck.server, sum(l.latency for l in path),
-                ("all", f"in:{dst}", f"out:{src}"))
+                (f"in:{dst}", f"out:{src}"))
 
     # -- counters ---------------------------------------------------------------
 

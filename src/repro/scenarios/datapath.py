@@ -200,7 +200,7 @@ def _repeat_invoke(seed: int, datapath: bool) -> Dict[str, float]:
         if reply != token + "\n":
             raise RuntimeError(f"repeat invoke {i} answered {reply!r}")
     staged = [ev.kind for ev in lookups.events()
-              if ev.fields.get("cache") == "staged"]
+              if ev.get("cache") == "staged"]
     return {
         "uplink": uplink.server.work_integral() - uplink0,
         "uploads": stack.agent.uploads,

@@ -204,9 +204,9 @@ def _run_arm(label: str, *, storm: int, scaled: bool, blob_bytes: int,
               for k in range(storm)]
     sim.run(until=sim.all_of(procs))
 
-    fetches = [dict(ev.fields) for ev in telemetry.events(kind="db.fetch")
+    fetches = [ev.fields for ev in telemetry.events(kind="db.fetch")
                if ev.ts >= env.t_start]
-    lock_waits = [ev.fields["waited"]
+    lock_waits = [ev.get("waited")
                   for ev in telemetry.events(kind="db.lock.wait")]
     return ArmResult(
         label=label, n=n, n_ok=n_ok, latencies=latencies,

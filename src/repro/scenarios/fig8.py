@@ -77,6 +77,7 @@ def run_fig8(file_bytes: Optional[int] = None,
     from repro.workloads.executables import make_payload
     payload = make_payload("fixed", size=file_bytes, runtime="30")
 
+    disk_log = tb.appliance_host.disk.record()
     env.mark()
     written_before = tb.appliance_host.disk.bytes_written()
     t0 = sim.now
@@ -89,11 +90,10 @@ def run_fig8(file_bytes: Optional[int] = None,
     # The two file writes happen well under a second apart on this
     # calibration, so resolve them from the disk's operation log rather
     # than a sampled series: count write operations moving a meaningful
-    # fraction of the file.
-    bursts = [(t, t) for (t, direction, nbytes)
-              in tb.appliance_host.disk.op_log
-              if direction == "write" and t >= env.t_start
-              and nbytes >= 0.1 * file_bytes]
+    # fraction of the file.  The log opened with the window.
+    bursts = [(t, t) for (t, direction, nbytes) in disk_log
+              if direction == "write" and nbytes >= 0.1 * file_bytes]
+    disk_log.close()
 
     net_in = env.sampler["net_in_kbps"].slice(env.t_start, sim.now)
     cpu = env.sampler["cpu_pct"].slice(env.t_start, sim.now)

@@ -137,7 +137,7 @@ def run_notify(n: int = 12, seed: int = 0,
 
     finished: Dict[str, float] = {}
     telemetry.subscribe(
-        lambda ev: finished.setdefault(ev.fields["job_id"], ev.ts),
+        lambda ev: finished.setdefault(ev.get("job_id"), ev.ts),
         kinds=["sched.finish"])
     detections = telemetry.record("core.output_detected")
 
@@ -162,9 +162,9 @@ def run_notify(n: int = 12, seed: int = 0,
     detected: Dict[str, float] = {}
     polls: Dict[str, int] = {}
     for ev in detections.events():
-        detected.setdefault(ev.fields["job_id"], ev.ts)
-        site = ev.fields["site"]
-        polls[site] = polls.get(site, 0) + ev.fields["polls"]
+        detected.setdefault(ev.get("job_id"), ev.ts)
+        site = ev.get("site")
+        polls[site] = polls.get(site, 0) + ev.get("polls")
     lags: Dict[str, List[float]] = {}
     for job_id, at in detected.items():
         if job_id in finished:

@@ -96,7 +96,7 @@ class MyProxyServer:
             # Request travels to the repository host.
             yield client.send(self.host, self.LOGON_REQUEST_BYTES,
                               label="myproxy-req")
-            yield self.host.compute(self.LOGON_CPU, tag="security")
+            yield self.host.compute(self.LOGON_CPU)
             cred = self._store.get(username)
             if cred is None or cred.passphrase_hash != _hash_passphrase(passphrase):
                 self.logons_rejected += 1

@@ -204,10 +204,19 @@ class ConditionEvent(Event):
         else:
             event.defused()
             self.fail(event._value)
+        self.detach(Timeout)
+
+    def detach(self, only: type = Event) -> None:
+        """Unhook from every child (of type *only*) still pending.
+
+        A wait abandoned before it fired (its process interrupted) would
+        otherwise stay hooked on its children, and they on it: a cycle
+        only the cyclic collector frees.
+        """
         check = self._check
         for ev in self.events:
             callbacks = ev.callbacks
-            if callbacks and isinstance(ev, Timeout):
+            if callbacks and isinstance(ev, only):
                 callbacks[:] = [cb for cb in callbacks if cb != check]
 
 

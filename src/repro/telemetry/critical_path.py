@@ -190,7 +190,7 @@ def _split_polling_idle(attribution: Attribution, idle: List[Interval],
             # A job has exactly one delivery, its terminal state, and
             # it never precedes the finish.
             arrivals = [ev.ts for ev in bus.events("notify.deliver")
-                        if ev.fields.get("job_id") == job_id
+                        if ev.get("job_id") == job_id
                         and ev.ts >= finish.ts]
             if arrivals:
                 push_iv = (finish.ts, min(arrivals))

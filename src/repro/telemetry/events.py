@@ -38,8 +38,10 @@ always starts with an empty one.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import (
-    Any, Callable, Deque, Dict, Iterable, List, Optional, TYPE_CHECKING,
+    Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple,
+    TYPE_CHECKING,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,29 +56,59 @@ DEFAULT_CAPACITY = 4096
 
 
 class TelemetryEvent:
-    """One structured occurrence on the bus."""
+    """One structured occurrence on the bus, made by :meth:`EventBus.emit`.
 
-    __slots__ = ("ts", "kind", "layer", "request_id", "fields")
+    Its payload is held compact: the values as a tuple, beside the keys
+    tuple that every event of the same kwargs shape shares, so a ring
+    entry holds no dict of its own.  :attr:`fields` and :meth:`get`
+    read it as the kwargs dict it was emitted with.
 
-    def __init__(self, ts: float, kind: str, layer: str,
-                 request_id: Optional[str], fields: Dict[str, Any]):
-        #: Simulated time of emission.
-        self.ts = ts
-        #: Dotted event type, e.g. ``"ws.request"`` or ``"sched.start"``.
-        self.kind = kind
-        #: Emitting layer: ws / core / agent / grid / db / mds.
-        self.layer = layer
-        #: Correlating request id (``None`` when no context was in scope).
-        self.request_id = request_id
-        #: Event-specific payload (small scalars only, by convention).
-        self.fields = fields
+    Attributes: ``ts`` (simulated time of emission), ``kind`` (dotted
+    event type, e.g. ``"ws.request"`` or ``"sched.start"``), ``layer``
+    (emitting layer: ws / core / agent / grid / db / mds) and
+    ``request_id`` (the correlating request id, ``None`` when no
+    context was in scope).
+    """
+
+    __slots__ = ("ts", "kind", "layer", "request_id", "_keys", "_values")
+
+    @property
+    def fields(self) -> Dict[str, Any]:
+        """Event-specific payload (small scalars only, by convention):
+        a new dict equal to the emitted kwargs.  Its order is the
+        emission order, unless the kind was also emitted with the same
+        keys in another order; then it may be that one."""
+        return dict(zip(self._keys, self._values))
 
     def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
+        keys = self._keys
+        return self._values[keys.index(key)] if key in keys else default
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         rid = f" rid={self.request_id}" if self.request_id else ""
         return f"<TelemetryEvent {self.kind}@{self.ts:.3f}{rid}>"
+
+
+_new_event = object.__new__
+
+
+class _Route:
+    """What :meth:`EventBus.emit` needs per kind, in one lookup: the
+    kind's kwargs shape (its keys and a getter of their values), its
+    exact count and the subscribers that want it."""
+
+    __slots__ = ("keys", "pick", "width", "count", "callbacks")
+
+    def reshape(self, keys: Tuple[str, ...]) -> None:
+        self.keys = keys
+        self.width = len(keys)
+        if len(keys) > 1:
+            self.pick = itemgetter(*keys)
+        elif keys:
+            one = itemgetter(*keys)
+            self.pick = lambda fields: (one(fields),)
+        else:
+            self.pick = lambda fields: ()
 
 
 class EventBus:
@@ -88,10 +120,15 @@ class EventBus:
         self.sim = sim
         self.capacity = capacity
         self._ring: Deque[TelemetryEvent] = deque(maxlen=capacity)
-        #: kind -> exact emission count (survives ring eviction).
-        self._counts: Dict[str, int] = {}
+        self._append = self._ring.append
+        #: kind -> its route, in first-emission order; a route's count
+        #: is exact (survives ring eviction).
+        self._routes: Dict[str, _Route] = {}
+        #: kwargs shape -> the one keys tuple its events share.
+        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         #: (callback, kinds-or-None) subscriber slots.
         self._subscribers: List[List[Any]] = []
+        #: Events emitted, all kinds (exact).
         self.emitted = 0
         #: Wall-clock profiler accounting recorder (None = off): when
         #: set, the wall time spent inside :meth:`emit` — including
@@ -111,17 +148,46 @@ class EventBus:
         """
         profiler = self.profiler
         t0 = profiler.clock() if profiler is not None else 0.0
-        event = TelemetryEvent(self.sim.now, kind, layer, request_id, fields)
-        self._ring.append(event)
-        self._counts[kind] = self._counts.get(kind, 0) + 1
+        try:
+            route = self._routes[kind]
+            values = route.pick(fields)  # KeyError: a key it lacks
+            if route.width != len(fields):
+                raise KeyError(kind)  # a key it has not seen
+        except KeyError:
+            route = self._route(kind, fields)
+            values = route.pick(fields)
+        # Built slot by slot: no __init__ frame on the hottest path.
+        event = _new_event(TelemetryEvent)
+        event.ts = self.sim.now
+        event.kind = kind
+        event.layer = layer
+        event.request_id = request_id
+        event._keys = route.keys
+        event._values = values
+        self._append(event)
+        route.count += 1
         self.emitted += 1
-        for slot in self._subscribers:
-            kinds = slot[1]
-            if kinds is None or kind in kinds:
-                slot[0](event)
+        if route.callbacks:
+            for callback in route.callbacks:
+                callback(event)
         if profiler is not None:
             profiler.telemetry_seconds += profiler.clock() - t0
         return event
+
+    def _route(self, kind: str, fields: Dict[str, Any]) -> _Route:
+        """*kind*'s route, (re)shaped to *fields*' keys."""
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._routes[kind] = _Route()
+            route.count = 0
+            route.callbacks = self._callbacks(kind)
+        keys = tuple(fields)
+        route.reshape(self._shapes.setdefault(keys, keys))
+        return route
+
+    def _callbacks(self, kind: str) -> Tuple[Callable, ...]:
+        return tuple(slot[0] for slot in self._subscribers
+                     if slot[1] is None or kind in slot[1])
 
     # -- subscription -------------------------------------------------------
 
@@ -135,12 +201,18 @@ class EventBus:
         """
         slot = [callback, frozenset(kinds) if kinds is not None else None]
         self._subscribers.append(slot)
+        self._reroute()
 
         def unsubscribe() -> None:
             if slot in self._subscribers:
                 self._subscribers.remove(slot)
+                self._reroute()
 
         return unsubscribe
+
+    def _reroute(self) -> None:
+        for kind, route in self._routes.items():
+            route.callbacks = self._callbacks(kind)
 
     def record(self, *kinds: str) -> "Recorder":
         """Keep every future event of *kinds*, whatever the ring evicts."""
@@ -160,7 +232,7 @@ class EventBus:
 
     def counts(self) -> Dict[str, int]:
         """Exact per-kind emission totals (eviction-proof)."""
-        return dict(self._counts)
+        return {kind: route.count for kind, route in self._routes.items()}
 
     @property
     def dropped(self) -> int:
@@ -176,7 +248,7 @@ class EventBus:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (f"<EventBus retained={len(self._ring)} "
-                f"emitted={self.emitted} kinds={len(self._counts)}>")
+                f"emitted={self.emitted} kinds={len(self._routes)}>")
 
 
 class Recorder:
@@ -236,7 +308,7 @@ def _first(events: Iterable[TelemetryEvent], kind: str,
     for ev in events:
         if ev.kind != kind:
             continue
-        if all(ev.fields.get(k) == v for k, v in field_filters.items()):
+        if all(ev.get(k) == v for k, v in field_filters.items()):
             return ev
     return None
 

@@ -564,7 +564,7 @@ class RequestRouter:
                   service=service_name) as hop:
             yield client.send(self.host, request.size(),
                               label=f"route-req:{service_name}.{operation}")
-            yield self.host.compute(self.ROUTE_CPU, tag="router")
+            yield self.host.compute(self.ROUTE_CPU)
             # Idempotency key: mutating operations (anything outside
             # READ_OPS) dedup on (request id, service, operation) so a
             # failover replay of an attempt that actually completed

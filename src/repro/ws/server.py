@@ -304,8 +304,7 @@ class SoapServer:
         whoever interrupted the carrying process untranslated.
         """
         yield self.host.compute(
-            self.DISPATCH_CPU + self.PARSE_CPU_PER_KB * request_bytes / KB(1),
-            tag="soap")
+            self.DISPATCH_CPU + self.PARSE_CPU_PER_KB * request_bytes / KB(1))
         self.requests_served += 1
         inv = Invocation(ctx, service_name, operation, params, "server")
         try:

@@ -113,13 +113,12 @@ def test_a_hit_on_the_row_digest_loads_nothing_and_writes_no_temp_copy():
     assert stack.store.get_record("EchoService")["digest"] == digest(payload)
     assert invoke(sim, stack, "one") == "one\n"  # the miss stages
     fetches = len(bus(sim).events(kind="db.fetch"))
-    logs = {o.replica: len(o.host.disk.op_log) for o in stack.onserves}
+    logs = [o.host.disk.record() for o in stack.onserves]
     ctx = RequestContext.create(sim)
     assert invoke(sim, stack, "two", ctx=ctx) == "two\n"
     # No DB load, no temp copy: the only disk write is the output's.
     assert len(bus(sim).events(kind="db.fetch")) == fetches
-    writes = [nbytes for o in stack.onserves
-              for _t, way, nbytes in o.host.disk.op_log[logs[o.replica]:]
+    writes = [nbytes for log in logs for _t, way, nbytes in log
               if way == "write"]
     assert writes == [len("two\n")]
     assert ctx.root.find("service:retrieval") is None

@@ -233,10 +233,9 @@ def test_a_site_failover_writes_the_job_description_once(monkeypatch):
     sim, tb, stack, _payload = deploy()
     charged = []
     for onserve in stack.onserves:
-        def compute(cpu_seconds, tag="compute",
-                    _compute=onserve.host.compute):
+        def compute(cpu_seconds, _compute=onserve.host.compute):
             charged.append(cpu_seconds)
-            return _compute(cpu_seconds, tag=tag)
+            return _compute(cpu_seconds)
         monkeypatch.setattr(onserve.host, "compute", compute)
     fault_plane(sim).add(FaultSpec("gram.lost_job", max_fires=1))
     assert sim.run(until=invoke(sim, stack)) == "tok\n"

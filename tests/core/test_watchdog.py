@@ -1,5 +1,7 @@
 """await_waiter exception routing + poll_until edge cases."""
 
+import gc
+
 import pytest
 
 from repro.core.watchdog import await_waiter, poll_until
@@ -121,6 +123,31 @@ def test_an_interrupted_wait_takes_its_deadline_off_the_queue():
     with pytest.raises(Interrupt):
         sim.run(until=proc)
     assert cancelled == [waiter] and sim._heap == []
+
+
+def test_an_interrupted_wait_leaves_no_reference_cycle():
+    """Unwound by an interrupt, the wait unhooks its condition from the
+    waiter and the deadline: what it leaves is freed by reference
+    counting, and the cyclic collector finds nothing."""
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator()
+
+        def parked():
+            try:
+                yield from await_waiter(sim, sim.event, lambda _ev: None,
+                                        60.0, "job")
+            except Interrupt:
+                return "interrupted"
+
+        caller = sim.process(parked())
+        sim.run(until=sim.timeout(5.0))
+        caller.interrupt("crash")
+        assert sim.run(until=caller) == "interrupted"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cancelling_a_timer_keeps_the_order_of_the_rest():

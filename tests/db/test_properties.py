@@ -819,7 +819,7 @@ class reference_manager(DbManager):
                 waited = yield from self._acquire_conn()
                 locked = True
             try:
-                yield self.host.compute(self.costs.statement_cpu, tag="db")
+                yield self.host.compute(self.costs.statement_cpu)
                 record = (self._committed_read(name) if self.tier.mvcc
                           else self.db.get_by_pk(self.TABLE, name))
                 if self.tier.chunk_bytes > 0:
@@ -833,9 +833,7 @@ class reference_manager(DbManager):
                     self._release_conn()
                     locked = False
                 yield self.host.compute(
-                    self.costs.decompress_cpu_per_mb * record["size"] / MB(1),
-                    tag="db",
-                )
+                    self.costs.decompress_cpu_per_mb * record["size"] / MB(1))
                 payload = zlib.decompress(record["data"])
                 self._emit_fetch(name, "whole", record["size"], 1,
                                  record["size"], waited)
@@ -875,9 +873,7 @@ class reference_manager(DbManager):
             self._set_chunk_stream(resident)
             yield self.host.disk_read(csize / n)
             yield self.host.compute(
-                self.costs.decompress_cpu_per_mb * this_bytes / MB(1),
-                tag="db",
-            )
+                self.costs.decompress_cpu_per_mb * this_bytes / MB(1))
             part = decomp.decompress(data[lo:hi])
             if i == n - 1:
                 part += decomp.flush()

@@ -37,26 +37,26 @@ def reference_transfer(net, src, dst, nbytes, label=""):
             yield sim.timeout(total_latency)
         bottleneck = min(path, key=lambda l: (l.bandwidth, l.name))
         yield bottleneck.server.submit(
-            nbytes, tags=("all", f"in:{dst}", f"out:{src}"))
+            nbytes, tags=(f"in:{dst}", f"out:{src}"))
         return sim.now - start
 
     pname = f"xfer:{src}->{dst}" + (f":{label}" if label else "")
     return sim.process(xfer(), name=pname)
 
 
-def reference_disk_op(disk, nbytes, direction):
+def reference_disk_op(disk, nbytes, direction, log):
     """``Disk.read``/``write`` as a process (capacity check left out:
-    the property uses unbounded disks)."""
+    the property uses unbounded disks), logging to the open *log*."""
     sim = disk.sim
     if direction == "write":
         disk.used_bytes += nbytes
-    disk.op_log.append((sim.now, direction, nbytes))
+    log.append((sim.now, direction, nbytes))
 
     def op():
         start = sim.now
         if disk.access_latency > 0:
             yield sim.timeout(disk.access_latency)
-        yield disk._server.submit(nbytes, tags=("all", direction))
+        yield disk._server.submit(nbytes, tags=(direction,))
         return sim.now - start
 
     return sim.process(op(), name=f"{disk.name}:{direction}")
@@ -98,6 +98,7 @@ def _world(link_latency, disk_latency):
 def _observe(ops, link_latency, disk_latency, reference):
     """Run *ops*; return (completions in order, sampled counters)."""
     sim, net, disk = _world(link_latency, disk_latency)
+    log = disk.record()
 
     def issue(op):
         if op[0] == "xfer":
@@ -107,7 +108,7 @@ def _observe(ops, link_latency, disk_latency, reference):
             return net.transfer(src, dst, nbytes, label="p")
         _, direction, nbytes = op
         if reference:
-            return reference_disk_op(disk, nbytes, direction)
+            return reference_disk_op(disk, nbytes, direction, log)
         return getattr(disk, direction)(nbytes)
 
     completions = []
@@ -136,7 +137,7 @@ def _observe(ops, link_latency, disk_latency, reference):
         sim.timeout(at).add_callback(sample)
     sim.run()
     sample()
-    return completions, samples, disk.op_log
+    return completions, samples, log
 
 
 @settings(max_examples=120, deadline=None)
@@ -154,6 +155,7 @@ def test_completion_events_match_the_process_reference(ops, link_latency,
 def test_failures_are_still_synchronous():
     sim, net, _ = _world(0.0005, 0.005)
     small = Disk(sim, bandwidth=1e6, capacity_bytes=100.0, name="small")
+    log = small.record()
     queued = sim.queued_events
     with pytest.raises(HardwareError, match="negative transfer size"):
         net.transfer("a", "b", -1)
@@ -166,7 +168,7 @@ def test_failures_are_still_synchronous():
     with pytest.raises(HardwareError, match="disk full"):
         small.write(101.0)
     assert sim.queued_events == queued  # nothing was left on the queue
-    assert small.used_bytes == 0.0 and small.op_log == []
+    assert small.used_bytes == 0.0 and log == []
 
 
 # -- what one operation costs the kernel -----------------------------------

@@ -1,6 +1,7 @@
 """The control-tower scenario (smoke-sized) and its two replays."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.scenarios.controltower import (
     first_burn_and_breach, first_hot, run_controltower, served_by_replica,
 )
-from repro.telemetry.events import TelemetryEvent
+from repro.telemetry.events import EventBus
 from repro.ws.router import HashRing
 
 
@@ -92,8 +93,8 @@ def test_rejects_degenerate_parameters():
 # -- the burn/breach replay against a from-scratch oracle --------------------
 
 def _request(ts, side="client", fault=None, origin=None, kind="ws.request"):
-    return TelemetryEvent(ts, kind, "ws", None,
-                          {"side": side, "fault": fault, "origin": origin})
+    return EventBus(SimpleNamespace(now=ts)).emit(
+        kind, layer="ws", side=side, fault=fault, origin=origin)
 
 
 def _oracle(events, matches, target, rule, compliance_window, min_samples,

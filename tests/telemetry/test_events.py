@@ -1,9 +1,14 @@
 """Unit tests for the structured event bus."""
 
+import tracemalloc
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simkernel.kernel import Simulator
-from repro.telemetry.events import EventBus, bus
+from repro.telemetry.events import DEFAULT_CAPACITY, EventBus, bus
 
 
 def test_emit_records_time_kind_and_fields():
@@ -174,3 +179,93 @@ def test_recorder_close_stops_recording():
     b.emit("tick", i=1)
     assert [ev.get("i") for ev in rec.events("tick")] == [0]
     assert len(b) == 2
+
+
+# -- compact events -----------------------------------------------------------
+
+_names = st.sampled_from(["site", "job_id", "nbytes", "latency", "fault",
+                          "origin", "side", "waited", "polls", "ok"])
+_values = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=False), st.text(max_size=8))
+_kwargs = st.dictionaries(_names, _values, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a.one", "b.two"]), _kwargs),
+                min_size=1, max_size=12))
+def test_an_event_reads_back_the_kwargs_it_was_emitted_with(emits):
+    """Whatever shapes one kind is emitted with, each event reads back
+    its own kwargs: ``fields`` equal, every ``get`` answering as the
+    dict's, and a read cannot change the event.  ``fields`` keeps the
+    emission order unless the kind also came with the same keys in
+    another order (no emitter does that)."""
+    b = EventBus(Simulator(seed=0))
+    events = [(b.emit(kind, layer="x", **kwargs), kwargs)
+              for kind, kwargs in emits]
+    orders = {}
+    for kind, kwargs in emits:
+        orders.setdefault((kind, frozenset(kwargs)), set()).add(tuple(kwargs))
+    for ev, kwargs in events:
+        assert ev.fields == kwargs
+        if len(orders[ev.kind, frozenset(kwargs)]) == 1:
+            assert list(ev.fields) == list(kwargs)
+        for name in ("site", "job_id", "nbytes", "latency", "fault",
+                     "origin", "side", "waited", "polls", "ok", "absent"):
+            assert ev.get(name) == kwargs.get(name)
+            assert ev.get(name, "dflt") == kwargs.get(name, "dflt")
+        ev.fields["absent"] = 1
+        assert "absent" not in ev.fields
+
+
+class _DictEvent:
+    """A ring entry holding its kwargs dict: five slots and the dict."""
+
+    __slots__ = ("ts", "kind", "layer", "request_id", "fields")
+
+    def __init__(self, ts, kind, layer, request_id, fields):
+        self.ts, self.kind, self.layer = ts, kind, layer
+        self.request_id, self.fields = request_id, fields
+
+
+def _kwargs_of(**fields):
+    return fields
+
+
+def _traced(fill):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fill()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_full_ring_of_requests_costs_at_most_half_a_dict_per_event():
+    """4 096 ``ws.request``-shaped events take at most half the memory
+    they take as five-slot events each holding its kwargs dict.  The
+    values are shared, so only what the ring itself keeps is counted."""
+    b = bus(Simulator(seed=0))
+
+    def emit_all():
+        for _ in range(DEFAULT_CAPACITY):
+            b.emit("ws.request", layer="ws", request_id="req-000001",
+                   service="Hot07Service", operation="execute",
+                   side="client", latency=0.25, fault=None, origin=None)
+
+    emit_all()  # the kind's route and shape exist before the count
+    b._ring.clear()
+    compact = _traced(emit_all)
+    ring = deque(maxlen=DEFAULT_CAPACITY)
+
+    def hold_dicts():
+        for _ in range(DEFAULT_CAPACITY):
+            ring.append(_DictEvent(
+                0.0, "ws.request", "ws", "req-000001",
+                _kwargs_of(service="Hot07Service", operation="execute",
+                           side="client", latency=0.25, fault=None,
+                           origin=None)))
+
+    with_dicts = _traced(hold_dicts)
+    assert len(b) == len(ring) == DEFAULT_CAPACITY
+    assert compact <= with_dicts / 2, (compact, with_dicts)
