@@ -281,19 +281,18 @@ def test_micro_wal_blob_append():
 
 def test_micro_hot_blob_load(monkeypatch):
     """Loading a BLOB version again must cost the simulated fetch, not a
-    second inflate and a second SHA-256 — and the first load of a version
-    no more than it did without the memo.  A version loaded by the
+    new executable and a second SHA-256.  A version loaded by the
     manager that stored it is inflated never and hashed once.
 
     The reference is the ``DbManager`` load path the memo replaced, kept
-    verbatim beside the property test that holds the two to the same
-    payloads, events and clock.  Each round times a fresh manager of
-    either kind over the same stored rows, turn and turn about in one
-    process, and the ratios are taken round by round, so host-speed
-    drift cancels.  A load is what the service runtime does with it: run
-    the fetch process to completion and read the digest.  Both ratios
-    are printed (expected >= 3x and <= 1.05x), not gated: the first-load
-    ratio sits at its ceiling and failed on unchanged code.  The
+    beside the property test that holds the two to the same payloads,
+    events and clock: it reads the raw row into a new executable per
+    fetch, which hashes its own payload.  Each round times a fresh
+    manager of either kind over the same stored rows, turn and turn
+    about in one process, and the ratio is taken round by round, so
+    host-speed drift cancels.  A load is what the service runtime does
+    with it: run the fetch process to completion and read the digest.
+    The ratio is printed (expected >= 3x), not gated.  The
     store-then-load row (an upload followed by its invocations) prints
     its time, not gated either.  What is exact is asserted: every load
     returns the stored payload, and a stored version's loads make no
@@ -320,13 +319,8 @@ def test_micro_hot_blob_load(monkeypatch):
         sim.run(until=stored.store_executable(name, blob))
 
     def seconds(make, repeats=50):
-        """(first load of a version, a later load of one), per load."""
+        """Seconds per load of a version loaded before."""
         sim, mgr = manager(make, stored.db)  # same rows, nothing derived yet
-        first = float("inf")
-        for name in names:
-            t0 = time.perf_counter()
-            sim.run(until=mgr.load_executable(name)).digest
-            first = min(first, time.perf_counter() - t0)
         sim.run(until=mgr.load_executable(names[0])).digest
         t0 = time.perf_counter()
         for _ in range(repeats):
@@ -334,22 +328,18 @@ def test_micro_hot_blob_load(monkeypatch):
             exe.digest
         again = (time.perf_counter() - t0) / repeats
         assert exe.payload == blob
-        return first, again
+        return again
 
     # Paired by round: the two sides of a ratio ran within milliseconds of
     # each other, and the median round is the verdict.
     rounds = [(seconds(reference_manager), seconds(DbManager))
               for _ in range(41)]
-    first_ratio = median(new[0] / ref[0] for ref, new in rounds)
-    again_ratio = median(ref[1] / new[1] for ref, new in rounds)
+    again_ratio = median(ref / new for ref, new in rounds)
     print(f"\n256 KB BLOB, repeated load: memo "
-          f"{median(new[1] for _, new in rounds) * 1e6:.0f} us, "
-          f"inflate+hash every time "
-          f"{median(ref[1] for ref, _ in rounds) * 1e6:.0f} us, "
-          f"{again_ratio:.1f}x; first load: "
-          f"{median(ref[0] for ref, _ in rounds) * 1e6:.0f} us, "
-          f"memo {first_ratio:.2f}x "
-          f"(expected >= 3x and <= 1.05x; reported, not gated)")
+          f"{median(new for _, new in rounds) * 1e6:.0f} us, "
+          f"new executable + hash every time "
+          f"{median(ref for ref, _ in rounds) * 1e6:.0f} us, "
+          f"{again_ratio:.1f}x (expected >= 3x; reported, not gated)")
 
     calls = counted(monkeypatch)
     sim, mgr = manager(DbManager)

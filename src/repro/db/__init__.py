@@ -10,9 +10,9 @@ A small but real database engine, built from scratch:
 * one SQL statement, the keyed ``SELECT * | cols FROM t [WHERE col =
   literal]`` (:mod:`repro.db.sql`); everything else is a method call,
 * and the :class:`~repro.db.dbmanager.DbManager` facade the paper's
-  ``dataIO`` package provided: store/retrieve executables as compressed
-  BLOBs, with the I/O and CPU costs of each operation charged to a
-  simulated host.
+  ``dataIO`` package provided: store/retrieve executables as BLOBs,
+  with the I/O and CPU costs of each operation over their compressed
+  size charged to a simulated host.
 
 The engine itself is *real software* operating on real bytes; only the
 time each operation takes is simulated (by ``DbManager``), which is what

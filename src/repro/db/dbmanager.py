@@ -1,21 +1,22 @@
 """DbManager: the paper's ``dataIO`` package.
 
 The original stored uploaded executables in MySQL through a JDBC
-connection.  This facade stores them in the embedded engine as
-zlib-compressed BLOBs — the compression is *real* (real bytes in, real
-bytes out) — and charges the simulated host for the CPU and disk work of
-each operation, which is what produces the DB-related CPU peaks in the
-paper's Figure 6 ("loading and decompressing the file from the
-database") and the second disk-write peak in Figure 8.
+connection, compressed.  This facade keeps the bytes the user uploaded
+as the BLOB and measures their compressed size with a real
+``zlib.compress`` at store time; it charges the simulated host for the
+CPU and disk work of each operation over that size — compressing on
+store, reading the compressed bytes and decompressing them on fetch —
+which is what produces the DB-related CPU peaks in the paper's Figure 6
+("loading and decompressing the file from the database") and the second
+disk-write peak in Figure 8.  No fetch inflates anything on the host.
 """
 
 from __future__ import annotations
 
 import hashlib
 import zlib
-from collections import OrderedDict
 from functools import cached_property
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.db.engine import Database
 from repro.db.table import Column
@@ -102,89 +103,63 @@ class StoredExecutable:
 #: The unit of the per-MB CPU costs, evaluated once.
 _MB = MB(1)
 
-#: Bytes the inflate memo may pin (compressed + decompressed).  A
-#: constant, not a knob: it bounds host memory only, and no simulated
-#: number, event or stored byte depends on what the memo holds.
-_MEMO_BUDGET = 32 * 1024 * 1024
 
+class _VersionMemo:
+    """The newest stored or fetched version of each executable (host
+    side only).
 
-class _InflateMemo:
-    """The newest stored or fetched version of each BLOB (host side only).
+    The row's ``data`` *is* the payload, so an entry pins nothing the
+    table does not hold already: a version is held from the frame that
+    stores it — over the very ``bytes`` object the store was handed —
+    or, if this manager did not store it (a recovered manager), from its
+    first fetch.  Every later fetch of it is handed the *same*
+    :class:`StoredExecutable`: the payload a site stages is the
+    uploader's object, and the digest is hashed once, when someone first
+    asks for it (or set by the publish that already hashed it).
 
-    The payload and its digest are pure functions of the compressed
-    bytes, so a version is held from the frame that stores it — as the
-    very ``bytes`` object the store was handed — or, if this manager
-    did not store it (a recovered manager, an evicted entry), inflated
-    once, on its first fetch.  Every later fetch of it is handed the
-    *same* :class:`StoredExecutable`: the payload a site stages is the
-    uploader's object, never a second copy, and the digest is hashed
-    once, when someone first asks for it (or set by the publish that
-    already hashed it).
-
-    An entry sits under the row's name and matches only the identity of
-    the row's compressed ``data`` object, which it pins: a replaced,
-    deleted or crash-recovered row holds a *different* object and never
-    matches.  Storing a name replaces its entry, deleting it drops the
-    entry, and a fetch of another version replaces it: one version per
-    name at most, and not one the store has replaced since.
-    Least-recently-used names fall out once the pinned bytes pass
-    :data:`_MEMO_BUDGET`; a version that alone exceeds it is never held.
+    An entry sits under the row's name and matches only while its
+    payload *is* the row's ``data``: a replaced or crash-recovered row
+    holds a different object and never matches.  Storing a name replaces
+    its entry, deleting it drops the entry, and a fetch of another
+    version replaces it: one version per name at most.
     """
 
     def __init__(self) -> None:
-        #: name -> (data, the version's executable, bytes pinned), least
-        #: recently stored or fetched first.
-        self._entries: OrderedDict[
-            str, Tuple[bytes, StoredExecutable, int]] = OrderedDict()
-        self._pinned = 0
+        #: name -> the version's executable.
+        self._entries: Dict[str, StoredExecutable] = {}
 
     def held(self, record: Dict[str, Any]) -> Optional[StoredExecutable]:
         """The executable remembered for the row's ``data`` object, if
         any."""
-        entry = self._entries.get(record["name"])
-        if entry is not None and entry[0] is record["data"]:
-            return entry[1]
+        exe = self._entries.get(record["name"])
+        if exe is not None and exe.payload is record["data"]:
+            return exe
         return None
 
     def stored(self, record: Dict[str, Any]) -> StoredExecutable:
-        """The row as a :class:`StoredExecutable`: remembered for its
-        ``data`` object, else built from *record* and the inflated
-        payload.  Host work only; the callers have already charged every
-        simulated step of the fetch."""
+        """The row as a :class:`StoredExecutable`, the one remembered for
+        its ``data`` object or a new one over it.  Host work only; the
+        callers have already charged every simulated step of the
+        fetch."""
         exe = self.held(record)
-        if exe is not None:
-            self._entries.move_to_end(exe.name)
-            return exe
-        data = record["data"]
-        exe = StoredExecutable(
-            name=record["name"],
-            payload=zlib.decompress(data),
-            description=record["description"],
-            params_spec=record["params_spec"],
-            compressed_size=record["compressed_size"],
-            stored_at=record["stored_at"],
-        )
-        self.remember(data, exe)
+        if exe is None:
+            exe = self._entries[record["name"]] = StoredExecutable(
+                name=record["name"],
+                payload=record["data"],
+                description=record["description"],
+                params_spec=record["params_spec"],
+                compressed_size=record["compressed_size"],
+                stored_at=record["stored_at"],
+            )
         return exe
 
-    def remember(self, data: bytes, exe: StoredExecutable) -> None:
-        """Hold *exe* as the version whose compressed bytes are *data*,
-        in place of whatever its name held, unless it alone is over
-        budget."""
-        self.drop(exe.name)
-        pinned = len(data) + exe.size
-        if pinned <= _MEMO_BUDGET:
-            entries = self._entries
-            entries[exe.name] = (data, exe, pinned)
-            self._pinned += pinned
-            while self._pinned > _MEMO_BUDGET:
-                self._pinned -= entries.popitem(last=False)[1][2]
+    def remember(self, exe: StoredExecutable) -> None:
+        """Hold *exe* in place of whatever its name held."""
+        self._entries[exe.name] = exe
 
     def drop(self, name: str) -> None:
         """Forget what is held under *name*."""
-        entry = self._entries.pop(name, None)
-        if entry is not None:
-            self._pinned -= entry[2]
+        self._entries.pop(name, None)
 
 
 _SCHEMA = [
@@ -212,7 +187,7 @@ class DbManager:
 
     #: Always None: every read is a primary read.  Kept only because the
     #: benchmark harness (``benchmarks/e2e/passes.py``) passes it to
-    #: ``NotifyQueue(read_router=)``; ROADMAP item 1 removes it.
+    #: ``NotifyQueue(read_router=)``; ROADMAP item 3 removes it.
     read_router = None
 
     def __init__(self, host: Host, db: Optional[Database] = None,
@@ -231,7 +206,7 @@ class DbManager:
         self._lock_waiters: List[Event] = []
         self._snap_gauge = None
         self._chunk_gauge = None
-        self._memo = _InflateMemo()
+        self._memo = _VersionMemo()
         # Observability plane: WAL pressure as a gauge + append events.
         # The log itself stays telemetry-free (it has no simulator); the
         # manager, which owns the clock, feeds the plane via the log's
@@ -309,7 +284,8 @@ class DbManager:
                          params_spec: str = "",
                          on_commit: Optional[Callable[[], None]] = None
                          ) -> Process:
-        """Compress and store *payload* under *name* (a simulation process).
+        """Store *payload* under *name* (a simulation process), charged
+        for compressing it and writing the compressed bytes.
 
         The returned process-event's value is the stored version as a
         :class:`StoredExecutable` whose payload is *payload* itself (a
@@ -324,7 +300,9 @@ class DbManager:
             payload = bytes(payload)
 
         def op() -> Generator[Event, None, StoredExecutable]:
-            compressed = zlib.compress(payload, level=6)
+            # The disk is charged for the compressed bytes; only their
+            # size is kept.
+            compressed_size = len(zlib.compress(payload, level=6))
             # Contended tier (``serialize``): the writer occupies the
             # single connection across the operation's CPU and disk
             # time, the way the original's single JDBC connection did.
@@ -352,7 +330,7 @@ class DbManager:
                             f"(transient WAL write failure)")
                 # Disk: the engine's insert lands in the WAL + heap.
                 yield self.host.disk_write(
-                    len(compressed) + self.costs.commit_disk_overhead)
+                    compressed_size + self.costs.commit_disk_overhead)
                 # The engine transaction itself is frame-synchronous
                 # (begin and commit in one frame, after the I/O): other
                 # subsystems' bookkeeping writes (staging marks, leases,
@@ -361,17 +339,17 @@ class DbManager:
                 with self.db.transaction():
                     self.db.delete_eq(self.TABLE, "name", name)
                     self.db.insert(self.TABLE, [
-                        name, description, params_spec, compressed,
-                        len(payload), len(compressed), self.sim.now,
+                        name, description, params_spec, payload,
+                        len(payload), compressed_size, self.sim.now,
                     ])
                     if on_commit is not None:
                         on_commit()
-                # The row's ``data`` is *compressed* itself, so the memo
+                # The row's ``data`` is *payload* itself, so the memo
                 # matches it until the row is replaced.
                 exe = StoredExecutable(name, payload, description,
-                                       params_spec, len(compressed),
+                                       params_spec, compressed_size,
                                        self.sim.now)
-                self._memo.remember(compressed, exe)
+                self._memo.remember(exe)
             finally:
                 if locked:
                     self._release_conn()
@@ -408,13 +386,15 @@ class DbManager:
     def load(self, name: str,
              on_chunk: Optional[Callable[[float], Any]] = None
              ) -> Generator[Event, None, StoredExecutable]:
-        """Load and decompress the executable *name*.
+        """Load the executable *name*, charged for reading its compressed
+        bytes and decompressing them.
 
         A generator the caller drives with ``yield from``, so it runs in
         the caller's process: an interrupt of that process unwinds it,
         giving up its place in the connection queue (or the lock) and
         its resident chunk bytes.  The value is a
-        :class:`StoredExecutable`; it fails with
+        :class:`StoredExecutable` over the row's ``data`` (the stored
+        payload itself); it fails with
         :class:`~repro.errors.RecordNotFound` for unknown names.
 
         Tier behaviour: with MVCC the row lookup skips the connection
@@ -473,9 +453,8 @@ class DbManager:
         Simulated residency is charged per chunk (allocate -> consume ->
         release), so the peak is at most two chunk sizes regardless of
         BLOB size; the real payload bytes are still returned whole,
-        because they are the data plane of the simulation — inflated
-        once, after the last simulated chunk (chunking is a model of
-        residency, not of how the host inflates).
+        because they are the data plane of the simulation (chunking is a
+        model of residency, not of how the host holds the bytes).
         """
         size = int(record["size"])
         csize = record["compressed_size"]
@@ -543,8 +522,9 @@ class DbManager:
         """Rebuild a fresh manager from the WAL image.
 
         Models an appliance restart after a crash: everything committed
-        survives, in-flight transactions are discarded.  The simulated
-        recovery cost is one disk read of the log plus replay CPU.
+        survives, in-flight transactions are discarded.  The rebuild is
+        host work only: it charges the simulated host no disk read and no
+        CPU, and advances no clock.
         """
         image = self.db.wal.snapshot()
         recovered = Database.recover(image)
@@ -568,12 +548,12 @@ class DbManager:
     def executable_digest(self, name: str) -> str:
         """SHA-256 of the stored payload, from the primary's row (host
         work only: no simulated cost): a held version's own digest, or
-        the hash of the inflated row."""
+        the hash of the row's bytes."""
         record = self.db.get_by_pk(self.TABLE, name)
         exe = self._memo.held(record)
         if exe is not None:
             return exe.digest
-        return hashlib.sha256(zlib.decompress(record["data"])).hexdigest()
+        return hashlib.sha256(record["data"]).hexdigest()
 
     def executable_sizes(self, name: str) -> Dict[str, int]:
         """(uncompressed, compressed) sizes without loading the payload."""

@@ -2,7 +2,7 @@
 
 A provider that keeps re-uploading a fixed executable must not make the
 appliance's memory grow with the uploads done: the database compacts its
-log once the dead versions outweigh the live ones, and the inflate memo
+log once the dead versions outweigh the live ones, and the version memo
 never holds a version the store has replaced.  Fresh uploads supersede
 nothing and must never trigger a compaction.
 """
@@ -59,13 +59,13 @@ def test_re_uploads_hold_a_bounded_number_of_versions(monkeypatch):
     sim, tb, stack = production_fabric(monkeypatch)
     manager = stack.dbmanager
     db, memo = manager.db, manager._memo
-    versions = []   # every compressed version stored, kept so ids stay put
+    versions = []   # every version stored, kept so ids stay put
     sizes = []
 
     def reachable():
         held = {id(seg) for seg in db.wal._segments}
         held |= {id(row[3]) for _, row in db.tables[manager.TABLE].scan()}
-        held |= {id(entry[0]) for entry in memo._entries.values()}
+        held |= {id(exe.payload) for exe in memo._entries.values()}
         return sum(id(v) in held for v in versions)
 
     for round_ in range(ROUNDS):
@@ -85,10 +85,10 @@ def test_re_uploads_hold_a_bounded_number_of_versions(monkeypatch):
     assert max(sizes) <= 2 * live + FLOOR
     assert live < 2 * len(versions[-1]) + 64 * 1024
     # The memo holds the current version alone, as its store left it:
-    # the row's compressed object and the very payload each republish
-    # seeded to the sites.
-    [(name, (data, exe, _pinned))] = memo._entries.items()
-    assert name == "own.sh" and data is versions[-1]
+    # the row's object, the very payload each republish seeded to the
+    # sites.
+    [(name, exe)] = memo._entries.items()
+    assert name == "own.sh" and exe.payload is versions[-1]
     staged = [copy for site in tb.sites
               for path, copy in site.storage.items()
               if path.endswith("/own.sh")]
@@ -111,7 +111,7 @@ def test_the_staged_copy_is_the_memos_payload(monkeypatch):
     sim, tb, stack = production_fabric(monkeypatch)
     reply, want = upload_then_invoke(sim, tb, stack, "a.sh", "A%", 0)
     assert reply == want
-    [(_data, exe, _pinned)] = stack.dbmanager._memo._entries.values()
+    [exe] = stack.dbmanager._memo._entries.values()
     staged = [data for site in tb.sites
               for path, data in site.storage.items()
               if path.endswith("/a.sh")]

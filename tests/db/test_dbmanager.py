@@ -3,12 +3,13 @@
 import gc
 import hashlib
 import random
+import tracemalloc
 import weakref
 import zlib
 
 import pytest
 
-from repro.db import DbManager, dbmanager
+from repro.db import DbManager
 from repro.db.dbmanager import DbCostModel, DbTierConfig
 from repro.errors import RecordNotFound, TransactionError
 from repro.hardware import Host, Network
@@ -353,8 +354,7 @@ def load(sim, mgr, name):
 
 def memo_holds(mgr, exe):
     """Is *exe* the executable the manager's memo holds for its name?"""
-    entry = mgr._memo._entries.get(exe.name)
-    return entry is not None and entry[1] is exe
+    return mgr._memo._entries.get(exe.name) is exe
 
 
 @pytest.mark.parametrize("tier", [None, DbTierConfig(chunk_bytes=4096),
@@ -407,34 +407,7 @@ def test_a_superseded_version_is_released_once_its_successor_is_fetched():
     assert list(mgr._memo._entries) == ["x"]
     # A delete lets the last version go too.
     sim.run(until=mgr.delete_executable("x"))
-    assert not mgr._memo._entries and mgr._memo._pinned == 0
-
-
-def test_memo_holds_no_over_budget_blob_and_lets_the_least_recent_go(
-        monkeypatch):
-    monkeypatch.setattr(dbmanager, "_MEMO_BUDGET", 4096)
-    sim, host, mgr = make_env()
-    noise = random.Random(7).randbytes(8192)   # compressed alone > budget
-    zeros = bytes(65536)                       # ~100 B compressed, 64 KB inflated
-    small_a = b"a" * 3000                      # each fits; both do not
-    small_b = b"b" * 3000
-    for name, payload in (("noise", noise), ("zeros", zeros),
-                          ("a", small_a), ("b", small_b)):
-        sim.run(until=mgr.store_executable(name, payload))
-    calls = counted(monkeypatch)
-    for name, payload in (("noise", noise), ("zeros", zeros)):
-        for _ in range(3):
-            exe = load(sim, mgr, name)
-            assert exe.payload == payload
-            assert not memo_holds(mgr, exe)
-    assert calls["inflate"] == 6
-    # Least recently fetched goes first: admitting b pushes a out.
-    for name in ("a", "a", "a", "b", "b", "b"):
-        load(sim, mgr, name)
-    assert calls["inflate"] == 6 + 1 + 1
-    assert memo_holds(mgr, load(sim, mgr, "b")) and calls["inflate"] == 8
-    assert load(sim, mgr, "a").payload == small_a and calls["inflate"] == 9
-    assert list(mgr._memo._entries) == ["a"]
+    assert not mgr._memo._entries
 
 
 def test_recovered_manager_starts_with_an_empty_memo(monkeypatch):
@@ -446,7 +419,7 @@ def test_recovered_manager_starts_with_an_empty_memo(monkeypatch):
     calls = counted(monkeypatch)
     exe = load(sim, recovered, "x")
     assert exe.payload == b"payload bytes" * 50 and exe is not held
-    assert calls["inflate"] == 1 and memo_holds(recovered, exe)
+    assert calls["inflate"] == 0 and memo_holds(recovered, exe)
 
 
 def test_store_holds_a_copy_of_a_mutable_buffer(monkeypatch):
@@ -460,24 +433,7 @@ def test_store_holds_a_copy_of_a_mutable_buffer(monkeypatch):
     assert type(exe.payload) is bytes and exe.payload == b"version one" * 100
 
 
-def test_over_budget_version_is_not_held_at_store_and_inflates_once(
-        monkeypatch):
-    monkeypatch.setattr(dbmanager, "_MEMO_BUDGET", 4096)
-    sim, host, mgr = make_env()
-    payload = b"a" * 3000
-    sim.run(until=mgr.store_executable("x", payload))
-    assert memo_holds(mgr, load(sim, mgr, "x"))
-    noise = random.Random(7).randbytes(8192)   # compressed alone > budget
-    stored = sim.run(until=mgr.store_executable("x", noise))
-    # Over budget: not held, and the version it replaced is gone too.
-    assert stored.payload is noise and not mgr._memo._entries
-    calls = counted(monkeypatch)
-    exe = load(sim, mgr, "x")
-    assert exe.payload == noise and exe is not stored
-    assert calls["inflate"] == 1 and not memo_holds(mgr, exe)
-
-
-def test_executable_digest_inflates_only_a_version_it_does_not_hold(
+def test_executable_digest_hashes_only_a_version_it_does_not_hold(
         monkeypatch):
     sim, host, mgr = make_env()
     payload = b"payload bytes" * 50
@@ -489,4 +445,62 @@ def test_executable_digest_inflates_only_a_version_it_does_not_hold(
     assert mgr.executable_digest("x") == want
     assert calls == {"inflate": 0, "sha256": 0}
     assert recovered.executable_digest("x") == want
-    assert calls == {"inflate": 1, "sha256": 1}
+    assert calls == {"inflate": 0, "sha256": 1}
+
+
+# ------------------------------------------------- one copy of each version
+
+def test_the_row_holds_the_very_object_the_store_was_handed():
+    sim, host, mgr = make_env()
+    payload = random.Random(3).randbytes(5000)
+    stored = sim.run(until=mgr.store_executable("x", payload))
+    row = mgr.db.get_by_pk(mgr.TABLE, "x")
+    assert row["data"] is payload and stored.payload is payload
+    # The simulated store still sized the compressed bytes.
+    assert row["compressed_size"] == len(zlib.compress(payload, level=6))
+    assert row["size"] == len(payload) == stored.size
+
+
+def test_storing_fresh_payloads_holds_no_second_copy():
+    sim, host, mgr = make_env()
+    payloads = [random.Random(seed).randbytes(1 << 20) for seed in range(8)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, payload in enumerate(payloads):
+            sim.run(until=mgr.store_executable(f"x{i}", payload))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # Incompressible bytes: a kept zlib output would be ~8 MB here.
+    assert grown < (1 << 20)
+
+
+@pytest.mark.parametrize("tier", [None, DbTierConfig(chunk_bytes=int(MB(1))),
+                                  DbTierConfig(mvcc=True)],
+                         ids=["whole", "chunked", "mvcc"])
+def test_a_large_version_is_fetched_without_inflating(monkeypatch, tier):
+    sim, host, mgr = make_env(tier=tier)
+    payload = bytes(40 << 20)
+    sim.run(until=mgr.store_executable("big", payload))
+    calls = counted(monkeypatch)
+    fetched = [load(sim, mgr, "big") for _ in range(3)]
+    assert all(exe.digest for exe in fetched)
+    assert calls == {"inflate": 0, "sha256": 1}
+    assert all(exe.payload is payload for exe in fetched)
+
+
+@pytest.mark.parametrize("tier", [None, DbTierConfig(chunk_bytes=4096),
+                                  DbTierConfig(mvcc=True)],
+                         ids=["whole", "chunked", "mvcc"])
+def test_a_recovered_manager_serves_equal_bytes_without_inflating(
+        monkeypatch, tier):
+    sim, host, mgr = make_env(tier=tier)
+    payload = random.Random(5).randbytes(20000)
+    sim.run(until=mgr.store_executable("x", payload))
+    recovered = mgr.recover_from_crash()
+    calls = counted(monkeypatch)
+    first = load(sim, recovered, "x")
+    assert first.payload == payload and load(sim, recovered, "x") is first
+    assert recovered.executable_digest("x") == first.digest
+    assert calls == {"inflate": 0, "sha256": 1}

@@ -802,14 +802,14 @@ LogLifetime.TestCase.settings = settings(
 test_log_lifetime = LogLifetime.TestCase
 
 
-# -- derive once: the inflate memo vs the load path it replaced ---------------
+# -- derive once: the version memo vs the load path it replaced ---------------
 
 
 class reference_manager(DbManager):
-    """``DbManager`` with the load path the inflate memo replaced, verbatim:
-    every fetch inflates the BLOB again (``zlib.decompress``, or a
-    ``decompressobj`` fed one slice per chunk and joined), and every
-    returned object hashes its own payload."""
+    """``DbManager`` with the load path the version memo replaced: every
+    fetch reads the raw row again (whole, or one slice per chunk and
+    joined) into a new object, and every returned object hashes its own
+    payload."""
 
     def load_executable(self, name, on_chunk=None):
         def op():
@@ -834,7 +834,7 @@ class reference_manager(DbManager):
                     locked = False
                 yield self.host.compute(
                     self.costs.decompress_cpu_per_mb * record["size"] / MB(1))
-                payload = zlib.decompress(record["data"])
+                payload = record["data"]
                 self._emit_fetch(name, "whole", record["size"], 1,
                                  record["size"], waited)
                 return StoredExecutable(
@@ -857,7 +857,6 @@ class reference_manager(DbManager):
         data = record["data"]
         chunk = self.tier.chunk_bytes
         n = max(1, (size + chunk - 1) // chunk) if size > 0 else 1
-        decomp = zlib.decompressobj()
         parts = []
         resident = 0.0
         peak = 0.0
@@ -874,10 +873,7 @@ class reference_manager(DbManager):
             yield self.host.disk_read(csize / n)
             yield self.host.compute(
                 self.costs.decompress_cpu_per_mb * this_bytes / MB(1))
-            part = decomp.decompress(data[lo:hi])
-            if i == n - 1:
-                part += decomp.flush()
-            parts.append(part)
+            parts.append(data[lo:hi])
             if on_chunk is not None:
                 if consumer is not None:
                     yield consumer
@@ -1002,12 +998,9 @@ def test_inflate_memo_is_invisible_next_to_the_uncached_load(
                 == (ref_host.memory_used, ref_host.memory_peak))
         assert fetches == ref_fetches
     # Retention: the (current) manager's memo holds one version per
-    # name, the current row's, whether stored or fetched.  Nothing here
-    # comes near the budget.
+    # name, the current row's, whether stored or fetched.
     mgr = sides[1][2]
-    for name, (data, exe, pinned) in mgr._memo._entries.items():
+    for name, exe in mgr._memo._entries.items():
         row = mgr.db.get_by_pk(mgr.TABLE, name)
-        assert data is row["data"] and exe.name == name
-        assert exe.payload == zlib.decompress(data)
+        assert exe.payload is row["data"] and exe.name == name
         assert exe.stored_at == row["stored_at"]
-        assert pinned == len(data) + exe.size
