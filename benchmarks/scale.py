@@ -26,6 +26,9 @@ per table on the primary (the one database), gauge samples, the
 kernel's queued events, GRAM job records (and how many still hold a
 parsed RSL), queued timers still hooked to a condition that has fired,
 and staged copies of an executable that are not the memo's payload.
+Beside them, ungated, the duplicate submits: ``gram.submit`` events
+beyond one per request id over the whole pass (a request run twice on
+the grid, ROADMAP observation i).
 
 ``--smoke`` is the CI form: 0.25x and 0.5x, and it fails unless
 ``production_mixed`` compacted at least once, ``faithful_bulk`` (fresh
@@ -155,6 +158,7 @@ def _child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
     stamps: List[float] = []
     hot_stamps: List[float] = []
     hot: set = set()
+    submits: Dict[Any, int] = {}
     deploy = passes._deploy
 
     def stamp(event) -> None:
@@ -167,12 +171,16 @@ def _child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
             if event.get("service") in hot:
                 hot_stamps.append(now)
 
+    def count_submit(event) -> None:
+        submits[event.request_id] = submits.get(event.request_id, 0) + 1
+
     def remembering(sim, schedule):
         hot.update(service_name_for(svc["file"])
                    for svc in schedule["services"])
         tb, stack = deploy(sim, schedule)
         built.append((sim, tb, stack))
         bus(sim).subscribe(stamp, kinds=OP_KINDS)
+        bus(sim).subscribe(count_submit, kinds=("gram.submit",))
         return tb, stack
 
     passes._deploy = remembering
@@ -192,6 +200,7 @@ def _child(workload: str, scale: float, seed: int) -> Dict[str, Any]:
                             {id(s): s for s in db.wal._segments}.values()),
     }
     record["held"] = _held(sim, tb, stack)
+    record["duplicate_submits"] = sum(n - 1 for n in submits.values())
     return record
 
 
@@ -230,6 +239,8 @@ def sweep(workload: str, scales, seed: int) -> List[Dict[str, Any]]:
               f"({held['gram_jobs_with_rsl']} with parsed RSL), "
               f"{held['payload_copies']} second copies of a memo payload",
               flush=True)
+        print(f"        duplicate submits: {r['duplicate_submits']} "
+              f"gram.submit beyond one per request id", flush=True)
         for label, deciles in (("op", r["decile_ms"]),
                                ("hot invoke", r["hot_decile_ms"])):
             if scale == 1.0 and deciles:

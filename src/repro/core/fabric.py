@@ -22,10 +22,9 @@ grid identity — for one virtual appliance or a sharded deployment
   breaker-aware skip and least-loaded spill.
 
 The paper's single appliance is the same function with its default
-arguments (``replicas=1``, router off): no clone hosts, no router host,
-and a *disabled* router ringed on the appliance itself — it owns no
-endpoint and creates no simulation events, so the faithful timeline the
-goldens pin cannot see it.
+arguments (``replicas=1``, router off): no clone hosts and no router
+(``stack.router is None``), so the faithful timeline the goldens pin
+has nothing to see.
 :func:`~repro.core.onserve.deploy_onserve` is exactly that call.
 """
 
@@ -63,13 +62,13 @@ class FabricStack:
     ``onserve``, ``soap_server``, ``agent`` and ``portal`` refer to the
     *primary* replica — all a single-appliance consumer needs; the
     fabric surfaces beside them are the replica list, the shared store
-    and the router.
+    and the router (None on an unrouted stack).
     """
 
     def __init__(self, testbed: Testbed, appliance: DeployedAppliance,
                  fabric: SoapFabric, uddi: UddiRegistry,
                  dbmanager: DbManager, onserves: List[OnServe],
-                 router: RequestRouter, store: ServiceStateStore,
+                 router: Optional[RequestRouter], store: ServiceStateStore,
                  user_clients: List[WsClient]):
         self.testbed = testbed
         self.sim = testbed.sim
@@ -99,6 +98,11 @@ class FabricStack:
 
     # -- self-healing: leases, crash, restart --------------------------------
 
+    def _routed(self, what: str) -> RequestRouter:
+        if self.router is None:
+            raise OnServeError(f"{what} needs a routed fabric")
+        return self.router
+
     def start_self_healing(self,
                            heartbeat_interval: Optional[float] = None
                            ) -> "FabricStack":
@@ -108,24 +112,22 @@ class FabricStack:
         the router every ``heartbeat_interval`` (default: a third of the
         router's ``lease_ttl``, so two beats can be lost before the
         lease lapses), and the router starts the lease watchdog that
-        declares lapsed replicas dead.  Requires a router constructed
-        with a state store, whose dedup table makes failover replays
-        safe.
+        declares lapsed replicas dead.
         """
+        router = self._routed("self-healing")
         if self.self_healing:
             return self
-        if self.router.store is None:
-            raise OnServeError("self-healing needs a router built with "
-                               "a state store")
         self.heartbeat_interval = (heartbeat_interval
-                                   or self.router.lease_ttl / 3.0)
+                                   or router.lease_ttl / 3.0)
         self.self_healing = True
         for onserve in self.onserves:
             self._start_heartbeat(onserve.replica)
-        self.router.start_membership_watch()
+        router.start_membership_watch()
         return self
 
     def stop_self_healing(self) -> None:
+        if not self.self_healing:
+            return
         for onserve in self.onserves:
             self._stop_heartbeat(onserve.replica, "stop")
         self.router.stop_membership_watch()
@@ -168,9 +170,10 @@ class FabricStack:
         transport faults or lease expiry, which is exactly what the
         chaos scenario measures.  Returns how many were killed.
         """
-        self.router.replica_handle(name).crashed = True
+        router = self._routed("a replica crash")
+        router.replica_handle(name).crashed = True
         self._stop_heartbeat(name, "crash")
-        killed = self.router.kill_inflight(name)
+        killed = router.kill_inflight(name)
         bus(self.sim).emit("fabric.replica_crash", layer="core",
                            replica=name, inflight_killed=killed)
         return killed
@@ -183,20 +186,20 @@ class FabricStack:
         fault count, rejoin the ring if the death was declared, close
         the breaker, and resume heartbeating.
         """
-        self.router.revive_replica(name)
+        router = self._routed("a replica restart")
+        router.revive_replica(name)
         if self.self_healing:
-            self.router.renew_lease(name,
-                                    self.sim.now + self.router.lease_ttl)
-            if self.router.replica_handle(name).heartbeat is None:
+            router.renew_lease(name, self.sim.now + router.lease_ttl)
+            if router.replica_handle(name).heartbeat is None:
                 self._start_heartbeat(name)
         bus(self.sim).emit("fabric.replica_restart", layer="core",
                            replica=name)
 
     def inquiry_endpoint(self) -> str:
-        """Where clients reach the UDDI inquiry service: the router when
-        it is enabled (discovery traffic spreads over the replicas
+        """Where clients reach the UDDI inquiry service: the router on a
+        routed fabric (discovery traffic spreads over the replicas
         too), the primary's container otherwise."""
-        front = self.router if self.router.enabled else self.soap_server
+        front = self.router or self.soap_server
         return front.endpoint_for(UddiInquiryService.SERVICE_NAME)
 
     # -- client caches ------------------------------------------------------
@@ -247,9 +250,8 @@ def deploy_fabric(testbed: Testbed,
 
     The process-event's value is a :class:`FabricStack`.  The defaults
     (``replicas=1``, router off) are the paper's single virtual
-    appliance (§V): no extra hosts, and a *disabled* router ringed on
-    the appliance host itself, which owns no endpoint and routes
-    nothing.  ``router=None`` enables the router automatically when
+    appliance (§V): no extra hosts and no router.  ``router=None``
+    builds the router automatically when
     ``replicas > 1``.  Passing a *dbmanager* (e.g. one recovered with
     :meth:`~repro.db.dbmanager.DbManager.recover_from_crash`) redeploys
     over existing data: every stored executable's service is rebuilt
@@ -257,15 +259,15 @@ def deploy_fabric(testbed: Testbed,
 
     With ``self_healing=True`` (routed deployments) the stack arms the
     lease/failover plane after deployment: replicas heartbeat their
-    membership leases to the router, which watches for expiry and
-    dedups failover replays in the shared store (DESIGN.md §13).
+    membership leases to the router, which watches for expiry and fails
+    requests over off a dead replica (DESIGN.md §13).
     """
     if replicas < 1:
         raise OnServeError("replicas must be >= 1")
     config = config or OnServeConfig()
     router_on = (replicas > 1) if router is None else bool(router)
     if self_healing and not router_on:
-        raise OnServeError("self-healing needs the router enabled")
+        raise OnServeError("self-healing needs a routed fabric")
     sim = testbed.sim
 
     def op() -> Generator[Event, None, FabricStack]:
@@ -296,11 +298,7 @@ def deploy_fabric(testbed: Testbed,
                 network.connect(peer.name, host.name, bandwidth=lan_bw,
                                 latency=lan_lat)
             hosts.append(host)
-        if replicas == 1 and not router_on:
-            # The single appliance: its (disabled) router needs no host
-            # of its own, so the paper's topology gains nothing.
-            router_host = primary
-        else:
+        if router_on:
             router_host = Host(sim, "router", network, HostSpec(cores=4))
             for peer in hosts + testbed.user_hosts:
                 network.connect(router_host.name, peer.name,
@@ -368,17 +366,17 @@ def deploy_fabric(testbed: Testbed,
             for onserve in onserves:
                 onserve.notify_queue = queue
 
-        # 5. The router over all replicas.  Disabled, it is constructed
-        #    and ringed but stays out of the endpoint fabric.
-        request_router = RequestRouter(
-            router_host, fabric, enabled=router_on,
-            breaker_failure_threshold=config.breaker_failure_threshold,
-            store=store if self_healing else None,
-            lease_ttl=lease_ttl,
-            lease_check_interval=lease_check_interval)
-        for onserve, server in zip(onserves, servers):
-            request_router.add_replica(onserve.replica, server, onserve)
-            onserve.router = request_router
+        # 5. The router over all replicas, on a routed fabric only.
+        request_router = None
+        if router_on:
+            request_router = RequestRouter(
+                router_host, fabric,
+                breaker_failure_threshold=config.breaker_failure_threshold,
+                lease_ttl=lease_ttl,
+                lease_check_interval=lease_check_interval)
+            for onserve, server in zip(onserves, servers):
+                request_router.add_replica(onserve.replica, server, onserve)
+                onserve.router = request_router
 
         user_clients = [WsClient(host, fabric)
                         for host in testbed.user_hosts]

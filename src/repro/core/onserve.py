@@ -283,8 +283,7 @@ class OnServe:
         row, an invocation loads from the DB only when the chosen site
         misses that digest, and a republish reseeds where the old bytes
         were (DESIGN.md §10)."""
-        return (self.config.stage_once and self.router is not None
-                and self.router.enabled)
+        return self.config.stage_once and self.router is not None
 
     def is_staged(self, site: str, path: str, digest: str) -> bool:
         return self.store.staged_digest(site, path) == digest
@@ -389,9 +388,9 @@ class OnServe:
         with span(ctx, "onserve:build", service=service_name):
             endpoint, archive = yield self.builder.build_and_deploy(
                 record, runtime.handler)
-        # Behind an enabled router the *published* endpoint is the
-        # router's — clients must route, not pin this replica.
-        if self.router is not None and self.router.enabled:
+        # Behind a router the *published* endpoint is the router's —
+        # clients must route, not pin this replica.
+        if self.router is not None:
             endpoint = self.router.endpoint_for(service_name)
         with span(ctx, "onserve:uddi-publish", service=service_name):
             yield self.host.compute(0.02)
@@ -756,7 +755,7 @@ def deploy_onserve(testbed: Testbed,
 
     :func:`~repro.core.fabric.deploy_fabric` with its default arguments;
     the process-event's value is a :class:`~repro.core.fabric.FabricStack`
-    of one replica behind a disabled router.
+    of one replica and no router.
     """
     from repro.core.fabric import deploy_fabric
     return deploy_fabric(testbed, config, dbmanager)

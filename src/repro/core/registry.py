@@ -30,11 +30,9 @@ Tables
     naturally fabric-global state.  Read and written only under
     ``OnServeConfig.stage_once`` (DESIGN.md §10).
 ``invocation_dedup``
-    Idempotency records for crash failover: one row per completed
-    mutating invocation, written in the same simulation frame the
-    result is observed, so a retried ``execute`` whose first attempt
-    already ran returns the recorded result instead of double-submitting
-    to GRAM.
+    Idempotency records keyed by request: no ``src/`` caller writes or
+    reads them; the table and its methods stay for the benchmark
+    harness's store driver (DESIGN.md §15).
 
 Purity contract
 ---------------
@@ -123,8 +121,7 @@ class ServiceStateStore:
         #: appliance redeployed over recovered data resumes numbering).
         self._invocation_counter: Optional[int] = None
         self._tag_seq: Optional[int] = None
-        #: Invocations that completed twice (must stay 0: each one is a
-        #: request the idempotency layer failed to deduplicate).
+        #: Dedup keys recorded twice (:meth:`record_dedup`).
         self.dedup_duplicates = 0
 
     # -- the change feed (cache invalidation fan-out) -------------------------
@@ -323,7 +320,7 @@ class ServiceStateStore:
         for listener in self._seed_watchers.pop(path, ()):
             listener(trace)
 
-    # -- invocation dedup (idempotent crash-failover retries) -----------------
+    # -- invocation dedup (kept for the harness's store driver) ---------------
 
     def dedup_result(self, key: str) -> Optional[str]:
         """The recorded result for idempotency key *key*, if completed."""
@@ -340,16 +337,13 @@ class ServiceStateStore:
         so there is no yield point between "the work happened" and "the
         record exists".  A ``False`` return means some other attempt
         already completed this key — the caller double-executed, which
-        the chaos gate counts via :attr:`dedup_duplicates`.
+        :attr:`dedup_duplicates` counts.
         """
         if self.dedup_result(key) is not None:
             self.dedup_duplicates += 1
             return False
         self.db.insert(DEDUP_TABLE, [key, replica, str(result), now])
         return True
-
-    def dedup_count(self) -> int:
-        return self.db.count(DEDUP_TABLE)
 
     # -- shared counters ------------------------------------------------------
 

@@ -199,9 +199,8 @@ class ServiceNotFound(WsError):
 class ReplicaDown(WsError):
     """A fabric replica died (or refused the connection) mid-request.
 
-    Retryable: the request can be replayed on a preference-list
-    survivor — under the router's invocation-dedup layer for mutating
-    operations, freely for idempotent reads.
+    Retryable: the router fails the request over to a preference-list
+    survivor.
     """
 
     retryable = True

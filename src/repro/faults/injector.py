@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, TYPE_CHECKING
 
+from repro.errors import OnServeError
 from repro.faults.spec import FaultSpec
 from repro.telemetry.events import bus
 
@@ -133,8 +134,11 @@ class FaultInjector:
         Each spec kills one replica at a seeded instant drawn uniformly
         inside its window (``target`` names the replica, or ``"*"`` for
         a seeded pick among the replicas still routable at fire time).
-        Idempotent per spec, like :meth:`install`.
+        Idempotent per spec, like :meth:`install`.  An unrouted stack
+        has no replica to crash: arming one raises ``OnServeError``.
         """
+        if stack.router is None and self.specs("replica.crash"):
+            raise OnServeError("replica.crash needs a routed fabric")
         for spec in self.specs("replica.crash"):
             if spec in self._armed:
                 continue

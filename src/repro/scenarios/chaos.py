@@ -8,12 +8,10 @@ are refused.  Later one of the corpses is restarted and must rejoin the
 ring.  The drill holds the fabric to five invariants:
 
 * **zero lost requests** — every client invocation completes; crashed
-  in-flight work fails over to a preference-list survivor under the
-  invocation-dedup layer;
+  in-flight work fails over to a preference-list survivor;
 * **no double execution** — in each pass, every invocation id reaches
   the grid as exactly one ``gram.submit`` (a crashed replica's request
-  dies with it, so only the survivor's attempt submits), and the
-  store's duplicate counter stays 0;
+  dies with it, so only the survivor's attempt submits);
 * **bounded detection** — for every crash, the gap between the crash
   instant (``fabric.replica_crash``) and the router's death declaration
   (``router.replica_dead``) is at most ``lease_ttl +
@@ -72,7 +70,7 @@ class ChaosResult:
                  crashed: List[str], restarted: List[str],
                  rejoined: bool, detection_lags: Dict[str, float],
                  detection_bound: float, slo_violated: bool,
-                 failovers: int, dedup_hits: int, dedup_duplicates: int,
+                 failovers: int,
                  inflight_killed: int, requests_routed: int,
                  submits: List[Dict[str, int]],
                  seed: int, smoke: bool):
@@ -96,8 +94,6 @@ class ChaosResult:
         self.detection_bound = detection_bound
         self.slo_violated = slo_violated
         self.failovers = failovers
-        self.dedup_hits = dedup_hits
-        self.dedup_duplicates = dedup_duplicates
         self.inflight_killed = inflight_killed
         self.requests_routed = requests_routed
         #: Per pass (calibration, chaos): ``gram.submit`` count per
@@ -144,7 +140,6 @@ class ChaosResult:
     def ok(self) -> bool:
         return (self.lost == 0
                 and self.exactly_once
-                and self.dedup_duplicates == 0
                 and len(self.crashed) == self.kill
                 and self.detection_ok
                 # Not vacuous: the router actually failed over.
@@ -164,10 +159,9 @@ class ChaosResult:
              self.lost == 0,
              f"{self.completed}/{self.invocations} completed"),
             ("no double execution",
-             self.exactly_once and self.dedup_duplicates == 0,
+             self.exactly_once,
              f"{self.grid_submits} submits for "
-             f"{len(self.submits) * self.invocations} invocations, "
-             f"{self.dedup_hits} dedup hits"),
+             f"{len(self.submits) * self.invocations} invocations"),
             ("detection lag bounded",
              self.detection_ok,
              f"max {self.max_detection_lag:.1f}s "
@@ -251,8 +245,7 @@ def run_chaos(replicas: int = 8,
         detection_lags=chaos["detection_lags"],
         detection_bound=lease_ttl + 2 * lease_check_interval,
         slo_violated=chaos["slo_violated"],
-        failovers=chaos["failovers"], dedup_hits=chaos["dedup_hits"],
-        dedup_duplicates=chaos["dedup_duplicates"],
+        failovers=chaos["failovers"],
         inflight_killed=chaos["inflight_killed"],
         requests_routed=chaos["requests_routed"],
         submits=[calibration["submits"], chaos["submits"]],
@@ -360,8 +353,6 @@ def _one_run(replicas: int, clients: int, services: int, rounds: int,
         "detection_lags": detection_lags,
         "slo_violated": slo_violated,
         "failovers": stack.router.failovers,
-        "dedup_hits": stack.router.dedup_hits,
-        "dedup_duplicates": stack.store.dedup_duplicates,
         "inflight_killed": inflight_killed,
         "requests_routed": stack.router.requests_routed,
         "submits": submits,

@@ -213,14 +213,15 @@ def _one_level(replicas: int, router_on: bool, clients: int, services: int,
 
     elapsed = sim.now - t0
     counts = telemetry.counts()
+    router = stack.router
     return {
         "replicas": float(replicas),
         "elapsed": elapsed,
         "throughput": len(latencies) / elapsed,
         "mean": sum(latencies) / len(latencies),
         "p95": percentile(latencies, 95.0),
-        "rebalances": float(stack.router.rebalances),
-        "routed": float(stack.router.requests_routed),
+        "rebalances": float(router.rebalances if router else 0),
+        "routed": float(router.requests_routed if router else 0),
         "materialized": float(
             counts.get("core.service_materialized", 0)
             - counts0.get("core.service_materialized", 0)),

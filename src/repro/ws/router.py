@@ -24,13 +24,8 @@ and a ``transport``, so :class:`~repro.ws.client.WsClient` talks to it
 exactly as it would to a :class:`~repro.ws.server.SoapServer` — the
 extra hop is two real envelope transfers (client↔router) plus a small
 routing CPU charge, which ``ScaleoutResult.ok`` (scenarios/scaleout.py)
-bounds below 5% at ``replicas=1``.
-
-A *disabled* router can be constructed and wired without being
-registered in the fabric; it then owns no endpoint, routes nothing and
-creates zero simulation events — every single-appliance deployment
-carries one (``deploy_fabric``'s defaults), so the golden figures
-themselves prove the faithful timeline cannot see it.
+bounds below 5% at ``replicas=1``.  A router, once built, owns its
+endpoint: the single appliance builds none.
 """
 
 from __future__ import annotations
@@ -98,9 +93,6 @@ class HashRing:
         self._walks.clear()
         self._points = [(p, n) for p, n in self._points if n != node]
 
-    def nodes(self) -> List[str]:
-        return sorted(self._nodes)
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -164,8 +156,8 @@ class Replica:
     routing and liveness state, parked with it when it leaves the ring."""
 
     __slots__ = ("name", "server", "onserve", "crashed", "inflight",
-                 "gauge", "procs", "faults", "lease_expires", "epoch",
-                 "heartbeat")
+                 "generation", "gauge", "procs", "faults", "lease_expires",
+                 "epoch", "heartbeat")
 
     def __init__(self, name: str, server: SoapServer, onserve,
                  gauge: Gauge):
@@ -179,6 +171,9 @@ class Replica:
         self.crashed = False
         #: Requests in flight, mirrored into its ``router.inflight`` gauge.
         self.inflight = 0
+        #: Removals so far: each clears :attr:`inflight`, so a request
+        #: admitted before one is not counted any more.
+        self.generation = 0
         self.gauge = gauge
         #: What :meth:`RequestRouter.run_on` hosts here, in admission
         #: order (a dict as an ordered set): a crash must interrupt them
@@ -204,12 +199,6 @@ class RequestRouter:
     #: PARSE+DISPATCH cost so the router never becomes the bottleneck.
     ROUTE_CPU = 0.002
 
-    #: Operations safe to replay freely (idempotent reads): retried and
-    #: hedged without consulting the invocation-dedup table.  Anything
-    #: not listed is treated as mutating and retried only under dedup.
-    READ_OPS = frozenset({"findService", "getBindings", "listServices",
-                          "describe", "status"})
-
     #: Seconds an open replica circuit stays open.
     BREAKER_RESET_TIMEOUT = 60.0
 
@@ -227,12 +216,11 @@ class RequestRouter:
                                   multiplier=2.0, max_delay=2.0)
 
     def __init__(self, host: Host, fabric: Optional[SoapFabric] = None,
-                 enabled: bool = True, breaker_failure_threshold: int = 3,
-                 store=None, lease_ttl: float = 15.0,
+                 breaker_failure_threshold: int = 3,
+                 lease_ttl: float = 15.0,
                  lease_check_interval: float = 5.0):
         self.host = host
         self.sim = host.sim
-        self.enabled = enabled
         self.ring = HashRing()
         #: The routable replicas' records.
         self._replicas: Dict[str, Replica] = {}
@@ -248,14 +236,12 @@ class RequestRouter:
         self._queue_gauge = board.gauge("router.queue", unit="reqs")
         self._board = board
         # -- failover, self-healing ----------------------------------
-        # Every routed request fails over off a crashed replica.  What
-        # a *store* adds is the invocation-dedup table behind replayed
-        # mutations; leases live on the replica records.  The
-        # constructor creates zero simulation events either way (the
-        # watchdog only starts via start_membership_watch).
+        # Every routed request fails over off a crashed replica; leases
+        # live on the replica records.  The constructor creates zero
+        # simulation events (the watchdog only starts via
+        # start_membership_watch).
         if lease_ttl <= 0 or lease_check_interval <= 0:
             raise WsError("lease_ttl and lease_check_interval must be > 0")
-        self.store = store
         self.lease_ttl = lease_ttl
         self.lease_check_interval = lease_check_interval
         #: The last lease epoch handed out, router-wide.
@@ -266,12 +252,8 @@ class RequestRouter:
         #: (ts, replica, reason) death declarations, in order.
         self.deaths: List[Tuple[float, str, str]] = []
         self.failovers = 0
-        self.dedup_hits = 0
-        # Only an *enabled* router owns an endpoint.  A disabled router
-        # stays out of the fabric entirely: nothing resolves to it,
-        # nothing routes through it, no timeline can be perturbed by it.
         self.fabric = fabric
-        if fabric is not None and enabled:
+        if fabric is not None:
             fabric.register(self)
 
     # -- replica membership ----------------------------------------------------
@@ -301,6 +283,7 @@ class RequestRouter:
         self._parked[name] = replica
         self.ring.remove(name)
         inflight, replica.inflight = replica.inflight, 0
+        replica.generation += 1
         if inflight:
             self._queue_gauge.adjust(-inflight)
         replica.gauge.set(0)
@@ -542,17 +525,12 @@ class RequestRouter:
         replica, (lazily) materializes the service there, forwards the
         same envelope over the router↔replica links, and relays the
         replica's response — or fault — envelope back to the client.
-        Each direction's envelope is built and sized once; only a dedup
-        hit or a fault of the router's own builds one here.  On the way:
-
-        * the replica dispatch runs in a sub-process the crash path can
-          interrupt, and a :class:`ReplicaDown` (refused connection or
-          mid-request interrupt) fails over to the next preference-list
-          survivor under the failover :class:`RetryPolicy`;
-        * with a dedup store (the self-healing plane), mutating
-          operations replay under the invocation-dedup table: a retried
-          call whose first attempt actually completed returns the
-          recorded result instead of double-executing.
+        Each direction's envelope is built and sized once; only a fault
+        of the router's own builds one here.  The replica dispatch runs
+        in a sub-process the crash path can interrupt, and a
+        :class:`ReplicaDown` (refused connection or mid-request
+        interrupt) fails over to the next preference-list survivor under
+        the failover :class:`RetryPolicy` — every operation alike.
         """
         request = SoapEnvelope.request(operation, params,
                                        namespace=f"urn:repro:{service_name}")
@@ -565,28 +543,11 @@ class RequestRouter:
             yield client.send(self.host, request.size(),
                               label=f"route-req:{service_name}.{operation}")
             yield self.host.compute(self.ROUTE_CPU)
-            # Idempotency key: mutating operations (anything outside
-            # READ_OPS) dedup on (request id, service, operation) so a
-            # failover replay of an attempt that actually completed
-            # returns the recorded result instead of re-executing.
-            dkey = None
-            if (self.store is not None and ctx is not None
-                    and operation not in self.READ_OPS):
-                dkey = f"{ctx.request_id}|{service_name}.{operation}"
             self.requests_routed += 1
             rng = self.sim.rng.stream("router:failover")
             tried: List[str] = []
             attempt = 0
             while True:
-                if dkey is not None:
-                    cached = self.store.dedup_result(dkey)
-                    if cached is not None:
-                        self.dedup_hits += 1
-                        self.bus.emit("router.dedup_hit", layer="ws",
-                                      service=service_name,
-                                      operation=operation, key=dkey)
-                        response = SoapEnvelope.response(operation, cached)
-                        break
                 try:
                     replica = self.choose(service_name, exclude=tried)
                 except WsError as exc:
@@ -598,10 +559,10 @@ class RequestRouter:
                     raise fault
                 if hop is not None:
                     hop.meta["replica"] = replica.name
-                self._admit(replica)
+                generation = self._admit(replica)
                 proc = self.run_on(
                     replica.name,
-                    self._proxy(replica, service_name, request, ctx, dkey),
+                    self._proxy(replica, service_name, request, ctx),
                     f"router:proxy:{service_name}.{operation}")
                 crash: Optional[ReplicaDown] = None
                 try:
@@ -628,7 +589,7 @@ class RequestRouter:
                                                      operation, response)
                         raise fault
                 finally:
-                    self._release(replica)
+                    self._release(replica, generation)
                 if crash is None:
                     self.breakers.success(replica.name)
                     replica.faults = 0
@@ -660,18 +621,14 @@ class RequestRouter:
         return response.result()
 
     def _proxy(self, replica: Replica, service_name: str,
-               request: SoapEnvelope, ctx: Optional[RequestContext],
-               dkey: Optional[str]
+               request: SoapEnvelope, ctx: Optional[RequestContext]
                ) -> Generator[Event, None, SoapEnvelope]:
         """One dispatch attempt against one replica (interruptible): the
         value is the replica's response or fault envelope.
 
         Runs as its own process so :meth:`kill_inflight` can interrupt
         it when the replica crashes.  A replica that already crashed
-        refuses the connection outright.  The dedup record is written in
-        the same frame the replica's response returns — no yield in
-        between — so a crash can never land between "executed" and
-        "recorded".
+        refuses the connection outright.
         """
         if replica.crashed:
             raise ReplicaDown(f"connection refused by {replica.name!r}")
@@ -680,31 +637,28 @@ class RequestRouter:
             if replica.onserve is not None:
                 yield from replica.onserve.ensure_local_service(
                     service_name, ctx)
-            response = yield from replica.server.exchange(
-                self.host, request, service_name, ctx)
-        if (dkey is not None and self.store is not None
-                and response.fault is None):
-            self.store.record_dedup(dkey, replica.name, response.result(),
-                                    self.sim.now)
-        return response
+            return (yield from replica.server.exchange(
+                self.host, request, service_name, ctx))
 
     # -- admission helpers --------------------------------------------------------
 
-    def _admit(self, replica: Replica) -> None:
-        """Count one request into *replica*'s admission queue (gauges)."""
+    def _admit(self, replica: Replica) -> int:
+        """Count one request into *replica*'s admission queue (gauges);
+        the value is the generation :meth:`_release` must be handed."""
         replica.inflight += 1
         self._queue_gauge.adjust(1)
         replica.gauge.set(replica.inflight)
+        return replica.generation
 
-    def _release(self, replica: Replica) -> None:
-        """Undo :meth:`_admit` — tolerant of a concurrent removal.
+    def _release(self, replica: Replica, generation: int) -> None:
+        """Undo :meth:`_admit` — tolerant of a removal in between.
 
-        If the replica was removed (a crash declared) while this request
-        unwound, its gauges were already cleared by
-        :meth:`remove_replica`; decrementing again would leave ghost
-        negative counts, so a parked replica's release is a no-op.
+        A removal (a crash declared, or an admin removal) clears the
+        replica's counts and starts a new generation; a request admitted
+        under an older one — even if the replica was revived before it
+        unwound — was already cleared, so its release is a no-op.
         """
-        if self._replicas.get(replica.name) is not replica:
+        if replica.generation != generation:
             return
         replica.inflight -= 1
         self._queue_gauge.adjust(-1)

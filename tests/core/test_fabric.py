@@ -7,6 +7,7 @@ from repro.core.fabric import FabricStack, deploy_fabric
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
 from repro.errors import OnServeError
+from repro.faults import FaultSpec, fault_plane
 from repro.grid.testbed import build_testbed
 from repro.simkernel import Simulator
 from repro.telemetry.events import bus
@@ -39,16 +40,24 @@ def test_replicas_must_be_positive():
 def test_single_replica_passthrough_keeps_direct_endpoints():
     sim, testbed, stack = deploy(replicas=1)
     assert isinstance(stack, FabricStack)
-    assert not stack.router.enabled
+    assert stack.router is None and stack.onserve.router is None
     assert stack.onserves[0].host is stack.appliance_host
     service = publish(sim, testbed, stack)
-    # Router off: services publish the appliance's own endpoint and
-    # nothing routes through the (attached-but-disabled) router.
+    # Router off: services publish the appliance's own endpoint.
     assert service.endpoint.startswith("soap://appliance/")
+    assert stack.inquiry_endpoint().startswith("soap://appliance/")
     result = sim.run(until=discover_and_invoke(
         stack, stack.user_clients[0], "Route%"))
     assert result
-    assert stack.router.requests_routed == 0
+    # Crash, restart and self-healing are routed-fabric verbs.
+    plane = fault_plane(sim).configure([FaultSpec(
+        "replica.crash", target="*", window=(sim.now, sim.now + 1.0))])
+    for verb in (stack.start_self_healing,
+                 lambda: stack.crash_replica("appliance"),
+                 lambda: stack.restart_replica("appliance"),
+                 lambda: plane.install_fabric(stack)):
+        with pytest.raises(OnServeError):
+            verb()
 
 
 def test_deploy_onserve_is_deploy_fabric_with_defaults():
@@ -60,8 +69,7 @@ def test_deploy_onserve_is_deploy_fabric_with_defaults():
     assert type(stack) is FabricStack
     assert FabricStack.__bases__ == (object,)
     assert stack.onserves == [stack.onserve]
-    assert not stack.router.enabled
-    assert stack.router.host is stack.appliance_host
+    assert stack.router is None
     # The paper's topology: no clone, no router host.
     assert "router" not in testbed.network.hosts()
     assert "appliance02" not in testbed.network.hosts()
@@ -251,7 +259,7 @@ def test_crash_fails_over_without_self_healing():
     at the flag."""
     from tests.ws.test_router_healing import crash_at
     sim, testbed, stack = deploy(replicas=3, n_users=1)
-    assert stack.router.store is None
+    assert not stack.self_healing
     publish(sim, testbed, stack, runtime="6")
     # Crash a secondary (the primary hosts the DB tier): pick a service
     # name owned by one.
@@ -280,7 +288,8 @@ def test_crash_fails_over_without_self_healing():
             stack, stack.user_clients[0], "Route%"))
     assert served and owner not in served
     assert owner not in stack.router.replicas()
-    assert stack.store.dedup_count() == 0   # no store, no dedup rows
+    # A failover replays nothing: no dedup row is ever written.
+    assert stack.dbmanager.db.count("invocation_dedup") == 0
 
 
 def test_enable_client_caches_is_idempotent():

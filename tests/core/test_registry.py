@@ -133,21 +133,21 @@ def test_dedup_records_once_and_flags_duplicates():
     sim, store = make_store()
     key = "req-1|RouteService.invoke"
     assert store.dedup_result(key) is None
-    assert store.dedup_count() == 0
+    assert store.db.count("invocation_dedup") == 0
     assert store.record_dedup(key, "replica1", "out.dat", now=3.0)
     assert store.dedup_result(key) == "out.dat"
-    assert store.dedup_count() == 1
+    assert store.db.count("invocation_dedup") == 1
     # A second completion of the same key is the double-execution the
     # chaos gate hunts for: refused, and counted.
     assert store.dedup_duplicates == 0
     assert not store.record_dedup(key, "replica2", "other.dat", now=4.0)
     assert store.dedup_result(key) == "out.dat"
-    assert store.dedup_count() == 1
+    assert store.db.count("invocation_dedup") == 1
     assert store.dedup_duplicates == 1
     # Distinct keys never collide.
     assert store.record_dedup("req-2|RouteService.invoke", "replica2",
                               "out2.dat", now=5.0)
-    assert store.dedup_count() == 2
+    assert store.db.count("invocation_dedup") == 2
 
 
 def _per_job_costs(n_jobs):

@@ -69,8 +69,6 @@ def test_failed_gate_renders_fail(result):
         rejoined=result.rejoined, detection_lags=result.detection_lags,
         detection_bound=result.detection_bound,
         slo_violated=result.slo_violated, failovers=result.failovers,
-        dedup_hits=result.dedup_hits,
-        dedup_duplicates=result.dedup_duplicates,
         inflight_killed=result.inflight_killed,
         requests_routed=result.requests_routed,
         submits=result.submits,

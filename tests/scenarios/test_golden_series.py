@@ -65,29 +65,6 @@ def attach_cold_caches(stack):
     return stack.enable_client_caches()
 
 
-def attach_healing_router(stack):
-    """A disabled router carrying the *full* self-healing configuration
-    (dedup store and lease timings); returns the router."""
-    from repro.core.registry import ServiceStateStore
-    from repro.ws.router import RequestRouter
-
-    store = ServiceStateStore(stack.dbmanager.db)
-    idle = RequestRouter(stack.appliance_host, stack.fabric,
-                         enabled=False, store=store, lease_ttl=15.0,
-                         lease_check_interval=5.0)
-    idle.add_replica(stack.appliance_host.name, stack.soap_server,
-                     stack.onserve)
-    stack.onserve.router = idle
-    return idle
-
-
-def assert_healing_plane_idle(router):
-    # Nothing leased, nothing deduped: the plane never woke up.
-    assert [router.replica_handle(name).lease_expires
-            for name in router.replicas()] == [None]
-    assert router.store.dedup_count() == 0
-
-
 def attach_idle_queue(stack):
     """A notify queue with every gatekeeper attached as *incapable*."""
     from repro.grid.notify import NotifyQueue
@@ -159,26 +136,6 @@ def test_goldens_unchanged_with_inert_cache_layer(name, golden_with):
     golden_with(name, lambda s: caches.extend(attach_cold_caches(s)),
                 "cold client caches")
     assert all(cache.hits == 0 for cache in caches)
-
-
-@pytest.mark.parametrize("name", sorted(FIGURES))
-def test_goldens_unchanged_with_idle_healing_plane_attached(
-        name, golden_with):
-    """A self-healing-*configured* but disabled router must stay inert.
-
-    The self-healing determinism contract (DESIGN.md §13): leases and
-    failover dedup hang off a router that holds a state store — but
-    none of it runs until ``start_membership_watch`` / heartbeats
-    start.  A
-    disabled router with the full healing configuration attached (in
-    place of the plain disabled one every single-appliance deployment
-    already carries) must not cost one event, its replica must stay
-    unleased and its dedup table empty for the whole run.
-    """
-    routers = []
-    golden_with(name, lambda s: routers.append(attach_healing_router(s)),
-                "the idle self-healing plane")
-    assert_healing_plane_idle(routers[-1])
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
@@ -257,13 +214,11 @@ def test_goldens_unchanged_with_every_plane_attached(
         attach_cold_caches(stack)
         pool = stack.agent._channels
         assert pool is not None and not pool.enabled
-        attached.append((attach_healing_router(stack),
-                         attach_idle_queue(stack), attach_db_tier(stack),
+        attached.append((attach_idle_queue(stack), attach_db_tier(stack),
                          attach_profiler(stack)))
 
     golden_with(name, attach_everything, "every plane")
-    router, queue, db_tier, profiler = attached[-1]
-    assert_healing_plane_idle(router)
+    queue, db_tier, profiler = attached[-1]
     assert_queue_idle(queue)
     assert_db_tier_inert(*db_tier)
     assert_profiler_observed(profiler)

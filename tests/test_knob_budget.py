@@ -22,8 +22,8 @@ from repro.ws.router import RequestRouter
 DEPLOY_FABRIC = ("testbed", "config", "dbmanager", "replicas", "router",
                  "self_healing", "lease_ttl", "lease_check_interval")
 
-REQUEST_ROUTER = ("host", "fabric", "enabled", "breaker_failure_threshold",
-                  "store", "lease_ttl", "lease_check_interval")
+REQUEST_ROUTER = ("host", "fabric", "breaker_failure_threshold",
+                  "lease_ttl", "lease_check_interval")
 
 AGENT_CONFIG = ("status_supported", "session_reuse")
 
@@ -56,9 +56,9 @@ def test_deploy_fabric_takes_exactly_its_eight_parameters():
     assert len(DEPLOY_FABRIC) == 8
 
 
-def test_request_router_takes_exactly_its_seven_parameters():
+def test_request_router_takes_exactly_its_five_parameters():
     assert parameters(RequestRouter.__init__) == REQUEST_ROUTER
-    assert len(REQUEST_ROUTER) == 7
+    assert len(REQUEST_ROUTER) == 5
 
 
 def test_onserve_config_takes_exactly_its_twenty_three_parameters():

@@ -29,7 +29,7 @@ def test_ring_owner_is_preference_head():
     for key in KEYS:
         order = ring.preference(key)
         assert order[0] == ring.owner(key)
-        assert sorted(order) == ring.nodes()
+        assert sorted(order) == sorted(ring.ownership())
 
 
 def test_ring_leave_moves_only_departed_nodes_keys():
@@ -55,7 +55,7 @@ def test_ring_join_steals_only_what_it_now_owns():
 
 def test_ring_spread_is_roughly_uniform():
     ring = ring_with([f"r{i}" for i in range(1, 5)])
-    per_node = {n: 0 for n in ring.nodes()}
+    per_node = {n: 0 for n in ring.ownership()}
     for key in KEYS:
         per_node[ring.owner(key)] += 1
     assert all(count > 0 for count in per_node.values())
@@ -178,9 +178,9 @@ def test_remove_replica_clears_gauges_and_emits_rebalance():
     sim, router = make_router(n_replicas=3)
     board = gauges(sim)
     replica1, replica2 = map(router.replica_handle, ("replica1", "replica2"))
+    late = router._admit(replica2)
     router._admit(replica2)
-    router._admit(replica2)
-    router._admit(replica1)
+    first = router._admit(replica1)
     assert board.gauge("router.queue", unit="reqs").current == 3
     router.remove_replica("replica2", reason="test")
     assert board.gauge("router.queue", unit="reqs").current == 1
@@ -190,9 +190,9 @@ def test_remove_replica_clears_gauges_and_emits_rebalance():
     assert any(ev.get("replica") == "replica2"
                and ev.get("reason") == "remove:test" for ev in events)
     # A late release for the removed replica must not go negative.
-    router._release(replica2)
+    router._release(replica2, late)
     assert board.gauge("router.queue", unit="reqs").current == 1
-    router._release(replica1)
+    router._release(replica1, first)
     assert board.gauge("router.queue", unit="reqs").current == 0
 
 
@@ -202,9 +202,9 @@ def test_each_replica_keeps_one_inflight_gauge_from_join_to_removal():
     cell = board.get("router.inflight", labels={"replica": "replica1"})
     assert cell is not None and cell.current == 0    # made at add_replica
     replica1 = router.replica_handle("replica1")
+    admitted = router._admit(replica1)
     router._admit(replica1)
-    router._admit(replica1)
-    router._release(replica1)
+    router._release(replica1, admitted)
     assert cell.current == 1 and cell.peak() == 2
     assert board.gauge("router.inflight", unit="reqs",
                        labels={"replica": "replica1"}) is cell
@@ -268,7 +268,7 @@ def test_ring_remove_preference_excludes_removed_node():
     for key in KEYS:
         order = ring.preference(key)
         assert "r2" not in order
-        assert sorted(order) == ring.nodes()
+        assert sorted(order) == sorted(ring.ownership())
 
 
 def test_ring_remove_keeps_ownership_normalized():
@@ -312,23 +312,12 @@ def test_ring_preference_memo_follows_membership():
             assert ring.owner(key) == cold._walk(key)[0]
 
 
-def test_disabled_router_owns_no_endpoint():
-    sim = Simulator()
-    net = Network(sim)
-    host = Host(sim, "router", net, HostSpec(cores=4))
-    fabric = SoapFabric()
-    router = RequestRouter(host, fabric, enabled=False)
-    router.add_replica("replica1", _StubServer())
-    with pytest.raises(WsError):
-        fabric.resolve(router.endpoint_for("HelloService"))
-
-
 def test_enabled_router_is_a_fabric_target():
     sim = Simulator()
     net = Network(sim)
     host = Host(sim, "router", net, HostSpec(cores=4))
     fabric = SoapFabric()
-    router = RequestRouter(host, fabric, enabled=True)
+    router = RequestRouter(host, fabric)
     server, service = fabric.resolve(router.endpoint_for("HelloService"))
     assert server is router
     assert service == "HelloService"
@@ -339,9 +328,7 @@ def test_enabled_router_is_a_fabric_target():
 def routed_service(handler=lambda operation, params: "ok",
                    self_healing=False):
     """Two SoapServers behind a router, ``T`` deployed on the hash owner;
-    a *self_healing* router holds a state store (the dedup table)."""
-    from repro.core.registry import ServiceStateStore
-    from repro.db.engine import Database
+    a *self_healing* router leases both replicas and watches the leases."""
     from repro.units import Mbps
     from repro.ws import (
         OperationSpec, ServiceDescription, SoapServer, WsClient,
@@ -350,9 +337,8 @@ def routed_service(handler=lambda operation, params: "ok",
     sim = Simulator()
     net = Network(sim)
     fabric = SoapFabric()
-    store = ServiceStateStore(Database()) if self_healing else None
     router = RequestRouter(Host(sim, "router", net, HostSpec(cores=4)),
-                           fabric, enabled=True, store=store)
+                           fabric)
     client_host = Host(sim, "c", net, HostSpec())
     net.connect("router", "c", bandwidth=Mbps(100))
     servers = {}
@@ -360,6 +346,10 @@ def routed_service(handler=lambda operation, params: "ok",
         servers[name] = SoapServer(Host(sim, name, net, HostSpec()), fabric)
         net.connect("router", name, bandwidth=Mbps(100))
         router.add_replica(name, servers[name])
+    if self_healing:
+        for name in servers:
+            router.renew_lease(name, sim.now + router.lease_ttl)
+        router.start_membership_watch()
     owner = servers[router.ring.owner("T")]
     owner.deploy(ServiceDescription("T", [OperationSpec("go")]), handler)
     return sim, router, owner, WsClient(client_host, fabric)
@@ -409,6 +399,9 @@ def test_router_relays_unencodable_result_as_fault(self_healing):
     assert "no XSD mapping for NoneType" in exc_info.value.detail
     assert owner.service("T").faults == 1
     assert router.inflight(router.ring.owner("T")) == 0
+    # The replica answered: an application fault is no transport fault.
+    assert router.deaths == [] and len(router.replicas()) == 2
+    router.stop_membership_watch()
 
 
 # -- end-to-end determinism -------------------------------------------------

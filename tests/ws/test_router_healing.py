@@ -1,10 +1,9 @@
-"""The self-healing routed fabric: crash failover, dedup, leases.
+"""The self-healing routed fabric: crash failover and leases.
 
 These tests exercise the plane the chaos drill (scenarios/chaos.py)
 gates at scale, but one invariant at a time on small fabrics: a crash
-mid-request fails over to a survivor without losing the call, a
-replayed invocation returns the recorded result instead of executing
-twice, and lease expiry declares a silent replica dead.
+mid-request fails over to a survivor without losing the call, and
+lease expiry declares a silent replica dead.
 """
 
 import pytest
@@ -18,6 +17,7 @@ from repro.grid.testbed import build_testbed
 from repro.resilience.retry import RetryPolicy
 from repro.simkernel import Simulator
 from repro.telemetry.events import bus
+from repro.telemetry.gauges import gauges
 from repro.units import KB
 from repro.ws.router import RequestRouter
 from repro.workloads.executables import make_payload
@@ -187,36 +187,30 @@ def test_renewals_from_an_admin_removed_replica_are_ignored():
     assert record.heartbeat is None
 
 
-def test_dedup_replays_recorded_result_without_resubmitting():
-    sim, testbed, stack = deploy_healing(replicas=2, n_users=1)
-    publish(sim, testbed, stack)
-    ctx = RequestContext(sim, "req-replayed")
-    stack.store.record_dedup("req-replayed|RouteService.execute",
-                             "appliance", "recorded-output", now=sim.now)
-    onserve = stack.onserve
-    invocations_before = onserve.invocation_count(
-        onserve.get_service("RouteService"))
-    result = sim.run(until=discover_and_invoke(
-        stack, stack.user_clients[0], "Route%", ctx=ctx))
-    # The router short-circuits on the idempotency table: the recorded
-    # result comes back and no replica executes the work again.
-    assert result == "recorded-output"
-    assert stack.router.dedup_hits == 1
-    assert stack.store.dedup_duplicates == 0
-    assert onserve.invocation_count(
-        onserve.get_service("RouteService")) == invocations_before
-    assert bus(sim).first("router.dedup_hit") is not None
-    stack.stop_self_healing()
+def test_a_release_after_removal_and_revival_leaves_the_count_alone():
+    """A request admitted before its replica was removed and revived
+    finishes under the new incarnation, which never counted it: its
+    release must not drive the in-flight count below zero."""
+    sim, testbed, stack = deploy_healing(replicas=3, n_users=1)
+    publish(sim, testbed, stack, runtime="20")
+    router = stack.router
+    owner = router.ring.owner("RouteService")
+    seen = []
 
+    def churn():
+        yield sim.timeout(5.0, name="test:churn")
+        seen.append(router.inflight(owner))
+        router.remove_replica(owner)
+        router.revive_replica(owner)
+        seen.append(router.inflight(owner))
 
-def test_read_operations_bypass_the_dedup_table():
-    sim, testbed, stack = deploy_healing(replicas=2, n_users=1)
-    publish(sim, testbed, stack)
-    sim.run(until=discover_and_invoke(stack, stack.user_clients[0],
-                                      "Route%"))
-    # Exactly the execute() call is recorded; the discovery traffic
-    # (findService et al) must not bloat the idempotency table.
-    assert stack.store.dedup_count() == 1
+    invoke = discover_and_invoke(stack, stack.user_clients[0], "Route%")
+    sim.process(churn(), name="test:churn")
+    sim.run(until=invoke)
+    assert seen == [1, 0]
+    assert router.inflight(owner) == 0
+    assert gauges(sim).gauge("router.queue").current == 0
+    assert router.choose("RouteService").name == owner
     stack.stop_self_healing()
 
 
